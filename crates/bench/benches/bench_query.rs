@@ -1,16 +1,13 @@
 //! Q — query latency of hub-label merge-joins across graph families and
 //! constructions (the tradeoff discussion of §1.1 / the distance-oracle
-//! motivation in the introduction), plus a flat-vs-nested representation
-//! head-to-head on the serving-scale gnm graph.
+//! motivation in the introduction). How the serving arenas and kernels
+//! compare is measured by `benchmark/` (the `hl-core.*` layer metrics).
 
 use hl_bench::timing::bench;
 use hl_bench::{family_graph, Family};
-use hl_core::label::{merge_join, merge_join_branchy};
 use hl_core::pll::PrunedLandmarkLabeling;
 use hl_core::random_threshold::{random_threshold_labeling, RandomThresholdParams};
-use hl_core::{freq, CompactLabeling, FlatLabeling};
-use hl_graph::rng::Xorshift64;
-use hl_graph::{generators, NodeId};
+use hl_graph::NodeId;
 
 fn main() {
     for family in [Family::RandomTree, Family::Grid, Family::Degree3Expander] {
@@ -38,97 +35,4 @@ fn main() {
             acc
         });
     }
-
-    // Flat CSR arena vs nested per-vertex labels: the *same* PLL labeling
-    // in both representations, answering the *same* query stream, on the
-    // 12k-node gnm graph used by the Serving section of EXPERIMENTS.md.
-    let g = generators::connected_gnm(12_000, 18_000, 1);
-    let n = g.num_nodes();
-    let nested = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-    let flat = FlatLabeling::from_labeling(&nested);
-    let mut rng = Xorshift64::seed_from_u64(17);
-    let stream: Vec<(NodeId, NodeId)> = (0..4096)
-        .map(|_| (rng.gen_index(n) as NodeId, rng.gen_index(n) as NodeId))
-        .collect();
-
-    // Single-query cost: one pair per iteration, rotating through the
-    // stream so neither representation benefits from a hot repeated pair.
-    let mut i = 0usize;
-    bench("query-repr", "gnm12k/nested-single", || {
-        let (u, v) = stream[i % stream.len()];
-        i += 1;
-        nested.query(u, v)
-    });
-    let mut i = 0usize;
-    bench("query-repr", "gnm12k/flat-single", || {
-        let (u, v) = stream[i % stream.len()];
-        i += 1;
-        flat.query(u, v)
-    });
-
-    // Batch cost: 1024 pairs per iteration, where the arena's contiguity
-    // should pay off against per-vertex pointer chasing.
-    bench("query-repr", "gnm12k/nested-batch1024", || {
-        let mut acc = 0u64;
-        for &(u, v) in stream.iter().take(1024) {
-            acc = acc.wrapping_add(nested.query(u, v));
-        }
-        acc
-    });
-    bench("query-repr", "gnm12k/flat-batch1024", || {
-        let mut acc = 0u64;
-        for &(u, v) in stream.iter().take(1024) {
-            acc = acc.wrapping_add(flat.query(u, v));
-        }
-        acc
-    });
-
-    // Flat CSR vs the compact arena (delta-coded hubs, narrow distance
-    // lanes), plain and frequency-reordered — the same labeling, the same
-    // stream, so the rows isolate decode cost against footprint.
-    let compact = CompactLabeling::from_flat(&flat).expect("unit-weight distances fit u32");
-    let (tuned_flat, _) = freq::reorder_by_hub_frequency(&flat);
-    let tuned = CompactLabeling::from_flat(&tuned_flat).expect("reorder keeps distances");
-    bench("query-repr", "gnm12k/compact-batch1024", || {
-        let mut acc = 0u64;
-        for &(u, v) in stream.iter().take(1024) {
-            acc = acc.wrapping_add(compact.query(u, v));
-        }
-        acc
-    });
-    bench("query-repr", "gnm12k/compact-freq-batch1024", || {
-        let mut acc = 0u64;
-        for &(u, v) in stream.iter().take(1024) {
-            acc = acc.wrapping_add(tuned.query(u, v));
-        }
-        acc
-    });
-
-    // Merge-join kernel head-to-head on raw label slices: the shipping
-    // branchless formulation against the branchy three-way-match
-    // reference, over the same slice pairs.
-    bench("merge-join", "gnm12k/branchy-batch1024", || {
-        let mut acc = 0u64;
-        for &(u, v) in stream.iter().take(1024) {
-            acc = acc.wrapping_add(merge_join_branchy(
-                flat.hubs_of(u),
-                flat.dists_of(u),
-                flat.hubs_of(v),
-                flat.dists_of(v),
-            ));
-        }
-        acc
-    });
-    bench("merge-join", "gnm12k/branchless-batch1024", || {
-        let mut acc = 0u64;
-        for &(u, v) in stream.iter().take(1024) {
-            acc = acc.wrapping_add(merge_join(
-                flat.hubs_of(u),
-                flat.dists_of(u),
-                flat.hubs_of(v),
-                flat.dists_of(v),
-            ));
-        }
-        acc
-    });
 }

@@ -159,35 +159,6 @@ pub fn merge_join_with_witness(
     (best != INFINITY).then_some((best, witness))
 }
 
-/// The pre-branchless three-way-`match` formulation of [`merge_join`],
-/// kept as the differential-testing and benchmarking baseline: the
-/// head-to-head in `bench_query` pins "branchless is no slower", and the
-/// property tests assert both formulations agree on every input.
-pub fn merge_join_branchy(
-    a_hubs: &[NodeId],
-    a_dists: &[Distance],
-    b_hubs: &[NodeId],
-    b_dists: &[Distance],
-) -> Distance {
-    let mut best = INFINITY;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a_hubs.len() && j < b_hubs.len() {
-        match a_hubs[i].cmp(&b_hubs[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let d = a_dists[i].saturating_add(b_dists[j]);
-                if d < best {
-                    best = d;
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    best
-}
-
 /// A borrowed, read-only view of a complete hub labeling: per-vertex
 /// sorted hub/distance slices plus the merge-join query over them.
 ///
@@ -499,6 +470,33 @@ impl LabelingView for HubLabeling {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pre-branchless three-way-`match` formulation of [`merge_join`]:
+    /// the reference the tests below hold the shipping kernel to.
+    fn merge_join_branchy(
+        a_hubs: &[NodeId],
+        a_dists: &[Distance],
+        b_hubs: &[NodeId],
+        b_dists: &[Distance],
+    ) -> Distance {
+        let mut best = INFINITY;
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a_hubs.len() && j < b_hubs.len() {
+            match a_hubs[i].cmp(&b_hubs[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    let d = a_dists[i].saturating_add(b_dists[j]);
+                    if d < best {
+                        best = d;
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        best
+    }
 
     #[test]
     fn from_pairs_sorts_and_dedups() {

@@ -52,6 +52,7 @@ use std::time::{Duration, Instant};
 use hl_core::pll::PrunedLandmarkLabeling;
 use hl_graph::rng::Xorshift64;
 use hl_graph::{bfs, generators, Distance, NodeId};
+use hl_net::cli::Flags;
 use hl_net::faults::{apply_script, FaultConfig, FaultKind, FaultPlan, Outcome};
 use hl_net::wire::{
     encode_mux, read_frame, split_mux, write_frame, ClientHello, ErrorCode, Request, Response,
@@ -68,10 +69,8 @@ struct Opts {
     max_seconds: u64,
 }
 
-fn usage() -> String {
-    "usage: hlnp-fuzz [--seed S] [--iters N] [--nodes N] [--probe-every K] [--max-seconds T]"
-        .to_string()
-}
+const USAGE: &str =
+    "usage: hlnp-fuzz [--seed S] [--iters N] [--nodes N] [--probe-every K] [--max-seconds T]";
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
@@ -84,40 +83,15 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         // there. CI passes an explicit, tighter guard.
         max_seconds: 900,
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{name} needs a value\n{}", usage()))
-        };
-        match arg.as_str() {
-            "--seed" => {
-                opts.seed = take("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--iters" => {
-                opts.iters = take("--iters")?
-                    .parse()
-                    .map_err(|e| format!("--iters: {e}"))?
-            }
-            "--nodes" => {
-                opts.nodes = take("--nodes")?
-                    .parse()
-                    .map_err(|e| format!("--nodes: {e}"))?
-            }
-            "--probe-every" => {
-                opts.probe_every = take("--probe-every")?
-                    .parse()
-                    .map_err(|e| format!("--probe-every: {e}"))?
-            }
-            "--max-seconds" => {
-                opts.max_seconds = take("--max-seconds")?
-                    .parse()
-                    .map_err(|e| format!("--max-seconds: {e}"))?
-            }
-            other => return Err(format!("unknown argument {other}\n{}", usage())),
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--seed" => opts.seed = flags.parsed(arg)?,
+            "--iters" => opts.iters = flags.parsed(arg)?,
+            "--nodes" => opts.nodes = flags.parsed(arg)?,
+            "--probe-every" => opts.probe_every = flags.parsed(arg)?,
+            "--max-seconds" => opts.max_seconds = flags.parsed(arg)?,
+            other => return Err(format!("unknown argument {other}")),
         }
     }
     if opts.nodes < 8 {
@@ -158,7 +132,7 @@ fn main() -> ExitCode {
     let opts = match parse_opts(&args) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("{e}\n{USAGE}");
             return ExitCode::from(2);
         }
     };

@@ -1,15 +1,13 @@
-//! `hubserve` — build, query, load-test and *serve* binary hub label
-//! stores.
+//! `hubserve` — build, query, inspect, convert and *serve* binary hub
+//! label stores.
 //!
 //! ```text
 //! hubserve build <graph-file> <store-file> [options]  graph -> binary store
 //! hubserve query <store-file> [pairs-file]            answer "u v" lines
 //! hubserve stats <store-file>                         store + arena sizes
-//! hubserve bench <store-file> [options]               in-process load test
 //! hubserve serve <store-file> [options]               TCP daemon (HLNP)
 //! hubserve convert <in-store> <out-store> --to v1|v2|v2c  migrate store formats
 //! hubserve reload <host:port> <server-store-path>     hot-swap a daemon's store
-//! hubserve storebench <store-file> [options]          v1/v2/v2c load timing
 //! ```
 //!
 //! `build` reads the plain-text edge list of `hl_graph::io` — or
@@ -20,9 +18,7 @@
 //! strategy (`degree`, `bfs-level`, `betweenness`, `closeness`, `random`,
 //! `identity`). The result is written as the versioned binary store of
 //! `hl_server::store`; `--verify K` spot-checks the freshly written store
-//! against ground-truth distances from `K` seeded sources, and
-//! `--bench-json FILE` additionally drops a machine-readable build
-//! snapshot (see BENCH_build.json). The legacy
+//! against ground-truth distances from `K` seeded sources. The legacy
 //! positional algorithms `pll`, `pll-random` and `pll-betweenness` still
 //! parse and map onto the matching order strategy.
 //!
@@ -33,25 +29,21 @@
 //!
 //! `stats` validates the store, decodes it into the query-time arena it
 //! would actually serve from (flat CSR, or the compact arena for the
-//! `v2c` flavor — exactly what `serve`/`bench` mount), and prints both
-//! the on-disk and in-memory sizes, so the store-size claims in
-//! EXPERIMENTS.md regenerate from the CLI.
+//! `v2c` flavor — exactly what `serve` mounts), and prints both the
+//! on-disk and in-memory sizes: label entries and bytes per entry, the
+//! two axes the paper's size bounds are stated in.
 //!
-//! `bench` drives the engine with seeded random batches on 1 worker and on
-//! N workers, reports throughput and the speedup, then replays a skewed
-//! single-query workload to exercise the cache, and dumps the metrics
-//! snapshot. It also runs the flat-vs-compact arena head-to-head on the
-//! same pair stream (verifying both arenas return identical answers) and
-//! a branchy-vs-branchless merge-join kernel microbench, so the tuning
-//! claims in EXPERIMENTS.md regenerate from one command.
-//!
-//! `serve` loads a store of either format into a [`hl_net::NetServer`]
+//! `serve` loads a store of any format into a [`hl_net::NetServer`]
 //! and answers HLNP frames until a `Shutdown` request arrives, then
 //! drains and prints the final metrics snapshot. It announces
 //! `listening on <addr>` on stdout so scripts binding port 0 can
 //! discover the ephemeral port. A running daemon hot-swaps its store on
 //! a `Reload` frame (disable with `--no-remote-reload`): in-flight
 //! queries finish on the old epoch, new ones answer from the new store.
+//! `--workers N` sizes only the engine's batch pool; requests from
+//! connections run on a separate pool fixed at
+//! `ServerConfig::worker_threads` (4), although the banner says
+//! "N workers".
 //!
 //! `convert` migrates a store between HLBS v1 (γ-coded archival format),
 //! HLBS v2 (the flat serving arena, verbatim) and HLBS v2c (the compact
@@ -66,11 +58,8 @@
 //! `reload` asks a running daemon (one with remote reload enabled) to
 //! mount the store at a *server-local* path and reports the new epoch.
 //!
-//! `storebench` measures what v2 exists for: wall-time from store bytes
-//! to a query-ready arena. It re-encodes the given store into all three
-//! formats in memory, times parse+decode for each (the v2c row mounts
-//! the compact arena natively, no expansion), and reports MB/s and the
-//! speedup (`--bench-json` drops the BENCH_store.json snapshot).
+//! How fast any of this is, end to end and per layer, is measured by one
+//! thing only: `benchmark/` (see `benchmark/README.md`).
 //!
 //! Exit codes: 0 success, 1 runtime failure (bad store, i/o), 2 usage.
 
@@ -81,13 +70,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hl_build::BuildConfig;
-use hl_core::label::{merge_join, merge_join_branchy};
 use hl_core::order::{
     BetweennessOrder, BfsLevelOrder, ClosenessOrder, DegreeOrder, IdentityOrder, RandomOrder,
 };
 use hl_core::{freq, CompactLabeling, VertexOrder};
 use hl_graph::rng::Xorshift64;
-use hl_graph::{generators, Graph, NodeId, INFINITY};
+use hl_graph::{generators, Graph, NodeId};
+use hl_net::cli::{parse_pair, print_answer, Flags};
 use hl_net::{ClientConfig, NetClient, NetServer, ServerConfig};
 use hl_server::{AnyStore, CompactStore, FlatStore, LabelStore, QueryEngine, ServedLabeling};
 
@@ -97,30 +86,21 @@ fn main() -> ExitCode {
         Some("build") => cmd_build(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("convert") => cmd_convert(&args[1..]),
         Some("reload") => cmd_reload(&args[1..]),
-        Some("storebench") => cmd_storebench(&args[1..]),
         _ => {
-            eprintln!(
-                "usage: hubserve build|query|stats|bench|serve|convert|reload|storebench ..."
-            );
-            eprintln!("  build [<graph-file>] <store-file> [legacy-algo]");
-            eprintln!("        [--gen rmat|power-law|grid|gnm --nodes N [--edges M]]");
-            eprintln!("        [--threads N] [--order degree|bfs-level|betweenness|closeness|random|identity]");
-            eprintln!("        [--seed S] [--bench-json FILE]");
-            eprintln!("  query <store-file> [pairs-file]");
-            eprintln!("  stats <store-file>");
-            eprintln!("  bench <store-file> [--queries N] [--workers N] [--batch N] [--seed S]");
-            eprintln!("        [--bench-json FILE]");
-            eprintln!("  serve <store-file> [--addr HOST:PORT] [--workers N] [--max-conns N]");
-            eprintln!("        [--read-timeout-ms N] [--write-timeout-ms N]");
-            eprintln!("        [--no-remote-shutdown] [--no-remote-reload]");
-            eprintln!("  convert <in-store> <out-store> --to v1|v2|v2c [--reorder freq]");
-            eprintln!("        [--verify-roundtrip]");
-            eprintln!("  reload <host:port> <server-store-path>");
-            eprintln!("  storebench <store-file> [--repeat N] [--bench-json FILE]");
+            eprintln!("usage: hubserve build|query|stats|serve|convert|reload ...");
+            for usage in [
+                BUILD_USAGE,
+                QUERY_USAGE,
+                STATS_USAGE,
+                SERVE_USAGE,
+                CONVERT_USAGE,
+                RELOAD_USAGE,
+            ] {
+                eprintln!("  {}", usage.trim_start_matches("usage: hubserve "));
+            }
             return ExitCode::from(2);
         }
     };
@@ -141,22 +121,6 @@ fn default_workers() -> usize {
 
 fn open_store(path: &str) -> Result<LabelStore, String> {
     LabelStore::open(path).map_err(|e| format!("cannot open store {path}: {e}"))
-}
-
-/// Arena plus the facts `stats`-style output wants: format version,
-/// on-disk size, per-section `(name, bytes)` sizes.
-type FlatWithFacts = (hl_core::FlatLabeling, u16, u64, [(&'static str, u64); 3]);
-
-/// Opens a store of either format and decodes it to the flat arena.
-fn open_any_flat(path: &str) -> Result<FlatWithFacts, String> {
-    let store = AnyStore::open(path).map_err(|e| format!("cannot open store {path}: {e}"))?;
-    let version = store.version();
-    let file_len = store.file_len();
-    let sections = store.section_bytes();
-    let flat = store
-        .into_flat()
-        .map_err(|e| format!("cannot decode store {path}: {e}"))?;
-    Ok((flat, version, file_len, sections))
 }
 
 /// Arena in the store's *native* mounted form, plus stats facts: flavor
@@ -193,13 +157,12 @@ struct BuildOpts {
     threads: usize,
     order: String,
     verify_sources: usize,
-    bench_json: Option<String>,
 }
 
 const BUILD_USAGE: &str = "usage: hubserve build [<graph-file>] <store-file> [legacy-algo] \
      [--gen rmat|power-law|grid|gnm --nodes N [--edges M]] [--threads N] \
      [--order degree|bfs-level|betweenness|closeness|random|identity] [--seed S] \
-     [--verify SOURCES] [--bench-json FILE]";
+     [--verify SOURCES]";
 
 fn parse_build_opts(args: &[String]) -> Result<BuildOpts, String> {
     let mut positionals: Vec<String> = Vec::new();
@@ -210,43 +173,16 @@ fn parse_build_opts(args: &[String]) -> Result<BuildOpts, String> {
     let mut threads = 1usize;
     let mut order: Option<String> = None;
     let mut verify_sources = 0usize;
-    let mut bench_json = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--gen" => gen = Some(take("--gen")?.to_string()),
-            "--nodes" => {
-                nodes = take("--nodes")?
-                    .parse()
-                    .map_err(|e| format!("--nodes: {e}"))?
-            }
-            "--edges" => {
-                edges = take("--edges")?
-                    .parse()
-                    .map_err(|e| format!("--edges: {e}"))?
-            }
-            "--seed" => {
-                seed = take("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--threads" => {
-                threads = take("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--order" => order = Some(take("--order")?.to_string()),
-            "--verify" => {
-                verify_sources = take("--verify")?
-                    .parse()
-                    .map_err(|e| format!("--verify: {e}"))?
-            }
-            "--bench-json" => bench_json = Some(take("--bench-json")?.to_string()),
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--gen" => gen = Some(flags.value(arg)?.to_string()),
+            "--nodes" => nodes = flags.parsed(arg)?,
+            "--edges" => edges = flags.parsed(arg)?,
+            "--seed" => seed = flags.parsed(arg)?,
+            "--threads" => threads = flags.parsed(arg)?,
+            "--order" => order = Some(flags.value(arg)?.to_string()),
+            "--verify" => verify_sources = flags.parsed(arg)?,
             other if !other.starts_with('-') => positionals.push(other.to_string()),
             other => return Err(format!("unexpected argument '{other}'")),
         }
@@ -292,7 +228,6 @@ fn parse_build_opts(args: &[String]) -> Result<BuildOpts, String> {
         threads,
         order: order.or(legacy_order).unwrap_or_else(|| "degree".into()),
         verify_sources,
-        bench_json,
     })
 }
 
@@ -344,16 +279,11 @@ fn generate_graph(name: &str, nodes: usize, edges: usize, seed: u64) -> Result<G
 
 fn cmd_build(args: &[String]) -> Result<(), String> {
     let opts = parse_build_opts(args)?;
-    let (g, graph_desc) = match (&opts.gen, &opts.graph_path) {
-        (Some(name), _) => (
-            generate_graph(name, opts.nodes, opts.edges, opts.seed)?,
-            name.clone(),
-        ),
+    let g = match (&opts.gen, &opts.graph_path) {
+        (Some(name), _) => generate_graph(name, opts.nodes, opts.edges, opts.seed)?,
         (None, Some(path)) => {
             let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-            let g =
-                hl_graph::io::read_edge_list(BufReader::new(file)).map_err(|e| e.to_string())?;
-            (g, path.clone())
+            hl_graph::io::read_edge_list(BufReader::new(file)).map_err(|e| e.to_string())?
         }
         (None, None) => return Err(BUILD_USAGE.into()),
     };
@@ -381,8 +311,8 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         store.file_len(),
         store.total_bits() as f64 / g.num_nodes().max(1) as f64,
     );
-    let mut verified_pairs = 0usize;
     if opts.verify_sources > 0 {
+        let mut verified_pairs = 0usize;
         // Spot-check the *saved* store — reopen it, decode the flat arena,
         // and compare against ground-truth single-source distances, so the
         // whole generate -> build -> encode -> decode path is on the hook.
@@ -414,69 +344,19 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
             opts.verify_sources
         );
     }
-    if let Some(path) = &opts.bench_json {
-        let json = format!(
-            concat!(
-                "{{\"bench\":\"build\",\"graph\":\"{}\",\"n\":{},\"m\":{},",
-                "\"threads\":{},\"nproc\":{},\"order\":\"{}\",\"seed\":{},\"build_seconds\":{:.6},",
-                "\"label_entries\":{},\"store_bytes\":{},\"verified_pairs\":{},",
-                "\"stats\":{}}}\n"
-            ),
-            graph_desc,
-            g.num_nodes(),
-            g.num_edges(),
-            opts.threads,
-            default_workers(),
-            out.stats.order,
-            opts.seed,
-            build_s,
-            out.labeling.num_entries(),
-            store.file_len(),
-            verified_pairs,
-            out.stats.to_json(),
-        );
-        std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("build snapshot written to {path}");
-    }
     Ok(())
 }
 
-fn parse_pair(line: &str, n: usize) -> Result<Option<(NodeId, NodeId)>, String> {
-    let line = line.trim();
-    if line.is_empty() || line.starts_with('#') {
-        return Ok(None);
-    }
-    let mut it = line.split_whitespace();
-    let (Some(u), Some(v), None) = (it.next(), it.next(), it.next()) else {
-        return Err(format!("expected 'u v', got '{line}'"));
-    };
-    let u: NodeId = u.parse().map_err(|_| format!("bad vertex id '{u}'"))?;
-    let v: NodeId = v.parse().map_err(|_| format!("bad vertex id '{v}'"))?;
-    if u as usize >= n || v as usize >= n {
-        return Err(format!(
-            "vertex out of range in '{line}' (store covers 0..{n})"
-        ));
-    }
-    Ok(Some((u, v)))
-}
-
-fn print_answer(out: &mut impl Write, u: NodeId, v: NodeId, d: u64) -> Result<(), String> {
-    let r = if d == INFINITY {
-        writeln!(out, "{u} {v} inf")
-    } else {
-        writeln!(out, "{u} {v} {d}")
-    };
-    r.map_err(|e| e.to_string())
-}
+const QUERY_USAGE: &str = "usage: hubserve query <store-file> [pairs-file]";
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
     let (store_path, pairs_path) = match args {
         [s] => (s, None),
         [s, p] => (s, Some(p)),
-        _ => return Err("usage: hubserve query <store-file> [pairs-file]".into()),
+        _ => return Err(QUERY_USAGE.into()),
     };
     let (served, _, _, _, _) = open_any_served(store_path)?;
-    let n = served.num_nodes();
+    let n = served.num_nodes() as u64;
     let engine = QueryEngine::new(served, default_workers())
         .map_err(|e| format!("cannot start engine: {e}"))?;
     let stdout = std::io::stdout();
@@ -514,9 +394,11 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+const STATS_USAGE: &str = "usage: hubserve stats <store-file>";
+
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let [store_path] = args else {
-        return Err("usage: hubserve stats <store-file>".into());
+        return Err(STATS_USAGE.into());
     };
     let (served, flavor, version, file_len, sections) = open_any_served(store_path)?;
     let n = served.num_nodes();
@@ -559,275 +441,6 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-struct BenchOpts {
-    queries: usize,
-    workers: usize,
-    batch: usize,
-    seed: u64,
-    bench_json: Option<String>,
-}
-
-fn parse_bench_opts(args: &[String]) -> Result<(String, BenchOpts), String> {
-    let mut store_path = None;
-    let mut opts = BenchOpts {
-        queries: 100_000,
-        workers: default_workers(),
-        batch: 1024,
-        seed: 42,
-        bench_json: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--queries" => {
-                opts.queries = take("--queries")?
-                    .parse()
-                    .map_err(|e| format!("--queries: {e}"))?
-            }
-            "--workers" => {
-                opts.workers = take("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--batch" => {
-                opts.batch = take("--batch")?
-                    .parse()
-                    .map_err(|e| format!("--batch: {e}"))?
-            }
-            "--seed" => {
-                opts.seed = take("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--bench-json" => opts.bench_json = Some(take("--bench-json")?.to_string()),
-            other if store_path.is_none() && !other.starts_with('-') => {
-                store_path = Some(other.to_string())
-            }
-            other => return Err(format!("unexpected argument '{other}'")),
-        }
-    }
-    let store_path = store_path.ok_or_else(|| {
-        "usage: hubserve bench <store-file> [--queries N] [--workers N] [--batch N] [--seed S] \
-         [--bench-json FILE]"
-            .to_string()
-    })?;
-    if opts.queries == 0 || opts.batch == 0 {
-        return Err("--queries and --batch must be positive".into());
-    }
-    Ok((store_path, opts))
-}
-
-fn run_batches(
-    engine: &QueryEngine,
-    pairs: &[(NodeId, NodeId)],
-    batch: usize,
-) -> Result<f64, String> {
-    let started = Instant::now();
-    let mut sink = 0u64;
-    for chunk in pairs.chunks(batch) {
-        let distances = engine.query_batch(chunk).map_err(|e| e.to_string())?;
-        sink = sink.wrapping_add(distances.iter().fold(0u64, |a, &d| a.wrapping_add(d)));
-    }
-    std::hint::black_box(sink);
-    Ok(started.elapsed().as_secs_f64())
-}
-
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let (store_path, opts) = parse_bench_opts(args)?;
-    let (served, flavor, _, file_len, _) = open_any_served(&store_path)?;
-    let n = served.num_nodes();
-    if n < 2 {
-        return Err("store too small to bench".into());
-    }
-
-    let mut rng = Xorshift64::seed_from_u64(opts.seed);
-    let pairs: Vec<(NodeId, NodeId)> = (0..opts.queries)
-        .map(|_| (rng.gen_index(n) as NodeId, rng.gen_index(n) as NodeId))
-        .collect();
-
-    println!(
-        "store: {n} nodes, {file_len} bytes ({flavor}); load: {} queries in batches of {}",
-        opts.queries, opts.batch
-    );
-
-    // Head-to-head arenas from the same labeling, whatever flavor was on
-    // disk. The compact build only fails when a distance overflows u32 —
-    // report it and carry on flat-only.
-    let flat = served.into_flat();
-    let entries = flat.num_entries();
-    let compact = match CompactLabeling::from_flat(&flat) {
-        Ok(c) => Some(c),
-        Err(e) => {
-            println!("  (skipping compact head-to-head: {e})");
-            None
-        }
-    };
-
-    let single =
-        QueryEngine::new(flat.clone(), 1).map_err(|e| format!("cannot start engine: {e}"))?;
-    let t1 = run_batches(&single, &pairs, opts.batch)?;
-    println!(
-        "  flat     1 worker : {:>10.0} queries/s ({t1:.3}s, {:.1} B/entry)",
-        opts.queries as f64 / t1,
-        flat.heap_bytes() as f64 / entries.max(1) as f64
-    );
-    drop(single);
-
-    let pooled = QueryEngine::new(flat.clone(), opts.workers)
-        .map_err(|e| format!("cannot start engine: {e}"))?;
-    let tn = run_batches(&pooled, &pairs, opts.batch)?;
-    println!(
-        "  flat     {} workers: {:>10.0} queries/s ({tn:.3}s)  speedup {:.2}x",
-        opts.workers,
-        opts.queries as f64 / tn,
-        t1 / tn
-    );
-
-    // Same engine, same pair stream, compact arena mounted instead.
-    let (tc1, tcn, verified, compact_bpe) = match &compact {
-        Some(c) => {
-            let mut verified = 0usize;
-            for &(u, v) in &pairs {
-                if flat.query(u, v) != c.query(u, v) {
-                    return Err(format!(
-                        "head-to-head FAILED: flat and compact arenas disagree on d({u},{v})"
-                    ));
-                }
-                verified += 1;
-            }
-            let c_single =
-                QueryEngine::new(c.clone(), 1).map_err(|e| format!("cannot start engine: {e}"))?;
-            let tc1 = run_batches(&c_single, &pairs, opts.batch)?;
-            drop(c_single);
-            let c_pooled = QueryEngine::new(c.clone(), opts.workers)
-                .map_err(|e| format!("cannot start engine: {e}"))?;
-            let tcn = run_batches(&c_pooled, &pairs, opts.batch)?;
-            drop(c_pooled);
-            println!(
-                "  compact  1 worker : {:>10.0} queries/s ({tc1:.3}s, {:.1} B/entry)",
-                opts.queries as f64 / tc1,
-                c.bytes_per_entry()
-            );
-            println!(
-                "  compact  {} workers: {:>10.0} queries/s ({tcn:.3}s)  speedup {:.2}x",
-                opts.workers,
-                opts.queries as f64 / tcn,
-                tc1 / tcn
-            );
-            println!(
-                "  head-to-head: {verified} answers identical; compact arena {:.1}% of flat bytes",
-                100.0 * c.heap_bytes() as f64 / flat.heap_bytes().max(1) as f64
-            );
-            (tc1, tcn, verified, c.bytes_per_entry())
-        }
-        None => (0.0, 0.0, 0, 0.0),
-    };
-
-    // Merge-join kernel microbench on raw label slices: the shipping
-    // branchless kernel against the branchy reference formulation.
-    type JoinFn = dyn Fn(&[NodeId], &[u64], &[NodeId], &[u64]) -> u64;
-    let time_kernel = |f: &JoinFn| -> f64 {
-        let started = Instant::now();
-        let mut sink = 0u64;
-        for &(u, v) in &pairs {
-            sink = sink.wrapping_add(f(
-                flat.hubs_of(u),
-                flat.dists_of(u),
-                flat.hubs_of(v),
-                flat.dists_of(v),
-            ));
-        }
-        std::hint::black_box(sink);
-        started.elapsed().as_secs_f64()
-    };
-    // Alternate repetitions and keep each kernel's best pass, so a cache
-    // warm-up or scheduler hiccup cannot decide the head-to-head.
-    let (mut t_branchy, mut t_branchless) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        t_branchy = t_branchy.min(time_kernel(&merge_join_branchy));
-        t_branchless = t_branchless.min(time_kernel(&merge_join));
-    }
-    let per_join = |t: f64| t * 1e9 / pairs.len().max(1) as f64;
-    println!(
-        "  kernel: branchy {:.1} ns/join, branchless {:.1} ns/join ({:.2}x)",
-        per_join(t_branchy),
-        per_join(t_branchless),
-        t_branchy / t_branchless.max(1e-12)
-    );
-
-    // Skewed point lookups: a small hot set replayed through the cache.
-    let hot: Vec<(NodeId, NodeId)> = (0..256)
-        .map(|_| (rng.gen_index(n) as NodeId, rng.gen_index(n) as NodeId))
-        .collect();
-    let singles = opts.queries.min(50_000);
-    let started = Instant::now();
-    for i in 0..singles {
-        let (u, v) = hot[rng.gen_index(hot.len().min(1 + i))];
-        pooled.query(u, v).map_err(|e| e.to_string())?;
-    }
-    let ts = started.elapsed().as_secs_f64();
-    println!(
-        "  cached singles: {:>10.0} queries/s ({singles} queries)",
-        singles as f64 / ts
-    );
-
-    println!("--- metrics ({} workers engine) ---", opts.workers);
-    let snap = pooled.snapshot();
-    println!("{}", snap.render_text());
-    if let Some(path) = &opts.bench_json {
-        let qps = |t: f64| {
-            if t > 0.0 {
-                opts.queries as f64 / t
-            } else {
-                0.0
-            }
-        };
-        let json = format!(
-            concat!(
-                "{{\"bench\":\"query\",\"store\":\"{}\",\"flavor\":\"{}\",\"n\":{},",
-                "\"label_entries\":{},\"queries\":{},\"batch\":{},\"seed\":{},",
-                "\"workers\":{},\"nproc\":{},",
-                "\"single_qps\":{:.0},\"pooled_qps\":{:.0},\"speedup\":{:.3},",
-                "\"compact_single_qps\":{:.0},\"compact_pooled_qps\":{:.0},",
-                "\"verified_identical\":{},",
-                "\"flat_bytes_per_entry\":{:.2},\"compact_bytes_per_entry\":{:.2},",
-                "\"branchy_ns_per_join\":{:.1},\"branchless_ns_per_join\":{:.1},",
-                "\"cached_single_qps\":{:.0},\"p50_ns\":{},\"p99_ns\":{}}}\n"
-            ),
-            store_path,
-            flavor,
-            n,
-            entries,
-            opts.queries,
-            opts.batch,
-            opts.seed,
-            opts.workers,
-            default_workers(),
-            qps(t1),
-            qps(tn),
-            t1 / tn,
-            qps(tc1),
-            qps(tcn),
-            verified,
-            flat.heap_bytes() as f64 / entries.max(1) as f64,
-            compact_bpe,
-            per_join(t_branchy),
-            per_join(t_branchless),
-            singles as f64 / ts,
-            snap.p50_ns,
-            snap.p99_ns,
-        );
-        std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("query snapshot written to {path}");
-    }
-    Ok(())
-}
-
 struct ServeOpts {
     addr: String,
     workers: usize,
@@ -837,6 +450,11 @@ struct ServeOpts {
     allow_remote_shutdown: bool,
     allow_remote_reload: bool,
 }
+
+const SERVE_USAGE: &str = "usage: hubserve serve <store-file> [--addr HOST:PORT] [--workers N] \
+     [--max-conns N] [--read-timeout-ms N] [--write-timeout-ms N] [--no-remote-shutdown] \
+     [--no-remote-reload]  (--workers sizes the engine's batch pool only; connection requests \
+     run on a fixed pool of 4)";
 
 fn parse_serve_opts(args: &[String]) -> Result<(String, ServeOpts), String> {
     let mut store_path = None;
@@ -849,36 +467,17 @@ fn parse_serve_opts(args: &[String]) -> Result<(String, ServeOpts), String> {
         allow_remote_shutdown: true,
         allow_remote_reload: true,
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => opts.addr = take("--addr")?.to_string(),
-            "--workers" => {
-                opts.workers = take("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--max-conns" => {
-                opts.max_conns = take("--max-conns")?
-                    .parse()
-                    .map_err(|e| format!("--max-conns: {e}"))?
-            }
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--addr" => opts.addr = flags.value(arg)?.to_string(),
+            "--workers" => opts.workers = flags.parsed(arg)?,
+            "--max-conns" => opts.max_conns = flags.parsed(arg)?,
             "--read-timeout-ms" => {
-                let ms: u64 = take("--read-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--read-timeout-ms: {e}"))?;
-                opts.read_timeout = Duration::from_millis(ms.max(1));
+                opts.read_timeout = Duration::from_millis(flags.parsed::<u64>(arg)?.max(1))
             }
             "--write-timeout-ms" => {
-                let ms: u64 = take("--write-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--write-timeout-ms: {e}"))?;
-                opts.write_timeout = Duration::from_millis(ms.max(1));
+                opts.write_timeout = Duration::from_millis(flags.parsed::<u64>(arg)?.max(1))
             }
             "--no-remote-shutdown" => opts.allow_remote_shutdown = false,
             "--no-remote-reload" => opts.allow_remote_reload = false,
@@ -888,12 +487,7 @@ fn parse_serve_opts(args: &[String]) -> Result<(String, ServeOpts), String> {
             other => return Err(format!("unexpected argument '{other}'")),
         }
     }
-    let store_path = store_path.ok_or_else(|| {
-        "usage: hubserve serve <store-file> [--addr HOST:PORT] [--workers N] [--max-conns N] \
-         [--read-timeout-ms N] [--write-timeout-ms N] [--no-remote-shutdown] \
-         [--no-remote-reload]"
-            .to_string()
-    })?;
+    let store_path = store_path.ok_or(SERVE_USAGE)?;
     if opts.max_conns == 0 {
         return Err("--max-conns must be positive".into());
     }
@@ -967,16 +561,11 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     let mut to = None;
     let mut reorder = None;
     let mut verify_roundtrip = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--to" => to = Some(take("--to")?.to_string()),
-            "--reorder" => reorder = Some(take("--reorder")?.to_string()),
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--to" => to = Some(flags.value(arg)?),
+            "--reorder" => reorder = Some(flags.value(arg)?),
             "--verify-roundtrip" => verify_roundtrip = true,
             other if !other.starts_with('-') => positionals.push(other.to_string()),
             other => return Err(format!("unexpected argument '{other}'")),
@@ -985,13 +574,13 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     let ([in_path, out_path], Some(to)) = (positionals.as_slice(), to) else {
         return Err(CONVERT_USAGE.into());
     };
-    let target = match to.as_str() {
+    let target = match to {
         "v1" | "1" => "v1",
         "v2" | "2" => "v2",
         "v2c" | "2c" => "v2c",
         other => return Err(format!("--to must be v1, v2 or v2c, not '{other}'")),
     };
-    match reorder.as_deref() {
+    match reorder {
         None => {}
         Some("freq") if verify_roundtrip => {
             return Err(
@@ -1055,9 +644,11 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+const RELOAD_USAGE: &str = "usage: hubserve reload <host:port> <server-store-path>";
+
 fn cmd_reload(args: &[String]) -> Result<(), String> {
     let [addr, store_path] = args else {
-        return Err("usage: hubserve reload <host:port> <server-store-path>".into());
+        return Err(RELOAD_USAGE.into());
     };
     let mut client = NetClient::connect(addr.as_str(), ClientConfig::default())
         .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
@@ -1069,142 +660,5 @@ fn cmd_reload(args: &[String]) -> Result<(), String> {
         "reloaded {addr} from {store_path}: epoch {epoch}, {num_nodes} nodes \
          (was {before})"
     );
-    Ok(())
-}
-
-struct StorebenchOpts {
-    repeat: usize,
-    bench_json: Option<String>,
-}
-
-fn cmd_storebench(args: &[String]) -> Result<(), String> {
-    let usage = "usage: hubserve storebench <store-file> [--repeat N] [--bench-json FILE]";
-    let mut store_path = None;
-    let mut opts = StorebenchOpts {
-        repeat: 3,
-        bench_json: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--repeat" => {
-                opts.repeat = take("--repeat")?
-                    .parse()
-                    .map_err(|e| format!("--repeat: {e}"))?
-            }
-            "--bench-json" => opts.bench_json = Some(take("--bench-json")?.to_string()),
-            other if store_path.is_none() && !other.starts_with('-') => {
-                store_path = Some(other.to_string())
-            }
-            other => return Err(format!("unexpected argument '{other}'")),
-        }
-    }
-    let store_path = store_path.ok_or_else(|| usage.to_string())?;
-    if opts.repeat == 0 {
-        return Err("--repeat must be positive".into());
-    }
-
-    let (flat, source, _, _) = open_any_flat(&store_path)?;
-    let (n, entries) = (flat.num_nodes(), flat.num_entries());
-    println!("store {store_path} (v{source}): {n} nodes, {entries} entries");
-    println!("re-encoding all formats in memory, timing bytes -> query-ready arena:");
-
-    // All formats parse from RAM, so the numbers isolate decode cost
-    // from disk and page-cache behavior.
-    let v1_bytes = encode_as(&flat, "v1")?;
-    let v2_bytes = encode_as(&flat, "v2")?;
-    let v2c_bytes = match encode_as(&flat, "v2c") {
-        Ok(b) => Some(b),
-        Err(e) => {
-            println!("  (skipping v2c row: {e})");
-            None
-        }
-    };
-    drop(flat);
-
-    // Each flavor is timed to *its own* mounted arena — flat for v1/v2,
-    // the compact arena for v2c — matching what `serve` does.
-    let time_load = |bytes: &[u8]| -> Result<f64, String> {
-        let mut best = f64::INFINITY;
-        for _ in 0..opts.repeat {
-            let started = Instant::now();
-            let served = AnyStore::parse(bytes)
-                .map_err(|e| format!("bench parse: {e}"))?
-                .into_served()
-                .map_err(|e| format!("bench decode: {e}"))?;
-            best = best.min(started.elapsed().as_secs_f64());
-            std::hint::black_box(served);
-        }
-        Ok(best)
-    };
-    let t1 = time_load(&v1_bytes)?;
-    let t2 = time_load(&v2_bytes)?;
-    let t2c = match &v2c_bytes {
-        Some(b) => Some(time_load(b)?),
-        None => None,
-    };
-    let mbs = |bytes: usize, t: f64| bytes as f64 / 1e6 / t.max(1e-12);
-    println!(
-        "  v1  (gamma-coded)  : {:>12} bytes  {t1:>9.3}s  {:>8.1} MB/s",
-        v1_bytes.len(),
-        mbs(v1_bytes.len(), t1)
-    );
-    println!(
-        "  v2  (flat arena)   : {:>12} bytes  {t2:>9.3}s  {:>8.1} MB/s",
-        v2_bytes.len(),
-        mbs(v2_bytes.len(), t2)
-    );
-    if let (Some(b), Some(t)) = (&v2c_bytes, t2c) {
-        println!(
-            "  v2c (compact arena): {:>12} bytes  {t:>9.3}s  {:>8.1} MB/s",
-            b.len(),
-            mbs(b.len(), t)
-        );
-    }
-    println!(
-        "  load speedup: {:.1}x wall-time v1 -> v2 (best of {} runs each)",
-        t1 / t2.max(1e-12),
-        opts.repeat
-    );
-
-    if let Some(path) = &opts.bench_json {
-        let json = format!(
-            concat!(
-                "{{\"bench\":\"store\",\"store\":\"{}\",\"source_version\":{},",
-                "\"n\":{},\"label_entries\":{},\"repeat\":{},\"seed\":0,\"nproc\":{},",
-                "\"v1_bytes\":{},\"v2_bytes\":{},\"v2c_bytes\":{},",
-                "\"v1_load_seconds\":{:.6},\"v2_load_seconds\":{:.6},",
-                "\"v2c_load_seconds\":{:.6},",
-                "\"v1_mb_per_s\":{:.1},\"v2_mb_per_s\":{:.1},\"v2c_mb_per_s\":{:.1},",
-                "\"load_speedup\":{:.2}}}\n"
-            ),
-            store_path,
-            source,
-            n,
-            entries,
-            opts.repeat,
-            default_workers(),
-            v1_bytes.len(),
-            v2_bytes.len(),
-            v2c_bytes.as_ref().map_or(0, Vec::len),
-            t1,
-            t2,
-            t2c.unwrap_or(0.0),
-            mbs(v1_bytes.len(), t1),
-            mbs(v2_bytes.len(), t2),
-            match (&v2c_bytes, t2c) {
-                (Some(b), Some(t)) => mbs(b.len(), t),
-                _ => 0.0,
-            },
-            t1 / t2.max(1e-12),
-        );
-        std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("store snapshot written to {path}");
-    }
     Ok(())
 }

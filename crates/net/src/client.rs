@@ -61,95 +61,75 @@ impl Default for ClientConfig {
     }
 }
 
-/// One live, handshaken connection.
-struct Conn {
-    stream: TcpStream,
-    hello: ServerHello,
+/// Resolves `addr` to the first socket address it names.
+pub(crate) fn resolve<A: ToSocketAddrs>(addr: A) -> Result<SocketAddr, NetError> {
+    addr.to_socket_addrs()?
+        .next()
+        .ok_or_else(|| NetError::Handshake("address resolved to nothing".into()))
 }
 
-/// A blocking client for one HLNP daemon.
+/// The client handshake, for both clients: connect within the connect
+/// budget, read the server's hello, and choose protocol `version`.
+///
+/// The hello advertises the *highest* version the server speaks; the
+/// client may pick any version up to it, so a server whose ceiling is
+/// below `version` is a typed [`NetError::Handshake`], not a frame mess.
+pub(crate) fn dial(
+    addr: &SocketAddr,
+    config: &ClientConfig,
+    version: u16,
+) -> Result<(TcpStream, ServerHello), NetError> {
+    let mut stream = TcpStream::connect_timeout(addr, config.connect_timeout)?;
+    let _ = stream.set_nodelay(true);
+    let timeout = config.request_timeout;
+    let payload = read_frame_deadline(&mut stream, config.max_frame_len, timeout, timeout)?;
+    let hello = ServerHello::decode(&payload)?;
+    if hello.protocol_version < version {
+        return Err(NetError::Handshake(format!(
+            "server's highest protocol is {}, this client needs v{version}",
+            hello.protocol_version
+        )));
+    }
+    let chosen = ClientHello {
+        protocol_version: version,
+    };
+    write_frame_deadline(&mut stream, &chosen.encode(), timeout)?;
+    Ok((stream, hello))
+}
+
+/// A blocking client for one HLNP daemon, speaking protocol v1
+/// (lock-step: responses arrive in request order).
 pub struct NetClient {
     addr: SocketAddr,
     config: ClientConfig,
     rng: Xorshift64,
-    conn: Option<Conn>,
+    /// The live, handshaken connection; `None` between a failure and the
+    /// next request's redial.
+    conn: Option<(TcpStream, ServerHello)>,
 }
 
 impl NetClient {
     /// Resolves `addr`, connects, and completes the handshake.
     pub fn connect<A: ToSocketAddrs>(addr: A, config: ClientConfig) -> Result<Self, NetError> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| NetError::Handshake("address resolved to nothing".into()))?;
-        let mut client = NetClient {
+        let addr = resolve(addr)?;
+        let conn = dial(&addr, &config, PROTOCOL_VERSION)?;
+        Ok(NetClient {
             addr,
-            config: config.clone(),
             rng: Xorshift64::seed_from_u64(config.seed),
-            conn: None,
-        };
-        client.ensure_connected()?;
-        Ok(client)
+            config,
+            conn: Some(conn),
+        })
     }
 
     /// The server hello from the most recent handshake, if connected.
     pub fn server_hello(&self) -> Option<&ServerHello> {
-        self.conn.as_ref().map(|c| &c.hello)
+        self.conn.as_ref().map(|(_, hello)| hello)
     }
 
     /// Number of vertices the served labeling covers (0 if disconnected,
     /// which cannot happen right after a successful `connect`).
     pub fn num_nodes(&self) -> u64 {
-        self.conn.as_ref().map_or(0, |c| c.hello.num_nodes)
-    }
-
-    fn dial(&self) -> Result<Conn, NetError> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)?;
-        let _ = stream.set_nodelay(true);
-        let timeout = self.config.request_timeout;
-        let mut conn = Conn {
-            stream,
-            hello: ServerHello {
-                protocol_version: 0,
-                store_version: 0,
-                num_nodes: 0,
-            },
-        };
-        let payload = read_frame_deadline(
-            &mut conn.stream,
-            self.config.max_frame_len,
-            timeout,
-            timeout,
-        )?;
-        let hello = ServerHello::decode(&payload)?;
-        // The hello advertises the *highest* version the server speaks;
-        // this client always picks v1 (lock-step), which any server with
-        // a ceiling of at least 1 must honor. Servers that dropped v1
-        // entirely would advertise a ceiling of 0... which none do, but
-        // the check keeps the failure typed instead of a frame mess.
-        if hello.protocol_version < PROTOCOL_VERSION {
-            return Err(NetError::Handshake(format!(
-                "server's highest protocol is {}, this client needs at least {PROTOCOL_VERSION}",
-                hello.protocol_version
-            )));
-        }
-        write_frame_deadline(
-            &mut conn.stream,
-            &ClientHello {
-                protocol_version: PROTOCOL_VERSION,
-            }
-            .encode(),
-            timeout,
-        )?;
-        conn.hello = hello;
-        Ok(conn)
-    }
-
-    fn ensure_connected(&mut self) -> Result<(), NetError> {
-        if self.conn.is_none() {
-            self.conn = Some(self.dial()?);
-        }
-        Ok(())
+        self.server_hello().map_or(0, |hello| hello.num_nodes)
     }
 
     /// Drops the connection (the next request redials).
@@ -167,99 +147,87 @@ impl NetClient {
         Duration::from_nanos(exp.saturating_add(jitter))
     }
 
-    /// One request/response round trip on the current connection.
-    fn round_trip(&mut self, request: &Request) -> Result<Response, NetError> {
-        self.ensure_connected()?;
-        let max_len = self.config.max_frame_len;
-        let timeout = self.config.request_timeout;
-        let conn = self
-            .conn
-            .as_mut()
-            .ok_or_else(|| NetError::Handshake("connection vanished".into()))?;
-        let result = (|| {
-            write_frame_deadline(&mut conn.stream, &request.encode(), timeout)?;
-            // The idle budget covers the server's compute time; once the
-            // response starts flowing, the whole frame races `timeout`
-            // again — a server that trickles bytes cannot pin us past
-            // 2 × request_timeout.
-            let payload = read_frame_deadline(&mut conn.stream, max_len, timeout, timeout)?;
-            Ok(Response::decode(&payload)?)
-        })();
+    /// Runs `exchange` on the live stream, redialing first if the last
+    /// exchange failed. A failure leaves the stream position unknown, so
+    /// it drops the connection.
+    fn on_stream<T>(
+        &mut self,
+        exchange: impl FnOnce(&mut TcpStream, &ClientConfig) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
+        let (stream, _) = match &mut self.conn {
+            Some(conn) => conn,
+            None => self
+                .conn
+                .insert(dial(&self.addr, &self.config, PROTOCOL_VERSION)?),
+        };
+        let result = exchange(stream, &self.config);
         if result.is_err() {
-            // Whatever happened, the stream position is unknown: redial.
             self.conn = None;
         }
         result
     }
 
-    /// Sends `request`, retrying socket failures with jittered backoff.
-    fn request(&mut self, request: &Request) -> Result<Response, NetError> {
+    /// Runs `attempt` until it succeeds, fails with a non-retryable
+    /// error, or has failed `max_retries + 1` times, sleeping a jittered
+    /// backoff between tries. Each retry redials (see [`Self::on_stream`]).
+    fn with_retry<T>(
+        &mut self,
+        mut attempt: impl FnMut(&mut Self) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
         let attempts = self.config.max_retries.saturating_add(1);
-        let mut last = None;
-        for attempt in 0..attempts {
-            match self.round_trip(request) {
-                Ok(resp) => return Ok(resp),
-                Err(e) if e.is_retryable() && attempt + 1 < attempts => {
-                    let pause = self.backoff(attempt);
+        let mut failed = 0;
+        loop {
+            match attempt(self) {
+                Ok(out) => return Ok(out),
+                Err(e) if e.is_retryable() && failed + 1 < attempts => {
+                    let pause = self.backoff(failed);
                     std::thread::sleep(pause);
-                    last = Some(e);
+                    failed += 1;
                 }
-                Err(e) => {
-                    return if attempt == 0 {
-                        Err(e)
-                    } else {
-                        Err(NetError::RetriesExhausted {
-                            attempts: attempt + 1,
-                            last: Box::new(e),
-                        })
-                    };
+                Err(e) if failed > 0 => {
+                    return Err(NetError::RetriesExhausted {
+                        attempts: failed + 1,
+                        last: Box::new(e),
+                    })
                 }
+                Err(e) => return Err(e),
             }
         }
-        Err(NetError::RetriesExhausted {
-            attempts,
-            last: Box::new(last.unwrap_or_else(|| {
-                NetError::Handshake("retry loop ended without an error".into())
-            })),
+    }
+
+    /// One request/response round trip on the current connection.
+    fn round_trip(&mut self, request: &Request) -> Result<Response, NetError> {
+        self.on_stream(|stream, config| {
+            let timeout = config.request_timeout;
+            write_frame_deadline(stream, &request.encode(), timeout)?;
+            // The idle budget covers the server's compute time; once the
+            // response starts flowing, the whole frame races `timeout`
+            // again — a server that trickles bytes cannot pin us past
+            // 2 × request_timeout.
+            let payload = read_frame_deadline(stream, config.max_frame_len, timeout, timeout)?;
+            Ok(Response::decode(&payload)?)
         })
     }
 
-    fn expect_error(resp: Response, expected: &'static str) -> NetError {
-        match resp {
-            Response::Error { code, message } => NetError::Remote { code, message },
-            other => NetError::UnexpectedResponse {
-                expected,
-                got: format!("{other:?}"),
-            },
-        }
+    /// Sends `request`, retrying socket failures with jittered backoff.
+    fn request(&mut self, request: &Request) -> Result<Response, NetError> {
+        self.with_retry(|client| client.round_trip(request))
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), NetError> {
-        match self.request(&Request::Ping)? {
-            Response::Pong => Ok(()),
-            other => Err(Self::expect_error(other, "Pong")),
-        }
+        self.request(&Request::Ping)?.into_pong()
     }
 
     /// One distance query.
     pub fn query(&mut self, u: NodeId, v: NodeId) -> Result<Distance, NetError> {
-        match self.request(&Request::Query { u, v })? {
-            Response::Distance(d) => Ok(d),
-            other => Err(Self::expect_error(other, "Distance")),
-        }
+        self.request(&Request::Query { u, v })?.into_distance()
     }
 
     /// A batch of distance queries, answered in request order.
     pub fn query_batch(&mut self, pairs: &[(NodeId, NodeId)]) -> Result<Vec<Distance>, NetError> {
-        match self.request(&Request::QueryBatch(pairs.to_vec()))? {
-            Response::DistanceBatch(ds) if ds.len() == pairs.len() => Ok(ds),
-            Response::DistanceBatch(ds) => Err(NetError::UnexpectedResponse {
-                expected: "DistanceBatch of matching length",
-                got: format!("DistanceBatch of {} (sent {})", ds.len(), pairs.len()),
-            }),
-            other => Err(Self::expect_error(other, "DistanceBatch")),
-        }
+        self.request(&Request::QueryBatch(pairs.to_vec()))?
+            .into_distance_batch(pairs.len())
     }
 
     /// Answers a large workload by splitting it into `chunk`-pair batch
@@ -272,27 +240,8 @@ impl NetClient {
         chunk: usize,
         window: usize,
     ) -> Result<Vec<Distance>, NetError> {
-        let chunk = chunk.max(1);
-        let window = window.max(1);
-        let attempts = self.config.max_retries.saturating_add(1);
-        let mut attempt = 0;
-        loop {
-            match self.try_pipelined(pairs, chunk, window) {
-                Ok(out) => return Ok(out),
-                Err(e) if e.is_retryable() && attempt + 1 < attempts => {
-                    let pause = self.backoff(attempt);
-                    std::thread::sleep(pause);
-                    attempt += 1;
-                }
-                Err(e) if attempt > 0 => {
-                    return Err(NetError::RetriesExhausted {
-                        attempts: attempt + 1,
-                        last: Box::new(e),
-                    })
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let (chunk, window) = (chunk.max(1), window.max(1));
+        self.with_retry(|client| client.try_pipelined(pairs, chunk, window))
     }
 
     fn try_pipelined(
@@ -301,14 +250,8 @@ impl NetClient {
         chunk: usize,
         window: usize,
     ) -> Result<Vec<Distance>, NetError> {
-        self.ensure_connected()?;
-        let max_len = self.config.max_frame_len;
-        let timeout = self.config.request_timeout;
-        let conn = self
-            .conn
-            .as_mut()
-            .ok_or_else(|| NetError::Handshake("connection vanished".into()))?;
-        let result = (|| {
+        self.on_stream(|stream, config| {
+            let timeout = config.request_timeout;
             let mut out = Vec::with_capacity(pairs.len());
             let chunks: Vec<&[(NodeId, NodeId)]> = pairs.chunks(chunk).collect();
             let mut sent = 0usize;
@@ -316,34 +259,16 @@ impl NetClient {
             while received < chunks.len() {
                 while sent < chunks.len() && sent - received < window {
                     let req = Request::QueryBatch(chunks[sent].to_vec());
-                    write_frame_deadline(&mut conn.stream, &req.encode(), timeout)?;
+                    write_frame_deadline(stream, &req.encode(), timeout)?;
                     sent += 1;
                 }
-                let payload = read_frame_deadline(&mut conn.stream, max_len, timeout, timeout)?;
-                match Response::decode(&payload)? {
-                    Response::DistanceBatch(ds) if ds.len() == chunks[received].len() => {
-                        out.extend_from_slice(&ds);
-                        received += 1;
-                    }
-                    Response::DistanceBatch(ds) => {
-                        return Err(NetError::UnexpectedResponse {
-                            expected: "DistanceBatch of matching length",
-                            got: format!(
-                                "DistanceBatch of {} (sent {})",
-                                ds.len(),
-                                chunks[received].len()
-                            ),
-                        })
-                    }
-                    other => return Err(Self::expect_error(other, "DistanceBatch")),
-                }
+                let payload = read_frame_deadline(stream, config.max_frame_len, timeout, timeout)?;
+                let ds = Response::decode(&payload)?.into_distance_batch(chunks[received].len())?;
+                out.extend_from_slice(&ds);
+                received += 1;
             }
             Ok(out)
-        })();
-        if result.is_err() {
-            self.conn = None;
-        }
-        result
+        })
     }
 
     /// Asks the daemon to mount the store at `path` (a path on the
@@ -354,135 +279,31 @@ impl NetClient {
         let req = Request::Reload {
             path: path.to_string(),
         };
-        match self.request(&req)? {
-            Response::ReloadAck { epoch, num_nodes } => Ok((epoch, num_nodes)),
-            other => Err(Self::expect_error(other, "ReloadAck")),
-        }
+        self.request(&req)?.into_reload_ack()
     }
 
     /// Fetches the hub label of one vertex as sorted `(hub, dist)` pairs.
     pub fn label(&mut self, v: NodeId) -> Result<Vec<(NodeId, Distance)>, NetError> {
-        match self.request(&Request::Label { v })? {
-            Response::Label(pairs) => Ok(pairs),
-            other => Err(Self::expect_error(other, "Label")),
-        }
+        self.request(&Request::Label { v })?.into_label()
     }
 
     /// Fetches the labels of many vertices, in request order.
     pub fn label_batch(&mut self, vs: &[NodeId]) -> Result<Vec<Vec<(NodeId, Distance)>>, NetError> {
-        match self.request(&Request::LabelBatch(vs.to_vec()))? {
-            Response::LabelBatch(labels) if labels.len() == vs.len() => Ok(labels),
-            Response::LabelBatch(labels) => Err(NetError::UnexpectedResponse {
-                expected: "LabelBatch of matching length",
-                got: format!("LabelBatch of {} (sent {})", labels.len(), vs.len()),
-            }),
-            other => Err(Self::expect_error(other, "LabelBatch")),
-        }
-    }
-
-    /// Fetches many labels by splitting into `chunk`-vertex frames with
-    /// up to `window` in flight, mirroring [`Self::query_batch_pipelined`].
-    /// Label frames are far heavier than distance frames (12 bytes per
-    /// hub entry), so callers should keep `chunk` small enough that a
-    /// chunk's worth of labels fits the frame cap.
-    pub fn label_batch_pipelined(
-        &mut self,
-        vs: &[NodeId],
-        chunk: usize,
-        window: usize,
-    ) -> Result<Vec<Vec<(NodeId, Distance)>>, NetError> {
-        let chunk = chunk.max(1);
-        let window = window.max(1);
-        let attempts = self.config.max_retries.saturating_add(1);
-        let mut attempt = 0;
-        loop {
-            match self.try_label_pipelined(vs, chunk, window) {
-                Ok(out) => return Ok(out),
-                Err(e) if e.is_retryable() && attempt + 1 < attempts => {
-                    let pause = self.backoff(attempt);
-                    std::thread::sleep(pause);
-                    attempt += 1;
-                }
-                Err(e) if attempt > 0 => {
-                    return Err(NetError::RetriesExhausted {
-                        attempts: attempt + 1,
-                        last: Box::new(e),
-                    })
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn try_label_pipelined(
-        &mut self,
-        vs: &[NodeId],
-        chunk: usize,
-        window: usize,
-    ) -> Result<Vec<Vec<(NodeId, Distance)>>, NetError> {
-        self.ensure_connected()?;
-        let max_len = self.config.max_frame_len;
-        let timeout = self.config.request_timeout;
-        let conn = self
-            .conn
-            .as_mut()
-            .ok_or_else(|| NetError::Handshake("connection vanished".into()))?;
-        let result = (|| {
-            let mut out = Vec::with_capacity(vs.len());
-            let chunks: Vec<&[NodeId]> = vs.chunks(chunk).collect();
-            let mut sent = 0usize;
-            let mut received = 0usize;
-            while received < chunks.len() {
-                while sent < chunks.len() && sent - received < window {
-                    let req = Request::LabelBatch(chunks[sent].to_vec());
-                    write_frame_deadline(&mut conn.stream, &req.encode(), timeout)?;
-                    sent += 1;
-                }
-                let payload = read_frame_deadline(&mut conn.stream, max_len, timeout, timeout)?;
-                match Response::decode(&payload)? {
-                    Response::LabelBatch(labels) if labels.len() == chunks[received].len() => {
-                        out.extend(labels);
-                        received += 1;
-                    }
-                    Response::LabelBatch(labels) => {
-                        return Err(NetError::UnexpectedResponse {
-                            expected: "LabelBatch of matching length",
-                            got: format!(
-                                "LabelBatch of {} (sent {})",
-                                labels.len(),
-                                chunks[received].len()
-                            ),
-                        })
-                    }
-                    other => return Err(Self::expect_error(other, "LabelBatch")),
-                }
-            }
-            Ok(out)
-        })();
-        if result.is_err() {
-            self.conn = None;
-        }
-        result
+        self.request(&Request::LabelBatch(vs.to_vec()))?
+            .into_label_batch(vs.len())
     }
 
     /// Fetches the server's metrics snapshot.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, NetError> {
-        match self.request(&Request::Metrics)? {
-            Response::Metrics(s) => Ok(s),
-            other => Err(Self::expect_error(other, "Metrics")),
-        }
+        self.request(&Request::Metrics)?.into_metrics()
     }
 
     /// Asks the daemon to drain and exit. Never retried: a socket error
     /// after the request was written usually means it worked.
     pub fn shutdown(&mut self) -> Result<(), NetError> {
-        match self.round_trip(&Request::Shutdown)? {
-            Response::ShutdownAck => {
-                self.conn = None;
-                Ok(())
-            }
-            other => Err(Self::expect_error(other, "ShutdownAck")),
-        }
+        self.round_trip(&Request::Shutdown)?.into_shutdown_ack()?;
+        self.conn = None;
+        Ok(())
     }
 }
 

@@ -3,7 +3,10 @@
 use std::fmt;
 use std::io;
 
-use crate::wire::{ErrorCode, WireError};
+use hl_graph::{Distance, NodeId};
+use hl_server::MetricsSnapshot;
+
+use crate::wire::{ErrorCode, Response, WireError};
 
 /// Everything the TCP stack can fail with, on either side of the socket.
 #[derive(Debug)]
@@ -121,5 +124,96 @@ impl NetError {
             NetError::RequestTimeout { .. } => false,
             NetError::ConnectionDead(_) => false,
         }
+    }
+}
+
+/// The one place a [`Response`] becomes a typed result. Each `into_*`
+/// returns the payload of the kind the request called for, maps a typed
+/// error frame to [`NetError::Remote`] and any other kind to
+/// [`NetError::UnexpectedResponse`]; both clients and the shard router
+/// unwrap through these.
+impl Response {
+    fn unexpected(self, expected: &'static str) -> NetError {
+        match self {
+            Response::Error { code, message } => NetError::Remote { code, message },
+            other => NetError::UnexpectedResponse {
+                expected,
+                got: format!("{other:?}"),
+            },
+        }
+    }
+
+    /// The answer to `Ping`.
+    pub fn into_pong(self) -> Result<(), NetError> {
+        match self {
+            Response::Pong => Ok(()),
+            other => Err(other.unexpected("Pong")),
+        }
+    }
+
+    /// The answer to `Query`.
+    pub fn into_distance(self) -> Result<Distance, NetError> {
+        match self {
+            Response::Distance(d) => Ok(d),
+            other => Err(other.unexpected("Distance")),
+        }
+    }
+
+    /// The answer to a `QueryBatch` of `sent` pairs.
+    pub fn into_distance_batch(self, sent: usize) -> Result<Vec<Distance>, NetError> {
+        match self {
+            Response::DistanceBatch(ds) if ds.len() == sent => Ok(ds),
+            Response::DistanceBatch(ds) => Err(wrong_len("DistanceBatch", ds.len(), sent)),
+            other => Err(other.unexpected("DistanceBatch")),
+        }
+    }
+
+    /// The answer to `Label`: sorted `(hub, dist)` pairs.
+    pub fn into_label(self) -> Result<Vec<(NodeId, Distance)>, NetError> {
+        match self {
+            Response::Label(pairs) => Ok(pairs),
+            other => Err(other.unexpected("Label")),
+        }
+    }
+
+    /// The answer to a `LabelBatch` of `sent` vertices.
+    pub fn into_label_batch(self, sent: usize) -> Result<Vec<Vec<(NodeId, Distance)>>, NetError> {
+        match self {
+            Response::LabelBatch(labels) if labels.len() == sent => Ok(labels),
+            Response::LabelBatch(labels) => Err(wrong_len("LabelBatch", labels.len(), sent)),
+            other => Err(other.unexpected("LabelBatch")),
+        }
+    }
+
+    /// The answer to `Metrics`.
+    pub fn into_metrics(self) -> Result<MetricsSnapshot, NetError> {
+        match self {
+            Response::Metrics(s) => Ok(s),
+            other => Err(other.unexpected("Metrics")),
+        }
+    }
+
+    /// The answer to `Reload`: the new epoch serial and node count.
+    pub fn into_reload_ack(self) -> Result<(u64, u64), NetError> {
+        match self {
+            Response::ReloadAck { epoch, num_nodes } => Ok((epoch, num_nodes)),
+            other => Err(other.unexpected("ReloadAck")),
+        }
+    }
+
+    /// The answer to `Shutdown`.
+    pub fn into_shutdown_ack(self) -> Result<(), NetError> {
+        match self {
+            Response::ShutdownAck => Ok(()),
+            other => Err(other.unexpected("ShutdownAck")),
+        }
+    }
+}
+
+/// A batch answer of the right kind but the wrong length.
+fn wrong_len(expected: &'static str, got: usize, sent: usize) -> NetError {
+    NetError::UnexpectedResponse {
+        expected,
+        got: format!("{expected} of {got} (sent {sent})"),
     }
 }

@@ -30,15 +30,19 @@
 //!   lies, truncations, slow-loris pacing and stalls against any
 //!   transport, replayable from the seed alone.
 //!
-//! Three binaries ride on top: `hubserve` (build/query/bench/serve),
-//! `netbench`, an open- and closed-loop load generator reporting
-//! throughput and latency percentiles against a live daemon, and
-//! `hlnp-fuzz`, a seeded protocol fuzzer that hammers a live server
-//! with planned faults while liveness probes assert exact answers.
+//! - [`cli`]: the flag cursor and `u v` pair-line helpers the
+//!   command-line tools share.
+//!
+//! Two binaries ride on top: `hubserve` (build/query/stats/serve/
+//! convert/reload) and `hlnp-fuzz`, a seeded protocol fuzzer that
+//! hammers a live server with planned faults while liveness probes
+//! assert exact answers. Throughput and latency against a live daemon
+//! are measured by the repo's one benchmark, `benchmark/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod client;
 pub mod error;
 pub mod faults;

@@ -42,11 +42,11 @@ use hl_graph::sync::lock_unpoisoned;
 use hl_graph::{Distance, NodeId};
 use hl_server::MetricsSnapshot;
 
-use crate::client::ClientConfig;
+use crate::client::{dial, resolve, ClientConfig};
 use crate::error::NetError;
 use crate::wire::{
-    encode_mux, read_frame, read_frame_deadline, split_mux, write_frame_deadline, ClientHello,
-    Request, Response, ServerHello, PROTOCOL_V2,
+    encode_mux, read_frame, split_mux, write_frame_deadline, Request, Response, ServerHello,
+    PROTOCOL_V2,
 };
 
 /// What every thread touching the connection shares.
@@ -87,29 +87,8 @@ impl MuxClient {
     /// [`NetError::Handshake`] against a server whose advertised ceiling
     /// is below v2 (use [`crate::NetClient`] for those).
     pub fn connect<A: ToSocketAddrs>(addr: A, config: ClientConfig) -> Result<Self, NetError> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| NetError::Handshake("address resolved to nothing".into()))?;
-        let mut stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
-        let _ = stream.set_nodelay(true);
-        let timeout = config.request_timeout;
-        let payload = read_frame_deadline(&mut stream, config.max_frame_len, timeout, timeout)?;
-        let hello = ServerHello::decode(&payload)?;
-        if hello.protocol_version < PROTOCOL_V2 {
-            return Err(NetError::Handshake(format!(
-                "server's highest protocol is {}, multiplexing needs v{PROTOCOL_V2}",
-                hello.protocol_version
-            )));
-        }
-        write_frame_deadline(
-            &mut stream,
-            &ClientHello {
-                protocol_version: PROTOCOL_V2,
-            }
-            .encode(),
-            timeout,
-        )?;
+        let addr = resolve(addr)?;
+        let (stream, hello) = dial(&addr, &config, PROTOCOL_V2)?;
         let writer = stream.try_clone()?;
         // The reader blocks on whole frames with no deadline of its own:
         // per-request deadlines belong to the waiters, and `Drop` frees
@@ -237,71 +216,37 @@ impl MuxClient {
         self.wait(id, self.config.request_timeout)
     }
 
-    fn expect_error(resp: Response, expected: &'static str) -> NetError {
-        match resp {
-            Response::Error { code, message } => NetError::Remote { code, message },
-            other => NetError::UnexpectedResponse {
-                expected,
-                got: format!("{other:?}"),
-            },
-        }
-    }
-
     /// Liveness probe.
     pub fn ping(&self) -> Result<(), NetError> {
-        match self.call(&Request::Ping)? {
-            Response::Pong => Ok(()),
-            other => Err(Self::expect_error(other, "Pong")),
-        }
+        self.call(&Request::Ping)?.into_pong()
     }
 
     /// One distance query.
     pub fn query(&self, u: NodeId, v: NodeId) -> Result<Distance, NetError> {
-        match self.call(&Request::Query { u, v })? {
-            Response::Distance(d) => Ok(d),
-            other => Err(Self::expect_error(other, "Distance")),
-        }
+        self.call(&Request::Query { u, v })?.into_distance()
     }
 
     /// A batch of distance queries, answered in request order within the
     /// batch (the batch itself completes whenever the server gets to it).
     pub fn query_batch(&self, pairs: &[(NodeId, NodeId)]) -> Result<Vec<Distance>, NetError> {
-        match self.call(&Request::QueryBatch(pairs.to_vec()))? {
-            Response::DistanceBatch(ds) if ds.len() == pairs.len() => Ok(ds),
-            Response::DistanceBatch(ds) => Err(NetError::UnexpectedResponse {
-                expected: "DistanceBatch of matching length",
-                got: format!("DistanceBatch of {} (sent {})", ds.len(), pairs.len()),
-            }),
-            other => Err(Self::expect_error(other, "DistanceBatch")),
-        }
+        self.call(&Request::QueryBatch(pairs.to_vec()))?
+            .into_distance_batch(pairs.len())
     }
 
     /// Fetches the hub label of one vertex as sorted `(hub, dist)` pairs.
     pub fn label(&self, v: NodeId) -> Result<Vec<(NodeId, Distance)>, NetError> {
-        match self.call(&Request::Label { v })? {
-            Response::Label(pairs) => Ok(pairs),
-            other => Err(Self::expect_error(other, "Label")),
-        }
+        self.call(&Request::Label { v })?.into_label()
     }
 
     /// Fetches the labels of many vertices, in request order.
     pub fn label_batch(&self, vs: &[NodeId]) -> Result<Vec<Vec<(NodeId, Distance)>>, NetError> {
-        match self.call(&Request::LabelBatch(vs.to_vec()))? {
-            Response::LabelBatch(labels) if labels.len() == vs.len() => Ok(labels),
-            Response::LabelBatch(labels) => Err(NetError::UnexpectedResponse {
-                expected: "LabelBatch of matching length",
-                got: format!("LabelBatch of {} (sent {})", labels.len(), vs.len()),
-            }),
-            other => Err(Self::expect_error(other, "LabelBatch")),
-        }
+        self.call(&Request::LabelBatch(vs.to_vec()))?
+            .into_label_batch(vs.len())
     }
 
     /// Fetches the server's metrics snapshot.
     pub fn metrics(&self) -> Result<MetricsSnapshot, NetError> {
-        match self.call(&Request::Metrics)? {
-            Response::Metrics(s) => Ok(s),
-            other => Err(Self::expect_error(other, "Metrics")),
-        }
+        self.call(&Request::Metrics)?.into_metrics()
     }
 
     /// Asks the daemon to mount the store at `path` (a path on the
@@ -312,18 +257,12 @@ impl MuxClient {
         let req = Request::Reload {
             path: path.to_string(),
         };
-        match self.call(&req)? {
-            Response::ReloadAck { epoch, num_nodes } => Ok((epoch, num_nodes)),
-            other => Err(Self::expect_error(other, "ReloadAck")),
-        }
+        self.call(&req)?.into_reload_ack()
     }
 
     /// Asks the daemon to drain and exit.
     pub fn shutdown(&self) -> Result<(), NetError> {
-        match self.call(&Request::Shutdown)? {
-            Response::ShutdownAck => Ok(()),
-            other => Err(Self::expect_error(other, "ShutdownAck")),
-        }
+        self.call(&Request::Shutdown)?.into_shutdown_ack()
     }
 }
 

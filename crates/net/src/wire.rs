@@ -62,8 +62,7 @@ pub const MAX_BATCH_LEN: u32 = (DEFAULT_MAX_FRAME_LEN - 16) / 8;
 pub const MAX_RELOAD_PATH_LEN: u32 = 4096;
 /// Largest vertex list a single `LabelBatch` frame may carry. The
 /// *response* is the real frame-size risk (each label multiplies), so
-/// routers chunk label fetches well below this; see
-/// [`crate::client::NetClient::label_batch_pipelined`].
+/// routers chunk label fetches well below this.
 pub const MAX_LABEL_BATCH_LEN: u32 = (DEFAULT_MAX_FRAME_LEN - 16) / 4;
 
 // Opcodes. Handshake frames are 0x0_, requests 0x1_, responses 0x9_,

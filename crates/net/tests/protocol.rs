@@ -515,16 +515,10 @@ fn label_fetches_match_the_served_labeling() {
         assert_eq!(pairs, want, "label({v}) disagrees with the arena");
     }
 
-    // Batch and pipelined batch, in request order.
+    // Batch, in request order.
     let vs: Vec<u32> = (0..25).collect();
     let want: Vec<Vec<(u32, u64)>> = vs.iter().map(|&v| flat.pairs_of(v).collect()).collect();
     assert_eq!(client.label_batch(&vs).expect("label batch"), want);
-    assert_eq!(
-        client
-            .label_batch_pipelined(&vs, 4, 3)
-            .expect("pipelined labels"),
-        want
-    );
 
     // Out-of-range vertices get the typed error, atomically for batches.
     match client.label(25) {

@@ -47,7 +47,7 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 16;
 
 /// Largest batch answered inline on the calling thread instead of being
 /// sharded across the worker pool (the mpsc round-trip dominates below
-/// this; `bench_server` measures the crossover).
+/// this; `hl-server.pool_overhead_ns` in `benchmark/` measures it).
 pub const SMALL_BATCH_INLINE: usize = 4;
 
 /// Errors surfaced by the serving paths.

@@ -190,7 +190,7 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot as the multi-line text block shown by the
-    /// `hubserve` and `netbench` CLIs (no trailing newline). The network
+    /// `hubserve` CLI (no trailing newline). The network
     /// lines only appear once the daemon has seen traffic, so in-process
     /// reports stay unchanged.
     pub fn render_text(&self) -> String {

@@ -28,7 +28,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use hl_graph::{NodeId, INFINITY};
+use hl_net::cli::{parse_pair, print_answer, Flags};
 use hl_net::ClientConfig;
 use hl_server::{AnyStore, FlatStore, LabelStore};
 use hl_shard::{partition, ShardManifest, ShardRouter};
@@ -66,19 +66,10 @@ fn parse_partition_opts(args: &[String]) -> Result<PartitionOpts, String> {
     let mut positionals = Vec::new();
     let mut shards = 0usize;
     let mut v1 = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--shards" => {
-                shards = take("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?
-            }
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--shards" => shards = flags.parsed(arg)?,
             "--v1" => v1 = true,
             other if !other.starts_with('-') => positionals.push(other.to_string()),
             other => return Err(format!("unexpected argument '{other}'")),
@@ -175,15 +166,10 @@ fn parse_query_opts(args: &[String]) -> Result<QueryOpts, String> {
     let usage = "usage: hl-shard query --shard HOST:PORT [--shard HOST:PORT ...] [pairs-file]";
     let mut addrs = Vec::new();
     let mut pairs_path = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--shard" => addrs.push(take("--shard")?.to_string()),
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--shard" => addrs.push(flags.value(arg)?.to_string()),
             other if pairs_path.is_none() && !other.starts_with('-') => {
                 pairs_path = Some(other.to_string())
             }
@@ -194,34 +180,6 @@ fn parse_query_opts(args: &[String]) -> Result<QueryOpts, String> {
         return Err(usage.into());
     }
     Ok(QueryOpts { addrs, pairs_path })
-}
-
-fn parse_pair(line: &str, n: u64) -> Result<Option<(NodeId, NodeId)>, String> {
-    let line = line.trim();
-    if line.is_empty() || line.starts_with('#') {
-        return Ok(None);
-    }
-    let mut it = line.split_whitespace();
-    let (Some(u), Some(v), None) = (it.next(), it.next(), it.next()) else {
-        return Err(format!("expected 'u v', got '{line}'"));
-    };
-    let u: NodeId = u.parse().map_err(|_| format!("bad vertex id '{u}'"))?;
-    let v: NodeId = v.parse().map_err(|_| format!("bad vertex id '{v}'"))?;
-    if u64::from(u) >= n || u64::from(v) >= n {
-        return Err(format!(
-            "vertex out of range in '{line}' (fleet covers 0..{n})"
-        ));
-    }
-    Ok(Some((u, v)))
-}
-
-fn print_answer(out: &mut impl Write, u: NodeId, v: NodeId, d: u64) -> Result<(), String> {
-    let r = if d == INFINITY {
-        writeln!(out, "{u} {v} inf")
-    } else {
-        writeln!(out, "{u} {v} {d}")
-    };
-    r.map_err(|e| e.to_string())
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {

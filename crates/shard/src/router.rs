@@ -130,8 +130,12 @@ impl ShardRouter {
         }
         let id_u = self.clients[su].submit(&Request::Label { v: u })?;
         let id_v = self.clients[sv].submit(&Request::Label { v })?;
-        let lu = expect_label(self.clients[su].wait(id_u, self.request_timeout)?)?;
-        let lv = expect_label(self.clients[sv].wait(id_v, self.request_timeout)?)?;
+        let lu = self.clients[su]
+            .wait(id_u, self.request_timeout)?
+            .into_label()?;
+        let lv = self.clients[sv]
+            .wait(id_v, self.request_timeout)?
+            .into_label()?;
         Ok(join_pairs(&lu, &lv))
     }
 
@@ -235,13 +239,13 @@ impl ShardRouter {
                 })?;
                 match item {
                     Work::Query { idxs, pairs } => {
-                        let ds = expect_distance_batch(resp, pairs.len())?;
+                        let ds = resp.into_distance_batch(pairs.len())?;
                         for (i, d) in idxs.into_iter().zip(ds) {
                             out[i] = d;
                         }
                     }
                     Work::Labels { vs } => {
-                        labels[s].extend(expect_label_batch(resp, vs.len())?);
+                        labels[s].extend(resp.into_label_batch(vs.len())?);
                     }
                 }
             }
@@ -270,50 +274,6 @@ impl ShardRouter {
             client.shutdown()?;
         }
         Ok(())
-    }
-}
-
-fn expect_label(resp: Response) -> Result<Vec<(NodeId, Distance)>, NetError> {
-    match resp {
-        Response::Label(pairs) => Ok(pairs),
-        Response::Error { code, message } => Err(NetError::Remote { code, message }),
-        other => Err(NetError::UnexpectedResponse {
-            expected: "Label",
-            got: format!("{other:?}"),
-        }),
-    }
-}
-
-fn expect_distance_batch(resp: Response, sent: usize) -> Result<Vec<Distance>, NetError> {
-    match resp {
-        Response::DistanceBatch(ds) if ds.len() == sent => Ok(ds),
-        Response::DistanceBatch(ds) => Err(NetError::UnexpectedResponse {
-            expected: "DistanceBatch of matching length",
-            got: format!("DistanceBatch of {} (sent {sent})", ds.len()),
-        }),
-        Response::Error { code, message } => Err(NetError::Remote { code, message }),
-        other => Err(NetError::UnexpectedResponse {
-            expected: "DistanceBatch",
-            got: format!("{other:?}"),
-        }),
-    }
-}
-
-fn expect_label_batch(
-    resp: Response,
-    sent: usize,
-) -> Result<Vec<Vec<(NodeId, Distance)>>, NetError> {
-    match resp {
-        Response::LabelBatch(labels) if labels.len() == sent => Ok(labels),
-        Response::LabelBatch(labels) => Err(NetError::UnexpectedResponse {
-            expected: "LabelBatch of matching length",
-            got: format!("LabelBatch of {} (sent {sent})", labels.len()),
-        }),
-        Response::Error { code, message } => Err(NetError::Remote { code, message }),
-        other => Err(NetError::UnexpectedResponse {
-            expected: "LabelBatch",
-            got: format!("{other:?}"),
-        }),
     }
 }
 

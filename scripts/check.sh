@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-command gate: formatting, lints, static analysis, tier-1 build +
-# tests, and the end-to-end serving smoke test. Everything runs offline.
+# tests, the end-to-end serving smoke tests, and a smoke run of the repo's
+# one benchmark (benchmark/). Everything runs offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,8 +45,7 @@ SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
 timeout 600 ./target/release/hubserve build "$SMOKE/parallel.hlbs" \
   --gen rmat --nodes 100000 --edges 400000 --seed 9 --threads 2 \
-  --order degree --bench-json "$SMOKE/parallel.json"
-grep -q '"bench":"build"' "$SMOKE/parallel.json"
+  --order degree
 ./target/release/hubserve stats "$SMOKE/parallel.hlbs" > "$SMOKE/stats.txt"
 grep -q 'arena entries' "$SMOKE/stats.txt"
 
@@ -94,9 +94,9 @@ diff -u "$SMOKE/unsharded.txt" "$SMOKE/routed.txt"
 
 echo "== compact arena smoke (v2c flavor, flat == compact answers) =="
 # The v2c flavor delta-codes hub ids and narrows the distance lanes;
-# converting there and back must lose nothing, the query path must match
-# the flat store line for line, and the bench head-to-head must verify
-# identical answers on its whole pair stream.
+# converting there and back must lose nothing, and the query path must
+# match the flat store line for line — on the shard pairs and on 2000
+# seeded random pairs.
 timeout 120 ./target/release/hubserve convert "$SMOKE/rt-v2.hlbs" "$SMOKE/rt-v2c.hlbs" \
   --to v2c --verify-roundtrip
 ./target/release/hubserve stats "$SMOKE/rt-v2c.hlbs" > "$SMOKE/v2c-stats.txt"
@@ -105,26 +105,22 @@ grep -q 'arena kind         compact' "$SMOKE/v2c-stats.txt"
 timeout 120 ./target/release/hubserve query "$SMOKE/rt-v2c.hlbs" "$SMOKE/shard-pairs.txt" \
   > "$SMOKE/v2c-answers.txt"
 diff -u "$SMOKE/unsharded.txt" "$SMOKE/v2c-answers.txt"
-timeout 240 ./target/release/hubserve bench "$SMOKE/rt-v2c.hlbs" --queries 20000 \
-  --workers 2 --bench-json "$SMOKE/v2c-bench.json" > "$SMOKE/v2c-bench.txt"
-grep -q 'head-to-head' "$SMOKE/v2c-bench.txt"
-grep -q '"verified_identical":20000' "$SMOKE/v2c-bench.json"
+awk 'BEGIN { srand(7); for (i = 0; i < 2000; i++) print int(rand() * 2000), int(rand() * 2000) }' \
+  > "$SMOKE/seeded-pairs.txt"
+timeout 120 ./target/release/hubserve query "$SMOKE/rt-v2.hlbs" "$SMOKE/seeded-pairs.txt" \
+  > "$SMOKE/seeded-v2.txt"
+timeout 120 ./target/release/hubserve query "$SMOKE/rt-v2c.hlbs" "$SMOKE/seeded-pairs.txt" \
+  > "$SMOKE/seeded-v2c.txt"
+[ "$(wc -l < "$SMOKE/seeded-v2.txt")" -eq 2000 ]
+diff -u "$SMOKE/seeded-v2.txt" "$SMOKE/seeded-v2c.txt"
 
-echo "== bench snapshot schema check =="
-# Every committed BENCH_*.json carries the shared schema keys — bench
-# name, RNG seed, graph size, and the host-parallelism caveat field — so
-# cross-PR comparisons always know what they are looking at.
-for f in BENCH_*.json; do
-  for key in '"bench"' '"seed"' '"n"' '"nproc"'; do
-    grep -q "$key" "$f" || { echo "schema check FAILED: $f lacks $key"; exit 1; }
-  done
-done
-# And the snapshots the smokes just produced follow the same schema.
-for f in "$SMOKE/parallel.json" "$SMOKE/v2c-bench.json"; do
-  for key in '"bench"' '"seed"' '"n"' '"nproc"'; do
-    grep -q "$key" "$f" || { echo "schema check FAILED: $f lacks $key"; exit 1; }
-  done
-done
+echo "== benchmark smoke (the one benchmark, against this checkout's crates) =="
+# benchmark/ is its own package with path dependencies on the product
+# crates, so this is also the gate on the API it compiles against. The
+# smoke set runs every workload briefly, checks answers against BFS and
+# fails on any error; it does not compare timings.
+CARGO_TARGET_DIR="$PWD/target" bash benchmark/run.sh --smoke
+CARGO_TARGET_DIR="$PWD/target" cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "== kick-tires =="
 bash scripts/kick-tires.sh
