@@ -16,8 +16,9 @@
 //!   predecessor) and decoded on the fly inside the merge-join; deltas are
 //!   `u16` when every gap in the arena fits, `u32` otherwise.
 //!
-//! Width selection is arena-wide, so the query loop monomorphizes into
-//! four branch-free variants and per-vertex runs stay directly sliceable.
+//! Width selection is arena-wide, so the one query loop monomorphizes
+//! into four branch-free variants (each with and without the witness)
+//! and per-vertex runs stay directly sliceable.
 //! Best case (`u16`+`u16`) is 4 bytes per entry — a 67% cut; worst case
 //! (`u32`+`u32`) is 8 bytes — still 33%. Conversion to and from the flat
 //! arena is lossless: same hubs, same distances, same query answers.
@@ -43,7 +44,10 @@
 
 use hl_graph::{Distance, NodeId, INFINITY};
 
-use crate::flat::{FlatLabeling, FlatLayoutError};
+use crate::flat::{
+    average_hubs, check_offsets, max_hubs, span_of, spans, FlatLabeling, FlatLayoutError,
+};
+use crate::label::{offer, warm_hub_lanes, witnessed};
 
 /// Why a labeling could not be compacted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,21 +77,27 @@ impl std::fmt::Display for CompactError {
 
 impl std::error::Error for CompactError {}
 
-/// The delta-coded hub lane: one arena-wide width.
+/// One entry lane of the compact arena at its arena-wide width: 2 bytes
+/// per entry when every value in the lane fits 16 bits, 4 otherwise.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HubDeltas {
-    /// Every delta (including each run's absolute first id) fits 16 bits.
+pub enum NarrowLane {
+    /// Every value in the lane fits 16 bits.
     U16(Vec<u16>),
-    /// The general case: 32-bit deltas.
+    /// The general case: 32-bit values.
     U32(Vec<u32>),
 }
 
-impl HubDeltas {
+/// The delta-coded hub lane (each run's first entry is its absolute id).
+pub type HubDeltas = NarrowLane;
+/// The distance lane.
+pub type CompactDists = NarrowLane;
+
+impl NarrowLane {
     /// Number of entries in the lane.
     pub fn len(&self) -> usize {
         match self {
-            HubDeltas::U16(v) => v.len(),
-            HubDeltas::U32(v) => v.len(),
+            NarrowLane::U16(v) => v.len(),
+            NarrowLane::U32(v) => v.len(),
         }
     }
 
@@ -99,54 +109,15 @@ impl HubDeltas {
     /// Bytes per entry: 2 or 4.
     pub fn entry_bytes(&self) -> usize {
         match self {
-            HubDeltas::U16(_) => 2,
-            HubDeltas::U32(_) => 4,
+            NarrowLane::U16(_) => 2,
+            NarrowLane::U32(_) => 4,
         }
     }
 
     fn get(&self, i: usize) -> u64 {
         match self {
-            HubDeltas::U16(v) => v[i] as u64,
-            HubDeltas::U32(v) => v[i] as u64,
-        }
-    }
-}
-
-/// The distance lane: one arena-wide width.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CompactDists {
-    /// Every distance in the arena fits 16 bits.
-    U16(Vec<u16>),
-    /// Fallback: 32-bit distances.
-    U32(Vec<u32>),
-}
-
-impl CompactDists {
-    /// Number of entries in the lane.
-    pub fn len(&self) -> usize {
-        match self {
-            CompactDists::U16(v) => v.len(),
-            CompactDists::U32(v) => v.len(),
-        }
-    }
-
-    /// `true` when the lane holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Bytes per entry: 2 or 4.
-    pub fn entry_bytes(&self) -> usize {
-        match self {
-            CompactDists::U16(_) => 2,
-            CompactDists::U32(_) => 4,
-        }
-    }
-
-    fn get(&self, i: usize) -> Distance {
-        match self {
-            CompactDists::U16(v) => v[i] as Distance,
-            CompactDists::U32(v) => v[i] as Distance,
+            NarrowLane::U16(v) => v[i] as u64,
+            NarrowLane::U32(v) => v[i] as u64,
         }
     }
 }
@@ -173,18 +144,15 @@ impl CompactLabeling {
         let offsets = flat.raw_offsets().to_vec();
         let hubs = flat.raw_hubs();
         let dists = flat.raw_dists();
-        let n = flat.num_nodes();
 
         let mut max_delta: NodeId = 0;
         let mut max_dist: Distance = 0;
-        for v in 0..n {
-            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+        for (v, run) in spans(&offsets).enumerate() {
             let mut prev: NodeId = 0;
-            for k in lo..hi {
+            for k in run {
                 // First entry of a run is its absolute id (delta from 0).
-                let delta = hubs[k] - prev;
+                max_delta = max_delta.max(hubs[k] - prev);
                 prev = hubs[k];
-                max_delta = max_delta.max(delta);
                 if dists[k] > max_dist {
                     max_dist = dists[k];
                     if max_dist > u32::MAX as Distance {
@@ -197,38 +165,15 @@ impl CompactLabeling {
             }
         }
 
-        let enc_hubs = |wide: bool| {
-            let mut out16 = Vec::new();
-            let mut out32 = Vec::new();
-            if wide {
-                out32.reserve_exact(hubs.len());
-            } else {
-                out16.reserve_exact(hubs.len());
-            }
-            for v in 0..n {
-                let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-                let mut prev: NodeId = 0;
-                for &h in &hubs[lo..hi] {
-                    let delta = h - prev;
-                    prev = h;
-                    if wide {
-                        out32.push(delta);
-                    } else {
-                        out16.push(delta as u16);
-                    }
-                }
-            }
-            if wide {
-                HubDeltas::U32(out32)
-            } else {
-                HubDeltas::U16(out16)
-            }
-        };
-        let hub_lane = enc_hubs(max_delta > u16::MAX as NodeId);
-        let dist_lane = if max_dist > u16::MAX as Distance {
-            CompactDists::U32(dists.iter().map(|&d| d as u32).collect())
+        let hub_lane = if max_delta > u16::MAX as NodeId {
+            NarrowLane::U32(delta_code(&offsets, hubs, |delta| delta))
         } else {
-            CompactDists::U16(dists.iter().map(|&d| d as u16).collect())
+            NarrowLane::U16(delta_code(&offsets, hubs, |delta| delta as u16))
+        };
+        let dist_lane = if max_dist > u16::MAX as Distance {
+            NarrowLane::U32(dists.iter().map(|&d| d as u32).collect())
+        } else {
+            NarrowLane::U16(dists.iter().map(|&d| d as u16).collect())
         };
         Ok(CompactLabeling {
             offsets,
@@ -250,48 +195,13 @@ impl CompactLabeling {
         hubs: HubDeltas,
         dists: CompactDists,
     ) -> Result<Self, FlatLayoutError> {
-        if offsets.is_empty() {
-            return Err(FlatLayoutError::EmptyOffsets);
-        }
-        if offsets[0] != 0 {
-            return Err(FlatLayoutError::FirstOffsetNonZero(offsets[0]));
-        }
-        if hubs.len() != dists.len() {
-            return Err(FlatLayoutError::UnparallelArrays {
-                hubs: hubs.len(),
-                dists: dists.len(),
-            });
-        }
-        let num_nodes = offsets.len() - 1;
-        if offsets[num_nodes] != hubs.len() as u64 {
-            return Err(FlatLayoutError::FinalOffsetMismatch {
-                final_offset: offsets[num_nodes],
-                entries: hubs.len(),
-            });
-        }
-        for v in 0..num_nodes {
-            if offsets[v] > offsets[v + 1] {
-                return Err(FlatLayoutError::NonMonotoneOffsets { vertex: v });
-            }
-        }
-        for v in 0..num_nodes {
-            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-            let mut acc: u64 = 0;
-            for k in lo..hi {
-                let delta = hubs.get(k);
-                if k > lo && delta == 0 {
-                    // A zero gap decodes to a duplicate hub id.
-                    return Err(FlatLayoutError::UnsortedHubs { vertex: v });
-                }
-                acc += delta;
-                if acc >= num_nodes as u64 {
-                    return Err(FlatLayoutError::HubOutOfRange {
-                        vertex: v,
-                        hub: acc.min(NodeId::MAX as u64) as NodeId,
-                    });
-                }
-            }
-        }
+        check_offsets(&offsets, hubs.len(), dists.len())?;
+        // Width dispatch outside the scan: every v2c mount walks the whole
+        // lane here, so the loop is monomorphized, not matched per entry.
+        match &hubs {
+            NarrowLane::U16(h) => check_delta_runs(&offsets, h),
+            NarrowLane::U32(h) => check_delta_runs(&offsets, h),
+        }?;
         Ok(CompactLabeling {
             offsets,
             hubs,
@@ -361,19 +271,12 @@ impl CompactLabeling {
 
     /// Average hubs per vertex, `Σ_v |S_v| / n`.
     pub fn average_hubs(&self) -> f64 {
-        if self.num_nodes() == 0 {
-            return 0.0;
-        }
-        self.num_entries() as f64 / self.num_nodes() as f64
+        average_hubs(&self.offsets)
     }
 
     /// Largest label size.
     pub fn max_hubs(&self) -> usize {
-        self.offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0)
+        max_hubs(&self.offsets)
     }
 
     /// Average bytes per `(hub, distance)` entry, offsets included — the
@@ -386,9 +289,7 @@ impl CompactLabeling {
     }
 
     fn span(&self, v: NodeId) -> std::ops::Range<usize> {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        lo..hi
+        span_of(&self.offsets, v)
     }
 
     /// Decodes vertex `v`'s label into caller-owned buffers (appended).
@@ -397,9 +298,8 @@ impl CompactLabeling {
     ///
     /// Panics if `v` is out of range.
     pub fn decode_label_into(&self, v: NodeId, hubs: &mut Vec<NodeId>, dists: &mut Vec<Distance>) {
-        let span = self.span(v);
         let mut acc: NodeId = 0;
-        for k in span {
+        for k in self.span(v) {
             acc += self.hubs.get(k) as NodeId;
             hubs.push(acc);
             dists.push(self.dists.get(k));
@@ -412,10 +312,31 @@ impl CompactLabeling {
     ///
     /// Panics if `v` is out of range.
     pub fn label_of(&self, v: NodeId) -> (Vec<NodeId>, Vec<Distance>) {
-        let mut hubs = Vec::with_capacity(self.span(v).len());
-        let mut dists = Vec::with_capacity(self.span(v).len());
+        let len = self.span(v).len();
+        let mut hubs = Vec::with_capacity(len);
+        let mut dists = Vec::with_capacity(len);
         self.decode_label_into(v, &mut hubs, &mut dists);
         (hubs, dists)
+    }
+
+    /// Merge-joins the runs of `u` and `v` — the one place the arena-wide
+    /// lane widths pick their monomorphized kernel.
+    fn join<const WITNESS: bool>(&self, u: NodeId, v: NodeId) -> (Distance, NodeId) {
+        let (ra, rb) = (self.span(u), self.span(v));
+        match (&self.hubs, &self.dists) {
+            (NarrowLane::U16(h), NarrowLane::U16(d)) => {
+                join_delta_runs::<WITNESS, _, _>(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
+            }
+            (NarrowLane::U16(h), NarrowLane::U32(d)) => {
+                join_delta_runs::<WITNESS, _, _>(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
+            }
+            (NarrowLane::U32(h), NarrowLane::U16(d)) => {
+                join_delta_runs::<WITNESS, _, _>(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
+            }
+            (NarrowLane::U32(h), NarrowLane::U32(d)) => {
+                join_delta_runs::<WITNESS, _, _>(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
+            }
+        }
     }
 
     /// Answers the distance query `u, v` by merge-joining the two runs,
@@ -427,21 +348,7 @@ impl CompactLabeling {
     ///
     /// Panics if `u` or `v` is out of range.
     pub fn query(&self, u: NodeId, v: NodeId) -> Distance {
-        let (ra, rb) = (self.span(u), self.span(v));
-        match (&self.hubs, &self.dists) {
-            (HubDeltas::U16(h), CompactDists::U16(d)) => {
-                join_delta_runs(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
-            }
-            (HubDeltas::U16(h), CompactDists::U32(d)) => {
-                join_delta_runs(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
-            }
-            (HubDeltas::U32(h), CompactDists::U16(d)) => {
-                join_delta_runs(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
-            }
-            (HubDeltas::U32(h), CompactDists::U32(d)) => {
-                join_delta_runs(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
-            }
-        }
+        self.join::<false>(u, v).0
     }
 
     /// Like [`CompactLabeling::query`] but also reports the (decoded,
@@ -452,89 +359,93 @@ impl CompactLabeling {
     ///
     /// Panics if `u` or `v` is out of range.
     pub fn query_with_witness(&self, u: NodeId, v: NodeId) -> Option<(Distance, NodeId)> {
-        let (ra, rb) = (self.span(u), self.span(v));
-        match (&self.hubs, &self.dists) {
-            (HubDeltas::U16(h), CompactDists::U16(d)) => {
-                join_delta_runs_witness(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
+        witnessed(self.join::<true>(u, v))
+    }
+}
+
+/// The per-run half of [`CompactLabeling::from_raw_parts`]: decoded hub
+/// ids strictly increase within a run and stay below the vertex count.
+fn check_delta_runs<H: Copy>(offsets: &[u64], hubs: &[H]) -> Result<(), FlatLayoutError>
+where
+    u64: From<H>,
+{
+    let num_nodes = (offsets.len() - 1) as u64;
+    for (v, run) in spans(offsets).enumerate() {
+        let mut acc: u64 = 0;
+        for (k, &delta) in hubs[run].iter().enumerate() {
+            if k > 0 && u64::from(delta) == 0 {
+                // A zero gap decodes to a duplicate hub id.
+                return Err(FlatLayoutError::UnsortedHubs { vertex: v });
             }
-            (HubDeltas::U16(h), CompactDists::U32(d)) => {
-                join_delta_runs_witness(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
-            }
-            (HubDeltas::U32(h), CompactDists::U16(d)) => {
-                join_delta_runs_witness(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
-            }
-            (HubDeltas::U32(h), CompactDists::U32(d)) => {
-                join_delta_runs_witness(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
+            acc += u64::from(delta);
+            if acc >= num_nodes {
+                return Err(FlatLayoutError::HubOutOfRange {
+                    vertex: v,
+                    hub: acc.min(NodeId::MAX as u64) as NodeId,
+                });
             }
         }
     }
+    Ok(())
 }
 
-impl TryFrom<&FlatLabeling> for CompactLabeling {
-    type Error = CompactError;
-
-    fn try_from(flat: &FlatLabeling) -> Result<Self, CompactError> {
-        CompactLabeling::from_flat(flat)
+/// Delta-codes every per-vertex run of `hubs` (first entry absolute, later
+/// entries the gap to their predecessor) at the width `narrow` casts to.
+fn delta_code<T>(offsets: &[u64], hubs: &[NodeId], narrow: impl Fn(NodeId) -> T) -> Vec<T> {
+    let mut out = Vec::with_capacity(hubs.len());
+    for run in spans(offsets) {
+        let mut prev: NodeId = 0;
+        for &h in &hubs[run] {
+            out.push(narrow(h - prev));
+            prev = h;
+        }
     }
+    out
 }
 
-impl From<&CompactLabeling> for FlatLabeling {
-    fn from(compact: &CompactLabeling) -> Self {
-        compact.to_flat()
-    }
-}
-
-/// Touches one element per cache line of both hub-delta lanes before the
-/// decode starts, mirroring `label::warm_hub_lanes`: the touches are
-/// independent loads the memory system overlaps, while the delta-decode
-/// chain below is serial and would otherwise pay one DRAM round-trip per
-/// line. `black_box` keeps the reads alive.
+/// The delta-decoding merge-join kernel, monomorphized per lane width
+/// and per witness flag; candidates fold through [`crate::label`]'s
+/// `offer`, so ties and saturation resolve exactly as in
+/// [`crate::label::merge_join`]. Cursor movement mirrors that branchless
+/// kernel, but delta-coded ids cannot be skipped over, so there is no
+/// gallop; the accumulator updates are guarded because advancing past the
+/// end of a run must not read (or add) a delta that belongs to the next
+/// vertex.
 #[inline]
-fn warm_delta_lanes<H: Copy>(a_hubs: &[H], b_hubs: &[H]) {
-    let stride = (64 / std::mem::size_of::<H>()).max(1);
-    let mut p = 0usize;
-    while p < a_hubs.len() {
-        std::hint::black_box(a_hubs[p]);
-        p += stride;
-    }
-    let mut q = 0usize;
-    while q < b_hubs.len() {
-        std::hint::black_box(b_hubs[q]);
-        q += stride;
-    }
-}
-
-/// The delta-decoding merge-join kernel, monomorphized per lane width.
-/// Cursor movement mirrors the branchless [`crate::label::merge_join`];
-/// the accumulator updates are guarded because advancing past the end of
-/// a run must not read (or add) a delta that belongs to the next vertex.
-#[inline]
-fn join_delta_runs<H, D>(a_hubs: &[H], a_dists: &[D], b_hubs: &[H], b_dists: &[D]) -> Distance
+fn join_delta_runs<const WITNESS: bool, H, D>(
+    a_hubs: &[H],
+    a_dists: &[D],
+    b_hubs: &[H],
+    b_dists: &[D],
+) -> (Distance, NodeId)
 where
     H: Copy,
     NodeId: From<H>,
     D: Copy,
     Distance: From<D>,
 {
+    let mut best = INFINITY;
+    let mut witness: NodeId = 0;
     // Truncating each side to its common length lets the loop condition
     // prove every index in bounds for both lanes — no per-iteration
     // bounds checks (same trick as `crate::label::merge_join`).
     let n = a_hubs.len().min(a_dists.len());
     let m = b_hubs.len().min(b_dists.len());
     if n == 0 || m == 0 {
-        return INFINITY;
+        return (best, witness);
     }
     let (a_hubs, a_dists) = (&a_hubs[..n], &a_dists[..n]);
     let (b_hubs, b_dists) = (&b_hubs[..m], &b_dists[..m]);
-    warm_delta_lanes(a_hubs, b_hubs);
+    warm_hub_lanes(a_hubs, b_hubs);
     let (mut i, mut j) = (0usize, 0usize);
     let mut ha = NodeId::from(a_hubs[0]);
     let mut hb = NodeId::from(b_hubs[0]);
-    let mut best = INFINITY;
     loop {
+        // No branch on the hub match: a mismatch offers the sentinel,
+        // which never takes.
         let d = Distance::from(a_dists[i]).saturating_add(Distance::from(b_dists[j]));
         let candidate = if ha == hb { d } else { INFINITY };
-        best = best.min(candidate);
+        offer::<WITNESS>(&mut best, &mut witness, candidate, ha);
         let adv_a = ha <= hb;
         let adv_b = hb <= ha;
         i += adv_a as usize;
@@ -549,58 +460,7 @@ where
             hb += NodeId::from(b_hubs[j]);
         }
     }
-    best
-}
-
-/// Witness-reporting variant of [`join_delta_runs`], with the same
-/// saturation discipline as [`crate::label::merge_join_with_witness`].
-#[inline]
-fn join_delta_runs_witness<H, D>(
-    a_hubs: &[H],
-    a_dists: &[D],
-    b_hubs: &[H],
-    b_dists: &[D],
-) -> Option<(Distance, NodeId)>
-where
-    H: Copy,
-    NodeId: From<H>,
-    D: Copy,
-    Distance: From<D>,
-{
-    // Same slice truncation as `join_delta_runs`.
-    let n = a_hubs.len().min(a_dists.len());
-    let m = b_hubs.len().min(b_dists.len());
-    if n == 0 || m == 0 {
-        return None;
-    }
-    let (a_hubs, a_dists) = (&a_hubs[..n], &a_dists[..n]);
-    let (b_hubs, b_dists) = (&b_hubs[..m], &b_dists[..m]);
-    warm_delta_lanes(a_hubs, b_hubs);
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut ha = NodeId::from(a_hubs[0]);
-    let mut hb = NodeId::from(b_hubs[0]);
-    let mut best = INFINITY;
-    let mut witness: NodeId = 0;
-    loop {
-        let d = Distance::from(a_dists[i]).saturating_add(Distance::from(b_dists[j]));
-        let take = ha == hb && d < best;
-        best = if take { d } else { best };
-        witness = if take { ha } else { witness };
-        let adv_a = ha <= hb;
-        let adv_b = hb <= ha;
-        i += adv_a as usize;
-        j += adv_b as usize;
-        if i >= n || j >= m {
-            break;
-        }
-        if adv_a {
-            ha += NodeId::from(a_hubs[i]);
-        }
-        if adv_b {
-            hb += NodeId::from(b_hubs[j]);
-        }
-    }
-    (best != INFINITY).then_some((best, witness))
+    (best, witness)
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@
 
 use hl_graph::{Distance, NodeId};
 
-use crate::label::{merge_join, merge_join_with_witness, HubLabel, HubLabeling, LabelingView};
+use crate::label::{HubLabel, HubLabeling, LabelingView};
 
 /// Why a triple of raw arrays was rejected by
 /// [`FlatLabeling::from_raw_parts`].
@@ -115,6 +115,72 @@ impl std::fmt::Display for FlatLayoutError {
 
 impl std::error::Error for FlatLayoutError {}
 
+// The CSR offset-table skeleton. An arena's `offsets` holds `num_nodes + 1`
+// entry offsets, vertex `v` owning entries `offsets[v]..offsets[v+1]` of
+// the two entry lanes. Whatever the lanes hold — absolute or delta-coded
+// ids, wide or narrow distances — the table's invariants and the
+// statistics read off it are the same, so `FlatLabeling` and
+// `CompactLabeling` share these five functions.
+
+/// Validates an untrusted offset table against the lengths of the two
+/// entry lanes it indexes: it starts at 0, never decreases, and ends at
+/// the entry count, and the lanes are parallel.
+pub(crate) fn check_offsets(
+    offsets: &[u64],
+    hubs: usize,
+    dists: usize,
+) -> Result<(), FlatLayoutError> {
+    if offsets.is_empty() {
+        return Err(FlatLayoutError::EmptyOffsets);
+    }
+    if offsets[0] != 0 {
+        return Err(FlatLayoutError::FirstOffsetNonZero(offsets[0]));
+    }
+    if hubs != dists {
+        return Err(FlatLayoutError::UnparallelArrays { hubs, dists });
+    }
+    let num_nodes = offsets.len() - 1;
+    if offsets[num_nodes] != hubs as u64 {
+        return Err(FlatLayoutError::FinalOffsetMismatch {
+            final_offset: offsets[num_nodes],
+            entries: hubs,
+        });
+    }
+    // Full monotonicity pass *before* any caller slices a lane: only the
+    // complete chain (together with offsets[0] == 0 and the final-offset
+    // check) bounds every intermediate offset by the entry count — a
+    // single huge offsets[v] would otherwise slice out of range.
+    for v in 0..num_nodes {
+        if offsets[v] > offsets[v + 1] {
+            return Err(FlatLayoutError::NonMonotoneOffsets { vertex: v });
+        }
+    }
+    Ok(())
+}
+
+/// The entry range vertex `v` owns in both lanes.
+pub(crate) fn span_of(offsets: &[u64], v: NodeId) -> std::ops::Range<usize> {
+    offsets[v as usize] as usize..offsets[v as usize + 1] as usize
+}
+
+/// Every vertex's entry range, in vertex order.
+pub(crate) fn spans(offsets: &[u64]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    offsets.windows(2).map(|w| w[0] as usize..w[1] as usize)
+}
+
+/// Largest label size.
+pub(crate) fn max_hubs(offsets: &[u64]) -> usize {
+    spans(offsets).map(|run| run.len()).max().unwrap_or(0)
+}
+
+/// Average hubs per vertex, `Σ_v |S_v| / n`.
+pub(crate) fn average_hubs(offsets: &[u64]) -> f64 {
+    match offsets.len() - 1 {
+        0 => 0.0,
+        n => offsets[n] as f64 / n as f64,
+    }
+}
+
 /// A complete hub labeling in a single CSR arena: three flat arrays
 /// instead of two heap vectors per vertex. Immutable once built — grow it
 /// with [`FlatLabeling::push_label`] (vertices append in id order), or
@@ -139,11 +205,7 @@ impl FlatLabeling {
     /// An empty arena with zero vertices; grow it with
     /// [`FlatLabeling::push_label`].
     pub fn new() -> Self {
-        FlatLabeling {
-            offsets: vec![0],
-            hubs: Vec::new(),
-            dists: Vec::new(),
-        }
+        FlatLabeling::with_capacity(0, 0)
     }
 
     /// An empty arena with room for `nodes` vertices and `entries` total
@@ -191,37 +253,10 @@ impl FlatLabeling {
         hubs: Vec<NodeId>,
         dists: Vec<Distance>,
     ) -> Result<Self, FlatLayoutError> {
-        if offsets.is_empty() {
-            return Err(FlatLayoutError::EmptyOffsets);
-        }
-        if offsets[0] != 0 {
-            return Err(FlatLayoutError::FirstOffsetNonZero(offsets[0]));
-        }
-        if hubs.len() != dists.len() {
-            return Err(FlatLayoutError::UnparallelArrays {
-                hubs: hubs.len(),
-                dists: dists.len(),
-            });
-        }
+        check_offsets(&offsets, hubs.len(), dists.len())?;
         let num_nodes = offsets.len() - 1;
-        if offsets[num_nodes] != hubs.len() as u64 {
-            return Err(FlatLayoutError::FinalOffsetMismatch {
-                final_offset: offsets[num_nodes],
-                entries: hubs.len(),
-            });
-        }
-        // Full monotonicity pass *before* any slicing: only the complete
-        // chain (together with offsets[0] == 0 and the final-offset check)
-        // bounds every intermediate offset by the entry count — a single
-        // huge offsets[v] would otherwise slice out of range below.
-        for v in 0..num_nodes {
-            if offsets[v] > offsets[v + 1] {
-                return Err(FlatLayoutError::NonMonotoneOffsets { vertex: v });
-            }
-        }
-        for v in 0..num_nodes {
-            let (lo, hi) = (offsets[v], offsets[v + 1]);
-            let run = &hubs[lo as usize..hi as usize];
+        for (v, span) in spans(&offsets).enumerate() {
+            let run = &hubs[span];
             // Branch-free accumulation instead of an early-exit scan:
             // `fold` with `&` lets the comparison loop vectorize, and on
             // a hundred-million-entry arena (every v2 store load takes
@@ -282,13 +317,7 @@ impl FlatLabeling {
     /// inverse of [`FlatLabeling::from_labeling`]).
     pub fn to_labeling(&self) -> HubLabeling {
         (0..self.num_nodes() as NodeId)
-            .map(|v| {
-                self.hubs_of(v)
-                    .iter()
-                    .copied()
-                    .zip(self.dists_of(v).iter().copied())
-                    .collect::<HubLabel>()
-            })
+            .map(|v| self.pairs_of(v).collect::<HubLabel>())
             .collect()
     }
 
@@ -303,9 +332,7 @@ impl FlatLabeling {
     }
 
     fn span(&self, v: NodeId) -> std::ops::Range<usize> {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        lo..hi
+        span_of(&self.offsets, v)
     }
 
     /// The sorted hub ids of vertex `v`.
@@ -348,12 +375,7 @@ impl FlatLabeling {
     ///
     /// Panics if `u` or `v` is out of range.
     pub fn query(&self, u: NodeId, v: NodeId) -> Distance {
-        merge_join(
-            self.hubs_of(u),
-            self.dists_of(u),
-            self.hubs_of(v),
-            self.dists_of(v),
-        )
+        LabelingView::query(self, u, v)
     }
 
     /// Like [`FlatLabeling::query`] but also reports the hub realizing
@@ -363,12 +385,7 @@ impl FlatLabeling {
     ///
     /// Panics if `u` or `v` is out of range.
     pub fn query_with_witness(&self, u: NodeId, v: NodeId) -> Option<(Distance, NodeId)> {
-        merge_join_with_witness(
-            self.hubs_of(u),
-            self.dists_of(u),
-            self.hubs_of(v),
-            self.dists_of(v),
-        )
+        LabelingView::query_with_witness(self, u, v)
     }
 
     /// Total number of hubs over all vertices (same as
@@ -380,18 +397,12 @@ impl FlatLabeling {
 
     /// Average hubs per vertex, `Σ_v |S_v| / n`.
     pub fn average_hubs(&self) -> f64 {
-        if self.num_nodes() == 0 {
-            return 0.0;
-        }
-        self.num_entries() as f64 / self.num_nodes() as f64
+        average_hubs(&self.offsets)
     }
 
     /// Largest label size.
     pub fn max_hubs(&self) -> usize {
-        (0..self.num_nodes())
-            .map(|v| self.span(v as NodeId).len())
-            .max()
-            .unwrap_or(0)
+        max_hubs(&self.offsets)
     }
 
     /// Heap footprint of the three arena arrays, in bytes — the same

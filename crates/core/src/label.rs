@@ -1,14 +1,21 @@
 //! Hub label data structures and the merge-join distance query.
 //!
-//! Two owned representations share one query algorithm:
+//! hl-core owns three representations of a labeling, and they share one
+//! query algorithm — the sorted merge-join, each loop written once for
+//! both the distance-only and the witness-reporting query:
 //!
 //! * [`HubLabeling`] — one [`HubLabel`] (two heap `Vec`s) per vertex; the
 //!   *construction-time* form, cheap to grow and mutate per vertex;
 //! * [`crate::flat::FlatLabeling`] — a single CSR arena; the blessed
-//!   *query-time* form, one allocation for the whole labeling.
+//!   *query-time* form, one allocation for the whole labeling;
+//! * [`crate::compact::CompactLabeling`] — the same arena with delta-coded
+//!   hub ids and narrow distance lanes; it joins through its own loop,
+//!   because delta-coded ids cannot be galloped over.
 //!
-//! The [`LabelingView`] trait is the borrowed read-only view both forms
-//! implement, so verification, statistics, and oracles work on either.
+//! The [`LabelingView`] trait is the borrowed read-only view the two
+//! slice-backed forms implement, so verification, statistics, and oracles
+//! work on either; the compact arena decodes on the fly and has no slices
+//! to lend.
 
 use hl_graph::{Distance, NodeId, INFINITY};
 
@@ -19,37 +26,75 @@ use hl_graph::{Distance, NodeId, INFINITY};
 /// hides an LLC/DRAM round-trip behind the serial advance chain.
 const LOOKAHEAD: usize = 16;
 
-/// Touches one hub id per cache line of both lanes before the merge
+/// Touches one hub entry per cache line of both lanes before the merge
 /// starts. The touches are independent loads, so the memory system
 /// overlaps all the line fetches; the serial (data-dependent) advance
 /// chain of the branchless merge then runs against warm cache instead of
 /// paying one DRAM round-trip per line. The OR-fold into [`black_box`]
-/// keeps the reads alive without `unsafe` prefetch intrinsics.
+/// keeps the reads alive without `unsafe` prefetch intrinsics. Generic
+/// over the entry width so the compact arena's narrow delta lanes warm
+/// the same way (for `u32` ids the stride is [`LOOKAHEAD`]).
 ///
 /// [`black_box`]: std::hint::black_box
 #[inline]
-fn warm_hub_lanes(a_hubs: &[NodeId], b_hubs: &[NodeId]) {
+pub(crate) fn warm_hub_lanes<H: Copy>(a_hubs: &[H], b_hubs: &[H])
+where
+    NodeId: From<H>,
+{
+    let stride = (64 / std::mem::size_of::<H>()).max(1);
     let mut warm = 0u32;
     let mut p = 0usize;
     while p < a_hubs.len() {
-        warm |= a_hubs[p];
-        p += LOOKAHEAD;
+        warm |= NodeId::from(a_hubs[p]);
+        p += stride;
     }
     let mut q = 0usize;
     while q < b_hubs.len() {
-        warm |= b_hubs[q];
-        q += LOOKAHEAD;
+        warm |= NodeId::from(b_hubs[q]);
+        q += stride;
     }
     std::hint::black_box(warm);
 }
 
-/// The sorted-merge join over two labels given as parallel slices:
-/// `min over common hubs h of d(u, h) + d(h, v)`, or [`INFINITY`] when the
-/// hub sets are disjoint. Both hub slices must be sorted by hub id, with
-/// `a_dists[i]` the distance to `a_hubs[i]` (and likewise for `b`).
+/// Folds the sum `d` over common hub `hub` into a join's running
+/// `(best, witness)` pair — the one update rule of every join loop, so the
+/// slice kernel below and the delta kernel of [`crate::compact`] agree on
+/// ties and on saturation by construction. `WITNESS = false` compiles the
+/// witness bookkeeping out.
 ///
-/// This is *the* hot-path kernel: every representation's `query` bottoms
-/// out here, so layout experiments (SIMD, prefetch) have one place to go.
+/// Strict `<` keeps the first hub realizing the minimum, as conditional
+/// moves — `d` can never displace a tie. `best` starts at [`INFINITY`],
+/// so a sum that saturated there never takes: a pair of huge finite
+/// label distances reads as unreachable, exactly like a disjoint hub set.
+#[inline(always)]
+pub(crate) fn offer<const WITNESS: bool>(
+    best: &mut Distance,
+    witness: &mut NodeId,
+    d: Distance,
+    hub: NodeId,
+) {
+    let take = d < *best;
+    *best = if take { d } else { *best };
+    if WITNESS {
+        *witness = if take { hub } else { *witness };
+    }
+}
+
+/// A finished join's `(best, witness)` pair as the witness-reporting
+/// queries return it: `None` when no sum took — the hub sets are disjoint
+/// **or** every common-hub sum saturated at [`INFINITY`]. A saturated sum
+/// means "farther than the distance type can say", and returning it with
+/// a witness would claim a finite meeting point that does not exist.
+pub(crate) fn witnessed((best, hub): (Distance, NodeId)) -> Option<(Distance, NodeId)> {
+    (best != INFINITY).then_some((best, hub))
+}
+
+/// The sorted-merge join over two labels of absolute hub ids — the one
+/// loop behind [`merge_join`] and [`merge_join_with_witness`].
+///
+/// This is *the* hot-path kernel: every slice-backed representation's
+/// `query` bottoms out here, so layout experiments (SIMD, prefetch) have
+/// one place to go.
 ///
 /// The cursor advance is branchless: on a hub mismatch both cursors move
 /// by the boolean comparison results (fine step) and gallop a whole
@@ -60,70 +105,17 @@ fn warm_hub_lanes(a_hubs: &[NodeId], b_hubs: &[NodeId]) {
 /// core cannot speculate past, so the kernel first warms both hub lanes
 /// by issuing every cache-line fetch as independent overlapping loads. Only the hub
 /// *equality* test remains a real branch — labels share a hot prefix of
-/// top-ranked hubs, making it highly predictable. Sums that saturate at
-/// [`INFINITY`] never beat `best` (it starts there), so a pair of huge
-/// finite label distances reads as unreachable, exactly like a disjoint
-/// hub set.
-pub fn merge_join(
+/// top-ranked hubs, making it highly predictable.
+#[inline]
+fn join_absolute<const WITNESS: bool>(
     a_hubs: &[NodeId],
     a_dists: &[Distance],
     b_hubs: &[NodeId],
     b_dists: &[Distance],
-) -> Distance {
+) -> (Distance, NodeId) {
     // Truncate each pair to its common length: the loop condition then
     // proves every index in bounds for *both* slices of a side, so the
     // four per-iteration bounds checks vanish from the hot loop.
-    let n = a_hubs.len().min(a_dists.len());
-    let m = b_hubs.len().min(b_dists.len());
-    let (a_hubs, a_dists) = (&a_hubs[..n], &a_dists[..n]);
-    let (b_hubs, b_dists) = (&b_hubs[..m], &b_dists[..m]);
-    warm_hub_lanes(a_hubs, b_hubs);
-    let mut best = INFINITY;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < n && j < m {
-        let (ha, hb) = (a_hubs[i], b_hubs[j]);
-        let ia = (i + LOOKAHEAD).min(n - 1);
-        let jb = (j + LOOKAHEAD).min(m - 1);
-        if ha == hb {
-            // The equality test stays a real branch: hub labels built by
-            // vertex order share a hot prefix of top-ranked hubs, so this
-            // branch is highly predictable and letting the core speculate
-            // through it overlaps the next iterations' loads.
-            best = best.min(a_dists[i].saturating_add(b_dists[j]));
-            i += 1;
-            j += 1;
-        } else {
-            // Branchless advance, fine and coarse. The fine step moves
-            // each cursor by the boolean comparison result — the ordering
-            // of two mismatched sorted runs is effectively random, so
-            // there is nothing for the predictor to miss on. The coarse
-            // step gallops: hubs are sorted, so if even the hub a whole
-            // stride ahead is still below the other cursor's current hub,
-            // every skipped entry is provably matchless and the cursor
-            // jumps the stride (real hub labels are length-skewed — long
-            // single-side runs are the common case, and the stride-ahead
-            // loads double as prefetch for the serial advance chain).
-            let fi = i + (ha < hb) as usize;
-            let fj = j + (hb < ha) as usize;
-            i = if a_hubs[ia] < hb { ia + 1 } else { fi };
-            j = if b_hubs[jb] < ha { jb + 1 } else { fj };
-        }
-    }
-    best
-}
-
-/// Like [`merge_join`] but also reports the hub realizing the minimum;
-/// `None` when the hub sets are disjoint **or** every common-hub sum
-/// saturated at [`INFINITY`] — a saturated sum means "farther than the
-/// distance type can say", and returning it with a witness would claim a
-/// finite meeting point that does not exist.
-pub fn merge_join_with_witness(
-    a_hubs: &[NodeId],
-    a_dists: &[Distance],
-    b_hubs: &[NodeId],
-    b_dists: &[Distance],
-) -> Option<(Distance, NodeId)> {
-    // Same slice truncation as `merge_join`: bounds checks leave the loop.
     let n = a_hubs.len().min(a_dists.len());
     let m = b_hubs.len().min(b_dists.len());
     let (a_hubs, a_dists) = (&a_hubs[..n], &a_dists[..n]);
@@ -137,26 +129,59 @@ pub fn merge_join_with_witness(
         let ia = (i + LOOKAHEAD).min(n - 1);
         let jb = (j + LOOKAHEAD).min(m - 1);
         if ha == hb {
+            // The equality test stays a real branch: hub labels built by
+            // vertex order share a hot prefix of top-ranked hubs, so this
+            // branch is highly predictable and letting the core speculate
+            // through it overlaps the next iterations' loads.
             let d = a_dists[i].saturating_add(b_dists[j]);
-            // Strict `<` keeps the first hub realizing the minimum, as a
-            // conditional move — `d` can never displace a tie, and `best`
-            // starts at INFINITY so a saturated sum never takes.
-            let take = d < best;
-            best = if take { d } else { best };
-            witness = if take { ha } else { witness };
+            offer::<WITNESS>(&mut best, &mut witness, d, ha);
             i += 1;
             j += 1;
         } else {
-            // Fine + galloping coarse advance, exactly as in
-            // [`merge_join`]; skipped entries are provably matchless, so
-            // the witness bookkeeping above never sees them.
+            // Branchless advance, fine and coarse. The fine step moves
+            // each cursor by the boolean comparison result — the ordering
+            // of two mismatched sorted runs is effectively random, so
+            // there is nothing for the predictor to miss on. The coarse
+            // step gallops: hubs are sorted, so if even the hub a whole
+            // stride ahead is still below the other cursor's current hub,
+            // every skipped entry is provably matchless (`offer` never
+            // sees it) and the cursor jumps the stride (real hub labels
+            // are length-skewed — long single-side runs are the common
+            // case, and the stride-ahead loads double as prefetch for the
+            // serial advance chain).
             let fi = i + (ha < hb) as usize;
             let fj = j + (hb < ha) as usize;
             i = if a_hubs[ia] < hb { ia + 1 } else { fi };
             j = if b_hubs[jb] < ha { jb + 1 } else { fj };
         }
     }
-    (best != INFINITY).then_some((best, witness))
+    (best, witness)
+}
+
+/// The sorted-merge join over two labels given as parallel slices:
+/// `min over common hubs h of d(u, h) + d(h, v)`, or [`INFINITY`] when the
+/// hub sets are disjoint or every common-hub sum saturated. Both hub
+/// slices must be sorted by hub id, with `a_dists[i]` the distance to
+/// `a_hubs[i]` (and likewise for `b`).
+pub fn merge_join(
+    a_hubs: &[NodeId],
+    a_dists: &[Distance],
+    b_hubs: &[NodeId],
+    b_dists: &[Distance],
+) -> Distance {
+    join_absolute::<false>(a_hubs, a_dists, b_hubs, b_dists).0
+}
+
+/// Like [`merge_join`] but also reports the hub realizing the minimum;
+/// `None` when the hub sets are disjoint **or** every common-hub sum
+/// saturated at [`INFINITY`].
+pub fn merge_join_with_witness(
+    a_hubs: &[NodeId],
+    a_dists: &[Distance],
+    b_hubs: &[NodeId],
+    b_dists: &[Distance],
+) -> Option<(Distance, NodeId)> {
+    witnessed(join_absolute::<true>(a_hubs, a_dists, b_hubs, b_dists))
 }
 
 /// A borrowed, read-only view of a complete hub labeling: per-vertex

@@ -74,6 +74,25 @@ const FN_SEEDS: &[FnSeed] = &[
         width: None,
         file_suffix: None,
     },
+    // The HLBS parsers' wrappers around those decodes: `read_u64` reads a
+    // header or table field, `read_le` one section element (the v2
+    // codec's `Lane` method), and `parse_header` hands the v2 parser its
+    // `(flags, n, e)` — the counts every section length derives from.
+    FnSeed {
+        name: "read_u64",
+        width: Some(64),
+        file_suffix: None,
+    },
+    FnSeed {
+        name: "read_le",
+        width: None,
+        file_suffix: None,
+    },
+    FnSeed {
+        name: "parse_header",
+        width: Some(64),
+        file_suffix: Some("server/src/store_v2.rs"),
+    },
     // Checked γ-decode readers over untrusted bit streams.
     FnSeed {
         name: "try_read_gamma",
@@ -1354,6 +1373,20 @@ mod tests {
         assert_eq!(d[0].rule, "cast-truncation");
         assert_eq!(d[0].line, 3);
         // Same code outside the seeded file is clean.
+        assert!(scan_named(&[("crates/graph/src/lib.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn v2_header_counts_stay_tainted_through_parse_header() {
+        // The v2 parser gets `n`/`e` as a tuple from `parse_header`, with
+        // no `from_le_bytes` in its own body: the seed keeps them tainted.
+        let src = "fn parse(bytes: &[u8]) -> Result<Vec<u64>, E> {\n let (flags, n, e) = parse_header(bytes)?;\n Ok(vec![0u64; n as usize])\n}";
+        let d = scan_named(&[("crates/server/src/store_v2.rs", src)]);
+        assert!(
+            d.iter()
+                .any(|d| d.rule == "untrusted-length-alloc" && d.line == 3),
+            "{d:?}"
+        );
         assert!(scan_named(&[("crates/graph/src/lib.rs", src)]).is_empty());
     }
 

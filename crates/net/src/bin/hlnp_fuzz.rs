@@ -26,15 +26,17 @@
 //!    framing, hello 2 serves v2 framing, hello 3 gets a typed
 //!    `VersionMismatch`, garbage gets a typed `Malformed` — and the
 //!    rejections close the connection.
-//! 3. **Store**: both serialized HLBS images take abuse. The v1
+//! 3. **Store**: all three serialized HLBS images take abuse. The v1
 //!    (γ-coded) image gets seeded byte flips (the checksum's job),
 //!    crafted flips with a refreshed checksum (the decoder's job), and
-//!    random truncations. The v2 (flat-arena) image additionally gets
-//!    per-section crafted flips with *that section's* checksum and the
-//!    table checksum both refreshed, plus misaligned-section-offset
-//!    mutations; because every v2 byte sits under a checksum or the
-//!    zero-padding rule, a blind flip that parses anyway is itself a
-//!    defect.
+//!    random truncations. The v2 images — flat flavor, then the compact
+//!    flavor (v2c) of the same labeling — additionally get per-section
+//!    crafted flips with *that section's* checksum and the table
+//!    checksum both refreshed, plus misaligned-section-offset mutations;
+//!    because every v2 byte sits under a checksum or the zero-padding
+//!    rule, a blind flip that parses anyway is itself a defect. Whatever
+//!    parses is mounted in its native arena, walked label by label, and
+//!    joined with and without a witness.
 //! 4. **Wire**: random payloads through every frame decoder.
 //!
 //! Any panic, hang, wrong answer, or silently-accepted corruption is a
@@ -50,6 +52,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hl_core::pll::PrunedLandmarkLabeling;
+use hl_core::CompactLabeling;
 use hl_graph::rng::Xorshift64;
 use hl_graph::{bfs, generators, Distance, NodeId};
 use hl_net::cli::Flags;
@@ -59,7 +62,7 @@ use hl_net::wire::{
     ServerHello, DEFAULT_MAX_FRAME_LEN, MAX_PROTOCOL_VERSION, PROTOCOL_V2, PROTOCOL_VERSION,
 };
 use hl_net::{ClientConfig, MuxClient, NetClient, NetServer, ServerConfig};
-use hl_server::{store, store_v2, AnyStore, FlatStore, LabelStore, QueryEngine};
+use hl_server::{store, store_v2, AnyStore, CompactStore, FlatStore, LabelStore, QueryEngine};
 
 struct Opts {
     seed: u64,
@@ -196,10 +199,13 @@ fn run(opts: &Opts) -> Result<Summary, Failure> {
     label_store
         .write_to(&mut store_bytes)
         .map_err(|e| Failure::Defect(format!("serializing the store: {e}")))?;
-    let store_v2_bytes = label_store
+    let flat = label_store
         .to_flat()
-        .map(|flat| FlatStore::from_flat(flat).encode())
-        .map_err(|e| Failure::Defect(format!("serializing the v2 store: {e}")))?;
+        .map_err(|e| Failure::Defect(format!("decoding the v1 store: {e}")))?;
+    let store_v2c_bytes = CompactLabeling::from_flat(&flat)
+        .map(|compact| CompactStore::from_compact(compact).encode())
+        .map_err(|e| Failure::Defect(format!("serializing the v2c store: {e}")))?;
+    let store_v2_bytes = FlatStore::from_flat(flat).encode();
     let engine = QueryEngine::from_store(&label_store, 2)
         .map_err(|e| Failure::Defect(format!("building the engine: {e}")))?;
 
@@ -343,6 +349,7 @@ fn run(opts: &Opts) -> Result<Summary, Failure> {
 
     store_campaign(&store_bytes, opts, deadline, &mut rng, &mut summary)?;
     store_v2_campaign(&store_v2_bytes, opts, deadline, &mut rng, &mut summary)?;
+    store_v2_campaign(&store_v2c_bytes, opts, deadline, &mut rng, &mut summary)?;
     wire_campaign(opts, deadline, &mut rng, &mut summary)?;
     Ok(summary)
 }
@@ -777,26 +784,38 @@ fn store_campaign(
 }
 
 /// Parses a mutated v2 store through the version-sniffing [`AnyStore`]
-/// entry point (the path a daemon takes) inside `catch_unwind`, then
-/// walks the decoded arena. Errors are expected, panics are defects.
-/// Returns whether it parsed.
+/// entry point and mounts it in its *native* arena (the path a daemon
+/// takes — a compact image stays compact, so crafted delta and width
+/// flips reach `CompactLabeling::from_raw_parts` and the delta kernel)
+/// inside `catch_unwind`, then walks every label and joins a few pairs
+/// both ways. Errors are expected; panics, and a `query` that disagrees
+/// with `query_with_witness`, are defects. Returns whether it parsed.
 fn check_store_v2_bytes(bytes: &[u8]) -> Result<bool, Failure> {
-    panic::catch_unwind(AssertUnwindSafe(|| {
-        match AnyStore::parse(bytes).and_then(AnyStore::into_flat) {
-            Ok(flat) => {
-                for v in 0..flat.num_nodes() as NodeId {
-                    let _ = flat.hubs_of(v);
-                    let _ = flat.dists_of(v);
-                }
-                if flat.num_nodes() >= 2 {
-                    let _ = flat.query(0, 1);
-                }
-                true
-            }
-            Err(_) => false,
+    let walked = panic::catch_unwind(AssertUnwindSafe(|| {
+        let Ok(served) = AnyStore::parse(bytes).and_then(AnyStore::into_served) else {
+            return Ok(false);
+        };
+        let n = served.num_nodes() as NodeId;
+        for v in 0..n {
+            let _ = served.label_of(v);
         }
+        for u in 0..n.min(4) {
+            for v in [u, (u + 1) % n, n - 1 - u] {
+                let d = served.query(u, v);
+                let witnessed = served
+                    .query_with_witness(u, v)
+                    .map_or(hl_graph::INFINITY, |(d, _)| d);
+                if d != witnessed {
+                    return Err(format!(
+                        "query({u}, {v}) = {d} but query_with_witness says {witnessed}"
+                    ));
+                }
+            }
+        }
+        Ok(true)
     }))
-    .map_err(|_| Failure::Defect("panic while parsing/decoding a mutated v2 store".to_string()))
+    .map_err(|_| Failure::Defect("panic while parsing/decoding a mutated v2 store".to_string()))?;
+    walked.map_err(|m| Failure::Defect(format!("mutated v2 store: {m}")))
 }
 
 /// The byte range of the v2 section table record for section `s`.

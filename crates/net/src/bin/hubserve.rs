@@ -124,13 +124,16 @@ fn open_store(path: &str) -> Result<LabelStore, String> {
 }
 
 /// Arena in the store's *native* mounted form, plus stats facts: flavor
-/// tag (`"v1"`/`"v2"`/`"v2c"`), format version, on-disk size, sections.
+/// tag (`"v1"`/`"v2"`/`"v2c"`), format version, on-disk size, sections,
+/// and the label payload in bits — γ-coded bits for v1 (the paper's unit,
+/// and the figure `build` prints), the two entry sections for v2.
 type ServedWithFacts = (
     ServedLabeling,
     &'static str,
     u16,
     u64,
     [(&'static str, u64); 3],
+    u64,
 );
 
 /// Opens a store of any flavor and mounts it the way `serve` would: the
@@ -141,10 +144,14 @@ fn open_any_served(path: &str) -> Result<ServedWithFacts, String> {
     let version = store.version();
     let file_len = store.file_len();
     let sections = store.section_bytes();
+    let label_bits = match &store {
+        AnyStore::V1(v1) => v1.total_bits(),
+        AnyStore::V2(_) => (sections[1].1 + sections[2].1) * 8,
+    };
     let served = store
         .into_served()
         .map_err(|e| format!("cannot decode store {path}: {e}"))?;
-    Ok((served, flavor, version, file_len, sections))
+    Ok((served, flavor, version, file_len, sections, label_bits))
 }
 
 struct BuildOpts {
@@ -296,7 +303,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     let build_s = started.elapsed().as_secs_f64();
-    let store = LabelStore::from_labeling(&out.labeling.to_labeling());
+    let store = LabelStore::from_flat(&out.labeling);
     store
         .save(&opts.store_path)
         .map_err(|e| format!("cannot write {}: {e}", opts.store_path))?;
@@ -355,7 +362,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         [s, p] => (s, Some(p)),
         _ => return Err(QUERY_USAGE.into()),
     };
-    let (served, _, _, _, _) = open_any_served(store_path)?;
+    let (served, ..) = open_any_served(store_path)?;
     let n = served.num_nodes() as u64;
     let engine = QueryEngine::new(served, default_workers())
         .map_err(|e| format!("cannot start engine: {e}"))?;
@@ -400,25 +407,20 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let [store_path] = args else {
         return Err(STATS_USAGE.into());
     };
-    let (served, flavor, version, file_len, sections) = open_any_served(store_path)?;
+    let (served, flavor, version, file_len, sections, label_bits) = open_any_served(store_path)?;
     let n = served.num_nodes();
     println!("store {store_path}");
     println!("  format version     {version} (flavor {flavor})");
     println!("  nodes              {n}");
-    match flavor {
-        "v1" => println!(
-            "  file bytes         {file_len} ({:.1} bits/label gamma-coded)",
-            sections[2].1 as f64 * 8.0 / n.max(1) as f64
-        ),
-        "v2c" => println!(
-            "  file bytes         {file_len} ({:.1} bits/label compact arena)",
-            (sections[1].1 + sections[2].1) as f64 * 8.0 / n.max(1) as f64
-        ),
-        _ => println!(
-            "  file bytes         {file_len} ({:.1} bits/label flat arena)",
-            (sections[1].1 + sections[2].1) as f64 * 8.0 / n.max(1) as f64
-        ),
-    }
+    let encoding = match flavor {
+        "v1" => "gamma-coded",
+        "v2c" => "compact arena",
+        _ => "flat arena",
+    };
+    println!(
+        "  file bytes         {file_len} ({:.1} bits/label {encoding})",
+        label_bits as f64 / n.max(1) as f64
+    );
     for (name, bytes) in sections {
         println!("  section {name:<10} {bytes} bytes");
     }
@@ -496,7 +498,7 @@ fn parse_serve_opts(args: &[String]) -> Result<(String, ServeOpts), String> {
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let (store_path, opts) = parse_serve_opts(args)?;
-    let (served, flavor, version, _, _) = open_any_served(&store_path)?;
+    let (served, flavor, version, ..) = open_any_served(&store_path)?;
     let arena_kind = served.kind();
     let engine = Arc::new(
         QueryEngine::new(served, opts.workers).map_err(|e| format!("cannot start engine: {e}"))?,

@@ -137,6 +137,7 @@ fn stats_reports_arena_size() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let build_stdout = String::from_utf8_lossy(&out.stdout).into_owned();
 
     let out = hubserve()
         .args(["stats", store.to_str().unwrap()])
@@ -151,6 +152,19 @@ fn stats_reports_arena_size() {
     assert!(stdout.contains("nodes              36"), "{stdout}");
     assert!(stdout.contains("arena entries"), "{stdout}");
     assert!(stdout.contains("arena heap bytes"), "{stdout}");
+
+    // One file, one label size: `build` and `stats` both report γ-coded
+    // bits per label (the paper's unit), not bits of byte-padded blob.
+    let bits_per_label = |text: &str| -> String {
+        let end = text.find(" bits/label").expect("a bits/label figure");
+        let start = text[..end].rfind('(').expect("figure is parenthesised") + 1;
+        text[start..end].to_string()
+    };
+    assert_eq!(
+        bits_per_label(&build_stdout),
+        bits_per_label(&stdout),
+        "build: {build_stdout}stats: {stdout}"
+    );
 
     // The reported numbers must match the in-process decode.
     let parsed = hl_server::LabelStore::open(&store).unwrap();

@@ -3,10 +3,11 @@
 //! Both formats share the magic and the header prefix through the version
 //! field; [`AnyStore`] peeks at that field
 //! ([`crate::store::format_version`]) and hands the bytes to the right
-//! reader. Serving code (`hubserve serve`, `query`, `stats`, the reload
-//! path) goes through this type so a daemon can mount either encoding —
-//! v1 as the compact archival form, v2 as the load-is-a-read serving
-//! form.
+//! reader — [`LabelStore`] for v1, the one v2 codec ([`V2Store`]) for
+//! both v2 flavors. Serving code (`hubserve serve`, `query`, `stats`, the
+//! reload path) goes through this type so a daemon can mount either
+//! encoding — v1 as the compact archival form, v2 as the load-is-a-read
+//! serving form.
 
 use std::fs::File;
 use std::io::Read;
@@ -16,17 +17,16 @@ use hl_core::FlatLabeling;
 
 use crate::served::ServedLabeling;
 use crate::store::{self, LabelStore, StoreError};
-use crate::store_v2::{self, CompactStore, FlatStore};
+use crate::store_v2::{self, V2Store};
 
-/// A parsed store of either format version (and, for v2, either flavor).
+/// A parsed store of either format version.
 #[derive(Debug, Clone)]
 pub enum AnyStore {
     /// HLBS v1: γ-coded labels behind an offset table.
     V1(LabelStore),
-    /// HLBS v2, flat flavor: the flat arena laid out verbatim.
-    V2(FlatStore),
-    /// HLBS v2, compact flavor: delta-coded hubs and narrow distances.
-    V2Compact(CompactStore),
+    /// HLBS v2, either flavor: the flat arena laid out verbatim, or the
+    /// compact one (delta-coded hubs, narrow distances).
+    V2(V2Store),
 }
 
 impl AnyStore {
@@ -35,13 +35,7 @@ impl AnyStore {
     pub fn parse(bytes: &[u8]) -> Result<Self, StoreError> {
         match store::format_version(bytes)? {
             store::VERSION => Ok(AnyStore::V1(LabelStore::parse(bytes)?)),
-            store_v2::VERSION => {
-                if store_v2::header_flags(bytes)? & store_v2::FLAG_COMPACT != 0 {
-                    Ok(AnyStore::V2Compact(CompactStore::parse(bytes)?))
-                } else {
-                    Ok(AnyStore::V2(FlatStore::parse(bytes)?))
-                }
-            }
+            store_v2::VERSION => Ok(AnyStore::V2(V2Store::parse(bytes)?)),
             other => Err(StoreError::UnsupportedVersion(other)),
         }
     }
@@ -62,7 +56,7 @@ impl AnyStore {
     pub fn version(&self) -> u16 {
         match self {
             AnyStore::V1(_) => store::VERSION,
-            AnyStore::V2(_) | AnyStore::V2Compact(_) => store_v2::VERSION,
+            AnyStore::V2(_) => store_v2::VERSION,
         }
     }
 
@@ -71,8 +65,8 @@ impl AnyStore {
     pub fn flavor(&self) -> &'static str {
         match self {
             AnyStore::V1(_) => "v1",
+            AnyStore::V2(s) if s.flags() & store_v2::FLAG_COMPACT != 0 => "v2c",
             AnyStore::V2(_) => "v2",
-            AnyStore::V2Compact(_) => "v2c",
         }
     }
 
@@ -81,7 +75,6 @@ impl AnyStore {
         match self {
             AnyStore::V1(s) => s.num_nodes(),
             AnyStore::V2(s) => s.num_nodes(),
-            AnyStore::V2Compact(s) => s.num_nodes(),
         }
     }
 
@@ -90,7 +83,6 @@ impl AnyStore {
         match self {
             AnyStore::V1(s) => s.file_len() as u64,
             AnyStore::V2(s) => s.file_len(),
-            AnyStore::V2Compact(s) => s.file_len(),
         }
     }
 
@@ -100,7 +92,6 @@ impl AnyStore {
         match self {
             AnyStore::V1(s) => s.section_bytes(),
             AnyStore::V2(s) => s.section_bytes(),
-            AnyStore::V2Compact(s) => s.section_bytes(),
         }
     }
 
@@ -109,11 +100,7 @@ impl AnyStore {
     /// store); for v2 the arena is already built and moves out for free;
     /// the compact flavor expands its delta lanes.
     pub fn into_flat(self) -> Result<FlatLabeling, StoreError> {
-        match self {
-            AnyStore::V1(s) => s.to_flat(),
-            AnyStore::V2(s) => Ok(s.into_flat()),
-            AnyStore::V2Compact(s) => Ok(s.into_compact().to_flat()),
-        }
+        self.into_served().map(ServedLabeling::into_flat)
     }
 
     /// Converts into the arena the engine mounts, preserving the store's
@@ -122,8 +109,7 @@ impl AnyStore {
     pub fn into_served(self) -> Result<ServedLabeling, StoreError> {
         match self {
             AnyStore::V1(s) => Ok(ServedLabeling::Flat(s.to_flat()?)),
-            AnyStore::V2(s) => Ok(ServedLabeling::Flat(s.into_flat())),
-            AnyStore::V2Compact(s) => Ok(ServedLabeling::Compact(s.into_compact())),
+            AnyStore::V2(s) => Ok(s.into_served()),
         }
     }
 }
@@ -131,6 +117,7 @@ impl AnyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store_v2::{CompactStore, FlatStore};
     use hl_core::pll::PrunedLandmarkLabeling;
     use hl_core::HubLabeling;
     use hl_graph::generators;
@@ -186,6 +173,35 @@ mod tests {
             v2.into_served().unwrap(),
             ServedLabeling::Flat(f) if f == flat
         ));
+    }
+
+    #[test]
+    fn encodings_are_pinned_to_the_bytes_deployed_daemons_mount() {
+        // Round-trip tests only prove the codecs agree with themselves.
+        // These constants were captured from the writers as of PR 12
+        // (before the v2 codec was unified): a change to any of them
+        // means stores already on disk no longer mean what they meant.
+        let (hl, flat) = sample();
+        let compact = hl_core::CompactLabeling::from_flat(&flat).unwrap();
+        let mut v1 = Vec::new();
+        LabelStore::from_labeling(&hl).write_to(&mut v1).unwrap();
+        let v2 = FlatStore::from_flat(flat).encode();
+        let v2c = CompactStore::from_compact(compact).encode();
+        // Both width bits set: a hub gap and a distance past u16::MAX.
+        let mut wide = HubLabeling::empty(70_001);
+        *wide.label_mut(0) = hl_core::HubLabel::from_pairs(vec![(0, 0), (70_000, 1 << 20)]);
+        *wide.label_mut(70_000) = hl_core::HubLabel::from_pairs(vec![(70_000, 0)]);
+        let wide = hl_core::CompactLabeling::from_flat(&FlatLabeling::from(wide)).unwrap();
+        let v2c_wide = CompactStore::from_compact(wide).encode();
+        for (name, bytes, len, fnv) in [
+            ("v1", &v1, 1301, 0x7f72_8bb0_7a30_8911_u64),
+            ("v2", &v2, 7104, 0x8ae3_3a63_7d40_1b96),
+            ("v2c", &v2c, 2800, 0x5f98_5c89_ecda_9c68),
+            ("v2c wide", &v2c_wide, 560_268, 0x9963_e897_0984_e554),
+        ] {
+            assert_eq!(bytes.len(), len, "{name} length");
+            assert_eq!(store::fnv1a64(bytes), fnv, "{name} bytes");
+        }
     }
 
     #[test]

@@ -39,4 +39,4 @@ pub use engine::{EngineError, QueryEngine};
 pub use metrics::{LatencyHistogram, Metrics, MetricsSnapshot};
 pub use served::ServedLabeling;
 pub use store::{LabelStore, StoreError};
-pub use store_v2::{CompactStore, FlatStore};
+pub use store_v2::{CompactStore, FlatStore, V2Store};

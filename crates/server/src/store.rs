@@ -33,7 +33,7 @@ use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use hl_core::{FlatLabeling, HubLabel, HubLabeling};
+use hl_core::{FlatLabeling, HubLabel, HubLabeling, LabelingView};
 use hl_graph::{Distance, NodeId};
 use hl_labeling::bits::BitVec;
 use hl_labeling::hub_scheme::{encode_label, try_decode_label_append};
@@ -60,14 +60,11 @@ pub fn format_version(bytes: &[u8]) -> Result<u16, StoreError> {
             actual: bytes.len() as u64,
         });
     }
-    let mut magic = [0u8; 4];
-    magic.copy_from_slice(&bytes[0..4]);
+    let magic: [u8; 4] = read_array(bytes, 0)?;
     if magic != MAGIC {
         return Err(StoreError::BadMagic(magic));
     }
-    let mut v = [0u8; 2];
-    v.copy_from_slice(&bytes[4..6]);
-    Ok(u16::from_le_bytes(v))
+    Ok(u16::from_le_bytes(read_array(bytes, 4)?))
 }
 
 /// Everything that can go wrong opening or reading a store.
@@ -151,6 +148,21 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Reads an `N`-byte field at `at`; a short or out-of-bounds read is
+/// [`StoreError::Corrupt`], never a slice-index panic. Shared by the v1
+/// and v2 parsers.
+pub(crate) fn read_array<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], StoreError> {
+    at.checked_add(N)
+        .and_then(|end| bytes.get(at..end))
+        .and_then(|s| <[u8; N]>::try_from(s).ok())
+        .ok_or_else(|| StoreError::Corrupt(format!("truncated read of {N} bytes at offset {at}")))
+}
+
+/// Reads the little-endian `u64` header or table field at `at`.
+pub(crate) fn read_u64(bytes: &[u8], at: usize) -> Result<u64, StoreError> {
+    Ok(u64::from_le_bytes(read_array(bytes, at)?))
+}
+
 /// A validated, in-memory label store: the offset table plus the raw
 /// γ-coded label blob. Labels decode lazily per vertex.
 #[derive(Debug, Clone)]
@@ -165,15 +177,21 @@ pub struct LabelStore {
 }
 
 impl LabelStore {
-    /// Encodes a labeling into store form (in memory).
-    pub fn from_labeling(labeling: &HubLabeling) -> Self {
+    /// Encodes a labeling — nested or flat — into store form (in memory),
+    /// γ-coding one vertex at a time from the view's slices, so the flat
+    /// arena encodes without a nested [`HubLabeling`] being materialized. The
+    /// encoding is canonical (a deterministic function of the labeling),
+    /// which is what makes v1 → v2 → v1 byte-identical.
+    pub fn from_labeling<L: LabelingView>(labeling: &L) -> Self {
         let n = labeling.num_nodes();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut bit_lens = Vec::with_capacity(n);
         let mut blob = Vec::new();
         offsets.push(0u64);
-        for v in 0..n {
-            let bits = encode_label(labeling.label(v as NodeId));
+        for v in 0..n as NodeId {
+            let (hubs, dists) = (labeling.hubs_of(v), labeling.dists_of(v));
+            let label: HubLabel = hubs.iter().copied().zip(dists.iter().copied()).collect();
+            let bits = encode_label(&label);
             blob.extend_from_slice(bits.bits().as_bytes());
             bit_lens.push(bits.num_bits() as u32);
             offsets.push(blob.len() as u64);
@@ -186,30 +204,11 @@ impl LabelStore {
         }
     }
 
-    /// Re-encodes a flat arena into store form — the v2 → v1 direction of
-    /// `hubserve convert`. Labels are γ-encoded one vertex at a time from
-    /// the arena slices, so no nested [`HubLabeling`] is materialized.
-    /// The encoding is canonical (a deterministic function of the
-    /// labeling), which is what makes v1 → v2 → v1 byte-identical.
+    /// [`LabelStore::from_labeling`] under the name the arena's callers
+    /// use — the v2 → v1 direction of `hubserve convert`, and how
+    /// `hubserve build` writes its store.
     pub fn from_flat(flat: &FlatLabeling) -> Self {
-        let n = flat.num_nodes();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut bit_lens = Vec::with_capacity(n);
-        let mut blob = Vec::new();
-        offsets.push(0u64);
-        for v in 0..n {
-            let label: HubLabel = flat.pairs_of(v as NodeId).collect();
-            let bits = encode_label(&label);
-            blob.extend_from_slice(bits.bits().as_bytes());
-            bit_lens.push(bits.num_bits() as u32);
-            offsets.push(blob.len() as u64);
-        }
-        LabelStore {
-            num_nodes: n,
-            offsets,
-            bit_lens,
-            blob,
-        }
+        Self::from_labeling(flat)
     }
 
     /// Number of vertices the store holds labels for.
@@ -226,11 +225,6 @@ impl LabelStore {
             ("bit_lens", self.num_nodes as u64 * 4),
             ("blob", self.blob.len() as u64),
         ]
-    }
-
-    /// Total size of the label blob in bytes (excluding tables and header).
-    pub fn blob_len(&self) -> usize {
-        self.blob.len()
     }
 
     /// Total γ-coded size of all labels in bits.
@@ -397,38 +391,23 @@ impl LabelStore {
 
     /// Parses and validates a serialized store.
     pub fn parse(bytes: &[u8]) -> Result<Self, StoreError> {
-        /// Reads an `N`-byte field at `at`; a short or out-of-bounds read
-        /// is `StoreError::Corrupt`, never a slice-index panic.
-        fn fixed<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], StoreError> {
-            at.checked_add(N)
-                .and_then(|end| bytes.get(at..end))
-                .and_then(|s| <[u8; N]>::try_from(s).ok())
-                .ok_or_else(|| {
-                    StoreError::Corrupt(format!("truncated read of {N} bytes at offset {at}"))
-                })
-        }
-
         if bytes.len() < HEADER_LEN {
             return Err(StoreError::Truncated {
                 expected: HEADER_LEN as u64,
                 actual: bytes.len() as u64,
             });
         }
-        let magic: [u8; 4] = fixed(bytes, 0)?;
-        if magic != MAGIC {
-            return Err(StoreError::BadMagic(magic));
-        }
-        let version = u16::from_le_bytes(fixed(bytes, 4)?);
+        let version = format_version(bytes)?;
         if version != VERSION {
             return Err(StoreError::UnsupportedVersion(version));
         }
-        let flags = u16::from_le_bytes(fixed(bytes, 6)?);
+        let flags = u16::from_le_bytes(read_array(bytes, 6)?);
         if flags != 0 {
             return Err(StoreError::UnsupportedFlags(flags));
         }
-        let n = u64::from_le_bytes(fixed(bytes, 8)?);
-        let body_len = u64::from_le_bytes(fixed(bytes, 16)?);
-        let checksum = u64::from_le_bytes(fixed(bytes, 24)?);
+        let n = read_u64(bytes, 8)?;
+        let body_len = read_u64(bytes, 16)?;
+        let checksum = read_u64(bytes, 24)?;
 
         let n_usize = usize::try_from(n)
             .map_err(|_| StoreError::Corrupt(format!("node count {n} exceeds address space")))?;
@@ -469,12 +448,12 @@ impl LabelStore {
         }
         let mut offsets = Vec::with_capacity(n_usize + 1);
         for i in 0..=n_usize {
-            offsets.push(u64::from_le_bytes(fixed(body, i * 8)?));
+            offsets.push(read_u64(body, i * 8)?);
         }
         let bl_base = (n_usize + 1) * 8;
         let mut bit_lens = Vec::with_capacity(n_usize);
         for i in 0..n_usize {
-            bit_lens.push(u32::from_le_bytes(fixed(body, bl_base + i * 4)?));
+            bit_lens.push(u32::from_le_bytes(read_array(body, bl_base + i * 4)?));
         }
         let blob = body[tables_len..].to_vec();
 

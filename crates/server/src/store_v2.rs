@@ -45,19 +45,20 @@
 //! * [`FLAG_DISTS_WIDE`] (bit 2): distances are u32 (u16 when clear).
 //!
 //! Section byte lengths scale with the declared widths; everything else
-//! is unchanged, so the two flavors share one checksum scheme and one
-//! frame validator. Readers that predate the compact flavor reject it
-//! cleanly ([`StoreError::UnsupportedFlags`]) because they require
-//! `flags == 0` — the flag word doubles as the flavor version gate.
+//! is unchanged, so one codec ([`V2Store`]) writes and parses both
+//! flavors: the flag word is derived from the arena on the way out and
+//! picks the arena on the way in. Readers that predate the compact flavor
+//! reject it cleanly ([`StoreError::UnsupportedFlags`]) because they
+//! require `flags == 0` — the flag word doubles as the flavor version gate.
 //!
 //! A reader validates, in order: header length, magic/version/flags, the
 //! table checksum, then each section record (alignment, exact length for
 //! the declared `n`/`e`, in-bounds, ascending and non-overlapping), the
 //! zero padding, each section checksum (computed in the same pass that
 //! decodes the section — decoded data is discarded unless every checksum
-//! matches), and finally the structural
-//! invariants of the decoded arena via
-//! [`FlatLabeling::from_raw_parts`]. Anything malformed is a typed
+//! matches), and finally the structural invariants of the decoded arena
+//! via [`FlatLabeling::from_raw_parts`] or
+//! [`CompactLabeling::from_raw_parts`]. Anything malformed is a typed
 //! [`StoreError`], never a panic or a wrong distance — the same untrusted-
 //! bytes discipline as v1, with the checksum catching accidents and the
 //! structural pass catching crafted stores.
@@ -68,7 +69,8 @@ use std::path::Path;
 
 use hl_core::{CompactDists, CompactLabeling, FlatLabeling, HubDeltas};
 
-use crate::store::{fnv1a64, StoreError, MAGIC};
+use crate::served::ServedLabeling;
+use crate::store::{fnv1a64, format_version, read_array, read_u64, StoreError, MAGIC};
 
 /// Format version this module reads and writes.
 pub const VERSION: u16 = 2;
@@ -97,6 +99,38 @@ const RECORD_LEN: usize = 24;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// One little-endian integer element of a section: the three widths the
+/// two flavors lay out (`u64` offsets and flat distances, `u32` flat hubs
+/// and wide compact lanes, `u16` narrow compact lanes). The fused
+/// decoder and the lane writer are generic over it, so each exists once.
+trait Lane: Copy + Default + Send {
+    /// Bytes per element on disk.
+    const BYTES: usize = std::mem::size_of::<Self>();
+
+    /// Decodes one element from exactly [`Lane::BYTES`] bytes.
+    fn read_le(chunk: &[u8]) -> Self;
+
+    /// Encodes `self` into exactly [`Lane::BYTES`] bytes.
+    fn write_le(self, out: &mut [u8]);
+}
+
+macro_rules! impl_lane {
+    ($($t:ty),*) => {$(
+        impl Lane for $t {
+            fn read_le(chunk: &[u8]) -> Self {
+                let mut b = [0u8; Self::BYTES];
+                b.copy_from_slice(chunk);
+                <$t>::from_le_bytes(b)
+            }
+
+            fn write_le(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+        }
+    )*};
+}
+impl_lane!(u16, u32, u64);
+
 /// The v2 *section* checksum: FNV-1a-64 folded over little-endian u64
 /// words in four independent lanes, with the byte-FNV of the tail and
 /// the section length absorbed into the combining hash.
@@ -122,7 +156,7 @@ pub fn section_checksum(bytes: &[u8]) -> u64 {
     let mut chunks = bytes.chunks_exact(32);
     for c in chunks.by_ref() {
         for (j, lane) in lanes.iter_mut().enumerate() {
-            *lane = (*lane ^ u64_le(&c[j * 8..j * 8 + 8])).wrapping_mul(FNV_PRIME);
+            *lane = (*lane ^ u64::read_le(&c[j * 8..j * 8 + 8])).wrapping_mul(FNV_PRIME);
         }
     }
     let mut tail = FNV_OFFSET;
@@ -133,12 +167,19 @@ pub fn section_checksum(bytes: &[u8]) -> u64 {
 }
 
 /// Placement of one section within the file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Section {
     /// Absolute file offset of the section's first byte.
     pub file_offset: u64,
     /// Exact byte length of the section.
     pub byte_len: u64,
+}
+
+impl Section {
+    /// The section's bytes within the whole-file buffer `file`.
+    fn range(&self) -> std::ops::Range<usize> {
+        self.file_offset as usize..(self.file_offset + self.byte_len) as usize
+    }
 }
 
 /// The canonical (writer) placement of the three sections for a store
@@ -157,16 +198,11 @@ fn align_up(off: u64) -> u64 {
 }
 
 /// Computes the canonical layout for `num_nodes` vertices and
-/// `num_entries` label entries in the flat flavor (4-byte hubs, 8-byte
-/// distances): sections in table order, each aligned to
-/// [`SECTION_ALIGN`], no trailing bytes.
-pub fn layout(num_nodes: usize, num_entries: usize) -> Layout {
-    layout_with(num_nodes, num_entries, 4, 8)
-}
-
-/// [`layout`] generalized over per-entry lane widths — the compact
-/// flavor's sections shrink with its `u16`/`u32` lanes while the frame
-/// rules (order, alignment, density) stay identical.
+/// `num_entries` label entries at the given per-entry lane widths (4-byte
+/// hubs and 8-byte distances in the flat flavor): sections in table
+/// order, each aligned to [`SECTION_ALIGN`], no trailing bytes. The
+/// compact flavor's sections shrink with its `u16`/`u32` lanes while the
+/// frame rules (order, alignment, density) stay identical.
 pub fn layout_with(
     num_nodes: usize,
     num_entries: usize,
@@ -178,10 +214,7 @@ pub fn layout_with(
         num_entries as u64 * hub_bytes as u64,
         num_entries as u64 * dist_bytes as u64,
     ];
-    let mut sections = [Section {
-        file_offset: 0,
-        byte_len: 0,
-    }; 3];
+    let mut sections = [Section::default(); 3];
     let mut at = HEADER_LEN as u64;
     for (i, &len) in lens.iter().enumerate() {
         at = align_up(at);
@@ -197,79 +230,118 @@ pub fn layout_with(
     }
 }
 
-/// A validated HLBS v2 store: a thin wrapper holding the decoded arena.
-/// Unlike v1's [`crate::store::LabelStore`] there is nothing left to
-/// decode — [`FlatStore::into_flat`] hands the arena to the engine by
-/// move.
+/// A validated HLBS v2 store of either flavor: a thin wrapper holding the
+/// decoded arena in the form a daemon mounts. Unlike v1's
+/// [`crate::store::LabelStore`] there is nothing left to decode —
+/// [`V2Store::into_served`] hands the arena to the engine by move. The
+/// flavor is the arena's: a flat arena serializes with `flags == 0`, a
+/// compact one with [`FLAG_COMPACT`] and its lane-width bits.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlatStore {
-    flat: FlatLabeling,
+pub struct V2Store {
+    arena: ServedLabeling,
 }
 
-impl FlatStore {
-    /// Wraps an arena for serialization.
+/// The flat flavor's name for [`V2Store`] (`FlatStore::from_flat(..)`).
+pub type FlatStore = V2Store;
+/// The compact flavor's name for [`V2Store`]
+/// (`CompactStore::from_compact(..)`).
+pub type CompactStore = V2Store;
+
+impl V2Store {
+    /// Wraps a flat arena for serialization in the flat flavor.
     pub fn from_flat(flat: FlatLabeling) -> Self {
-        FlatStore { flat }
+        V2Store { arena: flat.into() }
+    }
+
+    /// Wraps a compact arena for serialization in the compact flavor.
+    pub fn from_compact(compact: CompactLabeling) -> Self {
+        V2Store {
+            arena: compact.into(),
+        }
     }
 
     /// Borrows the arena.
-    pub fn flat(&self) -> &FlatLabeling {
-        &self.flat
+    pub fn served(&self) -> &ServedLabeling {
+        &self.arena
     }
 
-    /// Unwraps the arena (no copy).
-    pub fn into_flat(self) -> FlatLabeling {
-        self.flat
+    /// Unwraps the arena in its native form (no copy).
+    pub fn into_served(self) -> ServedLabeling {
+        self.arena
     }
 
     /// Number of vertices the store holds labels for.
     pub fn num_nodes(&self) -> usize {
-        self.flat.num_nodes()
+        self.arena.num_nodes()
     }
 
     /// Total `(hub, distance)` entries, `Σ_v |S_v|`.
     pub fn num_entries(&self) -> usize {
-        self.flat.num_entries()
+        self.arena.num_entries()
+    }
+
+    /// The flag word this store serializes with: 0 for the flat flavor,
+    /// [`FLAG_COMPACT`] plus the width bits matching the arena's lanes
+    /// for the compact one.
+    pub fn flags(&self) -> u16 {
+        match &self.arena {
+            ServedLabeling::Flat(_) => 0,
+            ServedLabeling::Compact(c) => {
+                let mut flags = FLAG_COMPACT;
+                if c.hub_entry_bytes() == u32::BYTES {
+                    flags |= FLAG_HUBS_WIDE;
+                }
+                if c.dist_entry_bytes() == u32::BYTES {
+                    flags |= FLAG_DISTS_WIDE;
+                }
+                flags
+            }
+        }
+    }
+
+    fn layout(&self) -> Layout {
+        let (hub_bytes, dist_bytes) = entry_bytes(self.flags());
+        layout_with(self.num_nodes(), self.num_entries(), hub_bytes, dist_bytes)
     }
 
     /// Per-section byte sizes in table order, for stats reporting.
     pub fn section_bytes(&self) -> [(&'static str, u64); 3] {
-        let lay = layout(self.num_nodes(), self.num_entries());
-        [
-            (SECTION_NAMES[0], lay.sections[0].byte_len),
-            (SECTION_NAMES[1], lay.sections[1].byte_len),
-            (SECTION_NAMES[2], lay.sections[2].byte_len),
-        ]
+        let lay = self.layout();
+        [0, 1, 2].map(|i| (SECTION_NAMES[i], lay.sections[i].byte_len))
     }
 
     /// Size of the serialized file in bytes.
     pub fn file_len(&self) -> u64 {
-        layout(self.num_nodes(), self.num_entries()).file_len
+        self.layout().file_len
     }
 
     /// Serializes the store into a fresh byte buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let n = self.num_nodes();
-        let e = self.num_entries();
-        let lay = layout(n, e);
+        let lay = self.layout();
         let mut buf = vec![0u8; lay.file_len as usize];
 
         buf[0..4].copy_from_slice(&MAGIC);
         buf[4..6].copy_from_slice(&VERSION.to_le_bytes());
-        buf[6..8].copy_from_slice(&0u16.to_le_bytes()); // flags
-        buf[8..16].copy_from_slice(&(n as u64).to_le_bytes());
-        buf[16..24].copy_from_slice(&(e as u64).to_le_bytes());
+        buf[6..8].copy_from_slice(&self.flags().to_le_bytes());
+        buf[8..16].copy_from_slice(&(self.num_nodes() as u64).to_le_bytes());
+        buf[16..24].copy_from_slice(&(self.num_entries() as u64).to_le_bytes());
 
-        write_u64s(&mut buf, lay.sections[0], self.flat.raw_offsets());
-        write_u32s(&mut buf, lay.sections[1], self.flat.raw_hubs());
-        write_u64s(&mut buf, lay.sections[2], self.flat.raw_dists());
+        let [offsets, hubs, dists] = lay.sections;
+        match &self.arena {
+            ServedLabeling::Flat(f) => {
+                write_lane(&mut buf, offsets, f.raw_offsets());
+                write_lane(&mut buf, hubs, f.raw_hubs());
+                write_lane(&mut buf, dists, f.raw_dists());
+            }
+            ServedLabeling::Compact(c) => {
+                write_lane(&mut buf, offsets, c.raw_offsets());
+                write_narrow_lane(&mut buf, hubs, c.raw_hubs());
+                write_narrow_lane(&mut buf, dists, c.raw_dists());
+            }
+        }
 
         for (i, sec) in lay.sections.iter().enumerate() {
-            let (lo, hi) = (
-                sec.file_offset as usize,
-                (sec.file_offset + sec.byte_len) as usize,
-            );
-            let sum = section_checksum(&buf[lo..hi]);
+            let sum = section_checksum(&buf[sec.range()]);
             let rec = TABLE_OFF + i * RECORD_LEN;
             buf[rec..rec + 8].copy_from_slice(&sec.file_offset.to_le_bytes());
             buf[rec + 8..rec + 16].copy_from_slice(&sec.byte_len.to_le_bytes());
@@ -306,93 +378,72 @@ impl FlatStore {
         Self::read_from(File::open(path)?)
     }
 
-    /// Parses and validates a serialized v2 store (flat flavor;
-    /// `flags != 0` — including the compact flavor — is rejected here,
-    /// [`crate::any_store::AnyStore`] dispatches on the flag word).
+    /// Parses and validates a serialized v2 store of either flavor. The
+    /// flag word picks the flavor and the lane widths: it must be 0 (flat)
+    /// or carry [`FLAG_COMPACT`] and nothing outside [`FLAGS_KNOWN`] —
+    /// width bits without the compact bit are as unknown as any other.
+    /// Every later step is shared: the frame checks, the fused
+    /// checksum+decode pass, and the arena's own structural validation
+    /// ([`FlatLabeling::from_raw_parts`] or
+    /// [`CompactLabeling::from_raw_parts`]).
     pub fn parse(bytes: &[u8]) -> Result<Self, StoreError> {
         let (flags, n, e) = parse_header(bytes)?;
-        if flags != 0 {
+        let compact = flags & FLAG_COMPACT != 0;
+        let known = if compact { FLAGS_KNOWN } else { 0 };
+        if flags & !known != 0 {
             return Err(StoreError::UnsupportedFlags(flags));
         }
+        let (hub_bytes, dist_bytes) = entry_bytes(flags);
 
-        let n_usize = usize::try_from(n)
+        usize::try_from(n)
             .map_err(|_| StoreError::Corrupt(format!("node count {n} exceeds address space")))?;
-        let e_usize = usize::try_from(e)
+        usize::try_from(e)
             .map_err(|_| StoreError::Corrupt(format!("entry count {e} exceeds address space")))?;
-        let expect_lens = expected_section_lens(n, e, 4, 8)?;
+        let expect_lens = expected_section_lens(n, e, hub_bytes as u64, dist_bytes as u64)?;
         let sections = validate_frame(bytes, &expect_lens)?;
-        let slices = section_slices(bytes, &sections);
 
-        // Checksum and little-endian decode fused into ONE pass per
-        // section: every word is read once, absorbed into the lane hash,
-        // and stored decoded. A separate verify pass would stream the
-        // whole multi-GB file through memory a second time. Decoding
-        // ahead of verification is safe because the decode is pure
-        // element-wise arithmetic — nothing indexes by the untrusted
-        // values — and the vectors are dropped unused unless every
-        // checksum matches its table record just below. The computed
-        // hashes are bit-identical to [`section_checksum`].
-        debug_assert_eq!(slices[0].len(), (n_usize + 1) * 8);
-        debug_assert_eq!(slices[1].len(), e_usize * 4);
-        debug_assert_eq!(slices[2].len(), e_usize * 8);
-        // Sections are independent, so on multi-core hosts the two big
-        // ones (hubs, dists) decode on scoped threads while this thread
-        // takes offsets — the load is memory-bandwidth-bound, and per-
-        // core bandwidth is usually well below the socket's.
-        let parallel = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
-        let ((offsets, offsets_sum), (hubs, hubs_sum), (dists, dists_sum)) = if parallel {
-            std::thread::scope(|scope| -> Result<_, StoreError> {
-                let hubs = scope.spawn(|| decode_u32_section(slices[1]));
-                let dists = scope.spawn(|| decode_u64_section(slices[2]));
-                let offsets = decode_u64_section(slices[0]);
-                // The decoders are pure arithmetic and cannot panic; a
-                // join error still maps to a typed StoreError rather
-                // than propagating as a panic.
-                let joined = |name: &str| StoreError::Corrupt(format!("{name} decode thread died"));
-                Ok((
-                    offsets,
-                    hubs.join().map_err(|_| joined("hubs"))?,
-                    dists.join().map_err(|_| joined("dists"))?,
-                ))
-            })?
+        let arena = if compact {
+            let (offsets, hubs, dists) = decode_sections(
+                bytes,
+                &sections,
+                |s| decode_narrow_section(s, hub_bytes),
+                |s| decode_narrow_section(s, dist_bytes),
+            )?;
+            CompactLabeling::from_raw_parts(offsets, hubs, dists).map(ServedLabeling::Compact)
         } else {
-            (
-                decode_u64_section(slices[0]),
-                decode_u32_section(slices[1]),
-                decode_u64_section(slices[2]),
-            )
-        };
-        verify_section_checksums(bytes, [offsets_sum, hubs_sum, dists_sum])?;
-
-        let flat = FlatLabeling::from_raw_parts(offsets, hubs, dists)
-            .map_err(|e| StoreError::Corrupt(format!("arena invariant violated: {e}")))?;
-        Ok(FlatStore { flat })
+            let (offsets, hubs, dists) = decode_sections(
+                bytes,
+                &sections,
+                decode_section::<u32>,
+                decode_section::<u64>,
+            )?;
+            FlatLabeling::from_raw_parts(offsets, hubs, dists).map(ServedLabeling::Flat)
+        }
+        .map_err(|e| StoreError::Corrupt(format!("arena invariant violated: {e}")))?;
+        Ok(V2Store { arena })
     }
 }
 
-impl From<FlatLabeling> for FlatStore {
-    fn from(flat: FlatLabeling) -> Self {
-        FlatStore::from_flat(flat)
+/// On-disk bytes per hub and per distance entry under flag word `flags`
+/// — the one place a flavor's lane widths are spelled out, read by the
+/// writer's layout and the reader's expected lengths alike.
+fn entry_bytes(flags: u16) -> (usize, usize) {
+    if flags & FLAG_COMPACT == 0 {
+        return (u32::BYTES, u64::BYTES);
     }
-}
-
-/// The flag word of a v2 header, for flavor dispatch before a full parse.
-/// Validates only what the peek needs: length, magic, version.
-pub fn header_flags(bytes: &[u8]) -> Result<u16, StoreError> {
-    let magic: [u8; 4] = read_array(bytes, 0)?;
-    if magic != MAGIC {
-        return Err(StoreError::BadMagic(magic));
-    }
-    let version = u16::from_le_bytes(read_array(bytes, 4)?);
-    if version != VERSION {
-        return Err(StoreError::UnsupportedVersion(version));
-    }
-    Ok(u16::from_le_bytes(read_array(bytes, 6)?))
+    let narrow = |wide: u16| {
+        if flags & wide != 0 {
+            u32::BYTES
+        } else {
+            u16::BYTES
+        }
+    };
+    (narrow(FLAG_HUBS_WIDE), narrow(FLAG_DISTS_WIDE))
 }
 
 /// Validates the fixed header shared by both flavors — length, magic,
-/// version, table checksum — and returns `(flags, n, e)`. Flavor-specific
-/// flag interpretation stays with the caller.
+/// version, table checksum — and returns `(flags, n, e)`. Interpreting
+/// the flag word stays with the caller.
 fn parse_header(bytes: &[u8]) -> Result<(u16, u64, u64), StoreError> {
     if bytes.len() < HEADER_LEN {
         return Err(StoreError::Truncated {
@@ -400,10 +451,14 @@ fn parse_header(bytes: &[u8]) -> Result<(u16, u64, u64), StoreError> {
             actual: bytes.len() as u64,
         });
     }
-    let flags = header_flags(bytes)?;
-    let n = u64::from_le_bytes(read_array(bytes, 8)?);
-    let e = u64::from_le_bytes(read_array(bytes, 16)?);
-    let table_checksum = u64::from_le_bytes(read_array(bytes, 24)?);
+    let version = format_version(bytes)?;
+    if version != VERSION {
+        return Err(StoreError::UnsupportedVersion(version));
+    }
+    let flags = u16::from_le_bytes(read_array(bytes, 6)?);
+    let n = read_u64(bytes, 8)?;
+    let e = read_u64(bytes, 16)?;
+    let table_checksum = read_u64(bytes, 24)?;
 
     let actual_table = fnv1a64(&bytes[TABLE_OFF..HEADER_LEN]);
     if actual_table != table_checksum {
@@ -446,15 +501,12 @@ fn expected_section_lens(
 /// only the expected lengths differ.
 fn validate_frame(bytes: &[u8], expect_lens: &[u64; 3]) -> Result<[Section; 3], StoreError> {
     let file_len = bytes.len() as u64;
-    let mut sections = [Section {
-        file_offset: 0,
-        byte_len: 0,
-    }; 3];
+    let mut sections = [Section::default(); 3];
     let mut prev_end = HEADER_LEN as u64;
     for (i, name) in SECTION_NAMES.iter().enumerate() {
         let rec = TABLE_OFF + i * RECORD_LEN;
-        let off = u64::from_le_bytes(read_array(bytes, rec)?);
-        let len = u64::from_le_bytes(read_array(bytes, rec + 8)?);
+        let off = read_u64(bytes, rec)?;
+        let len = read_u64(bytes, rec + 8)?;
         if off % SECTION_ALIGN as u64 != 0 {
             return Err(StoreError::Corrupt(format!(
                 "section {name} misaligned: offset {off} is not a multiple of {SECTION_ALIGN}"
@@ -509,23 +561,54 @@ fn validate_frame(bytes: &[u8], expect_lens: &[u64; 3]) -> Result<[Section; 3], 
     Ok(sections)
 }
 
-fn section_slices<'a>(bytes: &'a [u8], sections: &[Section; 3]) -> [&'a [u8]; 3] {
-    let mut slices = [&bytes[0..0]; 3];
-    for (i, sec) in sections.iter().enumerate() {
-        let (lo, hi) = (
-            sec.file_offset as usize,
-            (sec.file_offset + sec.byte_len) as usize,
-        );
-        slices[i] = &bytes[lo..hi];
-    }
-    slices
-}
-
-/// Compares the fused-decode section hashes against the table records.
-fn verify_section_checksums(bytes: &[u8], actual: [u64; 3]) -> Result<(), StoreError> {
-    for (i, actual) in actual.into_iter().enumerate() {
-        let rec = TABLE_OFF + i * RECORD_LEN;
-        let declared = u64::from_le_bytes(read_array(bytes, rec + 16)?);
+/// Decodes the three sections of a validated frame and checks every
+/// section checksum against its table record, for either flavor: `hubs`
+/// and `dists` are the fused decoders of the flavor's two entry lanes.
+///
+/// Checksum and little-endian decode are fused into ONE pass per
+/// section: every word is read once, absorbed into the lane hash, and
+/// stored decoded. A separate verify pass would stream the whole
+/// multi-GB file through memory a second time. Decoding ahead of
+/// verification is safe because the decode is pure element-wise
+/// arithmetic — nothing indexes by the untrusted values — and the
+/// vectors are dropped unused unless every checksum matches its table
+/// record. The computed hashes are bit-identical to [`section_checksum`].
+fn decode_sections<H: Send, D: Send>(
+    bytes: &[u8],
+    sections: &[Section; 3],
+    hubs: impl FnOnce(&[u8]) -> (H, u64) + Send,
+    dists: impl FnOnce(&[u8]) -> (D, u64) + Send,
+) -> Result<(Vec<u64>, H, D), StoreError> {
+    let [offsets_bytes, hubs_bytes, dists_bytes] = sections.map(|sec| &bytes[sec.range()]);
+    // Sections are independent, so on multi-core hosts the two entry
+    // lanes decode on scoped threads while this thread takes offsets —
+    // the load is memory-bandwidth-bound, and per-core bandwidth is
+    // usually well below the socket's.
+    let parallel = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+    let ((offsets, offsets_sum), (hubs, hubs_sum), (dists, dists_sum)) = if parallel {
+        std::thread::scope(|scope| -> Result<_, StoreError> {
+            let hubs = scope.spawn(|| hubs(hubs_bytes));
+            let dists = scope.spawn(|| dists(dists_bytes));
+            let offsets = decode_section::<u64>(offsets_bytes);
+            // The decoders are pure arithmetic and cannot panic; a
+            // join error still maps to a typed StoreError rather
+            // than propagating as a panic.
+            let joined = |name: &str| StoreError::Corrupt(format!("{name} decode thread died"));
+            Ok((
+                offsets,
+                hubs.join().map_err(|_| joined("hubs"))?,
+                dists.join().map_err(|_| joined("dists"))?,
+            ))
+        })?
+    } else {
+        (
+            decode_section::<u64>(offsets_bytes),
+            hubs(hubs_bytes),
+            dists(dists_bytes),
+        )
+    };
+    for (i, actual) in [offsets_sum, hubs_sum, dists_sum].into_iter().enumerate() {
+        let declared = read_u64(bytes, TABLE_OFF + i * RECORD_LEN + 16)?;
         if actual != declared {
             return Err(StoreError::Corrupt(format!(
                 "section {} checksum mismatch: table says {declared:#018x}, bytes hash to {actual:#018x}",
@@ -533,225 +616,12 @@ fn verify_section_checksums(bytes: &[u8], actual: [u64; 3]) -> Result<(), StoreE
             )));
         }
     }
-    Ok(())
-}
-
-/// A validated compact-flavor HLBS v2 store: the same frame as
-/// [`FlatStore`], carrying the byte-tuned [`CompactLabeling`] arena.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompactStore {
-    compact: CompactLabeling,
-}
-
-impl CompactStore {
-    /// Wraps a compact arena for serialization.
-    pub fn from_compact(compact: CompactLabeling) -> Self {
-        CompactStore { compact }
-    }
-
-    /// Borrows the arena.
-    pub fn compact(&self) -> &CompactLabeling {
-        &self.compact
-    }
-
-    /// Unwraps the arena (no copy).
-    pub fn into_compact(self) -> CompactLabeling {
-        self.compact
-    }
-
-    /// Number of vertices the store holds labels for.
-    pub fn num_nodes(&self) -> usize {
-        self.compact.num_nodes()
-    }
-
-    /// Total `(hub, distance)` entries, `Σ_v |S_v|`.
-    pub fn num_entries(&self) -> usize {
-        self.compact.num_entries()
-    }
-
-    /// The flag word this store serializes with: [`FLAG_COMPACT`] plus
-    /// the width bits matching the arena's lanes.
-    pub fn flags(&self) -> u16 {
-        let mut flags = FLAG_COMPACT;
-        if self.compact.hub_entry_bytes() == 4 {
-            flags |= FLAG_HUBS_WIDE;
-        }
-        if self.compact.dist_entry_bytes() == 4 {
-            flags |= FLAG_DISTS_WIDE;
-        }
-        flags
-    }
-
-    fn layout(&self) -> Layout {
-        layout_with(
-            self.num_nodes(),
-            self.num_entries(),
-            self.compact.hub_entry_bytes(),
-            self.compact.dist_entry_bytes(),
-        )
-    }
-
-    /// Per-section byte sizes in table order, for stats reporting.
-    pub fn section_bytes(&self) -> [(&'static str, u64); 3] {
-        let lay = self.layout();
-        [
-            (SECTION_NAMES[0], lay.sections[0].byte_len),
-            (SECTION_NAMES[1], lay.sections[1].byte_len),
-            (SECTION_NAMES[2], lay.sections[2].byte_len),
-        ]
-    }
-
-    /// Size of the serialized file in bytes.
-    pub fn file_len(&self) -> u64 {
-        self.layout().file_len
-    }
-
-    /// Serializes the store into a fresh byte buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let lay = self.layout();
-        let mut buf = vec![0u8; lay.file_len as usize];
-
-        buf[0..4].copy_from_slice(&MAGIC);
-        buf[4..6].copy_from_slice(&VERSION.to_le_bytes());
-        buf[6..8].copy_from_slice(&self.flags().to_le_bytes());
-        buf[8..16].copy_from_slice(&(self.num_nodes() as u64).to_le_bytes());
-        buf[16..24].copy_from_slice(&(self.num_entries() as u64).to_le_bytes());
-
-        write_u64s(&mut buf, lay.sections[0], self.compact.raw_offsets());
-        match self.compact.raw_hubs() {
-            HubDeltas::U16(v) => write_u16s(&mut buf, lay.sections[1], v),
-            HubDeltas::U32(v) => write_u32s(&mut buf, lay.sections[1], v),
-        }
-        match self.compact.raw_dists() {
-            CompactDists::U16(v) => write_u16s(&mut buf, lay.sections[2], v),
-            CompactDists::U32(v) => write_u32s(&mut buf, lay.sections[2], v),
-        }
-
-        for (i, sec) in lay.sections.iter().enumerate() {
-            let (lo, hi) = (
-                sec.file_offset as usize,
-                (sec.file_offset + sec.byte_len) as usize,
-            );
-            let sum = section_checksum(&buf[lo..hi]);
-            let rec = TABLE_OFF + i * RECORD_LEN;
-            buf[rec..rec + 8].copy_from_slice(&sec.file_offset.to_le_bytes());
-            buf[rec + 8..rec + 16].copy_from_slice(&sec.byte_len.to_le_bytes());
-            buf[rec + 16..rec + 24].copy_from_slice(&sum.to_le_bytes());
-        }
-        let table_sum = fnv1a64(&buf[TABLE_OFF..HEADER_LEN]);
-        buf[24..32].copy_from_slice(&table_sum.to_le_bytes());
-        buf
-    }
-
-    /// Serializes the store to a writer.
-    pub fn write_to<W: Write>(&self, mut out: W) -> Result<(), StoreError> {
-        out.write_all(&self.encode())?;
-        out.flush()?;
-        Ok(())
-    }
-
-    /// Serializes the store to a file.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), StoreError> {
-        let file = File::create(path)?;
-        self.write_to(io::BufWriter::new(file))
-    }
-
-    /// Reads and fully validates a store from a reader.
-    pub fn read_from<R: Read>(mut input: R) -> Result<Self, StoreError> {
-        let mut bytes = Vec::new();
-        input.read_to_end(&mut bytes)?;
-        Self::parse(&bytes)
-    }
-
-    /// Reads and fully validates a store from a file.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, StoreError> {
-        Self::read_from(File::open(path)?)
-    }
-
-    /// Parses and validates a serialized compact-flavor store:
-    /// [`FLAG_COMPACT`] must be set and no unknown flag bits present.
-    /// The frame checks, fused checksum+decode discipline, and structural
-    /// validation ([`CompactLabeling::from_raw_parts`]) mirror the flat
-    /// parser exactly.
-    pub fn parse(bytes: &[u8]) -> Result<Self, StoreError> {
-        let (flags, n, e) = parse_header(bytes)?;
-        if flags & FLAG_COMPACT == 0 || flags & !FLAGS_KNOWN != 0 {
-            return Err(StoreError::UnsupportedFlags(flags));
-        }
-        let hub_bytes: u64 = if flags & FLAG_HUBS_WIDE != 0 { 4 } else { 2 };
-        let dist_bytes: u64 = if flags & FLAG_DISTS_WIDE != 0 { 4 } else { 2 };
-
-        usize::try_from(n)
-            .map_err(|_| StoreError::Corrupt(format!("node count {n} exceeds address space")))?;
-        usize::try_from(e)
-            .map_err(|_| StoreError::Corrupt(format!("entry count {e} exceeds address space")))?;
-        let expect_lens = expected_section_lens(n, e, hub_bytes, dist_bytes)?;
-        let sections = validate_frame(bytes, &expect_lens)?;
-        let slices = section_slices(bytes, &sections);
-
-        // Fused checksum + decode, one pass per section, exactly like the
-        // flat parser. The narrow lanes are at most half the flat sizes,
-        // so this stays sequential — the frame is small enough that the
-        // scoped-thread split buys nothing here.
-        let (offsets, offsets_sum) = decode_u64_section(slices[0]);
-        let (hubs, hubs_sum) = if hub_bytes == 4 {
-            let (v, s) = decode_u32_section(slices[1]);
-            (HubDeltas::U32(v), s)
-        } else {
-            let (v, s) = decode_u16_section(slices[1]);
-            (HubDeltas::U16(v), s)
-        };
-        let (dists, dists_sum) = if dist_bytes == 4 {
-            let (v, s) = decode_u32_section(slices[2]);
-            (CompactDists::U32(v), s)
-        } else {
-            let (v, s) = decode_u16_section(slices[2]);
-            (CompactDists::U16(v), s)
-        };
-        verify_section_checksums(bytes, [offsets_sum, hubs_sum, dists_sum])?;
-
-        let compact = CompactLabeling::from_raw_parts(offsets, hubs, dists)
-            .map_err(|e| StoreError::Corrupt(format!("arena invariant violated: {e}")))?;
-        Ok(CompactStore { compact })
-    }
-}
-
-impl From<CompactLabeling> for CompactStore {
-    fn from(compact: CompactLabeling) -> Self {
-        CompactStore::from_compact(compact)
-    }
-}
-
-/// Reads an `N`-byte field at `at`; a short read is a typed error, never
-/// a slice-index panic.
-fn read_array<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], StoreError> {
-    at.checked_add(N)
-        .and_then(|end| bytes.get(at..end))
-        .and_then(|s| <[u8; N]>::try_from(s).ok())
-        .ok_or_else(|| StoreError::Corrupt(format!("truncated read of {N} bytes at offset {at}")))
-}
-
-fn u64_le(chunk: &[u8]) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(chunk);
-    u64::from_le_bytes(b)
-}
-
-fn u32_le(chunk: &[u8]) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(chunk);
-    u32::from_le_bytes(b)
-}
-
-fn u16_le(chunk: &[u8]) -> u16 {
-    let mut b = [0u8; 2];
-    b.copy_from_slice(chunk);
-    u16::from_le_bytes(b)
+    Ok((offsets, hubs, dists))
 }
 
 /// Combines the four lane states, the byte-FNV tail hash, and the byte
 /// length into the final section hash — the last step of
-/// [`section_checksum`], shared with the fused decoders below.
+/// [`section_checksum`], shared with the fused decoder below.
 fn combine_lanes(lanes: [u64; 4], tail: u64, byte_len: usize) -> u64 {
     let mut h = FNV_OFFSET;
     for w in lanes.into_iter().chain([tail, byte_len as u64]) {
@@ -767,19 +637,23 @@ const LANE_SEEDS: [u64; 4] = [
     FNV_OFFSET ^ 4,
 ];
 
-/// Decodes a section of little-endian u64s while computing its
+/// Decodes a section of little-endian `T`s while computing its
 /// [`section_checksum`] in the same pass over the bytes. `bytes.len()`
-/// must be a multiple of 8 (the caller validated section lengths).
-fn decode_u64_section(bytes: &[u8]) -> (Vec<u64>, u64) {
-    let mut out = vec![0u64; bytes.len() / 8];
+/// must be a multiple of `T::BYTES` (the caller validated section
+/// lengths). The hash always folds u64 *words*, whatever the element
+/// width: each 32-byte chunk is absorbed as four words and decoded as
+/// `32 / T::BYTES` elements while it is in cache.
+fn decode_section<T: Lane>(bytes: &[u8]) -> (Vec<T>, u64) {
+    let mut out = vec![T::default(); bytes.len() / T::BYTES];
     let mut lanes = LANE_SEEDS;
     let mut src = bytes.chunks_exact(32);
-    let mut dst = out.chunks_exact_mut(4);
+    let mut dst = out.chunks_exact_mut(32 / T::BYTES);
     for (d, s) in (&mut dst).zip(&mut src) {
-        for (j, slot) in d.iter_mut().enumerate() {
-            let w = u64_le(&s[j * 8..j * 8 + 8]);
-            lanes[j] = (lanes[j] ^ w).wrapping_mul(FNV_PRIME);
-            *slot = w;
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            *lane = (*lane ^ u64::read_le(&s[j * 8..j * 8 + 8])).wrapping_mul(FNV_PRIME);
+        }
+        for (slot, chunk) in d.iter_mut().zip(s.chunks_exact(T::BYTES)) {
+            *slot = T::read_le(chunk);
         }
     }
     let mut tail = FNV_OFFSET;
@@ -789,97 +663,37 @@ fn decode_u64_section(bytes: &[u8]) -> (Vec<u64>, u64) {
     for (slot, chunk) in dst
         .into_remainder()
         .iter_mut()
-        .zip(src.remainder().chunks_exact(8))
+        .zip(src.remainder().chunks_exact(T::BYTES))
     {
-        *slot = u64_le(chunk);
+        *slot = T::read_le(chunk);
     }
     let h = combine_lanes(lanes, tail, bytes.len());
     (out, h)
 }
 
-/// Decodes a section of little-endian u32s while computing its
-/// [`section_checksum`] in the same pass. `bytes.len()` must be a
-/// multiple of 4; note the hash still folds u64 *words*, so each word
-/// yields two u32s (low half first — little-endian order).
-fn decode_u32_section(bytes: &[u8]) -> (Vec<u32>, u64) {
-    let mut out = vec![0u32; bytes.len() / 4];
-    let mut lanes = LANE_SEEDS;
-    let mut src = bytes.chunks_exact(32);
-    let mut dst = out.chunks_exact_mut(8);
-    for (d, s) in (&mut dst).zip(&mut src) {
-        for j in 0..4 {
-            let w = u64_le(&s[j * 8..j * 8 + 8]);
-            lanes[j] = (lanes[j] ^ w).wrapping_mul(FNV_PRIME);
-            d[2 * j] = w as u32;
-            d[2 * j + 1] = (w >> 32) as u32;
-        }
-    }
-    let mut tail = FNV_OFFSET;
-    for &b in src.remainder() {
-        tail = (tail ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    for (slot, chunk) in dst
-        .into_remainder()
-        .iter_mut()
-        .zip(src.remainder().chunks_exact(4))
-    {
-        *slot = u32_le(chunk);
-    }
-    let h = combine_lanes(lanes, tail, bytes.len());
-    (out, h)
-}
-
-/// Decodes a section of little-endian u16s while computing its
-/// [`section_checksum`] in the same pass. `bytes.len()` must be a
-/// multiple of 2; the hash folds u64 *words*, so each word yields four
-/// u16s (lowest half first — little-endian order).
-fn decode_u16_section(bytes: &[u8]) -> (Vec<u16>, u64) {
-    let mut out = vec![0u16; bytes.len() / 2];
-    let mut lanes = LANE_SEEDS;
-    let mut src = bytes.chunks_exact(32);
-    let mut dst = out.chunks_exact_mut(16);
-    for (d, s) in (&mut dst).zip(&mut src) {
-        for j in 0..4 {
-            let w = u64_le(&s[j * 8..j * 8 + 8]);
-            lanes[j] = (lanes[j] ^ w).wrapping_mul(FNV_PRIME);
-            for k in 0..4 {
-                d[4 * j + k] = (w >> (16 * k)) as u16;
-            }
-        }
-    }
-    let mut tail = FNV_OFFSET;
-    for &b in src.remainder() {
-        tail = (tail ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    for (slot, chunk) in dst
-        .into_remainder()
-        .iter_mut()
-        .zip(src.remainder().chunks_exact(2))
-    {
-        *slot = u16_le(chunk);
-    }
-    let h = combine_lanes(lanes, tail, bytes.len());
-    (out, h)
-}
-
-fn write_u64s(buf: &mut [u8], sec: Section, values: &[u64]) {
-    let base = sec.file_offset as usize;
-    for (i, &v) in values.iter().enumerate() {
-        buf[base + i * 8..base + i * 8 + 8].copy_from_slice(&v.to_le_bytes());
+/// [`decode_section`] at the width a compact lane's flag bit declares.
+fn decode_narrow_section(bytes: &[u8], entry_bytes: usize) -> (HubDeltas, u64) {
+    if entry_bytes == u32::BYTES {
+        let (v, sum) = decode_section::<u32>(bytes);
+        (HubDeltas::U32(v), sum)
+    } else {
+        let (v, sum) = decode_section::<u16>(bytes);
+        (HubDeltas::U16(v), sum)
     }
 }
 
-fn write_u32s(buf: &mut [u8], sec: Section, values: &[u32]) {
-    let base = sec.file_offset as usize;
-    for (i, &v) in values.iter().enumerate() {
-        buf[base + i * 4..base + i * 4 + 4].copy_from_slice(&v.to_le_bytes());
+/// Lays `values` out little-endian from the start of section `sec`.
+fn write_lane<T: Lane>(buf: &mut [u8], sec: Section, values: &[T]) {
+    for (out, &v) in buf[sec.range()].chunks_exact_mut(T::BYTES).zip(values) {
+        v.write_le(out);
     }
 }
 
-fn write_u16s(buf: &mut [u8], sec: Section, values: &[u16]) {
-    let base = sec.file_offset as usize;
-    for (i, &v) in values.iter().enumerate() {
-        buf[base + i * 2..base + i * 2 + 2].copy_from_slice(&v.to_le_bytes());
+/// [`write_lane`] at whichever width a compact lane holds.
+fn write_narrow_lane(buf: &mut [u8], sec: Section, lane: &CompactDists) {
+    match lane {
+        CompactDists::U16(v) => write_lane(buf, sec, v),
+        CompactDists::U32(v) => write_lane(buf, sec, v),
     }
 }
 
@@ -911,7 +725,7 @@ mod tests {
 
     #[test]
     fn layout_is_aligned_and_dense() {
-        let lay = layout(1000, 12345);
+        let lay = layout_with(1000, 12345, 4, 8);
         let mut prev_end = HEADER_LEN as u64;
         for sec in &lay.sections {
             assert_eq!(sec.file_offset % SECTION_ALIGN as u64, 0);
@@ -929,12 +743,13 @@ mod tests {
     fn roundtrip_preserves_arena_exactly() {
         let flat = sample_flat();
         let store = FlatStore::from_flat(flat.clone());
+        assert_eq!(store.flags(), 0);
         let bytes = store.encode();
         assert_eq!(bytes.len() as u64, store.file_len());
         let back = FlatStore::parse(&bytes).expect("own encoding must parse");
-        assert_eq!(back.flat(), &flat);
+        assert_eq!(back.served(), &ServedLabeling::Flat(flat));
         // Deterministic writer: encoding again is byte-identical.
-        assert_eq!(FlatStore::from_flat(back.into_flat()).encode(), bytes);
+        assert_eq!(back.encode(), bytes);
     }
 
     #[test]
@@ -961,11 +776,23 @@ mod tests {
             FlatStore::parse(&bad),
             Err(StoreError::UnsupportedVersion(9))
         ));
+        // An unknown flag bit, and a width bit without the compact bit
+        // it qualifies, are both rejected by name...
+        for flags in [1u8 << 3, FLAG_HUBS_WIDE as u8, FLAG_DISTS_WIDE as u8] {
+            let mut bad = bytes.clone();
+            bad[6] = flags;
+            assert!(matches!(
+                FlatStore::parse(&bad),
+                Err(StoreError::UnsupportedFlags(f)) if f == flags as u16
+            ));
+        }
+        // ...and claiming the compact flavor over flat-width sections
+        // dies on the section lengths that flavor implies.
         let mut bad = bytes.clone();
-        bad[6] = 1;
+        bad[6] = FLAG_COMPACT as u8;
         assert!(matches!(
             FlatStore::parse(&bad),
-            Err(StoreError::UnsupportedFlags(1))
+            Err(StoreError::Corrupt(_))
         ));
     }
 
@@ -1021,7 +848,8 @@ mod tests {
         // so only the structural pass can catch it (monotonicity).
         let flat = sample_flat();
         let mut bytes = FlatStore::from_flat(flat.clone()).encode();
-        let off0 = layout(flat.num_nodes(), flat.num_entries()).sections[0].file_offset as usize;
+        let off0 = layout_with(flat.num_nodes(), flat.num_entries(), 4, 8).sections[0].file_offset
+            as usize;
         bytes[off0 + 8..off0 + 16].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
         refresh_section_checksum(&mut bytes, 0);
         let err = FlatStore::parse(&bytes).expect_err("crafted offsets must be rejected");
@@ -1067,7 +895,7 @@ mod tests {
         let flat = sample_flat();
         let e = flat.num_entries();
         let mut bytes = FlatStore::from_flat(flat.clone()).encode();
-        let lay = layout(flat.num_nodes(), e);
+        let lay = layout_with(flat.num_nodes(), e, 4, 8);
         // Find a vertex with >= 2 hubs and swap its first two entries.
         let v = (0..flat.num_nodes())
             .find(|&v| flat.hubs_of(v as NodeId).len() >= 2)
@@ -1098,20 +926,26 @@ mod tests {
         }
         for len in [0, 8, 16, 24, 32, 40, 64, 72, 96, 104, 136, 200] {
             let s = &bytes[..len];
-            let (vals, h) = decode_u64_section(s);
+            let (vals, h) = decode_section::<u64>(s);
             assert_eq!(h, section_checksum(s), "u64 fused hash at len {len}");
             assert_eq!(vals.len(), len / 8);
             for (i, &v) in vals.iter().enumerate() {
-                assert_eq!(v, u64_le(&s[i * 8..i * 8 + 8]));
+                assert_eq!(
+                    v,
+                    u64::from_le_bytes(s[i * 8..i * 8 + 8].try_into().unwrap())
+                );
             }
         }
         for len in [0, 4, 12, 28, 32, 36, 60, 64, 68, 100, 196, 200] {
             let s = &bytes[..len];
-            let (vals, h) = decode_u32_section(s);
+            let (vals, h) = decode_section::<u32>(s);
             assert_eq!(h, section_checksum(s), "u32 fused hash at len {len}");
             assert_eq!(vals.len(), len / 4);
             for (i, &v) in vals.iter().enumerate() {
-                assert_eq!(v, u32_le(&s[i * 4..i * 4 + 4]));
+                assert_eq!(
+                    v,
+                    u32::from_le_bytes(s[i * 4..i * 4 + 4].try_into().unwrap())
+                );
             }
         }
     }
@@ -1137,12 +971,9 @@ mod tests {
         let bytes = store.encode();
         assert_eq!(bytes.len() as u64, store.file_len());
         let back = CompactStore::parse(&bytes).expect("own encoding must parse");
-        assert_eq!(back.compact(), &compact);
+        assert_eq!(back.served(), &ServedLabeling::Compact(compact.clone()));
         // Deterministic writer: encoding again is byte-identical.
-        assert_eq!(
-            CompactStore::from_compact(back.into_compact()).encode(),
-            bytes
-        );
+        assert_eq!(back.encode(), bytes);
         // And the decoded arena answers exactly like the flat one.
         let flat = sample_flat();
         for u in 0..flat.num_nodes() as NodeId {
@@ -1167,28 +998,31 @@ mod tests {
             FLAG_COMPACT | FLAG_HUBS_WIDE | FLAG_DISTS_WIDE
         );
         // Both flavors roundtrip through their own flags.
-        assert_eq!(
-            CompactStore::parse(&wide.encode()).unwrap().compact(),
-            wide.compact()
-        );
+        assert_eq!(CompactStore::parse(&wide.encode()).unwrap(), wide);
     }
 
     #[test]
-    fn compact_flavor_rejected_by_flat_parser_and_vice_versa() {
+    fn one_parser_mounts_each_flavor_natively() {
+        // The flag word alone picks the flavor: the same parser hands back
+        // the compact arena for a compact image and the flat arena for a
+        // flat one, never one expanded or narrowed into the other.
         let compact_bytes = CompactStore::from_compact(sample_compact()).encode();
         assert!(matches!(
-            FlatStore::parse(&compact_bytes),
-            Err(StoreError::UnsupportedFlags(f)) if f & FLAG_COMPACT != 0
+            V2Store::parse(&compact_bytes).unwrap().into_served(),
+            ServedLabeling::Compact(c) if c == sample_compact()
         ));
         let flat_bytes = FlatStore::from_flat(sample_flat()).encode();
         assert!(matches!(
-            CompactStore::parse(&flat_bytes),
-            Err(StoreError::UnsupportedFlags(0))
+            V2Store::parse(&flat_bytes).unwrap().into_served(),
+            ServedLabeling::Flat(f) if f == sample_flat()
         ));
         // Unknown flag bits are rejected even with FLAG_COMPACT set.
         let mut bad = compact_bytes.clone();
         bad[6] |= 1 << 3;
-        assert!(CompactStore::parse(&bad).is_err());
+        assert!(matches!(
+            V2Store::parse(&bad),
+            Err(StoreError::UnsupportedFlags(f)) if f & FLAG_COMPACT != 0
+        ));
     }
 
     #[test]
@@ -1214,11 +1048,11 @@ mod tests {
         // tables, no double-counted fallback lanes.
         let store = CompactStore::from_compact(sample_compact());
         let section_sum: u64 = store.section_bytes().iter().map(|&(_, b)| b).sum();
-        assert_eq!(store.compact().heap_bytes() as u64, section_sum);
+        assert_eq!(store.served().heap_bytes() as u64, section_sum);
         // Same invariant on the flat side, for the head-to-head math.
         let flat_store = FlatStore::from_flat(sample_flat());
         let flat_sum: u64 = flat_store.section_bytes().iter().map(|&(_, b)| b).sum();
-        assert_eq!(flat_store.flat().heap_bytes() as u64, flat_sum);
+        assert_eq!(flat_store.served().heap_bytes() as u64, flat_sum);
     }
 
     #[test]
@@ -1229,11 +1063,14 @@ mod tests {
         }
         for len in [0, 2, 6, 16, 30, 32, 34, 62, 64, 66, 98, 130, 200] {
             let s = &bytes[..len];
-            let (vals, h) = decode_u16_section(s);
+            let (vals, h) = decode_section::<u16>(s);
             assert_eq!(h, section_checksum(s), "u16 fused hash at len {len}");
             assert_eq!(vals.len(), len / 2);
             for (i, &v) in vals.iter().enumerate() {
-                assert_eq!(v, u16_le(&s[i * 2..i * 2 + 2]));
+                assert_eq!(
+                    v,
+                    u16::from_le_bytes(s[i * 2..i * 2 + 2].try_into().unwrap())
+                );
             }
         }
     }
@@ -1248,7 +1085,7 @@ mod tests {
             .save(&path)
             .unwrap();
         let back = CompactStore::open(&path).unwrap();
-        assert_eq!(back.compact(), &compact);
+        assert_eq!(back.served(), &ServedLabeling::Compact(compact));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1260,7 +1097,7 @@ mod tests {
         let path = dir.join("store.hlbs2");
         FlatStore::from_flat(flat.clone()).save(&path).unwrap();
         let back = FlatStore::open(&path).unwrap();
-        assert_eq!(back.flat(), &flat);
+        assert_eq!(back.served(), &ServedLabeling::Flat(flat));
         std::fs::remove_dir_all(&dir).ok();
     }
 }
