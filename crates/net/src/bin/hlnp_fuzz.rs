@@ -205,8 +205,8 @@ fn run(opts: &Opts) -> Result<Summary, Failure> {
     let store_v2c_bytes = CompactLabeling::from_flat(&flat)
         .map(|compact| CompactStore::from_compact(compact).encode())
         .map_err(|e| Failure::Defect(format!("serializing the v2c store: {e}")))?;
-    let store_v2_bytes = FlatStore::from_flat(flat).encode();
-    let engine = QueryEngine::from_store(&label_store, 2)
+    let store_v2_bytes = FlatStore::from_flat(flat.clone()).encode();
+    let engine = QueryEngine::new(flat, 2)
         .map_err(|e| Failure::Defect(format!("building the engine: {e}")))?;
 
     let sources: Vec<NodeId> = (0..8.min(opts.nodes) as NodeId).collect();

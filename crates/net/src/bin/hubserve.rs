@@ -23,7 +23,7 @@
 //! parse and map onto the matching order strategy.
 //!
 //! `query` reads whitespace-separated `u v` pairs — from a file when given
-//! (served as one batch across the pool), else line-by-line from stdin
+//! (served as one batch), else line-by-line from stdin
 //! through the cached single-query path — and prints `u v <distance>` per
 //! pair, with `inf` for unreachable.
 //!
@@ -40,10 +40,6 @@
 //! discover the ephemeral port. A running daemon hot-swaps its store on
 //! a `Reload` frame (disable with `--no-remote-reload`): in-flight
 //! queries finish on the old epoch, new ones answer from the new store.
-//! `--workers N` sizes only the engine's batch pool; requests from
-//! connections run on a separate pool fixed at
-//! `ServerConfig::worker_threads` (4), although the banner says
-//! "N workers".
 //!
 //! `convert` migrates a store between HLBS v1 (γ-coded archival format),
 //! HLBS v2 (the flat serving arena, verbatim) and HLBS v2c (the compact
@@ -371,7 +367,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 
     match pairs_path {
         Some(path) => {
-            // Batch mode: load all pairs, shard them across the pool.
+            // Batch mode: load all pairs, answer them as one batch.
             let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
             let mut pairs = Vec::new();
             for line in BufReader::new(file).lines() {
@@ -455,8 +451,7 @@ struct ServeOpts {
 
 const SERVE_USAGE: &str = "usage: hubserve serve <store-file> [--addr HOST:PORT] [--workers N] \
      [--max-conns N] [--read-timeout-ms N] [--write-timeout-ms N] [--no-remote-shutdown] \
-     [--no-remote-reload]  (--workers sizes the engine's batch pool only; connection requests \
-     run on a fixed pool of 4)";
+     [--no-remote-reload]";
 
 fn parse_serve_opts(args: &[String]) -> Result<(String, ServeOpts), String> {
     let mut store_path = None;
@@ -520,7 +515,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         engine.num_nodes(),
         engine.num_entries(),
         engine.heap_bytes(),
-        opts.workers,
+        engine.num_workers(),
         opts.max_conns
     );
     // Scripts parse this line to discover an ephemeral port (--addr :0).

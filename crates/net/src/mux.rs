@@ -45,8 +45,7 @@ use hl_server::MetricsSnapshot;
 use crate::client::{dial, resolve, ClientConfig};
 use crate::error::NetError;
 use crate::wire::{
-    encode_mux, read_frame, split_mux, write_frame_deadline, Request, Response, ServerHello,
-    PROTOCOL_V2,
+    frame, read_frame, split_mux, write_all_deadline, Request, Response, ServerHello, PROTOCOL_V2,
 };
 
 /// What every thread touching the connection shares.
@@ -150,10 +149,10 @@ impl MuxClient {
             }
             state.slots.insert(id, None);
         }
-        let payload = encode_mux(id, &request.encode());
+        let framed = frame(Some(id), &request.encode());
         let wrote = {
             let mut writer = lock_unpoisoned(&self.writer);
-            write_frame_deadline(&mut *writer, &payload, self.config.request_timeout)
+            write_all_deadline(&mut *writer, &framed, self.config.request_timeout)
         };
         if let Err(e) = wrote {
             // Nothing (or half a frame) went out: the slot will never

@@ -6,10 +6,12 @@
 //! connection carries its own read buffer with an incremental
 //! partial-frame state machine and a write queue drained as the socket
 //! allows, so 10k idle-ish clients cost file descriptors, not stacks. A
-//! bounded worker pool executes engine requests and completes them *out
-//! of order*; protocol-v2 connections correlate completions by request
-//! id, protocol-v1 connections are dispatched strictly one at a time so
-//! their in-order lock-step contract survives.
+//! worker pool of the engine's width ([`QueryEngine::num_workers`]) — the
+//! daemon's only standing threads besides the loop — executes engine
+//! requests and completes them *out of order*; protocol-v2 connections
+//! correlate completions by request id, protocol-v1 connections are
+//! dispatched strictly one at a time so their in-order lock-step
+//! contract survives.
 //!
 //! Design constraints, in order:
 //!
@@ -23,7 +25,7 @@
 //!   v2 connection are in flight (excess gets a per-id `Busy`); reads
 //!   pause when a connection's write queue backs up.
 //! - **Graceful shutdown.** A `Shutdown` request (or [`StopHandle`])
-//!   flips one atomic flag and nudges the loop awake. The loop stops
+//!   flips one atomic flag and writes the wake pipe. The loop stops
 //!   accepting, stops reading, flushes every queued response (bounded by
 //!   the write budget), then joins the worker pool before
 //!   [`NetServer::serve`] returns.
@@ -40,7 +42,6 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hl_graph::sync::lock_unpoisoned;
@@ -49,8 +50,8 @@ use hl_sys::{poll, PollFd, POLLIN, POLLOUT};
 
 use crate::error::NetError;
 use crate::wire::{
-    encode_mux, ClientHello, ErrorCode, Request, Response, ServerHello, WireError,
-    DEFAULT_MAX_FRAME_LEN, MAX_PROTOCOL_VERSION, PROTOCOL_V2,
+    frame, frame_len, split_mux, ClientHello, ErrorCode, Request, Response, ServerHello, WireError,
+    DEFAULT_MAX_FRAME_LEN, MAX_PROTOCOL_VERSION, PROTOCOL_V2, PROTOCOL_VERSION,
 };
 
 /// The readiness loop's maximum sleep: deadline sweeps (idle, frame and
@@ -107,10 +108,6 @@ pub struct ServerConfig {
     /// file the engine was loaded from). Updated live when a `Reload`
     /// mounts a store of a different version.
     pub store_version: u16,
-    /// Threads in the request-execution pool. Requests from *all*
-    /// connections share these; a slow request occupies one worker, not
-    /// a connection slot.
-    pub worker_threads: usize,
     /// Concurrent in-flight requests one protocol-v2 connection may
     /// hold; requests beyond the cap are answered immediately with a
     /// per-id [`ErrorCode::Busy`] so the client can back off. (Protocol
@@ -129,7 +126,6 @@ impl Default for ServerConfig {
             allow_remote_shutdown: true,
             allow_remote_reload: true,
             store_version: store::VERSION,
-            worker_threads: 4,
             max_inflight_per_conn: 1024,
         }
     }
@@ -145,15 +141,22 @@ struct Inner {
     /// hello. Starts at [`ServerConfig::store_version`] and tracks
     /// successful reloads.
     store_version: AtomicU16,
+    /// Write end of the loop's self-wake pipe: one byte makes `poll`
+    /// return. Workers write it after a completion, `trigger_stop` after
+    /// flipping the flag.
+    waker: UnixStream,
 }
 
 impl Inner {
-    /// Flips the stop flag (once) and nudges the event loop awake with a
-    /// throwaway connection to ourselves (the listener turning readable
-    /// wakes the poll).
+    fn wake(&self) {
+        // lint:allow(swallowed-result): a full wake pipe already guarantees a pending wake; any other failure means teardown
+        let _ = (&self.waker).write(&[1]);
+    }
+
+    /// Flips the stop flag (once) and wakes the event loop to see it.
     fn trigger_stop(&self) {
         if !self.stop.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
+            self.wake();
         }
     }
 }
@@ -233,10 +236,11 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, state: ConnState) -> Self {
+    /// A just-accepted connection, about to be greeted.
+    fn new(stream: TcpStream) -> Self {
         Conn {
             stream,
-            state,
+            state: ConnState::Handshake,
             rbuf: Vec::new(),
             wqueue: VecDeque::new(),
             wfront_at: 0,
@@ -284,6 +288,8 @@ enum Verdict {
 /// A bound-but-not-yet-serving HLNP daemon.
 pub struct NetServer {
     listener: TcpListener,
+    /// Read end of the self-wake pipe ([`Inner::wake`] writes the other).
+    waker_rx: UnixStream,
     inner: Arc<Inner>,
 }
 
@@ -297,14 +303,22 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let store_version = AtomicU16::new(config.store_version);
+        let (waker_rx, waker) = UnixStream::pair()?;
+        waker_rx.set_nonblocking(true)?;
+        waker.set_nonblocking(true)?;
         let inner = Arc::new(Inner {
             engine,
             config,
             stop: AtomicBool::new(false),
             local_addr,
             store_version,
+            waker,
         });
-        Ok(NetServer { listener, inner })
+        Ok(NetServer {
+            listener,
+            waker_rx,
+            inner,
+        })
     }
 
     /// The address actually bound (resolves port 0).
@@ -325,41 +339,30 @@ impl NetServer {
     /// write budget), and joins the worker pool.
     pub fn serve(self) -> Result<(), NetError> {
         self.listener.set_nonblocking(true)?;
-        let (waker_rx, waker_tx) = UnixStream::pair()?;
-        waker_rx.set_nonblocking(true)?;
-        waker_tx.set_nonblocking(true)?;
-        let waker_tx = Arc::new(waker_tx);
-
+        let inner: &Inner = &self.inner;
         let (job_tx, job_rx) = mpsc::channel::<Job>();
+        let job_rx = Mutex::new(job_rx);
         let (done_tx, done_rx) = mpsc::channel::<Completion>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let mut workers: Vec<JoinHandle<()>> = Vec::new();
-        for i in 0..self.inner.config.worker_threads.max(1) {
-            let inner = Arc::clone(&self.inner);
-            let job_rx = Arc::clone(&job_rx);
-            let done_tx = done_tx.clone();
-            let waker = Arc::clone(&waker_tx);
-            let handle = std::thread::Builder::new()
-                .name(format!("hlnet-worker-{i}"))
-                .spawn(move || worker_loop(&inner, &job_rx, &done_tx, &waker))?;
-            workers.push(handle);
-        }
-        drop(done_tx); // the loop's receiver sees EOF once workers exit
-
-        let result = self.event_loop(&waker_rx, &job_tx, &done_rx);
-
-        // Teardown: closing the job channel sends every worker home once
-        // the queue drains; in-flight completions go to a dead receiver.
-        drop(job_tx);
-        for handle in workers {
-            let _ = handle.join();
-        }
-        result
+        std::thread::scope(|pool| {
+            // Owned by this closure, so every way out of it — a failed
+            // spawn included — closes the job channel. That sends each
+            // worker home once the queue drains (completions still in
+            // flight go to a receiver nobody reads), and the scope joins
+            // them before `serve` returns.
+            let (job_tx, done_tx) = (job_tx, done_tx);
+            for i in 0..inner.engine.num_workers() {
+                let (job_rx, done_tx) = (&job_rx, done_tx.clone());
+                std::thread::Builder::new()
+                    .name(format!("hlnet-worker-{i}"))
+                    .spawn_scoped(pool, move || worker_loop(inner, job_rx, &done_tx))?;
+            }
+            drop(done_tx);
+            self.event_loop(&job_tx, &done_rx)
+        })
     }
 
     fn event_loop(
         &self,
-        waker_rx: &UnixStream,
         job_tx: &Sender<Job>,
         done_rx: &Receiver<Completion>,
     ) -> Result<(), NetError> {
@@ -395,7 +398,7 @@ impl NetServer {
                 pollfds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
                 tokens.push(Token::Listener);
             }
-            pollfds.push(PollFd::new(waker_rx.as_raw_fd(), POLLIN));
+            pollfds.push(PollFd::new(self.waker_rx.as_raw_fd(), POLLIN));
             tokens.push(Token::Waker);
             for (&cid, c) in conns.iter() {
                 let mut events = 0i16;
@@ -416,12 +419,12 @@ impl NetServer {
                 match *token {
                     Token::Listener => {
                         if fd.readable() {
-                            self.accept_ready(&mut conns, &mut next_conn_id, job_tx)?;
+                            self.accept_ready(&mut conns, &mut next_conn_id)?;
                         }
                     }
                     Token::Waker => {
                         if fd.readable() {
-                            drain_waker(waker_rx);
+                            drain_waker(&self.waker_rx);
                         }
                     }
                     Token::Conn(cid) => {
@@ -502,7 +505,6 @@ impl NetServer {
         &self,
         conns: &mut HashMap<u64, Conn>,
         next_conn_id: &mut u64,
-        job_tx: &Sender<Job>,
     ) -> Result<(), NetError> {
         let inner = &self.inner;
         loop {
@@ -535,9 +537,6 @@ impl NetServer {
                     return Err(NetError::Io(e));
                 }
             };
-            if inner.stop.load(Ordering::SeqCst) {
-                continue; // likely the shutdown nudge; drop it
-            }
             let _ = stream.set_nodelay(true);
             if stream.set_nonblocking(true).is_err() {
                 continue; // socket already dead
@@ -549,35 +548,24 @@ impl NetServer {
                 .count();
             let cid = *next_conn_id;
             *next_conn_id += 1;
-            let mut c = if serving >= inner.config.max_connections {
+            let mut c = Conn::new(stream);
+            c.queue_frame(frame(None, &server_hello(inner).encode()));
+            if serving >= inner.config.max_connections {
+                c.state = ConnState::Rejecting;
                 metrics.connections_rejected.fetch_add(1, Ordering::Relaxed);
-                metrics.net_errors.fetch_add(1, Ordering::Relaxed);
-                let mut c = Conn::new(stream, ConnState::Rejecting);
-                c.queue_frame(frame_payload(&server_hello(inner).encode()));
-                let busy = Response::Error {
-                    code: ErrorCode::Busy,
-                    message: format!(
-                        "server at its {}-connection cap; retry with backoff",
-                        inner.config.max_connections
-                    ),
-                };
-                c.queue_frame(frame_payload(&busy.encode()));
-                c.read_closed = true;
-                c.close_after_flush = true;
-                c
+                let message = format!(
+                    "server at its {}-connection cap; retry with backoff",
+                    inner.config.max_connections
+                );
+                reply_error_and_close(inner, &mut c, ErrorCode::Busy, message);
             } else {
                 metrics.connections_opened.fetch_add(1, Ordering::Relaxed);
-                let mut c = Conn::new(stream, ConnState::Handshake);
-                c.queue_frame(frame_payload(&server_hello(inner).encode()));
-                c
-            };
+            }
             // The greeting usually fits the socket buffer whole; write it
             // now so a ready client can answer within this same tick.
             if conn_write(&mut c) == Verdict::Keep {
                 conns.insert(cid, c);
             }
-            // Unused only when every accepted client is over cap.
-            let _ = job_tx;
         }
     }
 }
@@ -611,15 +599,11 @@ fn server_hello(inner: &Inner) -> ServerHello {
     }
 }
 
-/// Wraps a payload with its length prefix into one writable buffer.
-fn frame_payload(payload: &[u8]) -> Vec<u8> {
-    // Saturate rather than truncate, mirroring the wire encoders; a
-    // response this large cannot be produced by any capped request.
-    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-    let mut framed = Vec::with_capacity(4 + payload.len());
-    framed.extend_from_slice(&len.to_le_bytes());
-    framed.extend_from_slice(payload);
-    framed
+/// Frames `resp` for a connection speaking `version`: protocol v2 carries
+/// the request id, v1 has none. The only place the two framings part ways
+/// on the way out.
+fn response_frame(version: u16, id: u64, resp: &Response) -> Vec<u8> {
+    frame((version >= PROTOCOL_V2).then_some(id), &resp.encode())
 }
 
 /// Queues `resp` on `c` under `version` framing, counting error frames.
@@ -631,13 +615,34 @@ fn queue_response(inner: &Inner, c: &mut Conn, version: u16, id: u64, resp: &Res
             .net_errors
             .fetch_add(1, Ordering::Relaxed);
     }
-    let payload = resp.encode();
-    let framed = if version >= PROTOCOL_V2 {
-        frame_payload(&encode_mux(id, &payload))
-    } else {
-        frame_payload(&payload)
+    c.queue_frame(response_frame(version, id, resp));
+}
+
+/// Answers request `id` with a typed error; the connection keeps serving.
+fn reply_error(
+    inner: &Inner,
+    c: &mut Conn,
+    version: u16,
+    id: u64,
+    code: ErrorCode,
+    message: String,
+) {
+    queue_response(inner, c, version, id, &Response::Error { code, message });
+}
+
+/// Answers with a typed error and ends the connection once it flushes;
+/// nothing further is read. For failures no request id can be blamed for
+/// (broken framing, a bad handshake, the connection cap), so the answer
+/// goes under id 0 in the framing negotiated so far — v1 until a
+/// handshake completes, since the peer has agreed to nothing else.
+fn reply_error_and_close(inner: &Inner, c: &mut Conn, code: ErrorCode, message: String) {
+    let version = match c.state {
+        ConnState::Serving(v) => v,
+        _ => PROTOCOL_VERSION,
     };
-    c.queue_frame(framed);
+    reply_error(inner, c, version, 0, code, message);
+    c.read_closed = true;
+    c.close_after_flush = true;
 }
 
 /// Reads everything the socket has, parses complete frames, dispatches.
@@ -683,42 +688,25 @@ fn parse_frames(inner: &Inner, c: &mut Conn) {
         if avail < 4 {
             break;
         }
-        let len = u32::from_le_bytes([c.rbuf[at], c.rbuf[at + 1], c.rbuf[at + 2], c.rbuf[at + 3]]);
-        if len == 0 {
-            let resp = Response::Error {
-                code: ErrorCode::Malformed,
-                message: WireError::EmptyFrame.to_string(),
-            };
-            queue_response(inner, c, framing_version(c), 0, &resp);
-            c.read_closed = true;
-            c.close_after_flush = true;
-            c.rbuf.clear();
-            c.frame_started = None;
-            return;
+        let prefix = [c.rbuf[at], c.rbuf[at + 1], c.rbuf[at + 2], c.rbuf[at + 3]];
+        match frame_len(prefix, inner.config.max_frame_len) {
+            Err(e) => {
+                let code = match e {
+                    WireError::FrameTooLarge { .. } => ErrorCode::FrameTooLarge,
+                    _ => ErrorCode::Malformed,
+                };
+                reply_error_and_close(inner, c, code, e.to_string());
+            }
+            Ok(len) if avail < 4 + len => break,
+            Ok(len) => {
+                let payload = c.rbuf[at + 4..at + 4 + len].to_vec();
+                at += 4 + len;
+                accept_frame(inner, c, &payload);
+            }
         }
-        if len > inner.config.max_frame_len {
-            let resp = Response::Error {
-                code: ErrorCode::FrameTooLarge,
-                message: format!(
-                    "frame of {len} bytes exceeds cap of {}",
-                    inner.config.max_frame_len
-                ),
-            };
-            queue_response(inner, c, framing_version(c), 0, &resp);
-            c.read_closed = true;
-            c.close_after_flush = true;
-            c.rbuf.clear();
-            c.frame_started = None;
-            return;
-        }
-        if avail < 4 + len as usize {
-            break;
-        }
-        let payload = c.rbuf[at + 4..at + 4 + len as usize].to_vec();
-        at += 4 + len as usize;
-        accept_frame(inner, c, &payload);
         if c.read_closed {
-            // A handshake failure mid-buffer: discard the rest.
+            // Broken framing, or a handshake failure mid-buffer: discard
+            // the rest.
             c.rbuf.clear();
             c.frame_started = None;
             return;
@@ -734,15 +722,6 @@ fn parse_frames(inner: &Inner, c: &mut Conn) {
     };
 }
 
-/// The framing to answer under *before* dispatch is possible (handshake
-/// errors answer in v1 framing — the peer has not negotiated anything).
-fn framing_version(c: &Conn) -> u16 {
-    match c.state {
-        ConnState::Serving(v) => v,
-        _ => 1,
-    }
-}
-
 /// Routes one complete frame payload through the connection state.
 fn accept_frame(inner: &Inner, c: &mut Conn, payload: &[u8]) {
     match c.state {
@@ -752,26 +731,16 @@ fn accept_frame(inner: &Inner, c: &mut Conn, payload: &[u8]) {
                 c.state = ConnState::Serving(hello.protocol_version);
             }
             Ok(hello) => {
-                let resp = Response::Error {
-                    code: ErrorCode::VersionMismatch,
-                    message: format!(
-                        "server speaks protocol versions 1..={MAX_PROTOCOL_VERSION}, \
-                         client spoke {}",
-                        hello.protocol_version
-                    ),
-                };
-                queue_response(inner, c, 1, 0, &resp);
-                c.read_closed = true;
-                c.close_after_flush = true;
+                let message = format!(
+                    "server speaks protocol versions 1..={MAX_PROTOCOL_VERSION}, \
+                     client spoke {}",
+                    hello.protocol_version
+                );
+                reply_error_and_close(inner, c, ErrorCode::VersionMismatch, message);
             }
             Err(e) => {
-                let resp = Response::Error {
-                    code: ErrorCode::Malformed,
-                    message: format!("expected client hello: {e}"),
-                };
-                queue_response(inner, c, 1, 0, &resp);
-                c.read_closed = true;
-                c.close_after_flush = true;
+                let message = format!("expected client hello: {e}");
+                reply_error_and_close(inner, c, ErrorCode::Malformed, message);
             }
         },
         ConnState::Serving(version) => {
@@ -781,7 +750,7 @@ fn accept_frame(inner: &Inner, c: &mut Conn, payload: &[u8]) {
                 .net_requests
                 .fetch_add(1, Ordering::Relaxed);
             let (id, inner_payload) = if version >= PROTOCOL_V2 {
-                match crate::wire::split_mux(payload) {
+                match split_mux(payload) {
                     Ok(split) => split,
                     Err(e) => {
                         // Echo the id when the payload carried one; a
@@ -792,11 +761,7 @@ fn accept_frame(inner: &Inner, c: &mut Conn, payload: &[u8]) {
                                 u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
                             })
                             .unwrap_or(0);
-                        let resp = Response::Error {
-                            code: ErrorCode::Malformed,
-                            message: e.to_string(),
-                        };
-                        queue_response(inner, c, version, id, &resp);
+                        reply_error(inner, c, version, id, ErrorCode::Malformed, e.to_string());
                         return;
                     }
                 }
@@ -805,15 +770,9 @@ fn accept_frame(inner: &Inner, c: &mut Conn, payload: &[u8]) {
             };
             match Request::decode(inner_payload) {
                 Ok(request) => c.pending.push_back((id, request)),
-                Err(e) => {
-                    // The frame boundary is intact, so the connection
-                    // can keep serving after reporting the bad frame.
-                    let resp = Response::Error {
-                        code: ErrorCode::Malformed,
-                        message: e.to_string(),
-                    };
-                    queue_response(inner, c, version, id, &resp);
-                }
+                // The frame boundary is intact, so the connection can keep
+                // serving after reporting the bad frame.
+                Err(e) => reply_error(inner, c, version, id, ErrorCode::Malformed, e.to_string()),
             }
         }
     }
@@ -844,32 +803,23 @@ fn pump(inner: &Inner, c: &mut Conn, cid: u64, job_tx: &Sender<Job>) {
                 inner.trigger_stop();
             }
             Request::Shutdown => {
-                let resp = Response::Error {
-                    code: ErrorCode::Unsupported,
-                    message: "remote shutdown is disabled on this server".to_string(),
-                };
-                queue_response(inner, c, version, id, &resp);
+                let message = "remote shutdown is disabled on this server".to_string();
+                reply_error(inner, c, version, id, ErrorCode::Unsupported, message);
             }
             Request::Reload { .. } if !inner.config.allow_remote_reload => {
-                let resp = Response::Error {
-                    code: ErrorCode::Unsupported,
-                    message: "remote reload is disabled on this server".to_string(),
-                };
-                queue_response(inner, c, version, id, &resp);
+                let message = "remote reload is disabled on this server".to_string();
+                reply_error(inner, c, version, id, ErrorCode::Unsupported, message);
             }
             heavy => {
                 // Engine-bound work goes to the pool. v2 connections may
                 // stack these to the cap; overflow answers Busy so the
                 // pool's queue stays bounded per connection.
                 if version >= PROTOCOL_V2 && c.inflight >= inner.config.max_inflight_per_conn {
-                    let resp = Response::Error {
-                        code: ErrorCode::Busy,
-                        message: format!(
-                            "connection at its {}-request in-flight cap; retry with backoff",
-                            inner.config.max_inflight_per_conn
-                        ),
-                    };
-                    queue_response(inner, c, version, id, &resp);
+                    let message = format!(
+                        "connection at its {}-request in-flight cap; retry with backoff",
+                        inner.config.max_inflight_per_conn
+                    );
+                    reply_error(inner, c, version, id, ErrorCode::Busy, message);
                     continue;
                 }
                 c.inflight += 1;
@@ -883,11 +833,8 @@ fn pump(inner: &Inner, c: &mut Conn, cid: u64, job_tx: &Sender<Job>) {
                     // The pool is gone (teardown): answer typed rather
                     // than leaving the id unanswered forever.
                     c.inflight = c.inflight.saturating_sub(1);
-                    let resp = Response::Error {
-                        code: ErrorCode::ShuttingDown,
-                        message: "server is draining".to_string(),
-                    };
-                    queue_response(inner, c, version, id, &resp);
+                    let message = "server is draining".to_string();
+                    reply_error(inner, c, version, id, ErrorCode::ShuttingDown, message);
                 }
             }
         }
@@ -930,12 +877,7 @@ fn conn_write(c: &mut Conn) -> Verdict {
 
 /// One worker: executes engine-bound requests and posts framed
 /// completions back to the loop, waking it through the pipe.
-fn worker_loop(
-    inner: &Inner,
-    job_rx: &Mutex<Receiver<Job>>,
-    done_tx: &Sender<Completion>,
-    waker: &UnixStream,
-) {
+fn worker_loop(inner: &Inner, job_rx: &Mutex<Receiver<Job>>, done_tx: &Sender<Completion>) {
     loop {
         // Holding the lock across `recv` parks exactly one idle worker on
         // the channel; the rest queue on the mutex. Hand-off is fair
@@ -945,106 +887,85 @@ fn worker_loop(
             return; // channel closed: the server is done
         };
         let response = execute(inner, job.request);
-        let is_error = matches!(response, Response::Error { .. });
-        let payload = response.encode();
-        let frame = if job.version >= PROTOCOL_V2 {
-            frame_payload(&encode_mux(job.id, &payload))
-        } else {
-            frame_payload(&payload)
-        };
         let completion = Completion {
             conn: job.conn,
-            frame,
-            is_error,
+            frame: response_frame(job.version, job.id, &response),
+            is_error: matches!(response, Response::Error { .. }),
         };
         if done_tx.send(completion).is_err() {
             return; // loop is gone: nothing left to complete into
         }
-        // lint:allow(swallowed-result): a full wake pipe already guarantees a pending wake; any other failure means teardown
-        let _ = (&*waker).write(&[1]);
+        inner.wake();
     }
 }
 
 /// Executes one engine-bound request (the `pump` fast paths — ping,
 /// metrics, shutdown, gating — never reach here).
 fn execute(inner: &Inner, request: Request) -> Response {
-    match request {
-        Request::Query { u, v } => match inner.engine.query(u, v) {
-            Ok(d) => Response::Distance(d),
-            Err(e) => engine_error_response(&e),
-        },
-        Request::QueryBatch(pairs) => match inner.engine.query_batch(&pairs) {
-            Ok(ds) => Response::DistanceBatch(ds),
-            Err(e) => engine_error_response(&e),
-        },
-        Request::Label { v } => match inner.engine.label_of(v) {
-            Ok((hubs, dists)) => Response::Label(hubs.into_iter().zip(dists).collect()),
-            Err(e) => engine_error_response(&e),
-        },
-        Request::LabelBatch(vs) => match label_batch(inner, &vs) {
-            Ok(labels) => Response::LabelBatch(labels),
-            Err(e) => engine_error_response(&e),
-        },
-        Request::Reload { path } => handle_reload(inner, &path),
+    let engine = &inner.engine;
+    let answered = match request {
+        Request::Query { u, v } => engine.query(u, v).map(Response::Distance),
+        Request::QueryBatch(pairs) => engine.query_batch(&pairs).map(Response::DistanceBatch),
+        Request::Label { v } => label(engine, v).map(Response::Label),
+        // Fails atomically on the first out-of-range vertex, so a partial
+        // batch is never returned.
+        Request::LabelBatch(vs) => vs
+            .iter()
+            .map(|&v| label(engine, v))
+            .collect::<Result<_, _>>()
+            .map(Response::LabelBatch),
+        Request::Reload { path } => Ok(handle_reload(inner, &path)),
         // Already answered inline by `pump`; kept total for safety.
-        Request::Ping => Response::Pong,
-        Request::Metrics => Response::Metrics(inner.engine.snapshot()),
-        Request::Shutdown => Response::ShutdownAck,
-    }
+        Request::Ping => Ok(Response::Pong),
+        Request::Metrics => Ok(Response::Metrics(engine.snapshot())),
+        Request::Shutdown => Ok(Response::ShutdownAck),
+    };
+    answered.unwrap_or_else(|e| {
+        let code = match e {
+            EngineError::NodeOutOfRange { .. } => ErrorCode::NodeOutOfRange,
+            _ => ErrorCode::Internal,
+        };
+        Response::Error {
+            code,
+            message: e.to_string(),
+        }
+    })
+}
+
+/// One vertex's label as the `(hub, distance)` pairs the wire ships.
+fn label(engine: &QueryEngine, v: u32) -> Result<Vec<(u32, hl_graph::Distance)>, EngineError> {
+    let (hubs, dists) = engine.label_of(v)?;
+    Ok(hubs.into_iter().zip(dists).collect())
 }
 
 /// Mounts the store at `path` into the engine. The new store is opened
 /// and fully validated *before* the swap, so a missing or corrupt file
 /// reports an error and leaves the current epoch serving untouched.
 fn handle_reload(inner: &Inner, path: &str) -> Response {
-    let store = match AnyStore::open(path) {
-        Ok(s) => s,
-        Err(e) => {
-            return Response::Error {
+    let mounted = AnyStore::open(path)
+        .map_err(|e| format!("reload of {path:?} failed: {e}"))
+        .and_then(|store| {
+            let version = store.version();
+            let labeling = store
+                .into_served()
+                .map_err(|e| format!("reload of {path:?} failed to decode: {e}"))?;
+            Ok((version, labeling))
+        });
+    match mounted {
+        Ok((version, labeling)) => {
+            let num_nodes = labeling.num_nodes() as u64;
+            let epoch = inner.engine.reload(labeling);
+            inner.store_version.store(version, Ordering::SeqCst);
+            Response::ReloadAck { epoch, num_nodes }
+        }
+        Err(message) => {
+            // The one store failure a serving daemon can observe.
+            let metrics = inner.engine.metrics();
+            metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
+            Response::Error {
                 code: ErrorCode::Internal,
-                message: format!("reload of {path:?} failed: {e}"),
+                message,
             }
         }
-    };
-    let version = store.version();
-    let labeling = match store.into_served() {
-        Ok(f) => f,
-        Err(e) => {
-            return Response::Error {
-                code: ErrorCode::Internal,
-                message: format!("reload of {path:?} failed to decode: {e}"),
-            }
-        }
-    };
-    let num_nodes = labeling.num_nodes() as u64;
-    let epoch = inner.engine.reload(labeling);
-    inner.store_version.store(version, Ordering::SeqCst);
-    Response::ReloadAck { epoch, num_nodes }
-}
-
-/// Fetches the label of every requested vertex; fails atomically on the
-/// first out-of-range vertex so a partial batch is never returned.
-fn label_batch(
-    inner: &Inner,
-    vs: &[u32],
-) -> Result<Vec<Vec<(u32, hl_graph::Distance)>>, EngineError> {
-    vs.iter()
-        .map(|&v| {
-            inner
-                .engine
-                .label_of(v)
-                .map(|(hubs, dists)| hubs.into_iter().zip(dists).collect())
-        })
-        .collect()
-}
-
-fn engine_error_response(e: &EngineError) -> Response {
-    let code = match e {
-        EngineError::NodeOutOfRange { .. } => ErrorCode::NodeOutOfRange,
-        _ => ErrorCode::Internal,
-    };
-    Response::Error {
-        code,
-        message: e.to_string(),
     }
 }

@@ -306,36 +306,54 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Assembles one frame in one allocation: `[len: u32][id: u64]?[body]`,
+/// the id present exactly when the connection speaks protocol v2. Every
+/// frame this crate puts on a socket is built here.
+///
+/// A frame beyond `u32` saturates its length prefix instead of truncating
+/// it, like every count this module encodes: the receiver's frame cap then
+/// rejects the frame rather than misreading it.
+pub fn frame(id: Option<u64>, body: &[u8]) -> Vec<u8> {
+    let len = body.len() + id.map_or(0, |_| 8);
+    let mut framed = Vec::with_capacity(4 + len);
+    framed.extend_from_slice(&u32::try_from(len).unwrap_or(u32::MAX).to_le_bytes());
+    if let Some(id) = id {
+        framed.extend_from_slice(&id.to_le_bytes());
+    }
+    framed.extend_from_slice(body);
+    framed
+}
+
+/// Decodes a frame's 4-byte length prefix and tests it — the one place
+/// that happens, and *before* the body is buffered, so an adversarial
+/// prefix cannot balloon memory: every frame needs at least an opcode,
+/// and none may exceed the receiver's cap.
+pub fn frame_len(prefix: [u8; 4], max: u32) -> Result<usize, WireError> {
+    let len = u32::from_le_bytes(prefix);
+    if len == 0 {
+        return Err(WireError::EmptyFrame);
+    }
+    if len > max {
+        return Err(WireError::FrameTooLarge { len, max });
+    }
+    Ok(len as usize)
+}
+
 /// Writes one frame (length prefix + payload) to `w` as a single write,
 /// so a framed message never straddles two TCP segments needlessly.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
-    let len = u32::try_from(payload.len()).map_err(|_| WireError::FrameTooLarge {
-        len: u32::MAX,
-        max: DEFAULT_MAX_FRAME_LEN,
-    })?;
-    let mut framed = Vec::with_capacity(4 + payload.len());
-    framed.extend_from_slice(&len.to_le_bytes());
-    framed.extend_from_slice(payload);
-    w.write_all(&framed)?;
+    w.write_all(&frame(None, payload))?;
     w.flush()?;
     Ok(())
 }
 
-/// Reads one frame payload from `r`, enforcing the length cap *before*
-/// buffering the body so an adversarial length prefix cannot balloon
-/// memory. Partial reads are handled by `read_exact`; a peer that stops
+/// Reads one frame payload from `r`, its length checked by [`frame_len`]
+/// first. Partial reads are handled by `read_exact`; a peer that stops
 /// mid-frame surfaces as [`WireError::Io`] (timeout or unexpected EOF).
 pub fn read_frame<R: Read>(r: &mut R, max_len: u32) -> Result<Vec<u8>, WireError> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes);
-    if len == 0 {
-        return Err(WireError::EmptyFrame);
-    }
-    if len > max_len {
-        return Err(WireError::FrameTooLarge { len, max: max_len });
-    }
-    let mut payload = vec![0u8; len as usize];
+    let mut payload = vec![0u8; frame_len(len_bytes, max_len)?];
     r.read_exact(&mut payload)?;
     Ok(payload)
 }
@@ -442,14 +460,8 @@ pub fn read_frame_deadline<R: DeadlineIo>(
     let deadline = Instant::now() + frame_budget;
     let mut rest = [0u8; 3];
     read_exact_deadline(r, &mut rest, deadline)?;
-    let len = u32::from_le_bytes([first[0], rest[0], rest[1], rest[2]]);
-    if len == 0 {
-        return Err(WireError::EmptyFrame);
-    }
-    if len > max_len {
-        return Err(WireError::FrameTooLarge { len, max: max_len });
-    }
-    let mut payload = vec![0u8; len as usize];
+    let prefix = [first[0], rest[0], rest[1], rest[2]];
+    let mut payload = vec![0u8; frame_len(prefix, max_len)?];
     read_exact_deadline(r, &mut payload, deadline)?;
     Ok(payload)
 }
@@ -462,14 +474,15 @@ pub fn write_frame_deadline<W: DeadlineIo>(
     payload: &[u8],
     budget: Duration,
 ) -> Result<(), WireError> {
-    let len = u32::try_from(payload.len()).map_err(|_| WireError::FrameTooLarge {
-        len: u32::MAX,
-        max: DEFAULT_MAX_FRAME_LEN,
-    })?;
-    let mut framed = Vec::with_capacity(4 + payload.len());
-    framed.extend_from_slice(&len.to_le_bytes());
-    framed.extend_from_slice(payload);
+    write_all_deadline(w, &frame(None, payload), budget)
+}
 
+/// Writes already-framed bytes (see [`frame`]) within `budget`.
+pub fn write_all_deadline<W: DeadlineIo>(
+    w: &mut W,
+    framed: &[u8],
+    budget: Duration,
+) -> Result<(), WireError> {
     let deadline = Instant::now() + budget;
     let mut written = 0;
     while written < framed.len() {
@@ -510,22 +523,7 @@ pub fn encode_mux(request_id: u64, inner: &[u8]) -> Vec<u8> {
 /// mux framing, but the *frame boundary* is intact, so the connection
 /// can answer with a typed error and keep serving.
 pub fn split_mux(payload: &[u8]) -> Result<(u64, &[u8]), WireError> {
-    let Some(id_bytes) = payload.get(..8) else {
-        return Err(WireError::Truncated {
-            needed: 8,
-            available: payload.len(),
-        });
-    };
-    let id = u64::from_le_bytes([
-        id_bytes[0],
-        id_bytes[1],
-        id_bytes[2],
-        id_bytes[3],
-        id_bytes[4],
-        id_bytes[5],
-        id_bytes[6],
-        id_bytes[7],
-    ]);
+    let id = Cursor::new(payload).u64()?;
     let inner = &payload[8..];
     if inner.is_empty() {
         return Err(WireError::EmptyFrame);
@@ -1441,5 +1439,30 @@ mod tests {
         cut.truncate(6);
         let mut r = &cut[..];
         assert!(matches!(read_frame(&mut r, 64), Err(WireError::Io(_))));
+    }
+
+    #[test]
+    fn frame_is_the_layout_both_protocol_versions_read() {
+        // Pinned bytes: [len u32 LE][id u64 LE, v2 only][body].
+        assert_eq!(frame(None, &[0xAA, 0xBB]), [2, 0, 0, 0, 0xAA, 0xBB]);
+        assert_eq!(
+            frame(Some(0x0102), &[0xAA]),
+            [9, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 0xAA]
+        );
+        // v2: what `read_frame` + `split_mux` take apart again.
+        let body = Request::Query { u: 3, v: 9 }.encode();
+        let framed = frame(Some(77), &body);
+        let payload = read_frame(&mut &framed[..], 64).unwrap();
+        assert_eq!(payload, encode_mux(77, &body));
+        assert_eq!(split_mux(&payload).unwrap(), (77, &body[..]));
+        // The boundaries of the one length check.
+        let declared = |len: u32| frame_len(len.to_le_bytes(), 8);
+        assert!(matches!(declared(0), Err(WireError::EmptyFrame)));
+        assert_eq!(declared(1).unwrap(), 1);
+        assert_eq!(declared(8).unwrap(), 8);
+        assert!(matches!(
+            declared(9),
+            Err(WireError::FrameTooLarge { len: 9, max: 8 })
+        ));
     }
 }

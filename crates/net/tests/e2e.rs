@@ -23,6 +23,17 @@ fn tempfile(name: &str) -> std::path::PathBuf {
 /// Builds a store for `g` via `hubserve build`, then starts
 /// `hubserve serve --addr 127.0.0.1:0` and parses the announced address.
 fn spawn_daemon(g: &hl_graph::Graph, tag: &str) -> (Child, String, std::path::PathBuf) {
+    let (child, addr, store, _banner) = spawn_daemon_with(g, tag, &[]);
+    (child, addr, store)
+}
+
+/// [`spawn_daemon`] with extra `serve` flags; also returns the `serving …`
+/// banner line the daemon printed before its address.
+fn spawn_daemon_with(
+    g: &hl_graph::Graph,
+    tag: &str,
+    serve_flags: &[&str],
+) -> (Child, String, std::path::PathBuf, String) {
     let graph = tempfile(&format!("{tag}-g.txt"));
     let store = tempfile(&format!("{tag}-s.hlbs"));
     let file = std::fs::File::create(&graph).unwrap();
@@ -41,6 +52,7 @@ fn spawn_daemon(g: &hl_graph::Graph, tag: &str) -> (Child, String, std::path::Pa
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_hubserve"))
         .args(["serve", store.to_str().unwrap(), "--addr", "127.0.0.1:0"])
+        .args(serve_flags)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -49,6 +61,7 @@ fn spawn_daemon(g: &hl_graph::Graph, tag: &str) -> (Child, String, std::path::Pa
     // The daemon announces its ephemeral port on stdout before serving.
     let stdout = child.stdout.take().expect("daemon stdout");
     let mut lines = BufReader::new(stdout).lines();
+    let mut banner = String::new();
     let addr = loop {
         let line = lines
             .next()
@@ -57,10 +70,13 @@ fn spawn_daemon(g: &hl_graph::Graph, tag: &str) -> (Child, String, std::path::Pa
         if let Some(rest) = line.strip_prefix("listening on ") {
             break rest.trim().to_string();
         }
+        if line.starts_with("serving ") {
+            banner = line;
+        }
     };
     // Keep draining stdout so the daemon never blocks on a full pipe.
     std::thread::spawn(move || for _ in lines {});
-    (child, addr, store)
+    (child, addr, store, banner)
 }
 
 fn client_config() -> ClientConfig {
@@ -150,6 +166,47 @@ fn daemon_rejects_out_of_range_nodes_with_typed_error() {
     let status = wait_with_deadline(&mut child, Duration::from_secs(30));
     assert_eq!(status.code(), Some(0));
 
+    let _ = std::fs::remove_file(store);
+}
+
+/// `--workers N` means N: the banner says it and the process has exactly N
+/// request threads beside its main thread — no second pool behind them.
+#[cfg(target_os = "linux")]
+#[test]
+fn workers_flag_sizes_the_only_pool() {
+    let g = generators::grid(6, 6);
+    let (mut child, addr, store, banner) = spawn_daemon_with(&g, "workers", &["--workers", "3"]);
+    assert!(banner.contains(", 3 workers,"), "banner: {banner}");
+
+    // An answered query proves the pool is up; threads name themselves as
+    // they start, so give the stragglers a moment before reading names.
+    let mut client = NetClient::connect(&addr, client_config()).expect("connect");
+    assert_eq!(client.query(0, 35).expect("query"), 10);
+    let want = [
+        "hlnet-worker-0",
+        "hlnet-worker-1",
+        "hlnet-worker-2",
+        "hubserve",
+    ];
+    let tasks = format!("/proc/{}/task", child.id());
+    let started = std::time::Instant::now();
+    let threads = loop {
+        let mut names: Vec<String> = std::fs::read_dir(&tasks)
+            .expect("daemon task list")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|comm| comm.trim().to_string())
+            .collect();
+        names.sort();
+        if names == want || started.elapsed() > Duration::from_secs(5) {
+            break names;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(threads, want, "threads of `hubserve serve --workers 3`");
+
+    client.shutdown().expect("shutdown");
+    let status = wait_with_deadline(&mut child, Duration::from_secs(30));
+    assert_eq!(status.code(), Some(0));
     let _ = std::fs::remove_file(store);
 }
 

@@ -476,6 +476,7 @@ fn reload_swaps_store_updates_hello_and_survives_bad_paths() {
         other => panic!("expected an Internal error frame, got {other:?}"),
     }
     assert_eq!(client.query(0, 24).expect("query after failed reload"), 8);
+    assert_eq!(client.metrics().expect("metrics").decode_errors, 1);
 
     // A good path swaps the store: 36 vertices, new distances.
     let (epoch, num_nodes) = client

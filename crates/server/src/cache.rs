@@ -2,7 +2,7 @@
 //!
 //! Point queries in a serving workload are heavily skewed, so a small cache
 //! in front of label decoding pays for itself. The cache is sharded to keep
-//! lock contention low under the engine's worker pool: each shard is an
+//! lock contention low under concurrent callers: each shard is an
 //! independent LRU behind its own mutex, and keys hash to shards with a
 //! multiplicative mix so adjacent vertex pairs spread out.
 //!

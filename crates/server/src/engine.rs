@@ -1,5 +1,5 @@
-//! The query engine: a fixed-size worker pool answering distance queries
-//! from a decoded, read-only labeling shared across threads.
+//! The query engine: distance queries answered from a decoded, read-only
+//! labeling, on the threads of whoever calls it.
 //!
 //! Labels are decoded from the store once at construction — into a
 //! [`ServedLabeling`]: either the canonical [`hl_core::FlatLabeling`] CSR
@@ -13,15 +13,15 @@
 //! [`hl_core::HubLabeling`] if that is what it has; the engine flattens
 //! it once at startup.
 //!
-//! Two paths:
+//! The engine owns no threads. Two paths:
 //!
-//! - [`QueryEngine::query_batch`] shards a batch of pairs across the pool
-//!   over an mpsc channel and reassembles results in input order. Batches
-//!   bypass the cache: bulk workloads rarely repeat pairs, and the merge
-//!   join is cheap enough that cache traffic would only add contention.
-//!   Batches of at most [`SMALL_BATCH_INLINE`] pairs skip the pool
-//!   entirely and are answered on the calling thread — for tiny batches
-//!   the channel round-trip costs more than the queries themselves.
+//! - [`QueryEngine::query_batch`] validates the batch, pins one epoch and
+//!   answers straight into the output slice. A batch large enough to pay
+//!   for it is split over scoped threads — at most the engine's width,
+//!   the calling thread taking the first share — and every other batch
+//!   runs on the calling thread alone. Batches bypass the cache: bulk
+//!   workloads rarely repeat pairs, and the merge join is cheap enough
+//!   that cache traffic would only add contention.
 //! - [`QueryEngine::query`] answers one pair on the calling thread through
 //!   the sharded LRU cache — the point-lookup path, where skew is common.
 //!
@@ -29,35 +29,30 @@
 
 use std::fmt;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use hl_graph::sync::{lock_unpoisoned, read_unpoisoned, write_unpoisoned};
+use hl_graph::sync::{read_unpoisoned, write_unpoisoned};
 use hl_graph::{Distance, NodeId};
 
 use crate::cache::ShardedLruCache;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::served::ServedLabeling;
-use crate::store::{LabelStore, StoreError};
+use crate::store::StoreError;
 
-/// Default number of entries the single-query cache holds.
-pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 16;
-
-/// Largest batch answered inline on the calling thread instead of being
-/// sharded across the worker pool (the mpsc round-trip dominates below
-/// this; `hl-server.pool_overhead_ns` in `benchmark/` measures it).
-pub const SMALL_BATCH_INLINE: usize = 4;
+/// Fewest pairs a batch must give each thread before `query_batch` splits
+/// it. A scoped spawn plus join measures about 15 µs on the benchmark host
+/// and a join 0.4–1.3 µs (`hl-core.join_ns` in `benchmark/`), so a share
+/// this size is at least 100 µs of work against that cost; below it the
+/// split loses to the calling thread alone.
+const MIN_PAIRS_PER_THREAD: usize = 256;
 
 /// Errors surfaced by the serving paths.
 #[derive(Debug)]
 pub enum EngineError {
     /// A query named a vertex outside the labeling.
     NodeOutOfRange { node: NodeId, num_nodes: usize },
-    /// The worker pool is gone (the engine is mid-drop).
-    PoolShutdown,
-    /// The OS refused to start a worker thread at construction.
+    /// The OS refused to start a thread for one share of a split batch.
     WorkerSpawn(std::io::Error),
     /// The backing label store failed to decode.
     Store(StoreError),
@@ -72,7 +67,6 @@ impl fmt::Display for EngineError {
                     "node {node} out of range for labeling with {num_nodes} nodes"
                 )
             }
-            EngineError::PoolShutdown => write!(f, "worker pool is shut down"),
             EngineError::WorkerSpawn(e) => write!(f, "failed to spawn worker thread: {e}"),
             EngineError::Store(e) => write!(f, "label store error: {e}"),
         }
@@ -106,146 +100,98 @@ struct Epoch {
     cache: ShardedLruCache,
 }
 
-/// State shared between the engine handle and its workers. Queries
-/// snapshot the current epoch `Arc` (one brief read-lock clone) and then
-/// run lock-free against that immutable generation; a concurrent
-/// [`QueryEngine::reload`] write-locks only for the pointer swap.
-/// In-flight queries keep the old epoch alive through their clone, and
-/// the old arena + cache are freed when the last such clone drops.
-struct Shared {
-    epoch: RwLock<Arc<Epoch>>,
-    metrics: Metrics,
-    cache_capacity: usize,
-    cache_shards: usize,
-}
+impl Epoch {
+    /// A generation with an empty single-query cache of 65,536 entries,
+    /// sharded at least four ways so point lookups from `width` threads
+    /// rarely meet on a shard lock.
+    fn new(serial: u64, labeling: ServedLabeling, width: usize) -> Arc<Epoch> {
+        Arc::new(Epoch {
+            serial,
+            labeling,
+            cache: ShardedLruCache::new(1 << 16, width.max(4)),
+        })
+    }
 
-impl Shared {
-    fn snapshot(&self) -> Arc<Epoch> {
-        Arc::clone(&read_unpoisoned(&self.epoch))
+    fn check_node(&self, v: NodeId) -> Result<(), EngineError> {
+        if (v as usize) < self.labeling.num_nodes() {
+            Ok(())
+        } else {
+            Err(EngineError::NodeOutOfRange {
+                node: v,
+                num_nodes: self.labeling.num_nodes(),
+            })
+        }
     }
 }
 
-struct BatchJob {
-    pairs: Vec<(NodeId, NodeId)>,
-    /// Index of this shard's first pair within the original batch.
-    offset: usize,
-    /// The generation this batch was validated against: every shard of a
-    /// batch answers from the same epoch even if a reload lands mid-batch.
-    epoch: Arc<Epoch>,
-    reply: Sender<(usize, Vec<Distance>)>,
-}
-
-/// A multi-threaded distance-query server over one immutable labeling.
+/// A distance-query server over one labeling at a time, shareable across
+/// threads. Queries snapshot the current epoch `Arc` (one brief read-lock
+/// clone) and then run lock-free against that immutable generation; a
+/// concurrent [`QueryEngine::reload`] write-locks only for the pointer
+/// swap. In-flight queries keep the old epoch alive through their clone,
+/// and the old arena + cache are freed when the last such clone drops.
 pub struct QueryEngine {
-    shared: Arc<Shared>,
-    /// `Some` while serving; taken and dropped on shutdown so workers see
-    /// a closed channel and exit their receive loops.
-    sender: Mutex<Option<Sender<BatchJob>>>,
-    workers: Vec<JoinHandle<()>>,
-    num_workers: usize,
+    epoch: RwLock<Arc<Epoch>>,
+    metrics: Metrics,
+    /// Most threads one batch may run on, the caller's included. Whoever
+    /// puts the engine on a socket also sizes its request pool from this.
+    width: usize,
 }
 
 impl QueryEngine {
-    /// Decodes every label out of `store` — straight into the flat arena,
-    /// with no intermediate per-vertex allocations — and starts
-    /// `num_workers` worker threads (at least one) with the default cache
-    /// size.
-    pub fn from_store(store: &LabelStore, num_workers: usize) -> Result<Self, EngineError> {
-        Self::new(store.to_flat()?, num_workers)
-    }
-
-    /// Starts an engine over an already-decoded labeling. Accepts either
-    /// query-time arena (the flat CSR or the compact form) or anything
-    /// convertible into one — a nested [`hl_core::HubLabeling`] is
-    /// flattened once, here.
+    /// An engine of width `num_workers` (at least one) over an
+    /// already-decoded labeling. Accepts either query-time arena (the flat
+    /// CSR or the compact form) or anything convertible into one — a
+    /// nested [`hl_core::HubLabeling`] is flattened once, here. Starts no
+    /// thread and cannot fail; the `Result` is the signature every caller
+    /// already handles.
     pub fn new(
         labeling: impl Into<ServedLabeling>,
         num_workers: usize,
     ) -> Result<Self, EngineError> {
-        Self::with_cache_capacity(labeling, num_workers, DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Starts an engine with an explicit single-query cache capacity.
-    ///
-    /// Fails with [`EngineError::WorkerSpawn`] if the OS cannot start a
-    /// worker thread; any workers already started are reaped first.
-    pub fn with_cache_capacity(
-        labeling: impl Into<ServedLabeling>,
-        num_workers: usize,
-        cache_capacity: usize,
-    ) -> Result<Self, EngineError> {
-        let num_workers = num_workers.max(1);
-        let cache_shards = num_workers.max(4);
-        let shared = Arc::new(Shared {
-            epoch: RwLock::new(Arc::new(Epoch {
-                serial: 0,
-                labeling: labeling.into(),
-                cache: ShardedLruCache::new(cache_capacity, cache_shards),
-            })),
-            metrics: Metrics::new(),
-            cache_capacity,
-            cache_shards,
-        });
-        let (tx, rx) = channel::<BatchJob>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut workers = Vec::with_capacity(num_workers);
-        for i in 0..num_workers {
-            let shared = Arc::clone(&shared);
-            let rx = Arc::clone(&rx);
-            let spawned = std::thread::Builder::new()
-                .name(format!("hubserve-worker-{i}"))
-                .spawn(move || worker_loop(shared, rx));
-            match spawned {
-                Ok(handle) => workers.push(handle),
-                Err(e) => {
-                    // Close the channel so the workers that did start see
-                    // a disconnect and exit, then reap them before failing.
-                    drop(tx);
-                    for handle in workers {
-                        let _ = handle.join();
-                    }
-                    return Err(EngineError::WorkerSpawn(e));
-                }
-            }
-        }
+        let width = num_workers.max(1);
         Ok(QueryEngine {
-            shared,
-            sender: Mutex::new(Some(tx)),
-            workers,
-            num_workers,
+            epoch: RwLock::new(Epoch::new(0, labeling.into(), width)),
+            metrics: Metrics::new(),
+            width,
         })
     }
 
-    /// Number of worker threads in the pool.
+    fn pin(&self) -> Arc<Epoch> {
+        Arc::clone(&read_unpoisoned(&self.epoch))
+    }
+
+    /// The engine's width: the most threads one batch is split over, and
+    /// the size of the request pool a daemon runs in front of it.
     pub fn num_workers(&self) -> usize {
-        self.num_workers
+        self.width
     }
 
     /// Number of vertices the engine currently serves.
     pub fn num_nodes(&self) -> usize {
-        self.shared.snapshot().labeling.num_nodes()
+        self.pin().labeling.num_nodes()
     }
 
     /// Total `(hub, distance)` entries in the served arena, `Σ_v |S_v|`.
     pub fn num_entries(&self) -> usize {
-        self.shared.snapshot().labeling.num_entries()
+        self.pin().labeling.num_entries()
     }
 
     /// Heap footprint of the served arena, in bytes — exact for both
     /// arena forms.
     pub fn heap_bytes(&self) -> usize {
-        self.shared.snapshot().labeling.heap_bytes()
+        self.pin().labeling.heap_bytes()
     }
 
     /// Which arena form the current epoch serves: `"flat"` or `"compact"`.
     pub fn arena_kind(&self) -> &'static str {
-        self.shared.snapshot().labeling.kind()
+        self.pin().labeling.kind()
     }
 
     /// Serial number of the epoch currently being served. Starts at 0 and
     /// increments on every successful [`QueryEngine::reload`].
     pub fn epoch(&self) -> u64 {
-        self.shared.snapshot().serial
+        self.pin().serial
     }
 
     /// Atomically replaces the served labeling with `labeling` and
@@ -261,44 +207,39 @@ impl QueryEngine {
     /// healthy epoch).
     pub fn reload(&self, labeling: impl Into<ServedLabeling>) -> u64 {
         let labeling = labeling.into();
-        let cache = ShardedLruCache::new(self.shared.cache_capacity, self.shared.cache_shards);
-        let mut slot = write_unpoisoned(&self.shared.epoch);
+        let mut slot = write_unpoisoned(&self.epoch);
         let serial = slot.serial + 1;
-        *slot = Arc::new(Epoch {
-            serial,
-            labeling,
-            cache,
-        });
+        *slot = Epoch::new(serial, labeling, self.width);
         serial
     }
 
     /// The label of vertex `v` in the current epoch, as owned parallel
     /// arrays — what the wire layer ships for router-side merge joins.
     pub fn label_of(&self, v: NodeId) -> Result<(Vec<NodeId>, Vec<Distance>), EngineError> {
-        let epoch = self.shared.snapshot();
-        check_node_in(&epoch, v)?;
+        let epoch = self.pin();
+        epoch.check_node(v)?;
         Ok(epoch.labeling.label_of(v))
     }
 
     /// Live metrics for this engine.
     pub fn metrics(&self) -> &Metrics {
-        &self.shared.metrics
+        &self.metrics
     }
 
     /// Convenience for [`Metrics::snapshot`].
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
+        self.metrics.snapshot()
     }
 
     /// Answers one query through the current epoch's LRU cache, on the
     /// calling thread.
     pub fn query(&self, u: NodeId, v: NodeId) -> Result<Distance, EngineError> {
-        let epoch = self.shared.snapshot();
-        check_node_in(&epoch, u)?;
-        check_node_in(&epoch, v)?;
+        let epoch = self.pin();
+        epoch.check_node(u)?;
+        epoch.check_node(v)?;
         let started = Instant::now();
         let key = ShardedLruCache::pair_key(u, v);
-        let m = &self.shared.metrics;
+        let m = &self.metrics;
         let d = match epoch.cache.get(key) {
             Some(d) => {
                 m.cache_hits.fetch_add(1, Relaxed);
@@ -316,113 +257,71 @@ impl QueryEngine {
         Ok(d)
     }
 
-    /// Answers a batch of queries, sharded across the worker pool.
-    /// Results come back in input order. The whole batch is validated
-    /// before any work is dispatched, so an out-of-range pair costs
-    /// nothing but the scan — and the epoch snapshotted for validation is
-    /// the one every shard answers from, so a reload landing mid-batch
+    /// Answers a batch of queries in input order. The whole batch is
+    /// validated before any pair is answered, so an out-of-range pair
+    /// costs nothing but the scan — and the epoch pinned for validation is
+    /// the one every pair answers from, so a reload landing mid-batch
     /// cannot mix two stores in one result.
+    ///
+    /// Runs on the calling thread, joined by up to `num_workers() - 1`
+    /// scoped threads when every one of them gets at least
+    /// `MIN_PAIRS_PER_THREAD` pairs; [`EngineError::WorkerSpawn`] if the
+    /// OS refuses one.
     pub fn query_batch(&self, pairs: &[(NodeId, NodeId)]) -> Result<Vec<Distance>, EngineError> {
-        let epoch = self.shared.snapshot();
+        let epoch = self.pin();
         for &(u, v) in pairs {
-            check_node_in(&epoch, u)?;
-            check_node_in(&epoch, v)?;
+            epoch.check_node(u)?;
+            epoch.check_node(v)?;
         }
-        let m = &self.shared.metrics;
-        m.batches.fetch_add(1, Relaxed);
-        if pairs.is_empty() {
-            return Ok(Vec::new());
-        }
-
-        // Small-batch fast path: answer on the calling thread. The pool
-        // exists to spread *work*, and a handful of merge joins is less
-        // work than one channel send plus a reply-channel wakeup.
-        if pairs.len() <= SMALL_BATCH_INLINE {
-            let mut out = Vec::with_capacity(pairs.len());
-            for &(u, v) in pairs {
-                let started = Instant::now();
-                out.push(epoch.labeling.query(u, v));
-                m.latency.record(elapsed_ns(started));
-            }
-            m.batch_queries.fetch_add(pairs.len() as u64, Relaxed);
+        self.metrics.batches.fetch_add(1, Relaxed);
+        let mut out = vec![0 as Distance; pairs.len()];
+        let threads = split_width(self.width, pairs.len());
+        if threads == 1 {
+            self.answer(&epoch, pairs, &mut out);
             return Ok(out);
         }
-
-        let chunk = pairs.len().div_ceil(self.num_workers);
-        let (reply_tx, reply_rx) = channel();
-        let mut shards = 0;
-        {
-            let guard = lock_unpoisoned(&self.sender);
-            let tx = guard.as_ref().ok_or(EngineError::PoolShutdown)?;
-            for (i, part) in pairs.chunks(chunk).enumerate() {
-                tx.send(BatchJob {
-                    pairs: part.to_vec(),
-                    offset: i * chunk,
-                    epoch: Arc::clone(&epoch),
-                    reply: reply_tx.clone(),
-                })
-                .map_err(|_| EngineError::PoolShutdown)?;
-                shards += 1;
+        let epoch: &Epoch = &epoch;
+        let share = pairs.len().div_ceil(threads);
+        let mut shares = pairs.chunks(share).zip(out.chunks_mut(share));
+        let first = shares.next();
+        std::thread::scope(|scope| -> std::io::Result<()> {
+            for (pairs, out) in shares {
+                // Not joined by hand: the scope joins every share before
+                // it returns, on the error path too.
+                std::thread::Builder::new()
+                    .spawn_scoped(scope, move || self.answer(epoch, pairs, out))?;
             }
-        }
-        drop(reply_tx);
-
-        let mut out = vec![0 as Distance; pairs.len()];
-        for _ in 0..shards {
-            let (offset, distances) = reply_rx.recv().map_err(|_| EngineError::PoolShutdown)?;
-            out[offset..offset + distances.len()].copy_from_slice(&distances);
-        }
+            if let Some((pairs, out)) = first {
+                self.answer(epoch, pairs, out);
+            }
+            Ok(())
+        })
+        .map_err(EngineError::WorkerSpawn)?;
         Ok(out)
+    }
+
+    /// Answers `pairs` into `out` from `epoch` — the one the batch was
+    /// validated against, not the current one — uncached, timing each.
+    fn answer(&self, epoch: &Epoch, pairs: &[(NodeId, NodeId)], out: &mut [Distance]) {
+        for (&(u, v), d) in pairs.iter().zip(out) {
+            let started = Instant::now();
+            *d = epoch.labeling.query(u, v);
+            self.metrics.latency.record(elapsed_ns(started));
+        }
+        self.metrics
+            .batch_queries
+            .fetch_add(pairs.len() as u64, Relaxed);
     }
 }
 
-impl Drop for QueryEngine {
-    fn drop(&mut self) {
-        // Closing the channel wakes every worker out of `recv`.
-        drop(lock_unpoisoned(&self.sender).take());
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
+/// Threads a batch of `len` pairs runs on for an engine of `width`: as
+/// many as get [`MIN_PAIRS_PER_THREAD`] pairs each, at least the caller's.
+fn split_width(width: usize, len: usize) -> usize {
+    width.min(len / MIN_PAIRS_PER_THREAD).max(1)
 }
 
 fn elapsed_ns(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-fn check_node_in(epoch: &Epoch, v: NodeId) -> Result<(), EngineError> {
-    if (v as usize) < epoch.labeling.num_nodes() {
-        Ok(())
-    } else {
-        Err(EngineError::NodeOutOfRange {
-            node: v,
-            num_nodes: epoch.labeling.num_nodes(),
-        })
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<Receiver<BatchJob>>>) {
-    loop {
-        // Hold the receiver lock only while dequeuing, never while working.
-        let job = match lock_unpoisoned(&rx).recv() {
-            Ok(job) => job,
-            Err(_) => return, // channel closed: engine dropped
-        };
-        let mut distances = Vec::with_capacity(job.pairs.len());
-        for &(u, v) in &job.pairs {
-            let started = Instant::now();
-            // The job's pinned epoch, not the current one: the batch was
-            // validated against it, and all shards must agree on a store.
-            distances.push(job.epoch.labeling.query(u, v));
-            shared.metrics.latency.record(elapsed_ns(started));
-        }
-        shared
-            .metrics
-            .batch_queries
-            .fetch_add(job.pairs.len() as u64, Relaxed);
-        // A dead reply receiver just means the caller gave up; drop the result.
-        let _ = job.reply.send((job.offset, distances));
-    }
 }
 
 #[cfg(test)]
@@ -498,29 +397,53 @@ mod tests {
     }
 
     #[test]
-    fn small_batches_take_the_inline_path_and_still_count() {
-        let (g, eng) = engine(4);
-        let dist0 = hl_graph::bfs::bfs_distances(&g, 0);
-        // Exactly at, and just over, the inline threshold.
-        let small: Vec<(NodeId, NodeId)> =
-            (1..=SMALL_BATCH_INLINE as NodeId).map(|v| (0, v)).collect();
-        let over: Vec<(NodeId, NodeId)> = (1..=SMALL_BATCH_INLINE as NodeId + 1)
-            .map(|v| (0, v))
+    fn split_width_gives_every_thread_a_full_share() {
+        let min = MIN_PAIRS_PER_THREAD;
+        for width in [1, 2, 3] {
+            assert_eq!(split_width(width, 0), 1);
+            assert_eq!(split_width(width, 2 * min - 1), 1);
+            assert_eq!(split_width(width, 2 * min), width.min(2));
+            assert_eq!(split_width(width, 3 * min - 1), width.min(2));
+            assert_eq!(split_width(width, 3 * min), width.min(3));
+            assert_eq!(split_width(width, 100 * min), width);
+        }
+    }
+
+    #[test]
+    fn batches_around_the_first_split_are_exact_in_order_and_counted() {
+        // 42² = 1764 distinct pairs: room for one past the first split.
+        let g = generators::grid(6, 7);
+        let n = g.num_nodes() as NodeId;
+        let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
+        let truth: Vec<Vec<Distance>> = (0..n)
+            .map(|u| hl_graph::bfs::bfs_distances(&g, u))
             .collect();
-        let got_small = eng.query_batch(&small).unwrap();
-        let got_over = eng.query_batch(&over).unwrap();
-        for (i, &(_, v)) in small.iter().enumerate() {
-            assert_eq!(got_small[i], dist0[v as usize]);
+        let all: Vec<(NodeId, NodeId)> = (0..n).flat_map(|u| (0..n).map(move |v| (u, v))).collect();
+        let first_split = 2 * MIN_PAIRS_PER_THREAD;
+        assert!(all.len() > first_split);
+        for width in [1, 2, 3] {
+            let eng = QueryEngine::new(hl.clone(), width).unwrap();
+            let mut asked = 0u64;
+            for (i, len) in [first_split - 1, first_split, first_split + 1]
+                .into_iter()
+                .enumerate()
+            {
+                let pairs = &all[i..i + len];
+                let got = eng.query_batch(pairs).unwrap();
+                let want: Vec<Distance> = pairs
+                    .iter()
+                    .map(|&(u, v)| truth[u as usize][v as usize])
+                    .collect();
+                assert_eq!(got, want, "width {width}, batch of {len}");
+                asked += len as u64;
+            }
+            let s = eng.snapshot();
+            assert_eq!(s.batches, 3);
+            assert_eq!(s.batch_queries, asked);
+            assert_eq!(s.latency_count, asked);
+            // Batches must not touch the single-query cache, split or not.
+            assert_eq!(s.cache_hits + s.cache_misses, 0);
         }
-        for (i, &(_, v)) in over.iter().enumerate() {
-            assert_eq!(got_over[i], dist0[v as usize]);
-        }
-        let s = eng.snapshot();
-        assert_eq!(s.batches, 2);
-        assert_eq!(s.batch_queries, (small.len() + over.len()) as u64);
-        assert_eq!(s.latency_count, s.batch_queries);
-        // The inline path must not touch the single-query cache.
-        assert_eq!(s.cache_hits + s.cache_misses, 0);
     }
 
     #[test]

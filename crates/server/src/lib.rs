@@ -1,5 +1,5 @@
 //! Serving layer for hub labelings: a versioned binary label store, a
-//! multi-threaded query engine with an LRU cache, and serving metrics.
+//! thread-safe query engine with an LRU cache, and serving metrics.
 //!
 //! The rest of the workspace is about *constructing* labelings and proving
 //! bounds on their size; this crate is about *answering queries from them*
@@ -9,11 +9,11 @@
 //!   ([`store::LabelStore`]) with corruption detection — truncation, bad
 //!   magic and checksum mismatches surface as typed [`store::StoreError`]s,
 //!   never as wrong distances.
-//! - [`engine`]: [`engine::QueryEngine`], a fixed-size worker pool over a
-//!   shared read-only [`hl_core::FlatLabeling`] arena — the store decodes
-//!   straight into the flat form and the serving path never touches the
-//!   nested per-vertex representation. Batches shard across workers;
-//!   single queries go through a sharded LRU cache.
+//! - [`engine`]: [`engine::QueryEngine`], a shared read-only
+//!   [`hl_core::FlatLabeling`] arena behind a reloadable epoch cell — the
+//!   store decodes straight into the flat form and the serving path never
+//!   touches the nested per-vertex representation. Queries run on the
+//!   caller's threads; single queries go through a sharded LRU cache.
 //! - [`cache`]: the [`cache::ShardedLruCache`] used by the engine.
 //! - [`metrics`]: atomic counters and a latency histogram with
 //!   p50/p95/p99 snapshots ([`metrics::Metrics`]).
