@@ -25,6 +25,10 @@ const MAX_ITERS: u64 = 1 << 22;
 ///
 /// Returns the measured mean nanoseconds per iteration, so callers that
 /// want to compare two variants programmatically can.
+#[expect(
+    clippy::print_stdout,
+    reason = "stdout is the micro-benchmark harness's one reporting channel"
+)]
 pub fn bench<R>(group: &str, id: &str, mut f: impl FnMut() -> R) -> f64 {
     for _ in 0..2 {
         black_box(f());
@@ -42,6 +46,6 @@ pub fn bench<R>(group: &str, id: &str, mut f: impl FnMut() -> R) -> f64 {
         iters = iters.saturating_mul(2);
     };
     let label = format!("{group}/{id}");
-    println!("{label:<48} {per_iter:>14.1} ns/iter"); // lint:allow(no-print): stdout is the micro-benchmark harness's one reporting channel
+    println!("{label:<48} {per_iter:>14.1} ns/iter");
     per_iter
 }

@@ -116,7 +116,11 @@ pub fn read_labeling<R: BufRead>(input: R) -> Result<HubLabeling, GraphError> {
 /// Serializes to a string (convenience).
 pub fn to_string(labeling: &HubLabeling) -> String {
     let mut buf = Vec::new();
-    write_labeling(labeling, &mut buf).expect("io::Write for Vec<u8> is infallible"); // lint:allow(no-panic): the io::Write impl for Vec<u8> never errors
+    #[expect(
+        clippy::expect_used,
+        reason = "the io::Write impl for Vec<u8> never errors"
+    )]
+    write_labeling(labeling, &mut buf).expect("io::Write for Vec<u8> is infallible");
     String::from_utf8_lossy(&buf).into_owned()
 }
 

@@ -12,8 +12,12 @@ use crate::rng::Xorshift64;
 /// endpoint — cannot fail here. Funneling all insertions through this one
 /// place keeps that argument (and its single waiver) in one spot.
 fn must_add(b: &mut GraphBuilder, u: NodeId, v: NodeId, w: Weight) {
+    #[expect(
+        clippy::expect_used,
+        reason = "every generator derives endpoints from indices < n, the only error add_edge can return"
+    )]
     b.add_edge(u, v, w)
-        .expect("generator endpoints are below n by construction"); // lint:allow(no-panic): every generator derives endpoints from indices < n, the only error add_edge can return
+        .expect("generator endpoints are below n by construction");
 }
 
 fn must_add_unit(b: &mut GraphBuilder, u: NodeId, v: NodeId) {

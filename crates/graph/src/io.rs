@@ -99,7 +99,11 @@ pub fn read_edge_list<R: BufRead>(input: R) -> Result<Graph, GraphError> {
 /// Serializes to an in-memory string (convenience for tests and tools).
 pub fn to_string(g: &Graph) -> String {
     let mut buf = Vec::new();
-    write_edge_list(g, &mut buf).expect("io::Write for Vec<u8> is infallible"); // lint:allow(no-panic): the io::Write impl for Vec<u8> never errors
+    #[expect(
+        clippy::expect_used,
+        reason = "the io::Write impl for Vec<u8> never errors"
+    )]
+    write_edge_list(g, &mut buf).expect("io::Write for Vec<u8> is infallible");
     String::from_utf8_lossy(&buf).into_owned()
 }
 

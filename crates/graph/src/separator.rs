@@ -109,10 +109,14 @@ pub fn bfs_level_separator(g: &Graph, part: &[NodeId]) -> Separator {
         let big = parts.swap_remove(big_idx);
         // Peel the vertex with the smallest BFS distance (closest to the
         // cut) into the separator, then re-split the remainder.
+        #[expect(
+            clippy::expect_used,
+            reason = "big.len() > limit >= 1, so the minimum exists"
+        )]
         let peel = *big
             .iter()
             .min_by_key(|&&v| (dist[v as usize], v))
-            .expect("oversized part is nonempty"); // lint:allow(no-panic): big.len() > limit >= 1, so the minimum exists
+            .expect("oversized part is nonempty");
         sep.push(peel);
         let rest: Vec<NodeId> = big.into_iter().filter(|&v| v != peel).collect();
         for piece in split_off(g, &rest, &[]) {

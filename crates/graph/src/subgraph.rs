@@ -32,9 +32,13 @@ pub fn induced_subgraph(g: &Graph, keep: &[NodeId]) -> InducedSubgraph {
     // Both endpoints are remapped indices into `kept`, which sized the
     // builder, so the out-of-range error is unreachable.
     fn must_add(builder: &mut GraphBuilder, u: NodeId, v: NodeId, w: crate::Weight) {
+        #[expect(
+            clippy::expect_used,
+            reason = "both endpoints are indices into kept, which sized the builder"
+        )]
         builder
             .add_edge(u, v, w)
-            .expect("subgraph endpoints remapped below kept.len()"); // lint:allow(no-panic): both endpoints are indices into kept, which sized the builder
+            .expect("subgraph endpoints remapped below kept.len()");
     }
 
     let mut builder = GraphBuilder::new(kept.len());

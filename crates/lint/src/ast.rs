@@ -8,8 +8,9 @@
 //! function *signatures* plus opaque body token ranges, and struct
 //! *field* names with flattened type idents. It is not a Rust parser;
 //! generics, lifetimes and attributes are skipped, bodies are never
-//! descended into here, and `#[cfg(test)]` items are excluded the same
-//! way the token rules exclude them.
+//! descended into here, `#[cfg(test)]` items are excluded, and the names
+//! of out-of-line `#[cfg(test)] mod x;` declarations are recorded so the
+//! engine can exempt their files.
 
 use crate::rules::{cfg_test_item_end, ident_at, matching_close, punct_at};
 use crate::tokenizer::{Tok, TokKind, Tokenized};
@@ -61,6 +62,9 @@ pub struct FileAst {
     pub fns: Vec<FnDef>,
     /// Braced structs outside `#[cfg(test)]`.
     pub structs: Vec<StructDef>,
+    /// Module names declared as `#[cfg(test)] mod name;` — their backing
+    /// files (`name.rs` / `name/mod.rs`) are test context.
+    pub test_mods: Vec<String>,
 }
 
 /// Parses one tokenized file into item facts.
@@ -75,6 +79,7 @@ pub fn parse_file(tokens: &Tokenized) -> FileAst {
         &mut ast,
         &mut test_mods,
     );
+    ast.test_mods = test_mods;
     ast
 }
 
@@ -463,6 +468,13 @@ mod tests {
         let a = parse("fn live() {}\n#[cfg(test)]\nmod tests { fn helper() -> Result<(), E> { x } }\nfn live2() {}");
         let names: Vec<&str> = a.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["live", "live2"]);
+    }
+
+    #[test]
+    fn cfg_test_out_of_line_mod_is_recorded() {
+        let a = parse("#[cfg(test)]\nmod proptests;\nmod live;\nfn f() {}");
+        assert_eq!(a.test_mods, vec!["proptests"]);
+        assert_eq!(a.fns.len(), 1);
     }
 
     #[test]

@@ -1,19 +1,13 @@
-//! `hublint` — lint the workspace for panic-freedom and offline-build
-//! invariants.
+//! `hublint` — run the workspace's four dataflow rules (`cast-truncation`,
+//! `swallowed-result`, `lock-order`, `untrusted-length-alloc`).
 //!
 //! ```text
-//! hublint [--json] [--root <dir>] [--baseline <report.json> [--diff]]
+//! hublint [--root <dir>]
 //! ```
 //!
 //! Scans the workspace rooted at `--root` (default: the current
 //! directory, walking upward to the nearest `[workspace]` manifest) and
-//! reports violations as `file:line: [rule] message` lines, or as a JSON
-//! document with `--json`.
-//!
-//! `--baseline <file>` subtracts the violations recorded in a previous
-//! `hublint --json` report: known findings are counted as "baselined"
-//! and only *new* findings affect the exit code. `--diff` is an explicit
-//! alias documenting that intent in CI scripts; it requires `--baseline`.
+//! reports violations as `file:line: [rule] message` lines.
 //!
 //! Exit codes match `hubserve`: 0 clean, 1 violations found (or a runtime
 //! failure such as an unreadable file), 2 usage error.
@@ -21,11 +15,10 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use hl_lint::baseline::{parse_baseline, split_by_baseline};
 use hl_lint::lint_workspace;
-use hl_lint::output::{render_json, render_text};
+use hl_lint::output::render_text;
 
-const USAGE: &str = "usage: hublint [--json] [--root <dir>] [--baseline <report.json> [--diff]]";
+const USAGE: &str = "usage: hublint [--root <dir>]";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
@@ -50,23 +43,14 @@ fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 }
 
 fn main() -> ExitCode {
-    let mut json = false;
     let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut diff = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage(),
             },
-            "--baseline" => match args.next() {
-                Some(path) => baseline = Some(PathBuf::from(path)),
-                None => return usage(),
-            },
-            "--diff" => diff = true,
             "-h" | "--help" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -74,31 +58,6 @@ fn main() -> ExitCode {
             _ => return usage(),
         }
     }
-    if diff && baseline.is_none() {
-        eprintln!("hublint: --diff requires --baseline <report.json>");
-        return usage();
-    }
-
-    let baseline_entries = match &baseline {
-        None => Vec::new(),
-        Some(path) => {
-            let contents = match std::fs::read_to_string(path) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("hublint: cannot read baseline {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match parse_baseline(&contents) {
-                Ok(entries) => entries,
-                Err(e) => {
-                    eprintln!("hublint: malformed baseline {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    };
-
     let root = match root {
         Some(r) => r,
         None => {
@@ -123,18 +82,8 @@ fn main() -> ExitCode {
     };
 
     match lint_workspace(&root) {
-        Ok(mut report) => {
-            if !baseline_entries.is_empty() {
-                let violations = std::mem::take(&mut report.violations);
-                let (fresh, baselined) = split_by_baseline(violations, &baseline_entries);
-                report.violations = fresh;
-                report.baselined = baselined;
-            }
-            if json {
-                print!("{}", render_json(&report));
-            } else {
-                print!("{}", render_text(&report));
-            }
+        Ok(report) => {
+            print!("{}", render_text(&report));
             if report.is_clean() {
                 ExitCode::SUCCESS
             } else {

@@ -1,12 +1,11 @@
-//! Orchestration: discover the workspace, run every rule, apply waivers.
+//! Orchestration: discover the workspace, run the rules, apply waivers.
 
 use std::fs;
 use std::path::Path;
 
 use crate::ast::parse_file;
-use crate::manifest::scan_manifest;
 use crate::resolve::{semantic_scan, SemFile};
-use crate::rules::{check_unsafe_attr, scan_source, Diagnostic, FileContext};
+use crate::rules::{Diagnostic, FileContext};
 use crate::tokenizer::tokenize;
 use crate::waivers::{apply_waivers, extract_waivers, Waiver};
 use crate::workspace::{classify, discover, rust_files, DiscoverError};
@@ -18,14 +17,10 @@ pub struct LintReport {
     pub violations: Vec<Diagnostic>,
     /// Diagnostics silenced by a waiver, with the waiver that did it.
     pub waived: Vec<(Diagnostic, Waiver)>,
-    /// Violations suppressed by the `--baseline` file (known backlog).
-    pub baselined: Vec<Diagnostic>,
     /// Well-formed waivers that matched no diagnostic (likely stale).
     pub unused_waivers: Vec<Waiver>,
-    /// Number of `.rs` files scanned.
+    /// Number of library `.rs` files scanned.
     pub files_scanned: usize,
-    /// Number of manifests scanned.
-    pub manifests_scanned: usize,
 }
 
 impl LintReport {
@@ -52,45 +47,32 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, DiscoverError> {
     // semantic pass (cross-crate fact join).
     let mut sem_files: Vec<SemFile> = Vec::new();
 
-    // Manifests: the workspace root plus every member.
-    let root_manifest = root.join("Cargo.toml");
-    let mut manifest_paths = vec![root_manifest];
-    for c in &ws.crates {
-        if !c.dir.as_os_str().is_empty() {
-            manifest_paths.push(root.join(&c.dir).join("Cargo.toml"));
-        }
-    }
-    manifest_paths.dedup();
-    for path in manifest_paths {
-        let contents = fs::read_to_string(&path).map_err(|e| DiscoverError::Io(path.clone(), e))?;
-        diagnostics.extend(scan_manifest(&contents, &rel_path(root, &path)));
-        report.manifests_scanned += 1;
-    }
-
     for c in &ws.crates {
         let crate_abs = root.join(&c.dir);
         let files = rust_files(&crate_abs)?;
 
-        // Pass 1: tokenize everything, collecting out-of-line
-        // `#[cfg(test)] mod x;` declarations so pass 2 can exempt their
-        // files. Tokenized sources are kept so each file is read once.
+        // Pass 1: tokenize and parse the library files, collecting
+        // out-of-line `#[cfg(test)] mod x;` declarations so pass 2 can
+        // exempt their files. Parsed sources are kept so each file is
+        // read once.
         let mut parsed = Vec::new();
         let mut test_mod_names: Vec<String> = Vec::new();
         for path in files {
-            let src = fs::read_to_string(&path).map_err(|e| DiscoverError::Io(path.clone(), e))?;
             let rel_in_crate = path.strip_prefix(&crate_abs).unwrap_or(&path).to_path_buf();
-            let ctx = classify(&rel_in_crate);
-            let tokens = tokenize(&src);
-            if ctx == FileContext::Lib {
-                // Cheap pre-pass: only the skip logic, to learn mod names.
-                let scan = scan_source(&tokens, FileContext::Test, "");
-                test_mod_names.extend(scan.test_mod_files);
+            if classify(&rel_in_crate) != FileContext::Lib {
+                continue;
             }
-            parsed.push((path, rel_in_crate, ctx, tokens));
+            let src = fs::read_to_string(&path).map_err(|e| DiscoverError::Io(path.clone(), e))?;
+            let tokens = tokenize(&src);
+            let ast = parse_file(&tokens);
+            test_mod_names.extend(ast.test_mods.iter().cloned());
+            parsed.push((path, rel_in_crate, tokens, ast));
+            report.files_scanned += 1;
         }
 
-        // Pass 2: run the rules with final contexts.
-        for (path, rel_in_crate, mut ctx, tokens) in parsed {
+        // Pass 2: hand every library file that is not a test module's
+        // backing file to the semantic layer.
+        for (path, rel_in_crate, tokens, ast) in parsed {
             let rel = rel_path(root, &path);
             let stem = path
                 .file_stem()
@@ -100,33 +82,17 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, DiscoverError> {
                 *m == stem
                     || (stem == "mod" && rel_in_crate.parent().is_some_and(|p| p.ends_with(m)))
             });
-            if ctx == FileContext::Lib && is_test_mod_file {
-                ctx = FileContext::Test;
+            if is_test_mod_file {
+                continue;
             }
-
-            let scan = scan_source(&tokens, ctx, &rel);
-            diagnostics.extend(scan.diagnostics);
-
-            if ctx == FileContext::Lib {
-                let wscan = extract_waivers(&tokens.comments, &rel);
-                diagnostics.extend(wscan.errors);
-                waivers.extend(wscan.waivers);
-            }
-
-            if c.has_lib && rel_in_crate == Path::new("src/lib.rs") {
-                if let Some(d) = check_unsafe_attr(&tokens, &rel) {
-                    diagnostics.push(d);
-                }
-            }
-            if ctx == FileContext::Lib {
-                let ast = parse_file(&tokens);
-                sem_files.push(SemFile {
-                    rel,
-                    toks: tokens.tokens,
-                    ast,
-                });
-            }
-            report.files_scanned += 1;
+            let wscan = extract_waivers(&tokens.comments, &rel);
+            diagnostics.extend(wscan.errors);
+            waivers.extend(wscan.waivers);
+            sem_files.push(SemFile {
+                rel,
+                toks: tokens.tokens,
+                ast,
+            });
         }
     }
 

@@ -1,40 +1,32 @@
 //! `hublint` — dependency-free static analysis for the hub-labeling
 //! workspace.
 //!
-//! The workspace carries two invariants the compiler cannot enforce:
+//! The workspace decodes bit-packed, length-prefixed labels from bytes it
+//! does not trust, and corruption must be a *typed error, never a wrong
+//! answer, a hang or a panic*. Most of that contract is enforced by stock
+//! tools — clippy's restriction lints ban `unwrap`/`expect`/`panic!`,
+//! prints and `process::exit` in library targets, rustc's `unsafe_code`
+//! lint bans `unsafe`, and `cargo build --locked --offline` bans registry
+//! dependencies (all wired in `scripts/check.sh`). `hublint` keeps the
+//! four dataflow rules no stock lint covers: `cast-truncation`,
+//! `swallowed-result`, `lock-order` and `untrusted-length-alloc`.
 //!
-//! 1. **Panic-freedom in library code.** Corruption and bad input must be
-//!    *typed errors, never wrong answers and never panics* — the serving
-//!    paths in particular may not `unwrap()` their way into an abort.
-//! 2. **Offline builds.** Everything builds with no network access, so no
-//!    manifest may name a crates.io or git dependency.
-//!
-//! `hublint` enforces both (plus `#![forbid(unsafe_code)]` coverage, a
-//! print ban in libraries, and a `process::exit` ban outside bin mains)
-//! with a token-level scan: a small Rust tokenizer (raw strings, char
-//! literals, nested block comments, lifetimes) feeds a rule engine, so
-//! rules never fire inside strings or comments. Justified exceptions are
+//! A small Rust tokenizer (raw strings, char literals, nested block
+//! comments, lifetimes) feeds a lightweight item parser ([`ast`]) that
+//! extracts function signatures, struct fields and body token ranges; a
+//! workspace join over those facts ([`resolve`]) powers the rules, so
+//! they never fire inside strings or comments. Justified exceptions are
 //! declared per line with `// lint:allow(rule): reason` and surfaced in
 //! the lint summary.
 //!
-//! On top of the token scan sits a semantic layer ([`ast`] + [`resolve`]):
-//! a lightweight item parser extracts function signatures, struct fields,
-//! and body token ranges; a workspace join over those facts powers four
-//! dataflow rules — `cast-truncation`, `swallowed-result`, `lock-order`,
-//! and `untrusted-length-alloc`. A committed findings baseline
-//! ([`baseline`]) lets CI gate on *new* findings only (`--baseline` /
-//! `--diff`).
-//!
-//! See `DESIGN.md` ("Static analysis") for the rule catalog and the
-//! reasoning behind this layering.
+//! See `DESIGN.md` ("Static analysis") for the invariant table and the
+//! reasoning behind this split.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod baseline;
 pub mod engine;
-pub mod manifest;
 pub mod output;
 pub mod resolve;
 pub mod rules;

@@ -1,30 +1,8 @@
-//! Rendering: human-readable `file:line` lines and a `--json` mode.
-//!
-//! JSON is emitted by hand — the lint crate, like the rest of the
-//! workspace, has zero external dependencies.
+//! Rendering: human-readable `file:line` lines plus the waiver summary.
 
 use std::fmt::Write as _;
 
 use crate::engine::LintReport;
-
-/// Escapes a string for inclusion in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders the report as plain text, one `file:line: [rule] message` per
 /// violation, followed by the active-waiver summary.
@@ -54,59 +32,11 @@ pub fn render_text(report: &LintReport) -> String {
     }
     let _ = writeln!(
         out,
-        "hublint: {} violation(s), {} waived, {} baselined, {} file(s), {} manifest(s)",
+        "hublint: {} violation(s), {} waived, {} file(s)",
         report.violations.len(),
         report.waived.len(),
-        report.baselined.len(),
-        report.files_scanned,
-        report.manifests_scanned
+        report.files_scanned
     );
-    out
-}
-
-/// Renders the report as a JSON document.
-pub fn render_json(report: &LintReport) -> String {
-    let mut out = String::from("{\n  \"violations\": [");
-    for (i, d) in report.violations.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-            json_escape(d.rule),
-            json_escape(&d.file),
-            d.line,
-            json_escape(&d.message)
-        );
-    }
-    if !report.violations.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"waivers\": [");
-    for (i, (d, w)) in report.waived.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"reason\": \"{}\"}}",
-            json_escape(d.rule),
-            json_escape(&d.file),
-            d.line,
-            json_escape(&w.reason)
-        );
-    }
-    if !report.waived.is_empty() {
-        out.push_str("\n  ");
-    }
-    let _ = write!(
-        out,
-        "],\n  \"summary\": {{\"violations\": {}, \"waived\": {}, \"baselined\": {}, \"unused_waivers\": {}, \"files_scanned\": {}, \"manifests_scanned\": {}}}\n}}",
-        report.violations.len(),
-        report.waived.len(),
-        report.baselined.len(),
-        report.unused_waivers.len(),
-        report.files_scanned,
-        report.manifests_scanned
-    );
-    out.push('\n');
     out
 }
 
@@ -119,53 +49,36 @@ mod tests {
     fn sample() -> LintReport {
         LintReport {
             violations: vec![Diagnostic {
-                rule: "no-panic",
+                rule: "lock-order",
                 file: "crates/x/src/lib.rs".into(),
                 line: 7,
-                message: "say \"no\"".into(),
+                message: "m".into(),
             }],
             waived: vec![(
                 Diagnostic {
-                    rule: "no-print",
+                    rule: "swallowed-result",
                     file: "crates/y/src/lib.rs".into(),
                     line: 3,
                     message: "m".into(),
                 },
                 Waiver {
-                    rules: vec!["no-print".into()],
+                    rules: vec!["swallowed-result".into()],
                     applies_to: 3,
-                    reason: "harness output".into(),
+                    reason: "teardown race".into(),
                     file: "crates/y/src/lib.rs".into(),
                 },
             )],
-            baselined: Vec::new(),
             unused_waivers: Vec::new(),
             files_scanned: 2,
-            manifests_scanned: 1,
         }
     }
 
     #[test]
     fn text_has_file_line_rule() {
         let t = render_text(&sample());
-        assert!(t.contains("crates/x/src/lib.rs:7: [no-panic]"));
+        assert!(t.contains("crates/x/src/lib.rs:7: [lock-order]"));
         assert!(t.contains("active waivers (1):"));
-        assert!(t.contains("waived: harness output"));
+        assert!(t.contains("waived: teardown race"));
         assert!(t.contains("1 violation(s), 1 waived"));
-    }
-
-    #[test]
-    fn json_is_escaped_and_structured() {
-        let j = render_json(&sample());
-        assert!(j.contains("\"rule\": \"no-panic\""));
-        assert!(j.contains("say \\\"no\\\""));
-        assert!(j.contains("\"summary\": {\"violations\": 1"));
-    }
-
-    #[test]
-    fn empty_report_renders_empty_arrays() {
-        let j = render_json(&LintReport::default());
-        assert!(j.contains("\"violations\": [],"));
-        assert!(j.contains("\"violations\": 0"));
     }
 }

@@ -1,18 +1,8 @@
-//! The rule engine: token-pattern rules over classified source files.
+//! Rule vocabulary: the diagnostic type, file classification, the rule
+//! names, and the token helpers the semantic layer is built from.
 //!
-//! Nine rules, mirroring the workspace's hard invariants. Five are
-//! token-pattern rules implemented here:
-//!
-//! | rule             | scope            | fires on |
-//! |------------------|------------------|----------|
-//! | `no-panic`       | library code     | `.unwrap(`, `.expect(`, `panic!`, `todo!`, `unimplemented!` |
-//! | `no-print`       | library code     | `println!`, `eprintln!`, `print!`, `eprint!`, `dbg!` |
-//! | `exit-in-lib`    | library code     | `process::exit` (and `use std::process::exit`) |
-//! | `no-unsafe-attr` | crate roots      | missing `#![forbid(unsafe_code)]` |
-//! | `offline-deps`   | manifests        | any non-`path` dependency |
-//!
-//! and four are semantic dataflow rules implemented in [`crate::resolve`]
-//! over the [`crate::ast`] item layer:
+//! Four rules, all semantic dataflow rules implemented in
+//! [`crate::resolve`] over the [`crate::ast`] item layer:
 //!
 //! | rule                     | scope        | fires on |
 //! |--------------------------|--------------|----------|
@@ -24,16 +14,18 @@
 //! "Library code" is everything under a crate's `src/` except `src/bin/`
 //! and `src/main.rs`; files under `tests/`, `benches/` and `examples/` are
 //! exempt, as are `#[cfg(test)]` modules (inline blocks and out-of-line
-//! `#[cfg(test)] mod x;` files).
+//! `#[cfg(test)] mod x;` files). The panic, print, `process::exit`,
+//! `unsafe` and offline-dependency invariants are not rules here: clippy,
+//! rustc and `cargo --locked --offline` enforce them (`scripts/check.sh`).
 
-use crate::tokenizer::{Tok, TokKind, Tokenized};
+use crate::tokenizer::{Tok, TokKind};
 
 /// How a file participates in the lint pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileContext {
-    /// Library source: all line rules apply.
+    /// Library source: the rules apply.
     Lib,
-    /// Binary source (`src/bin/`, `src/main.rs`): panics/prints/exit allowed.
+    /// Binary source (`src/bin/`, `src/main.rs`): exempt.
     Bin,
     /// Tests, benches, examples, `#[cfg(test)]` module files: exempt.
     Test,
@@ -42,7 +34,7 @@ pub enum FileContext {
 /// One finding, before waiver resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable rule name (`no-panic`, …).
+    /// Stable rule name (`lock-order`, …).
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub file: String,
@@ -52,52 +44,13 @@ pub struct Diagnostic {
     pub message: String,
 }
 
-/// All known line-level and file-level rule names (for waiver validation).
-pub const RULE_NAMES: [&str; 9] = [
-    "no-panic",
-    "no-print",
-    "exit-in-lib",
-    "no-unsafe-attr",
-    "offline-deps",
+/// All known rule names (for waiver validation).
+pub const RULE_NAMES: [&str; 4] = [
     "cast-truncation",
     "swallowed-result",
     "lock-order",
     "untrusted-length-alloc",
 ];
-
-const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
-const PANIC_MACROS: [&str; 3] = ["panic", "todo", "unimplemented"];
-const PRINT_MACROS: [&str; 5] = ["println", "eprintln", "print", "eprint", "dbg"];
-
-/// Output of scanning one source file.
-#[derive(Debug, Default)]
-pub struct SourceScan {
-    /// Rule findings (not yet waiver-filtered).
-    pub diagnostics: Vec<Diagnostic>,
-    /// Module names declared as `#[cfg(test)] mod name;` — their backing
-    /// files (`name.rs` / `name/mod.rs`) are test context.
-    pub test_mod_files: Vec<String>,
-}
-
-/// Runs the line-level rules over one tokenized file.
-pub fn scan_source(tokens: &Tokenized, ctx: FileContext, file: &str) -> SourceScan {
-    let mut scan = SourceScan::default();
-    let toks = &tokens.tokens;
-    let mut i = 0usize;
-    while i < toks.len() {
-        // `#[cfg(test)]` — skip the attributed item entirely, but still
-        // record out-of-line test modules so their files are exempted.
-        if let Some(skip_to) = cfg_test_item_end(toks, i, &mut scan.test_mod_files) {
-            i = skip_to;
-            continue;
-        }
-        if ctx == FileContext::Lib {
-            check_at(toks, i, file, &mut scan.diagnostics);
-        }
-        i += 1;
-    }
-    scan
-}
 
 pub(crate) fn ident_at(toks: &[Tok], i: usize) -> Option<&str> {
     match toks.get(i).map(|t| &t.kind) {
@@ -110,66 +63,6 @@ pub(crate) fn punct_at(toks: &[Tok], i: usize) -> Option<char> {
     match toks.get(i).map(|t| &t.kind) {
         Some(TokKind::Punct(c)) => Some(*c),
         _ => None,
-    }
-}
-
-fn check_at(toks: &[Tok], i: usize, file: &str, out: &mut Vec<Diagnostic>) {
-    let Some(name) = ident_at(toks, i) else {
-        return;
-    };
-    let line = toks[i].line;
-
-    // `.unwrap(` / `.expect(` — method-call position only, so idents like
-    // `unwrap_or_else` or an `#[expect(…)]` attribute never match.
-    if PANIC_METHODS.contains(&name)
-        && i > 0
-        && punct_at(toks, i - 1) == Some('.')
-        && punct_at(toks, i + 1) == Some('(')
-    {
-        out.push(Diagnostic {
-            rule: "no-panic",
-            file: file.to_string(),
-            line,
-            message: format!(
-                ".{name}() can panic; return a typed error instead (or waive with a reason)"
-            ),
-        });
-        return;
-    }
-
-    let is_macro = punct_at(toks, i + 1) == Some('!');
-    if is_macro && PANIC_MACROS.contains(&name) {
-        out.push(Diagnostic {
-            rule: "no-panic",
-            file: file.to_string(),
-            line,
-            message: format!("{name}! panics; corruption must be a typed error, never a panic"),
-        });
-        return;
-    }
-    if is_macro && PRINT_MACROS.contains(&name) {
-        out.push(Diagnostic {
-            rule: "no-print",
-            file: file.to_string(),
-            line,
-            message: format!("{name}! in library code; output belongs to the metrics/CLI layers"),
-        });
-        return;
-    }
-
-    // `process :: exit`
-    if name == "process"
-        && punct_at(toks, i + 1) == Some(':')
-        && punct_at(toks, i + 2) == Some(':')
-        && ident_at(toks, i + 3) == Some("exit")
-    {
-        out.push(Diagnostic {
-            rule: "exit-in-lib",
-            file: file.to_string(),
-            line,
-            message: "std::process::exit outside a bin main; return an error up the stack"
-                .to_string(),
-        });
     }
 }
 
@@ -244,119 +137,4 @@ pub(crate) fn matching_close(toks: &[Tok], start: usize, open: char, close: char
         k += 1;
     }
     None
-}
-
-/// Checks a crate root (`src/lib.rs`) for `#![forbid(unsafe_code)]`.
-pub fn check_unsafe_attr(tokens: &Tokenized, file: &str) -> Option<Diagnostic> {
-    let toks = &tokens.tokens;
-    for i in 0..toks.len() {
-        if punct_at(toks, i) == Some('#')
-            && punct_at(toks, i + 1) == Some('!')
-            && punct_at(toks, i + 2) == Some('[')
-            && ident_at(toks, i + 3) == Some("forbid")
-            && punct_at(toks, i + 4) == Some('(')
-            && ident_at(toks, i + 5) == Some("unsafe_code")
-        {
-            return None;
-        }
-    }
-    Some(Diagnostic {
-        rule: "no-unsafe-attr",
-        file: file.to_string(),
-        line: 1,
-        message: "crate root is missing #![forbid(unsafe_code)]".to_string(),
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::tokenizer::tokenize;
-
-    fn lint(src: &str) -> Vec<Diagnostic> {
-        scan_source(&tokenize(src), FileContext::Lib, "x.rs").diagnostics
-    }
-
-    #[test]
-    fn flags_unwrap_and_expect_calls() {
-        let d = lint("fn f() { a.unwrap(); b.expect(\"msg\"); }");
-        assert_eq!(d.len(), 2);
-        assert!(d.iter().all(|d| d.rule == "no-panic"));
-    }
-
-    #[test]
-    fn ignores_unwrap_or_family() {
-        assert!(
-            lint("fn f() { a.unwrap_or(0); b.unwrap_or_else(|| 1); c.unwrap_or_default(); }")
-                .is_empty()
-        );
-    }
-
-    #[test]
-    fn ignores_expect_attribute_and_strings() {
-        assert!(lint("#[expect(dead_code)] fn f() { let s = \".unwrap()\"; }").is_empty());
-    }
-
-    #[test]
-    fn flags_panic_macros() {
-        let d = lint("fn f() { panic!(\"boom\"); todo!(); unimplemented!() }");
-        assert_eq!(d.len(), 3);
-    }
-
-    #[test]
-    fn panic_path_without_bang_is_fine() {
-        assert!(lint("use std::panic; fn f() { panic::catch_unwind(|| 1).ok(); }").is_empty());
-    }
-
-    #[test]
-    fn flags_prints_and_exit() {
-        let d = lint("fn f() { println!(\"x\"); std::process::exit(1); }");
-        assert_eq!(d.len(), 2);
-        assert_eq!(d[0].rule, "no-print");
-        assert_eq!(d[1].rule, "exit-in-lib");
-    }
-
-    #[test]
-    fn bin_and_test_contexts_are_exempt() {
-        let src = "fn main() { x.unwrap(); println!(\"ok\"); }";
-        let t = tokenize(src);
-        assert!(scan_source(&t, FileContext::Bin, "b.rs")
-            .diagnostics
-            .is_empty());
-        assert!(scan_source(&t, FileContext::Test, "t.rs")
-            .diagnostics
-            .is_empty());
-    }
-
-    #[test]
-    fn cfg_test_module_is_exempt() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { x.unwrap(); panic!(); }\n}\nfn tail() { y.unwrap(); }";
-        let d = lint(src);
-        assert_eq!(d.len(), 1, "only the unwrap after the test module: {d:?}");
-        assert_eq!(d[0].line, 7);
-    }
-
-    #[test]
-    fn cfg_test_out_of_line_mod_is_recorded() {
-        let t = tokenize("#[cfg(test)]\nmod proptests;\nfn f() { a.unwrap(); }");
-        let s = scan_source(&t, FileContext::Lib, "x.rs");
-        assert_eq!(s.test_mod_files, vec!["proptests"]);
-        assert_eq!(s.diagnostics.len(), 1);
-    }
-
-    #[test]
-    fn unsafe_attr_detection() {
-        assert!(
-            check_unsafe_attr(&tokenize("#![forbid(unsafe_code)]\npub fn f() {}"), "l.rs")
-                .is_none()
-        );
-        let d = check_unsafe_attr(&tokenize("pub fn f() {}"), "l.rs");
-        assert!(d.is_some_and(|d| d.rule == "no-unsafe-attr"));
-        // A mention inside a comment or string must not satisfy the rule.
-        let d = check_unsafe_attr(
-            &tokenize("// #![forbid(unsafe_code)]\nlet s = \"#![forbid(unsafe_code)]\";"),
-            "l.rs",
-        );
-        assert!(d.is_some());
-    }
 }

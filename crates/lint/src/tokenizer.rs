@@ -459,7 +459,7 @@ mod tests {
 
     #[test]
     fn line_comment_capture_and_position() {
-        let src = "code(); // trailing note\n// lint:allow(no-panic): reason\nmore();";
+        let src = "code(); // trailing note\n// lint:allow(swallowed-result): reason\nmore();";
         let t = tokenize(src);
         assert_eq!(t.comments.len(), 2);
         assert!(!t.comments[0].starts_line);

@@ -137,7 +137,7 @@ mod tests {
 
     #[test]
     fn trailing_waiver_applies_to_its_own_line() {
-        let s = waivers_of("let x = f(); // lint:allow(no-panic): provably in range\n");
+        let s = waivers_of("let x = f(); // lint:allow(swallowed-result): provably in range\n");
         assert_eq!(s.errors.len(), 0);
         assert_eq!(s.waivers.len(), 1);
         assert_eq!(s.waivers[0].applies_to, 1);
@@ -146,20 +146,30 @@ mod tests {
 
     #[test]
     fn own_line_waiver_applies_to_next_line() {
-        let s = waivers_of("// lint:allow(no-print): harness output\nprintln!(\"x\");\n");
+        let s = waivers_of("// lint:allow(lock-order): harness output\nprintln!(\"x\");\n");
         assert_eq!(s.waivers[0].applies_to, 2);
     }
 
     #[test]
     fn multi_rule_waiver() {
-        let s = waivers_of("// lint:allow(no-panic, no-print): demo\nx();\n");
-        assert_eq!(s.waivers[0].rules, vec!["no-panic", "no-print"]);
+        let s = waivers_of("// lint:allow(swallowed-result, lock-order): demo\nx();\n");
+        assert_eq!(s.waivers[0].rules, vec!["swallowed-result", "lock-order"]);
     }
 
     #[test]
     fn missing_reason_is_an_error() {
-        assert_eq!(waivers_of("// lint:allow(no-panic):\nx();").errors.len(), 1);
-        assert_eq!(waivers_of("// lint:allow(no-panic)\nx();").errors.len(), 1);
+        assert_eq!(
+            waivers_of("// lint:allow(swallowed-result):\nx();")
+                .errors
+                .len(),
+            1
+        );
+        assert_eq!(
+            waivers_of("// lint:allow(swallowed-result)\nx();")
+                .errors
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -173,19 +183,19 @@ mod tests {
     fn waiver_application_and_usage_tracking() {
         let diags = vec![
             Diagnostic {
-                rule: "no-panic",
+                rule: "swallowed-result",
                 file: "f.rs".into(),
                 line: 2,
                 message: "m".into(),
             },
             Diagnostic {
-                rule: "no-panic",
+                rule: "swallowed-result",
                 file: "f.rs".into(),
                 line: 9,
                 message: "m".into(),
             },
         ];
-        let s = waivers_of("// lint:allow(no-panic): fine here\nx.unwrap();\n");
+        let s = waivers_of("// lint:allow(swallowed-result): fine here\nx.unwrap();\n");
         let (surviving, waived, used) = apply_waivers(diags, &s.waivers);
         assert_eq!(surviving.len(), 1);
         assert_eq!(surviving[0].line, 9);

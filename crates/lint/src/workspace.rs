@@ -19,8 +19,6 @@ pub struct CrateInfo {
     pub name: String,
     /// Directory containing the crate's `Cargo.toml`, workspace-relative.
     pub dir: PathBuf,
-    /// Whether the crate has a library target (`src/lib.rs`).
-    pub has_lib: bool,
 }
 
 /// The discovered workspace: the root plus every member crate.
@@ -147,8 +145,7 @@ pub fn discover(root: &Path) -> Result<Workspace, DiscoverError> {
         let Some(name) = package_name(&manifest) else {
             continue;
         };
-        let has_lib = root.join(&dir).join("src/lib.rs").is_file();
-        crates.push(CrateInfo { name, dir, has_lib });
+        crates.push(CrateInfo { name, dir });
     }
     Ok(Workspace {
         root: root.to_path_buf(),

@@ -1,4 +1,3 @@
 fn main() {
-    println!("fixture bin: prints and exits are fine here");
-    std::process::exit(0);
+    let _ = lint_fixture::swallow::fallible();
 }

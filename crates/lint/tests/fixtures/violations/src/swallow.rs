@@ -10,3 +10,7 @@ pub fn drops_via_let() {
 pub fn drops_via_ok() {
     fallible().ok();
 }
+
+pub fn waived_drop() {
+    let _ = fallible(); // lint:allow(swallowed-result): fixture demonstrates an honored waiver
+}

@@ -17,9 +17,13 @@ use crate::params::GadgetParams;
 /// `add_node` or an offset inside the preallocated core/tree blocks, so
 /// the out-of-range error `add_unit_edge` can return is unreachable.
 fn must_link(builder: &mut GraphBuilder, u: NodeId, v: NodeId) {
+    #[expect(
+        clippy::expect_used,
+        reason = "endpoints come from the builder or the precomputed block layout"
+    )]
     builder
         .add_unit_edge(u, v)
-        .expect("gadget endpoints are inside the preallocated layout"); // lint:allow(no-panic): endpoints come from the builder or the precomputed block layout
+        .expect("gadget endpoints are inside the preallocated layout");
 }
 
 /// The graph `G_{b,ℓ}` with its mapping back to `H_{b,ℓ}`.

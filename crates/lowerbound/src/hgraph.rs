@@ -49,7 +49,11 @@ impl HGraph {
                     let widx = idx - jc * stride + target * stride;
                     let v = ((i + 1) * level_size + widx) as NodeId;
                     let w: Weight = a + delta * delta;
-                    builder.add_edge(u, v, w).expect("gadget edges in range"); // lint:allow(no-panic): u and v index the h_num_nodes layout that sized the builder
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "u and v index the h_num_nodes layout that sized the builder"
+                    )]
+                    builder.add_edge(u, v, w).expect("gadget edges in range");
                 }
             }
         }

@@ -36,7 +36,11 @@ impl RemovedMiddle {
         let mut builder = GraphBuilder::with_capacity(h.graph().num_nodes(), h.graph().num_edges());
         for (u, v, w) in h.graph().edges() {
             if !removed[u as usize] && !removed[v as usize] {
-                builder.add_edge(u, v, w).expect("edges in range"); // lint:allow(no-panic): endpoints come from a graph with the same node count
+                #[expect(
+                    clippy::expect_used,
+                    reason = "endpoints come from a graph with the same node count"
+                )]
+                builder.add_edge(u, v, w).expect("edges in range");
             }
         }
         RemovedMiddle {

@@ -18,9 +18,7 @@
 //! strategy (`degree`, `bfs-level`, `betweenness`, `closeness`, `random`,
 //! `identity`). The result is written as the versioned binary store of
 //! `hl_server::store`; `--verify K` spot-checks the freshly written store
-//! against ground-truth distances from `K` seeded sources. The legacy
-//! positional algorithms `pll`, `pll-random` and `pll-betweenness` still
-//! parse and map onto the matching order strategy.
+//! against ground-truth distances from `K` seeded sources.
 //!
 //! `query` reads whitespace-separated `u v` pairs — from a file when given
 //! (served as one batch), else line-by-line from stdin
@@ -162,7 +160,7 @@ struct BuildOpts {
     verify_sources: usize,
 }
 
-const BUILD_USAGE: &str = "usage: hubserve build [<graph-file>] <store-file> [legacy-algo] \
+const BUILD_USAGE: &str = "usage: hubserve build [<graph-file>] <store-file> \
      [--gen rmat|power-law|grid|gnm --nodes N [--edges M]] [--threads N] \
      [--order degree|bfs-level|betweenness|closeness|random|identity] [--seed S] \
      [--verify SOURCES]";
@@ -190,34 +188,11 @@ fn parse_build_opts(args: &[String]) -> Result<BuildOpts, String> {
             other => return Err(format!("unexpected argument '{other}'")),
         }
     }
-    // Legacy positional algorithms map onto order strategies.
-    let legacy = |algo: &str| -> Result<String, String> {
-        match algo {
-            "pll" => Ok("degree".into()),
-            "pll-random" => Ok("random".into()),
-            "pll-betweenness" => Ok("betweenness".into()),
-            other => Err(format!("unknown algorithm '{other}'")),
-        }
+    let (graph_path, store_path) = match (&gen, positionals.as_slice()) {
+        (Some(_), [s]) => (None, s.clone()),
+        (None, [g, s]) => (Some(g.clone()), s.clone()),
+        _ => return Err(BUILD_USAGE.into()),
     };
-    let (graph_path, store_path, legacy_order) = if gen.is_some() {
-        match positionals.as_slice() {
-            [s] => (None, s.clone(), None),
-            _ => return Err(BUILD_USAGE.into()),
-        }
-    } else {
-        match positionals.as_slice() {
-            [g, s] => (Some(g.clone()), s.clone(), None),
-            [g, s, a] => (Some(g.clone()), s.clone(), Some(legacy(a)?)),
-            _ => return Err(BUILD_USAGE.into()),
-        }
-    };
-    if let (Some(o), Some(l)) = (&order, &legacy_order) {
-        if *o != *l {
-            return Err(format!(
-                "--order {o} conflicts with legacy algo (implies {l})"
-            ));
-        }
-    }
     if threads == 0 {
         return Err("--threads must be positive".into());
     }
@@ -229,7 +204,7 @@ fn parse_build_opts(args: &[String]) -> Result<BuildOpts, String> {
         edges,
         seed,
         threads,
-        order: order.or(legacy_order).unwrap_or_else(|| "degree".into()),
+        order: order.unwrap_or_else(|| "degree".into()),
         verify_sources,
     })
 }
@@ -260,7 +235,7 @@ fn generate_graph(name: &str, nodes: usize, edges: usize, seed: u64) -> Result<G
             let m = if edges > 0 { edges } else { nodes * 8 };
             Ok(generators::rmat(scale, m, seed))
         }
-        "power-law" | "powerlaw" => Ok(generators::power_law_configuration(nodes, 25, seed)),
+        "power-law" => Ok(generators::power_law_configuration(nodes, 25, seed)),
         "grid" => {
             let side = (nodes as f64).sqrt().ceil() as usize;
             let shortcuts = if edges > 0 { edges } else { nodes / 50 };
@@ -571,12 +546,9 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     let ([in_path, out_path], Some(to)) = (positionals.as_slice(), to) else {
         return Err(CONVERT_USAGE.into());
     };
-    let target = match to {
-        "v1" | "1" => "v1",
-        "v2" | "2" => "v2",
-        "v2c" | "2c" => "v2c",
-        other => return Err(format!("--to must be v1, v2 or v2c, not '{other}'")),
-    };
+    if !matches!(to, "v1" | "v2" | "v2c") {
+        return Err(format!("--to must be v1, v2 or v2c, not '{to}'"));
+    }
     match reorder {
         None => {}
         Some("freq") if verify_roundtrip => {
@@ -606,10 +578,10 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
             flat.num_entries()
         );
     }
-    let out_bytes = encode_as(&flat, target)?;
+    let out_bytes = encode_as(&flat, to)?;
     std::fs::write(out_path, &out_bytes).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     println!(
-        "converted {in_path} ({source}, {} bytes) -> {out_path} ({target}, {} bytes, {:.2}x)",
+        "converted {in_path} ({source}, {} bytes) -> {out_path} ({to}, {} bytes, {:.2}x)",
         in_bytes.len(),
         out_bytes.len(),
         out_bytes.len() as f64 / in_bytes.len().max(1) as f64
@@ -626,14 +598,14 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
         let again = encode_as(&back, source)?;
         if again != in_bytes {
             return Err(format!(
-                "roundtrip FAILED: {target} -> {source} re-encoding differs from the input \
+                "roundtrip FAILED: {to} -> {source} re-encoding differs from the input \
                  ({} vs {} bytes)",
                 again.len(),
                 in_bytes.len()
             ));
         }
         println!(
-            "roundtrip verified: {source} -> {target} -> {source} is byte-identical \
+            "roundtrip verified: {source} -> {to} -> {source} is byte-identical \
              ({} bytes)",
             in_bytes.len()
         );

@@ -704,9 +704,11 @@ fn parse_frames(inner: &Inner, c: &mut Conn) {
                 accept_frame(inner, c, &payload);
             }
         }
-        if c.read_closed {
+        if c.close_after_flush {
             // Broken framing, or a handshake failure mid-buffer: discard
-            // the rest.
+            // the rest. A plain peer EOF sets only `read_closed`, and the
+            // frames the peer sent before half-closing are still owed
+            // their answers.
             c.rbuf.clear();
             c.frame_started = None;
             return;
@@ -967,5 +969,35 @@ fn handle_reload(inner: &Inner, path: &str) -> Response {
                 message,
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A buffer-filling read followed by `Ok(0)` reaches `parse_frames`
+    /// with `read_closed` already set: every complete frame in the buffer
+    /// was sent before the half-close and must still be parsed.
+    #[test]
+    fn parse_frames_keeps_what_the_peer_sent_before_half_closing() {
+        let engine = QueryEngine::new(hl_core::HubLabeling::empty(1), 1).expect("engine");
+        let server = NetServer::bind(Arc::new(engine), "127.0.0.1:0", ServerConfig::default())
+            .expect("bind");
+        let _peer = TcpStream::connect(server.local_addr()).expect("connect");
+        let (stream, _) = server.listener.accept().expect("accept");
+        let mut c = Conn::new(stream);
+        c.state = ConnState::Serving(PROTOCOL_VERSION);
+        let ping = frame(None, &Request::Ping.encode());
+        for _ in 0..3 {
+            c.rbuf.extend_from_slice(&ping);
+        }
+        c.rbuf.extend_from_slice(&ping[..2]);
+        c.read_closed = true;
+
+        parse_frames(&server.inner, &mut c);
+
+        assert_eq!(c.pending.len(), 3);
+        assert_eq!(c.rbuf, &ping[..2]);
     }
 }

@@ -348,3 +348,26 @@ fn usage_errors_exit_2() {
         );
     }
 }
+
+/// Input forms `build` and `convert` no longer take are argument errors
+/// like any other: exit 1 (a subcommand's own argument errors have never
+/// been the unknown-subcommand exit 2) with the reason on stderr.
+#[test]
+fn removed_input_forms_are_argument_errors() {
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["build", "g.txt", "s.hlbs", "pll"],
+            "usage: hubserve build",
+        ),
+        (
+            &["convert", "a", "b", "--to", "2"],
+            "--to must be v1, v2 or v2c, not '2'",
+        ),
+    ];
+    for (args, reason) in cases {
+        let out = hubserve().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(reason), "{args:?}: {stderr}");
+    }
+}

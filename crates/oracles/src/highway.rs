@@ -64,9 +64,13 @@ pub fn estimate_at_scale(g: &Graph, r: Distance) -> ScaleEstimate {
                 }
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "callers pass n >= 1, so 0..n is nonempty"
+        )]
         let best = (0..n)
             .max_by_key(|&v| count[v as usize])
-            .expect("nonempty graph"); // lint:allow(no-panic): callers pass n >= 1, so 0..n is nonempty
+            .expect("nonempty graph");
         debug_assert!(count[best as usize] > 0);
         hitting.push(best);
         for (i, p) in paths.iter().enumerate() {

@@ -54,7 +54,11 @@ impl RsGraph {
             for &a in difference_set {
                 let y = (x + a) as NodeId;
                 let z = (offset + x + 2 * a) as NodeId;
-                builder.add_unit_edge(y, z).expect("rs vertices in range"); // lint:allow(no-panic): y < left_size and z < left_size + right_size by the difference-set bounds
+                #[expect(
+                    clippy::expect_used,
+                    reason = "y < left_size and z < left_size + right_size by the difference-set bounds"
+                )]
+                builder.add_unit_edge(y, z).expect("rs vertices in range");
                 m.push((y, z));
             }
             if !m.is_empty() {

@@ -156,7 +156,11 @@ fn drop_incident_edges(g: &Graph, flagged: &[bool]) -> Graph {
     let mut b = GraphBuilder::with_capacity(g.num_nodes(), g.num_edges());
     for (u, v, w) in g.edges() {
         if !flagged[u as usize] && !flagged[v as usize] {
-            b.add_edge(u, v, w).expect("edges in range"); // lint:allow(no-panic): endpoints come from a graph with the same node count
+            #[expect(
+                clippy::expect_used,
+                reason = "endpoints come from a graph with the same node count"
+            )]
+            b.add_edge(u, v, w).expect("edges in range");
         }
     }
     b.build()

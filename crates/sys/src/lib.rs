@@ -1,4 +1,4 @@
-#![deny(unsafe_code)] // lint:allow(no-unsafe-attr): FFI shim; unsafe confined to the ffi module
+#![deny(unsafe_code)]
 //! A thin `poll(2)` shim, the only foreign call in the workspace.
 //!
 //! The event-driven `hl-net` server needs readiness notification over

@@ -5,26 +5,78 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Scratch space for the lint self-test and the serving smokes; any daemon
+# a failed smoke leaves behind goes with it.
+SMOKE=$(mktemp -d)
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$SMOKE"' EXIT
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
 echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== hublint (token + semantic rules, gated against the committed baseline) =="
-# The baseline is committed empty; --diff makes any new finding — a fresh
-# narrowing cast, a swallowed Result, a lock-order cycle, an unchecked
-# allocation — fail the gate even if someone pads the baseline later.
-cargo run -q --release -p hl-lint -- --baseline hublint-baseline.json --diff
+echo "== library invariants (stock lints, library targets only) =="
+# The one place these are listed: library code never panics on purpose,
+# never prints, never exits the process and never reaches for `unsafe`
+# (bins, tests, benches and examples may). A justified exception is an
+# `#[expect(<lint>, reason = "...")]` at its site; one that stops firing
+# fails the all-targets run above as an unfulfilled expectation.
+LIB_LINTS=(-D unsafe_code
+  -D clippy::unwrap_used -D clippy::expect_used
+  -D clippy::panic -D clippy::todo -D clippy::unimplemented
+  -D clippy::print_stdout -D clippy::print_stderr -D clippy::dbg_macro
+  -D clippy::exit)
+cargo clippy --workspace --lib -- "${LIB_LINTS[@]}"
+
+echo "== library invariants self-test (the same list rejects a violating crate) =="
+mkdir -p "$SMOKE/lintcheck/src"
+printf '[workspace]\n[package]\nname = "lintcheck"\nversion = "0.0.0"\nedition = "2021"\n' \
+  > "$SMOKE/lintcheck/Cargo.toml"
+cat > "$SMOKE/lintcheck/src/lib.rs" <<'RS'
+pub fn panics(x: Option<u32>) -> u32 {
+    x.unwrap()
+}
+pub fn prints() {
+    println!("hello");
+}
+pub fn exits() {
+    std::process::exit(2);
+}
+pub fn unsafe_block() {
+    unsafe {}
+}
+RS
+if CARGO_TARGET_DIR="$SMOKE/lintcheck/target" cargo clippy --offline \
+  --manifest-path "$SMOKE/lintcheck/Cargo.toml" --lib -- "${LIB_LINTS[@]}" \
+  2> "$SMOKE/lintcheck.err"; then
+  echo "check: FAIL — the library lint list accepted unwrap/println/exit/unsafe" >&2
+  exit 1
+fi
+for lint in unsafe-code clippy::unwrap-used clippy::print-stdout clippy::exit; do
+  if ! grep -qF -- "\`-D $lint\`" "$SMOKE/lintcheck.err"; then
+    echo "check: FAIL — the library lint list did not report $lint" >&2
+    exit 1
+  fi
+done
+
+echo "== hublint (the four decode-path dataflow rules) =="
+cargo run -q --release -p hl-lint
 
 echo "== cargo doc (no-deps, warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "== tier-1 build =="
+echo "== tier-1 build (locked, offline: path dependencies only) =="
+# A registry or git dependency shows up as a `source =` line in the lock
+# file, and one not yet locked fails `--locked --offline`.
+if grep -n '^source = ' Cargo.lock benchmark/Cargo.lock; then
+  echo "check: FAIL — the workspace builds from path dependencies only" >&2
+  exit 1
+fi
 # --workspace so every member's binaries land in target/release (the
 # root package alone builds members as libs only, skipping e.g. the
 # hl-shard and hlnp-fuzz bins the smokes below invoke).
-cargo build --release --workspace
+cargo build --release --workspace --locked --offline
 
 # The workspace suite is a strict superset of the root package's suite
 # (root targets are workspace members), so one invocation covers tier-1.
@@ -41,8 +93,6 @@ echo "== parallel-build smoke (~100k vertices, bounded) =="
 # Exercises the hl-build batch/commit pipeline at a size the unit tests
 # don't reach: a ~131k-vertex RMAT graph, 2 worker threads, degree
 # order, flowing into the binary store and back out through stats.
-SMOKE=$(mktemp -d)
-trap 'rm -rf "$SMOKE"' EXIT
 timeout 600 ./target/release/hubserve build "$SMOKE/parallel.hlbs" \
   --gen rmat --nodes 100000 --edges 400000 --seed 9 --threads 2 \
   --order degree
@@ -52,45 +102,56 @@ grep -q 'arena entries' "$SMOKE/stats.txt"
 echo "== store format round-trip (v1 -> v2 -> v1, byte-identical) =="
 # γ-coding is canonical and v2 is a verbatim arena dump, so converting
 # there and back must reproduce the original file exactly — the property
-# that makes `hubserve convert` safe to run on archival stores.
-timeout 120 ./target/release/hubserve build "$SMOKE/rt-v1.hlbs" \
-  --gen gnm --nodes 2000 --edges 6000 --seed 3
-timeout 120 ./target/release/hubserve convert "$SMOKE/rt-v1.hlbs" "$SMOKE/rt-v2.hlbs" \
-  --to v2 --verify-roundtrip
-timeout 120 ./target/release/hubserve convert "$SMOKE/rt-v2.hlbs" "$SMOKE/rt-back.hlbs" \
-  --to v1 --verify-roundtrip
-cmp "$SMOKE/rt-v1.hlbs" "$SMOKE/rt-back.hlbs"
+# that makes `hubserve convert` safe to run on archival stores. Two graph
+# shapes: the gnm store also feeds the 2-shard and v2c smokes below, the
+# grid store the 3-shard one.
+roundtrip() { # roundtrip <name> <hubserve build --gen arguments...>
+  local name=$1
+  shift
+  timeout 120 ./target/release/hubserve build "$SMOKE/$name-v1.hlbs" --gen "$@"
+  timeout 120 ./target/release/hubserve convert "$SMOKE/$name-v1.hlbs" "$SMOKE/$name-v2.hlbs" \
+    --to v2 --verify-roundtrip
+  timeout 120 ./target/release/hubserve convert "$SMOKE/$name-v2.hlbs" "$SMOKE/$name-back.hlbs" \
+    --to v1 --verify-roundtrip
+  cmp "$SMOKE/$name-v1.hlbs" "$SMOKE/$name-back.hlbs"
+}
+roundtrip rt gnm --nodes 2000 --edges 6000 --seed 3
+roundtrip grid grid --nodes 2500 --seed 13
 ./target/release/hubserve stats "$SMOKE/rt-v2.hlbs" > "$SMOKE/rt-stats.txt"
 grep -Eq 'format version +2' "$SMOKE/rt-stats.txt"
 grep -q 'section offsets' "$SMOKE/rt-stats.txt"
 
-echo "== sharded serving smoke (2 shards, routed == unsharded) =="
-# Partition the round-trip store, serve each shard from its own daemon,
-# and check the router's answers byte-for-byte against the unsharded
-# query path — including cross-shard pairs (0 % 2 != 1 % 2).
-timeout 120 ./target/release/hl-shard partition "$SMOKE/rt-v2.hlbs" "$SMOKE/shards" --shards 2
-printf '0 1\n0 2\n1 3\n5 1999\n' > "$SMOKE/shard-pairs.txt"
-timeout 120 ./target/release/hubserve query "$SMOKE/rt-v2.hlbs" "$SMOKE/shard-pairs.txt" \
-  > "$SMOKE/unsharded.txt"
-./target/release/hubserve serve "$SMOKE/shards/shard-0.hlbs" --addr 127.0.0.1:0 \
-  > "$SMOKE/shard0.log" 2>&1 &
-SHARD0_PID=$!
-./target/release/hubserve serve "$SMOKE/shards/shard-1.hlbs" --addr 127.0.0.1:0 \
-  > "$SMOKE/shard1.log" 2>&1 &
-SHARD1_PID=$!
-for log in "$SMOKE/shard0.log" "$SMOKE/shard1.log"; do
-  for _ in $(seq 1 100); do
-    grep -q '^listening on ' "$log" && break
-    sleep 0.1
+echo "== sharded serving smoke (2 and 3 shards, routed == unsharded) =="
+# Partition a round-trip store, serve each shard from its own daemon, and
+# check the router's answers byte-for-byte against the unsharded query
+# path — including cross-shard pairs (0 and 1 differ mod 2 and mod 3).
+printf '0 1\n0 2\n1 3\n5 1999\n17 1003\n' > "$SMOKE/shard-pairs.txt"
+for K in 2 3; do
+  if [ "$K" -eq 2 ]; then store=rt; else store=grid; fi
+  timeout 120 ./target/release/hl-shard partition "$SMOKE/$store-v2.hlbs" "$SMOKE/shards-$K" \
+    --shards "$K"
+  timeout 120 ./target/release/hubserve query "$SMOKE/$store-v2.hlbs" "$SMOKE/shard-pairs.txt" \
+    > "$SMOKE/unsharded-$K.txt"
+  pids=()
+  shards=()
+  for ((i = 0; i < K; i++)); do
+    ./target/release/hubserve serve "$SMOKE/shards-$K/shard-$i.hlbs" --addr 127.0.0.1:0 \
+      > "$SMOKE/shard-$K-$i.log" 2>&1 &
+    pids+=("$!")
   done
+  for ((i = 0; i < K; i++)); do
+    for _ in $(seq 1 100); do
+      grep -q '^listening on ' "$SMOKE/shard-$K-$i.log" && break
+      sleep 0.1
+    done
+    shards+=(--shard "$(sed -n 's/^listening on //p' "$SMOKE/shard-$K-$i.log" | head -n 1)")
+  done
+  timeout 120 ./target/release/hl-shard query "${shards[@]}" "$SMOKE/shard-pairs.txt" \
+    > "$SMOKE/routed-$K.txt"
+  kill "${pids[@]}"
+  wait "${pids[@]}" 2>/dev/null || true
+  diff -u "$SMOKE/unsharded-$K.txt" "$SMOKE/routed-$K.txt"
 done
-ADDR0=$(sed -n 's/^listening on //p' "$SMOKE/shard0.log" | head -n 1)
-ADDR1=$(sed -n 's/^listening on //p' "$SMOKE/shard1.log" | head -n 1)
-timeout 120 ./target/release/hl-shard query --shard "$ADDR0" --shard "$ADDR1" \
-  "$SMOKE/shard-pairs.txt" > "$SMOKE/routed.txt"
-kill "$SHARD0_PID" "$SHARD1_PID"
-wait "$SHARD0_PID" "$SHARD1_PID" 2>/dev/null || true
-diff -u "$SMOKE/unsharded.txt" "$SMOKE/routed.txt"
 
 echo "== compact arena smoke (v2c flavor, flat == compact answers) =="
 # The v2c flavor delta-codes hub ids and narrows the distance lanes;
@@ -104,7 +165,7 @@ grep -q 'flavor v2c' "$SMOKE/v2c-stats.txt"
 grep -q 'arena kind         compact' "$SMOKE/v2c-stats.txt"
 timeout 120 ./target/release/hubserve query "$SMOKE/rt-v2c.hlbs" "$SMOKE/shard-pairs.txt" \
   > "$SMOKE/v2c-answers.txt"
-diff -u "$SMOKE/unsharded.txt" "$SMOKE/v2c-answers.txt"
+diff -u "$SMOKE/unsharded-2.txt" "$SMOKE/v2c-answers.txt"
 awk 'BEGIN { srand(7); for (i = 0; i < 2000; i++) print int(rand() * 2000), int(rand() * 2000) }' \
   > "$SMOKE/seeded-pairs.txt"
 timeout 120 ./target/release/hubserve query "$SMOKE/rt-v2.hlbs" "$SMOKE/seeded-pairs.txt" \

@@ -27,10 +27,10 @@ SEED=${SEED:-1}
 SAMPLE=${SAMPLE:-8}   # diff all pairs over the first SAMPLE vertices
 
 echo "== kick-tires: building binaries =="
-cargo build --release -p hl-bench -p hl-net -p hl-shard -p hl-lint >/dev/null
+cargo build --release -p hl-bench -p hl-net -p hl-shard >/dev/null
 
 echo "== hublint: workspace must lint clean =="
-target/release/hublint
+cargo run -q --release -p hl-lint
 
 HUBTOOL=target/release/hubtool
 HUBSERVE=target/release/hubserve
