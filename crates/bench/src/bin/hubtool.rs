@@ -12,6 +12,9 @@
 //!
 //! Algorithms: `pll` (default), `pll-random`, `pll-betweenness`, `psl`,
 //! `greedy`, `rs`, `random-threshold`, `centroid`, `separator`.
+//!
+//! Exit codes: 0 success, 1 runtime failure, 2 usage — a subcommand's own
+//! argument errors as much as an unknown subcommand.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -35,18 +38,33 @@ fn main() -> ExitCode {
         Some("verify") => cmd_verify(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
-        _ => {
-            eprintln!("usage: hubtool gen|build|verify|stats|query ... (see --help in the docs)");
-            return ExitCode::from(2);
-        }
+        _ => usage("usage: hubtool gen|build|verify|stats|query ... (see --help in the docs)"),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("hubtool: {msg}");
-            ExitCode::FAILURE
-        }
+    let (message, code) = match result {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(CliError::Usage(message)) => (message, 2),
+        Err(CliError::Runtime(message)) => (message, 1),
+    };
+    eprintln!("hubtool: {message}");
+    ExitCode::from(code)
+}
+
+/// The exit-code rule of `hl_net::cli`, mirrored by hand (hl-bench does not
+/// depend on hl-net): wrong arguments exit 2, failed work exits 1, and a
+/// `String` error from the work converts to the latter under `?`.
+enum CliError {
+    Usage(String),
+    Runtime(String),
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Runtime(message)
     }
+}
+
+fn usage<T>(message: impl Into<String>) -> Result<T, CliError> {
+    Err(CliError::Usage(message.into()))
 }
 
 fn load_graph(path: &str) -> Result<Graph, String> {
@@ -59,23 +77,19 @@ fn load_labels(path: &str) -> Result<HubLabeling, String> {
     hl_core::io::read_labeling(BufReader::new(file)).map_err(|e| e.to_string())
 }
 
-fn cmd_gen(args: &[String]) -> Result<(), String> {
+fn cmd_gen(args: &[String]) -> Result<(), CliError> {
     let [family, n, seed, out] = args else {
-        return Err("usage: hubtool gen <family> <n> <seed> <graph-file>".into());
+        return usage("usage: hubtool gen <family> <n> <seed> <graph-file>");
     };
-    let n: usize = n.parse().map_err(|_| "n must be an integer".to_string())?;
-    let seed: u64 = seed
-        .parse()
-        .map_err(|_| "seed must be an integer".to_string())?;
-    let fam = Family::all()
-        .into_iter()
-        .find(|f| f.name() == family)
-        .ok_or_else(|| {
-            format!(
-                "unknown family '{family}'; choose from: {}",
-                Family::all().map(|f| f.name()).join(", ")
-            )
-        })?;
+    let (Ok(n), Ok(seed)) = (n.parse::<usize>(), seed.parse::<u64>()) else {
+        return usage("n and seed must be integers");
+    };
+    let Some(fam) = Family::all().into_iter().find(|f| f.name() == family) else {
+        return usage(format!(
+            "unknown family '{family}'; choose from: {}",
+            Family::all().map(|f| f.name()).join(", ")
+        ));
+    };
     let g = family_graph(fam, n, seed);
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     hl_graph::io::write_edge_list(&g, BufWriter::new(file)).map_err(|e| e.to_string())?;
@@ -88,11 +102,11 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_build(args: &[String]) -> Result<(), String> {
+fn cmd_build(args: &[String]) -> Result<(), CliError> {
     let (graph_path, labels_path, algo) = match args {
         [g, l] => (g, l, "pll"),
         [g, l, a] => (g, l, a.as_str()),
-        _ => return Err("usage: hubtool build <graph-file> <labels-file> [algo]".into()),
+        _ => return usage("usage: hubtool build <graph-file> <labels-file> [algo]"),
     };
     let g = load_graph(graph_path)?;
     let labeling = match algo {
@@ -116,7 +130,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
                 .0
         }
         "centroid" => centroid_labeling(&g).map_err(|e| e.to_string())?,
-        other => return Err(format!("unknown algorithm '{other}'")),
+        other => return usage(format!("unknown algorithm '{other}'")),
     };
     let file =
         File::create(labels_path).map_err(|e| format!("cannot create {labels_path}: {e}"))?;
@@ -125,18 +139,18 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_verify(args: &[String]) -> Result<(), String> {
+fn cmd_verify(args: &[String]) -> Result<(), CliError> {
     let [graph_path, labels_path] = args else {
-        return Err("usage: hubtool verify <graph-file> <labels-file>".into());
+        return usage("usage: hubtool verify <graph-file> <labels-file>");
     };
     let g = load_graph(graph_path)?;
     let labeling = load_labels(labels_path)?;
     if labeling.num_nodes() != g.num_nodes() {
-        return Err(format!(
+        return Err(CliError::Runtime(format!(
             "labeling covers {} vertices but graph has {}",
             labeling.num_nodes(),
             g.num_nodes()
-        ));
+        )));
     }
     let report = verify_exact(&g, &labeling).map_err(|e| e.to_string())?;
     println!(
@@ -155,13 +169,13 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     if report.is_exact() {
         Ok(())
     } else {
-        Err("labeling is not an exact cover".into())
+        Err(CliError::Runtime("labeling is not an exact cover".into()))
     }
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), String> {
+fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     let [labels_path] = args else {
-        return Err("usage: hubtool stats <labels-file>".into());
+        return usage("usage: hubtool stats <labels-file>");
     };
     let labeling = load_labels(labels_path)?;
     println!("{}", LabelingStats::of(&labeling));
@@ -173,16 +187,17 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_query(args: &[String]) -> Result<(), String> {
+fn cmd_query(args: &[String]) -> Result<(), CliError> {
     let [labels_path, u, v] = args else {
-        return Err("usage: hubtool query <labels-file> <u> <v>".into());
+        return usage("usage: hubtool query <labels-file> <u> <v>");
+    };
+    let (Ok(u), Ok(v)) = (u.parse::<u32>(), v.parse::<u32>()) else {
+        return usage("u and v must be vertex ids");
     };
     let labeling = load_labels(labels_path)?;
-    let u: u32 = u.parse().map_err(|_| "u must be a vertex id".to_string())?;
-    let v: u32 = v.parse().map_err(|_| "v must be a vertex id".to_string())?;
     let n = labeling.num_nodes() as u32;
     if u >= n || v >= n {
-        return Err(format!("vertex out of range (labeling covers 0..{n})"));
+        return usage(format!("vertex out of range (labeling covers 0..{n})"));
     }
     let d = labeling.query(u, v);
     if d == hl_graph::INFINITY {

@@ -1,4 +1,4 @@
-//! Shared infrastructure for the benchmark harness and the `experiments`
+//! Shared infrastructure for `hubtool` and the `experiments`
 //! table generator: plain-text table rendering and the graph-family zoo
 //! used across experiments.
 
@@ -7,7 +7,6 @@
 
 pub mod families;
 pub mod table;
-pub mod timing;
 
 pub use families::{family_graph, Family};
 pub use table::Table;

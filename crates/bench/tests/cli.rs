@@ -112,19 +112,19 @@ fn verify_rejects_mismatched_labels() {
 }
 
 #[test]
-fn bad_usage_exits_nonzero() {
+fn bad_usage_exits_2_and_failed_work_exits_1() {
     let out = hubtool().output().expect("spawn hubtool");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     let out = hubtool()
         .args(["gen", "nosuchfamily", "10", "1", "/tmp/x"])
         .output()
         .unwrap();
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     let out = hubtool()
         .args(["query", "/nonexistent/file", "0", "1"])
         .output()
         .unwrap();
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(1));
 }
 
 #[test]

@@ -25,10 +25,9 @@ use crate::tokenizer::{Tok, TokKind};
 pub enum FileContext {
     /// Library source: the rules apply.
     Lib,
-    /// Binary source (`src/bin/`, `src/main.rs`): exempt.
-    Bin,
-    /// Tests, benches, examples, `#[cfg(test)]` module files: exempt.
-    Test,
+    /// Everything else — binaries (`src/bin/`, `src/main.rs`), tests,
+    /// benches, examples, stray top-level files: exempt.
+    NonLib,
 }
 
 /// One finding, before waiver resolution.

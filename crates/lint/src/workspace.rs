@@ -191,15 +191,11 @@ pub fn classify(rel_in_crate: &Path) -> FileContext {
     let mut components = rel_in_crate.components().map(|c| c.as_os_str());
     let first = components.next().map(|c| c.to_string_lossy().to_string());
     let second = components.next().map(|c| c.to_string_lossy().to_string());
-    match first.as_deref() {
-        Some("tests") | Some("benches") | Some("examples") => FileContext::Test,
-        Some("src") => match second.as_deref() {
-            Some("bin") => FileContext::Bin,
-            Some("main.rs") => FileContext::Bin,
-            _ => FileContext::Lib,
-        },
-        // build.rs and other stray top-level files: treat like bin code.
-        _ => FileContext::Bin,
+    match (first.as_deref(), second.as_deref()) {
+        (Some("src"), Some("bin" | "main.rs")) => FileContext::NonLib,
+        (Some("src"), _) => FileContext::Lib,
+        // tests/, benches/, examples/, build.rs and other stray files.
+        _ => FileContext::NonLib,
     }
 }
 
@@ -226,14 +222,17 @@ mod tests {
     fn classification() {
         assert_eq!(classify(Path::new("src/lib.rs")), FileContext::Lib);
         assert_eq!(classify(Path::new("src/store.rs")), FileContext::Lib);
-        assert_eq!(classify(Path::new("src/bin/hubserve.rs")), FileContext::Bin);
-        assert_eq!(classify(Path::new("src/main.rs")), FileContext::Bin);
-        assert_eq!(classify(Path::new("tests/cli.rs")), FileContext::Test);
-        assert_eq!(classify(Path::new("benches/b.rs")), FileContext::Test);
-        assert_eq!(classify(Path::new("examples/e.rs")), FileContext::Test);
+        assert_eq!(
+            classify(Path::new("src/bin/hubserve.rs")),
+            FileContext::NonLib
+        );
+        assert_eq!(classify(Path::new("src/main.rs")), FileContext::NonLib);
+        assert_eq!(classify(Path::new("tests/cli.rs")), FileContext::NonLib);
+        assert_eq!(classify(Path::new("benches/b.rs")), FileContext::NonLib);
+        assert_eq!(classify(Path::new("examples/e.rs")), FileContext::NonLib);
         assert_eq!(
             classify(Path::new("tests/fixtures/bad/src/lib.rs")),
-            FileContext::Test
+            FileContext::NonLib
         );
     }
 

@@ -55,10 +55,11 @@
 //! How fast any of this is, end to end and per layer, is measured by one
 //! thing only: `benchmark/` (see `benchmark/README.md`).
 //!
-//! Exit codes: 0 success, 1 runtime failure (bad store, i/o), 2 usage.
+//! Exit codes: 0 success, 1 runtime failure (bad store, i/o), 2 usage —
+//! a subcommand's own argument errors as much as an unknown subcommand.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -70,7 +71,7 @@ use hl_core::order::{
 use hl_core::{freq, CompactLabeling, VertexOrder};
 use hl_graph::rng::Xorshift64;
 use hl_graph::{generators, Graph, NodeId};
-use hl_net::cli::{parse_pair, print_answer, Flags};
+use hl_net::cli::{answer_pairs, exit_code, CliError, Flags};
 use hl_net::{ClientConfig, NetClient, NetServer, ServerConfig};
 use hl_server::{AnyStore, CompactStore, FlatStore, LabelStore, QueryEngine, ServedLabeling};
 
@@ -84,8 +85,9 @@ fn main() -> ExitCode {
         Some("convert") => cmd_convert(&args[1..]),
         Some("reload") => cmd_reload(&args[1..]),
         _ => {
-            eprintln!("usage: hubserve build|query|stats|serve|convert|reload ...");
-            for usage in [
+            let mut usage =
+                "usage: hubserve build|query|stats|serve|convert|reload ...".to_string();
+            for sub in [
                 BUILD_USAGE,
                 QUERY_USAGE,
                 STATS_USAGE,
@@ -93,18 +95,13 @@ fn main() -> ExitCode {
                 CONVERT_USAGE,
                 RELOAD_USAGE,
             ] {
-                eprintln!("  {}", usage.trim_start_matches("usage: hubserve "));
+                usage.push_str("\n  ");
+                usage.push_str(sub.trim_start_matches("usage: hubserve "));
             }
-            return ExitCode::from(2);
+            CliError::usage(usage)
         }
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("hubserve: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    exit_code("hubserve", result)
 }
 
 fn default_workers() -> usize {
@@ -255,17 +252,19 @@ fn generate_graph(name: &str, nodes: usize, edges: usize, seed: u64) -> Result<G
     }
 }
 
-fn cmd_build(args: &[String]) -> Result<(), String> {
-    let opts = parse_build_opts(args)?;
+fn cmd_build(args: &[String]) -> Result<(), CliError> {
+    let opts = parse_build_opts(args).map_err(CliError::Usage)?;
+    let strategy = order_strategy(&opts.order, opts.seed).map_err(CliError::Usage)?;
     let g = match (&opts.gen, &opts.graph_path) {
-        (Some(name), _) => generate_graph(name, opts.nodes, opts.edges, opts.seed)?,
+        (Some(name), _) => {
+            generate_graph(name, opts.nodes, opts.edges, opts.seed).map_err(CliError::Usage)?
+        }
         (None, Some(path)) => {
             let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
             hl_graph::io::read_edge_list(BufReader::new(file)).map_err(|e| e.to_string())?
         }
-        (None, None) => return Err(BUILD_USAGE.into()),
+        (None, None) => return CliError::usage(BUILD_USAGE),
     };
-    let strategy = order_strategy(&opts.order, opts.seed)?;
     let started = Instant::now();
     let out = hl_build::build_with_strategy(
         &g,
@@ -307,11 +306,11 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
                 let v = rng.gen_index(n) as NodeId;
                 let got = flat.query(s, v);
                 if got != truth[v as usize] {
-                    return Err(format!(
+                    return Err(CliError::Runtime(format!(
                         "verify FAILED: store answers d({s},{v}) = {got}, \
                          ground truth says {}",
                         truth[v as usize]
-                    ));
+                    )));
                 }
                 verified_pairs += 1;
             }
@@ -327,56 +326,33 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
 
 const QUERY_USAGE: &str = "usage: hubserve query <store-file> [pairs-file]";
 
-fn cmd_query(args: &[String]) -> Result<(), String> {
+fn cmd_query(args: &[String]) -> Result<(), CliError> {
     let (store_path, pairs_path) = match args {
         [s] => (s, None),
-        [s, p] => (s, Some(p)),
-        _ => return Err(QUERY_USAGE.into()),
+        [s, p] => (s, Some(p.as_str())),
+        _ => return CliError::usage(QUERY_USAGE),
     };
     let (served, ..) = open_any_served(store_path)?;
     let n = served.num_nodes() as u64;
-    let engine = QueryEngine::new(served, default_workers())
+    let mut engine = QueryEngine::new(served, default_workers())
         .map_err(|e| format!("cannot start engine: {e}"))?;
-    let stdout = std::io::stdout();
-    let mut out = BufWriter::new(stdout.lock());
-
-    match pairs_path {
-        Some(path) => {
-            // Batch mode: load all pairs, answer them as one batch.
-            let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-            let mut pairs = Vec::new();
-            for line in BufReader::new(file).lines() {
-                let line = line.map_err(|e| e.to_string())?;
-                if let Some(pair) = parse_pair(&line, n)? {
-                    pairs.push(pair);
-                }
-            }
-            let distances = engine.query_batch(&pairs).map_err(|e| e.to_string())?;
-            for (&(u, v), &d) in pairs.iter().zip(&distances) {
-                print_answer(&mut out, u, v, d)?;
-            }
-        }
-        None => {
-            // Line protocol: answer as lines arrive, through the cache.
-            let stdin = std::io::stdin();
-            for line in stdin.lock().lines() {
-                let line = line.map_err(|e| e.to_string())?;
-                if let Some((u, v)) = parse_pair(&line, n)? {
-                    let d = engine.query(u, v).map_err(|e| e.to_string())?;
-                    print_answer(&mut out, u, v, d)?;
-                }
-            }
-        }
-    }
-    out.flush().map_err(|e| e.to_string())?;
+    // A pairs file is answered as one batch; stdin lines go through the
+    // cached single-query path as they arrive.
+    answer_pairs(
+        &mut engine,
+        pairs_path,
+        n,
+        |engine, pairs| engine.query_batch(pairs),
+        |engine, u, v| engine.query(u, v),
+    )?;
     Ok(())
 }
 
 const STATS_USAGE: &str = "usage: hubserve stats <store-file>";
 
-fn cmd_stats(args: &[String]) -> Result<(), String> {
+fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     let [store_path] = args else {
-        return Err(STATS_USAGE.into());
+        return CliError::usage(STATS_USAGE);
     };
     let (served, flavor, version, file_len, sections, label_bits) = open_any_served(store_path)?;
     let n = served.num_nodes();
@@ -466,8 +442,8 @@ fn parse_serve_opts(args: &[String]) -> Result<(String, ServeOpts), String> {
     Ok((store_path, opts))
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let (store_path, opts) = parse_serve_opts(args)?;
+fn cmd_serve(args: &[String]) -> Result<(), CliError> {
+    let (store_path, opts) = parse_serve_opts(args).map_err(CliError::Usage)?;
     let (served, flavor, version, ..) = open_any_served(&store_path)?;
     let arena_kind = served.kind();
     let engine = Arc::new(
@@ -528,7 +504,7 @@ fn encode_as(flat: &hl_core::FlatLabeling, flavor: &str) -> Result<Vec<u8>, Stri
     }
 }
 
-fn cmd_convert(args: &[String]) -> Result<(), String> {
+fn cmd_convert(args: &[String]) -> Result<(), CliError> {
     let mut positionals = Vec::new();
     let mut to = None;
     let mut reorder = None;
@@ -536,30 +512,29 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     let mut flags = Flags::new(args);
     while let Some(arg) = flags.next() {
         match arg {
-            "--to" => to = Some(flags.value(arg)?),
-            "--reorder" => reorder = Some(flags.value(arg)?),
+            "--to" => to = Some(flags.value(arg).map_err(CliError::Usage)?),
+            "--reorder" => reorder = Some(flags.value(arg).map_err(CliError::Usage)?),
             "--verify-roundtrip" => verify_roundtrip = true,
-            other if !other.starts_with('-') => positionals.push(other.to_string()),
-            other => return Err(format!("unexpected argument '{other}'")),
+            other if !other.starts_with('-') => positionals.push(other),
+            other => return CliError::usage(format!("unexpected argument '{other}'")),
         }
     }
-    let ([in_path, out_path], Some(to)) = (positionals.as_slice(), to) else {
-        return Err(CONVERT_USAGE.into());
+    let (&[in_path, out_path], Some(to)) = (positionals.as_slice(), to) else {
+        return CliError::usage(CONVERT_USAGE);
     };
     if !matches!(to, "v1" | "v2" | "v2c") {
-        return Err(format!("--to must be v1, v2 or v2c, not '{to}'"));
+        return CliError::usage(format!("--to must be v1, v2 or v2c, not '{to}'"));
     }
     match reorder {
         None => {}
         Some("freq") if verify_roundtrip => {
-            return Err(
+            return CliError::usage(
                 "--reorder freq remaps hub ids, so the output cannot re-encode to the \
-                 input bytes; drop --verify-roundtrip"
-                    .into(),
+                 input bytes; drop --verify-roundtrip",
             )
         }
         Some("freq") => {}
-        Some(other) => return Err(format!("--reorder must be freq, not '{other}'")),
+        Some(other) => return CliError::usage(format!("--reorder must be freq, not '{other}'")),
     }
 
     let in_bytes = std::fs::read(in_path).map_err(|e| format!("cannot read {in_path}: {e}"))?;
@@ -597,12 +572,12 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("roundtrip: cannot re-decode output: {e}"))?;
         let again = encode_as(&back, source)?;
         if again != in_bytes {
-            return Err(format!(
+            return Err(CliError::Runtime(format!(
                 "roundtrip FAILED: {to} -> {source} re-encoding differs from the input \
                  ({} vs {} bytes)",
                 again.len(),
                 in_bytes.len()
-            ));
+            )));
         }
         println!(
             "roundtrip verified: {source} -> {to} -> {source} is byte-identical \
@@ -615,9 +590,9 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
 
 const RELOAD_USAGE: &str = "usage: hubserve reload <host:port> <server-store-path>";
 
-fn cmd_reload(args: &[String]) -> Result<(), String> {
+fn cmd_reload(args: &[String]) -> Result<(), CliError> {
     let [addr, store_path] = args else {
-        return Err(RELOAD_USAGE.into());
+        return CliError::usage(RELOAD_USAGE);
     };
     let mut client = NetClient::connect(addr.as_str(), ClientConfig::default())
         .map_err(|e| format!("cannot connect to {addr}: {e}"))?;

@@ -110,50 +110,37 @@ pub enum ErrorCode {
     Unsupported,
 }
 
+/// Wire number, variant and display name of every error code, in the
+/// variants' declaration order: `ERROR_CODES[code as usize]` is its row.
+const ERROR_CODES: [(u16, ErrorCode, &str); 8] = [
+    (1, ErrorCode::NodeOutOfRange, "node-out-of-range"),
+    (2, ErrorCode::Malformed, "malformed-frame"),
+    (3, ErrorCode::FrameTooLarge, "frame-too-large"),
+    (4, ErrorCode::VersionMismatch, "version-mismatch"),
+    (5, ErrorCode::Busy, "busy"),
+    (6, ErrorCode::ShuttingDown, "shutting-down"),
+    (7, ErrorCode::Internal, "internal"),
+    (8, ErrorCode::Unsupported, "unsupported"),
+];
+
 impl ErrorCode {
     /// Wire representation.
     pub fn as_u16(self) -> u16 {
-        match self {
-            ErrorCode::NodeOutOfRange => 1,
-            ErrorCode::Malformed => 2,
-            ErrorCode::FrameTooLarge => 3,
-            ErrorCode::VersionMismatch => 4,
-            ErrorCode::Busy => 5,
-            ErrorCode::ShuttingDown => 6,
-            ErrorCode::Internal => 7,
-            ErrorCode::Unsupported => 8,
-        }
+        ERROR_CODES[self as usize].0
     }
 
     /// Decodes a wire error code.
     pub fn from_u16(code: u16) -> Option<Self> {
-        match code {
-            1 => Some(ErrorCode::NodeOutOfRange),
-            2 => Some(ErrorCode::Malformed),
-            3 => Some(ErrorCode::FrameTooLarge),
-            4 => Some(ErrorCode::VersionMismatch),
-            5 => Some(ErrorCode::Busy),
-            6 => Some(ErrorCode::ShuttingDown),
-            7 => Some(ErrorCode::Internal),
-            8 => Some(ErrorCode::Unsupported),
-            _ => None,
-        }
+        ERROR_CODES
+            .iter()
+            .find(|row| row.0 == code)
+            .map(|row| row.1)
     }
 }
 
 impl fmt::Display for ErrorCode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            ErrorCode::NodeOutOfRange => "node-out-of-range",
-            ErrorCode::Malformed => "malformed-frame",
-            ErrorCode::FrameTooLarge => "frame-too-large",
-            ErrorCode::VersionMismatch => "version-mismatch",
-            ErrorCode::Busy => "busy",
-            ErrorCode::ShuttingDown => "shutting-down",
-            ErrorCode::Internal => "internal",
-            ErrorCode::Unsupported => "unsupported",
-        };
-        write!(f, "{name}")
+        f.write_str(ERROR_CODES[*self as usize].2)
     }
 }
 
@@ -257,17 +244,35 @@ impl<'a> Cursor<'a> {
         Cursor { buf, at: 0 }
     }
 
+    /// Opens a handshake payload: its opcode must be `op`, then the magic.
+    fn hello(payload: &'a [u8], op: u8) -> Result<Self, WireError> {
+        let mut c = Cursor::new(payload);
+        let got = c.u8()?;
+        if got != op {
+            return Err(WireError::UnknownOpcode(got));
+        }
+        let magic = c.array()?;
+        if magic != MAGIC {
+            return Err(WireError::BadMagic(magic));
+        }
+        Ok(c)
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.at.checked_add(n).ok_or(WireError::Truncated {
+        let end = self.at.checked_add(n);
+        let slice = end.and_then(|end| self.buf.get(self.at..end));
+        let slice = slice.ok_or(WireError::Truncated {
             needed: n,
-            available: self.buf.len().saturating_sub(self.at),
+            available: self.remaining(),
         })?;
-        let slice = self.buf.get(self.at..end).ok_or(WireError::Truncated {
-            needed: n,
-            available: self.buf.len().saturating_sub(self.at),
-        })?;
-        self.at = end;
+        self.at += n;
         Ok(slice)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut bytes = [0u8; N];
+        bytes.copy_from_slice(self.take(N)?);
+        Ok(bytes)
     }
 
     fn u8(&mut self) -> Result<u8, WireError> {
@@ -275,20 +280,62 @@ impl<'a> Cursor<'a> {
     }
 
     fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Reads `count: u32` then `count` elements of at least `elem_bytes`
+    /// each. The count is attacker-controlled, so this — the only place a
+    /// decoded count sizes an allocation — first holds it to `cap`
+    /// (`(limit, what, unit)`, where the protocol has one) and to the
+    /// bytes actually present: a 5-byte frame cannot demand a 1 MiB `Vec`.
+    fn list<T>(
+        &mut self,
+        elem_bytes: usize,
+        cap: Option<(u32, &str, &str)>,
+        read: impl Fn(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let count = self.u32()?;
+        if let Some((limit, what, unit)) = cap.filter(|cap| count > cap.0) {
+            return Err(WireError::Invalid(format!(
+                "{what} of {count} {unit} exceeds cap of {limit}"
+            )));
+        }
+        // Saturating: on a 32-bit target an overflowing product must read
+        // as "more than is present", not wrap to something that fits.
+        let count = usize::try_from(count).unwrap_or(usize::MAX);
+        let needed = count.saturating_mul(elem_bytes);
+        if needed > self.remaining() {
+            return Err(WireError::Truncated {
+                needed,
+                available: self.remaining(),
+            });
+        }
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(read(self)?);
+        }
+        Ok(items)
+    }
+
+    /// Reads `len: u32` then `len` bytes of UTF-8, `len` at most `cap`.
+    fn string(&mut self, cap: Option<u32>, what: &str) -> Result<String, WireError> {
+        let len = self.u32()?;
+        if let Some(cap) = cap.filter(|&cap| len > cap) {
+            return Err(WireError::Invalid(format!(
+                "{what} of {len} bytes exceeds cap of {cap}"
+            )));
+        }
+        let bytes = self.take(usize::try_from(len).unwrap_or(usize::MAX))?;
+        String::from_utf8(bytes.to_vec())
+            .map_err(|_| WireError::Invalid(format!("{what} is not UTF-8")))
     }
 
     /// Bytes left in the body.
@@ -298,12 +345,74 @@ impl<'a> Cursor<'a> {
 
     /// The body must be fully consumed: trailing bytes are an error.
     fn finish(self) -> Result<(), WireError> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes(self.buf.len() - self.at))
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(WireError::TrailingBytes(n)),
         }
     }
+}
+
+/// Writes one frame body — the opcode, then its fields, little-endian —
+/// into one allocation that [`Body::op`] sizes exactly.
+struct Body(Vec<u8>);
+
+impl Body {
+    /// Opens a body of `len` bytes after the opcode.
+    fn op(op: u8, len: usize) -> Self {
+        let mut out = Vec::with_capacity(1 + len);
+        out.push(op);
+        Body(out)
+    }
+
+    /// The finished payload; `&mut self` so it can end a chain that
+    /// started on the temporary [`Body::op`] returned.
+    fn done(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.0)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        self.0.extend_from_slice(bytes);
+        self
+    }
+
+    fn u16(&mut self, v: u16) -> &mut Self {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    fn u32(&mut self, v: u32) -> &mut Self {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    fn u64(&mut self, v: u64) -> &mut Self {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    /// A count or length beyond `u32` saturates instead of truncating;
+    /// the resulting length mismatch (and the frame-size cap) makes the
+    /// peer reject the frame rather than misread it.
+    fn count(&mut self, n: usize) -> &mut Self {
+        self.u32(u32::try_from(n).unwrap_or(u32::MAX))
+    }
+
+    /// `count: u32` then every item, as [`Cursor::list`] reads them.
+    fn list<T>(
+        &mut self,
+        items: &[T],
+        put: impl for<'b> Fn(&'b mut Self, &T) -> &'b mut Self,
+    ) -> &mut Self {
+        items.iter().fold(self.count(items.len()), put)
+    }
+}
+
+/// One label on the wire: `(hub: u32, dist: u64)` entries.
+const LABEL_ENTRY_BYTES: usize = 12;
+
+fn put_label<'a>(body: &'a mut Body, label: &[(u32, Distance)]) -> &'a mut Body {
+    body.list(label, |b, &(hub, d)| b.u32(hub).u64(d))
+}
+
+fn read_label(c: &mut Cursor<'_>) -> Result<Vec<(u32, Distance)>, WireError> {
+    c.list(LABEL_ENTRY_BYTES, None, |c| Ok((c.u32()?, c.u64()?)))
 }
 
 /// Assembles one frame in one allocation: `[len: u32][id: u64]?[body]`,
@@ -546,30 +655,18 @@ pub struct ServerHello {
 impl ServerHello {
     /// Encodes into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(17);
-        out.push(OP_SERVER_HELLO);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&self.protocol_version.to_le_bytes());
-        out.extend_from_slice(&self.store_version.to_le_bytes());
-        out.extend_from_slice(&self.num_nodes.to_le_bytes());
-        out
+        Body::op(OP_SERVER_HELLO, 16)
+            .bytes(&MAGIC)
+            .u16(self.protocol_version)
+            .u16(self.store_version)
+            .u64(self.num_nodes)
+            .done()
     }
 
     /// Decodes a frame payload; checks magic but *not* the version, so
     /// the caller can render a precise mismatch error.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cursor::new(payload);
-        let op = c.u8()?;
-        if op != OP_SERVER_HELLO {
-            return Err(WireError::UnknownOpcode(op));
-        }
-        let magic: [u8; 4] = c.take(4)?.try_into().map_err(|_| WireError::Truncated {
-            needed: 4,
-            available: 0,
-        })?;
-        if magic != MAGIC {
-            return Err(WireError::BadMagic(magic));
-        }
+        let mut c = Cursor::hello(payload, OP_SERVER_HELLO)?;
         let hello = ServerHello {
             protocol_version: c.u16()?,
             store_version: c.u16()?,
@@ -591,27 +688,15 @@ pub struct ClientHello {
 impl ClientHello {
     /// Encodes into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(7);
-        out.push(OP_CLIENT_HELLO);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&self.protocol_version.to_le_bytes());
-        out
+        Body::op(OP_CLIENT_HELLO, 6)
+            .bytes(&MAGIC)
+            .u16(self.protocol_version)
+            .done()
     }
 
     /// Decodes a frame payload, checking magic.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cursor::new(payload);
-        let op = c.u8()?;
-        if op != OP_CLIENT_HELLO {
-            return Err(WireError::UnknownOpcode(op));
-        }
-        let magic: [u8; 4] = c.take(4)?.try_into().map_err(|_| WireError::Truncated {
-            needed: 4,
-            available: 0,
-        })?;
-        if magic != MAGIC {
-            return Err(WireError::BadMagic(magic));
-        }
+        let mut c = Cursor::hello(payload, OP_CLIENT_HELLO)?;
         let hello = ClientHello {
             protocol_version: c.u16()?,
         };
@@ -661,56 +746,21 @@ impl Request {
     /// Encodes into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            Request::Ping => vec![OP_PING],
-            Request::Query { u, v } => {
-                let mut out = Vec::with_capacity(9);
-                out.push(OP_QUERY);
-                out.extend_from_slice(&u.to_le_bytes());
-                out.extend_from_slice(&v.to_le_bytes());
-                out
-            }
-            Request::QueryBatch(pairs) => {
-                let mut out = Vec::with_capacity(5 + pairs.len() * 8);
-                out.push(OP_QUERY_BATCH);
-                // A count beyond u32 saturates instead of truncating; the
-                // resulting length mismatch (and the frame-size cap) makes
-                // the peer reject the frame rather than misread it.
-                let count = u32::try_from(pairs.len()).unwrap_or(u32::MAX);
-                out.extend_from_slice(&count.to_le_bytes());
-                for &(u, v) in pairs {
-                    out.extend_from_slice(&u.to_le_bytes());
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                out
-            }
-            Request::Metrics => vec![OP_METRICS],
-            Request::Shutdown => vec![OP_SHUTDOWN],
-            Request::Reload { path } => {
-                let bytes = path.as_bytes();
-                let mut out = Vec::with_capacity(5 + bytes.len());
-                out.push(OP_RELOAD);
-                // Saturate rather than truncate; see QueryBatch above.
-                let len = u32::try_from(bytes.len()).unwrap_or(u32::MAX);
-                out.extend_from_slice(&len.to_le_bytes());
-                out.extend_from_slice(bytes);
-                out
-            }
-            Request::Label { v } => {
-                let mut out = Vec::with_capacity(5);
-                out.push(OP_LABEL);
-                out.extend_from_slice(&v.to_le_bytes());
-                out
-            }
-            Request::LabelBatch(vs) => {
-                let mut out = Vec::with_capacity(5 + vs.len() * 4);
-                out.push(OP_LABEL_BATCH);
-                let count = u32::try_from(vs.len()).unwrap_or(u32::MAX);
-                out.extend_from_slice(&count.to_le_bytes());
-                for &v in vs {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                out
-            }
+            Request::Ping => Body::op(OP_PING, 0).done(),
+            Request::Query { u, v } => Body::op(OP_QUERY, 8).u32(*u).u32(*v).done(),
+            Request::QueryBatch(pairs) => Body::op(OP_QUERY_BATCH, 4 + pairs.len() * 8)
+                .list(pairs, |b, &(u, v)| b.u32(u).u32(v))
+                .done(),
+            Request::Metrics => Body::op(OP_METRICS, 0).done(),
+            Request::Shutdown => Body::op(OP_SHUTDOWN, 0).done(),
+            Request::Reload { path } => Body::op(OP_RELOAD, 4 + path.len())
+                .count(path.len())
+                .bytes(path.as_bytes())
+                .done(),
+            Request::Label { v } => Body::op(OP_LABEL, 4).u32(*v).done(),
+            Request::LabelBatch(vs) => Body::op(OP_LABEL_BATCH, 4 + vs.len() * 4)
+                .list(vs, |b, &v| b.u32(v))
+                .done(),
         }
     }
 
@@ -724,62 +774,18 @@ impl Request {
                 v: c.u32()?,
             },
             OP_QUERY_BATCH => {
-                let count = c.u32()?;
-                if count > MAX_BATCH_LEN {
-                    return Err(WireError::Invalid(format!(
-                        "batch of {count} pairs exceeds cap of {MAX_BATCH_LEN}"
-                    )));
-                }
-                // The count is attacker-controlled: check it against the
-                // bytes actually present before reserving for it, so a
-                // 13-byte frame cannot demand a 1 MiB allocation.
-                if count as usize * 8 > c.remaining() {
-                    return Err(WireError::Truncated {
-                        needed: count as usize * 8,
-                        available: c.remaining(),
-                    });
-                }
-                let mut pairs = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    pairs.push((c.u32()?, c.u32()?));
-                }
-                Request::QueryBatch(pairs)
+                let cap = (MAX_BATCH_LEN, "batch", "pairs");
+                Request::QueryBatch(c.list(8, Some(cap), |c| Ok((c.u32()?, c.u32()?)))?)
             }
             OP_METRICS => Request::Metrics,
             OP_SHUTDOWN => Request::Shutdown,
-            OP_RELOAD => {
-                let len = c.u32()?;
-                if len > MAX_RELOAD_PATH_LEN {
-                    return Err(WireError::Invalid(format!(
-                        "reload path of {len} bytes exceeds cap of {MAX_RELOAD_PATH_LEN}"
-                    )));
-                }
-                let bytes = c.take(len as usize)?;
-                let path = String::from_utf8(bytes.to_vec())
-                    .map_err(|_| WireError::Invalid("reload path is not UTF-8".into()))?;
-                Request::Reload { path }
-            }
+            OP_RELOAD => Request::Reload {
+                path: c.string(Some(MAX_RELOAD_PATH_LEN), "reload path")?,
+            },
             OP_LABEL => Request::Label { v: c.u32()? },
             OP_LABEL_BATCH => {
-                let count = c.u32()?;
-                if count > MAX_LABEL_BATCH_LEN {
-                    return Err(WireError::Invalid(format!(
-                        "label batch of {count} vertices exceeds cap of {MAX_LABEL_BATCH_LEN}"
-                    )));
-                }
-                // Attacker-controlled count: check against the bytes that
-                // are actually present before allocating for it.
-                if count as usize * 4 > c.remaining() {
-                    return Err(WireError::Truncated {
-                        needed: count as usize * 4,
-                        available: c.remaining(),
-                    });
-                }
-                let mut vs = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    vs.push(c.u32()?);
-                }
-                Request::LabelBatch(vs)
+                let cap = (MAX_LABEL_BATCH_LEN, "label batch", "vertices");
+                Request::LabelBatch(c.list(4, Some(cap), Cursor::u32)?)
             }
             op => return Err(WireError::UnknownOpcode(op)),
         };
@@ -827,84 +833,37 @@ impl Response {
     /// Encodes into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            Response::Pong => vec![OP_PONG],
-            Response::Distance(d) => {
-                let mut out = Vec::with_capacity(9);
-                out.push(OP_DISTANCE);
-                out.extend_from_slice(&d.to_le_bytes());
-                out
-            }
-            Response::DistanceBatch(ds) => {
-                let mut out = Vec::with_capacity(5 + ds.len() * 8);
-                out.push(OP_DISTANCE_BATCH);
-                // Saturate rather than truncate; see Request::QueryBatch.
-                let count = u32::try_from(ds.len()).unwrap_or(u32::MAX);
-                out.extend_from_slice(&count.to_le_bytes());
-                for &d in ds {
-                    out.extend_from_slice(&d.to_le_bytes());
-                }
-                out
-            }
+            Response::Pong => Body::op(OP_PONG, 0).done(),
+            Response::Distance(d) => Body::op(OP_DISTANCE, 8).u64(*d).done(),
+            Response::DistanceBatch(ds) => Body::op(OP_DISTANCE_BATCH, 4 + ds.len() * 8)
+                .list(ds, |b, &d| b.u64(d))
+                .done(),
             Response::Metrics(s) => {
-                let mut out = Vec::with_capacity(1 + 14 * 8);
-                out.push(OP_METRICS_SNAPSHOT);
-                for field in [
-                    s.single_queries,
-                    s.batches,
-                    s.batch_queries,
-                    s.cache_hits,
-                    s.cache_misses,
-                    s.decode_errors,
-                    s.connections_opened,
-                    s.connections_rejected,
-                    s.net_requests,
-                    s.net_errors,
-                    s.latency_count,
-                    s.p50_ns,
-                    s.p95_ns,
-                    s.p99_ns,
-                ] {
-                    out.extend_from_slice(&field.to_le_bytes());
-                }
-                out
+                let words = s.to_words();
+                let mut body = Body::op(OP_METRICS_SNAPSHOT, words.len() * 8);
+                words.iter().fold(&mut body, |b, &word| b.u64(word)).done()
             }
-            Response::ShutdownAck => vec![OP_SHUTDOWN_ACK],
-            Response::ReloadAck { epoch, num_nodes } => {
-                let mut out = Vec::with_capacity(17);
-                out.push(OP_RELOAD_ACK);
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out.extend_from_slice(&num_nodes.to_le_bytes());
-                out
-            }
-            Response::Label(pairs) => {
-                let mut out = Vec::with_capacity(5 + pairs.len() * 12);
-                out.push(OP_LABEL_RESP);
-                encode_label_pairs(&mut out, pairs);
-                out
+            Response::ShutdownAck => Body::op(OP_SHUTDOWN_ACK, 0).done(),
+            Response::ReloadAck { epoch, num_nodes } => Body::op(OP_RELOAD_ACK, 16)
+                .u64(*epoch)
+                .u64(*num_nodes)
+                .done(),
+            Response::Label(label) => {
+                let len = 4 + label.len() * LABEL_ENTRY_BYTES;
+                put_label(&mut Body::op(OP_LABEL_RESP, len), label).done()
             }
             Response::LabelBatch(labels) => {
-                let total: usize = labels.iter().map(|l| 4 + l.len() * 12).sum();
-                let mut out = Vec::with_capacity(5 + total);
-                out.push(OP_LABEL_BATCH_RESP);
-                // Saturate rather than truncate; see QueryBatch above.
-                let count = u32::try_from(labels.len()).unwrap_or(u32::MAX);
-                out.extend_from_slice(&count.to_le_bytes());
-                for label in labels {
-                    encode_label_pairs(&mut out, label);
-                }
-                out
+                let label_len = |l: &Vec<_>| 4 + l.len() * LABEL_ENTRY_BYTES;
+                let len = 4 + labels.iter().map(label_len).sum::<usize>();
+                Body::op(OP_LABEL_BATCH_RESP, len)
+                    .list(labels, |b, label| put_label(b, label))
+                    .done()
             }
-            Response::Error { code, message } => {
-                let bytes = message.as_bytes();
-                let mut out = Vec::with_capacity(7 + bytes.len());
-                out.push(OP_ERROR);
-                out.extend_from_slice(&code.as_u16().to_le_bytes());
-                // Saturate rather than truncate; see Request::QueryBatch.
-                let len = u32::try_from(bytes.len()).unwrap_or(u32::MAX);
-                out.extend_from_slice(&len.to_le_bytes());
-                out.extend_from_slice(bytes);
-                out
-            }
+            Response::Error { code, message } => Body::op(OP_ERROR, 6 + message.len())
+                .u16(code.as_u16())
+                .count(message.len())
+                .bytes(message.as_bytes())
+                .done(),
         }
     }
 
@@ -915,78 +874,29 @@ impl Response {
             OP_PONG => Response::Pong,
             OP_DISTANCE => Response::Distance(c.u64()?),
             OP_DISTANCE_BATCH => {
-                let count = c.u32()?;
-                if count > MAX_BATCH_LEN {
-                    return Err(WireError::Invalid(format!(
-                        "batch of {count} distances exceeds cap of {MAX_BATCH_LEN}"
-                    )));
-                }
-                // As with QueryBatch: validate the declared count against
-                // the body before allocating for it.
-                if count as usize * 8 > c.remaining() {
-                    return Err(WireError::Truncated {
-                        needed: count as usize * 8,
-                        available: c.remaining(),
-                    });
-                }
-                let mut ds = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    ds.push(c.u64()?);
-                }
-                Response::DistanceBatch(ds)
+                let cap = (MAX_BATCH_LEN, "batch", "distances");
+                Response::DistanceBatch(c.list(8, Some(cap), Cursor::u64)?)
             }
             OP_METRICS_SNAPSHOT => {
-                let mut fields = [0u64; 14];
-                for f in fields.iter_mut() {
-                    *f = c.u64()?;
+                let mut words = [0u64; 14];
+                for word in &mut words {
+                    *word = c.u64()?;
                 }
-                Response::Metrics(MetricsSnapshot {
-                    single_queries: fields[0],
-                    batches: fields[1],
-                    batch_queries: fields[2],
-                    cache_hits: fields[3],
-                    cache_misses: fields[4],
-                    decode_errors: fields[5],
-                    connections_opened: fields[6],
-                    connections_rejected: fields[7],
-                    net_requests: fields[8],
-                    net_errors: fields[9],
-                    latency_count: fields[10],
-                    p50_ns: fields[11],
-                    p95_ns: fields[12],
-                    p99_ns: fields[13],
-                })
+                Response::Metrics(MetricsSnapshot::from_words(words))
             }
             OP_SHUTDOWN_ACK => Response::ShutdownAck,
             OP_RELOAD_ACK => Response::ReloadAck {
                 epoch: c.u64()?,
                 num_nodes: c.u64()?,
             },
-            OP_LABEL_RESP => Response::Label(decode_label_pairs(&mut c)?),
-            OP_LABEL_BATCH_RESP => {
-                let count = c.u32()?;
-                // Each label needs at least its own 4-byte count; check
-                // the outer count against that before allocating.
-                if count as usize * 4 > c.remaining() {
-                    return Err(WireError::Truncated {
-                        needed: count as usize * 4,
-                        available: c.remaining(),
-                    });
-                }
-                let mut labels = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    labels.push(decode_label_pairs(&mut c)?);
-                }
-                Response::LabelBatch(labels)
-            }
+            OP_LABEL_RESP => Response::Label(read_label(&mut c)?),
+            // Each label is at least its own 4-byte count.
+            OP_LABEL_BATCH_RESP => Response::LabelBatch(c.list(4, None, read_label)?),
             OP_ERROR => {
                 let raw = c.u16()?;
                 let code = ErrorCode::from_u16(raw)
                     .ok_or_else(|| WireError::Invalid(format!("unknown error code {raw}")))?;
-                let len = c.u32()? as usize;
-                let bytes = c.take(len)?;
-                let message = String::from_utf8(bytes.to_vec())
-                    .map_err(|_| WireError::Invalid("error text is not UTF-8".into()))?;
+                let message = c.string(None, "error text")?;
                 Response::Error { code, message }
             }
             op => return Err(WireError::UnknownOpcode(op)),
@@ -994,34 +904,6 @@ impl Response {
         c.finish()?;
         Ok(resp)
     }
-}
-
-/// Encodes one label as `count: u32` then `count` × `(hub u32, dist u64)`.
-fn encode_label_pairs(out: &mut Vec<u8>, pairs: &[(u32, Distance)]) {
-    // Saturate rather than truncate; see Request::QueryBatch.
-    let count = u32::try_from(pairs.len()).unwrap_or(u32::MAX);
-    out.extend_from_slice(&count.to_le_bytes());
-    for &(h, d) in pairs {
-        out.extend_from_slice(&h.to_le_bytes());
-        out.extend_from_slice(&d.to_le_bytes());
-    }
-}
-
-/// Decodes one label; the declared entry count is validated against the
-/// bytes actually remaining before any allocation.
-fn decode_label_pairs(c: &mut Cursor<'_>) -> Result<Vec<(u32, Distance)>, WireError> {
-    let count = c.u32()?;
-    if count as usize * 12 > c.remaining() {
-        return Err(WireError::Truncated {
-            needed: count as usize * 12,
-            available: c.remaining(),
-        });
-    }
-    let mut pairs = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        pairs.push((c.u32()?, c.u64()?));
-    }
-    Ok(pairs)
 }
 
 #[cfg(test)]
@@ -1464,5 +1346,131 @@ mod tests {
             declared(9),
             Err(WireError::FrameTooLarge { len: 9, max: 8 })
         ));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Asserts `encoded` is exactly the bytes `golden` spells (spaces are
+    /// for the reader) in one exactly-sized allocation, and hands back
+    /// those literal bytes for the caller to decode.
+    fn pinned(encoded: Vec<u8>, golden: &str) -> Vec<u8> {
+        let golden = golden.replace(' ', "");
+        assert_eq!(hex(&encoded), golden);
+        assert_eq!(encoded.capacity(), encoded.len(), "{golden}");
+        let digits = |i| u8::from_str_radix(&golden[i..i + 2], 16).unwrap();
+        (0..golden.len()).step_by(2).map(digits).collect()
+    }
+
+    /// The wire is pinned byte for byte, one literal per opcode: the
+    /// round-trip tests above would all pass a symmetric move of a field.
+    #[test]
+    fn golden_bytes_pin_every_opcode() {
+        let req = |r: Request, golden: &str| {
+            assert_eq!(Request::decode(&pinned(r.encode(), golden)).unwrap(), r);
+        };
+        req(Request::Ping, "10");
+        req(Request::Query { u: 3, v: 258 }, "11 03000000 02010000");
+        req(
+            Request::QueryBatch(vec![(1, 2), (u32::MAX, 0)]),
+            "12 02000000 01000000 02000000 ffffffff 00000000",
+        );
+        req(Request::Metrics, "13");
+        req(Request::Shutdown, "14");
+        let path = String::from("/s.hlbs");
+        req(Request::Reload { path }, "15 07000000 2f732e686c6273");
+        req(Request::Label { v: 258 }, "16 02010000");
+        let vs = vec![7, 1 << 16];
+        req(Request::LabelBatch(vs), "17 02000000 07000000 00000100");
+
+        let resp = |r: Response, golden: &str| {
+            assert_eq!(Response::decode(&pinned(r.encode(), golden)).unwrap(), r);
+        };
+        resp(Response::Pong, "90");
+        resp(
+            Response::Distance(0x0102_0304_0506_0708),
+            "91 0807060504030201",
+        );
+        resp(
+            Response::DistanceBatch(vec![1, u64::MAX]),
+            "92 02000000 0100000000000000 ffffffffffffffff",
+        );
+        let snap = MetricsSnapshot {
+            single_queries: 1,
+            batches: 2,
+            batch_queries: 3,
+            cache_hits: 4,
+            cache_misses: 5,
+            decode_errors: 6,
+            connections_opened: 7,
+            connections_rejected: 8,
+            net_requests: 9,
+            net_errors: 10,
+            latency_count: 11,
+            p50_ns: 12,
+            p95_ns: 13,
+            p99_ns: 14,
+        };
+        let words: String = (1..=14u64).map(|w| hex(&w.to_le_bytes())).collect();
+        resp(Response::Metrics(snap), &format!("93 {words}"));
+        resp(Response::ShutdownAck, "94");
+        let (epoch, num_nodes) = (3, 4096);
+        resp(
+            Response::ReloadAck { epoch, num_nodes },
+            "95 0300000000000000 0010000000000000",
+        );
+        let label = vec![(5, 9)];
+        resp(
+            Response::Label(label),
+            "96 01000000 05000000 0900000000000000",
+        );
+        resp(
+            Response::LabelBatch(vec![vec![(1, 2)], vec![]]),
+            "97 02000000 01000000 01000000 0200000000000000 00000000",
+        );
+        let (code, message) = (ErrorCode::Busy, String::from("full"));
+        resp(
+            Response::Error { code, message },
+            "ee 0500 04000000 66756c6c",
+        );
+
+        let sh = ServerHello {
+            protocol_version: 2,
+            store_version: 1,
+            num_nodes: 2048,
+        };
+        let bytes = pinned(sh.encode(), "01 484c4e50 0200 0100 0008000000000000");
+        assert_eq!(ServerHello::decode(&bytes).unwrap(), sh);
+        let protocol_version = 2;
+        let ch = ClientHello { protocol_version };
+        let bytes = pinned(ch.encode(), "02 484c4e50 0200");
+        assert_eq!(ClientHello::decode(&bytes).unwrap(), ch);
+
+        // One v2-framed frame: [len][id][body].
+        let query = Request::Query { u: 1, v: 2 };
+        let framed = pinned(
+            frame(Some(7), &query.encode()),
+            "11000000 0700000000000000 11 01000000 02000000",
+        );
+        let (id, body) = split_mux(&framed[4..]).unwrap();
+        assert_eq!((id, Request::decode(body).unwrap()), (7, query));
+
+        // Every error code's number and name.
+        for (n, code, name) in [
+            (1, ErrorCode::NodeOutOfRange, "node-out-of-range"),
+            (2, ErrorCode::Malformed, "malformed-frame"),
+            (3, ErrorCode::FrameTooLarge, "frame-too-large"),
+            (4, ErrorCode::VersionMismatch, "version-mismatch"),
+            (5, ErrorCode::Busy, "busy"),
+            (6, ErrorCode::ShuttingDown, "shutting-down"),
+            (7, ErrorCode::Internal, "internal"),
+            (8, ErrorCode::Unsupported, "unsupported"),
+        ] {
+            assert_eq!((code.as_u16(), ErrorCode::from_u16(n)), (n, Some(code)));
+            assert_eq!(code.to_string(), name);
+        }
+        assert_eq!(ErrorCode::from_u16(0), None);
+        assert_eq!(ErrorCode::from_u16(9), None);
     }
 }

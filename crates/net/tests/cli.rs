@@ -350,8 +350,10 @@ fn usage_errors_exit_2() {
 }
 
 /// Input forms `build` and `convert` no longer take are argument errors
-/// like any other: exit 1 (a subcommand's own argument errors have never
-/// been the unknown-subcommand exit 2) with the reason on stderr.
+/// like any other: exit 2 with the reason on stderr — the one rule of
+/// `hl_net::cli::CliError`: wrong arguments exit 2 whether they name no
+/// subcommand or misuse one; 1 means the arguments were fine and the work
+/// failed.
 #[test]
 fn removed_input_forms_are_argument_errors() {
     let cases: [(&[&str], &str); 2] = [
@@ -366,7 +368,7 @@ fn removed_input_forms_are_argument_errors() {
     ];
     for (args, reason) in cases {
         let out = hubserve().args(args).output().unwrap();
-        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(reason), "{args:?}: {stderr}");
     }

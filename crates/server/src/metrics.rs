@@ -173,7 +173,41 @@ pub struct MetricsSnapshot {
     pub p99_ns: u64,
 }
 
+/// Writes the positional form of [`MetricsSnapshot`] from one list of its
+/// fields, so the word order exists once; a field missing from the list,
+/// or listed twice, does not compile.
+macro_rules! word_order {
+    ($($field:ident),*) => {
+        /// The snapshot as fixed-order words — what HLNP ships.
+        pub fn to_words(&self) -> [u64; 14] {
+            [$(self.$field),*]
+        }
+
+        /// The snapshot those [`to_words`](Self::to_words) words came from.
+        pub fn from_words([$($field),*]: [u64; 14]) -> Self {
+            MetricsSnapshot { $($field),* }
+        }
+    };
+}
+
 impl MetricsSnapshot {
+    word_order!(
+        single_queries,
+        batches,
+        batch_queries,
+        cache_hits,
+        cache_misses,
+        decode_errors,
+        connections_opened,
+        connections_rejected,
+        net_requests,
+        net_errors,
+        latency_count,
+        p50_ns,
+        p95_ns,
+        p99_ns
+    );
+
     /// Queries served over both paths.
     pub fn total_queries(&self) -> u64 {
         self.single_queries + self.batch_queries

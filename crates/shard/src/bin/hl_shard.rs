@@ -9,9 +9,8 @@
 //! into K full-width vertex-routed shard stores (`v % K` owns vertex
 //! `v`), writes `shard-0.hlbs` … `shard-(K-1).hlbs` plus a
 //! `manifest.hlsm` into `<out-dir>`, and prints a per-shard summary.
-//! Shard stores default to HLBS v2 (the serving format); `--v1` emits
-//! the γ-coded archival format instead. Each shard is then served by a
-//! perfectly ordinary `hubserve serve shard-i.hlbs`.
+//! Shard stores are HLBS v2 (the serving format); each shard is then
+//! served by a perfectly ordinary `hubserve serve shard-i.hlbs`.
 //!
 //! `query` connects to one daemon per `--shard` flag — order must match
 //! shard ids — and answers `u v` pair lines: from a file as one routed
@@ -20,17 +19,16 @@
 //! in the router. Output is `u v <distance>` with `inf` for unreachable,
 //! byte-compatible with `hubserve query`.
 //!
-//! Exit codes: 0 success, 1 runtime failure, 2 usage.
+//! Exit codes: 0 success, 1 runtime failure, 2 usage — a subcommand's own
+//! argument errors as much as an unknown subcommand.
 
-use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use hl_net::cli::{parse_pair, print_answer, Flags};
+use hl_net::cli::{answer_pairs, exit_code, CliError, Flags};
 use hl_net::ClientConfig;
-use hl_server::{AnyStore, FlatStore, LabelStore};
+use hl_server::{AnyStore, FlatStore};
 use hl_shard::{partition, ShardManifest, ShardRouter};
 
 fn main() -> ExitCode {
@@ -38,39 +36,29 @@ fn main() -> ExitCode {
     let result = match args.first().map(String::as_str) {
         Some("partition") => cmd_partition(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
-        _ => {
-            eprintln!("usage: hl-shard partition|query ...");
-            eprintln!("  partition <store-file> <out-dir> --shards K [--v1]");
-            eprintln!("  query --shard HOST:PORT [--shard HOST:PORT ...] [pairs-file]");
-            return ExitCode::from(2);
-        }
+        _ => CliError::usage(
+            "usage: hl-shard partition|query ...\n  \
+             partition <store-file> <out-dir> --shards K\n  \
+             query --shard HOST:PORT [--shard HOST:PORT ...] [pairs-file]",
+        ),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("hl-shard: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    exit_code("hl-shard", result)
 }
 
 struct PartitionOpts {
     store_path: String,
     out_dir: String,
     shards: usize,
-    v1: bool,
 }
 
 fn parse_partition_opts(args: &[String]) -> Result<PartitionOpts, String> {
-    let usage = "usage: hl-shard partition <store-file> <out-dir> --shards K [--v1]";
+    let usage = "usage: hl-shard partition <store-file> <out-dir> --shards K";
     let mut positionals = Vec::new();
     let mut shards = 0usize;
-    let mut v1 = false;
     let mut flags = Flags::new(args);
     while let Some(arg) = flags.next() {
         match arg {
             "--shards" => shards = flags.parsed(arg)?,
-            "--v1" => v1 = true,
             other if !other.starts_with('-') => positionals.push(other.to_string()),
             other => return Err(format!("unexpected argument '{other}'")),
         }
@@ -85,12 +73,11 @@ fn parse_partition_opts(args: &[String]) -> Result<PartitionOpts, String> {
         store_path: store_path.clone(),
         out_dir: out_dir.clone(),
         shards,
-        v1,
     })
 }
 
-fn cmd_partition(args: &[String]) -> Result<(), String> {
-    let opts = parse_partition_opts(args)?;
+fn cmd_partition(args: &[String]) -> Result<(), CliError> {
+    let opts = parse_partition_opts(args).map_err(CliError::Usage)?;
     let started = Instant::now();
     let store = AnyStore::open(&opts.store_path)
         .map_err(|e| format!("cannot open store {}: {e}", opts.store_path))?;
@@ -120,19 +107,11 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
         let n = num_nodes as usize;
         let owned = n / opts.shards + usize::from(i < n % opts.shards);
         let entries = shard.num_entries();
-        let bytes = if opts.v1 {
-            let store = LabelStore::from_flat(&shard);
-            store
-                .save(&path)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            store.file_len() as u64
-        } else {
-            let store = FlatStore::from_flat(shard);
-            store
-                .save(&path)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            store.file_len()
-        };
+        let store = FlatStore::from_flat(shard);
+        store
+            .save(&path)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        let bytes = store.file_len();
         println!(
             "  shard {i}: {owned} vertices owned, {entries} entries, {bytes} bytes -> {}",
             path.display()
@@ -182,8 +161,8 @@ fn parse_query_opts(args: &[String]) -> Result<QueryOpts, String> {
     Ok(QueryOpts { addrs, pairs_path })
 }
 
-fn cmd_query(args: &[String]) -> Result<(), String> {
-    let opts = parse_query_opts(args)?;
+fn cmd_query(args: &[String]) -> Result<(), CliError> {
+    let opts = parse_query_opts(args).map_err(CliError::Usage)?;
     let mut router = ShardRouter::connect(&opts.addrs, &ClientConfig::default())
         .map_err(|e| format!("cannot connect fleet: {e}"))?;
     let n = router.num_nodes();
@@ -191,35 +170,13 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         "routing over {} shards covering {n} vertices",
         router.num_shards()
     );
-    let stdout = std::io::stdout();
-    let mut out = BufWriter::new(stdout.lock());
-
-    match &opts.pairs_path {
-        Some(path) => {
-            let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-            let mut pairs = Vec::new();
-            for line in BufReader::new(file).lines() {
-                let line = line.map_err(|e| e.to_string())?;
-                if let Some(pair) = parse_pair(&line, n)? {
-                    pairs.push(pair);
-                }
-            }
-            let distances = router.query_many(&pairs).map_err(|e| e.to_string())?;
-            for (&(u, v), &d) in pairs.iter().zip(&distances) {
-                print_answer(&mut out, u, v, d)?;
-            }
-        }
-        None => {
-            let stdin = std::io::stdin();
-            for line in stdin.lock().lines() {
-                let line = line.map_err(|e| e.to_string())?;
-                if let Some((u, v)) = parse_pair(&line, n)? {
-                    let d = router.query(u, v).map_err(|e| e.to_string())?;
-                    print_answer(&mut out, u, v, d)?;
-                }
-            }
-        }
-    }
-    out.flush().map_err(|e| e.to_string())?;
+    // A pairs file is one routed batch; stdin is answered line by line.
+    answer_pairs(
+        &mut router,
+        opts.pairs_path.as_deref(),
+        n,
+        ShardRouter::query_many,
+        ShardRouter::query,
+    )?;
     Ok(())
 }

@@ -10,14 +10,12 @@ use hl_server::StoreError;
 /// Everything that can go wrong partitioning, mounting, or routing.
 #[derive(Debug)]
 pub enum ShardError {
-    /// Filesystem failure reading or writing shard stores or manifests.
+    /// Filesystem failure reading or writing shard stores or the manifest.
     Io(std::io::Error),
     /// A shard store failed to parse or encode.
     Store(StoreError),
     /// A shard daemon failed at the network layer.
     Net(NetError),
-    /// A manifest file violated its format; the message says how.
-    Manifest(String),
     /// Partitioning or routing was asked for zero shards.
     NoShards,
     /// A queried vertex is outside the labeled range.
@@ -45,7 +43,6 @@ impl fmt::Display for ShardError {
             ShardError::Io(e) => write!(f, "i/o error: {e}"),
             ShardError::Store(e) => write!(f, "store error: {e}"),
             ShardError::Net(e) => write!(f, "network error: {e}"),
-            ShardError::Manifest(m) => write!(f, "malformed manifest: {m}"),
             ShardError::NoShards => write!(f, "shard count must be at least 1"),
             ShardError::NodeOutOfRange { v, num_nodes } => {
                 write!(f, "node {v} out of range (labeling covers {num_nodes})")

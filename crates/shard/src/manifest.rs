@@ -1,9 +1,10 @@
 //! The shard manifest: a small text file tying a partitioned fleet
 //! together.
 //!
-//! `hl-shard partition` writes one next to the shard stores it emits;
-//! tooling that mounts the fleet reads it to learn the shard count, the
-//! vertex range, and where each shard's store lives. The format is
+//! `hl-shard partition` writes one next to the shard stores it emits, as
+//! the operator's record of the shard count, the vertex range, and where
+//! each shard's store lives; nothing in this workspace reads it back
+//! (`hl-shard query` takes `--shard` addresses). The format is
 //! line-oriented ASCII so it diffs and greps cleanly:
 //!
 //! ```text
@@ -26,8 +27,6 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use crate::error::ShardError;
-use crate::partition::shard_of;
-use hl_graph::NodeId;
 
 /// Magic first line of a manifest file (name + format version).
 pub const MANIFEST_MAGIC: &str = "HLSM 1";
@@ -44,16 +43,6 @@ pub struct ShardManifest {
 }
 
 impl ShardManifest {
-    /// Number of shards in the partition.
-    pub fn num_shards(&self) -> usize {
-        self.shard_paths.len()
-    }
-
-    /// Which shard owns vertex `v`.
-    pub fn shard_of(&self, v: NodeId) -> usize {
-        shard_of(v, self.num_shards())
-    }
-
     /// Renders the manifest in its on-disk form.
     pub fn encode(&self) -> String {
         let mut out = String::new();
@@ -68,104 +57,10 @@ impl ShardManifest {
         out
     }
 
-    /// Parses the on-disk form, rejecting structural lies (wrong counts,
-    /// out-of-order or duplicate shard lines) with a typed error.
-    pub fn decode(text: &str) -> Result<Self, ShardError> {
-        let bad = |m: String| ShardError::Manifest(m);
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(l) if l.trim_end() == MANIFEST_MAGIC => {}
-            other => {
-                return Err(bad(format!(
-                    "expected header {MANIFEST_MAGIC:?}, found {other:?}"
-                )))
-            }
-        }
-        let mut field = |name: &str| -> Result<u64, ShardError> {
-            let line = lines
-                .next()
-                .ok_or_else(|| bad(format!("missing {name} line")))?;
-            let rest = line
-                .strip_prefix(name)
-                .ok_or_else(|| bad(format!("expected {name:?} line, found {line:?}")))?;
-            rest.trim()
-                .parse::<u64>()
-                .map_err(|e| bad(format!("bad {name} value {rest:?}: {e}")))
-        };
-        let shards = field("shards")?;
-        let num_nodes = field("nodes")?;
-        let num_entries = field("entries")?;
-        if shards == 0 {
-            return Err(ShardError::NoShards);
-        }
-        let shards = usize::try_from(shards)
-            .map_err(|_| bad(format!("shard count {shards} does not fit this platform")))?;
-        // Guard the allocation against a lying count: each shard needs
-        // its own line, so the remaining text bounds the plausible count.
-        if shards > text.lines().count() {
-            return Err(bad(format!(
-                "manifest declares {shards} shards but has too few lines"
-            )));
-        }
-        let mut shard_paths = Vec::with_capacity(shards);
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let rest = line
-                .strip_prefix("shard ")
-                .ok_or_else(|| bad(format!("expected a shard line, found {line:?}")))?;
-            let (idx, path) = rest
-                .split_once(' ')
-                .ok_or_else(|| bad(format!("shard line without a path: {line:?}")))?;
-            let idx: usize = idx
-                .parse()
-                .map_err(|e| bad(format!("bad shard index {idx:?}: {e}")))?;
-            if idx != shard_paths.len() {
-                return Err(bad(format!(
-                    "shard lines out of order: expected {}, found {idx}",
-                    shard_paths.len()
-                )));
-            }
-            if path.is_empty() {
-                return Err(bad(format!("shard {idx} has an empty path")));
-            }
-            shard_paths.push(path.to_string());
-        }
-        if shard_paths.len() != shards {
-            return Err(bad(format!(
-                "manifest declares {shards} shards but lists {}",
-                shard_paths.len()
-            )));
-        }
-        Ok(ShardManifest {
-            num_nodes,
-            num_entries,
-            shard_paths,
-        })
-    }
-
     /// Writes the manifest to `path`.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), ShardError> {
         std::fs::write(path, self.encode())?;
         Ok(())
-    }
-
-    /// Reads and parses the manifest at `path`.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, ShardError> {
-        let text = std::fs::read_to_string(path)?;
-        Self::decode(&text)
-    }
-
-    /// Shard store paths resolved against the manifest's own directory,
-    /// so `ShardManifest::open("dir/manifest.hlsm")` yields paths that
-    /// open from anywhere.
-    pub fn resolved_paths<P: AsRef<Path>>(&self, manifest_path: P) -> Vec<std::path::PathBuf> {
-        let base = manifest_path
-            .as_ref()
-            .parent()
-            .unwrap_or_else(|| Path::new(""));
-        self.shard_paths.iter().map(|p| base.join(p)).collect()
     }
 }
 
@@ -173,57 +68,17 @@ impl ShardManifest {
 mod tests {
     use super::*;
 
-    fn sample() -> ShardManifest {
-        ShardManifest {
+    #[test]
+    fn encodes_the_documented_lines_including_paths_with_spaces() {
+        let manifest = ShardManifest {
             num_nodes: 100,
             num_entries: 1234,
             shard_paths: vec!["shard-0.hlbs".into(), "sub dir/shard-1.hlbs".into()],
-        }
-    }
-
-    #[test]
-    fn roundtrips_including_paths_with_spaces() {
-        let m = sample();
-        assert_eq!(ShardManifest::decode(&m.encode()).unwrap(), m);
-        assert_eq!(m.num_shards(), 2);
-        assert_eq!(m.shard_of(0), 0);
-        assert_eq!(m.shard_of(7), 1);
-    }
-
-    #[test]
-    fn rejects_structural_lies() {
-        let m = sample();
-        let good = m.encode();
-        for (mutation, why) in [
-            (good.replace("HLSM 1", "HLSM 9"), "wrong version"),
-            (good.replace("shards 2", "shards 3"), "count lies high"),
-            (good.replace("shards 2", "shards 0"), "zero shards"),
-            (good.replace("shard 1", "shard 5"), "index out of order"),
-            (good.replace("nodes 100", "nodes ten"), "unparsable nodes"),
-            (
-                good.lines().take(3).collect::<Vec<_>>().join("\n"),
-                "truncated",
-            ),
-        ] {
-            assert!(
-                ShardManifest::decode(&mutation).is_err(),
-                "accepted a manifest with {why}"
-            );
-        }
-    }
-
-    #[test]
-    fn save_open_resolves_relative_paths() {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("hlsm-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("manifest.hlsm");
-        sample().save(&path).unwrap();
-        let m = ShardManifest::open(&path).unwrap();
-        assert_eq!(m, sample());
-        let resolved = m.resolved_paths(&path);
-        assert_eq!(resolved[0], dir.join("shard-0.hlbs"));
-        assert_eq!(resolved[1], dir.join("sub dir/shard-1.hlbs"));
-        let _ = std::fs::remove_dir_all(&dir);
+        };
+        assert_eq!(
+            manifest.encode(),
+            "HLSM 1\nshards 2\nnodes 100\nentries 1234\n\
+             shard 0 shard-0.hlbs\nshard 1 sub dir/shard-1.hlbs\n"
+        );
     }
 }

@@ -77,6 +77,9 @@ fi
 # root package alone builds members as libs only, skipping e.g. the
 # hl-shard and hlnp-fuzz bins the smokes below invoke).
 cargo build --release --workspace --locked --offline
+# benchmark/ is frozen and compiles against the product API: a break
+# fails here, in seconds, not after the fuzz run and every smoke.
+CARGO_TARGET_DIR="$PWD/target" cargo check --offline --manifest-path benchmark/Cargo.toml
 
 # The workspace suite is a strict superset of the root package's suite
 # (root targets are workspace members), so one invocation covers tier-1.
@@ -176,10 +179,8 @@ timeout 120 ./target/release/hubserve query "$SMOKE/rt-v2c.hlbs" "$SMOKE/seeded-
 diff -u "$SMOKE/seeded-v2.txt" "$SMOKE/seeded-v2c.txt"
 
 echo "== benchmark smoke (the one benchmark, against this checkout's crates) =="
-# benchmark/ is its own package with path dependencies on the product
-# crates, so this is also the gate on the API it compiles against. The
-# smoke set runs every workload briefly, checks answers against BFS and
-# fails on any error; it does not compare timings.
+# The smoke set runs every workload briefly, checks answers against BFS
+# and fails on any error; it does not compare timings.
 CARGO_TARGET_DIR="$PWD/target" bash benchmark/run.sh --smoke
 CARGO_TARGET_DIR="$PWD/target" cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
