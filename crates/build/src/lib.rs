@@ -18,13 +18,13 @@
 //!   arena);
 //! * [`wave`] — one pruned BFS/Dijkstra wave with reusable per-worker
 //!   scratch;
-//! * [`stats`] — [`BuildStats`] telemetry: per-batch timings, the
-//!   label-size growth curve, pruning hit rate, and a JSON snapshot;
+//! * [`stats`] — [`BuildStats`] telemetry: per-batch timings and entry
+//!   counts, and the pruning hit rate;
 //! * [`error`] — [`BuildError`].
 //!
 //! Ordering strategies come from `hl_core::order` behind the
-//! [`VertexOrder`](hl_core::VertexOrder) trait (degree, BFS-level,
-//! sampled betweenness, closeness, random, identity).
+//! [`VertexOrder`](hl_core::VertexOrder) trait (degree, sampled
+//! betweenness); any other permutation goes through [`build_with_order`].
 //!
 //! # Example
 //!
@@ -36,7 +36,7 @@
 //! let g = generators::connected_gnm(200, 300, 7);
 //! let out = build_with_strategy(&g, &DegreeOrder, BuildConfig::with_threads(2)).unwrap();
 //! assert_eq!(out.labeling.query(0, 1), hl_core::LabelingView::query(&out.labeling, 1, 0));
-//! println!("{}", out.stats.to_json());
+//! assert_eq!(out.stats.label_entries(), out.labeling.num_entries());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -57,8 +57,9 @@ pub struct BuildConfig {
     /// Largest batch size the ramp-up may reach; `0` picks automatically
     /// (1 for a single thread, 4096 otherwise). Batch size trades wave
     /// parallelism against candidates the commit filter throws away — it
-    /// never changes the output.
-    pub batch_cap: usize,
+    /// never changes the output, which is all this module's tests set it
+    /// to prove; no caller has a second value to pass.
+    batch_cap: usize,
 }
 
 impl BuildConfig {
@@ -167,7 +168,6 @@ pub fn build_with_order(
 
         // Commit phase: replay in canonical order, filtering candidates
         // against the in-batch entries committed so far.
-        let candidate_entries: usize = waves.iter().map(Vec::len).sum();
         let mut committed_entries = 0usize;
         for (j, cand) in waves.iter().enumerate() {
             // root_to_batch[i] = d(r_j, r_i) for earlier in-batch hubs r_i
@@ -201,7 +201,6 @@ pub fn build_with_order(
 
         batches.push(BatchStats {
             roots: batch.len(),
-            candidate_entries,
             committed_entries,
             entries_after: committed.num_entries(),
             seconds: batch_started.elapsed().as_secs_f64(),

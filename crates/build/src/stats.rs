@@ -1,15 +1,11 @@
-//! Build-time telemetry: per-batch timings, the label-size growth curve,
-//! and pruning effectiveness, with a hand-rolled JSON snapshot (the
-//! workspace is dependency-free, so no serde).
+//! Build-time telemetry: per-batch timings and entry counts, and pruning
+//! effectiveness.
 
 /// Telemetry for one root batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchStats {
     /// Roots processed in this batch.
     pub roots: usize,
-    /// Label entries proposed by the batch's waves (before the commit
-    /// filter).
-    pub candidate_entries: usize,
     /// Entries that survived the commit filter.
     pub committed_entries: usize,
     /// Total committed entries after this batch (growth curve sample).
@@ -52,71 +48,6 @@ impl BuildStats {
         }
         self.wave_pruned as f64 / self.wave_pops as f64
     }
-
-    /// Fraction of wave-proposed entries discarded by the commit filter —
-    /// the price of batching (work sequential PLL would never do).
-    pub fn commit_discard_rate(&self) -> f64 {
-        let cand: usize = self.batches.iter().map(|b| b.candidate_entries).sum();
-        if cand == 0 {
-            return 0.0;
-        }
-        let kept: usize = self.batches.iter().map(|b| b.committed_entries).sum();
-        (cand - kept) as f64 / cand as f64
-    }
-
-    /// The label-size growth curve as `(roots_processed, total_entries)`
-    /// samples, one per batch.
-    pub fn growth_curve(&self) -> Vec<(usize, usize)> {
-        let mut roots = 0;
-        self.batches
-            .iter()
-            .map(|b| {
-                roots += b.roots;
-                (roots, b.entries_after)
-            })
-            .collect()
-    }
-
-    /// Compact single-line JSON snapshot. The growth curve is downsampled
-    /// to at most 64 evenly spaced batches so million-vertex builds stay
-    /// readable.
-    pub fn to_json(&self) -> String {
-        let curve = self.growth_curve();
-        let step = curve.len().div_ceil(64).max(1);
-        let mut curve_json = String::from("[");
-        for (k, (roots, entries)) in curve
-            .iter()
-            .enumerate()
-            .filter(|(k, _)| k % step == 0 || *k == curve.len() - 1)
-            .map(|(_, p)| p)
-            .enumerate()
-        {
-            if k > 0 {
-                curve_json.push(',');
-            }
-            curve_json.push_str(&format!("[{roots},{entries}]"));
-        }
-        curve_json.push(']');
-        format!(
-            concat!(
-                "{{\"threads\":{},\"order\":\"{}\",\"batch_cap\":{},",
-                "\"batches\":{},\"build_seconds\":{:.6},\"label_entries\":{},",
-                "\"wave_pops\":{},\"wave_pruned\":{},\"pruning_hit_rate\":{:.4},",
-                "\"commit_discard_rate\":{:.4},\"growth_curve\":{}}}"
-            ),
-            self.threads,
-            self.order,
-            self.batch_cap,
-            self.batches.len(),
-            self.total_seconds,
-            self.label_entries(),
-            self.wave_pops,
-            self.wave_pruned,
-            self.pruning_hit_rate(),
-            self.commit_discard_rate(),
-            curve_json,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -131,14 +62,12 @@ mod tests {
             batches: vec![
                 BatchStats {
                     roots: 2,
-                    candidate_entries: 10,
                     committed_entries: 8,
                     entries_after: 8,
                     seconds: 0.5,
                 },
                 BatchStats {
                     roots: 4,
-                    candidate_entries: 6,
                     committed_entries: 4,
                     entries_after: 12,
                     seconds: 0.25,
@@ -155,18 +84,6 @@ mod tests {
         let s = sample();
         assert_eq!(s.label_entries(), 12);
         assert!((s.pruning_hit_rate() - 0.75).abs() < 1e-12);
-        assert!((s.commit_discard_rate() - 0.25).abs() < 1e-12);
-        assert_eq!(s.growth_curve(), vec![(2, 8), (6, 12)]);
-    }
-
-    #[test]
-    fn json_is_wellformed_and_complete() {
-        let j = sample().to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"threads\":2"));
-        assert!(j.contains("\"order\":\"degree\""));
-        assert!(j.contains("\"label_entries\":12"));
-        assert!(j.contains("\"growth_curve\":[[2,8],[6,12]]"));
     }
 
     #[test]
@@ -182,7 +99,5 @@ mod tests {
         };
         assert_eq!(s.label_entries(), 0);
         assert_eq!(s.pruning_hit_rate(), 0.0);
-        assert_eq!(s.commit_discard_rate(), 0.0);
-        assert!(s.to_json().contains("\"growth_curve\":[]"));
     }
 }

@@ -89,29 +89,24 @@ fn paper_gadget_equivalence() {
 }
 
 #[test]
-fn every_order_strategy_is_thread_invariant() {
-    use hl_core::order::{BetweennessOrder, BfsLevelOrder, DegreeOrder, RandomOrder};
+fn every_order_is_thread_invariant() {
+    use hl_core::order;
     let g = generators::connected_gnm(200, 260, 3);
-    let strategies: Vec<Box<dyn hl_core::VertexOrder>> = vec![
-        Box::new(DegreeOrder),
-        Box::new(BfsLevelOrder),
-        Box::new(BetweennessOrder {
-            samples: 16,
-            seed: 2,
-        }),
-        Box::new(RandomOrder { seed: 4 }),
+    let orders = [
+        ("degree", order::by_degree(&g)),
+        ("bfs-level", order::by_bfs_level(&g)),
+        (
+            "betweenness",
+            order::by_sampled_betweenness(&g, 16, 2).unwrap(),
+        ),
+        ("random", order::random(&g, 4)),
     ];
-    for strategy in &strategies {
-        let one = hl_build::build_with_strategy(&g, strategy.as_ref(), BuildConfig::sequential())
-            .unwrap();
-        let four =
-            hl_build::build_with_strategy(&g, strategy.as_ref(), BuildConfig::with_threads(4))
-                .unwrap();
+    for (name, order) in orders {
+        let one = build_with_order(&g, order.clone(), BuildConfig::sequential()).unwrap();
+        let four = build_with_order(&g, order, BuildConfig::with_threads(4)).unwrap();
         assert_eq!(
-            one.labeling,
-            four.labeling,
-            "strategy {} is not thread-invariant",
-            strategy.name()
+            one.labeling, four.labeling,
+            "order {name} is not thread-invariant"
         );
     }
 }

@@ -14,7 +14,7 @@ use hl_graph::{Distance, Graph, NodeId, INFINITY};
 
 use crate::label::{HubLabel, HubLabeling};
 use crate::order;
-use crate::order::{OrderError, VertexOrder};
+use crate::order::OrderError;
 
 /// A finished PLL labeling, remembering the order it was built with.
 #[derive(Debug, Clone)]
@@ -47,15 +47,6 @@ impl PrunedLandmarkLabeling {
             g,
             order::by_sampled_betweenness(g, samples, seed)?,
         ))
-    }
-
-    /// Builds the labeling with a pluggable [`VertexOrder`] strategy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the strategy's [`OrderError`].
-    pub fn with_strategy(g: &Graph, strategy: &dyn VertexOrder) -> Result<Self, OrderError> {
-        Ok(Self::with_order(g, strategy.compute(g)?))
     }
 
     /// Builds the labeling processing vertices in the given order.
@@ -241,7 +232,7 @@ mod tests {
             PrunedLandmarkLabeling::by_random_order(&g, 1),
             PrunedLandmarkLabeling::by_betweenness(&g, 10, 2).unwrap(),
             PrunedLandmarkLabeling::with_order(&g, order::by_closeness(&g).unwrap()),
-            PrunedLandmarkLabeling::with_strategy(&g, &order::BfsLevelOrder).unwrap(),
+            PrunedLandmarkLabeling::with_order(&g, order::by_bfs_level(&g)),
         ] {
             assert!(verify_exact(&g, hl.labeling()).unwrap().is_exact());
         }

@@ -53,28 +53,6 @@ impl BitVec {
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
     }
-
-    /// Reassembles a bit vector from its serialized parts: the bytes from
-    /// [`BitVec::as_bytes`] plus the bit length from [`BitVec::len`].
-    /// This is the inverse used by binary label stores (`hl-server`).
-    ///
-    /// Returns `None` when `bytes` is not exactly `ceil(len / 8)` bytes
-    /// long or a bit past `len` in the final byte is set — both are signs
-    /// of a corrupted or misaligned serialization, which callers must
-    /// surface as an error rather than decode garbage.
-    pub fn from_bytes(bytes: Vec<u8>, len: usize) -> Option<Self> {
-        if bytes.len() != len.div_ceil(8) {
-            return None;
-        }
-        if !len.is_multiple_of(8) {
-            let tail = bytes[bytes.len() - 1];
-            let used = len % 8;
-            if tail & ((1u8 << (8 - used)) - 1) != 0 {
-                return None;
-            }
-        }
-        Some(BitVec { bytes, len })
-    }
 }
 
 /// MSB-first bit writer over a [`BitVec`].
@@ -167,17 +145,45 @@ impl BitWriter {
     }
 }
 
-/// MSB-first bit reader over a [`BitVec`].
+/// MSB-first bit reader over a [`BitVec`] or over borrowed bytes.
 #[derive(Debug)]
 pub struct BitReader<'a> {
-    bits: &'a BitVec,
+    bytes: &'a [u8],
+    len: usize,
     pos: usize,
 }
 
 impl<'a> BitReader<'a> {
     /// Starts reading at the first bit.
     pub fn new(bits: &'a BitVec) -> Self {
-        BitReader { bits, pos: 0 }
+        BitReader {
+            bytes: bits.as_bytes(),
+            len: bits.len(),
+            pos: 0,
+        }
+    }
+
+    /// Reads `len` bits in place from serialized bytes — the layout of
+    /// [`BitVec::as_bytes`] plus the bit length from [`BitVec::len`] —
+    /// without copying them. This is how binary label stores
+    /// (`hl-server`) decode a label out of a file buffer.
+    ///
+    /// Returns `None` when `bytes` is not exactly `ceil(len / 8)` bytes
+    /// long or a bit past `len` in the final byte is set — both are signs
+    /// of a corrupted or misaligned serialization, which callers must
+    /// surface as an error rather than decode garbage.
+    pub fn from_bytes(bytes: &'a [u8], len: usize) -> Option<Self> {
+        if bytes.len() != len.div_ceil(8) {
+            return None;
+        }
+        if !len.is_multiple_of(8) {
+            let tail = bytes[bytes.len() - 1];
+            let used = len % 8;
+            if tail & ((1u8 << (8 - used)) - 1) != 0 {
+                return None;
+            }
+        }
+        Some(BitReader { bytes, len, pos: 0 })
     }
 
     /// Current bit position.
@@ -187,7 +193,7 @@ impl<'a> BitReader<'a> {
 
     /// Bits remaining.
     pub fn remaining(&self) -> usize {
-        self.bits.len() - self.pos
+        self.len - self.pos
     }
 
     /// Reads one bit.
@@ -196,7 +202,8 @@ impl<'a> BitReader<'a> {
     ///
     /// Panics if the reader is exhausted.
     pub fn read_bit(&mut self) -> bool {
-        let b = self.bits.get(self.pos);
+        assert!(self.pos < self.len, "bit index out of range");
+        let b = self.bytes[self.pos / 8] & (1 << (7 - self.pos % 8)) != 0;
         self.pos += 1;
         b
     }
@@ -254,12 +261,10 @@ impl<'a> BitReader<'a> {
 
     /// Reads one bit, or `None` if the reader is exhausted.
     pub fn try_read_bit(&mut self) -> Option<bool> {
-        if self.pos >= self.bits.len() {
+        if self.pos >= self.len {
             return None;
         }
-        let b = self.bits.get(self.pos);
-        self.pos += 1;
-        Some(b)
+        Some(self.read_bit())
     }
 
     /// Reads `width` bits MSB-first, or `None` if fewer remain.
@@ -396,6 +401,22 @@ mod tests {
         let mut r = BitReader::new(&bits);
         assert_eq!(r.read_gamma0(), 0);
         assert_eq!(r.read_gamma0(), 41);
+    }
+
+    #[test]
+    fn from_bytes_reads_in_place_and_rejects_misfit_serializations() {
+        let mut w = BitWriter::new();
+        w.write_gamma(5); // 00101
+        w.write_gamma0(0); // 1
+        let bits = w.into_bits();
+        assert_eq!(bits.as_bytes(), [0b0010_1100]);
+        let mut r = BitReader::from_bytes(bits.as_bytes(), bits.len()).unwrap();
+        assert_eq!(r.read_gamma(), 5);
+        assert_eq!(r.read_gamma0(), 0);
+        assert_eq!(r.try_read_bit(), None);
+        // A byte count that is not ceil(len / 8), and a set bit past `len`.
+        assert!(BitReader::from_bytes(bits.as_bytes(), 9).is_none());
+        assert!(BitReader::from_bytes(&[0b0010_1101], 6).is_none());
     }
 
     #[test]

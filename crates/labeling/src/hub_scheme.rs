@@ -126,19 +126,21 @@ impl fmt::Display for LabelDecodeError {
 impl std::error::Error for LabelDecodeError {}
 
 /// Checked variant of [`decode_label_append`] for *untrusted* bits (label
-/// stores on disk, frames off the wire): every read is bounds-checked,
+/// stores on disk, frames off the wire), read through `bits` — a
+/// [`BitReader::from_bytes`] view decodes a label in place, without
+/// copying it out of the file buffer: every read is bounds-checked,
 /// the entry count is validated against the remaining bits before any
 /// allocation, hub-id accumulation is overflow-checked, and the label
 /// must consume its bits exactly. On error, `hubs` and `dists` are
 /// truncated back to their input lengths.
 pub fn try_decode_label_append(
-    label: &BitLabel,
+    bits: BitReader<'_>,
     hubs: &mut Vec<NodeId>,
     dists: &mut Vec<Distance>,
 ) -> Result<(), LabelDecodeError> {
     let start_hubs = hubs.len();
     let start_dists = dists.len();
-    let result = try_decode_label_inner(label, hubs, dists);
+    let result = try_decode_label_inner(bits, hubs, dists);
     if result.is_err() {
         hubs.truncate(start_hubs);
         dists.truncate(start_dists);
@@ -147,11 +149,10 @@ pub fn try_decode_label_append(
 }
 
 fn try_decode_label_inner(
-    label: &BitLabel,
+    mut r: BitReader<'_>,
     hubs: &mut Vec<NodeId>,
     dists: &mut Vec<Distance>,
 ) -> Result<(), LabelDecodeError> {
-    let mut r = BitReader::new(label.bits());
     let bad_gamma = |r: &BitReader<'_>| LabelDecodeError::BadGamma {
         at_bit: r.position(),
     };
@@ -292,7 +293,7 @@ mod tests {
             let encoded = encode_label(&label);
             let mut hubs = Vec::new();
             let mut dists = Vec::new();
-            try_decode_label_append(&encoded, &mut hubs, &mut dists).unwrap();
+            try_decode_label_append(BitReader::new(encoded.bits()), &mut hubs, &mut dists).unwrap();
             assert_eq!(hubs, label.hubs());
             assert_eq!(dists, label.distances());
         }
@@ -311,7 +312,7 @@ mod tests {
         for _ in 0..64 {
             zeros.push(false);
         }
-        let err = try_decode_label_append(&BitLabel::new(zeros), &mut hubs, &mut dists);
+        let err = try_decode_label_append(BitReader::new(&zeros), &mut hubs, &mut dists);
         assert!(matches!(err, Err(LabelDecodeError::BadGamma { .. })));
         assert!(
             hubs.is_empty() && dists.is_empty(),
@@ -323,7 +324,7 @@ mod tests {
         // gigabytes.
         let mut w = BitWriter::new();
         w.write_gamma0(1u64 << 40);
-        let err = try_decode_label_append(&BitLabel::new(w.into_bits()), &mut hubs, &mut dists);
+        let err = try_decode_label_append(BitReader::new(&w.into_bits()), &mut hubs, &mut dists);
         assert!(matches!(err, Err(LabelDecodeError::CountTooLarge { .. })));
 
         // Hub ids past the 32-bit node-id space.
@@ -331,18 +332,17 @@ mod tests {
         w.write_gamma0(1); // one entry
         w.write_gamma0(1u64 << 33); // first hub id, too wide for NodeId
         w.write_gamma0(5); // its distance
-        let err = try_decode_label_append(&BitLabel::new(w.into_bits()), &mut hubs, &mut dists);
+        let err = try_decode_label_append(BitReader::new(&w.into_bits()), &mut hubs, &mut dists);
         assert!(matches!(err, Err(LabelDecodeError::HubOverflow)));
 
         // A structurally valid label followed by leftover bits.
-        let mut trailing = encode_label(&HubLabel::from_pairs(vec![(3, 1)]));
+        let encoded = encode_label(&HubLabel::from_pairs(vec![(3, 1)]));
         let mut bits = BitVec::new();
-        for i in 0..trailing.bits().len() {
-            bits.push(trailing.bits().get(i));
+        for i in 0..encoded.bits().len() {
+            bits.push(encoded.bits().get(i));
         }
         bits.push(true);
-        trailing = BitLabel::new(bits);
-        let err = try_decode_label_append(&trailing, &mut hubs, &mut dists);
+        let err = try_decode_label_append(BitReader::new(&bits), &mut hubs, &mut dists);
         assert!(matches!(err, Err(LabelDecodeError::TrailingBits(1))));
     }
 

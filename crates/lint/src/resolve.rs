@@ -7,9 +7,8 @@
 //!   `usize as u32`, `u32 as u16`, …) applied to a value tainted by a
 //!   decode seed. Seeds are calls that produce attacker-controlled
 //!   integers (`from_le_bytes`, the `BitReader::try_read_*` family, the
-//!   wire `Cursor` readers) plus the `LabelStore` table fields; taint
-//!   propagates through `let` bindings and simple assignments inside one
-//!   function body. `T::try_from` is the sanctioned narrowing and never
+//!   wire `Cursor` readers); taint propagates through `let` bindings and
+//!   simple assignments inside one function body. `T::try_from` is the sanctioned narrowing and never
 //!   fires.
 //! - **swallowed-result** — `let _ = f(...)` or a `f(...).ok();`
 //!   statement where `f` resolves to a *workspace* function or method
@@ -134,28 +133,6 @@ const FN_SEEDS: &[FnSeed] = &[
         name: "u64",
         width: Some(64),
         file_suffix: Some("net/src/wire.rs"),
-    },
-];
-
-struct FieldSeed {
-    field: &'static str,
-    width: u16,
-    file_suffix: &'static str,
-}
-
-/// Struct fields holding decoded-from-disk tables: tainted at every use,
-/// so cross-function flows (parse → query) are covered without
-/// inter-procedural dataflow.
-const FIELD_SEEDS: &[FieldSeed] = &[
-    FieldSeed {
-        field: "offsets",
-        width: 64,
-        file_suffix: "server/src/store.rs",
-    },
-    FieldSeed {
-        field: "bit_lens",
-        width: 32,
-        file_suffix: "server/src/store.rs",
     },
 ];
 
@@ -556,7 +533,7 @@ impl<'a> BodyScan<'a> {
         Some((width, name))
     }
 
-    /// Widest tainted atom (variable, seed call, seed field) in a span.
+    /// Widest tainted atom (variable, seed call) in a span.
     fn span_atoms(&self, lo: usize, hi: usize) -> Option<(u16, String)> {
         let toks = self.toks();
         let mut best: Option<(u16, String)> = None;
@@ -578,12 +555,7 @@ impl<'a> BodyScan<'a> {
                 continue;
             }
             if after_dot {
-                // Field access: only the field seeds taint these.
-                for fs in FIELD_SEEDS {
-                    if fs.field == name && self.file.rel.ends_with(fs.file_suffix) {
-                        consider(fs.width, name);
-                    }
-                }
+                // A field access is never a tainted atom.
                 continue;
             }
             if let Some(&w) = self.taint.get(name) {
@@ -1363,17 +1335,6 @@ mod tests {
     fn try_from_launders_the_width() {
         let src = "fn f(b: [u8; 8]) -> Option<u32> { let n = u64::from_le_bytes(b); let k = u32::try_from(n).ok()?; Some(k) }";
         assert!(scan(src).is_empty(), "{:?}", scan(src));
-    }
-
-    #[test]
-    fn field_seed_taints_store_table_reads() {
-        let src = "struct LabelStore { offsets: Vec<u64> }\nimpl LabelStore {\n fn at(&self, i: usize) -> usize { self.offsets[i] as usize }\n}";
-        let d = scan_named(&[("crates/server/src/store.rs", src)]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "cast-truncation");
-        assert_eq!(d[0].line, 3);
-        // Same code outside the seeded file is clean.
-        assert!(scan_named(&[("crates/graph/src/lib.rs", src)]).is_empty());
     }
 
     #[test]

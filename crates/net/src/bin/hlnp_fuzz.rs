@@ -34,8 +34,9 @@
 //!    crafted flips with *that section's* checksum and the table
 //!    checksum both refreshed, plus misaligned-section-offset mutations;
 //!    because every v2 byte sits under a checksum or the zero-padding
-//!    rule, a blind flip that parses anyway is itself a defect. Whatever
-//!    parses is mounted in its native arena, walked label by label, and
+//!    rule, a blind flip that parses anyway is itself a defect. Every
+//!    image goes through `AnyStore::parse`, the path a daemon mounts by;
+//!    whatever parses is walked label by label in its native arena and
 //!    joined with and without a witness.
 //! 4. **Wire**: random payloads through every frame decoder.
 //!
@@ -194,13 +195,12 @@ fn run(opts: &Opts) -> Result<Summary, Failure> {
     // feeds the store campaign below.
     let g = generators::connected_gnm(opts.nodes, opts.nodes, opts.seed ^ 0x9e37_79b9);
     let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-    let label_store = LabelStore::from_labeling(&hl);
     let mut store_bytes = Vec::new();
-    label_store
+    LabelStore::from_labeling(&hl)
         .write_to(&mut store_bytes)
         .map_err(|e| Failure::Defect(format!("serializing the store: {e}")))?;
-    let flat = label_store
-        .to_flat()
+    let flat = AnyStore::parse(&store_bytes)
+        .and_then(AnyStore::into_flat)
         .map_err(|e| Failure::Defect(format!("decoding the v1 store: {e}")))?;
     let store_v2c_bytes = CompactLabeling::from_flat(&flat)
         .map(|compact| CompactStore::from_compact(compact).encode())
@@ -714,25 +714,6 @@ fn probe(
     Ok(())
 }
 
-/// Parses and fully decodes a mutated store image inside `catch_unwind`:
-/// errors are expected, panics are defects. Returns whether it parsed.
-fn check_store_bytes(bytes: &[u8]) -> Result<bool, Failure> {
-    panic::catch_unwind(AssertUnwindSafe(|| match LabelStore::parse(bytes) {
-        Ok(s) => {
-            for v in 0..s.num_nodes() {
-                let _ = s.decode_label(v as NodeId);
-            }
-            let _ = s.to_flat();
-            if s.num_nodes() >= 2 {
-                let _ = s.query(0, 1);
-            }
-            true
-        }
-        Err(_) => false,
-    }))
-    .map_err(|_| Failure::Defect("panic while parsing/decoding a mutated store".to_string()))
-}
-
 /// Seeded byte flips (the checksum's job), crafted flips with a
 /// refreshed checksum (the decoder's job), and random truncations.
 fn store_campaign(
@@ -783,14 +764,15 @@ fn store_campaign(
     Ok(())
 }
 
-/// Parses a mutated v2 store through the version-sniffing [`AnyStore`]
-/// entry point and mounts it in its *native* arena (the path a daemon
-/// takes — a compact image stays compact, so crafted delta and width
-/// flips reach `CompactLabeling::from_raw_parts` and the delta kernel)
-/// inside `catch_unwind`, then walks every label and joins a few pairs
-/// both ways. Errors are expected; panics, and a `query` that disagrees
-/// with `query_with_witness`, are defects. Returns whether it parsed.
-fn check_store_v2_bytes(bytes: &[u8]) -> Result<bool, Failure> {
+/// Parses a mutated store of any flavor through the version-sniffing
+/// [`AnyStore`] entry point and mounts it in its *native* arena (the path
+/// a daemon takes — crafted γ bits reach the checked v1 decoder, and a
+/// compact image stays compact, so crafted delta and width flips reach
+/// `CompactLabeling::from_raw_parts` and the delta kernel) inside
+/// `catch_unwind`, then walks every label and joins a few pairs both
+/// ways. Errors are expected; panics, and a `query` that disagrees with
+/// `query_with_witness`, are defects. Returns whether it parsed.
+fn check_store_bytes(bytes: &[u8]) -> Result<bool, Failure> {
     let walked = panic::catch_unwind(AssertUnwindSafe(|| {
         let Ok(served) = AnyStore::parse(bytes).and_then(AnyStore::into_served) else {
             return Ok(false);
@@ -814,8 +796,8 @@ fn check_store_v2_bytes(bytes: &[u8]) -> Result<bool, Failure> {
         }
         Ok(true)
     }))
-    .map_err(|_| Failure::Defect("panic while parsing/decoding a mutated v2 store".to_string()))?;
-    walked.map_err(|m| Failure::Defect(format!("mutated v2 store: {m}")))
+    .map_err(|_| Failure::Defect("panic while parsing/decoding a mutated store".to_string()))?;
+    walked.map_err(|m| Failure::Defect(format!("mutated store: {m}")))
 }
 
 /// The byte range of the v2 section table record for section `s`.
@@ -865,7 +847,7 @@ fn store_v2_campaign(
         let mut bytes = clean.to_vec();
         let at = rng.gen_index(bytes.len());
         bytes[at] ^= 1 << rng.gen_index(8);
-        if check_store_v2_bytes(&bytes)? {
+        if check_store_bytes(&bytes)? {
             return Err(Failure::Defect(format!(
                 "v2 store accepted a blind flip at byte {at} (round {i})"
             )));
@@ -889,7 +871,7 @@ fn store_v2_campaign(
             let sum = store_v2::section_checksum(&bytes[off..off + len]);
             bytes[rec.start + 16..rec.end].copy_from_slice(&sum.to_le_bytes());
             refresh_v2_table_checksum(&mut bytes);
-            if check_store_v2_bytes(&bytes)? {
+            if check_store_bytes(&bytes)? {
                 summary.store_v2_parses_survived += 1;
             }
             summary.store_v2_mutations += 1;
@@ -903,7 +885,7 @@ fn store_v2_campaign(
         let nudged = off.wrapping_add(1 + rng.gen_index(store_v2::SECTION_ALIGN - 1) as u64);
         bytes[rec.start..rec.start + 8].copy_from_slice(&nudged.to_le_bytes());
         refresh_v2_table_checksum(&mut bytes);
-        if check_store_v2_bytes(&bytes)? {
+        if check_store_bytes(&bytes)? {
             return Err(Failure::Defect(format!(
                 "v2 store accepted a section offset nudged {off} -> {nudged} (round {i})"
             )));
@@ -913,7 +895,7 @@ fn store_v2_campaign(
         // Truncation at a random cut.
         let mut bytes = clean.to_vec();
         bytes.truncate(rng.gen_index(bytes.len()));
-        if check_store_v2_bytes(&bytes)? {
+        if check_store_bytes(&bytes)? {
             return Err(Failure::Defect(format!(
                 "v2 store accepted a truncation to {} bytes (round {i})",
                 bytes.len()

@@ -15,10 +15,11 @@
 //! --nodes N` — and constructs the labeling through the `hl_build`
 //! batch/commit pipeline: `--threads N` parallelizes (output is
 //! bit-identical to sequential PLL), `--order` picks the vertex-ordering
-//! strategy (`degree`, `bfs-level`, `betweenness`, `closeness`, `random`,
-//! `identity`). The result is written as the versioned binary store of
-//! `hl_server::store`; `--verify K` spot-checks the freshly written store
-//! against ground-truth distances from `K` seeded sources.
+//! strategy (`degree`, or `betweenness` for road-like graphs — the two
+//! that win on label entries; EXPERIMENTS.md has the table). The result
+//! is written as the versioned binary store of `hl_server::store`;
+//! `--verify K` spot-checks the freshly written store against
+//! ground-truth distances from `K` seeded sources.
 //!
 //! `query` reads whitespace-separated `u v` pairs — from a file when given
 //! (served as one batch), else line-by-line from stdin
@@ -65,15 +66,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hl_build::BuildConfig;
-use hl_core::order::{
-    BetweennessOrder, BfsLevelOrder, ClosenessOrder, DegreeOrder, IdentityOrder, RandomOrder,
-};
+use hl_core::order::{BetweennessOrder, DegreeOrder};
 use hl_core::{freq, CompactLabeling, VertexOrder};
 use hl_graph::rng::Xorshift64;
 use hl_graph::{generators, Graph, NodeId};
 use hl_net::cli::{answer_pairs, exit_code, CliError, Flags};
 use hl_net::{ClientConfig, NetClient, NetServer, ServerConfig};
-use hl_server::{AnyStore, CompactStore, FlatStore, LabelStore, QueryEngine, ServedLabeling};
+use hl_server::{
+    AnyStore, CompactStore, EngineError, FlatStore, LabelStore, QueryEngine, ServedLabeling,
+};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -110,39 +111,19 @@ fn default_workers() -> usize {
         .unwrap_or(4)
 }
 
-fn open_store(path: &str) -> Result<LabelStore, String> {
-    LabelStore::open(path).map_err(|e| format!("cannot open store {path}: {e}"))
-}
-
-/// Arena in the store's *native* mounted form, plus stats facts: flavor
-/// tag (`"v1"`/`"v2"`/`"v2c"`), format version, on-disk size, sections,
-/// and the label payload in bits — γ-coded bits for v1 (the paper's unit,
-/// and the figure `build` prints), the two entry sections for v2.
-type ServedWithFacts = (
-    ServedLabeling,
-    &'static str,
-    u16,
-    u64,
-    [(&'static str, u64); 3],
-    u64,
-);
-
 /// Opens a store of any flavor and mounts it the way `serve` would: the
 /// compact flavor stays compact, everything else decodes to the flat CSR.
-fn open_any_served(path: &str) -> Result<ServedWithFacts, String> {
-    let store = AnyStore::open(path).map_err(|e| format!("cannot open store {path}: {e}"))?;
-    let flavor = store.flavor();
-    let version = store.version();
-    let file_len = store.file_len();
-    let sections = store.section_bytes();
-    let label_bits = match &store {
-        AnyStore::V1(v1) => v1.total_bits(),
-        AnyStore::V2(_) => (sections[1].1 + sections[2].1) * 8,
-    };
-    let served = store
+fn open_store(path: &str) -> Result<AnyStore, String> {
+    AnyStore::open(path).map_err(|e| format!("cannot open store {path}: {e}"))
+}
+
+/// Starts a query engine over the store's arena in its native form.
+fn mount(store: AnyStore, workers: usize) -> Result<QueryEngine, String> {
+    store
         .into_served()
-        .map_err(|e| format!("cannot decode store {path}: {e}"))?;
-    Ok((served, flavor, version, file_len, sections, label_bits))
+        .map_err(EngineError::from)
+        .and_then(|served| QueryEngine::new(served, workers))
+        .map_err(|e| format!("cannot start engine: {e}"))
 }
 
 struct BuildOpts {
@@ -159,7 +140,7 @@ struct BuildOpts {
 
 const BUILD_USAGE: &str = "usage: hubserve build [<graph-file>] <store-file> \
      [--gen rmat|power-law|grid|gnm --nodes N [--edges M]] [--threads N] \
-     [--order degree|bfs-level|betweenness|closeness|random|identity] [--seed S] \
+     [--order degree|betweenness] [--seed S] \
      [--verify SOURCES]";
 
 fn parse_build_opts(args: &[String]) -> Result<BuildOpts, String> {
@@ -209,14 +190,8 @@ fn parse_build_opts(args: &[String]) -> Result<BuildOpts, String> {
 fn order_strategy(name: &str, seed: u64) -> Result<Box<dyn VertexOrder>, String> {
     match name {
         "degree" => Ok(Box::new(DegreeOrder)),
-        "bfs-level" => Ok(Box::new(BfsLevelOrder)),
         "betweenness" => Ok(Box::new(BetweennessOrder { samples: 24, seed })),
-        "closeness" => Ok(Box::new(ClosenessOrder)),
-        "random" => Ok(Box::new(RandomOrder { seed })),
-        "identity" => Ok(Box::new(IdentityOrder)),
-        other => Err(format!(
-            "unknown order '{other}' (degree, bfs-level, betweenness, closeness, random, identity)"
-        )),
+        other => Err(format!("unknown order '{other}' (degree, betweenness)")),
     }
 }
 
@@ -290,13 +265,11 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     );
     if opts.verify_sources > 0 {
         let mut verified_pairs = 0usize;
-        // Spot-check the *saved* store — reopen it, decode the flat arena,
+        // Spot-check the *saved* store — reopen it the way a daemon would
         // and compare against ground-truth single-source distances, so the
         // whole generate -> build -> encode -> decode path is on the hook.
         let reopened = open_store(&opts.store_path)?;
-        let flat = reopened
-            .to_flat()
-            .map_err(|e| format!("cannot decode freshly written store: {e}"))?;
+        let served = reopened.served();
         let n = g.num_nodes();
         let mut rng = Xorshift64::seed_from_u64(opts.seed ^ 0x5107_C4EC);
         for _ in 0..opts.verify_sources {
@@ -304,7 +277,7 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
             let truth = hl_graph::dijkstra::shortest_path_distances(&g, s);
             for _ in 0..512 {
                 let v = rng.gen_index(n) as NodeId;
-                let got = flat.query(s, v);
+                let got = served.query(s, v);
                 if got != truth[v as usize] {
                     return Err(CliError::Runtime(format!(
                         "verify FAILED: store answers d({s},{v}) = {got}, \
@@ -332,10 +305,9 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
         [s, p] => (s, Some(p.as_str())),
         _ => return CliError::usage(QUERY_USAGE),
     };
-    let (served, ..) = open_any_served(store_path)?;
-    let n = served.num_nodes() as u64;
-    let mut engine = QueryEngine::new(served, default_workers())
-        .map_err(|e| format!("cannot start engine: {e}"))?;
+    let store = open_store(store_path)?;
+    let n = store.num_nodes() as u64;
+    let mut engine = mount(store, default_workers())?;
     // A pairs file is answered as one batch; stdin lines go through the
     // cached single-query path as they arrive.
     answer_pairs(
@@ -354,10 +326,11 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     let [store_path] = args else {
         return CliError::usage(STATS_USAGE);
     };
-    let (served, flavor, version, file_len, sections, label_bits) = open_any_served(store_path)?;
-    let n = served.num_nodes();
+    let store = open_store(store_path)?;
+    let (served, flavor) = (store.served(), store.flavor());
+    let n = store.num_nodes();
     println!("store {store_path}");
-    println!("  format version     {version} (flavor {flavor})");
+    println!("  format version     {} (flavor {flavor})", store.version());
     println!("  nodes              {n}");
     let encoding = match flavor {
         "v1" => "gamma-coded",
@@ -365,14 +338,15 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
         _ => "flat arena",
     };
     println!(
-        "  file bytes         {file_len} ({:.1} bits/label {encoding})",
-        label_bits as f64 / n.max(1) as f64
+        "  file bytes         {} ({:.1} bits/label {encoding})",
+        store.file_len(),
+        store.label_bits() as f64 / n.max(1) as f64
     );
-    for (name, bytes) in sections {
+    for (name, bytes) in store.section_bytes() {
         println!("  section {name:<10} {bytes} bytes");
     }
     println!("  arena kind         {}", served.kind());
-    if let ServedLabeling::Compact(c) = &served {
+    if let ServedLabeling::Compact(c) = served {
         println!(
             "  compact lanes      hubs u{}, dists u{} ({:.2} B/entry incl. offsets)",
             c.hub_entry_bytes() * 8,
@@ -444,11 +418,9 @@ fn parse_serve_opts(args: &[String]) -> Result<(String, ServeOpts), String> {
 
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let (store_path, opts) = parse_serve_opts(args).map_err(CliError::Usage)?;
-    let (served, flavor, version, ..) = open_any_served(&store_path)?;
-    let arena_kind = served.kind();
-    let engine = Arc::new(
-        QueryEngine::new(served, opts.workers).map_err(|e| format!("cannot start engine: {e}"))?,
-    );
+    let store = open_store(&store_path)?;
+    let (flavor, version, arena_kind) = (store.flavor(), store.version(), store.served().kind());
+    let engine = Arc::new(mount(store, opts.workers)?);
     let config = ServerConfig {
         max_connections: opts.max_conns,
         read_timeout: opts.read_timeout,

@@ -5,9 +5,7 @@
 //! [`FaultPlan`] turns a clean byte stream (one or more well-formed
 //! frames) into a [`Step`] script — sends, pauses, a disconnect — and
 //! the same seed always yields the same script. The script is pure data;
-//! [`apply_script`] then plays it against any [`Write`] transport, and
-//! [`FaultyTransport`] wraps a whole `Read + Write` stream so every
-//! write passes through the plan.
+//! [`apply_script`] then plays it against any [`Write`] transport.
 //!
 //! The fault kinds mirror what real traffic does to a server at scale:
 //!
@@ -43,7 +41,7 @@
 //! interleaved with clean liveness probes; see `DESIGN.md`'s fault matrix
 //! for the expected behavior of every layer under each kind.
 
-use std::io::{self, Read, Write};
+use std::io::Write;
 use std::time::Duration;
 
 use hl_graph::rng::Xorshift64;
@@ -435,73 +433,11 @@ pub fn apply_script<W: Write>(w: &mut W, steps: &[Step]) -> Outcome {
     Outcome::Completed
 }
 
-/// A `Read + Write` transport whose writes are transparently rewritten
-/// by a [`FaultPlan`]: each `write` plans a script for the buffer (as if
-/// it began at a frame boundary) and plays it against the inner
-/// transport. Reads pass through untouched. After a scripted disconnect
-/// or a peer close, further writes report success without sending — the
-/// connection is considered dead and the caller learns it from reads.
-#[derive(Debug)]
-pub struct FaultyTransport<T: Read + Write> {
-    inner: T,
-    plan: FaultPlan,
-    kind: FaultKind,
-    dead: bool,
-}
-
-impl<T: Read + Write> FaultyTransport<T> {
-    /// Wraps `inner`; every write is mutated as `kind` by `plan`.
-    pub fn new(inner: T, plan: FaultPlan, kind: FaultKind) -> Self {
-        FaultyTransport {
-            inner,
-            plan,
-            kind,
-            dead: false,
-        }
-    }
-
-    /// `true` once a script disconnected or the peer closed.
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
-    /// Unwraps the inner transport.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-}
-
-impl<T: Read + Write> Read for FaultyTransport<T> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.inner.read(buf)
-    }
-}
-
-impl<T: Read + Write> Write for FaultyTransport<T> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if !self.dead {
-            let steps = self.plan.script(self.kind, buf);
-            match apply_script(&mut self.inner, &steps) {
-                Outcome::Completed => {}
-                Outcome::Disconnected | Outcome::PeerClosed => self.dead = true,
-            }
-        }
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        if self.dead {
-            Ok(())
-        } else {
-            self.inner.flush()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::{write_frame, Request};
+    use std::io;
 
     fn clean_stream() -> Vec<u8> {
         let mut buf = Vec::new();
@@ -720,42 +656,5 @@ mod tests {
         assert_eq!(apply_script(&mut ok, &steps), Outcome::Disconnected);
         let steps = vec![Step::Send(vec![1])];
         assert_eq!(apply_script(&mut ok, &steps), Outcome::Completed);
-    }
-
-    #[test]
-    fn faulty_transport_mutates_writes_and_passes_reads() {
-        use std::io::Cursor;
-        let clean = clean_stream();
-        // Inner transport: reads from a fixed buffer, writes to a Vec.
-        struct Mem {
-            r: Cursor<Vec<u8>>,
-            w: Vec<u8>,
-        }
-        impl Read for Mem {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                self.r.read(buf)
-            }
-        }
-        impl Write for Mem {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.w.write(buf)
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let mem = Mem {
-            r: Cursor::new(vec![9, 8, 7]),
-            w: Vec::new(),
-        };
-        let mut t = FaultyTransport::new(mem, FaultPlan::new(5), FaultKind::BitFlip);
-        t.write_all(&clean).unwrap();
-        let mut got = [0u8; 3];
-        t.read_exact(&mut got).unwrap();
-        assert_eq!(got, [9, 8, 7]);
-        assert!(t.is_dead(), "bit-flip scripts end in a disconnect");
-        let inner = t.into_inner();
-        assert_eq!(inner.w.len(), clean.len());
-        assert_ne!(inner.w, clean);
     }
 }

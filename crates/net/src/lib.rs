@@ -52,7 +52,7 @@ pub mod wire;
 
 pub use client::{ClientConfig, NetClient};
 pub use error::NetError;
-pub use faults::{FaultKind, FaultPlan, FaultyTransport, Outcome, Step};
+pub use faults::{FaultKind, FaultPlan, Outcome, Step};
 pub use mux::MuxClient;
 pub use server::{NetServer, ServerConfig, StopHandle};
 pub use wire::{

@@ -149,7 +149,8 @@ struct Inner {
 
 impl Inner {
     fn wake(&self) {
-        // lint:allow(swallowed-result): a full wake pipe already guarantees a pending wake; any other failure means teardown
+        // A full wake pipe already guarantees a pending wake; any other
+        // failure means teardown.
         let _ = (&self.waker).write(&[1]);
     }
 
@@ -944,15 +945,10 @@ fn label(engine: &QueryEngine, v: u32) -> Result<Vec<(u32, hl_graph::Distance)>,
 /// and fully validated *before* the swap, so a missing or corrupt file
 /// reports an error and leaves the current epoch serving untouched.
 fn handle_reload(inner: &Inner, path: &str) -> Response {
-    let mounted = AnyStore::open(path)
-        .map_err(|e| format!("reload of {path:?} failed: {e}"))
-        .and_then(|store| {
-            let version = store.version();
-            let labeling = store
-                .into_served()
-                .map_err(|e| format!("reload of {path:?} failed to decode: {e}"))?;
-            Ok((version, labeling))
-        });
+    let mounted = AnyStore::open(path).and_then(|store| {
+        let version = store.version();
+        Ok((version, store.into_served()?))
+    });
     match mounted {
         Ok((version, labeling)) => {
             let num_nodes = labeling.num_nodes() as u64;
@@ -960,13 +956,13 @@ fn handle_reload(inner: &Inner, path: &str) -> Response {
             inner.store_version.store(version, Ordering::SeqCst);
             Response::ReloadAck { epoch, num_nodes }
         }
-        Err(message) => {
+        Err(e) => {
             // The one store failure a serving daemon can observe.
             let metrics = inner.engine.metrics();
             metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
             Response::Error {
                 code: ErrorCode::Internal,
-                message,
+                message: format!("reload of {path:?} failed: {e}"),
             }
         }
     }

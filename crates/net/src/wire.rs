@@ -225,14 +225,6 @@ impl From<io::Error> for WireError {
     }
 }
 
-impl WireError {
-    /// `true` when the error is a socket-level failure (worth a retry on
-    /// a fresh connection) rather than a protocol-level one (not).
-    pub fn is_io(&self) -> bool {
-        matches!(self, WireError::Io(_))
-    }
-}
-
 /// Checked sequential reader over one frame body.
 struct Cursor<'a> {
     buf: &'a [u8],

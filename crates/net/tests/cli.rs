@@ -166,11 +166,11 @@ fn stats_reports_arena_size() {
         "build: {build_stdout}stats: {stdout}"
     );
 
-    // The reported numbers must match the in-process decode.
-    let parsed = hl_server::LabelStore::open(&store).unwrap();
-    let flat = parsed.to_flat().unwrap();
-    assert!(stdout.contains(&format!("arena entries      {}", flat.num_entries())));
-    assert!(stdout.contains(&format!("arena heap bytes   {}", flat.heap_bytes())));
+    // The reported numbers must match the in-process mount.
+    let mounted = hl_server::AnyStore::open(&store).unwrap();
+    let served = mounted.served();
+    assert!(stdout.contains(&format!("arena entries      {}", served.num_entries())));
+    assert!(stdout.contains(&format!("arena heap bytes   {}", served.heap_bytes())));
 
     let _ = std::fs::remove_file(graph);
     let _ = std::fs::remove_file(store);
@@ -346,6 +346,20 @@ fn usage_errors_exit_2() {
             stderr.contains("usage: hubserve build|query|stats|serve|convert|reload ..."),
             "{stderr}"
         );
+    }
+    // `build --order` takes the two strategies that win on label entries
+    // (EXPERIMENTS.md); the four dominated ones are unknown values like
+    // any other, rejected before any graph is generated.
+    for order in ["bfs-level", "closeness", "random", "identity", "nope"] {
+        let out = hubserve()
+            .args(["build", "s.hlbs", "--gen", "gnm", "--nodes", "16"])
+            .args(["--order", order])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{order}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let reason = format!("unknown order '{order}' (degree, betweenness)");
+        assert!(stderr.contains(&reason), "{stderr}");
     }
 }
 

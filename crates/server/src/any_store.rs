@@ -1,13 +1,15 @@
-//! Version dispatch over the HLBS store family.
+//! The mount record: what opening an HLBS file of any version yields.
 //!
 //! Both formats share the magic and the header prefix through the version
-//! field; [`AnyStore`] peeks at that field
-//! ([`crate::store::format_version`]) and hands the bytes to the right
-//! reader — [`LabelStore`] for v1, the one v2 codec ([`V2Store`]) for
-//! both v2 flavors. Serving code (`hubserve serve`, `query`, `stats`, the
-//! reload path) goes through this type so a daemon can mount either
-//! encoding — v1 as the compact archival form, v2 as the load-is-a-read
-//! serving form.
+//! field; [`AnyStore::parse`] peeks at that field
+//! ([`crate::store::format_version`]) and runs the matching codec's one
+//! eager validate-and-decode pass — [`store::decode`] for v1 γ, the v2
+//! codec ([`V2Store`]) for both v2 flavors. Either way the result is the
+//! same record: the arena in the form a daemon mounts, plus the facts
+//! about the file that `hubserve stats` and the serve banner report.
+//! Every product path that reads a store (`hubserve serve`/`query`/
+//! `stats`/`convert`/`build --verify`, the `Reload` opcode, `hl-shard
+//! partition`) goes through this type.
 
 use std::fs::File;
 use std::io::Read;
@@ -16,26 +18,58 @@ use std::path::Path;
 use hl_core::FlatLabeling;
 
 use crate::served::ServedLabeling;
-use crate::store::{self, LabelStore, StoreError};
+use crate::store::{self, StoreError};
 use crate::store_v2::{self, V2Store};
 
-/// A parsed store of either format version.
+/// A store file, validated and decoded: the served arena and the file's
+/// own size facts.
 #[derive(Debug, Clone)]
-pub enum AnyStore {
-    /// HLBS v1: γ-coded labels behind an offset table.
-    V1(LabelStore),
-    /// HLBS v2, either flavor: the flat arena laid out verbatim, or the
-    /// compact one (delta-coded hubs, narrow distances).
-    V2(V2Store),
+pub struct AnyStore {
+    served: ServedLabeling,
+    version: u16,
+    flavor: &'static str,
+    file_len: u64,
+    sections: [(&'static str, u64); 3],
+    label_bits: u64,
 }
 
 impl AnyStore {
-    /// Parses a serialized store of either version, fully validated. For
-    /// v2 the header flag word picks the flavor ([`store_v2::FLAG_COMPACT`]).
+    /// Parses a serialized store of either version, fully validated and
+    /// decoded. For v2 the header flag word picks the flavor
+    /// ([`store_v2::FLAG_COMPACT`]); v1 γ-decodes every label (the
+    /// untrusted-decode path, so a crafted store fails here).
     pub fn parse(bytes: &[u8]) -> Result<Self, StoreError> {
-        match store::format_version(bytes)? {
-            store::VERSION => Ok(AnyStore::V1(LabelStore::parse(bytes)?)),
-            store_v2::VERSION => Ok(AnyStore::V2(V2Store::parse(bytes)?)),
+        let version = store::format_version(bytes)?;
+        // Both codecs reject trailing bytes, so the image is the file.
+        let file_len = bytes.len() as u64;
+        match version {
+            store::VERSION => {
+                let (flat, label_bits) = store::decode(bytes)?;
+                Ok(AnyStore {
+                    version,
+                    flavor: "v1",
+                    file_len,
+                    sections: store::section_bytes(flat.num_nodes(), file_len),
+                    label_bits,
+                    served: flat.into(),
+                })
+            }
+            store_v2::VERSION => {
+                let store = V2Store::parse(bytes)?;
+                let sections = store.section_bytes();
+                Ok(AnyStore {
+                    version,
+                    flavor: if store.flags() & store_v2::FLAG_COMPACT != 0 {
+                        "v2c"
+                    } else {
+                        "v2"
+                    },
+                    file_len,
+                    sections,
+                    label_bits: (sections[1].1 + sections[2].1) * 8,
+                    served: store.into_served(),
+                })
+            }
             other => Err(StoreError::UnsupportedVersion(other)),
         }
     }
@@ -54,69 +88,64 @@ impl AnyStore {
 
     /// The format version of this store.
     pub fn version(&self) -> u16 {
-        match self {
-            AnyStore::V1(_) => store::VERSION,
-            AnyStore::V2(_) => store_v2::VERSION,
-        }
+        self.version
     }
 
     /// Short flavor tag for stats and CLI output: `"v1"`, `"v2"`, or
     /// `"v2c"` (the compact flavor).
     pub fn flavor(&self) -> &'static str {
-        match self {
-            AnyStore::V1(_) => "v1",
-            AnyStore::V2(s) if s.flags() & store_v2::FLAG_COMPACT != 0 => "v2c",
-            AnyStore::V2(_) => "v2",
-        }
+        self.flavor
     }
 
     /// Number of vertices the store holds labels for.
     pub fn num_nodes(&self) -> usize {
-        match self {
-            AnyStore::V1(s) => s.num_nodes(),
-            AnyStore::V2(s) => s.num_nodes(),
-        }
+        self.served.num_nodes()
     }
 
     /// Size of the serialized file in bytes.
     pub fn file_len(&self) -> u64 {
-        match self {
-            AnyStore::V1(s) => s.file_len() as u64,
-            AnyStore::V2(s) => s.file_len(),
-        }
+        self.file_len
     }
 
     /// Per-section byte sizes (v1: offsets/bit_lens/blob; v2 flavors:
     /// offsets/hubs/dists), for stats reporting.
     pub fn section_bytes(&self) -> [(&'static str, u64); 3] {
-        match self {
-            AnyStore::V1(s) => s.section_bytes(),
-            AnyStore::V2(s) => s.section_bytes(),
-        }
+        self.sections
     }
 
-    /// Converts into the canonical query-time arena. For v1 this γ-decodes
-    /// every label (the untrusted-decode path, so it can fail on a crafted
-    /// store); for v2 the arena is already built and moves out for free;
-    /// the compact flavor expands its delta lanes.
+    /// The label payload in bits: γ-coded bits for v1 (the paper's unit,
+    /// and the figure `hubserve build` prints), the two entry sections
+    /// for the v2 flavors.
+    pub fn label_bits(&self) -> u64 {
+        self.label_bits
+    }
+
+    /// The arena in the store's native mounted form: the compact flavor
+    /// stays compact (no expansion — the whole point of serving it),
+    /// everything else is flat.
+    pub fn served(&self) -> &ServedLabeling {
+        &self.served
+    }
+
+    /// Moves the arena out, expanded to the flat form if it is compact.
+    /// Cannot fail — decoding happened in [`AnyStore::parse`]; `Result`
+    /// because the frozen `benchmark/` compiles against it.
     pub fn into_flat(self) -> Result<FlatLabeling, StoreError> {
-        self.into_served().map(ServedLabeling::into_flat)
+        Ok(self.served.into_flat())
     }
 
-    /// Converts into the arena the engine mounts, preserving the store's
-    /// native form: the compact flavor stays compact (no expansion — the
-    /// whole point of serving it), everything else lands flat.
+    /// Moves the arena out in its native form, ready for
+    /// [`crate::QueryEngine::new`]. `Result` for the same reason as
+    /// [`AnyStore::into_flat`].
     pub fn into_served(self) -> Result<ServedLabeling, StoreError> {
-        match self {
-            AnyStore::V1(s) => Ok(ServedLabeling::Flat(s.to_flat()?)),
-            AnyStore::V2(s) => Ok(s.into_served()),
-        }
+        Ok(self.served)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::LabelStore;
     use crate::store_v2::{CompactStore, FlatStore};
     use hl_core::pll::PrunedLandmarkLabeling;
     use hl_core::HubLabeling;
@@ -132,21 +161,25 @@ mod tests {
     #[test]
     fn dispatches_both_versions() {
         let (hl, flat) = sample();
+        let encoder = LabelStore::from_labeling(&hl);
         let mut v1_bytes = Vec::new();
-        LabelStore::from_labeling(&hl)
-            .write_to(&mut v1_bytes)
-            .unwrap();
+        encoder.write_to(&mut v1_bytes).unwrap();
         let v2_bytes = FlatStore::from_flat(flat.clone()).encode();
 
         let v1 = AnyStore::parse(&v1_bytes).unwrap();
-        assert_eq!(v1.version(), 1);
+        assert_eq!((v1.version(), v1.flavor()), (1, "v1"));
         assert_eq!(v1.num_nodes(), flat.num_nodes());
         assert_eq!(v1.file_len(), v1_bytes.len() as u64);
+        // The record carries v1's own size facts: γ bits, γ sections.
+        assert_eq!(v1.label_bits(), encoder.total_bits());
+        assert_eq!(v1.section_bytes(), encoder.section_bytes());
+        assert_eq!(v1.served(), &ServedLabeling::Flat(flat.clone()));
         assert_eq!(v1.into_flat().unwrap(), flat);
 
         let v2 = AnyStore::parse(&v2_bytes).unwrap();
         assert_eq!(v2.version(), 2);
         assert_eq!(v2.file_len(), v2_bytes.len() as u64);
+        assert_eq!(v2.label_bits(), flat.num_entries() as u64 * (4 + 8) * 8);
         assert_eq!(v2.into_flat().unwrap(), flat);
     }
 

@@ -5,23 +5,28 @@
 //! bounds on their size; this crate is about *answering queries from them*
 //! at volume. The pieces:
 //!
-//! - [`store`]: an on-disk binary format for γ-coded labels
-//!   ([`store::LabelStore`]) with corruption detection — truncation, bad
-//!   magic and checksum mismatches surface as typed [`store::StoreError`]s,
-//!   never as wrong distances.
+//! - [`store`] / [`store_v2`]: the on-disk binary formats — γ-coded v1
+//!   ([`store::LabelStore`] encodes, [`store::decode`] decodes) and the
+//!   arena-verbatim v2 flavors ([`store_v2::V2Store`]) — with corruption
+//!   detection: truncation, bad magic, checksum mismatches and crafted
+//!   bodies surface as typed [`store::StoreError`]s, never as wrong
+//!   distances.
+//! - [`any_store`]: [`AnyStore`], the one mount record — a file of any
+//!   format, validated and decoded into the arena a daemon serves, plus
+//!   the size facts `hubserve stats` prints.
 //! - [`engine`]: [`engine::QueryEngine`], a shared read-only
-//!   [`hl_core::FlatLabeling`] arena behind a reloadable epoch cell — the
-//!   store decodes straight into the flat form and the serving path never
-//!   touches the nested per-vertex representation. Queries run on the
-//!   caller's threads; single queries go through a sharded LRU cache.
+//!   [`ServedLabeling`] arena behind a reloadable epoch cell — a store
+//!   decodes straight into it and the serving path never touches the
+//!   nested per-vertex representation. Queries run on the caller's
+//!   threads; single queries go through a sharded LRU cache.
 //! - [`cache`]: the [`cache::ShardedLruCache`] used by the engine.
 //! - [`metrics`]: atomic counters and a latency histogram with
 //!   p50/p95/p99 snapshots ([`metrics::Metrics`]).
 //!
 //! The `hubserve` binary (in `hl-net`, which also adds the TCP serving
 //! stack on top of this crate) wires these into a CLI: `build` a store
-//! from a graph, `query` it over a line protocol, `bench` it under
-//! synthetic load, and `serve` it over the network.
+//! from a graph, `query` it over a line protocol, print its `stats`,
+//! `convert` it between formats, and `serve` it over the network.
 
 #![forbid(unsafe_code)]
 

@@ -1,10 +1,13 @@
-//! Versioned binary on-disk store for γ-coded hub labels.
+//! HLBS version 1 — the γ-coded archival encoding of a hub labeling.
 //!
 //! The text format of `hl_core::io` is convenient for experiments but slow
-//! and bulky to serve from. The binary store keeps each vertex label in the
+//! and bulky to keep around. Version 1 stores each vertex label in the
 //! Elias-γ encoding of `hl_labeling::hub_scheme` — the same codec whose
-//! bit counts the paper's bounds are stated in — behind an offset table,
-//! so a reader can locate any label in O(1) and decode it independently.
+//! bit counts the paper's bounds are stated in — behind an offset table.
+//! It is a codec, not a container: [`LabelStore`] encodes a labeling into
+//! the format and [`decode`] turns a serialized image back into the
+//! [`FlatLabeling`] arena in one eager pass. Nothing answers a query from
+//! γ bits; every mount goes through [`crate::any_store::AnyStore`].
 //!
 //! ## Format (all integers little-endian)
 //!
@@ -24,20 +27,20 @@
 //! occupies bytes `offsets[v] .. offsets[v + 1]` of the blob and exactly
 //! `bit_lens[v]` bits of those bytes.
 //!
-//! Every read validates magic, version, length and checksum before any
-//! label is decoded: a truncated or bit-flipped file yields a typed
-//! [`StoreError`], never a wrong distance.
+//! [`decode`] validates magic, version, length and checksum before any
+//! label is decoded, and treats the γ bits behind a matching checksum as
+//! untrusted all the same: a truncated, bit-flipped or crafted file
+//! yields a typed [`StoreError`], never a panic or a wrong distance.
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
-use hl_core::{FlatLabeling, HubLabel, HubLabeling, LabelingView};
-use hl_graph::{Distance, NodeId};
-use hl_labeling::bits::BitVec;
+use hl_core::{FlatLabeling, HubLabel, LabelingView};
+use hl_graph::NodeId;
+use hl_labeling::bits::BitReader;
 use hl_labeling::hub_scheme::{encode_label, try_decode_label_append};
-use hl_labeling::scheme::BitLabel;
 
 /// File magic: "Hub Label Binary Store".
 pub const MAGIC: [u8; 4] = *b"HLBS";
@@ -85,8 +88,6 @@ pub enum StoreError {
     /// The body is internally inconsistent (offsets out of order,
     /// bit lengths disagreeing with byte spans, trailing bytes, ...).
     Corrupt(String),
-    /// A query or label access named a vertex the store does not have.
-    NodeOutOfRange { node: NodeId, num_nodes: usize },
 }
 
 impl fmt::Display for StoreError {
@@ -112,12 +113,6 @@ impl fmt::Display for StoreError {
                 write!(f, "checksum mismatch: header says {expected:#018x}, body hashes to {actual:#018x}")
             }
             StoreError::Corrupt(msg) => write!(f, "corrupt store: {msg}"),
-            StoreError::NodeOutOfRange { node, num_nodes } => {
-                write!(
-                    f,
-                    "node {node} out of range for store with {num_nodes} nodes"
-                )
-            }
         }
     }
 }
@@ -163,8 +158,9 @@ pub(crate) fn read_u64(bytes: &[u8], at: usize) -> Result<u64, StoreError> {
     Ok(u64::from_le_bytes(read_array(bytes, at)?))
 }
 
-/// A validated, in-memory label store: the offset table plus the raw
-/// γ-coded label blob. Labels decode lazily per vertex.
+/// The v1 encoder: a labeling γ-coded into the format's three sections
+/// (offset table, bit-length table, label blob), ready to serialize.
+/// [`decode`] is the way back.
 #[derive(Debug, Clone)]
 pub struct LabelStore {
     num_nodes: usize,
@@ -179,7 +175,7 @@ pub struct LabelStore {
 impl LabelStore {
     /// Encodes a labeling — nested or flat — into store form (in memory),
     /// γ-coding one vertex at a time from the view's slices, so the flat
-    /// arena encodes without a nested [`HubLabeling`] being materialized. The
+    /// arena encodes without a nested [`hl_core::HubLabeling`] being materialized. The
     /// encoding is canonical (a deterministic function of the labeling),
     /// which is what makes v1 → v2 → v1 byte-identical.
     pub fn from_labeling<L: LabelingView>(labeling: &L) -> Self {
@@ -220,11 +216,7 @@ impl LabelStore {
     /// reporting: the offset table, the bit-length table, and the γ-coded
     /// label blob (v1's sections; v2 reports offsets/hubs/dists).
     pub fn section_bytes(&self) -> [(&'static str, u64); 3] {
-        [
-            ("offsets", (self.num_nodes as u64 + 1) * 8),
-            ("bit_lens", self.num_nodes as u64 * 4),
-            ("blob", self.blob.len() as u64),
-        ]
+        section_bytes(self.num_nodes, self.file_len() as u64)
     }
 
     /// Total γ-coded size of all labels in bits.
@@ -239,114 +231,6 @@ impl LabelStore {
 
     fn body_len(&self) -> usize {
         (self.num_nodes + 1) * 8 + self.num_nodes * 4 + self.blob.len()
-    }
-
-    fn check_node(&self, v: NodeId) -> Result<usize, StoreError> {
-        let idx = v as usize;
-        if idx >= self.num_nodes {
-            return Err(StoreError::NodeOutOfRange {
-                node: v,
-                num_nodes: self.num_nodes,
-            });
-        }
-        Ok(idx)
-    }
-
-    /// The γ-coded label of vertex `v`, without decoding it.
-    pub fn bit_label(&self, v: NodeId) -> Result<BitLabel, StoreError> {
-        let idx = self.check_node(v)?;
-        // The offsets were range-checked against the blob during parse(),
-        // but they are still decoded-from-disk values: narrow them with
-        // try_from so a 32-bit target cannot silently truncate.
-        let lo = usize::try_from(self.offsets[idx])
-            .map_err(|_| StoreError::Corrupt(format!("label {v}: offset overflows usize")))?;
-        let hi = usize::try_from(self.offsets[idx + 1])
-            .map_err(|_| StoreError::Corrupt(format!("label {v}: offset overflows usize")))?;
-        let len = self.bit_lens[idx] as usize;
-        let bits = BitVec::from_bytes(self.blob[lo..hi].to_vec(), len).ok_or_else(|| {
-            StoreError::Corrupt(format!(
-                "label {v}: bit length {len} inconsistent with {} bytes",
-                hi - lo
-            ))
-        })?;
-        Ok(BitLabel::new(bits))
-    }
-
-    /// Decodes the hub label of vertex `v`.
-    ///
-    /// The γ bits are treated as *untrusted* even though the checksum
-    /// matched: a checksum only catches accidents, and a crafted store
-    /// can carry any bit pattern behind a freshly computed FNV. Malformed
-    /// codes, lying entry counts, hub-id overflow and out-of-range hub
-    /// ids are all [`StoreError::Corrupt`], never a panic or a runaway
-    /// allocation.
-    pub fn decode_label(&self, v: NodeId) -> Result<HubLabel, StoreError> {
-        let mut hubs = Vec::new();
-        let mut dists = Vec::new();
-        self.decode_label_into(v, &mut hubs, &mut dists)?;
-        Ok(HubLabel::from_pairs(hubs.into_iter().zip(dists).collect()))
-    }
-
-    /// Checked decode of label `v` appended into caller buffers — the
-    /// allocation-free path [`LabelStore::to_flat`] iterates.
-    fn decode_label_into(
-        &self,
-        v: NodeId,
-        hubs: &mut Vec<NodeId>,
-        dists: &mut Vec<Distance>,
-    ) -> Result<(), StoreError> {
-        let start = hubs.len();
-        try_decode_label_append(&self.bit_label(v)?, hubs, dists)
-            .map_err(|e| StoreError::Corrupt(format!("label {v}: {e}")))?;
-        if let Some(&hub) = hubs[start..].iter().last() {
-            // Gap coding keeps hubs strictly increasing, so checking the
-            // last one bounds them all.
-            if hub as usize >= self.num_nodes {
-                hubs.truncate(start);
-                dists.truncate(start);
-                return Err(StoreError::Corrupt(format!(
-                    "label {v}: hub {hub} out of range for {} nodes",
-                    self.num_nodes
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Decodes every label back into a [`HubLabeling`] (the nested,
-    /// construction-time form — two heap vectors per vertex).
-    pub fn to_labeling(&self) -> Result<HubLabeling, StoreError> {
-        let mut labels = Vec::with_capacity(self.num_nodes);
-        for v in 0..self.num_nodes {
-            labels.push(self.decode_label(v as NodeId)?);
-        }
-        Ok(HubLabeling::from_labels(labels))
-    }
-
-    /// Decodes every label straight into a [`FlatLabeling`] arena — the
-    /// canonical query-time form. One pass over the γ-coded blob; each
-    /// label decodes into a reused scratch pair and is appended to the
-    /// arena, so no per-vertex `HubLabel` (or any other per-vertex heap
-    /// allocation) is ever built. This is how [`crate::QueryEngine`]
-    /// loads a store.
-    pub fn to_flat(&self) -> Result<FlatLabeling, StoreError> {
-        let mut flat = FlatLabeling::with_capacity(self.num_nodes, 0);
-        let mut hubs: Vec<NodeId> = Vec::new();
-        let mut dists: Vec<Distance> = Vec::new();
-        for v in 0..self.num_nodes {
-            hubs.clear();
-            dists.clear();
-            self.decode_label_into(v as NodeId, &mut hubs, &mut dists)?;
-            flat.push_label(&hubs, &dists);
-        }
-        Ok(flat)
-    }
-
-    /// Answers a distance query straight from the stored labels.
-    pub fn query(&self, u: NodeId, v: NodeId) -> Result<Distance, StoreError> {
-        let lu = self.decode_label(u)?;
-        let lv = self.decode_label(v)?;
-        Ok(lu.join(&lv))
     }
 
     /// Serializes the store to a writer.
@@ -376,138 +260,177 @@ impl LabelStore {
         let file = File::create(path)?;
         self.write_to(io::BufWriter::new(file))
     }
+}
 
-    /// Reads and fully validates a store from a reader.
-    pub fn read_from<R: Read>(mut input: R) -> Result<Self, StoreError> {
-        let mut bytes = Vec::new();
-        input.read_to_end(&mut bytes)?;
-        Self::parse(&bytes)
+/// Per-section byte sizes of a v1 image `file_len` bytes long over
+/// `num_nodes` vertices — the one place the section layout is spelled
+/// out for the encoder's and [`crate::any_store::AnyStore`]'s reports.
+pub(crate) fn section_bytes(num_nodes: usize, file_len: u64) -> [(&'static str, u64); 3] {
+    let offsets = (num_nodes as u64 + 1) * 8;
+    let bit_lens = num_nodes as u64 * 4;
+    let blob = file_len - HEADER_LEN as u64 - offsets - bit_lens;
+    [("offsets", offsets), ("bit_lens", bit_lens), ("blob", blob)]
+}
+
+/// Decodes a serialized v1 store into the query-time arena, returning it
+/// with the total γ-coded label size in bits (the paper's unit). One
+/// pass over the borrowed bytes: header, length, checksum and table
+/// bounds first, then each label is located through the tables and
+/// γ-decoded in place — no copy of the blob, no per-vertex allocation.
+///
+/// The γ bits are treated as *untrusted* even though the checksum
+/// matched: a checksum only catches accidents, and a crafted store can
+/// carry any bit pattern behind a freshly computed FNV. Malformed codes,
+/// lying entry counts, hub-id overflow and out-of-range hub ids are all
+/// [`StoreError::Corrupt`], never a panic or a runaway allocation.
+pub fn decode(bytes: &[u8]) -> Result<(FlatLabeling, u64), StoreError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(StoreError::Truncated {
+            expected: HEADER_LEN as u64,
+            actual: bytes.len() as u64,
+        });
+    }
+    let version = format_version(bytes)?;
+    if version != VERSION {
+        return Err(StoreError::UnsupportedVersion(version));
+    }
+    let flags = u16::from_le_bytes(read_array(bytes, 6)?);
+    if flags != 0 {
+        return Err(StoreError::UnsupportedFlags(flags));
+    }
+    let n = read_u64(bytes, 8)?;
+    let body_len = read_u64(bytes, 16)?;
+    let checksum = read_u64(bytes, 24)?;
+
+    let num_nodes = usize::try_from(n)
+        .map_err(|_| StoreError::Corrupt(format!("node count {n} exceeds address space")))?;
+    let body = &bytes[HEADER_LEN..];
+    let actual_body = body.len() as u64;
+    if actual_body < body_len {
+        return Err(StoreError::Truncated {
+            expected: body_len,
+            actual: actual_body,
+        });
+    }
+    if actual_body > body_len {
+        return Err(StoreError::Corrupt(format!(
+            "{} trailing bytes after declared body",
+            actual_body - body_len
+        )));
+    }
+    let actual_checksum = fnv1a64(body);
+    if actual_checksum != checksum {
+        return Err(StoreError::ChecksumMismatch {
+            expected: checksum,
+            actual: actual_checksum,
+        });
     }
 
-    /// Reads and fully validates a store from a file.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, StoreError> {
-        Self::read_from(File::open(path)?)
+    // Tables: (n + 1) u64 offsets, n u32 bit lengths, then the blob.
+    // Even the `n + 1` must be checked: n = usize::MAX would wrap it.
+    let tables_len = num_nodes
+        .checked_add(1)
+        .and_then(|c| c.checked_mul(8))
+        .and_then(|o| o.checked_add(num_nodes.checked_mul(4)?))
+        .ok_or_else(|| StoreError::Corrupt(format!("node count {n} overflows table size")))?;
+    if body.len() < tables_len {
+        return Err(StoreError::Corrupt(format!(
+            "body too small for offset tables: {} < {tables_len}",
+            body.len()
+        )));
+    }
+    let (tables, blob) = body.split_at(tables_len);
+    let (offsets, bit_lens) = tables.split_at((num_nodes + 1) * 8);
+
+    let first = read_u64(offsets, 0)?;
+    if first != 0 {
+        return Err(StoreError::Corrupt(format!(
+            "first offset is {first}, not 0"
+        )));
+    }
+    let last = read_u64(offsets, num_nodes * 8)?;
+    if last != blob.len() as u64 {
+        return Err(StoreError::Corrupt(format!(
+            "final offset {last} does not match blob length {}",
+            blob.len()
+        )));
     }
 
-    /// Parses and validates a serialized store.
-    pub fn parse(bytes: &[u8]) -> Result<Self, StoreError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(StoreError::Truncated {
-                expected: HEADER_LEN as u64,
-                actual: bytes.len() as u64,
-            });
-        }
-        let version = format_version(bytes)?;
-        if version != VERSION {
-            return Err(StoreError::UnsupportedVersion(version));
-        }
-        let flags = u16::from_le_bytes(read_array(bytes, 6)?);
-        if flags != 0 {
-            return Err(StoreError::UnsupportedFlags(flags));
-        }
-        let n = read_u64(bytes, 8)?;
-        let body_len = read_u64(bytes, 16)?;
-        let checksum = read_u64(bytes, 24)?;
-
-        let n_usize = usize::try_from(n)
-            .map_err(|_| StoreError::Corrupt(format!("node count {n} exceeds address space")))?;
-        let actual_body = (bytes.len() - HEADER_LEN) as u64;
-        if actual_body < body_len {
-            return Err(StoreError::Truncated {
-                expected: body_len,
-                actual: actual_body,
-            });
-        }
-        if actual_body > body_len {
+    // The node count is now bounded by the file's own size, so it may
+    // size the arena; the entry count is only known label by label.
+    let mut flat = FlatLabeling::with_capacity(num_nodes, 0);
+    let (mut hubs, mut dists) = (Vec::new(), Vec::new());
+    let mut total_bits = 0u64;
+    let mut lo = first;
+    let ends = offsets[8..].chunks_exact(8).zip(bit_lens.chunks_exact(4));
+    for (v, (hi, bit_len)) in ends.enumerate() {
+        let hi = read_u64(hi, 0)?;
+        let bit_len = u32::from_le_bytes(read_array(bit_len, 0)?);
+        if lo > hi {
             return Err(StoreError::Corrupt(format!(
-                "{} trailing bytes after declared body",
-                actual_body - body_len
+                "offsets out of order at label {v}: {lo} > {hi}"
             )));
         }
-        let body = &bytes[HEADER_LEN..];
-        let actual_checksum = fnv1a64(body);
-        if actual_checksum != checksum {
-            return Err(StoreError::ChecksumMismatch {
-                expected: checksum,
-                actual: actual_checksum,
-            });
-        }
-
-        // Tables: (n + 1) u64 offsets, n u32 bit lengths, then the blob.
-        // Even the `n + 1` must be checked: n = usize::MAX would wrap it.
-        let tables_len = n_usize
-            .checked_add(1)
-            .and_then(|c| c.checked_mul(8))
-            .and_then(|o| o.checked_add(n_usize.checked_mul(4)?))
-            .ok_or_else(|| StoreError::Corrupt(format!("node count {n} overflows table size")))?;
-        if body.len() < tables_len {
+        let need = u64::from(bit_len).div_ceil(8);
+        if hi - lo != need {
             return Err(StoreError::Corrupt(format!(
-                "body too small for offset tables: {} < {tables_len}",
-                body.len()
+                "label {v}: {bit_len} bits need {need} bytes but span is {}",
+                hi - lo
             )));
         }
-        let mut offsets = Vec::with_capacity(n_usize + 1);
-        for i in 0..=n_usize {
-            offsets.push(read_u64(body, i * 8)?);
-        }
-        let bl_base = (n_usize + 1) * 8;
-        let mut bit_lens = Vec::with_capacity(n_usize);
-        for i in 0..n_usize {
-            bit_lens.push(u32::from_le_bytes(read_array(body, bl_base + i * 4)?));
-        }
-        let blob = body[tables_len..].to_vec();
-
-        if offsets[0] != 0 {
-            return Err(StoreError::Corrupt(format!(
-                "first offset is {}, not 0",
-                offsets[0]
-            )));
-        }
-        if offsets[n_usize] != blob.len() as u64 {
-            return Err(StoreError::Corrupt(format!(
-                "final offset {} does not match blob length {}",
-                offsets[n_usize],
-                blob.len()
-            )));
-        }
-        for v in 0..n_usize {
-            let lo = offsets[v];
-            let hi = offsets[v + 1];
-            if lo > hi {
+        // try_from, not `as`: a 32-bit target must not silently truncate
+        // a decoded-from-disk offset.
+        let span = usize::try_from(lo)
+            .ok()
+            .zip(usize::try_from(hi).ok())
+            .and_then(|(lo, hi)| blob.get(lo..hi))
+            .ok_or_else(|| {
+                StoreError::Corrupt(format!(
+                    "label {v}: bytes {lo}..{hi} lie outside the {}-byte blob",
+                    blob.len()
+                ))
+            })?;
+        let bits = BitReader::from_bytes(span, bit_len as usize).ok_or_else(|| {
+            StoreError::Corrupt(format!("label {v}: bits set past its {bit_len}-bit length"))
+        })?;
+        hubs.clear();
+        dists.clear();
+        try_decode_label_append(bits, &mut hubs, &mut dists)
+            .map_err(|e| StoreError::Corrupt(format!("label {v}: {e}")))?;
+        if let Some(&hub) = hubs.last() {
+            // Gap coding keeps hubs strictly increasing, so checking the
+            // last one bounds them all.
+            if hub as usize >= num_nodes {
                 return Err(StoreError::Corrupt(format!(
-                    "offsets out of order at label {v}: {lo} > {hi}"
+                    "label {v}: hub {hub} out of range for {num_nodes} nodes"
                 )));
             }
-            let span = hi - lo;
-            let need = (bit_lens[v] as u64).div_ceil(8);
-            if span != need {
-                return Err(StoreError::Corrupt(format!(
-                    "label {v}: {} bits need {need} bytes but span is {span}",
-                    bit_lens[v]
-                )));
-            }
         }
-
-        Ok(LabelStore {
-            num_nodes: n_usize,
-            offsets,
-            bit_lens,
-            blob,
-        })
+        flat.push_label(&hubs, &dists);
+        total_bits += u64::from(bit_len);
+        lo = hi;
     }
+    Ok((flat, total_bits))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hl_core::pll::PrunedLandmarkLabeling;
+    use hl_core::HubLabeling;
     use hl_graph::generators;
 
-    fn sample_store() -> (HubLabeling, LabelStore) {
+    fn encode(hl: &HubLabeling) -> Vec<u8> {
+        let mut buf = Vec::new();
+        LabelStore::from_labeling(hl).write_to(&mut buf).unwrap();
+        buf
+    }
+
+    fn sample() -> (HubLabeling, Vec<u8>) {
         let g = generators::grid(5, 6);
         let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-        let store = LabelStore::from_labeling(&hl);
-        (hl, store)
+        let buf = encode(&hl);
+        (hl, buf)
     }
 
     #[test]
@@ -519,64 +442,39 @@ mod tests {
 
     #[test]
     fn roundtrip_in_memory() {
-        let (hl, store) = sample_store();
-        let mut buf = Vec::new();
-        store.write_to(&mut buf).unwrap();
-        let back = LabelStore::parse(&buf).unwrap();
-        assert_eq!(back.num_nodes(), hl.num_nodes());
-        let decoded = back.to_labeling().unwrap();
-        assert_eq!(decoded, hl);
-    }
-
-    #[test]
-    fn to_flat_matches_nested_decode() {
-        let (hl, store) = sample_store();
-        let flat = store.to_flat().unwrap();
-        assert_eq!(flat.to_labeling(), hl);
-        assert_eq!(flat, hl_core::FlatLabeling::from_labeling(&hl));
+        let (hl, buf) = sample();
+        let store = LabelStore::from_labeling(&hl);
+        assert_eq!(buf.len(), store.file_len());
+        let (flat, total_bits) = decode(&buf).unwrap();
+        assert_eq!(flat, FlatLabeling::from_labeling(&hl));
         assert_eq!(flat.num_entries(), hl.total_hubs());
-    }
-
-    #[test]
-    fn query_matches_labeling() {
-        let (hl, store) = sample_store();
-        let n = hl.num_nodes() as NodeId;
-        for u in 0..n {
-            for v in 0..n {
-                assert_eq!(store.query(u, v).unwrap(), hl.query(u, v));
-            }
-        }
+        assert_eq!(total_bits, store.total_bits());
+        let sections = store.section_bytes();
+        assert_eq!(sections, section_bytes(hl.num_nodes(), buf.len() as u64));
+        let body: u64 = sections.iter().map(|&(_, b)| b).sum();
+        assert_eq!(body, (buf.len() - HEADER_LEN) as u64);
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let (_, store) = sample_store();
-        let mut buf = Vec::new();
-        store.write_to(&mut buf).unwrap();
+        let (_, mut buf) = sample();
         buf[0] = b'X';
-        assert!(matches!(
-            LabelStore::parse(&buf),
-            Err(StoreError::BadMagic(_))
-        ));
+        assert!(matches!(decode(&buf), Err(StoreError::BadMagic(_))));
     }
 
     #[test]
     fn wrong_version_rejected() {
-        let (_, store) = sample_store();
-        let mut buf = Vec::new();
-        store.write_to(&mut buf).unwrap();
+        let (_, mut buf) = sample();
         buf[4] = 99;
         assert!(matches!(
-            LabelStore::parse(&buf),
+            decode(&buf),
             Err(StoreError::UnsupportedVersion(99))
         ));
     }
 
     #[test]
     fn truncation_rejected_at_every_length() {
-        let (_, store) = sample_store();
-        let mut buf = Vec::new();
-        store.write_to(&mut buf).unwrap();
+        let (_, buf) = sample();
         for cut in [
             0,
             3,
@@ -585,36 +483,31 @@ mod tests {
             buf.len() / 2,
             buf.len() - 1,
         ] {
+            // Later checks (checksum, offsets) would object too; a short
+            // file must be *named* as one.
             assert!(
-                LabelStore::parse(&buf[..cut]).is_err(),
-                "prefix of {cut} bytes must not parse"
+                matches!(decode(&buf[..cut]), Err(StoreError::Truncated { .. })),
+                "prefix of {cut} bytes must be reported as truncated"
             );
         }
     }
 
     #[test]
     fn flipped_body_byte_rejected() {
-        let (_, store) = sample_store();
-        let mut buf = Vec::new();
-        store.write_to(&mut buf).unwrap();
+        let (_, mut buf) = sample();
         let mid = HEADER_LEN + (buf.len() - HEADER_LEN) / 2;
         buf[mid] ^= 0x40;
         assert!(matches!(
-            LabelStore::parse(&buf),
+            decode(&buf),
             Err(StoreError::ChecksumMismatch { .. })
         ));
     }
 
     #[test]
     fn trailing_garbage_rejected() {
-        let (_, store) = sample_store();
-        let mut buf = Vec::new();
-        store.write_to(&mut buf).unwrap();
+        let (_, mut buf) = sample();
         buf.extend_from_slice(b"junk");
-        assert!(matches!(
-            LabelStore::parse(&buf),
-            Err(StoreError::Corrupt(_))
-        ));
+        assert!(matches!(decode(&buf), Err(StoreError::Corrupt(_))));
     }
 
     /// Rewrites the header checksum to match the (possibly corrupted)
@@ -640,10 +533,10 @@ mod tests {
     #[test]
     fn crafted_huge_node_count_is_rejected_before_allocation() {
         // A lying node count must be rejected against the actual body
-        // size *before* the offset tables are allocated — the exact shape
-        // the untrusted-length-alloc lint guards. A terabyte-scale table
-        // claim over a 0-byte body would OOM a trusting parser.
-        let err = LabelStore::parse(&crafted_header(1 << 40)).unwrap_err();
+        // size *before* the arena is sized from it — the exact shape the
+        // untrusted-length-alloc lint guards. A terabyte-scale table
+        // claim over a 0-byte body would OOM a trusting decoder.
+        let err = decode(&crafted_header(1 << 40)).unwrap_err();
         assert!(
             matches!(err, StoreError::Corrupt(ref m) if m.contains("body too small")),
             "{err:?}"
@@ -655,36 +548,28 @@ mod tests {
         // n = u64::MAX overflows the table-size arithmetic itself; the
         // checked math must turn that into Corrupt, not a wrap-around
         // that under-allocates.
-        let err = LabelStore::parse(&crafted_header(u64::MAX)).unwrap_err();
+        let err = decode(&crafted_header(u64::MAX)).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
     }
 
     #[test]
     fn crafted_garbage_label_bits_are_corrupt_not_panic() {
         // A checksum-valid file whose γ blob is all zeros: the offset
-        // tables parse fine, but every label's count code is an
+        // tables check out, but every label's count code is an
         // unterminated unary run. Found by the hlnp-fuzz store campaign —
         // the trusting decoder panicked in `BitVec::get`.
-        let (_, store) = sample_store();
-        let mut buf = Vec::new();
-        store.write_to(&mut buf).unwrap();
-        let blob_base = HEADER_LEN + (store.num_nodes() + 1) * 8 + store.num_nodes() * 4;
+        let (hl, mut buf) = sample();
+        let n = hl.num_nodes();
+        let blob_base = HEADER_LEN + (n + 1) * 8 + n * 4;
         for b in &mut buf[blob_base..] {
             *b = 0;
         }
         refresh_checksum(&mut buf);
-        let crafted = LabelStore::parse(&buf).expect("structurally valid store must parse");
-        for v in 0..crafted.num_nodes() as NodeId {
-            if crafted.bit_lens[v as usize] == 0 {
-                continue; // an empty label decodes to an empty hub set
-            }
-            assert!(
-                matches!(crafted.decode_label(v), Err(StoreError::Corrupt(_))),
-                "garbage bits for label {v} must be a typed error"
-            );
-        }
-        assert!(matches!(crafted.to_flat(), Err(StoreError::Corrupt(_))));
-        assert!(matches!(crafted.query(0, 1), Err(StoreError::Corrupt(_))));
+        let err = decode(&buf).unwrap_err();
+        assert!(
+            matches!(err, StoreError::Corrupt(ref m) if m.contains("malformed gamma code")),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -696,34 +581,45 @@ mod tests {
             HubLabel::from_pairs(vec![(0, 0)]),
             HubLabel::from_pairs(vec![(0, 1), (9, 0)]), // hub 9 in a 2-node store
         ];
-        let store = LabelStore::from_labeling(&HubLabeling::from_labels(labels));
-        assert!(store.decode_label(0).is_ok());
-        assert!(matches!(store.decode_label(1), Err(StoreError::Corrupt(_))));
-        assert!(matches!(store.to_flat(), Err(StoreError::Corrupt(_))));
+        let err = decode(&encode(&HubLabeling::from_labels(labels))).unwrap_err();
+        assert!(
+            matches!(err, StoreError::Corrupt(ref m) if m.contains("hub 9 out of range")),
+            "{err:?}"
+        );
     }
 
     #[test]
-    fn node_out_of_range() {
-        let (_, store) = sample_store();
-        let n = store.num_nodes() as NodeId;
-        assert!(matches!(
-            store.query(0, n),
-            Err(StoreError::NodeOutOfRange { .. })
-        ));
-        assert!(matches!(
-            store.decode_label(n + 7),
-            Err(StoreError::NodeOutOfRange { .. })
-        ));
+    fn crafted_offset_past_the_blob_is_corrupt_not_panic() {
+        // Offsets 1.. pushed past the blob with bit lengths to match and
+        // the checksum refreshed: every span is self-consistent, so only
+        // the bounds check on the blob slice stands between the tables
+        // and an out-of-range index.
+        let (hl, mut buf) = sample();
+        let n = hl.num_nodes();
+        let blob_len = (buf.len() - HEADER_LEN - (n + 1) * 8 - n * 4) as u64;
+        let far = blob_len + 64;
+        for v in 1..n {
+            let at = HEADER_LEN + v * 8;
+            buf[at..at + 8].copy_from_slice(&far.to_le_bytes());
+        }
+        let bit_lens = HEADER_LEN + (n + 1) * 8;
+        buf[bit_lens..bit_lens + 4].copy_from_slice(&(far as u32 * 8).to_le_bytes());
+        for v in 1..n - 1 {
+            let at = bit_lens + v * 4;
+            buf[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+        }
+        refresh_checksum(&mut buf);
+        let err = decode(&buf).unwrap_err();
+        assert!(
+            matches!(err, StoreError::Corrupt(ref m) if m.contains("outside")),
+            "{err:?}"
+        );
     }
 
     #[test]
     fn empty_labeling_roundtrips() {
-        let hl = HubLabeling::empty(0);
-        let store = LabelStore::from_labeling(&hl);
-        let mut buf = Vec::new();
-        store.write_to(&mut buf).unwrap();
-        let back = LabelStore::parse(&buf).unwrap();
-        assert_eq!(back.num_nodes(), 0);
-        assert!(back.to_labeling().unwrap().num_nodes() == 0);
+        let (flat, total_bits) = decode(&encode(&HubLabeling::empty(0))).unwrap();
+        assert_eq!(flat.num_nodes(), 0);
+        assert_eq!(total_bits, 0);
     }
 }

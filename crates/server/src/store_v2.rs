@@ -64,7 +64,7 @@
 //! structural pass catching crafted stores.
 
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 use hl_core::{CompactDists, CompactLabeling, FlatLabeling, HubDeltas};
@@ -230,10 +230,11 @@ pub fn layout_with(
     }
 }
 
-/// A validated HLBS v2 store of either flavor: a thin wrapper holding the
-/// decoded arena in the form a daemon mounts. Unlike v1's
-/// [`crate::store::LabelStore`] there is nothing left to decode —
-/// [`V2Store::into_served`] hands the arena to the engine by move. The
+/// The HLBS v2 codec for both flavors: a thin wrapper holding the arena
+/// in the form a daemon mounts. [`V2Store::encode`] lays it out;
+/// [`V2Store::parse`] validates an image and
+/// [`V2Store::into_served`] hands the arena on by move
+/// ([`crate::any_store::AnyStore`] is how files get here). The
 /// flavor is the arena's: a flat arena serializes with `flags == 0`, a
 /// compact one with [`FLAG_COMPACT`] and its lane-width bits.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -363,19 +364,6 @@ impl V2Store {
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), StoreError> {
         let file = File::create(path)?;
         self.write_to(io::BufWriter::new(file))
-    }
-
-    /// Reads and fully validates a store from a reader.
-    pub fn read_from<R: Read>(mut input: R) -> Result<Self, StoreError> {
-        let mut bytes = Vec::new();
-        input.read_to_end(&mut bytes)?;
-        Self::parse(&bytes)
-    }
-
-    /// Reads and fully validates a store from a file: one sequential read
-    /// plus validation — the whole point of the format.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, StoreError> {
-        Self::read_from(File::open(path)?)
     }
 
     /// Parses and validates a serialized v2 store of either flavor. The
@@ -700,6 +688,7 @@ fn write_narrow_lane(buf: &mut [u8], sec: Section, lane: &CompactDists) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::any_store::AnyStore;
     use hl_core::pll::PrunedLandmarkLabeling;
     use hl_graph::{generators, NodeId};
 
@@ -1084,7 +1073,7 @@ mod tests {
         CompactStore::from_compact(compact.clone())
             .save(&path)
             .unwrap();
-        let back = CompactStore::open(&path).unwrap();
+        let back = AnyStore::open(&path).unwrap();
         assert_eq!(back.served(), &ServedLabeling::Compact(compact));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1096,7 +1085,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("store.hlbs2");
         FlatStore::from_flat(flat.clone()).save(&path).unwrap();
-        let back = FlatStore::open(&path).unwrap();
+        let back = AnyStore::open(&path).unwrap();
         assert_eq!(back.served(), &ServedLabeling::Flat(flat));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,12 +1,39 @@
-//! Store round-trips across graph families, and corruption safety on disk:
-//! a damaged store file must produce a typed error, never a wrong distance.
+//! v1 store round-trips across graph families, and corruption safety on
+//! disk, through the mount path every product caller takes
+//! ([`AnyStore::parse`]/[`AnyStore::open`]): a damaged store file must
+//! produce a typed error, never a wrong distance.
 
 use hl_core::pll::PrunedLandmarkLabeling;
+use hl_core::{FlatLabeling, HubLabeling};
 use hl_graph::dijkstra::dijkstra_distances;
 use hl_graph::rng::Xorshift64;
 use hl_graph::{generators, Graph, NodeId};
 use hl_lowerbound::{GadgetParams, HGraph};
-use hl_server::{LabelStore, StoreError};
+use hl_server::{AnyStore, LabelStore, StoreError};
+
+/// Degree-order PLL labels of `g` and their serialized v1 image.
+fn encoded(g: &Graph) -> (HubLabeling, Vec<u8>) {
+    let hl = PrunedLandmarkLabeling::by_degree(g).into_labeling();
+    let mut buf = Vec::new();
+    LabelStore::from_labeling(&hl).write_to(&mut buf).unwrap();
+    (hl, buf)
+}
+
+/// Asserts the mounted image answers every pair exactly like Dijkstra.
+fn assert_serves_ground_truth(name: &str, g: &Graph, buf: &[u8]) {
+    let back = AnyStore::parse(buf).unwrap();
+    let n = g.num_nodes() as NodeId;
+    for u in 0..n {
+        let truth = dijkstra_distances(g, u);
+        for v in 0..n {
+            assert_eq!(
+                back.served().query(u, v),
+                truth[v as usize],
+                "{name}: d({u},{v}) from store disagrees with Dijkstra"
+            );
+        }
+    }
+}
 
 fn families() -> Vec<(&'static str, Graph)> {
     vec![
@@ -25,12 +52,13 @@ fn families() -> Vec<(&'static str, Graph)> {
 #[test]
 fn roundtrip_reproduces_labeling_exactly() {
     for (name, g) in families() {
-        let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-        let store = LabelStore::from_labeling(&hl);
-        let mut buf = Vec::new();
-        store.write_to(&mut buf).unwrap();
-        let decoded = LabelStore::parse(&buf).unwrap().to_labeling().unwrap();
-        assert_eq!(decoded, hl, "{name}: decode(encode(labeling)) != labeling");
+        let (hl, buf) = encoded(&g);
+        let decoded = AnyStore::parse(&buf).unwrap().into_flat().unwrap();
+        assert_eq!(
+            decoded,
+            FlatLabeling::from(hl),
+            "{name}: decode(encode(labeling)) != labeling"
+        );
     }
 }
 
@@ -39,22 +67,7 @@ fn served_distances_match_ground_truth() {
     // Dijkstra is the ground truth: it agrees with BFS on unit weights and
     // stays correct on the weighted H_{b,l} gadget.
     for (name, g) in families() {
-        let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-        let store = LabelStore::from_labeling(&hl);
-        let mut buf = Vec::new();
-        store.write_to(&mut buf).unwrap();
-        let back = LabelStore::parse(&buf).unwrap();
-        let n = g.num_nodes() as NodeId;
-        for u in 0..n {
-            let truth = dijkstra_distances(&g, u);
-            for v in 0..n {
-                assert_eq!(
-                    back.query(u, v).unwrap(),
-                    truth[v as usize],
-                    "{name}: d({u},{v}) from store disagrees with Dijkstra"
-                );
-            }
-        }
+        assert_serves_ground_truth(name, &g, &encoded(&g).1);
     }
 }
 
@@ -66,23 +79,23 @@ fn file_roundtrip_via_disk() {
     let mut path = std::env::temp_dir();
     path.push(format!("hl-store-test-{}.hlbs", std::process::id()));
     store.save(&path).unwrap();
-    let back = LabelStore::open(&path).unwrap();
-    assert_eq!(back.to_labeling().unwrap(), hl);
+    let back = AnyStore::open(&path).unwrap();
+    assert_eq!(back.version(), 1);
+    assert_eq!(back.file_len(), store.file_len() as u64);
+    assert_eq!(back.section_bytes(), store.section_bytes());
+    assert_eq!(back.label_bits(), store.total_bits());
+    assert_eq!(back.into_flat().unwrap(), FlatLabeling::from(hl));
     std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn every_truncation_errors_never_misanswers() {
-    let g = generators::random_tree(40, 3);
-    let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-    let store = LabelStore::from_labeling(&hl);
-    let mut buf = Vec::new();
-    store.write_to(&mut buf).unwrap();
+    let (_, buf) = encoded(&generators::random_tree(40, 3));
     // Every proper prefix must fail to parse: a reader can never be handed
     // a truncated file and serve from it.
     for cut in 0..buf.len() {
         assert!(
-            LabelStore::parse(&buf[..cut]).is_err(),
+            AnyStore::parse(&buf[..cut]).is_err(),
             "prefix of {cut}/{} bytes parsed successfully",
             buf.len()
         );
@@ -91,11 +104,8 @@ fn every_truncation_errors_never_misanswers() {
 
 #[test]
 fn random_single_byte_corruption_is_caught() {
-    let g = generators::grid(5, 5);
-    let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-    let store = LabelStore::from_labeling(&hl);
-    let mut clean = Vec::new();
-    store.write_to(&mut clean).unwrap();
+    let (hl, clean) = encoded(&generators::grid(5, 5));
+    let flat = FlatLabeling::from(hl);
 
     let mut rng = Xorshift64::seed_from_u64(0xC0FFEE);
     for _ in 0..200 {
@@ -103,7 +113,7 @@ fn random_single_byte_corruption_is_caught() {
         let at = rng.gen_index(buf.len());
         let bit = 1u8 << rng.gen_index(8);
         buf[at] ^= bit;
-        match LabelStore::parse(&buf) {
+        match AnyStore::parse(&buf) {
             Err(_) => {} // typed error: the corruption was caught
             Ok(back) => {
                 // Flips confined to the checksum-covered body are always
@@ -112,8 +122,8 @@ fn random_single_byte_corruption_is_caught() {
                 // So a successful parse means the flip landed somewhere
                 // that must still decode to the identical labeling.
                 assert_eq!(
-                    back.to_labeling().unwrap(),
-                    hl,
+                    back.into_flat().unwrap(),
+                    flat,
                     "corrupt store at byte {at} (bit {bit:#04x}) parsed AND decoded differently"
                 );
             }
@@ -123,35 +133,17 @@ fn random_single_byte_corruption_is_caught() {
 
 #[test]
 fn corrupt_offset_table_is_typed_not_panic() {
-    let g = generators::grid(4, 4);
-    let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-    let store = LabelStore::from_labeling(&hl);
-    let mut buf = Vec::new();
-    store.write_to(&mut buf).unwrap();
+    let (_, mut buf) = encoded(&generators::grid(4, 4));
     // Body starts at 32: scramble the first offset entry and re-stamp the
     // checksum so corruption must be caught by structural validation.
     buf[32] = 0xFF;
     let body_checksum = hl_server::store::fnv1a64(&buf[32..]);
     buf[24..32].copy_from_slice(&body_checksum.to_le_bytes());
-    assert!(matches!(
-        LabelStore::parse(&buf),
-        Err(StoreError::Corrupt(_))
-    ));
+    assert!(matches!(AnyStore::parse(&buf), Err(StoreError::Corrupt(_))));
 }
 
 #[test]
 fn weighted_graph_distances_survive_roundtrip() {
     let g = generators::weighted_grid(6, 5, 19);
-    let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-    let store = LabelStore::from_labeling(&hl);
-    let mut buf = Vec::new();
-    store.write_to(&mut buf).unwrap();
-    let back = LabelStore::parse(&buf).unwrap();
-    let n = g.num_nodes() as NodeId;
-    for u in 0..n {
-        let truth = hl_graph::dijkstra::dijkstra_distances(&g, u);
-        for v in 0..n {
-            assert_eq!(back.query(u, v).unwrap(), truth[v as usize]);
-        }
-    }
+    assert_serves_ground_truth("weighted-grid-6x5", &g, &encoded(&g).1);
 }

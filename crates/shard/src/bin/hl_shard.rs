@@ -7,10 +7,10 @@
 //!
 //! `partition` opens a store of either HLBS version, splits its labels
 //! into K full-width vertex-routed shard stores (`v % K` owns vertex
-//! `v`), writes `shard-0.hlbs` … `shard-(K-1).hlbs` plus a
-//! `manifest.hlsm` into `<out-dir>`, and prints a per-shard summary.
-//! Shard stores are HLBS v2 (the serving format); each shard is then
-//! served by a perfectly ordinary `hubserve serve shard-i.hlbs`.
+//! `v`), writes `shard-0.hlbs` … `shard-(K-1).hlbs` into `<out-dir>`,
+//! and prints a per-shard summary. Shard stores are HLBS v2 (the serving
+//! format); each shard is then served by a perfectly ordinary `hubserve
+//! serve shard-i.hlbs`.
 //!
 //! `query` connects to one daemon per `--shard` flag — order must match
 //! shard ids — and answers `u v` pair lines: from a file as one routed
@@ -24,12 +24,11 @@
 
 use std::path::Path;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use hl_net::cli::{answer_pairs, exit_code, CliError, Flags};
 use hl_net::ClientConfig;
 use hl_server::{AnyStore, FlatStore};
-use hl_shard::{partition, ShardManifest, ShardRouter};
+use hl_shard::{partition, ShardRouter};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -78,13 +77,10 @@ fn parse_partition_opts(args: &[String]) -> Result<PartitionOpts, String> {
 
 fn cmd_partition(args: &[String]) -> Result<(), CliError> {
     let opts = parse_partition_opts(args).map_err(CliError::Usage)?;
-    let started = Instant::now();
     let store = AnyStore::open(&opts.store_path)
         .map_err(|e| format!("cannot open store {}: {e}", opts.store_path))?;
     let version = store.version();
-    let flat = store
-        .into_flat()
-        .map_err(|e| format!("cannot decode store {}: {e}", opts.store_path))?;
+    let flat = store.into_flat().map_err(|e| e.to_string())?;
     println!(
         "partitioning {} (v{version}, {} nodes, {} entries) into {} shards",
         opts.store_path,
@@ -95,16 +91,12 @@ fn cmd_partition(args: &[String]) -> Result<(), CliError> {
 
     let out_dir = Path::new(&opts.out_dir);
     std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {}: {e}", opts.out_dir))?;
-    let num_nodes = flat.num_nodes() as u64;
-    let num_entries = flat.num_entries() as u64;
+    let n = flat.num_nodes();
     let shards = partition(&flat, opts.shards).map_err(|e| e.to_string())?;
     drop(flat);
 
-    let mut shard_paths = Vec::with_capacity(shards.len());
     for (i, shard) in shards.into_iter().enumerate() {
-        let name = format!("shard-{i}.hlbs");
-        let path = out_dir.join(&name);
-        let n = num_nodes as usize;
+        let path = out_dir.join(format!("shard-{i}.hlbs"));
         let owned = n / opts.shards + usize::from(i < n % opts.shards);
         let entries = shard.num_entries();
         let store = FlatStore::from_flat(shard);
@@ -116,23 +108,7 @@ fn cmd_partition(args: &[String]) -> Result<(), CliError> {
             "  shard {i}: {owned} vertices owned, {entries} entries, {bytes} bytes -> {}",
             path.display()
         );
-        shard_paths.push(name);
     }
-
-    let manifest = ShardManifest {
-        num_nodes,
-        num_entries,
-        shard_paths,
-    };
-    let manifest_path = out_dir.join("manifest.hlsm");
-    manifest
-        .save(&manifest_path)
-        .map_err(|e| format!("cannot write {}: {e}", manifest_path.display()))?;
-    println!(
-        "manifest -> {} ({:.2}s total)",
-        manifest_path.display(),
-        started.elapsed().as_secs_f64()
-    );
     Ok(())
 }
 

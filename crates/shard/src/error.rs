@@ -5,15 +5,10 @@ use std::fmt;
 
 use hl_graph::NodeId;
 use hl_net::NetError;
-use hl_server::StoreError;
 
-/// Everything that can go wrong partitioning, mounting, or routing.
+/// Everything that can go wrong partitioning or routing.
 #[derive(Debug)]
 pub enum ShardError {
-    /// Filesystem failure reading or writing shard stores or the manifest.
-    Io(std::io::Error),
-    /// A shard store failed to parse or encode.
-    Store(StoreError),
     /// A shard daemon failed at the network layer.
     Net(NetError),
     /// Partitioning or routing was asked for zero shards.
@@ -40,8 +35,6 @@ pub enum ShardError {
 impl fmt::Display for ShardError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ShardError::Io(e) => write!(f, "i/o error: {e}"),
-            ShardError::Store(e) => write!(f, "store error: {e}"),
             ShardError::Net(e) => write!(f, "network error: {e}"),
             ShardError::NoShards => write!(f, "shard count must be at least 1"),
             ShardError::NodeOutOfRange { v, num_nodes } => {
@@ -63,23 +56,9 @@ impl fmt::Display for ShardError {
 impl Error for ShardError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            ShardError::Io(e) => Some(e),
-            ShardError::Store(e) => Some(e),
             ShardError::Net(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<std::io::Error> for ShardError {
-    fn from(e: std::io::Error) -> Self {
-        ShardError::Io(e)
-    }
-}
-
-impl From<StoreError> for ShardError {
-    fn from(e: StoreError) -> Self {
-        ShardError::Store(e)
     }
 }
 

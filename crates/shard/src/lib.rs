@@ -10,16 +10,14 @@
 //!   to a perfectly ordinary HLBS store that `hubserve serve` mounts
 //!   unmodified, and hub ids stay global so labels from different shards
 //!   still merge-join.
-//! - [`manifest`]: the small text file ([`ShardManifest`]) that records
-//!   the fleet layout next to the emitted stores.
 //! - [`router`]: [`ShardRouter`], a client that makes the fleet behave
 //!   as one oracle — same-shard pairs are answered server-side by the
 //!   owning daemon, cross-shard pairs by fetching the two labels (HLNP
 //!   `Label`/`LabelBatch` frames) and merge-joining locally.
 //!
 //! The `hl-shard` binary wires these together: `hl-shard partition`
-//! emits shard stores plus manifest, `hl-shard query` drives a running
-//! fleet from pair lists.
+//! emits the shard stores, `hl-shard query` drives a running fleet from
+//! pair lists.
 //!
 //! The 2-hop-cover property survives partitioning untouched: a query
 //! `(u, v)` needs only `L(u)` and `L(v)`, so *any* assignment of whole
@@ -29,11 +27,9 @@
 #![forbid(unsafe_code)]
 
 pub mod error;
-pub mod manifest;
 pub mod partition;
 pub mod router;
 
 pub use error::ShardError;
-pub use manifest::ShardManifest;
 pub use partition::{partition, shard_of};
 pub use router::ShardRouter;

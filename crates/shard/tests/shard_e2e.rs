@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hl_core::pll::PrunedLandmarkLabeling;
 use hl_core::FlatLabeling;
@@ -17,7 +17,8 @@ use hl_shard::{partition, shard_of, ShardError, ShardRouter};
 struct Fleet {
     addrs: Vec<String>,
     stops: Vec<StopHandle>,
-    threads: Vec<JoinHandle<()>>,
+    /// `None` once [`Fleet::kill`] has joined that daemon.
+    threads: Vec<Option<JoinHandle<()>>>,
 }
 
 impl Fleet {
@@ -40,11 +41,18 @@ impl Fleet {
             let server = NetServer::bind(engine, "127.0.0.1:0", config).expect("bind");
             fleet.addrs.push(server.local_addr().to_string());
             fleet.stops.push(server.stop_handle());
-            fleet
-                .threads
-                .push(std::thread::spawn(move || server.serve().expect("serve")));
+            let daemon = std::thread::spawn(move || server.serve().expect("serve"));
+            fleet.threads.push(Some(daemon));
         }
         fleet
+    }
+
+    /// Stops daemon `shard` and waits for it to exit, closing its sockets.
+    fn kill(&mut self, shard: usize) {
+        self.stops[shard].stop();
+        if let Some(daemon) = self.threads[shard].take() {
+            daemon.join().expect("daemon thread");
+        }
     }
 }
 
@@ -53,7 +61,7 @@ impl Drop for Fleet {
         for stop in &self.stops {
             stop.stop();
         }
-        for t in self.threads.drain(..) {
+        for t in self.threads.drain(..).flatten() {
             t.join().expect("daemon thread");
         }
     }
@@ -201,5 +209,50 @@ fn router_rejects_an_incoherent_fleet() {
             "expected ShardMismatch, got {:?}",
             other.map(|r| r.num_nodes())
         ),
+    }
+}
+
+#[test]
+fn dead_shard_is_a_typed_error_within_the_deadline_and_the_live_shard_keeps_answering() {
+    let g = generators::grid(5, 5);
+    let shards = partition(&flatten(&g), 2).expect("partition");
+    let mut fleet = Fleet::launch(shards);
+    let config = ClientConfig {
+        request_timeout: Duration::from_secs(2),
+        ..ClientConfig::default()
+    };
+    let mut router = ShardRouter::connect(&fleet.addrs, &config).expect("connect");
+    // (0, 13) is cross-shard, (1, 3) lives on shard 1, the rest on shard 0.
+    let mixed = [(0, 24), (0, 13), (2, 4), (1, 3)];
+    assert_eq!(router.query_many(&mixed).expect("healthy fleet").len(), 4);
+
+    fleet.kill(1);
+
+    // Never a distance, never a partial Vec, never a hang: a typed
+    // network error, well inside the router's own deadline.
+    let bound = config.request_timeout + Duration::from_secs(1);
+    let started = Instant::now();
+    match router.query(0, 13) {
+        Err(ShardError::Net(_)) => {}
+        other => panic!("cross-shard pair over a dead shard: {other:?}"),
+    }
+    assert!(started.elapsed() < bound, "{:?}", started.elapsed());
+    let started = Instant::now();
+    match router.query_many(&mixed) {
+        Err(ShardError::Net(_)) => {}
+        other => panic!("mixed batch over a dead shard: {other:?}"),
+    }
+    assert!(started.elapsed() < bound, "{:?}", started.elapsed());
+
+    // Pairs the live shard owns outright still answer, BFS-exact, on
+    // both paths.
+    let live = [(0, 24), (2, 4), (6, 18)];
+    let truth: Vec<_> = live
+        .iter()
+        .map(|&(u, v)| bfs::bfs_distance_between(&g, u, v))
+        .collect();
+    assert_eq!(router.query_many(&live).expect("live shard batch"), truth);
+    for (&(u, v), &d) in live.iter().zip(&truth) {
+        assert_eq!(router.query(u, v).expect("live shard single"), d);
     }
 }

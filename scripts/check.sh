@@ -95,10 +95,12 @@ timeout 240 ./target/release/hlnp-fuzz --seed 5 --iters 2000 --max-seconds 180
 echo "== parallel-build smoke (~100k vertices, bounded) =="
 # Exercises the hl-build batch/commit pipeline at a size the unit tests
 # don't reach: a ~131k-vertex RMAT graph, 2 worker threads, degree
-# order, flowing into the binary store and back out through stats.
+# order, flowing into the binary store, back in through the AnyStore
+# mount path against Dijkstra from 2 sources (a wrong answer exits 1),
+# and out through stats.
 timeout 600 ./target/release/hubserve build "$SMOKE/parallel.hlbs" \
   --gen rmat --nodes 100000 --edges 400000 --seed 9 --threads 2 \
-  --order degree
+  --order degree --verify 2
 ./target/release/hubserve stats "$SMOKE/parallel.hlbs" > "$SMOKE/stats.txt"
 grep -q 'arena entries' "$SMOKE/stats.txt"
 
