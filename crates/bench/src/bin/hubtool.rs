@@ -10,8 +10,8 @@
 //! hubtool query <labels-file> <u> <v>               answer from labels only
 //! ```
 //!
-//! Algorithms: `pll` (default), `pll-random`, `pll-betweenness`, `psl`,
-//! `greedy`, `rs`, `random-threshold`, `centroid`, `separator`.
+//! Algorithms: `pll` (default), `pll-random`, `pll-betweenness`, `greedy`,
+//! `rs`, `random-threshold`, `centroid`, `separator`.
 //!
 //! Exit codes: 0 success, 1 runtime failure, 2 usage — a subcommand's own
 //! argument errors as much as an unknown subcommand.
@@ -115,8 +115,6 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         "pll-betweenness" => PrunedLandmarkLabeling::by_betweenness(&g, 24, 1)
             .map_err(|e| e.to_string())?
             .into_labeling(),
-        "psl" => hl_core::psl::psl_labeling(&g, hl_core::order::by_degree(&g), 4)
-            .map_err(|e| e.to_string())?,
         "separator" => hl_core::separator_labeling::separator_labeling(&g),
         "greedy" => greedy_cover(&g).map_err(|e| e.to_string())?,
         "rs" => {

@@ -140,7 +140,6 @@ fn all_build_algorithms_roundtrip() {
         "pll",
         "pll-random",
         "pll-betweenness",
-        "psl",
         "greedy",
         "rs",
         "random-threshold",

@@ -64,7 +64,6 @@ pub mod minimize;
 pub mod monotone;
 pub mod order;
 pub mod pll;
-pub mod psl;
 pub mod random_threshold;
 pub mod rs_based;
 pub mod separator_labeling;

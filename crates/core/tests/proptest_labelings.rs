@@ -9,7 +9,6 @@ use hl_core::cover::{verify_exact, verify_hub_distances};
 use hl_core::greedy::greedy_cover;
 use hl_core::monotone::{check_closure_size_relation, MonotoneClosure};
 use hl_core::pll::PrunedLandmarkLabeling;
-use hl_core::psl::psl_labeling;
 use hl_core::random_threshold::{random_threshold_labeling, RandomThresholdParams};
 use hl_core::rs_based::{rs_labeling, RsParams};
 use hl_core::tree::centroid_labeling;
@@ -43,21 +42,6 @@ fn pll_random_order_exact() {
         let g = sparse_graph(&mut rng);
         let hl = PrunedLandmarkLabeling::by_random_order(&g, rng.next_u64()).into_labeling();
         assert!(verify_exact(&g, &hl).unwrap().is_exact());
-    }
-}
-
-#[test]
-fn psl_exact_and_near_pll() {
-    for case in 0..CASES {
-        let mut rng = Xorshift64::seed_from_u64(2000 + case);
-        let g = sparse_graph(&mut rng);
-        let threads = rng.gen_range_usize(1, 5);
-        let ord = hl_core::order::by_degree(&g);
-        let psl = psl_labeling(&g, ord.clone(), threads).unwrap();
-        assert!(verify_exact(&g, &psl).unwrap().is_exact());
-        let pll = PrunedLandmarkLabeling::with_order(&g, ord).into_labeling();
-        assert!(psl.total_hubs() >= pll.total_hubs());
-        assert!((psl.total_hubs() as f64) <= 1.5 * pll.total_hubs() as f64);
     }
 }
 

@@ -5,27 +5,31 @@
 //!           [--max-seconds T]
 //! ```
 //!
-//! Three campaigns, all driven from one seed so any finding replays
+//! Four campaigns, all driven from one seed so any finding replays
 //! exactly:
 //!
-//! 1. **Network**: a live [`NetServer`] over a real labeling is hammered
-//!    with `--iters` connections, each playing a [`FaultPlan`] script —
-//!    bit flips, truncations, length-prefix lies, handshake garbage,
-//!    slow-loris pacing, mid-frame stalls. Every `--probe-every`
-//!    iterations a clean [`NetClient`] probe asserts *exact* distances
-//!    against BFS ground truth: the server must stay both alive and
-//!    correct while being abused.
-//! 2. **Mux**: the same live server under protocol-v2 abuse. Each
-//!    iteration handshakes v2 cleanly, then plays a mux-specific
-//!    [`FaultKind::MUX`] script — many-id streams chopped into
-//!    arbitrary chunks, duplicate ids, shuffled frames, id-field bit
-//!    flips, runt frames too short for an id. Clean [`MuxClient`]
-//!    probes submit a window of queries and reap them newest-first,
-//!    asserting BFS-exact answers under out-of-order completion. A
-//!    handshake matrix then pins the negotiation: hello 1 serves v1
-//!    framing, hello 2 serves v2 framing, hello 3 gets a typed
-//!    `VersionMismatch`, garbage gets a typed `Malformed` — and the
-//!    rejections close the connection.
+//! 1. **Pure machine**: the daemon's connection state machine itself
+//!    ([`PureConn`]) — no socket, no thread, a virtual clock — plays
+//!    10 × `--iters` protocol-v1 [`FaultPlan`] scripts (bit flips,
+//!    truncations, length-prefix lies, handshake garbage, slow-loris
+//!    pacing, mid-frame stalls) and half as many protocol-v2
+//!    [`FaultKind::MUX`] scripts (chopped many-id streams, duplicate
+//!    ids, shuffled frames, id-field bit flips, runt frames) after a
+//!    clean v2 hello. Every send arrives in seeded chunk sizes, running
+//!    requests complete in seeded order through the daemon's real
+//!    `execute`, the peer reads seeded amounts or nothing at all, and
+//!    every pause is drawn one millisecond to either side of one of the
+//!    three deadlines — so the idle, whole-frame and write-stall budgets
+//!    fire in some iterations and just fail to in others. After every
+//!    step: no limit exceeded, and every completed request's answer
+//!    written once, in completion order, unless the connection closed.
+//! 2. **Sockets**: the integration check. A live [`NetServer`] over a
+//!    real labeling takes `--iters / 10` v1 and `--iters / 20` v2 fault
+//!    connections playing the same scripts over TCP with real sleeps.
+//!    Every `--probe-every` iterations a clean [`NetClient`] probe (v1)
+//!    or a [`MuxClient`] window reaped newest-first (v2) asserts *exact*
+//!    distances against BFS ground truth: the server must stay both
+//!    alive and correct while being abused.
 //! 3. **Store**: all three serialized HLBS images take abuse. The v1
 //!    (γ-coded) image gets seeded byte flips (the checksum's job),
 //!    crafted flips with a refreshed checksum (the decoder's job), and
@@ -57,10 +61,12 @@ use hl_core::CompactLabeling;
 use hl_graph::rng::Xorshift64;
 use hl_graph::{bfs, generators, Distance, NodeId};
 use hl_net::cli::Flags;
-use hl_net::faults::{apply_script, FaultConfig, FaultKind, FaultPlan, Outcome};
+use hl_net::faults::{
+    apply_script, apply_script_pure, FaultConfig, FaultKind, FaultPlan, Outcome, PureConn, Step,
+};
 use hl_net::wire::{
-    encode_mux, read_frame, split_mux, write_frame, ClientHello, ErrorCode, Request, Response,
-    ServerHello, DEFAULT_MAX_FRAME_LEN, MAX_PROTOCOL_VERSION, PROTOCOL_V2, PROTOCOL_VERSION,
+    frame, read_frame, ClientHello, Request, Response, ServerHello, DEFAULT_MAX_FRAME_LEN,
+    PROTOCOL_V2, PROTOCOL_VERSION,
 };
 use hl_net::{ClientConfig, MuxClient, NetClient, NetServer, ServerConfig};
 use hl_server::{store, store_v2, AnyStore, CompactStore, FlatStore, LabelStore, QueryEngine};
@@ -115,15 +121,18 @@ enum Failure {
 
 #[derive(Default)]
 struct Summary {
-    fault_iterations: usize,
+    /// Pure-machine iterations, protocol v1 then v2.
+    pure_iterations: [usize; 2],
+    pure_cut_off: usize,
+    pure_closed: usize,
+    /// Socket iterations, protocol v1 then v2.
+    fault_iterations: [usize; 2],
     by_kind: Vec<(FaultKind, usize)>,
     peer_closed: usize,
     probes: usize,
     probe_queries: usize,
-    mux_fault_iterations: usize,
     mux_probes: usize,
     mux_probe_queries: usize,
-    handshake_matrix_rounds: usize,
     store_mutations: usize,
     store_parses_survived: usize,
     store_v2_mutations: usize,
@@ -143,20 +152,25 @@ fn main() -> ExitCode {
     match run(&opts) {
         Ok(s) => {
             println!(
-                "hlnp-fuzz: clean. {} fault iterations ({} cut off by the server), \
-                 {} probes / {} exact answers verified, {} mux fault iterations, \
-                 {} mux probes / {} out-of-order answers verified, \
-                 {} handshake matrix rounds, {} v1 store mutations \
-                 ({} parsed anyway, none panicked), {} v2 store mutations \
-                 ({} parsed anyway, none panicked), {} wire decodes.",
-                s.fault_iterations,
+                "hlnp-fuzz: clean. pure machine: {} network + {} mux iterations \
+                 ({} cut off by a deadline, {} closed by the server); sockets: \
+                 {} network + {} mux fault iterations ({} cut off by the server), \
+                 {} probes / {} exact answers verified, \
+                 {} mux probes / {} out-of-order answers verified; \
+                 {} v1 store mutations ({} parsed anyway, none panicked), \
+                 {} v2 store mutations ({} parsed anyway, none panicked), \
+                 {} wire decodes.",
+                s.pure_iterations[0],
+                s.pure_iterations[1],
+                s.pure_cut_off,
+                s.pure_closed,
+                s.fault_iterations[0],
+                s.fault_iterations[1],
                 s.peer_closed,
                 s.probes,
                 s.probe_queries,
-                s.mux_fault_iterations,
                 s.mux_probes,
                 s.mux_probe_queries,
-                s.handshake_matrix_rounds,
                 s.store_mutations,
                 s.store_parses_survived,
                 s.store_v2_mutations,
@@ -185,10 +199,139 @@ fn main() -> ExitCode {
     }
 }
 
+/// The state every network iteration — pure or socket — draws from.
+struct Campaign<'a> {
+    opts: &'a Opts,
+    deadline: Instant,
+    rng: Xorshift64,
+    kind_counts: std::collections::HashMap<FaultKind, usize>,
+    summary: Summary,
+}
+
+impl Campaign<'_> {
+    /// Fails the run if the wall-clock guard has fired.
+    fn guard(&self, what: &str, i: usize, of: usize) -> Result<(), Failure> {
+        if Instant::now() > self.deadline {
+            return Err(Failure::Timeout(format!(
+                "{what} stuck at iteration {i} of {of}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Draws a fault kind for a `version` connection and its script over
+    /// a fresh clean stream. Protocol v2 scripts open with a clean hello
+    /// (negotiation abuse is the v1 kinds' job). `rare_timing` keeps the
+    /// two kinds that sleep on a real socket to one draw in eight.
+    fn script(
+        &mut self,
+        plan: &mut FaultPlan,
+        version: u16,
+        rare_timing: bool,
+    ) -> (FaultKind, Vec<Step>) {
+        let mut kind = match version >= PROTOCOL_V2 {
+            true => plan.pick_mux_kind(),
+            false => plan.pick_kind(),
+        };
+        let timing = matches!(kind, FaultKind::SlowLoris | FaultKind::Stall);
+        if rare_timing && timing && self.rng.gen_index(8) != 0 {
+            kind = FaultKind::ALL[self.rng.gen_index(6)]; // the six cheap kinds lead ALL
+        }
+        *self.kind_counts.entry(kind).or_insert(0) += 1;
+        let clean = clean_stream(&mut self.rng, self.opts.nodes as NodeId, version);
+        let mut steps = plan.script(kind, &clean);
+        if version >= PROTOCOL_V2 {
+            steps.insert(0, Step::Send(hello(version)));
+        }
+        (kind, steps)
+    }
+
+    /// `iters` scripts played into the connection state machine itself,
+    /// each with pauses drawn just short of or just past one deadline.
+    fn pure(
+        &mut self,
+        config: &ServerConfig,
+        engine: &QueryEngine,
+        version: u16,
+        iters: usize,
+    ) -> Result<(), Failure> {
+        let t0 = Instant::now();
+        let budgets = [
+            config.frame_timeout,
+            config.read_timeout,
+            config.write_timeout,
+        ];
+        let ms = Duration::from_millis(1);
+        let around = |budget: Duration, past: bool| if past { budget + ms } else { budget - ms };
+        const LORIS_BYTES: u32 = 6;
+        for i in 0..iters {
+            if i % 1024 == 0 {
+                self.guard("pure campaign", i, iters)?;
+            }
+            // A loris's frame has been open for `LORIS_BYTES - 1` paces
+            // when its last byte lands.
+            let timing = FaultConfig {
+                loris_pace: around(
+                    config.frame_timeout / (LORIS_BYTES - 1),
+                    self.rng.gen_bool(),
+                ),
+                loris_max_bytes: LORIS_BYTES as usize,
+                stall: around(budgets[self.rng.gen_index(3)], self.rng.gen_bool()),
+            };
+            let mut plan = FaultPlan::with_config(self.rng.next_u64(), timing);
+            let (kind, steps) = self.script(&mut plan, version, false);
+            let mut conn = PureConn::accept(config, engine, 0, t0);
+            match apply_script_pure(&mut conn, &steps, &mut self.rng) {
+                Ok(Outcome::PeerClosed) if conn.expired() => self.summary.pure_cut_off += 1,
+                Ok(Outcome::PeerClosed) => self.summary.pure_closed += 1,
+                Ok(_) => {}
+                Err(e) => {
+                    return Err(Failure::Defect(format!(
+                        "pure v{version} iteration {i} ({}): {e}",
+                        kind.name()
+                    )))
+                }
+            }
+            self.summary.pure_iterations[usize::from(version >= PROTOCOL_V2)] += 1;
+        }
+        Ok(())
+    }
+
+    /// `iters` hostile connections against the live server at `addr`,
+    /// with a BFS-exact clean probe every `--probe-every` iterations and
+    /// one more after all the abuse.
+    fn sockets(
+        &mut self,
+        addr: SocketAddr,
+        plan: &mut FaultPlan,
+        version: u16,
+        iters: usize,
+        probe: &mut dyn FnMut(&mut Xorshift64, &mut Summary) -> Result<(), Failure>,
+    ) -> Result<(), Failure> {
+        for i in 0..iters {
+            self.guard("socket campaign", i, iters)?;
+            let (kind, steps) = self.script(plan, version, true);
+            match socket_iteration(addr, &steps) {
+                Ok(Outcome::PeerClosed) => self.summary.peer_closed += 1,
+                Ok(_) => {}
+                Err(e) => {
+                    return Err(Failure::Defect(format!(
+                        "socket v{version} iteration {i} ({}): server unreachable — {e}",
+                        kind.name()
+                    )))
+                }
+            }
+            self.summary.fault_iterations[usize::from(version >= PROTOCOL_V2)] += 1;
+            if i % self.opts.probe_every == 0 {
+                probe(&mut self.rng, &mut self.summary)?;
+            }
+        }
+        probe(&mut self.rng, &mut self.summary)
+    }
+}
+
 fn run(opts: &Opts) -> Result<Summary, Failure> {
-    let started = Instant::now();
-    let deadline = started + Duration::from_secs(opts.max_seconds);
-    let mut summary = Summary::default();
+    let deadline = Instant::now() + Duration::from_secs(opts.max_seconds);
 
     // Ground truth and the serving stack under test. The store round-trip
     // (labeling -> HLBS bytes -> engine) is deliberate: the same image
@@ -208,6 +351,7 @@ fn run(opts: &Opts) -> Result<Summary, Failure> {
     let store_v2_bytes = FlatStore::from_flat(flat.clone()).encode();
     let engine = QueryEngine::new(flat, 2)
         .map_err(|e| Failure::Defect(format!("building the engine: {e}")))?;
+    let engine = Arc::new(engine);
 
     let sources: Vec<NodeId> = (0..8.min(opts.nodes) as NodeId).collect();
     let truth: Vec<Vec<Distance>> = sources.iter().map(|&s| bfs::bfs_distances(&g, s)).collect();
@@ -227,102 +371,62 @@ fn run(opts: &Opts) -> Result<Summary, Failure> {
         allow_remote_reload: false,
         ..ServerConfig::default()
     };
-    let server = NetServer::bind(Arc::new(engine), "127.0.0.1:0", config)
+    let mut campaign = Campaign {
+        opts,
+        deadline,
+        rng: Xorshift64::seed_from_u64(opts.seed ^ 0xd1b5_4a32_d192_ed03),
+        kind_counts: std::collections::HashMap::new(),
+        summary: Summary::default(),
+    };
+
+    campaign.pure(&config, &engine, PROTOCOL_VERSION, 10 * opts.iters)?;
+    campaign.pure(&config, &engine, PROTOCOL_V2, 10 * opts.iters / 2)?;
+    let summary = &campaign.summary;
+    if summary.pure_iterations[0] >= 100 && summary.pure_cut_off == 0 {
+        return Err(Failure::Defect(
+            "no pure iteration was cut off by a deadline".to_string(),
+        ));
+    }
+
+    let server = NetServer::bind(Arc::clone(&engine), "127.0.0.1:0", config)
         .map_err(|e| Failure::Defect(format!("binding the server: {e}")))?;
     let addr = server.local_addr();
     let stop = server.stop_handle();
     let server_thread = std::thread::spawn(move || server.serve());
 
-    // Short pauses keep thousands of iterations inside the CI budget
-    // while still being long against the server's 300 ms frame budget.
+    // Short pauses keep the socket iterations inside the CI budget; the
+    // pure campaign above is where deadlines are actually crossed.
     let fault_config = FaultConfig {
         loris_pace: Duration::from_millis(25),
         loris_max_bytes: 6,
         stall: Duration::from_millis(60),
     };
     let mut plan = FaultPlan::with_config(opts.seed, fault_config);
-    let mut rng = Xorshift64::seed_from_u64(opts.seed ^ 0xd1b5_4a32_d192_ed03);
-    let mut kind_counts = std::collections::HashMap::new();
-
     let result = (|| -> Result<(), Failure> {
-        for i in 0..opts.iters {
-            if Instant::now() > deadline {
-                return Err(Failure::Timeout(format!(
-                    "network campaign stuck at iteration {i} of {}",
-                    opts.iters
-                )));
-            }
-            let mut kind = plan.pick_kind();
-            // Timing faults sleep; keep them in the mix but rare enough
-            // that iteration counts stay cheap.
-            if matches!(kind, FaultKind::SlowLoris | FaultKind::Stall) && rng.gen_index(8) != 0 {
-                kind = FaultKind::ALL[rng.gen_index(6)]; // the six cheap kinds lead ALL
-            }
-            *kind_counts.entry(kind).or_insert(0usize) += 1;
-            match fault_iteration(addr, &mut plan, kind, &mut rng, opts.nodes as NodeId) {
-                Ok(Outcome::PeerClosed) => summary.peer_closed += 1,
-                Ok(_) => {}
-                Err(e) => {
-                    return Err(Failure::Defect(format!(
-                        "iteration {i} ({}): server unreachable — {e}",
-                        kind.name()
-                    )))
-                }
-            }
-            summary.fault_iterations += 1;
-            if i % opts.probe_every == 0 {
-                probe(addr, &sources, &truth, &mut rng, opts.seed)?;
+        campaign.sockets(
+            addr,
+            &mut plan,
+            PROTOCOL_VERSION,
+            opts.iters / 10,
+            &mut |rng, summary| {
                 summary.probes += 1;
                 summary.probe_queries += PROBE_QUERIES;
-            }
-        }
-        // One last probe after all the abuse.
-        probe(addr, &sources, &truth, &mut rng, opts.seed)?;
-        summary.probes += 1;
-        summary.probe_queries += PROBE_QUERIES;
-
-        // Mux campaign: protocol-v2 abuse against the same live server.
-        // Half the v1 iteration count — mux scripts mostly *complete*
-        // (no disconnect), so each iteration also drains real answers.
-        for i in 0..opts.iters / 2 {
-            if Instant::now() > deadline {
-                return Err(Failure::Timeout(format!(
-                    "mux campaign stuck at iteration {i} of {}",
-                    opts.iters / 2
-                )));
-            }
-            let kind = plan.pick_mux_kind();
-            *kind_counts.entry(kind).or_insert(0usize) += 1;
-            match mux_fault_iteration(addr, &mut plan, kind, &mut rng, opts.nodes as NodeId) {
-                Ok(Outcome::PeerClosed) => summary.peer_closed += 1,
-                Ok(_) => {}
-                Err(e) => {
-                    return Err(Failure::Defect(format!(
-                        "mux iteration {i} ({}): server unreachable — {e}",
-                        kind.name()
-                    )))
-                }
-            }
-            summary.mux_fault_iterations += 1;
-            if i % opts.probe_every == 0 {
-                mux_probe(addr, &sources, &truth, &mut rng)?;
+                probe(addr, &sources, &truth, rng, opts.seed)
+            },
+        )?;
+        // Half the v1 count — mux scripts mostly *complete* (no
+        // disconnect), so each iteration also drains real answers.
+        campaign.sockets(
+            addr,
+            &mut plan,
+            PROTOCOL_V2,
+            opts.iters / 20,
+            &mut |rng, summary| {
                 summary.mux_probes += 1;
                 summary.mux_probe_queries += MUX_PROBE_QUERIES;
-            }
-        }
-
-        // Handshake version matrix, then one last mux probe.
-        for _ in 0..8 {
-            if Instant::now() > deadline {
-                return Err(Failure::Timeout("handshake matrix stuck".to_string()));
-            }
-            handshake_matrix(addr, &mut rng)?;
-            summary.handshake_matrix_rounds += 1;
-        }
-        mux_probe(addr, &sources, &truth, &mut rng)?;
-        summary.mux_probes += 1;
-        summary.mux_probe_queries += MUX_PROBE_QUERIES;
-        Ok(())
+                mux_probe(addr, &sources, &truth, rng)
+            },
+        )
     })();
 
     stop.stop();
@@ -343,6 +447,12 @@ fn run(opts: &Opts) -> Result<Summary, Failure> {
         Err(_) => return Err(Failure::Defect("server thread panicked".to_string())),
     }
 
+    let Campaign {
+        mut rng,
+        kind_counts,
+        mut summary,
+        ..
+    } = campaign;
     let mut by_kind: Vec<(FaultKind, usize)> = kind_counts.into_iter().collect();
     by_kind.sort_by_key(|&(k, _)| k.name());
     summary.by_kind = by_kind;
@@ -354,26 +464,16 @@ fn run(opts: &Opts) -> Result<Summary, Failure> {
     Ok(summary)
 }
 
-/// One hostile connection: handshake bytes plus a few valid request
-/// frames, rewritten by `kind`, then a bounded drain of whatever the
-/// server answers. Only failure to *connect* is an error — that means
-/// the accept loop is gone.
-fn fault_iteration(
-    addr: SocketAddr,
-    plan: &mut FaultPlan,
-    kind: FaultKind,
-    rng: &mut Xorshift64,
-    num_nodes: NodeId,
-) -> std::io::Result<Outcome> {
+/// One hostile connection: `steps` played over TCP, then a bounded drain
+/// of whatever the server answers. Only failure to *connect* is an error
+/// — that means the accept loop is gone.
+fn socket_iteration(addr: SocketAddr, steps: &[Step]) -> std::io::Result<Outcome> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_millis(300)))?;
     stream.set_write_timeout(Some(Duration::from_secs(1)))?;
     // The server speaks first; its hello is not part of the fault script.
     let _ = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN);
-
-    let clean = clean_request_stream(rng, num_nodes);
-    let steps = plan.script(kind, &clean);
-    let outcome = apply_script(&mut stream, &steps);
+    let outcome = apply_script(&mut stream, steps);
 
     // Drain responses (typed errors, answers, or EOF) so the iteration
     // observes the server's reaction instead of racing its own reset.
@@ -391,102 +491,35 @@ fn fault_iteration(
     Ok(outcome)
 }
 
-/// A well-formed HLNP byte stream: client hello, then 1–3 requests.
-fn clean_request_stream(rng: &mut Xorshift64, num_nodes: NodeId) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let hello = ClientHello {
-        protocol_version: PROTOCOL_VERSION,
+fn hello(version: u16) -> Vec<u8> {
+    let protocol_version = version;
+    frame(None, &ClientHello { protocol_version }.encode())
+}
+
+/// A well-formed HLNP byte stream under `version`. Protocol v1: the
+/// client hello, then 1–3 requests. Protocol v2: 2–6 requests with
+/// distinct ids (the hello is sent separately, unfaulted).
+fn clean_stream(rng: &mut Xorshift64, num_nodes: NodeId, version: u16) -> Vec<u8> {
+    let mux = version >= PROTOCOL_V2;
+    let (mut buf, count) = match mux {
+        true => (Vec::new(), 2 + rng.gen_index(5)),
+        false => (hello(version), 1 + rng.gen_index(3)),
     };
-    let _ = write_frame(&mut buf, &hello.encode());
-    for _ in 0..1 + rng.gen_index(3) {
+    let node = |rng: &mut Xorshift64| rng.gen_index(num_nodes as usize) as NodeId;
+    for id in 1..=count as u64 {
         let req = match rng.gen_index(3) {
             0 => Request::Ping,
             1 => Request::Query {
-                u: rng.gen_index(num_nodes as usize) as NodeId,
-                v: rng.gen_index(num_nodes as usize) as NodeId,
+                u: node(rng),
+                v: node(rng),
             },
-            _ => {
-                let pairs = (0..1 + rng.gen_index(8))
-                    .map(|_| {
-                        (
-                            rng.gen_index(num_nodes as usize) as NodeId,
-                            rng.gen_index(num_nodes as usize) as NodeId,
-                        )
-                    })
-                    .collect();
-                Request::QueryBatch(pairs)
-            }
+            _ => Request::QueryBatch(
+                (0..1 + rng.gen_index(8))
+                    .map(|_| (node(rng), node(rng)))
+                    .collect(),
+            ),
         };
-        let _ = write_frame(&mut buf, &req.encode());
-    }
-    buf
-}
-
-/// One hostile v2 connection: a *clean* v2 handshake (the matrix covers
-/// negotiation abuse), then a multi-id mux request stream rewritten by
-/// `kind`, then a bounded drain. Only failure to connect is an error.
-fn mux_fault_iteration(
-    addr: SocketAddr,
-    plan: &mut FaultPlan,
-    kind: FaultKind,
-    rng: &mut Xorshift64,
-    num_nodes: NodeId,
-) -> std::io::Result<Outcome> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_millis(300)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(1)))?;
-    let _ = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN);
-    let hello = ClientHello {
-        protocol_version: PROTOCOL_V2,
-    };
-    if write_frame(&mut stream, &hello.encode()).is_err() {
-        return Ok(Outcome::PeerClosed);
-    }
-
-    let clean = clean_mux_stream(rng, num_nodes);
-    let steps = plan.script(kind, &clean);
-    let outcome = apply_script(&mut stream, &steps);
-
-    // Bounded drain: mux scripts mostly complete, so the server answers
-    // every well-formed id — read those (and any typed errors) without
-    // stalling the campaign on a quiet socket.
-    stream.set_read_timeout(Some(Duration::from_millis(30)))?;
-    let mut buf = [0u8; 512];
-    for _ in 0..16 {
-        match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
-    Ok(outcome)
-}
-
-/// A well-formed v2 request stream: 2–6 mux-framed requests with
-/// distinct ids (the handshake is sent separately, unfaulted).
-fn clean_mux_stream(rng: &mut Xorshift64, num_nodes: NodeId) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let mut id: u64 = 0;
-    for _ in 0..2 + rng.gen_index(5) {
-        id += 1;
-        let req = match rng.gen_index(3) {
-            0 => Request::Ping,
-            1 => Request::Query {
-                u: rng.gen_index(num_nodes as usize) as NodeId,
-                v: rng.gen_index(num_nodes as usize) as NodeId,
-            },
-            _ => {
-                let pairs = (0..1 + rng.gen_index(8))
-                    .map(|_| {
-                        (
-                            rng.gen_index(num_nodes as usize) as NodeId,
-                            rng.gen_index(num_nodes as usize) as NodeId,
-                        )
-                    })
-                    .collect();
-                Request::QueryBatch(pairs)
-            }
-        };
-        let _ = write_frame(&mut buf, &encode_mux(id, &req.encode()));
+        buf.extend_from_slice(&frame(mux.then_some(id), &req.encode()));
     }
     buf
 }
@@ -538,123 +571,6 @@ fn mux_probe(
             Err(e) => return Err(Failure::Defect(format!("mux probe wait({id}) failed: {e}"))),
         }
     }
-    Ok(())
-}
-
-/// Connects and consumes the server hello, asserting it advertises the
-/// v2 ceiling. The shared front half of every handshake-matrix case.
-fn matrix_connect(addr: SocketAddr) -> Result<TcpStream, Failure> {
-    let defect = |m: String| Failure::Defect(format!("handshake matrix: {m}"));
-    let mut s = TcpStream::connect(addr).map_err(|e| defect(format!("connect: {e}")))?;
-    s.set_read_timeout(Some(Duration::from_secs(2)))
-        .map_err(|e| defect(format!("set timeout: {e}")))?;
-    s.set_write_timeout(Some(Duration::from_secs(2)))
-        .map_err(|e| defect(format!("set timeout: {e}")))?;
-    let payload = read_frame(&mut s, DEFAULT_MAX_FRAME_LEN)
-        .map_err(|e| defect(format!("reading server hello: {e}")))?;
-    let hello =
-        ServerHello::decode(&payload).map_err(|e| defect(format!("bad server hello: {e}")))?;
-    if hello.protocol_version != MAX_PROTOCOL_VERSION {
-        return Err(defect(format!(
-            "server hello advertises ceiling {}, want {MAX_PROTOCOL_VERSION}",
-            hello.protocol_version
-        )));
-    }
-    Ok(s)
-}
-
-/// Reads one response frame and requires a typed error of `code`,
-/// followed by the server closing the connection.
-fn expect_error_then_close(mut s: TcpStream, code: ErrorCode, case: &str) -> Result<(), Failure> {
-    let defect = |m: String| Failure::Defect(format!("handshake matrix [{case}]: {m}"));
-    let payload = read_frame(&mut s, DEFAULT_MAX_FRAME_LEN)
-        .map_err(|e| defect(format!("reading the rejection: {e}")))?;
-    match Response::decode(&payload) {
-        Ok(Response::Error { code: got, message }) if got == code => {
-            // The server must also hang up: the next read is EOF.
-            let mut byte = [0u8; 1];
-            match s.read(&mut byte) {
-                Ok(0) => {
-                    let _ = message;
-                    Ok(())
-                }
-                Ok(_) => Err(defect("server kept talking after the rejection".into())),
-                Err(e) => Err(defect(format!("waiting for the close: {e}"))),
-            }
-        }
-        Ok(other) => Err(defect(format!("expected {code:?}, got {other:?}"))),
-        Err(e) => Err(defect(format!("undecodable rejection frame: {e}"))),
-    }
-}
-
-/// One pass of the v1-vs-v2 handshake matrix: hello 1 serves v1
-/// framing, hello 2 serves v2 framing, hello 3 draws `VersionMismatch`,
-/// and a non-hello first frame draws `Malformed` — both rejections
-/// closing the connection.
-fn handshake_matrix(addr: SocketAddr, rng: &mut Xorshift64) -> Result<(), Failure> {
-    // Hello 1: plain v1 framing; a ping comes back as a bare Pong.
-    let mut s = matrix_connect(addr)?;
-    let defect = |m: String| Failure::Defect(format!("handshake matrix [v1]: {m}"));
-    let hello = ClientHello {
-        protocol_version: PROTOCOL_VERSION,
-    };
-    write_frame(&mut s, &hello.encode()).map_err(|e| defect(format!("hello: {e}")))?;
-    write_frame(&mut s, &Request::Ping.encode()).map_err(|e| defect(format!("ping: {e}")))?;
-    let payload =
-        read_frame(&mut s, DEFAULT_MAX_FRAME_LEN).map_err(|e| defect(format!("pong: {e}")))?;
-    match Response::decode(&payload) {
-        Ok(Response::Pong) => {}
-        other => return Err(defect(format!("expected a bare Pong, got {other:?}"))),
-    }
-    drop(s);
-
-    // Hello 2: mux framing; the pong comes back under the request's id.
-    let mut s = matrix_connect(addr)?;
-    let defect = |m: String| Failure::Defect(format!("handshake matrix [v2]: {m}"));
-    let hello = ClientHello {
-        protocol_version: PROTOCOL_V2,
-    };
-    write_frame(&mut s, &hello.encode()).map_err(|e| defect(format!("hello: {e}")))?;
-    let id = 1 + (rng.next_u64() >> 1);
-    write_frame(&mut s, &encode_mux(id, &Request::Ping.encode()))
-        .map_err(|e| defect(format!("mux ping: {e}")))?;
-    let payload =
-        read_frame(&mut s, DEFAULT_MAX_FRAME_LEN).map_err(|e| defect(format!("mux pong: {e}")))?;
-    let (got_id, inner) = split_mux(&payload).map_err(|e| defect(format!("split: {e}")))?;
-    if got_id != id {
-        return Err(defect(format!("pong under id {got_id}, want {id}")));
-    }
-    match Response::decode(inner) {
-        Ok(Response::Pong) => {}
-        other => {
-            return Err(defect(format!(
-                "expected Pong under id {id}, got {other:?}"
-            )))
-        }
-    }
-    drop(s);
-
-    // Hello 3: above the ceiling — a typed VersionMismatch, then close.
-    let mut s = matrix_connect(addr)?;
-    let defect = |m: String| Failure::Defect(format!("handshake matrix [v3]: {m}"));
-    let hello = ClientHello {
-        protocol_version: MAX_PROTOCOL_VERSION + 1,
-    };
-    write_frame(&mut s, &hello.encode()).map_err(|e| defect(format!("hello: {e}")))?;
-    expect_error_then_close(s, ErrorCode::VersionMismatch, "v3")?;
-
-    // Garbage hello: a first frame that is not a hello at all — typed
-    // Malformed, then close. (First byte pinned off the hello opcode so
-    // random bytes cannot accidentally spell a valid handshake.)
-    let mut s = matrix_connect(addr)?;
-    let defect = |m: String| Failure::Defect(format!("handshake matrix [garbage]: {m}"));
-    let mut junk = vec![0xFF];
-    for _ in 0..rng.gen_index(16) {
-        junk.push(rng.next_u64() as u8);
-    }
-    write_frame(&mut s, &junk).map_err(|e| defect(format!("junk hello: {e}")))?;
-    expect_error_then_close(s, ErrorCode::Malformed, "garbage")?;
-
     Ok(())
 }
 

@@ -5,7 +5,9 @@
 //! [`FaultPlan`] turns a clean byte stream (one or more well-formed
 //! frames) into a [`Step`] script — sends, pauses, a disconnect — and
 //! the same seed always yields the same script. The script is pure data;
-//! [`apply_script`] then plays it against any [`Write`] transport.
+//! [`apply_script`] then plays it against any [`Write`] transport, and
+//! [`apply_script_pure`] into the daemon's connection state machine with
+//! no transport at all.
 //!
 //! The fault kinds mirror what real traffic does to a server at scale:
 //!
@@ -37,14 +39,20 @@
 //!   shorter than an id; the server must answer `Malformed` on id 0 and
 //!   keep the connection.
 //!
-//! The `hlnp-fuzz` binary drives these against a live [`crate::NetServer`]
-//! interleaved with clean liveness probes; see `DESIGN.md`'s fault matrix
-//! for the expected behavior of every layer under each kind.
+//! The `hlnp-fuzz` binary drives these into a [`PureConn`] and against a
+//! live [`crate::NetServer`] interleaved with clean liveness probes; see
+//! `DESIGN.md`'s limits contract for the expected outcome of each kind.
 
 use std::io::Write;
-use std::time::Duration;
+use std::sync::atomic::AtomicU16;
+use std::time::{Duration, Instant};
 
 use hl_graph::rng::Xorshift64;
+use hl_server::QueryEngine;
+
+use crate::conn::{response_frame, Conn, READ_CHUNK};
+use crate::server::{execute, ServerConfig};
+use crate::wire::{Request, Response};
 
 /// One scripted action against a transport.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -431,6 +439,196 @@ pub fn apply_script<W: Write>(w: &mut W, steps: &[Step]) -> Outcome {
         }
     }
     Outcome::Completed
+}
+
+/// One connection of the daemon's own state machine (`conn.rs`)
+/// with no daemon around it: no socket, no thread, and a virtual clock
+/// only the driver moves, so a thirty-second slow-loris costs
+/// microseconds and every read boundary, completion order and deadline
+/// is the driver's to choose ([`apply_script_pure`] draws them from a
+/// seed; `conn.rs`'s tests enumerate them). Requests the machine hands
+/// out wait in a run queue until the driver completes one through the
+/// daemon's real `execute`; bytes the machine queues reach the output
+/// only as the peer reads them.
+#[derive(Clone)]
+pub struct PureConn<'a> {
+    config: &'a ServerConfig,
+    engine: &'a QueryEngine,
+    pub(crate) conn: Conn,
+    /// The virtual clock; only the caller moves it.
+    pub(crate) now: Instant,
+    /// Requests handed out to the pool and not yet completed.
+    pub(crate) running: Vec<(u64, u16, Request)>,
+    /// Every completion frame the pool produced, in completion order.
+    pub(crate) completed: Vec<Vec<u8>>,
+    /// Every byte the peer has read so far.
+    pub(crate) output: Vec<u8>,
+    /// The loop saw the machine finished or expired and dropped it.
+    dropped: bool,
+}
+
+impl<'a> PureConn<'a> {
+    /// Accepts a connection at `now` while `serving` others are held.
+    pub fn accept(
+        config: &'a ServerConfig,
+        engine: &'a QueryEngine,
+        serving: usize,
+        now: Instant,
+    ) -> Self {
+        PureConn {
+            config,
+            engine,
+            conn: Conn::accept(config, engine, config.store_version, serving, now),
+            now,
+            running: Vec::new(),
+            completed: Vec::new(),
+            output: Vec::new(),
+            dropped: false,
+        }
+    }
+
+    /// The socket delivers `chunk` (one `read(2)` worth, at most 16 KiB).
+    pub(crate) fn send(&mut self, chunk: &[u8]) {
+        self.conn
+            .on_bytes(self.config, self.engine, chunk, self.now);
+        self.pull();
+    }
+
+    /// The pool finishes the `i`-th running request.
+    pub(crate) fn complete(&mut self, i: usize) {
+        let (id, version, request) = self.running.remove(i);
+        let store_version = AtomicU16::new(self.config.store_version);
+        let response = execute(self.engine, &store_version, request);
+        let framed = response_frame(version, id, &response);
+        if !self.dropped {
+            let is_error = matches!(response, Response::Error { .. });
+            self.conn.on_completion(self.engine, &framed, is_error);
+            self.pull();
+        }
+        self.completed.push(framed);
+    }
+
+    fn pull(&mut self) {
+        while let Some(job) = self.conn.next_job(self.config, self.engine) {
+            self.running.push(job);
+        }
+    }
+
+    /// The loop's write pass: the peer's socket takes up to `max` queued
+    /// bytes (taking none while bytes wait blocks the write), and the
+    /// loop drops the connection if it is now finished or expired.
+    pub(crate) fn read(&mut self, max: usize) {
+        if self.dropped {
+            return;
+        }
+        let n = max.min(self.conn.writable().len());
+        self.output.extend_from_slice(&self.conn.writable()[..n]);
+        match n {
+            0 if !self.conn.writable().is_empty() => self.conn.write_blocked(self.now),
+            _ => self.conn.wrote(n),
+        }
+        self.dropped = self.conn.is_finished() || self.expired();
+    }
+
+    /// A deadline has passed: the daemon drops the connection silently.
+    pub fn expired(&self) -> bool {
+        self.conn.expired(self.config, self.now)
+    }
+
+    /// The invariants that hold after every step: no limit is exceeded,
+    /// and what the peer has read is whole frames so far — the greeting,
+    /// then responses — among them every completion fed back, each once,
+    /// in the order it was fed.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        if !self.conn.within_limits(self.config) {
+            return Err("a per-connection limit was exceeded".to_string());
+        }
+        let mut fed = self.completed.iter().peekable();
+        for frame in frames_of(&self.output).iter().skip(1) {
+            if fed.peek() == Some(&frame) {
+                fed.next();
+            }
+        }
+        let unread = self.conn.writable().len();
+        match fed.next() {
+            Some(lost) if unread == 0 && !self.conn.is_finished() => Err(format!(
+                "completion {lost:02x?} was fed back and never written, or written out of order"
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// Runs the connection to quiescence — every running request
+    /// completes, the peer reads everything — then checks that every
+    /// request handed out was answered, or the connection closed.
+    pub(crate) fn settle(&mut self) -> Result<(), String> {
+        while !self.running.is_empty() {
+            self.complete(0);
+        }
+        self.read(usize::MAX);
+        self.check()
+    }
+}
+
+/// The second backend for a [`Step`] script: plays it into a
+/// [`PureConn`], delivering each [`Step::Send`] in seeded chunk sizes,
+/// completing running requests in seeded order and letting the peer read
+/// seeded amounts (or, one script in eight, nothing at all) between
+/// chunks, checking the machine's invariants after every step. [`Step::Pause`]
+/// advances the virtual clock. [`Outcome::PeerClosed`] means the machine
+/// closed or expired the connection before the script ran out.
+pub fn apply_script_pure(
+    conn: &mut PureConn<'_>,
+    steps: &[Step],
+    rng: &mut Xorshift64,
+) -> Result<Outcome, String> {
+    let reads = rng.gen_index(8) != 0;
+    let turn = |conn: &mut PureConn<'_>, rng: &mut Xorshift64| {
+        for _ in 0..rng.gen_index(conn.running.len() + 1) {
+            conn.complete(rng.gen_index(conn.running.len()));
+        }
+        conn.read(if reads { rng.gen_index(4096) } else { 0 });
+        conn.check()
+    };
+    for step in steps {
+        match step {
+            Step::Send(bytes) => {
+                let mut at = 0usize;
+                while at < bytes.len() {
+                    if conn.conn.is_finished() || conn.expired() {
+                        return Ok(Outcome::PeerClosed);
+                    }
+                    if conn.conn.wants_read() {
+                        let take = 1 + rng.gen_index((bytes.len() - at).min(READ_CHUNK));
+                        conn.send(&bytes[at..at + take]);
+                        at += take;
+                    } else if !reads && conn.running.is_empty() {
+                        // Neither side will move again before a deadline.
+                        return Ok(Outcome::PeerClosed);
+                    }
+                    turn(conn, rng)?;
+                }
+            }
+            Step::Pause(d) => {
+                conn.now += *d;
+                turn(conn, rng)?;
+            }
+            Step::Disconnect => {
+                conn.conn.on_eof();
+                break;
+            }
+        }
+    }
+    if conn.expired() {
+        return Ok(Outcome::PeerClosed);
+    }
+    if reads {
+        conn.settle()?;
+    }
+    Ok(match steps.last() {
+        Some(Step::Disconnect) => Outcome::Disconnected,
+        _ => Outcome::Completed,
+    })
 }
 
 #[cfg(test)]

@@ -13,11 +13,11 @@
 //!   errors, never panics.
 //! - [`server`]: [`server::NetServer`], the daemon behind
 //!   `hubserve serve` — one event-driven readiness loop (`poll(2)` via
-//!   [`hl_sys`]) over nonblocking sockets, per-connection partial-frame
-//!   state machines and write queues, a bounded worker pool completing
-//!   requests out of order, per-socket timeouts, graceful
-//!   drain-and-shutdown, metrics into the engine's existing
-//!   [`hl_server::Metrics`].
+//!   [`hl_sys`]) over nonblocking sockets and a bounded worker pool
+//!   completing requests out of order, around a socket-free
+//!   per-connection state machine (`conn.rs`) that owns every protocol
+//!   decision: framing, backpressure, the three deadlines, graceful
+//!   drain; metrics into the engine's existing [`hl_server::Metrics`].
 //! - [`client`]: [`client::NetClient`], a blocking protocol-v1 client
 //!   with connect and request timeouts, bounded retry with
 //!   deterministic jittered backoff, and batch pipelining.
@@ -28,7 +28,8 @@
 //! - [`faults`]: deterministic fault injection — a seeded
 //!   [`faults::FaultPlan`] scripts byte-level corruption, length-prefix
 //!   lies, truncations, slow-loris pacing and stalls against any
-//!   transport, replayable from the seed alone.
+//!   transport — or into the connection state machine itself on a
+//!   virtual clock ([`faults::PureConn`]) — replayable from the seed.
 //!
 //! - [`cli`]: the flag cursor and `u v` pair-line helpers the
 //!   command-line tools share.
@@ -44,6 +45,7 @@
 
 pub mod cli;
 pub mod client;
+mod conn;
 pub mod error;
 pub mod faults;
 pub mod mux;

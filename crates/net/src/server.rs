@@ -1,40 +1,46 @@
 //! The serving daemon: an event-driven readiness loop over nonblocking
 //! sockets, answering HLNP frames from a shared [`QueryEngine`].
 //!
-//! One thread runs `poll(2)` (via the zero-dependency [`hl_sys`] shim)
-//! over the listener, a self-wake pipe, and every live connection. Each
-//! connection carries its own read buffer with an incremental
-//! partial-frame state machine and a write queue drained as the socket
-//! allows, so 10k idle-ish clients cost file descriptors, not stacks. A
-//! worker pool of the engine's width ([`QueryEngine::num_workers`]) — the
-//! daemon's only standing threads besides the loop — executes engine
-//! requests and completes them *out of order*; protocol-v2 connections
-//! correlate completions by request id, protocol-v1 connections are
-//! dispatched strictly one at a time so their in-order lock-step
-//! contract survives.
+//! This file is the *shell*: it owns the file descriptors, the worker
+//! pool and the one clock read per turn, and decides nothing about the
+//! protocol. One thread runs `poll(2)` (via the zero-dependency
+//! [`hl_sys`] shim) over the listener, a self-wake pipe, and every live
+//! connection, so 10k idle-ish clients cost file descriptors, not stacks.
+//! Per turn it reads a chunk at a time into each ready connection's
+//! state machine (`conn.rs`), hands the requests the machine lets
+//! out to a worker pool of the engine's width
+//! ([`QueryEngine::num_workers`]) — the daemon's only standing threads
+//! besides the loop — feeds the pool's completions back, writes each
+//! connection's queued bytes once, and drops the connections the machine
+//! calls finished or expired. What a connection may do — what is read,
+//! dispatched, owed an answer, refused, timed out — is `conn.rs`'s
+//! decision alone.
 //!
 //! Design constraints, in order:
 //!
 //! - **Never panic, never hang past a timeout.** Frames are
 //!   length-capped before buffering; malformed input gets a typed error
-//!   frame; the loop ticks every `POLL_TICK` (50 ms) to enforce the idle,
-//!   whole-frame and write-stall budgets regardless of socket state.
+//!   frame; the loop ticks every `POLL_TICK` (50 ms) so the idle,
+//!   whole-frame and write-stall budgets are checked regardless of
+//!   socket state.
 //! - **Bounded resources.** At most `max_connections` connections are
 //!   served at once (excess is greeted and turned away
 //!   [`ErrorCode::Busy`]); at most `max_inflight_per_conn` requests per
 //!   v2 connection are in flight (excess gets a per-id `Busy`); reads
-//!   pause when a connection's write queue backs up.
+//!   pause, checked after every chunk, when a connection's parsed frames
+//!   or unwritten responses back up.
 //! - **Graceful shutdown.** A `Shutdown` request (or [`StopHandle`])
 //!   flips one atomic flag and writes the wake pipe. The loop stops
-//!   accepting, stops reading, flushes every queued response (bounded by
-//!   the write budget), then joins the worker pool before
-//!   [`NetServer::serve`] returns.
+//!   accepting and reading, drops frames it had parsed but not yet
+//!   handed to the pool, answers and flushes every request already in
+//!   flight (bounded by the write budget), then joins the worker pool
+//!   before [`NetServer::serve`] returns.
 //!
 //! Metrics flow into the engine's existing [`hl_server::Metrics`]:
 //! connections opened/rejected, request frames handled, error frames
 //! sent, and per-query latency via the engine's own histogram.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
@@ -48,25 +54,13 @@ use hl_graph::sync::lock_unpoisoned;
 use hl_server::{store, AnyStore, EngineError, QueryEngine};
 use hl_sys::{poll, PollFd, POLLIN, POLLOUT};
 
+use crate::conn::{response_frame, Conn, READ_CHUNK};
 use crate::error::NetError;
-use crate::wire::{
-    frame, frame_len, split_mux, ClientHello, ErrorCode, Request, Response, ServerHello, WireError,
-    DEFAULT_MAX_FRAME_LEN, MAX_PROTOCOL_VERSION, PROTOCOL_V2, PROTOCOL_VERSION,
-};
+use crate::wire::{ErrorCode, Request, Response, DEFAULT_MAX_FRAME_LEN};
 
-/// The readiness loop's maximum sleep: deadline sweeps (idle, frame and
-/// write-stall budgets) run at least this often even with no socket
-/// activity at all.
+/// The readiness loop's maximum sleep: every connection's deadlines are
+/// checked at least this often even with no socket activity at all.
 const POLL_TICK: Duration = Duration::from_millis(50);
-
-/// Parsed-but-undispatched request frames a connection may hold before
-/// the loop stops reading from it (v1 pipelining backpressure).
-const MAX_PENDING_FRAMES: usize = 1024;
-
-/// Queued-but-unwritten response bytes a connection may hold before the
-/// loop stops reading from it, so a client that floods requests without
-/// draining responses backs up its own TCP window instead of our heap.
-const MAX_QUEUED_WRITE_BYTES: usize = 8 << 20;
 
 /// Tunables for one daemon instance.
 #[derive(Debug, Clone)]
@@ -149,8 +143,8 @@ struct Inner {
 
 impl Inner {
     fn wake(&self) {
-        // A full wake pipe already guarantees a pending wake; any other
-        // failure means teardown.
+        // A full wake pipe already guarantees a wake; any other failure
+        // means teardown.
         let _ = (&self.waker).write(&[1]);
     }
 
@@ -194,96 +188,6 @@ struct Completion {
     /// Fully framed bytes (length prefix included, id prefix for v2).
     frame: Vec<u8>,
     is_error: bool,
-}
-
-/// Connection lifecycle, as the frame dispatcher sees it.
-enum ConnState {
-    /// Hello queued; the next frame must be the client's hello.
-    Handshake,
-    /// Handshake done; frames are requests under this protocol version.
-    Serving(u16),
-    /// Over the connection cap: greeted and turned away, never read.
-    Rejecting,
-}
-
-/// Everything the loop tracks per connection.
-struct Conn {
-    stream: TcpStream,
-    state: ConnState,
-    /// Inbound bytes not yet parsed into frames.
-    rbuf: Vec<u8>,
-    /// Outbound frames (fully framed bytes), oldest first.
-    wqueue: VecDeque<Vec<u8>>,
-    /// Progress into `wqueue.front()`.
-    wfront_at: usize,
-    /// Total bytes across `wqueue` (backpressure accounting).
-    wbytes: usize,
-    /// Parsed requests not yet dispatched, with their v2 ids (0 for v1).
-    pending: VecDeque<(u64, Request)>,
-    /// Requests handed to the worker pool and not yet completed.
-    inflight: usize,
-    /// When the last byte arrived (or the connection was accepted).
-    last_read: Instant,
-    /// When the current partial frame's first byte arrived, if one is
-    /// mid-flight — the whole-frame (slow-loris) budget anchors here.
-    frame_started: Option<Instant>,
-    /// Since when the write queue has been non-empty without the socket
-    /// accepting a single byte.
-    write_stalled: Option<Instant>,
-    /// Flush what is queued, then close; stop reading immediately.
-    close_after_flush: bool,
-    /// The peer half-closed (or broke framing): read no further.
-    read_closed: bool,
-}
-
-impl Conn {
-    /// A just-accepted connection, about to be greeted.
-    fn new(stream: TcpStream) -> Self {
-        Conn {
-            stream,
-            state: ConnState::Handshake,
-            rbuf: Vec::new(),
-            wqueue: VecDeque::new(),
-            wfront_at: 0,
-            wbytes: 0,
-            pending: VecDeque::new(),
-            inflight: 0,
-            last_read: Instant::now(),
-            frame_started: None,
-            write_stalled: None,
-            close_after_flush: false,
-            read_closed: false,
-        }
-    }
-
-    /// Whether the poll set should watch this connection for input.
-    fn wants_read(&self) -> bool {
-        !self.read_closed
-            && !self.close_after_flush
-            && self.pending.len() < MAX_PENDING_FRAMES
-            && self.wbytes < MAX_QUEUED_WRITE_BYTES
-    }
-
-    /// Queues fully framed bytes for writing.
-    fn queue_frame(&mut self, frame: Vec<u8>) {
-        self.wbytes += frame.len();
-        self.wqueue.push_back(frame);
-    }
-
-    /// `true` once nothing more can ever happen on this connection.
-    fn is_finished(&self) -> bool {
-        let flushed = self.wqueue.is_empty();
-        (self.close_after_flush && flushed)
-            || (self.read_closed && flushed && self.inflight == 0 && self.pending.is_empty())
-    }
-}
-
-/// What handling readiness on a connection concluded.
-#[derive(PartialEq, Eq)]
-enum Verdict {
-    Keep,
-    /// Remove the connection now (socket dead or work complete).
-    Close,
 }
 
 /// A bound-but-not-yet-serving HLNP daemon.
@@ -336,8 +240,8 @@ impl NetServer {
 
     /// Runs the readiness loop on the calling thread until a `Shutdown`
     /// request or [`StopHandle::stop`] arrives, then drains: stops
-    /// accepting and reading, flushes queued responses (bounded by the
-    /// write budget), and joins the worker pool.
+    /// accepting and reading, answers and flushes what is already in
+    /// flight (bounded by the write budget), and joins the worker pool.
     pub fn serve(self) -> Result<(), NetError> {
         self.listener.set_nonblocking(true)?;
         let inner: &Inner = &self.inner;
@@ -368,144 +272,119 @@ impl NetServer {
         done_rx: &Receiver<Completion>,
     ) -> Result<(), NetError> {
         let inner = &self.inner;
-        let mut conns: HashMap<u64, Conn> = HashMap::new();
+        let (config, engine) = (&inner.config, &*inner.engine);
+        let mut conns: HashMap<u64, (TcpStream, Conn)> = HashMap::new();
         let mut next_conn_id: u64 = 0;
         let mut pollfds: Vec<PollFd> = Vec::new();
         let mut tokens: Vec<Token> = Vec::new();
-        let mut draining = false;
-        let mut drain_deadline = Instant::now();
+        // Set once the stop flag has been seen: when the drain gives up.
+        let mut drain_deadline: Option<Instant> = None;
 
         loop {
-            if inner.stop.load(Ordering::SeqCst) && !draining {
-                draining = true;
-                drain_deadline = Instant::now() + inner.config.write_timeout;
-                for c in conns.values_mut() {
-                    // Half-close semantics: in-flight work finishes and
-                    // queued responses flush, but nothing new is read.
-                    c.read_closed = true;
-                    c.close_after_flush = true;
-                }
-            }
-            if draining {
-                conns.retain(|_, c| !(c.wqueue.is_empty() && c.inflight == 0));
-                if conns.is_empty() || Instant::now() >= drain_deadline {
-                    return Ok(());
-                }
-            }
-
             pollfds.clear();
             tokens.clear();
-            if !draining {
+            if drain_deadline.is_none() {
                 pollfds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
                 tokens.push(Token::Listener);
             }
             pollfds.push(PollFd::new(self.waker_rx.as_raw_fd(), POLLIN));
             tokens.push(Token::Waker);
-            for (&cid, c) in conns.iter() {
+            for (&cid, (stream, c)) in conns.iter() {
                 let mut events = 0i16;
                 if c.wants_read() {
                     events |= POLLIN;
                 }
-                if !c.wqueue.is_empty() {
+                if !c.writable().is_empty() {
                     events |= POLLOUT;
                 }
                 if events != 0 {
-                    pollfds.push(PollFd::new(c.stream.as_raw_fd(), events));
+                    pollfds.push(PollFd::new(stream.as_raw_fd(), events));
                     tokens.push(Token::Conn(cid));
                 }
             }
             poll(&mut pollfds, Some(POLL_TICK))?;
+            // The turn's one clock read: every machine sees the same now.
+            let now = Instant::now();
 
             for (fd, token) in pollfds.iter().zip(tokens.iter()) {
                 match *token {
-                    Token::Listener => {
-                        if fd.readable() {
-                            self.accept_ready(&mut conns, &mut next_conn_id)?;
+                    Token::Listener if fd.readable() => {
+                        self.accept_ready(&mut conns, &mut next_conn_id, now)?;
+                    }
+                    Token::Waker if fd.readable() => drain_waker(&self.waker_rx),
+                    Token::Conn(cid) if fd.invalid() => {
+                        conns.remove(&cid);
+                    }
+                    Token::Conn(cid) if fd.readable() => {
+                        let alive = conns
+                            .get_mut(&cid)
+                            .is_none_or(|(stream, c)| read_chunks(inner, stream, c, now));
+                        if !alive {
+                            conns.remove(&cid); // reset: silent close
                         }
                     }
-                    Token::Waker => {
-                        if fd.readable() {
-                            drain_waker(&self.waker_rx);
-                        }
-                    }
-                    Token::Conn(cid) => {
-                        if fd.invalid() {
-                            conns.remove(&cid);
-                            continue;
-                        }
-                        let Some(c) = conns.get_mut(&cid) else {
-                            continue;
-                        };
-                        let mut verdict = Verdict::Keep;
-                        if fd.readable() && verdict == Verdict::Keep {
-                            verdict = conn_readable(inner, c, cid, job_tx);
-                        }
-                        if verdict == Verdict::Keep {
-                            verdict = conn_write(c);
-                        }
-                        if verdict == Verdict::Close {
-                            conns.remove(&cid);
-                        }
-                    }
+                    _ => {}
                 }
             }
 
-            // Completions from the worker pool: queue the frame, free the
-            // in-flight slot, dispatch whatever that unblocked.
+            // A connection that died while its job ran is owed nothing.
             while let Ok(done) = done_rx.try_recv() {
-                let Some(c) = conns.get_mut(&done.conn) else {
-                    continue; // connection died while the job ran
-                };
-                if done.is_error {
-                    inner
-                        .engine
-                        .metrics()
-                        .net_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                c.inflight = c.inflight.saturating_sub(1);
-                c.queue_frame(done.frame);
-                pump(inner, c, done.conn, job_tx);
-                if conn_write(c) == Verdict::Close {
-                    conns.remove(&done.conn);
+                if let Some((_, c)) = conns.get_mut(&done.conn) {
+                    c.on_completion(engine, &done.frame, done.is_error);
                 }
             }
 
-            // Deadline sweep: every budget is enforced from the tick, so
-            // a peer the kernel never reports on still cannot overstay.
-            let now = Instant::now();
-            conns.retain(|_, c| {
-                if c.is_finished() {
-                    return false;
+            if drain_deadline.is_none() && inner.stop.load(Ordering::SeqCst) {
+                drain_deadline = Some(now + config.write_timeout);
+                for (_, c) in conns.values_mut() {
+                    c.begin_drain();
                 }
-                if let Some(t0) = c.frame_started {
-                    if now.duration_since(t0) > inner.config.frame_timeout {
-                        return false; // slow-loris: silent close, like v1
+            }
+
+            // Every connection, every turn: hand out what the machine
+            // lets out, write what it has queued once, and drop it when
+            // it says it is done or overdue — so a peer the kernel never
+            // reports on still cannot overstay.
+            conns.retain(|&cid, (stream, c)| {
+                while let Some((id, version, request)) = c.next_job(config, engine) {
+                    let job = Job {
+                        conn: cid,
+                        id,
+                        version,
+                        request,
+                    };
+                    if let Err(mpsc::SendError(job)) = job_tx.send(job) {
+                        // The pool is gone (teardown): answer typed rather
+                        // than leaving the id unanswered forever.
+                        let code = ErrorCode::ShuttingDown;
+                        let message = "server is draining".to_string();
+                        let refusal = Response::Error { code, message };
+                        c.on_completion(
+                            engine,
+                            &response_frame(job.version, job.id, &refusal),
+                            true,
+                        );
                     }
                 }
-                if let Some(t0) = c.write_stalled {
-                    if now.duration_since(t0) > inner.config.write_timeout {
-                        return false; // peer not draining responses
-                    }
+                if c.stop_requested() {
+                    inner.trigger_stop();
                 }
-                let idle = c.inflight == 0
-                    && c.pending.is_empty()
-                    && c.wqueue.is_empty()
-                    && c.frame_started.is_none();
-                if idle && now.duration_since(c.last_read) > inner.config.read_timeout {
-                    return false; // silent idle drop, like v1
-                }
-                true
+                write_once(stream, c, now) && !c.is_finished() && !c.expired(config, now)
             });
+
+            if drain_deadline.is_some_and(|deadline| conns.is_empty() || now >= deadline) {
+                return Ok(());
+            }
         }
     }
 
-    /// Accepts every connection the kernel has queued, greeting each and
-    /// turning away those over the cap.
+    /// Accepts every connection the kernel has queued; the machine greets
+    /// each and turns away those over the cap.
     fn accept_ready(
         &self,
-        conns: &mut HashMap<u64, Conn>,
+        conns: &mut HashMap<u64, (TcpStream, Conn)>,
         next_conn_id: &mut u64,
+        now: Instant,
     ) -> Result<(), NetError> {
         let inner = &self.inner;
         loop {
@@ -542,31 +421,18 @@ impl NetServer {
             if stream.set_nonblocking(true).is_err() {
                 continue; // socket already dead
             }
-            let metrics = inner.engine.metrics();
-            let serving = conns
-                .values()
-                .filter(|c| !matches!(c.state, ConnState::Rejecting))
-                .count();
-            let cid = *next_conn_id;
+            // The greeting is written in this same turn's write pass, so
+            // a ready client can answer within the tick.
+            let store_version = inner.store_version.load(Ordering::SeqCst);
+            let c = Conn::accept(
+                &inner.config,
+                &inner.engine,
+                store_version,
+                conns.len(),
+                now,
+            );
+            conns.insert(*next_conn_id, (stream, c));
             *next_conn_id += 1;
-            let mut c = Conn::new(stream);
-            c.queue_frame(frame(None, &server_hello(inner).encode()));
-            if serving >= inner.config.max_connections {
-                c.state = ConnState::Rejecting;
-                metrics.connections_rejected.fetch_add(1, Ordering::Relaxed);
-                let message = format!(
-                    "server at its {}-connection cap; retry with backoff",
-                    inner.config.max_connections
-                );
-                reply_error_and_close(inner, &mut c, ErrorCode::Busy, message);
-            } else {
-                metrics.connections_opened.fetch_add(1, Ordering::Relaxed);
-            }
-            // The greeting usually fits the socket buffer whole; write it
-            // now so a ready client can answer within this same tick.
-            if conn_write(&mut c) == Verdict::Keep {
-                conns.insert(cid, c);
-            }
         }
     }
 }
@@ -592,290 +458,49 @@ fn drain_waker(waker_rx: &UnixStream) {
     }
 }
 
-fn server_hello(inner: &Inner) -> ServerHello {
-    ServerHello {
-        protocol_version: MAX_PROTOCOL_VERSION,
-        store_version: inner.store_version.load(Ordering::SeqCst),
-        num_nodes: inner.engine.num_nodes() as u64,
-    }
-}
-
-/// Frames `resp` for a connection speaking `version`: protocol v2 carries
-/// the request id, v1 has none. The only place the two framings part ways
-/// on the way out.
-fn response_frame(version: u16, id: u64, resp: &Response) -> Vec<u8> {
-    frame((version >= PROTOCOL_V2).then_some(id), &resp.encode())
-}
-
-/// Queues `resp` on `c` under `version` framing, counting error frames.
-fn queue_response(inner: &Inner, c: &mut Conn, version: u16, id: u64, resp: &Response) {
-    if matches!(resp, Response::Error { .. }) {
-        inner
-            .engine
-            .metrics()
-            .net_errors
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    c.queue_frame(response_frame(version, id, resp));
-}
-
-/// Answers request `id` with a typed error; the connection keeps serving.
-fn reply_error(
-    inner: &Inner,
-    c: &mut Conn,
-    version: u16,
-    id: u64,
-    code: ErrorCode,
-    message: String,
-) {
-    queue_response(inner, c, version, id, &Response::Error { code, message });
-}
-
-/// Answers with a typed error and ends the connection once it flushes;
-/// nothing further is read. For failures no request id can be blamed for
-/// (broken framing, a bad handshake, the connection cap), so the answer
-/// goes under id 0 in the framing negotiated so far — v1 until a
-/// handshake completes, since the peer has agreed to nothing else.
-fn reply_error_and_close(inner: &Inner, c: &mut Conn, code: ErrorCode, message: String) {
-    let version = match c.state {
-        ConnState::Serving(v) => v,
-        _ => PROTOCOL_VERSION,
-    };
-    reply_error(inner, c, version, 0, code, message);
-    c.read_closed = true;
-    c.close_after_flush = true;
-}
-
-/// Reads everything the socket has, parses complete frames, dispatches.
-fn conn_readable(inner: &Inner, c: &mut Conn, cid: u64, job_tx: &Sender<Job>) -> Verdict {
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        if !c.wants_read() {
-            break;
-        }
-        match c.stream.read(&mut buf) {
+/// Reads one chunk at a time for as long as the machine wants input and
+/// the socket has some. `false` when the socket is dead.
+fn read_chunks(inner: &Inner, stream: &mut TcpStream, c: &mut Conn, now: Instant) -> bool {
+    let mut buf = [0u8; READ_CHUNK];
+    while c.wants_read() {
+        match stream.read(&mut buf) {
             Ok(0) => {
-                c.read_closed = true;
+                c.on_eof();
                 break;
             }
             Ok(n) => {
-                c.rbuf.extend_from_slice(&buf[..n]);
-                c.last_read = Instant::now();
+                c.on_bytes(&inner.config, &inner.engine, &buf[..n], now);
                 if n < buf.len() {
                     break;
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return Verdict::Close, // reset: silent close, like v1
+            Err(_) => return false,
         }
     }
-    parse_frames(inner, c);
-    pump(inner, c, cid, job_tx);
-    if c.is_finished() {
-        return Verdict::Close;
-    }
-    Verdict::Keep
+    true
 }
 
-/// Splits `c.rbuf` into complete frames and routes each through the
-/// connection's state machine. Framing violations (oversized or empty
-/// frames) get a typed error and end the connection once it flushes;
-/// per-frame decode errors answer typed and keep serving.
-fn parse_frames(inner: &Inner, c: &mut Conn) {
-    let mut at = 0usize;
-    loop {
-        let avail = c.rbuf.len().saturating_sub(at);
-        if avail < 4 {
-            break;
-        }
-        let prefix = [c.rbuf[at], c.rbuf[at + 1], c.rbuf[at + 2], c.rbuf[at + 3]];
-        match frame_len(prefix, inner.config.max_frame_len) {
-            Err(e) => {
-                let code = match e {
-                    WireError::FrameTooLarge { .. } => ErrorCode::FrameTooLarge,
-                    _ => ErrorCode::Malformed,
-                };
-                reply_error_and_close(inner, c, code, e.to_string());
-            }
-            Ok(len) if avail < 4 + len => break,
-            Ok(len) => {
-                let payload = c.rbuf[at + 4..at + 4 + len].to_vec();
-                at += 4 + len;
-                accept_frame(inner, c, &payload);
-            }
-        }
-        if c.close_after_flush {
-            // Broken framing, or a handshake failure mid-buffer: discard
-            // the rest. A plain peer EOF sets only `read_closed`, and the
-            // frames the peer sent before half-closing are still owed
-            // their answers.
-            c.rbuf.clear();
-            c.frame_started = None;
-            return;
-        }
-    }
-    if at > 0 {
-        c.rbuf.drain(..at);
-    }
-    c.frame_started = if c.rbuf.is_empty() {
-        None
-    } else {
-        c.frame_started.or_else(|| Some(Instant::now()))
-    };
-}
-
-/// Routes one complete frame payload through the connection state.
-fn accept_frame(inner: &Inner, c: &mut Conn, payload: &[u8]) {
-    match c.state {
-        ConnState::Rejecting => {} // never read, never dispatched
-        ConnState::Handshake => match ClientHello::decode(payload) {
-            Ok(hello) if (1..=MAX_PROTOCOL_VERSION).contains(&hello.protocol_version) => {
-                c.state = ConnState::Serving(hello.protocol_version);
-            }
-            Ok(hello) => {
-                let message = format!(
-                    "server speaks protocol versions 1..={MAX_PROTOCOL_VERSION}, \
-                     client spoke {}",
-                    hello.protocol_version
-                );
-                reply_error_and_close(inner, c, ErrorCode::VersionMismatch, message);
-            }
-            Err(e) => {
-                let message = format!("expected client hello: {e}");
-                reply_error_and_close(inner, c, ErrorCode::Malformed, message);
-            }
-        },
-        ConnState::Serving(version) => {
-            inner
-                .engine
-                .metrics()
-                .net_requests
-                .fetch_add(1, Ordering::Relaxed);
-            let (id, inner_payload) = if version >= PROTOCOL_V2 {
-                match split_mux(payload) {
-                    Ok(split) => split,
-                    Err(e) => {
-                        // Echo the id when the payload carried one; a
-                        // payload too short even for that answers id 0.
-                        let id = payload
-                            .get(..8)
-                            .map(|b| {
-                                u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-                            })
-                            .unwrap_or(0);
-                        reply_error(inner, c, version, id, ErrorCode::Malformed, e.to_string());
-                        return;
-                    }
-                }
-            } else {
-                (0u64, payload)
-            };
-            match Request::decode(inner_payload) {
-                Ok(request) => c.pending.push_back((id, request)),
-                // The frame boundary is intact, so the connection can keep
-                // serving after reporting the bad frame.
-                Err(e) => reply_error(inner, c, version, id, ErrorCode::Malformed, e.to_string()),
-            }
-        }
-    }
-}
-
-/// Dispatches as many pending requests as the protocol allows: v1 is
-/// strictly one at a time (lock-step order), v2 up to the in-flight cap
-/// with overflow answered `Busy` per id.
-fn pump(inner: &Inner, c: &mut Conn, cid: u64, job_tx: &Sender<Job>) {
-    let ConnState::Serving(version) = c.state else {
-        return;
-    };
-    while let Some(&(id, _)) = c.pending.front() {
-        if version < PROTOCOL_V2 && c.inflight > 0 {
-            break; // lock-step: the previous request must answer first
-        }
-        let Some((_, request)) = c.pending.pop_front() else {
-            break;
-        };
-        match request {
-            Request::Ping => queue_response(inner, c, version, id, &Response::Pong),
-            Request::Metrics => {
-                let snap = Response::Metrics(inner.engine.snapshot());
-                queue_response(inner, c, version, id, &snap);
-            }
-            Request::Shutdown if inner.config.allow_remote_shutdown => {
-                queue_response(inner, c, version, id, &Response::ShutdownAck);
-                inner.trigger_stop();
-            }
-            Request::Shutdown => {
-                let message = "remote shutdown is disabled on this server".to_string();
-                reply_error(inner, c, version, id, ErrorCode::Unsupported, message);
-            }
-            Request::Reload { .. } if !inner.config.allow_remote_reload => {
-                let message = "remote reload is disabled on this server".to_string();
-                reply_error(inner, c, version, id, ErrorCode::Unsupported, message);
-            }
-            heavy => {
-                // Engine-bound work goes to the pool. v2 connections may
-                // stack these to the cap; overflow answers Busy so the
-                // pool's queue stays bounded per connection.
-                if version >= PROTOCOL_V2 && c.inflight >= inner.config.max_inflight_per_conn {
-                    let message = format!(
-                        "connection at its {}-request in-flight cap; retry with backoff",
-                        inner.config.max_inflight_per_conn
-                    );
-                    reply_error(inner, c, version, id, ErrorCode::Busy, message);
-                    continue;
-                }
-                c.inflight += 1;
-                let job = Job {
-                    conn: cid,
-                    id,
-                    version,
-                    request: heavy,
-                };
-                if job_tx.send(job).is_err() {
-                    // The pool is gone (teardown): answer typed rather
-                    // than leaving the id unanswered forever.
-                    c.inflight = c.inflight.saturating_sub(1);
-                    let message = "server is draining".to_string();
-                    reply_error(inner, c, version, id, ErrorCode::ShuttingDown, message);
-                }
-            }
-        }
-    }
-}
-
-/// Drains the write queue as far as the socket allows.
-fn conn_write(c: &mut Conn) -> Verdict {
-    while let Some(front) = c.wqueue.front() {
-        match c.stream.write(&front[c.wfront_at..]) {
-            Ok(0) => return Verdict::Close, // peer stopped accepting bytes
+/// Offers the machine's queued bytes to the socket once. `false` when
+/// the socket is dead (the peer stopped accepting bytes, or reset).
+fn write_once(stream: &mut TcpStream, c: &mut Conn, now: Instant) -> bool {
+    while !c.writable().is_empty() {
+        match stream.write(c.writable()) {
+            Ok(0) => return false,
             Ok(n) => {
-                c.wfront_at += n;
-                c.wbytes = c.wbytes.saturating_sub(n);
-                c.write_stalled = None;
-                if c.wfront_at >= front.len() {
-                    c.wqueue.pop_front();
-                    c.wfront_at = 0;
-                }
+                c.wrote(n);
+                break;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if c.write_stalled.is_none() {
-                    c.write_stalled = Some(Instant::now());
-                }
+                c.write_blocked(now);
                 break;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return Verdict::Close, // reset mid-response
+            Err(_) => return false,
         }
     }
-    if c.wqueue.is_empty() {
-        c.write_stalled = None;
-    }
-    if c.is_finished() {
-        Verdict::Close
-    } else {
-        Verdict::Keep
-    }
+    true
 }
 
 /// One worker: executes engine-bound requests and posts framed
@@ -889,7 +514,7 @@ fn worker_loop(inner: &Inner, job_rx: &Mutex<Receiver<Job>>, done_tx: &Sender<Co
         let Ok(job) = job else {
             return; // channel closed: the server is done
         };
-        let response = execute(inner, job.request);
+        let response = execute(&inner.engine, &inner.store_version, job.request);
         let completion = Completion {
             conn: job.conn,
             frame: response_frame(job.version, job.id, &response),
@@ -902,10 +527,14 @@ fn worker_loop(inner: &Inner, job_rx: &Mutex<Receiver<Job>>, done_tx: &Sender<Co
     }
 }
 
-/// Executes one engine-bound request (the `pump` fast paths — ping,
-/// metrics, shutdown, gating — never reach here).
-fn execute(inner: &Inner, request: Request) -> Response {
-    let engine = &inner.engine;
+/// Executes one engine-bound request (what [`Conn::next_job`] answers
+/// inline — ping, metrics, shutdown, gating — never reaches here).
+/// `store_version` is the live hello field a successful `Reload` updates.
+pub(crate) fn execute(
+    engine: &QueryEngine,
+    store_version: &AtomicU16,
+    request: Request,
+) -> Response {
     let answered = match request {
         Request::Query { u, v } => engine.query(u, v).map(Response::Distance),
         Request::QueryBatch(pairs) => engine.query_batch(&pairs).map(Response::DistanceBatch),
@@ -917,8 +546,8 @@ fn execute(inner: &Inner, request: Request) -> Response {
             .map(|&v| label(engine, v))
             .collect::<Result<_, _>>()
             .map(Response::LabelBatch),
-        Request::Reload { path } => Ok(handle_reload(inner, &path)),
-        // Already answered inline by `pump`; kept total for safety.
+        Request::Reload { path } => Ok(handle_reload(engine, store_version, &path)),
+        // Already answered inline by the machine; kept total for safety.
         Request::Ping => Ok(Response::Pong),
         Request::Metrics => Ok(Response::Metrics(engine.snapshot())),
         Request::Shutdown => Ok(Response::ShutdownAck),
@@ -944,7 +573,7 @@ fn label(engine: &QueryEngine, v: u32) -> Result<Vec<(u32, hl_graph::Distance)>,
 /// Mounts the store at `path` into the engine. The new store is opened
 /// and fully validated *before* the swap, so a missing or corrupt file
 /// reports an error and leaves the current epoch serving untouched.
-fn handle_reload(inner: &Inner, path: &str) -> Response {
+fn handle_reload(engine: &QueryEngine, store_version: &AtomicU16, path: &str) -> Response {
     let mounted = AnyStore::open(path).and_then(|store| {
         let version = store.version();
         Ok((version, store.into_served()?))
@@ -952,48 +581,18 @@ fn handle_reload(inner: &Inner, path: &str) -> Response {
     match mounted {
         Ok((version, labeling)) => {
             let num_nodes = labeling.num_nodes() as u64;
-            let epoch = inner.engine.reload(labeling);
-            inner.store_version.store(version, Ordering::SeqCst);
+            let epoch = engine.reload(labeling);
+            store_version.store(version, Ordering::SeqCst);
             Response::ReloadAck { epoch, num_nodes }
         }
         Err(e) => {
             // The one store failure a serving daemon can observe.
-            let metrics = inner.engine.metrics();
+            let metrics = engine.metrics();
             metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
             Response::Error {
                 code: ErrorCode::Internal,
                 message: format!("reload of {path:?} failed: {e}"),
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A buffer-filling read followed by `Ok(0)` reaches `parse_frames`
-    /// with `read_closed` already set: every complete frame in the buffer
-    /// was sent before the half-close and must still be parsed.
-    #[test]
-    fn parse_frames_keeps_what_the_peer_sent_before_half_closing() {
-        let engine = QueryEngine::new(hl_core::HubLabeling::empty(1), 1).expect("engine");
-        let server = NetServer::bind(Arc::new(engine), "127.0.0.1:0", ServerConfig::default())
-            .expect("bind");
-        let _peer = TcpStream::connect(server.local_addr()).expect("connect");
-        let (stream, _) = server.listener.accept().expect("accept");
-        let mut c = Conn::new(stream);
-        c.state = ConnState::Serving(PROTOCOL_VERSION);
-        let ping = frame(None, &Request::Ping.encode());
-        for _ in 0..3 {
-            c.rbuf.extend_from_slice(&ping);
-        }
-        c.rbuf.extend_from_slice(&ping[..2]);
-        c.read_closed = true;
-
-        parse_frames(&server.inner, &mut c);
-
-        assert_eq!(c.pending.len(), 3);
-        assert_eq!(c.rbuf, &ping[..2]);
     }
 }

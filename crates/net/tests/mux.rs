@@ -417,3 +417,52 @@ fn reload_mid_mux_swaps_epochs_with_zero_wrong_answers() {
         let _ = std::fs::remove_file(p);
     }
 }
+
+/// Draining finishes what was accepted: a 100k-pair batch is in flight
+/// on a v2 connection when the daemon is told to stop — by a `Shutdown`
+/// frame on the same connection, then by [`StopHandle::stop`] — and its
+/// answer still arrives before the server hangs up.
+#[test]
+fn drain_answers_the_batch_in_flight_before_closing() {
+    use std::io::Read;
+
+    let g = generators::grid(6, 6);
+    let n = g.num_nodes() as NodeId;
+    let pairs: Vec<(NodeId, NodeId)> = (0..100_000).map(|i| (i % n, (i * 7 + 3) % n)).collect();
+    let want: Vec<u64> = {
+        let truth: Vec<Vec<u64>> = (0..n).map(|u| bfs::bfs_distances(&g, u)).collect();
+        pairs
+            .iter()
+            .map(|&(u, v)| truth[u as usize][v as usize])
+            .collect()
+    };
+
+    for by_frame in [true, false] {
+        let server = TestServer::start(&g, |c| c.allow_remote_shutdown = by_frame);
+        let mut stream = v2_socket(server.addr);
+        send_mux(&mut stream, 1, &Request::QueryBatch(pairs.clone()));
+        let mut owed = vec![1u64];
+        if by_frame {
+            send_mux(&mut stream, 2, &Request::Shutdown);
+            owed.push(2);
+        } else {
+            // The pong proves the batch ahead of it was handed to the pool.
+            send_mux(&mut stream, 2, &Request::Ping);
+            while read_mux(&mut stream).0 != 2 {
+                owed.clear(); // the batch finished first: nothing left to prove
+            }
+            server.stop.stop();
+        }
+        while !owed.is_empty() {
+            let (id, resp) = read_mux(&mut stream);
+            owed.retain(|&o| o != id);
+            match (id, resp) {
+                (1, Response::DistanceBatch(got)) => assert_eq!(got, want),
+                (2, Response::ShutdownAck) => {}
+                other => panic!("unexpected frame while draining: {other:?}"),
+            }
+        }
+        let mut rest = Vec::new();
+        assert_eq!(stream.read_to_end(&mut rest).expect("EOF"), 0);
+    }
+}

@@ -145,6 +145,16 @@ impl LruShard {
             self.map.remove(&self.entries[idx].key);
             self.entries[idx].key = key;
             self.entries[idx].value = value;
+            if self.map.len() == self.map.capacity() {
+                // Eviction churn has spent the table's spare slots on
+                // tombstones, and the insert below would double it — once
+                // per shard, which moved a serving daemon's peak RSS by a
+                // third. A shard never holds more than `capacity` keys, so
+                // re-index the entries into the table it was built with.
+                self.map.clear();
+                let slots = self.entries.iter().enumerate();
+                self.map.extend(slots.map(|(i, e)| (e.key, i)));
+            }
             idx
         };
         self.map.insert(key, idx);
@@ -276,6 +286,18 @@ mod tests {
         assert_eq!(shard.get(2), Some(20));
         assert_eq!(shard.get(1), None, "older entry was evicted");
         assert_eq!(shard.len(), 1);
+    }
+
+    #[test]
+    fn eviction_churn_never_grows_the_table() {
+        let mut shard = LruShard::new(64);
+        let built_with = shard.map.capacity();
+        for k in 0..100_000u64 {
+            shard.insert(k.wrapping_mul(0x9e37_79b9_7f4a_7c15), k);
+            assert!(shard.map.capacity() <= built_with, "grew at insert {k}");
+            assert_eq!(shard.get(k.wrapping_mul(0x9e37_79b9_7f4a_7c15)), Some(k));
+        }
+        assert_eq!(shard.len(), 64);
     }
 
     #[test]

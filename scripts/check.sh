@@ -63,6 +63,21 @@ done
 echo "== hublint (the four decode-path dataflow rules) =="
 cargo run -q --release -p hl-lint
 
+echo "== connection purity (conn.rs: no socket, channel or clock read; server.rs: no protocol state) =="
+# What a connection may do is decided in one socket-free file, so it can
+# be enumerated and run on a virtual clock; the loop around it only
+# moves bytes. Ten seconds here keeps both halves that way.
+if sed '/^#\[cfg(test)\]/,$d' crates/net/src/conn.rs |
+  grep -nE 'std::(net|io|os|thread|sync::mpsc)|Instant::now|SystemTime|hl_sys|sleep'; then
+  echo "check: FAIL — crates/net/src/conn.rs must stay free of sockets, channels and clock reads" >&2
+  exit 1
+fi
+if grep -nwE 'rbuf|pending|inflight|frame_started|write_stalled|close_after_flush|read_closed' \
+  crates/net/src/server.rs; then
+  echo "check: FAIL — per-connection protocol state belongs in crates/net/src/conn.rs" >&2
+  exit 1
+fi
+
 echo "== cargo doc (no-deps, warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

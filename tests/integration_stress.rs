@@ -3,7 +3,6 @@
 
 use hub_labeling::core::cover::{verify_from_sources_parallel, verify_hub_distances};
 use hub_labeling::core::pll::PrunedLandmarkLabeling;
-use hub_labeling::core::psl::psl_labeling;
 use hub_labeling::graph::{generators, NodeId};
 use hub_labeling::lowerbound::sampling::{audit_sampled, check_sampled_pairs};
 use hub_labeling::lowerbound::{GadgetParams, HGraph};
@@ -62,16 +61,6 @@ fn contraction_hierarchy_scales() {
     for t in (0..10_000u32).step_by(509) {
         assert_eq!(ch.query(0, t), truth[t as usize]);
     }
-}
-
-#[test]
-#[ignore = "stress: PSL threads on a 5k-vertex graph"]
-fn psl_parallel_scales() {
-    let g = generators::connected_gnm(5_000, 2_500, 9);
-    let ord = hub_labeling::core::order::by_degree(&g);
-    let labeling = psl_labeling(&g, ord, 8).unwrap();
-    let sources: Vec<NodeId> = (0..5_000).step_by(401).map(|v| v as NodeId).collect();
-    assert!(verify_from_sources_parallel(&g, &labeling, &sources).is_exact());
 }
 
 #[test]
