@@ -422,7 +422,7 @@ fn query_tradeoff() {
         let queries: Vec<(NodeId, NodeId)> = (0..10_000u64)
             .map(|i| (((i * 37) % n) as NodeId, ((i * 101) % n) as NodeId))
             .collect();
-        let mut schemes: Vec<(&str, hl_core::HubLabeling)> = vec![
+        let mut schemes: Vec<(&str, hl_core::FlatLabeling)> = vec![
             ("pll", PrunedLandmarkLabeling::by_degree(&g).into_labeling()),
             (
                 "rand-thresh",
@@ -821,7 +821,7 @@ fn encoding() {
     for family in [Family::Path, Family::Grid, Family::PowerLaw] {
         let g = family_graph(family, 200, 41);
         let diam = hl_graph::properties::diameter_double_sweep(&g);
-        let constructions: Vec<(&str, hl_core::HubLabeling)> = vec![
+        let constructions: Vec<(&str, hl_core::FlatLabeling)> = vec![
             (
                 "pll",
                 PrunedLandmarkLabeling::by_betweenness(&g, 24, 1)

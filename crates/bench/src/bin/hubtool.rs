@@ -1,14 +1,20 @@
-//! `hubtool` — build, inspect, verify and query hub labelings from the
-//! command line, over the plain-text graph/labeling formats of
-//! `hl_graph::io` and `hl_core::io`.
+//! `hubtool` — generate graphs, construct hub labelings with any of the
+//! paper's constructions, and verify or size them, from the command
+//! line. Graphs are the plain-text format of `hl_graph::io`; labelings
+//! are HLBS stores, so what `build` writes a daemon can mount
+//! (`hubserve serve`) and `hubserve query` answers from.
 //!
 //! ```text
 //! hubtool gen <family> <n> <seed> <graph-file>      generate a graph
-//! hubtool build <graph-file> <labels-file> [algo]   construct a labeling
-//! hubtool verify <graph-file> <labels-file>         check exactness
-//! hubtool stats <labels-file>                       size statistics
-//! hubtool query <labels-file> <u> <v>               answer from labels only
+//! hubtool build <graph-file> <store-file> [algo]    construct a labeling (v2 store)
+//! hubtool verify <graph-file> <store-file>          check exactness (any store version)
+//! hubtool stats <store-file>                        size statistics
 //! ```
+//!
+//! Families: `path`, `tree`, `grid`, `gnm`, `deg3-exp`, `powerlaw`, and the
+//! paper's own gadgets `h:b,l` (weighted `H_{b,ℓ}`) and `g:b,l` (its
+//! degree-3 expansion `G_{b,ℓ}`), which `b` and `l` determine — their
+//! `<n>` and `<seed>` are read but unused.
 //!
 //! Algorithms: `pll` (default), `pll-random`, `pll-betweenness`, `greedy`,
 //! `rs`, `random-threshold`, `centroid`, `separator`.
@@ -27,8 +33,10 @@ use hl_core::pll::PrunedLandmarkLabeling;
 use hl_core::random_threshold::{random_threshold_labeling, RandomThresholdParams};
 use hl_core::rs_based::{rs_labeling, RsParams};
 use hl_core::tree::centroid_labeling;
-use hl_core::{HubLabeling, LabelingStats};
+use hl_core::{FlatLabeling, LabelingStats};
 use hl_graph::Graph;
+use hl_lowerbound::{GGraph, GadgetParams, HGraph};
+use hl_server::{AnyStore, FlatStore};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,8 +45,7 @@ fn main() -> ExitCode {
         Some("build") => cmd_build(&args[1..]),
         Some("verify") => cmd_verify(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
-        Some("query") => cmd_query(&args[1..]),
-        _ => usage("usage: hubtool gen|build|verify|stats|query ... (see --help in the docs)"),
+        _ => usage("usage: hubtool gen|build|verify|stats ... (see --help in the docs)"),
     };
     let (message, code) = match result {
         Ok(()) => return ExitCode::SUCCESS,
@@ -72,9 +79,23 @@ fn load_graph(path: &str) -> Result<Graph, String> {
     hl_graph::io::read_edge_list(BufReader::new(file)).map_err(|e| e.to_string())
 }
 
-fn load_labels(path: &str) -> Result<HubLabeling, String> {
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    hl_core::io::read_labeling(BufReader::new(file)).map_err(|e| e.to_string())
+fn load_labels(path: &str) -> Result<FlatLabeling, String> {
+    AnyStore::open(path)
+        .and_then(AnyStore::into_flat)
+        .map_err(|e| format!("cannot load {path}: {e}"))
+}
+
+/// The paper's gadgets by spec: `h:b,l` is `H_{b,ℓ}`, `g:b,l` is
+/// `G_{b,ℓ}`. `None` for anything else, infeasible `b`, `l` included.
+fn gadget_graph(spec: &str) -> Option<Graph> {
+    let (kind, params) = spec.split_once(':')?;
+    let (b, ell) = params.split_once(',')?;
+    let h = HGraph::build(GadgetParams::new(b.parse().ok()?, ell.parse().ok()?).ok()?);
+    match kind {
+        "h" => Some(h.graph().clone()),
+        "g" => Some(GGraph::from_hgraph(&h).graph().clone()),
+        _ => None,
+    }
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), CliError> {
@@ -84,13 +105,19 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
     let (Ok(n), Ok(seed)) = (n.parse::<usize>(), seed.parse::<u64>()) else {
         return usage("n and seed must be integers");
     };
-    let Some(fam) = Family::all().into_iter().find(|f| f.name() == family) else {
-        return usage(format!(
-            "unknown family '{family}'; choose from: {}",
-            Family::all().map(|f| f.name()).join(", ")
-        ));
+    let g = match Family::all().into_iter().find(|f| f.name() == family) {
+        Some(_) if n == 0 => return usage("n must be at least 1"),
+        Some(fam) => family_graph(fam, n, seed),
+        None => match gadget_graph(family) {
+            Some(g) => g,
+            None => {
+                return usage(format!(
+                    "unknown family '{family}'; choose from: {}, h:b,l, g:b,l",
+                    Family::all().map(|f| f.name()).join(", ")
+                ))
+            }
+        },
     };
-    let g = family_graph(fam, n, seed);
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     hl_graph::io::write_edge_list(&g, BufWriter::new(file)).map_err(|e| e.to_string())?;
     println!(
@@ -106,7 +133,7 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     let (graph_path, labels_path, algo) = match args {
         [g, l] => (g, l, "pll"),
         [g, l, a] => (g, l, a.as_str()),
-        _ => return usage("usage: hubtool build <graph-file> <labels-file> [algo]"),
+        _ => return usage("usage: hubtool build <graph-file> <store-file> [algo]"),
     };
     let g = load_graph(graph_path)?;
     let labeling = match algo {
@@ -130,16 +157,17 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         "centroid" => centroid_labeling(&g).map_err(|e| e.to_string())?,
         other => return usage(format!("unknown algorithm '{other}'")),
     };
-    let file =
-        File::create(labels_path).map_err(|e| format!("cannot create {labels_path}: {e}"))?;
-    hl_core::io::write_labeling(&labeling, BufWriter::new(file)).map_err(|e| e.to_string())?;
-    println!("built {algo} labeling: {}", LabelingStats::of(&labeling));
+    let stats = LabelingStats::of(&labeling);
+    FlatStore::from_flat(labeling)
+        .save(labels_path)
+        .map_err(|e| format!("cannot write {labels_path}: {e}"))?;
+    println!("built {algo} labeling: {stats}");
     Ok(())
 }
 
 fn cmd_verify(args: &[String]) -> Result<(), CliError> {
     let [graph_path, labels_path] = args else {
-        return usage("usage: hubtool verify <graph-file> <labels-file>");
+        return usage("usage: hubtool verify <graph-file> <store-file>");
     };
     let g = load_graph(graph_path)?;
     let labeling = load_labels(labels_path)?;
@@ -173,7 +201,7 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     let [labels_path] = args else {
-        return usage("usage: hubtool stats <labels-file>");
+        return usage("usage: hubtool stats <store-file>");
     };
     let labeling = load_labels(labels_path)?;
     println!("{}", LabelingStats::of(&labeling));
@@ -182,26 +210,5 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
         "encoded: avg {:.1} bits/label, max {} bits, total {} bits",
         bits.average_bits, bits.max_bits, bits.total_bits
     );
-    Ok(())
-}
-
-fn cmd_query(args: &[String]) -> Result<(), CliError> {
-    let [labels_path, u, v] = args else {
-        return usage("usage: hubtool query <labels-file> <u> <v>");
-    };
-    let (Ok(u), Ok(v)) = (u.parse::<u32>(), v.parse::<u32>()) else {
-        return usage("u and v must be vertex ids");
-    };
-    let labeling = load_labels(labels_path)?;
-    let n = labeling.num_nodes() as u32;
-    if u >= n || v >= n {
-        return usage(format!("vertex out of range (labeling covers 0..{n})"));
-    }
-    let d = labeling.query(u, v);
-    if d == hl_graph::INFINITY {
-        println!("d({u}, {v}) = unreachable");
-    } else {
-        println!("d({u}, {v}) = {d}");
-    }
     Ok(())
 }

@@ -8,8 +8,6 @@ use hl_graph::{generators, Graph};
 pub enum Family {
     /// Path graph — trivial labels.
     Path,
-    /// Cycle.
-    Cycle,
     /// Random recursive tree — `O(log n)` labels.
     RandomTree,
     /// Near-square 2D grid — `Õ(√n)` labels.
@@ -25,10 +23,9 @@ pub enum Family {
 
 impl Family {
     /// All families in sweep order.
-    pub fn all() -> [Family; 7] {
+    pub fn all() -> [Family; 6] {
         [
             Family::Path,
-            Family::Cycle,
             Family::RandomTree,
             Family::Grid,
             Family::SparseRandom,
@@ -41,7 +38,6 @@ impl Family {
     pub fn name(&self) -> &'static str {
         match self {
             Family::Path => "path",
-            Family::Cycle => "cycle",
             Family::RandomTree => "tree",
             Family::Grid => "grid",
             Family::SparseRandom => "gnm",
@@ -56,16 +52,17 @@ impl Family {
 pub fn family_graph(family: Family, n: usize, seed: u64) -> Graph {
     match family {
         Family::Path => generators::path(n),
-        Family::Cycle => generators::cycle(n.max(3)),
         Family::RandomTree => generators::random_tree(n, seed),
         Family::Grid => {
             let side = (n as f64).sqrt().round() as usize;
             generators::grid(side.max(2), side.max(2))
         }
         Family::SparseRandom => {
-            let extra = n / 2;
-            let max_extra = n * (n - 1) / 2 - (n - 1);
-            generators::connected_gnm(n.max(2), extra.min(max_extra), seed)
+            // At most C(n,2) - (n-1) = (n-1)(n-2)/2 edges fit beyond a
+            // spanning tree.
+            let n = n.max(2);
+            let max_extra = (n - 1).saturating_mul(n - 2) / 2;
+            generators::connected_gnm(n, (n / 2).min(max_extra), seed)
         }
         Family::Degree3Expander => generators::union_of_matchings(n + n % 2, 3, seed),
         Family::PowerLaw => generators::preferential_attachment(n.max(2), 2, seed),

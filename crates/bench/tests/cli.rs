@@ -13,9 +13,9 @@ fn tempfile(name: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn gen_build_verify_query_pipeline() {
+fn gen_build_verify_stats_pipeline() {
     let graph = tempfile("g.txt");
-    let labels = tempfile("l.txt");
+    let labels = tempfile("l.hlbs");
 
     let out = hubtool()
         .args(["gen", "grid", "49", "1", graph.to_str().unwrap()])
@@ -56,13 +56,11 @@ fn gen_build_verify_query_pipeline() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("avg="));
 
-    let out = hubtool()
-        .args(["query", labels.to_str().unwrap(), "0", "48"])
-        .output()
-        .expect("spawn hubtool query");
-    assert!(out.status.success());
-    // 7x7 grid: corner to corner = 12.
-    assert!(String::from_utf8_lossy(&out.stdout).contains("= 12"));
+    // What `build` wrote is an HLBS v2 store any daemon can mount: 7x7
+    // grid, corner to corner = 12.
+    let store = hl_server::AnyStore::open(&labels).expect("mount the built store");
+    assert_eq!((store.version(), store.flavor()), (2, "v2"));
+    assert_eq!(store.served().query(0, 48), 12);
 
     let _ = std::fs::remove_file(graph);
     let _ = std::fs::remove_file(labels);
@@ -72,14 +70,14 @@ fn gen_build_verify_query_pipeline() {
 fn verify_rejects_mismatched_labels() {
     let graph_a = tempfile("ga.txt");
     let graph_b = tempfile("gb.txt");
-    let labels_b = tempfile("lb.txt");
+    let labels_b = tempfile("lb.hlbs");
     assert!(hubtool()
-        .args(["gen", "path", "10", "1", graph_a.to_str().unwrap()])
+        .args(["gen", "path", "9", "1", graph_a.to_str().unwrap()])
         .status()
         .unwrap()
         .success());
     assert!(hubtool()
-        .args(["gen", "cycle", "10", "1", graph_b.to_str().unwrap()])
+        .args(["gen", "grid", "9", "1", graph_b.to_str().unwrap()])
         .status()
         .unwrap()
         .success());
@@ -92,7 +90,7 @@ fn verify_rejects_mismatched_labels() {
         .status()
         .unwrap()
         .success());
-    // Labels of the cycle are NOT an exact cover of the path.
+    // Labels of the 3x3 grid are NOT an exact cover of the 9-path.
     let out = hubtool()
         .args([
             "verify",
@@ -101,10 +99,12 @@ fn verify_rejects_mismatched_labels() {
         ])
         .output()
         .unwrap();
-    assert!(
-        !out.status.success(),
+    assert_eq!(
+        out.status.code(),
+        Some(1),
         "mismatched labeling must fail verification"
     );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("violations"));
 
     let _ = std::fs::remove_file(graph_a);
     let _ = std::fs::remove_file(graph_b);
@@ -120,17 +120,41 @@ fn bad_usage_exits_2_and_failed_work_exits_1() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
+    // `query` is gone (`hubserve query` answers from the same store).
     let out = hubtool()
-        .args(["query", "/nonexistent/file", "0", "1"])
+        .args(["query", "/tmp/x", "0", "1"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let out = hubtool()
+        .args(["stats", "/nonexistent/file"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
+    // A zero-vertex graph is a usage error for every family, not a panic
+    // inside a generator (exit 101) — `gnm` included, which used to get
+    // by on wrapping arithmetic in release builds only.
+    for family in ["path", "tree", "grid", "gnm", "deg3-exp", "powerlaw"] {
+        let out = hubtool()
+            .args(["gen", family, "0", "1", "/tmp/x"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "gen {family} 0");
+    }
+    // Gadget specs that do not parse or are infeasible are usage errors too.
+    for spec in ["h:2", "h:0,3", "x:2,3", "g:9,9", "h:a,b"] {
+        let out = hubtool()
+            .args(["gen", spec, "1", "1", "/tmp/x"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "gen {spec}");
+    }
 }
 
 #[test]
 fn all_build_algorithms_roundtrip() {
     let graph = tempfile("galgo.txt");
-    let labels = tempfile("lalgo.txt");
+    let labels = tempfile("lalgo.hlbs");
     assert!(hubtool()
         .args(["gen", "tree", "40", "3", graph.to_str().unwrap()])
         .status()
@@ -168,4 +192,28 @@ fn all_build_algorithms_roundtrip() {
     }
     let _ = std::fs::remove_file(graph);
     let _ = std::fs::remove_file(labels);
+}
+
+#[test]
+fn gadget_families_generate_the_papers_graphs() {
+    // H(2,3): (2l+1)·s^l = 7·64 vertices, weighted; G(1,2) has max degree 3.
+    let path = tempfile("gadget.txt");
+    for (spec, nodes) in [("h:2,3", 448), ("g:1,2", 740)] {
+        let out = hubtool()
+            .args(["gen", spec, "0", "0", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "gen {spec}");
+        let g = hl_graph::io::read_edge_list(std::io::BufReader::new(
+            std::fs::File::open(&path).unwrap(),
+        ))
+        .unwrap();
+        assert_eq!(g.num_nodes(), nodes, "{spec}");
+        if spec.starts_with('g') {
+            assert!(g.max_degree() <= 3);
+        } else {
+            assert!(!g.is_unit_weighted());
+        }
+    }
+    let _ = std::fs::remove_file(path);
 }

@@ -47,9 +47,8 @@ impl CommittedLabels {
 
     /// Freezes the finished labeling into the serving-side CSR arena.
     /// Per-vertex columns are already hub-sorted, so this is a straight
-    /// copy — and the output is byte-identical to
-    /// `FlatLabeling::from_labeling` of a sequential PLL run with the same
-    /// vertex order.
+    /// copy — and the output is byte-identical to a sequential PLL run
+    /// with the same vertex order.
     pub fn into_flat(self) -> FlatLabeling {
         let mut flat = FlatLabeling::with_capacity(self.hubs.len(), self.entries);
         for (hs, ds) in self.hubs.iter().zip(self.dists.iter()) {

@@ -283,9 +283,7 @@ mod tests {
     use hl_graph::generators;
 
     fn sequential_flat(g: &Graph, order: &[NodeId]) -> FlatLabeling {
-        FlatLabeling::from_labeling(
-            PrunedLandmarkLabeling::with_order(g, order.to_vec()).labeling(),
-        )
+        PrunedLandmarkLabeling::with_order(g, order.to_vec()).into_labeling()
     }
 
     #[test]
@@ -343,9 +341,7 @@ mod tests {
             let out =
                 build_with_order(&g, order.clone(), BuildConfig::with_threads(threads)).unwrap();
             assert_eq!(out.labeling, reference, "threads = {threads}");
-            assert!(verify_exact(&g, &out.labeling.to_labeling())
-                .unwrap()
-                .is_exact());
+            assert!(verify_exact(&g, &out.labeling).unwrap().is_exact());
         }
     }
 

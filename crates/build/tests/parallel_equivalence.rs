@@ -14,7 +14,7 @@ use hl_graph::{generators, Graph, NodeId};
 use hl_lowerbound::{GadgetParams, HGraph};
 
 fn sequential_flat(g: &Graph, order: &[NodeId]) -> FlatLabeling {
-    FlatLabeling::from_labeling(PrunedLandmarkLabeling::with_order(g, order.to_vec()).labeling())
+    PrunedLandmarkLabeling::with_order(g, order.to_vec()).into_labeling()
 }
 
 /// Asserts byte-identity across threads ∈ {1, 2, 4} and spot-checks the

@@ -13,7 +13,8 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use hl_graph::{Distance, Graph, NodeId, INFINITY};
 
-use crate::label::{HubLabel, HubLabeling};
+use crate::flat::FlatLabeling;
+use crate::label::LabelingView;
 use crate::order;
 
 /// Builds a slack-pruned PLL labeling: during the pruned search from each
@@ -28,7 +29,7 @@ use crate::order;
 /// # Panics
 ///
 /// Panics if `order` is not a permutation of the vertex set.
-pub fn approx_pll(g: &Graph, order_vec: Vec<NodeId>, slack: Distance) -> HubLabeling {
+pub fn approx_pll(g: &Graph, order_vec: Vec<NodeId>, slack: Distance) -> FlatLabeling {
     assert!(
         order::is_permutation(&order_vec, g.num_nodes()),
         "PLL order must be a permutation of the vertex set"
@@ -108,7 +109,7 @@ pub fn approx_pll(g: &Graph, order_vec: Vec<NodeId>, slack: Distance) -> HubLabe
         }
         touched.clear();
     }
-    HubLabeling::from_labels(labels.into_iter().map(HubLabel::from_pairs).collect())
+    FlatLabeling::from_pair_lists(labels)
 }
 
 /// Error profile of an approximate labeling against ground truth.
@@ -145,9 +146,9 @@ impl ErrorProfile {
 ///
 /// Panics if the labeling ever *under*estimates — stored distances are
 /// required to be true distances, so that would indicate corruption.
-pub fn measure_additive_error(
+pub fn measure_additive_error<L: LabelingView>(
     g: &Graph,
-    labeling: &HubLabeling,
+    labeling: &L,
 ) -> Result<ErrorProfile, hl_graph::GraphError> {
     let m = hl_graph::apsp::DistanceMatrix::compute(g)?;
     let n = g.num_nodes() as NodeId;

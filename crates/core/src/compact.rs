@@ -35,7 +35,7 @@
 //! use hl_core::{CompactLabeling, FlatLabeling};
 //!
 //! let g = generators::grid(4, 4);
-//! let flat = FlatLabeling::from(PrunedLandmarkLabeling::by_degree(&g).into_labeling());
+//! let flat: FlatLabeling = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
 //! let compact = CompactLabeling::from_flat(&flat).unwrap();
 //! assert_eq!(compact.query(0, 15), flat.query(0, 15));
 //! assert_eq!(compact.to_flat(), flat);
@@ -466,13 +466,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::label::{HubLabel, HubLabeling};
     use crate::pll::PrunedLandmarkLabeling;
     use hl_graph::generators;
 
     fn sample_flat() -> FlatLabeling {
         let g = generators::grid(5, 5);
-        FlatLabeling::from(PrunedLandmarkLabeling::by_degree(&g).into_labeling())
+        PrunedLandmarkLabeling::by_degree(&g).into_labeling()
     }
 
     #[test]
@@ -509,10 +508,10 @@ mod tests {
     fn wide_values_select_wide_lanes() {
         // Distances above u16::MAX force the u32 distance lane; a hub gap
         // above u16::MAX forces the u32 hub lane.
-        let mut hl = HubLabeling::empty(200_000);
-        *hl.label_mut(0) = HubLabel::from_pairs(vec![(0, 0), (70_000, 1 << 20)]);
-        *hl.label_mut(70_000) = HubLabel::from_pairs(vec![(70_000, 0)]);
-        let flat = FlatLabeling::from(hl);
+        let mut lists = vec![Vec::new(); 200_000];
+        lists[0] = vec![(0, 0), (70_000, 1 << 20)];
+        lists[70_000] = vec![(70_000, 0)];
+        let flat = FlatLabeling::from_pair_lists(lists);
         let compact = CompactLabeling::from_flat(&flat).unwrap();
         assert_eq!(compact.hub_entry_bytes(), 4);
         assert_eq!(compact.dist_entry_bytes(), 4);
@@ -522,10 +521,10 @@ mod tests {
 
     #[test]
     fn distance_beyond_u32_is_a_typed_error() {
-        let mut hl = HubLabeling::empty(2);
-        *hl.label_mut(0) = HubLabel::from_pairs(vec![(0, 0), (1, (u32::MAX as u64) + 1)]);
-        *hl.label_mut(1) = HubLabel::from_pairs(vec![(1, 0)]);
-        let flat = FlatLabeling::from(hl);
+        let flat = FlatLabeling::from_pair_lists(vec![
+            vec![(0, 0), (1, (u32::MAX as u64) + 1)],
+            vec![(1, 0)],
+        ]);
         assert_eq!(
             CompactLabeling::from_flat(&flat),
             Err(CompactError::DistanceTooWide {
@@ -547,10 +546,7 @@ mod tests {
     fn saturation_matches_flat_sentinel_discipline() {
         // u32-lane distances that sum past u32::MAX must still be finite
         // (the join runs in u64)...
-        let mut hl = HubLabeling::empty(2);
-        *hl.label_mut(0) = HubLabel::from_pairs(vec![(1, u32::MAX as u64)]);
-        *hl.label_mut(1) = HubLabel::from_pairs(vec![(1, u32::MAX as u64)]);
-        let flat = FlatLabeling::from(hl);
+        let flat = FlatLabeling::from_pair_lists(vec![vec![(1, u32::MAX as u64)]; 2]);
         let compact = CompactLabeling::from_flat(&flat).unwrap();
         assert_eq!(compact.query(0, 1), 2 * (u32::MAX as u64));
         assert_eq!(
@@ -558,10 +554,7 @@ mod tests {
             Some((2 * (u32::MAX as u64), 1))
         );
         // ...and disjoint hub sets read as unreachable with no witness.
-        let mut hl = HubLabeling::empty(3);
-        *hl.label_mut(0) = HubLabel::from_pairs(vec![(0, 0)]);
-        *hl.label_mut(2) = HubLabel::from_pairs(vec![(2, 0)]);
-        let flat = FlatLabeling::from(hl);
+        let flat = FlatLabeling::from_pair_lists(vec![vec![(0, 0)], vec![], vec![(2, 0)]]);
         let compact = CompactLabeling::from_flat(&flat).unwrap();
         assert_eq!(compact.query(0, 2), INFINITY);
         assert_eq!(compact.query_with_witness(0, 2), None);

@@ -15,13 +15,13 @@ use hl_graph::apsp::DistanceMatrix;
 use hl_graph::{Distance, Graph, GraphError, NodeId};
 
 use crate::approx::approx_pll;
-use crate::label::HubLabeling;
+use crate::flat::FlatLabeling;
 use crate::order;
 
 /// An exact labeling assembled from approximate hubs + corrections.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorrectedLabeling {
-    hubs: HubLabeling,
+    hubs: FlatLabeling,
     /// Per-vertex sorted `(partner, true_distance)` corrections; a pair is
     /// stored once, on its smaller endpoint.
     corrections: Vec<Vec<(NodeId, Distance)>>,
@@ -63,7 +63,7 @@ impl CorrectedLabeling {
     }
 
     /// The underlying approximate hub labeling.
-    pub fn hubs(&self) -> &HubLabeling {
+    pub fn hubs(&self) -> &FlatLabeling {
         &self.hubs
     }
 

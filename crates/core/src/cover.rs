@@ -40,8 +40,8 @@ const MAX_RECORDED: usize = 32;
 /// Verifies the labeling against ground truth for **all** pairs, computing a
 /// full APSP matrix. Quadratic memory — use on small/medium graphs.
 ///
-/// Accepts any [`LabelingView`] — the nested [`crate::HubLabeling`] or
-/// the flat arena [`crate::FlatLabeling`] verify identically.
+/// Accepts any [`LabelingView`] — the arena [`crate::FlatLabeling`] or a
+/// mounted store.
 ///
 /// # Errors
 ///
@@ -159,7 +159,7 @@ pub fn verify_hub_distances<L: LabelingView>(g: &Graph, labeling: &L, sources: &
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::label::{HubLabel, HubLabeling};
+    use crate::flat::FlatLabeling;
     use crate::pll::PrunedLandmarkLabeling;
     use hl_graph::generators;
 
@@ -177,10 +177,7 @@ mod tests {
     fn broken_labeling_detected() {
         let g = generators::path(4);
         // Labeling where everything claims distance via hub 0 only.
-        let mut hl = HubLabeling::empty(4);
-        for v in 0..4u32 {
-            *hl.label_mut(v) = HubLabel::from_pairs(vec![(0, v as u64)]);
-        }
+        let hl = FlatLabeling::from_pair_lists((0..4u64).map(|v| vec![(0, v)]).collect());
         // query(1,2) = 1 + 2 = 3, but true distance is 1.
         let report = verify_exact(&g, &hl).unwrap();
         assert!(!report.is_exact());
@@ -217,8 +214,8 @@ mod tests {
     #[test]
     fn parallel_verification_counts_violations() {
         let g = generators::path(6);
-        let mut hl = HubLabeling::empty(6);
-        hl.add_self_hubs(); // covers only the diagonal
+        // Self hubs only: covers only the diagonal.
+        let hl = FlatLabeling::from_pair_lists((0..6u32).map(|v| vec![(v, 0)]).collect());
         let sources: Vec<_> = (0..6u32).collect();
         let seq = verify_from_sources(&g, &hl, &sources);
         let par = verify_from_sources_parallel(&g, &hl, &sources);
@@ -237,29 +234,14 @@ mod tests {
     #[test]
     fn inadmissible_detected() {
         let g = generators::path(3);
-        let mut hl = HubLabeling::empty(3);
-        *hl.label_mut(0) = HubLabel::from_pairs(vec![(1, 99)]);
+        let hl = FlatLabeling::from_pair_lists(vec![vec![(1, 99)], vec![], vec![]]);
         assert!(!verify_hub_distances(&g, &hl, &[0]));
-    }
-
-    #[test]
-    fn flat_form_verifies_identically() {
-        let g = generators::grid(5, 5);
-        let nested = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-        let flat = crate::flat::FlatLabeling::from_labeling(&nested);
-        let report = verify_exact(&g, &flat).unwrap();
-        assert!(report.is_exact());
-        let sources: Vec<_> = (0..25u32).collect();
-        assert!(verify_from_sources(&g, &flat, &sources).is_exact());
-        assert!(verify_from_sources_parallel(&g, &flat, &sources).is_exact());
-        assert!(verify_hub_distances(&g, &flat, &sources));
     }
 
     #[test]
     fn empty_labeling_on_single_vertex() {
         let g = generators::path(1);
-        let mut hl = HubLabeling::empty(1);
-        hl.add_self_hubs();
+        let hl = FlatLabeling::from_pair_lists(vec![vec![(0, 0)]]);
         assert!(verify_exact(&g, &hl).unwrap().is_exact());
     }
 }

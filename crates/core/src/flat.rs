@@ -1,7 +1,8 @@
-//! `FlatLabeling` — the CSR label arena, the canonical query-time
-//! representation of a hub labeling.
+//! `FlatLabeling` — the CSR label arena, the one owned representation of
+//! a hub labeling: what every construction returns, every store
+//! serializes and every analysis reads.
 //!
-//! The nested [`HubLabeling`] pays two heap pointers per vertex; on the
+//! A `Vec` pair per vertex pays two heap pointers per vertex; on the
 //! query path that means a pointer chase (and usually a cold cache line)
 //! per endpoint before the merge-join even starts. The flat form stores
 //! every label back to back in three arrays, exactly like the graph
@@ -17,8 +18,9 @@
 //! and `dists` — contiguous, allocation-free to access, and friendly to
 //! whatever comes next (SIMD merges, mmap-backed stores, sharding).
 //!
-//! Conversions to and from [`HubLabeling`] are lossless; construction
-//! code keeps the mutable per-vertex API and converts once at the end.
+//! Construction code accumulates one `Vec<(NodeId, Distance)>` per vertex
+//! and ends with [`FlatLabeling::from_pair_lists`], the one place labels
+//! are sorted and deduplicated.
 //!
 //! # Example
 //!
@@ -28,15 +30,15 @@
 //! use hl_core::FlatLabeling;
 //!
 //! let g = generators::grid(4, 4);
-//! let nested = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-//! let flat = FlatLabeling::from_labeling(&nested);
-//! assert_eq!(flat.query(0, 15), nested.query(0, 15));
-//! assert_eq!(flat.to_labeling(), nested);
+//! let flat: FlatLabeling = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
+//! assert_eq!(flat.query(0, 15), 6);
+//! let lists = (0..16).map(|v| flat.pairs_of(v).collect()).collect();
+//! assert_eq!(FlatLabeling::from_pair_lists(lists), flat);
 //! ```
 
 use hl_graph::{Distance, NodeId};
 
-use crate::label::{HubLabel, HubLabeling, LabelingView};
+use crate::label::LabelingView;
 
 /// Why a triple of raw arrays was rejected by
 /// [`FlatLabeling::from_raw_parts`].
@@ -184,7 +186,7 @@ pub(crate) fn average_hubs(offsets: &[u64]) -> f64 {
 /// A complete hub labeling in a single CSR arena: three flat arrays
 /// instead of two heap vectors per vertex. Immutable once built — grow it
 /// with [`FlatLabeling::push_label`] (vertices append in id order), or
-/// convert from a finished [`HubLabeling`].
+/// build it whole with [`FlatLabeling::from_pair_lists`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatLabeling {
     /// `num_nodes + 1` entry offsets; vertex `v` owns `offsets[v]..offsets[v+1]`.
@@ -304,21 +306,21 @@ impl FlatLabeling {
         &self.dists
     }
 
-    /// Flattens a nested labeling into one arena (lossless).
-    pub fn from_labeling(labeling: &HubLabeling) -> Self {
-        let mut flat = FlatLabeling::with_capacity(labeling.num_nodes(), labeling.total_hubs());
-        for label in labeling.iter() {
-            flat.push_label(label.hubs(), label.distances());
+    /// Builds the arena from one `(hub, distance)` list per vertex, each
+    /// in any order; a hub listed twice keeps its minimum distance. The
+    /// one place labels are sorted and deduplicated — what every
+    /// construction ends with.
+    pub fn from_pair_lists(lists: Vec<Vec<(NodeId, Distance)>>) -> Self {
+        let entries = lists.iter().map(Vec::len).sum();
+        let mut flat = FlatLabeling::with_capacity(lists.len(), entries);
+        for mut pairs in lists {
+            pairs.sort_unstable();
+            pairs.dedup_by(|next, kept| next.0 == kept.0);
+            flat.hubs.extend(pairs.iter().map(|&(h, _)| h));
+            flat.dists.extend(pairs.iter().map(|&(_, d)| d));
+            flat.offsets.push(flat.hubs.len() as u64);
         }
         flat
-    }
-
-    /// Expands the arena back into per-vertex labels (lossless; exact
-    /// inverse of [`FlatLabeling::from_labeling`]).
-    pub fn to_labeling(&self) -> HubLabeling {
-        (0..self.num_nodes() as NodeId)
-            .map(|v| self.pairs_of(v).collect::<HubLabel>())
-            .collect()
     }
 
     /// Number of vertices.
@@ -390,7 +392,7 @@ impl FlatLabeling {
 
     /// Total number of hubs over all vertices (same as
     /// [`FlatLabeling::num_entries`]; named for parity with
-    /// [`HubLabeling::total_hubs`]).
+    /// [`LabelingView::total_hubs`]).
     pub fn total_hubs(&self) -> usize {
         self.num_entries()
     }
@@ -429,83 +431,66 @@ impl LabelingView for FlatLabeling {
     }
 }
 
-impl From<&HubLabeling> for FlatLabeling {
-    fn from(labeling: &HubLabeling) -> Self {
-        FlatLabeling::from_labeling(labeling)
-    }
-}
-
-impl From<HubLabeling> for FlatLabeling {
-    fn from(labeling: HubLabeling) -> Self {
-        FlatLabeling::from_labeling(&labeling)
-    }
-}
-
-impl From<&FlatLabeling> for HubLabeling {
-    fn from(flat: &FlatLabeling) -> Self {
-        flat.to_labeling()
-    }
-}
-
-impl From<FlatLabeling> for HubLabeling {
-    fn from(flat: FlatLabeling) -> Self {
-        flat.to_labeling()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hl_graph::INFINITY;
 
-    fn sample_nested() -> HubLabeling {
-        let mut hl = HubLabeling::empty(4);
-        *hl.label_mut(0) = HubLabel::from_pairs(vec![(0, 0), (2, 3)]);
-        *hl.label_mut(1) = HubLabel::from_pairs(vec![(1, 0)]);
+    fn sample() -> FlatLabeling {
         // vertex 2 keeps an empty label on purpose
-        *hl.label_mut(3) = HubLabel::from_pairs(vec![(2, 1), (3, 0)]);
-        hl
+        FlatLabeling::from_pair_lists(vec![
+            vec![(0, 0), (2, 3)],
+            vec![(1, 0)],
+            vec![],
+            vec![(2, 1), (3, 0)],
+        ])
     }
 
     #[test]
-    fn roundtrip_is_lossless() {
-        let nested = sample_nested();
-        let flat = FlatLabeling::from_labeling(&nested);
-        assert_eq!(flat.to_labeling(), nested);
-        assert_eq!(HubLabeling::from(&flat), nested);
-        assert_eq!(FlatLabeling::from(nested.clone()), flat);
+    fn from_pair_lists_sorts_and_keeps_the_minimum_of_a_duplicate_hub() {
+        let flat = FlatLabeling::from_pair_lists(vec![vec![(5, 1), (2, 9), (5, 3), (2, 4)]]);
+        assert_eq!(flat.hubs_of(0), &[2, 5]);
+        assert_eq!(flat.dists_of(0), &[4, 1]);
+        assert_eq!(flat.num_entries(), 2);
     }
 
     #[test]
-    fn queries_match_nested() {
-        let nested = sample_nested();
-        let flat = FlatLabeling::from_labeling(&nested);
-        for u in 0..4u32 {
-            for v in 0..4u32 {
-                assert_eq!(flat.query(u, v), nested.query(u, v), "d({u},{v})");
-                assert_eq!(
-                    flat.query_with_witness(u, v),
-                    nested.query_with_witness(u, v)
-                );
-            }
-        }
+    fn from_pair_lists_keeps_empty_labels_and_vertex_order() {
+        let flat = FlatLabeling::from_pair_lists(vec![vec![], vec![(1, 0), (0, 4)], vec![]]);
+        assert_eq!(flat.num_nodes(), 3);
+        assert_eq!(flat.raw_offsets(), &[0, 0, 2, 2]);
+        assert_eq!(flat.pairs_of(1).collect::<Vec<_>>(), vec![(0, 4), (1, 0)]);
+        assert_eq!(flat.query(0, 0), INFINITY);
+        assert_eq!(
+            FlatLabeling::from_pair_lists(Vec::new()),
+            FlatLabeling::new()
+        );
+    }
+
+    #[test]
+    fn queries_join_the_two_runs() {
+        let flat = sample();
         assert_eq!(flat.query(0, 3), 4); // via shared hub 2
+        assert_eq!(flat.query(3, 0), 4);
+        assert_eq!(flat.query_with_witness(0, 3), Some((4, 2)));
         assert_eq!(flat.query(1, 3), INFINITY);
+        assert_eq!(flat.query_with_witness(1, 3), None);
     }
 
     #[test]
     fn accessors_and_stats() {
-        let nested = sample_nested();
-        let flat = FlatLabeling::from_labeling(&nested);
+        let flat = sample();
         assert_eq!(flat.num_nodes(), 4);
         assert_eq!(flat.num_entries(), 5);
-        assert_eq!(flat.total_hubs(), nested.total_hubs());
-        assert_eq!(flat.max_hubs(), nested.max_hubs());
-        assert!((flat.average_hubs() - nested.average_hubs()).abs() < 1e-12);
+        assert_eq!(flat.total_hubs(), 5);
+        assert_eq!(flat.max_hubs(), 2);
+        assert!((flat.average_hubs() - 1.25).abs() < 1e-12);
         assert_eq!(flat.hubs_of(0), &[0, 2]);
         assert_eq!(flat.dists_of(0), &[0, 3]);
         assert!(flat.hubs_of(2).is_empty());
         assert_eq!(flat.pairs_of(3).collect::<Vec<_>>(), vec![(2, 1), (3, 0)]);
+        let payload = 5 * (std::mem::size_of::<NodeId>() + std::mem::size_of::<Distance>());
+        assert_eq!(flat.heap_bytes(), payload + 5 * std::mem::size_of::<u64>());
     }
 
     #[test]
@@ -517,7 +502,8 @@ mod tests {
         assert_eq!(flat.num_nodes(), 3);
         assert_eq!(flat.num_entries(), 3);
         assert_eq!(flat.query(0, 2), 2);
-        assert_eq!(flat, FlatLabeling::from_labeling(&flat.to_labeling()));
+        let lists = vec![vec![(1, 2), (0, 0)], vec![], vec![(1, 0)]];
+        assert_eq!(flat, FlatLabeling::from_pair_lists(lists));
     }
 
     #[test]
@@ -528,33 +514,18 @@ mod tests {
     }
 
     #[test]
-    fn heap_bytes_beats_nested_per_vertex_overhead() {
-        let nested = sample_nested();
-        let flat = FlatLabeling::from_labeling(&nested);
-        let payload =
-            flat.num_entries() * (std::mem::size_of::<NodeId>() + std::mem::size_of::<Distance>());
-        let offsets = (flat.num_nodes() + 1) * std::mem::size_of::<u64>();
-        assert_eq!(flat.heap_bytes(), payload + offsets);
-        // The arena trades 2 Vec headers (48 B) per vertex for one u64
-        // offset; it must never be larger than the nested form.
-        assert!(flat.heap_bytes() <= nested.heap_bytes());
-    }
-
-    #[test]
     fn empty_and_default() {
         let flat = FlatLabeling::default();
         assert_eq!(flat.num_nodes(), 0);
         assert_eq!(flat.num_entries(), 0);
         assert_eq!(flat.heap_bytes(), std::mem::size_of::<u64>());
-        assert_eq!(flat.to_labeling().num_nodes(), 0);
         assert_eq!(flat.max_hubs(), 0);
         assert_eq!(flat.average_hubs(), 0.0);
     }
 
     #[test]
     fn from_raw_parts_accepts_valid_arena() {
-        let nested = sample_nested();
-        let flat = FlatLabeling::from_labeling(&nested);
+        let flat = sample();
         let rebuilt = FlatLabeling::from_raw_parts(
             flat.raw_offsets().to_vec(),
             flat.raw_hubs().to_vec(),
@@ -603,12 +574,20 @@ mod tests {
     }
 
     #[test]
-    fn view_trait_dispatch() {
-        let nested = sample_nested();
-        let flat = FlatLabeling::from_labeling(&nested);
-        fn total<L: LabelingView>(l: &L) -> usize {
-            l.total_hubs()
+    fn view_trait_agrees_with_inherent_api() {
+        fn via_view<L: LabelingView>(l: &L) -> (Distance, usize, usize, f64) {
+            (
+                l.query(0, 3),
+                l.total_hubs(),
+                l.max_hubs(),
+                l.average_hubs(),
+            )
         }
-        assert_eq!(total(&flat), total(&nested));
+        let flat = sample();
+        let (d, total, max, avg) = via_view(&flat);
+        assert_eq!(d, flat.query(0, 3));
+        assert_eq!(total, flat.total_hubs());
+        assert_eq!(max, flat.max_hubs());
+        assert!((avg - flat.average_hubs()).abs() < 1e-12);
     }
 }

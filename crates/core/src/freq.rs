@@ -26,7 +26,7 @@
 //! use hl_core::{freq, FlatLabeling};
 //!
 //! let g = generators::grid(4, 4);
-//! let flat = FlatLabeling::from(PrunedLandmarkLabeling::by_degree(&g).into_labeling());
+//! let flat: FlatLabeling = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
 //! let (hot, rank) = freq::reorder_by_hub_frequency(&flat);
 //! assert_eq!(hot.num_entries(), flat.num_entries());
 //! for u in 0..16 {
@@ -118,7 +118,7 @@ mod tests {
 
     fn sample_flat() -> FlatLabeling {
         let g = generators::connected_gnm(60, 90, 0xFEED);
-        FlatLabeling::from(PrunedLandmarkLabeling::by_degree(&g).into_labeling())
+        PrunedLandmarkLabeling::by_degree(&g).into_labeling()
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use hl_graph::apsp::DistanceMatrix;
 use hl_graph::{Graph, GraphError, NodeId, INFINITY};
 
-use crate::label::{HubLabel, HubLabeling};
+use crate::flat::FlatLabeling;
 
 /// Greedy 2-hop cover construction.
 ///
@@ -36,7 +36,7 @@ use crate::label::{HubLabel, HubLabeling};
 /// # Ok(())
 /// # }
 /// ```
-pub fn greedy_cover(g: &Graph) -> Result<HubLabeling, GraphError> {
+pub fn greedy_cover(g: &Graph) -> Result<FlatLabeling, GraphError> {
     let n = g.num_nodes();
     let m = DistanceMatrix::compute(g)?;
     // covered[u][v] for u <= v, flattened.
@@ -119,9 +119,7 @@ pub fn greedy_cover(g: &Graph) -> Result<HubLabeling, GraphError> {
             }
         }
     }
-    Ok(HubLabeling::from_labels(
-        labels.into_iter().map(HubLabel::from_pairs).collect(),
-    ))
+    Ok(FlatLabeling::from_pair_lists(labels))
 }
 
 #[cfg(test)]
@@ -164,7 +162,7 @@ mod tests {
         let g = generators::star(20);
         let hl = greedy_cover(&g).unwrap();
         // The first chosen hub must be the center, covering everything.
-        assert!(hl.iter().all(|l| l.contains(0)));
+        assert!((0..20).all(|v| hl.hubs_of(v).contains(&0)));
         assert!(verify_exact(&g, &hl).unwrap().is_exact());
     }
 

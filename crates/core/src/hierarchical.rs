@@ -16,7 +16,8 @@
 use hl_graph::apsp::DistanceMatrix;
 use hl_graph::{Graph, GraphError, NodeId, INFINITY};
 
-use crate::label::{HubLabel, HubLabeling};
+use crate::flat::FlatLabeling;
+use crate::label::LabelingView;
 use crate::order;
 
 /// Builds the canonical hierarchical labeling for `order` (earlier in the
@@ -29,7 +30,7 @@ use crate::order;
 /// # Panics
 ///
 /// Panics if `order` is not a permutation of the vertex set.
-pub fn canonical_hhl(g: &Graph, order: &[NodeId]) -> Result<HubLabeling, GraphError> {
+pub fn canonical_hhl(g: &Graph, order: &[NodeId]) -> Result<FlatLabeling, GraphError> {
     assert!(
         order::is_permutation(order, g.num_nodes()),
         "HHL order must be a permutation of the vertex set"
@@ -61,9 +62,7 @@ pub fn canonical_hhl(g: &Graph, order: &[NodeId]) -> Result<HubLabeling, GraphEr
             }
         }
     }
-    Ok(HubLabeling::from_labels(
-        labels.into_iter().map(HubLabel::from_pairs).collect(),
-    ))
+    Ok(FlatLabeling::from_pair_lists(labels))
 }
 
 /// Convenience: canonical HHL with the decreasing-degree order.
@@ -71,7 +70,7 @@ pub fn canonical_hhl(g: &Graph, order: &[NodeId]) -> Result<HubLabeling, GraphEr
 /// # Errors
 ///
 /// Propagates [`GraphError`] from the APSP computation.
-pub fn canonical_hhl_by_degree(g: &Graph) -> Result<HubLabeling, GraphError> {
+pub fn canonical_hhl_by_degree(g: &Graph) -> Result<FlatLabeling, GraphError> {
     canonical_hhl(g, &order::by_degree(g))
 }
 
@@ -80,7 +79,7 @@ pub fn canonical_hhl_by_degree(g: &Graph) -> Result<HubLabeling, GraphError> {
 /// `h ∈ S_v` then `S_h ∩ {more important than h}`-hubs of `v` route through
 /// — here we verify the simpler defining property directly: no hub of `v`
 /// is dominated by a more important vertex on a shortest path.
-pub fn is_hierarchical(g: &Graph, labeling: &HubLabeling, order: &[NodeId]) -> bool {
+pub fn is_hierarchical<L: LabelingView>(g: &Graph, labeling: &L, order: &[NodeId]) -> bool {
     let n = g.num_nodes();
     let Ok(m) = DistanceMatrix::compute(g) else {
         return false;
@@ -90,7 +89,7 @@ pub fn is_hierarchical(g: &Graph, labeling: &HubLabeling, order: &[NodeId]) -> b
         rank[v as usize] = pos as u32;
     }
     for v in 0..n as NodeId {
-        for (h, dvh) in labeling.label(v).iter() {
+        for (&h, &dvh) in labeling.hubs_of(v).iter().zip(labeling.dists_of(v)) {
             let dominated = (0..n as NodeId).any(|x| {
                 rank[x as usize] < rank[h as usize]
                     && m.distance(v, x) != INFINITY
@@ -144,11 +143,11 @@ mod tests {
         let canonical = canonical_hhl(&g, &ord).unwrap();
         let pll = PrunedLandmarkLabeling::with_order(&g, ord).into_labeling();
         for v in 0..30u32 {
-            for (h, d) in pll.label(v).iter() {
-                assert_eq!(
-                    canonical.label(v).distance_to_hub(h),
-                    Some(d),
-                    "PLL hub ({v},{h}) missing from canonical HHL"
+            let canon: Vec<_> = canonical.pairs_of(v).collect();
+            for pair in pll.pairs_of(v) {
+                assert!(
+                    canon.binary_search(&pair).is_ok(),
+                    "PLL hub ({v},{pair:?}) missing from canonical HHL"
                 );
             }
         }
@@ -177,7 +176,7 @@ mod tests {
         let top = ord[0];
         let hl = canonical_hhl(&g, &ord).unwrap();
         for v in 0..16u32 {
-            assert!(hl.label(v).contains(top));
+            assert!(hl.hubs_of(v).contains(&top));
         }
     }
 

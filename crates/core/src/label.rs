@@ -1,21 +1,21 @@
-//! Hub label data structures and the merge-join distance query.
+//! The merge-join distance query and the borrowed view of a labeling.
 //!
-//! hl-core owns three representations of a labeling, and they share one
+//! hl-core owns two representations of a labeling, and they share one
 //! query algorithm — the sorted merge-join, each loop written once for
 //! both the distance-only and the witness-reporting query:
 //!
-//! * [`HubLabeling`] — one [`HubLabel`] (two heap `Vec`s) per vertex; the
-//!   *construction-time* form, cheap to grow and mutate per vertex;
-//! * [`crate::flat::FlatLabeling`] — a single CSR arena; the blessed
-//!   *query-time* form, one allocation for the whole labeling;
+//! * [`crate::flat::FlatLabeling`] — a single CSR arena, one allocation
+//!   for the whole labeling; what every construction returns and every
+//!   store, daemon and analysis holds;
 //! * [`crate::compact::CompactLabeling`] — the same arena with delta-coded
 //!   hub ids and narrow distance lanes; it joins through its own loop,
 //!   because delta-coded ids cannot be galloped over.
 //!
-//! The [`LabelingView`] trait is the borrowed read-only view the two
-//! slice-backed forms implement, so verification, statistics, and oracles
-//! work on either; the compact arena decodes on the fly and has no slices
-//! to lend.
+//! A single label has no type of its own: borrowed it is the two sorted
+//! slices [`LabelingView`] lends, owned it is a `Vec<(NodeId, Distance)>`.
+//! [`LabelingView`] is the read-only view verification, statistics, the
+//! lower-bound audit and the oracles take; the compact arena decodes on
+//! the fly and has no slices to lend.
 
 use hl_graph::{Distance, NodeId, INFINITY};
 
@@ -187,10 +187,10 @@ pub fn merge_join_with_witness(
 /// A borrowed, read-only view of a complete hub labeling: per-vertex
 /// sorted hub/distance slices plus the merge-join query over them.
 ///
-/// Implemented by both the nested [`HubLabeling`] (construction-time form)
-/// and the arena [`crate::flat::FlatLabeling`] (query-time form), so code
-/// that only *reads* a labeling — verification, statistics, oracles —
-/// accepts either without conversion.
+/// Implemented by the arena [`crate::flat::FlatLabeling`] and by whatever
+/// else can lend sorted slices (a mounted store, a test double), so code
+/// that only *reads* a labeling — verification, statistics, the audit,
+/// oracles — runs on what is served without conversion.
 pub trait LabelingView {
     /// Number of vertices.
     fn num_nodes(&self) -> usize;
@@ -254,244 +254,6 @@ pub trait LabelingView {
     }
 }
 
-/// The label of a single vertex: its hubs and exact distances to them,
-/// sorted by hub id.
-///
-/// # Example
-///
-/// ```
-/// use hl_core::HubLabel;
-///
-/// let label = HubLabel::from_pairs(vec![(3, 2), (1, 5), (7, 0)]);
-/// assert_eq!(label.len(), 3);
-/// assert_eq!(label.distance_to_hub(1), Some(5));
-/// assert_eq!(label.distance_to_hub(2), None);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HubLabel {
-    hubs: Vec<NodeId>,
-    dists: Vec<Distance>,
-}
-
-impl HubLabel {
-    /// Creates an empty label.
-    pub fn new() -> Self {
-        HubLabel::default()
-    }
-
-    /// Builds a label from `(hub, distance)` pairs in any order.
-    /// Duplicate hubs keep their minimum distance.
-    pub fn from_pairs(mut pairs: Vec<(NodeId, Distance)>) -> Self {
-        pairs.sort_unstable();
-        pairs.dedup_by(|next, kept| next.0 == kept.0);
-        let (hubs, dists) = pairs.into_iter().unzip();
-        HubLabel { hubs, dists }
-    }
-
-    /// Number of hubs.
-    pub fn len(&self) -> usize {
-        self.hubs.len()
-    }
-
-    /// `true` when the label has no hubs.
-    pub fn is_empty(&self) -> bool {
-        self.hubs.is_empty()
-    }
-
-    /// The sorted hub ids.
-    pub fn hubs(&self) -> &[NodeId] {
-        &self.hubs
-    }
-
-    /// The distances, aligned with [`HubLabel::hubs`].
-    pub fn distances(&self) -> &[Distance] {
-        &self.dists
-    }
-
-    /// Iterates over `(hub, distance)` pairs in increasing hub order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, Distance)> + '_ {
-        self.hubs.iter().copied().zip(self.dists.iter().copied())
-    }
-
-    /// Distance to hub `h` if `h` is in the label.
-    pub fn distance_to_hub(&self, h: NodeId) -> Option<Distance> {
-        self.hubs.binary_search(&h).ok().map(|i| self.dists[i])
-    }
-
-    /// `true` when `h` is a hub of this label.
-    pub fn contains(&self, h: NodeId) -> bool {
-        self.hubs.binary_search(&h).is_ok()
-    }
-
-    /// Appends a hub; the caller must maintain increasing hub order
-    /// (checked in debug builds).
-    pub fn push(&mut self, hub: NodeId, dist: Distance) {
-        debug_assert!(self.hubs.last().is_none_or(|&last| last < hub));
-        self.hubs.push(hub);
-        self.dists.push(dist);
-    }
-
-    /// The two-label merge-join at the heart of hub labeling: returns
-    /// `min over common hubs h of d(u, h) + d(h, v)`, or [`INFINITY`]
-    /// when the labels share no hub.
-    pub fn join(&self, other: &HubLabel) -> Distance {
-        merge_join(&self.hubs, &self.dists, &other.hubs, &other.dists)
-    }
-
-    /// Like [`HubLabel::join`] but also reports the witnessing hub.
-    pub fn join_with_witness(&self, other: &HubLabel) -> Option<(Distance, NodeId)> {
-        merge_join_with_witness(&self.hubs, &self.dists, &other.hubs, &other.dists)
-    }
-
-    /// Heap footprint of this label's two vectors, in bytes (by length,
-    /// not capacity — the steady-state size once construction is done).
-    pub fn heap_bytes(&self) -> usize {
-        self.hubs.len() * std::mem::size_of::<NodeId>()
-            + self.dists.len() * std::mem::size_of::<Distance>()
-    }
-}
-
-impl FromIterator<(NodeId, Distance)> for HubLabel {
-    fn from_iter<T: IntoIterator<Item = (NodeId, Distance)>>(iter: T) -> Self {
-        HubLabel::from_pairs(iter.into_iter().collect())
-    }
-}
-
-/// A complete hub labeling: one [`HubLabel`] per vertex.
-///
-/// # Example
-///
-/// ```
-/// use hl_graph::generators;
-/// use hl_core::pll::PrunedLandmarkLabeling;
-///
-/// let g = generators::path(5);
-/// let labeling = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-/// assert_eq!(labeling.query(0, 4), 4);
-/// assert_eq!(labeling.num_nodes(), 5);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HubLabeling {
-    labels: Vec<HubLabel>,
-}
-
-impl HubLabeling {
-    /// Creates a labeling of `n` empty labels.
-    pub fn empty(n: usize) -> Self {
-        HubLabeling {
-            labels: vec![HubLabel::new(); n],
-        }
-    }
-
-    /// Wraps per-vertex labels into a labeling.
-    pub fn from_labels(labels: Vec<HubLabel>) -> Self {
-        HubLabeling { labels }
-    }
-
-    /// Number of vertices.
-    pub fn num_nodes(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// The label of vertex `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn label(&self, v: NodeId) -> &HubLabel {
-        &self.labels[v as usize]
-    }
-
-    /// Mutable access to the label of vertex `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn label_mut(&mut self, v: NodeId) -> &mut HubLabel {
-        &mut self.labels[v as usize]
-    }
-
-    /// Iterates over all labels in vertex order.
-    pub fn iter(&self) -> impl Iterator<Item = &HubLabel> {
-        self.labels.iter()
-    }
-
-    /// Answers the distance query `u, v` via the merge-join of the two
-    /// labels. Returns [`INFINITY`] when the labels share no hub — on a
-    /// valid labeling of a connected graph this only happens for
-    /// genuinely unreachable pairs.
-    pub fn query(&self, u: NodeId, v: NodeId) -> Distance {
-        self.labels[u as usize].join(&self.labels[v as usize])
-    }
-
-    /// Like [`HubLabeling::query`] but also reports the hub realizing the
-    /// minimum.
-    pub fn query_with_witness(&self, u: NodeId, v: NodeId) -> Option<(Distance, NodeId)> {
-        self.labels[u as usize].join_with_witness(&self.labels[v as usize])
-    }
-
-    /// Total number of hubs over all vertices, `Σ_v |S_v|`.
-    pub fn total_hubs(&self) -> usize {
-        self.labels.iter().map(|l| l.len()).sum()
-    }
-
-    /// Average hubs per vertex, `Σ_v |S_v| / n`.
-    pub fn average_hubs(&self) -> f64 {
-        if self.labels.is_empty() {
-            return 0.0;
-        }
-        self.total_hubs() as f64 / self.labels.len() as f64
-    }
-
-    /// Largest label size.
-    pub fn max_hubs(&self) -> usize {
-        self.labels.iter().map(|l| l.len()).max().unwrap_or(0)
-    }
-
-    /// Heap footprint of the nested representation, in bytes: every
-    /// per-vertex `HubLabel` header plus its two vectors' contents.
-    /// Comparable with [`crate::flat::FlatLabeling::heap_bytes`] — the
-    /// difference is exactly what the arena layout saves.
-    pub fn heap_bytes(&self) -> usize {
-        self.labels.len() * std::mem::size_of::<HubLabel>()
-            + self.labels.iter().map(HubLabel::heap_bytes).sum::<usize>()
-    }
-
-    /// Ensures every vertex contains itself as a hub at distance 0
-    /// (required by several constructions, harmless otherwise).
-    pub fn add_self_hubs(&mut self) {
-        for (v, label) in self.labels.iter_mut().enumerate() {
-            if !label.contains(v as NodeId) {
-                let mut pairs: Vec<_> = label.iter().collect();
-                pairs.push((v as NodeId, 0));
-                *label = HubLabel::from_pairs(pairs);
-            }
-        }
-    }
-}
-
-impl FromIterator<HubLabel> for HubLabeling {
-    fn from_iter<T: IntoIterator<Item = HubLabel>>(iter: T) -> Self {
-        HubLabeling {
-            labels: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl LabelingView for HubLabeling {
-    fn num_nodes(&self) -> usize {
-        HubLabeling::num_nodes(self)
-    }
-
-    fn hubs_of(&self, v: NodeId) -> &[NodeId] {
-        self.labels[v as usize].hubs()
-    }
-
-    fn dists_of(&self, v: NodeId) -> &[Distance] {
-        self.labels[v as usize].distances()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,49 +285,52 @@ mod tests {
         best
     }
 
-    #[test]
-    fn from_pairs_sorts_and_dedups() {
-        let l = HubLabel::from_pairs(vec![(5, 1), (2, 9), (5, 3), (2, 4)]);
-        assert_eq!(l.hubs(), &[2, 5]);
-        assert_eq!(l.distances(), &[4, 1]);
+    type Pairs<'a> = &'a [(NodeId, Distance)];
+
+    /// Joins two labels written as sorted `(hub, distance)` pairs.
+    fn join(a: Pairs, b: Pairs) -> Distance {
+        let ((ah, ad), (bh, bd)) = (lanes(a), lanes(b));
+        merge_join(&ah, &ad, &bh, &bd)
+    }
+
+    fn join_with_witness(a: Pairs, b: Pairs) -> Option<(Distance, NodeId)> {
+        let ((ah, ad), (bh, bd)) = (lanes(a), lanes(b));
+        merge_join_with_witness(&ah, &ad, &bh, &bd)
+    }
+
+    fn lanes(pairs: Pairs) -> (Vec<NodeId>, Vec<Distance>) {
+        pairs.iter().copied().unzip()
     }
 
     #[test]
     fn join_on_shared_hub() {
-        let a = HubLabel::from_pairs(vec![(1, 3), (4, 2)]);
-        let b = HubLabel::from_pairs(vec![(2, 1), (4, 5)]);
-        assert_eq!(a.join(&b), 7);
-        assert_eq!(a.join_with_witness(&b), Some((7, 4)));
+        let (a, b) = ([(1, 3), (4, 2)], [(2, 1), (4, 5)]);
+        assert_eq!(join(&a, &b), 7);
+        assert_eq!(join_with_witness(&a, &b), Some((7, 4)));
     }
 
     #[test]
     fn join_picks_minimum() {
-        let a = HubLabel::from_pairs(vec![(1, 10), (2, 1)]);
-        let b = HubLabel::from_pairs(vec![(1, 1), (2, 3)]);
-        assert_eq!(a.join(&b), 4);
-        assert_eq!(a.join_with_witness(&b).unwrap().1, 2);
+        let (a, b) = ([(1, 10), (2, 1)], [(1, 1), (2, 3)]);
+        assert_eq!(join(&a, &b), 4);
+        assert_eq!(join_with_witness(&a, &b).unwrap().1, 2);
     }
 
     #[test]
     fn join_disjoint_is_infinity() {
-        let a = HubLabel::from_pairs(vec![(1, 1)]);
-        let b = HubLabel::from_pairs(vec![(2, 1)]);
-        assert_eq!(a.join(&b), INFINITY);
-        assert_eq!(a.join_with_witness(&b), None);
+        assert_eq!(join(&[(1, 1)], &[(2, 1)]), INFINITY);
+        assert_eq!(join_with_witness(&[(1, 1)], &[(2, 1)]), None);
     }
 
     #[test]
     fn join_empty_labels() {
-        let a = HubLabel::new();
-        assert!(a.is_empty());
-        assert_eq!(a.join(&a), INFINITY);
+        assert_eq!(join(&[], &[]), INFINITY);
+        assert_eq!(join(&[], &[(0, 0)]), INFINITY);
     }
 
     #[test]
     fn join_saturates_on_overflow() {
-        let a = HubLabel::from_pairs(vec![(0, u64::MAX - 1)]);
-        let b = HubLabel::from_pairs(vec![(0, 5)]);
-        assert_eq!(a.join(&b), INFINITY);
+        assert_eq!(join(&[(0, u64::MAX - 1)], &[(0, 5)]), INFINITY);
     }
 
     #[test]
@@ -574,45 +339,39 @@ mod tests {
         // distances saturate to the INFINITY sentinel. The witness path
         // used to hand that sentinel back as a witnessed "finite" minimum;
         // a saturated sum must read exactly like a disjoint hub set.
-        let a = HubLabel::from_pairs(vec![(3, u64::MAX - 1)]);
-        let b = HubLabel::from_pairs(vec![(3, 5)]);
-        assert_eq!(a.join(&b), INFINITY);
-        assert_eq!(a.join_with_witness(&b), None);
+        let b = [(3, 5)];
+        assert_eq!(join(&[(3, u64::MAX - 1)], &b), INFINITY);
+        assert_eq!(join_with_witness(&[(3, u64::MAX - 1)], &b), None);
         // Exactly at the boundary: the sum lands on u64::MAX itself.
-        let a = HubLabel::from_pairs(vec![(3, u64::MAX - 5)]);
-        assert_eq!(a.join_with_witness(&b), None);
+        assert_eq!(join_with_witness(&[(3, u64::MAX - 5)], &b), None);
         // One below the sentinel is still a real, witnessed distance.
-        let a = HubLabel::from_pairs(vec![(3, u64::MAX - 6)]);
-        assert_eq!(a.join_with_witness(&b), Some((u64::MAX - 1, 3)));
+        assert_eq!(
+            join_with_witness(&[(3, u64::MAX - 6)], &b),
+            Some((u64::MAX - 1, 3))
+        );
         // A saturating pair must not shadow a finite sum on another hub.
-        let a = HubLabel::from_pairs(vec![(3, u64::MAX - 1), (7, 10)]);
-        let b = HubLabel::from_pairs(vec![(3, 5), (7, 2)]);
-        assert_eq!(a.join(&b), 12);
-        assert_eq!(a.join_with_witness(&b), Some((12, 7)));
+        let (a, b) = ([(3, u64::MAX - 1), (7, 10)], [(3, 5), (7, 2)]);
+        assert_eq!(join(&a, &b), 12);
+        assert_eq!(join_with_witness(&a, &b), Some((12, 7)));
     }
 
     #[test]
     fn branchless_matches_branchy_reference() {
         // Differential check on adversarial shapes: overlapping, disjoint,
         // nested ranges, duplicates of length 0/1, saturating distances.
-        type Pairs = Vec<(NodeId, Distance)>;
         let cases: &[(Pairs, Pairs)] = &[
-            (vec![], vec![]),
-            (vec![(1, 1)], vec![]),
-            (vec![(1, 2), (5, 0)], vec![(1, 9), (5, 1)]),
-            (vec![(0, 3), (2, 1), (9, 4)], vec![(1, 1), (2, 3), (8, 0)]),
-            (vec![(4, u64::MAX - 1)], vec![(4, 7)]),
-            (
-                vec![(0, 1), (1, 1), (2, 1), (3, 1)],
-                vec![(3, 1), (4, 1), (5, 1)],
-            ),
+            (&[], &[]),
+            (&[(1, 1)], &[]),
+            (&[(1, 2), (5, 0)], &[(1, 9), (5, 1)]),
+            (&[(0, 3), (2, 1), (9, 4)], &[(1, 1), (2, 3), (8, 0)]),
+            (&[(4, u64::MAX - 1)], &[(4, 7)]),
+            (&[(0, 1), (1, 1), (2, 1), (3, 1)], &[(3, 1), (4, 1), (5, 1)]),
         ];
         for (pa, pb) in cases {
-            let a = HubLabel::from_pairs(pa.clone());
-            let b = HubLabel::from_pairs(pb.clone());
+            let ((ah, ad), (bh, bd)) = (lanes(pa), lanes(pb));
             assert_eq!(
-                merge_join(a.hubs(), a.distances(), b.hubs(), b.distances()),
-                merge_join_branchy(a.hubs(), a.distances(), b.hubs(), b.distances()),
+                merge_join(&ah, &ad, &bh, &bd),
+                merge_join_branchy(&ah, &ad, &bh, &bd),
                 "{pa:?} vs {pb:?}"
             );
         }
@@ -665,112 +424,5 @@ mod tests {
                 "witness, case {case}"
             );
         }
-    }
-
-    #[test]
-    fn push_maintains_order() {
-        let mut l = HubLabel::new();
-        l.push(1, 5);
-        l.push(9, 2);
-        assert_eq!(l.len(), 2);
-        assert_eq!(l.distance_to_hub(9), Some(2));
-    }
-
-    #[test]
-    #[should_panic]
-    #[cfg(debug_assertions)]
-    fn push_rejects_out_of_order() {
-        let mut l = HubLabel::new();
-        l.push(5, 1);
-        l.push(3, 1);
-    }
-
-    #[test]
-    fn labeling_query_symmetric() {
-        let mut hl = HubLabeling::empty(3);
-        *hl.label_mut(0) = HubLabel::from_pairs(vec![(0, 0), (1, 4)]);
-        *hl.label_mut(2) = HubLabel::from_pairs(vec![(1, 2), (2, 0)]);
-        assert_eq!(hl.query(0, 2), 6);
-        assert_eq!(hl.query(2, 0), 6);
-    }
-
-    #[test]
-    fn stats_accessors() {
-        let mut hl = HubLabeling::empty(4);
-        *hl.label_mut(1) = HubLabel::from_pairs(vec![(0, 1), (1, 0)]);
-        *hl.label_mut(3) = HubLabel::from_pairs(vec![(3, 0)]);
-        assert_eq!(hl.total_hubs(), 3);
-        assert_eq!(hl.max_hubs(), 2);
-        assert!((hl.average_hubs() - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn add_self_hubs_idempotent() {
-        let mut hl = HubLabeling::empty(3);
-        *hl.label_mut(0) = HubLabel::from_pairs(vec![(0, 0)]);
-        hl.add_self_hubs();
-        hl.add_self_hubs();
-        for v in 0..3u32 {
-            assert_eq!(hl.label(v).distance_to_hub(v), Some(0));
-        }
-        assert_eq!(hl.total_hubs(), 3);
-        assert_eq!(hl.query(1, 1), 0);
-    }
-
-    #[test]
-    fn from_iterator_impls() {
-        let l: HubLabel = vec![(2u32, 7u64), (0, 1)].into_iter().collect();
-        assert_eq!(l.hubs(), &[0, 2]);
-        let hl: HubLabeling = vec![l.clone(), l].into_iter().collect();
-        assert_eq!(hl.num_nodes(), 2);
-    }
-
-    #[test]
-    fn view_trait_agrees_with_inherent_api() {
-        let mut hl = HubLabeling::empty(3);
-        *hl.label_mut(0) = HubLabel::from_pairs(vec![(0, 0), (1, 4)]);
-        *hl.label_mut(2) = HubLabel::from_pairs(vec![(1, 2), (2, 0)]);
-        fn via_view<L: LabelingView>(l: &L) -> (Distance, usize, usize, f64) {
-            (
-                l.query(0, 2),
-                l.total_hubs(),
-                l.max_hubs(),
-                l.average_hubs(),
-            )
-        }
-        let (d, total, max, avg) = via_view(&hl);
-        assert_eq!(d, hl.query(0, 2));
-        assert_eq!(total, hl.total_hubs());
-        assert_eq!(max, hl.max_hubs());
-        assert!((avg - hl.average_hubs()).abs() < 1e-12);
-        assert_eq!(hl.hubs_of(2), &[1, 2]);
-        assert_eq!(hl.dists_of(2), &[2, 0]);
-    }
-
-    #[test]
-    fn merge_join_slices_match_label_join() {
-        let a = HubLabel::from_pairs(vec![(1, 10), (2, 1), (9, 3)]);
-        let b = HubLabel::from_pairs(vec![(1, 1), (2, 3), (8, 0)]);
-        assert_eq!(
-            merge_join(a.hubs(), a.distances(), b.hubs(), b.distances()),
-            a.join(&b)
-        );
-        assert_eq!(
-            merge_join_with_witness(a.hubs(), a.distances(), b.hubs(), b.distances()),
-            a.join_with_witness(&b)
-        );
-    }
-
-    #[test]
-    fn heap_bytes_counts_vectors_and_headers() {
-        let mut hl = HubLabeling::empty(2);
-        *hl.label_mut(0) = HubLabel::from_pairs(vec![(0, 0), (1, 1)]);
-        *hl.label_mut(1) = HubLabel::from_pairs(vec![(1, 0)]);
-        let entries = 3;
-        let payload = entries * (std::mem::size_of::<NodeId>() + std::mem::size_of::<Distance>());
-        assert_eq!(
-            hl.heap_bytes(),
-            payload + 2 * std::mem::size_of::<HubLabel>()
-        );
     }
 }

@@ -10,10 +10,10 @@
 //!
 //! The crate provides:
 //!
-//! * [`label`] — the labeling data structures, the merge-join query, and
-//!   the [`LabelingView`] borrowed view both representations implement;
-//! * [`flat`] — [`FlatLabeling`], the single-arena CSR layout that is the
-//!   canonical query-time representation (serving code holds this form);
+//! * [`label`] — the merge-join query and [`LabelingView`], the borrowed
+//!   view every reader of a labeling takes;
+//! * [`flat`] — [`FlatLabeling`], the single-arena CSR layout every
+//!   construction returns and every store and daemon holds;
 //! * [`compact`] — [`CompactLabeling`], the byte-tuned arena (u16/u32
 //!   distance lanes, delta-coded hub ids decoded on the fly);
 //! * [`freq`] — hub-frequency label reordering, a layout pass that moves
@@ -58,7 +58,6 @@ pub mod flat;
 pub mod freq;
 pub mod greedy;
 pub mod hierarchical;
-pub mod io;
 pub mod label;
 pub mod minimize;
 pub mod monotone;
@@ -72,6 +71,6 @@ pub mod tree;
 
 pub use compact::{CompactDists, CompactError, CompactLabeling, HubDeltas, NarrowLane};
 pub use flat::{FlatLabeling, FlatLayoutError};
-pub use label::{HubLabel, HubLabeling, LabelingView};
+pub use label::LabelingView;
 pub use order::{OrderError, VertexOrder};
 pub use stats::LabelingStats;

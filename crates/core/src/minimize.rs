@@ -7,9 +7,10 @@
 //! how far each construction sits from (local) minimality.
 
 use hl_graph::apsp::DistanceMatrix;
-use hl_graph::{Graph, GraphError, NodeId};
+use hl_graph::{Distance, Graph, GraphError, NodeId};
 
-use crate::label::{HubLabel, HubLabeling};
+use crate::flat::FlatLabeling;
+use crate::label::{merge_join, LabelingView};
 
 /// Result of a minimization pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,43 +32,42 @@ pub struct MinimizeReport {
 /// # Errors
 ///
 /// Propagates [`GraphError`] from the APSP computation.
-pub fn minimize_labeling(
+pub fn minimize_labeling<L: LabelingView>(
     g: &Graph,
-    labeling: &HubLabeling,
-) -> Result<(HubLabeling, MinimizeReport), GraphError> {
+    labeling: &L,
+) -> Result<(FlatLabeling, MinimizeReport), GraphError> {
     let n = g.num_nodes();
     let truth = DistanceMatrix::compute(g)?;
     let before = labeling.total_hubs();
-    let mut labels: Vec<HubLabel> = (0..n as NodeId)
-        .map(|v| labeling.label(v).clone())
+    let mut labels: Vec<(Vec<NodeId>, Vec<Distance>)> = (0..n as NodeId)
+        .map(|v| (labeling.hubs_of(v).to_vec(), labeling.dists_of(v).to_vec()))
         .collect();
     // For pair (v, u) exactness after removing h from S_v, only queries
     // involving v change; recheck the row.
     for v in 0..n as NodeId {
-        let mut hubs: Vec<(NodeId, u64)> = labels[v as usize].iter().collect();
-        // Try dropping hubs from the largest id down (snapshot the ids —
-        // `hubs` shrinks as removals succeed).
-        let mut candidate_ids: Vec<NodeId> = hubs.iter().map(|&(h, _)| h).collect();
-        candidate_ids.sort_unstable_by_key(|&h| std::cmp::Reverse(h));
-        for h in candidate_ids {
-            let mut trial: Vec<(NodeId, u64)> = hubs.clone();
-            trial.retain(|&(x, _)| x != h);
-            let trial_label = HubLabel::from_pairs(trial);
+        // Try dropping hubs from the largest id down: removing position
+        // `i` leaves the positions still to be tried where they were.
+        for i in (0..labels[v as usize].0.len()).rev() {
+            let (mut hubs, mut dists) = labels[v as usize].clone();
+            hubs.remove(i);
+            dists.remove(i);
             let ok = (0..n as NodeId).all(|u| {
-                let answer = if u == v {
-                    trial_label.join(&trial_label)
+                let (other_hubs, other_dists) = if u == v {
+                    (&hubs, &dists)
                 } else {
-                    trial_label.join(&labels[u as usize])
+                    (&labels[u as usize].0, &labels[u as usize].1)
                 };
-                answer == truth.distance(v, u)
+                merge_join(&hubs, &dists, other_hubs, other_dists) == truth.distance(v, u)
             });
             if ok {
-                hubs.retain(|&(x, _)| x != h);
+                labels[v as usize] = (hubs, dists);
             }
         }
-        labels[v as usize] = HubLabel::from_pairs(hubs);
     }
-    let minimized = HubLabeling::from_labels(labels);
+    let mut minimized = FlatLabeling::with_capacity(n, before);
+    for (hubs, dists) in &labels {
+        minimized.push_label(hubs, dists);
+    }
     let after = minimized.total_hubs();
     Ok((
         minimized,
@@ -128,15 +128,14 @@ mod tests {
         // Dropping any single remaining hub must break exactness.
         let truth = DistanceMatrix::compute(&g).unwrap();
         for v in 0..9u32 {
-            for (h, _) in min.label(v).iter() {
-                let mut crippled: Vec<(NodeId, u64)> = min.label(v).iter().collect();
-                crippled.retain(|&(x, _)| x != h);
-                let crippled = HubLabel::from_pairs(crippled);
+            for (h, _) in min.pairs_of(v) {
+                let (hubs, dists): (Vec<NodeId>, Vec<Distance>) =
+                    min.pairs_of(v).filter(|&(x, _)| x != h).unzip();
                 let broken = (0..9u32).any(|u| {
                     let answer = if u == v {
-                        crippled.join(&crippled)
+                        merge_join(&hubs, &dists, &hubs, &dists)
                     } else {
-                        crippled.join(min.label(u))
+                        merge_join(&hubs, &dists, min.hubs_of(u), min.dists_of(u))
                     };
                     answer != truth.distance(v, u)
                 });

@@ -12,7 +12,7 @@
 use hl_graph::sptree::ShortestPathTree;
 use hl_graph::{Graph, NodeId};
 
-use crate::label::HubLabeling;
+use crate::label::LabelingView;
 
 /// The monotone closure of a hub labeling: for every vertex `v`, the set
 /// `S*_v` (as a sorted vertex list) with respect to the canonical
@@ -38,13 +38,12 @@ pub struct MonotoneClosure {
 impl MonotoneClosure {
     /// Computes `S*_v` for every vertex. Runs one SSSP per vertex —
     /// quadratic, intended for instances small enough to verify.
-    pub fn compute(g: &Graph, labeling: &HubLabeling) -> Self {
+    pub fn compute<L: LabelingView>(g: &Graph, labeling: &L) -> Self {
         let n = g.num_nodes();
         let mut sets = Vec::with_capacity(n);
         for v in 0..n as NodeId {
             let tree = ShortestPathTree::build(g, v);
-            let hubs = labeling.label(v).hubs();
-            sets.push(tree.ancestor_closure(hubs));
+            sets.push(tree.ancestor_closure(labeling.hubs_of(v)));
         }
         MonotoneClosure { sets }
     }
@@ -83,14 +82,14 @@ impl MonotoneClosure {
 /// closure; the paper's form absorbs it into the diameter factor).
 ///
 /// Returns the first violating vertex if any.
-pub fn check_closure_size_relation(
+pub fn check_closure_size_relation<L: LabelingView>(
     g: &Graph,
-    labeling: &HubLabeling,
+    labeling: &L,
     closure: &MonotoneClosure,
     hop_diameter: u64,
 ) -> Option<NodeId> {
     for v in 0..g.num_nodes() as NodeId {
-        let s = labeling.label(v).len();
+        let s = labeling.hubs_of(v).len();
         let star = closure.set(v).len();
         if star as u64 > (hop_diameter + 1) * (s.max(1) as u64) {
             return Some(v);
@@ -132,7 +131,7 @@ mod tests {
         let mc = MonotoneClosure::compute(&g, &hl);
         for v in 0..16u32 {
             assert!(mc.contains(v, v), "closure always contains the root");
-            for &h in hl.label(v).hubs() {
+            for &h in hl.hubs_of(v) {
                 assert!(mc.contains(v, h), "closure contains every hub");
             }
         }

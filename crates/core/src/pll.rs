@@ -12,14 +12,14 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use hl_graph::{Distance, Graph, NodeId, INFINITY};
 
-use crate::label::{HubLabel, HubLabeling};
+use crate::flat::FlatLabeling;
 use crate::order;
 use crate::order::OrderError;
 
 /// A finished PLL labeling, remembering the order it was built with.
 #[derive(Debug, Clone)]
 pub struct PrunedLandmarkLabeling {
-    labeling: HubLabeling,
+    labeling: FlatLabeling,
     order: Vec<NodeId>,
 }
 
@@ -75,12 +75,12 @@ impl PrunedLandmarkLabeling {
     }
 
     /// Borrow the underlying labeling.
-    pub fn labeling(&self) -> &HubLabeling {
+    pub fn labeling(&self) -> &FlatLabeling {
         &self.labeling
     }
 
     /// Extracts the underlying labeling.
-    pub fn into_labeling(self) -> HubLabeling {
+    pub fn into_labeling(self) -> FlatLabeling {
         self.labeling
     }
 }
@@ -131,7 +131,7 @@ impl Pruner {
     }
 }
 
-fn build_unit(g: &Graph, order: &[NodeId]) -> HubLabeling {
+fn build_unit(g: &Graph, order: &[NodeId]) -> FlatLabeling {
     let n = g.num_nodes();
     let mut labels: Vec<Vec<(NodeId, Distance)>> = vec![Vec::new(); n];
     let mut pruner = Pruner::new(n);
@@ -167,10 +167,10 @@ fn build_unit(g: &Graph, order: &[NodeId]) -> HubLabeling {
         visited.clear();
         pruner.clear();
     }
-    labels.into_iter().map(HubLabel::from_pairs).collect()
+    FlatLabeling::from_pair_lists(labels)
 }
 
-fn build_weighted(g: &Graph, order: &[NodeId]) -> HubLabeling {
+fn build_weighted(g: &Graph, order: &[NodeId]) -> FlatLabeling {
     let n = g.num_nodes();
     let mut labels: Vec<Vec<(NodeId, Distance)>> = vec![Vec::new(); n];
     let mut pruner = Pruner::new(n);
@@ -208,7 +208,7 @@ fn build_weighted(g: &Graph, order: &[NodeId]) -> HubLabeling {
         visited.clear();
         pruner.clear();
     }
-    labels.into_iter().map(HubLabel::from_pairs).collect()
+    FlatLabeling::from_pair_lists(labels)
 }
 
 #[cfg(test)]
@@ -285,7 +285,7 @@ mod tests {
         let hl = pll.labeling();
         for v in 0..9u32 {
             assert!(
-                hl.label(v).contains(first),
+                hl.hubs_of(v).contains(&first),
                 "first-order vertex is a universal hub"
             );
         }

@@ -17,7 +17,7 @@
 use hl_graph::apsp::DistanceMatrix;
 use hl_graph::{Distance, Graph, GraphError, NodeId, INFINITY};
 
-use crate::label::{HubLabel, HubLabeling};
+use crate::flat::FlatLabeling;
 
 /// Parameters of the random-threshold construction.
 #[derive(Debug, Clone, Copy)]
@@ -57,7 +57,7 @@ pub struct RandomThresholdBreakdown {
 pub fn random_threshold_labeling(
     g: &Graph,
     params: RandomThresholdParams,
-) -> Result<(HubLabeling, RandomThresholdBreakdown), GraphError> {
+) -> Result<(FlatLabeling, RandomThresholdBreakdown), GraphError> {
     if params.threshold == 0 {
         return Err(GraphError::InvalidParameters {
             reason: "threshold D must be >= 1".into(),
@@ -121,7 +121,7 @@ pub fn random_threshold_labeling(
         }
     }
 
-    let labeling = HubLabeling::from_labels(pairs.into_iter().map(HubLabel::from_pairs).collect());
+    let labeling = FlatLabeling::from_pair_lists(pairs);
     Ok((labeling, breakdown))
 }
 

@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use hl_graph::apsp::DistanceMatrix;
 use hl_graph::{Distance, Graph, GraphError, NodeId, INFINITY};
 
-use crate::label::{HubLabel, HubLabeling};
+use crate::flat::FlatLabeling;
 
 /// Parameters for the Theorem 4.1 construction.
 #[derive(Debug, Clone, Copy)]
@@ -100,7 +100,7 @@ pub struct RsBreakdown {
 /// Propagates [`GraphError`] from APSP, or reports invalid parameters when
 /// `threshold == 0` or the graph has an edge weight `> 1` (use
 /// [`hl_graph::transform::subdivide_weights`] first).
-pub fn rs_labeling(g: &Graph, params: RsParams) -> Result<(HubLabeling, RsBreakdown), GraphError> {
+pub fn rs_labeling(g: &Graph, params: RsParams) -> Result<(FlatLabeling, RsBreakdown), GraphError> {
     if params.threshold == 0 {
         return Err(GraphError::InvalidParameters {
             reason: "threshold D must be >= 1".into(),
@@ -249,7 +249,7 @@ pub fn rs_labeling(g: &Graph, params: RsParams) -> Result<(HubLabeling, RsBreakd
     }
     // Fallback hubs (v stored in S_u) rely on the partner's self-hub, which
     // is present for every vertex.
-    let labeling = HubLabeling::from_labels(labels.into_iter().map(HubLabel::from_pairs).collect());
+    let labeling = FlatLabeling::from_pair_lists(labels);
     Ok((labeling, breakdown))
 }
 
@@ -290,23 +290,20 @@ fn has_color_collision(hubs: &[NodeId], colors: &[u64]) -> bool {
 /// the corresponding original path, so the projection remains an exact
 /// cover.
 pub fn project_labeling(
-    labeling: &HubLabeling,
+    labeling: &FlatLabeling,
     representative: &[NodeId],
     origin: &[NodeId],
-) -> HubLabeling {
+) -> FlatLabeling {
     let labels = representative
         .iter()
         .map(|&rep| {
-            HubLabel::from_pairs(
-                labeling
-                    .label(rep)
-                    .iter()
-                    .map(|(h, d)| (origin[h as usize], d))
-                    .collect(),
-            )
+            labeling
+                .pairs_of(rep)
+                .map(|(h, d)| (origin[h as usize], d))
+                .collect()
         })
         .collect();
-    HubLabeling::from_labels(labels)
+    FlatLabeling::from_pair_lists(labels)
 }
 
 #[cfg(test)]

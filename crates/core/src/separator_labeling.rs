@@ -20,13 +20,13 @@ use hl_graph::dijkstra::shortest_path_distances;
 use hl_graph::separator::bfs_level_separator;
 use hl_graph::{Graph, NodeId, INFINITY};
 
-use crate::label::{HubLabel, HubLabeling};
+use crate::flat::FlatLabeling;
 
 /// Builds the separator-based labeling.
 ///
 /// Runs one SSSP per separator vertex over the full graph, so the cost is
 /// `O(#hubs · (m + n log n))`.
-pub fn separator_labeling(g: &Graph) -> HubLabeling {
+pub fn separator_labeling(g: &Graph) -> FlatLabeling {
     let n = g.num_nodes();
     let mut pairs: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); n];
     // Work list of parts to split.
@@ -55,7 +55,7 @@ pub fn separator_labeling(g: &Graph) -> HubLabeling {
             stack.push(piece);
         }
     }
-    HubLabeling::from_labels(pairs.into_iter().map(HubLabel::from_pairs).collect())
+    FlatLabeling::from_pair_lists(pairs)
 }
 
 #[cfg(test)]

@@ -18,8 +18,7 @@ pub struct LabelingStats {
 }
 
 impl LabelingStats {
-    /// Computes the statistics of `labeling` — either representation
-    /// (nested [`crate::HubLabeling`] or flat [`crate::FlatLabeling`]).
+    /// Computes the statistics of `labeling`.
     pub fn of<L: LabelingView>(labeling: &L) -> Self {
         let total = labeling.total_hubs();
         LabelingStats {
@@ -45,13 +44,11 @@ impl std::fmt::Display for LabelingStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::label::{HubLabel, HubLabeling};
+    use crate::flat::FlatLabeling;
 
     #[test]
     fn stats_of_simple_labeling() {
-        let mut hl = HubLabeling::empty(2);
-        *hl.label_mut(0) = HubLabel::from_pairs(vec![(0, 0), (1, 1)]);
-        *hl.label_mut(1) = HubLabel::from_pairs(vec![(1, 0)]);
+        let hl = FlatLabeling::from_pair_lists(vec![vec![(0, 0), (1, 1)], vec![(1, 0)]]);
         let s = LabelingStats::of(&hl);
         assert_eq!(s.num_nodes, 2);
         assert_eq!(s.total_hubs, 3);
@@ -64,17 +61,8 @@ mod tests {
 
     #[test]
     fn stats_of_empty() {
-        let s = LabelingStats::of(&HubLabeling::empty(0));
+        let s = LabelingStats::of(&FlatLabeling::new());
         assert_eq!(s.total_hubs, 0);
         assert_eq!(s.average_hubs, 0.0);
-    }
-
-    #[test]
-    fn stats_agree_across_representations() {
-        let mut hl = HubLabeling::empty(3);
-        *hl.label_mut(0) = HubLabel::from_pairs(vec![(0, 0), (2, 5)]);
-        *hl.label_mut(2) = HubLabel::from_pairs(vec![(2, 0)]);
-        let flat = crate::flat::FlatLabeling::from_labeling(&hl);
-        assert_eq!(LabelingStats::of(&hl), LabelingStats::of(&flat));
     }
 }

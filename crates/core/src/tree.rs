@@ -10,7 +10,7 @@
 use hl_graph::dijkstra::shortest_path_distances;
 use hl_graph::{Graph, GraphError, NodeId};
 
-use crate::label::{HubLabel, HubLabeling};
+use crate::flat::FlatLabeling;
 
 /// Builds the centroid-decomposition labeling of a tree.
 ///
@@ -32,10 +32,10 @@ use crate::label::{HubLabel, HubLabeling};
 /// # Ok(())
 /// # }
 /// ```
-pub fn centroid_labeling(g: &Graph) -> Result<HubLabeling, GraphError> {
+pub fn centroid_labeling(g: &Graph) -> Result<FlatLabeling, GraphError> {
     let n = g.num_nodes();
     if n == 0 {
-        return Ok(HubLabeling::empty(0));
+        return Ok(FlatLabeling::new());
     }
     if g.num_edges() != n - 1 || !hl_graph::properties::is_connected(g) {
         return Err(GraphError::InvalidParameters {
@@ -66,9 +66,7 @@ pub fn centroid_labeling(g: &Graph) -> Result<HubLabeling, GraphError> {
             }
         }
     }
-    Ok(HubLabeling::from_labels(
-        pairs.into_iter().map(HubLabel::from_pairs).collect(),
-    ))
+    Ok(FlatLabeling::from_pair_lists(pairs))
 }
 
 fn collect_component(g: &Graph, start: NodeId, removed: &[bool]) -> Vec<NodeId> {
@@ -223,7 +221,7 @@ mod tests {
     fn single_vertex_tree() {
         let g = generators::path(1);
         let hl = centroid_labeling(&g).unwrap();
-        assert_eq!(hl.label(0).hubs(), &[0]);
+        assert_eq!(hl.hubs_of(0), &[0]);
     }
 
     #[test]

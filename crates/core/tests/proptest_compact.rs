@@ -45,8 +45,7 @@ fn rmat_graph(rng: &mut Xorshift64) -> Graph {
 /// as-built labeling and for its frequency-reordered twin (which must
 /// answer identically despite living in a remapped hub-id space).
 fn assert_compact_matches_everywhere(g: &Graph) {
-    let nested = PrunedLandmarkLabeling::by_degree(g).into_labeling();
-    let flat = FlatLabeling::from_labeling(&nested);
+    let flat: FlatLabeling = PrunedLandmarkLabeling::by_degree(g).into_labeling();
     let compact = CompactLabeling::from_flat(&flat).expect("unit-weight distances fit u32");
     let (tuned_flat, _) = freq::reorder_by_hub_frequency(&flat);
     let tuned = CompactLabeling::from_flat(&tuned_flat).expect("reorder keeps distances");
@@ -120,8 +119,7 @@ fn compact_stats_agree_with_flat_on_random_graphs() {
     for case in 0..CASES {
         let mut rng = Xorshift64::seed_from_u64(9000 + case);
         let g = gnm_graph(&mut rng);
-        let nested = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-        let flat = FlatLabeling::from_labeling(&nested);
+        let flat: FlatLabeling = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
         let compact = CompactLabeling::from_flat(&flat).unwrap();
         assert_eq!(compact.num_nodes(), flat.num_nodes());
         assert_eq!(compact.num_entries(), flat.num_entries());

@@ -48,7 +48,6 @@ pub mod properties;
 pub mod rng;
 pub mod separator;
 pub mod sptree;
-pub mod subgraph;
 pub mod sync;
 pub mod transform;
 pub mod unionfind;

@@ -18,7 +18,7 @@
 
 use hl_graph::{Distance, NodeId};
 
-use hl_core::label::{HubLabel, HubLabeling};
+use hl_core::LabelingView;
 
 use crate::bits::{BitReader, BitWriter};
 use crate::scheme::BitLabel;
@@ -65,25 +65,24 @@ const TAG_FIXED: u64 = 1;
 const TAG_SPLIT: u64 = 2;
 const TAG_GAP_SPLIT: u64 = 3;
 
-/// Encodes a label with the cheapest of the four layouts (2-bit tag).
+/// Encodes a label — sorted hub ids and their aligned distances — with
+/// the cheapest of the four layouts (2-bit tag).
 ///
 /// # Example
 ///
 /// ```
-/// use hl_core::label::HubLabel;
 /// use hl_labeling::compact::{encode_compact, decode_compact, CompactParams};
 ///
 /// let params = CompactParams::new(100, 50, 8);
-/// let label = HubLabel::from_pairs(vec![(3, 2), (40, 17)]);
-/// let encoded = encode_compact(&label, &params);
-/// assert_eq!(decode_compact(&encoded, &params), label);
+/// let encoded = encode_compact(&[3, 40], &[2, 17], &params);
+/// assert_eq!(decode_compact(&encoded, &params), vec![(3, 2), (40, 17)]);
 /// ```
-pub fn encode_compact(label: &HubLabel, params: &CompactParams) -> BitLabel {
+pub fn encode_compact(hubs: &[NodeId], dists: &[Distance], params: &CompactParams) -> BitLabel {
     let candidates = [
-        (TAG_GAMMA, encode_gamma_body(label)),
-        (TAG_FIXED, encode_fixed_body(label, params)),
-        (TAG_SPLIT, encode_split_body(label, params)),
-        (TAG_GAP_SPLIT, encode_gap_split_body(label, params)),
+        (TAG_GAMMA, encode_gamma_body(hubs, dists)),
+        (TAG_FIXED, encode_fixed_body(hubs, dists, params)),
+        (TAG_SPLIT, encode_split_body(hubs, dists, params)),
+        (TAG_GAP_SPLIT, encode_gap_split_body(hubs, dists, params)),
     ];
     let [first, rest @ ..] = candidates;
     let (tag, body) = rest.into_iter().fold(
@@ -99,8 +98,9 @@ pub fn encode_compact(label: &HubLabel, params: &CompactParams) -> BitLabel {
     BitLabel::new(w.into_bits())
 }
 
-/// Decodes a compact label.
-pub fn decode_compact(label: &BitLabel, params: &CompactParams) -> HubLabel {
+/// Decodes a compact label into its `(hub, distance)` pairs, in
+/// increasing hub order.
+pub fn decode_compact(label: &BitLabel, params: &CompactParams) -> Vec<(NodeId, Distance)> {
     let mut r = BitReader::new(label.bits());
     // `read_bits(2)` yields a value in 0..=3, and the three explicit arms
     // cover 0..=2, so the wildcard is exactly TAG_GAP_SPLIT (3).
@@ -113,31 +113,34 @@ pub fn decode_compact(label: &BitLabel, params: &CompactParams) -> HubLabel {
 }
 
 /// Encodes a whole labeling compactly.
-pub fn encode_labeling_compact(labeling: &HubLabeling, params: &CompactParams) -> Vec<BitLabel> {
+pub fn encode_labeling_compact<L: LabelingView>(
+    labeling: &L,
+    params: &CompactParams,
+) -> Vec<BitLabel> {
     (0..labeling.num_nodes() as NodeId)
-        .map(|v| encode_compact(labeling.label(v), params))
+        .map(|v| encode_compact(labeling.hubs_of(v), labeling.dists_of(v), params))
         .collect()
 }
 
-fn encode_gamma_body(label: &HubLabel) -> crate::bits::BitVec {
+fn encode_gamma_body(hubs: &[NodeId], dists: &[Distance]) -> crate::bits::BitVec {
     // Same layout as hub_scheme: γ count, gap-coded ids, γ distances.
     let mut w = BitWriter::new();
-    w.write_gamma0(label.len() as u64);
+    w.write_gamma0(hubs.len() as u64);
     let mut prev: Option<NodeId> = None;
-    for &h in label.hubs() {
+    for &h in hubs {
         match prev {
             None => w.write_gamma0(h as u64),
             Some(p) => w.write_gamma((h - p) as u64),
         }
         prev = Some(h);
     }
-    for &d in label.distances() {
+    for &d in dists {
         w.write_gamma0(d);
     }
     w.into_bits()
 }
 
-fn decode_gamma_body(r: &mut BitReader<'_>) -> HubLabel {
+fn decode_gamma_body(r: &mut BitReader<'_>) -> Vec<(NodeId, Distance)> {
     let k = r.read_gamma0() as usize;
     let mut hubs = Vec::with_capacity(k);
     let mut cur = 0u64;
@@ -149,37 +152,43 @@ fn decode_gamma_body(r: &mut BitReader<'_>) -> HubLabel {
         };
         hubs.push(cur as NodeId);
     }
-    let pairs: Vec<(NodeId, Distance)> = hubs.iter().map(|&h| (h, r.read_gamma0())).collect();
-    HubLabel::from_pairs(pairs)
+    hubs.iter().map(|&h| (h, r.read_gamma0())).collect()
 }
 
-fn encode_fixed_body(label: &HubLabel, params: &CompactParams) -> crate::bits::BitVec {
+fn encode_fixed_body(
+    hubs: &[NodeId],
+    dists: &[Distance],
+    params: &CompactParams,
+) -> crate::bits::BitVec {
     let mut w = BitWriter::new();
-    w.write_gamma0(label.len() as u64);
-    for (h, d) in label.iter() {
+    w.write_gamma0(hubs.len() as u64);
+    for (&h, &d) in hubs.iter().zip(dists) {
         w.write_bits(h as u64, params.id_bits);
         w.write_bits(d, params.dist_bits);
     }
     w.into_bits()
 }
 
-fn decode_fixed_body(r: &mut BitReader<'_>, params: &CompactParams) -> HubLabel {
+fn decode_fixed_body(r: &mut BitReader<'_>, params: &CompactParams) -> Vec<(NodeId, Distance)> {
     let k = r.read_gamma0() as usize;
-    let pairs: Vec<(NodeId, Distance)> = (0..k)
+    (0..k)
         .map(|_| {
             let h = r.read_bits(params.id_bits) as NodeId;
             let d = r.read_bits(params.dist_bits);
             (h, d)
         })
-        .collect();
-    HubLabel::from_pairs(pairs)
+        .collect()
 }
 
-fn encode_split_body(label: &HubLabel, params: &CompactParams) -> crate::bits::BitVec {
+fn encode_split_body(
+    hubs: &[NodeId],
+    dists: &[Distance],
+    params: &CompactParams,
+) -> crate::bits::BitVec {
     let mut w = BitWriter::new();
-    w.write_gamma0(label.len() as u64);
+    w.write_gamma0(hubs.len() as u64);
     let nb = params.near_bits();
-    for (h, d) in label.iter() {
+    for (&h, &d) in hubs.iter().zip(dists) {
         w.write_bits(h as u64, params.id_bits);
         if d < params.near_threshold {
             w.write_bit(true);
@@ -192,10 +201,10 @@ fn encode_split_body(label: &HubLabel, params: &CompactParams) -> crate::bits::B
     w.into_bits()
 }
 
-fn decode_split_body(r: &mut BitReader<'_>, params: &CompactParams) -> HubLabel {
+fn decode_split_body(r: &mut BitReader<'_>, params: &CompactParams) -> Vec<(NodeId, Distance)> {
     let k = r.read_gamma0() as usize;
     let nb = params.near_bits();
-    let pairs: Vec<(NodeId, Distance)> = (0..k)
+    (0..k)
         .map(|_| {
             let h = r.read_bits(params.id_bits) as NodeId;
             let d = if r.read_bit() {
@@ -205,23 +214,26 @@ fn decode_split_body(r: &mut BitReader<'_>, params: &CompactParams) -> HubLabel 
             };
             (h, d)
         })
-        .collect();
-    HubLabel::from_pairs(pairs)
+        .collect()
 }
 
-fn encode_gap_split_body(label: &HubLabel, params: &CompactParams) -> crate::bits::BitVec {
+fn encode_gap_split_body(
+    hubs: &[NodeId],
+    dists: &[Distance],
+    params: &CompactParams,
+) -> crate::bits::BitVec {
     let mut w = BitWriter::new();
-    w.write_gamma0(label.len() as u64);
+    w.write_gamma0(hubs.len() as u64);
     let nb = params.near_bits();
     let mut prev: Option<NodeId> = None;
-    for &h in label.hubs() {
+    for &h in hubs {
         match prev {
             None => w.write_gamma0(h as u64),
             Some(p) => w.write_gamma((h - p) as u64),
         }
         prev = Some(h);
     }
-    for &d in label.distances() {
+    for &d in dists {
         if d < params.near_threshold {
             w.write_bit(true);
             w.write_bits(d, nb);
@@ -233,7 +245,7 @@ fn encode_gap_split_body(label: &HubLabel, params: &CompactParams) -> crate::bit
     w.into_bits()
 }
 
-fn decode_gap_split_body(r: &mut BitReader<'_>, params: &CompactParams) -> HubLabel {
+fn decode_gap_split_body(r: &mut BitReader<'_>, params: &CompactParams) -> Vec<(NodeId, Distance)> {
     let k = r.read_gamma0() as usize;
     let nb = params.near_bits();
     let mut hubs = Vec::with_capacity(k);
@@ -246,8 +258,7 @@ fn decode_gap_split_body(r: &mut BitReader<'_>, params: &CompactParams) -> HubLa
         };
         hubs.push(cur as NodeId);
     }
-    let pairs: Vec<(NodeId, Distance)> = hubs
-        .iter()
+    hubs.iter()
         .map(|&h| {
             let d = if r.read_bit() {
                 r.read_bits(nb)
@@ -256,8 +267,7 @@ fn decode_gap_split_body(r: &mut BitReader<'_>, params: &CompactParams) -> HubLa
             };
             (h, d)
         })
-        .collect();
-    HubLabel::from_pairs(pairs)
+        .collect()
 }
 
 #[cfg(test)]
@@ -266,16 +276,17 @@ mod tests {
     use crate::scheme::SchemeStats;
     use hl_core::pll::PrunedLandmarkLabeling;
     use hl_core::random_threshold::{random_threshold_labeling, RandomThresholdParams};
+    use hl_core::FlatLabeling;
     use hl_graph::properties::diameter_exact;
     use hl_graph::{generators, Graph};
 
-    fn roundtrip(g: &Graph, labeling: &HubLabeling, d: Distance) {
+    fn roundtrip(g: &Graph, labeling: &FlatLabeling, d: Distance) {
         let params = CompactParams::new(g.num_nodes(), diameter_exact(g), d);
         for v in 0..g.num_nodes() as NodeId {
-            let enc = encode_compact(labeling.label(v), &params);
+            let enc = encode_compact(labeling.hubs_of(v), labeling.dists_of(v), &params);
             assert_eq!(
-                &decode_compact(&enc, &params),
-                labeling.label(v),
+                decode_compact(&enc, &params),
+                labeling.pairs_of(v).collect::<Vec<_>>(),
                 "vertex {v}"
             );
         }
@@ -300,10 +311,9 @@ mod tests {
     #[test]
     fn roundtrip_empty_label() {
         let params = CompactParams::new(10, 5, 2);
-        let empty = HubLabel::new();
         assert_eq!(
-            decode_compact(&encode_compact(&empty, &params), &params),
-            empty
+            decode_compact(&encode_compact(&[], &[], &params), &params),
+            vec![]
         );
     }
 
@@ -313,8 +323,9 @@ mod tests {
         let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
         let params = CompactParams::new(60, diameter_exact(&g), 4);
         for v in 0..60u32 {
-            let gamma_bits = crate::hub_scheme::encode_label(hl.label(v)).num_bits();
-            let compact_bits = encode_compact(hl.label(v), &params).num_bits();
+            let (hubs, dists) = (hl.hubs_of(v), hl.dists_of(v));
+            let gamma_bits = crate::hub_scheme::encode_label(hubs, dists).num_bits();
+            let compact_bits = encode_compact(hubs, dists, &params).num_bits();
             assert!(compact_bits <= gamma_bits + 2, "vertex {v}");
         }
     }

@@ -11,36 +11,39 @@ use std::fmt;
 
 use hl_graph::{Distance, Graph, GraphError, NodeId, INFINITY};
 
-use hl_core::label::{HubLabel, HubLabeling};
+use hl_core::label::merge_join;
 use hl_core::pll::PrunedLandmarkLabeling;
+use hl_core::{FlatLabeling, LabelingView};
 
 use crate::bits::{BitReader, BitWriter};
 use crate::scheme::{BitLabel, DistanceLabelingScheme};
 
-/// Encodes one hub label into bits.
-pub fn encode_label(label: &HubLabel) -> BitLabel {
+/// Encodes one hub label — its sorted hub ids and their aligned
+/// distances, as a [`LabelingView`] lends them — into bits.
+pub fn encode_label(hubs: &[NodeId], dists: &[Distance]) -> BitLabel {
     let mut w = BitWriter::new();
-    w.write_gamma0(label.len() as u64);
+    w.write_gamma0(hubs.len() as u64);
     let mut prev: Option<NodeId> = None;
-    for &h in label.hubs() {
+    for &h in hubs {
         match prev {
             None => w.write_gamma0(h as u64),
             Some(p) => w.write_gamma((h - p) as u64),
         }
         prev = Some(h);
     }
-    for &d in label.distances() {
+    for &d in dists {
         w.write_gamma0(d);
     }
     BitLabel::new(w.into_bits())
 }
 
-/// Decodes a [`BitLabel`] back into a [`HubLabel`].
-pub fn decode_label(label: &BitLabel) -> HubLabel {
+/// Decodes a [`BitLabel`] back into its `(hub, distance)` pairs, in
+/// increasing hub order.
+pub fn decode_label(label: &BitLabel) -> Vec<(NodeId, Distance)> {
     let mut hubs = Vec::new();
     let mut dists = Vec::new();
     decode_label_append(label, &mut hubs, &mut dists);
-    HubLabel::from_pairs(hubs.into_iter().zip(dists).collect())
+    hubs.into_iter().zip(dists).collect()
 }
 
 /// Decodes a [`BitLabel`], *appending* its `(hub, distance)` entries to
@@ -48,7 +51,7 @@ pub fn decode_label(label: &BitLabel) -> HubLabel {
 /// sortedness). This is the allocation-free decode path: a caller
 /// assembling a [`hl_core::FlatLabeling`] arena decodes every label
 /// straight into the arena's backing vectors (or a reused scratch pair)
-/// without building a per-vertex [`HubLabel`].
+/// without a per-vertex allocation.
 pub fn decode_label_append(label: &BitLabel, hubs: &mut Vec<NodeId>, dists: &mut Vec<Distance>) {
     let mut r = BitReader::new(label.bits());
     let k = r.read_gamma0() as usize;
@@ -195,15 +198,19 @@ fn try_decode_label_inner(
 }
 
 /// Encodes a complete hub labeling.
-pub fn encode_labeling(labeling: &HubLabeling) -> Vec<BitLabel> {
+pub fn encode_labeling<L: LabelingView>(labeling: &L) -> Vec<BitLabel> {
     (0..labeling.num_nodes() as NodeId)
-        .map(|v| encode_label(labeling.label(v)))
+        .map(|v| encode_label(labeling.hubs_of(v), labeling.dists_of(v)))
         .collect()
 }
 
 /// Decodes the distance between two encoded labels (merge on hub ids).
 pub fn decode_distance(a: &BitLabel, b: &BitLabel) -> Distance {
-    decode_label(a).join(&decode_label(b))
+    let (mut hubs, mut dists) = (Vec::new(), Vec::new());
+    decode_label_append(a, &mut hubs, &mut dists);
+    let mid = hubs.len();
+    decode_label_append(b, &mut hubs, &mut dists);
+    merge_join(&hubs[..mid], &dists[..mid], &hubs[mid..], &dists[mid..])
 }
 
 /// A [`DistanceLabelingScheme`] built on PLL hub labels.
@@ -229,12 +236,12 @@ impl DistanceLabelingScheme for HubPllScheme {
 /// the caller wants a specific construction, e.g. the Theorem 4.1 one).
 #[derive(Debug, Clone)]
 pub struct PrecomputedHubScheme {
-    labeling: HubLabeling,
+    labeling: FlatLabeling,
 }
 
 impl PrecomputedHubScheme {
     /// Wraps an existing labeling.
-    pub fn new(labeling: HubLabeling) -> Self {
+    pub fn new(labeling: FlatLabeling) -> Self {
         PrecomputedHubScheme { labeling }
     }
 }
@@ -272,30 +279,32 @@ mod tests {
 
     #[test]
     fn label_roundtrip() {
-        let label = HubLabel::from_pairs(vec![(0, 0), (7, 3), (8, 12), (1000, 999)]);
-        let encoded = encode_label(&label);
-        assert_eq!(decode_label(&encoded), label);
+        let encoded = encode_label(&[0, 7, 8, 1000], &[0, 3, 12, 999]);
+        assert_eq!(
+            decode_label(&encoded),
+            vec![(0, 0), (7, 3), (8, 12), (1000, 999)]
+        );
     }
 
     #[test]
     fn empty_label_roundtrip() {
-        let label = HubLabel::new();
-        assert_eq!(decode_label(&encode_label(&label)), label);
+        assert_eq!(decode_label(&encode_label(&[], &[])), vec![]);
     }
 
     #[test]
     fn try_decode_accepts_everything_the_encoder_writes() {
-        for label in [
-            HubLabel::new(),
-            HubLabel::from_pairs(vec![(0, 0)]),
-            HubLabel::from_pairs(vec![(0, 0), (7, 3), (8, 12), (1000, 999)]),
-        ] {
-            let encoded = encode_label(&label);
+        let labels: [(&[NodeId], &[Distance]); 3] = [
+            (&[], &[]),
+            (&[0], &[0]),
+            (&[0, 7, 8, 1000], &[0, 3, 12, 999]),
+        ];
+        for (label_hubs, label_dists) in labels {
+            let encoded = encode_label(label_hubs, label_dists);
             let mut hubs = Vec::new();
             let mut dists = Vec::new();
             try_decode_label_append(BitReader::new(encoded.bits()), &mut hubs, &mut dists).unwrap();
-            assert_eq!(hubs, label.hubs());
-            assert_eq!(dists, label.distances());
+            assert_eq!(hubs, label_hubs);
+            assert_eq!(dists, label_dists);
         }
     }
 
@@ -336,7 +345,7 @@ mod tests {
         assert!(matches!(err, Err(LabelDecodeError::HubOverflow)));
 
         // A structurally valid label followed by leftover bits.
-        let encoded = encode_label(&HubLabel::from_pairs(vec![(3, 1)]));
+        let encoded = encode_label(&[3], &[1]);
         let mut bits = BitVec::new();
         for i in 0..encoded.bits().len() {
             bits.push(encoded.bits().get(i));
@@ -348,24 +357,24 @@ mod tests {
 
     #[test]
     fn append_decode_concatenates_sorted_entries() {
-        let a = HubLabel::from_pairs(vec![(0, 0), (7, 3), (1000, 999)]);
-        let b = HubLabel::from_pairs(vec![(2, 1), (5, 5)]);
         let mut hubs = Vec::new();
         let mut dists = Vec::new();
-        decode_label_append(&encode_label(&a), &mut hubs, &mut dists);
-        let a_end = hubs.len();
-        decode_label_append(&encode_label(&b), &mut hubs, &mut dists);
-        assert_eq!(&hubs[..a_end], a.hubs());
-        assert_eq!(&dists[..a_end], a.distances());
-        assert_eq!(&hubs[a_end..], b.hubs());
-        assert_eq!(&dists[a_end..], b.distances());
+        decode_label_append(
+            &encode_label(&[0, 7, 1000], &[0, 3, 999]),
+            &mut hubs,
+            &mut dists,
+        );
+        decode_label_append(&encode_label(&[2, 5], &[1, 5]), &mut hubs, &mut dists);
+        assert_eq!(hubs, [0, 7, 1000, 2, 5]);
+        assert_eq!(dists, [0, 3, 999, 1, 5]);
     }
 
     #[test]
     fn distance_decoding_matches_join() {
-        let a = HubLabel::from_pairs(vec![(1, 4), (5, 2)]);
-        let b = HubLabel::from_pairs(vec![(2, 1), (5, 5)]);
-        let (ea, eb) = (encode_label(&a), encode_label(&b));
+        let (ea, eb) = (
+            encode_label(&[1, 5], &[4, 2]),
+            encode_label(&[2, 5], &[1, 5]),
+        );
         assert_eq!(decode_distance(&ea, &eb), 7);
     }
 
@@ -394,7 +403,7 @@ mod tests {
     #[test]
     fn precomputed_scheme_rejects_size_mismatch() {
         let g = generators::path(5);
-        let labeling = HubLabeling::empty(3);
+        let labeling = FlatLabeling::from_pair_lists(vec![Vec::new(); 3]);
         assert!(PrecomputedHubScheme::new(labeling).encode(&g).is_err());
     }
 

@@ -2,7 +2,7 @@
 //! driven by seeded [`Xorshift64`] streams (offline-friendly stand-in for
 //! the original `proptest` strategies).
 
-use hl_core::label::HubLabel;
+use hl_core::FlatLabeling;
 use hl_graph::rng::Xorshift64;
 use hl_labeling::bits::{BitReader, BitWriter};
 use hl_labeling::hub_scheme::{decode_label, encode_label};
@@ -86,6 +86,16 @@ fn mixed_codes_roundtrip() {
     }
 }
 
+/// One label in canonical form — sorted, a repeated hub keeping its
+/// minimum — as vertex 0 of a one-vertex arena.
+fn label(pairs: Vec<(u32, u64)>) -> FlatLabeling {
+    FlatLabeling::from_pair_lists(vec![pairs])
+}
+
+fn encode(label: &FlatLabeling) -> hl_labeling::BitLabel {
+    encode_label(label.hubs_of(0), label.dists_of(0))
+}
+
 #[test]
 fn hub_label_roundtrip() {
     for case in 0..CASES {
@@ -94,9 +104,9 @@ fn hub_label_roundtrip() {
         let pairs: Vec<(u32, u64)> = (0..count)
             .map(|_| (rng.gen_index(10_000) as u32, rng.gen_u64_below(1 << 30)))
             .collect();
-        let label = HubLabel::from_pairs(pairs);
-        let decoded = decode_label(&encode_label(&label));
-        assert_eq!(decoded, label);
+        let label = label(pairs);
+        let decoded = decode_label(&encode(&label));
+        assert_eq!(decoded, label.pairs_of(0).collect::<Vec<_>>());
     }
 }
 
@@ -106,8 +116,8 @@ fn encoding_size_monotone_in_hub_count() {
         // More hubs never encode smaller (ids are increasing).
         let small: Vec<(u32, u64)> = (0..k as u32).map(|i| (i, i as u64)).collect();
         let large: Vec<(u32, u64)> = (0..k as u32 + 1).map(|i| (i, i as u64)).collect();
-        let a = encode_label(&HubLabel::from_pairs(small)).num_bits();
-        let b = encode_label(&HubLabel::from_pairs(large)).num_bits();
+        let a = encode(&label(small)).num_bits();
+        let b = encode(&label(large)).num_bits();
         assert!(b >= a);
     }
 }
@@ -122,11 +132,12 @@ fn compact_roundtrip_arbitrary() {
             .map(|_| (rng.gen_index(5_000) as u32, rng.gen_u64_below(100_000)))
             .collect();
         let near = rng.gen_range_u64(1, 64);
-        let label = HubLabel::from_pairs(pairs);
-        let max_d = label.distances().iter().copied().max().unwrap_or(0);
+        let label = label(pairs);
+        let (hubs, dists) = (label.hubs_of(0), label.dists_of(0));
+        let max_d = dists.iter().copied().max().unwrap_or(0);
         let params = CompactParams::new(5_000, max_d, near);
-        let decoded = decode_compact(&encode_compact(&label, &params), &params);
-        assert_eq!(decoded, label);
+        let decoded = decode_compact(&encode_compact(hubs, dists, &params), &params);
+        assert_eq!(decoded, label.pairs_of(0).collect::<Vec<_>>());
     }
 }
 
@@ -139,11 +150,12 @@ fn compact_never_beaten_by_gamma_by_more_than_tag() {
         let pairs: Vec<(u32, u64)> = (0..count)
             .map(|_| (rng.gen_index(2_000) as u32, rng.gen_u64_below(10_000)))
             .collect();
-        let label = HubLabel::from_pairs(pairs);
-        let max_d = label.distances().iter().copied().max().unwrap_or(0);
+        let label = label(pairs);
+        let (hubs, dists) = (label.hubs_of(0), label.dists_of(0));
+        let max_d = dists.iter().copied().max().unwrap_or(0);
         let params = CompactParams::new(2_000, max_d, 8);
-        let compact = encode_compact(&label, &params).num_bits();
-        let gamma = encode_label(&label).num_bits();
+        let compact = encode_compact(hubs, dists, &params).num_bits();
+        let gamma = encode(&label).num_bits();
         assert!(compact <= gamma + 2);
     }
 }

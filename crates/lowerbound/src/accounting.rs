@@ -12,7 +12,7 @@
 use hl_graph::sptree::ShortestPathTree;
 use hl_graph::{Graph, NodeId};
 
-use hl_core::label::HubLabeling;
+use hl_core::LabelingView;
 
 use crate::hgraph::HGraph;
 
@@ -69,8 +69,10 @@ impl AccountingReport {
 /// Builds one canonical shortest-path tree per distinct endpoint (sources
 /// and targets), closes each endpoint's hubset under ancestors, and counts
 /// the midpoint charges. Works for labelings of `H_{b,ℓ}` (pass
-/// [`h_triples`]) and of `G_{b,ℓ}` (pass core-mapped triples).
-pub fn audit(graph: &Graph, labeling: &HubLabeling, triples: &[Triple]) -> AccountingReport {
+/// [`h_triples`]) and of `G_{b,ℓ}` (pass core-mapped triples), in
+/// whatever form lends its hub slices — built in memory, mounted from a
+/// store, or fetched from a daemon.
+pub fn audit<L: LabelingView>(graph: &Graph, labeling: &L, triples: &[Triple]) -> AccountingReport {
     use std::collections::HashMap;
     let mut closures: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
     let mut endpoints: Vec<NodeId> = Vec::new();
@@ -82,7 +84,7 @@ pub fn audit(graph: &Graph, labeling: &HubLabeling, triples: &[Triple]) -> Accou
     endpoints.dedup();
     for &e in &endpoints {
         let tree = ShortestPathTree::build(graph, e);
-        closures.insert(e, tree.ancestor_closure(labeling.label(e).hubs()));
+        closures.insert(e, tree.ancestor_closure(labeling.hubs_of(e)));
     }
     let contains = |v: NodeId, x: NodeId| closures[&v].binary_search(&x).is_ok();
     let charged = triples
@@ -99,12 +101,16 @@ pub fn audit(graph: &Graph, labeling: &HubLabeling, triples: &[Triple]) -> Accou
 }
 
 /// Audits a labeling of `H_{b,ℓ}` directly.
-pub fn audit_h(h: &HGraph, labeling: &HubLabeling) -> AccountingReport {
+pub fn audit_h<L: LabelingView>(h: &HGraph, labeling: &L) -> AccountingReport {
     audit(h.graph(), labeling, &h_triples(h))
 }
 
 /// Audits a labeling of `G_{b,ℓ}`, mapping the triples through cores.
-pub fn audit_g(h: &HGraph, g: &crate::ggraph::GGraph, labeling: &HubLabeling) -> AccountingReport {
+pub fn audit_g<L: LabelingView>(
+    h: &HGraph,
+    g: &crate::ggraph::GGraph,
+    labeling: &L,
+) -> AccountingReport {
     let triples: Vec<Triple> = h_triples(h)
         .into_iter()
         .map(|(u, m, z)| (g.core(u), g.core(m), g.core(z)))
@@ -118,6 +124,7 @@ mod tests {
     use crate::ggraph::GGraph;
     use crate::params::GadgetParams;
     use hl_core::pll::PrunedLandmarkLabeling;
+    use hl_core::FlatLabeling;
 
     #[test]
     fn triples_are_distinct_and_counted() {
@@ -158,7 +165,7 @@ mod tests {
     fn broken_labeling_fails_audit() {
         // An empty labeling charges nothing (it is not a cover).
         let h = HGraph::build(GadgetParams::new(1, 1).unwrap());
-        let empty = HubLabeling::empty(h.graph().num_nodes());
+        let empty = FlatLabeling::from_pair_lists(vec![Vec::new(); h.graph().num_nodes()]);
         let report = audit_h(&h, &empty);
         assert!(!report.all_charged());
         assert_eq!(report.charged, 0);

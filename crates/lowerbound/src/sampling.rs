@@ -5,7 +5,7 @@
 use hl_graph::rng::Xorshift64;
 use hl_graph::NodeId;
 
-use hl_core::label::HubLabeling;
+use hl_core::LabelingView;
 
 use crate::accounting::{audit, AccountingReport, Triple};
 use crate::hgraph::HGraph;
@@ -44,9 +44,9 @@ pub fn check_sampled_pairs(h: &HGraph, count: usize, seed: u64) -> Vec<MidpointC
 }
 
 /// Runs the counting audit on `count` sampled triples.
-pub fn audit_sampled(
+pub fn audit_sampled<L: LabelingView>(
     h: &HGraph,
-    labeling: &HubLabeling,
+    labeling: &L,
     count: usize,
     seed: u64,
 ) -> AccountingReport {

@@ -352,7 +352,6 @@ fn short_mux_frames_answer_malformed_with_best_effort_id() {
 /// epoch served it — must equal BFS truth: zero wrong, zero failed.
 #[test]
 fn reload_mid_mux_swaps_epochs_with_zero_wrong_answers() {
-    use hl_core::FlatLabeling;
     use hl_server::FlatStore;
 
     let g = generators::grid(6, 6);
@@ -362,7 +361,7 @@ fn reload_mid_mux_swaps_epochs_with_zero_wrong_answers() {
             .map(|u| bfs::bfs_distances(&g, u))
             .collect(),
     );
-    let flat = FlatLabeling::from(PrunedLandmarkLabeling::by_degree(&g).into_labeling());
+    let flat = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
 
     let mut paths = Vec::new();
     for tag in ["a", "b"] {

@@ -437,7 +437,6 @@ fn remote_reload_can_be_disabled() {
 
 #[test]
 fn reload_swaps_store_updates_hello_and_survives_bad_paths() {
-    use hl_core::FlatLabeling;
     use hl_net::{ClientConfig, NetClient, NetError};
     use hl_server::FlatStore;
 
@@ -461,7 +460,7 @@ fn reload_swaps_store_updates_hello_and_survives_bad_paths() {
 
     // A v2 store of a *different* graph, staged on disk for the daemon.
     let g2 = generators::grid(6, 6);
-    let f2 = FlatLabeling::from(PrunedLandmarkLabeling::by_degree(&g2).into_labeling());
+    let f2 = PrunedLandmarkLabeling::by_degree(&g2).into_labeling();
     let mut path = std::env::temp_dir();
     path.push(format!("hlnet-proto-reload-{}.hlbs", std::process::id()));
     FlatStore::from_flat(f2.clone()).save(&path).expect("save");
@@ -499,12 +498,10 @@ fn reload_swaps_store_updates_hello_and_survives_bad_paths() {
 
 #[test]
 fn label_fetches_match_the_served_labeling() {
-    use hl_core::FlatLabeling;
     use hl_net::{ClientConfig, NetClient, NetError};
 
     let g = generators::grid(5, 5);
-    let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-    let flat = FlatLabeling::from_labeling(&hl);
+    let flat = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
     let server = TestServer::start(); // serves the same 5x5 labeling
 
     let mut client = NetClient::connect(server.addr, ClientConfig::default()).expect("connect");

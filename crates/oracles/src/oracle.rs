@@ -3,7 +3,7 @@
 use hl_graph::dijkstra::{bidirectional_distance, dijkstra_distance_between};
 use hl_graph::{Distance, Graph, NodeId};
 
-use hl_core::{HubLabeling, LabelingView};
+use hl_core::FlatLabeling;
 
 use crate::alt::AltOracle;
 use crate::ch::ContractionHierarchy;
@@ -84,17 +84,13 @@ impl DistanceOracle for ContractionHierarchy {
 
 /// A hub labeling used as an oracle (the `S = O(n·|S_v|)`, `T = O(|S_v|)`
 /// point of the curve — the subject of the paper).
-///
-/// Generic over the label representation: wrap the nested
-/// [`HubLabeling`] straight out of a construction, or the flat arena
-/// [`hl_core::FlatLabeling`] the serving stack queries.
 #[derive(Debug, Clone)]
-pub struct HubLabelOracle<L = HubLabeling> {
+pub struct HubLabelOracle {
     /// The labeling answering the queries.
-    pub labeling: L,
+    pub labeling: FlatLabeling,
 }
 
-impl<L: LabelingView> DistanceOracle for HubLabelOracle<L> {
+impl DistanceOracle for HubLabelOracle {
     fn name(&self) -> &'static str {
         "hub-labels"
     }
@@ -137,14 +133,11 @@ mod tests {
         let alt = AltOracle::with_farthest_landmarks(&g, 4);
         let ch = ContractionHierarchy::build(&g);
         let labeling = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-        let flat = HubLabelOracle {
-            labeling: hl_core::FlatLabeling::from_labeling(&labeling),
-        };
         let hub = HubLabelOracle { labeling };
         let queries: Vec<(NodeId, NodeId)> = (0..49)
             .flat_map(|u| [(u, (u * 3) % 49), (u, 48 - u)])
             .collect();
-        let oracles: [&dyn DistanceOracle; 6] = [&dij, &bi, &alt, &ch, &hub, &flat];
+        let oracles: [&dyn DistanceOracle; 5] = [&dij, &bi, &alt, &ch, &hub];
         assert_eq!(cross_check(&oracles, &queries), None);
     }
 

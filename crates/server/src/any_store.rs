@@ -148,20 +148,17 @@ mod tests {
     use crate::store::LabelStore;
     use crate::store_v2::{CompactStore, FlatStore};
     use hl_core::pll::PrunedLandmarkLabeling;
-    use hl_core::HubLabeling;
     use hl_graph::generators;
 
-    fn sample() -> (HubLabeling, FlatLabeling) {
+    fn sample() -> FlatLabeling {
         let g = generators::connected_gnm(60, 60, 5);
-        let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-        let flat = FlatLabeling::from_labeling(&hl);
-        (hl, flat)
+        PrunedLandmarkLabeling::by_degree(&g).into_labeling()
     }
 
     #[test]
     fn dispatches_both_versions() {
-        let (hl, flat) = sample();
-        let encoder = LabelStore::from_labeling(&hl);
+        let flat = sample();
+        let encoder = LabelStore::from_flat(&flat);
         let mut v1_bytes = Vec::new();
         encoder.write_to(&mut v1_bytes).unwrap();
         let v2_bytes = FlatStore::from_flat(flat.clone()).encode();
@@ -185,7 +182,7 @@ mod tests {
 
     #[test]
     fn dispatches_compact_flavor() {
-        let (_, flat) = sample();
+        let flat = sample();
         let compact = hl_core::CompactLabeling::from_flat(&flat).unwrap();
         let bytes = CompactStore::from_compact(compact.clone()).encode();
         let any = AnyStore::parse(&bytes).unwrap();
@@ -214,17 +211,18 @@ mod tests {
         // These constants were captured from the writers as of PR 12
         // (before the v2 codec was unified): a change to any of them
         // means stores already on disk no longer mean what they meant.
-        let (hl, flat) = sample();
+        let flat = sample();
         let compact = hl_core::CompactLabeling::from_flat(&flat).unwrap();
         let mut v1 = Vec::new();
-        LabelStore::from_labeling(&hl).write_to(&mut v1).unwrap();
+        LabelStore::from_flat(&flat).write_to(&mut v1).unwrap();
         let v2 = FlatStore::from_flat(flat).encode();
         let v2c = CompactStore::from_compact(compact).encode();
         // Both width bits set: a hub gap and a distance past u16::MAX.
-        let mut wide = HubLabeling::empty(70_001);
-        *wide.label_mut(0) = hl_core::HubLabel::from_pairs(vec![(0, 0), (70_000, 1 << 20)]);
-        *wide.label_mut(70_000) = hl_core::HubLabel::from_pairs(vec![(70_000, 0)]);
-        let wide = hl_core::CompactLabeling::from_flat(&FlatLabeling::from(wide)).unwrap();
+        let mut wide = vec![Vec::new(); 70_001];
+        wide[0] = vec![(0, 0), (70_000, 1 << 20)];
+        wide[70_000] = vec![(70_000, 0)];
+        let wide =
+            hl_core::CompactLabeling::from_flat(&FlatLabeling::from_pair_lists(wide)).unwrap();
         let v2c_wide = CompactStore::from_compact(wide).encode();
         for (name, bytes, len, fnv) in [
             ("v1", &v1, 1301, 0x7f72_8bb0_7a30_8911_u64),
@@ -239,9 +237,10 @@ mod tests {
 
     #[test]
     fn unknown_version_rejected() {
-        let (hl, _) = sample();
         let mut bytes = Vec::new();
-        LabelStore::from_labeling(&hl).write_to(&mut bytes).unwrap();
+        LabelStore::from_flat(&sample())
+            .write_to(&mut bytes)
+            .unwrap();
         bytes[4] = 77;
         assert!(matches!(
             AnyStore::parse(&bytes),
@@ -259,8 +258,7 @@ mod tests {
             store::format_version(b"NOPE0000"),
             Err(StoreError::BadMagic(_))
         ));
-        let (_, flat) = sample();
-        let bytes = FlatStore::from_flat(flat).encode();
+        let bytes = FlatStore::from_flat(sample()).encode();
         assert_eq!(store::format_version(&bytes).unwrap(), 2);
     }
 
@@ -269,9 +267,8 @@ mod tests {
         // The convert round-trip contract: γ-encoding is a canonical
         // function of the labeling, so decoding v1 to the arena and
         // re-encoding reproduces the original file exactly.
-        let (hl, _) = sample();
         let mut v1_bytes = Vec::new();
-        LabelStore::from_labeling(&hl)
+        LabelStore::from_flat(&sample())
             .write_to(&mut v1_bytes)
             .unwrap();
 

@@ -9,9 +9,7 @@
 //! with one brief read-lock clone and then runs lock-free against that
 //! generation. [`QueryEngine::reload`] swaps in a new epoch atomically —
 //! in-flight queries finish on the old one, which is freed when its last
-//! snapshot drops. Construction-time code hands the engine a nested
-//! [`hl_core::HubLabeling`] if that is what it has; the engine flattens
-//! it once at startup.
+//! snapshot drops.
 //!
 //! The engine owns no threads. Two paths:
 //!
@@ -141,10 +139,8 @@ pub struct QueryEngine {
 impl QueryEngine {
     /// An engine of width `num_workers` (at least one) over an
     /// already-decoded labeling. Accepts either query-time arena (the flat
-    /// CSR or the compact form) or anything convertible into one — a
-    /// nested [`hl_core::HubLabeling`] is flattened once, here. Starts no
-    /// thread and cannot fail; the `Result` is the signature every caller
-    /// already handles.
+    /// CSR or the compact form). Starts no thread and cannot fail; the
+    /// `Result` is the signature every caller already handles.
     pub fn new(
         labeling: impl Into<ServedLabeling>,
         num_workers: usize,

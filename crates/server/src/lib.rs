@@ -16,9 +16,8 @@
 //!   the size facts `hubserve stats` prints.
 //! - [`engine`]: [`engine::QueryEngine`], a shared read-only
 //!   [`ServedLabeling`] arena behind a reloadable epoch cell — a store
-//!   decodes straight into it and the serving path never touches the
-//!   nested per-vertex representation. Queries run on the caller's
-//!   threads; single queries go through a sharded LRU cache.
+//!   decodes straight into it. Queries run on the caller's threads;
+//!   single queries go through a sharded LRU cache.
 //! - [`cache`]: the [`cache::ShardedLruCache`] used by the engine.
 //! - [`metrics`]: atomic counters and a latency histogram with
 //!   p50/p95/p99 snapshots ([`metrics::Metrics`]).

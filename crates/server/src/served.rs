@@ -6,10 +6,10 @@
 //! decodes hub deltas on the fly, so it cannot implement the slice-based
 //! [`hl_core::LabelingView`]. This enum is the serving-layer seam: one
 //! dispatch at the epoch boundary, monomorphized query loops underneath,
-//! and every construction path (`impl Into<ServedLabeling>`) keeps
-//! accepting the nested [`HubLabeling`] and the flat arena unchanged.
+//! and every construction path (`impl Into<ServedLabeling>`) accepts
+//! either arena.
 
-use hl_core::{CompactLabeling, FlatLabeling, HubLabeling};
+use hl_core::{CompactLabeling, FlatLabeling};
 use hl_graph::{Distance, NodeId};
 
 /// One of the two query-time arenas, behind a single mountable type.
@@ -133,18 +133,6 @@ impl From<CompactLabeling> for ServedLabeling {
     }
 }
 
-impl From<HubLabeling> for ServedLabeling {
-    fn from(l: HubLabeling) -> Self {
-        ServedLabeling::Flat(FlatLabeling::from(l))
-    }
-}
-
-impl From<&HubLabeling> for ServedLabeling {
-    fn from(l: &HubLabeling) -> Self {
-        ServedLabeling::Flat(FlatLabeling::from(l))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,8 +142,7 @@ mod tests {
     #[test]
     fn both_arenas_agree_through_the_seam() {
         let g = generators::grid(5, 5);
-        let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-        let flat = FlatLabeling::from(&hl);
+        let flat = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
         let compact = CompactLabeling::from_flat(&flat).unwrap();
         let served_f = ServedLabeling::from(flat.clone());
         let served_c = ServedLabeling::from(compact);
@@ -174,8 +161,8 @@ mod tests {
             }
             assert_eq!(served_f.label_of(u), served_c.label_of(u));
         }
-        // Nested input mounts as flat; into_flat round-trips both.
-        assert_eq!(ServedLabeling::from(hl).into_flat(), flat);
+        // into_flat round-trips both.
+        assert_eq!(served_f.into_flat(), flat);
         assert_eq!(served_c.into_flat(), flat);
     }
 }

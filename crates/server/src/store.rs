@@ -1,8 +1,6 @@
 //! HLBS version 1 — the γ-coded archival encoding of a hub labeling.
 //!
-//! The text format of `hl_core::io` is convenient for experiments but slow
-//! and bulky to keep around. Version 1 stores each vertex label in the
-//! Elias-γ encoding of `hl_labeling::hub_scheme` — the same codec whose
+//! Version 1 stores each vertex label in the Elias-γ encoding of `hl_labeling::hub_scheme` — the same codec whose
 //! bit counts the paper's bounds are stated in — behind an offset table.
 //! It is a codec, not a container: [`LabelStore`] encodes a labeling into
 //! the format and [`decode`] turns a serialized image back into the
@@ -37,7 +35,7 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 
-use hl_core::{FlatLabeling, HubLabel, LabelingView};
+use hl_core::{FlatLabeling, LabelingView};
 use hl_graph::NodeId;
 use hl_labeling::bits::BitReader;
 use hl_labeling::hub_scheme::{encode_label, try_decode_label_append};
@@ -173,11 +171,10 @@ pub struct LabelStore {
 }
 
 impl LabelStore {
-    /// Encodes a labeling — nested or flat — into store form (in memory),
-    /// γ-coding one vertex at a time from the view's slices, so the flat
-    /// arena encodes without a nested [`hl_core::HubLabeling`] being materialized. The
-    /// encoding is canonical (a deterministic function of the labeling),
-    /// which is what makes v1 → v2 → v1 byte-identical.
+    /// Encodes a labeling into store form (in memory), γ-coding one
+    /// vertex at a time straight from the view's slices. The encoding is
+    /// canonical (a deterministic function of the labeling), which is
+    /// what makes v1 → v2 → v1 byte-identical.
     pub fn from_labeling<L: LabelingView>(labeling: &L) -> Self {
         let n = labeling.num_nodes();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -185,9 +182,7 @@ impl LabelStore {
         let mut blob = Vec::new();
         offsets.push(0u64);
         for v in 0..n as NodeId {
-            let (hubs, dists) = (labeling.hubs_of(v), labeling.dists_of(v));
-            let label: HubLabel = hubs.iter().copied().zip(dists.iter().copied()).collect();
-            let bits = encode_label(&label);
+            let bits = encode_label(labeling.hubs_of(v), labeling.dists_of(v));
             blob.extend_from_slice(bits.bits().as_bytes());
             bit_lens.push(bits.num_bits() as u32);
             offsets.push(blob.len() as u64);
@@ -417,16 +412,15 @@ pub fn decode(bytes: &[u8]) -> Result<(FlatLabeling, u64), StoreError> {
 mod tests {
     use super::*;
     use hl_core::pll::PrunedLandmarkLabeling;
-    use hl_core::HubLabeling;
     use hl_graph::generators;
 
-    fn encode(hl: &HubLabeling) -> Vec<u8> {
+    fn encode(hl: &FlatLabeling) -> Vec<u8> {
         let mut buf = Vec::new();
         LabelStore::from_labeling(hl).write_to(&mut buf).unwrap();
         buf
     }
 
-    fn sample() -> (HubLabeling, Vec<u8>) {
+    fn sample() -> (FlatLabeling, Vec<u8>) {
         let g = generators::grid(5, 6);
         let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
         let buf = encode(&hl);
@@ -446,7 +440,7 @@ mod tests {
         let store = LabelStore::from_labeling(&hl);
         assert_eq!(buf.len(), store.file_len());
         let (flat, total_bits) = decode(&buf).unwrap();
-        assert_eq!(flat, FlatLabeling::from_labeling(&hl));
+        assert_eq!(flat, hl);
         assert_eq!(flat.num_entries(), hl.total_hubs());
         assert_eq!(total_bits, store.total_bits());
         let sections = store.section_bytes();
@@ -578,10 +572,10 @@ mod tests {
         // store's own node count: a query against it would index out of
         // the label universe. Must be Corrupt, not a wrong answer.
         let labels = vec![
-            HubLabel::from_pairs(vec![(0, 0)]),
-            HubLabel::from_pairs(vec![(0, 1), (9, 0)]), // hub 9 in a 2-node store
+            vec![(0, 0)],
+            vec![(0, 1), (9, 0)], // hub 9 in a 2-node store
         ];
-        let err = decode(&encode(&HubLabeling::from_labels(labels))).unwrap_err();
+        let err = decode(&encode(&FlatLabeling::from_pair_lists(labels))).unwrap_err();
         assert!(
             matches!(err, StoreError::Corrupt(ref m) if m.contains("hub 9 out of range")),
             "{err:?}"
@@ -618,7 +612,7 @@ mod tests {
 
     #[test]
     fn empty_labeling_roundtrips() {
-        let (flat, total_bits) = decode(&encode(&HubLabeling::empty(0))).unwrap();
+        let (flat, total_bits) = decode(&encode(&FlatLabeling::new())).unwrap();
         assert_eq!(flat.num_nodes(), 0);
         assert_eq!(total_bits, 0);
     }

@@ -694,8 +694,7 @@ mod tests {
 
     fn sample_flat() -> FlatLabeling {
         let g = generators::grid(5, 6);
-        let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-        FlatLabeling::from_labeling(&hl)
+        PrunedLandmarkLabeling::by_degree(&g).into_labeling()
     }
 
     fn refresh_table_checksum(buf: &mut [u8]) {
@@ -976,11 +975,11 @@ mod tests {
     fn compact_flag_word_tracks_lane_widths() {
         let narrow = CompactStore::from_compact(sample_compact());
         assert_eq!(narrow.flags(), FLAG_COMPACT);
-        let mut wide_hl = hl_core::HubLabeling::empty(200_000);
-        *wide_hl.label_mut(0) = hl_core::HubLabel::from_pairs(vec![(0, 0), (70_000, 1 << 20)]);
-        *wide_hl.label_mut(70_000) = hl_core::HubLabel::from_pairs(vec![(70_000, 0)]);
+        let mut wide_hl = vec![Vec::new(); 200_000];
+        wide_hl[0] = vec![(0, 0), (70_000, 1 << 20)];
+        wide_hl[70_000] = vec![(70_000, 0)];
         let wide = CompactStore::from_compact(
-            CompactLabeling::from_flat(&FlatLabeling::from(wide_hl)).unwrap(),
+            CompactLabeling::from_flat(&FlatLabeling::from_pair_lists(wide_hl)).unwrap(),
         );
         assert_eq!(
             wide.flags(),

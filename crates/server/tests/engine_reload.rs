@@ -17,8 +17,8 @@ use hl_server::QueryEngine;
 fn two_stores() -> (FlatLabeling, FlatLabeling) {
     let g1 = generators::grid(8, 8);
     let g2 = generators::connected_gnm(64, 80, 42);
-    let f1 = FlatLabeling::from(PrunedLandmarkLabeling::by_degree(&g1).into_labeling());
-    let f2 = FlatLabeling::from(PrunedLandmarkLabeling::by_degree(&g2).into_labeling());
+    let f1 = PrunedLandmarkLabeling::by_degree(&g1).into_labeling();
+    let f2 = PrunedLandmarkLabeling::by_degree(&g2).into_labeling();
     (f1, f2)
 }
 
@@ -140,12 +140,8 @@ fn reload_replaces_answers_and_clears_cache() {
 
 #[test]
 fn reload_can_change_node_count() {
-    let small = FlatLabeling::from(
-        PrunedLandmarkLabeling::by_degree(&generators::grid(3, 3)).into_labeling(),
-    );
-    let big = FlatLabeling::from(
-        PrunedLandmarkLabeling::by_degree(&generators::grid(10, 10)).into_labeling(),
-    );
+    let small = PrunedLandmarkLabeling::by_degree(&generators::grid(3, 3)).into_labeling();
+    let big = PrunedLandmarkLabeling::by_degree(&generators::grid(10, 10)).into_labeling();
     let engine = QueryEngine::new(small, 2).expect("engine");
     assert_eq!(engine.num_nodes(), 9);
     assert!(engine.query(0, 50).is_err());

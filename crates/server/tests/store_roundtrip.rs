@@ -4,7 +4,7 @@
 //! produce a typed error, never a wrong distance.
 
 use hl_core::pll::PrunedLandmarkLabeling;
-use hl_core::{FlatLabeling, HubLabeling};
+use hl_core::FlatLabeling;
 use hl_graph::dijkstra::dijkstra_distances;
 use hl_graph::rng::Xorshift64;
 use hl_graph::{generators, Graph, NodeId};
@@ -12,7 +12,7 @@ use hl_lowerbound::{GadgetParams, HGraph};
 use hl_server::{AnyStore, LabelStore, StoreError};
 
 /// Degree-order PLL labels of `g` and their serialized v1 image.
-fn encoded(g: &Graph) -> (HubLabeling, Vec<u8>) {
+fn encoded(g: &Graph) -> (FlatLabeling, Vec<u8>) {
     let hl = PrunedLandmarkLabeling::by_degree(g).into_labeling();
     let mut buf = Vec::new();
     LabelStore::from_labeling(&hl).write_to(&mut buf).unwrap();
@@ -54,11 +54,7 @@ fn roundtrip_reproduces_labeling_exactly() {
     for (name, g) in families() {
         let (hl, buf) = encoded(&g);
         let decoded = AnyStore::parse(&buf).unwrap().into_flat().unwrap();
-        assert_eq!(
-            decoded,
-            FlatLabeling::from(hl),
-            "{name}: decode(encode(labeling)) != labeling"
-        );
+        assert_eq!(decoded, hl, "{name}: decode(encode(labeling)) != labeling");
     }
 }
 
@@ -84,7 +80,7 @@ fn file_roundtrip_via_disk() {
     assert_eq!(back.file_len(), store.file_len() as u64);
     assert_eq!(back.section_bytes(), store.section_bytes());
     assert_eq!(back.label_bits(), store.total_bits());
-    assert_eq!(back.into_flat().unwrap(), FlatLabeling::from(hl));
+    assert_eq!(back.into_flat().unwrap(), hl);
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -104,8 +100,7 @@ fn every_truncation_errors_never_misanswers() {
 
 #[test]
 fn random_single_byte_corruption_is_caught() {
-    let (hl, clean) = encoded(&generators::grid(5, 5));
-    let flat = FlatLabeling::from(hl);
+    let (flat, clean) = encoded(&generators::grid(5, 5));
 
     let mut rng = Xorshift64::seed_from_u64(0xC0FFEE);
     for _ in 0..200 {

@@ -74,7 +74,7 @@ mod tests {
 
     fn sample() -> FlatLabeling {
         let g = generators::connected_gnm(50, 70, 11);
-        FlatLabeling::from(PrunedLandmarkLabeling::by_degree(&g).into_labeling())
+        PrunedLandmarkLabeling::by_degree(&g).into_labeling()
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl Drop for Fleet {
 }
 
 fn flatten(g: &Graph) -> FlatLabeling {
-    FlatLabeling::from(PrunedLandmarkLabeling::by_degree(g).into_labeling())
+    PrunedLandmarkLabeling::by_degree(g).into_labeling()
 }
 
 /// Partitions `g`'s labeling `k` ways, serves it, and checks every pair

@@ -19,8 +19,6 @@ use hl_labeling::scheme::{BitLabel, SchemeStats};
 use hl_lowerbound::removal::decode_midpoint_presence;
 use hl_lowerbound::{GGraph, GadgetParams, HGraph};
 
-use hl_core::label::HubLabel;
-
 use crate::problem::SumIndexInstance;
 use crate::repr::Repr;
 
@@ -69,26 +67,24 @@ impl GPrimeProtocol {
         let max_degree = g_pruned.max_degree();
 
         // Middle hubs: all middle cores, surviving or not (unreachable ones
-        // simply drop out of the labels).
-        let middle_cores: Vec<NodeId> = h
+        // simply drop out of the labels), in the increasing id order a
+        // label lists its hubs in.
+        let mut middle_cores: Vec<NodeId> = h
             .all_vectors()
             .map(|y| g.core(h.node_id(ell, &y)))
             .collect();
+        middle_cores.sort_unstable();
 
         let label_of = |v: NodeId| -> BitLabel {
             let dist = bfs_distances(&g_pruned, v);
-            let pairs: Vec<(NodeId, u64)> = middle_cores
+            let (hubs, dists): (Vec<NodeId>, Vec<u64>) = middle_cores
                 .iter()
                 .filter_map(|&c| {
                     let d = dist[c as usize];
-                    if d == INFINITY {
-                        None
-                    } else {
-                        Some((c, d))
-                    }
+                    (d != INFINITY).then_some((c, d))
                 })
-                .collect();
-            encode_label(&HubLabel::from_pairs(pairs))
+                .unzip();
+            encode_label(&hubs, &dists)
         };
 
         let mut alice_labels = Vec::with_capacity(m as usize);

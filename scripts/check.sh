@@ -78,6 +78,26 @@ if grep -nwE 'rbuf|pending|inflight|frame_started|write_stalled|close_after_flus
   exit 1
 fi
 
+echo "== one label representation (no nested type, no text label format) =="
+# A labeling is the FlatLabeling arena, read through LabelingView; the
+# per-vertex types and hl_core::io stay deleted.
+if grep -rnE 'HubLabeling|\bHubLabel\b|core::io' crates src tests examples; then
+  echo "check: FAIL — the nested label types / text label format are back" >&2
+  exit 1
+fi
+
+echo "== docs/THEOREM_MAP.md cites files that exist =="
+# The character class admits no shell syntax but the `{a,b}.rs` lists the
+# map uses, which `eval echo` expands.
+for cited in $(grep -oE 'crates/[A-Za-z0-9_./{},-]+' docs/THEOREM_MAP.md | sort -u); do
+  for path in $(eval echo "$cited"); do
+    if [ ! -e "$path" ]; then
+      echo "check: FAIL — docs/THEOREM_MAP.md cites missing $path" >&2
+      exit 1
+    fi
+  done
+done
+
 echo "== cargo doc (no-deps, warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

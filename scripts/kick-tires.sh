@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Offline end-to-end smoke test of the serving pipeline:
 #   hubtool gen       -> plain-text graph
-#   hubtool build     -> text labeling  (ground-truth path)
-#   hubtool verify    -> labels are exact against the graph
-#   hubserve build    -> binary label store
+#   hubtool build     -> v2 label store (ground-truth path: sequential PLL)
+#   hubtool verify    -> its labels are exact against the graph
+#   hubserve build    -> binary label store (parallel builder)
 #   hubserve stats    -> store reports the flat arena it decodes into
-#   hubserve query    -> answers from the store
-#   diff              -> store answers == ground-truth label answers
+#   hubserve query    -> answers from either store
+#   diff              -> served answers == ground-truth label answers
 #   hubserve serve    -> TCP daemon on an ephemeral loopback port
 #   hubserve convert  -> v1 store migrated to v2, round-trip verified
 #   hubserve reload   -> live daemon hot-swaps onto the v2 store; a
@@ -16,6 +16,8 @@
 #   hl-shard query    -> the live daemon as a one-shard fleet over the
 #                        protocol-v2 multiplexed client; its answers must
 #                        equal the ground truth line for line
+#   hubtool gen h:2,3 -> the paper's hard instance, built by hubtool,
+#                        verified, and answered by a second daemon
 # Graceful exit 0 on a Shutdown frame is pinned by crates/net/tests/e2e.rs;
 # throughput and latency are measured by benchmark/, not here.
 # Exits nonzero on the first mismatch or failure.
@@ -36,19 +38,38 @@ HUBTOOL=target/release/hubtool
 HUBSERVE=target/release/hubserve
 HLSHARD=target/release/hl-shard
 TMP=$(mktemp -d)
-SERVE_PID=""
+SERVE_PIDS=()
 cleanup() {
-  [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true
+  [ ${#SERVE_PIDS[@]} -gt 0 ] && kill "${SERVE_PIDS[@]}" 2>/dev/null || true
   rm -rf "$TMP"
 }
 trap cleanup EXIT
 
+# serve <store> <log>: starts a daemon on an ephemeral loopback port and
+# sets ADDR to what it announced.
+serve() {
+  "$HUBSERVE" serve "$1" --addr 127.0.0.1:0 > "$2" 2>&1 &
+  SERVE_PIDS+=($!)
+  ADDR=""
+  for _ in $(seq 1 100); do
+    ADDR=$(sed -n 's/^listening on //p' "$2" | head -n 1)
+    [ -n "$ADDR" ] && break
+    sleep 0.1
+  done
+  if [ -z "$ADDR" ]; then
+    echo "kick-tires: FAIL — daemon never announced its address" >&2
+    cat "$2" >&2
+    exit 1
+  fi
+  echo "daemon is listening on $ADDR"
+}
+
 echo "== generating a ${NODES}-node grid =="
 "$HUBTOOL" gen grid "$NODES" "$SEED" "$TMP/graph.txt"
 
-echo "== ground truth: text labeling, verified exact =="
-"$HUBTOOL" build "$TMP/graph.txt" "$TMP/labels.txt" pll
-"$HUBTOOL" verify "$TMP/graph.txt" "$TMP/labels.txt"
+echo "== ground truth: sequential PLL labels, verified exact =="
+"$HUBTOOL" build "$TMP/graph.txt" "$TMP/labels.hlbs" pll
+"$HUBTOOL" verify "$TMP/graph.txt" "$TMP/labels.hlbs"
 
 echo "== serving path: binary store (parallel build, 2 threads) =="
 "$HUBSERVE" build "$TMP/graph.txt" "$TMP/store.hlbs" --threads 2
@@ -60,14 +81,12 @@ grep -q 'arena heap bytes' "$TMP/stats.txt"
 
 echo "== diffing store answers against ground truth on ${SAMPLE}x${SAMPLE} pairs =="
 : > "$TMP/pairs.txt"
-: > "$TMP/expected.txt"
 for ((u = 0; u < SAMPLE; u++)); do
   for ((v = 0; v < SAMPLE; v++)); do
     echo "$u $v" >> "$TMP/pairs.txt"
-    d=$("$HUBTOOL" query "$TMP/labels.txt" "$u" "$v" | sed -e 's/.*= //' -e 's/unreachable/inf/')
-    echo "$u $v $d" >> "$TMP/expected.txt"
   done
 done
+"$HUBSERVE" query "$TMP/labels.hlbs" "$TMP/pairs.txt" > "$TMP/expected.txt"
 "$HUBSERVE" query "$TMP/store.hlbs" "$TMP/pairs.txt" > "$TMP/served.txt"
 if ! diff -u "$TMP/expected.txt" "$TMP/served.txt"; then
   echo "kick-tires: FAIL — served distances disagree with ground truth" >&2
@@ -87,20 +106,7 @@ grep -qi 'checksum\|corrupt\|truncated' "$TMP/bad.err"
 echo "corrupt store rejected: $(cat "$TMP/bad.err")"
 
 echo "== network serving: daemon on loopback =="
-"$HUBSERVE" serve "$TMP/store.hlbs" --addr 127.0.0.1:0 > "$TMP/serve.log" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^listening on //p' "$TMP/serve.log" | head -n 1)
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-if [ -z "$ADDR" ]; then
-  echo "kick-tires: FAIL — daemon never announced its address" >&2
-  cat "$TMP/serve.log" >&2
-  exit 1
-fi
-echo "daemon is listening on $ADDR"
+serve "$TMP/store.hlbs" "$TMP/serve.log"
 
 echo "== hot reload: swap the live daemon onto a v2 store =="
 "$HUBSERVE" convert "$TMP/store.hlbs" "$TMP/store-v2.hlbs" --to v2 --verify-roundtrip
@@ -121,5 +127,18 @@ if ! diff -u "$TMP/expected.txt" "$TMP/networked.txt"; then
   exit 1
 fi
 echo "all $((SAMPLE * SAMPLE)) sampled distances agree over the wire"
+
+echo "== the paper's hard instance: H(2,3) from hubtool to a daemon =="
+"$HUBTOOL" gen h:2,3 0 0 "$TMP/h23.txt"
+"$HUBTOOL" build "$TMP/h23.txt" "$TMP/h23.hlbs" pll
+"$HUBTOOL" verify "$TMP/h23.txt" "$TMP/h23.hlbs"
+serve "$TMP/h23.hlbs" "$TMP/serve-h23.log"
+"$HUBSERVE" query "$TMP/h23.hlbs" "$TMP/pairs.txt" > "$TMP/h23-expected.txt"
+"$HLSHARD" query --shard "$ADDR" "$TMP/pairs.txt" > "$TMP/h23-networked.txt"
+if ! diff -u "$TMP/h23-expected.txt" "$TMP/h23-networked.txt"; then
+  echo "kick-tires: FAIL — the H(2,3) daemon disagrees with its own store" >&2
+  exit 1
+fi
+echo "H(2,3) served exactly"
 
 echo "kick-tires: OK"
