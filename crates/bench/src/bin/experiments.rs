@@ -26,47 +26,50 @@ use hl_sumindex::protocol::GraphProtocol;
 use hl_sumindex::repr::Repr;
 use hl_sumindex::SumIndexInstance;
 
+/// Every subcommand: its name, its function, and whether `all` runs it.
+/// Dispatch, `all` and the usage line all read this one list.
+const EXPERIMENTS: [(&str, fn(), bool); 16] = [
+    ("f1", f1, true),
+    ("l22", l22, true),
+    ("t21", t21, true),
+    ("t41", t41, true),
+    ("t14", t14, true),
+    ("t16", t16, true),
+    ("rs", rs_tables, true),
+    ("q", query_tradeoff, true),
+    ("ablation", ablation, true),
+    ("oracles", oracles, true),
+    ("corrected", corrected, true),
+    ("highway", highway, true),
+    ("growth", growth, true),
+    ("encoding", encoding, true),
+    ("tradeoff", tradeoff, true),
+    ("big", big, false),
+];
+
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    match arg.as_str() {
-        "f1" => f1(),
-        "l22" => l22(),
-        "t21" => t21(),
-        "t41" => t41(),
-        "t14" => t14(),
-        "t16" => t16(),
-        "rs" => rs_tables(),
-        "q" => query_tradeoff(),
-        "ablation" => ablation(),
-        "oracles" => oracles(),
-        "corrected" => corrected(),
-        "big" => big(),
-        "highway" => highway(),
-        "growth" => growth(),
-        "encoding" => encoding(),
-        "tradeoff" => tradeoff(),
-        "all" => {
-            f1();
-            l22();
-            t21();
-            t41();
-            t14();
-            t16();
-            rs_tables();
-            query_tradeoff();
-            ablation();
-            oracles();
-            corrected();
-            highway();
-            growth();
-            encoding();
-            tradeoff();
-        }
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            eprintln!("usage: experiments [f1|l22|t21|t41|t14|t16|rs|q|ablation|oracles|corrected|all|big]  (big is excluded from all)");
-            std::process::exit(2);
-        }
+    let chosen: Vec<fn()> = EXPERIMENTS
+        .iter()
+        .filter(|&&(name, _, in_all)| arg == name || (arg == "all" && in_all))
+        .map(|e| e.1)
+        .collect();
+    if chosen.is_empty() {
+        let names = |in_all| {
+            let of_kind = EXPERIMENTS.iter().filter(|e| e.2 == in_all);
+            of_kind.map(|e| e.0).collect::<Vec<_>>().join("|")
+        };
+        eprintln!("unknown experiment '{arg}'");
+        eprintln!(
+            "usage: experiments [{}|all|{}]  ({} is excluded from all)",
+            names(true),
+            names(false),
+            names(false)
+        );
+        std::process::exit(2);
+    }
+    for run in chosen {
+        run();
     }
 }
 
@@ -807,7 +810,7 @@ fn growth() {
 /// Encoding — bits per label across encodings (the "careful encoding"
 /// step §1.1 says the sublinear labelings rely on).
 fn encoding() {
-    use hl_labeling::compact::{encode_labeling_compact, CompactParams};
+    use hl_labeling::packed::{encode_labeling_compact, CompactParams};
 
     println!("\n== Encoding: avg bits/label, gamma vs best-of-4 compact ==");
     let mut t = Table::new(vec![

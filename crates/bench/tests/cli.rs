@@ -217,3 +217,39 @@ fn gadget_families_generate_the_papers_graphs() {
     }
     let _ = std::fs::remove_file(path);
 }
+
+#[test]
+fn experiments_usage_names_every_documented_subcommand() {
+    // The names the module doc promises: every backticked word between
+    // "Subcommands:" and the end of that sentence.
+    let source = include_str!("../src/bin/experiments.rs");
+    let doc: String = source
+        .lines()
+        .map_while(|l| l.strip_prefix("//!"))
+        .collect::<Vec<_>>()
+        .join(" ");
+    let listed = doc.split("Subcommands:").nth(1).expect("usage in the doc");
+    let listed = listed.split("Each subcommand").next().unwrap();
+    let documented: Vec<&str> = listed
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .flat_map(str::split_whitespace)
+        .collect();
+    assert!(documented.len() >= 17, "{documented:?}");
+
+    // The exit-2 usage line is printed from the dispatch table itself, so
+    // a name it lists is a name `main` runs.
+    let experiments = || Command::new(env!("CARGO_BIN_EXE_experiments"));
+    let out = experiments().arg("nosuch").output().expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let usage = stderr.lines().find(|l| l.starts_with("usage:")).unwrap();
+    let (open, close) = (usage.find('[').unwrap(), usage.find(']').unwrap());
+    let accepted: Vec<&str> = usage[open + 1..close].split('|').collect();
+    for name in &documented {
+        assert!(accepted.contains(name), "`{name}` missing from: {usage}");
+    }
+    assert_eq!(accepted.len(), documented.len(), "{usage}");
+    assert!(experiments().arg("f1").status().unwrap().success());
+}

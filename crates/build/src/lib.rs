@@ -5,19 +5,14 @@
 //! sizes; every scale experiment around the paper (*Hardness of exact
 //! distance queries in sparse graphs through hub labeling*, Kosowski–
 //! Uznański–Viennot, PODC 2019) needs labelings over graphs far bigger
-//! than that. This crate provides a batch/commit pipeline on std threads
+//! than that. This crate runs `hl_core::pll`'s one-root pruned search
+//! and label accumulator from a batch/commit pipeline on std threads
 //! (the workspace is dependency-free) whose output is **bit-identical to
 //! sequential PLL** for the same vertex order, at any thread count:
 //!
 //! * [`pipeline`] — the batch/commit pipeline ([`build_with_order`],
 //!   [`build_with_strategy`], [`BuildConfig`], [`BuildOutput`]); the
 //!   module docs carry the determinism argument;
-//! * [`committed`] — [`CommittedLabels`], the growable committed-prefix
-//!   labeling all waves prune against (a
-//!   [`LabelingView`](hl_core::LabelingView), like the serving-side
-//!   arena);
-//! * [`wave`] — one pruned BFS/Dijkstra wave with reusable per-worker
-//!   scratch;
 //! * [`stats`] — [`BuildStats`] telemetry: per-batch timings and entry
 //!   counts, and the pruning hit rate;
 //! * [`error`] — [`BuildError`].
@@ -42,13 +37,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod committed;
 pub mod error;
 pub mod pipeline;
 pub mod stats;
-pub mod wave;
 
-pub use committed::CommittedLabels;
 pub use error::BuildError;
 pub use pipeline::{build_with_order, build_with_strategy, BuildConfig, BuildOutput};
 pub use stats::{BatchStats, BuildStats};

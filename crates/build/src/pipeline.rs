@@ -4,10 +4,10 @@
 //! # Protocol
 //!
 //! Roots are processed in batches. Within a batch, every root runs a
-//! pruned wave ([`crate::wave`]) on a worker pool; waves prune **only**
-//! against the immutable committed prefix (labels of all earlier
-//! batches), so they never observe each other and their results do not
-//! depend on scheduling. Because a wave cannot see the labels its own
+//! pruned wave — [`hl_core::pll`]'s one-root search, slack 0 — on a
+//! worker pool; waves prune **only** against the immutable committed
+//! prefix (labels of all earlier batches), so they never observe each
+//! other and their results do not depend on scheduling. Because a wave cannot see the labels its own
 //! batch is producing, its candidate set is a *superset* of what
 //! sequential PLL would assign from that root.
 //!
@@ -39,13 +39,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use hl_core::order::is_permutation;
+use hl_core::pll::{LabelAccumulator, SearchScratch};
 use hl_core::{FlatLabeling, VertexOrder};
 use hl_graph::{Distance, Graph, NodeId, INFINITY};
 
-use crate::committed::CommittedLabels;
 use crate::error::BuildError;
 use crate::stats::{BatchStats, BuildStats};
-use crate::wave::{run_wave, WaveScratch};
 
 /// Knobs for the parallel pipeline. The defaults build sequentially;
 /// raise [`BuildConfig::threads`] to parallelize.
@@ -147,9 +146,9 @@ pub fn build_with_order(
     let cap = config.effective_cap();
     let started = Instant::now();
 
-    let mut committed = CommittedLabels::new(n);
-    let mut scratches: Vec<WaveScratch> =
-        (0..config.threads).map(|_| WaveScratch::new(n)).collect();
+    let mut committed = LabelAccumulator::new(n);
+    let mut scratches: Vec<SearchScratch> =
+        (0..config.threads).map(|_| SearchScratch::new(n)).collect();
     // Commit-phase state, allocated once and reset via touch lists.
     let mut delta: Vec<Vec<(u32, Distance)>> = vec![Vec::new(); n];
     let mut delta_touched: Vec<NodeId> = Vec::new();
@@ -193,7 +192,7 @@ pub fn build_with_order(
         }
         for &v in &delta_touched {
             for &(i, d) in &delta[v as usize] {
-                committed.insert(v, batch[i as usize], d);
+                committed.push(v, batch[i as usize], d);
             }
             delta[v as usize].clear();
         }
@@ -210,7 +209,7 @@ pub fn build_with_order(
 
     let (wave_pops, wave_pruned) = scratches
         .iter()
-        .map(WaveScratch::counters)
+        .map(SearchScratch::counters)
         .fold((0, 0), |(p, q), (a, b)| (p + a, q + b));
     let stats = BuildStats {
         threads: config.threads,
@@ -222,7 +221,7 @@ pub fn build_with_order(
         total_seconds: started.elapsed().as_secs_f64(),
     };
     Ok(BuildOutput {
-        labeling: committed.into_flat(),
+        labeling: committed.freeze(),
         order,
         stats,
     })
@@ -232,16 +231,16 @@ pub fn build_with_order(
 /// candidate list, indexed like `batch`.
 fn run_batch_waves(
     g: &Graph,
-    committed: &CommittedLabels,
+    committed: &LabelAccumulator,
     batch: &[NodeId],
-    scratches: &mut [WaveScratch],
+    scratches: &mut [SearchScratch],
 ) -> Result<Vec<Vec<(NodeId, Distance)>>, BuildError> {
     // Single-threaded (or single-root) batches skip the pool entirely.
     if scratches.len() == 1 || batch.len() == 1 {
         let scratch = scratches.first_mut().ok_or(BuildError::ZeroThreads)?;
         return Ok(batch
             .iter()
-            .map(|&root| run_wave(g, committed, root, scratch))
+            .map(|&root| scratch.search(g, committed, root, 0))
             .collect());
     }
     let cursor = AtomicUsize::new(0);
@@ -257,7 +256,7 @@ fn run_batch_waves(
                         if j >= batch.len() {
                             break;
                         }
-                        local.push((j, run_wave(g, committed, batch[j], scratch)));
+                        local.push((j, scratch.search(g, committed, batch[j], 0)));
                     }
                     local
                 })

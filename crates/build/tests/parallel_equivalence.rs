@@ -4,14 +4,19 @@
 //! power-law, and a small paper `H_{b,ℓ}` gadget — the parallel pipeline
 //! must produce labels **byte-identical** to sequential PLL at every
 //! thread count, and those labels must answer every queried pair with the
-//! exact BFS/Dijkstra distance.
+//! exact BFS/Dijkstra distance. Both sides drive one search kernel
+//! (`hl_core::pll`), so the last test holds every driver to a reference
+//! that shares no code with it.
 
 use hl_build::{build_with_order, BuildConfig};
+use hl_core::approx::approx_pll;
+use hl_core::cover::verify_exact;
+use hl_core::hierarchical::canonical_hhl;
 use hl_core::pll::PrunedLandmarkLabeling;
 use hl_core::FlatLabeling;
 use hl_graph::rng::Xorshift64;
 use hl_graph::{generators, Graph, NodeId};
-use hl_lowerbound::{GadgetParams, HGraph};
+use hl_lowerbound::{GGraph, GadgetParams, HGraph};
 
 fn sequential_flat(g: &Graph, order: &[NodeId]) -> FlatLabeling {
     PrunedLandmarkLabeling::with_order(g, order.to_vec()).into_labeling()
@@ -108,5 +113,51 @@ fn every_order_is_thread_invariant() {
             one.labeling, four.labeling,
             "order {name} is not thread-invariant"
         );
+    }
+}
+
+/// The pruned-search kernel against its independent reference. For a fixed
+/// order the minimal hierarchical labeling is unique (Abraham et al. 2012,
+/// Babenko et al. 2015), so `canonical_hhl` — APSP plus the definition, no
+/// search, no pruning — must equal PLL bit for bit, through every driver
+/// of the kernel and on the graphs the paper builds to be hard.
+#[test]
+fn every_driver_equals_canonical_hhl() {
+    let gadget = |b, ell| GadgetParams::new(b, ell).unwrap();
+    let edges = hl_graph::builder::graph_from_edges;
+    let mut rows = vec![
+        ("weighted_grid(5,5)", generators::weighted_grid(5, 5, 2)),
+        ("H(2,2)", HGraph::build(gadget(2, 2)).graph().clone()),
+        ("H(3,2)", HGraph::build(gadget(3, 2)).graph().clone()),
+        ("G(1,1)", GGraph::build(gadget(1, 1)).graph().clone()),
+        ("disconnected", edges(7, &[(0, 1), (1, 2), (3, 4)]).unwrap()),
+        ("n = 0", edges(0, &[]).unwrap()),
+        ("n = 1", edges(1, &[]).unwrap()),
+    ];
+    for seed in [3u64, 14, 15] {
+        rows.push((
+            "connected_gnm(28,14)",
+            generators::connected_gnm(28, 14, seed),
+        ));
+    }
+    for (name, g) in rows {
+        let order = hl_core::order::by_degree(&g);
+        let reference = canonical_hhl(&g, &order).unwrap();
+        assert!(verify_exact(&g, &reference).unwrap().is_exact(), "{name}");
+        let parallel = |config| {
+            build_with_order(&g, order.clone(), config)
+                .unwrap()
+                .labeling
+        };
+        let columns = [
+            ("with_order", sequential_flat(&g, &order)),
+            ("approx_pll(.., 0)", approx_pll(&g, order.clone(), 0)),
+            ("build, 1 thread", parallel(BuildConfig::sequential())),
+            // Batches of 2, 4, 8, … roots: the commit filter does real work.
+            ("build, 2 threads", parallel(BuildConfig::with_threads(2))),
+        ];
+        for (driver, labeling) in columns {
+            assert_eq!(labeling, reference, "{name} through {driver}");
+        }
     }
 }

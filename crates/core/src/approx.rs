@@ -5,17 +5,14 @@
 //! error) plus explicit correction tables. This module provides the first
 //! half: PLL whose pruning tolerates an additive `slack`, trading exactness
 //! for smaller labels. Queries never underestimate; the overestimate is
-//! bounded empirically (and is 0 for `slack = 0`, where this reduces to
-//! ordinary PLL).
-
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+//! bounded empirically (and is 0 for `slack = 0`, where this *is*
+//! ordinary PLL: both are [`crate::pll`]'s sequential driver).
 
 use hl_graph::{Distance, Graph, NodeId, INFINITY};
 
 use crate::flat::FlatLabeling;
 use crate::label::LabelingView;
-use crate::order;
+use crate::pll::pruned_labeling;
 
 /// Builds a slack-pruned PLL labeling: during the pruned search from each
 /// root, vertex `u` is skipped when existing hubs already certify
@@ -29,87 +26,8 @@ use crate::order;
 /// # Panics
 ///
 /// Panics if `order` is not a permutation of the vertex set.
-pub fn approx_pll(g: &Graph, order_vec: Vec<NodeId>, slack: Distance) -> FlatLabeling {
-    assert!(
-        order::is_permutation(&order_vec, g.num_nodes()),
-        "PLL order must be a permutation of the vertex set"
-    );
-    let n = g.num_nodes();
-    let mut labels: Vec<Vec<(NodeId, Distance)>> = vec![Vec::new(); n];
-    let mut dist_from_root = vec![INFINITY; n];
-    let mut touched: Vec<NodeId> = Vec::new();
-    let mut dist = vec![INFINITY; n];
-    let mut visited: Vec<NodeId> = Vec::new();
-    let unit = g.is_unit_weighted();
-    for &root in &order_vec {
-        for &(h, d) in &labels[root as usize] {
-            dist_from_root[h as usize] = d;
-            touched.push(h);
-        }
-        let prune = |labels_u: &[(NodeId, Distance)], du: Distance, table: &[Distance]| {
-            let mut best = INFINITY;
-            for &(h, d) in labels_u {
-                let dr = table[h as usize];
-                if dr != INFINITY {
-                    best = best.min(dr.saturating_add(d));
-                }
-            }
-            best <= du.saturating_add(slack)
-        };
-        if unit {
-            let mut queue = VecDeque::new();
-            dist[root as usize] = 0;
-            visited.push(root);
-            queue.push_back(root);
-            while let Some(u) = queue.pop_front() {
-                let du = dist[u as usize];
-                if prune(&labels[u as usize], du, &dist_from_root) {
-                    continue;
-                }
-                labels[u as usize].push((root, du));
-                for &v in g.neighbor_ids(u) {
-                    if dist[v as usize] == INFINITY {
-                        dist[v as usize] = du + 1;
-                        visited.push(v);
-                        queue.push_back(v);
-                    }
-                }
-            }
-        } else {
-            let mut heap = BinaryHeap::new();
-            dist[root as usize] = 0;
-            visited.push(root);
-            heap.push(Reverse((0u64, root)));
-            while let Some(Reverse((du, u))) = heap.pop() {
-                if du > dist[u as usize] {
-                    continue;
-                }
-                if prune(&labels[u as usize], du, &dist_from_root) {
-                    continue;
-                }
-                labels[u as usize].push((root, du));
-                for (v, w) in g.neighbors(u) {
-                    let nd = du.saturating_add(w);
-                    if nd < dist[v as usize] {
-                        if dist[v as usize] == INFINITY {
-                            visited.push(v);
-                        }
-                        dist[v as usize] = nd;
-                        heap.push(Reverse((nd, v)));
-                    }
-                }
-            }
-        }
-        for &v in &visited {
-            dist[v as usize] = INFINITY;
-        }
-        visited.clear();
-        for &h in &touched {
-            dist_from_root[h as usize] = INFINITY;
-        }
-        touched.clear();
-    }
-    FlatLabeling::from_pair_lists(labels)
+pub fn approx_pll(g: &Graph, order: Vec<NodeId>, slack: Distance) -> FlatLabeling {
+    pruned_labeling(g, &order, slack)
 }
 
 /// Error profile of an approximate labeling against ground truth.
@@ -183,17 +101,9 @@ pub fn measure_additive_error<L: LabelingView>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::order;
     use crate::pll::PrunedLandmarkLabeling;
     use hl_graph::generators;
-
-    #[test]
-    fn zero_slack_is_exact_pll() {
-        let g = generators::connected_gnm(40, 20, 3);
-        let ord = order::by_degree(&g);
-        let approx = approx_pll(&g, ord.clone(), 0);
-        let exact = PrunedLandmarkLabeling::with_order(&g, ord).into_labeling();
-        assert_eq!(approx, exact);
-    }
 
     #[test]
     fn slack_shrinks_labels() {

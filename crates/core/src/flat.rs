@@ -314,13 +314,19 @@ impl FlatLabeling {
         let entries = lists.iter().map(Vec::len).sum();
         let mut flat = FlatLabeling::with_capacity(lists.len(), entries);
         for mut pairs in lists {
-            pairs.sort_unstable();
-            pairs.dedup_by(|next, kept| next.0 == kept.0);
-            flat.hubs.extend(pairs.iter().map(|&(h, _)| h));
-            flat.dists.extend(pairs.iter().map(|&(_, d)| d));
-            flat.offsets.push(flat.hubs.len() as u64);
+            flat.push_pairs(&mut pairs);
         }
         flat
+    }
+
+    /// [`FlatLabeling::from_pair_lists`] for one vertex: sorts and
+    /// deduplicates `pairs` in place and appends them as the next label.
+    pub fn push_pairs(&mut self, pairs: &mut Vec<(NodeId, Distance)>) {
+        pairs.sort_unstable();
+        pairs.dedup_by(|next, kept| next.0 == kept.0);
+        self.hubs.extend(pairs.iter().map(|&(h, _)| h));
+        self.dists.extend(pairs.iter().map(|&(_, d)| d));
+        self.offsets.push(self.hubs.len() as u64);
     }
 
     /// Number of vertices.

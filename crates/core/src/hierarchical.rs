@@ -155,21 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn pll_equals_canonical_hhl() {
-        // Theory (Abraham et al. 2012, Akiba et al. 2013): for a fixed
-        // total order the minimal hierarchical labeling is unique and PLL
-        // computes it — so the two independent implementations must agree
-        // exactly. A strong cross-validation of both.
-        for seed in [3u64, 14, 15] {
-            let g = generators::connected_gnm(28, 14, seed);
-            let ord = order::by_degree(&g);
-            let canonical = canonical_hhl(&g, &ord).unwrap();
-            let pll = PrunedLandmarkLabeling::with_order(&g, ord).into_labeling();
-            assert_eq!(canonical, pll, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn most_important_vertex_is_universal_hub() {
         let g = generators::grid(4, 4);
         let ord = order::by_degree(&g);

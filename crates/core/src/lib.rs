@@ -20,7 +20,9 @@
 //!   hot hubs to the front of every run;
 //! * [`cover`] — verification that a labeling answers every query exactly;
 //! * [`pll`] — Pruned Landmark Labeling (the canonical practical
-//!   construction, exact by design);
+//!   construction, exact by design): the one pruned-search kernel and
+//!   label accumulator (`hl-build` runs them on threads) and the
+//!   sequential driver [`approx`] shares;
 //! * [`greedy`] — the greedy 2-hop cover of Cohen et al. for small graphs;
 //! * [`random_threshold`] — the `O(n/D · log D)`-far-hubs construction in
 //!   the style of Alstrup et al. (ADKP16), the baseline the paper

@@ -76,11 +76,6 @@ pub trait VertexOrder {
     fn compute(&self, g: &Graph) -> Result<Vec<NodeId>, OrderError>;
 }
 
-/// Identity order `0, 1, …, n-1`.
-pub fn identity(g: &Graph) -> Vec<NodeId> {
-    (0..g.num_nodes() as NodeId).collect()
-}
-
 /// Vertices by decreasing degree (ties by id) — the classic PLL heuristic.
 pub fn by_degree(g: &Graph) -> Vec<NodeId> {
     let mut order: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
@@ -266,7 +261,6 @@ mod tests {
     fn all_orders_are_permutations() {
         let g = generators::connected_gnm(40, 20, 5);
         for order in [
-            identity(&g),
             by_degree(&g),
             random(&g, 7),
             by_sampled_betweenness(&g, 8, 7).unwrap(),

@@ -6,6 +6,12 @@
 //! from the `k`-th vertex adds it as a hub only to vertices whose distance
 //! is not already covered by earlier hubs. The result is exact *by
 //! construction* for any processing order; the order only affects size.
+//!
+//! The one-root search is written here once — [`SearchScratch::search`],
+//! one BFS loop and one Dijkstra loop over a [`LabelAccumulator`] — and
+//! everything that builds labels by pruning drives it: one sequential
+//! driver (exact PLL at slack 0, [`crate::approx`] above it) and
+//! `hl-build`'s parallel batches.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -57,15 +63,7 @@ impl PrunedLandmarkLabeling {
     ///
     /// Panics if `order` is not a permutation of the vertex set.
     pub fn with_order(g: &Graph, order: Vec<NodeId>) -> Self {
-        assert!(
-            order::is_permutation(&order, g.num_nodes()),
-            "PLL order must be a permutation of the vertex set"
-        );
-        let labeling = if g.is_unit_weighted() {
-            build_unit(g, &order)
-        } else {
-            build_weighted(g, &order)
-        };
+        let labeling = pruned_labeling(g, &order, 0);
         PrunedLandmarkLabeling { labeling, order }
     }
 
@@ -85,130 +83,201 @@ impl PrunedLandmarkLabeling {
     }
 }
 
-/// Shared pruning oracle: distance upper bound for `(root, u)` from the
-/// labels built so far, using a scratch table indexed by hub id.
-struct Pruner {
-    /// dist_from_root[h] = d(root, h) if h is a hub of root's label so far.
-    dist_from_root: Vec<Distance>,
-    touched: Vec<NodeId>,
+/// The labels assigned so far: one growable hub column and one distance
+/// column per vertex, appended in root order. Nothing reads a column
+/// sorted while it grows (the pruning test scans it whole), so the sort
+/// by hub id happens once, in [`LabelAccumulator::freeze`].
+#[derive(Debug)]
+pub struct LabelAccumulator {
+    hubs: Vec<Vec<NodeId>>,
+    dists: Vec<Vec<Distance>>,
+    entries: usize,
 }
 
-impl Pruner {
-    fn new(n: usize) -> Self {
-        Pruner {
-            dist_from_root: vec![INFINITY; n],
-            touched: Vec::new(),
+impl LabelAccumulator {
+    /// No labels yet, over `n` vertices.
+    pub fn new(n: usize) -> Self {
+        LabelAccumulator {
+            hubs: vec![Vec::new(); n],
+            dists: vec![Vec::new(); n],
+            entries: 0,
         }
     }
 
-    fn load_root(&mut self, root_label: &[(NodeId, Distance)]) {
-        for &(h, d) in root_label {
-            self.dist_from_root[h as usize] = d;
+    /// Total entries so far, `Σ_v |S_v|`.
+    pub fn num_entries(&self) -> usize {
+        self.entries
+    }
+
+    /// Appends `(hub, dist)` to vertex `v`'s label.
+    pub fn push(&mut self, v: NodeId, hub: NodeId, dist: Distance) {
+        self.hubs[v as usize].push(hub);
+        self.dists[v as usize].push(dist);
+        self.entries += 1;
+    }
+
+    fn label(&self, v: NodeId) -> impl Iterator<Item = (NodeId, Distance)> + '_ {
+        let (hs, ds) = (&self.hubs[v as usize], &self.dists[v as usize]);
+        hs.iter().copied().zip(ds.iter().copied())
+    }
+
+    /// Sorts each label by hub id into the query-time arena, one vertex
+    /// at a time so the columns are released as the arena fills.
+    pub fn freeze(self) -> FlatLabeling {
+        let mut flat = FlatLabeling::with_capacity(self.hubs.len(), self.entries);
+        let mut pairs = Vec::new();
+        for (hs, ds) in self.hubs.into_iter().zip(self.dists) {
+            pairs.extend(hs.into_iter().zip(ds));
+            flat.push_pairs(&mut pairs);
+            pairs.clear();
+        }
+        flat
+    }
+}
+
+/// Per-worker buffers of the pruned search: every `O(n)` allocation a
+/// root needs, paid once per worker instead of once per root.
+#[derive(Debug)]
+pub struct SearchScratch {
+    /// Tentative distance from the current root.
+    dist: Vec<Distance>,
+    /// Vertices whose `dist` entry must be reset after the search.
+    visited: Vec<NodeId>,
+    /// `root_dist[h]` = `d(root, h)` for the hubs `h` the root already
+    /// has, `INFINITY` elsewhere: the root side of the pruning test's
+    /// min-plus join, expanded into an array once per root.
+    root_dist: Vec<Distance>,
+    /// Hubs loaded into `root_dist` (for cheap reset).
+    touched: Vec<NodeId>,
+    queue: VecDeque<NodeId>,
+    heap: BinaryHeap<Reverse<(Distance, NodeId)>>,
+    pops: u64,
+    pruned: u64,
+}
+
+impl SearchScratch {
+    /// Buffers for a graph with `n` vertices.
+    pub fn new(n: usize) -> Self {
+        SearchScratch {
+            dist: vec![INFINITY; n],
+            visited: Vec::new(),
+            root_dist: vec![INFINITY; n],
+            touched: Vec::new(),
+            queue: VecDeque::new(),
+            heap: BinaryHeap::new(),
+            pops: 0,
+            pruned: 0,
+        }
+    }
+
+    /// `(pops, pruned)`: vertices popped, and pops cut by the pruning
+    /// test, over every search run with this scratch.
+    pub fn counters(&self) -> (u64, u64) {
+        (self.pops, self.pruned)
+    }
+
+    /// One pruned search from `root` — BFS on unit-weight graphs,
+    /// Dijkstra otherwise — against `labels`, which it only reads.
+    /// Returns `(v, d(root, v))` for every vertex `v` that needs `root` as
+    /// a hub, in pop order: a popped `u` at distance `du` is dropped, and
+    /// not expanded, when hubs in `labels` already certify
+    /// `d(root, u) <= du + slack` (`slack = 0` is exact PLL).
+    pub fn search(
+        &mut self,
+        g: &Graph,
+        labels: &LabelAccumulator,
+        root: NodeId,
+        slack: Distance,
+    ) -> Vec<(NodeId, Distance)> {
+        for (h, d) in labels.label(root) {
+            self.root_dist[h as usize] = d;
             self.touched.push(h);
         }
-    }
-
-    /// Upper bound on d(root, u) via already-assigned hubs.
-    fn query(&self, u_label: &[(NodeId, Distance)]) -> Distance {
-        let mut best = INFINITY;
-        for &(h, d) in u_label {
-            let dr = self.dist_from_root[h as usize];
-            if dr != INFINITY {
-                let cand = dr.saturating_add(d);
-                if cand < best {
-                    best = cand;
+        let mut kept = Vec::new();
+        self.dist[root as usize] = 0;
+        self.visited.push(root);
+        if g.is_unit_weighted() {
+            self.queue.push_back(root);
+            while let Some(u) = self.queue.pop_front() {
+                let du = self.dist[u as usize];
+                if self.covered(labels, u, du.saturating_add(slack)) {
+                    continue;
                 }
-            }
-        }
-        best
-    }
-
-    fn clear(&mut self) {
-        for &h in &self.touched {
-            self.dist_from_root[h as usize] = INFINITY;
-        }
-        self.touched.clear();
-    }
-}
-
-fn build_unit(g: &Graph, order: &[NodeId]) -> FlatLabeling {
-    let n = g.num_nodes();
-    let mut labels: Vec<Vec<(NodeId, Distance)>> = vec![Vec::new(); n];
-    let mut pruner = Pruner::new(n);
-    let mut dist = vec![INFINITY; n];
-    let mut visited: Vec<NodeId> = Vec::new();
-    for &root in order {
-        let root_label = labels[root as usize].clone();
-        pruner.load_root(&root_label);
-        let mut queue = VecDeque::new();
-        dist[root as usize] = 0;
-        visited.push(root);
-        queue.push_back(root);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[u as usize];
-            // Prune: if existing labels already certify d(root, u) <= du,
-            // adding root as a hub of u is redundant, and (by the pruning
-            // lemma) so is expanding beyond u.
-            if pruner.query(&labels[u as usize]) <= du {
-                continue;
-            }
-            labels[u as usize].push((root, du));
-            for &v in g.neighbor_ids(u) {
-                if dist[v as usize] == INFINITY {
-                    dist[v as usize] = du + 1;
-                    visited.push(v);
-                    queue.push_back(v);
-                }
-            }
-        }
-        for &v in &visited {
-            dist[v as usize] = INFINITY;
-        }
-        visited.clear();
-        pruner.clear();
-    }
-    FlatLabeling::from_pair_lists(labels)
-}
-
-fn build_weighted(g: &Graph, order: &[NodeId]) -> FlatLabeling {
-    let n = g.num_nodes();
-    let mut labels: Vec<Vec<(NodeId, Distance)>> = vec![Vec::new(); n];
-    let mut pruner = Pruner::new(n);
-    let mut dist = vec![INFINITY; n];
-    let mut visited: Vec<NodeId> = Vec::new();
-    for &root in order {
-        let root_label = labels[root as usize].clone();
-        pruner.load_root(&root_label);
-        let mut heap = BinaryHeap::new();
-        dist[root as usize] = 0;
-        visited.push(root);
-        heap.push(Reverse((0u64, root)));
-        while let Some(Reverse((du, u))) = heap.pop() {
-            if du > dist[u as usize] {
-                continue;
-            }
-            if pruner.query(&labels[u as usize]) <= du {
-                continue;
-            }
-            labels[u as usize].push((root, du));
-            for (v, w) in g.neighbors(u) {
-                let nd = du.saturating_add(w);
-                if nd < dist[v as usize] {
-                    if dist[v as usize] == INFINITY {
-                        visited.push(v);
+                kept.push((u, du));
+                for &v in g.neighbor_ids(u) {
+                    if self.dist[v as usize] == INFINITY {
+                        self.dist[v as usize] = du + 1;
+                        self.visited.push(v);
+                        self.queue.push_back(v);
                     }
-                    dist[v as usize] = nd;
-                    heap.push(Reverse((nd, v)));
+                }
+            }
+        } else {
+            self.heap.push(Reverse((0, root)));
+            while let Some(Reverse((du, u))) = self.heap.pop() {
+                if du > self.dist[u as usize] {
+                    continue;
+                }
+                if self.covered(labels, u, du.saturating_add(slack)) {
+                    continue;
+                }
+                kept.push((u, du));
+                for (v, w) in g.neighbors(u) {
+                    let nd = du.saturating_add(w);
+                    if nd < self.dist[v as usize] {
+                        if self.dist[v as usize] == INFINITY {
+                            self.visited.push(v);
+                        }
+                        self.dist[v as usize] = nd;
+                        self.heap.push(Reverse((nd, v)));
+                    }
                 }
             }
         }
-        for &v in &visited {
-            dist[v as usize] = INFINITY;
+        for v in self.visited.drain(..) {
+            self.dist[v as usize] = INFINITY;
         }
-        visited.clear();
-        pruner.clear();
+        for h in self.touched.drain(..) {
+            self.root_dist[h as usize] = INFINITY;
+        }
+        kept
     }
-    FlatLabeling::from_pair_lists(labels)
+
+    /// The pruning test: does some hub shared by the (pre-loaded) root
+    /// and `u` certify `d(root, u) <= bound`?
+    fn covered(&mut self, labels: &LabelAccumulator, u: NodeId, bound: Distance) -> bool {
+        self.pops += 1;
+        for (h, d) in labels.label(u) {
+            let dr = self.root_dist[h as usize];
+            if dr != INFINITY && dr.saturating_add(d) <= bound {
+                self.pruned += 1;
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// The sequential driver, the whole of [`PrunedLandmarkLabeling::with_order`]
+/// (`slack = 0`) and of [`crate::approx::approx_pll`]: for each root in
+/// order, search, then append what the search kept.
+///
+/// # Panics
+///
+/// Panics if `order` is not a permutation of the vertex set.
+pub(crate) fn pruned_labeling(g: &Graph, order: &[NodeId], slack: Distance) -> FlatLabeling {
+    assert!(
+        order::is_permutation(order, g.num_nodes()),
+        "PLL order must be a permutation of the vertex set"
+    );
+    let mut labels = LabelAccumulator::new(g.num_nodes());
+    let mut scratch = SearchScratch::new(g.num_nodes());
+    for &root in order {
+        for (v, d) in scratch.search(g, &labels, root, slack) {
+            labels.push(v, root, d);
+        }
+    }
+    labels.freeze()
 }
 
 #[cfg(test)]
@@ -216,6 +285,66 @@ mod tests {
     use super::*;
     use crate::cover::verify_exact;
     use hl_graph::generators;
+
+    #[test]
+    fn first_search_reaches_everything() {
+        let g = generators::path(5);
+        let kept = SearchScratch::new(5).search(&g, &LabelAccumulator::new(5), 0, 0);
+        assert_eq!(kept, vec![(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]);
+    }
+
+    #[test]
+    fn earlier_labels_prune_later_searches() {
+        // Path 0-1-2-3-4 with vertex 2 a hub of everyone: a search from 0
+        // stops at 2 (it and every farther vertex are covered); slack 1
+        // changes nothing, slack 2 stops it at 1 (2 + 1 <= 1 + 2).
+        let g = generators::path(5);
+        let mut labels = LabelAccumulator::new(5);
+        for v in 0..5u32 {
+            labels.push(v, 2, (i64::from(v) - 2).unsigned_abs());
+        }
+        let mut scratch = SearchScratch::new(5);
+        assert_eq!(scratch.search(&g, &labels, 0, 0), vec![(0, 0), (1, 1)]);
+        assert_eq!(scratch.counters(), (3, 1));
+        assert_eq!(scratch.search(&g, &labels, 0, 1), vec![(0, 0), (1, 1)]);
+        assert_eq!(scratch.search(&g, &labels, 0, 2), vec![(0, 0)]);
+    }
+
+    #[test]
+    fn scratch_resets_between_searches() {
+        let g = generators::cycle(6);
+        let labels = LabelAccumulator::new(6);
+        let mut scratch = SearchScratch::new(6);
+        let a = scratch.search(&g, &labels, 3, 0);
+        let b = scratch.search(&g, &labels, 3, 0);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn weighted_search_uses_dijkstra() {
+        let g =
+            hl_graph::builder::graph_from_weighted_edges(3, &[(0, 1, 5), (1, 2, 5), (0, 2, 20)])
+                .unwrap();
+        let kept = SearchScratch::new(3).search(&g, &LabelAccumulator::new(3), 0, 0);
+        assert_eq!(kept, vec![(0, 0), (1, 5), (2, 10)]);
+    }
+
+    #[test]
+    fn freeze_sorts_each_label_by_hub_id_and_equals_from_pair_lists() {
+        let appended = [(0, 5, 2), (0, 1, 7), (1, 0, 1), (0, 3, 4), (1, 1, 0)];
+        let mut labels = LabelAccumulator::new(3);
+        let mut lists = vec![Vec::new(); 3];
+        for (v, hub, dist) in appended {
+            labels.push(v, hub, dist);
+            lists[v as usize].push((hub, dist));
+        }
+        assert_eq!(labels.num_entries(), 5);
+        let flat = labels.freeze();
+        assert_eq!(flat.hubs_of(0), &[1, 3, 5]);
+        assert_eq!(flat.dists_of(0), &[7, 4, 2]);
+        assert!(flat.hubs_of(2).is_empty());
+        assert_eq!(flat, FlatLabeling::from_pair_lists(lists));
+    }
 
     #[test]
     fn exact_on_path() {

@@ -48,34 +48,6 @@ pub fn bfs_distances_bounded(g: &Graph, source: NodeId, bound: Distance) -> Vec<
     dist
 }
 
-/// Multi-source BFS: distance from each vertex to its nearest source.
-///
-/// Returns `(distances, nearest_source)`; both are [`INFINITY`]/`u32::MAX`
-/// marked for unreachable vertices.
-pub fn multi_source_bfs(g: &Graph, sources: &[NodeId]) -> (Vec<Distance>, Vec<NodeId>) {
-    let mut dist = vec![INFINITY; g.num_nodes()];
-    let mut origin = vec![NodeId::MAX; g.num_nodes()];
-    let mut queue = VecDeque::new();
-    for &s in sources {
-        if dist[s as usize] == INFINITY {
-            dist[s as usize] = 0;
-            origin[s as usize] = s;
-            queue.push_back(s);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for &v in g.neighbor_ids(u) {
-            if dist[v as usize] == INFINITY {
-                dist[v as usize] = du + 1;
-                origin[v as usize] = origin[u as usize];
-                queue.push_back(v);
-            }
-        }
-    }
-    (dist, origin)
-}
-
 /// BFS that also returns, for each vertex, the parent on a canonical
 /// (smallest-parent-id) shortest path tree rooted at `source`.
 ///
@@ -206,20 +178,6 @@ mod tests {
         let g = path5();
         let d = bfs_distances_bounded(&g, 2, 0);
         assert_eq!(d, vec![INFINITY, INFINITY, 0, INFINITY, INFINITY]);
-    }
-
-    #[test]
-    fn multi_source_partitions() {
-        let g = path5();
-        let (d, o) = multi_source_bfs(&g, &[0, 4]);
-        assert_eq!(d, vec![0, 1, 2, 1, 0]);
-        assert_eq!(o[0], 0);
-        assert_eq!(o[4], 4);
-        assert_eq!(o[1], 0);
-        assert_eq!(o[3], 4);
-        // Tie at vertex 2 goes to whichever source reached it first (id 0
-        // enqueued first).
-        assert_eq!(o[2], 0);
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl GraphBuilder {
         self.num_nodes
     }
 
-    /// Number of edges added so far (before deduplication).
-    pub fn num_pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Grows the vertex set to at least `n` vertices and returns the builder
     /// for chaining.
     pub fn grow_to(&mut self, n: usize) -> &mut Self {

@@ -79,15 +79,6 @@ pub fn diameter_double_sweep(g: &Graph) -> Distance {
     eccentricity(g, far)
 }
 
-/// Degree histogram: `hist[d]` = number of vertices of degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in 0..g.num_nodes() as NodeId {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
 /// Unweighted (hop-count) diameter, exact, via BFS from every vertex.
 pub fn hop_diameter_exact(g: &Graph) -> Distance {
     let n = g.num_nodes();
@@ -162,14 +153,5 @@ mod tests {
         let g = crate::builder::graph_from_weighted_edges(3, &[(0, 1, 5), (1, 2, 7)]).unwrap();
         assert_eq!(diameter_exact(&g), 12);
         assert_eq!(eccentricity(&g, 1), 7);
-    }
-
-    #[test]
-    fn degree_histogram_of_star() {
-        let g = generators::star(5);
-        let h = degree_histogram(&g);
-        assert_eq!(h[1], 4);
-        assert_eq!(h[4], 1);
-        assert_eq!(h.iter().sum::<usize>(), 5);
     }
 }

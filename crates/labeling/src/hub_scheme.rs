@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use hl_graph::{Distance, Graph, GraphError, NodeId, INFINITY};
+use hl_graph::{Distance, Graph, GraphError, NodeId};
 
 use hl_core::label::merge_join;
 use hl_core::pll::PrunedLandmarkLabeling;
@@ -18,10 +18,9 @@ use hl_core::{FlatLabeling, LabelingView};
 use crate::bits::{BitReader, BitWriter};
 use crate::scheme::{BitLabel, DistanceLabelingScheme};
 
-/// Encodes one hub label — its sorted hub ids and their aligned
-/// distances, as a [`LabelingView`] lends them — into bits.
-pub fn encode_label(hubs: &[NodeId], dists: &[Distance]) -> BitLabel {
-    let mut w = BitWriter::new();
+/// Writes the hub-id half of a label, the one spelling every γ layout
+/// shares: γ(k+1) count, first id γ-coded +1, the rest as γ-coded gaps.
+pub(crate) fn write_hub_ids(w: &mut BitWriter, hubs: &[NodeId]) {
     w.write_gamma0(hubs.len() as u64);
     let mut prev: Option<NodeId> = None;
     for &h in hubs {
@@ -31,6 +30,30 @@ pub fn encode_label(hubs: &[NodeId], dists: &[Distance]) -> BitLabel {
         }
         prev = Some(h);
     }
+}
+
+/// Reads what [`write_hub_ids`] wrote, appending the ids to `hubs` in
+/// increasing order, and returns their count. Trusts its input.
+pub(crate) fn read_hub_ids(r: &mut BitReader<'_>, hubs: &mut Vec<NodeId>) -> usize {
+    let k = r.read_gamma0() as usize;
+    hubs.reserve(k);
+    let mut cur = 0u64;
+    for i in 0..k {
+        cur = if i == 0 {
+            r.read_gamma0()
+        } else {
+            cur + r.read_gamma()
+        };
+        hubs.push(cur as NodeId);
+    }
+    k
+}
+
+/// Encodes one hub label — its sorted hub ids and their aligned
+/// distances, as a [`LabelingView`] lends them — into bits.
+pub fn encode_label(hubs: &[NodeId], dists: &[Distance]) -> BitLabel {
+    let mut w = BitWriter::new();
+    write_hub_ids(&mut w, hubs);
     for &d in dists {
         w.write_gamma0(d);
     }
@@ -54,18 +77,8 @@ pub fn decode_label(label: &BitLabel) -> Vec<(NodeId, Distance)> {
 /// without a per-vertex allocation.
 pub fn decode_label_append(label: &BitLabel, hubs: &mut Vec<NodeId>, dists: &mut Vec<Distance>) {
     let mut r = BitReader::new(label.bits());
-    let k = r.read_gamma0() as usize;
     let start = hubs.len();
-    hubs.reserve(k);
-    let mut cur = 0u64;
-    for i in 0..k {
-        cur = if i == 0 {
-            r.read_gamma0()
-        } else {
-            cur + r.read_gamma()
-        };
-        hubs.push(cur as NodeId);
-    }
+    let k = read_hub_ids(&mut r, hubs);
     dists.reserve(k);
     for _ in 0..k {
         dists.push(r.read_gamma0());
@@ -265,17 +278,11 @@ impl DistanceLabelingScheme for PrecomputedHubScheme {
     }
 }
 
-/// Convenience: encoded distance must equal [`INFINITY`] exactly when the
-/// hub labels share no hub.
-pub fn is_disconnected_answer(d: Distance) -> bool {
-    d == INFINITY
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scheme::{verify_scheme, SchemeStats};
-    use hl_graph::generators;
+    use hl_graph::{generators, INFINITY};
 
     #[test]
     fn label_roundtrip() {
@@ -395,9 +402,7 @@ mod tests {
         let g = hl_graph::builder::graph_from_edges(5, &[(0, 1), (2, 3)]).unwrap();
         assert_eq!(verify_scheme(&HubPllScheme, &g).unwrap(), 0);
         let labels = HubPllScheme.encode(&g).unwrap();
-        assert!(is_disconnected_answer(
-            HubPllScheme.decode(&labels[0], &labels[4])
-        ));
+        assert_eq!(HubPllScheme.decode(&labels[0], &labels[4]), INFINITY);
     }
 
     #[test]

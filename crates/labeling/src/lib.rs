@@ -20,9 +20,9 @@
 #![warn(missing_docs)]
 
 pub mod bits;
-pub mod compact;
 pub mod full_vector;
 pub mod hub_scheme;
+pub mod packed;
 pub mod scheme;
 pub mod tree_scheme;
 

@@ -1,4 +1,4 @@
-//! Compact hub-label encodings.
+//! Packed hub-label encodings (bit level; `hl_core::compact` is the byte-tuned arena).
 //!
 //! Going from hubsets to *bit* labels is where the `log n` factors hide —
 //! the paper's §1.1 notes that the sublinear distance labelings of
@@ -21,6 +21,7 @@ use hl_graph::{Distance, NodeId};
 use hl_core::LabelingView;
 
 use crate::bits::{BitReader, BitWriter};
+use crate::hub_scheme::{read_hub_ids, write_hub_ids};
 use crate::scheme::BitLabel;
 
 /// Encoding parameters shared by encoder and decoder (public protocol
@@ -71,7 +72,7 @@ const TAG_GAP_SPLIT: u64 = 3;
 /// # Example
 ///
 /// ```
-/// use hl_labeling::compact::{encode_compact, decode_compact, CompactParams};
+/// use hl_labeling::packed::{encode_compact, decode_compact, CompactParams};
 ///
 /// let params = CompactParams::new(100, 50, 8);
 /// let encoded = encode_compact(&[3, 40], &[2, 17], &params);
@@ -123,35 +124,13 @@ pub fn encode_labeling_compact<L: LabelingView>(
 }
 
 fn encode_gamma_body(hubs: &[NodeId], dists: &[Distance]) -> crate::bits::BitVec {
-    // Same layout as hub_scheme: γ count, gap-coded ids, γ distances.
-    let mut w = BitWriter::new();
-    w.write_gamma0(hubs.len() as u64);
-    let mut prev: Option<NodeId> = None;
-    for &h in hubs {
-        match prev {
-            None => w.write_gamma0(h as u64),
-            Some(p) => w.write_gamma((h - p) as u64),
-        }
-        prev = Some(h);
-    }
-    for &d in dists {
-        w.write_gamma0(d);
-    }
-    w.into_bits()
+    // The hub_scheme label itself: γ count, gap-coded ids, γ distances.
+    crate::hub_scheme::encode_label(hubs, dists).bits().clone()
 }
 
 fn decode_gamma_body(r: &mut BitReader<'_>) -> Vec<(NodeId, Distance)> {
-    let k = r.read_gamma0() as usize;
-    let mut hubs = Vec::with_capacity(k);
-    let mut cur = 0u64;
-    for i in 0..k {
-        cur = if i == 0 {
-            r.read_gamma0()
-        } else {
-            cur + r.read_gamma()
-        };
-        hubs.push(cur as NodeId);
-    }
+    let mut hubs = Vec::new();
+    read_hub_ids(r, &mut hubs);
     hubs.iter().map(|&h| (h, r.read_gamma0())).collect()
 }
 
@@ -223,16 +202,8 @@ fn encode_gap_split_body(
     params: &CompactParams,
 ) -> crate::bits::BitVec {
     let mut w = BitWriter::new();
-    w.write_gamma0(hubs.len() as u64);
+    write_hub_ids(&mut w, hubs);
     let nb = params.near_bits();
-    let mut prev: Option<NodeId> = None;
-    for &h in hubs {
-        match prev {
-            None => w.write_gamma0(h as u64),
-            Some(p) => w.write_gamma((h - p) as u64),
-        }
-        prev = Some(h);
-    }
     for &d in dists {
         if d < params.near_threshold {
             w.write_bit(true);
@@ -246,18 +217,9 @@ fn encode_gap_split_body(
 }
 
 fn decode_gap_split_body(r: &mut BitReader<'_>, params: &CompactParams) -> Vec<(NodeId, Distance)> {
-    let k = r.read_gamma0() as usize;
     let nb = params.near_bits();
-    let mut hubs = Vec::with_capacity(k);
-    let mut cur = 0u64;
-    for i in 0..k {
-        cur = if i == 0 {
-            r.read_gamma0()
-        } else {
-            cur + r.read_gamma()
-        };
-        hubs.push(cur as NodeId);
-    }
+    let mut hubs = Vec::new();
+    read_hub_ids(r, &mut hubs);
     hubs.iter()
         .map(|&h| {
             let d = if r.read_bit() {

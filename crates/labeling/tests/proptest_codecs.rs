@@ -124,7 +124,7 @@ fn encoding_size_monotone_in_hub_count() {
 
 #[test]
 fn compact_roundtrip_arbitrary() {
-    use hl_labeling::compact::{decode_compact, encode_compact, CompactParams};
+    use hl_labeling::packed::{decode_compact, encode_compact, CompactParams};
     for case in 0..CASES {
         let mut rng = Xorshift64::seed_from_u64(4000 + case);
         let count = rng.gen_index(60);
@@ -143,7 +143,7 @@ fn compact_roundtrip_arbitrary() {
 
 #[test]
 fn compact_never_beaten_by_gamma_by_more_than_tag() {
-    use hl_labeling::compact::{encode_compact, CompactParams};
+    use hl_labeling::packed::{encode_compact, CompactParams};
     for case in 0..CASES {
         let mut rng = Xorshift64::seed_from_u64(5000 + case);
         let count = rng.gen_index(40);

@@ -10,7 +10,7 @@
 //! * the bidirectional *upward* query.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use hl_graph::{Distance, Graph, NodeId, INFINITY};
 
@@ -48,8 +48,11 @@ impl ContractionHierarchy {
     pub fn build(g: &Graph) -> Self {
         let n = g.num_nodes();
         // Working graph: adjacency maps with current (possibly shortcut)
-        // weights among non-contracted vertices.
-        let mut adj: Vec<HashMap<NodeId, Distance>> = vec![HashMap::new(); n];
+        // weights among non-contracted vertices. Ordered maps, because the
+        // order a contracted vertex's neighbours are paired in decides
+        // which shortcuts later witness searches see: a `HashMap` made the
+        // hierarchy differ from one `build` to the next.
+        let mut adj: Vec<BTreeMap<NodeId, Distance>> = vec![BTreeMap::new(); n];
         for (u, v, w) in g.edges() {
             insert_min(&mut adj, u, v, w);
         }
@@ -186,7 +189,7 @@ impl ContractionHierarchy {
 
 /// Inserts edge `{u, v}` keeping the minimum weight; returns `true` when a
 /// brand-new edge was created.
-fn insert_min(adj: &mut [HashMap<NodeId, Distance>], u: NodeId, v: NodeId, w: Distance) -> bool {
+fn insert_min(adj: &mut [BTreeMap<NodeId, Distance>], u: NodeId, v: NodeId, w: Distance) -> bool {
     let mut fresh = false;
     let e = adj[u as usize].entry(v).or_insert_with(|| {
         fresh = true;
@@ -202,7 +205,7 @@ fn insert_min(adj: &mut [HashMap<NodeId, Distance>], u: NodeId, v: NodeId, w: Di
 /// current remaining graph (the contracted vertex is already detached)?
 /// Bounded Dijkstra with a hop limit — failing to find a witness is always
 /// safe (an extra shortcut never breaks correctness).
-fn has_witness(adj: &[HashMap<NodeId, Distance>], a: NodeId, b: NodeId, cap: Distance) -> bool {
+fn has_witness(adj: &[BTreeMap<NodeId, Distance>], a: NodeId, b: NodeId, cap: Distance) -> bool {
     const HOP_LIMIT: u32 = 16;
     let mut dist: HashMap<NodeId, (Distance, u32)> = HashMap::new();
     let mut heap = BinaryHeap::new();
@@ -243,7 +246,7 @@ fn has_witness(adj: &[HashMap<NodeId, Distance>], a: NodeId, b: NodeId, cap: Dis
 /// Node-ordering priority: edge difference (shortcuts that contraction
 /// would add minus edges removed) plus the contracted-neighbors term.
 fn priority(
-    adj: &[HashMap<NodeId, Distance>],
+    adj: &[BTreeMap<NodeId, Distance>],
     contracted: &[bool],
     contracted_neighbors: &[u32],
     v: NodeId,
@@ -284,6 +287,20 @@ mod tests {
                 assert_eq!(ch.query(u, v), m.distance(u, v), "pair {u},{v}");
             }
         }
+    }
+
+    #[test]
+    fn build_is_a_function_of_the_graph() {
+        // On weighted grids the neighbour pairing order shows; with
+        // `HashMap` adjacency this failed on every run.
+        let g = generators::weighted_grid(12, 12, 13);
+        let (a, b) = (
+            ContractionHierarchy::build(&g),
+            ContractionHierarchy::build(&g),
+        );
+        assert_eq!(a.rank, b.rank);
+        assert_eq!(a.num_shortcuts(), b.num_shortcuts());
+        assert_eq!(a.up, b.up);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use crate::oracle::{DistanceOracle, QueryStats};
 #[derive(Debug)]
 pub struct PortalOracle<'g> {
     graph: &'g Graph,
-    portals: Vec<NodeId>,
     rows: Vec<Vec<Distance>>,
     is_portal: Vec<bool>,
     portal_index: Vec<usize>,
@@ -52,16 +51,10 @@ impl<'g> PortalOracle<'g> {
         }
         PortalOracle {
             graph,
-            portals,
             rows,
             is_portal,
             portal_index,
         }
-    }
-
-    /// Number of portals.
-    pub fn num_portals(&self) -> usize {
-        self.portals.len()
     }
 
     /// Table space in bytes (`k · n` distances).

@@ -86,6 +86,15 @@ if grep -rnE 'HubLabeling|\bHubLabel\b|core::io' crates src tests examples; then
   exit 1
 fi
 
+echo "== PLL is written once (the pruned search lives in hl_core::pll only) =="
+# hl-build and approx.rs drive hl_core::pll's kernel; a queue or a heap
+# in either is a seventh copy of the search.
+if grep -rnE 'VecDeque|BinaryHeap' crates/build/src crates/core/src/approx.rs ||
+  ls crates/build/src/wave.rs crates/build/src/committed.rs 2>/dev/null; then
+  echo "check: FAIL — a pruned search outside crates/core/src/pll.rs" >&2
+  exit 1
+fi
+
 echo "== docs/THEOREM_MAP.md cites files that exist =="
 # The character class admits no shell syntax but the `{a,b}.rs` lists the
 # map uses, which `eval echo` expands.
