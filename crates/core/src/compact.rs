@@ -1,11 +1,8 @@
-//! `CompactLabeling` — the byte-tuned CSR label arena.
+//! `CompactLabeling` — the byte-tuned CSR lanes of the HLBS v2c store
+//! flavor: a storage codec, not a served arena.
 //!
-//! The paper's lower bounds are statements about the *total size* of hub
-//! label structures, which makes bytes-per-label-entry the fundamental
-//! serving cost: at 100M+ entries the merge-join is memory-bound, and
-//! halving the bytes it streams is worth more than any instruction trick.
 //! [`crate::flat::FlatLabeling`] spends 12 bytes per entry (u32 hub +
-//! u64 distance); this arena narrows both lanes:
+//! u64 distance); these lanes narrow both:
 //!
 //! * **distances** are stored as `u16` when every distance in the arena
 //!   fits, with a checked fallback to `u32` otherwise (a distance beyond
@@ -13,15 +10,16 @@
 //!   never store — is a typed [`CompactError`], never silent truncation);
 //! * **hub ids** are delta-coded within each per-vertex sorted run (the
 //!   first entry is the absolute id, every later entry the gap to its
-//!   predecessor) and decoded on the fly inside the merge-join; deltas are
-//!   `u16` when every gap in the arena fits, `u32` otherwise.
+//!   predecessor); deltas are `u16` when every gap in the arena fits,
+//!   `u32` otherwise.
 //!
-//! Width selection is arena-wide, so the one query loop monomorphizes
-//! into four branch-free variants (each with and without the witness)
-//! and per-vertex runs stay directly sliceable.
 //! Best case (`u16`+`u16`) is 4 bytes per entry — a 67% cut; worst case
 //! (`u32`+`u32`) is 8 bytes — still 33%. Conversion to and from the flat
-//! arena is lossless: same hubs, same distances, same query answers.
+//! arena is lossless: a v2c store mounts by validating these lanes
+//! ([`CompactLabeling::from_raw_parts`]) and expanding them
+//! ([`CompactLabeling::to_flat`]). [`CompactLabeling::query`] joins the
+//! lanes directly, decoding deltas on the fly; it is slower than the flat
+//! join on every benchmarked store, which is why nothing serves it.
 //!
 //! Delta-coding rewards the frequency-aware id remapping of
 //! [`crate::freq`]: once hot hubs get small ids they cluster at the front
@@ -44,10 +42,8 @@
 
 use hl_graph::{Distance, NodeId, INFINITY};
 
-use crate::flat::{
-    average_hubs, check_offsets, max_hubs, span_of, spans, FlatLabeling, FlatLayoutError,
-};
-use crate::label::{offer, warm_hub_lanes, witnessed};
+use crate::flat::{check_offsets, span_of, spans, FlatLabeling, FlatLayoutError};
+use crate::label::warm_hub_lanes;
 
 /// Why a labeling could not be compacted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,7 +73,7 @@ impl std::fmt::Display for CompactError {
 
 impl std::error::Error for CompactError {}
 
-/// One entry lane of the compact arena at its arena-wide width: 2 bytes
+/// One compact entry lane at its labeling-wide width: 2 bytes
 /// per entry when every value in the lane fits 16 bits, 4 otherwise.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NarrowLane {
@@ -213,12 +209,16 @@ impl CompactLabeling {
     /// [`CompactLabeling::from_flat`]).
     pub fn to_flat(&self) -> FlatLabeling {
         let mut flat = FlatLabeling::with_capacity(self.num_nodes(), self.num_entries());
-        let mut hubs = Vec::new();
-        let mut dists = Vec::new();
-        for v in 0..self.num_nodes() as NodeId {
+        let (mut hubs, mut dists) = (Vec::new(), Vec::new());
+        for run in spans(&self.offsets) {
             hubs.clear();
             dists.clear();
-            self.decode_label_into(v, &mut hubs, &mut dists);
+            let mut acc: NodeId = 0;
+            for k in run {
+                acc += self.hubs.get(k) as NodeId;
+                hubs.push(acc);
+                dists.push(self.dists.get(k));
+            }
             flat.push_label(&hubs, &dists);
         }
         flat
@@ -269,97 +269,35 @@ impl CompactLabeling {
             + self.dists.len() * self.dists.entry_bytes()
     }
 
-    /// Average hubs per vertex, `Σ_v |S_v| / n`.
-    pub fn average_hubs(&self) -> f64 {
-        average_hubs(&self.offsets)
-    }
-
-    /// Largest label size.
-    pub fn max_hubs(&self) -> usize {
-        max_hubs(&self.offsets)
-    }
-
-    /// Average bytes per `(hub, distance)` entry, offsets included — the
-    /// serving-cost figure the flat-vs-compact head-to-heads report.
-    pub fn bytes_per_entry(&self) -> f64 {
-        if self.num_entries() == 0 {
-            return 0.0;
-        }
-        self.heap_bytes() as f64 / self.num_entries() as f64
-    }
-
     fn span(&self, v: NodeId) -> std::ops::Range<usize> {
         span_of(&self.offsets, v)
     }
 
-    /// Decodes vertex `v`'s label into caller-owned buffers (appended).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn decode_label_into(&self, v: NodeId, hubs: &mut Vec<NodeId>, dists: &mut Vec<Distance>) {
-        let mut acc: NodeId = 0;
-        for k in self.span(v) {
-            acc += self.hubs.get(k) as NodeId;
-            hubs.push(acc);
-            dists.push(self.dists.get(k));
-        }
-    }
-
-    /// The label of vertex `v` as owned parallel arrays, decoded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn label_of(&self, v: NodeId) -> (Vec<NodeId>, Vec<Distance>) {
-        let len = self.span(v).len();
-        let mut hubs = Vec::with_capacity(len);
-        let mut dists = Vec::with_capacity(len);
-        self.decode_label_into(v, &mut hubs, &mut dists);
-        (hubs, dists)
-    }
-
-    /// Merge-joins the runs of `u` and `v` — the one place the arena-wide
-    /// lane widths pick their monomorphized kernel.
-    fn join<const WITNESS: bool>(&self, u: NodeId, v: NodeId) -> (Distance, NodeId) {
-        let (ra, rb) = (self.span(u), self.span(v));
-        match (&self.hubs, &self.dists) {
-            (NarrowLane::U16(h), NarrowLane::U16(d)) => {
-                join_delta_runs::<WITNESS, _, _>(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
-            }
-            (NarrowLane::U16(h), NarrowLane::U32(d)) => {
-                join_delta_runs::<WITNESS, _, _>(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
-            }
-            (NarrowLane::U32(h), NarrowLane::U16(d)) => {
-                join_delta_runs::<WITNESS, _, _>(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
-            }
-            (NarrowLane::U32(h), NarrowLane::U32(d)) => {
-                join_delta_runs::<WITNESS, _, _>(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
-            }
-        }
-    }
-
     /// Answers the distance query `u, v` by merge-joining the two runs,
-    /// decoding hub deltas on the fly. Returns [`INFINITY`] when the
-    /// labels share no hub — or when every common-hub sum saturates,
+    /// decoding hub deltas on the fly — the one place the arena-wide lane
+    /// widths pick their monomorphized kernel. Returns [`INFINITY`] when
+    /// the labels share no hub — or when every common-hub sum saturates,
     /// matching [`crate::label::merge_join`]'s sentinel discipline.
     ///
     /// # Panics
     ///
     /// Panics if `u` or `v` is out of range.
     pub fn query(&self, u: NodeId, v: NodeId) -> Distance {
-        self.join::<false>(u, v).0
-    }
-
-    /// Like [`CompactLabeling::query`] but also reports the (decoded,
-    /// absolute) hub realizing the minimum; `None` when the labels share
-    /// no hub or every common-hub sum saturated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or `v` is out of range.
-    pub fn query_with_witness(&self, u: NodeId, v: NodeId) -> Option<(Distance, NodeId)> {
-        witnessed(self.join::<true>(u, v))
+        let (ra, rb) = (self.span(u), self.span(v));
+        match (&self.hubs, &self.dists) {
+            (NarrowLane::U16(h), NarrowLane::U16(d)) => {
+                join_delta_runs(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
+            }
+            (NarrowLane::U16(h), NarrowLane::U32(d)) => {
+                join_delta_runs(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
+            }
+            (NarrowLane::U32(h), NarrowLane::U16(d)) => {
+                join_delta_runs(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
+            }
+            (NarrowLane::U32(h), NarrowLane::U32(d)) => {
+                join_delta_runs(&h[ra.clone()], &d[ra], &h[rb.clone()], &d[rb])
+            }
+        }
     }
 }
 
@@ -403,21 +341,15 @@ fn delta_code<T>(offsets: &[u64], hubs: &[NodeId], narrow: impl Fn(NodeId) -> T)
     out
 }
 
-/// The delta-decoding merge-join kernel, monomorphized per lane width
-/// and per witness flag; candidates fold through [`crate::label`]'s
-/// `offer`, so ties and saturation resolve exactly as in
-/// [`crate::label::merge_join`]. Cursor movement mirrors that branchless
-/// kernel, but delta-coded ids cannot be skipped over, so there is no
-/// gallop; the accumulator updates are guarded because advancing past the
-/// end of a run must not read (or add) a delta that belongs to the next
-/// vertex.
+/// The delta-decoding merge-join kernel, monomorphized per lane width;
+/// candidates fold by `min` from [`INFINITY`], so a saturated sum never
+/// takes, exactly as in [`crate::label::merge_join`]. Cursor movement
+/// mirrors that branchless kernel, but delta-coded ids cannot be skipped
+/// over, so there is no gallop; the accumulator updates are guarded
+/// because advancing past the end of a run must not read (or add) a delta
+/// that belongs to the next vertex.
 #[inline]
-fn join_delta_runs<const WITNESS: bool, H, D>(
-    a_hubs: &[H],
-    a_dists: &[D],
-    b_hubs: &[H],
-    b_dists: &[D],
-) -> (Distance, NodeId)
+fn join_delta_runs<H, D>(a_hubs: &[H], a_dists: &[D], b_hubs: &[H], b_dists: &[D]) -> Distance
 where
     H: Copy,
     NodeId: From<H>,
@@ -425,14 +357,13 @@ where
     Distance: From<D>,
 {
     let mut best = INFINITY;
-    let mut witness: NodeId = 0;
     // Truncating each side to its common length lets the loop condition
     // prove every index in bounds for both lanes — no per-iteration
     // bounds checks (same trick as `crate::label::merge_join`).
     let n = a_hubs.len().min(a_dists.len());
     let m = b_hubs.len().min(b_dists.len());
     if n == 0 || m == 0 {
-        return (best, witness);
+        return best;
     }
     let (a_hubs, a_dists) = (&a_hubs[..n], &a_dists[..n]);
     let (b_hubs, b_dists) = (&b_hubs[..m], &b_dists[..m]);
@@ -445,7 +376,7 @@ where
         // which never takes.
         let d = Distance::from(a_dists[i]).saturating_add(Distance::from(b_dists[j]));
         let candidate = if ha == hb { d } else { INFINITY };
-        offer::<WITNESS>(&mut best, &mut witness, candidate, ha);
+        best = best.min(candidate);
         let adv_a = ha <= hb;
         let adv_b = hb <= ha;
         i += adv_a as usize;
@@ -460,7 +391,7 @@ where
             hb += NodeId::from(b_hubs[j]);
         }
     }
-    (best, witness)
+    best
 }
 
 #[cfg(test)]
@@ -495,11 +426,6 @@ mod tests {
         for u in 0..n {
             for v in 0..n {
                 assert_eq!(compact.query(u, v), flat.query(u, v), "d({u},{v})");
-                assert_eq!(
-                    compact.query_with_witness(u, v),
-                    flat.query_with_witness(u, v),
-                    "witness({u},{v})"
-                );
             }
         }
     }
@@ -549,16 +475,11 @@ mod tests {
         let flat = FlatLabeling::from_pair_lists(vec![vec![(1, u32::MAX as u64)]; 2]);
         let compact = CompactLabeling::from_flat(&flat).unwrap();
         assert_eq!(compact.query(0, 1), 2 * (u32::MAX as u64));
-        assert_eq!(
-            compact.query_with_witness(0, 1),
-            Some((2 * (u32::MAX as u64), 1))
-        );
-        // ...and disjoint hub sets read as unreachable with no witness.
+        // ...and disjoint hub sets (or an empty label) read as unreachable.
         let flat = FlatLabeling::from_pair_lists(vec![vec![(0, 0)], vec![], vec![(2, 0)]]);
         let compact = CompactLabeling::from_flat(&flat).unwrap();
         assert_eq!(compact.query(0, 2), INFINITY);
-        assert_eq!(compact.query_with_witness(0, 2), None);
-        assert_eq!(compact.query_with_witness(0, 1), None); // empty label
+        assert_eq!(compact.query(0, 1), INFINITY);
     }
 
     #[test]
@@ -656,17 +577,5 @@ mod tests {
             + e * compact.hub_entry_bytes()
             + e * compact.dist_entry_bytes();
         assert_eq!(compact.heap_bytes(), expect);
-        assert!((compact.bytes_per_entry() - expect as f64 / e as f64).abs() < 1e-12);
-    }
-
-    #[test]
-    fn label_of_decodes_absolute_ids() {
-        let flat = sample_flat();
-        let compact = CompactLabeling::from_flat(&flat).unwrap();
-        for v in 0..flat.num_nodes() as NodeId {
-            let (hubs, dists) = compact.label_of(v);
-            assert_eq!(hubs.as_slice(), flat.hubs_of(v), "hubs of {v}");
-            assert_eq!(dists.as_slice(), flat.dists_of(v), "dists of {v}");
-        }
     }
 }

@@ -120,9 +120,8 @@ impl std::error::Error for FlatLayoutError {}
 // The CSR offset-table skeleton. An arena's `offsets` holds `num_nodes + 1`
 // entry offsets, vertex `v` owning entries `offsets[v]..offsets[v+1]` of
 // the two entry lanes. Whatever the lanes hold — absolute or delta-coded
-// ids, wide or narrow distances — the table's invariants and the
-// statistics read off it are the same, so `FlatLabeling` and
-// `CompactLabeling` share these five functions.
+// ids, wide or narrow distances — the table's invariants are the same, so
+// `FlatLabeling` and `CompactLabeling` share these three functions.
 
 /// Validates an untrusted offset table against the lengths of the two
 /// entry lanes it indexes: it starts at 0, never decreases, and ends at
@@ -168,19 +167,6 @@ pub(crate) fn span_of(offsets: &[u64], v: NodeId) -> std::ops::Range<usize> {
 /// Every vertex's entry range, in vertex order.
 pub(crate) fn spans(offsets: &[u64]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
     offsets.windows(2).map(|w| w[0] as usize..w[1] as usize)
-}
-
-/// Largest label size.
-pub(crate) fn max_hubs(offsets: &[u64]) -> usize {
-    spans(offsets).map(|run| run.len()).max().unwrap_or(0)
-}
-
-/// Average hubs per vertex, `Σ_v |S_v| / n`.
-pub(crate) fn average_hubs(offsets: &[u64]) -> f64 {
-    match offsets.len() - 1 {
-        0 => 0.0,
-        n => offsets[n] as f64 / n as f64,
-    }
 }
 
 /// A complete hub labeling in a single CSR arena: three flat arrays
@@ -405,12 +391,15 @@ impl FlatLabeling {
 
     /// Average hubs per vertex, `Σ_v |S_v| / n`.
     pub fn average_hubs(&self) -> f64 {
-        average_hubs(&self.offsets)
+        match self.num_nodes() {
+            0 => 0.0,
+            n => self.num_entries() as f64 / n as f64,
+        }
     }
 
     /// Largest label size.
     pub fn max_hubs(&self) -> usize {
-        max_hubs(&self.offsets)
+        spans(&self.offsets).map(|run| run.len()).max().unwrap_or(0)
     }
 
     /// Heap footprint of the three arena arrays, in bytes — the same

@@ -7,9 +7,10 @@
 //! sorted run. This pass renumbers hubs by **global frequency**: the hub
 //! appearing in the most labels becomes id 0, the next id 1, and so on.
 //! Because per-vertex runs are stored sorted by hub id, the hot hubs move
-//! to the *front* of every label after the remap — the merge-join walks
-//! them first, they pack into the same few cache lines across all labels,
-//! and the delta gaps of [`crate::compact::CompactLabeling`] shrink.
+//! to the *front* of every label after the remap, so the delta gaps of
+//! [`crate::compact::CompactLabeling`] shrink — what the pass is for:
+//! smaller v2c files (`hubserve convert --reorder freq`). Every store
+//! mounts into the flat arena, whose size the remap does not change.
 //!
 //! The remap is a bijection on vertex ids applied to the *hub* side of
 //! every `(hub, distance)` pair; both endpoints of every query remap

@@ -7,15 +7,15 @@
 //! * [`crate::flat::FlatLabeling`] — a single CSR arena, one allocation
 //!   for the whole labeling; what every construction returns and every
 //!   store, daemon and analysis holds;
-//! * [`crate::compact::CompactLabeling`] — the same arena with delta-coded
-//!   hub ids and narrow distance lanes; it joins through its own loop,
-//!   because delta-coded ids cannot be galloped over.
+//! * [`crate::compact::CompactLabeling`] — the v2c store's lanes:
+//!   delta-coded hub ids and narrow distances; it joins (distance only)
+//!   through its own loop, because delta-coded ids cannot be galloped over.
 //!
 //! A single label has no type of its own: borrowed it is the two sorted
 //! slices [`LabelingView`] lends, owned it is a `Vec<(NodeId, Distance)>`.
 //! [`LabelingView`] is the read-only view verification, statistics, the
-//! lower-bound audit and the oracles take; the compact arena decodes on
-//! the fly and has no slices to lend.
+//! lower-bound audit and the oracles take; the compact lanes are
+//! delta-coded and have no slices to lend.
 
 use hl_graph::{Distance, NodeId, INFINITY};
 
@@ -32,7 +32,7 @@ const LOOKAHEAD: usize = 16;
 /// chain of the branchless merge then runs against warm cache instead of
 /// paying one DRAM round-trip per line. The OR-fold into [`black_box`]
 /// keeps the reads alive without `unsafe` prefetch intrinsics. Generic
-/// over the entry width so the compact arena's narrow delta lanes warm
+/// over the entry width so the compact codec's narrow delta lanes warm
 /// the same way (for `u32` ids the stride is [`LOOKAHEAD`]).
 ///
 /// [`black_box`]: std::hint::black_box
@@ -57,10 +57,9 @@ where
 }
 
 /// Folds the sum `d` over common hub `hub` into a join's running
-/// `(best, witness)` pair — the one update rule of every join loop, so the
-/// slice kernel below and the delta kernel of [`crate::compact`] agree on
-/// ties and on saturation by construction. `WITNESS = false` compiles the
-/// witness bookkeeping out.
+/// `(best, witness)` pair, so [`merge_join`] and
+/// [`merge_join_with_witness`] agree on ties and on saturation by
+/// construction. `WITNESS = false` compiles the witness bookkeeping out.
 ///
 /// Strict `<` keeps the first hub realizing the minimum, as conditional
 /// moves — `d` can never displace a tie. `best` starts at [`INFINITY`],

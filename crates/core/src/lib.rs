@@ -14,8 +14,8 @@
 //!   view every reader of a labeling takes;
 //! * [`flat`] — [`FlatLabeling`], the single-arena CSR layout every
 //!   construction returns and every store and daemon holds;
-//! * [`compact`] — [`CompactLabeling`], the byte-tuned arena (u16/u32
-//!   distance lanes, delta-coded hub ids decoded on the fly);
+//! * [`compact`] — [`CompactLabeling`], the byte-tuned lanes of the v2c
+//!   store flavor (u16/u32 distance lanes, delta-coded hub ids);
 //! * [`freq`] — hub-frequency label reordering, a layout pass that moves
 //!   hot hubs to the front of every run;
 //! * [`cover`] — verification that a labeling answers every query exactly;

@@ -1,9 +1,8 @@
 //! Randomized property tests for the compact arena: on every graph
 //! family the benches use (gnm, grid, power-law, rmat), the delta-coded
 //! [`CompactLabeling`] must agree entry-for-entry with the flat CSR
-//! arena *and* with BFS ground truth — including witnesses, including
-//! after the hub-frequency reorder pass, including through the
-//! flat → compact → flat round-trip.
+//! arena *and* with BFS ground truth — including after the hub-frequency
+//! reorder pass, including through the flat → compact → flat round-trip.
 //!
 //! Seeded [`Xorshift64`] case generation keeps the suite deterministic
 //! and offline (same style as `proptest_flat.rs`).
@@ -63,19 +62,6 @@ fn assert_compact_matches_everywhere(g: &Graph) {
             assert_eq!(flat.query(u, v), want, "flat d({u},{v})");
             assert_eq!(compact.query(u, v), want, "compact d({u},{v})");
             assert_eq!(tuned.query(u, v), want, "reordered compact d({u},{v})");
-            // Witnesses: the compact arena reports the same (distance,
-            // hub) as the flat one; the reordered arena the same distance
-            // (its witness ids live in the remapped space).
-            assert_eq!(
-                compact.query_with_witness(u, v),
-                flat.query_with_witness(u, v),
-                "witness at ({u},{v})"
-            );
-            assert_eq!(
-                tuned.query_with_witness(u, v).map(|(d, _)| d),
-                flat.query_with_witness(u, v).map(|(d, _)| d),
-                "reordered witness distance at ({u},{v})"
-            );
         }
     }
 }
@@ -123,8 +109,6 @@ fn compact_stats_agree_with_flat_on_random_graphs() {
         let compact = CompactLabeling::from_flat(&flat).unwrap();
         assert_eq!(compact.num_nodes(), flat.num_nodes());
         assert_eq!(compact.num_entries(), flat.num_entries());
-        assert_eq!(compact.max_hubs(), flat.max_hubs());
-        assert!((compact.average_hubs() - flat.average_hubs()).abs() < 1e-12);
         // The whole point: the compact arena never costs more heap.
         assert!(compact.heap_bytes() <= flat.heap_bytes());
     }

@@ -40,8 +40,8 @@
 //!    because every v2 byte sits under a checksum or the zero-padding
 //!    rule, a blind flip that parses anyway is itself a defect. Every
 //!    image goes through `AnyStore::parse`, the path a daemon mounts by;
-//!    whatever parses is walked label by label in its native arena and
-//!    joined with and without a witness.
+//!    whatever parses is walked label by label in the flat arena every
+//!    flavor mounts as and joined with and without a witness.
 //! 4. **Wire**: random payloads through every frame decoder.
 //!
 //! Any panic, hang, wrong answer, or silently-accepted corruption is a
@@ -681,21 +681,21 @@ fn store_campaign(
 }
 
 /// Parses a mutated store of any flavor through the version-sniffing
-/// [`AnyStore`] entry point and mounts it in its *native* arena (the path
-/// a daemon takes — crafted γ bits reach the checked v1 decoder, and a
-/// compact image stays compact, so crafted delta and width flips reach
-/// `CompactLabeling::from_raw_parts` and the delta kernel) inside
-/// `catch_unwind`, then walks every label and joins a few pairs both
-/// ways. Errors are expected; panics, and a `query` that disagrees with
-/// `query_with_witness`, are defects. Returns whether it parsed.
+/// [`AnyStore`] entry point and mounts it as the flat arena (the path a
+/// daemon takes — crafted γ bits reach the checked v1 decoder, crafted
+/// delta and width flips reach `CompactLabeling::from_raw_parts` before
+/// the compact lanes expand) inside `catch_unwind`, then walks every
+/// label and joins a few pairs both ways. Errors are expected; panics,
+/// and a `query` that disagrees with `query_with_witness`, are defects.
+/// Returns whether it parsed.
 fn check_store_bytes(bytes: &[u8]) -> Result<bool, Failure> {
     let walked = panic::catch_unwind(AssertUnwindSafe(|| {
-        let Ok(served) = AnyStore::parse(bytes).and_then(AnyStore::into_served) else {
+        let Ok(served) = AnyStore::parse(bytes).and_then(AnyStore::into_flat) else {
             return Ok(false);
         };
         let n = served.num_nodes() as NodeId;
         for v in 0..n {
-            let _ = served.label_of(v);
+            let _ = (served.hubs_of(v), served.dists_of(v));
         }
         for u in 0..n.min(4) {
             for v in [u, (u + 1) % n, n - 1 - u] {

@@ -17,18 +17,17 @@
 //! bit-identical to sequential PLL), `--order` picks the vertex-ordering
 //! strategy (`degree`, or `betweenness` for road-like graphs — the two
 //! that win on label entries; EXPERIMENTS.md has the table). The result
-//! is written as the versioned binary store of `hl_server::store`;
-//! `--verify K` spot-checks the freshly written store against
-//! ground-truth distances from `K` seeded sources.
+//! is written as an HLBS v2 store (`hl_server::store_v2`), the format
+//! every daemon mounts; `--verify K` spot-checks the freshly written
+//! store against ground-truth distances from `K` seeded sources.
 //!
 //! `query` reads whitespace-separated `u v` pairs — from a file when given
 //! (served as one batch), else line-by-line from stdin
 //! through the cached single-query path — and prints `u v <distance>` per
 //! pair, with `inf` for unreachable.
 //!
-//! `stats` validates the store, decodes it into the query-time arena it
-//! would actually serve from (flat CSR, or the compact arena for the
-//! `v2c` flavor — exactly what `serve` mounts), and prints both the
+//! `stats` validates the store, decodes it into the flat arena every
+//! flavor mounts as (exactly what `serve` mounts), and prints both the
 //! on-disk and in-memory sizes: label entries and bytes per entry, the
 //! two axes the paper's size bounds are stated in.
 //!
@@ -40,11 +39,12 @@
 //! a `Reload` frame (disable with `--no-remote-reload`): in-flight
 //! queries finish on the old epoch, new ones answer from the new store.
 //!
-//! `convert` migrates a store between HLBS v1 (γ-coded archival format),
-//! HLBS v2 (the flat serving arena, verbatim) and HLBS v2c (the compact
-//! flavor: delta-coded hubs, narrow distance lanes). All three encodings
-//! are canonical functions of the labeling, so `convert --to v2` then
-//! `convert --to v1` reproduces the original file byte for byte —
+//! `convert` migrates a store between HLBS v2 (the flat serving arena,
+//! verbatim), HLBS v1 (γ-coded archival format; `convert` is the only
+//! writer) and HLBS v2c (the compact flavor: delta-coded hubs, narrow
+//! distance lanes, expanded to the flat arena at mount). All three
+//! encodings are canonical functions of the labeling, so `convert --to
+//! v1` then `convert --to v2` reproduces the built file byte for byte —
 //! `--verify-roundtrip` proves it on the spot. `--reorder freq` applies
 //! the hub-frequency id remap before encoding (hot hubs get small ids,
 //! which shrinks the compact deltas); the remap changes hub ids, so it
@@ -72,9 +72,7 @@ use hl_graph::rng::Xorshift64;
 use hl_graph::{generators, Graph, NodeId};
 use hl_net::cli::{answer_pairs, exit_code, CliError, Flags};
 use hl_net::{ClientConfig, NetClient, NetServer, ServerConfig};
-use hl_server::{
-    AnyStore, CompactStore, EngineError, FlatStore, LabelStore, QueryEngine, ServedLabeling,
-};
+use hl_server::{AnyStore, CompactStore, FlatStore, LabelStore, QueryEngine};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -111,19 +109,16 @@ fn default_workers() -> usize {
         .unwrap_or(4)
 }
 
-/// Opens a store of any flavor and mounts it the way `serve` would: the
-/// compact flavor stays compact, everything else decodes to the flat CSR.
+/// Opens a store of any flavor and decodes it to the flat arena, the way
+/// `serve` mounts it.
 fn open_store(path: &str) -> Result<AnyStore, String> {
     AnyStore::open(path).map_err(|e| format!("cannot open store {path}: {e}"))
 }
 
-/// Starts a query engine over the store's arena in its native form.
+/// Starts a query engine over the store's arena.
 fn mount(store: AnyStore, workers: usize) -> Result<QueryEngine, String> {
-    store
-        .into_served()
-        .map_err(EngineError::from)
-        .and_then(|served| QueryEngine::new(served, workers))
-        .map_err(|e| format!("cannot start engine: {e}"))
+    let flat = store.into_flat().map_err(|e| e.to_string())?;
+    QueryEngine::new(flat, workers).map_err(|e| format!("cannot start engine: {e}"))
 }
 
 struct BuildOpts {
@@ -248,20 +243,20 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     )
     .map_err(|e| e.to_string())?;
     let build_s = started.elapsed().as_secs_f64();
-    let store = LabelStore::from_flat(&out.labeling);
+    let entries = out.labeling.num_entries();
+    let store = FlatStore::from_flat(out.labeling);
     store
         .save(&opts.store_path)
         .map_err(|e| format!("cannot write {}: {e}", opts.store_path))?;
     println!(
         "built {}-order labels for {} nodes ({} edges) in {build_s:.2}s \
-         ({} threads, {} entries); store {} bytes ({:.1} bits/label)",
+         ({} threads, {entries} entries); store {} bytes ({:.1} bits/label)",
         opts.order,
         g.num_nodes(),
         g.num_edges(),
         opts.threads,
-        out.labeling.num_entries(),
         store.file_len(),
-        store.total_bits() as f64 / g.num_nodes().max(1) as f64,
+        store.label_bits() as f64 / g.num_nodes().max(1) as f64,
     );
     if opts.verify_sources > 0 {
         let mut verified_pairs = 0usize;
@@ -329,12 +324,13 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     let store = open_store(store_path)?;
     let (served, flavor) = (store.served(), store.flavor());
     let n = store.num_nodes();
+    let sections = store.section_bytes();
     println!("store {store_path}");
     println!("  format version     {} (flavor {flavor})", store.version());
     println!("  nodes              {n}");
     let encoding = match flavor {
         "v1" => "gamma-coded",
-        "v2c" => "compact arena",
+        "v2c" => "compact lanes",
         _ => "flat arena",
     };
     println!(
@@ -342,16 +338,19 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
         store.file_len(),
         store.label_bits() as f64 / n.max(1) as f64
     );
-    for (name, bytes) in store.section_bytes() {
+    for (name, bytes) in sections {
         println!("  section {name:<10} {bytes} bytes");
     }
-    println!("  arena kind         {}", served.kind());
-    if let ServedLabeling::Compact(c) = served {
+    if flavor == "v2c" {
+        // Lane widths are the file's, read off its section table: the
+        // mounted arena is flat whatever the flavor.
+        let e = served.num_entries().max(1) as u64;
+        let [(_, offsets), (_, hubs), (_, dists)] = sections;
         println!(
             "  compact lanes      hubs u{}, dists u{} ({:.2} B/entry incl. offsets)",
-            c.hub_entry_bytes() * 8,
-            c.dist_entry_bytes() * 8,
-            c.bytes_per_entry()
+            hubs * 8 / e,
+            dists * 8 / e,
+            (offsets + hubs + dists) as f64 / e as f64
         );
     }
     println!("  arena entries      {}", served.num_entries());
@@ -419,7 +418,7 @@ fn parse_serve_opts(args: &[String]) -> Result<(String, ServeOpts), String> {
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let (store_path, opts) = parse_serve_opts(args).map_err(CliError::Usage)?;
     let store = open_store(&store_path)?;
-    let (flavor, version, arena_kind) = (store.flavor(), store.version(), store.served().kind());
+    let (flavor, version) = (store.flavor(), store.version());
     let engine = Arc::new(mount(store, opts.workers)?);
     let config = ServerConfig {
         max_connections: opts.max_conns,
@@ -433,8 +432,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let server = NetServer::bind(Arc::clone(&engine), opts.addr.as_str(), config)
         .map_err(|e| format!("cannot bind {}: {e}", opts.addr))?;
     println!(
-        "serving {} nodes, {} label entries (store {flavor}, {arena_kind} arena, \
-         {} arena bytes, {} workers, {} max conns)",
+        "serving {} nodes, {} label entries (store {flavor}, {} arena bytes, \
+         {} workers, {} max conns)",
         engine.num_nodes(),
         engine.num_entries(),
         engine.heap_bytes(),

@@ -538,12 +538,12 @@ pub(crate) fn execute(
     let answered = match request {
         Request::Query { u, v } => engine.query(u, v).map(Response::Distance),
         Request::QueryBatch(pairs) => engine.query_batch(&pairs).map(Response::DistanceBatch),
-        Request::Label { v } => label(engine, v).map(Response::Label),
+        Request::Label { v } => engine.label_of(v).map(Response::Label),
         // Fails atomically on the first out-of-range vertex, so a partial
         // batch is never returned.
         Request::LabelBatch(vs) => vs
             .iter()
-            .map(|&v| label(engine, v))
+            .map(|&v| engine.label_of(v))
             .collect::<Result<_, _>>()
             .map(Response::LabelBatch),
         Request::Reload { path } => Ok(handle_reload(engine, store_version, &path)),
@@ -564,19 +564,13 @@ pub(crate) fn execute(
     })
 }
 
-/// One vertex's label as the `(hub, distance)` pairs the wire ships.
-fn label(engine: &QueryEngine, v: u32) -> Result<Vec<(u32, hl_graph::Distance)>, EngineError> {
-    let (hubs, dists) = engine.label_of(v)?;
-    Ok(hubs.into_iter().zip(dists).collect())
-}
-
 /// Mounts the store at `path` into the engine. The new store is opened
 /// and fully validated *before* the swap, so a missing or corrupt file
 /// reports an error and leaves the current epoch serving untouched.
 fn handle_reload(engine: &QueryEngine, store_version: &AtomicU16, path: &str) -> Response {
     let mounted = AnyStore::open(path).and_then(|store| {
         let version = store.version();
-        Ok((version, store.into_served()?))
+        Ok((version, store.into_flat()?))
     });
     match mounted {
         Ok((version, labeling)) => {

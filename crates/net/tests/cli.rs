@@ -153,8 +153,9 @@ fn stats_reports_arena_size() {
     assert!(stdout.contains("arena entries"), "{stdout}");
     assert!(stdout.contains("arena heap bytes"), "{stdout}");
 
-    // One file, one label size: `build` and `stats` both report γ-coded
-    // bits per label (the paper's unit), not bits of byte-padded blob.
+    // One file, one label size: `build` and `stats` read the same v2
+    // file, so they report the same bits per label — the two entry
+    // sections, not the header, table or padding.
     let bits_per_label = |text: &str| -> String {
         let end = text.find(" bits/label").expect("a bits/label figure");
         let start = text[..end].rfind('(').expect("figure is parenthesised") + 1;
@@ -195,7 +196,7 @@ fn convert_to_compact_flavor_serves_identical_answers() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // v1 -> v2c, and a frequency-reordered variant alongside.
+    // v2 -> v2c, and a frequency-reordered variant alongside.
     let out = hubserve()
         .args([
             "convert",
@@ -245,8 +246,8 @@ fn convert_to_compact_flavor_serves_identical_answers() {
         .unwrap();
     assert!(!out.status.success());
 
-    // stats mounts the compact arena natively, and the reported heap
-    // bytes are the exact sum of the lane sizes (satellite c contract).
+    // stats reads the v2c lane widths off the file and reports the flat
+    // arena it mounts — the same one the v2 store mounts.
     let out = hubserve()
         .args(["stats", compact.to_str().unwrap()])
         .output()
@@ -254,17 +255,17 @@ fn convert_to_compact_flavor_serves_identical_answers() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("flavor v2c"), "{stdout}");
-    assert!(stdout.contains("arena kind         compact"), "{stdout}");
-    let c = match hl_server::AnyStore::open(&compact)
+    assert!(
+        stdout.contains("compact lanes      hubs u16, dists u16"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("arena kind"), "{stdout}");
+    let flat = hl_server::AnyStore::open(&store)
         .unwrap()
-        .into_served()
-        .unwrap()
-    {
-        hl_server::ServedLabeling::Compact(c) => c,
-        _ => panic!("expected compact arena"),
-    };
-    assert!(stdout.contains(&format!("arena entries      {}", c.num_entries())));
-    assert!(stdout.contains(&format!("arena heap bytes   {}", c.heap_bytes())));
+        .into_flat()
+        .unwrap();
+    assert!(stdout.contains(&format!("arena entries      {}", flat.num_entries())));
+    assert!(stdout.contains(&format!("arena heap bytes   {}", flat.heap_bytes())));
 
     // All three stores answer the same pairs identically.
     std::fs::write(&pairs, "0 63\n5 58\n0 0\n7 56\n").unwrap();

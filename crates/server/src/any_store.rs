@@ -4,9 +4,10 @@
 //! field; [`AnyStore::parse`] peeks at that field
 //! ([`crate::store::format_version`]) and runs the matching codec's one
 //! eager validate-and-decode pass — [`store::decode`] for v1 γ, the v2
-//! codec ([`V2Store`]) for both v2 flavors. Either way the result is the
-//! same record: the arena in the form a daemon mounts, plus the facts
-//! about the file that `hubserve stats` and the serve banner report.
+//! codec ([`V2Store`]) for both v2 flavors, v2c's compact lanes expanded
+//! after they validate. Every version yields the same record: the flat
+//! arena a daemon mounts, plus the facts about the file that `hubserve
+//! stats` and the serve banner report.
 //! Every product path that reads a store (`hubserve serve`/`query`/
 //! `stats`/`convert`/`build --verify`, the `Reload` opcode, `hl-shard
 //! partition`) goes through this type.
@@ -17,7 +18,6 @@ use std::path::Path;
 
 use hl_core::FlatLabeling;
 
-use crate::served::ServedLabeling;
 use crate::store::{self, StoreError};
 use crate::store_v2::{self, V2Store};
 
@@ -25,7 +25,7 @@ use crate::store_v2::{self, V2Store};
 /// own size facts.
 #[derive(Debug, Clone)]
 pub struct AnyStore {
-    served: ServedLabeling,
+    flat: FlatLabeling,
     version: u16,
     flavor: &'static str,
     file_len: u64,
@@ -51,7 +51,7 @@ impl AnyStore {
                     file_len,
                     sections: store::section_bytes(flat.num_nodes(), file_len),
                     label_bits,
-                    served: flat.into(),
+                    flat,
                 })
             }
             store_v2::VERSION => {
@@ -66,8 +66,8 @@ impl AnyStore {
                     },
                     file_len,
                     sections,
-                    label_bits: (sections[1].1 + sections[2].1) * 8,
-                    served: store.into_served(),
+                    label_bits: store.label_bits(),
+                    flat: store.into_flat(),
                 })
             }
             other => Err(StoreError::UnsupportedVersion(other)),
@@ -99,7 +99,7 @@ impl AnyStore {
 
     /// Number of vertices the store holds labels for.
     pub fn num_nodes(&self) -> usize {
-        self.served.num_nodes()
+        self.flat.num_nodes()
     }
 
     /// Size of the serialized file in bytes.
@@ -120,25 +120,22 @@ impl AnyStore {
         self.label_bits
     }
 
-    /// The arena in the store's native mounted form: the compact flavor
-    /// stays compact (no expansion — the whole point of serving it),
-    /// everything else is flat.
-    pub fn served(&self) -> &ServedLabeling {
-        &self.served
+    /// The arena every store version mounts as.
+    pub fn served(&self) -> &FlatLabeling {
+        &self.flat
     }
 
-    /// Moves the arena out, expanded to the flat form if it is compact.
+    /// Moves the arena out, ready for [`crate::QueryEngine::new`].
     /// Cannot fail — decoding happened in [`AnyStore::parse`]; `Result`
     /// because the frozen `benchmark/` compiles against it.
     pub fn into_flat(self) -> Result<FlatLabeling, StoreError> {
-        Ok(self.served.into_flat())
+        Ok(self.flat)
     }
 
-    /// Moves the arena out in its native form, ready for
-    /// [`crate::QueryEngine::new`]. `Result` for the same reason as
-    /// [`AnyStore::into_flat`].
-    pub fn into_served(self) -> Result<ServedLabeling, StoreError> {
-        Ok(self.served)
+    /// [`AnyStore::into_flat`] under the name the frozen `benchmark/`
+    /// calls; nothing else does.
+    pub fn into_served(self) -> Result<FlatLabeling, StoreError> {
+        self.into_flat()
     }
 }
 
@@ -170,7 +167,7 @@ mod tests {
         // The record carries v1's own size facts: γ bits, γ sections.
         assert_eq!(v1.label_bits(), encoder.total_bits());
         assert_eq!(v1.section_bytes(), encoder.section_bytes());
-        assert_eq!(v1.served(), &ServedLabeling::Flat(flat.clone()));
+        assert_eq!(v1.served(), &flat);
         assert_eq!(v1.into_flat().unwrap(), flat);
 
         let v2 = AnyStore::parse(&v2_bytes).unwrap();
@@ -190,19 +187,13 @@ mod tests {
         assert_eq!(any.flavor(), "v2c");
         assert_eq!(any.num_nodes(), flat.num_nodes());
         assert_eq!(any.file_len(), bytes.len() as u64);
-        // into_served keeps the native compact arena; into_flat expands.
-        match AnyStore::parse(&bytes).unwrap().into_served().unwrap() {
-            ServedLabeling::Compact(c) => assert_eq!(c, compact),
-            other => panic!("expected compact arena, got {}", other.kind()),
-        }
-        assert_eq!(any.into_flat().unwrap(), flat);
-        // The flat flavors report their own tags.
+        // The v2c file keeps its own size facts but mounts exactly the
+        // arena its v2 twin mounts.
+        assert_eq!(any.label_bits(), compact.num_entries() as u64 * (2 + 2) * 8);
         let v2 = AnyStore::parse(&FlatStore::from_flat(flat.clone()).encode()).unwrap();
         assert_eq!(v2.flavor(), "v2");
-        assert!(matches!(
-            v2.into_served().unwrap(),
-            ServedLabeling::Flat(f) if f == flat
-        ));
+        assert_eq!(any.served(), v2.served());
+        assert_eq!(any.into_flat().unwrap(), flat);
     }
 
     #[test]

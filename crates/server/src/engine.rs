@@ -1,9 +1,9 @@
 //! The query engine: distance queries answered from a decoded, read-only
 //! labeling, on the threads of whoever calls it.
 //!
-//! Labels are decoded from the store once at construction — into a
-//! [`ServedLabeling`]: either the canonical [`hl_core::FlatLabeling`] CSR
-//! arena or the byte-tuned [`hl_core::CompactLabeling`] form.
+//! Labels are decoded from the store once, before construction, into the
+//! [`FlatLabeling`] CSR arena — whatever the store's format — and every
+//! query is that arena's merge-join.
 //! The arena (plus its LRU cache) lives inside an immutable **epoch**
 //! behind a versioned `Arc` cell: every query snapshots the current epoch
 //! with one brief read-lock clone and then runs lock-free against that
@@ -30,13 +30,12 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
+use hl_core::FlatLabeling;
 use hl_graph::sync::{read_unpoisoned, write_unpoisoned};
 use hl_graph::{Distance, NodeId};
 
 use crate::cache::ShardedLruCache;
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::served::ServedLabeling;
-use crate::store::StoreError;
 
 /// Fewest pairs a batch must give each thread before `query_batch` splits
 /// it. A scoped spawn plus join measures about 15 µs on the benchmark host
@@ -52,8 +51,6 @@ pub enum EngineError {
     NodeOutOfRange { node: NodeId, num_nodes: usize },
     /// The OS refused to start a thread for one share of a split batch.
     WorkerSpawn(std::io::Error),
-    /// The backing label store failed to decode.
-    Store(StoreError),
 }
 
 impl fmt::Display for EngineError {
@@ -66,7 +63,6 @@ impl fmt::Display for EngineError {
                 )
             }
             EngineError::WorkerSpawn(e) => write!(f, "failed to spawn worker thread: {e}"),
-            EngineError::Store(e) => write!(f, "label store error: {e}"),
         }
     }
 }
@@ -75,15 +71,8 @@ impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EngineError::WorkerSpawn(e) => Some(e),
-            EngineError::Store(e) => Some(e),
-            _ => None,
+            EngineError::NodeOutOfRange { .. } => None,
         }
-    }
-}
-
-impl From<StoreError> for EngineError {
-    fn from(e: StoreError) -> Self {
-        EngineError::Store(e)
     }
 }
 
@@ -94,7 +83,7 @@ impl From<StoreError> for EngineError {
 struct Epoch {
     /// Monotonically increasing generation number, starting at 0.
     serial: u64,
-    labeling: ServedLabeling,
+    labeling: FlatLabeling,
     cache: ShardedLruCache,
 }
 
@@ -102,7 +91,7 @@ impl Epoch {
     /// A generation with an empty single-query cache of 65,536 entries,
     /// sharded at least four ways so point lookups from `width` threads
     /// rarely meet on a shard lock.
-    fn new(serial: u64, labeling: ServedLabeling, width: usize) -> Arc<Epoch> {
+    fn new(serial: u64, labeling: FlatLabeling, width: usize) -> Arc<Epoch> {
         Arc::new(Epoch {
             serial,
             labeling,
@@ -138,16 +127,12 @@ pub struct QueryEngine {
 
 impl QueryEngine {
     /// An engine of width `num_workers` (at least one) over an
-    /// already-decoded labeling. Accepts either query-time arena (the flat
-    /// CSR or the compact form). Starts no thread and cannot fail; the
-    /// `Result` is the signature every caller already handles.
-    pub fn new(
-        labeling: impl Into<ServedLabeling>,
-        num_workers: usize,
-    ) -> Result<Self, EngineError> {
+    /// already-decoded labeling. Starts no thread and cannot fail; the
+    /// `Result` is the signature the frozen `benchmark/` compiles against.
+    pub fn new(labeling: FlatLabeling, num_workers: usize) -> Result<Self, EngineError> {
         let width = num_workers.max(1);
         Ok(QueryEngine {
-            epoch: RwLock::new(Epoch::new(0, labeling.into(), width)),
+            epoch: RwLock::new(Epoch::new(0, labeling, width)),
             metrics: Metrics::new(),
             width,
         })
@@ -173,15 +158,9 @@ impl QueryEngine {
         self.pin().labeling.num_entries()
     }
 
-    /// Heap footprint of the served arena, in bytes — exact for both
-    /// arena forms.
+    /// Heap footprint of the served arena, in bytes.
     pub fn heap_bytes(&self) -> usize {
         self.pin().labeling.heap_bytes()
-    }
-
-    /// Which arena form the current epoch serves: `"flat"` or `"compact"`.
-    pub fn arena_kind(&self) -> &'static str {
-        self.pin().labeling.kind()
     }
 
     /// Serial number of the epoch currently being served. Starts at 0 and
@@ -201,20 +180,19 @@ impl QueryEngine {
     /// already parsed cleanly (the serving daemon opens and validates the
     /// file before calling reload, so a corrupt file never evicts the
     /// healthy epoch).
-    pub fn reload(&self, labeling: impl Into<ServedLabeling>) -> u64 {
-        let labeling = labeling.into();
+    pub fn reload(&self, labeling: FlatLabeling) -> u64 {
         let mut slot = write_unpoisoned(&self.epoch);
         let serial = slot.serial + 1;
         *slot = Epoch::new(serial, labeling, self.width);
         serial
     }
 
-    /// The label of vertex `v` in the current epoch, as owned parallel
-    /// arrays — what the wire layer ships for router-side merge joins.
-    pub fn label_of(&self, v: NodeId) -> Result<(Vec<NodeId>, Vec<Distance>), EngineError> {
+    /// The label of vertex `v` in the current epoch as the `(hub,
+    /// distance)` pairs the wire ships for router-side merge joins.
+    pub fn label_of(&self, v: NodeId) -> Result<Vec<(NodeId, Distance)>, EngineError> {
         let epoch = self.pin();
         epoch.check_node(v)?;
-        Ok(epoch.labeling.label_of(v))
+        Ok(epoch.labeling.pairs_of(v).collect())
     }
 
     /// Live metrics for this engine.

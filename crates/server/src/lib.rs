@@ -6,17 +6,18 @@
 //! at volume. The pieces:
 //!
 //! - [`store`] / [`store_v2`]: the on-disk binary formats — γ-coded v1
-//!   ([`store::LabelStore`] encodes, [`store::decode`] decodes) and the
-//!   arena-verbatim v2 flavors ([`store_v2::V2Store`]) — with corruption
+//!   ([`store::LabelStore`] encodes, [`store::decode`] decodes), the
+//!   arena-verbatim v2 and its compact-lane v2c flavor (one codec,
+//!   [`store_v2::V2Store`]) — with corruption
 //!   detection: truncation, bad magic, checksum mismatches and crafted
 //!   bodies surface as typed [`store::StoreError`]s, never as wrong
 //!   distances.
 //! - [`any_store`]: [`AnyStore`], the one mount record — a file of any
-//!   format, validated and decoded into the arena a daemon serves, plus
-//!   the size facts `hubserve stats` prints.
+//!   format, validated and decoded into the flat arena a daemon serves,
+//!   plus the size facts `hubserve stats` prints.
 //! - [`engine`]: [`engine::QueryEngine`], a shared read-only
-//!   [`ServedLabeling`] arena behind a reloadable epoch cell — a store
-//!   decodes straight into it. Queries run on the caller's threads;
+//!   [`hl_core::FlatLabeling`] arena behind a reloadable epoch cell — a
+//!   store decodes straight into it. Queries run on the caller's threads;
 //!   single queries go through a sharded LRU cache.
 //! - [`cache`]: the [`cache::ShardedLruCache`] used by the engine.
 //! - [`metrics`]: atomic counters and a latency histogram with
@@ -33,7 +34,6 @@ pub mod any_store;
 pub mod cache;
 pub mod engine;
 pub mod metrics;
-pub mod served;
 pub mod store;
 pub mod store_v2;
 
@@ -41,6 +41,5 @@ pub use any_store::AnyStore;
 pub use cache::{CacheStats, ShardedLruCache};
 pub use engine::{EngineError, QueryEngine};
 pub use metrics::{LatencyHistogram, Metrics, MetricsSnapshot};
-pub use served::ServedLabeling;
 pub use store::{LabelStore, StoreError};
 pub use store_v2::{CompactStore, FlatStore, V2Store};

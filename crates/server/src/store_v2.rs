@@ -37,17 +37,19 @@
 //!
 //! The same frame — header, section table, alignment, lane checksums,
 //! zero padding, no trailing bytes — can carry the byte-tuned
-//! [`CompactLabeling`] arena instead. Flag bits declare it:
+//! [`CompactLabeling`] lanes instead. Flag bits declare it:
 //!
-//! * [`FLAG_COMPACT`] (bit 0): the body is the compact arena — `hubs`
+//! * [`FLAG_COMPACT`] (bit 0): the body is the compact lanes — `hubs`
 //!   holds per-run delta-coded ids, `dists` the narrow distance lane;
 //! * [`FLAG_HUBS_WIDE`] (bit 1): hub deltas are u32 (u16 when clear);
 //! * [`FLAG_DISTS_WIDE`] (bit 2): distances are u32 (u16 when clear).
 //!
 //! Section byte lengths scale with the declared widths; everything else
 //! is unchanged, so one codec ([`V2Store`]) writes and parses both
-//! flavors: the flag word is derived from the arena on the way out and
-//! picks the arena on the way in. Readers that predate the compact flavor
+//! flavors: the flag word is derived from the body on the way out and
+//! picks the lane decoder on the way in. Either flavor mounts as the flat
+//! arena ([`V2Store::into_flat`]): compact lanes are a storage encoding,
+//! expanded once at mount. Readers that predate the compact flavor
 //! reject it cleanly ([`StoreError::UnsupportedFlags`]) because they
 //! require `flags == 0` — the flag word doubles as the flavor version gate.
 //!
@@ -69,7 +71,6 @@ use std::path::Path;
 
 use hl_core::{CompactDists, CompactLabeling, FlatLabeling, HubDeltas};
 
-use crate::served::ServedLabeling;
 use crate::store::{fnv1a64, format_version, read_array, read_u64, StoreError, MAGIC};
 
 /// Format version this module reads and writes.
@@ -81,7 +82,7 @@ pub const SECTION_ALIGN: usize = 64;
 /// Section names, in table order.
 pub const SECTION_NAMES: [&str; 3] = ["offsets", "hubs", "dists"];
 
-/// Flag bit: the body is the compact arena (delta-coded hubs, narrow
+/// Flag bit: the body is the compact lanes (delta-coded hubs, narrow
 /// distances) rather than the flat one.
 pub const FLAG_COMPACT: u16 = 1;
 /// Flag bit: hub deltas are u32 (u16 when clear). Meaningful only with
@@ -230,16 +231,23 @@ pub fn layout_with(
     }
 }
 
-/// The HLBS v2 codec for both flavors: a thin wrapper holding the arena
-/// in the form a daemon mounts. [`V2Store::encode`] lays it out;
-/// [`V2Store::parse`] validates an image and
-/// [`V2Store::into_served`] hands the arena on by move
-/// ([`crate::any_store::AnyStore`] is how files get here). The
-/// flavor is the arena's: a flat arena serializes with `flags == 0`, a
-/// compact one with [`FLAG_COMPACT`] and its lane-width bits.
+/// The HLBS v2 codec for both flavors: a thin wrapper holding the body
+/// in its flavor's form. [`V2Store::encode`] lays it out;
+/// [`V2Store::parse`] validates an image and [`V2Store::into_flat`] hands
+/// on the arena a daemon mounts ([`crate::any_store::AnyStore`] is how
+/// files get here). A flat body serializes with `flags == 0`, a compact
+/// one with [`FLAG_COMPACT`] and its lane-width bits.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct V2Store {
-    arena: ServedLabeling,
+    body: Body,
+}
+
+/// What a [`V2Store`] serializes: the flat arena, or the compact lanes
+/// of the v2c flavor.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Body {
+    Flat(FlatLabeling),
+    Compact(CompactLabeling),
 }
 
 /// The flat flavor's name for [`V2Store`] (`FlatStore::from_flat(..)`).
@@ -251,43 +259,50 @@ pub type CompactStore = V2Store;
 impl V2Store {
     /// Wraps a flat arena for serialization in the flat flavor.
     pub fn from_flat(flat: FlatLabeling) -> Self {
-        V2Store { arena: flat.into() }
-    }
-
-    /// Wraps a compact arena for serialization in the compact flavor.
-    pub fn from_compact(compact: CompactLabeling) -> Self {
         V2Store {
-            arena: compact.into(),
+            body: Body::Flat(flat),
         }
     }
 
-    /// Borrows the arena.
-    pub fn served(&self) -> &ServedLabeling {
-        &self.arena
+    /// Wraps compact lanes for serialization in the compact flavor.
+    pub fn from_compact(compact: CompactLabeling) -> Self {
+        V2Store {
+            body: Body::Compact(compact),
+        }
     }
 
-    /// Unwraps the arena in its native form (no copy).
-    pub fn into_served(self) -> ServedLabeling {
-        self.arena
+    /// The arena a daemon mounts: the flat body by move, compact lanes
+    /// expanded (exactly — [`CompactLabeling::to_flat`] is lossless).
+    pub fn into_flat(self) -> FlatLabeling {
+        match self.body {
+            Body::Flat(f) => f,
+            Body::Compact(c) => c.to_flat(),
+        }
     }
 
     /// Number of vertices the store holds labels for.
     pub fn num_nodes(&self) -> usize {
-        self.arena.num_nodes()
+        match &self.body {
+            Body::Flat(f) => f.num_nodes(),
+            Body::Compact(c) => c.num_nodes(),
+        }
     }
 
     /// Total `(hub, distance)` entries, `Σ_v |S_v|`.
     pub fn num_entries(&self) -> usize {
-        self.arena.num_entries()
+        match &self.body {
+            Body::Flat(f) => f.num_entries(),
+            Body::Compact(c) => c.num_entries(),
+        }
     }
 
     /// The flag word this store serializes with: 0 for the flat flavor,
-    /// [`FLAG_COMPACT`] plus the width bits matching the arena's lanes
-    /// for the compact one.
+    /// [`FLAG_COMPACT`] plus the width bits matching the lanes for the
+    /// compact one.
     pub fn flags(&self) -> u16 {
-        match &self.arena {
-            ServedLabeling::Flat(_) => 0,
-            ServedLabeling::Compact(c) => {
+        match &self.body {
+            Body::Flat(_) => 0,
+            Body::Compact(c) => {
                 let mut flags = FLAG_COMPACT;
                 if c.hub_entry_bytes() == u32::BYTES {
                     flags |= FLAG_HUBS_WIDE;
@@ -311,6 +326,12 @@ impl V2Store {
         [0, 1, 2].map(|i| (SECTION_NAMES[i], lay.sections[i].byte_len))
     }
 
+    /// The label payload in bits: the two entry sections.
+    pub fn label_bits(&self) -> u64 {
+        let [_, (_, hubs), (_, dists)] = self.section_bytes();
+        (hubs + dists) * 8
+    }
+
     /// Size of the serialized file in bytes.
     pub fn file_len(&self) -> u64 {
         self.layout().file_len
@@ -328,13 +349,13 @@ impl V2Store {
         buf[16..24].copy_from_slice(&(self.num_entries() as u64).to_le_bytes());
 
         let [offsets, hubs, dists] = lay.sections;
-        match &self.arena {
-            ServedLabeling::Flat(f) => {
+        match &self.body {
+            Body::Flat(f) => {
                 write_lane(&mut buf, offsets, f.raw_offsets());
                 write_lane(&mut buf, hubs, f.raw_hubs());
                 write_lane(&mut buf, dists, f.raw_dists());
             }
-            ServedLabeling::Compact(c) => {
+            Body::Compact(c) => {
                 write_lane(&mut buf, offsets, c.raw_offsets());
                 write_narrow_lane(&mut buf, hubs, c.raw_hubs());
                 write_narrow_lane(&mut buf, dists, c.raw_dists());
@@ -390,14 +411,14 @@ impl V2Store {
         let expect_lens = expected_section_lens(n, e, hub_bytes as u64, dist_bytes as u64)?;
         let sections = validate_frame(bytes, &expect_lens)?;
 
-        let arena = if compact {
+        let body = if compact {
             let (offsets, hubs, dists) = decode_sections(
                 bytes,
                 &sections,
                 |s| decode_narrow_section(s, hub_bytes),
                 |s| decode_narrow_section(s, dist_bytes),
             )?;
-            CompactLabeling::from_raw_parts(offsets, hubs, dists).map(ServedLabeling::Compact)
+            CompactLabeling::from_raw_parts(offsets, hubs, dists).map(Body::Compact)
         } else {
             let (offsets, hubs, dists) = decode_sections(
                 bytes,
@@ -405,10 +426,10 @@ impl V2Store {
                 decode_section::<u32>,
                 decode_section::<u64>,
             )?;
-            FlatLabeling::from_raw_parts(offsets, hubs, dists).map(ServedLabeling::Flat)
+            FlatLabeling::from_raw_parts(offsets, hubs, dists).map(Body::Flat)
         }
         .map_err(|e| StoreError::Corrupt(format!("arena invariant violated: {e}")))?;
-        Ok(V2Store { arena })
+        Ok(V2Store { body })
     }
 }
 
@@ -735,9 +756,9 @@ mod tests {
         let bytes = store.encode();
         assert_eq!(bytes.len() as u64, store.file_len());
         let back = FlatStore::parse(&bytes).expect("own encoding must parse");
-        assert_eq!(back.served(), &ServedLabeling::Flat(flat));
         // Deterministic writer: encoding again is byte-identical.
         assert_eq!(back.encode(), bytes);
+        assert_eq!(back.into_flat(), flat);
     }
 
     #[test]
@@ -959,7 +980,7 @@ mod tests {
         let bytes = store.encode();
         assert_eq!(bytes.len() as u64, store.file_len());
         let back = CompactStore::parse(&bytes).expect("own encoding must parse");
-        assert_eq!(back.served(), &ServedLabeling::Compact(compact.clone()));
+        assert_eq!(back, CompactStore::from_compact(compact.clone()));
         // Deterministic writer: encoding again is byte-identical.
         assert_eq!(back.encode(), bytes);
         // And the decoded arena answers exactly like the flat one.
@@ -991,19 +1012,14 @@ mod tests {
 
     #[test]
     fn one_parser_mounts_each_flavor_natively() {
-        // The flag word alone picks the flavor: the same parser hands back
-        // the compact arena for a compact image and the flat arena for a
-        // flat one, never one expanded or narrowed into the other.
+        // The flag word alone picks the lane decoder, and both flavors of
+        // one labeling mount as the same flat arena.
         let compact_bytes = CompactStore::from_compact(sample_compact()).encode();
-        assert!(matches!(
-            V2Store::parse(&compact_bytes).unwrap().into_served(),
-            ServedLabeling::Compact(c) if c == sample_compact()
-        ));
         let flat_bytes = FlatStore::from_flat(sample_flat()).encode();
-        assert!(matches!(
-            V2Store::parse(&flat_bytes).unwrap().into_served(),
-            ServedLabeling::Flat(f) if f == sample_flat()
-        ));
+        let from_v2c = V2Store::parse(&compact_bytes).unwrap().into_flat();
+        let from_v2 = V2Store::parse(&flat_bytes).unwrap().into_flat();
+        assert_eq!(from_v2c, from_v2);
+        assert_eq!(from_v2, sample_flat());
         // Unknown flag bits are rejected even with FLAG_COMPACT set.
         let mut bad = compact_bytes.clone();
         bad[6] |= 1 << 3;
@@ -1031,16 +1047,50 @@ mod tests {
 
     #[test]
     fn compact_heap_bytes_equals_sum_of_section_byte_lens() {
-        // The stats contract: the arena's exact heap accounting and the
+        // The stats contract: the lanes' exact heap accounting and the
         // store's section table describe the same bytes — no hidden side
-        // tables, no double-counted fallback lanes.
+        // tables, no double-counted fallback lanes — so `hubserve stats`
+        // can read v2c lane widths off the section table alone.
         let store = CompactStore::from_compact(sample_compact());
         let section_sum: u64 = store.section_bytes().iter().map(|&(_, b)| b).sum();
-        assert_eq!(store.served().heap_bytes() as u64, section_sum);
+        assert_eq!(sample_compact().heap_bytes() as u64, section_sum);
         // Same invariant on the flat side, for the head-to-head math.
         let flat_store = FlatStore::from_flat(sample_flat());
         let flat_sum: u64 = flat_store.section_bytes().iter().map(|&(_, b)| b).sum();
-        assert_eq!(flat_store.served().heap_bytes() as u64, flat_sum);
+        assert_eq!(sample_flat().heap_bytes() as u64, flat_sum);
+    }
+
+    #[test]
+    fn crafted_compact_lanes_are_corrupt_at_the_mount() {
+        // Expanding at mount must not skip the lanes' own validation: a
+        // zero delta mid-run (a duplicate hub) and a run walking past the
+        // last vertex, each with every checksum refreshed, stop at
+        // `CompactLabeling::from_raw_parts` inside `AnyStore::parse`.
+        let flat = sample_flat();
+        let store = CompactStore::from_compact(sample_compact());
+        assert_eq!(store.flags(), FLAG_COMPACT, "both lanes u16");
+        let clean = store.encode();
+        let hubs_at = layout_with(flat.num_nodes(), flat.num_entries(), 2, 2).sections[1]
+            .file_offset as usize;
+        let v = (0..flat.num_nodes())
+            .find(|&v| flat.hubs_of(v as NodeId).len() >= 3)
+            .expect("grid labels have runs of three");
+        let run = flat.raw_offsets()[v] as usize;
+        let n = flat.num_nodes() as u16;
+        for (entry, delta, reason) in [
+            (run + 1, 0, "strictly increasing"),
+            (run, n, "out-of-range hub"),
+        ] {
+            let mut bytes = clean.clone();
+            let at = hubs_at + entry * 2;
+            bytes[at..at + 2].copy_from_slice(&delta.to_le_bytes());
+            refresh_section_checksum(&mut bytes, 1);
+            let err = AnyStore::parse(&bytes).expect_err(reason);
+            assert!(
+                matches!(err, StoreError::Corrupt(ref m) if m.contains(reason)),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1073,7 +1123,7 @@ mod tests {
             .save(&path)
             .unwrap();
         let back = AnyStore::open(&path).unwrap();
-        assert_eq!(back.served(), &ServedLabeling::Compact(compact));
+        assert_eq!(back.served(), &compact.to_flat());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1085,7 +1135,7 @@ mod tests {
         let path = dir.join("store.hlbs2");
         FlatStore::from_flat(flat.clone()).save(&path).unwrap();
         let back = AnyStore::open(&path).unwrap();
-        assert_eq!(back.served(), &ServedLabeling::Flat(flat));
+        assert_eq!(back.served(), &flat);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

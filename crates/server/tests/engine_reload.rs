@@ -148,7 +148,6 @@ fn reload_can_change_node_count() {
     engine.reload(big);
     assert_eq!(engine.num_nodes(), 100);
     assert!(engine.query(0, 50).is_ok());
-    let (hubs, dists) = engine.label_of(99).expect("label fetch");
-    assert_eq!(hubs.len(), dists.len());
-    assert!(!hubs.is_empty());
+    let label = engine.label_of(99).expect("label fetch");
+    assert!(!label.is_empty());
 }

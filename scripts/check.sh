@@ -95,6 +95,14 @@ if grep -rnE 'VecDeque|BinaryHeap' crates/build/src crates/core/src/approx.rs ||
   exit 1
 fi
 
+echo "== one served arena (every store mounts as FlatLabeling) =="
+# v2c is a storage codec like v1 γ: its lanes expand at mount, and the
+# engine joins the flat arena with no arena enum on the way.
+if grep -rn 'ServedLabeling' crates src tests examples || [ -e crates/server/src/served.rs ]; then
+  echo "check: FAIL — a second served arena is back" >&2
+  exit 1
+fi
+
 echo "== docs/THEOREM_MAP.md cites files that exist =="
 # The character class admits no shell syntax but the `{a,b}.rs` lists the
 # map uses, which `eval echo` expands.
@@ -148,21 +156,21 @@ timeout 600 ./target/release/hubserve build "$SMOKE/parallel.hlbs" \
 ./target/release/hubserve stats "$SMOKE/parallel.hlbs" > "$SMOKE/stats.txt"
 grep -q 'arena entries' "$SMOKE/stats.txt"
 
-echo "== store format round-trip (v1 -> v2 -> v1, byte-identical) =="
-# γ-coding is canonical and v2 is a verbatim arena dump, so converting
-# there and back must reproduce the original file exactly — the property
+echo "== store format round-trip (built v2 -> v1 -> v2, byte-identical) =="
+# v2 is a verbatim arena dump and γ-coding is canonical, so converting
+# there and back must reproduce the built file exactly — the property
 # that makes `hubserve convert` safe to run on archival stores. Two graph
 # shapes: the gnm store also feeds the 2-shard and v2c smokes below, the
 # grid store the 3-shard one.
 roundtrip() { # roundtrip <name> <hubserve build --gen arguments...>
   local name=$1
   shift
-  timeout 120 ./target/release/hubserve build "$SMOKE/$name-v1.hlbs" --gen "$@"
-  timeout 120 ./target/release/hubserve convert "$SMOKE/$name-v1.hlbs" "$SMOKE/$name-v2.hlbs" \
-    --to v2 --verify-roundtrip
-  timeout 120 ./target/release/hubserve convert "$SMOKE/$name-v2.hlbs" "$SMOKE/$name-back.hlbs" \
+  timeout 120 ./target/release/hubserve build "$SMOKE/$name-v2.hlbs" --gen "$@"
+  timeout 120 ./target/release/hubserve convert "$SMOKE/$name-v2.hlbs" "$SMOKE/$name-v1.hlbs" \
     --to v1 --verify-roundtrip
-  cmp "$SMOKE/$name-v1.hlbs" "$SMOKE/$name-back.hlbs"
+  timeout 120 ./target/release/hubserve convert "$SMOKE/$name-v1.hlbs" "$SMOKE/$name-back.hlbs" \
+    --to v2 --verify-roundtrip
+  cmp "$SMOKE/$name-v2.hlbs" "$SMOKE/$name-back.hlbs"
 }
 roundtrip rt gnm --nodes 2000 --edges 6000 --seed 3
 roundtrip grid grid --nodes 2500 --seed 13
@@ -202,16 +210,19 @@ for K in 2 3; do
   diff -u "$SMOKE/unsharded-$K.txt" "$SMOKE/routed-$K.txt"
 done
 
-echo "== compact arena smoke (v2c flavor, flat == compact answers) =="
+echo "== v2c smoke (compact lanes mount as the v2 arena, same answers) =="
 # The v2c flavor delta-codes hub ids and narrows the distance lanes;
-# converting there and back must lose nothing, and the query path must
-# match the flat store line for line — on the shard pairs and on 2000
-# seeded random pairs.
+# converting there and back must lose nothing, the mounted arena must be
+# the v2 store's, and the query path must match the flat store line for
+# line — on the shard pairs and on 2000 seeded random pairs.
 timeout 120 ./target/release/hubserve convert "$SMOKE/rt-v2.hlbs" "$SMOKE/rt-v2c.hlbs" \
   --to v2c --verify-roundtrip
 ./target/release/hubserve stats "$SMOKE/rt-v2c.hlbs" > "$SMOKE/v2c-stats.txt"
 grep -q 'flavor v2c' "$SMOKE/v2c-stats.txt"
-grep -q 'arena kind         compact' "$SMOKE/v2c-stats.txt"
+grep -E 'arena (entries|heap bytes)' "$SMOKE/rt-stats.txt" > "$SMOKE/v2-arena.txt"
+grep -E 'arena (entries|heap bytes)' "$SMOKE/v2c-stats.txt" > "$SMOKE/v2c-arena.txt"
+[ "$(wc -l < "$SMOKE/v2-arena.txt")" -eq 2 ]
+diff -u "$SMOKE/v2-arena.txt" "$SMOKE/v2c-arena.txt"
 timeout 120 ./target/release/hubserve query "$SMOKE/rt-v2c.hlbs" "$SMOKE/shard-pairs.txt" \
   > "$SMOKE/v2c-answers.txt"
 diff -u "$SMOKE/unsharded-2.txt" "$SMOKE/v2c-answers.txt"

@@ -3,13 +3,13 @@
 #   hubtool gen       -> plain-text graph
 #   hubtool build     -> v2 label store (ground-truth path: sequential PLL)
 #   hubtool verify    -> its labels are exact against the graph
-#   hubserve build    -> binary label store (parallel builder)
+#   hubserve build    -> v2 label store (parallel builder)
 #   hubserve stats    -> store reports the flat arena it decodes into
 #   hubserve query    -> answers from either store
 #   diff              -> served answers == ground-truth label answers
 #   hubserve serve    -> TCP daemon on an ephemeral loopback port
-#   hubserve convert  -> v1 store migrated to v2, round-trip verified
-#   hubserve reload   -> live daemon hot-swaps onto the v2 store; a
+#   hubserve convert  -> v2 store migrated to v1, round-trip verified
+#   hubserve reload   -> live daemon hot-swaps onto the v1 store; a
 #                        reload from a missing path must fail without
 #                        evicting the healthy epoch
 #                        (`reload` speaks protocol v1 to the daemon)
@@ -108,9 +108,9 @@ echo "corrupt store rejected: $(cat "$TMP/bad.err")"
 echo "== network serving: daemon on loopback =="
 serve "$TMP/store.hlbs" "$TMP/serve.log"
 
-echo "== hot reload: swap the live daemon onto a v2 store =="
-"$HUBSERVE" convert "$TMP/store.hlbs" "$TMP/store-v2.hlbs" --to v2 --verify-roundtrip
-"$HUBSERVE" reload "$ADDR" "$TMP/store-v2.hlbs" | tee "$TMP/reload.txt"
+echo "== hot reload: swap the live daemon onto a v1 store =="
+"$HUBSERVE" convert "$TMP/store.hlbs" "$TMP/store-v1.hlbs" --to v1 --verify-roundtrip
+"$HUBSERVE" reload "$ADDR" "$TMP/store-v1.hlbs" | tee "$TMP/reload.txt"
 grep -q 'epoch 1' "$TMP/reload.txt"
 if "$HUBSERVE" reload "$ADDR" "$TMP/does-not-exist.hlbs" 2> "$TMP/reload-bad.err"; then
   echo "kick-tires: FAIL — reload from a missing store reported success" >&2

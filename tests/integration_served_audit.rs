@@ -34,7 +34,7 @@ fn built_and_fetched(name: &str, graph: &Graph) -> (FlatLabeling, FlatLabeling) 
     std::fs::remove_file(&path).expect("remove store");
     assert_eq!((mounted.version(), mounted.flavor()), (2, "v2"));
 
-    let served = mounted.into_served().expect("served arena");
+    let served = mounted.into_flat().expect("served arena");
     let engine = Arc::new(QueryEngine::new(served, 1).expect("engine"));
     let config = ServerConfig {
         allow_remote_reload: false,
