@@ -15,6 +15,7 @@ use hl_core::pll::PrunedLandmarkLabeling;
 use hl_core::random_threshold::{random_threshold_labeling, RandomThresholdParams};
 use hl_core::rs_based::{project_labeling, rs_labeling, RsParams};
 use hl_core::tree::centroid_labeling;
+use hl_core::FlatLabeling;
 use hl_graph::transform::reduce_degree;
 use hl_graph::{generators, NodeId};
 use hl_labeling::hub_scheme::encode_labeling;
@@ -297,7 +298,7 @@ fn t14() {
             },
         )
         .expect("rs");
-        let hl = project_labeling(&hl_red, &red.representative, &red.origin);
+        let hl = project_labeling(&hl_red, &red.representative, &red.origin).expect("project");
         let exact = verify_exact(&g, &hl).expect("verify").is_exact();
         t.row(vec![
             n.to_string(),
@@ -582,7 +583,7 @@ fn oracles() {
     let labeling = PrunedLandmarkLabeling::by_betweenness(&g, 24, 1)
         .expect("betweenness order")
         .into_labeling();
-    let hub_space = labeling.total_hubs() * 12;
+    let hub_space = labeling.total_hubs() * FlatLabeling::ENTRY_BYTES;
     let hub = HubLabelOracle { labeling };
     let alt_space = alt.landmarks().memory_bytes();
 
@@ -781,7 +782,7 @@ fn growth() {
             .expect("betweenness order")
             .into_labeling();
         pll_points.push((g.num_nodes(), hl.average_hubs()));
-        let sep = separator_labeling(&g);
+        let sep = separator_labeling(&g).expect("separator");
         sep_points.push((g.num_nodes(), sep.average_hubs()));
     }
     row("grid/pll", pll_points);
@@ -791,7 +792,7 @@ fn growth() {
     for n in [128usize, 256, 512] {
         let radius = (3.0 / n as f64).sqrt(); // keep expected degree ~constant
         let g = generators::unit_disk(n, radius, 9);
-        let sep = separator_labeling(&g);
+        let sep = separator_labeling(&g).expect("separator");
         disk_points.push((g.num_nodes(), sep.average_hubs()));
     }
     row("unit-disk/separator", disk_points);
@@ -901,7 +902,7 @@ fn tradeoff() {
     let us = start.elapsed().as_micros() as f64 / queries.len() as f64;
     t.row(vec![
         "hub labels".to_string(),
-        (hl.total_hubs() * 12).to_string(),
+        (hl.total_hubs() * FlatLabeling::ENTRY_BYTES).to_string(),
         "0".to_string(),
         format!("{us:.1}"),
     ]);

@@ -142,7 +142,9 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         "pll-betweenness" => PrunedLandmarkLabeling::by_betweenness(&g, 24, 1)
             .map_err(|e| e.to_string())?
             .into_labeling(),
-        "separator" => hl_core::separator_labeling::separator_labeling(&g),
+        "separator" => {
+            hl_core::separator_labeling::separator_labeling(&g).map_err(|e| e.to_string())?
+        }
         "greedy" => greedy_cover(&g).map_err(|e| e.to_string())?,
         "rs" => {
             rs_labeling(&g, RsParams::for_size(g.num_nodes(), 1))

@@ -1,6 +1,6 @@
 //! Typed errors for the parallel construction pipeline.
 
-use hl_core::OrderError;
+use hl_core::{FlatLayoutError, OrderError};
 
 /// Everything that can go wrong while building a labeling in parallel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -13,6 +13,9 @@ pub enum BuildError {
     NotAPermutation,
     /// A worker thread panicked; the build result would be incomplete.
     WorkerPanicked,
+    /// The labels do not fit the arena: a label distance exceeds the
+    /// `u32` distance lane ([`FlatLayoutError::DistanceTooWide`]).
+    Arena(FlatLayoutError),
 }
 
 impl std::fmt::Display for BuildError {
@@ -24,6 +27,7 @@ impl std::fmt::Display for BuildError {
                 write!(f, "vertex order must be a permutation of 0..n")
             }
             BuildError::WorkerPanicked => write!(f, "a build worker panicked"),
+            BuildError::Arena(e) => write!(f, "labels do not fit the arena: {e}"),
         }
     }
 }
@@ -32,6 +36,7 @@ impl std::error::Error for BuildError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             BuildError::Order(e) => Some(e),
+            BuildError::Arena(e) => Some(e),
             _ => None,
         }
     }
@@ -40,5 +45,11 @@ impl std::error::Error for BuildError {
 impl From<OrderError> for BuildError {
     fn from(e: OrderError) -> Self {
         BuildError::Order(e)
+    }
+}
+
+impl From<FlatLayoutError> for BuildError {
+    fn from(e: FlatLayoutError) -> Self {
+        BuildError::Arena(e)
     }
 }

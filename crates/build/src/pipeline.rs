@@ -130,7 +130,9 @@ pub fn build_with_strategy(
 ///
 /// Returns [`BuildError::ZeroThreads`] when `config.threads == 0`,
 /// [`BuildError::NotAPermutation`] when `order` is not a permutation of
-/// the vertex set, and [`BuildError::WorkerPanicked`] if a worker dies.
+/// the vertex set, [`BuildError::WorkerPanicked`] if a worker dies, and
+/// [`BuildError::Arena`] when a label distance exceeds the arena's `u32`
+/// lane.
 pub fn build_with_order(
     g: &Graph,
     order: Vec<NodeId>,
@@ -221,7 +223,7 @@ pub fn build_with_order(
         total_seconds: started.elapsed().as_secs_f64(),
     };
     Ok(BuildOutput {
-        labeling: committed.freeze(),
+        labeling: committed.freeze()?,
         order,
         stats,
     })
@@ -305,6 +307,25 @@ mod tests {
             build_with_order(&g, vec![0, 0, 1], BuildConfig::sequential()).unwrap_err(),
             BuildError::NotAPermutation
         );
+    }
+
+    #[test]
+    fn distance_past_the_u32_lane_is_a_typed_error() {
+        // Where the sequential driver panics, the pipeline reports: a
+        // 2^32 edge is a 2^32 label distance, at any thread count.
+        let g =
+            hl_graph::builder::graph_from_weighted_edges(3, &[(0, 1, 1), (1, 2, 1 << 32)]).unwrap();
+        for cfg in [BuildConfig::sequential(), BuildConfig::with_threads(2)] {
+            let err = build_with_order(&g, vec![1, 0, 2], cfg).unwrap_err();
+            assert_eq!(
+                err,
+                BuildError::Arena(hl_core::FlatLayoutError::DistanceTooWide {
+                    vertex: 2,
+                    distance: 1 << 32
+                })
+            );
+            assert!(err.to_string().contains("u32"));
+        }
     }
 
     #[test]

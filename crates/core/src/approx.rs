@@ -25,7 +25,8 @@ use crate::pll::pruned_labeling;
 ///
 /// # Panics
 ///
-/// Panics if `order` is not a permutation of the vertex set.
+/// Panics if `order` is not a permutation of the vertex set, or if a
+/// label distance exceeds `u32::MAX`, the arena's distance lane.
 pub fn approx_pll(g: &Graph, order: Vec<NodeId>, slack: Distance) -> FlatLabeling {
     pruned_labeling(g, &order, slack)
 }

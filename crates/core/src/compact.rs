@@ -1,20 +1,18 @@
 //! `CompactLabeling` — the byte-tuned CSR lanes of the HLBS v2c store
 //! flavor: a storage codec, not a served arena.
 //!
-//! [`crate::flat::FlatLabeling`] spends 12 bytes per entry (u32 hub +
-//! u64 distance); these lanes narrow both:
+//! [`crate::flat::FlatLabeling`] spends 8 bytes per entry (u32 hub +
+//! u32 distance); these lanes narrow both:
 //!
 //! * **distances** are stored as `u16` when every distance in the arena
-//!   fits, with a checked fallback to `u32` otherwise (a distance beyond
-//!   `u32::MAX` — including the [`INFINITY`] sentinel, which valid labels
-//!   never store — is a typed [`CompactError`], never silent truncation);
+//!   fits, `u32` (the flat lane's own width) otherwise;
 //! * **hub ids** are delta-coded within each per-vertex sorted run (the
 //!   first entry is the absolute id, every later entry the gap to its
 //!   predecessor); deltas are `u16` when every gap in the arena fits,
 //!   `u32` otherwise.
 //!
-//! Best case (`u16`+`u16`) is 4 bytes per entry — a 67% cut; worst case
-//! (`u32`+`u32`) is 8 bytes — still 33%. Conversion to and from the flat
+//! Best case (`u16`+`u16`) is 4 bytes per entry, half the flat arena's;
+//! worst case (`u32`+`u32`) is the flat arena's 8. Conversion to and from the flat
 //! arena is lossless: a v2c store mounts by validating these lanes
 //! ([`CompactLabeling::from_raw_parts`]) and expanding them
 //! ([`CompactLabeling::to_flat`]). [`CompactLabeling::query`] joins the
@@ -34,44 +32,18 @@
 //!
 //! let g = generators::grid(4, 4);
 //! let flat: FlatLabeling = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-//! let compact = CompactLabeling::from_flat(&flat).unwrap();
+//! let Ok(compact) = CompactLabeling::from_flat(&flat);
 //! assert_eq!(compact.query(0, 15), flat.query(0, 15));
 //! assert_eq!(compact.to_flat(), flat);
 //! assert!(compact.heap_bytes() < flat.heap_bytes());
 //! ```
 
+use std::convert::Infallible;
+
 use hl_graph::{Distance, NodeId, INFINITY};
 
 use crate::flat::{check_offsets, span_of, spans, FlatLabeling, FlatLayoutError};
 use crate::label::warm_hub_lanes;
-
-/// Why a labeling could not be compacted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CompactError {
-    /// A label distance exceeds `u32::MAX`, the widest lane the compact
-    /// encoding carries. (The [`INFINITY`] sentinel trips this too — a
-    /// valid labeling never stores it, so seeing it here means the input
-    /// was malformed, not that the encoding is lossy.)
-    DistanceTooWide {
-        /// The vertex whose label holds the distance.
-        vertex: usize,
-        /// The offending distance.
-        distance: Distance,
-    },
-}
-
-impl std::fmt::Display for CompactError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CompactError::DistanceTooWide { vertex, distance } => write!(
-                f,
-                "distance {distance} of vertex {vertex} exceeds the u32 compact lane"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CompactError {}
 
 /// One compact entry lane at its labeling-wide width: 2 bytes
 /// per entry when every value in the lane fits 16 bits, 4 otherwise.
@@ -110,10 +82,10 @@ impl NarrowLane {
         }
     }
 
-    fn get(&self, i: usize) -> u64 {
+    fn get(&self, i: usize) -> u32 {
         match self {
-            NarrowLane::U16(v) => v[i] as u64,
-            NarrowLane::U32(v) => v[i] as u64,
+            NarrowLane::U16(v) => u32::from(v[i]),
+            NarrowLane::U32(v) => v[i],
         }
     }
 }
@@ -135,39 +107,32 @@ pub struct CompactLabeling {
 impl CompactLabeling {
     /// Compacts a flat arena, choosing the narrowest widths that hold
     /// every value. Lossless: [`CompactLabeling::to_flat`] reproduces the
-    /// input exactly.
-    pub fn from_flat(flat: &FlatLabeling) -> Result<Self, CompactError> {
+    /// input exactly. Cannot fail — the flat lane is already `u32`, the
+    /// widest compact lane; `Result` because the frozen `benchmark/`
+    /// compiles against it.
+    pub fn from_flat(flat: &FlatLabeling) -> Result<Self, Infallible> {
         let offsets = flat.raw_offsets().to_vec();
         let hubs = flat.raw_hubs();
         let dists = flat.raw_dists();
 
         let mut max_delta: NodeId = 0;
-        let mut max_dist: Distance = 0;
-        for (v, run) in spans(&offsets).enumerate() {
+        for run in spans(&offsets) {
             let mut prev: NodeId = 0;
-            for k in run {
+            for &h in &hubs[run] {
                 // First entry of a run is its absolute id (delta from 0).
-                max_delta = max_delta.max(hubs[k] - prev);
-                prev = hubs[k];
-                if dists[k] > max_dist {
-                    max_dist = dists[k];
-                    if max_dist > u32::MAX as Distance {
-                        return Err(CompactError::DistanceTooWide {
-                            vertex: v,
-                            distance: max_dist,
-                        });
-                    }
-                }
+                max_delta = max_delta.max(h - prev);
+                prev = h;
             }
         }
+        let max_dist = dists.iter().copied().max().unwrap_or(0);
 
         let hub_lane = if max_delta > u16::MAX as NodeId {
             NarrowLane::U32(delta_code(&offsets, hubs, |delta| delta))
         } else {
             NarrowLane::U16(delta_code(&offsets, hubs, |delta| delta as u16))
         };
-        let dist_lane = if max_dist > u16::MAX as Distance {
-            NarrowLane::U32(dists.iter().map(|&d| d as u32).collect())
+        let dist_lane = if max_dist > u32::from(u16::MAX) {
+            NarrowLane::U32(dists.to_vec())
         } else {
             NarrowLane::U16(dists.iter().map(|&d| d as u16).collect())
         };
@@ -206,7 +171,8 @@ impl CompactLabeling {
     }
 
     /// Expands back into the flat arena (exact inverse of
-    /// [`CompactLabeling::from_flat`]).
+    /// [`CompactLabeling::from_flat`]): both narrow lanes copy straight
+    /// into the arena's `u32` lanes.
     pub fn to_flat(&self) -> FlatLabeling {
         let mut flat = FlatLabeling::with_capacity(self.num_nodes(), self.num_entries());
         let (mut hubs, mut dists) = (Vec::new(), Vec::new());
@@ -215,7 +181,7 @@ impl CompactLabeling {
             dists.clear();
             let mut acc: NodeId = 0;
             for k in run {
-                acc += self.hubs.get(k) as NodeId;
+                acc += self.hubs.get(k);
                 hubs.push(acc);
                 dists.push(self.dists.get(k));
             }
@@ -276,8 +242,7 @@ impl CompactLabeling {
     /// Answers the distance query `u, v` by merge-joining the two runs,
     /// decoding hub deltas on the fly — the one place the arena-wide lane
     /// widths pick their monomorphized kernel. Returns [`INFINITY`] when
-    /// the labels share no hub — or when every common-hub sum saturates,
-    /// matching [`crate::label::merge_join`]'s sentinel discipline.
+    /// the labels share no hub, as [`crate::label::merge_join`] does.
     ///
     /// # Panics
     ///
@@ -342,8 +307,8 @@ fn delta_code<T>(offsets: &[u64], hubs: &[NodeId], narrow: impl Fn(NodeId) -> T)
 }
 
 /// The delta-decoding merge-join kernel, monomorphized per lane width;
-/// candidates fold by `min` from [`INFINITY`], so a saturated sum never
-/// takes, exactly as in [`crate::label::merge_join`]. Cursor movement
+/// candidates fold by `min` from [`INFINITY`], and lane sums (at most
+/// `2^33 - 2`) never reach it. Cursor movement
 /// mirrors that branchless kernel, but delta-coded ids cannot be skipped
 /// over, so there is no gallop; the accumulator updates are guarded
 /// because advancing past the end of a run must not read (or add) a delta
@@ -374,7 +339,7 @@ where
     loop {
         // No branch on the hub match: a mismatch offers the sentinel,
         // which never takes.
-        let d = Distance::from(a_dists[i]).saturating_add(Distance::from(b_dists[j]));
+        let d = Distance::from(a_dists[i]) + Distance::from(b_dists[j]);
         let candidate = if ha == hb { d } else { INFINITY };
         best = best.min(candidate);
         let adv_a = ha <= hb;
@@ -408,7 +373,7 @@ mod tests {
     #[test]
     fn roundtrip_is_lossless_and_narrow() {
         let flat = sample_flat();
-        let compact = CompactLabeling::from_flat(&flat).unwrap();
+        let Ok(compact) = CompactLabeling::from_flat(&flat);
         assert_eq!(compact.to_flat(), flat);
         assert_eq!(compact.num_nodes(), flat.num_nodes());
         assert_eq!(compact.num_entries(), flat.num_entries());
@@ -421,7 +386,7 @@ mod tests {
     #[test]
     fn queries_match_flat_exactly() {
         let flat = sample_flat();
-        let compact = CompactLabeling::from_flat(&flat).unwrap();
+        let Ok(compact) = CompactLabeling::from_flat(&flat);
         let n = flat.num_nodes() as NodeId;
         for u in 0..n {
             for v in 0..n {
@@ -437,8 +402,8 @@ mod tests {
         let mut lists = vec![Vec::new(); 200_000];
         lists[0] = vec![(0, 0), (70_000, 1 << 20)];
         lists[70_000] = vec![(70_000, 0)];
-        let flat = FlatLabeling::from_pair_lists(lists);
-        let compact = CompactLabeling::from_flat(&flat).unwrap();
+        let flat = FlatLabeling::from_pair_lists(lists).unwrap();
+        let Ok(compact) = CompactLabeling::from_flat(&flat);
         assert_eq!(compact.hub_entry_bytes(), 4);
         assert_eq!(compact.dist_entry_bytes(), 4);
         assert_eq!(compact.query(0, 70_000), 1 << 20);
@@ -446,38 +411,15 @@ mod tests {
     }
 
     #[test]
-    fn distance_beyond_u32_is_a_typed_error() {
-        let flat = FlatLabeling::from_pair_lists(vec![
-            vec![(0, 0), (1, (u32::MAX as u64) + 1)],
-            vec![(1, 0)],
-        ]);
-        assert_eq!(
-            CompactLabeling::from_flat(&flat),
-            Err(CompactError::DistanceTooWide {
-                vertex: 0,
-                distance: (u32::MAX as u64) + 1
-            })
-        );
-        assert!(!format!(
-            "{}",
-            CompactError::DistanceTooWide {
-                vertex: 0,
-                distance: 5
-            }
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn saturation_matches_flat_sentinel_discipline() {
+    fn lane_sums_and_sentinel_match_flat() {
         // u32-lane distances that sum past u32::MAX must still be finite
         // (the join runs in u64)...
-        let flat = FlatLabeling::from_pair_lists(vec![vec![(1, u32::MAX as u64)]; 2]);
-        let compact = CompactLabeling::from_flat(&flat).unwrap();
+        let flat = FlatLabeling::from_pair_lists(vec![vec![(1, u32::MAX as u64)]; 2]).unwrap();
+        let Ok(compact) = CompactLabeling::from_flat(&flat);
         assert_eq!(compact.query(0, 1), 2 * (u32::MAX as u64));
         // ...and disjoint hub sets (or an empty label) read as unreachable.
-        let flat = FlatLabeling::from_pair_lists(vec![vec![(0, 0)], vec![], vec![(2, 0)]]);
-        let compact = CompactLabeling::from_flat(&flat).unwrap();
+        let flat = FlatLabeling::from_pair_lists(vec![vec![(0, 0)], vec![], vec![(2, 0)]]).unwrap();
+        let Ok(compact) = CompactLabeling::from_flat(&flat);
         assert_eq!(compact.query(0, 2), INFINITY);
         assert_eq!(compact.query(0, 1), INFINITY);
     }
@@ -485,7 +427,7 @@ mod tests {
     #[test]
     fn from_raw_parts_accepts_own_lanes() {
         let flat = sample_flat();
-        let compact = CompactLabeling::from_flat(&flat).unwrap();
+        let Ok(compact) = CompactLabeling::from_flat(&flat);
         let rebuilt = CompactLabeling::from_raw_parts(
             compact.raw_offsets().to_vec(),
             compact.raw_hubs().clone(),
@@ -571,7 +513,7 @@ mod tests {
     #[test]
     fn heap_bytes_is_exact_by_lane_width() {
         let flat = sample_flat();
-        let compact = CompactLabeling::from_flat(&flat).unwrap();
+        let Ok(compact) = CompactLabeling::from_flat(&flat);
         let e = compact.num_entries();
         let expect = (compact.num_nodes() + 1) * 8
             + e * compact.hub_entry_bytes()

@@ -4,7 +4,7 @@
 use hl_graph::apsp::DistanceMatrix;
 use hl_graph::dijkstra::shortest_path_distances;
 use hl_graph::sync::{into_inner_unpoisoned, lock_unpoisoned};
-use hl_graph::{Graph, GraphError, NodeId};
+use hl_graph::{Distance, Graph, GraphError, NodeId};
 
 use crate::label::LabelingView;
 
@@ -148,7 +148,7 @@ pub fn verify_hub_distances<L: LabelingView>(g: &Graph, labeling: &L, sources: &
     for &s in sources {
         let dist = shortest_path_distances(g, s);
         for (&h, &d) in labeling.hubs_of(s).iter().zip(labeling.dists_of(s)) {
-            if dist[h as usize] != d {
+            if dist[h as usize] != Distance::from(d) {
                 return false;
             }
         }
@@ -177,7 +177,7 @@ mod tests {
     fn broken_labeling_detected() {
         let g = generators::path(4);
         // Labeling where everything claims distance via hub 0 only.
-        let hl = FlatLabeling::from_pair_lists((0..4u64).map(|v| vec![(0, v)]).collect());
+        let hl = FlatLabeling::from_pair_lists((0..4u64).map(|v| vec![(0, v)]).collect()).unwrap();
         // query(1,2) = 1 + 2 = 3, but true distance is 1.
         let report = verify_exact(&g, &hl).unwrap();
         assert!(!report.is_exact());
@@ -215,7 +215,7 @@ mod tests {
     fn parallel_verification_counts_violations() {
         let g = generators::path(6);
         // Self hubs only: covers only the diagonal.
-        let hl = FlatLabeling::from_pair_lists((0..6u32).map(|v| vec![(v, 0)]).collect());
+        let hl = FlatLabeling::from_pair_lists((0..6u32).map(|v| vec![(v, 0)]).collect()).unwrap();
         let sources: Vec<_> = (0..6u32).collect();
         let seq = verify_from_sources(&g, &hl, &sources);
         let par = verify_from_sources_parallel(&g, &hl, &sources);
@@ -234,14 +234,14 @@ mod tests {
     #[test]
     fn inadmissible_detected() {
         let g = generators::path(3);
-        let hl = FlatLabeling::from_pair_lists(vec![vec![(1, 99)], vec![], vec![]]);
+        let hl = FlatLabeling::from_pair_lists(vec![vec![(1, 99)], vec![], vec![]]).unwrap();
         assert!(!verify_hub_distances(&g, &hl, &[0]));
     }
 
     #[test]
     fn empty_labeling_on_single_vertex() {
         let g = generators::path(1);
-        let hl = FlatLabeling::from_pair_lists(vec![vec![(0, 0)]]);
+        let hl = FlatLabeling::from_pair_lists(vec![vec![(0, 0)]]).unwrap();
         assert!(verify_exact(&g, &hl).unwrap().is_exact());
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! ```text
 //! offsets: [0, |S_0|, |S_0|+|S_1|, ...]          (n + 1 entries, u64)
-//! hubs:    [S_0 sorted | S_1 sorted | ... ]      (Σ|S_v| NodeIds)
-//! dists:   [d(0,·)     | d(1,·)     | ... ]      (Σ|S_v| Distances)
+//! hubs:    [S_0 sorted | S_1 sorted | ... ]      (Σ|S_v| u32 NodeIds)
+//! dists:   [d(0,·)     | d(1,·)     | ... ]      (Σ|S_v| u32 distances)
 //! ```
 //!
 //! Vertex `v`'s label is the slice `offsets[v]..offsets[v+1]` of `hubs`
@@ -20,7 +20,9 @@
 //!
 //! Construction code accumulates one `Vec<(NodeId, Distance)>` per vertex
 //! and ends with [`FlatLabeling::from_pair_lists`], the one place labels
-//! are sorted and deduplicated.
+//! are sorted, deduplicated and narrowed to the 4-byte lane (a distance
+//! above `u32::MAX` is [`FlatLayoutError::DistanceTooWide`]); reads and
+//! query answers widen back to [`Distance`].
 //!
 //! # Example
 //!
@@ -33,17 +35,18 @@
 //! let flat: FlatLabeling = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
 //! assert_eq!(flat.query(0, 15), 6);
 //! let lists = (0..16).map(|v| flat.pairs_of(v).collect()).collect();
-//! assert_eq!(FlatLabeling::from_pair_lists(lists), flat);
+//! assert_eq!(FlatLabeling::from_pair_lists(lists), Ok(flat));
 //! ```
 
-use hl_graph::{Distance, NodeId};
+use hl_graph::{Distance, GraphError, NodeId};
 
 use crate::label::LabelingView;
 
-/// Why a triple of raw arrays was rejected by
-/// [`FlatLabeling::from_raw_parts`].
+/// Why labels were rejected on their way into the arena: a triple of raw
+/// arrays by [`FlatLabeling::from_raw_parts`], or a distance too wide for
+/// the `u32` lane by [`FlatLabeling::from_pair_lists`].
 ///
-/// Every variant names the structural invariant that failed, so callers
+/// Every variant names the invariant that failed, so callers
 /// deserializing untrusted bytes (the HLBS v2 store reader) can surface a
 /// precise corruption message instead of a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,6 +86,15 @@ pub enum FlatLayoutError {
         /// The out-of-range hub id.
         hub: NodeId,
     },
+    /// A label distance exceeds `u32::MAX`, the width of the arena's
+    /// distance lane. (The [`hl_graph::INFINITY`] sentinel trips this
+    /// too; a valid label never stores it.)
+    DistanceTooWide {
+        /// The vertex whose label holds the distance.
+        vertex: usize,
+        /// The offending distance.
+        distance: Distance,
+    },
 }
 
 impl std::fmt::Display for FlatLayoutError {
@@ -111,11 +123,31 @@ impl std::fmt::Display for FlatLayoutError {
             FlatLayoutError::HubOutOfRange { vertex, hub } => {
                 write!(f, "vertex {vertex} lists out-of-range hub {hub}")
             }
+            FlatLayoutError::DistanceTooWide { vertex, distance } => write!(
+                f,
+                "distance {distance} of vertex {vertex} exceeds the u32 distance lane"
+            ),
         }
     }
 }
 
 impl std::error::Error for FlatLayoutError {}
+
+/// A construction that reports [`GraphError`] reports a label too wide
+/// for the arena as [`GraphError::DistanceOverflow`], the graph crate's
+/// own "does not fit `u32`" error.
+impl From<FlatLayoutError> for GraphError {
+    fn from(e: FlatLayoutError) -> Self {
+        match e {
+            FlatLayoutError::DistanceTooWide { distance, .. } => {
+                GraphError::DistanceOverflow { distance }
+            }
+            other => GraphError::InvalidParameters {
+                reason: other.to_string(),
+            },
+        }
+    }
+}
 
 // The CSR offset-table skeleton. An arena's `offsets` holds `num_nodes + 1`
 // entry offsets, vertex `v` owning entries `offsets[v]..offsets[v+1]` of
@@ -179,8 +211,8 @@ pub struct FlatLabeling {
     offsets: Vec<u64>,
     /// All hub ids, per-vertex runs sorted by hub id.
     hubs: Vec<NodeId>,
-    /// All distances, aligned with `hubs`.
-    dists: Vec<Distance>,
+    /// All distances, aligned with `hubs`, narrowed to `u32` on entry.
+    dists: Vec<u32>,
 }
 
 impl Default for FlatLabeling {
@@ -190,6 +222,10 @@ impl Default for FlatLabeling {
 }
 
 impl FlatLabeling {
+    /// Arena bytes per `(hub, distance)` entry: a `u32` hub id plus a
+    /// `u32` distance.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<NodeId>() + std::mem::size_of::<u32>();
+
     /// An empty arena with zero vertices; grow it with
     /// [`FlatLabeling::push_label`].
     pub fn new() -> Self {
@@ -215,7 +251,7 @@ impl FlatLabeling {
     /// # Panics
     ///
     /// Panics if `hubs` and `dists` differ in length.
-    pub fn push_label(&mut self, hubs: &[NodeId], dists: &[Distance]) {
+    pub fn push_label(&mut self, hubs: &[NodeId], dists: &[u32]) {
         assert_eq!(
             hubs.len(),
             dists.len(),
@@ -239,7 +275,7 @@ impl FlatLabeling {
     pub fn from_raw_parts(
         offsets: Vec<u64>,
         hubs: Vec<NodeId>,
-        dists: Vec<Distance>,
+        dists: Vec<u32>,
     ) -> Result<Self, FlatLayoutError> {
         check_offsets(&offsets, hubs.len(), dists.len())?;
         let num_nodes = offsets.len() - 1;
@@ -288,31 +324,51 @@ impl FlatLabeling {
     }
 
     /// The raw distance array, aligned with [`FlatLabeling::raw_hubs`].
-    pub fn raw_dists(&self) -> &[Distance] {
+    pub fn raw_dists(&self) -> &[u32] {
         &self.dists
     }
 
     /// Builds the arena from one `(hub, distance)` list per vertex, each
     /// in any order; a hub listed twice keeps its minimum distance. The
-    /// one place labels are sorted and deduplicated — what every
+    /// one place labels are sorted, deduplicated and narrowed — what every
     /// construction ends with.
-    pub fn from_pair_lists(lists: Vec<Vec<(NodeId, Distance)>>) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`FlatLayoutError::DistanceTooWide`] when a kept distance exceeds
+    /// `u32::MAX`.
+    pub fn from_pair_lists(lists: Vec<Vec<(NodeId, Distance)>>) -> Result<Self, FlatLayoutError> {
         let entries = lists.iter().map(Vec::len).sum();
         let mut flat = FlatLabeling::with_capacity(lists.len(), entries);
         for mut pairs in lists {
-            flat.push_pairs(&mut pairs);
+            flat.push_pairs(&mut pairs)?;
         }
-        flat
+        Ok(flat)
     }
 
     /// [`FlatLabeling::from_pair_lists`] for one vertex: sorts and
     /// deduplicates `pairs` in place and appends them as the next label.
-    pub fn push_pairs(&mut self, pairs: &mut Vec<(NodeId, Distance)>) {
+    ///
+    /// # Errors
+    ///
+    /// [`FlatLayoutError::DistanceTooWide`] when a kept distance exceeds
+    /// `u32::MAX`; the arena is left as it was.
+    pub fn push_pairs(
+        &mut self,
+        pairs: &mut Vec<(NodeId, Distance)>,
+    ) -> Result<(), FlatLayoutError> {
         pairs.sort_unstable();
         pairs.dedup_by(|next, kept| next.0 == kept.0);
+        if let Some(&(_, distance)) = pairs.iter().find(|&&(_, d)| u32::try_from(d).is_err()) {
+            return Err(FlatLayoutError::DistanceTooWide {
+                vertex: self.num_nodes(),
+                distance,
+            });
+        }
         self.hubs.extend(pairs.iter().map(|&(h, _)| h));
-        self.dists.extend(pairs.iter().map(|&(_, d)| d));
+        self.dists.extend(pairs.iter().map(|&(_, d)| d as u32));
         self.offsets.push(self.hubs.len() as u64);
+        Ok(())
     }
 
     /// Number of vertices.
@@ -343,12 +399,12 @@ impl FlatLabeling {
     /// # Panics
     ///
     /// Panics if `v` is out of range.
-    pub fn dists_of(&self, v: NodeId) -> &[Distance] {
+    pub fn dists_of(&self, v: NodeId) -> &[u32] {
         &self.dists[self.span(v)]
     }
 
     /// Iterates over vertex `v`'s `(hub, distance)` pairs in increasing
-    /// hub order.
+    /// hub order, distances widened back to [`Distance`].
     ///
     /// # Panics
     ///
@@ -358,7 +414,7 @@ impl FlatLabeling {
         self.hubs[span.clone()]
             .iter()
             .copied()
-            .zip(self.dists[span].iter().copied())
+            .zip(self.dists[span].iter().map(|&d| Distance::from(d)))
     }
 
     /// Answers the distance query `u, v` via the merge-join of the two
@@ -402,13 +458,14 @@ impl FlatLabeling {
         spans(&self.offsets).map(|run| run.len()).max().unwrap_or(0)
     }
 
-    /// Heap footprint of the three arena arrays, in bytes — the same
+    /// Heap footprint of the three arena arrays, in bytes: 8 per offset,
+    /// [`FlatLabeling::ENTRY_BYTES`] (4 + 4) per entry — the same
     /// accounting as [`hl_graph::Graph::memory_bytes`] for the adjacency
     /// CSR, so store-size claims are comparable across both structures.
     pub fn heap_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<u64>()
             + self.hubs.len() * std::mem::size_of::<NodeId>()
-            + self.dists.len() * std::mem::size_of::<Distance>()
+            + self.dists.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -421,7 +478,7 @@ impl LabelingView for FlatLabeling {
         FlatLabeling::hubs_of(self, v)
     }
 
-    fn dists_of(&self, v: NodeId) -> &[Distance] {
+    fn dists_of(&self, v: NodeId) -> &[u32] {
         FlatLabeling::dists_of(self, v)
     }
 }
@@ -439,11 +496,13 @@ mod tests {
             vec![],
             vec![(2, 1), (3, 0)],
         ])
+        .unwrap()
     }
 
     #[test]
     fn from_pair_lists_sorts_and_keeps_the_minimum_of_a_duplicate_hub() {
-        let flat = FlatLabeling::from_pair_lists(vec![vec![(5, 1), (2, 9), (5, 3), (2, 4)]]);
+        let flat =
+            FlatLabeling::from_pair_lists(vec![vec![(5, 1), (2, 9), (5, 3), (2, 4)]]).unwrap();
         assert_eq!(flat.hubs_of(0), &[2, 5]);
         assert_eq!(flat.dists_of(0), &[4, 1]);
         assert_eq!(flat.num_entries(), 2);
@@ -451,15 +510,50 @@ mod tests {
 
     #[test]
     fn from_pair_lists_keeps_empty_labels_and_vertex_order() {
-        let flat = FlatLabeling::from_pair_lists(vec![vec![], vec![(1, 0), (0, 4)], vec![]]);
+        let flat =
+            FlatLabeling::from_pair_lists(vec![vec![], vec![(1, 0), (0, 4)], vec![]]).unwrap();
         assert_eq!(flat.num_nodes(), 3);
         assert_eq!(flat.raw_offsets(), &[0, 0, 2, 2]);
         assert_eq!(flat.pairs_of(1).collect::<Vec<_>>(), vec![(0, 4), (1, 0)]);
         assert_eq!(flat.query(0, 0), INFINITY);
         assert_eq!(
             FlatLabeling::from_pair_lists(Vec::new()),
-            FlatLabeling::new()
+            Ok(FlatLabeling::new())
         );
+    }
+
+    #[test]
+    fn from_pair_lists_narrows_at_the_u32_boundary() {
+        // The lane holds u32::MAX exactly and widens it back unchanged...
+        let max = Distance::from(u32::MAX);
+        let flat = FlatLabeling::from_pair_lists(vec![vec![(0, max)], vec![(0, 0)]]).unwrap();
+        assert_eq!(flat.raw_dists(), &[u32::MAX, 0]);
+        assert_eq!(flat.pairs_of(0).collect::<Vec<_>>(), vec![(0, max)]);
+        assert_eq!(flat.query(0, 1), max);
+        // ...and one more is a typed error naming the vertex, whether it
+        // arrives whole or label by label; INFINITY is too wide as well.
+        for distance in [max + 1, INFINITY] {
+            let lists = vec![vec![(0, 0)], vec![(1, 0), (0, distance)]];
+            let want = FlatLayoutError::DistanceTooWide {
+                vertex: 1,
+                distance,
+            };
+            assert_eq!(FlatLabeling::from_pair_lists(lists), Err(want.clone()));
+            assert_eq!(
+                GraphError::from(want),
+                GraphError::DistanceOverflow { distance }
+            );
+        }
+        let mut flat = FlatLabeling::new();
+        assert!(flat.push_pairs(&mut vec![(0, max + 1)]).is_err());
+        assert_eq!(
+            flat,
+            FlatLabeling::new(),
+            "a rejected label leaves no trace"
+        );
+        // A duplicate hub keeps its minimum before the width check.
+        let flat = FlatLabeling::from_pair_lists(vec![vec![(0, max + 1), (0, 7)]]).unwrap();
+        assert_eq!(flat.dists_of(0), &[7]);
     }
 
     #[test]
@@ -484,8 +578,9 @@ mod tests {
         assert_eq!(flat.dists_of(0), &[0, 3]);
         assert!(flat.hubs_of(2).is_empty());
         assert_eq!(flat.pairs_of(3).collect::<Vec<_>>(), vec![(2, 1), (3, 0)]);
-        let payload = 5 * (std::mem::size_of::<NodeId>() + std::mem::size_of::<Distance>());
-        assert_eq!(flat.heap_bytes(), payload + 5 * std::mem::size_of::<u64>());
+        // 8 bytes an entry (u32 hub + u32 distance), 8 per offset.
+        assert_eq!(FlatLabeling::ENTRY_BYTES, 8);
+        assert_eq!(flat.heap_bytes(), 5 * 8 + 5 * 8);
     }
 
     #[test]
@@ -498,7 +593,7 @@ mod tests {
         assert_eq!(flat.num_entries(), 3);
         assert_eq!(flat.query(0, 2), 2);
         let lists = vec![vec![(1, 2), (0, 0)], vec![], vec![(1, 0)]];
-        assert_eq!(flat, FlatLabeling::from_pair_lists(lists));
+        assert_eq!(Ok(flat), FlatLabeling::from_pair_lists(lists));
     }
 
     #[test]
@@ -536,7 +631,7 @@ mod tests {
     #[test]
     fn from_raw_parts_rejects_malformed_arenas() {
         use FlatLayoutError as E;
-        let err = |o: Vec<u64>, h: Vec<NodeId>, d: Vec<Distance>| {
+        let err = |o: Vec<u64>, h: Vec<NodeId>, d: Vec<u32>| {
             FlatLabeling::from_raw_parts(o, h, d).expect_err("must reject")
         };
         assert_eq!(err(vec![], vec![], vec![]), E::EmptyOffsets);
@@ -566,6 +661,11 @@ mod tests {
         );
         // Errors render without panicking.
         assert!(!format!("{}", E::EmptyOffsets).is_empty());
+        let wide = E::DistanceTooWide {
+            vertex: 3,
+            distance: 1 << 32,
+        };
+        assert!(format!("{wide}").contains("u32"));
     }
 
     #[test]

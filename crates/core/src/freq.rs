@@ -87,12 +87,13 @@ pub fn remap_hub_ids(flat: &FlatLabeling, rank: &[NodeId]) -> FlatLabeling {
         "rank permutation must cover every vertex id"
     );
     let mut out = FlatLabeling::with_capacity(flat.num_nodes(), flat.num_entries());
-    let mut run: Vec<(NodeId, u64)> = Vec::new();
+    let mut run: Vec<(NodeId, u32)> = Vec::new();
     let mut hubs: Vec<NodeId> = Vec::new();
-    let mut dists: Vec<u64> = Vec::new();
+    let mut dists: Vec<u32> = Vec::new();
     for v in 0..flat.num_nodes() as NodeId {
         run.clear();
-        run.extend(flat.pairs_of(v).map(|(h, d)| (rank[h as usize], d)));
+        let lanes = flat.hubs_of(v).iter().zip(flat.dists_of(v));
+        run.extend(lanes.map(|(&h, &d)| (rank[h as usize], d)));
         run.sort_unstable_by_key(|&(h, _)| h);
         hubs.clear();
         dists.clear();
@@ -190,8 +191,8 @@ mod tests {
         use crate::compact::CompactLabeling;
         let flat = sample_flat();
         let (hot, _) = reorder_by_hub_frequency(&flat);
-        let plain = CompactLabeling::from_flat(&flat).expect("compactable");
-        let tuned = CompactLabeling::from_flat(&hot).expect("compactable");
+        let Ok(plain) = CompactLabeling::from_flat(&flat);
+        let Ok(tuned) = CompactLabeling::from_flat(&hot);
         // Same entry count, and the reorder never widens the lanes.
         assert_eq!(tuned.num_entries(), plain.num_entries());
         assert!(tuned.heap_bytes() <= plain.heap_bytes());

@@ -119,7 +119,7 @@ pub fn greedy_cover(g: &Graph) -> Result<FlatLabeling, GraphError> {
             }
         }
     }
-    Ok(FlatLabeling::from_pair_lists(labels))
+    Ok(FlatLabeling::from_pair_lists(labels)?)
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! small/medium instances used in experiments.
 
 use hl_graph::apsp::DistanceMatrix;
-use hl_graph::{Graph, GraphError, NodeId, INFINITY};
+use hl_graph::{Distance, Graph, GraphError, NodeId, INFINITY};
 
 use crate::flat::FlatLabeling;
 use crate::label::LabelingView;
@@ -62,7 +62,7 @@ pub fn canonical_hhl(g: &Graph, order: &[NodeId]) -> Result<FlatLabeling, GraphE
             }
         }
     }
-    Ok(FlatLabeling::from_pair_lists(labels))
+    Ok(FlatLabeling::from_pair_lists(labels)?)
 }
 
 /// Convenience: canonical HHL with the decreasing-degree order.
@@ -94,7 +94,7 @@ pub fn is_hierarchical<L: LabelingView>(g: &Graph, labeling: &L, order: &[NodeId
                 rank[x as usize] < rank[h as usize]
                     && m.distance(v, x) != INFINITY
                     && m.distance(x, h) != INFINITY
-                    && m.distance(v, x) + m.distance(x, h) == dvh
+                    && m.distance(v, x) + m.distance(x, h) == Distance::from(dvh)
             });
             if dominated {
                 return false;

@@ -12,7 +12,8 @@
 //!   through its own loop, because delta-coded ids cannot be galloped over.
 //!
 //! A single label has no type of its own: borrowed it is the two sorted
-//! slices [`LabelingView`] lends, owned it is a `Vec<(NodeId, Distance)>`.
+//! slices [`LabelingView`] lends (hub ids and `u32` distances), owned it
+//! is a `Vec<(NodeId, Distance)>`.
 //! [`LabelingView`] is the read-only view verification, statistics, the
 //! lower-bound audit and the oracles take; the compact lanes are
 //! delta-coded and have no slices to lend.
@@ -58,13 +59,11 @@ where
 
 /// Folds the sum `d` over common hub `hub` into a join's running
 /// `(best, witness)` pair, so [`merge_join`] and
-/// [`merge_join_with_witness`] agree on ties and on saturation by
-/// construction. `WITNESS = false` compiles the witness bookkeeping out.
+/// [`merge_join_with_witness`] agree on ties by construction.
+/// `WITNESS = false` compiles the witness bookkeeping out.
 ///
 /// Strict `<` keeps the first hub realizing the minimum, as conditional
-/// moves — `d` can never displace a tie. `best` starts at [`INFINITY`],
-/// so a sum that saturated there never takes: a pair of huge finite
-/// label distances reads as unreachable, exactly like a disjoint hub set.
+/// moves — `d` can never displace a tie.
 #[inline(always)]
 pub(crate) fn offer<const WITNESS: bool>(
     best: &mut Distance,
@@ -80,10 +79,10 @@ pub(crate) fn offer<const WITNESS: bool>(
 }
 
 /// A finished join's `(best, witness)` pair as the witness-reporting
-/// queries return it: `None` when no sum took — the hub sets are disjoint
-/// **or** every common-hub sum saturated at [`INFINITY`]. A saturated sum
-/// means "farther than the distance type can say", and returning it with
-/// a witness would claim a finite meeting point that does not exist.
+/// queries return it: `None` when no sum took, i.e. the hub sets are
+/// disjoint. Two `u32` lane distances sum to at most `2^33 - 2`, so every
+/// common hub offers a finite sum and `best` leaves [`INFINITY`] exactly
+/// when one exists.
 pub(crate) fn witnessed((best, hub): (Distance, NodeId)) -> Option<(Distance, NodeId)> {
     (best != INFINITY).then_some((best, hub))
 }
@@ -108,9 +107,9 @@ pub(crate) fn witnessed((best, hub): (Distance, NodeId)) -> Option<(Distance, No
 #[inline]
 fn join_absolute<const WITNESS: bool>(
     a_hubs: &[NodeId],
-    a_dists: &[Distance],
+    a_dists: &[u32],
     b_hubs: &[NodeId],
-    b_dists: &[Distance],
+    b_dists: &[u32],
 ) -> (Distance, NodeId) {
     // Truncate each pair to its common length: the loop condition then
     // proves every index in bounds for *both* slices of a side, so the
@@ -132,7 +131,8 @@ fn join_absolute<const WITNESS: bool>(
             // vertex order share a hot prefix of top-ranked hubs, so this
             // branch is highly predictable and letting the core speculate
             // through it overlaps the next iterations' loads.
-            let d = a_dists[i].saturating_add(b_dists[j]);
+            // Two u32 lanes added in u64: the sum cannot overflow.
+            let d = Distance::from(a_dists[i]) + Distance::from(b_dists[j]);
             offer::<WITNESS>(&mut best, &mut witness, d, ha);
             i += 1;
             j += 1;
@@ -158,27 +158,26 @@ fn join_absolute<const WITNESS: bool>(
 }
 
 /// The sorted-merge join over two labels given as parallel slices:
-/// `min over common hubs h of d(u, h) + d(h, v)`, or [`INFINITY`] when the
-/// hub sets are disjoint or every common-hub sum saturated. Both hub
-/// slices must be sorted by hub id, with `a_dists[i]` the distance to
-/// `a_hubs[i]` (and likewise for `b`).
+/// `min over common hubs h of d(u, h) + d(h, v)`, summed in [`Distance`],
+/// or [`INFINITY`] when the hub sets are disjoint. Both hub slices must
+/// be sorted by hub id, with `a_dists[i]` the distance to `a_hubs[i]`
+/// (and likewise for `b`).
 pub fn merge_join(
     a_hubs: &[NodeId],
-    a_dists: &[Distance],
+    a_dists: &[u32],
     b_hubs: &[NodeId],
-    b_dists: &[Distance],
+    b_dists: &[u32],
 ) -> Distance {
     join_absolute::<false>(a_hubs, a_dists, b_hubs, b_dists).0
 }
 
 /// Like [`merge_join`] but also reports the hub realizing the minimum;
-/// `None` when the hub sets are disjoint **or** every common-hub sum
-/// saturated at [`INFINITY`].
+/// `None` when the hub sets are disjoint.
 pub fn merge_join_with_witness(
     a_hubs: &[NodeId],
-    a_dists: &[Distance],
+    a_dists: &[u32],
     b_hubs: &[NodeId],
-    b_dists: &[Distance],
+    b_dists: &[u32],
 ) -> Option<(Distance, NodeId)> {
     witnessed(join_absolute::<true>(a_hubs, a_dists, b_hubs, b_dists))
 }
@@ -206,7 +205,7 @@ pub trait LabelingView {
     /// # Panics
     ///
     /// Panics if `v` is out of range.
-    fn dists_of(&self, v: NodeId) -> &[Distance];
+    fn dists_of(&self, v: NodeId) -> &[u32];
 
     /// Answers the distance query `u, v` via the merge-join; [`INFINITY`]
     /// when the labels share no hub.
@@ -261,9 +260,9 @@ mod tests {
     /// the reference the tests below hold the shipping kernel to.
     fn merge_join_branchy(
         a_hubs: &[NodeId],
-        a_dists: &[Distance],
+        a_dists: &[u32],
         b_hubs: &[NodeId],
-        b_dists: &[Distance],
+        b_dists: &[u32],
     ) -> Distance {
         let mut best = INFINITY;
         let (mut i, mut j) = (0usize, 0usize);
@@ -272,7 +271,7 @@ mod tests {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    let d = a_dists[i].saturating_add(b_dists[j]);
+                    let d = Distance::from(a_dists[i]) + Distance::from(b_dists[j]);
                     if d < best {
                         best = d;
                     }
@@ -284,7 +283,7 @@ mod tests {
         best
     }
 
-    type Pairs<'a> = &'a [(NodeId, Distance)];
+    type Pairs<'a> = &'a [(NodeId, u32)];
 
     /// Joins two labels written as sorted `(hub, distance)` pairs.
     fn join(a: Pairs, b: Pairs) -> Distance {
@@ -297,7 +296,7 @@ mod tests {
         merge_join_with_witness(&ah, &ad, &bh, &bd)
     }
 
-    fn lanes(pairs: Pairs) -> (Vec<NodeId>, Vec<Distance>) {
+    fn lanes(pairs: Pairs) -> (Vec<NodeId>, Vec<u32>) {
         pairs.iter().copied().unzip()
     }
 
@@ -328,42 +327,43 @@ mod tests {
     }
 
     #[test]
-    fn join_saturates_on_overflow() {
-        assert_eq!(join(&[(0, u64::MAX - 1)], &[(0, 5)]), INFINITY);
+    fn widest_lane_sum_is_finite() {
+        // Two lane-maximal distances sum in u64 to 2^33 - 2, far below
+        // the INFINITY sentinel: the join has no overflow to guard.
+        let max = u32::MAX;
+        assert_eq!(join(&[(0, max)], &[(0, max)]), (1 << 33) - 2);
+        assert_eq!(join(&[(0, max)], &[(0, 5)]), Distance::from(max) + 5);
     }
 
     #[test]
-    fn saturated_sum_is_unreachable_not_witnessed() {
-        // Regression (the PR-10 headline bug): two large *finite* label
-        // distances saturate to the INFINITY sentinel. The witness path
-        // used to hand that sentinel back as a witnessed "finite" minimum;
-        // a saturated sum must read exactly like a disjoint hub set.
-        let b = [(3, 5)];
-        assert_eq!(join(&[(3, u64::MAX - 1)], &b), INFINITY);
-        assert_eq!(join_with_witness(&[(3, u64::MAX - 1)], &b), None);
-        // Exactly at the boundary: the sum lands on u64::MAX itself.
-        assert_eq!(join_with_witness(&[(3, u64::MAX - 5)], &b), None);
-        // One below the sentinel is still a real, witnessed distance.
+    fn widest_lane_sum_is_witnessed() {
+        // A distance above u32::MAX never reaches a lane (it is
+        // `FlatLayoutError::DistanceTooWide` in `from_pair_lists`), so the
+        // largest sum a join can see is finite and carries its witness.
+        let max = u32::MAX;
         assert_eq!(
-            join_with_witness(&[(3, u64::MAX - 6)], &b),
-            Some((u64::MAX - 1, 3))
+            join_with_witness(&[(3, max)], &[(3, max)]),
+            Some(((1 << 33) - 2, 3))
         );
-        // A saturating pair must not shadow a finite sum on another hub.
-        let (a, b) = ([(3, u64::MAX - 1), (7, 10)], [(3, 5), (7, 2)]);
+        // A lane-maximal pair does not shadow a smaller sum on another hub.
+        let (a, b) = ([(3, max), (7, 10)], [(3, 5), (7, 2)]);
         assert_eq!(join(&a, &b), 12);
         assert_eq!(join_with_witness(&a, &b), Some((12, 7)));
+        // Disjoint hub sets are the only way to get no witness.
+        assert_eq!(join_with_witness(&[(3, max)], &[(4, max)]), None);
+        assert_eq!(witnessed((INFINITY, 0)), None);
     }
 
     #[test]
     fn branchless_matches_branchy_reference() {
         // Differential check on adversarial shapes: overlapping, disjoint,
-        // nested ranges, duplicates of length 0/1, saturating distances.
+        // nested ranges, duplicates of length 0/1, lane-maximal distances.
         let cases: &[(Pairs, Pairs)] = &[
             (&[], &[]),
             (&[(1, 1)], &[]),
             (&[(1, 2), (5, 0)], &[(1, 9), (5, 1)]),
             (&[(0, 3), (2, 1), (9, 4)], &[(1, 1), (2, 3), (8, 0)]),
-            (&[(4, u64::MAX - 1)], &[(4, 7)]),
+            (&[(4, u32::MAX)], &[(4, u32::MAX)]),
             (&[(0, 1), (1, 1), (2, 1), (3, 1)], &[(3, 1), (4, 1), (5, 1)]),
         ];
         for (pa, pb) in cases {
@@ -392,12 +392,12 @@ mod tests {
             };
             let mut make_label = |len: usize| {
                 let mut hubs: Vec<NodeId> = Vec::with_capacity(len);
-                let mut dists: Vec<Distance> = Vec::with_capacity(len);
+                let mut dists: Vec<u32> = Vec::with_capacity(len);
                 let mut h: u64 = 0;
                 for _ in 0..len {
                     h += 1 + rng.gen_index(6) as u64;
                     hubs.push(h as NodeId);
-                    dists.push(rng.gen_index(1_000) as Distance);
+                    dists.push(rng.gen_index(1_000) as u32);
                 }
                 (hubs, dists)
             };
@@ -411,7 +411,7 @@ mod tests {
             let mut naive: Option<(Distance, NodeId)> = None;
             for (i, &h) in ah.iter().enumerate() {
                 if let Ok(j) = bh.binary_search(&h) {
-                    let d = ad[i].saturating_add(bd[j]);
+                    let d = Distance::from(ad[i]) + Distance::from(bd[j]);
                     if d < naive.map_or(INFINITY, |(b, _)| b) {
                         naive = Some((d, h));
                     }

@@ -71,7 +71,7 @@ pub mod separator_labeling;
 pub mod stats;
 pub mod tree;
 
-pub use compact::{CompactDists, CompactError, CompactLabeling, HubDeltas, NarrowLane};
+pub use compact::{CompactDists, CompactLabeling, HubDeltas, NarrowLane};
 pub use flat::{FlatLabeling, FlatLayoutError};
 pub use label::LabelingView;
 pub use order::{OrderError, VertexOrder};

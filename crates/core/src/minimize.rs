@@ -7,7 +7,7 @@
 //! how far each construction sits from (local) minimality.
 
 use hl_graph::apsp::DistanceMatrix;
-use hl_graph::{Distance, Graph, GraphError, NodeId};
+use hl_graph::{Graph, GraphError, NodeId};
 
 use crate::flat::FlatLabeling;
 use crate::label::{merge_join, LabelingView};
@@ -39,7 +39,7 @@ pub fn minimize_labeling<L: LabelingView>(
     let n = g.num_nodes();
     let truth = DistanceMatrix::compute(g)?;
     let before = labeling.total_hubs();
-    let mut labels: Vec<(Vec<NodeId>, Vec<Distance>)> = (0..n as NodeId)
+    let mut labels: Vec<(Vec<NodeId>, Vec<u32>)> = (0..n as NodeId)
         .map(|v| (labeling.hubs_of(v).to_vec(), labeling.dists_of(v).to_vec()))
         .collect();
     // For pair (v, u) exactness after removing h from S_v, only queries
@@ -129,8 +129,9 @@ mod tests {
         let truth = DistanceMatrix::compute(&g).unwrap();
         for v in 0..9u32 {
             for (h, _) in min.pairs_of(v) {
-                let (hubs, dists): (Vec<NodeId>, Vec<Distance>) =
-                    min.pairs_of(v).filter(|&(x, _)| x != h).unzip();
+                let lanes = min.hubs_of(v).iter().zip(min.dists_of(v));
+                let (hubs, dists): (Vec<NodeId>, Vec<u32>) =
+                    lanes.filter(|&(&x, _)| x != h).unzip();
                 let broken = (0..9u32).any(|u| {
                     let answer = if u == v {
                         merge_join(&hubs, &dists, &hubs, &dists)

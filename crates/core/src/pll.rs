@@ -18,7 +18,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use hl_graph::{Distance, Graph, NodeId, INFINITY};
 
-use crate::flat::FlatLabeling;
+use crate::flat::{FlatLabeling, FlatLayoutError};
 use crate::order;
 use crate::order::OrderError;
 
@@ -31,17 +31,20 @@ pub struct PrunedLandmarkLabeling {
 
 impl PrunedLandmarkLabeling {
     /// Builds the labeling with the classic decreasing-degree order.
+    /// Panics as [`PrunedLandmarkLabeling::with_order`] does.
     pub fn by_degree(g: &Graph) -> Self {
         Self::with_order(g, order::by_degree(g))
     }
 
     /// Builds the labeling with a seeded random order (useful as a
     /// worst-case-ish contrast to importance orders).
+    /// Panics as [`PrunedLandmarkLabeling::with_order`] does.
     pub fn by_random_order(g: &Graph, seed: u64) -> Self {
         Self::with_order(g, order::random(g, seed))
     }
 
     /// Builds the labeling with sampled-betweenness order.
+    /// Panics as [`PrunedLandmarkLabeling::with_order`] does.
     ///
     /// # Errors
     ///
@@ -61,7 +64,9 @@ impl PrunedLandmarkLabeling {
     ///
     /// # Panics
     ///
-    /// Panics if `order` is not a permutation of the vertex set.
+    /// Panics if `order` is not a permutation of the vertex set, or if a
+    /// label distance exceeds `u32::MAX`, the arena's distance lane
+    /// (`hl_build` reports both as typed errors instead).
     pub fn with_order(g: &Graph, order: Vec<NodeId>) -> Self {
         let labeling = pruned_labeling(g, &order, 0);
         PrunedLandmarkLabeling { labeling, order }
@@ -123,15 +128,20 @@ impl LabelAccumulator {
 
     /// Sorts each label by hub id into the query-time arena, one vertex
     /// at a time so the columns are released as the arena fills.
-    pub fn freeze(self) -> FlatLabeling {
+    ///
+    /// # Errors
+    ///
+    /// [`FlatLayoutError::DistanceTooWide`] when a label distance exceeds
+    /// the arena's `u32` lane.
+    pub fn freeze(self) -> Result<FlatLabeling, FlatLayoutError> {
         let mut flat = FlatLabeling::with_capacity(self.hubs.len(), self.entries);
         let mut pairs = Vec::new();
         for (hs, ds) in self.hubs.into_iter().zip(self.dists) {
             pairs.extend(hs.into_iter().zip(ds));
-            flat.push_pairs(&mut pairs);
+            flat.push_pairs(&mut pairs)?;
             pairs.clear();
         }
-        flat
+        Ok(flat)
     }
 }
 
@@ -264,7 +274,8 @@ impl SearchScratch {
 ///
 /// # Panics
 ///
-/// Panics if `order` is not a permutation of the vertex set.
+/// Panics if `order` is not a permutation of the vertex set, or if a
+/// label distance exceeds `u32::MAX`, the arena's distance lane.
 pub(crate) fn pruned_labeling(g: &Graph, order: &[NodeId], slack: Distance) -> FlatLabeling {
     assert!(
         order::is_permutation(order, g.num_nodes()),
@@ -277,7 +288,12 @@ pub(crate) fn pruned_labeling(g: &Graph, order: &[NodeId], slack: Distance) -> F
             labels.push(v, root, d);
         }
     }
-    labels.freeze()
+    let frozen = labels.freeze();
+    assert!(
+        frozen.is_ok(),
+        "PLL label distances must fit the arena's u32 lane: {frozen:?}"
+    );
+    frozen.unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -339,11 +355,34 @@ mod tests {
             lists[v as usize].push((hub, dist));
         }
         assert_eq!(labels.num_entries(), 5);
-        let flat = labels.freeze();
+        let flat = labels.freeze().unwrap();
         assert_eq!(flat.hubs_of(0), &[1, 3, 5]);
         assert_eq!(flat.dists_of(0), &[7, 4, 2]);
         assert!(flat.hubs_of(2).is_empty());
-        assert_eq!(flat, FlatLabeling::from_pair_lists(lists));
+        assert_eq!(Ok(flat), FlatLabeling::from_pair_lists(lists));
+    }
+
+    #[test]
+    fn freeze_rejects_a_distance_past_the_u32_lane() {
+        let mut labels = LabelAccumulator::new(2);
+        labels.push(0, 0, 0);
+        labels.push(1, 0, 1 << 32);
+        assert_eq!(
+            labels.freeze(),
+            Err(FlatLayoutError::DistanceTooWide {
+                vertex: 1,
+                distance: 1 << 32
+            })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 lane")]
+    fn sequential_driver_panics_on_a_distance_past_the_u32_lane() {
+        // The `# Panics` precondition of `with_order`: the edge alone is
+        // a label distance of 2^32.
+        let g = hl_graph::builder::graph_from_weighted_edges(2, &[(0, 1, 1 << 32)]).unwrap();
+        let _ = PrunedLandmarkLabeling::with_order(&g, vec![0, 1]);
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub fn random_threshold_labeling(
         }
     }
 
-    let labeling = FlatLabeling::from_pair_lists(pairs);
+    let labeling = FlatLabeling::from_pair_lists(pairs)?;
     Ok((labeling, breakdown))
 }
 

@@ -249,7 +249,7 @@ pub fn rs_labeling(g: &Graph, params: RsParams) -> Result<(FlatLabeling, RsBreak
     }
     // Fallback hubs (v stored in S_u) rely on the partner's self-hub, which
     // is present for every vertex.
-    let labeling = FlatLabeling::from_pair_lists(labels);
+    let labeling = FlatLabeling::from_pair_lists(labels)?;
     Ok((labeling, breakdown))
 }
 
@@ -289,11 +289,16 @@ fn has_color_collision(hubs: &[NodeId], colors: &[u64]) -> bool {
 /// weight-0 chains, and a hub on a shortest path projects to a vertex on
 /// the corresponding original path, so the projection remains an exact
 /// cover.
+///
+/// # Errors
+///
+/// Whatever [`FlatLabeling::from_pair_lists`] reports; the distances come
+/// out of an arena lane, so none is too wide for it.
 pub fn project_labeling(
     labeling: &FlatLabeling,
     representative: &[NodeId],
     origin: &[NodeId],
-) -> FlatLabeling {
+) -> Result<FlatLabeling, GraphError> {
     let labels = representative
         .iter()
         .map(|&rep| {
@@ -303,7 +308,7 @@ pub fn project_labeling(
                 .collect()
         })
         .collect();
-    FlatLabeling::from_pair_lists(labels)
+    Ok(FlatLabeling::from_pair_lists(labels)?)
 }
 
 #[cfg(test)]
@@ -448,7 +453,7 @@ mod tests {
         )
         .unwrap();
         assert!(verify_exact(&red.graph, &hl_red).unwrap().is_exact());
-        let hl = project_labeling(&hl_red, &red.representative, &red.origin);
+        let hl = project_labeling(&hl_red, &red.representative, &red.origin).unwrap();
         assert!(verify_exact(&g, &hl).unwrap().is_exact());
     }
 

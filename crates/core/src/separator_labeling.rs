@@ -18,7 +18,7 @@
 
 use hl_graph::dijkstra::shortest_path_distances;
 use hl_graph::separator::bfs_level_separator;
-use hl_graph::{Graph, NodeId, INFINITY};
+use hl_graph::{Graph, GraphError, NodeId, INFINITY};
 
 use crate::flat::FlatLabeling;
 
@@ -26,7 +26,12 @@ use crate::flat::FlatLabeling;
 ///
 /// Runs one SSSP per separator vertex over the full graph, so the cost is
 /// `O(#hubs · (m + n log n))`.
-pub fn separator_labeling(g: &Graph) -> FlatLabeling {
+///
+/// # Errors
+///
+/// [`GraphError::DistanceOverflow`] when a hub distance exceeds the
+/// arena's `u32` lane.
+pub fn separator_labeling(g: &Graph) -> Result<FlatLabeling, GraphError> {
     let n = g.num_nodes();
     let mut pairs: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); n];
     // Work list of parts to split.
@@ -55,7 +60,7 @@ pub fn separator_labeling(g: &Graph) -> FlatLabeling {
             stack.push(piece);
         }
     }
-    FlatLabeling::from_pair_lists(pairs)
+    Ok(FlatLabeling::from_pair_lists(pairs)?)
 }
 
 #[cfg(test)]
@@ -68,7 +73,7 @@ mod tests {
     #[test]
     fn exact_on_grid() {
         let g = generators::grid(8, 8);
-        let hl = separator_labeling(&g);
+        let hl = separator_labeling(&g).unwrap();
         assert!(verify_exact(&g, &hl).unwrap().is_exact());
     }
 
@@ -79,7 +84,7 @@ mod tests {
             generators::cycle(33),
             generators::random_tree(50, 4),
         ] {
-            let hl = separator_labeling(&g);
+            let hl = separator_labeling(&g).unwrap();
             assert!(verify_exact(&g, &hl).unwrap().is_exact());
         }
     }
@@ -87,7 +92,7 @@ mod tests {
     #[test]
     fn exact_on_weighted_grid() {
         let g = generators::weighted_grid(6, 6, 11);
-        let hl = separator_labeling(&g);
+        let hl = separator_labeling(&g).unwrap();
         assert!(verify_exact(&g, &hl).unwrap().is_exact());
     }
 
@@ -97,7 +102,7 @@ mod tests {
             generators::connected_gnm(60, 30, 7),
             generators::union_of_matchings(40, 3, 8),
         ] {
-            let hl = separator_labeling(&g);
+            let hl = separator_labeling(&g).unwrap();
             assert!(verify_exact(&g, &hl).unwrap().is_exact());
         }
     }
@@ -105,7 +110,7 @@ mod tests {
     #[test]
     fn exact_on_disconnected() {
         let g = hl_graph::builder::graph_from_edges(7, &[(0, 1), (2, 3), (4, 5)]).unwrap();
-        let hl = separator_labeling(&g);
+        let hl = separator_labeling(&g).unwrap();
         assert!(verify_exact(&g, &hl).unwrap().is_exact());
     }
 
@@ -114,8 +119,8 @@ mod tests {
         // Label sizes on k x k grids should grow ~ k (the separator size),
         // i.e. ~ sqrt(n): going 8x8 -> 16x16 should ~double the average,
         // not ~quadruple it.
-        let small = separator_labeling(&generators::grid(8, 8));
-        let large = separator_labeling(&generators::grid(16, 16));
+        let small = separator_labeling(&generators::grid(8, 8)).unwrap();
+        let large = separator_labeling(&generators::grid(16, 16)).unwrap();
         let ratio = large.average_hubs() / small.average_hubs();
         assert!(
             ratio < 3.2,
@@ -128,7 +133,7 @@ mod tests {
     #[test]
     fn competitive_with_pll_on_grids() {
         let g = generators::grid(12, 12);
-        let sep = separator_labeling(&g);
+        let sep = separator_labeling(&g).unwrap();
         let pll = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
         // Both should be well below the trivial n hubs per vertex.
         assert!(sep.average_hubs() < 72.0);
@@ -142,7 +147,7 @@ mod tests {
         // On a path every BFS-level separator is a single vertex, so the
         // recursion gives ~log n hubs per vertex.
         let g = generators::path(256);
-        let hl = separator_labeling(&g);
+        let hl = separator_labeling(&g).unwrap();
         assert!(
             hl.max_hubs() <= 12,
             "path separators are single vertices: max = {}",
@@ -157,7 +162,7 @@ mod tests {
         // stay well below n. (Use `tree::centroid_labeling` for the optimal
         // tree scheme.)
         let g = generators::balanced_binary_tree(7); // 255 vertices
-        let hl = separator_labeling(&g);
+        let hl = separator_labeling(&g).unwrap();
         assert!(verify_exact(&g, &hl).unwrap().is_exact());
         assert!(hl.max_hubs() <= 80, "max = {}", hl.max_hubs());
     }

@@ -1,5 +1,6 @@
 //! Aggregate statistics of hub labelings, shared by every experiment table.
 
+use crate::flat::FlatLabeling;
 use crate::label::LabelingView;
 
 /// Size statistics of a labeling.
@@ -13,7 +14,8 @@ pub struct LabelingStats {
     pub average_hubs: f64,
     /// `max_v |S_v|`.
     pub max_hubs: usize,
-    /// Estimated in-memory bytes (hub ids as `u32` + distances as `u64`).
+    /// Bytes the entries take in the [`FlatLabeling`] arena
+    /// ([`FlatLabeling::ENTRY_BYTES`] each; offsets not counted).
     pub memory_bytes: usize,
 }
 
@@ -26,7 +28,7 @@ impl LabelingStats {
             total_hubs: total,
             average_hubs: labeling.average_hubs(),
             max_hubs: labeling.max_hubs(),
-            memory_bytes: total * (std::mem::size_of::<u32>() + std::mem::size_of::<u64>()),
+            memory_bytes: total * FlatLabeling::ENTRY_BYTES,
         }
     }
 }
@@ -44,17 +46,16 @@ impl std::fmt::Display for LabelingStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flat::FlatLabeling;
 
     #[test]
     fn stats_of_simple_labeling() {
-        let hl = FlatLabeling::from_pair_lists(vec![vec![(0, 0), (1, 1)], vec![(1, 0)]]);
+        let hl = FlatLabeling::from_pair_lists(vec![vec![(0, 0), (1, 1)], vec![(1, 0)]]).unwrap();
         let s = LabelingStats::of(&hl);
         assert_eq!(s.num_nodes, 2);
         assert_eq!(s.total_hubs, 3);
         assert_eq!(s.max_hubs, 2);
         assert!((s.average_hubs - 1.5).abs() < 1e-9);
-        assert_eq!(s.memory_bytes, 36);
+        assert_eq!(s.memory_bytes, 24);
         let text = s.to_string();
         assert!(text.contains("avg=1.50"));
     }

@@ -66,7 +66,7 @@ pub fn centroid_labeling(g: &Graph) -> Result<FlatLabeling, GraphError> {
             }
         }
     }
-    Ok(FlatLabeling::from_pair_lists(pairs))
+    Ok(FlatLabeling::from_pair_lists(pairs)?)
 }
 
 fn collect_component(g: &Graph, start: NodeId, removed: &[bool]) -> Vec<NodeId> {

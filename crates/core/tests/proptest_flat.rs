@@ -65,18 +65,25 @@ fn from_pair_lists_matches_a_map_reference_on_arbitrary_labels() {
     // Lists with gaps, empty vertices, any order and repeated hubs — not
     // necessarily a valid cover, but the constructor must not care: each
     // run comes out strictly increasing with the minimum of every
-    // repeated hub, and passes the arena's own validator.
+    // repeated hub, and passes the arena's own validator. One distance in
+    // four sits at the top of the u32 lane, which must hold it exactly.
     for case in 0..CASES {
         let mut rng = Xorshift64::seed_from_u64(3000 + case);
         let n = rng.gen_range_usize(1, 30);
         let lists: Vec<Vec<(NodeId, u64)>> = (0..n)
             .map(|_| {
                 (0..rng.gen_index(9))
-                    .map(|_| (rng.gen_index(n) as NodeId, rng.gen_index(100) as u64))
+                    .map(|_| {
+                        let d = match rng.gen_index(4) {
+                            0 => u64::from(u32::MAX) - rng.gen_index(3) as u64,
+                            _ => rng.gen_index(100) as u64,
+                        };
+                        (rng.gen_index(n) as NodeId, d)
+                    })
                     .collect()
             })
             .collect();
-        let flat = FlatLabeling::from_pair_lists(lists.clone());
+        let flat = FlatLabeling::from_pair_lists(lists.clone()).unwrap();
         assert_eq!(flat.num_nodes(), n);
         for (v, list) in lists.iter().enumerate() {
             let mut want = std::collections::BTreeMap::new();

@@ -51,11 +51,11 @@ pub(crate) fn read_hub_ids(r: &mut BitReader<'_>, hubs: &mut Vec<NodeId>) -> usi
 
 /// Encodes one hub label — its sorted hub ids and their aligned
 /// distances, as a [`LabelingView`] lends them — into bits.
-pub fn encode_label(hubs: &[NodeId], dists: &[Distance]) -> BitLabel {
+pub fn encode_label(hubs: &[NodeId], dists: &[u32]) -> BitLabel {
     let mut w = BitWriter::new();
     write_hub_ids(&mut w, hubs);
     for &d in dists {
-        w.write_gamma0(d);
+        w.write_gamma0(u64::from(d));
     }
     BitLabel::new(w.into_bits())
 }
@@ -66,7 +66,9 @@ pub fn decode_label(label: &BitLabel) -> Vec<(NodeId, Distance)> {
     let mut hubs = Vec::new();
     let mut dists = Vec::new();
     decode_label_append(label, &mut hubs, &mut dists);
-    hubs.into_iter().zip(dists).collect()
+    hubs.into_iter()
+        .zip(dists.into_iter().map(Distance::from))
+        .collect()
 }
 
 /// Decodes a [`BitLabel`], *appending* its `(hub, distance)` entries to
@@ -74,14 +76,15 @@ pub fn decode_label(label: &BitLabel) -> Vec<(NodeId, Distance)> {
 /// sortedness). This is the allocation-free decode path: a caller
 /// assembling a [`hl_core::FlatLabeling`] arena decodes every label
 /// straight into the arena's backing vectors (or a reused scratch pair)
-/// without a per-vertex allocation.
-pub fn decode_label_append(label: &BitLabel, hubs: &mut Vec<NodeId>, dists: &mut Vec<Distance>) {
+/// without a per-vertex allocation. Distances land in the arena's `u32`
+/// lane; [`encode_label`] only ever wrote `u32`s.
+pub fn decode_label_append(label: &BitLabel, hubs: &mut Vec<NodeId>, dists: &mut Vec<u32>) {
     let mut r = BitReader::new(label.bits());
     let start = hubs.len();
     let k = read_hub_ids(&mut r, hubs);
     dists.reserve(k);
     for _ in 0..k {
-        dists.push(r.read_gamma0());
+        dists.push(r.read_gamma0() as u32);
     }
     debug_assert!(hubs[start..].windows(2).all(|w| w[0] < w[1]));
 }
@@ -111,6 +114,9 @@ pub enum LabelDecodeError {
     },
     /// Accumulated hub-id gaps overflowed the node-id space.
     HubOverflow,
+    /// A distance exceeds `u32::MAX`, the width of the arena's distance
+    /// lane the label decodes into.
+    DistanceTooWide(u64),
     /// Bits were left over after the declared entries — a valid label
     /// consumes its bit length exactly.
     TrailingBits(usize),
@@ -132,6 +138,9 @@ impl fmt::Display for LabelDecodeError {
                 )
             }
             LabelDecodeError::HubOverflow => write!(f, "hub id gaps overflow the node-id space"),
+            LabelDecodeError::DistanceTooWide(d) => {
+                write!(f, "distance {d} exceeds the u32 distance lane")
+            }
             LabelDecodeError::TrailingBits(n) => {
                 write!(f, "{n} trailing bits after the last entry")
             }
@@ -146,13 +155,14 @@ impl std::error::Error for LabelDecodeError {}
 /// [`BitReader::from_bytes`] view decodes a label in place, without
 /// copying it out of the file buffer: every read is bounds-checked,
 /// the entry count is validated against the remaining bits before any
-/// allocation, hub-id accumulation is overflow-checked, and the label
-/// must consume its bits exactly. On error, `hubs` and `dists` are
-/// truncated back to their input lengths.
+/// allocation, hub-id accumulation is overflow-checked, every distance
+/// must fit the `u32` lane, and the label must consume its bits exactly.
+/// On error, `hubs` and `dists` are truncated back to their input
+/// lengths.
 pub fn try_decode_label_append(
     bits: BitReader<'_>,
     hubs: &mut Vec<NodeId>,
-    dists: &mut Vec<Distance>,
+    dists: &mut Vec<u32>,
 ) -> Result<(), LabelDecodeError> {
     let start_hubs = hubs.len();
     let start_dists = dists.len();
@@ -167,7 +177,7 @@ pub fn try_decode_label_append(
 fn try_decode_label_inner(
     mut r: BitReader<'_>,
     hubs: &mut Vec<NodeId>,
-    dists: &mut Vec<Distance>,
+    dists: &mut Vec<u32>,
 ) -> Result<(), LabelDecodeError> {
     let bad_gamma = |r: &BitReader<'_>| LabelDecodeError::BadGamma {
         at_bit: r.position(),
@@ -202,7 +212,8 @@ fn try_decode_label_inner(
     }
     dists.reserve(k);
     for _ in 0..k {
-        dists.push(r.try_read_gamma0().ok_or_else(|| bad_gamma(&r))?);
+        let d = r.try_read_gamma0().ok_or_else(|| bad_gamma(&r))?;
+        dists.push(u32::try_from(d).map_err(|_| LabelDecodeError::DistanceTooWide(d))?);
     }
     if r.remaining() != 0 {
         return Err(LabelDecodeError::TrailingBits(r.remaining()));
@@ -300,7 +311,7 @@ mod tests {
 
     #[test]
     fn try_decode_accepts_everything_the_encoder_writes() {
-        let labels: [(&[NodeId], &[Distance]); 3] = [
+        let labels: [(&[NodeId], &[u32]); 3] = [
             (&[], &[]),
             (&[0], &[0]),
             (&[0, 7, 8, 1000], &[0, 3, 12, 999]),
@@ -350,6 +361,31 @@ mod tests {
         w.write_gamma0(5); // its distance
         let err = try_decode_label_append(BitReader::new(&w.into_bits()), &mut hubs, &mut dists);
         assert!(matches!(err, Err(LabelDecodeError::HubOverflow)));
+
+        // A distance one past the u32 lane; u32::MAX itself decodes.
+        for (d, fits) in [(u64::from(u32::MAX), true), (1u64 << 32, false)] {
+            let mut w = BitWriter::new();
+            w.write_gamma0(1);
+            w.write_gamma0(0);
+            w.write_gamma0(d);
+            let got =
+                try_decode_label_append(BitReader::new(&w.into_bits()), &mut hubs, &mut dists);
+            if fits {
+                assert_eq!(got, Ok(()));
+                assert_eq!(
+                    (hubs.as_slice(), dists.as_slice()),
+                    (&[0][..], &[u32::MAX][..])
+                );
+                hubs.clear();
+                dists.clear();
+            } else {
+                assert_eq!(got, Err(LabelDecodeError::DistanceTooWide(1 << 32)));
+                assert!(
+                    hubs.is_empty() && dists.is_empty(),
+                    "buffers must roll back"
+                );
+            }
+        }
 
         // A structurally valid label followed by leftover bits.
         let encoded = encode_label(&[3], &[1]);
@@ -408,7 +444,7 @@ mod tests {
     #[test]
     fn precomputed_scheme_rejects_size_mismatch() {
         let g = generators::path(5);
-        let labeling = FlatLabeling::from_pair_lists(vec![Vec::new(); 3]);
+        let labeling = FlatLabeling::from_pair_lists(vec![Vec::new(); 3]).unwrap();
         assert!(PrecomputedHubScheme::new(labeling).encode(&g).is_err());
     }
 

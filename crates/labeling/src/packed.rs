@@ -78,7 +78,7 @@ const TAG_GAP_SPLIT: u64 = 3;
 /// let encoded = encode_compact(&[3, 40], &[2, 17], &params);
 /// assert_eq!(decode_compact(&encoded, &params), vec![(3, 2), (40, 17)]);
 /// ```
-pub fn encode_compact(hubs: &[NodeId], dists: &[Distance], params: &CompactParams) -> BitLabel {
+pub fn encode_compact(hubs: &[NodeId], dists: &[u32], params: &CompactParams) -> BitLabel {
     let candidates = [
         (TAG_GAMMA, encode_gamma_body(hubs, dists)),
         (TAG_FIXED, encode_fixed_body(hubs, dists, params)),
@@ -123,7 +123,7 @@ pub fn encode_labeling_compact<L: LabelingView>(
         .collect()
 }
 
-fn encode_gamma_body(hubs: &[NodeId], dists: &[Distance]) -> crate::bits::BitVec {
+fn encode_gamma_body(hubs: &[NodeId], dists: &[u32]) -> crate::bits::BitVec {
     // The hub_scheme label itself: γ count, gap-coded ids, γ distances.
     crate::hub_scheme::encode_label(hubs, dists).bits().clone()
 }
@@ -136,14 +136,14 @@ fn decode_gamma_body(r: &mut BitReader<'_>) -> Vec<(NodeId, Distance)> {
 
 fn encode_fixed_body(
     hubs: &[NodeId],
-    dists: &[Distance],
+    dists: &[u32],
     params: &CompactParams,
 ) -> crate::bits::BitVec {
     let mut w = BitWriter::new();
     w.write_gamma0(hubs.len() as u64);
     for (&h, &d) in hubs.iter().zip(dists) {
         w.write_bits(h as u64, params.id_bits);
-        w.write_bits(d, params.dist_bits);
+        w.write_bits(u64::from(d), params.dist_bits);
     }
     w.into_bits()
 }
@@ -161,13 +161,14 @@ fn decode_fixed_body(r: &mut BitReader<'_>, params: &CompactParams) -> Vec<(Node
 
 fn encode_split_body(
     hubs: &[NodeId],
-    dists: &[Distance],
+    dists: &[u32],
     params: &CompactParams,
 ) -> crate::bits::BitVec {
     let mut w = BitWriter::new();
     w.write_gamma0(hubs.len() as u64);
     let nb = params.near_bits();
     for (&h, &d) in hubs.iter().zip(dists) {
+        let d = u64::from(d);
         w.write_bits(h as u64, params.id_bits);
         if d < params.near_threshold {
             w.write_bit(true);
@@ -198,13 +199,13 @@ fn decode_split_body(r: &mut BitReader<'_>, params: &CompactParams) -> Vec<(Node
 
 fn encode_gap_split_body(
     hubs: &[NodeId],
-    dists: &[Distance],
+    dists: &[u32],
     params: &CompactParams,
 ) -> crate::bits::BitVec {
     let mut w = BitWriter::new();
     write_hub_ids(&mut w, hubs);
     let nb = params.near_bits();
-    for &d in dists {
+    for d in dists.iter().map(|&d| u64::from(d)) {
         if d < params.near_threshold {
             w.write_bit(true);
             w.write_bits(d, nb);

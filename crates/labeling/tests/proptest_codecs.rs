@@ -89,7 +89,7 @@ fn mixed_codes_roundtrip() {
 /// One label in canonical form — sorted, a repeated hub keeping its
 /// minimum — as vertex 0 of a one-vertex arena.
 fn label(pairs: Vec<(u32, u64)>) -> FlatLabeling {
-    FlatLabeling::from_pair_lists(vec![pairs])
+    FlatLabeling::from_pair_lists(vec![pairs]).unwrap()
 }
 
 fn encode(label: &FlatLabeling) -> hl_labeling::BitLabel {
@@ -134,7 +134,7 @@ fn compact_roundtrip_arbitrary() {
         let near = rng.gen_range_u64(1, 64);
         let label = label(pairs);
         let (hubs, dists) = (label.hubs_of(0), label.dists_of(0));
-        let max_d = dists.iter().copied().max().unwrap_or(0);
+        let max_d = dists.iter().copied().max().map_or(0, u64::from);
         let params = CompactParams::new(5_000, max_d, near);
         let decoded = decode_compact(&encode_compact(hubs, dists, &params), &params);
         assert_eq!(decoded, label.pairs_of(0).collect::<Vec<_>>());
@@ -152,7 +152,7 @@ fn compact_never_beaten_by_gamma_by_more_than_tag() {
             .collect();
         let label = label(pairs);
         let (hubs, dists) = (label.hubs_of(0), label.dists_of(0));
-        let max_d = dists.iter().copied().max().unwrap_or(0);
+        let max_d = dists.iter().copied().max().map_or(0, u64::from);
         let params = CompactParams::new(2_000, max_d, 8);
         let compact = encode_compact(hubs, dists, &params).num_bits();
         let gamma = encode(&label).num_bits();

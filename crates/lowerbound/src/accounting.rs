@@ -165,7 +165,7 @@ mod tests {
     fn broken_labeling_fails_audit() {
         // An empty labeling charges nothing (it is not a cover).
         let h = HGraph::build(GadgetParams::new(1, 1).unwrap());
-        let empty = FlatLabeling::from_pair_lists(vec![Vec::new(); h.graph().num_nodes()]);
+        let empty = FlatLabeling::from_pair_lists(vec![Vec::new(); h.graph().num_nodes()]).unwrap();
         let report = audit_h(&h, &empty);
         assert!(!report.all_charged());
         assert_eq!(report.charged, 0);

@@ -213,7 +213,8 @@ mod tests {
         wide[0] = vec![(0, 0), (70_000, 1 << 20)];
         wide[70_000] = vec![(70_000, 0)];
         let wide =
-            hl_core::CompactLabeling::from_flat(&FlatLabeling::from_pair_lists(wide)).unwrap();
+            hl_core::CompactLabeling::from_flat(&FlatLabeling::from_pair_lists(wide).unwrap())
+                .unwrap();
         let v2c_wide = CompactStore::from_compact(wide).encode();
         for (name, bytes, len, fnv) in [
             ("v1", &v1, 1301, 0x7f72_8bb0_7a30_8911_u64),

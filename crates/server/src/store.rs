@@ -276,7 +276,8 @@ pub(crate) fn section_bytes(num_nodes: usize, file_len: u64) -> [(&'static str, 
 /// The γ bits are treated as *untrusted* even though the checksum
 /// matched: a checksum only catches accidents, and a crafted store can
 /// carry any bit pattern behind a freshly computed FNV. Malformed codes,
-/// lying entry counts, hub-id overflow and out-of-range hub ids are all
+/// lying entry counts, hub-id overflow, out-of-range hub ids and
+/// distances too wide for the arena's `u32` lane are all
 /// [`StoreError::Corrupt`], never a panic or a runaway allocation.
 pub fn decode(bytes: &[u8]) -> Result<(FlatLabeling, u64), StoreError> {
     if bytes.len() < HEADER_LEN {
@@ -575,11 +576,40 @@ mod tests {
             vec![(0, 0)],
             vec![(0, 1), (9, 0)], // hub 9 in a 2-node store
         ];
-        let err = decode(&encode(&FlatLabeling::from_pair_lists(labels))).unwrap_err();
+        let err = decode(&encode(&FlatLabeling::from_pair_lists(labels).unwrap())).unwrap_err();
         assert!(
             matches!(err, StoreError::Corrupt(ref m) if m.contains("hub 9 out of range")),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn crafted_distance_past_the_u32_lane_is_corrupt() {
+        // γ codes carry any u64, the arena's distance lane only u32: a
+        // one-vertex store whose label (hub 0) sits at distance 2^32
+        // decodes cleanly bit by bit and must still stop at the mount.
+        for (d, ok) in [(u64::from(u32::MAX), true), (1u64 << 32, false)] {
+            let mut w = hl_labeling::BitWriter::new();
+            w.write_gamma0(1);
+            w.write_gamma0(0);
+            w.write_gamma0(d);
+            let bits = w.into_bits();
+            let store = LabelStore {
+                num_nodes: 1,
+                offsets: vec![0, bits.as_bytes().len() as u64],
+                bit_lens: vec![bits.len() as u32],
+                blob: bits.as_bytes().to_vec(),
+            };
+            let mut buf = Vec::new();
+            store.write_to(&mut buf).unwrap();
+            match decode(&buf) {
+                Ok((flat, _)) => assert!(ok && flat.raw_dists() == [u32::MAX]),
+                Err(err) => assert!(
+                    !ok && matches!(err, StoreError::Corrupt(ref m) if m.contains("u32")),
+                    "{err:?}"
+                ),
+            }
+        }
     }
 
     #[test]

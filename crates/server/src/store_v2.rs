@@ -31,7 +31,10 @@
 //! The `offsets` section holds `(n + 1)` u64s, `hubs` holds `e` u32s,
 //! `dists` holds `e` u64s. Sections start at 64-byte-aligned file offsets
 //! in table order, every gap byte is zero, and the file ends exactly where
-//! the `dists` section does.
+//! the `dists` section does. The arena's distance lane is `u32`: the
+//! writer widens it into the `u64` section, and the reader narrows each
+//! word back inside the fused decode pass, so a mount allocates no `u64`
+//! lane and a word above `u32::MAX` is [`StoreError::Corrupt`].
 //!
 //! ## The compact flavor (`flags != 0`)
 //!
@@ -351,12 +354,14 @@ impl V2Store {
         let [offsets, hubs, dists] = lay.sections;
         match &self.body {
             Body::Flat(f) => {
-                write_lane(&mut buf, offsets, f.raw_offsets());
-                write_lane(&mut buf, hubs, f.raw_hubs());
-                write_lane(&mut buf, dists, f.raw_dists());
+                write_lane(&mut buf, offsets, f.raw_offsets().iter().copied());
+                write_lane(&mut buf, hubs, f.raw_hubs().iter().copied());
+                // On disk the distance lane stays u64.
+                let wide = f.raw_dists().iter().map(|&d| u64::from(d));
+                write_lane(&mut buf, dists, wide);
             }
             Body::Compact(c) => {
-                write_lane(&mut buf, offsets, c.raw_offsets());
+                write_lane(&mut buf, offsets, c.raw_offsets().iter().copied());
                 write_narrow_lane(&mut buf, hubs, c.raw_hubs());
                 write_narrow_lane(&mut buf, dists, c.raw_dists());
             }
@@ -420,12 +425,17 @@ impl V2Store {
             )?;
             CompactLabeling::from_raw_parts(offsets, hubs, dists).map(Body::Compact)
         } else {
-            let (offsets, hubs, dists) = decode_sections(
+            let (offsets, hubs, (dists, widest)) = decode_sections(
                 bytes,
                 &sections,
                 decode_section::<u32>,
-                decode_section::<u64>,
+                decode_dists_section,
             )?;
+            if widest > u64::from(u32::MAX) {
+                return Err(StoreError::Corrupt(format!(
+                    "distance {widest} in the dists section exceeds the arena's u32 lane"
+                )));
+            }
             FlatLabeling::from_raw_parts(offsets, hubs, dists).map(Body::Flat)
         }
         .map_err(|e| StoreError::Corrupt(format!("arena invariant violated: {e}")))?;
@@ -653,7 +663,29 @@ const LANE_SEEDS: [u64; 4] = [
 /// width: each 32-byte chunk is absorbed as four words and decoded as
 /// `32 / T::BYTES` elements while it is in cache.
 fn decode_section<T: Lane>(bytes: &[u8]) -> (Vec<T>, u64) {
-    let mut out = vec![T::default(); bytes.len() / T::BYTES];
+    decode_section_into(bytes, |x: T| x)
+}
+
+/// The flat flavor's distance section: `u64` words on disk, stored into
+/// the arena's `u32` lane as they are decoded, so no `u64` lane is ever
+/// allocated. Returns the widest word too; the caller rejects the store
+/// if it does not fit `u32`, after the checksums have been checked.
+fn decode_dists_section(bytes: &[u8]) -> ((Vec<u32>, u64), u64) {
+    let mut widest = 0u64;
+    let (lane, sum) = decode_section_into(bytes, |d: u64| {
+        widest = widest.max(d);
+        d as u32
+    });
+    ((lane, widest), sum)
+}
+
+/// [`decode_section`] with each decoded `T` passed through `convert` on
+/// its way into the output lane.
+fn decode_section_into<T: Lane, U: Copy + Default>(
+    bytes: &[u8],
+    mut convert: impl FnMut(T) -> U,
+) -> (Vec<U>, u64) {
+    let mut out = vec![U::default(); bytes.len() / T::BYTES];
     let mut lanes = LANE_SEEDS;
     let mut src = bytes.chunks_exact(32);
     let mut dst = out.chunks_exact_mut(32 / T::BYTES);
@@ -662,7 +694,7 @@ fn decode_section<T: Lane>(bytes: &[u8]) -> (Vec<T>, u64) {
             *lane = (*lane ^ u64::read_le(&s[j * 8..j * 8 + 8])).wrapping_mul(FNV_PRIME);
         }
         for (slot, chunk) in d.iter_mut().zip(s.chunks_exact(T::BYTES)) {
-            *slot = T::read_le(chunk);
+            *slot = convert(T::read_le(chunk));
         }
     }
     let mut tail = FNV_OFFSET;
@@ -674,7 +706,7 @@ fn decode_section<T: Lane>(bytes: &[u8]) -> (Vec<T>, u64) {
         .iter_mut()
         .zip(src.remainder().chunks_exact(T::BYTES))
     {
-        *slot = T::read_le(chunk);
+        *slot = convert(T::read_le(chunk));
     }
     let h = combine_lanes(lanes, tail, bytes.len());
     (out, h)
@@ -692,8 +724,8 @@ fn decode_narrow_section(bytes: &[u8], entry_bytes: usize) -> (HubDeltas, u64) {
 }
 
 /// Lays `values` out little-endian from the start of section `sec`.
-fn write_lane<T: Lane>(buf: &mut [u8], sec: Section, values: &[T]) {
-    for (out, &v) in buf[sec.range()].chunks_exact_mut(T::BYTES).zip(values) {
+fn write_lane<T: Lane>(buf: &mut [u8], sec: Section, values: impl IntoIterator<Item = T>) {
+    for (out, v) in buf[sec.range()].chunks_exact_mut(T::BYTES).zip(values) {
         v.write_le(out);
     }
 }
@@ -701,8 +733,8 @@ fn write_lane<T: Lane>(buf: &mut [u8], sec: Section, values: &[T]) {
 /// [`write_lane`] at whichever width a compact lane holds.
 fn write_narrow_lane(buf: &mut [u8], sec: Section, lane: &CompactDists) {
     match lane {
-        CompactDists::U16(v) => write_lane(buf, sec, v),
-        CompactDists::U32(v) => write_lane(buf, sec, v),
+        CompactDists::U16(v) => write_lane(buf, sec, v.iter().copied()),
+        CompactDists::U32(v) => write_lane(buf, sec, v.iter().copied()),
     }
 }
 
@@ -1000,7 +1032,7 @@ mod tests {
         wide_hl[0] = vec![(0, 0), (70_000, 1 << 20)];
         wide_hl[70_000] = vec![(70_000, 0)];
         let wide = CompactStore::from_compact(
-            CompactLabeling::from_flat(&FlatLabeling::from_pair_lists(wide_hl)).unwrap(),
+            CompactLabeling::from_flat(&FlatLabeling::from_pair_lists(wide_hl).unwrap()).unwrap(),
         );
         assert_eq!(
             wide.flags(),
@@ -1054,10 +1086,44 @@ mod tests {
         let store = CompactStore::from_compact(sample_compact());
         let section_sum: u64 = store.section_bytes().iter().map(|&(_, b)| b).sum();
         assert_eq!(sample_compact().heap_bytes() as u64, section_sum);
-        // Same invariant on the flat side, for the head-to-head math.
-        let flat_store = FlatStore::from_flat(sample_flat());
+        // On the flat side the on-disk dists lane is u64 and the arena's
+        // is u32: the arena is the sections minus 4 bytes an entry.
+        let flat = sample_flat();
+        let flat_store = FlatStore::from_flat(flat.clone());
         let flat_sum: u64 = flat_store.section_bytes().iter().map(|&(_, b)| b).sum();
-        assert_eq!(sample_flat().heap_bytes() as u64, flat_sum);
+        let e = flat.num_entries() as u64;
+        assert_eq!(flat.heap_bytes() as u64, flat_sum - 4 * e);
+    }
+
+    #[test]
+    fn crafted_distance_past_the_u32_lane_is_corrupt_at_the_mount() {
+        // The dists section stays u64 on disk; the mount narrows it into
+        // the arena's u32 lane. A word of 2^32 with every checksum
+        // refreshed must stop there, while u32::MAX still mounts.
+        let flat = sample_flat();
+        let clean = FlatStore::from_flat(flat.clone()).encode();
+        let dists_at = layout_with(flat.num_nodes(), flat.num_entries(), 4, 8).sections[2]
+            .file_offset as usize;
+        let last = dists_at + (flat.num_entries() - 1) * 8;
+        for (word, ok) in [(u64::from(u32::MAX), true), (1u64 << 32, false)] {
+            let mut bytes = clean.clone();
+            bytes[last..last + 8].copy_from_slice(&word.to_le_bytes());
+            refresh_section_checksum(&mut bytes, 2);
+            let mounted = AnyStore::parse(&bytes);
+            if ok {
+                let arena = mounted
+                    .expect("u32::MAX fits the lane")
+                    .into_flat()
+                    .unwrap();
+                assert_eq!(arena.raw_dists().last(), Some(&u32::MAX));
+            } else {
+                let err = mounted.expect_err("2^32 does not fit the lane");
+                assert!(
+                    matches!(err, StoreError::Corrupt(ref m) if m.contains("u32")),
+                    "{err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -309,8 +309,10 @@ mod tests {
     fn join_pairs_matches_slice_merge_join() {
         let a = vec![(0u32, 1u64), (3, 2), (9, 5)];
         let b = vec![(1u32, 1u64), (3, 4), (8, 1), (9, 0)];
-        let (ah, ad): (Vec<_>, Vec<_>) = a.iter().copied().unzip();
-        let (bh, bd): (Vec<_>, Vec<_>) = b.iter().copied().unzip();
+        let lanes = |l: &[(NodeId, Distance)]| -> (Vec<NodeId>, Vec<u32>) {
+            l.iter().map(|&(h, d)| (h, d as u32)).unzip()
+        };
+        let ((ah, ad), (bh, bd)) = (lanes(&a), lanes(&b));
         assert_eq!(join_pairs(&a, &b), merge_join(&ah, &ad, &bh, &bd));
         assert_eq!(join_pairs(&a, &b), 5);
         assert_eq!(join_pairs(&a, &[]), hl_graph::INFINITY);

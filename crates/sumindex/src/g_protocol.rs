@@ -13,7 +13,7 @@
 //! both trees.
 
 use hl_graph::bfs::bfs_distances;
-use hl_graph::{Graph, GraphBuilder, GraphError, NodeId, INFINITY};
+use hl_graph::{Graph, GraphBuilder, GraphError, NodeId};
 use hl_labeling::hub_scheme::{decode_distance, encode_label};
 use hl_labeling::scheme::{BitLabel, SchemeStats};
 use hl_lowerbound::removal::decode_midpoint_presence;
@@ -77,12 +77,11 @@ impl GPrimeProtocol {
 
         let label_of = |v: NodeId| -> BitLabel {
             let dist = bfs_distances(&g_pruned, v);
-            let (hubs, dists): (Vec<NodeId>, Vec<u64>) = middle_cores
+            // BFS hop counts stay below n, so the one distance that does
+            // not fit the u32 lane is `INFINITY`: an unreachable core.
+            let (hubs, dists): (Vec<NodeId>, Vec<u32>) = middle_cores
                 .iter()
-                .filter_map(|&c| {
-                    let d = dist[c as usize];
-                    (d != INFINITY).then_some((c, d))
-                })
+                .filter_map(|&c| u32::try_from(dist[c as usize]).ok().map(|d| (c, d)))
                 .unzip();
             encode_label(&hubs, &dists)
         };

@@ -178,6 +178,17 @@ roundtrip grid grid --nodes 2500 --seed 13
 grep -Eq 'format version +2' "$SMOKE/rt-stats.txt"
 grep -q 'section offsets' "$SMOKE/rt-stats.txt"
 
+echo "== arena width (the served arena is 8 bytes an entry) =="
+# offsets are 8 bytes a vertex (plus one), each entry a u32 hub and a u32
+# distance; a distance lane widened back to u64 makes this 8(n+1) + 12e.
+awk '/^  nodes /{n=$2} /^  arena entries /{e=$3} /^  arena heap bytes /{h=$4}
+  END {
+    if (e == 0 || h != 8 * (n + 1) + 8 * e) {
+      printf "check: FAIL — arena heap bytes %s != 8(n+1) + 8e = %d\n", h, 8 * (n + 1) + 8 * e > "/dev/stderr"
+      exit 1
+    }
+  }' "$SMOKE/rt-stats.txt"
+
 echo "== sharded serving smoke (2 and 3 shards, routed == unsharded) =="
 # Partition a round-trip store, serve each shard from its own daemon, and
 # check the router's answers byte-for-byte against the unsharded query

@@ -32,7 +32,7 @@ fn corrupt_distance(labeling: &FlatLabeling, seed: u64) -> (FlatLabeling, NodeId
         }
         let k = rng.gen_index(labels[v].len());
         labels[v][k].1 += 1 + rng.gen_u64_below(5);
-        return (FlatLabeling::from_pair_lists(labels), v as NodeId);
+        return (FlatLabeling::from_pair_lists(labels).unwrap(), v as NodeId);
     }
 }
 
@@ -40,7 +40,7 @@ fn corrupt_distance(labeling: &FlatLabeling, seed: u64) -> (FlatLabeling, NodeId
 fn drop_label(labeling: &FlatLabeling, victim: NodeId) -> FlatLabeling {
     let mut labels = pair_lists(labeling);
     labels[victim as usize].clear();
-    FlatLabeling::from_pair_lists(labels)
+    FlatLabeling::from_pair_lists(labels).unwrap()
 }
 
 #[test]
@@ -92,7 +92,7 @@ fn audit_catches_uncovering_of_midpoints() {
         // strip level-ℓ hubs (ℓ = 1)
         pairs.retain(|&(hub, _)| hub as u64 / level_size != 1);
     }
-    let stripped = FlatLabeling::from_pair_lists(labels);
+    let stripped = FlatLabeling::from_pair_lists(labels).unwrap();
     let report = audit_h(&h, &stripped);
     assert!(
         !report.all_charged(),

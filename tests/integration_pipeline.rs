@@ -120,7 +120,7 @@ fn theorem_14_pipeline_on_weighted_input() {
     .unwrap();
     assert!(verify_exact(&red.graph, &hl_red).unwrap().is_exact());
     // Project to the subdivided graph's original vertices.
-    let hl_sub = project_labeling(&hl_red, &red.representative, &red.origin);
+    let hl_sub = project_labeling(&hl_red, &red.representative, &red.origin).unwrap();
     // Distances on original vertex ids of the subdivision = weighted dists.
     let truth = hub_labeling::graph::apsp::DistanceMatrix::compute(&g).unwrap();
     for u in 0..g.num_nodes() as NodeId {

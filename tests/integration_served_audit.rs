@@ -53,7 +53,7 @@ fn built_and_fetched(name: &str, graph: &Graph) -> (FlatLabeling, FlatLabeling) 
     }
     client.shutdown().expect("shutdown");
     daemon.join().expect("daemon thread");
-    (built, FlatLabeling::from_pair_lists(lists))
+    (built, FlatLabeling::from_pair_lists(lists).unwrap())
 }
 
 fn assert_audited(name: &str, graph: &Graph, fetched: &FlatLabeling, report: AccountingReport) {
