@@ -37,6 +37,7 @@
 //! assert_eq!(compact.to_flat(), flat);
 //! assert!(compact.heap_bytes() < flat.heap_bytes());
 //! ```
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 use std::convert::Infallible;
 
@@ -126,11 +127,19 @@ impl CompactLabeling {
         }
         let max_dist = dists.iter().copied().max().unwrap_or(0);
 
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the u16 branch runs only when every delta is at most u16::MAX"
+        )]
         let hub_lane = if max_delta > u16::MAX as NodeId {
             NarrowLane::U32(delta_code(&offsets, hubs, |delta| delta))
         } else {
             NarrowLane::U16(delta_code(&offsets, hubs, |delta| delta as u16))
         };
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the u16 branch runs only when every distance is at most u16::MAX"
+        )]
         let dist_lane = if max_dist > u32::from(u16::MAX) {
             NarrowLane::U32(dists.to_vec())
         } else {
@@ -284,7 +293,7 @@ where
             if acc >= num_nodes {
                 return Err(FlatLayoutError::HubOutOfRange {
                     vertex: v,
-                    hub: acc.min(NodeId::MAX as u64) as NodeId,
+                    hub: NodeId::try_from(acc).unwrap_or(NodeId::MAX),
                 });
             }
         }

@@ -50,17 +50,19 @@ impl DistanceMatrix {
                         break;
                     }
                     let dist = shortest_path_distances(g, v as NodeId);
+                    // Checked before the row is locked, so no worker ever
+                    // holds two guards at once.
+                    if let Some(&d) = dist
+                        .iter()
+                        .find(|&&d| d != INFINITY && d >= UNREACHABLE as u64)
+                    {
+                        *lock_unpoisoned(&error) =
+                            Some(GraphError::DistanceOverflow { distance: d });
+                        return;
+                    }
                     let mut row = lock_unpoisoned(&rows[v]);
                     for (u, &d) in dist.iter().enumerate() {
-                        if d == INFINITY {
-                            row[u] = UNREACHABLE;
-                        } else if d >= UNREACHABLE as u64 {
-                            *lock_unpoisoned(&error) =
-                                Some(GraphError::DistanceOverflow { distance: d });
-                            return;
-                        } else {
-                            row[u] = d as u32;
-                        }
+                        row[u] = if d == INFINITY { UNREACHABLE } else { d as u32 };
                     }
                 });
             }

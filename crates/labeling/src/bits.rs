@@ -3,6 +3,7 @@
 //!
 //! Distance labelings are measured in *bits*; these codecs let the schemes
 //! report honest sizes (and actually round-trip their data).
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 /// A growable bit vector (MSB-first within each byte).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -233,7 +234,11 @@ impl<'a> BitReader<'a> {
     /// Reads an Elias-γ code.
     pub fn read_gamma(&mut self) -> u64 {
         let n = self.read_unary();
-        let rest = if n == 0 { 0 } else { self.read_bits(n as u32) };
+        let rest = if n == 0 {
+            0
+        } else {
+            self.read_bits(u32::try_from(n).unwrap_or(u32::MAX))
+        };
         (1u64 << n) | rest
     }
 
@@ -245,7 +250,11 @@ impl<'a> BitReader<'a> {
     /// Reads an Elias-δ code.
     pub fn read_delta(&mut self) -> u64 {
         let n = self.read_gamma() - 1;
-        let rest = if n == 0 { 0 } else { self.read_bits(n as u32) };
+        let rest = if n == 0 {
+            0
+        } else {
+            self.read_bits(u32::try_from(n).unwrap_or(u32::MAX))
+        };
         (1u64 << n) | rest
     }
 

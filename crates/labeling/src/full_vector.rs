@@ -1,9 +1,10 @@
 //! The trivial distance labeling: every vertex stores its full distance
 //! row. `n·⌈log(diam+2)⌉` bits per label — the baseline all sublinear
 //! schemes are measured against.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 use hl_graph::dijkstra::shortest_path_distances;
-use hl_graph::{Distance, Graph, GraphError, INFINITY};
+use hl_graph::{Distance, Graph, GraphError, NodeId, INFINITY};
 
 use crate::bits::{BitReader, BitWriter};
 use crate::scheme::{BitLabel, DistanceLabelingScheme};
@@ -26,8 +27,8 @@ impl DistanceLabelingScheme for FullVectorScheme {
         // Width: enough for max finite distance + the sentinel.
         let mut rows = Vec::with_capacity(n);
         let mut max_d = 0u64;
-        for v in 0..n {
-            let d = shortest_path_distances(g, v as u32);
+        for v in (0..=NodeId::MAX).take(n) {
+            let d = shortest_path_distances(g, v);
             for &x in &d {
                 if x != INFINITY {
                     max_d = max_d.max(x);
@@ -59,7 +60,7 @@ impl DistanceLabelingScheme for FullVectorScheme {
         let mut ru = BitReader::new(u.bits());
         let _u_id = ru.read_gamma0();
         let n = ru.read_gamma0();
-        let width = ru.read_gamma0() as u32;
+        let width = u32::try_from(ru.read_gamma0()).unwrap_or(u32::MAX);
         debug_assert!(v_id < n);
         for _ in 0..v_id {
             ru.read_bits(width);

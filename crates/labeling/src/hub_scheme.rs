@@ -6,6 +6,7 @@
 //! Format per label: γ(k+1) hub count, then `k` hub ids (first id γ-coded
 //! +1, rest gap-coded), then `k` distances (γ-coded +1). Two labels decode
 //! a distance by a sorted merge on hub ids — no graph access needed.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 use std::fmt;
 
@@ -35,7 +36,7 @@ pub(crate) fn write_hub_ids(w: &mut BitWriter, hubs: &[NodeId]) {
 /// Reads what [`write_hub_ids`] wrote, appending the ids to `hubs` in
 /// increasing order, and returns their count. Trusts its input.
 pub(crate) fn read_hub_ids(r: &mut BitReader<'_>, hubs: &mut Vec<NodeId>) -> usize {
-    let k = r.read_gamma0() as usize;
+    let k = usize::try_from(r.read_gamma0()).unwrap_or(usize::MAX);
     hubs.reserve(k);
     let mut cur = 0u64;
     for i in 0..k {
@@ -44,7 +45,12 @@ pub(crate) fn read_hub_ids(r: &mut BitReader<'_>, hubs: &mut Vec<NodeId>) -> usi
         } else {
             cur + r.read_gamma()
         };
-        hubs.push(cur as NodeId);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "trusted bits: write_hub_ids wrote a NodeId here"
+        )]
+        let hub = cur as NodeId;
+        hubs.push(hub);
     }
     k
 }
@@ -84,7 +90,12 @@ pub fn decode_label_append(label: &BitLabel, hubs: &mut Vec<NodeId>, dists: &mut
     let k = read_hub_ids(&mut r, hubs);
     dists.reserve(k);
     for _ in 0..k {
-        dists.push(r.read_gamma0() as u32);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "trusted bits: encode_label wrote a u32 here"
+        )]
+        let d = r.read_gamma0() as u32;
+        dists.push(d);
     }
     debug_assert!(hubs[start..].windows(2).all(|w| w[0] < w[1]));
 }
@@ -205,10 +216,7 @@ fn try_decode_label_inner(
             let gap = r.try_read_gamma().ok_or_else(|| bad_gamma(&r))?;
             cur.checked_add(gap).ok_or(LabelDecodeError::HubOverflow)?
         };
-        if cur > NodeId::MAX as u64 {
-            return Err(LabelDecodeError::HubOverflow);
-        }
-        hubs.push(cur as NodeId);
+        hubs.push(NodeId::try_from(cur).map_err(|_| LabelDecodeError::HubOverflow)?);
     }
     dists.reserve(k);
     for _ in 0..k {
@@ -223,7 +231,8 @@ fn try_decode_label_inner(
 
 /// Encodes a complete hub labeling.
 pub fn encode_labeling<L: LabelingView>(labeling: &L) -> Vec<BitLabel> {
-    (0..labeling.num_nodes() as NodeId)
+    (0..=NodeId::MAX)
+        .take(labeling.num_nodes())
         .map(|v| encode_label(labeling.hubs_of(v), labeling.dists_of(v)))
         .collect()
 }

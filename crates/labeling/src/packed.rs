@@ -15,6 +15,7 @@
 //! * **gap+split**: γ-gap-coded ids (sorted hubs compress well) combined
 //!   with the near/far distance split — the layout that usually wins;
 //! * a per-label **best-of** chooser with a 2-bit tag.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 use hl_graph::{Distance, NodeId};
 
@@ -118,7 +119,8 @@ pub fn encode_labeling_compact<L: LabelingView>(
     labeling: &L,
     params: &CompactParams,
 ) -> Vec<BitLabel> {
-    (0..labeling.num_nodes() as NodeId)
+    (0..=NodeId::MAX)
+        .take(labeling.num_nodes())
         .map(|v| encode_compact(labeling.hubs_of(v), labeling.dists_of(v), params))
         .collect()
 }
@@ -149,9 +151,13 @@ fn encode_fixed_body(
 }
 
 fn decode_fixed_body(r: &mut BitReader<'_>, params: &CompactParams) -> Vec<(NodeId, Distance)> {
-    let k = r.read_gamma0() as usize;
+    let k = usize::try_from(r.read_gamma0()).unwrap_or(usize::MAX);
     (0..k)
         .map(|_| {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "trusted bits: the encoder wrote a NodeId in id_bits bits"
+            )]
             let h = r.read_bits(params.id_bits) as NodeId;
             let d = r.read_bits(params.dist_bits);
             (h, d)
@@ -182,10 +188,14 @@ fn encode_split_body(
 }
 
 fn decode_split_body(r: &mut BitReader<'_>, params: &CompactParams) -> Vec<(NodeId, Distance)> {
-    let k = r.read_gamma0() as usize;
+    let k = usize::try_from(r.read_gamma0()).unwrap_or(usize::MAX);
     let nb = params.near_bits();
     (0..k)
         .map(|_| {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "trusted bits: the encoder wrote a NodeId in id_bits bits"
+            )]
             let h = r.read_bits(params.id_bits) as NodeId;
             let d = if r.read_bit() {
                 r.read_bits(nb)

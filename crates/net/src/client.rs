@@ -80,6 +80,10 @@ pub(crate) fn dial(
     version: u16,
 ) -> Result<(TcpStream, ServerHello), NetError> {
     let mut stream = TcpStream::connect_timeout(addr, config.connect_timeout)?;
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "Nagle only costs latency; a dead socket fails the handshake read next"
+    )]
     let _ = stream.set_nodelay(true);
     let timeout = config.request_timeout;
     let payload = read_frame_deadline(&mut stream, config.max_frame_len, timeout, timeout)?;

@@ -14,6 +14,7 @@
 //! past its boundary on a virtual clock, and the whole machine is
 //! enumerated over split points, EOF positions, completion orders and
 //! drain timing in the tests below.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;

@@ -271,10 +271,17 @@ impl Drop for MuxClient {
         // observes EOF and exits; then reap the thread.
         {
             let writer = lock_unpoisoned(&self.writer);
-            // lint:allow(swallowed-result): the socket may already be dead, which is exactly the state shutdown wants
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "the socket may already be dead, which is exactly the state shutdown wants"
+            )]
             let _ = writer.shutdown(Shutdown::Both);
         }
         if let Some(handle) = self.reader.take() {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a reader that panicked has nothing left to hand back to a dropping client"
+            )]
             let _ = handle.join();
         }
     }

@@ -143,8 +143,10 @@ struct Inner {
 
 impl Inner {
     fn wake(&self) {
-        // A full wake pipe already guarantees a wake; any other failure
-        // means teardown.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a full wake pipe already guarantees a wake; any other failure means teardown"
+        )]
         let _ = (&self.waker).write(&[1]);
     }
 
@@ -417,6 +419,10 @@ impl NetServer {
                     return Err(NetError::Io(e));
                 }
             };
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "Nagle only costs latency; a dead socket fails set_nonblocking next"
+            )]
             let _ = stream.set_nodelay(true);
             if stream.set_nonblocking(true).is_err() {
                 continue; // socket already dead

@@ -29,6 +29,7 @@
 //! frame longer than the negotiated cap is rejected before it is
 //! buffered, and a body with trailing bytes is malformed — a frame must
 //! decode exactly.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 use std::fmt;
 use std::io::{self, Read, Write};

@@ -228,41 +228,35 @@ impl MetricsSnapshot {
     /// lines only appear once the daemon has seen traffic, so in-process
     /// reports stay unchanged.
     pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        // Writing to a String cannot fail; errors are discarded.
-        let _ = writeln!(out, "queries served      {}", self.total_queries());
-        let _ = writeln!(out, "  single            {}", self.single_queries);
-        let _ = writeln!(
-            out,
-            "  batched           {} (in {} batches)",
-            self.batch_queries, self.batches
-        );
-        let _ = writeln!(
-            out,
-            "cache               {} hits / {} misses ({:.1}% hit rate)",
+        let net = if self.connections_opened + self.connections_rejected + self.net_requests > 0 {
+            format!(
+                "connections         {} served / {} rejected\n\
+                 net requests        {} ({} error frames)\n",
+                self.connections_opened,
+                self.connections_rejected,
+                self.net_requests,
+                self.net_errors
+            )
+        } else {
+            String::new()
+        };
+        format!(
+            "queries served      {}\n  single            {}\n  batched           {} (in {} batches)\n\
+             cache               {} hits / {} misses ({:.1}% hit rate)\ndecode errors       {}\n\
+             {net}latency (n={})\n  p50  < {} ns\n  p95  < {} ns\n  p99  < {} ns",
+            self.total_queries(),
+            self.single_queries,
+            self.batch_queries,
+            self.batches,
             self.cache_hits,
             self.cache_misses,
-            100.0 * self.hit_rate()
-        );
-        let _ = writeln!(out, "decode errors       {}", self.decode_errors);
-        if self.connections_opened + self.connections_rejected + self.net_requests > 0 {
-            let _ = writeln!(
-                out,
-                "connections         {} served / {} rejected",
-                self.connections_opened, self.connections_rejected
-            );
-            let _ = writeln!(
-                out,
-                "net requests        {} ({} error frames)",
-                self.net_requests, self.net_errors
-            );
-        }
-        let _ = writeln!(out, "latency (n={})", self.latency_count);
-        let _ = writeln!(out, "  p50  < {} ns", self.p50_ns);
-        let _ = writeln!(out, "  p95  < {} ns", self.p95_ns);
-        let _ = write!(out, "  p99  < {} ns", self.p99_ns);
-        out
+            100.0 * self.hit_rate(),
+            self.decode_errors,
+            self.latency_count,
+            self.p50_ns,
+            self.p95_ns,
+            self.p99_ns
+        )
     }
 }
 
@@ -433,5 +427,28 @@ mod tests {
         assert!(text.contains("connections         2 served / 0 rejected"));
         assert!(text.contains("net requests        5 (1 error frames)"));
         assert_eq!(text, s.to_string(), "Display must match render_text");
+    }
+
+    #[test]
+    fn render_text_is_pinned_to_its_bytes() {
+        let mut s =
+            MetricsSnapshot::from_words([7, 2, 30, 3, 4, 1, 0, 0, 0, 0, 37, 128, 512, 1024]);
+        assert_eq!(
+            s.render_text(),
+            "queries served      37\n  single            7\n  batched           30 (in 2 batches)\n\
+             cache               3 hits / 4 misses (42.9% hit rate)\ndecode errors       1\n\
+             latency (n=37)\n  p50  < 128 ns\n  p95  < 512 ns\n  p99  < 1024 ns"
+        );
+        s.connections_opened = 5;
+        s.connections_rejected = 6;
+        s.net_requests = 8;
+        s.net_errors = 9;
+        assert_eq!(
+            s.render_text(),
+            "queries served      37\n  single            7\n  batched           30 (in 2 batches)\n\
+             cache               3 hits / 4 misses (42.9% hit rate)\ndecode errors       1\n\
+             connections         5 served / 6 rejected\nnet requests        8 (9 error frames)\n\
+             latency (n=37)\n  p50  < 128 ns\n  p95  < 512 ns\n  p99  < 1024 ns"
+        );
     }
 }

@@ -29,6 +29,7 @@
 //! label is decoded, and treats the γ bits behind a matching checksum as
 //! untrusted all the same: a truncated, bit-flipped or crafted file
 //! yields a typed [`StoreError`], never a panic or a wrong distance.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 use std::fmt;
 use std::fs::File;
@@ -181,10 +182,12 @@ impl LabelStore {
         let mut bit_lens = Vec::with_capacity(n);
         let mut blob = Vec::new();
         offsets.push(0u64);
-        for v in 0..n as NodeId {
+        for v in (0..=NodeId::MAX).take(n) {
             let bits = encode_label(labeling.hubs_of(v), labeling.dists_of(v));
             blob.extend_from_slice(bits.bits().as_bytes());
-            bit_lens.push(bits.num_bits() as u32);
+            // A label past u32::MAX bits saturates, and the mount then
+            // rejects its byte length as not matching its bit length.
+            bit_lens.push(u32::try_from(bits.num_bits()).unwrap_or(u32::MAX));
             offsets.push(blob.len() as u64);
         }
         LabelStore {

@@ -67,6 +67,7 @@
 //! [`StoreError`], never a panic or a wrong distance — the same untrusted-
 //! bytes discipline as v1, with the checksum catching accidents and the
 //! structural pass catching crafted stores.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 use std::fs::File;
 use std::io::{self, Write};
@@ -181,6 +182,10 @@ pub struct Section {
 
 impl Section {
     /// The section's bytes within the whole-file buffer `file`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a section ends within its file buffer: validate_frame checks parsed ones against bytes.len()"
+    )]
     fn range(&self) -> std::ops::Range<usize> {
         self.file_offset as usize..(self.file_offset + self.byte_len) as usize
     }
@@ -343,7 +348,8 @@ impl V2Store {
     /// Serializes the store into a fresh byte buffer.
     pub fn encode(&self) -> Vec<u8> {
         let lay = self.layout();
-        let mut buf = vec![0u8; lay.file_len as usize];
+        // A layout too long to address fails here as an allocation would.
+        let mut buf = vec![0u8; usize::try_from(lay.file_len).unwrap_or(usize::MAX)];
 
         buf[0..4].copy_from_slice(&MAGIC);
         buf[4..6].copy_from_slice(&VERSION.to_le_bytes());
@@ -566,16 +572,16 @@ fn validate_frame(bytes: &[u8], expect_lens: &[u64; 3]) -> Result<[Section; 3], 
 
     // Padding gaps carry no checksum, so they must be all zero — that
     // way a blind bit flip anywhere in the file is detectable.
-    let mut gap_start = HEADER_LEN as u64;
+    let mut gap_start = HEADER_LEN;
     for (i, sec) in sections.iter().enumerate() {
-        let gap = &bytes[gap_start as usize..sec.file_offset as usize];
+        let gap = &bytes[gap_start..sec.range().start];
         if gap.iter().any(|&b| b != 0) {
             return Err(StoreError::Corrupt(format!(
                 "nonzero padding before section {}",
                 SECTION_NAMES[i]
             )));
         }
-        gap_start = sec.file_offset + sec.byte_len;
+        gap_start = sec.range().end;
     }
     Ok(sections)
 }
@@ -672,6 +678,10 @@ fn decode_section<T: Lane>(bytes: &[u8]) -> (Vec<T>, u64) {
 /// if it does not fit `u32`, after the checksums have been checked.
 fn decode_dists_section(bytes: &[u8]) -> ((Vec<u32>, u64), u64) {
     let mut widest = 0u64;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the caller rejects the store when `widest` does not fit u32"
+    )]
     let (lane, sum) = decode_section_into(bytes, |d: u64| {
         widest = widest.max(d);
         d as u32

@@ -31,9 +31,6 @@ SAMPLE=${SAMPLE:-8}   # diff all pairs over the first SAMPLE vertices
 echo "== kick-tires: building binaries =="
 cargo build --release -p hl-bench -p hl-net -p hl-shard >/dev/null
 
-echo "== hublint: workspace must lint clean =="
-cargo run -q --release -p hl-lint
-
 HUBTOOL=target/release/hubtool
 HUBSERVE=target/release/hubserve
 HLSHARD=target/release/hl-shard
