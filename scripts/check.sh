@@ -123,13 +123,15 @@ crates/net/src/mux.rs
 crates/net/src/server.rs
 crates/server/src/cache.rs
 crates/server/src/engine.rs'
-for f in $(find crates/*/src src -name '*.rs' ! -path '*/src/bin/*' ! -name main.rs | sort); do
-  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -qwE 'Mutex|RwLock' &&
-    ! grep -qxF "$f" <<< "$LOCK_FILES"; then
-    echo "check: FAIL — $f names a Mutex/RwLock outside DESIGN's lock table" >&2
-    exit 1
-  fi
-done
+stray=$(find crates/*/src src -name '*.rs' ! -path '*/src/bin/*' ! -name main.rs -exec awk '
+    FNR == 1 { body = 1 }
+    /^#\[cfg\(test\)\]/ { body = 0 }
+    body && /(^|[^[:alnum:]_])(Mutex|RwLock)([^[:alnum:]_]|$)/ { print FILENAME; nextfile }
+  ' {} + | grep -vxF "$LOCK_FILES" || true)
+if [ -n "$stray" ]; then
+  echo "check: FAIL — a Mutex/RwLock outside DESIGN's lock table:" $stray >&2
+  exit 1
+fi
 
 echo "== connection purity (conn.rs: no socket, channel or clock read; server.rs: no protocol state) =="
 # What a connection may do is decided in one socket-free file, so it can
