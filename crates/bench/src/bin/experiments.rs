@@ -5,7 +5,9 @@
 //! encoding tradeoff` — plus `big` (large-instance stress, excluded from
 //! `all`).
 //! Each subcommand regenerates one experiment from DESIGN.md §3 and prints
-//! an aligned table; EXPERIMENTS.md records the reference output.
+//! an aligned table. Stdout is a function of the fixed seeds alone:
+//! wall-clock cells (Q, Oracles, Tradeoff, BIG) go to stderr, one line per
+//! row, so `docs/experiments_reference.txt` can be diffed byte for byte.
 
 use std::time::Instant;
 
@@ -418,8 +420,8 @@ fn rs_tables() {
 
 /// Q — the label-size / query-time tradeoff across constructions.
 fn query_tradeoff() {
-    println!("\n== Q: label size vs query latency (10k queries each) ==");
-    let mut t = Table::new(vec!["graph", "scheme", "avg hubs", "avg bits", "ns/query"]);
+    println!("\n== Q: label size vs query latency (10k queries each; ns/query on stderr) ==");
+    let mut t = Table::new(vec!["graph", "scheme", "avg hubs", "avg bits"]);
     for family in [Family::RandomTree, Family::Grid, Family::Degree3Expander] {
         let g = family_graph(family, 150, 33);
         let n = g.num_nodes() as u64;
@@ -453,12 +455,12 @@ fn query_tradeoff() {
             }
             let elapsed = start.elapsed().as_nanos() as f64 / queries.len() as f64;
             std::hint::black_box(sink);
+            eprintln!("Q {} {name}: {elapsed:.0} ns/query", family.name());
             t.row(vec![
                 family.name().to_string(),
                 name.to_string(),
                 format!("{:.2}", hl.average_hubs()),
                 format!("{:.1}", bits.average_bits),
-                format!("{elapsed:.0}"),
             ]);
         }
     }
@@ -569,7 +571,9 @@ fn oracles() {
     use hl_oracles::oracle::{BidirectionalOracle, DijkstraOracle, DistanceOracle, HubLabelOracle};
     use hl_oracles::{AltOracle, ContractionHierarchy};
 
-    println!("\n== Oracles: exact point-to-point methods, 20x20 weighted grid ==");
+    println!(
+        "\n== Oracles: exact point-to-point methods, 20x20 weighted grid (us/query on stderr) =="
+    );
     let g = generators::weighted_grid(20, 20, 13);
     let n = g.num_nodes() as u64;
     let queries: Vec<(NodeId, NodeId)> = (0..400u64)
@@ -587,7 +591,7 @@ fn oracles() {
     let hub = HubLabelOracle { labeling };
     let alt_space = alt.landmarks().memory_bytes();
 
-    let mut t = Table::new(vec!["oracle", "space (B)", "us/query", "agrees"]);
+    let mut t = Table::new(vec!["oracle", "space (B)", "agrees"]);
     let reference: Vec<u64> = queries.iter().map(|&(u, v)| dij.distance(u, v)).collect();
     let mut bench = |oracle: &dyn DistanceOracle, space: usize| {
         let start = Instant::now();
@@ -596,10 +600,10 @@ fn oracles() {
             ok &= oracle.distance(u, v) == reference[i];
         }
         let us = start.elapsed().as_micros() as f64 / queries.len() as f64;
+        eprintln!("Oracles {}: {us:.1} us/query", oracle.name());
         t.row(vec![
             oracle.name().to_string(),
             space.to_string(),
-            format!("{us:.1}"),
             ok.to_string(),
         ]);
     };
@@ -661,17 +665,17 @@ fn big() {
     let t0 = Instant::now();
     let failures = check_sampled_pairs(&h, 128, 1);
     println!(
-        "Lemma 2.2 on 128 sampled pairs: {} failures ({:.2?})",
-        failures.len(),
-        t0.elapsed()
+        "Lemma 2.2 on 128 sampled pairs: {} failures",
+        failures.len()
     );
+    eprintln!("BIG Lemma 2.2 sample: {:.2?}", t0.elapsed());
     let t0 = Instant::now();
     let hl = PrunedLandmarkLabeling::by_degree(h.graph()).into_labeling();
+    eprintln!("BIG H(3,3) PLL built in {:.2?}", t0.elapsed());
     println!(
-        "PLL: avg |S| = {:.2} (bound {:.3}), built in {:.2?}",
+        "PLL: avg |S| = {:.2} (bound {:.3})",
         hl.average_hubs(),
-        p.h_avg_hub_lower_bound(),
-        t0.elapsed()
+        p.h_avg_hub_lower_bound()
     );
     let report = audit_sampled(&h, &hl, 96, 2);
     println!(
@@ -686,11 +690,11 @@ fn big() {
     let t0 = Instant::now();
     let protocol =
         hl_sumindex::g_protocol::GPrimeProtocol::new(params, &instance).expect("protocol");
+    eprintln!("BIG G'(3,2) setup built in {:.2?}", t0.elapsed());
     println!(
-        "setup: n(G') = {}, max degree = {}, built in {:.2?}",
+        "setup: n(G') = {}, max degree = {}",
         protocol.graph_nodes(),
-        protocol.max_degree(),
-        t0.elapsed()
+        protocol.max_degree()
     );
     let mut correct = true;
     for a in 0..m as u64 {
@@ -863,7 +867,7 @@ fn encoding() {
 fn tradeoff() {
     use hl_oracles::portal::PortalOracle;
 
-    println!("\n== Tradeoff: portal-oracle S/T curve vs hub labels (20x20 weighted grid) ==");
+    println!("\n== Tradeoff: portal-oracle S/T curve vs hub labels (20x20 weighted grid; us/query on stderr) ==");
     let g = generators::weighted_grid(20, 20, 13);
     let n = g.num_nodes();
     let queries: Vec<(NodeId, NodeId)> = (0..300u64)
@@ -874,7 +878,7 @@ fn tradeoff() {
             )
         })
         .collect();
-    let mut t = Table::new(vec!["oracle", "space (B)", "avg settled", "us/query"]);
+    let mut t = Table::new(vec!["oracle", "space (B)", "avg settled"]);
     for k in [0usize, 5, 20, 80, 400] {
         let oracle = PortalOracle::by_degree(&g, k);
         let start = Instant::now();
@@ -883,11 +887,11 @@ fn tradeoff() {
             settled += oracle.query_with_stats(u, v).1.settled;
         }
         let us = start.elapsed().as_micros() as f64 / queries.len() as f64;
+        eprintln!("Tradeoff portal k={k}: {us:.1} us/query");
         t.row(vec![
             format!("portal k={k}"),
             oracle.memory_bytes().to_string(),
             format!("{:.0}", settled as f64 / queries.len() as f64),
-            format!("{us:.1}"),
         ]);
     }
     let hl = PrunedLandmarkLabeling::by_betweenness(&g, 24, 1)
@@ -900,11 +904,11 @@ fn tradeoff() {
     }
     std::hint::black_box(acc);
     let us = start.elapsed().as_micros() as f64 / queries.len() as f64;
+    eprintln!("Tradeoff hub labels: {us:.1} us/query");
     t.row(vec![
         "hub labels".to_string(),
         (hl.total_hubs() * FlatLabeling::ENTRY_BYTES).to_string(),
         "0".to_string(),
-        format!("{us:.1}"),
     ]);
     print!("{t}");
     println!("(the hub-label row sits far below the portal curve: less space than the");

@@ -5,8 +5,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Scratch space for the lint self-test and the serving smokes; any daemon
-# a failed smoke leaves behind goes with it.
+# Scratch space for the lint self-test, the experiments golden and the
+# serving smokes; any daemon a failed smoke leaves behind goes with it.
 SMOKE=$(mktemp -d)
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$SMOKE"' EXIT
 
@@ -202,6 +202,23 @@ cargo build --release --workspace --locked --offline
 # benchmark/ is frozen and compiles against the product API: a break
 # fails here, in seconds, not after the fuzz run and every smoke.
 CARGO_TARGET_DIR="$PWD/target" cargo check --offline --manifest-path benchmark/Cargo.toml
+
+echo "== experiments golden (the paper's tables, byte for byte) =="
+# Every stdout cell of `experiments all` and `experiments big` is a
+# function of fixed seeds (wall-clock cells go to stderr), so a changed
+# construction, gadget, seed or encoding shows here as a diff. When a
+# number is meant to move, regenerate the file from the same two commands
+# and say which blocks moved and why.
+if ! { timeout 120 ./target/release/experiments all && timeout 120 ./target/release/experiments big; } \
+  > "$SMOKE/experiments.txt" 2> "$SMOKE/experiments.err"; then
+  cat "$SMOKE/experiments.err" >&2
+  echo "check: FAIL — experiments exited non-zero" >&2
+  exit 1
+fi
+if ! diff -u docs/experiments_reference.txt "$SMOKE/experiments.txt"; then
+  echo "check: FAIL — experiments stdout differs from docs/experiments_reference.txt" >&2
+  exit 1
+fi
 
 # The workspace suite is a strict superset of the root package's suite
 # (root targets are workspace members), so one invocation covers tier-1.
