@@ -20,8 +20,8 @@ use hl_core::tree::centroid_labeling;
 use hl_core::FlatLabeling;
 use hl_graph::transform::reduce_degree;
 use hl_graph::{generators, NodeId};
-use hl_labeling::hub_scheme::encode_labeling;
-use hl_labeling::SchemeStats;
+use hl_labeling::hub_scheme::{encode_labeling, HubPllScheme};
+use hl_labeling::{DistanceLabelingScheme, SchemeStats};
 use hl_lowerbound::accounting::{audit_g, audit_h};
 use hl_lowerbound::midpoint::{check_all_pairs, figure1_check};
 use hl_lowerbound::{GGraph, GadgetParams, HGraph};
@@ -331,7 +331,8 @@ fn t16() {
         let params = GadgetParams::new(b, ell).expect("valid params");
         let m = Repr::new(params).modulus() as usize;
         let instance = SumIndexInstance::random(m, 1234);
-        let protocol = GraphProtocol::new(params, &instance).expect("protocol");
+        let protocol =
+            GraphProtocol::on_h_prime(params, &instance, &HubPllScheme).expect("protocol");
         let mut correct = true;
         for a in 0..m as u64 {
             for bb in 0..m as u64 {
@@ -366,8 +367,7 @@ fn t16() {
         let params = GadgetParams::new(b, ell).expect("valid params");
         let m = Repr::new(params).modulus() as usize;
         let instance = SumIndexInstance::random(m, 4321);
-        let protocol =
-            hl_sumindex::g_protocol::GPrimeProtocol::new(params, &instance).expect("protocol");
+        let protocol = GraphProtocol::on_g_prime(params, &instance).expect("protocol");
         let mut correct = true;
         for a in 0..m as u64 {
             for bb in 0..m as u64 {
@@ -474,8 +474,6 @@ fn ablation() {
     use hl_core::minimize::minimize_labeling;
     use hl_core::order;
     use hl_labeling::full_vector::FullVectorScheme;
-    use hl_labeling::hub_scheme::HubPllScheme;
-    use hl_sumindex::scheme_protocol::SchemeProtocol;
 
     println!("\n== Ablation A: PLL vertex order (total hubs) ==");
     let mut t = Table::new(vec![
@@ -501,10 +499,10 @@ fn ablation() {
         t.row(vec![
             family.name().to_string(),
             g.num_nodes().to_string(),
-            deg.total_hubs().to_string(),
-            rnd.total_hubs().to_string(),
-            btw.total_hubs().to_string(),
-            clo.total_hubs().to_string(),
+            deg.num_entries().to_string(),
+            rnd.num_entries().to_string(),
+            btw.num_entries().to_string(),
+            clo.num_entries().to_string(),
         ]);
     }
     print!("{t}");
@@ -520,8 +518,8 @@ fn ablation() {
         t.row(vec![
             family.name().to_string(),
             g.num_nodes().to_string(),
-            hhl.total_hubs().to_string(),
-            pll.total_hubs().to_string(),
+            hhl.num_entries().to_string(),
+            pll.num_entries().to_string(),
             report.after.to_string(),
         ]);
     }
@@ -540,11 +538,11 @@ fn ablation() {
         let params = GadgetParams::new(b, ell).expect("params");
         let m = Repr::new(params).modulus() as usize;
         let instance = SumIndexInstance::random(m, 7);
-        let mut report = |proto: &SchemeProtocol<dyn hl_labeling::DistanceLabelingScheme>| {
+        let mut report = |proto: &GraphProtocol| {
             let mut correct = true;
             for a in 0..m as u64 {
                 for bb in 0..m as u64 {
-                    correct &= proto.run(a, bb).0 == instance.answer(a as usize, bb as usize);
+                    correct &= proto.run(a, bb) == instance.answer(a as usize, bb as usize);
                 }
             }
             let stats = proto.label_stats();
@@ -557,10 +555,12 @@ fn ablation() {
                 correct.to_string(),
             ]);
         };
-        let hub_scheme: &dyn hl_labeling::DistanceLabelingScheme = &HubPllScheme;
-        let full_scheme: &dyn hl_labeling::DistanceLabelingScheme = &FullVectorScheme;
-        report(&SchemeProtocol::new(params, &instance, hub_scheme).expect("protocol"));
-        report(&SchemeProtocol::new(params, &instance, full_scheme).expect("protocol"));
+        for scheme in [
+            &HubPllScheme as &dyn DistanceLabelingScheme,
+            &FullVectorScheme,
+        ] {
+            report(&GraphProtocol::on_h_prime(params, &instance, scheme).expect("protocol"));
+        }
     }
     print!("{t}");
 }
@@ -587,7 +587,7 @@ fn oracles() {
     let labeling = PrunedLandmarkLabeling::by_betweenness(&g, 24, 1)
         .expect("betweenness order")
         .into_labeling();
-    let hub_space = labeling.total_hubs() * FlatLabeling::ENTRY_BYTES;
+    let hub_space = labeling.num_entries() * FlatLabeling::ENTRY_BYTES;
     let hub = HubLabelOracle { labeling };
     let alt_space = alt.landmarks().memory_bytes();
 
@@ -688,8 +688,7 @@ fn big() {
     let m = Repr::new(params).modulus() as usize;
     let instance = SumIndexInstance::random(m, 77);
     let t0 = Instant::now();
-    let protocol =
-        hl_sumindex::g_protocol::GPrimeProtocol::new(params, &instance).expect("protocol");
+    let protocol = GraphProtocol::on_g_prime(params, &instance).expect("protocol");
     eprintln!("BIG G'(3,2) setup built in {:.2?}", t0.elapsed());
     println!(
         "setup: n(G') = {}, max degree = {}",
@@ -907,7 +906,7 @@ fn tradeoff() {
     eprintln!("Tradeoff hub labels: {us:.1} us/query");
     t.row(vec![
         "hub labels".to_string(),
-        (hl.total_hubs() * FlatLabeling::ENTRY_BYTES).to_string(),
+        (hl.num_entries() * FlatLabeling::ENTRY_BYTES).to_string(),
         "0".to_string(),
     ]);
     print!("{t}");

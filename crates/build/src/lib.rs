@@ -30,7 +30,7 @@
 //!
 //! let g = generators::connected_gnm(200, 300, 7);
 //! let out = build_with_strategy(&g, &DegreeOrder, BuildConfig::with_threads(2)).unwrap();
-//! assert_eq!(out.labeling.query(0, 1), hl_core::LabelingView::query(&out.labeling, 1, 0));
+//! assert_eq!(out.labeling.query(0, 1), out.labeling.query(1, 0));
 //! assert_eq!(out.stats.label_entries(), out.labeling.num_entries());
 //! ```
 

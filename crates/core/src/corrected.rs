@@ -75,7 +75,7 @@ impl CorrectedLabeling {
     /// Size accounting: `(total hubs, total corrections)` — the tradeoff
     /// the slack parameter controls.
     pub fn size_breakdown(&self) -> (usize, usize) {
-        (self.hubs.total_hubs(), self.num_corrections())
+        (self.hubs.num_entries(), self.num_corrections())
     }
 }
 

@@ -6,7 +6,7 @@ use hl_graph::dijkstra::shortest_path_distances;
 use hl_graph::sync::{into_inner_unpoisoned, lock_unpoisoned};
 use hl_graph::{Distance, Graph, GraphError, NodeId};
 
-use crate::label::LabelingView;
+use crate::flat::FlatLabeling;
 
 /// Outcome of a cover verification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,13 +40,10 @@ const MAX_RECORDED: usize = 32;
 /// Verifies the labeling against ground truth for **all** pairs, computing a
 /// full APSP matrix. Quadratic memory — use on small/medium graphs.
 ///
-/// Accepts any [`LabelingView`] — the arena [`crate::FlatLabeling`] or a
-/// mounted store.
-///
 /// # Errors
 ///
 /// Propagates [`GraphError`] from the APSP computation (distance overflow).
-pub fn verify_exact<L: LabelingView>(g: &Graph, labeling: &L) -> Result<CoverReport, GraphError> {
+pub fn verify_exact(g: &Graph, labeling: &FlatLabeling) -> Result<CoverReport, GraphError> {
     let m = DistanceMatrix::compute(g)?;
     let n = g.num_nodes() as NodeId;
     let mut report = CoverReport {
@@ -73,11 +70,7 @@ pub fn verify_exact<L: LabelingView>(g: &Graph, labeling: &L) -> Result<CoverRep
 /// Verifies the labeling from `sources` only (each source against every
 /// vertex), running one SSSP per source — linear memory, suitable for large
 /// graphs.
-pub fn verify_from_sources<L: LabelingView>(
-    g: &Graph,
-    labeling: &L,
-    sources: &[NodeId],
-) -> CoverReport {
+pub fn verify_from_sources(g: &Graph, labeling: &FlatLabeling, sources: &[NodeId]) -> CoverReport {
     let mut report = CoverReport {
         pairs_checked: 0,
         violations: Vec::new(),
@@ -104,9 +97,9 @@ pub fn verify_from_sources<L: LabelingView>(
 /// fanned out over the available cores. Violation *examples* are capped as
 /// in the sequential version (which sources' examples survive depends on
 /// thread timing, but counts are exact).
-pub fn verify_from_sources_parallel<L: LabelingView + Sync>(
+pub fn verify_from_sources_parallel(
     g: &Graph,
-    labeling: &L,
+    labeling: &FlatLabeling,
     sources: &[NodeId],
 ) -> CoverReport {
     let threads = std::thread::available_parallelism()
@@ -144,7 +137,7 @@ pub fn verify_from_sources_parallel<L: LabelingView + Sync>(
 /// Verifies that the labeling is *admissible*: every stored hub distance
 /// equals the true graph distance. (A labeling can be admissible without
 /// being a cover, but never the other way around for correct stores.)
-pub fn verify_hub_distances<L: LabelingView>(g: &Graph, labeling: &L, sources: &[NodeId]) -> bool {
+pub fn verify_hub_distances(g: &Graph, labeling: &FlatLabeling, sources: &[NodeId]) -> bool {
     for &s in sources {
         let dist = shortest_path_distances(g, s);
         for (&h, &d) in labeling.hubs_of(s).iter().zip(labeling.dists_of(s)) {
@@ -159,7 +152,6 @@ pub fn verify_hub_distances<L: LabelingView>(g: &Graph, labeling: &L, sources: &
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flat::FlatLabeling;
     use crate::pll::PrunedLandmarkLabeling;
     use hl_graph::generators;
 

@@ -40,7 +40,7 @@
 
 use hl_graph::{Distance, GraphError, NodeId};
 
-use crate::label::LabelingView;
+use crate::label::{merge_join, merge_join_with_witness};
 
 /// Why labels were rejected on their way into the arena: a triple of raw
 /// arrays by [`FlatLabeling::from_raw_parts`], or a distance too wide for
@@ -425,7 +425,12 @@ impl FlatLabeling {
     ///
     /// Panics if `u` or `v` is out of range.
     pub fn query(&self, u: NodeId, v: NodeId) -> Distance {
-        LabelingView::query(self, u, v)
+        merge_join(
+            self.hubs_of(u),
+            self.dists_of(u),
+            self.hubs_of(v),
+            self.dists_of(v),
+        )
     }
 
     /// Like [`FlatLabeling::query`] but also reports the hub realizing
@@ -435,14 +440,12 @@ impl FlatLabeling {
     ///
     /// Panics if `u` or `v` is out of range.
     pub fn query_with_witness(&self, u: NodeId, v: NodeId) -> Option<(Distance, NodeId)> {
-        LabelingView::query_with_witness(self, u, v)
-    }
-
-    /// Total number of hubs over all vertices (same as
-    /// [`FlatLabeling::num_entries`]; named for parity with
-    /// [`LabelingView::total_hubs`]).
-    pub fn total_hubs(&self) -> usize {
-        self.num_entries()
+        merge_join_with_witness(
+            self.hubs_of(u),
+            self.dists_of(u),
+            self.hubs_of(v),
+            self.dists_of(v),
+        )
     }
 
     /// Average hubs per vertex, `Σ_v |S_v| / n`.
@@ -466,20 +469,6 @@ impl FlatLabeling {
         self.offsets.len() * std::mem::size_of::<u64>()
             + self.hubs.len() * std::mem::size_of::<NodeId>()
             + self.dists.len() * std::mem::size_of::<u32>()
-    }
-}
-
-impl LabelingView for FlatLabeling {
-    fn num_nodes(&self) -> usize {
-        FlatLabeling::num_nodes(self)
-    }
-
-    fn hubs_of(&self, v: NodeId) -> &[NodeId] {
-        FlatLabeling::hubs_of(self, v)
-    }
-
-    fn dists_of(&self, v: NodeId) -> &[u32] {
-        FlatLabeling::dists_of(self, v)
     }
 }
 
@@ -571,7 +560,6 @@ mod tests {
         let flat = sample();
         assert_eq!(flat.num_nodes(), 4);
         assert_eq!(flat.num_entries(), 5);
-        assert_eq!(flat.total_hubs(), 5);
         assert_eq!(flat.max_hubs(), 2);
         assert!((flat.average_hubs() - 1.25).abs() < 1e-12);
         assert_eq!(flat.hubs_of(0), &[0, 2]);
@@ -666,23 +654,5 @@ mod tests {
             distance: 1 << 32,
         };
         assert!(format!("{wide}").contains("u32"));
-    }
-
-    #[test]
-    fn view_trait_agrees_with_inherent_api() {
-        fn via_view<L: LabelingView>(l: &L) -> (Distance, usize, usize, f64) {
-            (
-                l.query(0, 3),
-                l.total_hubs(),
-                l.max_hubs(),
-                l.average_hubs(),
-            )
-        }
-        let flat = sample();
-        let (d, total, max, avg) = via_view(&flat);
-        assert_eq!(d, flat.query(0, 3));
-        assert_eq!(total, flat.total_hubs());
-        assert_eq!(max, flat.max_hubs());
-        assert!((avg - flat.average_hubs()).abs() < 1e-12);
     }
 }

@@ -173,6 +173,6 @@ mod tests {
         let g = generators::connected_gnm(30, 15, 77);
         let greedy = greedy_cover(&g).unwrap();
         let pll = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-        assert!(greedy.total_hubs() as f64 <= 3.0 * pll.total_hubs() as f64);
+        assert!(greedy.num_entries() as f64 <= 3.0 * pll.num_entries() as f64);
     }
 }

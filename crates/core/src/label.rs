@@ -1,4 +1,4 @@
-//! The merge-join distance query and the borrowed view of a labeling.
+//! The merge-join distance query.
 //!
 //! hl-core owns two representations of a labeling, and they share one
 //! query algorithm — the sorted merge-join, each loop written once for
@@ -12,11 +12,9 @@
 //!   through its own loop, because delta-coded ids cannot be galloped over.
 //!
 //! A single label has no type of its own: borrowed it is the two sorted
-//! slices [`LabelingView`] lends (hub ids and `u32` distances), owned it
-//! is a `Vec<(NodeId, Distance)>`.
-//! [`LabelingView`] is the read-only view verification, statistics, the
-//! lower-bound audit and the oracles take; the compact lanes are
-//! delta-coded and have no slices to lend.
+//! slices [`crate::FlatLabeling::hubs_of`] and
+//! [`crate::FlatLabeling::dists_of`] lend (hub ids and `u32` distances),
+//! owned it is a `Vec<(NodeId, Distance)>`.
 
 use hl_graph::{Distance, NodeId, INFINITY};
 
@@ -180,76 +178,6 @@ pub fn merge_join_with_witness(
     b_dists: &[u32],
 ) -> Option<(Distance, NodeId)> {
     witnessed(join_absolute::<true>(a_hubs, a_dists, b_hubs, b_dists))
-}
-
-/// A borrowed, read-only view of a complete hub labeling: per-vertex
-/// sorted hub/distance slices plus the merge-join query over them.
-///
-/// Implemented by the arena [`crate::flat::FlatLabeling`] and by whatever
-/// else can lend sorted slices (a mounted store, a test double), so code
-/// that only *reads* a labeling — verification, statistics, the audit,
-/// oracles — runs on what is served without conversion.
-pub trait LabelingView {
-    /// Number of vertices.
-    fn num_nodes(&self) -> usize;
-
-    /// The sorted hub ids of vertex `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    fn hubs_of(&self, v: NodeId) -> &[NodeId];
-
-    /// The distances of vertex `v`, aligned with [`LabelingView::hubs_of`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    fn dists_of(&self, v: NodeId) -> &[u32];
-
-    /// Answers the distance query `u, v` via the merge-join; [`INFINITY`]
-    /// when the labels share no hub.
-    fn query(&self, u: NodeId, v: NodeId) -> Distance {
-        merge_join(
-            self.hubs_of(u),
-            self.dists_of(u),
-            self.hubs_of(v),
-            self.dists_of(v),
-        )
-    }
-
-    /// Like [`LabelingView::query`] but also reports the witnessing hub.
-    fn query_with_witness(&self, u: NodeId, v: NodeId) -> Option<(Distance, NodeId)> {
-        merge_join_with_witness(
-            self.hubs_of(u),
-            self.dists_of(u),
-            self.hubs_of(v),
-            self.dists_of(v),
-        )
-    }
-
-    /// Total number of hubs over all vertices, `Σ_v |S_v|`.
-    fn total_hubs(&self) -> usize {
-        (0..self.num_nodes() as NodeId)
-            .map(|v| self.hubs_of(v).len())
-            .sum()
-    }
-
-    /// Average hubs per vertex, `Σ_v |S_v| / n`.
-    fn average_hubs(&self) -> f64 {
-        if self.num_nodes() == 0 {
-            return 0.0;
-        }
-        self.total_hubs() as f64 / self.num_nodes() as f64
-    }
-
-    /// Largest label size.
-    fn max_hubs(&self) -> usize {
-        (0..self.num_nodes() as NodeId)
-            .map(|v| self.hubs_of(v).len())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

@@ -10,19 +10,21 @@
 //!
 //! The crate provides:
 //!
-//! * [`label`] — the merge-join query and [`LabelingView`], the borrowed
-//!   view every reader of a labeling takes;
+//! * [`label`] — the merge-join query kernel;
 //! * [`flat`] — [`FlatLabeling`], the single-arena CSR layout every
-//!   construction returns and every store and daemon holds;
+//!   construction returns and every store, daemon and analysis reads;
 //! * [`compact`] — [`CompactLabeling`], the byte-tuned lanes of the v2c
 //!   store flavor (u16/u32 distance lanes, delta-coded hub ids);
 //! * [`freq`] — hub-frequency label reordering, a layout pass that moves
 //!   hot hubs to the front of every run;
 //! * [`cover`] — verification that a labeling answers every query exactly;
+//! * [`minimize`], [`hierarchical`] — post-hoc hub removal, and the
+//!   canonical hierarchical labeling with its hierarchy check;
 //! * [`pll`] — Pruned Landmark Labeling (the canonical practical
 //!   construction, exact by design): the one pruned-search kernel and
 //!   label accumulator (`hl-build` runs them on threads) and the
-//!   sequential driver [`approx`] shares;
+//!   sequential driver [`approx`] shares (slack-pruned approximate
+//!   labels, the hub half of [`corrected`]);
 //! * [`greedy`] — the greedy 2-hop cover of Cohen et al. for small graphs;
 //! * [`random_threshold`] — the `O(n/D · log D)`-far-hubs construction in
 //!   the style of Alstrup et al. (ADKP16), the baseline the paper
@@ -33,7 +35,8 @@
 //! * [`monotone`] — monotone hubsets and the `S*` ancestor-closure
 //!   accounting used by the lower bound of Theorem 2.1;
 //! * [`tree`] — centroid-decomposition labeling with `O(log n)` hubs per
-//!   vertex on trees;
+//!   vertex on trees, and [`separator_labeling`] for graphs with small
+//!   separators;
 //! * [`order`], [`stats`] — vertex orderings and size statistics.
 //!
 //! # Example
@@ -73,6 +76,5 @@ pub mod tree;
 
 pub use compact::{CompactDists, CompactLabeling, HubDeltas, NarrowLane};
 pub use flat::{FlatLabeling, FlatLayoutError};
-pub use label::LabelingView;
 pub use order::{OrderError, VertexOrder};
 pub use stats::LabelingStats;

@@ -10,7 +10,7 @@ use hl_graph::apsp::DistanceMatrix;
 use hl_graph::{Graph, GraphError, NodeId};
 
 use crate::flat::FlatLabeling;
-use crate::label::{merge_join, LabelingView};
+use crate::label::merge_join;
 
 /// Result of a minimization pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,13 +32,13 @@ pub struct MinimizeReport {
 /// # Errors
 ///
 /// Propagates [`GraphError`] from the APSP computation.
-pub fn minimize_labeling<L: LabelingView>(
+pub fn minimize_labeling(
     g: &Graph,
-    labeling: &L,
+    labeling: &FlatLabeling,
 ) -> Result<(FlatLabeling, MinimizeReport), GraphError> {
     let n = g.num_nodes();
     let truth = DistanceMatrix::compute(g)?;
-    let before = labeling.total_hubs();
+    let before = labeling.num_entries();
     let mut labels: Vec<(Vec<NodeId>, Vec<u32>)> = (0..n as NodeId)
         .map(|v| (labeling.hubs_of(v).to_vec(), labeling.dists_of(v).to_vec()))
         .collect();
@@ -68,7 +68,7 @@ pub fn minimize_labeling<L: LabelingView>(
     for (hubs, dists) in &labels {
         minimized.push_label(hubs, dists);
     }
-    let after = minimized.total_hubs();
+    let after = minimized.num_entries();
     Ok((
         minimized,
         MinimizeReport {

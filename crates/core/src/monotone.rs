@@ -12,7 +12,7 @@
 use hl_graph::sptree::ShortestPathTree;
 use hl_graph::{Graph, NodeId};
 
-use crate::label::LabelingView;
+use crate::flat::FlatLabeling;
 
 /// The monotone closure of a hub labeling: for every vertex `v`, the set
 /// `S*_v` (as a sorted vertex list) with respect to the canonical
@@ -28,7 +28,7 @@ use crate::label::LabelingView;
 /// let g = generators::grid(3, 3);
 /// let labeling = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
 /// let closure = MonotoneClosure::compute(&g, &labeling);
-/// assert!(closure.total_size() >= labeling.total_hubs());
+/// assert!(closure.total_size() >= labeling.num_entries());
 /// ```
 #[derive(Debug, Clone)]
 pub struct MonotoneClosure {
@@ -38,12 +38,18 @@ pub struct MonotoneClosure {
 impl MonotoneClosure {
     /// Computes `S*_v` for every vertex. Runs one SSSP per vertex —
     /// quadratic, intended for instances small enough to verify.
-    pub fn compute<L: LabelingView>(g: &Graph, labeling: &L) -> Self {
-        let n = g.num_nodes();
-        let mut sets = Vec::with_capacity(n);
-        for v in 0..n as NodeId {
+    pub fn compute(g: &Graph, labeling: &FlatLabeling) -> Self {
+        MonotoneClosure::at(g, labeling, 0..g.num_nodes() as NodeId)
+    }
+
+    /// Computes `S*_v` for the vertices in `roots` only, one SSSP each;
+    /// every other set stays empty. This is all an audit needs when its
+    /// triples touch few endpoints.
+    pub fn at(g: &Graph, labeling: &FlatLabeling, roots: impl IntoIterator<Item = NodeId>) -> Self {
+        let mut sets = vec![Vec::new(); g.num_nodes()];
+        for v in roots {
             let tree = ShortestPathTree::build(g, v);
-            sets.push(tree.ancestor_closure(labeling.hubs_of(v)));
+            sets[v as usize] = tree.ancestor_closure(labeling.hubs_of(v));
         }
         MonotoneClosure { sets }
     }
@@ -82,9 +88,9 @@ impl MonotoneClosure {
 /// closure; the paper's form absorbs it into the diameter factor).
 ///
 /// Returns the first violating vertex if any.
-pub fn check_closure_size_relation<L: LabelingView>(
+pub fn check_closure_size_relation(
     g: &Graph,
-    labeling: &L,
+    labeling: &FlatLabeling,
     closure: &MonotoneClosure,
     hop_diameter: u64,
 ) -> Option<NodeId> {
@@ -135,7 +141,7 @@ mod tests {
                 assert!(mc.contains(v, h), "closure contains every hub");
             }
         }
-        assert!(mc.total_size() >= hl.total_hubs());
+        assert!(mc.total_size() >= hl.num_entries());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Aggregate statistics of hub labelings, shared by every experiment table.
 
 use crate::flat::FlatLabeling;
-use crate::label::LabelingView;
 
 /// Size statistics of a labeling.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,8 +20,8 @@ pub struct LabelingStats {
 
 impl LabelingStats {
     /// Computes the statistics of `labeling`.
-    pub fn of<L: LabelingView>(labeling: &L) -> Self {
-        let total = labeling.total_hubs();
+    pub fn of(labeling: &FlatLabeling) -> Self {
+        let total = labeling.num_entries();
         LabelingStats {
             num_nodes: labeling.num_nodes(),
             total_hubs: total,

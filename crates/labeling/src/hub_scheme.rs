@@ -14,7 +14,7 @@ use hl_graph::{Distance, Graph, GraphError, NodeId};
 
 use hl_core::label::merge_join;
 use hl_core::pll::PrunedLandmarkLabeling;
-use hl_core::{FlatLabeling, LabelingView};
+use hl_core::FlatLabeling;
 
 use crate::bits::{BitReader, BitWriter};
 use crate::scheme::{BitLabel, DistanceLabelingScheme};
@@ -56,7 +56,8 @@ pub(crate) fn read_hub_ids(r: &mut BitReader<'_>, hubs: &mut Vec<NodeId>) -> usi
 }
 
 /// Encodes one hub label — its sorted hub ids and their aligned
-/// distances, as a [`LabelingView`] lends them — into bits.
+/// distances, as [`FlatLabeling::hubs_of`] and [`FlatLabeling::dists_of`]
+/// lend them — into bits.
 pub fn encode_label(hubs: &[NodeId], dists: &[u32]) -> BitLabel {
     let mut w = BitWriter::new();
     write_hub_ids(&mut w, hubs);
@@ -230,7 +231,7 @@ fn try_decode_label_inner(
 }
 
 /// Encodes a complete hub labeling.
-pub fn encode_labeling<L: LabelingView>(labeling: &L) -> Vec<BitLabel> {
+pub fn encode_labeling(labeling: &FlatLabeling) -> Vec<BitLabel> {
     (0..=NodeId::MAX)
         .take(labeling.num_nodes())
         .map(|v| encode_label(labeling.hubs_of(v), labeling.dists_of(v)))

@@ -19,7 +19,7 @@
 
 use hl_graph::{Distance, NodeId};
 
-use hl_core::LabelingView;
+use hl_core::FlatLabeling;
 
 use crate::bits::{BitReader, BitWriter};
 use crate::hub_scheme::{read_hub_ids, write_hub_ids};
@@ -115,10 +115,7 @@ pub fn decode_compact(label: &BitLabel, params: &CompactParams) -> Vec<(NodeId, 
 }
 
 /// Encodes a whole labeling compactly.
-pub fn encode_labeling_compact<L: LabelingView>(
-    labeling: &L,
-    params: &CompactParams,
-) -> Vec<BitLabel> {
+pub fn encode_labeling_compact(labeling: &FlatLabeling, params: &CompactParams) -> Vec<BitLabel> {
     (0..=NodeId::MAX)
         .take(labeling.num_nodes())
         .map(|v| encode_compact(labeling.hubs_of(v), labeling.dists_of(v), params))
@@ -249,7 +246,6 @@ mod tests {
     use crate::scheme::SchemeStats;
     use hl_core::pll::PrunedLandmarkLabeling;
     use hl_core::random_threshold::{random_threshold_labeling, RandomThresholdParams};
-    use hl_core::FlatLabeling;
     use hl_graph::properties::diameter_exact;
     use hl_graph::{generators, Graph};
 

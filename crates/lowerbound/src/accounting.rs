@@ -9,10 +9,10 @@
 //! `Σ_v |S*_v| ≥ s^ℓ·(s/2)^ℓ` follows — the executable core of the
 //! `n/2^{Θ(√log n)}` lower bound.
 
-use hl_graph::sptree::ShortestPathTree;
 use hl_graph::{Graph, NodeId};
 
-use hl_core::LabelingView;
+use hl_core::monotone::{count_midpoint_charges, MonotoneClosure};
+use hl_core::FlatLabeling;
 
 use crate::hgraph::HGraph;
 
@@ -22,16 +22,16 @@ pub type Triple = (NodeId, NodeId, NodeId);
 /// Enumerates the paper's triples `(v_{0,x}, v_{ℓ,(x+z)/2}, v_{2ℓ,z})` over
 /// all componentwise-even pairs, as `H`-vertex ids.
 pub fn h_triples(h: &HGraph) -> Vec<Triple> {
-    let ell = h.params().ell as u64;
     h.even_pairs()
-        .map(|(x, z, mid)| {
-            (
-                h.node_id(0, &x),
-                h.node_id(ell, &mid),
-                h.node_id(2 * ell, &z),
-            )
-        })
+        .map(|(x, z, _)| h_triple(h, &x, &z))
         .collect()
+}
+
+/// The triple `(v_{0,x}, v_{ℓ,(x+z)/2}, v_{2ℓ,z})` of one even pair.
+pub(crate) fn h_triple(h: &HGraph, x: &[u64], z: &[u64]) -> Triple {
+    let ell = u64::from(h.params().ell);
+    let mid: Vec<u64> = x.iter().zip(z).map(|(&a, &c)| (a + c) / 2).collect();
+    (h.node_id(0, x), h.node_id(ell, &mid), h.node_id(2 * ell, z))
 }
 
 /// Outcome of the accounting check for a concrete labeling.
@@ -66,51 +66,33 @@ impl AccountingReport {
 
 /// Audits a hub labeling of `graph` against the given triples.
 ///
-/// Builds one canonical shortest-path tree per distinct endpoint (sources
-/// and targets), closes each endpoint's hubset under ancestors, and counts
-/// the midpoint charges. Works for labelings of `H_{b,ℓ}` (pass
-/// [`h_triples`]) and of `G_{b,ℓ}` (pass core-mapped triples), in
-/// whatever form lends its hub slices — built in memory, mounted from a
+/// Closes each distinct endpoint's hubset under its canonical
+/// shortest-path tree ([`MonotoneClosure::at`]) and counts the midpoint
+/// charges ([`count_midpoint_charges`]). Works for labelings of `H_{b,ℓ}`
+/// (pass [`h_triples`]) and of `G_{b,ℓ}` (pass core-mapped triples),
+/// however the arena was obtained — built in memory, mounted from a
 /// store, or fetched from a daemon.
-pub fn audit<L: LabelingView>(graph: &Graph, labeling: &L, triples: &[Triple]) -> AccountingReport {
-    use std::collections::HashMap;
-    let mut closures: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    let mut endpoints: Vec<NodeId> = Vec::new();
-    for &(u, _, z) in triples {
-        endpoints.push(u);
-        endpoints.push(z);
-    }
+pub fn audit(graph: &Graph, labeling: &FlatLabeling, triples: &[Triple]) -> AccountingReport {
+    let mut endpoints: Vec<NodeId> = triples.iter().flat_map(|&(u, _, z)| [u, z]).collect();
     endpoints.sort_unstable();
     endpoints.dedup();
-    for &e in &endpoints {
-        let tree = ShortestPathTree::build(graph, e);
-        closures.insert(e, tree.ancestor_closure(labeling.hubs_of(e)));
-    }
-    let contains = |v: NodeId, x: NodeId| closures[&v].binary_search(&x).is_ok();
-    let charged = triples
-        .iter()
-        .filter(|&&(u, mid, z)| contains(u, mid) || contains(z, mid))
-        .count();
+    let closure = MonotoneClosure::at(graph, labeling, endpoints);
     AccountingReport {
         triples: triples.len(),
-        charged,
-        total_hubs: labeling.total_hubs(),
-        star_total_at_endpoints: endpoints.iter().map(|e| closures[e].len()).sum(),
+        charged: count_midpoint_charges(&closure, triples),
+        total_hubs: labeling.num_entries(),
+        star_total_at_endpoints: closure.total_size(),
         star_lower_bound: triples.len(),
     }
 }
 
 /// Audits a labeling of `H_{b,ℓ}` directly.
-pub fn audit_h<L: LabelingView>(h: &HGraph, labeling: &L) -> AccountingReport {
+pub fn audit_h(h: &HGraph, labeling: &FlatLabeling) -> AccountingReport {
     audit(h.graph(), labeling, &h_triples(h))
 }
 
 /// Audits a labeling of `G_{b,ℓ}`, mapping the triples through cores.
-pub fn audit_g<L: LabelingView>(
-    h: &HGraph,
-    g: &crate::ggraph::GGraph,
-    labeling: &L,
-) -> AccountingReport {
+pub fn audit_g(h: &HGraph, g: &crate::ggraph::GGraph, labeling: &FlatLabeling) -> AccountingReport {
     let triples: Vec<Triple> = h_triples(h)
         .into_iter()
         .map(|(u, m, z)| (g.core(u), g.core(m), g.core(z)))
@@ -124,7 +106,6 @@ mod tests {
     use crate::ggraph::GGraph;
     use crate::params::GadgetParams;
     use hl_core::pll::PrunedLandmarkLabeling;
-    use hl_core::FlatLabeling;
 
     #[test]
     fn triples_are_distinct_and_counted() {

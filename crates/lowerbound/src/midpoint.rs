@@ -7,6 +7,7 @@ use hl_graph::dijkstra::dijkstra_count_paths;
 use hl_graph::sptree::ShortestPathTree;
 use hl_graph::NodeId;
 
+use crate::accounting::h_triple;
 use crate::hgraph::HGraph;
 
 /// Result of checking one Lemma 2.2 pair.
@@ -33,6 +34,42 @@ impl MidpointCheck {
     }
 }
 
+/// The shortest-path data from one level-0 source `v_{0,x}` that every
+/// pair check from it reads: distances, path counts and the canonical
+/// tree.
+struct FromSource {
+    dist: Vec<u64>,
+    count: Vec<u64>,
+    tree: ShortestPathTree,
+}
+
+impl FromSource {
+    fn new(h: &HGraph, x: &[u64]) -> Self {
+        let src = h.node_id(0, x);
+        let (dist, count) = dijkstra_count_paths(h.graph(), src);
+        let tree = ShortestPathTree::build(h.graph(), src);
+        FromSource { dist, count, tree }
+    }
+
+    /// Checks Lemma 2.2 for `(x, z)`, `x` being this run's source.
+    fn check(&self, h: &HGraph, x: &[u64], z: &[u64]) -> MidpointCheck {
+        let (_, mid, dst) = h_triple(h, x, z);
+        MidpointCheck {
+            x: x.to_vec(),
+            z: z.to_vec(),
+            distance: self.dist[dst as usize],
+            predicted: h.params().unique_sp_length(x, z),
+            path_count: self.count[dst as usize],
+            through_midpoint: self.tree.path_to(dst).is_some_and(|p| p.contains(&mid)),
+        }
+    }
+}
+
+/// `true` when `z − x` is componentwise even, the lemma's hypothesis.
+fn even_differences(x: &[u64], z: &[u64]) -> bool {
+    x.iter().zip(z).all(|(&a, &c)| a.abs_diff(c) % 2 == 0)
+}
+
 /// Checks Lemma 2.2 for a single pair `(x, z)`.
 ///
 /// # Panics
@@ -40,66 +77,22 @@ impl MidpointCheck {
 /// Panics if the coordinate differences are not all even (the lemma's
 /// hypothesis) or the vectors have the wrong dimension.
 pub fn check_pair(h: &HGraph, x: &[u64], z: &[u64]) -> MidpointCheck {
-    let params = h.params();
     assert!(
-        x.iter().zip(z).all(|(&a, &c)| a.abs_diff(c) % 2 == 0),
+        even_differences(x, z),
         "Lemma 2.2 requires componentwise even differences"
     );
-    let mid: Vec<u64> = x.iter().zip(z).map(|(&a, &c)| (a + c) / 2).collect();
-    let src = h.node_id(0, x);
-    let dst = h.node_id(2 * params.ell as u64, z);
-    let mid_id = h.node_id(params.ell as u64, &mid);
-    let (dist, count) = dijkstra_count_paths(h.graph(), src);
-    let tree = ShortestPathTree::build(h.graph(), src);
-    let through = tree
-        .path_to(dst)
-        .map(|p| p.contains(&mid_id))
-        .unwrap_or(false);
-    MidpointCheck {
-        x: x.to_vec(),
-        z: z.to_vec(),
-        distance: dist[dst as usize],
-        predicted: params.unique_sp_length(x, z),
-        path_count: count[dst as usize],
-        through_midpoint: through,
-    }
+    FromSource::new(h, x).check(h, x, z)
 }
 
-/// Checks Lemma 2.2 for **all** even pairs of the gadget; returns the
-/// failures (empty = the lemma holds on this instance).
+/// Checks Lemma 2.2 for **all** even pairs of the gadget, one Dijkstra
+/// run per source; returns the failures (empty = the lemma holds on this
+/// instance).
 pub fn check_all_pairs(h: &HGraph) -> Vec<MidpointCheck> {
     let mut failures = Vec::new();
-    // Group by source x to reuse the Dijkstra run.
-    let params = h.params();
-    let two_ell = 2 * params.ell as u64;
-    let xs: Vec<Vec<u64>> = h.all_vectors().collect();
-    for x in &xs {
-        let src = h.node_id(0, x);
-        let (dist, count) = dijkstra_count_paths(h.graph(), src);
-        let tree = ShortestPathTree::build(h.graph(), src);
-        for z in h.all_vectors() {
-            if !x.iter().zip(&z).all(|(&a, &c)| a.abs_diff(c) % 2 == 0) {
-                continue;
-            }
-            let mid: Vec<u64> = x.iter().zip(&z).map(|(&a, &c)| (a + c) / 2).collect();
-            let dst = h.node_id(two_ell, &z);
-            let mid_id = h.node_id(params.ell as u64, &mid);
-            let through = tree
-                .path_to(dst)
-                .map(|p| p.contains(&mid_id))
-                .unwrap_or(false);
-            let check = MidpointCheck {
-                x: x.clone(),
-                z: z.clone(),
-                distance: dist[dst as usize],
-                predicted: params.unique_sp_length(x, &z),
-                path_count: count[dst as usize],
-                through_midpoint: through,
-            };
-            if !check.holds() {
-                failures.push(check);
-            }
-        }
+    for x in h.all_vectors() {
+        let run = FromSource::new(h, &x);
+        let checks = h.all_vectors().filter(|z| even_differences(&x, z));
+        failures.extend(checks.map(|z| run.check(h, &x, &z)).filter(|c| !c.holds()));
     }
     failures
 }

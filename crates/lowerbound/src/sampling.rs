@@ -3,11 +3,10 @@
 //! audit on a seeded subset of triples.
 
 use hl_graph::rng::Xorshift64;
-use hl_graph::NodeId;
 
-use hl_core::LabelingView;
+use hl_core::FlatLabeling;
 
-use crate::accounting::{audit, AccountingReport, Triple};
+use crate::accounting::{audit, h_triple, AccountingReport, Triple};
 use crate::hgraph::HGraph;
 use crate::midpoint::{check_pair, MidpointCheck};
 
@@ -44,23 +43,15 @@ pub fn check_sampled_pairs(h: &HGraph, count: usize, seed: u64) -> Vec<MidpointC
 }
 
 /// Runs the counting audit on `count` sampled triples.
-pub fn audit_sampled<L: LabelingView>(
+pub fn audit_sampled(
     h: &HGraph,
-    labeling: &L,
+    labeling: &FlatLabeling,
     count: usize,
     seed: u64,
 ) -> AccountingReport {
-    let ell = h.params().ell as u64;
     let triples: Vec<Triple> = sample_even_pairs(h, count, seed)
         .into_iter()
-        .map(|(x, z)| {
-            let mid: Vec<u64> = x.iter().zip(&z).map(|(&a, &c)| (a + c) / 2).collect();
-            (
-                h.node_id(0, &x) as NodeId,
-                h.node_id(ell, &mid) as NodeId,
-                h.node_id(2 * ell, &z) as NodeId,
-            )
-        })
+        .map(|(x, z)| h_triple(h, &x, &z))
         .collect();
     audit(h.graph(), labeling, &triples)
 }

@@ -339,7 +339,7 @@ fn run(opts: &Opts) -> Result<Summary, Failure> {
     let g = generators::connected_gnm(opts.nodes, opts.nodes, opts.seed ^ 0x9e37_79b9);
     let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
     let mut store_bytes = Vec::new();
-    LabelStore::from_labeling(&hl)
+    LabelStore::from_flat(&hl)
         .write_to(&mut store_bytes)
         .map_err(|e| Failure::Defect(format!("serializing the store: {e}")))?;
     let flat = AnyStore::parse(&store_bytes)

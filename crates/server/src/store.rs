@@ -36,7 +36,7 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 
-use hl_core::{FlatLabeling, LabelingView};
+use hl_core::FlatLabeling;
 use hl_graph::NodeId;
 use hl_labeling::bits::BitReader;
 use hl_labeling::hub_scheme::{encode_label, try_decode_label_append};
@@ -173,10 +173,11 @@ pub struct LabelStore {
 
 impl LabelStore {
     /// Encodes a labeling into store form (in memory), γ-coding one
-    /// vertex at a time straight from the view's slices. The encoding is
-    /// canonical (a deterministic function of the labeling), which is
-    /// what makes v1 → v2 → v1 byte-identical.
-    pub fn from_labeling<L: LabelingView>(labeling: &L) -> Self {
+    /// vertex at a time straight from the arena's slices — the v2 → v1
+    /// direction of `hubserve convert`. The encoding is canonical (a
+    /// deterministic function of the labeling), which is what makes
+    /// v1 → v2 → v1 byte-identical.
+    pub fn from_flat(labeling: &FlatLabeling) -> Self {
         let n = labeling.num_nodes();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut bit_lens = Vec::with_capacity(n);
@@ -196,13 +197,6 @@ impl LabelStore {
             bit_lens,
             blob,
         }
-    }
-
-    /// [`LabelStore::from_labeling`] under the name the arena's callers
-    /// use — the v2 → v1 direction of `hubserve convert`, and how
-    /// `hubserve build` writes its store.
-    pub fn from_flat(flat: &FlatLabeling) -> Self {
-        Self::from_labeling(flat)
     }
 
     /// Number of vertices the store holds labels for.
@@ -420,7 +414,7 @@ mod tests {
 
     fn encode(hl: &FlatLabeling) -> Vec<u8> {
         let mut buf = Vec::new();
-        LabelStore::from_labeling(hl).write_to(&mut buf).unwrap();
+        LabelStore::from_flat(hl).write_to(&mut buf).unwrap();
         buf
     }
 
@@ -441,11 +435,11 @@ mod tests {
     #[test]
     fn roundtrip_in_memory() {
         let (hl, buf) = sample();
-        let store = LabelStore::from_labeling(&hl);
+        let store = LabelStore::from_flat(&hl);
         assert_eq!(buf.len(), store.file_len());
         let (flat, total_bits) = decode(&buf).unwrap();
         assert_eq!(flat, hl);
-        assert_eq!(flat.num_entries(), hl.total_hubs());
+        assert_eq!(flat.num_entries(), hl.num_entries());
         assert_eq!(total_bits, store.total_bits());
         let sections = store.section_bytes();
         assert_eq!(sections, section_bytes(hl.num_nodes(), buf.len() as u64));

@@ -15,7 +15,7 @@ use hl_server::{AnyStore, LabelStore, StoreError};
 fn encoded(g: &Graph) -> (FlatLabeling, Vec<u8>) {
     let hl = PrunedLandmarkLabeling::by_degree(g).into_labeling();
     let mut buf = Vec::new();
-    LabelStore::from_labeling(&hl).write_to(&mut buf).unwrap();
+    LabelStore::from_flat(&hl).write_to(&mut buf).unwrap();
     (hl, buf)
 }
 
@@ -71,7 +71,7 @@ fn served_distances_match_ground_truth() {
 fn file_roundtrip_via_disk() {
     let g = generators::grid(6, 6);
     let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-    let store = LabelStore::from_labeling(&hl);
+    let store = LabelStore::from_flat(&hl);
     let mut path = std::env::temp_dir();
     path.push(format!("hl-store-test-{}.hlbs", std::process::id()));
     store.save(&path).unwrap();

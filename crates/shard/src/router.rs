@@ -9,9 +9,10 @@
 //!   serving.
 //! - **Cross shard**: no single daemon can join the pair, so the router
 //!   fetches `u`'s label from its owner and `v`'s from its owner
-//!   (`Label`/`LabelBatch` frames) and merge-joins them locally. Hub ids
-//!   are global across shards (see [`crate::partition()`]), which is what
-//!   makes the local join sound.
+//!   (`Label`/`LabelBatch` frames), mounts them in a [`FlatLabeling`] and
+//!   joins them with its query — the one merge-join kernel every server
+//!   runs. Hub ids are global across shards (see [`crate::partition()`]),
+//!   which is what makes the local join sound.
 //!
 //! The router holds one *multiplexed* HLNP v2 connection per shard
 //! ([`hl_net::MuxClient`]), opened at [`ShardRouter::connect`] and
@@ -26,6 +27,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
+use hl_core::FlatLabeling;
 use hl_graph::{Distance, NodeId};
 use hl_net::{ClientConfig, MuxClient, NetError, Request, Response};
 use hl_server::MetricsSnapshot;
@@ -136,7 +138,7 @@ impl ShardRouter {
         let lv = self.clients[sv]
             .wait(id_v, self.request_timeout)?
             .into_label()?;
-        Ok(join_pairs(&lu, &lv))
+        Ok(fetched_arena(vec![lu, lv])?.query(0, 1))
     }
 
     /// A batch of exact distances, answered in request order. Same-shard
@@ -157,9 +159,10 @@ impl ShardRouter {
         // indexes and the pairs themselves, kept in lockstep.
         type OwnedGroup = (Vec<usize>, Vec<(NodeId, NodeId)>);
         let mut owned: Vec<OwnedGroup> = vec![Default::default(); k];
-        // Distinct label fetches per shard for the cross-shard pairs.
+        // Distinct label fetches per shard for the cross-shard pairs, and
+        // each fetched vertex's (shard, position in that shard's list).
         let mut wanted: Vec<Vec<NodeId>> = vec![Vec::new(); k];
-        let mut slot: HashMap<NodeId, usize> = HashMap::new();
+        let mut slot: HashMap<NodeId, (usize, usize)> = HashMap::new();
         let mut cross: Vec<usize> = Vec::new();
         for (i, &(u, v)) in pairs.iter().enumerate() {
             let (su, sv) = (shard_of(u, k), shard_of(v, k));
@@ -171,7 +174,7 @@ impl ShardRouter {
                 for (s, w) in [(su, u), (sv, v)] {
                     slot.entry(w).or_insert_with(|| {
                         wanted[s].push(w);
-                        wanted[s].len() - 1
+                        (s, wanted[s].len() - 1)
                     });
                 }
             }
@@ -230,7 +233,8 @@ impl ShardRouter {
         }
 
         // File the completions: distances into their slots, label chunks
-        // concatenated back into per-shard tables for the local joins.
+        // concatenated back into per-shard tables, then shard by shard
+        // into one arena for the local joins.
         let mut labels: Vec<Vec<Vec<(NodeId, Distance)>>> = vec![Vec::new(); k];
         for (s, (items, resps)) in work.into_iter().zip(responses).enumerate() {
             for (item, resp) in items.into_iter().zip(resps) {
@@ -250,11 +254,18 @@ impl ShardRouter {
                 }
             }
         }
+        let mut base = vec![0usize; k];
+        for s in 1..k {
+            base[s] = base[s - 1] + labels[s - 1].len();
+        }
+        let row = |w: NodeId| {
+            let (s, at) = slot[&w];
+            (base[s] + at) as NodeId
+        };
+        let arena = fetched_arena(labels.into_iter().flatten().collect())?;
         for i in cross {
             let (u, v) = pairs[i];
-            let lu = &labels[shard_of(u, k)][slot[&u]];
-            let lv = &labels[shard_of(v, k)][slot[&v]];
-            out[i] = join_pairs(lu, lv);
+            out[i] = arena.query(row(u), row(v));
         }
         Ok(out)
     }
@@ -277,44 +288,39 @@ impl ShardRouter {
     }
 }
 
-/// Merge-join over two labels in wire form (sorted `(hub, dist)` pairs).
-fn join_pairs(a: &[(NodeId, Distance)], b: &[(NodeId, Distance)]) -> Distance {
-    // Small labels dominate, so unzipping to slices would cost more than
-    // it saves; walk the pair vectors directly.
-    let mut best = hl_graph::INFINITY;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let d = a[i].1.saturating_add(b[j].1);
-                if d < best {
-                    best = d;
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    best
+/// Fetched labels as the rows of one arena, in order. A distance past the
+/// arena's `u32` lane is no label a store can hold, so the daemon that
+/// sent it answered out of contract: an unexpected response, not a sum.
+fn fetched_arena(labels: Vec<Vec<(NodeId, Distance)>>) -> Result<FlatLabeling, ShardError> {
+    FlatLabeling::from_pair_lists(labels).map_err(|e| {
+        ShardError::Net(NetError::UnexpectedResponse {
+            expected: "Label",
+            got: e.to_string(),
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hl_core::label::merge_join;
 
     #[test]
-    fn join_pairs_matches_slice_merge_join() {
-        let a = vec![(0u32, 1u64), (3, 2), (9, 5)];
-        let b = vec![(1u32, 1u64), (3, 4), (8, 1), (9, 0)];
-        let lanes = |l: &[(NodeId, Distance)]| -> (Vec<NodeId>, Vec<u32>) {
-            l.iter().map(|&(h, d)| (h, d as u32)).unzip()
-        };
-        let ((ah, ad), (bh, bd)) = (lanes(&a), lanes(&b));
-        assert_eq!(join_pairs(&a, &b), merge_join(&ah, &ad, &bh, &bd));
-        assert_eq!(join_pairs(&a, &b), 5);
-        assert_eq!(join_pairs(&a, &[]), hl_graph::INFINITY);
+    fn fetched_labels_join_in_the_arena_and_a_wide_distance_is_refused() {
+        let a = vec![(0, 1), (3, 2), (9, 5)];
+        let b = vec![(1, 1), (3, 4), (8, 1), (9, 0)];
+        let arena = fetched_arena(vec![a.clone(), b, vec![]]).unwrap();
+        assert_eq!(arena.query(0, 1), 5);
+        assert_eq!(arena.query(0, 2), hl_graph::INFINITY);
+        // u32::MAX still fits the lane; one more is out of contract.
+        let max = Distance::from(u32::MAX);
+        let arena = fetched_arena(vec![a.clone(), vec![(9, max)]]).unwrap();
+        assert_eq!(arena.query(0, 1), max + 5);
+        match fetched_arena(vec![a, vec![(9, max + 1)]]) {
+            Err(ShardError::Net(NetError::UnexpectedResponse { expected, got })) => {
+                assert_eq!(expected, "Label");
+                assert!(got.contains("u32"), "{got}");
+            }
+            other => panic!("want UnexpectedResponse, got {other:?}"),
+        }
     }
 }

@@ -19,17 +19,17 @@
 //! * [`repr`] — the `(s/2)`-ary digit codec between indices and grid
 //!   vectors;
 //! * [`naive`] — the trivial `m + O(log m)`-bit protocol;
-//! * [`protocol`] — the paper's graph protocol, end to end.
+//! * [`protocol`] — the paper's protocol, end to end: one type, built on
+//!   `H'_{b,ℓ}` under any labeling scheme or on the max-degree-3
+//!   `G'_{b,ℓ}` with middle-core labels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod g_protocol;
 pub mod naive;
 pub mod problem;
 pub mod protocol;
 pub mod repr;
-pub mod scheme_protocol;
 
 pub use problem::SumIndexInstance;
 pub use protocol::{GraphProtocol, ProtocolCosts};

@@ -2,6 +2,7 @@
 //! [`Xorshift64`] streams (offline-friendly stand-in for `proptest`).
 
 use hl_graph::rng::Xorshift64;
+use hl_labeling::hub_scheme::HubPllScheme;
 use hl_lowerbound::GadgetParams;
 use hl_sumindex::protocol::GraphProtocol;
 use hl_sumindex::repr::Repr;
@@ -34,7 +35,7 @@ fn graph_protocol_correct_on_random_words() {
         let params = GadgetParams::new(2, 2).unwrap();
         let m = Repr::new(params).modulus();
         let inst = SumIndexInstance::random(m as usize, rng.next_u64());
-        let protocol = GraphProtocol::new(params, &inst).unwrap();
+        let protocol = GraphProtocol::on_h_prime(params, &inst, &HubPllScheme).unwrap();
         let a = rng.gen_u64_below(m);
         let b = rng.gen_u64_below(m);
         assert_eq!(protocol.run(a, b), inst.answer(a as usize, b as usize));

@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --release --example sumindex_protocol`
 
+use hub_labeling::labeling::hub_scheme::HubPllScheme;
 use hub_labeling::lowerbound::GadgetParams;
 use hub_labeling::sumindex::protocol::GraphProtocol;
 use hub_labeling::sumindex::repr::Repr;
@@ -19,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let instance = SumIndexInstance::random(m, 2024);
 
     // Both parties compute the same setup (pruned graph + labeling).
-    let protocol = GraphProtocol::new(params, &instance)?;
+    let protocol = GraphProtocol::on_h_prime(params, &instance, &HubPllScheme)?;
 
     // One round, narrated.
     let (a, b) = (5u64, 14u64);

@@ -149,10 +149,21 @@ if grep -nwE 'rbuf|pending|inflight|frame_started|write_stalled|close_after_flus
 fi
 
 echo "== one label representation (no nested type, no text label format) =="
-# A labeling is the FlatLabeling arena, read through LabelingView; the
-# per-vertex types and hl_core::io stay deleted.
+# A labeling is the FlatLabeling arena, and every reader takes it as
+# `&FlatLabeling`; the per-vertex types and hl_core::io stay deleted.
 if grep -rnE 'HubLabeling|\bHubLabel\b|core::io' crates src tests examples; then
   echo "check: FAIL — the nested label types / text label format are back" >&2
+  exit 1
+fi
+
+echo "== the paper half is written once (no view trait, one Sum-Index protocol, one join) =="
+# FlatLabeling is the one labeling, so a trait over it is a second API;
+# Theorem 1.6 is one type in hl_sumindex::protocol with a constructor per
+# graph; fetched labels join in a FlatLabeling, not in a private loop.
+if grep -rn 'trait LabelingView' crates src tests examples ||
+  grep -rln 'fn referee' crates/sumindex/src | grep -vxE 'crates/sumindex/src/(protocol|naive)\.rs' ||
+  grep -rn 'fn join_pairs' crates src tests examples; then
+  echo "check: FAIL — a second copy of the paper's code is back" >&2
   exit 1
 fi
 

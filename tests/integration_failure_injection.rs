@@ -139,6 +139,7 @@ fn graph_io_rejects_truncation() {
 fn protocol_referee_detects_wrong_word_on_one_side() {
     // If Alice and Bob disagree on S (protocol violation), answers break
     // for at least one input pair — the setup is genuinely word-dependent.
+    use hub_labeling::labeling::hub_scheme::HubPllScheme;
     use hub_labeling::sumindex::protocol::GraphProtocol;
     use hub_labeling::sumindex::repr::Repr;
     use hub_labeling::sumindex::SumIndexInstance;
@@ -151,8 +152,8 @@ fn protocol_referee_detects_wrong_word_on_one_side() {
     let word_a = SumIndexInstance::new(vec![false; m]);
     let word_b = SumIndexInstance::new(vec![true; m]);
     assert_ne!(word_a, word_b);
-    let proto_a = GraphProtocol::new(params, &word_a).unwrap();
-    let proto_b = GraphProtocol::new(params, &word_b).unwrap();
+    let proto_a = GraphProtocol::on_h_prime(params, &word_a, &HubPllScheme).unwrap();
+    let proto_b = GraphProtocol::on_h_prime(params, &word_b, &HubPllScheme).unwrap();
     let mut mismatch = false;
     for a in 0..m as u64 {
         for b in 0..m as u64 {

@@ -66,13 +66,13 @@ fn contraction_hierarchy_scales() {
 #[test]
 #[ignore = "stress: G'(4,2) protocol, ~6M-vertex degree-3 graph"]
 fn gprime_protocol_at_b4() {
-    use hub_labeling::sumindex::g_protocol::GPrimeProtocol;
+    use hub_labeling::sumindex::protocol::GraphProtocol;
     use hub_labeling::sumindex::repr::Repr;
     use hub_labeling::sumindex::SumIndexInstance;
     let params = GadgetParams::new(4, 2).unwrap();
     let m = Repr::new(params).modulus() as usize;
     let instance = SumIndexInstance::random(m, 3);
-    let protocol = GPrimeProtocol::new(params, &instance).unwrap();
+    let protocol = GraphProtocol::on_g_prime(params, &instance).unwrap();
     assert!(protocol.max_degree() <= 3);
     // Sampled input sweep (full m² = 4096 pairs also fine, but keep it short).
     for a in 0..m as u64 {

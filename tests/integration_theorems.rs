@@ -4,6 +4,7 @@
 use hub_labeling::core::monotone::MonotoneClosure;
 use hub_labeling::core::pll::PrunedLandmarkLabeling;
 use hub_labeling::core::rs_based::{rs_labeling, RsParams};
+use hub_labeling::labeling::hub_scheme::HubPllScheme;
 use hub_labeling::lowerbound::accounting::{audit_g, audit_h, h_triples};
 use hub_labeling::lowerbound::midpoint::{check_all_pairs, check_g_matches_h};
 use hub_labeling::lowerbound::removal::{decode_midpoint_presence, RemovedMiddle};
@@ -110,7 +111,7 @@ fn theorem14_rs_construction_on_bounded_degree() {
         .is_exact());
     assert!(bd.global_hubs > 0);
     let mc = MonotoneClosure::compute(&g, &hl);
-    assert!(mc.total_size() >= hl.total_hubs());
+    assert!(mc.total_size() >= hl.num_entries());
 }
 
 /// Observation 3.1: midpoint presence decodes from one distance, under
@@ -146,7 +147,7 @@ fn theorem16_protocol_correct() {
     let m = Repr::new(params).modulus() as usize;
     for seed in [0u64, 1, 2] {
         let instance = SumIndexInstance::random(m, seed);
-        let protocol = GraphProtocol::new(params, &instance).unwrap();
+        let protocol = GraphProtocol::on_h_prime(params, &instance, &HubPllScheme).unwrap();
         for a in 0..m {
             for b in 0..m {
                 let graph_answer = protocol.run(a as u64, b as u64);
