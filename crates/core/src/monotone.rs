@@ -43,8 +43,9 @@ impl MonotoneClosure {
     }
 
     /// Computes `S*_v` for the vertices in `roots` only, one SSSP each;
-    /// every other set stays empty. This is all an audit needs when its
-    /// triples touch few endpoints.
+    /// every other set stays empty, so only `set`/`contains` at a root
+    /// answer for the labeling (all an audit of triples whose endpoints are
+    /// roots needs); the size statistics would read the empty sets as real.
     pub fn at(g: &Graph, labeling: &FlatLabeling, roots: impl IntoIterator<Item = NodeId>) -> Self {
         let mut sets = vec![Vec::new(); g.num_nodes()];
         for v in roots {

@@ -291,6 +291,8 @@ impl ShardRouter {
 /// Fetched labels as the rows of one arena, in order. A distance past the
 /// arena's `u32` lane is no label a store can hold, so the daemon that
 /// sent it answered out of contract: an unexpected response, not a sum.
+/// Query-only: rows are fetch slots but hubs are global ids, often past
+/// `num_nodes()`, so any reader relying on `hub < num_nodes()` misreads it.
 fn fetched_arena(labels: Vec<Vec<(NodeId, Distance)>>) -> Result<FlatLabeling, ShardError> {
     FlatLabeling::from_pair_lists(labels).map_err(|e| {
         ShardError::Net(NetError::UnexpectedResponse {

@@ -269,7 +269,8 @@ impl<'s> GraphProtocol<'s> {
         self.label_stats
     }
 
-    /// The labeling scheme's name, for tables.
+    /// The name of the scheme whose decoder the referee runs, for tables:
+    /// `hub-pll` on `G'` too, whose labels are middle-core distances.
     pub fn scheme_name(&self) -> &'static str {
         self.scheme.name()
     }
