@@ -48,34 +48,6 @@ pub fn bfs_distances_bounded(g: &Graph, source: NodeId, bound: Distance) -> Vec<
     dist
 }
 
-/// BFS that also returns, for each vertex, the parent on a canonical
-/// (smallest-parent-id) shortest path tree rooted at `source`.
-///
-/// `parent[source] == source`; unreachable vertices have parent
-/// `NodeId::MAX`.
-pub fn bfs_with_parents(g: &Graph, source: NodeId) -> (Vec<Distance>, Vec<NodeId>) {
-    let mut dist = vec![INFINITY; g.num_nodes()];
-    let mut parent = vec![NodeId::MAX; g.num_nodes()];
-    let mut queue = VecDeque::new();
-    dist[source as usize] = 0;
-    parent[source as usize] = source;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for &v in g.neighbor_ids(u) {
-            if dist[v as usize] == INFINITY {
-                dist[v as usize] = du + 1;
-                // Neighbors are scanned in increasing id order and BFS pops
-                // vertices in increasing distance order, so the first parent
-                // found is the smallest-id parent at the previous level.
-                parent[v as usize] = u;
-                queue.push_back(v);
-            }
-        }
-    }
-    (dist, parent)
-}
-
 /// Counts shortest paths from `source` to every vertex (saturating at
 /// `u64::MAX`), along with the distances.
 ///
@@ -178,21 +150,6 @@ mod tests {
         let g = path5();
         let d = bfs_distances_bounded(&g, 2, 0);
         assert_eq!(d, vec![INFINITY, INFINITY, 0, INFINITY, INFINITY]);
-    }
-
-    #[test]
-    fn parents_form_tree() {
-        let g = generators::grid(3, 3);
-        let (d, p) = bfs_with_parents(&g, 0);
-        for v in 0..9u32 {
-            if v == 0 {
-                assert_eq!(p[0], 0);
-                continue;
-            }
-            let pv = p[v as usize];
-            assert_eq!(d[pv as usize] + 1, d[v as usize]);
-            assert!(g.has_edge(pv, v));
-        }
     }
 
     #[test]

@@ -50,45 +50,6 @@ pub fn dijkstra_distances_bounded(g: &Graph, source: NodeId, bound: Distance) ->
     dist
 }
 
-/// Dijkstra with canonical parents: among all optimal predecessors the one
-/// with the smallest id is chosen, making the shortest-path tree unique and
-/// deterministic — the "fixed shortest path trees T_v" of Theorem 2.1's proof.
-///
-/// Returns `(distances, parents)`; `parent[source] == source`, unreachable
-/// vertices get `NodeId::MAX`.
-///
-/// # Panics
-///
-/// Debug-asserts that every edge weight is strictly positive; canonical
-/// smallest-id parents are only well-defined without zero-weight edges.
-pub fn dijkstra_with_parents(g: &Graph, source: NodeId) -> (Vec<Distance>, Vec<NodeId>) {
-    debug_assert!(
-        g.edges().all(|(_, _, w)| w > 0),
-        "dijkstra_with_parents requires strictly positive edge weights"
-    );
-    let dist = dijkstra_distances(g, source);
-    // With final distances known, the canonical parent of v is the
-    // smallest-id neighbor u with dist[u] + w(u, v) == dist[v]. Positive
-    // weights guarantee dist[u] < dist[v] for tight predecessors, so parent
-    // chains strictly decrease in distance and form a tree.
-    let mut parent = vec![NodeId::MAX; g.num_nodes()];
-    parent[source as usize] = source;
-    for v in 0..g.num_nodes() as NodeId {
-        if dist[v as usize] == INFINITY || v == source {
-            continue;
-        }
-        let dv = dist[v as usize];
-        let mut best = NodeId::MAX;
-        for (u, w) in g.neighbors(v) {
-            if dist[u as usize] != INFINITY && dist[u as usize] + w == dv && u < best {
-                best = u;
-            }
-        }
-        parent[v as usize] = best;
-    }
-    (dist, parent)
-}
-
 /// Counts shortest paths from `source` (saturating), along with distances.
 ///
 /// Used to certify *uniqueness* of shortest paths (count == 1), the key
@@ -258,24 +219,6 @@ mod tests {
         let g = weighted_diamond();
         let d = dijkstra_distances_bounded(&g, 0, 1);
         assert_eq!(d, vec![0, 1, INFINITY, INFINITY]);
-    }
-
-    #[test]
-    fn parents_are_canonical_and_consistent() {
-        let g = generators::grid(3, 4);
-        let (d, p) = dijkstra_with_parents(&g, 0);
-        for v in 1..g.num_nodes() as NodeId {
-            let pv = p[v as usize];
-            assert!(g.has_edge(pv, v));
-            let w = g.edge_weight(pv, v).unwrap();
-            assert_eq!(d[pv as usize] + w, d[v as usize]);
-            // Canonical: no smaller-id optimal predecessor exists.
-            for (u, w2) in g.neighbors(v) {
-                if d[u as usize] != INFINITY && d[u as usize] + w2 == d[v as usize] {
-                    assert!(pv <= u);
-                }
-            }
-        }
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! shortest-path tree `T_v` and replaces hub sets `S_v` with the vertex set
 //! `S*_v` of the minimal subtree of `T_v` containing them. This module
 //! provides those trees with a *canonical* deterministic choice
-//! (smallest-id parents) plus the closure operation.
+//! (smallest-id parents, on every graph) plus the closure operation.
 
-use crate::bfs::bfs_with_parents;
-use crate::dijkstra::dijkstra_with_parents;
+use crate::dijkstra::shortest_path_distances;
 use crate::graph::{Graph, NodeId, INFINITY};
 use crate::Distance;
 
@@ -20,15 +19,37 @@ pub struct ShortestPathTree {
 }
 
 impl ShortestPathTree {
-    /// Builds the canonical shortest-path tree rooted at `root`.
+    /// Builds the canonical shortest-path tree rooted at `root`: the
+    /// distances are [`shortest_path_distances`], and every other reachable
+    /// `v` takes as parent the smallest-id neighbour `u` with
+    /// `d(u) + w(u, v) = d(v)`. Positive weights make every such `u`
+    /// strictly closer to the root, so the parent chains form a tree.
     ///
-    /// Uses BFS for unit-weight graphs and Dijkstra otherwise.
+    /// # Panics
+    ///
+    /// Debug-asserts that every edge weight is strictly positive; with a
+    /// zero-weight edge two tight neighbours can be each other's parent.
     pub fn build(g: &Graph, root: NodeId) -> Self {
-        let (dist, parent) = if g.is_unit_weighted() {
-            bfs_with_parents(g, root)
-        } else {
-            dijkstra_with_parents(g, root)
-        };
+        debug_assert!(
+            g.edges().all(|(_, _, w)| w > 0),
+            "canonical trees require strictly positive edge weights"
+        );
+        let dist = shortest_path_distances(g, root);
+        let parent = (0..g.num_nodes() as NodeId)
+            .map(|v| {
+                if v == root {
+                    return root;
+                }
+                g.neighbors(v)
+                    .filter(|&(u, w)| {
+                        let du = dist[u as usize];
+                        du != INFINITY && du + w == dist[v as usize]
+                    })
+                    .map(|(u, _)| u)
+                    .min()
+                    .unwrap_or(NodeId::MAX)
+            })
+            .collect();
         ShortestPathTree { root, dist, parent }
     }
 
@@ -157,6 +178,18 @@ mod tests {
         for &v in &set {
             assert!(closure.contains(&v));
         }
+    }
+
+    #[test]
+    fn unit_weight_parent_is_the_smallest_tight_neighbour() {
+        // BFS from 0 discovers 9 (through 3) before 7 (through 5); both are
+        // tight for 10, and the canonical tree hangs 10 under 7.
+        let edges = [(0, 5), (0, 3), (3, 9), (5, 7), (7, 10), (9, 10)];
+        let g = graph_from_edges(11, &edges).unwrap();
+        let t = ShortestPathTree::build(&g, 0);
+        assert_eq!(t.distance(10), 3);
+        assert_eq!(t.parent(10), Some(7));
+        assert_eq!(t.path_to(10).unwrap(), vec![0, 5, 7, 10]);
     }
 
     #[test]

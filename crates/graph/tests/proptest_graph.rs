@@ -142,6 +142,32 @@ fn sptree_paths_have_correct_length() {
 }
 
 #[test]
+fn sptree_parent_is_the_smallest_tight_neighbour() {
+    // Unit-weight (BFS distances) and weighted (Dijkstra) cases alternate.
+    for case in 0..CASES {
+        let mut rng = Xorshift64::seed_from_u64(13_000 + case);
+        let g = if case % 2 == 0 {
+            sparse_graph(&mut rng)
+        } else {
+            weighted_graph(&mut rng)
+        };
+        let root = rng.gen_index(g.num_nodes()) as NodeId;
+        let t = ShortestPathTree::build(&g, root);
+        let d = dijkstra_distances(&g, root);
+        assert_eq!(t.parent(root), Some(root));
+        for v in (0..g.num_nodes() as NodeId).filter(|&v| v != root) {
+            assert_eq!(t.distance(v), d[v as usize]);
+            let smallest_tight = g
+                .neighbors(v)
+                .filter(|&(u, w)| d[u as usize] != INFINITY && d[u as usize] + w == d[v as usize])
+                .map(|(u, _)| u)
+                .min();
+            assert_eq!(t.parent(v), smallest_tight, "case {case}, vertex {v}");
+        }
+    }
+}
+
+#[test]
 fn closure_is_superset_and_closed() {
     for case in 0..CASES {
         let mut rng = Xorshift64::seed_from_u64(8000 + case);
