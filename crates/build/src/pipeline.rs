@@ -35,12 +35,12 @@
 //! and the [`FlatLabeling`] arena serialized from them, are byte-equal
 //! for every thread count and every batch schedule.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use hl_core::order::is_permutation;
 use hl_core::pll::{LabelAccumulator, SearchScratch};
 use hl_core::{FlatLabeling, VertexOrder};
+use hl_graph::sync::fan_out;
 use hl_graph::{Distance, Graph, NodeId, INFINITY};
 
 use crate::error::BuildError;
@@ -165,7 +165,10 @@ pub fn build_with_order(
         let batch_started = Instant::now();
 
         // Wave phase: one pruned wave per root, against the frozen prefix.
-        let waves = run_batch_waves(g, &committed, batch, &mut scratches)?;
+        let waves = fan_out(&mut scratches, batch.len(), |scratch, j| {
+            scratch.search(g, &committed, batch[j], 0)
+        })
+        .map_err(|_| BuildError::WorkerPanicked)?;
 
         // Commit phase: replay in canonical order, filtering candidates
         // against the in-batch entries committed so far.
@@ -227,52 +230,6 @@ pub fn build_with_order(
         order,
         stats,
     })
-}
-
-/// Runs the batch's waves on the worker pool and returns each root's
-/// candidate list, indexed like `batch`.
-fn run_batch_waves(
-    g: &Graph,
-    committed: &LabelAccumulator,
-    batch: &[NodeId],
-    scratches: &mut [SearchScratch],
-) -> Result<Vec<Vec<(NodeId, Distance)>>, BuildError> {
-    // Single-threaded (or single-root) batches skip the pool entirely.
-    if scratches.len() == 1 || batch.len() == 1 {
-        let scratch = scratches.first_mut().ok_or(BuildError::ZeroThreads)?;
-        return Ok(batch
-            .iter()
-            .map(|&root| scratch.search(g, committed, root, 0))
-            .collect());
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Vec<(NodeId, Distance)>> = vec![Vec::new(); batch.len()];
-    let worker_outputs = std::thread::scope(|scope| {
-        let handles: Vec<_> = scratches
-            .iter_mut()
-            .map(|scratch| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, Vec<(NodeId, Distance)>)> = Vec::new();
-                    loop {
-                        let j = cursor.fetch_add(1, Ordering::Relaxed);
-                        if j >= batch.len() {
-                            break;
-                        }
-                        local.push((j, scratch.search(g, committed, batch[j], 0)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(|_| BuildError::WorkerPanicked))
-            .collect::<Result<Vec<_>, _>>()
-    })?;
-    for (j, cand) in worker_outputs.into_iter().flatten() {
-        slots[j] = cand;
-    }
-    Ok(slots)
 }
 
 #[cfg(test)]

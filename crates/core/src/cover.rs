@@ -3,13 +3,13 @@
 
 use hl_graph::apsp::DistanceMatrix;
 use hl_graph::dijkstra::shortest_path_distances;
-use hl_graph::sync::{into_inner_unpoisoned, lock_unpoisoned};
+use hl_graph::sync::{fan_out, machine_workers};
 use hl_graph::{Distance, Graph, GraphError, NodeId};
 
 use crate::flat::FlatLabeling;
 
 /// Outcome of a cover verification.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverReport {
     /// Number of ordered pairs checked.
     pub pairs_checked: usize,
@@ -33,6 +33,18 @@ impl CoverReport {
         }
         1.0 - self.num_violations as f64 / self.pairs_checked as f64
     }
+
+    /// Counts one checked pair, keeping it as an example when it is wrong
+    /// and fewer than [`MAX_RECORDED`] are kept.
+    fn record(&mut self, u: NodeId, v: NodeId, truth: Distance, answer: Distance) {
+        self.pairs_checked += 1;
+        if answer != truth {
+            self.num_violations += 1;
+            if self.violations.len() < MAX_RECORDED {
+                self.violations.push((u, v, truth, answer));
+            }
+        }
+    }
 }
 
 const MAX_RECORDED: usize = 32;
@@ -46,92 +58,41 @@ const MAX_RECORDED: usize = 32;
 pub fn verify_exact(g: &Graph, labeling: &FlatLabeling) -> Result<CoverReport, GraphError> {
     let m = DistanceMatrix::compute(g)?;
     let n = g.num_nodes() as NodeId;
-    let mut report = CoverReport {
-        pairs_checked: 0,
-        violations: Vec::new(),
-        num_violations: 0,
-    };
+    let mut report = CoverReport::default();
     for u in 0..n {
         for v in u..n {
-            let truth = m.distance(u, v);
-            let answer = labeling.query(u, v);
-            report.pairs_checked += 1;
-            if answer != truth {
-                report.num_violations += 1;
-                if report.violations.len() < MAX_RECORDED {
-                    report.violations.push((u, v, truth, answer));
-                }
-            }
+            report.record(u, v, m.distance(u, v), labeling.query(u, v));
         }
     }
     Ok(report)
 }
 
 /// Verifies the labeling from `sources` only (each source against every
-/// vertex), running one SSSP per source — linear memory, suitable for large
-/// graphs.
+/// vertex), running one SSSP per source fanned out over the available
+/// cores ([`fan_out`]) — linear memory per worker, suitable for large
+/// graphs. The recorded violation examples are the first in source order,
+/// whatever the schedule.
 pub fn verify_from_sources(g: &Graph, labeling: &FlatLabeling, sources: &[NodeId]) -> CoverReport {
-    let mut report = CoverReport {
-        pairs_checked: 0,
-        violations: Vec::new(),
-        num_violations: 0,
-    };
-    for &s in sources {
+    let per_source = fan_out(&mut vec![(); machine_workers()], sources.len(), |(), i| {
+        let s = sources[i];
         let dist = shortest_path_distances(g, s);
+        let mut report = CoverReport::default();
         for v in 0..g.num_nodes() as NodeId {
-            let truth = dist[v as usize];
-            let answer = labeling.query(s, v);
-            report.pairs_checked += 1;
-            if answer != truth {
-                report.num_violations += 1;
-                if report.violations.len() < MAX_RECORDED {
-                    report.violations.push((s, v, truth, answer));
-                }
-            }
+            report.record(s, v, dist[v as usize], labeling.query(s, v));
         }
+        report
+    })
+    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+    let mut merged = CoverReport::default();
+    for report in per_source {
+        merged.pairs_checked += report.pairs_checked;
+        merged.num_violations += report.num_violations;
+        let room = MAX_RECORDED - merged.violations.len();
+        merged
+            .violations
+            .extend(report.violations.into_iter().take(room));
     }
-    report
-}
-
-/// Parallel variant of [`verify_from_sources`]: one SSSP per source,
-/// fanned out over the available cores. Violation *examples* are capped as
-/// in the sequential version (which sources' examples survive depends on
-/// thread timing, but counts are exact).
-pub fn verify_from_sources_parallel(
-    g: &Graph,
-    labeling: &FlatLabeling,
-    sources: &[NodeId],
-) -> CoverReport {
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(sources.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let merged = std::sync::Mutex::new(CoverReport {
-        pairs_checked: 0,
-        violations: Vec::new(),
-        num_violations: 0,
-    });
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= sources.len() {
-                    break;
-                }
-                let local = verify_from_sources(g, labeling, &sources[i..=i]);
-                let mut m = lock_unpoisoned(&merged);
-                m.pairs_checked += local.pairs_checked;
-                m.num_violations += local.num_violations;
-                for v in local.violations {
-                    if m.violations.len() < MAX_RECORDED {
-                        m.violations.push(v);
-                    }
-                }
-            });
-        }
-    });
-    into_inner_unpoisoned(merged)
+    merged
 }
 
 /// Verifies that the labeling is *admissible*: every stored hub distance
@@ -192,27 +153,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_verification_matches_sequential() {
-        let g = generators::connected_gnm(80, 40, 21);
-        let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-        let sources: Vec<_> = (0..80u32).collect();
-        let seq = verify_from_sources(&g, &hl, &sources);
-        let par = verify_from_sources_parallel(&g, &hl, &sources);
-        assert_eq!(seq.pairs_checked, par.pairs_checked);
-        assert_eq!(seq.num_violations, par.num_violations);
-        assert!(par.is_exact());
-    }
-
-    #[test]
-    fn parallel_verification_counts_violations() {
-        let g = generators::path(6);
-        // Self hubs only: covers only the diagonal.
-        let hl = FlatLabeling::from_pair_lists((0..6u32).map(|v| vec![(v, 0)]).collect()).unwrap();
-        let sources: Vec<_> = (0..6u32).collect();
-        let seq = verify_from_sources(&g, &hl, &sources);
-        let par = verify_from_sources_parallel(&g, &hl, &sources);
-        assert_eq!(seq.num_violations, par.num_violations);
-        assert!(par.num_violations > 0);
+    fn violation_examples_follow_source_order() {
+        // Self hubs only: every off-diagonal pair is wrong, and the 32
+        // kept examples are the first in source order on any schedule.
+        let g = generators::path(40);
+        let hl = FlatLabeling::from_pair_lists((0..40u32).map(|v| vec![(v, 0)]).collect()).unwrap();
+        let sources: Vec<NodeId> = (0..40u32).rev().collect();
+        let report = verify_from_sources(&g, &hl, &sources);
+        assert_eq!(report.pairs_checked, 40 * 40);
+        assert_eq!(report.num_violations, 40 * 39);
+        let expected: Vec<_> = sources
+            .iter()
+            .flat_map(|&s| (0..40u32).filter(move |&v| v != s).map(move |v| (s, v)))
+            .map(|(s, v)| (s, v, u64::from(s.abs_diff(v)), hl_graph::INFINITY))
+            .take(MAX_RECORDED)
+            .collect();
+        assert_eq!(report.violations, expected);
     }
 
     #[test]

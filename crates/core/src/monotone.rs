@@ -45,7 +45,7 @@ impl MonotoneClosure {
     /// Computes `S*_v` for the vertices in `roots` only, one SSSP each;
     /// every other set stays empty, so only `set`/`contains` at a root
     /// answer for the labeling (all an audit of triples whose endpoints are
-    /// roots needs); the size statistics would read the empty sets as real.
+    /// roots needs); `total_size` counts the roots' sets only.
     pub fn at(g: &Graph, labeling: &FlatLabeling, roots: impl IntoIterator<Item = NodeId>) -> Self {
         let mut sets = vec![Vec::new(); g.num_nodes()];
         for v in roots {
@@ -68,19 +68,6 @@ impl MonotoneClosure {
     /// `Σ_v |S*_v|`.
     pub fn total_size(&self) -> usize {
         self.sets.iter().map(|s| s.len()).sum()
-    }
-
-    /// Average `|S*_v|`.
-    pub fn average_size(&self) -> f64 {
-        if self.sets.is_empty() {
-            return 0.0;
-        }
-        self.total_size() as f64 / self.sets.len() as f64
-    }
-
-    /// Largest `|S*_v|`.
-    pub fn max_size(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).max().unwrap_or(0)
     }
 }
 
@@ -127,7 +114,7 @@ pub fn count_midpoint_charges(
 mod tests {
     use super::*;
     use crate::pll::PrunedLandmarkLabeling;
-    use hl_graph::dijkstra::dijkstra_count_paths;
+    use hl_graph::dijkstra::count_shortest_paths;
     use hl_graph::properties::hop_diameter_exact;
     use hl_graph::{generators, INFINITY};
 
@@ -182,7 +169,7 @@ mod tests {
         let mc = MonotoneClosure::compute(&g, &hl);
         let mut triples = Vec::new();
         for u in 0..n {
-            let (dist, count) = dijkstra_count_paths(&g, u);
+            let (dist, count) = count_shortest_paths(&g, u);
             let tree = ShortestPathTree::build(&g, u);
             for v in 0..n {
                 if u == v || dist[v as usize] == INFINITY {
@@ -195,15 +182,5 @@ mod tests {
             }
         }
         assert_eq!(count_midpoint_charges(&mc, &triples), triples.len());
-    }
-
-    #[test]
-    fn stats_accessors() {
-        let g = generators::path(6);
-        let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-        let mc = MonotoneClosure::compute(&g, &hl);
-        assert!(mc.average_size() >= 1.0);
-        assert!(mc.max_size() >= 1);
-        assert_eq!(mc.set(0).first(), Some(&0));
     }
 }

@@ -4,12 +4,10 @@
 //! are stored as `u32` (with `u32::MAX` = unreachable) to halve memory; all
 //! instances used for full verification fit comfortably.
 
-use std::sync::Mutex;
-
 use crate::dijkstra::shortest_path_distances;
 use crate::error::GraphError;
 use crate::graph::{Graph, NodeId, INFINITY};
-use crate::sync::{into_inner_unpoisoned, lock_unpoisoned};
+use crate::sync::{fan_out, machine_workers};
 use crate::Distance;
 
 /// Sentinel for "unreachable" inside the dense matrix.
@@ -23,8 +21,8 @@ pub struct DistanceMatrix {
 }
 
 impl DistanceMatrix {
-    /// Computes the matrix by running SSSP from every vertex, in parallel
-    /// across available cores.
+    /// Computes the matrix by running SSSP from every vertex, fanned out
+    /// over the available cores ([`fan_out`]).
     ///
     /// # Errors
     ///
@@ -32,43 +30,22 @@ impl DistanceMatrix {
     /// exceeds `u32::MAX - 1`.
     pub fn compute(g: &Graph) -> Result<Self, GraphError> {
         let n = g.num_nodes();
-        let mut data = vec![UNREACHABLE; n * n];
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let threads = threads.min(n.max(1));
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let error: Mutex<Option<GraphError>> = Mutex::new(None);
-
-        // Hand out disjoint row slices to worker threads.
-        let rows: Vec<Mutex<&mut [u32]>> = data.chunks_mut(n.max(1)).map(Mutex::new).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let v = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if v >= n {
-                        break;
-                    }
-                    let dist = shortest_path_distances(g, v as NodeId);
-                    // Checked before the row is locked, so no worker ever
-                    // holds two guards at once.
-                    if let Some(&d) = dist
-                        .iter()
-                        .find(|&&d| d != INFINITY && d >= UNREACHABLE as u64)
-                    {
-                        *lock_unpoisoned(&error) =
-                            Some(GraphError::DistanceOverflow { distance: d });
-                        return;
-                    }
-                    let mut row = lock_unpoisoned(&rows[v]);
-                    for (u, &d) in dist.iter().enumerate() {
-                        row[u] = if d == INFINITY { UNREACHABLE } else { d as u32 };
-                    }
-                });
-            }
-        });
-        if let Some(e) = into_inner_unpoisoned(error) {
-            return Err(e);
+        let rows = fan_out(&mut vec![(); machine_workers()], n, |(), v| {
+            shortest_path_distances(g, v as NodeId)
+                .into_iter()
+                .map(|d| match d {
+                    INFINITY => Ok(UNREACHABLE),
+                    d => u32::try_from(d)
+                        .ok()
+                        .filter(|&d| d != UNREACHABLE)
+                        .ok_or(GraphError::DistanceOverflow { distance: d }),
+                })
+                .collect::<Result<Vec<u32>, _>>()
+        })
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        let mut data = Vec::with_capacity(n * n);
+        for row in rows {
+            data.extend(row?);
         }
         Ok(DistanceMatrix { n, data })
     }

@@ -25,12 +25,6 @@ pub fn shortest_path_distances(g: &Graph, source: NodeId) -> Vec<Distance> {
 
 /// Dijkstra distances from `source` (no unit-weight dispatch).
 pub fn dijkstra_distances(g: &Graph, source: NodeId) -> Vec<Distance> {
-    dijkstra_distances_bounded(g, source, INFINITY)
-}
-
-/// Dijkstra distances from `source`, settling only vertices with distance
-/// `<= bound`.
-pub fn dijkstra_distances_bounded(g: &Graph, source: NodeId, bound: Distance) -> Vec<Distance> {
     let mut dist = vec![INFINITY; g.num_nodes()];
     let mut heap = BinaryHeap::new();
     dist[source as usize] = 0;
@@ -41,7 +35,7 @@ pub fn dijkstra_distances_bounded(g: &Graph, source: NodeId, bound: Distance) ->
         }
         for (v, w) in g.neighbors(u) {
             let nd = du.saturating_add(w);
-            if nd <= bound && nd < dist[v as usize] {
+            if nd < dist[v as usize] {
                 dist[v as usize] = nd;
                 heap.push(Reverse((nd, v)));
             }
@@ -50,44 +44,48 @@ pub fn dijkstra_distances_bounded(g: &Graph, source: NodeId, bound: Distance) ->
     dist
 }
 
-/// Counts shortest paths from `source` (saturating), along with distances.
+/// Counts shortest paths from `source` to every vertex (saturating at
+/// `u64::MAX`), along with the [`shortest_path_distances`].
 ///
-/// Used to certify *uniqueness* of shortest paths (count == 1), the key
+/// A count of exactly 1 certifies a *unique* shortest path, the key
 /// structural property of the `H_{b,l}` gadget (Lemma 2.2).
+///
+/// # Example
+///
+/// ```
+/// use hl_graph::{generators, dijkstra::count_shortest_paths};
+///
+/// let g = generators::cycle(6);
+/// let (dist, count) = count_shortest_paths(&g, 0);
+/// assert_eq!(dist[3], 3);
+/// assert_eq!(count[3], 2, "two ways around an even cycle");
+/// ```
 ///
 /// # Panics
 ///
 /// Debug-asserts that every edge weight is strictly positive; path counts
 /// are ill-defined in the presence of zero-weight edges.
-pub fn dijkstra_count_paths(g: &Graph, source: NodeId) -> (Vec<Distance>, Vec<u64>) {
+pub fn count_shortest_paths(g: &Graph, source: NodeId) -> (Vec<Distance>, Vec<u64>) {
     debug_assert!(
         g.edges().all(|(_, _, w)| w > 0),
-        "dijkstra_count_paths requires strictly positive edge weights"
+        "count_shortest_paths requires strictly positive edge weights"
     );
-    let dist = dijkstra_distances(g, source);
+    let dist = shortest_path_distances(g, source);
     // With final distances known, count paths over the shortest-path DAG in
     // increasing-distance order; positive weights make every tight edge go
     // from a strictly smaller distance to a strictly larger one.
-    let n = g.num_nodes();
-    let mut order: Vec<NodeId> = (0..n as NodeId)
-        .filter(|&v| dist[v as usize] != INFINITY)
+    let mut order: Vec<NodeId> = (0..g.num_nodes() as NodeId)
+        .filter(|&v| v != source && dist[v as usize] != INFINITY)
         .collect();
     order.sort_unstable_by_key(|&v| dist[v as usize]);
-    let mut count = vec![0u64; n];
+    let mut count = vec![0u64; g.num_nodes()];
     count[source as usize] = 1;
-    for &v in &order {
-        if v == source {
-            continue;
-        }
+    for v in order {
         let dv = dist[v as usize];
-        let mut c = 0u64;
-        for (u, w) in g.neighbors(v) {
-            let du = dist[u as usize];
-            if du != INFINITY && du < dv && du + w == dv {
-                c = c.saturating_add(count[u as usize]);
-            }
-        }
-        count[v as usize] = c;
+        count[v as usize] = g
+            .neighbors(v)
+            .filter(|&(u, w)| dist[u as usize] != INFINITY && dist[u as usize] + w == dv)
+            .fold(0, |c, (u, _)| c.saturating_add(count[u as usize]));
     }
     (dist, count)
 }
@@ -215,28 +213,28 @@ mod tests {
     }
 
     #[test]
-    fn bounded_dijkstra() {
-        let g = weighted_diamond();
-        let d = dijkstra_distances_bounded(&g, 0, 1);
-        assert_eq!(d, vec![0, 1, INFINITY, INFINITY]);
-    }
-
-    #[test]
     fn count_paths_unique_on_tree() {
         let g = generators::balanced_binary_tree(4);
-        let (_, c) = dijkstra_count_paths(&g, 0);
+        let (_, c) = count_shortest_paths(&g, 0);
         for (v, &count) in c.iter().enumerate() {
             assert_eq!(count, 1, "vertex {v}: trees have unique shortest paths");
         }
     }
 
     #[test]
-    fn count_paths_matches_bfs_counts() {
-        let g = generators::grid(4, 4);
-        let (d1, c1) = bfs::bfs_count_paths(&g, 0);
-        let (d2, c2) = dijkstra_count_paths(&g, 0);
-        assert_eq!(d1, d2);
-        assert_eq!(c1, c2);
+    fn path_counting_on_cycle() {
+        // On an even cycle the antipodal vertex has exactly 2 shortest paths.
+        let (d, c) = count_shortest_paths(&generators::cycle(6), 0);
+        assert_eq!(d[3], 3);
+        assert_eq!(c[..4], [1, 1, 1, 2]);
+    }
+
+    #[test]
+    fn path_counting_on_grid() {
+        // In a 3x3 grid the opposite corner has C(4,2) = 6 shortest paths.
+        let (d, c) = count_shortest_paths(&generators::grid(3, 3), 0);
+        assert_eq!(d[8], 4);
+        assert_eq!(c[8], 6);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Panic-free mutex access.
+//! Panic-free mutex access, and the one lock-free parallel fan-out.
 //!
 //! A poisoned `Mutex` means some other thread panicked while holding the
 //! lock. Every mutex in this workspace guards data whose invariants are
@@ -7,8 +7,71 @@
 //! recovering it is strictly better than propagating a second panic out
 //! of an otherwise-healthy thread. These helpers centralize that policy
 //! so callers never need `lock().unwrap()`.
+//!
+//! [`fan_out`] is how the workspace runs independent per-index work
+//! (one SSSP per source, one pruned wave per root) on several cores.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::thread;
+
+/// The machine's available parallelism (at least 1): the worker count of
+/// a fan-out whose caller has no width of its own.
+pub fn machine_workers() -> usize {
+    thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// Runs `work(state, i)` for every `i` in `0..len` and returns the
+/// results in index order.
+///
+/// Each element of `states` is one worker's private state (a search
+/// scratch, or `()`). With one state, or at most one index, the calling
+/// thread does all the work and nothing is spawned. Otherwise one scoped
+/// thread per state (at most `len`) pulls indices from a shared cursor
+/// and keeps its own `(index, result)` pairs, which are put in order once
+/// every worker has joined: no lock is taken. The results do not depend
+/// on the schedule. `states` must be non-empty when `len > 0`.
+///
+/// # Errors
+///
+/// Returns the panic payload of a spawned worker that panicked; on the
+/// inline path a panic unwinds through the caller as usual.
+pub fn fan_out<S: Send, T: Send>(
+    states: &mut [S],
+    len: usize,
+    work: impl Fn(&mut S, usize) -> T + Sync,
+) -> thread::Result<Vec<T>> {
+    let inline = states.len() == 1 || len <= 1;
+    if let (Some(state), true) = (states.first_mut(), inline) {
+        return Ok((0..len).map(|i| work(state, i)).collect());
+    }
+    let cursor = AtomicUsize::new(0);
+    let per_worker = thread::scope(|scope| {
+        let handles: Vec<_> = states
+            .iter_mut()
+            .take(len)
+            .map(|state| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= len {
+                            break done;
+                        }
+                        done.push((i, work(state, i)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(thread::ScopedJoinHandle::join)
+            .collect::<thread::Result<Vec<_>>>()
+    })?;
+    let mut placed: Vec<(usize, T)> = per_worker.into_iter().flatten().collect();
+    placed.sort_unstable_by_key(|&(i, _)| i);
+    Ok(placed.into_iter().map(|(_, t)| t).collect())
+}
 
 /// Locks `m`, recovering the guard if the mutex was poisoned.
 pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -25,21 +88,16 @@ pub fn write_unpoisoned<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Unwraps a `Mutex` into its inner value, recovering from poison.
-pub fn into_inner_unpoisoned<T>(m: Mutex<T>) -> T {
-    m.into_inner().unwrap_or_else(PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::{Mutex, RwLock};
 
     #[test]
-    fn lock_and_into_inner_roundtrip() {
+    fn lock_roundtrip() {
         let m = Mutex::new(7u32);
         *lock_unpoisoned(&m) += 1;
-        assert_eq!(into_inner_unpoisoned(m), 8);
+        assert_eq!(*lock_unpoisoned(&m), 8);
     }
 
     #[test]
@@ -61,6 +119,30 @@ mod tests {
         assert!(l.is_poisoned());
         *write_unpoisoned(&l) += 1;
         assert_eq!(*read_unpoisoned(&l), 10);
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_index_order() {
+        for workers in [1, 2, 3] {
+            let mut calls = vec![0usize; workers];
+            let out = fan_out(&mut calls, 50, |calls, i| {
+                *calls += 1;
+                i * i
+            })
+            .unwrap();
+            assert_eq!(out, (0..50).map(|i| i * i).collect::<Vec<_>>());
+            assert_eq!(calls.iter().sum::<usize>(), 50, "{workers} workers");
+        }
+        assert!(fan_out(&mut [(), ()], 0, |(), i| i).unwrap().is_empty());
+    }
+
+    #[test]
+    fn fan_out_reports_a_worker_panic() {
+        let out = fan_out(&mut [(), ()], 8, |(), i| {
+            assert_ne!(i, 5, "worker fails on index 5");
+            i
+        });
+        assert!(out.is_err());
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! streams — same properties, deterministic case generation.
 
 use hl_graph::apsp::DistanceMatrix;
-use hl_graph::bfs::{bfs_count_paths, bfs_distances};
+use hl_graph::bfs::bfs_distances;
 use hl_graph::dijkstra::{
-    bidirectional_distance, dijkstra_count_paths, dijkstra_distance_between, dijkstra_distances,
+    bidirectional_distance, count_shortest_paths, dijkstra_distance_between, dijkstra_distances,
 };
 use hl_graph::properties::{connected_components, is_connected};
 use hl_graph::rng::Xorshift64;
@@ -103,7 +103,7 @@ fn path_counts_positive_for_reachable() {
     for case in 0..CASES {
         let mut rng = Xorshift64::seed_from_u64(5000 + case);
         let g = sparse_graph(&mut rng);
-        let (d, c) = bfs_count_paths(&g, 0);
+        let (d, c) = count_shortest_paths(&g, 0);
         for v in 0..g.num_nodes() {
             assert_eq!(d[v] != INFINITY, c[v] > 0);
         }
@@ -111,13 +111,24 @@ fn path_counts_positive_for_reachable() {
 }
 
 #[test]
-fn dijkstra_and_bfs_counts_agree() {
+fn path_counts_survive_doubling_every_weight() {
+    // The unit-weight graph counts over BFS distances, its doubled copy
+    // over Dijkstra's; both must see the same shortest-path DAG.
     for case in 0..CASES {
         let mut rng = Xorshift64::seed_from_u64(6000 + case);
         let g = sparse_graph(&mut rng);
-        let (d1, c1) = bfs_count_paths(&g, 0);
-        let (d2, c2) = dijkstra_count_paths(&g, 0);
-        assert_eq!(d1, d2);
+        let mut doubled = GraphBuilder::new(g.num_nodes());
+        for (u, v, w) in g.edges() {
+            doubled.add_edge(u, v, 2 * w).unwrap();
+        }
+        let doubled = doubled.build();
+        assert!(!doubled.is_unit_weighted());
+        let (d1, c1) = count_shortest_paths(&g, 0);
+        let (d2, c2) = count_shortest_paths(&doubled, 0);
+        assert_eq!(
+            d1.iter().map(|&d| d.saturating_mul(2)).collect::<Vec<_>>(),
+            d2
+        );
         assert_eq!(c1, c2);
     }
 }

@@ -1,5 +1,5 @@
-//! Bit-level primitives: bit vectors, MSB-first readers/writers, unary and
-//! Elias-γ/δ codes.
+//! Bit-level primitives: bit vectors, MSB-first readers/writers and
+//! Elias-γ codes.
 //!
 //! Distance labelings are measured in *bits*; these codecs let the schemes
 //! report honest sizes (and actually round-trip their data).
@@ -89,14 +89,6 @@ impl BitWriter {
         }
     }
 
-    /// Appends `value` zeros followed by a one (unary code).
-    pub fn write_unary(&mut self, value: u64) {
-        for _ in 0..value {
-            self.bits.push(false);
-        }
-        self.bits.push(true);
-    }
-
     /// Elias-γ code of `value >= 1`: unary length prefix + binary suffix.
     ///
     /// # Panics
@@ -114,20 +106,6 @@ impl BitWriter {
     /// Elias-γ of `value + 1`, allowing zero.
     pub fn write_gamma0(&mut self, value: u64) {
         self.write_gamma(value + 1);
-    }
-
-    /// Elias-δ code of `value >= 1`: γ-coded length + binary remainder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value == 0`.
-    pub fn write_delta(&mut self, value: u64) {
-        assert!(value >= 1, "delta codes positive integers only");
-        let n = 63 - value.leading_zeros();
-        self.write_gamma(n as u64 + 1);
-        if n > 0 {
-            self.write_bits(value & ((1u64 << n) - 1), n);
-        }
     }
 
     /// Bits written so far.
@@ -222,7 +200,7 @@ impl<'a> BitReader<'a> {
         v
     }
 
-    /// Reads a unary code.
+    /// Reads a unary code: the number of zeros before the next one.
     pub fn read_unary(&mut self) -> u64 {
         let mut n = 0;
         while !self.read_bit() {
@@ -245,17 +223,6 @@ impl<'a> BitReader<'a> {
     /// Reads a γ-coded `value + 1`, returning `value`.
     pub fn read_gamma0(&mut self) -> u64 {
         self.read_gamma() - 1
-    }
-
-    /// Reads an Elias-δ code.
-    pub fn read_delta(&mut self) -> u64 {
-        let n = self.read_gamma() - 1;
-        let rest = if n == 0 {
-            0
-        } else {
-            self.read_bits(u32::try_from(n).unwrap_or(u32::MAX))
-        };
-        (1u64 << n) | rest
     }
 
     // --- Checked variants -------------------------------------------------
@@ -366,7 +333,8 @@ mod tests {
     fn unary_roundtrip() {
         let mut w = BitWriter::new();
         for v in [0u64, 1, 5, 13] {
-            w.write_unary(v);
+            (0..v).for_each(|_| w.write_bit(false));
+            w.write_bit(true);
         }
         let bits = w.into_bits();
         let mut r = BitReader::new(&bits);
@@ -429,29 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_roundtrip() {
-        let values = [1u64, 2, 15, 16, 17, 4095, 1 << 40];
-        let mut w = BitWriter::new();
-        for &v in &values {
-            w.write_delta(v);
-        }
-        let bits = w.into_bits();
-        let mut r = BitReader::new(&bits);
-        for &v in &values {
-            assert_eq!(r.read_delta(), v);
-        }
-    }
-
-    #[test]
-    fn delta_shorter_than_gamma_for_large() {
-        let mut wg = BitWriter::new();
-        wg.write_gamma(1 << 30);
-        let mut wd = BitWriter::new();
-        wd.write_delta(1 << 30);
-        assert!(wd.len() < wg.len());
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn gamma_zero_rejected() {
         BitWriter::new().write_gamma(0);
@@ -462,16 +407,14 @@ mod tests {
         let mut w = BitWriter::new();
         w.write_bit(true);
         w.write_gamma(9);
-        w.write_unary(3);
         w.write_bits(5, 3);
-        w.write_delta(100);
+        w.write_gamma0(100);
         let bits = w.into_bits();
         let mut r = BitReader::new(&bits);
         assert!(r.read_bit());
         assert_eq!(r.read_gamma(), 9);
-        assert_eq!(r.read_unary(), 3);
         assert_eq!(r.read_bits(3), 5);
-        assert_eq!(r.read_delta(), 100);
+        assert_eq!(r.read_gamma0(), 100);
         assert_eq!(r.remaining(), 0);
     }
 }

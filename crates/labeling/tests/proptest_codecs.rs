@@ -31,39 +31,21 @@ fn gamma_roundtrip() {
 }
 
 #[test]
-fn delta_roundtrip() {
-    for case in 0..CASES {
-        let mut rng = Xorshift64::seed_from_u64(1000 + case);
-        let count = rng.gen_index(100);
-        let values: Vec<u64> = (0..count)
-            .map(|_| rng.gen_range_u64(1, u64::MAX / 2))
-            .collect();
-        let mut w = BitWriter::new();
-        for &v in &values {
-            w.write_delta(v);
-        }
-        let bits = w.into_bits();
-        let mut r = BitReader::new(&bits);
-        for &v in &values {
-            assert_eq!(r.read_delta(), v);
-        }
-    }
-}
-
-#[test]
 fn mixed_codes_roundtrip() {
     for case in 0..CASES {
         let mut rng = Xorshift64::seed_from_u64(2000 + case);
         let count = rng.gen_index(60);
         let ops: Vec<(u8, u64)> = (0..count)
-            .map(|_| (rng.gen_index(4) as u8, rng.gen_range_u64(1, 1 << 40)))
+            .map(|_| (rng.gen_index(3) as u8, rng.gen_range_u64(1, 1 << 40)))
             .collect();
         let mut w = BitWriter::new();
         for &(kind, v) in &ops {
             match kind {
                 0 => w.write_gamma(v),
-                1 => w.write_delta(v),
-                2 => w.write_unary(v % 64),
+                1 => {
+                    (0..v % 64).for_each(|_| w.write_bit(false));
+                    w.write_bit(true);
+                }
                 _ => w.write_bits(v & 0xFFFF, 16),
             }
         }
@@ -72,14 +54,13 @@ fn mixed_codes_roundtrip() {
         for &(kind, v) in &ops {
             let got = match kind {
                 0 => r.read_gamma(),
-                1 => r.read_delta(),
-                2 => r.read_unary(),
+                1 => r.read_unary(),
                 _ => r.read_bits(16),
             };
             let expect = match kind {
-                2 => v % 64,
-                3 => v & 0xFFFF,
-                _ => v,
+                0 => v,
+                1 => v % 64,
+                _ => v & 0xFFFF,
             };
             assert_eq!(got, expect);
         }

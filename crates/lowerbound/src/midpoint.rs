@@ -3,7 +3,7 @@
 //! `2ℓA + Σ(z_k−x_k)²/2`, and passes through the midpoint
 //! `v_{ℓ,(x+z)/2}`.
 
-use hl_graph::dijkstra::dijkstra_count_paths;
+use hl_graph::dijkstra::count_shortest_paths;
 use hl_graph::sptree::ShortestPathTree;
 use hl_graph::NodeId;
 
@@ -46,7 +46,7 @@ struct FromSource {
 impl FromSource {
     fn new(h: &HGraph, x: &[u64]) -> Self {
         let src = h.node_id(0, x);
-        let (dist, count) = dijkstra_count_paths(h.graph(), src);
+        let (dist, count) = count_shortest_paths(h.graph(), src);
         let tree = ShortestPathTree::build(h.graph(), src);
         FromSource { dist, count, tree }
     }

@@ -18,8 +18,8 @@
 //! strategy (`degree`, or `betweenness` for road-like graphs — the two
 //! that win on label entries; EXPERIMENTS.md has the table). The result
 //! is written as an HLBS v2 store (`hl_server::store_v2`), the format
-//! every daemon mounts; `--verify K` spot-checks the freshly written
-//! store against ground-truth distances from `K` seeded sources.
+//! every daemon mounts; `--verify K` checks every answer of the freshly
+//! written store from `K` seeded sources against ground-truth distances.
 //!
 //! `query` reads whitespace-separated `u v` pairs — from a file when given
 //! (served as one batch), else line-by-line from stdin
@@ -66,6 +66,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hl_build::BuildConfig;
+use hl_core::cover::verify_from_sources;
 use hl_core::order::{BetweennessOrder, DegreeOrder};
 use hl_core::{freq, CompactLabeling, VertexOrder};
 use hl_graph::rng::Xorshift64;
@@ -259,34 +260,25 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         store.label_bits() as f64 / g.num_nodes().max(1) as f64,
     );
     if opts.verify_sources > 0 {
-        let mut verified_pairs = 0usize;
-        // Spot-check the *saved* store — reopen it the way a daemon would
-        // and compare against ground-truth single-source distances, so the
-        // whole generate -> build -> encode -> decode path is on the hook.
+        // Check the *saved* store — reopen it the way a daemon would and
+        // compare every answer from each seeded source with ground truth,
+        // so the whole generate -> build -> encode -> decode path is on
+        // the hook.
         let reopened = open_store(&opts.store_path)?;
-        let served = reopened.served();
-        let n = g.num_nodes();
         let mut rng = Xorshift64::seed_from_u64(opts.seed ^ 0x5107_C4EC);
-        for _ in 0..opts.verify_sources {
-            let s = rng.gen_index(n) as NodeId;
-            let truth = hl_graph::dijkstra::shortest_path_distances(&g, s);
-            for _ in 0..512 {
-                let v = rng.gen_index(n) as NodeId;
-                let got = served.query(s, v);
-                if got != truth[v as usize] {
-                    return Err(CliError::Runtime(format!(
-                        "verify FAILED: store answers d({s},{v}) = {got}, \
-                         ground truth says {}",
-                        truth[v as usize]
-                    )));
-                }
-                verified_pairs += 1;
-            }
+        let sources: Vec<NodeId> = (0..opts.verify_sources)
+            .map(|_| rng.gen_index(g.num_nodes()) as NodeId)
+            .collect();
+        let report = verify_from_sources(&g, reopened.served(), &sources);
+        if let Some((s, v, truth, got)) = report.violations.first() {
+            return Err(CliError::Runtime(format!(
+                "verify FAILED: store answers d({s},{v}) = {got}, ground truth says {truth}"
+            )));
         }
         println!(
-            "verify: OK — {verified_pairs} store answers from {} sources match \
+            "verify: OK — {} store answers from {} sources match \
              ground-truth distances exactly",
-            opts.verify_sources
+            report.pairs_checked, opts.verify_sources
         );
     }
     Ok(())

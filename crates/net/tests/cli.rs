@@ -28,6 +28,7 @@ fn build_then_query_pipeline() {
 
     let out = hubserve()
         .args(["build", graph.to_str().unwrap(), store.to_str().unwrap()])
+        .args(["--verify", "3"])
         .output()
         .expect("spawn hubserve build");
     assert!(
@@ -35,6 +36,9 @@ fn build_then_query_pipeline() {
         "build failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // --verify checks every one of the 49 targets of each source.
+    assert!(String::from_utf8_lossy(&out.stdout)
+        .contains("verify: OK — 147 store answers from 3 sources"));
 
     // Batch mode over a pairs file.
     std::fs::write(&pairs, "0 48\n0 0\n12 13\n").unwrap();

@@ -1,7 +1,7 @@
 //! Large-instance stress tests, `#[ignore]`d by default. Run with
 //! `cargo test --release -- --ignored` (several minutes total).
 
-use hub_labeling::core::cover::{verify_from_sources_parallel, verify_hub_distances};
+use hub_labeling::core::cover::{verify_from_sources, verify_hub_distances};
 use hub_labeling::core::pll::PrunedLandmarkLabeling;
 use hub_labeling::graph::{generators, NodeId};
 use hub_labeling::lowerbound::sampling::{audit_sampled, check_sampled_pairs};
@@ -18,7 +18,7 @@ fn pll_on_sparse_graph_smoke() {
         .expect("betweenness order")
         .into_labeling();
     let sources: Vec<NodeId> = (0..1_200).step_by(101).map(|v| v as NodeId).collect();
-    let report = verify_from_sources_parallel(&g, &labeling, &sources);
+    let report = verify_from_sources(&g, &labeling, &sources);
     assert!(report.is_exact(), "{:?}", report.violations.first());
     assert!(verify_hub_distances(&g, &labeling, &sources));
 }
@@ -31,7 +31,7 @@ fn pll_on_ten_thousand_vertex_sparse_graph() {
         .expect("betweenness order")
         .into_labeling();
     let sources: Vec<NodeId> = (0..10_000).step_by(211).map(|v| v as NodeId).collect();
-    let report = verify_from_sources_parallel(&g, &labeling, &sources);
+    let report = verify_from_sources(&g, &labeling, &sources);
     assert!(report.is_exact(), "{:?}", report.violations.first());
     assert!(verify_hub_distances(&g, &labeling, &sources));
 }
