@@ -7,9 +7,11 @@
 //!   undirected graph with `u64` edge weights (weight `0` is allowed, which
 //!   the degree-reduction transform of the paper requires).
 //! * [`GraphBuilder`] — incremental, validating construction.
-//! * Traversal: [`bfs`], [`dijkstra`] (plus bounded, targeted, bidirectional
-//!   and path-counting variants), [`apsp`] dense all-pairs matrices and
-//!   canonical shortest-path trees ([`sptree`]).
+//! * Traversal: [`bfs`], [`dijkstra`] (one `shortest_path_distances` for
+//!   every ground-truth SSSP, path counting over it, targeted and
+//!   bidirectional variants), [`apsp`] dense all-pairs matrices and
+//!   canonical shortest-path trees ([`sptree`]); [`sync::fan_out`] runs
+//!   per-source work on several cores.
 //! * [`generators`] — deterministic and seeded random graph families used by
 //!   the experiments (paths, trees, grids, sparse random graphs, …).
 //! * [`transform`] — the degree-reduction gadget from the proof of

@@ -112,13 +112,11 @@ crates/server/src/store.rs 4
 crates/server/src/store_v2.rs 2
 PINS
 
-echo "== locks live in seven files (DESIGN's lock table) =="
+echo "== locks live in five files (DESIGN's lock table) =="
 # Each of these takes its locks through hl_graph::sync and never holds
 # one guard while taking another; a lock anywhere else is a new row for
 # that table before it is a line of code.
-LOCK_FILES='crates/core/src/cover.rs
-crates/graph/src/apsp.rs
-crates/graph/src/sync.rs
+LOCK_FILES='crates/graph/src/sync.rs
 crates/net/src/mux.rs
 crates/net/src/server.rs
 crates/server/src/cache.rs
@@ -183,6 +181,27 @@ if grep -rn 'ServedLabeling' crates src tests examples || [ -e crates/server/src
   echo "check: FAIL — a second served arena is back" >&2
   exit 1
 fi
+
+echo "== ground truth is computed once (one SSSP surface, one fan-out) =="
+# Distances come from bfs_distances / dijkstra_distances; canonical tree
+# parents and path counts are post-passes over shortest_path_distances,
+# and per-source or per-root parallel work goes through
+# hl_graph::sync::fan_out.
+if grep -rnE 'fn (bfs_with_parents|bfs_count_paths|dijkstra_with_parents)\b|_bounded\(' crates/graph/src ||
+  grep -rnE 'thread::scope|available_parallelism' crates/graph/src/apsp.rs crates/core/src/cover.rs crates/build/src; then
+  echo "check: FAIL — a second shortest-path routine or a private fan-out is back" >&2
+  exit 1
+fi
+
+echo "== EXPERIMENTS.md quotes the golden (each experiments table is a slice of it) =="
+# A fenced block under a heading naming `experiments <x>` must appear
+# line for line, contiguously, in the golden the step above pins.
+awk 'NR == FNR { golden = golden $0 "\n"; next }
+  !fenced && /^#/ { quoted = /\(`experiments / }
+  /^```/ && fenced && quoted && !index(golden, block) { print "check: FAIL — EXPERIMENTS.md:" from " is not a slice of docs/experiments_reference.txt" > "/dev/stderr"; bad = 1 }
+  /^```/ { fenced = !fenced; block = ""; from = FNR + 1; next }
+  fenced { block = block $0 "\n" }
+  END { exit bad }' docs/experiments_reference.txt EXPERIMENTS.md
 
 echo "== docs/THEOREM_MAP.md cites files that exist =="
 # The character class admits no shell syntax but the `{a,b}.rs` lists the
