@@ -41,9 +41,10 @@ pub fn fan_out<S: Send, T: Send>(
     len: usize,
     work: impl Fn(&mut S, usize) -> T + Sync,
 ) -> thread::Result<Vec<T>> {
-    let inline = states.len() == 1 || len <= 1;
-    if let (Some(state), true) = (states.first_mut(), inline) {
-        return Ok((0..len).map(|i| work(state, i)).collect());
+    if states.len() == 1 || len <= 1 {
+        if let Some(state) = states.first_mut() {
+            return Ok((0..len).map(|i| work(state, i)).collect());
+        }
     }
     let cursor = AtomicUsize::new(0);
     let per_worker = thread::scope(|scope| {
