@@ -433,6 +433,20 @@ impl FlatLabeling {
         )
     }
 
+    /// Answers `pairs[i]` into `out[i]` through [`FlatLabeling::query`],
+    /// back to back: no clock, no counter, nothing between two joins, so
+    /// the cache misses of consecutive pairs may overlap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length or a vertex is out of range.
+    pub fn query_many(&self, pairs: &[(NodeId, NodeId)], out: &mut [Distance]) {
+        assert_eq!(pairs.len(), out.len(), "one output slot per pair");
+        for (&(u, v), d) in pairs.iter().zip(out) {
+            *d = self.query(u, v);
+        }
+    }
+
     /// Like [`FlatLabeling::query`] but also reports the hub realizing
     /// the minimum.
     ///
@@ -553,6 +567,29 @@ mod tests {
         assert_eq!(flat.query_with_witness(0, 3), Some((4, 2)));
         assert_eq!(flat.query(1, 3), INFINITY);
         assert_eq!(flat.query_with_witness(1, 3), None);
+    }
+
+    #[test]
+    fn query_many_equals_per_pair_query() {
+        use hl_graph::generators;
+        // A seeded gnm plus one isolated vertex, 60, so a pair with it
+        // is disconnected.
+        let g = generators::connected_gnm(60, 60, 7);
+        let edges: Vec<(NodeId, NodeId)> = g.edges().map(|(u, v, _)| (u, v)).collect();
+        let g = hl_graph::builder::graph_from_edges(61, &edges).unwrap();
+        let flat = crate::pll::PrunedLandmarkLabeling::by_degree(&g).into_labeling();
+        let mut pairs: Vec<(NodeId, NodeId)> = (0..61)
+            .flat_map(|u| (0..61).map(move |v| (u, v)))
+            .filter(|&(u, v)| (u * 7 + v * 13) % 5 == 0)
+            .collect();
+        pairs.push((3, 60));
+        let mut out = vec![0; pairs.len()];
+        flat.query_many(&pairs, &mut out);
+        let want: Vec<Distance> = pairs.iter().map(|&(u, v)| flat.query(u, v)).collect();
+        assert_eq!(out, want);
+        assert_eq!(out.last(), Some(&INFINITY));
+        // An empty slice is a no-op.
+        flat.query_many(&[], &mut []);
     }
 
     #[test]

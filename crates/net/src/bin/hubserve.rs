@@ -29,7 +29,8 @@
 //! `stats` validates the store, decodes it into the flat arena every
 //! flavor mounts as (exactly what `serve` mounts), and prints both the
 //! on-disk and in-memory sizes: label entries and bytes per entry, the
-//! two axes the paper's size bounds are stated in.
+//! two axes the paper's size bounds are stated in — and the hubset sizes
+//! `|S_v|` themselves, at their p10/p50/p90 deciles and maximum.
 //!
 //! `serve` loads a store of any format into a [`hl_net::NetServer`]
 //! and answers HLNP frames until a `Shutdown` request arrives, then
@@ -351,6 +352,21 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
         served.heap_bytes(),
         served.average_hubs(),
         served.max_hubs()
+    );
+    // The paper's quantity, |S_v| over the served vertices, at
+    // nearest-rank deciles.
+    let mut sizes: Vec<usize> = (0..n as NodeId).map(|v| served.hubs_of(v).len()).collect();
+    sizes.sort_unstable();
+    let decile = |tenths: usize| match sizes.len() {
+        0 => 0,
+        len => sizes[(tenths * len).div_ceil(10).clamp(1, len) - 1],
+    };
+    println!(
+        "  hubs per vertex    p10 {} p50 {} p90 {} max {}",
+        decile(1),
+        decile(5),
+        decile(9),
+        decile(10)
     );
     Ok(())
 }

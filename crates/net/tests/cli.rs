@@ -177,6 +177,20 @@ fn stats_reports_arena_size() {
     assert!(stdout.contains(&format!("arena entries      {}", served.num_entries())));
     assert!(stdout.contains(&format!("arena heap bytes   {}", served.heap_bytes())));
 
+    // The hubset-size deciles follow the heap line, at nearest rank over
+    // the 36 label sizes: p10 is the 4th smallest, p50 the 18th, p90 the
+    // 33rd.
+    let mut sizes: Vec<usize> = (0..36).map(|v| served.hubs_of(v).len()).collect();
+    sizes.sort_unstable();
+    let deciles = format!(
+        "  hubs per vertex    p10 {} p50 {} p90 {} max {}\n",
+        sizes[3], sizes[17], sizes[32], sizes[35]
+    );
+    let heap = stdout.find("  arena heap bytes").unwrap();
+    let next_line = &stdout[heap + stdout[heap..].find('\n').unwrap() + 1..];
+    assert!(next_line.starts_with(&deciles), "{stdout}");
+    assert_eq!(sizes[35], served.max_hubs());
+
     let _ = std::fs::remove_file(graph);
     let _ = std::fs::remove_file(store);
 }

@@ -52,7 +52,13 @@ impl LatencyHistogram {
 
     /// Records one observation.
     pub fn record(&self, nanos: u64) {
-        self.buckets[Self::bucket_of(nanos)].fetch_add(1, Relaxed);
+        self.record_n(nanos, 1);
+    }
+
+    /// Records `count` observations of `nanos` with one atomic add; a
+    /// `count` of 0 records nothing.
+    pub fn record_n(&self, nanos: u64, count: u64) {
+        self.buckets[Self::bucket_of(nanos)].fetch_add(count, Relaxed);
     }
 
     /// Total observations recorded.
@@ -391,6 +397,57 @@ mod tests {
         for q in [0.0, 0.2, 0.5, 0.9999, 1.0] {
             assert_eq!(h.quantile(q), 512, "q={q} in the single-bucket case");
         }
+    }
+
+    #[test]
+    fn record_n_equals_repeated_record() {
+        // Seeded (value, count) draws: one histogram takes `record_n`, one
+        // takes `count` calls of `record`, and the expanded observations
+        // are the sorted-vector oracle both must agree with.
+        let mut state = 0x1319_8A2E_0370_7344u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for draws in [1usize, 2, 5, 40] {
+            let (batched, repeated) = (LatencyHistogram::new(), LatencyHistogram::new());
+            let mut values = Vec::new();
+            for _ in 0..draws {
+                let (x, k) = ((next() % 1000) << (next() % 30), next() % 300);
+                batched.record_n(x, k);
+                for _ in 0..k {
+                    repeated.record(x);
+                }
+                values.extend(std::iter::repeat_n(x, k as usize));
+            }
+            values.sort_unstable();
+            let n = values.len();
+            assert_eq!(batched.count(), n as u64);
+            assert_eq!(repeated.count(), n as u64);
+            for num in 0..=20u64 {
+                let q = num as f64 / 20.0;
+                assert_eq!(batched.quantile(q), repeated.quantile(q), "q={q}");
+                let expect = match n {
+                    0 => 0,
+                    _ => {
+                        let rank = ((num as usize * n).div_ceil(20)).clamp(1, n);
+                        LatencyHistogram::bucket_bound(LatencyHistogram::bucket_of(
+                            values[rank - 1],
+                        ))
+                    }
+                };
+                assert_eq!(batched.quantile(q), expect, "q={q} over n={n}");
+            }
+        }
+        // A count of 0 is a no-op, on an empty and on a used histogram.
+        let h = LatencyHistogram::new();
+        h.record_n(500, 0);
+        assert_eq!((h.count(), h.quantile(0.5)), (0, 0));
+        h.record(100);
+        h.record_n(1_000_000, 0);
+        assert_eq!((h.count(), h.quantile(1.0)), (1, 128));
     }
 
     #[test]

@@ -107,14 +107,17 @@ mod ffi {
 
 /// Waits until at least one descriptor in `fds` is ready, the timeout
 /// elapses (`Ok(0)`), or a signal interrupts — `EINTR` is retried
-/// internally with the same timeout. `None` blocks indefinitely.
+/// internally with the same timeout. `None` blocks indefinitely and
+/// `Some(Duration::ZERO)` does not block; any other timeout under a
+/// millisecond waits a whole millisecond, the coarsest unit `poll` takes.
 ///
 /// Returns the number of descriptors with nonzero `revents`.
 #[cfg(unix)]
 pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
     let timeout_ms = match timeout {
         None => -1i32,
-        Some(d) => i32::try_from(d.as_millis()).unwrap_or(i32::MAX),
+        Some(d) if d.is_zero() => 0,
+        Some(d) => i32::try_from(d.as_millis()).unwrap_or(i32::MAX).max(1),
     };
     loop {
         let rc = ffi::poll_raw(fds, timeout_ms);
@@ -191,6 +194,34 @@ mod tests {
         let n = poll(&mut fds, Some(Duration::from_millis(5))).expect("poll");
         assert_eq!(n, 0);
         assert_eq!(fds[0].revents, 0);
+    }
+
+    #[test]
+    fn sub_millisecond_timeout_waits_instead_of_spinning() {
+        let (a, _b) = UnixStream::pair().expect("socketpair");
+        let mut fds = [PollFd::new(a.as_raw_fd(), POLLIN)];
+        let started = std::time::Instant::now();
+        let n = poll(&mut fds, Some(Duration::from_micros(500))).expect("poll");
+        assert_eq!(n, 0);
+        assert!(started.elapsed() >= Duration::from_micros(500));
+    }
+
+    #[test]
+    fn zero_timeout_returns_at_once() {
+        let (a, _b) = UnixStream::pair().expect("socketpair");
+        let mut fds = [PollFd::new(a.as_raw_fd(), POLLIN)];
+        let started = std::time::Instant::now();
+        let n = poll(&mut fds, Some(Duration::ZERO)).expect("poll");
+        assert_eq!(n, 0);
+        assert!(started.elapsed() < Duration::from_millis(500));
+    }
+
+    #[test]
+    fn never_opened_fd_is_reported_invalid_not_an_error() {
+        let mut fds = [PollFd::new(i32::MAX, POLLIN)];
+        let n = poll(&mut fds, Some(Duration::from_millis(5))).expect("poll");
+        assert_eq!(n, 1);
+        assert!(fds[0].invalid());
     }
 
     #[test]

@@ -146,6 +146,29 @@ if grep -nwE 'rbuf|pending|inflight|frame_started|write_stalled|close_after_flus
   exit 1
 fi
 
+echo "== the batch path reads the clock once per share (no clock in hl-core) =="
+# The kernel joins and nothing else: hl-core reads no clock. The engine
+# joins in exactly two places, the single path's `query` (timed alone)
+# and the batch share's `query_many` (timed once around the share); a
+# per-pair join in `answer` is a second `labeling.query(`.
+clock=$(find crates/core/src -name '*.rs' -exec awk '
+    FNR == 1 { body = 1 }
+    /^#\[cfg\(test\)\]/ { body = 0 }
+    body && /Instant|SystemTime/ { print FILENAME ":" FNR ": " $0 }
+  ' {} +)
+if [ -n "$clock" ]; then
+  echo "$clock" >&2
+  echo "check: FAIL — crates/core/src reads a clock outside its tests" >&2
+  exit 1
+fi
+engine=$(sed '/^#\[cfg(test)\]/,$d' crates/server/src/engine.rs)
+singles=$(grep -c 'labeling\.query(' <<<"$engine" || true)
+shares=$(grep -c 'labeling\.query_many(' <<<"$engine" || true)
+if [ "$singles" -ne 1 ] || [ "$shares" -ne 1 ]; then
+  echo "check: FAIL — engine.rs joins through labeling.query( $singles times and labeling.query_many( $shares times; want 1 and 1" >&2
+  exit 1
+fi
+
 echo "== one label representation (no nested type, no text label format) =="
 # A labeling is the FlatLabeling arena, and every reader takes it as
 # `&FlatLabeling`; the per-vertex types and hl_core::io stay deleted.
