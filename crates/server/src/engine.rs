@@ -22,9 +22,13 @@
 //!   that cache traffic would only add contention.
 //! - [`QueryEngine::query`] answers one pair on the calling thread through
 //!   the sharded LRU cache — the point-lookup path, where skew is common.
+//!   A lookup is one shard lock and a scan of one 8-way set; a miss joins
+//!   and inserts under a second lock of the same shard.
 //!
 //! Both paths record into the shared [`Metrics`]. A single query is timed
-//! on its own. A batch reads the clock once per share, around one
+//! on its own: its two clock reads cost more than the epoch pin and the
+//! cache lookup together, and stay until sampled stage stamps replace
+//! them. A batch reads the clock once per share, around one
 //! [`FlatLabeling::query_many`], and records each pair of the share at
 //! the share's mean time, so no clock read sits between two joins.
 

@@ -1,5 +1,6 @@
 //! Serving layer for hub labelings: a versioned binary label store, a
-//! thread-safe query engine with an LRU cache, and serving metrics.
+//! thread-safe query engine with a set-associative LRU cache, and serving
+//! metrics.
 //!
 //! The rest of the workspace is about *constructing* labelings and proving
 //! bounds on their size; this crate is about *answering queries from them*
@@ -19,7 +20,8 @@
 //!   [`hl_core::FlatLabeling`] arena behind a reloadable epoch cell — a
 //!   store decodes straight into it. Queries run on the caller's threads;
 //!   single queries go through a sharded LRU cache.
-//! - [`cache`]: the [`cache::ShardedLruCache`] used by the engine.
+//! - [`cache`]: the [`cache::ShardedLruCache`] used by the engine — per
+//!   shard, flat key and value arrays in 8-way sets, each set its own LRU.
 //! - [`metrics`]: atomic counters and a latency histogram with
 //!   p50/p95/p99 snapshots ([`metrics::Metrics`]).
 //!

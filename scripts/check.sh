@@ -131,6 +131,14 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
+echo "== the point cache is flat sets (no hash map or linked list in cache.rs) =="
+# A shard is two flat arrays scanned one set at a time, each set most
+# recent first; a HashMap or prev/next links are the old LRU coming back.
+if sed '/^#\[cfg(test)\]/,$d' crates/server/src/cache.rs | grep -nE 'HashMap|prev:|next:'; then
+  echo "check: FAIL — crates/server/src/cache.rs keys a hash map or links a list above its tests" >&2
+  exit 1
+fi
+
 echo "== connection purity (conn.rs: no socket, channel or clock read; server.rs: no protocol state) =="
 # What a connection may do is decided in one socket-free file, so it can
 # be enumerated and run on a virtual clock; the loop around it only
