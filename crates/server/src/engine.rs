@@ -25,12 +25,13 @@
 //!   A lookup is one shard lock and a scan of one 8-way set; a miss joins
 //!   and inserts under a second lock of the same shard.
 //!
-//! Both paths record into the shared [`Metrics`]. A single query is timed
-//! on its own: its two clock reads cost more than the epoch pin and the
-//! cache lookup together, and stay until sampled stage stamps replace
-//! them. A batch reads the clock once per share, around one
-//! [`FlatLabeling::query_many`], and records each pair of the share at
-//! the share's mean time, so no clock read sits between two joins.
+//! Both paths record into the shared [`Metrics`]. Single queries are
+//! sampled: one in [`SAMPLE_EVERY`] is timed, and recorded at a weight
+//! of `SAMPLE_EVERY`, because two clock reads cost more than the epoch
+//! pin and the cache lookup together. A batch reads the clock once per
+//! share, around one [`FlatLabeling::query_many`], and records each pair
+//! of the share at the share's mean time, so no clock read sits between
+//! two joins.
 
 use std::fmt;
 use std::sync::atomic::Ordering::Relaxed;
@@ -50,6 +51,12 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 /// this size is at least 100 µs of work against that cost; below it the
 /// split loses to the calling thread alone.
 const MIN_PAIRS_PER_THREAD: usize = 256;
+
+/// One single query in this many reads the clock: the first, and then
+/// every `SAMPLE_EVERY`-th by the `single_queries` count. A sampled query
+/// is recorded at this weight, so `latency_count` is exactly
+/// `batch_queries + SAMPLE_EVERY · ⌈single_queries / SAMPLE_EVERY⌉`.
+pub const SAMPLE_EVERY: u64 = 16;
 
 /// Errors surfaced by the serving paths.
 #[derive(Debug)]
@@ -213,14 +220,15 @@ impl QueryEngine {
     }
 
     /// Answers one query through the current epoch's LRU cache, on the
-    /// calling thread.
+    /// calling thread. Only one call in [`SAMPLE_EVERY`] is timed.
     pub fn query(&self, u: NodeId, v: NodeId) -> Result<Distance, EngineError> {
         let epoch = self.pin();
         epoch.check_node(u)?;
         epoch.check_node(v)?;
-        let started = Instant::now();
-        let key = ShardedLruCache::pair_key(u, v);
         let m = &self.metrics;
+        let k = m.single_queries.fetch_add(1, Relaxed);
+        let started = (k % SAMPLE_EVERY == 0).then(Instant::now);
+        let key = ShardedLruCache::pair_key(u, v);
         let d = match epoch.cache.get(key) {
             Some(d) => {
                 m.cache_hits.fetch_add(1, Relaxed);
@@ -233,8 +241,9 @@ impl QueryEngine {
                 d
             }
         };
-        m.single_queries.fetch_add(1, Relaxed);
-        m.latency.record(elapsed_ns(started));
+        if let Some(started) = started {
+            m.latency.record_n(elapsed_ns(started), SAMPLE_EVERY);
+        }
         Ok(d)
     }
 
@@ -381,6 +390,29 @@ mod tests {
         assert_eq!(s.latency_count, pairs.len() as u64);
         // One record of the whole share lands every pair in one bucket.
         assert_eq!(s.p50_ns, s.p99_ns);
+    }
+
+    #[test]
+    fn single_queries_are_timed_one_in_sixteen_at_weight_sixteen() {
+        assert_eq!(SAMPLE_EVERY, 16);
+        // 17 singles are two samples (the 1st and the 17th), so 32 weight.
+        let (g, eng) = engine(1);
+        let n = g.num_nodes() as NodeId;
+        for i in 0..17 {
+            eng.query(i % n, (5 * i) % n).unwrap();
+        }
+        let pairs: Vec<(NodeId, NodeId)> = (0..n).map(|u| (u, n - 1 - u)).collect();
+        eng.query_batch(&pairs).unwrap();
+        let s = eng.snapshot();
+        assert_eq!(s.single_queries, 17);
+        assert_eq!(s.cache_hits + s.cache_misses, 17);
+        assert_eq!(s.latency_count, pairs.len() as u64 + 32);
+        // 16 singles are one sample.
+        let (_, eng) = engine(1);
+        for i in 0..16 {
+            eng.query(i, i + 1).unwrap();
+        }
+        assert_eq!(eng.snapshot().latency_count, 16);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! power of two nanoseconds (bucket `i` covers `[2^(i-1), 2^i)` ns), so
 //! recording is a `leading_zeros` and one atomic add, and percentile
 //! estimates are exact to within a factor of two, which is all a serving
-//! dashboard needs.
+//! dashboard needs. Not every query is timed: the engine samples single
+//! queries 1 in 16 and records each sample at a weight of 16, and records
+//! a batch share once, each pair at the share's mean.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -122,7 +124,8 @@ pub struct Metrics {
     pub net_requests: AtomicU64,
     /// Error frames sent over the network.
     pub net_errors: AtomicU64,
-    /// Per-query latency across both paths.
+    /// Per-query latency across both paths: every batch pair at its
+    /// share's mean, and single queries sampled 1 in 16 at weight 16.
     pub latency: LatencyHistogram,
 }
 

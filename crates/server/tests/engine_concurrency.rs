@@ -8,6 +8,7 @@ use hl_core::pll::PrunedLandmarkLabeling;
 use hl_graph::bfs::bfs_distances;
 use hl_graph::rng::Xorshift64;
 use hl_graph::{generators, Distance, NodeId};
+use hl_server::engine::SAMPLE_EVERY;
 use hl_server::QueryEngine;
 
 #[test]
@@ -74,8 +75,12 @@ fn four_client_threads_batch_and_single() {
         s.cache_hits,
         s.cache_misses
     );
-    // The histogram saw every query from both paths.
-    assert_eq!(s.latency_count, expect_batch_queries + expect_singles);
+    // The histogram saw every batch pair, and single queries one in
+    // SAMPLE_EVERY at that weight, the first included.
+    assert_eq!(
+        s.latency_count,
+        expect_batch_queries + SAMPLE_EVERY * expect_singles.div_ceil(SAMPLE_EVERY)
+    );
     assert_eq!(s.total_queries(), expect_batch_queries + expect_singles);
     assert_eq!(s.decode_errors, 0);
     assert!(s.p50_ns <= s.p95_ns && s.p95_ns <= s.p99_ns);

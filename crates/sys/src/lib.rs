@@ -10,7 +10,8 @@
 //!
 //! - [`PollFd`] — `#[repr(C)]` mirror of `struct pollfd`.
 //! - [`poll()`] — waits for readiness on a set of descriptors with a
-//!   millisecond timeout, retrying `EINTR` internally.
+//!   millisecond timeout, retrying `EINTR` internally within that
+//!   timeout.
 //!
 //! Everything else in the workspace stays `#![forbid(unsafe_code)]`; the
 //! crate-root attribute here is `deny` (not `forbid`) solely so the
@@ -105,30 +106,47 @@ mod ffi {
     }
 }
 
-/// Waits until at least one descriptor in `fds` is ready, the timeout
-/// elapses (`Ok(0)`), or a signal interrupts — `EINTR` is retried
-/// internally with the same timeout. `None` blocks indefinitely and
-/// `Some(Duration::ZERO)` does not block; any other timeout under a
-/// millisecond waits a whole millisecond, the coarsest unit `poll` takes.
+/// Waits until at least one descriptor in `fds` is ready or the timeout
+/// elapses (`Ok(0)`). `None` blocks indefinitely and `Some(Duration::ZERO)`
+/// does not block; any other timeout under a millisecond waits a whole
+/// millisecond, the coarsest unit `poll` takes. `EINTR` is retried
+/// internally, and a finite timeout keeps its deadline across retries:
+/// each retry waits only what remains, so signals cannot postpone the
+/// return, and one arriving after the deadline ends the wait with `Ok(0)`.
 ///
 /// Returns the number of descriptors with nonzero `revents`.
 #[cfg(unix)]
 pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
-    let timeout_ms = match timeout {
-        None => -1i32,
-        Some(d) if d.is_zero() => 0,
-        Some(d) => i32::try_from(d.as_millis()).unwrap_or(i32::MAX).max(1),
-    };
+    let mut timeout_ms = timeout.map_or(-1, |d| remaining_ms(d, Duration::ZERO));
+    let started = (timeout_ms > 0).then(std::time::Instant::now);
     loop {
         let rc = ffi::poll_raw(fds, timeout_ms);
-        if rc < 0 {
-            let err = io::Error::last_os_error();
-            if err.kind() == io::ErrorKind::Interrupted {
-                continue;
-            }
+        if rc >= 0 {
+            return Ok(usize::try_from(rc).unwrap_or(0));
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
             return Err(err);
         }
-        return Ok(usize::try_from(rc).unwrap_or(0));
+        if let Some(d) = timeout {
+            timeout_ms = started.map_or(0, |s| remaining_ms(d, s.elapsed()));
+            if timeout_ms == 0 {
+                return Ok(0);
+            }
+        }
+    }
+}
+
+/// `poll`'s millisecond argument for a wait of `timeout` of which
+/// `elapsed` has passed: 0 once nothing remains, else what remains
+/// in whole milliseconds, at least 1, saturating at `i32::MAX`.
+#[cfg(unix)]
+fn remaining_ms(timeout: Duration, elapsed: Duration) -> i32 {
+    let left = timeout.saturating_sub(elapsed);
+    if left.is_zero() {
+        0
+    } else {
+        i32::try_from(left.as_millis()).unwrap_or(i32::MAX).max(1)
     }
 }
 
@@ -222,6 +240,24 @@ mod tests {
         let n = poll(&mut fds, Some(Duration::from_millis(5))).expect("poll");
         assert_eq!(n, 1);
         assert!(fds[0].invalid());
+    }
+
+    #[test]
+    fn a_retry_waits_only_what_remains_of_the_timeout() {
+        let ms = Duration::from_millis;
+        let us = Duration::from_micros;
+        // The first call: the whole timeout, a sub-millisecond one as 1.
+        assert_eq!(remaining_ms(ms(250), Duration::ZERO), 250);
+        assert_eq!(remaining_ms(us(500), Duration::ZERO), 1);
+        assert_eq!(remaining_ms(Duration::MAX, Duration::ZERO), i32::MAX);
+        // Part-way: what remains, in whole milliseconds.
+        assert_eq!(remaining_ms(ms(250), us(100_500)), 149);
+        // Under 1 ms remaining still waits 1 ms, as a first call would.
+        assert_eq!(remaining_ms(ms(250), us(249_999)), 1);
+        // 0 remaining, and elapsed past the deadline: the wait is over.
+        assert_eq!(remaining_ms(ms(250), ms(250)), 0);
+        assert_eq!(remaining_ms(ms(250), ms(900)), 0);
+        assert_eq!(remaining_ms(Duration::ZERO, Duration::ZERO), 0);
     }
 
     #[test]

@@ -154,11 +154,13 @@ if grep -nwE 'rbuf|pending|inflight|frame_started|write_stalled|close_after_flus
   exit 1
 fi
 
-echo "== the batch path reads the clock once per share (no clock in hl-core) =="
+echo "== the batch path reads the clock once per share, the single path 1 in 16 (no clock in hl-core) =="
 # The kernel joins and nothing else: hl-core reads no clock. The engine
-# joins in exactly two places, the single path's `query` (timed alone)
-# and the batch share's `query_many` (timed once around the share); a
-# per-pair join in `answer` is a second `labeling.query(`.
+# joins in exactly two places, the single path's `query` (timed one call
+# in SAMPLE_EVERY) and the batch share's `query_many` (timed once around
+# the share); a per-pair join in `answer` is a second `labeling.query(`.
+# The share's read is the one unconditional `Instant::now()`; the single
+# path's sits behind the SAMPLE_EVERY test on its own line.
 clock=$(find crates/core/src -name '*.rs' -exec awk '
     FNR == 1 { body = 1 }
     /^#\[cfg\(test\)\]/ { body = 0 }
@@ -174,6 +176,14 @@ singles=$(grep -c 'labeling\.query(' <<<"$engine" || true)
 shares=$(grep -c 'labeling\.query_many(' <<<"$engine" || true)
 if [ "$singles" -ne 1 ] || [ "$shares" -ne 1 ]; then
   echo "check: FAIL — engine.rs joins through labeling.query( $singles times and labeling.query_many( $shares times; want 1 and 1" >&2
+  exit 1
+fi
+reads=$(grep -c 'Instant::now' <<<"$engine" || true)
+always=$(grep -c 'Instant::now()' <<<"$engine" || true)
+sampled=$(grep -c '% SAMPLE_EVERY == 0)\.then(Instant::now)' <<<"$engine" || true)
+if [ "$reads" -ne 2 ] || [ "$always" -ne 1 ] || [ "$sampled" -ne 1 ]; then
+  grep -n 'Instant::now' <<<"$engine" >&2 || true
+  echo "check: FAIL — engine.rs must read the clock once unconditionally (a batch share) and once behind SAMPLE_EVERY (the single path)" >&2
   exit 1
 fi
 
