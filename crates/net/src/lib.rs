@@ -24,7 +24,8 @@
 //! - [`mux`]: [`mux::MuxClient`], the protocol-v2 client — many
 //!   concurrent in-flight requests on one connection, correlated by
 //!   request id, each with its own deadline and no head-of-line
-//!   blocking.
+//!   blocking; it starts no thread, because a waiting caller reads its
+//!   own responses.
 //! - [`faults`]: deterministic fault injection — a seeded
 //!   [`faults::FaultPlan`] scripts byte-level corruption, length-prefix
 //!   lies, truncations, slow-loris pacing and stalls against any

@@ -3,21 +3,41 @@
 //!
 //! [`MuxClient`] speaks protocol v2, where every frame payload is
 //! prefixed with a caller-chosen `request_id: u64` and the server may
-//! answer out of order. One dedicated reader thread drains the socket
-//! and routes each response to the waiter that submitted its id;
-//! writers share the socket behind a mutex. The result:
+//! answer out of order. The client starts no thread: a caller blocked
+//! in [`MuxClient::wait`] reads the socket itself. One waiter at a time
+//! holds the read token; it reads once, files every whole response it
+//! got into the slot of the request that asked for it, hands the token
+//! back and wakes the waiters parked behind it. Writers share the socket
+//! behind a mutex. The result:
 //!
 //! - **Concurrency without connections.** Hundreds of requests ride one
 //!   TCP stream; a slow query does not block the answers behind it.
 //! - **Per-request deadlines.** [`MuxClient::wait`] bounds one request;
 //!   a request that times out abandons only its own slot, and its late
 //!   response (if any) is dropped on arrival instead of being
-//!   misdelivered to a future request.
+//!   misdelivered to a future request. A deadline that expires in the
+//!   middle of a response frame leaves the bytes read so far buffered
+//!   for the next reader, so framing never breaks.
 //! - **Shared fate on transport death.** If the socket or framing
-//!   breaks, the reader marks the connection dead with the rendered
-//!   error and every in-flight and future request fails with
+//!   breaks, the waiter reading it marks the connection dead with the
+//!   rendered error and every in-flight and future request fails with
 //!   [`NetError::ConnectionDead`]; responses that had already arrived
 //!   still deliver.
+//!
+//! Responses nobody waits for yet are not read: they wait in the socket
+//! buffers and then in the daemon's write queue until a caller waits.
+//! The daemon bounds that backlog: at most `max_inflight_per_conn`
+//! requests per connection are in flight (the rest are answered `Busy`),
+//! and once 8 MiB of responses are queued it stops reading requests. It
+//! does not hold the backlog forever, though. Once the socket buffers
+//! are full the daemon's writes are refused, and a connection whose
+//! writes stay refused for longer than the daemon's `write_timeout`
+//! (10 s by default) is dropped; every request in flight on it then
+//! fails [`NetError::ConnectionDead`]. So a caller with more than the
+//! socket buffers' worth of responses pending must wait within that
+//! time. A thread that drives several clients, such as the shard
+//! router, reads only the one it waits on, so each of its waits must
+//! end well inside the other daemons' `write_timeout`.
 //!
 //! The split API ([`MuxClient::submit`] then [`MuxClient::wait`]) is the
 //! point: callers fan out submissions and collect completions in any
@@ -32,10 +52,10 @@
 //! construction.
 
 use std::collections::HashMap;
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::io::{self, Read};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use hl_graph::sync::lock_unpoisoned;
@@ -45,24 +65,123 @@ use hl_server::MetricsSnapshot;
 use crate::client::{dial, resolve, ClientConfig};
 use crate::error::NetError;
 use crate::wire::{
-    frame, read_frame, split_mux, write_all_deadline, Request, Response, ServerHello, PROTOCOL_V2,
+    frame, frame_len, split_mux, write_all_deadline, Request, Response, ServerHello, PROTOCOL_V2,
 };
 
-/// What every thread touching the connection shares.
-struct Shared {
-    state: Mutex<MuxState>,
-    cv: Condvar,
-}
+/// Size of the inbox buffer; it grows to fit a longer frame.
+const READ_BUF: usize = 16 * 1024;
+/// A buffer grown past this for a long frame shrinks back to
+/// [`READ_BUF`] once no partial frame is left in it. Smaller growth is
+/// kept: shrinking and regrowing for each of the shard router's ~60 KiB
+/// `LabelBatch` frames cost about 4% of its `query_many` rate on a
+/// 2-vCPU host.
+const KEEP_BUF: usize = 256 * 1024;
 
-/// The correlation table, guarded by [`Shared::state`].
+/// The correlation table, guarded by [`MuxClient::state`].
 struct MuxState {
     /// One entry per in-flight request: `None` until its response lands.
     /// A waiter that gives up removes its entry, which is exactly what
     /// makes the late response droppable instead of deliverable.
     slots: HashMap<u64, Option<Response>>,
-    /// Set once by the reader when the transport dies; the rendered
+    /// Set once by the waiter that sees the transport die; the rendered
     /// error every subsequent failure reports.
     dead: Option<String>,
+    /// The read token: `true` while one waiter reads the socket. Only
+    /// its holder locks [`MuxClient::inbox`].
+    reading: bool,
+    /// Waiters parked on [`MuxClient::cv`] behind the token holder. At
+    /// zero nobody is notified, so a single-threaded caller never pays
+    /// for a wake.
+    parked: usize,
+}
+
+/// The socket's read half and the bytes read past the last whole frame.
+struct Inbox {
+    stream: TcpStream,
+    /// `buf[..filled]` is the start of a frame not yet whole; the buffer
+    /// always has room for the rest of it, and is at most [`KEEP_BUF`]
+    /// long whenever `filled` is zero.
+    buf: Vec<u8>,
+    filled: usize,
+    max_frame_len: u32,
+    /// The read timeout the socket is armed with.
+    armed: Duration,
+}
+
+impl Inbox {
+    /// Reads the socket once, waiting at most `timeout` (floor 1 ms) plus
+    /// 1 ms, and appends every whole frame now buffered to `filed`. A
+    /// timeout files nothing and is no error; a partial frame stays
+    /// buffered for the next call. `Err` is the rendered reason the
+    /// connection is dead: EOF, a socket error, or a frame that breaks v2
+    /// framing (frames before it are filed).
+    fn read_once(
+        &mut self,
+        timeout: Duration,
+        filed: &mut Vec<(u64, Response)>,
+    ) -> Result<(), String> {
+        // Re-arming is a syscall, so keep the armed timeout while it
+        // neither overruns the deadline by more than the 1 ms floor nor
+        // is under half of it (a read that times out early costs only
+        // one more turn of the caller's loop).
+        let want = timeout.max(Duration::from_millis(1));
+        if self.armed > want + Duration::from_millis(1) || self.armed < want / 2 {
+            self.stream
+                .set_read_timeout(Some(want))
+                .map_err(|e| format!("arming the response read: {e}"))?;
+            self.armed = want;
+        }
+        match self.stream.read(&mut self.buf[self.filled..]) {
+            Ok(0) => return Err("reading response frame: peer closed".to_string()),
+            Ok(n) => self.filled += n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) =>
+            {
+                return Ok(())
+            }
+            Err(e) => return Err(format!("reading response frame: {e}")),
+        }
+        let mut at = 0;
+        let need = loop {
+            let rest = &self.buf[at..self.filled];
+            let Some(&prefix) = rest.first_chunk::<4>() else {
+                break 0;
+            };
+            // The length is tested before the body is buffered.
+            let len = frame_len(prefix, self.max_frame_len)
+                .map_err(|e| format!("reading response frame: {e}"))?;
+            let Some(payload) = rest.get(4..4 + len) else {
+                break 4 + len;
+            };
+            filed.push(decode_response(payload)?);
+            at += 4 + len;
+        };
+        self.buf.copy_within(at..self.filled, 0);
+        self.filled -= at;
+        if need > self.buf.len() {
+            self.buf.resize(need, 0);
+        } else if self.filled == 0 && self.buf.len() > KEEP_BUF {
+            self.buf.truncate(READ_BUF);
+            self.buf.shrink_to(READ_BUF);
+        }
+        Ok(())
+    }
+}
+
+/// One v2 response payload as `(request id, response)`.
+fn decode_response(payload: &[u8]) -> Result<(u64, Response), String> {
+    // A server that broke v2 framing has made its ids untrustworthy, so
+    // no response on this stream is trustworthy either.
+    let (id, inner) =
+        split_mux(payload).map_err(|e| format!("response frame missing request id: {e}"))?;
+    let response =
+        Response::decode(inner).map_err(|e| format!("decoding response for request {id}: {e}"))?;
+    Ok((id, response))
 }
 
 /// A multiplexing client for one HLNP v2 daemon connection.
@@ -71,14 +190,16 @@ struct MuxState {
 /// threads (or keep it single-threaded and pipeline by interleaving
 /// `submit`s before `wait`s).
 pub struct MuxClient {
-    shared: Arc<Shared>,
-    /// The write half (a `try_clone` twin of the reader's stream).
+    state: Mutex<MuxState>,
+    /// Parks waiters while another waiter holds the read token.
+    cv: Condvar,
+    inbox: Mutex<Inbox>,
+    /// The write half (a `try_clone` twin of the inbox's stream).
     writer: Mutex<TcpStream>,
     hello: ServerHello,
     addr: SocketAddr,
     config: ClientConfig,
     next_id: AtomicU64,
-    reader: Option<JoinHandle<()>>,
 }
 
 impl MuxClient {
@@ -89,30 +210,26 @@ impl MuxClient {
         let addr = resolve(addr)?;
         let (stream, hello) = dial(&addr, &config, PROTOCOL_V2)?;
         let writer = stream.try_clone()?;
-        // The reader blocks on whole frames with no deadline of its own:
-        // per-request deadlines belong to the waiters, and `Drop` frees
-        // the thread by shutting the socket down under it.
-        stream.set_read_timeout(None)?;
-        let shared = Arc::new(Shared {
+        Ok(MuxClient {
             state: Mutex::new(MuxState {
                 slots: HashMap::new(),
                 dead: None,
+                reading: false,
+                parked: 0,
             }),
             cv: Condvar::new(),
-        });
-        let reader_shared = Arc::clone(&shared);
-        let max_frame_len = config.max_frame_len;
-        let reader = std::thread::Builder::new()
-            .name("hlnet-mux-reader".to_string())
-            .spawn(move || reader_loop(stream, &reader_shared, max_frame_len))?;
-        Ok(MuxClient {
-            shared,
+            inbox: Mutex::new(Inbox {
+                stream,
+                buf: vec![0; READ_BUF],
+                filled: 0,
+                max_frame_len: config.max_frame_len,
+                armed: Duration::ZERO,
+            }),
             writer: Mutex::new(writer),
             hello,
             addr,
             config,
             next_id: AtomicU64::new(1),
-            reader: Some(reader),
         })
     }
 
@@ -133,17 +250,22 @@ impl MuxClient {
 
     /// Requests currently awaiting a response.
     pub fn in_flight(&self) -> usize {
-        lock_unpoisoned(&self.shared.state).slots.len()
+        lock_unpoisoned(&self.state).slots.len()
     }
 
     /// Sends `request` and returns its id without waiting; pair with
     /// [`MuxClient::wait`]. Submissions from any number of threads
     /// interleave on the wire (each frame is written atomically under
     /// the writer lock, within the write budget).
+    ///
+    /// The response is read only once some caller waits; until then it
+    /// sits in the socket or the daemon's write queue. Wait within the
+    /// daemon's `write_timeout` of the socket buffers filling, or the
+    /// daemon drops the connection (see the module docs).
     pub fn submit(&self, request: &Request) -> Result<u64, NetError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         {
-            let mut state = lock_unpoisoned(&self.shared.state);
+            let mut state = lock_unpoisoned(&self.state);
             if let Some(reason) = &state.dead {
                 return Err(NetError::ConnectionDead(reason.clone()));
             }
@@ -157,7 +279,7 @@ impl MuxClient {
         if let Err(e) = wrote {
             // Nothing (or half a frame) went out: the slot will never
             // fill, so reclaim it rather than leak it.
-            lock_unpoisoned(&self.shared.state).slots.remove(&id);
+            lock_unpoisoned(&self.state).slots.remove(&id);
             return Err(e.into());
         }
         Ok(id)
@@ -165,11 +287,16 @@ impl MuxClient {
 
     /// Blocks until request `id` answers or `deadline` passes. On
     /// timeout the slot is abandoned — its late response (if one ever
-    /// comes) is dropped by the reader — and only this request fails;
+    /// comes) is dropped on arrival — and only this request fails;
     /// everything else in flight keeps waiting undisturbed.
+    ///
+    /// While its slot is empty the caller reads the socket itself if no
+    /// other waiter is reading, filing whatever responses arrive for
+    /// anyone, and otherwise parks until the reader hands over.
     pub fn wait(&self, id: u64, deadline: Duration) -> Result<Response, NetError> {
         let started = Instant::now();
-        let mut state = lock_unpoisoned(&self.shared.state);
+        let mut filed = Vec::new();
+        let mut state = lock_unpoisoned(&self.state);
         loop {
             match state.slots.get(&id) {
                 Some(Some(_)) => {
@@ -205,7 +332,33 @@ impl MuxClient {
                     waited: elapsed,
                 });
             };
-            state = wait_timeout_unpoisoned(&self.shared.cv, state, remaining);
+            if state.reading {
+                state.parked += 1;
+                state = wait_timeout_unpoisoned(&self.cv, state, remaining);
+                state.parked -= 1;
+                continue;
+            }
+            // Take the read token, read once with no state guard held,
+            // then file, hand the token back and wake whoever parked.
+            state.reading = true;
+            drop(state);
+            let read = lock_unpoisoned(&self.inbox).read_once(remaining, &mut filed);
+            state = lock_unpoisoned(&self.state);
+            state.reading = false;
+            for (rid, response) in filed.drain(..) {
+                if let Some(slot) = state.slots.get_mut(&rid) {
+                    *slot = Some(response);
+                }
+                // else: no waiter for this id — a timed-out request's
+                // late response, or a server duplicate. Dropping it here
+                // is what keeps misdelivery impossible.
+            }
+            if let Err(reason) = read {
+                state.dead.get_or_insert(reason);
+            }
+            if state.parked > 0 {
+                self.cv.notify_all();
+            }
         }
     }
 
@@ -265,28 +418,6 @@ impl MuxClient {
     }
 }
 
-impl Drop for MuxClient {
-    fn drop(&mut self) {
-        // Yank the socket out from under the blocking reader so it
-        // observes EOF and exits; then reap the thread.
-        {
-            let writer = lock_unpoisoned(&self.writer);
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "the socket may already be dead, which is exactly the state shutdown wants"
-            )]
-            let _ = writer.shutdown(Shutdown::Both);
-        }
-        if let Some(handle) = self.reader.take() {
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "a reader that panicked has nothing left to hand back to a dropping client"
-            )]
-            let _ = handle.join();
-        }
-    }
-}
-
 /// `Condvar::wait_timeout` that shrugs off poisoning like
 /// [`lock_unpoisoned`] does: no thread holds this lock across code that
 /// can panic, so a poisoned guard's data is still consistent.
@@ -301,37 +432,285 @@ fn wait_timeout_unpoisoned<'a>(
     }
 }
 
-/// The reader thread: drains whole frames forever, routing each to its
-/// waiter by id. Exits — after marking the connection dead and waking
-/// every waiter — on EOF, socket error, or a framing violation.
-fn reader_loop(mut stream: TcpStream, shared: &Shared, max_frame_len: u32) {
-    let reason = loop {
-        let payload = match read_frame(&mut stream, max_frame_len) {
-            Ok(p) => p,
-            Err(e) => break format!("reading response frame: {e}"),
+#[cfg(test)]
+mod tests {
+    //! The read-token hand-off against a scripted daemon: each mock
+    //! writes exactly the bytes its test names, paced by channels, and
+    //! the tests watch the token through `MuxState` instead of sleeping.
+
+    use std::io::Write;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+    use std::thread::{self, JoinHandle};
+
+    use super::*;
+    use crate::wire::{read_frame, write_frame, ClientHello, DEFAULT_MAX_FRAME_LEN};
+
+    const LONG: Duration = Duration::from_secs(10);
+
+    /// Accepts one connection, completes the v2 handshake on it, and runs
+    /// `script` on the stream.
+    fn spawn_mock<F>(script: F) -> (SocketAddr, JoinHandle<()>)
+    where
+        F: FnOnce(TcpStream) + Send + 'static,
+    {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind mock");
+        let addr = listener.local_addr().expect("mock addr");
+        let mock = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            handshake(&mut stream);
+            script(stream);
+        });
+        (addr, mock)
+    }
+
+    fn handshake(stream: &mut TcpStream) {
+        let hello = ServerHello {
+            protocol_version: PROTOCOL_V2,
+            store_version: 2,
+            num_nodes: 100,
         };
-        let (id, inner) = match split_mux(&payload) {
-            Ok(split) => split,
-            // The server broke v2 framing: ids are no longer
-            // trustworthy, so no response on this stream is either.
-            Err(e) => break format!("response frame missing request id: {e}"),
+        write_frame(stream, &hello.encode()).expect("server hello");
+        let payload = read_frame(stream, DEFAULT_MAX_FRAME_LEN).expect("client hello");
+        let hello = ClientHello::decode(&payload).expect("decode client hello");
+        assert_eq!(hello.protocol_version, PROTOCOL_V2);
+    }
+
+    /// The answer every mock gives `Query { u, v }`: distinct per pair.
+    fn distance(u: NodeId, v: NodeId) -> Distance {
+        Distance::from(u) * 1000 + Distance::from(v)
+    }
+
+    /// Reads one `Query` frame and returns its id and whole framed answer.
+    fn next_answer(stream: &mut TcpStream) -> (u64, Vec<u8>) {
+        let payload = read_frame(stream, DEFAULT_MAX_FRAME_LEN).expect("request frame");
+        let (id, inner) = split_mux(&payload).expect("request id");
+        let Ok(Request::Query { u, v }) = Request::decode(inner) else {
+            panic!("mock expected a Query");
         };
-        let response = match Response::decode(inner) {
-            Ok(r) => r,
-            Err(e) => break format!("decoding response for request {id}: {e}"),
-        };
-        let mut state = lock_unpoisoned(&shared.state);
-        if let Some(slot) = state.slots.get_mut(&id) {
-            *slot = Some(response);
+        (
+            id,
+            frame(Some(id), &Response::Distance(distance(u, v)).encode()),
+        )
+    }
+
+    fn connect(addr: SocketAddr) -> MuxClient {
+        MuxClient::connect(addr, ClientConfig::default()).expect("connect")
+    }
+
+    /// Spins (yielding, never sleeping) until the client's state satisfies
+    /// `what`; ten seconds without it fails the test.
+    fn spin_until(client: &MuxClient, what: impl Fn(&MuxState) -> bool) {
+        let started = Instant::now();
+        while !what(&lock_unpoisoned(&client.state)) {
+            assert!(started.elapsed() < LONG, "client state never got there");
+            thread::yield_now();
         }
-        // else: no waiter for this id — a timed-out request's late
-        // response, or a server duplicate. Dropping it here is what
-        // keeps misdelivery impossible.
-        drop(state);
-        shared.cv.notify_all();
-    };
-    let mut state = lock_unpoisoned(&shared.state);
-    state.dead = Some(reason);
-    drop(state);
-    shared.cv.notify_all();
+    }
+
+    #[test]
+    fn two_waiters_answered_in_reverse_order_both_get_exact_answers() {
+        let (go, next) = mpsc::channel::<()>();
+        let (addr, mock) = spawn_mock(move |mut stream| {
+            let (_, first) = next_answer(&mut stream);
+            let (_, second) = next_answer(&mut stream);
+            for answer in [second, first] {
+                next.recv().expect("go");
+                stream.write_all(&answer).expect("answer");
+            }
+            // Hold the connection until the test is done with it.
+            next.recv().ok();
+        });
+        let client = connect(addr);
+        let a = client.submit(&Request::Query { u: 1, v: 2 }).expect("a");
+        let b = client.submit(&Request::Query { u: 3, v: 4 }).expect("b");
+        thread::scope(|s| {
+            let wait_a = s.spawn(|| client.wait(a, LONG));
+            spin_until(&client, |st| st.reading);
+            let wait_b = s.spawn(|| client.wait(b, LONG));
+            spin_until(&client, |st| st.parked == 1);
+            // B is parked behind A's read: A files B's answer and wakes it.
+            go.send(()).expect("answer b");
+            let got_b = wait_b.join().expect("waiter b").expect("b answers");
+            assert_eq!(got_b, Response::Distance(distance(3, 4)));
+            go.send(()).expect("answer a");
+            let got_a = wait_a.join().expect("waiter a").expect("a answers");
+            assert_eq!(got_a, Response::Distance(distance(1, 2)));
+        });
+        assert_eq!(client.in_flight(), 0);
+        drop(go);
+        mock.join().expect("mock");
+    }
+
+    #[test]
+    fn a_parked_waiter_takes_over_reading_when_the_readers_deadline_expires() {
+        let (go, next) = mpsc::channel::<()>();
+        let (addr, mock) = spawn_mock(move |mut stream| {
+            let (_, _never) = next_answer(&mut stream);
+            let (_, answer) = next_answer(&mut stream);
+            next.recv().expect("go");
+            stream.write_all(&answer).expect("answer");
+            next.recv().ok();
+        });
+        let client = connect(addr);
+        let r = client.submit(&Request::Query { u: 5, v: 6 }).expect("r");
+        let p = client.submit(&Request::Query { u: 7, v: 8 }).expect("p");
+        thread::scope(|s| {
+            let reader = s.spawn(|| client.wait(r, Duration::from_millis(500)));
+            spin_until(&client, |st| st.reading);
+            let parked = s.spawn(|| client.wait(p, LONG));
+            spin_until(&client, |st| st.parked == 1);
+            match reader.join().expect("reader") {
+                Err(NetError::RequestTimeout { request_id, .. }) => assert_eq!(request_id, r),
+                other => panic!("the reader's deadline must expire, got {other:?}"),
+            }
+            // The parked waiter was woken and now holds the token itself.
+            spin_until(&client, |st| st.reading && st.parked == 0);
+            go.send(()).expect("answer p");
+            let got = parked.join().expect("waiter p").expect("p answers");
+            assert_eq!(got, Response::Distance(distance(7, 8)));
+        });
+        assert_eq!(client.in_flight(), 0);
+        drop(go);
+        mock.join().expect("mock");
+    }
+
+    #[test]
+    fn a_deadline_expiring_mid_frame_leaves_the_frame_whole_for_the_next_wait() {
+        // Cut inside the length prefix, then inside the request id.
+        for cut in [2, 9] {
+            let (go, next) = mpsc::channel::<()>();
+            let (half_sent, half) = mpsc::channel::<()>();
+            let (addr, mock) = spawn_mock(move |mut stream| {
+                let (_, _never) = next_answer(&mut stream);
+                let (_, answer) = next_answer(&mut stream);
+                stream.write_all(&answer[..cut]).expect("first half");
+                half_sent.send(()).expect("half sent");
+                next.recv().expect("go");
+                stream.write_all(&answer[cut..]).expect("second half");
+                next.recv().ok();
+            });
+            let client = connect(addr);
+            let x = client.submit(&Request::Query { u: 9, v: 1 }).expect("x");
+            let y = client.submit(&Request::Query { u: 2, v: 3 }).expect("y");
+            half.recv().expect("half");
+            match client.wait(x, Duration::from_millis(50)) {
+                Err(NetError::RequestTimeout { request_id, .. }) => assert_eq!(request_id, x),
+                other => panic!("x must time out, got {other:?}"),
+            }
+            assert_eq!(
+                lock_unpoisoned(&client.inbox).filled,
+                cut,
+                "half a frame kept"
+            );
+            go.send(()).expect("second half");
+            let got = client.wait(y, LONG).expect("y answers whole");
+            assert_eq!(got, Response::Distance(distance(2, 3)));
+            assert_eq!(lock_unpoisoned(&client.inbox).filled, 0);
+            drop(go);
+            mock.join().expect("mock");
+        }
+    }
+
+    #[test]
+    fn a_short_deadline_after_a_long_one_still_bounds_the_read() {
+        let (addr, mock) = spawn_mock(move |mut stream| {
+            let (_, answer) = next_answer(&mut stream);
+            stream.write_all(&answer).expect("answer");
+            let (_, _never) = next_answer(&mut stream);
+            // Hold the connection until the client is dropped.
+            read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN).ok();
+        });
+        let client = connect(addr);
+        assert_eq!(client.query(3, 4).expect("armed long"), distance(3, 4));
+        let short = client
+            .submit(&Request::Query { u: 5, v: 6 })
+            .expect("short");
+        let started = Instant::now();
+        match client.wait(short, Duration::from_millis(100)) {
+            Err(NetError::RequestTimeout { request_id, .. }) => assert_eq!(request_id, short),
+            other => panic!("the short wait must time out, got {other:?}"),
+        }
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(2), "a 100 ms wait took {took:?}");
+        drop(client);
+        mock.join().expect("mock");
+    }
+
+    #[test]
+    fn a_long_frame_grows_the_inbox_and_its_room_is_given_back() {
+        let long = Response::LabelBatch(vec![vec![(1, 2); 32 * 1024]]);
+        let expected = long.clone();
+        let (go, next) = mpsc::channel::<()>();
+        let (half_sent, half) = mpsc::channel::<usize>();
+        let (addr, mock) = spawn_mock(move |mut stream| {
+            let (_, _never) = next_answer(&mut stream);
+            let (id, _) = next_answer(&mut stream);
+            let answer = frame(Some(id), &long.encode());
+            let cut = answer.len() / 2;
+            stream.write_all(&answer[..cut]).expect("first half");
+            half_sent.send(answer.len()).expect("half sent");
+            next.recv().expect("go");
+            stream.write_all(&answer[cut..]).expect("second half");
+            next.recv().ok();
+        });
+        let client = connect(addr);
+        let x = client.submit(&Request::Query { u: 1, v: 1 }).expect("x");
+        let y = client.submit(&Request::Query { u: 2, v: 2 }).expect("y");
+        let whole = half.recv().expect("half");
+        assert!(
+            whole > KEEP_BUF,
+            "the frame must outgrow what the inbox keeps"
+        );
+        assert!(client.wait(x, Duration::from_millis(50)).is_err());
+        assert_eq!(
+            lock_unpoisoned(&client.inbox).buf.len(),
+            whole,
+            "the inbox grows to hold the whole frame"
+        );
+        go.send(()).expect("second half");
+        assert_eq!(client.wait(y, LONG).expect("y answers"), expected);
+        {
+            let inbox = lock_unpoisoned(&client.inbox);
+            assert_eq!((inbox.filled, inbox.buf.len()), (0, READ_BUF));
+            assert!(
+                inbox.buf.capacity() < whole,
+                "the long frame's room is freed"
+            );
+        }
+        drop(go);
+        mock.join().expect("mock");
+    }
+
+    #[test]
+    fn eof_mid_frame_kills_every_pending_request_but_delivers_what_was_filed() {
+        let (addr, mock) = spawn_mock(move |mut stream| {
+            let (_, filed) = next_answer(&mut stream);
+            let (_, cut) = next_answer(&mut stream);
+            let (_, _never) = next_answer(&mut stream);
+            stream.write_all(&filed).expect("whole answer");
+            stream
+                .write_all(&cut[..cut.len() / 2])
+                .expect("half an answer");
+            // Dropping the stream closes it mid-frame.
+        });
+        let client = connect(addr);
+        let a = client.submit(&Request::Query { u: 4, v: 4 }).expect("a");
+        let b = client.submit(&Request::Query { u: 5, v: 5 }).expect("b");
+        let c = client.submit(&Request::Query { u: 6, v: 6 }).expect("c");
+        mock.join().expect("mock");
+        for id in [b, c] {
+            match client.wait(id, LONG) {
+                Err(NetError::ConnectionDead(_)) => {}
+                other => panic!("request {id} must fail ConnectionDead, got {other:?}"),
+            }
+        }
+        let got = client.wait(a, LONG).expect("a was filed before the EOF");
+        assert_eq!(got, Response::Distance(distance(4, 4)));
+        assert!(matches!(
+            client.submit(&Request::Ping),
+            Err(NetError::ConnectionDead(_))
+        ));
+        assert_eq!(client.in_flight(), 0);
+    }
 }

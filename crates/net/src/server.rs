@@ -12,9 +12,11 @@
 //! ([`QueryEngine::num_workers`]) — the daemon's only standing threads
 //! besides the loop — feeds the pool's completions back, writes each
 //! connection's queued bytes once, and drops the connections the machine
-//! calls finished or expired. What a connection may do — what is read,
-//! dispatched, owed an answer, refused, timed out — is `conn.rs`'s
-//! decision alone.
+//! calls finished or expired. Workers wake the loop through the pipe once
+//! per turn, not once per completion: the first completion after the
+//! loop's drain rings, and the rest ride that wake. What a connection
+//! may do — what is read, dispatched, owed an answer, refused, timed
+//! out — is `conn.rs`'s decision alone.
 //!
 //! Design constraints, in order:
 //!
@@ -136,12 +138,30 @@ struct Inner {
     /// successful reloads.
     store_version: AtomicU16,
     /// Write end of the loop's self-wake pipe: one byte makes `poll`
-    /// return. Workers write it after a completion, `trigger_stop` after
-    /// flipping the flag.
+    /// return. Workers write it through [`Inner::ring`], `trigger_stop`
+    /// after flipping the flag.
     waker: UnixStream,
+    /// Set by the worker whose completion rang the pipe, cleared by the
+    /// loop just before it drains completions: the workers ring the loop
+    /// once per turn, not once per completion. Both swaps are `AcqRel`:
+    /// a worker's set releases the completion it sent before it, and the
+    /// loop's clear acquires every set it overwrites, so the drain after
+    /// the clear sees those completions; a set after the clear reads
+    /// `false` and rings.
+    wake_pending: AtomicBool,
 }
 
 impl Inner {
+    /// Wakes the loop for a completion already sent, unless a wake since
+    /// its last drain is still outstanding. A completion sent after the
+    /// loop's clear finds the flag clear and rings again, so none waits
+    /// out a `POLL_TICK`.
+    fn ring(&self) {
+        if !self.wake_pending.swap(true, Ordering::AcqRel) {
+            self.wake();
+        }
+    }
+
     fn wake(&self) {
         #[expect(
             clippy::let_underscore_must_use,
@@ -220,6 +240,7 @@ impl NetServer {
             local_addr,
             store_version,
             waker,
+            wake_pending: AtomicBool::new(false),
         });
         Ok(NetServer {
             listener,
@@ -329,6 +350,9 @@ impl NetServer {
                 }
             }
 
+            // Cleared before the drain: a completion sent after this
+            // point rings the pipe again rather than waiting for a tick.
+            inner.wake_pending.swap(false, Ordering::AcqRel);
             // A connection that died while its job ran is owed nothing.
             while let Ok(done) = done_rx.try_recv() {
                 if let Some((_, c)) = conns.get_mut(&done.conn) {
@@ -510,7 +534,7 @@ fn write_once(stream: &mut TcpStream, c: &mut Conn, now: Instant) -> bool {
 }
 
 /// One worker: executes engine-bound requests and posts framed
-/// completions back to the loop, waking it through the pipe.
+/// completions back to the loop, ringing it at most once per turn.
 fn worker_loop(inner: &Inner, job_rx: &Mutex<Receiver<Job>>, done_tx: &Sender<Completion>) {
     loop {
         // Holding the lock across `recv` parks exactly one idle worker on
@@ -529,7 +553,7 @@ fn worker_loop(inner: &Inner, job_rx: &Mutex<Receiver<Job>>, done_tx: &Sender<Co
         if done_tx.send(completion).is_err() {
             return; // loop is gone: nothing left to complete into
         }
-        inner.wake();
+        inner.ring();
     }
 }
 

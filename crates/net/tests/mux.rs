@@ -35,8 +35,12 @@ struct TestServer {
 
 impl TestServer {
     fn start(g: &Graph, tweak: impl FnOnce(&mut ServerConfig)) -> Self {
+        Self::with_workers(g, 2, tweak)
+    }
+
+    fn with_workers(g: &Graph, workers: usize, tweak: impl FnOnce(&mut ServerConfig)) -> Self {
         let hl = PrunedLandmarkLabeling::by_degree(g).into_labeling();
-        let engine = Arc::new(QueryEngine::new(hl, 2).expect("engine"));
+        let engine = Arc::new(QueryEngine::new(hl, workers).expect("engine"));
         let mut config = ServerConfig {
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
@@ -164,6 +168,110 @@ fn mux_client_collects_in_any_order() {
         }
     }
     assert_eq!(client.in_flight(), 0);
+}
+
+/// Responses nobody waits for are not read: they wait in the socket and
+/// the daemon's write queue. 4 × 1024 queries submitted before a single
+/// wait, against a daemon with the default in-flight cap, then reaped
+/// newest first: every id answers, exactly or `Busy`, inside its deadline.
+#[test]
+fn unread_responses_wait_in_the_socket_until_someone_waits() {
+    let g = generators::grid(6, 6);
+    let n = g.num_nodes();
+    let truth: Vec<Vec<u64>> = (0..n as NodeId)
+        .map(|u| bfs::bfs_distances(&g, u))
+        .collect();
+    let server = TestServer::start(&g, |_| {});
+    let client = MuxClient::connect(server.addr, ClientConfig::default()).expect("connect");
+
+    let submitted: Vec<(u64, NodeId, NodeId)> = (0..4 * 1024usize)
+        .map(|i| {
+            let (u, v) = ((i % n) as NodeId, ((i * 13 + 7) % n) as NodeId);
+            let id = client.submit(&Request::Query { u, v }).expect("submit");
+            (id, u, v)
+        })
+        .collect();
+    for &(id, u, v) in submitted.iter().rev() {
+        match client.wait(id, Duration::from_secs(10)).expect("wait") {
+            Response::Distance(d) => assert_eq!(d, truth[u as usize][v as usize]),
+            Response::Error {
+                code: ErrorCode::Busy,
+                ..
+            } => {}
+            other => panic!("expected Distance or Busy for id {id}, got {other:?}"),
+        }
+    }
+    assert_eq!(client.in_flight(), 0);
+}
+
+/// The limit of that backlog: once the socket buffers are full the
+/// daemon's writes are refused, and after its `write_timeout` it drops
+/// the connection. A caller that submits 16 MiB of `LabelBatch` answers
+/// (far more than loopback socket buffers hold) and then pauses past a
+/// 200 ms `write_timeout` loses the connection: each wait either gets an
+/// answer that had already reached its socket, exact, or fails
+/// `ConnectionDead`, at least one fails, and so does the next request.
+#[test]
+fn a_caller_that_pauses_past_the_write_timeout_loses_the_connection() {
+    let g = generators::grid(24, 24);
+    let server = TestServer::start(&g, |c| c.write_timeout = Duration::from_millis(200));
+    let client = MuxClient::connect(server.addr, ClientConfig::default()).expect("connect");
+    let vs: Vec<NodeId> = (0..256).collect();
+    let want = Response::LabelBatch(client.label_batch(&vs).expect("one prompt batch"));
+    let per_answer = want.encode().len();
+    let answers = (16 << 20) / per_answer + 1;
+    assert!(answers < 1024, "stay under the in-flight cap");
+
+    let mut ids = Vec::new();
+    for _ in 0..answers {
+        match client.submit(&Request::LabelBatch(vs.clone())) {
+            Ok(id) => ids.push(id),
+            // The daemon may already have given up on the connection.
+            Err(_) => break,
+        }
+    }
+    std::thread::sleep(Duration::from_secs(2));
+    let mut dead = 0;
+    for id in ids {
+        match client.wait(id, Duration::from_secs(10)) {
+            Ok(got) => assert_eq!(got, want, "request {id}"),
+            Err(NetError::ConnectionDead(_)) => dead += 1,
+            Err(e) => panic!("request {id}: want an answer or ConnectionDead, got {e:?}"),
+        }
+    }
+    assert!(
+        dead > 0,
+        "a daemon refused writes for 2 s must drop the connection"
+    );
+    assert!(matches!(client.ping(), Err(NetError::ConnectionDead(_))));
+}
+
+/// Workers ring the loop once per turn and lose no wake: 200 sequential
+/// round trips through a one-worker daemon finish well inside 2 s. A
+/// completion whose wake were lost would wait out the loop's 50 ms poll
+/// tick, and 200 of those take about 10 s.
+#[test]
+fn sequential_round_trips_never_wait_out_a_poll_tick() {
+    let g = generators::grid(6, 6);
+    let n = g.num_nodes();
+    let truth: Vec<Vec<u64>> = (0..n as NodeId)
+        .map(|u| bfs::bfs_distances(&g, u))
+        .collect();
+    let server = TestServer::with_workers(&g, 1, |_| {});
+    let client = MuxClient::connect(server.addr, ClientConfig::default()).expect("connect");
+    let started = std::time::Instant::now();
+    for i in 0..200usize {
+        let (u, v) = ((i % n) as NodeId, ((i * 7 + 1) % n) as NodeId);
+        assert_eq!(
+            client.query(u, v).expect("query"),
+            truth[u as usize][v as usize]
+        );
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "200 round trips took {took:?}"
+    );
 }
 
 /// Negotiation keeps both protocols on one port: a lock-step v1

@@ -227,7 +227,7 @@ impl QueryEngine {
         epoch.check_node(v)?;
         let m = &self.metrics;
         let k = m.single_queries.fetch_add(1, Relaxed);
-        let started = (k % SAMPLE_EVERY == 0).then(Instant::now);
+        let started = k.is_multiple_of(SAMPLE_EVERY).then(Instant::now);
         let key = ShardedLruCache::pair_key(u, v);
         let d = match epoch.cache.get(key) {
             Some(d) => {

@@ -154,6 +154,20 @@ if grep -nwE 'rbuf|pending|inflight|frame_started|write_stalled|close_after_flus
   exit 1
 fi
 
+echo "== the mux client starts no thread; a worker rings the loop once per turn =="
+# A waiting caller reads its own responses, so a reader thread and its
+# extra wake-up per round trip stay gone; a worker wakes the loop through
+# `Inner::ring`, which writes the pipe only when no wake is pending.
+if sed '/^#\[cfg(test)\]/,$d' crates/net/src/mux.rs | grep -nE 'thread::|spawn'; then
+  echo "check: FAIL — crates/net/src/mux.rs starts a thread above its tests" >&2
+  exit 1
+fi
+worker=$(sed -n '/^fn worker_loop/,/^}/p' crates/net/src/server.rs)
+if grep -n 'inner\.wake()' <<<"$worker" || ! grep -q 'inner\.ring()' <<<"$worker"; then
+  echo "check: FAIL — worker_loop must wake the loop through inner.ring(), never inner.wake()" >&2
+  exit 1
+fi
+
 echo "== the batch path reads the clock once per share, the single path 1 in 16 (no clock in hl-core) =="
 # The kernel joins and nothing else: hl-core reads no clock. The engine
 # joins in exactly two places, the single path's `query` (timed one call
@@ -180,7 +194,7 @@ if [ "$singles" -ne 1 ] || [ "$shares" -ne 1 ]; then
 fi
 reads=$(grep -c 'Instant::now' <<<"$engine" || true)
 always=$(grep -c 'Instant::now()' <<<"$engine" || true)
-sampled=$(grep -c '% SAMPLE_EVERY == 0)\.then(Instant::now)' <<<"$engine" || true)
+sampled=$(grep -c '\.is_multiple_of(SAMPLE_EVERY)\.then(Instant::now)' <<<"$engine" || true)
 if [ "$reads" -ne 2 ] || [ "$always" -ne 1 ] || [ "$sampled" -ne 1 ]; then
   grep -n 'Instant::now' <<<"$engine" >&2 || true
   echo "check: FAIL — engine.rs must read the clock once unconditionally (a batch share) and once behind SAMPLE_EVERY (the single path)" >&2
