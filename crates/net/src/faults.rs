@@ -502,7 +502,8 @@ impl<'a> PureConn<'a> {
         let framed = response_frame(version, id, &response);
         if !self.dropped {
             let is_error = matches!(response, Response::Error { .. });
-            self.conn.on_completion(self.engine, &framed, is_error);
+            self.conn
+                .on_completion(self.engine, &framed, 1, usize::from(is_error));
             self.pull();
         }
         self.completed.push(framed);

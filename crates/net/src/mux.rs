@@ -7,8 +7,7 @@
 //! in [`MuxClient::wait`] reads the socket itself. One waiter at a time
 //! holds the read token; it reads once, files every whole response it
 //! got into the slot of the request that asked for it, hands the token
-//! back and wakes the waiters parked behind it. Writers share the socket
-//! behind a mutex. The result:
+//! back and wakes the waiters parked behind it. The result:
 //!
 //! - **Concurrency without connections.** Hundreds of requests ride one
 //!   TCP stream; a slow query does not block the answers behind it.
@@ -19,10 +18,22 @@
 //!   middle of a response frame leaves the bytes read so far buffered
 //!   for the next reader, so framing never breaks.
 //! - **Shared fate on transport death.** If the socket or framing
-//!   breaks, the waiter reading it marks the connection dead with the
+//!   breaks, the caller that sees it marks the connection dead with the
 //!   rendered error and every in-flight and future request fails with
 //!   [`NetError::ConnectionDead`]; responses that had already arrived
 //!   still deliver.
+//!
+//! **When requests leave.** [`MuxClient::submit`] only appends the framed
+//! request to an outbox; the outbox goes to the socket in one write
+//! when a [`MuxClient::wait`] finds its own slot still empty (before it
+//! reads or parks), when [`MuxClient::flush`] is called, or when a
+//! submit brings it to 16 KiB. A window of submits therefore costs one
+//! write, and a lock-step `call` still writes at once, on its wait. A
+//! thread that submits to several clients and then blocks on one of
+//! them, such as the shard router, must `flush` the others first, or
+//! their requests sit in their outboxes until it waits on them. A write
+//! that fails or times out may have sent part of several frames, so it
+//! kills the connection like a broken read does.
 //!
 //! Responses nobody waits for yet are not read: they wait in the socket
 //! buffers and then in the daemon's write queue until a caller waits.
@@ -52,8 +63,8 @@
 //! construction.
 
 use std::collections::HashMap;
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -65,7 +76,8 @@ use hl_server::MetricsSnapshot;
 use crate::client::{dial, resolve, ClientConfig};
 use crate::error::NetError;
 use crate::wire::{
-    frame, frame_len, split_mux, write_all_deadline, Request, Response, ServerHello, PROTOCOL_V2,
+    frame, frame_len, split_mux, write_all_deadline, DeadlineIo, Request, Response, ServerHello,
+    PROTOCOL_V2,
 };
 
 /// Size of the inbox buffer; it grows to fit a longer frame.
@@ -76,6 +88,18 @@ const READ_BUF: usize = 16 * 1024;
 /// `LabelBatch` frames cost about 4% of its `query_many` rate on a
 /// 2-vCPU host.
 const KEEP_BUF: usize = 256 * 1024;
+/// A submit that brings the outbox to this many bytes writes it.
+const OUTBOX_FLUSH: usize = 16 * 1024;
+
+/// Whether a socket timeout armed at `armed` must be re-armed for a
+/// budget of `want`. Re-arming is a syscall, so the armed timeout is
+/// kept while it neither overruns the budget by more than 1 ms nor is
+/// under half of it: a read that times out early costs only one more
+/// turn of the waiter's loop, and a write that does fails at worst half
+/// its budget early.
+fn must_rearm(armed: Duration, want: Duration) -> bool {
+    armed > want + Duration::from_millis(1) || armed < want / 2
+}
 
 /// The correlation table, guarded by [`MuxClient::state`].
 struct MuxState {
@@ -120,12 +144,8 @@ impl Inbox {
         timeout: Duration,
         filed: &mut Vec<(u64, Response)>,
     ) -> Result<(), String> {
-        // Re-arming is a syscall, so keep the armed timeout while it
-        // neither overruns the deadline by more than the 1 ms floor nor
-        // is under half of it (a read that times out early costs only
-        // one more turn of the caller's loop).
         let want = timeout.max(Duration::from_millis(1));
-        if self.armed > want + Duration::from_millis(1) || self.armed < want / 2 {
+        if must_rearm(self.armed, want) {
             self.stream
                 .set_read_timeout(Some(want))
                 .map_err(|e| format!("arming the response read: {e}"))?;
@@ -173,6 +193,81 @@ impl Inbox {
     }
 }
 
+/// The socket's write half and the frames submitted but not yet written.
+struct Outbox {
+    sink: Sink,
+    /// Whole frames back to back, oldest first.
+    buf: Vec<u8>,
+}
+
+impl Outbox {
+    /// Writes every queued frame in one [`write_all_deadline`] within
+    /// `budget`. `Err` is the rendered reason the connection is dead: the
+    /// write failed or timed out and may have sent part of a frame, so
+    /// the socket is shut down and the queue dropped.
+    fn flush(&mut self, budget: Duration) -> Result<(), String> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        let wrote = write_all_deadline(&mut self.sink, &self.buf, budget);
+        self.buf.clear();
+        self.buf.shrink_to(KEEP_BUF);
+        wrote.map_err(|e| {
+            // Wakes a waiter blocked reading, which then sees EOF.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "the connection is dead either way; the write error is the reason"
+            )]
+            let _ = self.sink.stream.shutdown(Shutdown::Both);
+            format!("writing requests: {e}")
+        })
+    }
+}
+
+/// The write half (a `try_clone` twin of the inbox's stream) and the
+/// send timeout it is armed with. It never reads: the inbox owns reading
+/// and the read timeout.
+struct Sink {
+    stream: TcpStream,
+    armed: Duration,
+}
+
+impl Read for Sink {
+    fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "the outbox never reads",
+        ))
+    }
+}
+
+impl Write for Sink {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+impl DeadlineIo for Sink {
+    fn limit_read_timeout(&mut self, _: Duration) -> io::Result<()> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "the outbox never reads",
+        ))
+    }
+
+    fn limit_write_timeout(&mut self, timeout: Duration) -> io::Result<()> {
+        if must_rearm(self.armed, timeout) {
+            self.stream.set_write_timeout(Some(timeout))?;
+            self.armed = timeout;
+        }
+        Ok(())
+    }
+}
+
 /// One v2 response payload as `(request id, response)`.
 fn decode_response(payload: &[u8]) -> Result<(u64, Response), String> {
     // A server that broke v2 framing has made its ids untrustworthy, so
@@ -194,8 +289,8 @@ pub struct MuxClient {
     /// Parks waiters while another waiter holds the read token.
     cv: Condvar,
     inbox: Mutex<Inbox>,
-    /// The write half (a `try_clone` twin of the inbox's stream).
-    writer: Mutex<TcpStream>,
+    /// The write half and the submitted frames not yet written.
+    writer: Mutex<Outbox>,
     hello: ServerHello,
     addr: SocketAddr,
     config: ClientConfig,
@@ -225,7 +320,13 @@ impl MuxClient {
                 max_frame_len: config.max_frame_len,
                 armed: Duration::ZERO,
             }),
-            writer: Mutex::new(writer),
+            writer: Mutex::new(Outbox {
+                sink: Sink {
+                    stream: writer,
+                    armed: Duration::ZERO,
+                },
+                buf: Vec::new(),
+            }),
             hello,
             addr,
             config,
@@ -253,13 +354,17 @@ impl MuxClient {
         lock_unpoisoned(&self.state).slots.len()
     }
 
-    /// Sends `request` and returns its id without waiting; pair with
-    /// [`MuxClient::wait`]. Submissions from any number of threads
-    /// interleave on the wire (each frame is written atomically under
-    /// the writer lock, within the write budget).
+    /// Queues `request` and returns its id without waiting; pair with
+    /// [`MuxClient::wait`]. The framed request is appended to the outbox,
+    /// which goes to the socket in one write when a waiter finds its slot
+    /// empty, on [`MuxClient::flush`], or when this submit brings it to
+    /// 16 KiB. Submissions from any number of threads interleave on the
+    /// wire a whole frame at a time.
     ///
-    /// The response is read only once some caller waits; until then it
-    /// sits in the socket or the daemon's write queue. Wait within the
+    /// A write this submit makes that fails kills the connection: it and
+    /// every request in flight fail [`NetError::ConnectionDead`]. The
+    /// response is read only once some caller waits; until then it sits
+    /// in the socket or the daemon's write queue. Wait within the
     /// daemon's `write_timeout` of the socket buffers filling, or the
     /// daemon drops the connection (see the module docs).
     pub fn submit(&self, request: &Request) -> Result<u64, NetError> {
@@ -273,16 +378,40 @@ impl MuxClient {
         }
         let framed = frame(Some(id), &request.encode());
         let wrote = {
-            let mut writer = lock_unpoisoned(&self.writer);
-            write_all_deadline(&mut *writer, &framed, self.config.request_timeout)
+            let mut outbox = lock_unpoisoned(&self.writer);
+            outbox.buf.extend_from_slice(&framed);
+            if outbox.buf.len() >= OUTBOX_FLUSH {
+                outbox.flush(self.config.request_timeout)
+            } else {
+                Ok(())
+            }
         };
-        if let Err(e) = wrote {
-            // Nothing (or half a frame) went out: the slot will never
-            // fill, so reclaim it rather than leak it.
+        if let Err(reason) = wrote {
+            // The slot will never fill: reclaim it rather than leak it.
             lock_unpoisoned(&self.state).slots.remove(&id);
-            return Err(e.into());
+            return Err(self.kill(reason));
         }
         Ok(id)
+    }
+
+    /// Writes every submitted request not yet written, in one write. A
+    /// thread that submits to several clients calls this on each before
+    /// it blocks waiting on one of them. A failed write kills the
+    /// connection, as in [`MuxClient::submit`].
+    pub fn flush(&self) -> Result<(), NetError> {
+        let wrote = lock_unpoisoned(&self.writer).flush(self.config.request_timeout);
+        wrote.map_err(|reason| self.kill(reason))
+    }
+
+    /// Marks the connection dead (the first reason sticks) and wakes the
+    /// parked waiters to see it; returns the error every request gets.
+    fn kill(&self, reason: String) -> NetError {
+        let mut state = lock_unpoisoned(&self.state);
+        let reason = state.dead.get_or_insert(reason).clone();
+        if state.parked > 0 {
+            self.cv.notify_all();
+        }
+        NetError::ConnectionDead(reason)
     }
 
     /// Blocks until request `id` answers or `deadline` passes. On
@@ -290,12 +419,15 @@ impl MuxClient {
     /// comes) is dropped on arrival — and only this request fails;
     /// everything else in flight keeps waiting undisturbed.
     ///
-    /// While its slot is empty the caller reads the socket itself if no
-    /// other waiter is reading, filing whatever responses arrive for
-    /// anyone, and otherwise parks until the reader hands over.
+    /// While its slot is empty the caller first writes the outbox, so
+    /// its own request (and any other submitted before) is on the wire;
+    /// then it reads the socket itself if no other waiter is reading,
+    /// filing whatever responses arrive for anyone, and otherwise parks
+    /// until the reader hands over.
     pub fn wait(&self, id: u64, deadline: Duration) -> Result<Response, NetError> {
         let started = Instant::now();
         let mut filed = Vec::new();
+        let mut flushed = false;
         let mut state = lock_unpoisoned(&self.state);
         loop {
             match state.slots.get(&id) {
@@ -323,6 +455,18 @@ impl MuxClient {
                         waited: started.elapsed(),
                     });
                 }
+            }
+            if !flushed {
+                // Before reading or parking: a request still in the
+                // outbox would never be answered.
+                flushed = true;
+                drop(state);
+                let wrote = lock_unpoisoned(&self.writer).flush(self.config.request_timeout);
+                if let Err(reason) = wrote {
+                    self.kill(reason);
+                }
+                state = lock_unpoisoned(&self.state);
+                continue;
             }
             let elapsed = started.elapsed();
             let Some(remaining) = deadline.checked_sub(elapsed) else {
@@ -434,9 +578,10 @@ fn wait_timeout_unpoisoned<'a>(
 
 #[cfg(test)]
 mod tests {
-    //! The read-token hand-off against a scripted daemon: each mock
-    //! writes exactly the bytes its test names, paced by channels, and
-    //! the tests watch the token through `MuxState` instead of sleeping.
+    //! The read-token hand-off and the outbox against a scripted daemon:
+    //! each mock writes exactly the bytes its test names, paced by
+    //! channels, and the tests watch the token through `MuxState` and the
+    //! queued frames through `Outbox` instead of sleeping.
 
     use std::io::Write;
     use std::net::TcpListener;
@@ -593,6 +738,7 @@ mod tests {
             let client = connect(addr);
             let x = client.submit(&Request::Query { u: 9, v: 1 }).expect("x");
             let y = client.submit(&Request::Query { u: 2, v: 3 }).expect("y");
+            client.flush().expect("flush");
             half.recv().expect("half");
             match client.wait(x, Duration::from_millis(50)) {
                 Err(NetError::RequestTimeout { request_id, .. }) => assert_eq!(request_id, x),
@@ -657,6 +803,7 @@ mod tests {
         let client = connect(addr);
         let x = client.submit(&Request::Query { u: 1, v: 1 }).expect("x");
         let y = client.submit(&Request::Query { u: 2, v: 2 }).expect("y");
+        client.flush().expect("flush");
         let whole = half.recv().expect("half");
         assert!(
             whole > KEEP_BUF,
@@ -698,6 +845,7 @@ mod tests {
         let a = client.submit(&Request::Query { u: 4, v: 4 }).expect("a");
         let b = client.submit(&Request::Query { u: 5, v: 5 }).expect("b");
         let c = client.submit(&Request::Query { u: 6, v: 6 }).expect("c");
+        client.flush().expect("flush");
         mock.join().expect("mock");
         for id in [b, c] {
             match client.wait(id, LONG) {
@@ -707,6 +855,182 @@ mod tests {
         }
         let got = client.wait(a, LONG).expect("a was filed before the EOF");
         assert_eq!(got, Response::Distance(distance(4, 4)));
+        assert!(matches!(
+            client.submit(&Request::Ping),
+            Err(NetError::ConnectionDead(_))
+        ));
+        assert_eq!(client.in_flight(), 0);
+    }
+
+    /// How many whole frames `buf` holds; panics on a partial one.
+    fn frames_in(mut buf: &[u8]) -> usize {
+        let mut count = 0;
+        while let Some(&prefix) = buf.first_chunk::<4>() {
+            let len = frame_len(prefix, DEFAULT_MAX_FRAME_LEN).expect("frame length");
+            buf = buf.get(4 + len..).expect("whole frames only");
+            count += 1;
+        }
+        count
+    }
+
+    /// Reads `count` `Query` frames and writes their answers back.
+    fn answer_all(stream: &mut TcpStream, count: usize) {
+        for _ in 0..count {
+            let (_, answer) = next_answer(stream);
+            stream.write_all(&answer).expect("answer");
+        }
+    }
+
+    fn queued(client: &MuxClient) -> Vec<u8> {
+        lock_unpoisoned(&client.writer).buf.clone()
+    }
+
+    #[test]
+    fn submits_stay_in_the_outbox_until_a_wait_writes_them_at_once() {
+        const K: usize = 5;
+        let (go, next) = mpsc::channel::<()>();
+        let (saw, seen) = mpsc::channel::<io::ErrorKind>();
+        let (addr, mock) = spawn_mock(move |mut stream| {
+            next.recv().expect("go");
+            stream.set_nonblocking(true).expect("nonblocking");
+            let peek = stream
+                .peek(&mut [0; 1])
+                .map_or_else(|e| e.kind(), |_| io::ErrorKind::Other);
+            saw.send(peek).expect("report");
+            stream.set_nonblocking(false).expect("blocking");
+            answer_all(&mut stream, K);
+            next.recv().ok();
+        });
+        let client = connect(addr);
+        let pairs: Vec<(NodeId, NodeId)> = (0..K as NodeId).map(|i| (i, i + 10)).collect();
+        let ids: Vec<u64> = pairs
+            .iter()
+            .map(|&(u, v)| client.submit(&Request::Query { u, v }).expect("submit"))
+            .collect();
+        assert_eq!(frames_in(&queued(&client)), K);
+        go.send(()).expect("go");
+        assert_eq!(
+            seen.recv().expect("peek"),
+            io::ErrorKind::WouldBlock,
+            "no submit may reach the socket before a wait"
+        );
+        for (&id, &(u, v)) in ids.iter().zip(&pairs) {
+            let got = client.wait(id, LONG).expect("answer");
+            assert_eq!(got, Response::Distance(distance(u, v)));
+        }
+        assert!(queued(&client).is_empty());
+        assert_eq!(client.in_flight(), 0);
+        drop(go);
+        mock.join().expect("mock");
+    }
+
+    #[test]
+    fn a_submit_that_fills_the_outbox_writes_it() {
+        let one = frame(Some(1), &Request::Query { u: 1, v: 2 }.encode()).len();
+        let fill = OUTBOX_FLUSH.div_ceil(one);
+        let (got_all, all) = mpsc::channel::<()>();
+        let (addr, mock) = spawn_mock(move |mut stream| {
+            for _ in 0..fill {
+                next_answer(&mut stream);
+            }
+            got_all.send(()).expect("report");
+            // Hold the connection until the client is dropped.
+            read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN).ok();
+        });
+        let client = connect(addr);
+        for k in 1..fill {
+            client
+                .submit(&Request::Query { u: 1, v: 2 })
+                .expect("submit");
+            assert_eq!(queued(&client).len(), k * one, "submit {k} only queues");
+        }
+        client
+            .submit(&Request::Query { u: 1, v: 2 })
+            .expect("submit");
+        assert!(queued(&client).is_empty(), "the filling submit writes");
+        all.recv_timeout(LONG)
+            .expect("every frame reached the mock without a wait");
+        drop(client);
+        mock.join().expect("mock");
+    }
+
+    #[test]
+    fn a_waiter_flushes_its_submit_before_it_parks_behind_the_reader() {
+        let (addr, mock) = spawn_mock(move |mut stream| {
+            let (_, first) = next_answer(&mut stream);
+            let (_, second) = next_answer(&mut stream);
+            // The parked waiter's answer first, then the reader's.
+            stream.write_all(&second).expect("answer p");
+            stream.write_all(&first).expect("answer r");
+            read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN).ok();
+        });
+        let client = connect(addr);
+        let r = client.submit(&Request::Query { u: 5, v: 6 }).expect("r");
+        thread::scope(|s| {
+            let reader = s.spawn(|| client.wait(r, Duration::from_secs(5)));
+            spin_until(&client, |st| st.reading);
+            // Submitted while the token is held: only this waiter's own
+            // flush can put the frame on the wire before the reader's
+            // deadline.
+            let p = client.submit(&Request::Query { u: 7, v: 8 }).expect("p");
+            let got = client.wait(p, LONG).expect("p answers");
+            assert_eq!(got, Response::Distance(distance(7, 8)));
+            match reader.join().expect("reader") {
+                Ok(got) => assert_eq!(got, Response::Distance(distance(5, 6))),
+                Err(e) => panic!("the reader must be answered inside its deadline, got {e:?}"),
+            }
+        });
+        assert_eq!(client.in_flight(), 0);
+        drop(client);
+        mock.join().expect("mock");
+    }
+
+    #[test]
+    fn a_failed_flush_kills_the_connection_typed() {
+        // The mock closes right after the handshake.
+        let (addr, mock) = spawn_mock(drop);
+        let client = connect(addr);
+        mock.join().expect("mock");
+        let one = frame(Some(1), &Request::Query { u: 1, v: 2 }.encode()).len();
+        let mut ids = Vec::new();
+        let failed = loop {
+            assert!(ids.len() < 1 << 20, "no submit ever failed");
+            match client.submit(&Request::Query { u: 1, v: 2 }) {
+                Ok(id) => ids.push(id),
+                Err(e) => break e,
+            }
+        };
+        assert!(
+            matches!(failed, NetError::ConnectionDead(_)),
+            "the failing submit: {failed:?}"
+        );
+        assert!(
+            (ids.len() + 1) * one >= OUTBOX_FLUSH,
+            "only a write can fail, and the first comes at 16 KiB"
+        );
+        let started = Instant::now();
+        let (together, alone) = ids.split_at(4);
+        let client = &client;
+        thread::scope(|s| {
+            let waiters: Vec<_> = together
+                .iter()
+                .map(|&id| s.spawn(move || (id, client.wait(id, LONG))))
+                .collect();
+            for waiter in waiters {
+                match waiter.join().expect("waiter") {
+                    (_, Err(NetError::ConnectionDead(_))) => {}
+                    (id, other) => panic!("request {id} must fail ConnectionDead, got {other:?}"),
+                }
+            }
+        });
+        for &id in alone {
+            match client.wait(id, LONG) {
+                Err(NetError::ConnectionDead(_)) => {}
+                other => panic!("request {id} must fail ConnectionDead, got {other:?}"),
+            }
+        }
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(2), "the waits took {took:?}");
         assert!(matches!(
             client.submit(&Request::Ping),
             Err(NetError::ConnectionDead(_))

@@ -12,11 +12,16 @@
 //! ([`QueryEngine::num_workers`]) — the daemon's only standing threads
 //! besides the loop — feeds the pool's completions back, writes each
 //! connection's queued bytes once, and drops the connections the machine
-//! calls finished or expired. Workers wake the loop through the pipe once
-//! per turn, not once per completion: the first completion after the
-//! loop's drain rings, and the rest ride that wake. What a connection
-//! may do — what is read, dispatched, owed an answer, refused, timed
-//! out — is `conn.rs`'s decision alone.
+//! calls finished or expired. Work moves per turn, not per request: the
+//! point requests (`Query`, `Label`) one connection's turn lets out go
+//! to one worker as one job, which answers each through `execute` and
+//! sends every framed answer back as one completion; a `QueryBatch`,
+//! `LabelBatch` or `Reload` is a job of its own, so a multi-worker
+//! daemon still spreads heavy frames. Workers wake the loop through the
+//! pipe once per turn, not once per completion: the first completion
+//! after the loop's drain rings, and the rest ride that wake. What a
+//! connection may do — what is read, dispatched, owed an answer,
+//! refused, timed out — is `conn.rs`'s decision alone.
 //!
 //! Design constraints, in order:
 //!
@@ -196,20 +201,25 @@ impl StopHandle {
     }
 }
 
-/// One request handed to the worker pool.
+/// Work handed to the worker pool: the point requests (`Query`,
+/// `Label`) one connection's turn let out, together, or one batch or
+/// reload alone — so heavy frames still spread across workers.
 struct Job {
     conn: u64,
-    id: u64,
     version: u16,
-    request: Request,
+    /// `(request id, request)`, in the order the machine let them out.
+    requests: Vec<(u64, Request)>,
 }
 
-/// One finished request on its way back to the event loop.
+/// One job's answers on their way back to the event loop.
 struct Completion {
     conn: u64,
-    /// Fully framed bytes (length prefix included, id prefix for v2).
-    frame: Vec<u8>,
-    is_error: bool,
+    /// Every answer fully framed (length prefix included, id prefix for
+    /// v2), back to back.
+    frames: Vec<u8>,
+    /// How many answers `frames` holds, and how many are error frames.
+    answers: usize,
+    errors: usize,
 }
 
 /// A bound-but-not-yet-serving HLNP daemon.
@@ -356,7 +366,7 @@ impl NetServer {
             // A connection that died while its job ran is owed nothing.
             while let Ok(done) = done_rx.try_recv() {
                 if let Some((_, c)) = conns.get_mut(&done.conn) {
-                    c.on_completion(engine, &done.frame, done.is_error);
+                    c.on_completion(engine, &done.frames, done.answers, done.errors);
                 }
             }
 
@@ -368,29 +378,36 @@ impl NetServer {
             }
 
             // Every connection, every turn: hand out what the machine
-            // lets out, write what it has queued once, and drop it when
-            // it says it is done or overdue — so a peer the kernel never
-            // reports on still cannot overstay.
+            // lets out — its point requests as one job — write what it
+            // has queued once, and drop it when it says it is done or
+            // overdue, so a peer the kernel never reports on still cannot
+            // overstay.
             conns.retain(|&cid, (stream, c)| {
+                let mut point: Option<Job> = None;
                 while let Some((id, version, request)) = c.next_job(config, engine) {
-                    let job = Job {
-                        conn: cid,
-                        id,
-                        version,
-                        request,
-                    };
-                    if let Err(mpsc::SendError(job)) = job_tx.send(job) {
-                        // The pool is gone (teardown): answer typed rather
-                        // than leaving the id unanswered forever.
-                        let code = ErrorCode::ShuttingDown;
-                        let message = "server is draining".to_string();
-                        let refusal = Response::Error { code, message };
-                        c.on_completion(
+                    if matches!(request, Request::Query { .. } | Request::Label { .. }) {
+                        let job = point.get_or_insert_with(|| Job {
+                            conn: cid,
+                            version,
+                            requests: Vec::new(),
+                        });
+                        job.requests.push((id, request));
+                    } else {
+                        let requests = vec![(id, request)];
+                        hand_out(
+                            job_tx,
+                            c,
                             engine,
-                            &response_frame(job.version, job.id, &refusal),
-                            true,
+                            Job {
+                                conn: cid,
+                                version,
+                                requests,
+                            },
                         );
                     }
+                }
+                if let Some(job) = point {
+                    hand_out(job_tx, c, engine, job);
                 }
                 if c.stop_requested() {
                     inner.trigger_stop();
@@ -533,8 +550,26 @@ fn write_once(stream: &mut TcpStream, c: &mut Conn, now: Instant) -> bool {
     true
 }
 
-/// One worker: executes engine-bound requests and posts framed
-/// completions back to the loop, ringing it at most once per turn.
+/// Sends `job` to the pool. If the pool is gone (teardown), answers
+/// each of its requests typed rather than leaving an id unanswered
+/// forever.
+fn hand_out(job_tx: &Sender<Job>, c: &mut Conn, engine: &QueryEngine, job: Job) {
+    if let Err(mpsc::SendError(job)) = job_tx.send(job) {
+        let code = ErrorCode::ShuttingDown;
+        let message = "server is draining".to_string();
+        let refusal = Response::Error { code, message };
+        let mut frames = Vec::new();
+        for (id, _) in &job.requests {
+            frames.extend_from_slice(&response_frame(job.version, *id, &refusal));
+        }
+        let answers = job.requests.len();
+        c.on_completion(engine, &frames, answers, answers);
+    }
+}
+
+/// One worker: executes each job's requests in order and posts their
+/// framed answers back to the loop as one completion, ringing it at most
+/// once per turn.
 fn worker_loop(inner: &Inner, job_rx: &Mutex<Receiver<Job>>, done_tx: &Sender<Completion>) {
     loop {
         // Holding the lock across `recv` parks exactly one idle worker on
@@ -544,12 +579,23 @@ fn worker_loop(inner: &Inner, job_rx: &Mutex<Receiver<Job>>, done_tx: &Sender<Co
         let Ok(job) = job else {
             return; // channel closed: the server is done
         };
-        let response = execute(&inner.engine, &inner.store_version, job.request);
-        let completion = Completion {
+        let mut completion = Completion {
             conn: job.conn,
-            frame: response_frame(job.version, job.id, &response),
-            is_error: matches!(response, Response::Error { .. }),
+            frames: Vec::new(),
+            answers: job.requests.len(),
+            errors: 0,
         };
+        for (id, request) in job.requests {
+            let response = execute(&inner.engine, &inner.store_version, request);
+            completion.errors += usize::from(matches!(response, Response::Error { .. }));
+            let framed = response_frame(job.version, id, &response);
+            // A job's first answer (a batch's only one) moves, not copies.
+            if completion.frames.is_empty() {
+                completion.frames = framed;
+            } else {
+                completion.frames.extend_from_slice(&framed);
+            }
+        }
         if done_tx.send(completion).is_err() {
             return; // loop is gone: nothing left to complete into
         }

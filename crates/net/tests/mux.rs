@@ -141,6 +141,96 @@ fn v2_connection_sustains_300_inflight_and_answers_correctly() {
     assert_eq!(answered.len(), INFLIGHT, "some request went unanswered");
 }
 
+/// The daemon hands a turn's point requests to a worker as one job, yet
+/// answers and counts them one by one: 256 `Query` frames in one write,
+/// some naming a vertex out of range and one undecodable, are each
+/// answered exactly once — BFS-exact, `NodeOutOfRange` or `Malformed` —
+/// and the metrics count queries and error frames per request.
+#[test]
+fn a_turn_of_point_queries_is_answered_and_counted_per_request() {
+    let g = generators::grid(6, 6);
+    let n = g.num_nodes();
+    let truth: Vec<Vec<u64>> = (0..n as NodeId)
+        .map(|u| bfs::bfs_distances(&g, u))
+        .collect();
+    let server = TestServer::start(&g, |_| {});
+    let mut stream = v2_socket(server.addr);
+
+    const FRAMES: u64 = 256;
+    const UNDECODABLE: u64 = 100;
+    let mut want: Vec<Option<(NodeId, NodeId)>> = Vec::new();
+    let mut burst = Vec::new();
+    for id in 1..=FRAMES {
+        let i = id as usize;
+        let (u, v) = ((i % n) as NodeId, ((i * 7 + 3) % n) as NodeId);
+        let (u, v) = if id % 17 == 5 {
+            (u, n as NodeId + v)
+        } else {
+            (u, v)
+        };
+        let payload = if id == UNDECODABLE {
+            encode_mux(id, &[0xFF])
+        } else {
+            encode_mux(id, &Request::Query { u, v }.encode())
+        };
+        burst.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        burst.extend_from_slice(&payload);
+        want.push((id != UNDECODABLE).then_some((u, v)));
+    }
+    stream.write_all(&burst).expect("one write of every frame");
+
+    let (mut exact, mut out_of_range, mut malformed) = (0, 0, 0);
+    let mut answered = HashSet::new();
+    for _ in 0..FRAMES {
+        let (id, resp) = read_mux(&mut stream);
+        assert!(answered.insert(id), "request id {id} answered twice");
+        let asked = want
+            .get((id as usize).wrapping_sub(1))
+            .unwrap_or_else(|| panic!("response for an id never sent: {id}"));
+        match (asked, resp) {
+            (Some((u, v)), Response::Distance(d)) => {
+                assert_eq!(d, truth[*u as usize][*v as usize], "d({u},{v}) wrong");
+                exact += 1;
+            }
+            (
+                Some((_, v)),
+                Response::Error {
+                    code: ErrorCode::NodeOutOfRange,
+                    ..
+                },
+            ) if *v as usize >= n => out_of_range += 1,
+            (
+                None,
+                Response::Error {
+                    code: ErrorCode::Malformed,
+                    ..
+                },
+            ) => malformed += 1,
+            (asked, other) => panic!("id {id} asked {asked:?}, got {other:?}"),
+        }
+    }
+    assert_eq!(exact + out_of_range + malformed, FRAMES);
+    assert_eq!((out_of_range, malformed), (15, 1));
+
+    send_mux(&mut stream, FRAMES + 1, &Request::Metrics);
+    let snap = match read_mux(&mut stream) {
+        (id, Response::Metrics(snap)) if id == FRAMES + 1 => snap,
+        other => panic!("expected the metrics answer, got {other:?}"),
+    };
+    assert_eq!(snap.single_queries, exact, "one count per answered query");
+    assert_eq!(
+        snap.cache_hits + snap.cache_misses,
+        exact,
+        "every query probes the point cache"
+    );
+    assert_eq!(
+        snap.net_errors,
+        out_of_range + malformed,
+        "one count per error frame"
+    );
+    assert_eq!(snap.net_requests, FRAMES + 1);
+}
+
 /// MuxClient semantics: submit everything, then collect in *reverse*
 /// submission order — each wait only blocks on its own id.
 #[test]

@@ -22,7 +22,9 @@
 //! multiplexing: a cross-shard pair submits both label fetches before
 //! waiting on either, and batch workloads keep a window of chunk frames
 //! in flight on *every* shard at once, so the fleet computes in
-//! parallel while the router joins.
+//! parallel while the router joins. A submit only queues its frame in
+//! the client's outbox, so the router flushes every shard it submitted
+//! to before it blocks waiting on any one of them.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
@@ -132,6 +134,9 @@ impl ShardRouter {
         }
         let id_u = self.clients[su].submit(&Request::Label { v: u })?;
         let id_v = self.clients[sv].submit(&Request::Label { v })?;
+        for s in [su, sv] {
+            self.clients[s].flush()?;
+        }
         let lu = self.clients[su]
             .wait(id_u, self.request_timeout)?
             .into_label()?;
@@ -217,6 +222,8 @@ impl ShardRouter {
                     inflight[s].push_back((next[s], id));
                     next[s] += 1;
                 }
+                // Out now: the wait below blocks on one shard at a time.
+                self.clients[s].flush()?;
                 if next[s] < work[s].len() || !inflight[s].is_empty() {
                     done = false;
                 }
