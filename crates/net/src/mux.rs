@@ -107,8 +107,9 @@ struct MuxState {
     /// A waiter that gives up removes its entry, which is exactly what
     /// makes the late response droppable instead of deliverable.
     slots: HashMap<u64, Option<Response>>,
-    /// Set once by the waiter that sees the transport die; the rendered
-    /// error every subsequent failure reports.
+    /// Set once by the caller that sees the transport die (a broken read
+    /// or a failed outbox write); the rendered error every subsequent
+    /// failure reports.
     dead: Option<String>,
     /// The read token: `true` while one waiter reads the socket. Only
     /// its holder locks [`MuxClient::inbox`].
