@@ -76,7 +76,7 @@ use hl_server::MetricsSnapshot;
 use crate::client::{dial, resolve, ClientConfig};
 use crate::error::NetError;
 use crate::wire::{
-    frame, frame_len, split_mux, write_all_deadline, DeadlineIo, Request, Response, ServerHello,
+    frame, frame_len, split_mux, write_all_deadline, DeadlineWrite, Request, Response, ServerHello,
     PROTOCOL_V2,
 };
 
@@ -233,15 +233,6 @@ struct Sink {
     armed: Duration,
 }
 
-impl Read for Sink {
-    fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "the outbox never reads",
-        ))
-    }
-}
-
 impl Write for Sink {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.stream.write(buf)
@@ -252,14 +243,7 @@ impl Write for Sink {
     }
 }
 
-impl DeadlineIo for Sink {
-    fn limit_read_timeout(&mut self, _: Duration) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "the outbox never reads",
-        ))
-    }
-
+impl DeadlineWrite for Sink {
     fn limit_write_timeout(&mut self, timeout: Duration) -> io::Result<()> {
         if must_rearm(self.armed, timeout) {
             self.stream.set_write_timeout(Some(timeout))?;

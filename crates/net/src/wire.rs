@@ -460,26 +460,33 @@ pub fn read_frame<R: Read>(r: &mut R, max_len: u32) -> Result<Vec<u8>, WireError
     Ok(payload)
 }
 
-/// A transport whose per-call read/write timeouts can be re-armed, which
-/// is what whole-frame deadlines are built from.
+/// A read half whose per-call timeout can be re-armed, which is what
+/// whole-frame read deadlines are built from.
 ///
 /// Plain socket timeouts reset on *every* byte: a peer trickling one byte
 /// per `timeout - ε` keeps a connection (and its server slot) alive
 /// forever — the slow-loris attack. [`read_frame_deadline`] and
 /// [`write_frame_deadline`] instead budget the whole frame, shrinking the
 /// socket timeout toward the deadline on each iteration.
-pub trait DeadlineIo: Read + Write {
+pub trait DeadlineRead: Read {
     /// Caps the next read call at `timeout`.
     fn limit_read_timeout(&mut self, timeout: Duration) -> io::Result<()>;
+}
+
+/// The write half of [`DeadlineRead`]: what [`write_frame_deadline`] and
+/// [`write_all_deadline`] budget a whole write with.
+pub trait DeadlineWrite: Write {
     /// Caps the next write call at `timeout`.
     fn limit_write_timeout(&mut self, timeout: Duration) -> io::Result<()>;
 }
 
-impl DeadlineIo for TcpStream {
+impl DeadlineRead for TcpStream {
     fn limit_read_timeout(&mut self, timeout: Duration) -> io::Result<()> {
         self.set_read_timeout(Some(timeout))
     }
+}
 
+impl DeadlineWrite for TcpStream {
     fn limit_write_timeout(&mut self, timeout: Duration) -> io::Result<()> {
         self.set_write_timeout(Some(timeout))
     }
@@ -503,7 +510,7 @@ fn is_timeout(e: &io::Error) -> bool {
 /// Fills `buf` from `r`, giving up at `deadline`. Each loop iteration
 /// re-arms the socket timeout with the time left, so a peer dribbling
 /// bytes cannot extend the total beyond the budget.
-fn read_exact_deadline<R: DeadlineIo>(
+fn read_exact_deadline<R: DeadlineRead>(
     r: &mut R,
     buf: &mut [u8],
     deadline: Instant,
@@ -536,7 +543,7 @@ fn read_exact_deadline<R: DeadlineIo>(
 /// and once the first byte of a frame arrives the *entire* frame — length
 /// prefix and payload — must complete within `frame_budget`. Expiry of
 /// either surfaces as [`WireError::Io`] with [`io::ErrorKind::TimedOut`].
-pub fn read_frame_deadline<R: DeadlineIo>(
+pub fn read_frame_deadline<R: DeadlineRead>(
     r: &mut R,
     max_len: u32,
     idle_budget: Duration,
@@ -571,7 +578,7 @@ pub fn read_frame_deadline<R: DeadlineIo>(
 /// Writes one frame like [`write_frame`], but bounds the *whole* write
 /// (all partial writes included) by `budget`, so a peer that stops
 /// draining its receive buffer cannot pin the writer past the deadline.
-pub fn write_frame_deadline<W: DeadlineIo>(
+pub fn write_frame_deadline<W: DeadlineWrite>(
     w: &mut W,
     payload: &[u8],
     budget: Duration,
@@ -580,7 +587,7 @@ pub fn write_frame_deadline<W: DeadlineIo>(
 }
 
 /// Writes already-framed bytes (see [`frame`]) within `budget`.
-pub fn write_all_deadline<W: DeadlineIo>(
+pub fn write_all_deadline<W: DeadlineWrite>(
     w: &mut W,
     framed: &[u8],
     budget: Duration,
@@ -1215,11 +1222,13 @@ mod tests {
         }
     }
 
-    impl DeadlineIo for TricklePeer {
+    impl DeadlineRead for TricklePeer {
         fn limit_read_timeout(&mut self, _: Duration) -> io::Result<()> {
             Ok(())
         }
+    }
 
+    impl DeadlineWrite for TricklePeer {
         fn limit_write_timeout(&mut self, _: Duration) -> io::Result<()> {
             Ok(())
         }

@@ -1,17 +1,57 @@
 #!/usr/bin/env bash
-# One-command gate: formatting, lints, structural greps, tier-1 build +
-# tests, the end-to-end serving smoke tests, and a smoke run of the repo's
-# one benchmark (benchmark/). Everything runs offline.
+# One-command gate: formatting, the source pins of scripts/pins.txt, lints,
+# tier-1 build + tests, the end-to-end serving smoke tests, and a smoke run
+# of the repo's one benchmark (benchmark/). Everything runs offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Scratch space for the lint self-test, the experiments golden and the
+# Scratch space for the self-tests, the experiments golden and the
 # serving smokes; any daemon a failed smoke leaves behind goes with it.
 SMOKE=$(mktemp -d)
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$SMOKE"' EXIT
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
+
+echo "== source pins (one loop over scripts/pins.txt, whose header says what a row means) =="
+# A path that names nothing fails, never counts as no match, so a renamed
+# file cannot void its pins.
+pins() { # pins <table>: a FAIL line per broken row; status 1 if any
+  local rows count scope paths re p f files n bad=0
+  local -A own=()
+  rows=$(grep -vE '^[[:space:]]*(#|$)' "$1" || true)
+  while read -r count scope paths re; do
+    for p in ${paths//,/ }; do [ -f "$p" ] && own["$re|$p"]=1; done
+  done <<<"$rows"
+  while read -r count scope paths re; do
+    [[ $count =~ ^([0-9]+|\*)$ && $scope =~ ^(body|file)$ && -n $re ]] ||
+      { echo "check: FAIL — $1 has a malformed row: $count $scope $paths" >&2; bad=1; continue; }
+    for p in ${paths//,/ }; do
+      files=$(find "$p" -type f 2>/dev/null || true)
+      [ -n "$files" ] || { echo "check: FAIL — $1 names missing $p" >&2; bad=1; }
+      for f in $files; do # a file reached through a directory defers to its own row
+        [ "$count" = '*' ] || { [ "$f" != "$p" ] && [ -n "${own["$re|$f"]:-}" ]; } && continue
+        if [ "$scope" = body ]; then
+          n=$(sed '/^#\[cfg(test)\]/,$d' "$f" | grep -cE -- "$re" || true)
+        else
+          n=$(grep -cE -- "$re" "$f" || true)
+        fi
+        [ "$n" = "$count" ] ||
+          { echo "check: FAIL — $f: $n lines match /$re/ ($scope), $1 pins $count" >&2; bad=1; }
+      done
+    done
+  done <<<"$rows"
+  return "$bad"
+}
+# The loop's own wiring: a row that must fail and a missing path both fail.
+printf '1 body crates/graph/src/lib.rs ^never-matches$\n0 file crates/graph/src/gone.rs x\n' \
+  > "$SMOKE/pins.txt"
+if pins "$SMOKE/pins.txt" 2> "$SMOKE/pins.err" || ! grep -qF 'lib.rs: 0 lines match' "$SMOKE/pins.err" ||
+  ! grep -qF 'names missing crates/graph/src/gone.rs' "$SMOKE/pins.err"; then
+  echo "check: FAIL — the pin loop passed a table that must fail" >&2
+  exit 1
+fi
+pins scripts/pins.txt || exit 1
 
 echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -21,7 +61,7 @@ echo "== library invariants (stock lints, library targets only) =="
 # never prints, never exits the process, never reaches for `unsafe` and
 # never drops a `Result` unread (bins, tests, benches and examples may).
 # The decode-path modules also deny `clippy::cast_possible_truncation`
-# in their own first lines (pinned below). A justified exception is an
+# in their own first lines (a pin). A justified exception is an
 # `#[expect(<lint>, reason = "...")]` at its site; one that stops firing
 # fails the all-targets run above as an unfulfilled expectation.
 LIB_LINTS=(-D unsafe_code -D unused_must_use -D clippy::let_underscore_must_use
@@ -83,174 +123,9 @@ for lint in let_underscore_must_use cast_possible_truncation; do
   fi
 done
 
-echo "== decode-path modules (truncation denied, allocation sites pinned) =="
-# Bytes from a store file or a peer are decoded in these modules. Each
-# denies `cast_possible_truncation` in its first lines, and each of its
-# allocations (`with_capacity`, `reserve(`, `vec![_; n]`) above
-# `#[cfg(test)]` was reviewed to be sized by a count already checked
-# against the bytes behind it. A new site fails here until it is
-# reviewed and its file's pin moved.
-while read -r file pinned; do
-  if ! grep -qxF '#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]' "$file"; then
-    echo "check: FAIL — $file lost its cast_possible_truncation deny" >&2
-    exit 1
-  fi
-  found=$(sed '/^#\[cfg(test)\]/,$d' "$file" | grep -cE 'with_capacity|reserve\(|vec!\[[^]]*;' || true)
-  if [ "$found" -ne "$pinned" ]; then
-    echo "check: FAIL — $file has $found allocation sites, $pinned reviewed" >&2
-    exit 1
-  fi
-done <<'PINS'
-crates/core/src/compact.rs 2
-crates/labeling/src/bits.rs 0
-crates/labeling/src/full_vector.rs 2
-crates/labeling/src/hub_scheme.rs 4
-crates/labeling/src/packed.rs 0
-crates/net/src/conn.rs 0
-crates/net/src/wire.rs 6
-crates/server/src/store.rs 4
-crates/server/src/store_v2.rs 2
-PINS
-
-echo "== locks live in five files (DESIGN's lock table) =="
-# Each of these takes its locks through hl_graph::sync and never holds
-# one guard while taking another; a lock anywhere else is a new row for
-# that table before it is a line of code.
-LOCK_FILES='crates/graph/src/sync.rs
-crates/net/src/mux.rs
-crates/net/src/server.rs
-crates/server/src/cache.rs
-crates/server/src/engine.rs'
-stray=$(find crates/*/src src -name '*.rs' ! -path '*/src/bin/*' ! -name main.rs -exec awk '
-    FNR == 1 { body = 1 }
-    /^#\[cfg\(test\)\]/ { body = 0 }
-    body && /(^|[^[:alnum:]_])(Mutex|RwLock)([^[:alnum:]_]|$)/ { print FILENAME; nextfile }
-  ' {} + | grep -vxF "$LOCK_FILES" || true)
-if [ -n "$stray" ]; then
-  echo "check: FAIL — a Mutex/RwLock outside DESIGN's lock table:" $stray >&2
-  exit 1
-fi
-
-echo "== the point cache is flat sets (no hash map or linked list in cache.rs) =="
-# A shard is two flat arrays scanned one set at a time, each set most
-# recent first; a HashMap or prev/next links are the old LRU coming back.
-if sed '/^#\[cfg(test)\]/,$d' crates/server/src/cache.rs | grep -nE 'HashMap|prev:|next:'; then
-  echo "check: FAIL — crates/server/src/cache.rs keys a hash map or links a list above its tests" >&2
-  exit 1
-fi
-
-echo "== connection purity (conn.rs: no socket, channel or clock read; server.rs: no protocol state) =="
-# What a connection may do is decided in one socket-free file, so it can
-# be enumerated and run on a virtual clock; the loop around it only
-# moves bytes. Ten seconds here keeps both halves that way.
-if sed '/^#\[cfg(test)\]/,$d' crates/net/src/conn.rs |
-  grep -nE 'std::(net|io|os|thread|sync::mpsc)|Instant::now|SystemTime|hl_sys|sleep'; then
-  echo "check: FAIL — crates/net/src/conn.rs must stay free of sockets, channels and clock reads" >&2
-  exit 1
-fi
-if grep -nwE 'rbuf|pending|inflight|frame_started|write_stalled|close_after_flush|read_closed' \
-  crates/net/src/server.rs; then
-  echo "check: FAIL — per-connection protocol state belongs in crates/net/src/conn.rs" >&2
-  exit 1
-fi
-
-echo "== the mux client starts no thread; a worker rings the loop once per turn =="
-# A waiting caller reads its own responses, so a reader thread and its
-# extra wake-up per round trip stay gone; a worker wakes the loop through
-# `Inner::ring`, which writes the pipe only when no wake is pending.
-if sed '/^#\[cfg(test)\]/,$d' crates/net/src/mux.rs | grep -nE 'thread::|spawn'; then
-  echo "check: FAIL — crates/net/src/mux.rs starts a thread above its tests" >&2
-  exit 1
-fi
-worker=$(sed -n '/^fn worker_loop/,/^}/p' crates/net/src/server.rs)
-if grep -n 'inner\.wake()' <<<"$worker" || ! grep -q 'inner\.ring()' <<<"$worker"; then
-  echo "check: FAIL — worker_loop must wake the loop through inner.ring(), never inner.wake()" >&2
-  exit 1
-fi
-
-echo "== the batch path reads the clock once per share, the single path 1 in 16 (no clock in hl-core) =="
-# The kernel joins and nothing else: hl-core reads no clock. The engine
-# joins in exactly two places, the single path's `query` (timed one call
-# in SAMPLE_EVERY) and the batch share's `query_many` (timed once around
-# the share); a per-pair join in `answer` is a second `labeling.query(`.
-# The share's read is the one unconditional `Instant::now()`; the single
-# path's sits behind the SAMPLE_EVERY test on its own line.
-clock=$(find crates/core/src -name '*.rs' -exec awk '
-    FNR == 1 { body = 1 }
-    /^#\[cfg\(test\)\]/ { body = 0 }
-    body && /Instant|SystemTime/ { print FILENAME ":" FNR ": " $0 }
-  ' {} +)
-if [ -n "$clock" ]; then
-  echo "$clock" >&2
-  echo "check: FAIL — crates/core/src reads a clock outside its tests" >&2
-  exit 1
-fi
-engine=$(sed '/^#\[cfg(test)\]/,$d' crates/server/src/engine.rs)
-singles=$(grep -c 'labeling\.query(' <<<"$engine" || true)
-shares=$(grep -c 'labeling\.query_many(' <<<"$engine" || true)
-if [ "$singles" -ne 1 ] || [ "$shares" -ne 1 ]; then
-  echo "check: FAIL — engine.rs joins through labeling.query( $singles times and labeling.query_many( $shares times; want 1 and 1" >&2
-  exit 1
-fi
-reads=$(grep -c 'Instant::now' <<<"$engine" || true)
-always=$(grep -c 'Instant::now()' <<<"$engine" || true)
-sampled=$(grep -c '\.is_multiple_of(SAMPLE_EVERY)\.then(Instant::now)' <<<"$engine" || true)
-if [ "$reads" -ne 2 ] || [ "$always" -ne 1 ] || [ "$sampled" -ne 1 ]; then
-  grep -n 'Instant::now' <<<"$engine" >&2 || true
-  echo "check: FAIL — engine.rs must read the clock once unconditionally (a batch share) and once behind SAMPLE_EVERY (the single path)" >&2
-  exit 1
-fi
-
-echo "== one label representation (no nested type, no text label format) =="
-# A labeling is the FlatLabeling arena, and every reader takes it as
-# `&FlatLabeling`; the per-vertex types and hl_core::io stay deleted.
-if grep -rnE 'HubLabeling|\bHubLabel\b|core::io' crates src tests examples; then
-  echo "check: FAIL — the nested label types / text label format are back" >&2
-  exit 1
-fi
-
-echo "== the paper half is written once (no view trait, one Sum-Index protocol, one join) =="
-# FlatLabeling is the one labeling, so a trait over it is a second API;
-# Theorem 1.6 is one type in hl_sumindex::protocol with a constructor per
-# graph; fetched labels join in a FlatLabeling, not in a private loop.
-if grep -rn 'trait LabelingView' crates src tests examples ||
-  grep -rln 'fn referee' crates/sumindex/src | grep -vxE 'crates/sumindex/src/(protocol|naive)\.rs' ||
-  grep -rn 'fn join_pairs' crates src tests examples; then
-  echo "check: FAIL — a second copy of the paper's code is back" >&2
-  exit 1
-fi
-
-echo "== PLL is written once (the pruned search lives in hl_core::pll only) =="
-# hl-build and approx.rs drive hl_core::pll's kernel; a queue or a heap
-# in either is a seventh copy of the search.
-if grep -rnE 'VecDeque|BinaryHeap' crates/build/src crates/core/src/approx.rs ||
-  ls crates/build/src/wave.rs crates/build/src/committed.rs 2>/dev/null; then
-  echo "check: FAIL — a pruned search outside crates/core/src/pll.rs" >&2
-  exit 1
-fi
-
-echo "== one served arena (every store mounts as FlatLabeling) =="
-# v2c is a storage codec like v1 γ: its lanes expand at mount, and the
-# engine joins the flat arena with no arena enum on the way.
-if grep -rn 'ServedLabeling' crates src tests examples || [ -e crates/server/src/served.rs ]; then
-  echo "check: FAIL — a second served arena is back" >&2
-  exit 1
-fi
-
-echo "== ground truth is computed once (one SSSP surface, one fan-out) =="
-# Distances come from bfs_distances / dijkstra_distances; canonical tree
-# parents and path counts are post-passes over shortest_path_distances,
-# and per-source or per-root parallel work goes through
-# hl_graph::sync::fan_out.
-if grep -rnE 'fn (bfs_with_parents|bfs_count_paths|dijkstra_with_parents)\b|_bounded\(' crates/graph/src ||
-  grep -rnE 'thread::scope|available_parallelism' crates/graph/src/apsp.rs crates/core/src/cover.rs crates/build/src; then
-  echo "check: FAIL — a second shortest-path routine or a private fan-out is back" >&2
-  exit 1
-fi
-
 echo "== EXPERIMENTS.md quotes the golden (each experiments table is a slice of it) =="
 # A fenced block under a heading naming `experiments <x>` must appear
-# line for line, contiguously, in the golden the step above pins.
+# line for line, contiguously, in the golden the experiments step diffs.
 awk 'NR == FNR { golden = golden $0 "\n"; next }
   !fenced && /^#/ { quoted = /\(`experiments / }
   /^```/ && fenced && quoted && !index(golden, block) { print "check: FAIL — EXPERIMENTS.md:" from " is not a slice of docs/experiments_reference.txt" > "/dev/stderr"; bad = 1 }
@@ -274,12 +149,8 @@ echo "== cargo doc (no-deps, warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "== tier-1 build (locked, offline: path dependencies only) =="
-# A registry or git dependency shows up as a `source =` line in the lock
-# file, and one not yet locked fails `--locked --offline`.
-if grep -n '^source = ' Cargo.lock benchmark/Cargo.lock; then
-  echo "check: FAIL — the workspace builds from path dependencies only" >&2
-  exit 1
-fi
+# A dependency not yet locked fails `--locked --offline`; a locked registry
+# or git one is a `source =` line, which scripts/pins.txt forbids.
 # --workspace so every member's binaries land in target/release (the
 # root package alone builds members as libs only, skipping e.g. the
 # hl-shard and hlnp-fuzz bins the smokes below invoke).
