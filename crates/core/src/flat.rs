@@ -328,6 +328,13 @@ impl FlatLabeling {
         &self.dists
     }
 
+    /// The offsets and the two writable entry lanes, for a pass that
+    /// rewrites entries inside each run; it must leave every run strictly
+    /// increasing with hub ids `< num_nodes`.
+    pub(crate) fn lanes_mut(&mut self) -> (&[u64], &mut [NodeId], &mut [u32]) {
+        (&self.offsets, &mut self.hubs, &mut self.dists)
+    }
+
     /// Builds the arena from one `(hub, distance)` list per vertex, each
     /// in any order; a hub listed twice keeps its minimum distance. The
     /// one place labels are sorted, deduplicated and narrowed — what every

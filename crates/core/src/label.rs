@@ -100,8 +100,9 @@ pub(crate) fn witnessed((best, hub): (Distance, NodeId)) -> Option<(Distance, No
 /// predictor. A branchless advance is a serial data-dependency chain the
 /// core cannot speculate past, so the kernel first warms both hub lanes
 /// by issuing every cache-line fetch as independent overlapping loads. Only the hub
-/// *equality* test remains a real branch — labels share a hot prefix of
-/// top-ranked hubs, making it highly predictable.
+/// *equality* test remains a real branch. It is predictable on a served
+/// arena, whose hub ids are frequency ranks ([`crate::freq`]): the hubs
+/// most labels share are the smallest ids, so matches form one prefix.
 #[inline]
 fn join_absolute<const WITNESS: bool>(
     a_hubs: &[NodeId],
@@ -125,10 +126,10 @@ fn join_absolute<const WITNESS: bool>(
         let ia = (i + LOOKAHEAD).min(n - 1);
         let jb = (j + LOOKAHEAD).min(m - 1);
         if ha == hb {
-            // The equality test stays a real branch: hub labels built by
-            // vertex order share a hot prefix of top-ranked hubs, so this
-            // branch is highly predictable and letting the core speculate
-            // through it overlaps the next iterations' loads.
+            // The equality test stays a real branch: on a ranked arena
+            // the common hubs come first in both runs, so this branch is
+            // predictable and speculating through it overlaps the next
+            // iterations' loads.
             // Two u32 lanes added in u64: the sum cannot overflow.
             let d = Distance::from(a_dists[i]) + Distance::from(b_dists[j]);
             offer::<WITNESS>(&mut best, &mut witness, d, ha);

@@ -524,12 +524,11 @@ fn cmd_convert(args: &[String]) -> Result<(), CliError> {
         .into_flat()
         .map_err(|e| format!("cannot decode store {in_path}: {e}"))?;
     if reorder.is_some() {
-        let before = flat.heap_bytes();
-        let (tuned, _) = freq::reorder_by_hub_frequency(&flat);
-        flat = tuned;
+        freq::reorder_by_hub_frequency(&mut flat);
         println!(
-            "reordered hub ids by global frequency ({} entries, flat arena {before} bytes)",
-            flat.num_entries()
+            "reordered hub ids by global frequency ({} entries, flat arena {} bytes)",
+            flat.num_entries(),
+            flat.heap_bytes()
         );
     }
     let out_bytes = encode_as(&flat, to)?;

@@ -3,7 +3,10 @@
 //!
 //! Labels are decoded from the store once, before construction, into the
 //! [`FlatLabeling`] CSR arena — whatever the store's format — and every
-//! query is that arena's merge-join.
+//! query is that arena's merge-join. The engine renumbers the arena's hub
+//! ids by frequency rank in place as it mounts it ([`freq`]), so the hubs
+//! every label shares form one prefix of every run; it keeps the inverse,
+//! `unrank`, and [`QueryEngine::label_of`] answers in the store's ids.
 //! The arena (plus its LRU cache) lives inside an immutable **epoch**
 //! behind a versioned `Arc` cell: every query snapshots the current epoch
 //! with one brief read-lock clone and then runs lock-free against that
@@ -38,7 +41,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use hl_core::FlatLabeling;
+use hl_core::{freq, FlatLabeling};
 use hl_graph::sync::{read_unpoisoned, write_unpoisoned};
 use hl_graph::{Distance, NodeId};
 
@@ -97,20 +100,25 @@ impl std::error::Error for EngineError {
 struct Epoch {
     /// Monotonically increasing generation number, starting at 0.
     serial: u64,
+    /// The store's arena with hub ids replaced by frequency ranks.
     labeling: FlatLabeling,
+    /// `unrank[rank]` is the store's id of hub `rank`: 4 B a vertex.
+    unrank: Vec<NodeId>,
     cache: ShardedLruCache,
 }
 
 impl Epoch {
-    /// A generation with an empty single-query cache of 65,536 entries,
-    /// sharded at least four ways so point lookups from `width` threads
-    /// rarely meet on a shard lock.
-    fn new(serial: u64, labeling: FlatLabeling, width: usize) -> Arc<Epoch> {
-        Arc::new(Epoch {
-            serial,
+    /// Generation 0 of `labeling`, ranked in place, with an empty
+    /// single-query cache of 65,536 entries, sharded at least four ways
+    /// so point lookups from `width` threads rarely meet on a shard lock.
+    fn new(mut labeling: FlatLabeling, width: usize) -> Epoch {
+        let unrank = freq::reorder_by_hub_frequency(&mut labeling);
+        Epoch {
+            serial: 0,
             labeling,
+            unrank,
             cache: ShardedLruCache::new(1 << 16, width.max(4)),
-        })
+        }
     }
 
     fn check_node(&self, v: NodeId) -> Result<(), EngineError> {
@@ -146,7 +154,7 @@ impl QueryEngine {
     pub fn new(labeling: FlatLabeling, num_workers: usize) -> Result<Self, EngineError> {
         let width = num_workers.max(1);
         Ok(QueryEngine {
-            epoch: RwLock::new(Epoch::new(0, labeling, width)),
+            epoch: RwLock::new(Arc::new(Epoch::new(labeling, width))),
             metrics: Metrics::new(),
             width,
         })
@@ -172,7 +180,8 @@ impl QueryEngine {
         self.pin().labeling.num_entries()
     }
 
-    /// Heap footprint of the served arena, in bytes.
+    /// Heap footprint of the served arena, in bytes: the arena alone. The
+    /// epoch's `unrank` table, 4 B a vertex, is not counted here.
     pub fn heap_bytes(&self) -> usize {
         self.pin().labeling.heap_bytes()
     }
@@ -194,19 +203,31 @@ impl QueryEngine {
     /// already parsed cleanly (the serving daemon opens and validates the
     /// file before calling reload, so a corrupt file never evicts the
     /// healthy epoch).
+    ///
+    /// The new epoch is ranked and its cache built before the write lock
+    /// is taken; the lock covers reading the serial and the swap, and the
+    /// old epoch is released after it.
     pub fn reload(&self, labeling: FlatLabeling) -> u64 {
+        let next = Epoch::new(labeling, self.width);
         let mut slot = write_unpoisoned(&self.epoch);
         let serial = slot.serial + 1;
-        *slot = Epoch::new(serial, labeling, self.width);
+        let retired = std::mem::replace(&mut *slot, Arc::new(Epoch { serial, ..next }));
+        drop(slot);
+        drop(retired);
         serial
     }
 
     /// The label of vertex `v` in the current epoch as the `(hub,
-    /// distance)` pairs the wire ships for router-side merge joins.
+    /// distance)` pairs the wire ships for router-side merge joins: the
+    /// store's hub ids, ascending — unranked, so shards ranked apart
+    /// still join.
     pub fn label_of(&self, v: NodeId) -> Result<Vec<(NodeId, Distance)>, EngineError> {
         let epoch = self.pin();
         epoch.check_node(v)?;
-        Ok(epoch.labeling.pairs_of(v).collect())
+        let unrank = |(h, d): (NodeId, Distance)| (epoch.unrank[h as usize], d);
+        let mut label: Vec<_> = epoch.labeling.pairs_of(v).map(unrank).collect();
+        label.sort_unstable();
+        Ok(label)
     }
 
     /// Live metrics for this engine.
@@ -470,6 +491,46 @@ mod tests {
             // Batches must not touch the single-query cache, split or not.
             assert_eq!(s.cache_hits + s.cache_misses, 0);
         }
+    }
+
+    /// A seeded gnm on vertices 0..59 plus vertex 59 joined to every
+    /// third of them: the highest degree, so the hottest hub has the
+    /// highest id and ranking moves it from last to first.
+    fn hottest_hub_last(seed: u64) -> FlatLabeling {
+        let g = generators::connected_gnm(59, 60, seed);
+        let mut edges: Vec<(NodeId, NodeId)> = g.edges().map(|(u, v, _)| (u, v)).collect();
+        edges.extend((0..59).step_by(3).map(|v| (v, 59)));
+        let g = hl_graph::builder::graph_from_edges(60, &edges).unwrap();
+        let flat = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
+        assert_eq!(freq::frequency_order(&freq::hub_frequencies(&flat))[0], 59);
+        flat
+    }
+
+    #[test]
+    fn label_of_answers_in_the_store_ids_ascending() {
+        let labels_match = |eng: &QueryEngine, flat: &FlatLabeling| {
+            for v in 0..flat.num_nodes() as NodeId {
+                let want: Vec<_> = flat.pairs_of(v).collect();
+                assert_eq!(eng.label_of(v).unwrap(), want, "label of {v}");
+            }
+        };
+        let (first, second) = (hottest_hub_last(3), hottest_hub_last(4));
+        let eng = QueryEngine::new(first.clone(), 1).unwrap();
+        labels_match(&eng, &first);
+        eng.reload(second.clone());
+        labels_match(&eng, &second);
+    }
+
+    #[test]
+    fn the_served_arena_is_ranked_by_hub_frequency() {
+        let ranked = |eng: &QueryEngine| {
+            let freqs = freq::hub_frequencies(&eng.pin().labeling);
+            freqs.windows(2).all(|w| w[0] >= w[1])
+        };
+        let eng = QueryEngine::new(hottest_hub_last(3), 1).unwrap();
+        assert!(ranked(&eng), "mounted arena not ranked");
+        eng.reload(hottest_hub_last(4));
+        assert!(ranked(&eng), "reloaded arena not ranked");
     }
 
     #[test]
