@@ -8,18 +8,25 @@
 //! an aligned table. Stdout is a function of the fixed seeds alone:
 //! wall-clock cells (Q, Oracles, Tradeoff, BIG) go to stderr, one line per
 //! row, so `docs/experiments_reference.txt` can be diffed byte for byte.
+//!
+//! `experiments gadget h:b,l|g:b,l` prints the paper's gadget `H_{b,ℓ}`
+//! (weighted) or its degree-3 expansion `G_{b,ℓ}` as an edge list
+//! (`hl_graph::io`) on stdout, for `hubserve build` and `hubserve verify`
+//! to take; a spec that does not parse or is infeasible exits 2.
 
+use std::io::{BufWriter, Write};
 use std::time::Instant;
 
-use hl_bench::{family_graph, Family, Table};
+use hl_bench::Table;
 use hl_core::cover::verify_exact;
 use hl_core::pll::PrunedLandmarkLabeling;
 use hl_core::random_threshold::{random_threshold_labeling, RandomThresholdParams};
 use hl_core::rs_based::{project_labeling, rs_labeling, RsParams};
 use hl_core::tree::centroid_labeling;
 use hl_core::FlatLabeling;
+use hl_graph::families::Family;
 use hl_graph::transform::reduce_degree;
-use hl_graph::{generators, NodeId};
+use hl_graph::{generators, Graph, NodeId};
 use hl_labeling::hub_scheme::{encode_labeling, HubPllScheme};
 use hl_labeling::{DistanceLabelingScheme, SchemeStats};
 use hl_lowerbound::accounting::{audit_g, audit_h};
@@ -51,7 +58,11 @@ const EXPERIMENTS: [(&str, fn(), bool); 16] = [
 ];
 
 fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "gadget") {
+        return print_gadget(&args[1..]);
+    }
+    let arg = args.first().cloned().unwrap_or_else(|| "all".to_string());
     let chosen: Vec<fn()> = EXPERIMENTS
         .iter()
         .filter(|&&(name, _, in_all)| arg == name || (arg == "all" && in_all))
@@ -69,10 +80,45 @@ fn main() {
             names(false),
             names(false)
         );
+        eprintln!("       experiments gadget h:b,l|g:b,l");
         std::process::exit(2);
     }
     for run in chosen {
         run();
+    }
+}
+
+/// A sweep family at a size every experiment here builds.
+fn family_graph(family: Family, n: usize, seed: u64) -> Graph {
+    family
+        .generate(n, None, seed)
+        .expect("sweep sizes are buildable")
+}
+
+/// `gadget h:b,l|g:b,l`: the paper's `H_{b,ℓ}` or `G_{b,ℓ}` as an edge
+/// list on stdout.
+fn print_gadget(args: &[String]) {
+    let Some(g) = gadget_graph(args) else {
+        eprintln!("usage: experiments gadget h:b,l|g:b,l (b, l a feasible gadget)");
+        std::process::exit(2);
+    };
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    hl_graph::io::write_edge_list(&g, &mut out)
+        .and_then(|()| out.flush())
+        .expect("write the edge list to stdout");
+}
+
+/// The gadget the one argument names: `h:b,l` is `H_{b,ℓ}`, `g:b,l` is
+/// `G_{b,ℓ}`. `None` for anything else, infeasible `b`, `l` included.
+fn gadget_graph(args: &[String]) -> Option<Graph> {
+    let [spec] = args else { return None };
+    let (kind, params) = spec.split_once(':')?;
+    let (b, ell) = params.split_once(',')?;
+    let h = HGraph::build(GadgetParams::new(b.parse().ok()?, ell.parse().ok()?).ok()?);
+    match kind {
+        "h" => Some(h.graph().clone()),
+        "g" => Some(GGraph::from_hgraph(&h).graph().clone()),
+        _ => None,
     }
 }
 

@@ -1,12 +1,10 @@
-//! Shared infrastructure for `hubtool` and the `experiments`
-//! table generator: plain-text table rendering and the graph-family zoo
-//! used across experiments.
+//! Shared infrastructure for the `experiments` table generator:
+//! plain-text table rendering. The graph families it sweeps are
+//! `hl_graph::families`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod families;
 pub mod table;
 
-pub use families::{family_graph, Family};
 pub use table::Table;

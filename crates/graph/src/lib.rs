@@ -13,7 +13,9 @@
 //!   canonical shortest-path trees ([`sptree`]); [`sync::fan_out`] runs
 //!   per-source work on several cores.
 //! * [`generators`] — deterministic and seeded random graph families used by
-//!   the experiments (paths, trees, grids, sparse random graphs, …).
+//!   the experiments (paths, trees, grids, sparse random graphs, …), and
+//!   [`families`], the one table that names them for the experiments and
+//!   the command line.
 //! * [`transform`] — the degree-reduction gadget from the proof of
 //!   Theorem 1.4 and integer-weight edge subdivision.
 //! * [`properties`] — connectivity, eccentricities, diameter.
@@ -43,6 +45,7 @@ pub mod bfs;
 pub mod builder;
 pub mod dijkstra;
 pub mod error;
+pub mod families;
 pub mod generators;
 pub mod graph;
 pub mod io;

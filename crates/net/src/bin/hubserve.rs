@@ -1,8 +1,10 @@
-//! `hubserve` — build, query, inspect, convert and *serve* binary hub
-//! label stores.
+//! `hubserve` — generate graphs, build, verify, query, inspect, convert
+//! and *serve* binary hub label stores.
 //!
 //! ```text
+//! hubserve gen <graph-file> --gen F --nodes N         seeded graph -> edge list
 //! hubserve build <graph-file> <store-file> [options]  graph -> binary store
+//! hubserve verify <graph-file> <store-file>           check every pair exactly
 //! hubserve query <store-file> [pairs-file]            answer "u v" lines
 //! hubserve stats <store-file>                         store + arena sizes
 //! hubserve serve <store-file> [options]               TCP daemon (HLNP)
@@ -10,16 +12,26 @@
 //! hubserve reload <host:port> <server-store-path>     hot-swap a daemon's store
 //! ```
 //!
-//! `build` reads the plain-text edge list of `hl_graph::io` — or
-//! synthesizes a seeded graph in-process with `--gen rmat|power-law|grid|gnm
-//! --nodes N` — and constructs the labeling through the `hl_build`
-//! batch/commit pipeline: `--threads N` parallelizes (output is
-//! bit-identical to sequential PLL), `--order` picks the vertex-ordering
-//! strategy (`degree`, or `betweenness` for road-like graphs — the two
-//! that win on label entries; EXPERIMENTS.md has the table). The result
-//! is written as an HLBS v2 store (`hl_server::store_v2`), the format
-//! every daemon mounts; `--verify K` checks every answer of the freshly
-//! written store from `K` seeded sources against ground-truth distances.
+//! `gen` writes, and `build` reads, the plain-text edge list of
+//! `hl_graph::io`; `build --gen F --nodes N` synthesizes the graph
+//! in-process instead. The families are `hl_graph::families`: `path tree
+//! grid gnm deg3-exp powerlaw` (the experiments' sweep), `road` (weighted
+//! grid with shortcuts), `powerlaw-config` and `rmat`; `--edges M` sets
+//! the edge count of `gnm` and `rmat` and the shortcut count of `road`,
+//! and a size a family cannot build is an argument error. The paper's own
+//! gadgets come from `experiments gadget h:b,l|g:b,l`.
+//!
+//! `build --algo` picks the construction: `pll` (the default) runs the
+//! `hl_build` batch/commit pipeline, where `--threads N` parallelizes
+//! (output is bit-identical to sequential PLL) and `--order` picks the
+//! vertex-ordering strategy (`degree`, or `betweenness` for road-like
+//! graphs — the two that win on label entries; EXPERIMENTS.md has the
+//! table); `greedy`, `rs`, `random-threshold`, `centroid` and `separator`
+//! are the paper's other constructions, sequential. The result is written
+//! as an HLBS v2 store (`hl_server::store_v2`), the format every daemon
+//! mounts. `build --verify K` reopens the written store and checks every
+//! answer from `K` seeded sources against ground-truth distances; `verify`
+//! runs the same check from every vertex, so it covers all pairs.
 //!
 //! `query` reads whitespace-separated `u v` pairs — from a file when given
 //! (served as one batch), else line-by-line from stdin
@@ -61,17 +73,23 @@
 //! a subcommand's own argument errors as much as an unknown subcommand.
 
 use std::fs::File;
-use std::io::{BufReader, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hl_build::BuildConfig;
 use hl_core::cover::verify_from_sources;
+use hl_core::greedy::greedy_cover;
 use hl_core::order::{BetweennessOrder, DegreeOrder};
-use hl_core::{freq, CompactLabeling, VertexOrder};
+use hl_core::random_threshold::{random_threshold_labeling, RandomThresholdParams};
+use hl_core::rs_based::{rs_labeling, RsParams};
+use hl_core::separator_labeling::separator_labeling;
+use hl_core::tree::centroid_labeling;
+use hl_core::{freq, CompactLabeling, FlatLabeling, VertexOrder};
+use hl_graph::families::Family;
 use hl_graph::rng::Xorshift64;
-use hl_graph::{generators, Graph, NodeId};
+use hl_graph::{Graph, GraphError, NodeId};
 use hl_net::cli::{answer_pairs, exit_code, CliError, Flags};
 use hl_net::{ClientConfig, NetClient, NetServer, ServerConfig};
 use hl_server::{AnyStore, CompactStore, FlatStore, LabelStore, QueryEngine};
@@ -79,7 +97,9 @@ use hl_server::{AnyStore, CompactStore, FlatStore, LabelStore, QueryEngine};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
+        Some("gen") => cmd_gen(&args[1..]),
         Some("build") => cmd_build(&args[1..]),
+        Some("verify") => cmd_verify(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
@@ -87,9 +107,11 @@ fn main() -> ExitCode {
         Some("reload") => cmd_reload(&args[1..]),
         _ => {
             let mut usage =
-                "usage: hubserve build|query|stats|serve|convert|reload ...".to_string();
+                "usage: hubserve gen|build|verify|query|stats|serve|convert|reload ...".to_string();
             for sub in [
+                GEN_USAGE,
                 BUILD_USAGE,
+                VERIFY_USAGE,
                 QUERY_USAGE,
                 STATS_USAGE,
                 SERVE_USAGE,
@@ -123,65 +145,86 @@ fn mount(store: AnyStore, workers: usize) -> Result<QueryEngine, String> {
     QueryEngine::new(flat, workers).map_err(|e| format!("cannot start engine: {e}"))
 }
 
-struct BuildOpts {
-    graph_path: Option<String>,
-    store_path: String,
+/// The flags of `gen` and `build`, from one parser: both read the
+/// graph-source flags (`--gen`, `--nodes`, `--edges`, `--seed`), only
+/// `build` the rest.
+#[derive(Default)]
+struct Opts {
+    positionals: Vec<String>,
     gen: Option<String>,
     nodes: usize,
-    edges: usize,
+    edges: Option<usize>,
     seed: u64,
-    threads: usize,
-    order: String,
+    algo: String,
+    threads: Option<usize>,
+    order: Option<String>,
     verify_sources: usize,
 }
 
-const BUILD_USAGE: &str = "usage: hubserve build [<graph-file>] <store-file> \
-     [--gen rmat|power-law|grid|gnm --nodes N [--edges M]] [--threads N] \
-     [--order degree|betweenness] [--seed S] \
-     [--verify SOURCES]";
+const GEN_USAGE: &str = "usage: hubserve gen <graph-file> --gen FAMILY --nodes N \
+     [--edges M] [--seed S]";
 
-fn parse_build_opts(args: &[String]) -> Result<BuildOpts, String> {
-    let mut positionals: Vec<String> = Vec::new();
-    let mut gen = None;
-    let mut nodes = 0usize;
-    let mut edges = 0usize;
-    let mut seed = 1u64;
-    let mut threads = 1usize;
-    let mut order: Option<String> = None;
-    let mut verify_sources = 0usize;
+const BUILD_USAGE: &str = "usage: hubserve build [<graph-file>] <store-file> \
+     [--gen FAMILY --nodes N [--edges M]] [--seed S] \
+     [--algo pll|greedy|rs|random-threshold|centroid|separator] [--threads N] \
+     [--order degree|betweenness] [--verify SOURCES]";
+
+fn parse_opts(args: &[String], build: bool) -> Result<Opts, String> {
+    let mut o = Opts {
+        seed: 1,
+        algo: "pll".into(),
+        ..Opts::default()
+    };
     let mut flags = Flags::new(args);
     while let Some(arg) = flags.next() {
         match arg {
-            "--gen" => gen = Some(flags.value(arg)?.to_string()),
-            "--nodes" => nodes = flags.parsed(arg)?,
-            "--edges" => edges = flags.parsed(arg)?,
-            "--seed" => seed = flags.parsed(arg)?,
-            "--threads" => threads = flags.parsed(arg)?,
-            "--order" => order = Some(flags.value(arg)?.to_string()),
-            "--verify" => verify_sources = flags.parsed(arg)?,
-            other if !other.starts_with('-') => positionals.push(other.to_string()),
+            "--gen" => o.gen = Some(flags.value(arg)?.to_string()),
+            "--nodes" => o.nodes = flags.parsed(arg)?,
+            "--edges" => o.edges = Some(flags.parsed(arg)?),
+            "--seed" => o.seed = flags.parsed(arg)?,
+            "--algo" if build => o.algo = flags.value(arg)?.to_string(),
+            "--threads" if build => o.threads = Some(flags.parsed(arg)?),
+            "--order" if build => o.order = Some(flags.value(arg)?.to_string()),
+            "--verify" if build => o.verify_sources = flags.parsed(arg)?,
+            other if !other.starts_with('-') => o.positionals.push(other.to_string()),
             other => return Err(format!("unexpected argument '{other}'")),
         }
     }
-    let (graph_path, store_path) = match (&gen, positionals.as_slice()) {
-        (Some(_), [s]) => (None, s.clone()),
-        (None, [g, s]) => (Some(g.clone()), s.clone()),
-        _ => return Err(BUILD_USAGE.into()),
-    };
-    if threads == 0 {
-        return Err("--threads must be positive".into());
+    Ok(o)
+}
+
+impl Opts {
+    /// The graph `--gen` names at `--nodes`/`--edges`/`--seed`; a size the
+    /// family cannot build is an argument error.
+    fn generate(&self, family: &str) -> Result<Graph, CliError> {
+        Family::named(family)
+            .and_then(|f| f.generate(self.nodes, self.edges, self.seed))
+            .map_err(|e| CliError::Usage(format!("--gen {family}: {e}")))
     }
-    Ok(BuildOpts {
-        graph_path,
-        store_path,
-        gen,
-        nodes,
-        edges,
-        seed,
-        threads,
-        order: order.unwrap_or_else(|| "degree".into()),
-        verify_sources,
-    })
+}
+
+fn load_graph(path: &str) -> Result<Graph, String> {
+    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    hl_graph::io::read_edge_list(BufReader::new(file)).map_err(|e| e.to_string())
+}
+
+fn cmd_gen(args: &[String]) -> Result<(), CliError> {
+    let opts = parse_opts(args, false).map_err(CliError::Usage)?;
+    let (Some(family), [out]) = (&opts.gen, opts.positionals.as_slice()) else {
+        return CliError::usage(GEN_USAGE);
+    };
+    let g = opts.generate(family)?;
+    let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
+    let mut file = BufWriter::new(file);
+    hl_graph::io::write_edge_list(&g, &mut file)
+        .and_then(|()| file.flush())
+        .map_err(|e| format!("cannot write {out}: {e}"))?;
+    println!(
+        "wrote {out} ({} nodes, {} edges)",
+        g.num_nodes(),
+        g.num_edges()
+    );
+    Ok(())
 }
 
 fn order_strategy(name: &str, seed: u64) -> Result<Box<dyn VertexOrder>, String> {
@@ -192,96 +235,127 @@ fn order_strategy(name: &str, seed: u64) -> Result<Box<dyn VertexOrder>, String>
     }
 }
 
-/// Synthesizes one of the seeded graph families of `hl_graph::generators`
-/// sized from `--nodes`/`--edges`.
-fn generate_graph(name: &str, nodes: usize, edges: usize, seed: u64) -> Result<Graph, String> {
-    if nodes == 0 {
-        return Err("--gen needs --nodes N".into());
-    }
-    match name {
-        "rmat" => {
-            let scale = (usize::BITS - (nodes - 1).max(1).leading_zeros()).max(1);
-            let m = if edges > 0 { edges } else { nodes * 8 };
-            Ok(generators::rmat(scale, m, seed))
+/// One of hl-core's sequential constructions, given the graph and `--seed`.
+type Construction = fn(&Graph, u64) -> Result<FlatLabeling, GraphError>;
+
+/// The construction `--algo` names; `None` for `pll`, which builds
+/// through the hl-build pipeline instead.
+fn construction(algo: &str) -> Result<Option<Construction>, String> {
+    let build: Construction = match algo {
+        "pll" => return Ok(None),
+        "greedy" => |g, _| greedy_cover(g),
+        "rs" => |g, seed| Ok(rs_labeling(g, RsParams::for_size(g.num_nodes(), seed))?.0),
+        "random-threshold" => |g, seed| {
+            let params = RandomThresholdParams::for_size(g.num_nodes(), seed);
+            Ok(random_threshold_labeling(g, params)?.0)
+        },
+        "centroid" => |g, _| centroid_labeling(g),
+        "separator" => |g, _| separator_labeling(g),
+        other => {
+            return Err(format!(
+                "unknown algorithm '{other}' (pll, greedy, rs, random-threshold, centroid, \
+                 separator)"
+            ))
         }
-        "power-law" => Ok(generators::power_law_configuration(nodes, 25, seed)),
-        "grid" => {
-            let side = (nodes as f64).sqrt().ceil() as usize;
-            let shortcuts = if edges > 0 { edges } else { nodes / 50 };
-            Ok(generators::grid_with_shortcuts(side, side, shortcuts, seed))
-        }
-        "gnm" => {
-            let extra = if edges > 0 {
-                edges.saturating_sub(nodes - 1)
-            } else {
-                nodes
-            };
-            Ok(generators::connected_gnm(nodes, extra, seed))
-        }
-        other => Err(format!(
-            "unknown generator '{other}' (rmat, power-law, grid, gnm)"
-        )),
-    }
+    };
+    Ok(Some(build))
 }
 
 fn cmd_build(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_build_opts(args).map_err(CliError::Usage)?;
-    let strategy = order_strategy(&opts.order, opts.seed).map_err(CliError::Usage)?;
-    let g = match (&opts.gen, &opts.graph_path) {
-        (Some(name), _) => {
-            generate_graph(name, opts.nodes, opts.edges, opts.seed).map_err(CliError::Usage)?
-        }
-        (None, Some(path)) => {
-            let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-            hl_graph::io::read_edge_list(BufReader::new(file)).map_err(|e| e.to_string())?
-        }
-        (None, None) => return CliError::usage(BUILD_USAGE),
+    let opts = parse_opts(args, true).map_err(CliError::Usage)?;
+    let construction = construction(&opts.algo).map_err(CliError::Usage)?;
+    if construction.is_some() && (opts.threads.is_some() || opts.order.is_some()) {
+        return CliError::usage(format!(
+            "--threads and --order apply to --algo pll only, not '{}'",
+            opts.algo
+        ));
+    }
+    let order = opts.order.as_deref().unwrap_or("degree");
+    let strategy = order_strategy(order, opts.seed).map_err(CliError::Usage)?;
+    let threads = opts.threads.unwrap_or(1);
+    if threads == 0 {
+        return CliError::usage("--threads must be positive");
+    }
+    let (g, store_path) = match (&opts.gen, opts.positionals.as_slice()) {
+        (Some(family), [s]) => (opts.generate(family)?, s),
+        (None, [g, s]) => (load_graph(g)?, s),
+        _ => return CliError::usage(BUILD_USAGE),
     };
     let started = Instant::now();
-    let out = hl_build::build_with_strategy(
-        &g,
-        strategy.as_ref(),
-        BuildConfig::with_threads(opts.threads),
-    )
-    .map_err(|e| e.to_string())?;
+    let labeling = match construction {
+        Some(build) => build(&g, opts.seed).map_err(|e| e.to_string())?,
+        None => {
+            let config = BuildConfig::with_threads(threads);
+            hl_build::build_with_strategy(&g, strategy.as_ref(), config)
+                .map_err(|e| e.to_string())?
+                .labeling
+        }
+    };
     let build_s = started.elapsed().as_secs_f64();
-    let entries = out.labeling.num_entries();
-    let store = FlatStore::from_flat(out.labeling);
+    let entries = labeling.num_entries();
+    let store = FlatStore::from_flat(labeling);
     store
-        .save(&opts.store_path)
-        .map_err(|e| format!("cannot write {}: {e}", opts.store_path))?;
+        .save(store_path)
+        .map_err(|e| format!("cannot write {store_path}: {e}"))?;
+    let built = match construction {
+        Some(_) => opts.algo.clone(),
+        None => format!("{order}-order"),
+    };
     println!(
-        "built {}-order labels for {} nodes ({} edges) in {build_s:.2}s \
-         ({} threads, {entries} entries); store {} bytes ({:.1} bits/label)",
-        opts.order,
+        "built {built} labels for {} nodes ({} edges) in {build_s:.2}s \
+         ({threads} threads, {entries} entries); store {} bytes ({:.1} bits/label)",
         g.num_nodes(),
         g.num_edges(),
-        opts.threads,
         store.file_len(),
         store.label_bits() as f64 / g.num_nodes().max(1) as f64,
     );
     if opts.verify_sources > 0 {
-        // Check the *saved* store — reopen it the way a daemon would and
-        // compare every answer from each seeded source with ground truth,
-        // so the whole generate -> build -> encode -> decode path is on
-        // the hook.
-        let reopened = open_store(&opts.store_path)?;
         let mut rng = Xorshift64::seed_from_u64(opts.seed ^ 0x5107_C4EC);
         let sources: Vec<NodeId> = (0..opts.verify_sources)
             .map(|_| rng.gen_index(g.num_nodes()) as NodeId)
             .collect();
-        let report = verify_from_sources(&g, reopened.served(), &sources);
-        if let Some((s, v, truth, got)) = report.violations.first() {
-            return Err(CliError::Runtime(format!(
-                "verify FAILED: store answers d({s},{v}) = {got}, ground truth says {truth}"
-            )));
-        }
-        println!(
-            "verify: OK — {} store answers from {} sources match \
-             ground-truth distances exactly",
-            report.pairs_checked, opts.verify_sources
-        );
+        verify_store(&g, store_path, &sources)?;
     }
+    Ok(())
+}
+
+const VERIFY_USAGE: &str = "usage: hubserve verify <graph-file> <store-file>";
+
+fn cmd_verify(args: &[String]) -> Result<(), CliError> {
+    let [graph_path, store_path] = args else {
+        return CliError::usage(VERIFY_USAGE);
+    };
+    let g = load_graph(graph_path)?;
+    let sources: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
+    verify_store(&g, store_path, &sources)
+}
+
+/// Checks the *saved* store — reopened the way a daemon mounts it — by
+/// comparing every answer from each of `sources` with ground truth, so
+/// the whole generate -> build -> encode -> decode path is on the hook.
+fn verify_store(g: &Graph, store_path: &str, sources: &[NodeId]) -> Result<(), CliError> {
+    let store = open_store(store_path)?;
+    if store.num_nodes() != g.num_nodes() {
+        return Err(CliError::Runtime(format!(
+            "store {store_path} has {} vertices but the graph has {}",
+            store.num_nodes(),
+            g.num_nodes()
+        )));
+    }
+    let report = verify_from_sources(g, store.served(), sources);
+    if let Some((s, v, truth, got)) = report.violations.first() {
+        return Err(CliError::Runtime(format!(
+            "verify FAILED: {} of {} store answers are wrong; d({s},{v}) = {got}, \
+             ground truth says {truth}",
+            report.num_violations, report.pairs_checked
+        )));
+    }
+    println!(
+        "verify: OK — {} store answers from {} sources match \
+         ground-truth distances exactly",
+        report.pairs_checked,
+        sources.len()
+    );
     Ok(())
 }
 

@@ -362,7 +362,8 @@ fn usage_errors_exit_2() {
         assert_eq!(out.status.code(), Some(2), "{sub}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains("usage: hubserve build|query|stats|serve|convert|reload ..."),
+            stderr
+                .contains("usage: hubserve gen|build|verify|query|stats|serve|convert|reload ..."),
             "{stderr}"
         );
     }
@@ -405,4 +406,233 @@ fn removed_input_forms_are_argument_errors() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(reason), "{args:?}: {stderr}");
     }
+}
+
+fn succeeds(out: std::process::Output) -> String {
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+#[test]
+fn gen_build_verify_stats_pipeline() {
+    let graph = tempfile("pipe-g.txt");
+    let store = tempfile("pipe-s.hlbs");
+    let (g, s) = (graph.to_str().unwrap(), store.to_str().unwrap());
+
+    let gen = ["gen", g, "--gen", "grid", "--nodes", "49", "--seed", "1"];
+    let stdout = succeeds(hubserve().args(gen).output().unwrap());
+    assert!(stdout.contains("(49 nodes, 84 edges)"), "{stdout}");
+    succeeds(hubserve().args(["build", g, s]).output().unwrap());
+    // `verify` checks every ordered pair: all 49 sources, 49 targets each.
+    let stdout = succeeds(hubserve().args(["verify", g, s]).output().unwrap());
+    assert!(
+        stdout.contains("verify: OK — 2401 store answers from 49 sources"),
+        "{stdout}"
+    );
+    let stdout = succeeds(hubserve().args(["stats", s]).output().unwrap());
+    assert!(stdout.contains("hubs per vertex"), "{stdout}");
+
+    // What `build` wrote is an HLBS v2 store any daemon can mount: 7x7
+    // grid, corner to corner = 12.
+    let mounted = hl_server::AnyStore::open(&store).expect("mount the built store");
+    assert_eq!((mounted.version(), mounted.flavor()), (2, "v2"));
+    assert_eq!(mounted.served().query(0, 48), 12);
+
+    let _ = std::fs::remove_file(graph);
+    let _ = std::fs::remove_file(store);
+}
+
+#[test]
+fn verify_rejects_mismatched_labels() {
+    let [path9, grid9, path10, labels] =
+        ["mm-a.txt", "mm-b.txt", "mm-c.txt", "mm-l.hlbs"].map(tempfile);
+    for (file, family, n) in [
+        (&path9, "path", "9"),
+        (&grid9, "grid", "9"),
+        (&path10, "path", "10"),
+    ] {
+        let args = ["gen", file.to_str().unwrap(), "--gen", family, "--nodes", n];
+        succeeds(hubserve().args(args).output().unwrap());
+    }
+    let labels_arg = labels.to_str().unwrap();
+    succeeds(
+        hubserve()
+            .args(["build", grid9.to_str().unwrap(), labels_arg])
+            .output()
+            .unwrap(),
+    );
+    // Labels of the 3x3 grid are NOT an exact cover of the 9-path, and do
+    // not even cover the 10-path's vertices.
+    for (graph, reason) in [
+        (&path9, "verify FAILED"),
+        (&path10, "has 9 vertices but the graph has 10"),
+    ] {
+        let out = hubserve()
+            .args(["verify", graph.to_str().unwrap(), labels_arg])
+            .output()
+            .unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "a mismatched store must fail verification"
+        );
+        assert!(String::from_utf8_lossy(&out.stderr).contains(reason));
+    }
+    for f in [path9, grid9, path10, labels] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+#[test]
+fn bad_usage_exits_2_and_failed_work_exits_1() {
+    let cases: [(&[&str], i32); 10] = [
+        (&[], 2),
+        (
+            &["gen", "/tmp/x", "--gen", "nosuchfamily", "--nodes", "10"],
+            2,
+        ),
+        (&["gen", "/tmp/x", "--nodes", "10"], 2),
+        // Flags only `build` reads are argument errors on `gen` ...
+        (
+            &[
+                "gen",
+                "/tmp/x",
+                "--gen",
+                "path",
+                "--nodes",
+                "5",
+                "--threads",
+                "2",
+            ],
+            2,
+        ),
+        (
+            &[
+                "gen", "/tmp/x", "--gen", "path", "--nodes", "5", "--verify", "1",
+            ],
+            2,
+        ),
+        // ... and `--threads`/`--order` on any construction but PLL.
+        (
+            &[
+                "build",
+                "s.hlbs",
+                "--gen",
+                "path",
+                "--nodes",
+                "5",
+                "--algo",
+                "rs",
+                "--threads",
+                "2",
+            ],
+            2,
+        ),
+        (
+            &[
+                "build", "s.hlbs", "--gen", "path", "--nodes", "5", "--algo", "greedy", "--order",
+                "degree",
+            ],
+            2,
+        ),
+        (
+            &[
+                "build",
+                "s.hlbs",
+                "--gen",
+                "path",
+                "--nodes",
+                "5",
+                "--algo",
+                "pll-random",
+            ],
+            2,
+        ),
+        (&["stats", "/nonexistent/file"], 1),
+        (&["verify", "/nonexistent/graph", "/nonexistent/store"], 1),
+    ];
+    for (args, code) in cases {
+        let out = hubserve().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(code), "{args:?}");
+    }
+}
+
+#[test]
+fn all_build_algorithms_roundtrip() {
+    let graph = tempfile("algo-g.txt");
+    let labels = tempfile("algo-l.hlbs");
+    let (g, l) = (graph.to_str().unwrap(), labels.to_str().unwrap());
+    let gen = ["gen", g, "--gen", "tree", "--nodes", "40", "--seed", "3"];
+    succeeds(hubserve().args(gen).output().unwrap());
+    for flags in [
+        &[][..],
+        &["--order", "betweenness"],
+        &["--algo", "greedy"],
+        &["--algo", "rs"],
+        &["--algo", "random-threshold"],
+        &["--algo", "centroid"],
+        &["--algo", "separator"],
+    ] {
+        let out = hubserve()
+            .args(["build", g, l])
+            .args(flags)
+            .output()
+            .unwrap();
+        succeeds(out);
+        let out = hubserve().args(["verify", g, l]).output().unwrap();
+        assert!(out.status.success(), "{flags:?} verify failed");
+    }
+    let _ = std::fs::remove_file(graph);
+    let _ = std::fs::remove_file(labels);
+}
+
+/// Every family at every tiny size, through both `gen` and `build --gen`,
+/// and four sizes no family can build: each exits 0 or 2 — an argument
+/// error — never 101, a panic inside a generator.
+#[test]
+fn gen_inputs_exit_0_or_2_never_panic() {
+    let graph = tempfile("tiny-g.txt");
+    let store = tempfile("tiny-s.hlbs");
+    let mut cases: Vec<Vec<String>> = Vec::new();
+    for family in hl_graph::families::Family::ALL {
+        for n in 0..4 {
+            cases.push(vec![family.name().into(), "--nodes".into(), n.to_string()]);
+        }
+    }
+    for extra in [
+        "gnm --nodes 10 --edges 1000",
+        "path --nodes 5 --edges 3",
+        "rmat --nodes 3000000000",
+        "nosuchfamily --nodes 5",
+    ] {
+        cases.push(extra.split(' ').map(String::from).collect());
+    }
+    for case in &cases {
+        for lead in [
+            ["gen", graph.to_str().unwrap()],
+            ["build", store.to_str().unwrap()],
+        ] {
+            let out = hubserve()
+                .args(lead)
+                .arg("--gen")
+                .args(case)
+                .output()
+                .unwrap();
+            let code = out.status.code();
+            assert!(
+                code == Some(0) || code == Some(2),
+                "{lead:?} --gen {case:?} exited {code:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            if case[2] == "0" || case.len() > 3 {
+                assert_eq!(code, Some(2), "{lead:?} --gen {case:?}");
+            }
+        }
+    }
+    let _ = std::fs::remove_file(graph);
+    let _ = std::fs::remove_file(store);
 }

@@ -204,7 +204,7 @@ echo "== store format round-trip (built v2 -> v1 -> v2, byte-identical) =="
 # there and back must reproduce the built file exactly — the property
 # that makes `hubserve convert` safe to run on archival stores. Two graph
 # shapes: the gnm store also feeds the 2-shard and v2c smokes below, the
-# grid store the 3-shard one.
+# road store (a weighted grid with shortcuts) the 3-shard one.
 roundtrip() { # roundtrip <name> <hubserve build --gen arguments...>
   local name=$1
   shift
@@ -216,7 +216,7 @@ roundtrip() { # roundtrip <name> <hubserve build --gen arguments...>
   cmp "$SMOKE/$name-v2.hlbs" "$SMOKE/$name-back.hlbs"
 }
 roundtrip rt gnm --nodes 2000 --edges 6000 --seed 3
-roundtrip grid grid --nodes 2500 --seed 13
+roundtrip grid road --nodes 2500 --seed 13
 ./target/release/hubserve stats "$SMOKE/rt-v2.hlbs" > "$SMOKE/rt-stats.txt"
 grep -Eq 'format version +2' "$SMOKE/rt-stats.txt"
 grep -q 'section offsets' "$SMOKE/rt-stats.txt"

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Offline end-to-end smoke test of the serving pipeline:
-#   hubtool gen       -> plain-text graph
-#   hubtool build     -> v2 label store (ground-truth path: sequential PLL)
-#   hubtool verify    -> its labels are exact against the graph
-#   hubserve build    -> v2 label store (parallel builder)
+#   hubserve gen      -> plain-text graph
+#   hubserve build    -> v2 label store (ground-truth path: sequential PLL)
+#   hubserve verify   -> its labels are exact against the graph, every pair
+#   hubserve build    -> v2 label store (parallel builder, 2 threads)
 #   hubserve stats    -> store reports the flat arena it decodes into
 #   hubserve query    -> answers from either store
 #   diff              -> served answers == ground-truth label answers
@@ -16,8 +16,8 @@
 #   hl-shard query    -> the live daemon as a one-shard fleet over the
 #                        protocol-v2 multiplexed client; its answers must
 #                        equal the ground truth line for line
-#   hubtool gen h:2,3 -> the paper's hard instance, built by hubtool,
-#                        verified, and answered by a second daemon
+#   experiments gadget h:2,3 -> the paper's hard instance, built and
+#                        verified by hubserve, answered by a second daemon
 # Graceful exit 0 on a Shutdown frame is pinned by crates/net/tests/e2e.rs;
 # throughput and latency are measured by benchmark/, not here.
 # Exits nonzero on the first mismatch or failure.
@@ -31,7 +31,7 @@ SAMPLE=${SAMPLE:-8}   # diff all pairs over the first SAMPLE vertices
 echo "== kick-tires: building binaries =="
 cargo build --release -p hl-bench -p hl-net -p hl-shard >/dev/null
 
-HUBTOOL=target/release/hubtool
+EXPERIMENTS=target/release/experiments
 HUBSERVE=target/release/hubserve
 HLSHARD=target/release/hl-shard
 TMP=$(mktemp -d)
@@ -62,11 +62,11 @@ serve() {
 }
 
 echo "== generating a ${NODES}-node grid =="
-"$HUBTOOL" gen grid "$NODES" "$SEED" "$TMP/graph.txt"
+"$HUBSERVE" gen "$TMP/graph.txt" --gen grid --nodes "$NODES" --seed "$SEED"
 
 echo "== ground truth: sequential PLL labels, verified exact =="
-"$HUBTOOL" build "$TMP/graph.txt" "$TMP/labels.hlbs" pll
-"$HUBTOOL" verify "$TMP/graph.txt" "$TMP/labels.hlbs"
+"$HUBSERVE" build "$TMP/graph.txt" "$TMP/labels.hlbs"
+"$HUBSERVE" verify "$TMP/graph.txt" "$TMP/labels.hlbs"
 
 echo "== serving path: binary store (parallel build, 2 threads) =="
 "$HUBSERVE" build "$TMP/graph.txt" "$TMP/store.hlbs" --threads 2
@@ -125,10 +125,10 @@ if ! diff -u "$TMP/expected.txt" "$TMP/networked.txt"; then
 fi
 echo "all $((SAMPLE * SAMPLE)) sampled distances agree over the wire"
 
-echo "== the paper's hard instance: H(2,3) from hubtool to a daemon =="
-"$HUBTOOL" gen h:2,3 0 0 "$TMP/h23.txt"
-"$HUBTOOL" build "$TMP/h23.txt" "$TMP/h23.hlbs" pll
-"$HUBTOOL" verify "$TMP/h23.txt" "$TMP/h23.hlbs"
+echo "== the paper's hard instance: H(2,3) from experiments gadget to a daemon =="
+"$EXPERIMENTS" gadget h:2,3 > "$TMP/h23.txt"
+"$HUBSERVE" build "$TMP/h23.txt" "$TMP/h23.hlbs"
+"$HUBSERVE" verify "$TMP/h23.txt" "$TMP/h23.hlbs"
 serve "$TMP/h23.hlbs" "$TMP/serve-h23.log"
 "$HUBSERVE" query "$TMP/h23.hlbs" "$TMP/pairs.txt" > "$TMP/h23-expected.txt"
 "$HLSHARD" query --shard "$ADDR" "$TMP/pairs.txt" > "$TMP/h23-networked.txt"
