@@ -23,10 +23,7 @@ use std::time::Instant;
 use hl_server::QueryEngine;
 
 use crate::server::ServerConfig;
-use crate::wire::{
-    frame, frame_len, split_mux, ClientHello, ErrorCode, Request, Response, ServerHello, WireError,
-    MAX_PROTOCOL_VERSION, PROTOCOL_V2, PROTOCOL_VERSION,
-};
+use crate::wire::*;
 
 /// The most bytes one [`Conn::on_bytes`] call carries: the loop's read
 /// buffer. Read-side caps are enforced *per chunk* — the loop re-asks
@@ -193,32 +190,28 @@ impl Conn {
         self.last_read = now;
         let mut buf = std::mem::take(&mut self.rbuf);
         buf.extend_from_slice(chunk);
-        let mut at = 0usize;
-        while self.ending == Ending::Open && buf.len() - at >= 4 {
-            let prefix = [buf[at], buf[at + 1], buf[at + 2], buf[at + 3]];
-            match frame_len(prefix, config.max_frame_len) {
-                Err(e) => {
-                    let code = match e {
-                        WireError::FrameTooLarge { .. } => ErrorCode::FrameTooLarge,
-                        _ => ErrorCode::Malformed,
-                    };
-                    self.fail(engine, code, e.to_string());
-                }
-                Ok(len) if buf.len() - at < 4 + len => break,
-                Ok(len) => {
-                    self.on_frame(engine, &buf[at + 4..at + 4 + len]);
-                    at += 4 + len;
-                }
+        let split = split_frames(&buf, config.max_frame_len, |payload| {
+            self.on_frame(engine, payload);
+            self.ending == Ending::Open
+        });
+        match split {
+            Err(e) => {
+                let code = match e {
+                    WireError::FrameTooLarge { .. } => ErrorCode::FrameTooLarge,
+                    _ => ErrorCode::Malformed,
+                };
+                self.fail(engine, code, e.to_string());
             }
-        }
-        if self.ending == Ending::Open {
-            buf.drain(..at);
-            self.frame_started = if buf.is_empty() {
-                None
-            } else {
-                self.frame_started.or(Some(now))
-            };
-            self.rbuf = buf;
+            Ok(at) if self.ending == Ending::Open => {
+                buf.drain(..at);
+                self.frame_started = if buf.is_empty() {
+                    None
+                } else {
+                    self.frame_started.or(Some(now))
+                };
+                self.rbuf = buf;
+            }
+            Ok(_) => {}
         }
     }
 

@@ -52,7 +52,7 @@ use hl_server::QueryEngine;
 
 use crate::conn::{response_frame, Conn, READ_CHUNK};
 use crate::server::{execute, ServerConfig};
-use crate::wire::{Request, Response};
+use crate::wire::{split_frames, Request, Response};
 
 /// One scripted action against a transport.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -379,27 +379,23 @@ impl FaultPlan {
     }
 }
 
-/// Splits a stream into whole frames (length prefix included). A tail
-/// that is not a complete frame — a short prefix, or a length running
-/// past the end of the input — is kept as one final partial chunk, so
-/// the concatenation of the output is always exactly the input.
+/// Splits a stream into whole frames (length prefix included), through
+/// the one splitter with no cap. A tail that is not a complete frame — a
+/// short prefix, a length running past the end of the input, or an empty
+/// frame (the one prefix an uncapped split refuses) and all after it — is
+/// kept as one final partial chunk, so the concatenation of the output
+/// is always exactly the input.
 fn frames_of(clean: &[u8]) -> Vec<Vec<u8>> {
     let mut frames = Vec::new();
-    let mut at = 0usize;
-    while clean.len() - at >= 4 {
-        let len = u32::from_le_bytes([clean[at], clean[at + 1], clean[at + 2], clean[at + 3]]);
-        let end = match (len as usize)
-            .checked_add(4)
-            .and_then(|t| at.checked_add(t))
-        {
-            Some(end) if end <= clean.len() => end,
-            _ => break,
-        };
-        frames.push(clean[at..end].to_vec());
-        at = end;
-    }
-    if at < clean.len() {
-        frames.push(clean[at..].to_vec());
+    let mut rest = clean;
+    let split = split_frames(clean, u32::MAX, |payload| {
+        let (frame, tail) = rest.split_at(4 + payload.len());
+        frames.push(frame.to_vec());
+        rest = tail;
+        true
+    });
+    if split.is_err() || !rest.is_empty() {
+        frames.push(rest.to_vec());
     }
     frames
 }

@@ -25,7 +25,8 @@
 //!   concurrent in-flight requests on one connection, correlated by
 //!   request id, each with its own deadline and no head-of-line
 //!   blocking; it starts no thread, because a waiting caller reads its
-//!   own responses.
+//!   own responses. It drives `client_conn.rs`, the client's socket-free
+//!   protocol machine, as the server drives `conn.rs`.
 //! - [`faults`]: deterministic fault injection — a seeded
 //!   [`faults::FaultPlan`] scripts byte-level corruption, length-prefix
 //!   lies, truncations, slow-loris pacing and stalls against any
@@ -46,6 +47,7 @@
 
 pub mod cli;
 pub mod client;
+mod client_conn;
 mod conn;
 pub mod error;
 pub mod faults;

@@ -1,72 +1,42 @@
 //! Multiplexed HLNP v2 client: many concurrent requests on one
 //! connection, correlated by request id.
 //!
-//! [`MuxClient`] speaks protocol v2, where every frame payload is
-//! prefixed with a caller-chosen `request_id: u64` and the server may
-//! answer out of order. The client starts no thread: a caller blocked
-//! in [`MuxClient::wait`] reads the socket itself. One waiter at a time
-//! holds the read token; it reads once, files every whole response it
-//! got into the slot of the request that asked for it, hands the token
-//! back and wakes the waiters parked behind it. The result:
+//! [`MuxClient`] drives `client_conn.rs`, the socket-free machine that
+//! owns request ids, response slots, the outbox, framing and the dead
+//! state; this file adds the socket, the locks and the clock. It starts
+//! no thread: a caller blocked in [`MuxClient::wait`] reads the socket
+//! itself. One waiter at a time holds the read token; it reads once with
+//! no lock held on the machine, hands the bytes over (the machine files
+//! every whole response by id), gives the token back and wakes the
+//! waiters parked behind it. A deadline bounds one wait, and a wait that
+//! times out abandons only its own request. A broken read or write kills
+//! the machine: every request in flight fails
+//! [`NetError::ConnectionDead`], and answers already filed still deliver.
 //!
-//! - **Concurrency without connections.** Hundreds of requests ride one
-//!   TCP stream; a slow query does not block the answers behind it.
-//! - **Per-request deadlines.** [`MuxClient::wait`] bounds one request;
-//!   a request that times out abandons only its own slot, and its late
-//!   response (if any) is dropped on arrival instead of being
-//!   misdelivered to a future request. A deadline that expires in the
-//!   middle of a response frame leaves the bytes read so far buffered
-//!   for the next reader, so framing never breaks.
-//! - **Shared fate on transport death.** If the socket or framing
-//!   breaks, the caller that sees it marks the connection dead with the
-//!   rendered error and every in-flight and future request fails with
-//!   [`NetError::ConnectionDead`]; responses that had already arrived
-//!   still deliver.
+//! **When requests leave.** [`MuxClient::submit`] only frames the request
+//! onto the outbox, which goes to the socket in one write when a
+//! [`MuxClient::wait`] finds its slot empty (before it reads or parks), on
+//! [`MuxClient::flush`], or when a submit brings it to 16 KiB. A thread
+//! that submits to several clients and then blocks on one of them, such
+//! as the shard router, must `flush` the others first.
 //!
-//! **When requests leave.** [`MuxClient::submit`] only appends the framed
-//! request to an outbox; the outbox goes to the socket in one write
-//! when a [`MuxClient::wait`] finds its own slot still empty (before it
-//! reads or parks), when [`MuxClient::flush`] is called, or when a
-//! submit brings it to 16 KiB. A window of submits therefore costs one
-//! write, and a lock-step `call` still writes at once, on its wait. A
-//! thread that submits to several clients and then blocks on one of
-//! them, such as the shard router, must `flush` the others first, or
-//! their requests sit in their outboxes until it waits on them. A write
-//! that fails or times out may have sent part of several frames, so it
-//! kills the connection like a broken read does.
+//! **Unread responses** wait in the socket buffers, then in the daemon's
+//! write queue, which the daemon bounds: at most `max_inflight_per_conn`
+//! requests in flight, and no reading past 8 MiB queued. Once the socket
+//! buffers are full, a connection whose writes stay refused past the
+//! daemon's `write_timeout` (10 s by default) is dropped, failing
+//! everything in flight. So a caller with more than the socket buffers'
+//! worth of responses pending, such as the shard router waiting on one
+//! shard of several, must wait within that time.
 //!
-//! Responses nobody waits for yet are not read: they wait in the socket
-//! buffers and then in the daemon's write queue until a caller waits.
-//! The daemon bounds that backlog: at most `max_inflight_per_conn`
-//! requests per connection are in flight (the rest are answered `Busy`),
-//! and once 8 MiB of responses are queued it stops reading requests. It
-//! does not hold the backlog forever, though. Once the socket buffers
-//! are full the daemon's writes are refused, and a connection whose
-//! writes stay refused for longer than the daemon's `write_timeout`
-//! (10 s by default) is dropped; every request in flight on it then
-//! fails [`NetError::ConnectionDead`]. So a caller with more than the
-//! socket buffers' worth of responses pending must wait within that
-//! time. A thread that drives several clients, such as the shard
-//! router, reads only the one it waits on, so each of its waits must
-//! end well inside the other daemons' `write_timeout`.
-//!
-//! The split API ([`MuxClient::submit`] then [`MuxClient::wait`]) is the
-//! point: callers fan out submissions and collect completions in any
-//! order. The blocking convenience methods (`query`, `label_batch`, …)
-//! mirror [`crate::NetClient`] one-for-one for drop-in use — they are
-//! just `submit` + `wait` and interleave freely with other threads'
-//! requests on the same client.
-//!
-//! Request ids are a process-local monotonic counter starting at 1 (0 is
-//! the server's "could not even parse an id" sentinel), so ids never
-//! repeat within a connection and a duplicate-id race cannot exist by
-//! construction.
+//! The blocking convenience methods (`query`, `label_batch`, …) mirror
+//! [`crate::NetClient`] one-for-one; they are `submit` + `wait` and
+//! interleave freely with other threads' requests on the same client.
 
-use std::collections::HashMap;
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use hl_graph::sync::lock_unpoisoned;
@@ -74,22 +44,13 @@ use hl_graph::{Distance, NodeId};
 use hl_server::MetricsSnapshot;
 
 use crate::client::{dial, resolve, ClientConfig};
+use crate::client_conn::{ClientConn, Held};
 use crate::error::NetError;
-use crate::wire::{
-    frame, frame_len, split_mux, write_all_deadline, DeadlineWrite, Request, Response, ServerHello,
-    PROTOCOL_V2,
-};
+use crate::wire::{write_all_deadline, DeadlineWrite, Request, Response, ServerHello, PROTOCOL_V2};
 
-/// Size of the inbox buffer; it grows to fit a longer frame.
-const READ_BUF: usize = 16 * 1024;
-/// A buffer grown past this for a long frame shrinks back to
-/// [`READ_BUF`] once no partial frame is left in it. Smaller growth is
-/// kept: shrinking and regrowing for each of the shard router's ~60 KiB
-/// `LabelBatch` frames cost about 4% of its `query_many` rate on a
-/// 2-vCPU host.
-const KEEP_BUF: usize = 256 * 1024;
-/// A submit that brings the outbox to this many bytes writes it.
-const OUTBOX_FLUSH: usize = 16 * 1024;
+/// The buffer the read token lends: one read takes at most this much,
+/// which holds a whole `LabelBatch` chunk of the shard router (~60 KiB).
+const READ_BUF: usize = 64 * 1024;
 
 /// Whether a socket timeout armed at `armed` must be re-armed for a
 /// budget of `want`. Re-arming is a syscall, so the armed timeout is
@@ -101,50 +62,35 @@ fn must_rearm(armed: Duration, want: Duration) -> bool {
     armed > want + Duration::from_millis(1) || armed < want / 2
 }
 
-/// The correlation table, guarded by [`MuxClient::state`].
-struct MuxState {
-    /// One entry per in-flight request: `None` until its response lands.
-    /// A waiter that gives up removes its entry, which is exactly what
-    /// makes the late response droppable instead of deliverable.
-    slots: HashMap<u64, Option<Response>>,
-    /// Set once by the caller that sees the transport die (a broken read
-    /// or a failed outbox write); the rendered error every subsequent
-    /// failure reports.
-    dead: Option<String>,
-    /// The read token: `true` while one waiter reads the socket. Only
-    /// its holder locks [`MuxClient::inbox`].
-    reading: bool,
+/// What [`MuxClient::state`] guards.
+struct State {
+    conn: ClientConn,
+    /// The read token, which is the buffer its holder reads into: `None`
+    /// while one waiter holds it and reads the socket.
+    token: Option<Vec<u8>>,
     /// Waiters parked on [`MuxClient::cv`] behind the token holder. At
     /// zero nobody is notified, so a single-threaded caller never pays
     /// for a wake.
     parked: usize,
 }
 
-/// The socket's read half and the bytes read past the last whole frame.
-struct Inbox {
+/// One half of the socket (the read half, or its `try_clone` twin the
+/// write half) and the timeout that half is armed with.
+struct Half {
     stream: TcpStream,
-    /// `buf[..filled]` is the start of a frame not yet whole; the buffer
-    /// always has room for the rest of it, and is at most [`KEEP_BUF`]
-    /// long whenever `filled` is zero.
-    buf: Vec<u8>,
-    filled: usize,
-    max_frame_len: u32,
-    /// The read timeout the socket is armed with.
     armed: Duration,
 }
 
-impl Inbox {
-    /// Reads the socket once, waiting at most `timeout` (floor 1 ms) plus
-    /// 1 ms, and appends every whole frame now buffered to `filed`. A
-    /// timeout files nothing and is no error; a partial frame stays
-    /// buffered for the next call. `Err` is the rendered reason the
-    /// connection is dead: EOF, a socket error, or a frame that breaks v2
-    /// framing (frames before it are filed).
-    fn read_once(
-        &mut self,
-        timeout: Duration,
-        filed: &mut Vec<(u64, Response)>,
-    ) -> Result<(), String> {
+impl Half {
+    fn new(stream: TcpStream) -> Half {
+        let armed = Duration::ZERO;
+        Half { stream, armed }
+    }
+
+    /// Reads the socket once into `buf`, waiting at most `timeout` (floor
+    /// 1 ms) plus 1 ms. `Ok(0)` is a timeout, which is no error. `Err` is
+    /// the rendered reason the connection is dead: EOF or a socket error.
+    fn read_once(&mut self, buf: &mut [u8], timeout: Duration) -> Result<usize, String> {
         let want = timeout.max(Duration::from_millis(1));
         if must_rearm(self.armed, want) {
             self.stream
@@ -152,88 +98,31 @@ impl Inbox {
                 .map_err(|e| format!("arming the response read: {e}"))?;
             self.armed = want;
         }
-        match self.stream.read(&mut self.buf[self.filled..]) {
-            Ok(0) => return Err("reading response frame: peer closed".to_string()),
-            Ok(n) => self.filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                return Ok(())
-            }
-            Err(e) => return Err(format!("reading response frame: {e}")),
+        match self.stream.read(buf) {
+            Ok(0) => Err("reading response frame: peer closed".to_string()),
+            Ok(n) => Ok(n),
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => Ok(0),
+            Err(e) => Err(format!("reading response frame: {e}")),
         }
-        let mut at = 0;
-        let need = loop {
-            let rest = &self.buf[at..self.filled];
-            let Some(&prefix) = rest.first_chunk::<4>() else {
-                break 0;
-            };
-            // The length is tested before the body is buffered.
-            let len = frame_len(prefix, self.max_frame_len)
-                .map_err(|e| format!("reading response frame: {e}"))?;
-            let Some(payload) = rest.get(4..4 + len) else {
-                break 4 + len;
-            };
-            filed.push(decode_response(payload)?);
-            at += 4 + len;
-        };
-        self.buf.copy_within(at..self.filled, 0);
-        self.filled -= at;
-        if need > self.buf.len() {
-            self.buf.resize(need, 0);
-        } else if self.filled == 0 && self.buf.len() > KEEP_BUF {
-            self.buf.truncate(READ_BUF);
-            self.buf.shrink_to(READ_BUF);
-        }
-        Ok(())
     }
-}
 
-/// The socket's write half and the frames submitted but not yet written.
-struct Outbox {
-    sink: Sink,
-    /// Whole frames back to back, oldest first.
-    buf: Vec<u8>,
-}
-
-impl Outbox {
-    /// Writes every queued frame in one [`write_all_deadline`] within
-    /// `budget`. `Err` is the rendered reason the connection is dead: the
-    /// write failed or timed out and may have sent part of a frame, so
-    /// the socket is shut down and the queue dropped.
-    fn flush(&mut self, budget: Duration) -> Result<(), String> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let wrote = write_all_deadline(&mut self.sink, &self.buf, budget);
-        self.buf.clear();
-        self.buf.shrink_to(KEEP_BUF);
-        wrote.map_err(|e| {
-            // Wakes a waiter blocked reading, which then sees EOF.
+    /// Writes `frames` in one [`write_all_deadline`] within `budget`.
+    /// `Err` is the rendered reason the connection is dead: the write
+    /// failed or timed out and may have sent part of a frame, so the
+    /// socket is shut down, which wakes a waiter blocked reading.
+    fn write_out(&mut self, frames: &[u8], budget: Duration) -> Result<(), String> {
+        write_all_deadline(self, frames, budget).map_err(|e| {
             #[expect(
                 clippy::let_underscore_must_use,
                 reason = "the connection is dead either way; the write error is the reason"
             )]
-            let _ = self.sink.stream.shutdown(Shutdown::Both);
+            let _ = self.stream.shutdown(Shutdown::Both);
             format!("writing requests: {e}")
         })
     }
 }
 
-/// The write half (a `try_clone` twin of the inbox's stream) and the
-/// send timeout it is armed with. It never reads: the inbox owns reading
-/// and the read timeout.
-struct Sink {
-    stream: TcpStream,
-    armed: Duration,
-}
-
-impl Write for Sink {
+impl Write for Half {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.stream.write(buf)
     }
@@ -243,7 +132,7 @@ impl Write for Sink {
     }
 }
 
-impl DeadlineWrite for Sink {
+impl DeadlineWrite for Half {
     fn limit_write_timeout(&mut self, timeout: Duration) -> io::Result<()> {
         if must_rearm(self.armed, timeout) {
             self.stream.set_write_timeout(Some(timeout))?;
@@ -253,33 +142,21 @@ impl DeadlineWrite for Sink {
     }
 }
 
-/// One v2 response payload as `(request id, response)`.
-fn decode_response(payload: &[u8]) -> Result<(u64, Response), String> {
-    // A server that broke v2 framing has made its ids untrustworthy, so
-    // no response on this stream is trustworthy either.
-    let (id, inner) =
-        split_mux(payload).map_err(|e| format!("response frame missing request id: {e}"))?;
-    let response =
-        Response::decode(inner).map_err(|e| format!("decoding response for request {id}: {e}"))?;
-    Ok((id, response))
-}
-
 /// A multiplexing client for one HLNP v2 daemon connection.
 ///
 /// All methods take `&self`: clone nothing, share one instance across
 /// threads (or keep it single-threaded and pipeline by interleaving
 /// `submit`s before `wait`s).
 pub struct MuxClient {
-    state: Mutex<MuxState>,
+    state: Mutex<State>,
     /// Parks waiters while another waiter holds the read token.
     cv: Condvar,
-    inbox: Mutex<Inbox>,
-    /// The write half and the submitted frames not yet written.
-    writer: Mutex<Outbox>,
+    /// The read half; only the read token's holder locks it.
+    reader: Mutex<Half>,
+    writer: Mutex<Half>,
     hello: ServerHello,
     addr: SocketAddr,
     config: ClientConfig,
-    next_id: AtomicU64,
 }
 
 impl MuxClient {
@@ -291,31 +168,17 @@ impl MuxClient {
         let (stream, hello) = dial(&addr, &config, PROTOCOL_V2)?;
         let writer = stream.try_clone()?;
         Ok(MuxClient {
-            state: Mutex::new(MuxState {
-                slots: HashMap::new(),
-                dead: None,
-                reading: false,
+            state: Mutex::new(State {
+                conn: ClientConn::new(config.max_frame_len),
+                token: Some(vec![0; READ_BUF]),
                 parked: 0,
             }),
             cv: Condvar::new(),
-            inbox: Mutex::new(Inbox {
-                stream,
-                buf: vec![0; READ_BUF],
-                filled: 0,
-                max_frame_len: config.max_frame_len,
-                armed: Duration::ZERO,
-            }),
-            writer: Mutex::new(Outbox {
-                sink: Sink {
-                    stream: writer,
-                    armed: Duration::ZERO,
-                },
-                buf: Vec::new(),
-            }),
+            reader: Mutex::new(Half::new(stream)),
+            writer: Mutex::new(Half::new(writer)),
             hello,
             addr,
             config,
-            next_id: AtomicU64::new(1),
         })
     }
 
@@ -334,47 +197,28 @@ impl MuxClient {
         self.hello.num_nodes
     }
 
-    /// Requests currently awaiting a response.
+    /// Requests currently awaiting a response: submitted, and neither
+    /// waited on to the end nor abandoned.
     pub fn in_flight(&self) -> usize {
-        lock_unpoisoned(&self.state).slots.len()
+        lock_unpoisoned(&self.state).conn.in_flight()
     }
 
     /// Queues `request` and returns its id without waiting; pair with
-    /// [`MuxClient::wait`]. The framed request is appended to the outbox,
-    /// which goes to the socket in one write when a waiter finds its slot
-    /// empty, on [`MuxClient::flush`], or when this submit brings it to
-    /// 16 KiB. Submissions from any number of threads interleave on the
-    /// wire a whole frame at a time.
-    ///
-    /// A write this submit makes that fails kills the connection: it and
-    /// every request in flight fail [`NetError::ConnectionDead`]. The
-    /// response is read only once some caller waits; until then it sits
-    /// in the socket or the daemon's write queue. Wait within the
-    /// daemon's `write_timeout` of the socket buffers filling, or the
-    /// daemon drops the connection (see the module docs).
+    /// [`MuxClient::wait`] or [`MuxClient::abandon`]. The framed request
+    /// leaves as the module docs say; a write this submit makes that fails
+    /// kills the connection, and this and every request in flight fail
+    /// [`NetError::ConnectionDead`].
     pub fn submit(&self, request: &Request) -> Result<u64, NetError> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        {
+        let (id, frames) = {
             let mut state = lock_unpoisoned(&self.state);
-            if let Some(reason) = &state.dead {
-                return Err(NetError::ConnectionDead(reason.clone()));
-            }
-            state.slots.insert(id, None);
-        }
-        let framed = frame(Some(id), &request.encode());
-        let wrote = {
-            let mut outbox = lock_unpoisoned(&self.writer);
-            outbox.buf.extend_from_slice(&framed);
-            if outbox.buf.len() >= OUTBOX_FLUSH {
-                outbox.flush(self.config.request_timeout)
-            } else {
-                Ok(())
-            }
+            let (id, full) = state.conn.submit(request)?;
+            (id, full.then(|| state.conn.take_outbox()))
         };
-        if let Err(reason) = wrote {
+        if let Some(Err(reason)) = frames.map(|frames| self.send(&frames)) {
+            let mut state = lock_unpoisoned(&self.state);
             // The slot will never fill: reclaim it rather than leak it.
-            lock_unpoisoned(&self.state).slots.remove(&id);
-            return Err(self.kill(reason));
+            state.conn.abandon(id);
+            return Err(self.kill(&mut state, reason));
         }
         Ok(id)
     }
@@ -384,23 +228,40 @@ impl MuxClient {
     /// it blocks waiting on one of them. A failed write kills the
     /// connection, as in [`MuxClient::submit`].
     pub fn flush(&self) -> Result<(), NetError> {
-        let wrote = lock_unpoisoned(&self.writer).flush(self.config.request_timeout);
-        wrote.map_err(|reason| self.kill(reason))
+        let frames = lock_unpoisoned(&self.state).conn.take_outbox();
+        self.send(&frames)
+            .map_err(|reason| self.kill(&mut lock_unpoisoned(&self.state), reason))
     }
 
-    /// Marks the connection dead (the first reason sticks) and wakes the
-    /// parked waiters to see it; returns the error every request gets.
-    fn kill(&self, reason: String) -> NetError {
-        let mut state = lock_unpoisoned(&self.state);
-        let reason = state.dead.get_or_insert(reason).clone();
+    /// Gives up on request `id` without waiting: its slot is freed, and
+    /// its response, if one still comes, is dropped on arrival. A caller
+    /// that will not wait on a request it submitted abandons it, or its
+    /// slot stays in flight until the connection closes.
+    pub fn abandon(&self, id: u64) {
+        lock_unpoisoned(&self.state).conn.abandon(id);
+    }
+
+    /// Writes `frames`, whole frames taken from the outbox, in one write.
+    /// `Err` is the rendered reason the connection is dead.
+    fn send(&self, frames: &[u8]) -> Result<(), String> {
+        if frames.is_empty() {
+            return Ok(());
+        }
+        lock_unpoisoned(&self.writer).write_out(frames, self.config.request_timeout)
+    }
+
+    /// Kills the machine (the first reason sticks) and wakes the parked
+    /// waiters to see it; returns the error every request gets.
+    fn kill(&self, state: &mut State, reason: String) -> NetError {
+        let dead = state.conn.kill(reason);
         if state.parked > 0 {
             self.cv.notify_all();
         }
-        NetError::ConnectionDead(reason)
+        dead
     }
 
     /// Blocks until request `id` answers or `deadline` passes. On
-    /// timeout the slot is abandoned — its late response (if one ever
+    /// timeout the request is abandoned — its late response (if one ever
     /// comes) is dropped on arrival — and only this request fails;
     /// everything else in flight keeps waiting undisturbed.
     ///
@@ -411,80 +272,61 @@ impl MuxClient {
     /// until the reader hands over.
     pub fn wait(&self, id: u64, deadline: Duration) -> Result<Response, NetError> {
         let started = Instant::now();
-        let mut filed = Vec::new();
-        let mut flushed = false;
         let mut state = lock_unpoisoned(&self.state);
         loop {
-            match state.slots.get(&id) {
-                Some(Some(_)) => {
-                    // Filled: take it. (Entry API would borrow-conflict
-                    // with the check above; the double lookup is cheap.)
-                    let Some(Some(resp)) = state.slots.remove(&id) else {
-                        return Err(NetError::ConnectionDead(
-                            "response slot vanished mid-delivery".to_string(),
-                        ));
-                    };
-                    return Ok(resp);
-                }
-                Some(None) => {
-                    if let Some(reason) = &state.dead {
-                        let reason = reason.clone();
-                        state.slots.remove(&id);
-                        return Err(NetError::ConnectionDead(reason));
-                    }
-                }
-                None => {
-                    // Unknown id: never submitted, or already waited on.
+            match state.conn.take(id) {
+                Held::Answer(response) => return Ok(response),
+                Held::Dead(reason) => return Err(NetError::ConnectionDead(reason)),
+                // Never submitted, already waited on, or abandoned.
+                Held::Unknown => {
                     return Err(NetError::RequestTimeout {
                         request_id: id,
                         waited: started.elapsed(),
-                    });
+                    })
                 }
+                Held::Waiting => {}
             }
-            if !flushed {
-                // Before reading or parking: a request still in the
-                // outbox would never be answered.
-                flushed = true;
+            // Before reading or parking: a request still in the outbox
+            // would never be answered. A failed write kills the machine,
+            // and the next look at the slot reports it.
+            let frames = state.conn.take_outbox();
+            if !frames.is_empty() {
                 drop(state);
-                let wrote = lock_unpoisoned(&self.writer).flush(self.config.request_timeout);
-                if let Err(reason) = wrote {
-                    self.kill(reason);
-                }
+                let sent = self.send(&frames);
                 state = lock_unpoisoned(&self.state);
+                if let Err(reason) = sent {
+                    self.kill(&mut state, reason);
+                }
                 continue;
             }
             let elapsed = started.elapsed();
             let Some(remaining) = deadline.checked_sub(elapsed) else {
-                state.slots.remove(&id);
+                state.conn.abandon(id);
                 return Err(NetError::RequestTimeout {
                     request_id: id,
                     waited: elapsed,
                 });
             };
-            if state.reading {
+            let Some(mut buf) = state.token.take() else {
                 state.parked += 1;
-                state = wait_timeout_unpoisoned(&self.cv, state, remaining);
+                // Poisoning is shrugged off as `lock_unpoisoned` does.
+                let woken = self.cv.wait_timeout(state, remaining);
+                state = woken.unwrap_or_else(PoisonError::into_inner).0;
                 state.parked -= 1;
                 continue;
-            }
-            // Take the read token, read once with no state guard held,
-            // then file, hand the token back and wake whoever parked.
-            state.reading = true;
+            };
+            // Holding the token: read once with no state guard held, then
+            // file, hand the token back and wake whoever parked.
             drop(state);
-            let read = lock_unpoisoned(&self.inbox).read_once(remaining, &mut filed);
+            let read = lock_unpoisoned(&self.reader).read_once(&mut buf, remaining);
             state = lock_unpoisoned(&self.state);
-            state.reading = false;
-            for (rid, response) in filed.drain(..) {
-                if let Some(slot) = state.slots.get_mut(&rid) {
-                    *slot = Some(response);
+            match read {
+                Ok(n) => state.conn.received(&buf[..n]),
+                Err(reason) => {
+                    state.conn.kill(reason);
                 }
-                // else: no waiter for this id — a timed-out request's
-                // late response, or a server duplicate. Dropping it here
-                // is what keeps misdelivery impossible.
             }
-            if let Err(reason) = read {
-                state.dead.get_or_insert(reason);
-            }
+            state.token = Some(buf);
             if state.parked > 0 {
                 self.cv.notify_all();
             }
@@ -547,26 +389,13 @@ impl MuxClient {
     }
 }
 
-/// `Condvar::wait_timeout` that shrugs off poisoning like
-/// [`lock_unpoisoned`] does: no thread holds this lock across code that
-/// can panic, so a poisoned guard's data is still consistent.
-fn wait_timeout_unpoisoned<'a>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, MuxState>,
-    dur: Duration,
-) -> MutexGuard<'a, MuxState> {
-    match cv.wait_timeout(guard, dur) {
-        Ok((guard, _)) => guard,
-        Err(poisoned) => poisoned.into_inner().0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    //! The read-token hand-off and the outbox against a scripted daemon:
-    //! each mock writes exactly the bytes its test names, paced by
-    //! channels, and the tests watch the token through `MuxState` and the
-    //! queued frames through `Outbox` instead of sleeping.
+    //! The driver against a scripted daemon: the read-token hand-off, the
+    //! read deadline and the outbox writes. Each mock writes exactly the
+    //! bytes its test names, paced by channels, and the tests watch the
+    //! token and the outbox through `State` instead of sleeping. What the
+    //! machine files, keeps and kills is tested in `client_conn.rs`.
 
     use std::io::Write;
     use std::net::TcpListener;
@@ -574,7 +403,10 @@ mod tests {
     use std::thread::{self, JoinHandle};
 
     use super::*;
-    use crate::wire::{read_frame, write_frame, ClientHello, DEFAULT_MAX_FRAME_LEN};
+    use crate::client_conn::OUTBOX_FLUSH;
+    use crate::wire::{
+        frame, frame_len, read_frame, split_mux, write_frame, ClientHello, DEFAULT_MAX_FRAME_LEN,
+    };
 
     const LONG: Duration = Duration::from_secs(10);
 
@@ -630,46 +462,12 @@ mod tests {
 
     /// Spins (yielding, never sleeping) until the client's state satisfies
     /// `what`; ten seconds without it fails the test.
-    fn spin_until(client: &MuxClient, what: impl Fn(&MuxState) -> bool) {
+    fn spin_until(client: &MuxClient, what: impl Fn(&State) -> bool) {
         let started = Instant::now();
         while !what(&lock_unpoisoned(&client.state)) {
             assert!(started.elapsed() < LONG, "client state never got there");
             thread::yield_now();
         }
-    }
-
-    #[test]
-    fn two_waiters_answered_in_reverse_order_both_get_exact_answers() {
-        let (go, next) = mpsc::channel::<()>();
-        let (addr, mock) = spawn_mock(move |mut stream| {
-            let (_, first) = next_answer(&mut stream);
-            let (_, second) = next_answer(&mut stream);
-            for answer in [second, first] {
-                next.recv().expect("go");
-                stream.write_all(&answer).expect("answer");
-            }
-            // Hold the connection until the test is done with it.
-            next.recv().ok();
-        });
-        let client = connect(addr);
-        let a = client.submit(&Request::Query { u: 1, v: 2 }).expect("a");
-        let b = client.submit(&Request::Query { u: 3, v: 4 }).expect("b");
-        thread::scope(|s| {
-            let wait_a = s.spawn(|| client.wait(a, LONG));
-            spin_until(&client, |st| st.reading);
-            let wait_b = s.spawn(|| client.wait(b, LONG));
-            spin_until(&client, |st| st.parked == 1);
-            // B is parked behind A's read: A files B's answer and wakes it.
-            go.send(()).expect("answer b");
-            let got_b = wait_b.join().expect("waiter b").expect("b answers");
-            assert_eq!(got_b, Response::Distance(distance(3, 4)));
-            go.send(()).expect("answer a");
-            let got_a = wait_a.join().expect("waiter a").expect("a answers");
-            assert_eq!(got_a, Response::Distance(distance(1, 2)));
-        });
-        assert_eq!(client.in_flight(), 0);
-        drop(go);
-        mock.join().expect("mock");
     }
 
     #[test]
@@ -687,7 +485,7 @@ mod tests {
         let p = client.submit(&Request::Query { u: 7, v: 8 }).expect("p");
         thread::scope(|s| {
             let reader = s.spawn(|| client.wait(r, Duration::from_millis(500)));
-            spin_until(&client, |st| st.reading);
+            spin_until(&client, |st| st.token.is_none());
             let parked = s.spawn(|| client.wait(p, LONG));
             spin_until(&client, |st| st.parked == 1);
             match reader.join().expect("reader") {
@@ -695,7 +493,7 @@ mod tests {
                 other => panic!("the reader's deadline must expire, got {other:?}"),
             }
             // The parked waiter was woken and now holds the token itself.
-            spin_until(&client, |st| st.reading && st.parked == 0);
+            spin_until(&client, |st| st.token.is_none() && st.parked == 0);
             go.send(()).expect("answer p");
             let got = parked.join().expect("waiter p").expect("p answers");
             assert_eq!(got, Response::Distance(distance(7, 8)));
@@ -703,44 +501,6 @@ mod tests {
         assert_eq!(client.in_flight(), 0);
         drop(go);
         mock.join().expect("mock");
-    }
-
-    #[test]
-    fn a_deadline_expiring_mid_frame_leaves_the_frame_whole_for_the_next_wait() {
-        // Cut inside the length prefix, then inside the request id.
-        for cut in [2, 9] {
-            let (go, next) = mpsc::channel::<()>();
-            let (half_sent, half) = mpsc::channel::<()>();
-            let (addr, mock) = spawn_mock(move |mut stream| {
-                let (_, _never) = next_answer(&mut stream);
-                let (_, answer) = next_answer(&mut stream);
-                stream.write_all(&answer[..cut]).expect("first half");
-                half_sent.send(()).expect("half sent");
-                next.recv().expect("go");
-                stream.write_all(&answer[cut..]).expect("second half");
-                next.recv().ok();
-            });
-            let client = connect(addr);
-            let x = client.submit(&Request::Query { u: 9, v: 1 }).expect("x");
-            let y = client.submit(&Request::Query { u: 2, v: 3 }).expect("y");
-            client.flush().expect("flush");
-            half.recv().expect("half");
-            match client.wait(x, Duration::from_millis(50)) {
-                Err(NetError::RequestTimeout { request_id, .. }) => assert_eq!(request_id, x),
-                other => panic!("x must time out, got {other:?}"),
-            }
-            assert_eq!(
-                lock_unpoisoned(&client.inbox).filled,
-                cut,
-                "half a frame kept"
-            );
-            go.send(()).expect("second half");
-            let got = client.wait(y, LONG).expect("y answers whole");
-            assert_eq!(got, Response::Distance(distance(2, 3)));
-            assert_eq!(lock_unpoisoned(&client.inbox).filled, 0);
-            drop(go);
-            mock.join().expect("mock");
-        }
     }
 
     #[test]
@@ -768,85 +528,6 @@ mod tests {
         mock.join().expect("mock");
     }
 
-    #[test]
-    fn a_long_frame_grows_the_inbox_and_its_room_is_given_back() {
-        let long = Response::LabelBatch(vec![vec![(1, 2); 32 * 1024]]);
-        let expected = long.clone();
-        let (go, next) = mpsc::channel::<()>();
-        let (half_sent, half) = mpsc::channel::<usize>();
-        let (addr, mock) = spawn_mock(move |mut stream| {
-            let (_, _never) = next_answer(&mut stream);
-            let (id, _) = next_answer(&mut stream);
-            let answer = frame(Some(id), &long.encode());
-            let cut = answer.len() / 2;
-            stream.write_all(&answer[..cut]).expect("first half");
-            half_sent.send(answer.len()).expect("half sent");
-            next.recv().expect("go");
-            stream.write_all(&answer[cut..]).expect("second half");
-            next.recv().ok();
-        });
-        let client = connect(addr);
-        let x = client.submit(&Request::Query { u: 1, v: 1 }).expect("x");
-        let y = client.submit(&Request::Query { u: 2, v: 2 }).expect("y");
-        client.flush().expect("flush");
-        let whole = half.recv().expect("half");
-        assert!(
-            whole > KEEP_BUF,
-            "the frame must outgrow what the inbox keeps"
-        );
-        assert!(client.wait(x, Duration::from_millis(50)).is_err());
-        assert_eq!(
-            lock_unpoisoned(&client.inbox).buf.len(),
-            whole,
-            "the inbox grows to hold the whole frame"
-        );
-        go.send(()).expect("second half");
-        assert_eq!(client.wait(y, LONG).expect("y answers"), expected);
-        {
-            let inbox = lock_unpoisoned(&client.inbox);
-            assert_eq!((inbox.filled, inbox.buf.len()), (0, READ_BUF));
-            assert!(
-                inbox.buf.capacity() < whole,
-                "the long frame's room is freed"
-            );
-        }
-        drop(go);
-        mock.join().expect("mock");
-    }
-
-    #[test]
-    fn eof_mid_frame_kills_every_pending_request_but_delivers_what_was_filed() {
-        let (addr, mock) = spawn_mock(move |mut stream| {
-            let (_, filed) = next_answer(&mut stream);
-            let (_, cut) = next_answer(&mut stream);
-            let (_, _never) = next_answer(&mut stream);
-            stream.write_all(&filed).expect("whole answer");
-            stream
-                .write_all(&cut[..cut.len() / 2])
-                .expect("half an answer");
-            // Dropping the stream closes it mid-frame.
-        });
-        let client = connect(addr);
-        let a = client.submit(&Request::Query { u: 4, v: 4 }).expect("a");
-        let b = client.submit(&Request::Query { u: 5, v: 5 }).expect("b");
-        let c = client.submit(&Request::Query { u: 6, v: 6 }).expect("c");
-        client.flush().expect("flush");
-        mock.join().expect("mock");
-        for id in [b, c] {
-            match client.wait(id, LONG) {
-                Err(NetError::ConnectionDead(_)) => {}
-                other => panic!("request {id} must fail ConnectionDead, got {other:?}"),
-            }
-        }
-        let got = client.wait(a, LONG).expect("a was filed before the EOF");
-        assert_eq!(got, Response::Distance(distance(4, 4)));
-        assert!(matches!(
-            client.submit(&Request::Ping),
-            Err(NetError::ConnectionDead(_))
-        ));
-        assert_eq!(client.in_flight(), 0);
-    }
-
     /// How many whole frames `buf` holds; panics on a partial one.
     fn frames_in(mut buf: &[u8]) -> usize {
         let mut count = 0;
@@ -867,7 +548,7 @@ mod tests {
     }
 
     fn queued(client: &MuxClient) -> Vec<u8> {
-        lock_unpoisoned(&client.writer).buf.clone()
+        lock_unpoisoned(&client.state).conn.outbox.clone()
     }
 
     #[test]
@@ -910,36 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn a_submit_that_fills_the_outbox_writes_it() {
-        let one = frame(Some(1), &Request::Query { u: 1, v: 2 }.encode()).len();
-        let fill = OUTBOX_FLUSH.div_ceil(one);
-        let (got_all, all) = mpsc::channel::<()>();
-        let (addr, mock) = spawn_mock(move |mut stream| {
-            for _ in 0..fill {
-                next_answer(&mut stream);
-            }
-            got_all.send(()).expect("report");
-            // Hold the connection until the client is dropped.
-            read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN).ok();
-        });
-        let client = connect(addr);
-        for k in 1..fill {
-            client
-                .submit(&Request::Query { u: 1, v: 2 })
-                .expect("submit");
-            assert_eq!(queued(&client).len(), k * one, "submit {k} only queues");
-        }
-        client
-            .submit(&Request::Query { u: 1, v: 2 })
-            .expect("submit");
-        assert!(queued(&client).is_empty(), "the filling submit writes");
-        all.recv_timeout(LONG)
-            .expect("every frame reached the mock without a wait");
-        drop(client);
-        mock.join().expect("mock");
-    }
-
-    #[test]
     fn a_waiter_flushes_its_submit_before_it_parks_behind_the_reader() {
         let (addr, mock) = spawn_mock(move |mut stream| {
             let (_, first) = next_answer(&mut stream);
@@ -953,7 +604,7 @@ mod tests {
         let r = client.submit(&Request::Query { u: 5, v: 6 }).expect("r");
         thread::scope(|s| {
             let reader = s.spawn(|| client.wait(r, Duration::from_secs(5)));
-            spin_until(&client, |st| st.reading);
+            spin_until(&client, |st| st.token.is_none());
             // Submitted while the token is held: only this waiter's own
             // flush can put the frame on the wire before the reader's
             // deadline.

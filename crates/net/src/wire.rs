@@ -441,6 +441,30 @@ pub fn frame_len(prefix: [u8; 4], max: u32) -> Result<usize, WireError> {
     Ok(len as usize)
 }
 
+/// The one frame splitter, for both ends of a connection: hands the
+/// payload of each whole frame at the front of `buf` to `each`, in order,
+/// until only part of a frame is left or `each` returns `false`. Each
+/// length prefix goes through [`frame_len`] as soon as its four bytes are
+/// in, so a frame over the cap fails before its body is waited for. `Ok`
+/// is the bytes the frames handed over took; `Err` is the prefix that
+/// broke framing, after the frames before it were handed over.
+pub(crate) fn split_frames(
+    buf: &[u8],
+    max_len: u32,
+    mut each: impl FnMut(&[u8]) -> bool,
+) -> Result<usize, WireError> {
+    let mut at = 0;
+    while let Some(&prefix) = buf[at..].first_chunk::<4>() {
+        let len = frame_len(prefix, max_len)?;
+        match buf.get(at + 4..at + 4 + len) {
+            Some(payload) if each(payload) => at += 4 + len,
+            Some(_) => return Ok(at + 4 + len),
+            None => break,
+        }
+    }
+    Ok(at)
+}
+
 /// Writes one frame (length prefix + payload) to `w` as a single write,
 /// so a framed message never straddles two TCP segments needlessly.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {

@@ -24,14 +24,16 @@
 //! in flight on *every* shard at once, so the fleet computes in
 //! parallel while the router joins. A submit only queues its frame in
 //! the client's outbox, so the router flushes every shard it submitted
-//! to before it blocks waiting on any one of them.
+//! to before it blocks waiting on any one of them. A call that fails
+//! abandons every request it still has in flight, on every shard, so no
+//! failure leaves a slot held on any connection.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 use hl_core::FlatLabeling;
 use hl_graph::{Distance, NodeId};
-use hl_net::{ClientConfig, MuxClient, NetError, Request, Response};
+use hl_net::{ClientConfig, MuxClient, NetError, Request};
 use hl_server::MetricsSnapshot;
 
 use crate::error::ShardError;
@@ -51,14 +53,37 @@ const WINDOW: usize = 16;
 /// One shard's unit of batch work: a chunk frame to submit and enough
 /// context to file its response.
 enum Work {
-    /// A same-shard `QueryBatch` chunk; `idxs` are the output slots the
-    /// resulting distances land in, in order.
-    Query {
-        idxs: Vec<usize>,
-        pairs: Vec<(NodeId, NodeId)>,
-    },
+    /// A same-shard `QueryBatch` chunk: the indexes of its pairs in the
+    /// batch, which are also the output slots its distances land in.
+    Query(Vec<usize>),
     /// A `LabelBatch` chunk of distinct vertices this shard owns.
-    Labels { vs: Vec<NodeId> },
+    Labels(Vec<NodeId>),
+}
+
+/// The ids a call has in flight on each shard, oldest first, each beside
+/// the slot its response fills. Dropping it abandons whatever is left,
+/// which only a failed call leaves, so a failure holds no slot on any
+/// shard's connection.
+struct InFlight<'a> {
+    clients: &'a [MuxClient],
+    ids: Vec<VecDeque<(usize, u64)>>,
+}
+
+impl<'a> InFlight<'a> {
+    fn new(clients: &'a [MuxClient]) -> Self {
+        let ids = vec![VecDeque::new(); clients.len()];
+        InFlight { clients, ids }
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        for (client, ids) in self.clients.iter().zip(&self.ids) {
+            for &(_, id) in ids {
+                client.abandon(id);
+            }
+        }
+    }
 }
 
 /// A connected fleet of shard daemons behaving as one distance oracle.
@@ -110,6 +135,12 @@ impl ShardRouter {
         self.num_nodes
     }
 
+    /// Requests in flight on each shard's connection, in shard order. All
+    /// are zero between calls, whether the calls failed or not.
+    pub fn in_flight(&self) -> Vec<usize> {
+        self.clients.iter().map(MuxClient::in_flight).collect()
+    }
+
     fn check(&self, v: NodeId) -> Result<(), ShardError> {
         if u64::from(v) < self.num_nodes {
             Ok(())
@@ -132,18 +163,21 @@ impl ShardRouter {
         if su == sv {
             return Ok(self.clients[su].query(u, v)?);
         }
-        let id_u = self.clients[su].submit(&Request::Label { v: u })?;
-        let id_v = self.clients[sv].submit(&Request::Label { v })?;
-        for s in [su, sv] {
+        let mut inflight = InFlight::new(&self.clients);
+        for (at, (s, w)) in [(su, u), (sv, v)].into_iter().enumerate() {
+            let id = self.clients[s].submit(&Request::Label { v: w })?;
+            inflight.ids[s].push_back((at, id));
             self.clients[s].flush()?;
         }
-        let lu = self.clients[su]
-            .wait(id_u, self.request_timeout)?
-            .into_label()?;
-        let lv = self.clients[sv]
-            .wait(id_v, self.request_timeout)?
-            .into_label()?;
-        Ok(fetched_arena(vec![lu, lv])?.query(0, 1))
+        let mut labels = vec![Vec::new(); 2];
+        for s in [su, sv] {
+            if let Some((at, id)) = inflight.ids[s].pop_front() {
+                labels[at] = self.clients[s]
+                    .wait(id, self.request_timeout)?
+                    .into_label()?;
+            }
+        }
+        Ok(fetched_arena(labels)?.query(0, 1))
     }
 
     /// A batch of exact distances, answered in request order. Same-shard
@@ -160,10 +194,8 @@ impl ShardRouter {
         let k = self.clients.len();
         let mut out = vec![0u64; pairs.len()];
 
-        // Same-shard pairs, grouped by owner: the original result
-        // indexes and the pairs themselves, kept in lockstep.
-        type OwnedGroup = (Vec<usize>, Vec<(NodeId, NodeId)>);
-        let mut owned: Vec<OwnedGroup> = vec![Default::default(); k];
+        // Same-shard pairs, grouped by owner as indexes into `pairs`.
+        let mut owned: Vec<Vec<usize>> = vec![Vec::new(); k];
         // Distinct label fetches per shard for the cross-shard pairs, and
         // each fetched vertex's (shard, position in that shard's list).
         let mut wanted: Vec<Vec<NodeId>> = vec![Vec::new(); k];
@@ -172,8 +204,7 @@ impl ShardRouter {
         for (i, &(u, v)) in pairs.iter().enumerate() {
             let (su, sv) = (shard_of(u, k), shard_of(v, k));
             if su == sv {
-                owned[su].0.push(i);
-                owned[su].1.push((u, v));
+                owned[su].push(i);
             } else {
                 cross.push(i);
                 for (s, w) in [(su, u), (sv, v)] {
@@ -186,45 +217,41 @@ impl ShardRouter {
         }
 
         // Chunk every shard's share into wire-sized work items.
-        let mut work: Vec<Vec<Work>> = Vec::with_capacity(k);
-        for (s, (idxs, batch)) in owned.iter().enumerate() {
-            let mut items = Vec::new();
-            for (ic, pc) in idxs.chunks(QUERY_CHUNK).zip(batch.chunks(QUERY_CHUNK)) {
-                items.push(Work::Query {
-                    idxs: ic.to_vec(),
-                    pairs: pc.to_vec(),
-                });
-            }
-            for vc in wanted[s].chunks(LABEL_CHUNK) {
-                items.push(Work::Labels { vs: vc.to_vec() });
-            }
-            work.push(items);
-        }
+        let work: Vec<Vec<Work>> = owned
+            .iter()
+            .zip(&wanted)
+            .map(|(idxs, vs)| {
+                let queries = idxs.chunks(QUERY_CHUNK).map(|c| Work::Query(c.to_vec()));
+                let labels = vs.chunks(LABEL_CHUNK).map(|c| Work::Labels(c.to_vec()));
+                queries.chain(labels).collect()
+            })
+            .collect();
 
         // Submit/reap engine: fill every shard's window, then take one
         // completion per shard per sweep so refills rotate fairly and no
-        // shard sits idle while another drains.
+        // shard sits idle while another drains. Each shard is reaped
+        // oldest first, so a completion is filed as it lands: distances
+        // into their slots, label chunks in order onto the shard's table.
         let mut next: Vec<usize> = vec![0; k];
-        let mut inflight: Vec<VecDeque<(usize, u64)>> = vec![VecDeque::new(); k];
-        let mut responses: Vec<Vec<Option<Response>>> = work
-            .iter()
-            .map(|w| (0..w.len()).map(|_| None).collect())
-            .collect();
+        let mut inflight = InFlight::new(&self.clients);
+        let mut labels: Vec<Vec<Vec<(NodeId, Distance)>>> = vec![Vec::new(); k];
         loop {
             let mut done = true;
             for s in 0..k {
-                while inflight[s].len() < WINDOW && next[s] < work[s].len() {
+                while inflight.ids[s].len() < WINDOW && next[s] < work[s].len() {
                     let req = match &work[s][next[s]] {
-                        Work::Query { pairs, .. } => Request::QueryBatch(pairs.clone()),
-                        Work::Labels { vs } => Request::LabelBatch(vs.clone()),
+                        Work::Query(idxs) => {
+                            Request::QueryBatch(idxs.iter().map(|&i| pairs[i]).collect())
+                        }
+                        Work::Labels(vs) => Request::LabelBatch(vs.clone()),
                     };
                     let id = self.clients[s].submit(&req)?;
-                    inflight[s].push_back((next[s], id));
+                    inflight.ids[s].push_back((next[s], id));
                     next[s] += 1;
                 }
                 // Out now: the wait below blocks on one shard at a time.
                 self.clients[s].flush()?;
-                if next[s] < work[s].len() || !inflight[s].is_empty() {
+                if next[s] < work[s].len() || !inflight.ids[s].is_empty() {
                     done = false;
                 }
             }
@@ -232,35 +259,23 @@ impl ShardRouter {
                 break;
             }
             for s in 0..k {
-                if let Some((at, id)) = inflight[s].pop_front() {
-                    let resp = self.clients[s].wait(id, self.request_timeout)?;
-                    responses[s][at] = Some(resp);
+                let Some((at, id)) = inflight.ids[s].pop_front() else {
+                    continue;
+                };
+                let resp = self.clients[s].wait(id, self.request_timeout)?;
+                match &work[s][at] {
+                    Work::Query(idxs) => {
+                        let ds = resp.into_distance_batch(idxs.len())?;
+                        for (&i, d) in idxs.iter().zip(ds) {
+                            out[i] = d;
+                        }
+                    }
+                    Work::Labels(vs) => labels[s].extend(resp.into_label_batch(vs.len())?),
                 }
             }
         }
 
-        // File the completions: distances into their slots, label chunks
-        // concatenated back into per-shard tables, then shard by shard
-        // into one arena for the local joins.
-        let mut labels: Vec<Vec<Vec<(NodeId, Distance)>>> = vec![Vec::new(); k];
-        for (s, (items, resps)) in work.into_iter().zip(responses).enumerate() {
-            for (item, resp) in items.into_iter().zip(resps) {
-                let resp = resp.ok_or_else(|| {
-                    NetError::ConnectionDead("batch completion went missing".to_string())
-                })?;
-                match item {
-                    Work::Query { idxs, pairs } => {
-                        let ds = resp.into_distance_batch(pairs.len())?;
-                        for (i, d) in idxs.into_iter().zip(ds) {
-                            out[i] = d;
-                        }
-                    }
-                    Work::Labels { vs } => {
-                        labels[s].extend(resp.into_label_batch(vs.len())?);
-                    }
-                }
-            }
-        }
+        // Shard by shard into one arena for the local joins.
         let mut base = vec![0usize; k];
         for s in 1..k {
             base[s] = base[s - 1] + labels[s - 1].len();

@@ -255,4 +255,7 @@ fn dead_shard_is_a_typed_error_within_the_deadline_and_the_live_shard_keeps_answ
     for (&(u, v), &d) in live.iter().zip(&truth) {
         assert_eq!(router.query(u, v).expect("live shard single"), d);
     }
+    // The failed calls abandoned what they had in flight: no slot is
+    // left held on either shard's connection.
+    assert_eq!(router.in_flight(), vec![0, 0]);
 }
