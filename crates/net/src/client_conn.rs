@@ -20,8 +20,8 @@ use crate::wire::{frame, split_frames, split_mux, Request, Response};
 /// A submit that brings the outbox to this many bytes asks for a write.
 pub(crate) const OUTBOX_FLUSH: usize = 16 * 1024;
 /// Inbound room grown past this for a long frame is freed once it is
-/// filed. Smaller growth is kept: the shard router's ~60 KiB `LabelBatch`
-/// frames would otherwise free and regrow it every time.
+/// filed. Smaller growth is kept: a stream of long labels (64 KiB on the
+/// paper's h:2,5 gadget) would otherwise free and regrow it every time.
 const KEEP_INBOUND: usize = 256 * 1024;
 
 /// What a request id holds now.

@@ -70,11 +70,29 @@ enum Ending {
     Void,
 }
 
-/// Frames `resp` for a connection speaking `version`: protocol v2 carries
-/// the request id, v1 has none. The only place the two framings part ways
-/// on the way out.
-pub(crate) fn response_frame(version: u16, id: u64, resp: &Response) -> Vec<u8> {
-    frame((version >= PROTOCOL_V2).then_some(id), &resp.encode())
+/// Frames `resp` for a connection speaking `version` (v2 carries the id,
+/// v1 none): the one place the daemon frames an answer. An answer whose
+/// payload, v2 id included as the peer's `frame_len` counts it, would
+/// pass `max_len` goes out as `FrameTooLarge` under the same id instead,
+/// without its message if even that would pass (a cap under 15 bytes
+/// holds no v2 refusal), and the connection stays up. The flag says
+/// whether the frame is an error frame, which `net_errors` counts.
+pub(crate) fn response_frame(
+    version: u16,
+    id: u64,
+    resp: &Response,
+    max_len: u32,
+) -> (Vec<u8>, bool) {
+    let id = (version >= PROTOCOL_V2).then_some(id);
+    let body = resp.encode();
+    let len = body.len() + id.map_or(0, |_| 8);
+    if len <= max_len as usize {
+        return (frame(id, &body), matches!(resp, Response::Error { .. }));
+    }
+    let refusal = |message| frame(id, &error(ErrorCode::FrameTooLarge, message).encode());
+    let framed = refusal(format!("answer of {len} bytes exceeds cap of {max_len}"));
+    let fits = framed.len() - 4 <= max_len as usize;
+    (if fits { framed } else { refusal(String::new()) }, true)
 }
 
 fn error(code: ErrorCode, message: String) -> Response {
@@ -107,6 +125,8 @@ pub(crate) struct Conn {
     write_stalled: Option<Instant>,
     /// A permitted `Shutdown` request was answered here.
     stop_requested: bool,
+    /// The daemon's frame cap, which its answers keep to as well.
+    max_frame_len: u32,
 }
 
 impl Conn {
@@ -136,6 +156,7 @@ impl Conn {
             frame_started: None,
             write_stalled: None,
             stop_requested: false,
+            max_frame_len: config.max_frame_len,
         };
         let metrics = engine.metrics();
         if serving >= config.max_connections {
@@ -422,12 +443,12 @@ impl Conn {
 
     /// Appends `resp` under `version` framing, counting error frames.
     fn answer(&mut self, engine: &QueryEngine, version: u16, id: u64, resp: &Response) {
-        if matches!(resp, Response::Error { .. }) {
+        let (framed, is_error) = response_frame(version, id, resp, self.max_frame_len);
+        if is_error {
             let metrics = engine.metrics();
             metrics.net_errors.fetch_add(1, Ordering::Relaxed);
         }
-        self.wbuf
-            .extend_from_slice(&response_frame(version, id, resp));
+        self.wbuf.extend_from_slice(&framed);
     }
 
     /// Answers with a typed error and voids the connection: nothing
@@ -501,6 +522,11 @@ mod tests {
         c
     }
 
+    /// An answer framed as the daemon frames it under the default cap.
+    fn framed(version: u16, id: u64, resp: &Response) -> Vec<u8> {
+        response_frame(version, id, resp, DEFAULT_MAX_FRAME_LEN).0
+    }
+
     /// Splits `bytes` into whole frames and decodes each as a `version`
     /// response; panics on a partial or undecodable frame.
     fn responses(version: u16, mut bytes: &[u8]) -> Vec<(u64, Response)> {
@@ -541,7 +567,7 @@ mod tests {
         let query = req(PROTOCOL_V2, 7, &Request::Query { u: 0, v: 3 });
         let per_chunk = READ_CHUNK / query.len() + 1;
         let flood = query.repeat(200_000);
-        let canned = response_frame(PROTOCOL_V2, 0, &Response::Distance(3));
+        let canned = framed(PROTOCOL_V2, 0, &Response::Distance(3));
         let (mut pauses, mut handed_out) = (0, 0usize);
         let mut chunks = flood.chunks(READ_CHUNK);
         let mut exhausted = false;
@@ -601,7 +627,7 @@ mod tests {
         for (id, version, request) in jobs {
             assert!(!c.is_finished());
             let resp = crate::server::execute(&eng, &AtomicU16::new(1), request);
-            c.on_completion(&eng, &response_frame(version, id, &resp), 1, 0);
+            c.on_completion(&eng, &framed(version, id, &resp), 1, 0);
         }
         let owed = c.writable().to_vec();
         c.wrote(owed.len() - 1);
@@ -628,12 +654,7 @@ mod tests {
         c.on_bytes(&cfg, &eng, &bytes, t0);
         assert!(c.next_job(&cfg, &eng).is_none(), "pending work is void");
         c.on_bytes(&cfg, &eng, &req(PROTOCOL_V2, 4, &Request::Ping), t0);
-        c.on_completion(
-            &eng,
-            &response_frame(PROTOCOL_V2, 1, &Response::Distance(1)),
-            1,
-            0,
-        );
+        c.on_completion(&eng, &framed(PROTOCOL_V2, 1, &Response::Distance(1)), 1, 0);
         assert!(!c.wants_read() && !c.is_finished());
         let out = responses(PROTOCOL_V2, &flush(&mut c));
         assert_eq!(out.len(), 1, "{out:?}");
@@ -687,6 +708,63 @@ mod tests {
         }
     }
 
+    /// Answer cap: an answer whose payload, v2 id included, is exactly
+    /// `max_frame_len` is written; one byte more goes out as
+    /// `FrameTooLarge` under the same id, counted in `net_errors`, and the
+    /// connection keeps serving. A `Metrics` answer (inline) and a
+    /// `Label` answer (as a worker frames it) each probe the boundary.
+    #[test]
+    fn answer_cap_at_and_one_past() {
+        let (eng, t0) = (engine(), Instant::now());
+        let at = 8 + Response::Metrics(eng.snapshot()).encode().len() as u32;
+        for cap in [at, at - 1] {
+            let cfg = ServerConfig {
+                max_frame_len: cap,
+                ..config()
+            };
+            let mut c = serving(&cfg, &eng, PROTOCOL_V2, t0);
+            let errors = eng.metrics().net_errors.load(Ordering::Relaxed);
+            c.on_bytes(&cfg, &eng, &req(PROTOCOL_V2, 7, &Request::Metrics), t0);
+            assert!(c.next_job(&cfg, &eng).is_none());
+            let out = flush(&mut c);
+            assert!(
+                out.len() - 4 <= cap as usize,
+                "{} bytes over a cap of {cap}",
+                out.len()
+            );
+            let got = responses(PROTOCOL_V2, &out);
+            let refused = code_of(&got[0].1) == Some(ErrorCode::FrameTooLarge);
+            assert_eq!((got.len(), got[0].0, refused), (1, 7, cap < at));
+            let counted = eng.metrics().net_errors.load(Ordering::Relaxed) - errors;
+            assert_eq!(counted, u64::from(refused));
+            assert!(c.wants_read(), "a refused answer keeps the connection");
+        }
+
+        let label = Response::Label(vec![(3, 1); 40]);
+        let at = 8 + label.encode().len() as u32;
+        assert_eq!(
+            response_frame(PROTOCOL_V2, 9, &label, at),
+            (frame(Some(9), &label.encode()), false)
+        );
+        let (out, is_error) = response_frame(PROTOCOL_V2, 9, &label, at - 1);
+        let got = responses(PROTOCOL_V2, &out);
+        assert!(is_error && out.len() - 4 < at as usize);
+        assert_eq!(
+            (got[0].0, code_of(&got[0].1)),
+            (9, Some(ErrorCode::FrameTooLarge))
+        );
+        // v1 frames carry no id, so the same answer fits 8 bytes lower.
+        assert!(!response_frame(PROTOCOL_VERSION, 0, &label, at - 8).1);
+        assert!(response_frame(PROTOCOL_VERSION, 0, &label, at - 9).1);
+        // A cap too small for the message keeps the code and the id.
+        let (out, _) = response_frame(PROTOCOL_V2, 9, &label, 15);
+        assert_eq!(out.len() - 4, 15);
+        assert_eq!(
+            code_of(&responses(PROTOCOL_V2, &out)[0].1),
+            Some(ErrorCode::FrameTooLarge)
+        );
+    }
+
     /// `MAX_PENDING_FRAMES`: a lock-step connection with one request in
     /// flight reads until exactly that many frames wait behind it.
     #[test]
@@ -712,7 +790,7 @@ mod tests {
             (c.pending.len(), c.wants_read()),
             (MAX_PENDING_FRAMES, false)
         );
-        c.on_completion(&eng, &response_frame(1, 0, &Response::Distance(1)), 1, 0);
+        c.on_completion(&eng, &framed(1, 0, &Response::Distance(1)), 1, 0);
         assert!(c.next_job(&cfg, &eng).is_none() && c.wants_read());
         assert_eq!(responses(1, &flush(&mut c)).len(), 1 + MAX_PENDING_FRAMES);
     }
@@ -758,7 +836,7 @@ mod tests {
         assert_eq!((out[0].0, code_of(&out[0].1)), (3, Some(ErrorCode::Busy)));
         assert_eq!(out[1], (4, Response::Pong));
         assert!(c.wants_read() && c.within_limits(&cfg));
-        c.on_completion(&eng, &response_frame(2, 1, &Response::Distance(1)), 1, 0);
+        c.on_completion(&eng, &framed(2, 1, &Response::Distance(1)), 1, 0);
         c.on_bytes(
             &cfg,
             &eng,
@@ -786,7 +864,7 @@ mod tests {
         let ids: Vec<u64> = std::iter::from_fn(|| c.next_job(&cfg, &eng).map(|j| j.0)).collect();
         assert_eq!(ids, [1, 2, 3, 4]);
         let answers: Vec<u8> = (1..=K as u64)
-            .flat_map(|id| response_frame(PROTOCOL_V2, id, &Response::Distance(1)))
+            .flat_map(|id| framed(PROTOCOL_V2, id, &Response::Distance(1)))
             .collect();
         c.on_completion(&eng, &answers, K, 0);
         assert_eq!(responses(PROTOCOL_V2, &flush(&mut c)).len(), K);
@@ -869,11 +947,11 @@ mod tests {
         assert!(!c.expired(&cfg, late + NS), "pending");
         assert!(c.next_job(&cfg, &eng).is_some());
         assert!(!c.expired(&cfg, late + NS), "in flight, and one pending");
-        c.on_completion(&eng, &response_frame(1, 0, &Response::Distance(1)), 1, 0);
+        c.on_completion(&eng, &framed(1, 0, &Response::Distance(1)), 1, 0);
         assert!(c.next_job(&cfg, &eng).is_some());
         flush(&mut c);
         assert!(!c.expired(&cfg, late + NS), "in flight");
-        c.on_completion(&eng, &response_frame(1, 0, &Response::Distance(1)), 1, 0);
+        c.on_completion(&eng, &framed(1, 0, &Response::Distance(1)), 1, 0);
         assert!(!c.expired(&cfg, late + NS), "queued");
         flush(&mut c);
         assert!(c.expired(&cfg, late + NS));
@@ -974,7 +1052,7 @@ mod tests {
         c.begin_drain();
         assert_eq!(responses(2, &flush(&mut c)), [(2, Response::ShutdownAck)]);
         assert!(!c.is_finished());
-        c.on_completion(&eng, &response_frame(2, 1, &Response::Distance(3)), 1, 0);
+        c.on_completion(&eng, &framed(2, 1, &Response::Distance(3)), 1, 0);
         assert_eq!(responses(2, &flush(&mut c)), [(1, Response::Distance(3))]);
         assert!(c.is_finished());
     }

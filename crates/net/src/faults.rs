@@ -52,7 +52,7 @@ use hl_server::QueryEngine;
 
 use crate::conn::{response_frame, Conn, READ_CHUNK};
 use crate::server::{execute, ServerConfig};
-use crate::wire::{split_frames, Request, Response};
+use crate::wire::{split_frames, Request};
 
 /// One scripted action against a transport.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -495,9 +495,8 @@ impl<'a> PureConn<'a> {
         let (id, version, request) = self.running.remove(i);
         let store_version = AtomicU16::new(self.config.store_version);
         let response = execute(self.engine, &store_version, request);
-        let framed = response_frame(version, id, &response);
+        let (framed, is_error) = response_frame(version, id, &response, self.config.max_frame_len);
         if !self.dropped {
-            let is_error = matches!(response, Response::Error { .. });
             self.conn
                 .on_completion(self.engine, &framed, 1, usize::from(is_error));
             self.pull();

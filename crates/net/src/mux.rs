@@ -26,8 +26,7 @@
 //! buffers are full, a connection whose writes stay refused past the
 //! daemon's `write_timeout` (10 s by default) is dropped, failing
 //! everything in flight. So a caller with more than the socket buffers'
-//! worth of responses pending, such as the shard router waiting on one
-//! shard of several, must wait within that time.
+//! worth of responses pending must wait within that time.
 //!
 //! The blocking convenience methods (`query`, `label_batch`, …) mirror
 //! [`crate::NetClient`] one-for-one; they are `submit` + `wait` and
@@ -49,7 +48,7 @@ use crate::error::NetError;
 use crate::wire::{write_all_deadline, DeadlineWrite, Request, Response, ServerHello, PROTOCOL_V2};
 
 /// The buffer the read token lends: one read takes at most this much,
-/// which holds a whole `LabelBatch` chunk of the shard router (~60 KiB).
+/// about one whole label of the paper's h:2,5 gadget (5,461 hubs).
 const READ_BUF: usize = 64 * 1024;
 
 /// Whether a socket timeout armed at `armed` must be re-armed for a

@@ -398,6 +398,7 @@ impl NetServer {
                             job_tx,
                             c,
                             engine,
+                            config.max_frame_len,
                             Job {
                                 conn: cid,
                                 version,
@@ -407,7 +408,7 @@ impl NetServer {
                     }
                 }
                 if let Some(job) = point {
-                    hand_out(job_tx, c, engine, job);
+                    hand_out(job_tx, c, engine, config.max_frame_len, job);
                 }
                 if c.stop_requested() {
                     inner.trigger_stop();
@@ -553,14 +554,14 @@ fn write_once(stream: &mut TcpStream, c: &mut Conn, now: Instant) -> bool {
 /// Sends `job` to the pool. If the pool is gone (teardown), answers
 /// each of its requests typed rather than leaving an id unanswered
 /// forever.
-fn hand_out(job_tx: &Sender<Job>, c: &mut Conn, engine: &QueryEngine, job: Job) {
+fn hand_out(job_tx: &Sender<Job>, c: &mut Conn, engine: &QueryEngine, max_len: u32, job: Job) {
     if let Err(mpsc::SendError(job)) = job_tx.send(job) {
         let code = ErrorCode::ShuttingDown;
         let message = "server is draining".to_string();
         let refusal = Response::Error { code, message };
         let mut frames = Vec::new();
         for (id, _) in &job.requests {
-            frames.extend_from_slice(&response_frame(job.version, *id, &refusal));
+            frames.extend_from_slice(&response_frame(job.version, *id, &refusal, max_len).0);
         }
         let answers = job.requests.len();
         c.on_completion(engine, &frames, answers, answers);
@@ -587,8 +588,9 @@ fn worker_loop(inner: &Inner, job_rx: &Mutex<Receiver<Job>>, done_tx: &Sender<Co
         };
         for (id, request) in job.requests {
             let response = execute(&inner.engine, &inner.store_version, request);
-            completion.errors += usize::from(matches!(response, Response::Error { .. }));
-            let framed = response_frame(job.version, id, &response);
+            let max_len = inner.config.max_frame_len;
+            let (framed, is_error) = response_frame(job.version, id, &response, max_len);
+            completion.errors += usize::from(is_error);
             // A job's first answer (a batch's only one) moves, not copies.
             if completion.frames.is_empty() {
                 completion.frames = framed;

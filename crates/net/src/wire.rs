@@ -62,8 +62,8 @@ pub const MAX_BATCH_LEN: u32 = (DEFAULT_MAX_FRAME_LEN - 16) / 8;
 /// filenames, not data; anything longer is a protocol violation.
 pub const MAX_RELOAD_PATH_LEN: u32 = 4096;
 /// Largest vertex list a single `LabelBatch` frame may carry. The
-/// *response* is the real frame-size risk (each label multiplies), so
-/// routers chunk label fetches well below this.
+/// *response* is the real frame-size risk (each label multiplies): one
+/// over the daemon's cap is answered `FrameTooLarge` instead.
 pub const MAX_LABEL_BATCH_LEN: u32 = (DEFAULT_MAX_FRAME_LEN - 16) / 4;
 
 // Opcodes. Handshake frames are 0x0_, requests 0x1_, responses 0x9_,
@@ -95,7 +95,9 @@ pub enum ErrorCode {
     NodeOutOfRange,
     /// The request frame did not decode.
     Malformed,
-    /// The request frame exceeded the server's frame cap.
+    /// A request frame, or the answer to one, exceeded the server's
+    /// frame cap. An oversized request voids the connection; an answer
+    /// is refused under its request's id and the connection serves on.
     FrameTooLarge,
     /// The client's protocol version is not spoken here.
     VersionMismatch,

@@ -336,6 +336,33 @@ fn a_caller_that_pauses_past_the_write_timeout_loses_the_connection() {
     assert!(matches!(client.ping(), Err(NetError::ConnectionDead(_))));
 }
 
+/// An answer over the daemon's frame cap is refused, not written: a
+/// `LabelBatch` of every vertex of a 24 × 24 grid against a 4 KiB cap on
+/// both ends is `Remote { FrameTooLarge }`, and the same connection then
+/// answers a `Ping` and a `Label`. A daemon that wrote the answer would
+/// break the client's cap and cost it the connection (`ConnectionDead`).
+#[test]
+fn an_answer_over_the_frame_cap_is_a_typed_error_and_the_connection_serves_on() {
+    let g = generators::grid(24, 24);
+    let server = TestServer::start(&g, |c| c.max_frame_len = 4096);
+    let config = ClientConfig {
+        max_frame_len: 4096,
+        ..ClientConfig::default()
+    };
+    let client = MuxClient::connect(server.addr, config).expect("connect");
+    let vs: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
+    match client.label_batch(&vs) {
+        Err(NetError::Remote {
+            code: ErrorCode::FrameTooLarge,
+            ..
+        }) => {}
+        other => panic!("want Remote {{ FrameTooLarge }}, got {other:?}"),
+    }
+    client.ping().expect("the connection serves on");
+    assert!(!client.label(0).expect("a label under the cap").is_empty());
+    assert_eq!(client.in_flight(), 0);
+}
+
 /// Workers ring the loop once per turn and lose no wake: 200 sequential
 /// round trips through a one-worker daemon finish well inside 2 s. A
 /// completion whose wake were lost would wait out the loop's 50 ms poll

@@ -13,7 +13,7 @@
 //! - [`router`]: [`ShardRouter`], a client that makes the fleet behave
 //!   as one oracle — same-shard pairs are answered server-side by the
 //!   owning daemon, cross-shard pairs by fetching the two labels (HLNP
-//!   `Label`/`LabelBatch` frames) and merge-joining locally.
+//!   `Label` frames, one per vertex) and merge-joining locally.
 //!
 //! The `hl-shard` binary wires these together: `hl-shard partition`
 //! emits the shard stores, `hl-shard query` drives a running fleet from

@@ -8,81 +8,65 @@
 //!   the merge-join happens server-side — identical cost to unsharded
 //!   serving.
 //! - **Cross shard**: no single daemon can join the pair, so the router
-//!   fetches `u`'s label from its owner and `v`'s from its owner
-//!   (`Label`/`LabelBatch` frames), mounts them in a [`FlatLabeling`] and
-//!   joins them with its query — the one merge-join kernel every server
-//!   runs. Hub ids are global across shards (see [`crate::partition()`]),
-//!   which is what makes the local join sound.
+//!   fetches `u`'s label from its owner and `v`'s from its owner, mounts
+//!   them in a [`FlatLabeling`] and joins them with its query — the one
+//!   merge-join kernel every server runs. Hub ids are global across
+//!   shards (see [`crate::partition()`]), which makes the local join sound.
+//!   Each label rides its own `Label` frame: on the paper's gadget
+//!   `H_{b,ℓ}` labels average about 0.2 n entries, so a frame of a fixed
+//!   count of labels can pass any cap, while one label past it is a typed
+//!   `FrameTooLarge` for that request and the connection serves on.
 //!
 //! The router holds one *multiplexed* HLNP v2 connection per shard
 //! ([`hl_net::MuxClient`]), opened at [`ShardRouter::connect`] and
-//! reused for every query after — connecting per query would pay a TCP
-//! and handshake round trip each time and show up as one opened
-//! connection per query in the daemons' metrics. Fan-out rides the
-//! multiplexing: a cross-shard pair submits both label fetches before
-//! waiting on either, and batch workloads keep a window of chunk frames
-//! in flight on *every* shard at once, so the fleet computes in
-//! parallel while the router joins. A submit only queues its frame in
-//! the client's outbox, so the router flushes every shard it submitted
-//! to before it blocks waiting on any one of them. A call that fails
-//! abandons every request it still has in flight, on every shard, so no
-//! failure leaves a slot held on any connection.
+//! reused for every query after. A cross-shard [`ShardRouter::query`]
+//! flushes both label fetches before it waits on either.
+//! [`ShardRouter::query_many`] gives every shard with work its own waiter
+//! ([`fan_out`]), which keeps a window of frames in flight on that
+//! shard's connection and reads its answers as they come: the shards
+//! compute at once, and no shard's answers sit unread, which a daemon
+//! would punish past its `write_timeout`, while the router waits on
+//! another. A call that fails abandons every request it still has in
+//! flight, so no failure leaves a slot held on any connection.
 
 use std::collections::{HashMap, VecDeque};
+use std::panic::resume_unwind;
 use std::time::Duration;
 
 use hl_core::FlatLabeling;
+use hl_graph::sync::fan_out;
 use hl_graph::{Distance, NodeId};
-use hl_net::{ClientConfig, MuxClient, NetError, Request};
+use hl_net::{ClientConfig, MuxClient, NetError, Request, Response};
 use hl_server::MetricsSnapshot;
 
 use crate::error::ShardError;
 use crate::partition::shard_of;
 
-/// How many vertices ride in one `LabelBatch` frame. Labels are heavy
-/// (12 wire bytes per entry) and unbounded per vertex; 32 keeps even
-/// thousand-hub labels comfortably under the 1 MiB default frame cap.
-const LABEL_CHUNK: usize = 32;
 /// How many pairs ride in one `QueryBatch` frame on the same-shard path.
 const QUERY_CHUNK: usize = 256;
-/// Chunk frames kept in flight *per shard*. Well under the server's
-/// default per-connection cap (1024), so the fleet never answers `Busy`
-/// to its own router.
-const WINDOW: usize = 16;
+/// Frames kept in flight *per shard*. Well under the server's default
+/// per-connection cap (1024), so the fleet never answers `Busy` to its
+/// own router.
+const WINDOW: usize = 64;
 
-/// One shard's unit of batch work: a chunk frame to submit and enough
-/// context to file its response.
-enum Work {
-    /// A same-shard `QueryBatch` chunk: the indexes of its pairs in the
-    /// batch, which are also the output slots its distances land in.
-    Query(Vec<usize>),
-    /// A `LabelBatch` chunk of distinct vertices this shard owns.
-    Labels(Vec<NodeId>),
-}
+type Label = Vec<(NodeId, Distance)>;
 
-/// The ids a call has in flight on each shard, oldest first, each beside
-/// the slot its response fills. Dropping it abandons whatever is left,
-/// which only a failed call leaves, so a failure holds no slot on any
-/// shard's connection.
-struct InFlight<'a> {
-    clients: &'a [MuxClient],
-    ids: Vec<VecDeque<(usize, u64)>>,
-}
+/// The ids a call has in flight on one client, oldest first. Dropping it
+/// abandons whatever is left, which only a failed call leaves, so a
+/// failure holds no slot on the connection.
+struct InFlight<'a>(&'a MuxClient, VecDeque<u64>);
 
-impl<'a> InFlight<'a> {
-    fn new(clients: &'a [MuxClient]) -> Self {
-        let ids = vec![VecDeque::new(); clients.len()];
-        InFlight { clients, ids }
+impl InFlight<'_> {
+    /// Waits for the oldest request in flight. With none it fails as a
+    /// wait on an id never issued (0) does.
+    fn wait_oldest(&mut self, timeout: Duration) -> Result<Response, NetError> {
+        self.0.wait(self.1.pop_front().unwrap_or(0), timeout)
     }
 }
 
 impl Drop for InFlight<'_> {
     fn drop(&mut self) {
-        for (client, ids) in self.clients.iter().zip(&self.ids) {
-            for &(_, id) in ids {
-                client.abandon(id);
-            }
-        }
+        self.1.iter().for_each(|&id| self.0.abandon(id));
     }
 }
 
@@ -163,37 +147,32 @@ impl ShardRouter {
         if su == sv {
             return Ok(self.clients[su].query(u, v)?);
         }
-        let mut inflight = InFlight::new(&self.clients);
-        for (at, (s, w)) in [(su, u), (sv, v)].into_iter().enumerate() {
+        let mut fetches = Vec::with_capacity(2);
+        for (s, w) in [(su, u), (sv, v)] {
             let id = self.clients[s].submit(&Request::Label { v: w })?;
-            inflight.ids[s].push_back((at, id));
+            fetches.push(InFlight(&self.clients[s], VecDeque::from([id])));
             self.clients[s].flush()?;
         }
-        let mut labels = vec![Vec::new(); 2];
-        for s in [su, sv] {
-            if let Some((at, id)) = inflight.ids[s].pop_front() {
-                labels[at] = self.clients[s]
-                    .wait(id, self.request_timeout)?
-                    .into_label()?;
-            }
-        }
+        let labels = fetches
+            .iter_mut()
+            .map(|f| f.wait_oldest(self.request_timeout)?.into_label())
+            .collect::<Result<_, _>>()?;
         Ok(fetched_arena(labels)?.query(0, 1))
     }
 
     /// A batch of exact distances, answered in request order. Same-shard
     /// pairs go out as per-shard query batches; cross-shard pairs are
     /// answered by fetching each distinct referenced label once from its
-    /// owning shard and joining locally. All shards crunch their chunks
-    /// concurrently — the router keeps up to `WINDOW` (16) frames in flight
-    /// on every connection while reaping completions.
+    /// owning shard and joining locally. Every shard with work gets its
+    /// own waiter, which keeps up to `WINDOW` (64) frames in flight on its
+    /// connection; the call returns once every waiter is done, with the
+    /// first failure in shard order if any failed.
     pub fn query_many(&mut self, pairs: &[(NodeId, NodeId)]) -> Result<Vec<Distance>, ShardError> {
         for &(u, v) in pairs {
             self.check(u)?;
             self.check(v)?;
         }
         let k = self.clients.len();
-        let mut out = vec![0u64; pairs.len()];
-
         // Same-shard pairs, grouped by owner as indexes into `pairs`.
         let mut owned: Vec<Vec<usize>> = vec![Vec::new(); k];
         // Distinct label fetches per shard for the cross-shard pairs, and
@@ -216,63 +195,22 @@ impl ShardRouter {
             }
         }
 
-        // Chunk every shard's share into wire-sized work items.
-        let work: Vec<Vec<Work>> = owned
-            .iter()
-            .zip(&wanted)
-            .map(|(idxs, vs)| {
-                let queries = idxs.chunks(QUERY_CHUNK).map(|c| Work::Query(c.to_vec()));
-                let labels = vs.chunks(LABEL_CHUNK).map(|c| Work::Labels(c.to_vec()));
-                queries.chain(labels).collect()
-            })
+        let busy: Vec<usize> = (0..k)
+            .filter(|&s| !owned[s].is_empty() || !wanted[s].is_empty())
             .collect();
-
-        // Submit/reap engine: fill every shard's window, then take one
-        // completion per shard per sweep so refills rotate fairly and no
-        // shard sits idle while another drains. Each shard is reaped
-        // oldest first, so a completion is filed as it lands: distances
-        // into their slots, label chunks in order onto the shard's table.
-        let mut next: Vec<usize> = vec![0; k];
-        let mut inflight = InFlight::new(&self.clients);
-        let mut labels: Vec<Vec<Vec<(NodeId, Distance)>>> = vec![Vec::new(); k];
-        loop {
-            let mut done = true;
-            for s in 0..k {
-                while inflight.ids[s].len() < WINDOW && next[s] < work[s].len() {
-                    let req = match &work[s][next[s]] {
-                        Work::Query(idxs) => {
-                            Request::QueryBatch(idxs.iter().map(|&i| pairs[i]).collect())
-                        }
-                        Work::Labels(vs) => Request::LabelBatch(vs.clone()),
-                    };
-                    let id = self.clients[s].submit(&req)?;
-                    inflight.ids[s].push_back((next[s], id));
-                    next[s] += 1;
-                }
-                // Out now: the wait below blocks on one shard at a time.
-                self.clients[s].flush()?;
-                if next[s] < work[s].len() || !inflight.ids[s].is_empty() {
-                    done = false;
-                }
+        let done = fan_out(&mut vec![(); busy.len()], busy.len(), |(), j| {
+            let s = busy[j];
+            self.serve_share(s, pairs, &owned[s], &wanted[s])
+        })
+        .unwrap_or_else(|panic| resume_unwind(panic));
+        let mut out = vec![0u64; pairs.len()];
+        let mut labels: Vec<Vec<Label>> = vec![Vec::new(); k];
+        for (s, got) in busy.into_iter().zip(done) {
+            let (distances, fetched) = got?;
+            for (&i, d) in owned[s].iter().zip(distances) {
+                out[i] = d;
             }
-            if done {
-                break;
-            }
-            for s in 0..k {
-                let Some((at, id)) = inflight.ids[s].pop_front() else {
-                    continue;
-                };
-                let resp = self.clients[s].wait(id, self.request_timeout)?;
-                match &work[s][at] {
-                    Work::Query(idxs) => {
-                        let ds = resp.into_distance_batch(idxs.len())?;
-                        for (&i, d) in idxs.iter().zip(ds) {
-                            out[i] = d;
-                        }
-                    }
-                    Work::Labels(vs) => labels[s].extend(resp.into_label_batch(vs.len())?),
-                }
-            }
+            labels[s] = fetched;
         }
 
         // Shard by shard into one arena for the local joins.
@@ -290,6 +228,42 @@ impl ShardRouter {
             out[i] = arena.query(row(u), row(v));
         }
         Ok(out)
+    }
+
+    /// Shard `s`'s waiter: the `owned` pairs in `QueryBatch` chunks, then
+    /// one `Label` frame per `wanted` vertex, through a window of `WINDOW`
+    /// frames, each answer filed as it is waited on, oldest first. Returns
+    /// the distances in the order of `owned`, the labels in that of `wanted`.
+    fn serve_share(
+        &self,
+        s: usize,
+        pairs: &[(NodeId, NodeId)],
+        owned: &[usize],
+        wanted: &[NodeId],
+    ) -> Result<(Vec<Distance>, Vec<Label>), ShardError> {
+        let batches: Vec<&[usize]> = owned.chunks(QUERY_CHUNK).collect();
+        let request = |j: usize| match batches.get(j) {
+            Some(idxs) => Request::QueryBatch(idxs.iter().map(|&i| pairs[i]).collect()),
+            None => Request::Label {
+                v: wanted[j - batches.len()],
+            },
+        };
+        let total = batches.len() + wanted.len();
+        let (mut distances, mut labels) = (Vec::new(), Vec::new());
+        let client = &self.clients[s];
+        let mut inflight = InFlight(client, VecDeque::new());
+        for j in 0..total {
+            while inflight.1.len() < WINDOW && j + inflight.1.len() < total {
+                let id = client.submit(&request(j + inflight.1.len()))?;
+                inflight.1.push_back(id);
+            }
+            let response = inflight.wait_oldest(self.request_timeout)?;
+            match batches.get(j) {
+                Some(idxs) => distances.extend(response.into_distance_batch(idxs.len())?),
+                None => labels.push(response.into_label()?),
+            }
+        }
+        Ok((distances, labels))
     }
 
     /// Metrics snapshots from every shard daemon, in shard order. Rides
@@ -315,7 +289,7 @@ impl ShardRouter {
 /// sent it answered out of contract: an unexpected response, not a sum.
 /// Query-only: rows are fetch slots but hubs are global ids, often past
 /// `num_nodes()`, so any reader relying on `hub < num_nodes()` misreads it.
-fn fetched_arena(labels: Vec<Vec<(NodeId, Distance)>>) -> Result<FlatLabeling, ShardError> {
+fn fetched_arena(labels: Vec<Label>) -> Result<FlatLabeling, ShardError> {
     FlatLabeling::from_pair_lists(labels).map_err(|e| {
         ShardError::Net(NetError::UnexpectedResponse {
             expected: "Label",
