@@ -11,6 +11,7 @@
 //! [`fan_out`] is how the workspace runs independent per-index work
 //! (one SSSP per source, one pruned wave per root) on several cores.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
@@ -25,49 +26,58 @@ pub fn machine_workers() -> usize {
 /// results in index order.
 ///
 /// Each element of `states` is one worker's private state (a search
-/// scratch, or `()`). With one state, or at most one index, the calling
-/// thread does all the work and nothing is spawned. Otherwise one scoped
-/// thread per state (at most `len`) pulls indices from a shared cursor
-/// and keeps its own `(index, result)` pairs, which are put in order once
-/// every worker has joined: no lock is taken. The results do not depend
-/// on the schedule. `states` must be non-empty when `len > 0`.
+/// scratch, or `()`). The calling thread is worker 0 and owns the first
+/// state; one scoped thread per further state (at most `len` workers in
+/// all) joins it. Every worker pulls indices from a shared cursor and
+/// keeps its own `(index, result)` pairs, which are put in order once
+/// every worker has joined: no lock is taken. A spawn the OS refuses
+/// leaves its indices to the workers that exist, down to the caller
+/// alone. The results do not depend on the schedule. `states` must be
+/// non-empty when `len > 0`.
 ///
 /// # Errors
 ///
-/// Returns the panic payload of a spawned worker that panicked; on the
-/// inline path a panic unwinds through the caller as usual.
+/// Returns the panic payload of a worker that panicked, the caller's
+/// own share included.
 pub fn fan_out<S: Send, T: Send>(
     states: &mut [S],
     len: usize,
     work: impl Fn(&mut S, usize) -> T + Sync,
 ) -> thread::Result<Vec<T>> {
-    if states.len() == 1 || len <= 1 {
-        if let Some(state) = states.first_mut() {
-            return Ok((0..len).map(|i| work(state, i)).collect());
-        }
-    }
+    let Some((mine, theirs)) = states.split_first_mut() else {
+        return Ok(Vec::new());
+    };
     let cursor = AtomicUsize::new(0);
+    let pull = |state: &mut S| {
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= len {
+                break done;
+            }
+            done.push((i, work(state, i)));
+        }
+    };
     let per_worker = thread::scope(|scope| {
-        let handles: Vec<_> = states
+        let handles: Vec<_> = theirs
             .iter_mut()
-            .take(len)
-            .map(|state| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= len {
-                            break done;
-                        }
-                        done.push((i, work(state, i)));
-                    }
-                })
+            .take(len.saturating_sub(1))
+            .map_while(|state| {
+                let pull = &pull;
+                thread::Builder::new()
+                    .spawn_scoped(scope, move || pull(state))
+                    .ok()
             })
             .collect();
-        handles
+        let own = panic::catch_unwind(AssertUnwindSafe(|| pull(mine)));
+        let spawned = handles
             .into_iter()
             .map(thread::ScopedJoinHandle::join)
-            .collect::<thread::Result<Vec<_>>>()
+            .collect::<thread::Result<Vec<_>>>();
+        spawned.and_then(|mut all| {
+            all.push(own?);
+            Ok(all)
+        })
     })?;
     let mut placed: Vec<(usize, T)> = per_worker.into_iter().flatten().collect();
     placed.sort_unstable_by_key(|&(i, _)| i);
@@ -144,6 +154,20 @@ mod tests {
             i
         });
         assert!(out.is_err());
+    }
+
+    /// Two states and two indices meet at a `Barrier(2)`: the two run at
+    /// once, one on a spawned thread and one on the caller's.
+    #[test]
+    fn fan_out_runs_the_caller_as_worker_zero() {
+        let meet = std::sync::Barrier::new(2);
+        let ran = fan_out(&mut [(), ()], 2, |(), _| {
+            meet.wait();
+            thread::current().id()
+        })
+        .unwrap();
+        assert_ne!(ran[0], ran[1], "two workers ran");
+        assert!(ran.contains(&thread::current().id()), "{ran:?}");
     }
 
     #[test]

@@ -91,7 +91,7 @@ use hl_graph::families::Family;
 use hl_graph::rng::Xorshift64;
 use hl_graph::{Graph, GraphError, NodeId};
 use hl_net::cli::{answer_pairs, exit_code, CliError, Flags};
-use hl_net::{ClientConfig, NetClient, NetServer, ServerConfig};
+use hl_net::{ClientConfig, MuxClient, NetServer, ServerConfig};
 use hl_server::{AnyStore, CompactStore, FlatStore, LabelStore, QueryEngine};
 
 fn main() -> ExitCode {
@@ -646,7 +646,7 @@ fn cmd_reload(args: &[String]) -> Result<(), CliError> {
     let [addr, store_path] = args else {
         return CliError::usage(RELOAD_USAGE);
     };
-    let mut client = NetClient::connect(addr.as_str(), ClientConfig::default())
+    let client = MuxClient::connect(addr.as_str(), ClientConfig::default())
         .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     let before = client.num_nodes();
     let (epoch, num_nodes) = client

@@ -1,6 +1,13 @@
-//! What the protocol-v2 client decides — request ids, response slots,
-//! the outbox, framing and the dead state — as a plain state machine with
-//! no socket, no lock, no thread and no clock read.
+//! What the client decides — request ids, response slots, the outbox,
+//! framing and the dead state — as a plain state machine with no socket,
+//! no lock, no thread and no clock read, for both protocol versions.
+//!
+//! A v2 request carries its id on the wire and its answer names it. A v1
+//! request goes out with no id, and each v1 answer resolves the oldest id
+//! still owed, abandoned ids included, so a late answer is dropped in its
+//! turn. A v1 answer with no request owed (only the daemon's
+//! connection-cap `Busy` can be one) kills the machine, with that answer
+//! as the reason.
 //!
 //! [`crate::MuxClient`] drives it: it reports what the socket delivered
 //! ([`ClientConn::received`]), a broken transport ([`ClientConn::kill`])
@@ -12,10 +19,10 @@
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use crate::error::NetError;
-use crate::wire::{frame, split_frames, split_mux, Request, Response};
+use crate::wire::{frame, split_frames, split_mux, Request, Response, PROTOCOL_V2};
 
 /// A submit that brings the outbox to this many bytes asks for a write.
 pub(crate) const OUTBOX_FLUSH: usize = 16 * 1024;
@@ -37,9 +44,11 @@ pub(crate) enum Held {
     Unknown,
 }
 
-/// The client's side of one protocol-v2 connection, past the handshake.
+/// The client's side of one connection, past the handshake.
 #[derive(Default)]
 pub(crate) struct ClientConn {
+    /// The protocol version the handshake chose.
+    version: u16,
     /// Ids issued so far. Each id is one more than the last, so the first
     /// is 1 (0 is the server's "could not even parse an id" sentinel) and
     /// none repeats on a connection.
@@ -48,6 +57,9 @@ pub(crate) struct ClientConn {
     /// Resolving or abandoning an id removes its entry, which is what
     /// makes a late response droppable instead of deliverable.
     slots: HashMap<u64, Option<Response>>,
+    /// v1 only: the ids still owed an answer, oldest first, abandoned ones
+    /// included. v2 answers name their id, so this stays empty.
+    owed: VecDeque<u64>,
     /// Framed requests not yet handed to the driver, oldest first.
     pub(crate) outbox: Vec<u8>,
     /// The start of a response frame not yet whole.
@@ -58,11 +70,12 @@ pub(crate) struct ClientConn {
 }
 
 impl ClientConn {
-    /// A connection whose handshake is done, taking response frames of up
-    /// to `max_frame_len` payload bytes.
-    pub(crate) fn new(max_frame_len: u32) -> ClientConn {
+    /// A connection whose handshake chose protocol `version`, taking
+    /// response frames of up to `max_frame_len` payload bytes.
+    pub(crate) fn new(version: u16, max_frame_len: u32) -> ClientConn {
         let fresh = ClientConn::default();
         ClientConn {
+            version,
             max_frame_len,
             ..fresh
         }
@@ -73,9 +86,9 @@ impl ClientConn {
         self.slots.len()
     }
 
-    /// Frames `request` under a fresh id onto the outbox. Returns the id,
-    /// and whether the outbox has reached [`OUTBOX_FLUSH`] bytes, so the
-    /// driver must write it now.
+    /// Frames `request` onto the outbox, under a fresh id on v2 and with
+    /// no id on v1. Returns the id, and whether the outbox has reached
+    /// [`OUTBOX_FLUSH`] bytes, so the driver must write it now.
     pub(crate) fn submit(&mut self, request: &Request) -> Result<(u64, bool), NetError> {
         if let Some(reason) = &self.dead {
             return Err(NetError::ConnectionDead(reason.clone()));
@@ -83,8 +96,14 @@ impl ClientConn {
         self.issued += 1;
         let id = self.issued;
         self.slots.insert(id, None);
+        let tag = if self.version >= PROTOCOL_V2 {
+            Some(id)
+        } else {
+            self.owed.push_back(id);
+            None
+        };
         self.outbox
-            .extend_from_slice(&frame(Some(id), &request.encode()));
+            .extend_from_slice(&frame(tag, &request.encode()));
         Ok((id, self.outbox.len() >= OUTBOX_FLUSH))
     }
 
@@ -96,10 +115,10 @@ impl ClientConn {
     /// Takes bytes the socket delivered and files every whole response in
     /// the slot of the request it answers; a partial frame stays buffered.
     /// A response to an id not in flight (an abandoned request's late
-    /// answer, or a server duplicate) is dropped. A frame that breaks v2
-    /// framing or does not decode makes every id on the stream
-    /// untrustworthy, so it kills the connection; frames before it stay
-    /// filed.
+    /// answer, or a server duplicate) is dropped. A frame that breaks
+    /// framing or does not decode, or a v1 answer with no request owed,
+    /// makes every id on the stream untrustworthy, so it kills the
+    /// connection; frames before it stay filed.
     pub(crate) fn received(&mut self, bytes: &[u8]) {
         if self.dead.is_some() {
             return;
@@ -108,13 +127,8 @@ impl ClientConn {
         buf.extend_from_slice(bytes);
         let mut broke = None;
         let split = split_frames(&buf, self.max_frame_len, |payload| {
-            match decode_response(payload) {
-                Ok((id, response)) => {
-                    if let Some(slot) = self.slots.get_mut(&id) {
-                        *slot = Some(response);
-                    }
-                    true
-                }
+            match self.file(payload) {
+                Ok(()) => true,
                 Err(reason) => {
                     broke = Some(reason);
                     false
@@ -134,6 +148,34 @@ impl ClientConn {
                 self.kill(reason);
             }
         }
+    }
+
+    /// Files one response payload in the slot of the id it answers, or
+    /// returns the rendered reason it breaks the protocol.
+    fn file(&mut self, payload: &[u8]) -> Result<(), String> {
+        let (id, response) = if self.version >= PROTOCOL_V2 {
+            let (id, inner) = split_mux(payload)
+                .map_err(|e| format!("response frame missing request id: {e}"))?;
+            let response = Response::decode(inner)
+                .map_err(|e| format!("decoding response for request {id}: {e}"))?;
+            (id, response)
+        } else {
+            let response =
+                Response::decode(payload).map_err(|e| format!("decoding response: {e}"))?;
+            let Some(id) = self.owed.pop_front() else {
+                return Err(match response {
+                    Response::Error { code, message } => {
+                        NetError::Remote { code, message }.to_string()
+                    }
+                    other => format!("an answer with no request owed: {other:?}"),
+                });
+            };
+            (id, response)
+        };
+        if let Some(slot) = self.slots.get_mut(&id) {
+            *slot = Some(response);
+        }
+        Ok(())
     }
 
     /// What `id` holds now. An answer or the connection's death is handed
@@ -172,16 +214,6 @@ impl ClientConn {
     }
 }
 
-/// One v2 response payload as `(request id, response)`, or the rendered
-/// reason it breaks the protocol.
-fn decode_response(payload: &[u8]) -> Result<(u64, Response), String> {
-    let (id, inner) =
-        split_mux(payload).map_err(|e| format!("response frame missing request id: {e}"))?;
-    let response =
-        Response::decode(inner).map_err(|e| format!("decoding response for request {id}: {e}"))?;
-    Ok((id, response))
-}
-
 #[cfg(test)]
 mod tests {
     //! The machine fed bytes: no socket, no thread. The last test pipes it
@@ -199,10 +231,10 @@ mod tests {
     use crate::conn::READ_CHUNK;
     use crate::faults::PureConn;
     use crate::server::ServerConfig;
-    use crate::wire::{ClientHello, ErrorCode, DEFAULT_MAX_FRAME_LEN, PROTOCOL_V2};
+    use crate::wire::{ClientHello, ErrorCode, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION};
 
     fn fresh() -> ClientConn {
-        ClientConn::new(DEFAULT_MAX_FRAME_LEN)
+        ClientConn::new(PROTOCOL_V2, DEFAULT_MAX_FRAME_LEN)
     }
 
     fn query(c: &mut ClientConn, u: NodeId, v: NodeId) -> u64 {
@@ -315,6 +347,52 @@ mod tests {
     }
 
     #[test]
+    fn v1_answers_resolve_the_oldest_id_owed_and_an_abandoned_one_in_its_turn() {
+        let mut c = ClientConn::new(PROTOCOL_VERSION, DEFAULT_MAX_FRAME_LEN);
+        let (a, b, d) = (
+            query(&mut c, 1, 2),
+            query(&mut c, 3, 4),
+            query(&mut c, 5, 6),
+        );
+        let sent = [(1, 2), (3, 4), (5, 6)]
+            .iter()
+            .flat_map(|&(u, v)| frame(None, &Request::Query { u, v }.encode()))
+            .collect::<Vec<u8>>();
+        assert_eq!(c.take_outbox(), sent, "a v1 request carries no id");
+        c.abandon(a);
+        let answers = [Response::Distance(12), Response::Distance(34)];
+        let bytes: Vec<u8> = answers
+            .iter()
+            .flat_map(|r| frame(None, &r.encode()))
+            .collect();
+        c.received(&bytes[..bytes.len() - 3]);
+        assert_eq!(c.take(a), Held::Unknown, "a's late answer is dropped");
+        assert_eq!(c.take(b), Held::Waiting, "b's answer is still partial");
+        c.received(&bytes[bytes.len() - 3..]);
+        assert_eq!(c.take(b), Held::Answer(Response::Distance(34)));
+        assert_eq!(c.take(d), Held::Waiting);
+        c.received(&frame(None, &Response::Distance(56).encode()));
+        assert_eq!(c.take(d), Held::Answer(Response::Distance(56)));
+        assert_eq!(c.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_v1_answer_with_no_request_owed_kills_with_that_answer_as_the_reason() {
+        let mut c = ClientConn::new(PROTOCOL_VERSION, DEFAULT_MAX_FRAME_LEN);
+        let busy = Response::Error {
+            code: ErrorCode::Busy,
+            message: "server at its 1-connection cap".to_string(),
+        };
+        c.received(&frame(None, &busy.encode()));
+        match c.submit(&Request::Ping) {
+            Err(NetError::ConnectionDead(reason)) => {
+                assert!(reason.contains("[busy]") && reason.contains("1-connection cap"));
+            }
+            other => panic!("the machine must be dead, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn the_submit_that_fills_the_outbox_asks_for_a_write() {
         let mut c = fresh();
         let one = answer(1, &Response::Pong).len() - 1 + Request::Ping.encode().len();
@@ -401,8 +479,10 @@ mod tests {
     }
 
     /// Resolves `id` if it holds anything: a right answer to `request`
-    /// (or `Busy`), or the connection's death when `may_die`. Returns
-    /// whether it resolved, and checks it resolves only once.
+    /// (or `Busy`), or the connection's death when `may_die`. On v1 the
+    /// daemon's void answer carries no id, so it resolves the oldest id
+    /// owed: a `Malformed` answer is that death. Returns whether it
+    /// resolved, and checks it resolves only once.
     fn resolve(
         c: &mut ClientConn,
         id: u64,
@@ -414,6 +494,13 @@ mod tests {
         match (c.take(id), request) {
             (Held::Waiting, _) if !may_die => return false,
             (Held::Dead(_), _) if may_die => tally.dead += 1,
+            (
+                Held::Answer(Response::Error {
+                    code: ErrorCode::Malformed,
+                    ..
+                }),
+                _,
+            ) if may_die && c.version < PROTOCOL_V2 => tally.dead += 1,
             (
                 Held::Answer(Response::Error {
                     code: ErrorCode::Busy,
@@ -432,9 +519,11 @@ mod tests {
         true
     }
 
-    /// One seeded run: submits, cuts in both directions, completion order
-    /// and abandons drawn from `seed`, then the ending it draws.
+    /// One seeded run at protocol `version`: submits, cuts in both
+    /// directions, completion order and abandons drawn from `seed`, then
+    /// the ending it draws.
     fn pipe_run(
+        version: u16,
         seed: u64,
         config: &ServerConfig,
         engine: &QueryEngine,
@@ -442,14 +531,14 @@ mod tests {
         tally: &mut Tally,
     ) {
         let mut server = PureConn::accept(config, engine, 0, Instant::now());
-        // The handshake `dial` makes: read the greeting, answer v2.
+        // The client's handshake: read the greeting, answer `version`.
         server.read(usize::MAX);
         let seen = server.output.len();
-        let protocol_version = PROTOCOL_V2;
+        let protocol_version = version;
         server.send(&frame(None, &ClientHello { protocol_version }.encode()));
         let mut p = Pipe {
             server,
-            client: fresh(),
+            client: ClientConn::new(version, DEFAULT_MAX_FRAME_LEN),
             to_server: Vec::new(),
             seen,
             rng: Xorshift64::seed_from_u64(seed),
@@ -527,12 +616,13 @@ mod tests {
             assert_eq!(p.client.take(id), Held::Unknown, "abandoned id {id}");
             tally.abandoned += 1;
         }
-        assert_eq!(p.client.in_flight(), 0, "seed {seed}");
+        assert_eq!(p.client.in_flight(), 0, "v{version} seed {seed}");
     }
 
-    /// Both ends in one pipe: over 1,000 seeds, every id the client hands
-    /// out resolves exactly once — a BFS-exact answer, `Busy`, an abandon
-    /// or the connection's death — and none is left in flight.
+    /// Both ends in one pipe: at each protocol version, over 1,000 seeds,
+    /// every id the client hands out resolves exactly once — a BFS-exact
+    /// answer, `Busy` (v2 only: v1 is lock-step), an abandon or the
+    /// connection's death — and none is left in flight.
     #[test]
     fn every_id_resolves_exactly_once_against_the_daemons_machine() {
         let g = generators::grid(4, 4);
@@ -550,14 +640,19 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut tally = Tally::default();
-        for seed in 0..1000 {
-            pipe_run(seed, &config, &engine, &truth, &mut tally);
+        for version in [PROTOCOL_VERSION, PROTOCOL_V2] {
+            let mut tally = Tally::default();
+            for seed in 0..1000 {
+                pipe_run(version, seed, &config, &engine, &truth, &mut tally);
+            }
+            println!("v{version}: {tally:?}");
+            assert!(
+                tally.answered > 0
+                    && (tally.busy > 0) == (version >= PROTOCOL_V2)
+                    && tally.abandoned > 0
+                    && tally.dead > 0,
+                "every way of resolving must come up: v{version} {tally:?}"
+            );
         }
-        println!("{tally:?}");
-        assert!(
-            tally.answered > 0 && tally.busy > 0 && tally.abandoned > 0 && tally.dead > 0,
-            "every way of resolving must come up: {tally:?}"
-        );
     }
 }

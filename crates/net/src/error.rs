@@ -39,18 +39,18 @@ pub enum NetError {
         /// The error the last attempt died with.
         last: Box<NetError>,
     },
-    /// A multiplexed request's deadline passed with no response; other
-    /// requests on the same connection are unaffected.
+    /// A request's wait ran out with no response; other requests on the
+    /// same connection are unaffected.
     RequestTimeout {
         /// The request id that went unanswered.
         request_id: u64,
         /// How long the caller was willing to wait.
         waited: std::time::Duration,
     },
-    /// The multiplexed connection died (reader failure or shutdown);
-    /// every in-flight and future request on it fails with this. The
-    /// reason is a rendered copy of the original error, shared by all
-    /// waiters.
+    /// The connection died (EOF, a socket error, or a frame that broke
+    /// framing or decoding); every in-flight and future request on it
+    /// fails with this. The reason is a rendered copy of the original
+    /// error, shared by all waiters.
     ConnectionDead(String),
 }
 
@@ -73,7 +73,7 @@ impl fmt::Display for NetError {
                 write!(f, "request {request_id} unanswered after {waited:?}")
             }
             NetError::ConnectionDead(reason) => {
-                write!(f, "multiplexed connection is dead: {reason}")
+                write!(f, "connection is dead: {reason}")
             }
         }
     }
@@ -108,21 +108,22 @@ impl From<WireError> for NetError {
 }
 
 impl NetError {
-    /// `true` for failures a fresh connection might fix (socket death,
-    /// timeouts); protocol and server-side errors are not retryable.
+    /// `true` for failures a fresh connection might fix: a socket error
+    /// (the handshake's too), a connection the driver found dead (EOF, a
+    /// socket error, or a frame that breaks framing or decoding), a wait
+    /// that ran out, and `Busy`. A refused or malformed handshake
+    /// (`Handshake`, `Wire`), a typed server error and an answer of the
+    /// wrong kind are not retryable.
+    /// [`crate::NetClient`] retries on a fresh connection; a
+    /// [`crate::MuxClient`] never retries by itself.
     pub fn is_retryable(&self) -> bool {
         match self {
-            NetError::Io(_) => true,
-            NetError::Handshake(_) => false,
-            NetError::Wire(_) => false,
+            NetError::Io(_) | NetError::ConnectionDead(_) | NetError::RequestTimeout { .. } => true,
             NetError::Remote { code, .. } => *code == ErrorCode::Busy,
-            NetError::UnexpectedResponse { .. } => false,
-            NetError::RetriesExhausted { .. } => false,
-            // A fresh *connection* might fix these, but the mux client
-            // owns its connection's lifecycle; callers reconnect
-            // deliberately rather than through blind retry.
-            NetError::RequestTimeout { .. } => false,
-            NetError::ConnectionDead(_) => false,
+            NetError::Handshake(_)
+            | NetError::Wire(_)
+            | NetError::UnexpectedResponse { .. }
+            | NetError::RetriesExhausted { .. } => false,
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Multiplexed HLNP v2 client: many concurrent requests on one
-//! connection, correlated by request id.
+//! connection, correlated by request id. It is also the one socket driver
+//! under [`crate::NetClient`], which opens it at protocol v1.
 //!
 //! [`MuxClient`] drives `client_conn.rs`, the socket-free machine that
 //! owns request ids, response slots, the outbox, framing and the dead
@@ -32,7 +33,7 @@
 //! [`crate::NetClient`] one-for-one; they are `submit` + `wait` and
 //! interleave freely with other threads' requests on the same client.
 
-use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+use std::io::ErrorKind::{Interrupted, TimedOut, UnexpectedEof, WouldBlock};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -42,10 +43,13 @@ use hl_graph::sync::lock_unpoisoned;
 use hl_graph::{Distance, NodeId};
 use hl_server::MetricsSnapshot;
 
-use crate::client::{dial, resolve, ClientConfig};
+use crate::client::ClientConfig;
 use crate::client_conn::{ClientConn, Held};
 use crate::error::NetError;
-use crate::wire::{write_all_deadline, DeadlineWrite, Request, Response, ServerHello, PROTOCOL_V2};
+use crate::wire::{
+    frame, split_frames, write_all_deadline, ClientHello, DeadlineWrite, Request, Response,
+    ServerHello, PROTOCOL_V2,
+};
 
 /// The buffer the read token lends: one read takes at most this much,
 /// about one whole label of the paper's h:2,5 gadget (5,461 hubs).
@@ -59,6 +63,13 @@ const READ_BUF: usize = 64 * 1024;
 /// its budget early.
 fn must_rearm(armed: Duration, want: Duration) -> bool {
     armed > want + Duration::from_millis(1) || armed < want / 2
+}
+
+/// Resolves `addr` to the first socket address it names.
+pub(crate) fn resolve<A: ToSocketAddrs>(addr: A) -> Result<SocketAddr, NetError> {
+    addr.to_socket_addrs()?
+        .next()
+        .ok_or_else(|| NetError::Handshake("address resolved to nothing".into()))
 }
 
 /// What [`MuxClient::state`] guards.
@@ -88,20 +99,18 @@ impl Half {
 
     /// Reads the socket once into `buf`, waiting at most `timeout` (floor
     /// 1 ms) plus 1 ms. `Ok(0)` is a timeout, which is no error. `Err` is
-    /// the rendered reason the connection is dead: EOF or a socket error.
-    fn read_once(&mut self, buf: &mut [u8], timeout: Duration) -> Result<usize, String> {
+    /// why the connection is dead: EOF or a socket error.
+    fn read_once(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<usize> {
         let want = timeout.max(Duration::from_millis(1));
         if must_rearm(self.armed, want) {
-            self.stream
-                .set_read_timeout(Some(want))
-                .map_err(|e| format!("arming the response read: {e}"))?;
+            self.stream.set_read_timeout(Some(want))?;
             self.armed = want;
         }
         match self.stream.read(buf) {
-            Ok(0) => Err("reading response frame: peer closed".to_string()),
+            Ok(0) => Err(io::Error::new(UnexpectedEof, "peer closed")),
             Ok(n) => Ok(n),
             Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => Ok(0),
-            Err(e) => Err(format!("reading response frame: {e}")),
+            Err(e) => Err(e),
         }
     }
 
@@ -163,18 +172,76 @@ impl MuxClient {
     /// [`NetError::Handshake`] against a server whose advertised ceiling
     /// is below v2 (use [`crate::NetClient`] for those).
     pub fn connect<A: ToSocketAddrs>(addr: A, config: ClientConfig) -> Result<Self, NetError> {
-        let addr = resolve(addr)?;
-        let (stream, hello) = dial(&addr, &config, PROTOCOL_V2)?;
-        let writer = stream.try_clone()?;
+        MuxClient::open(resolve(addr)?, config, PROTOCOL_V2)
+    }
+
+    /// The one client handshake: connects within the connect budget,
+    /// reads the server hello and picks protocol `version`.
+    ///
+    /// The hello is read as responses are, once at a time into the
+    /// frame splitter, and the whole hello must arrive within one
+    /// `request_timeout`; bytes read past it go to the machine. The hello
+    /// advertises the *highest* version the server speaks, so a server
+    /// whose ceiling is below `version` is a typed
+    /// [`NetError::Handshake`], not a frame mess.
+    pub(crate) fn open(
+        addr: SocketAddr,
+        config: ClientConfig,
+        version: u16,
+    ) -> Result<MuxClient, NetError> {
+        let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "Nagle only costs latency; a dead socket fails the handshake read next"
+        )]
+        let _ = stream.set_nodelay(true);
+        let mut writer = Half::new(stream.try_clone()?);
+        let mut reader = Half::new(stream);
+        let mut buf = vec![0; READ_BUF];
+        let deadline = Instant::now() + config.request_timeout;
+        let mut got = Vec::new();
+        let (hello, past) = loop {
+            let mut hello = None;
+            let at = split_frames(&got, config.max_frame_len, |payload| {
+                hello = Some(ServerHello::decode(payload));
+                false
+            })?;
+            if let Some(hello) = hello {
+                break (hello?, got.split_off(at));
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                let late = "no whole server hello within the request timeout";
+                return Err(io::Error::new(TimedOut, late).into());
+            }
+            let n = reader.read_once(&mut buf, left)?;
+            got.extend_from_slice(&buf[..n]);
+        };
+        if hello.protocol_version < version {
+            return Err(NetError::Handshake(format!(
+                "server's highest protocol is {}, this client needs v{version}",
+                hello.protocol_version
+            )));
+        }
+        let chosen = ClientHello {
+            protocol_version: version,
+        };
+        write_all_deadline(
+            &mut writer,
+            &frame(None, &chosen.encode()),
+            config.request_timeout,
+        )?;
+        let mut conn = ClientConn::new(version, config.max_frame_len);
+        conn.received(&past);
         Ok(MuxClient {
             state: Mutex::new(State {
-                conn: ClientConn::new(config.max_frame_len),
-                token: Some(vec![0; READ_BUF]),
+                conn,
+                token: Some(buf),
                 parked: 0,
             }),
             cv: Condvar::new(),
-            reader: Mutex::new(Half::new(stream)),
-            writer: Mutex::new(Half::new(writer)),
+            reader: Mutex::new(reader),
+            writer: Mutex::new(writer),
             hello,
             addr,
             config,
@@ -321,8 +388,8 @@ impl MuxClient {
             state = lock_unpoisoned(&self.state);
             match read {
                 Ok(n) => state.conn.received(&buf[..n]),
-                Err(reason) => {
-                    state.conn.kill(reason);
+                Err(e) => {
+                    state.conn.kill(format!("reading response frame: {e}"));
                 }
             }
             state.token = Some(buf);

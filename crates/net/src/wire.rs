@@ -15,8 +15,9 @@
 //! version it wants to speak — any version from 1 up to the server's
 //! ceiling — and the connection speaks that version from then on. The
 //! server closes with a typed [`Response::Error`] frame on a version it
-//! does not speak; the client closes with [`WireError::Version`] when
-//! the server's ceiling is below what the client requires.
+//! does not speak; the client closes with
+//! [`NetError::Handshake`](crate::NetError::Handshake) when the server's
+//! ceiling is below what the client requires.
 //!
 //! Version 1 is lock-step: the payload is exactly one [`Request`] or
 //! [`Response`], answered strictly in order. Version 2 multiplexes: the
@@ -33,7 +34,6 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use hl_graph::Distance;
@@ -486,130 +486,16 @@ pub fn read_frame<R: Read>(r: &mut R, max_len: u32) -> Result<Vec<u8>, WireError
     Ok(payload)
 }
 
-/// A read half whose per-call timeout can be re-armed, which is what
-/// whole-frame read deadlines are built from.
+/// A write half whose per-call timeout can be re-armed, which is what a
+/// whole-write deadline is built from.
 ///
-/// Plain socket timeouts reset on *every* byte: a peer trickling one byte
-/// per `timeout - ε` keeps a connection (and its server slot) alive
-/// forever — the slow-loris attack. [`read_frame_deadline`] and
-/// [`write_frame_deadline`] instead budget the whole frame, shrinking the
+/// Plain socket timeouts reset on *every* call: a peer that drains one
+/// byte per `timeout - ε` would pin a writer forever.
+/// [`write_all_deadline`] instead budgets the whole write, shrinking the
 /// socket timeout toward the deadline on each iteration.
-pub trait DeadlineRead: Read {
-    /// Caps the next read call at `timeout`.
-    fn limit_read_timeout(&mut self, timeout: Duration) -> io::Result<()>;
-}
-
-/// The write half of [`DeadlineRead`]: what [`write_frame_deadline`] and
-/// [`write_all_deadline`] budget a whole write with.
 pub trait DeadlineWrite: Write {
     /// Caps the next write call at `timeout`.
     fn limit_write_timeout(&mut self, timeout: Duration) -> io::Result<()>;
-}
-
-impl DeadlineRead for TcpStream {
-    fn limit_read_timeout(&mut self, timeout: Duration) -> io::Result<()> {
-        self.set_read_timeout(Some(timeout))
-    }
-}
-
-impl DeadlineWrite for TcpStream {
-    fn limit_write_timeout(&mut self, timeout: Duration) -> io::Result<()> {
-        self.set_write_timeout(Some(timeout))
-    }
-}
-
-fn deadline_expired(what: &str) -> WireError {
-    WireError::Io(io::Error::new(
-        io::ErrorKind::TimedOut,
-        format!("{what}: whole-frame deadline exceeded"),
-    ))
-}
-
-/// `true` for the error kinds a timed-out socket read/write reports.
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-/// Fills `buf` from `r`, giving up at `deadline`. Each loop iteration
-/// re-arms the socket timeout with the time left, so a peer dribbling
-/// bytes cannot extend the total beyond the budget.
-fn read_exact_deadline<R: DeadlineRead>(
-    r: &mut R,
-    buf: &mut [u8],
-    deadline: Instant,
-) -> Result<(), WireError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(deadline_expired("read"));
-        }
-        r.limit_read_timeout(left.max(Duration::from_millis(1)))?;
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(WireError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => return Err(deadline_expired("read")),
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    Ok(())
-}
-
-/// Reads one frame like [`read_frame`], but with two time budgets: the
-/// connection may sit idle (no frame started) for up to `idle_budget`,
-/// and once the first byte of a frame arrives the *entire* frame — length
-/// prefix and payload — must complete within `frame_budget`. Expiry of
-/// either surfaces as [`WireError::Io`] with [`io::ErrorKind::TimedOut`].
-pub fn read_frame_deadline<R: DeadlineRead>(
-    r: &mut R,
-    max_len: u32,
-    idle_budget: Duration,
-    frame_budget: Duration,
-) -> Result<Vec<u8>, WireError> {
-    // Wait for the first byte under the idle budget alone.
-    r.limit_read_timeout(idle_budget.max(Duration::from_millis(1)))?;
-    let mut first = [0u8; 1];
-    loop {
-        match r.read(&mut first) {
-            Ok(0) => {
-                return Err(WireError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed before a frame",
-                )))
-            }
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    // A frame has begun: the rest of it races the frame budget.
-    let deadline = Instant::now() + frame_budget;
-    let mut rest = [0u8; 3];
-    read_exact_deadline(r, &mut rest, deadline)?;
-    let prefix = [first[0], rest[0], rest[1], rest[2]];
-    let mut payload = vec![0u8; frame_len(prefix, max_len)?];
-    read_exact_deadline(r, &mut payload, deadline)?;
-    Ok(payload)
-}
-
-/// Writes one frame like [`write_frame`], but bounds the *whole* write
-/// (all partial writes included) by `budget`, so a peer that stops
-/// draining its receive buffer cannot pin the writer past the deadline.
-pub fn write_frame_deadline<W: DeadlineWrite>(
-    w: &mut W,
-    payload: &[u8],
-    budget: Duration,
-) -> Result<(), WireError> {
-    write_all_deadline(w, &frame(None, payload), budget)
 }
 
 /// Writes already-framed bytes (see [`frame`]) within `budget`.
@@ -619,11 +505,15 @@ pub fn write_all_deadline<W: DeadlineWrite>(
     budget: Duration,
 ) -> Result<(), WireError> {
     let deadline = Instant::now() + budget;
+    let expired = || {
+        let what = "write: whole-frame deadline exceeded";
+        WireError::Io(io::Error::new(io::ErrorKind::TimedOut, what))
+    };
     let mut written = 0;
     while written < framed.len() {
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
-            return Err(deadline_expired("write"));
+            return Err(expired());
         }
         w.limit_write_timeout(left.max(Duration::from_millis(1)))?;
         match w.write(&framed[written..]) {
@@ -635,7 +525,14 @@ pub fn write_all_deadline<W: DeadlineWrite>(
             }
             Ok(n) => written += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => return Err(deadline_expired("write")),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                return Err(expired())
+            }
             Err(e) => return Err(WireError::Io(e)),
         }
     }
@@ -1198,38 +1095,21 @@ mod tests {
         ));
     }
 
-    /// Test transport: serves reads from a buffer one byte at a time with
-    /// a fixed delay per byte (a slow-loris peer when the delay is large),
-    /// and accepts writes one byte at a time with the same delay. The
-    /// timeout hooks are no-ops — the deadline logic being tested must
+    /// Test transport: accepts writes one byte at a time with a fixed
+    /// delay per byte (a stalled peer when the delay is large). The
+    /// timeout hook is a no-op — the deadline logic being tested must
     /// bound total time by itself via the wall clock.
     struct TricklePeer {
-        data: Vec<u8>,
-        at: usize,
         delay: std::time::Duration,
         written: Vec<u8>,
     }
 
     impl TricklePeer {
-        fn new(data: Vec<u8>, delay: std::time::Duration) -> Self {
+        fn new(delay: std::time::Duration) -> Self {
             TricklePeer {
-                data,
-                at: 0,
                 delay,
                 written: Vec::new(),
             }
-        }
-    }
-
-    impl Read for TricklePeer {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            std::thread::sleep(self.delay);
-            if self.at >= self.data.len() {
-                return Ok(0); // peer closed
-            }
-            buf[0] = self.data[self.at];
-            self.at += 1;
-            Ok(1)
         }
     }
 
@@ -1248,12 +1128,6 @@ mod tests {
         }
     }
 
-    impl DeadlineRead for TricklePeer {
-        fn limit_read_timeout(&mut self, _: Duration) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
     impl DeadlineWrite for TricklePeer {
         fn limit_write_timeout(&mut self, _: Duration) -> io::Result<()> {
             Ok(())
@@ -1261,50 +1135,14 @@ mod tests {
     }
 
     #[test]
-    fn deadline_read_accepts_a_dribbled_frame_within_budget() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &Request::Ping.encode()).unwrap();
-        let mut peer = TricklePeer::new(buf, Duration::from_millis(0));
-        let payload = read_frame_deadline(
-            &mut peer,
-            64,
-            Duration::from_secs(1),
-            Duration::from_secs(1),
-        )
-        .unwrap();
-        assert_eq!(payload, Request::Ping.encode());
-    }
-
-    #[test]
-    fn deadline_read_cuts_off_a_slow_loris_peer() {
-        // 36 bytes at 10 ms/byte is 360 ms of trickle; a 60 ms frame
-        // budget must cut it off near the budget, not ride it out.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &[0u8; 32]).unwrap();
-        let mut peer = TricklePeer::new(buf, Duration::from_millis(10));
+    fn deadline_write_cuts_off_a_stalled_peer() {
+        let mut peer = TricklePeer::new(Duration::from_millis(10));
         let started = Instant::now();
-        let err = read_frame_deadline(
+        let err = write_all_deadline(
             &mut peer,
-            64,
-            Duration::from_secs(1),
+            &frame(None, &[0u8; 32]),
             Duration::from_millis(60),
         );
-        let elapsed = started.elapsed();
-        match err {
-            Err(WireError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::TimedOut),
-            other => panic!("expected timeout, got {other:?}"),
-        }
-        assert!(
-            elapsed < Duration::from_millis(300),
-            "deadline must bound the whole frame, took {elapsed:?}"
-        );
-    }
-
-    #[test]
-    fn deadline_write_cuts_off_a_stalled_peer() {
-        let mut peer = TricklePeer::new(Vec::new(), Duration::from_millis(10));
-        let started = Instant::now();
-        let err = write_frame_deadline(&mut peer, &[0u8; 32], Duration::from_millis(60));
         let elapsed = started.elapsed();
         match err {
             Err(WireError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::TimedOut),
@@ -1315,8 +1153,9 @@ mod tests {
 
     #[test]
     fn deadline_write_delivers_within_budget() {
-        let mut peer = TricklePeer::new(Vec::new(), Duration::from_millis(0));
-        write_frame_deadline(&mut peer, &Request::Ping.encode(), Duration::from_secs(1)).unwrap();
+        let mut peer = TricklePeer::new(Duration::from_millis(0));
+        let ping = frame(None, &Request::Ping.encode());
+        write_all_deadline(&mut peer, &ping, Duration::from_secs(1)).unwrap();
         let mut expect = Vec::new();
         write_frame(&mut expect, &Request::Ping.encode()).unwrap();
         assert_eq!(peer.written, expect);

@@ -59,11 +59,13 @@ fn fast_config() -> ClientConfig {
     }
 }
 
-/// The error chain must bottom out in a socket-level failure; a client
-/// that reports anything else (or returns `Ok`) mis-handled the fault.
+/// The error chain must bottom out in a socket-level failure: a socket
+/// error, a connection the driver found dead, or a wait that ran out. A
+/// client that reports anything else (or returns `Ok`) mis-handled the
+/// fault.
 fn is_socket_error(e: &NetError) -> bool {
     match e {
-        NetError::Io(_) => true,
+        NetError::Io(_) | NetError::ConnectionDead(_) | NetError::RequestTimeout { .. } => true,
         NetError::RetriesExhausted { last, .. } => is_socket_error(last),
         _ => false,
     }

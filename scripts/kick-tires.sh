@@ -12,7 +12,7 @@
 #   hubserve reload   -> live daemon hot-swaps onto the v1 store; a
 #                        reload from a missing path must fail without
 #                        evicting the healthy epoch
-#                        (`reload` speaks protocol v1 to the daemon)
+#                        (`reload` speaks protocol v2, through MuxClient)
 #   hl-shard query    -> the live daemon as a one-shard fleet over the
 #                        protocol-v2 multiplexed client; its answers must
 #                        equal the ground truth line for line
