@@ -40,7 +40,7 @@
 
 use hl_graph::{Distance, GraphError, NodeId};
 
-use crate::label::{merge_join, merge_join_with_witness};
+use crate::label::{self, merge_join, merge_join_with_witness};
 
 /// Why labels were rejected on their way into the arena: a triple of raw
 /// arrays by [`FlatLabeling::from_raw_parts`], or a distance too wide for
@@ -424,9 +424,12 @@ impl FlatLabeling {
             .zip(self.dists[span].iter().map(|&d| Distance::from(d)))
     }
 
-    /// Answers the distance query `u, v` via the merge-join of the two
-    /// label slices. Returns [`hl_graph::INFINITY`] when the labels share
-    /// no hub.
+    /// Answers the distance query `u, v` by joining the two label slices
+    /// ([`merge_join`]: a galloping merge when one label has fewer than
+    /// 16 entries, else the shorter label's hubs below 4,096 scattered
+    /// into this thread's 32 KiB scratch, the longer one's gathered
+    /// through it, and the tails merged). Returns [`hl_graph::INFINITY`]
+    /// when the labels share no hub.
     ///
     /// # Panics
     ///
@@ -440,18 +443,28 @@ impl FlatLabeling {
         )
     }
 
-    /// Answers `pairs[i]` into `out[i]` through [`FlatLabeling::query`],
-    /// back to back: no clock, no counter, nothing between two joins, so
-    /// the cache misses of consecutive pairs may overlap.
+    /// Answers `pairs[i]` into `out[i]` as [`FlatLabeling::query`] would,
+    /// back to back: the thread's join scratch is borrowed once for the
+    /// whole slice, and there is no clock, no counter, nothing between
+    /// two joins, so the cache misses of consecutive pairs may overlap.
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length or a vertex is out of range.
     pub fn query_many(&self, pairs: &[(NodeId, NodeId)], out: &mut [Distance]) {
         assert_eq!(pairs.len(), out.len(), "one output slot per pair");
-        for (&(u, v), d) in pairs.iter().zip(out) {
-            *d = self.query(u, v);
-        }
+        label::with_scratch(|slots| {
+            for (&(u, v), d) in pairs.iter().zip(out) {
+                *d = label::join_absolute::<false>(
+                    Some(&mut *slots),
+                    self.hubs_of(u),
+                    self.dists_of(u),
+                    self.hubs_of(v),
+                    self.dists_of(v),
+                )
+                .0;
+            }
+        });
     }
 
     /// Like [`FlatLabeling::query`] but also reports the hub realizing

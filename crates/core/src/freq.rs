@@ -7,9 +7,10 @@
 //! sorted run. This pass renumbers hubs by **global frequency**: the hub
 //! appearing in the most labels becomes id 0, the next id 1, and so on,
 //! ties broken by old id. Per-vertex runs are sorted by hub id, so after
-//! the pass the hubs every label shares form one prefix of every run:
-//! the join's matches cluster at the front, and its one real branch (hub
-//! equality) becomes predictable.
+//! the pass the hubs every label shares form one prefix of every run,
+//! and they are the small ids the join's scratch covers
+//! ([`crate::label`]: hub ids below 4,096 are scattered and gathered, not
+//! merged).
 //!
 //! Two callers. `hl_server::QueryEngine` ranks every arena it mounts, so
 //! every served query joins ranked runs whatever the store's order; it

@@ -1,29 +1,67 @@
-//! The merge-join distance query.
+//! The hub join: the distance query.
 //!
 //! hl-core owns two representations of a labeling, and they share one
-//! query algorithm — the sorted merge-join, each loop written once for
-//! both the distance-only and the witness-reporting query:
+//! query — `min over common hubs h of d(u, h) + d(h, v)` — each kernel
+//! written once for both the distance-only and the witness-reporting
+//! query:
 //!
 //! * [`crate::flat::FlatLabeling`] — a single CSR arena, one allocation
 //!   for the whole labeling; what every construction returns and every
-//!   store, daemon and analysis holds;
+//!   store, daemon and analysis holds. It joins through this module's
+//!   hybrid kernel: a galloping merge when one label is short, else a
+//!   scatter of the shorter label into a hub-indexed scratch that the
+//!   longer label is gathered through (PLL's pruning test, on the query
+//!   path);
 //! * [`crate::compact::CompactLabeling`] — the v2c store's lanes:
 //!   delta-coded hub ids and narrow distances; it joins (distance only)
-//!   through its own loop, because delta-coded ids cannot be galloped over.
+//!   through its own merge loop, because delta-coded ids can be neither
+//!   galloped over nor indexed by.
 //!
 //! A single label has no type of its own: borrowed it is the two sorted
 //! slices [`crate::FlatLabeling::hubs_of`] and
 //! [`crate::FlatLabeling::dists_of`] lend (hub ids and `u32` distances),
 //! owned it is a `Vec<(NodeId, Distance)>`.
 
+use std::cell::RefCell;
+
 use hl_graph::{Distance, NodeId, INFINITY};
 
-/// Gallop stride of the merge-join kernels: how far (in entries) each
-/// cursor tests ahead on the hub lane per iteration. One 64-byte cache
-/// line of u32 hub ids — big enough that length-skewed joins skip whole
-/// lines per step, and the stride-ahead read doubles as a prefetch that
-/// hides an LLC/DRAM round-trip behind the serial advance chain.
+/// Gallop stride of the merge kernels: how far (in entries) each cursor
+/// tests ahead on the hub lane per iteration. One 64-byte cache line of
+/// u32 hub ids — big enough that length-skewed joins skip whole lines per
+/// step, and the stride-ahead read doubles as a prefetch that hides an
+/// LLC/DRAM round-trip behind the serial advance chain.
+///
+/// Also the shortest label the scatter path takes: a join whose shorter
+/// label has fewer entries merges, because a merge reads the longer
+/// label's distances only where hubs match, and a 2–5-entry label (the
+/// median on a power-law graph) meets few of them.
 const LOOKAHEAD: usize = 16;
+
+/// Hub ids below this bound are joined through the calling thread's
+/// scratch; the rest, merged. 4,096 [`Distance`] slots are 32 KiB, which
+/// stays in L1d. On a ranked arena ([`crate::freq`]) the hubs most labels
+/// share are the smallest ids, so they are the ones the scratch covers.
+/// The bound is fixed, not `n`: every thread that joins fills its own
+/// scratch once, and a split batch starts a thread per share.
+const HOT_HUBS: usize = 4096;
+
+/// The join scratch: slot `h` holds the shorter label's distance to hot
+/// hub `h` during a scatter join, and [`INFINITY`] between joins. The
+/// length is in the type, so a slot index reduced modulo [`HOT_HUBS`]
+/// needs no bounds check and cannot panic.
+pub(crate) type Slots = [Distance; HOT_HUBS];
+
+thread_local! {
+    /// This thread's join scratch, allocated at its first scatter join.
+    static SCRATCH: RefCell<Box<Slots>> = RefCell::new(Box::new([INFINITY; HOT_HUBS]));
+}
+
+/// Runs `f` with the calling thread's join scratch borrowed, so a run of
+/// joins ([`crate::FlatLabeling::query_many`]) borrows it once.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Slots) -> R) -> R {
+    SCRATCH.with_borrow_mut(|slots| f(slots))
+}
 
 /// Touches one hub entry per cache line of both lanes before the merge
 /// starts. The touches are independent loads, so the memory system
@@ -61,7 +99,8 @@ where
 /// `WITNESS = false` compiles the witness bookkeeping out.
 ///
 /// Strict `<` keeps the first hub realizing the minimum, as conditional
-/// moves — `d` can never displace a tie.
+/// moves — `d` can never displace a tie, and an [`INFINITY`] sum (an
+/// empty scratch slot) never displaces anything.
 #[inline(always)]
 pub(crate) fn offer<const WITNESS: bool>(
     best: &mut Distance,
@@ -85,12 +124,91 @@ pub(crate) fn witnessed((best, hub): (Distance, NodeId)) -> Option<(Distance, No
     (best != INFINITY).then_some((best, hub))
 }
 
-/// The sorted-merge join over two labels of absolute hub ids — the one
-/// loop behind [`merge_join`] and [`merge_join_with_witness`].
+/// One label as its two parallel lanes, hub ids sorted ascending.
+type Lanes<'a> = (&'a [NodeId], &'a [u32]);
+
+/// The join over two labels of absolute hub ids — the one kernel behind
+/// [`merge_join`], [`merge_join_with_witness`] and every
+/// [`crate::FlatLabeling`] query. `slots` is the calling thread's
+/// scratch when the caller holds it ([`with_scratch`]); with `None` a
+/// scatter join borrows it itself.
 ///
-/// This is *the* hot-path kernel: every slice-backed representation's
-/// `query` bottoms out here, so layout experiments (SIMD, prefetch) have
-/// one place to go.
+/// This is *the* hot-path kernel, with two paths:
+///
+/// * **The shorter label has fewer than [`LOOKAHEAD`] entries:** the
+///   galloping merge ([`merge`]).
+/// * **Otherwise, scatter–gather:** the shorter label's entries with hub
+///   ids below [`HOT_HUBS`] are written into the scratch at their hub's
+///   index, the longer label's hot entries are read through it (one
+///   independent load and a `saturating_add` each, no branch on a
+///   match), the written slots are reset to [`INFINITY`], and the two
+///   tails (hub ids `>= HOT_HUBS`) are merged. Hot hubs precede tail hubs
+///   and [`offer`] is strict, so the witness is still the smallest hub
+///   that attains the minimum.
+///
+/// Sums are taken in [`Distance`] from two `u32` lanes, so none
+/// overflows; a lane pair of unequal lengths is read to the shorter.
+#[inline]
+pub(crate) fn join_absolute<const WITNESS: bool>(
+    slots: Option<&mut Slots>,
+    a_hubs: &[NodeId],
+    a_dists: &[u32],
+    b_hubs: &[NodeId],
+    b_dists: &[u32],
+) -> (Distance, NodeId) {
+    // Truncate each pair to its common length: every loop below then
+    // indexes both lanes of a side within bounds.
+    let n = a_hubs.len().min(a_dists.len());
+    let m = b_hubs.len().min(b_dists.len());
+    let a = (&a_hubs[..n], &a_dists[..n]);
+    let b = (&b_hubs[..m], &b_dists[..m]);
+    if n.min(m) < LOOKAHEAD {
+        return merge::<WITNESS>(a, b);
+    }
+    let (short, long) = if n <= m { (a, b) } else { (b, a) };
+    match slots {
+        Some(slots) => scatter_gather::<WITNESS>(slots, short, long),
+        None => with_scratch(|slots| scatter_gather::<WITNESS>(slots, short, long)),
+    }
+}
+
+/// The scatter–gather path of [`join_absolute`]: `short` scattered into
+/// `slots`, `long` gathered through it, `slots` reset, tails merged.
+#[inline]
+fn scatter_gather<const WITNESS: bool>(
+    slots: &mut Slots,
+    (short_hubs, short_dists): Lanes,
+    (long_hubs, long_dists): Lanes,
+) -> (Distance, NodeId) {
+    let hot = |hubs: &[NodeId]| hubs.partition_point(|&h| (h as usize) < HOT_HUBS);
+    let (short_hot, long_hot) = (hot(short_hubs), hot(long_hubs));
+    // Every hub id in the hot prefixes is below HOT_HUBS, so the modulo
+    // (a mask) leaves it unchanged and only proves the index in bounds.
+    for (&h, &d) in short_hubs[..short_hot].iter().zip(short_dists) {
+        slots[h as usize % HOT_HUBS] = Distance::from(d);
+    }
+    let mut best = INFINITY;
+    let mut witness: NodeId = 0;
+    for (&h, &d) in long_hubs[..long_hot].iter().zip(long_dists) {
+        let sum = slots[h as usize % HOT_HUBS].saturating_add(Distance::from(d));
+        offer::<WITNESS>(&mut best, &mut witness, sum, h);
+    }
+    for &h in &short_hubs[..short_hot] {
+        slots[h as usize % HOT_HUBS] = INFINITY;
+    }
+    if short_hot < short_hubs.len() && long_hot < long_hubs.len() {
+        let (tail, hub) = merge::<WITNESS>(
+            (&short_hubs[short_hot..], &short_dists[short_hot..]),
+            (&long_hubs[long_hot..], &long_dists[long_hot..]),
+        );
+        offer::<WITNESS>(&mut best, &mut witness, tail, hub);
+    }
+    (best, witness)
+}
+
+/// The sorted-merge join of two labels whose lanes are of equal length:
+/// [`join_absolute`]'s path for a short label, and for the tails of a
+/// scatter join.
 ///
 /// The cursor advance is branchless: on a hub mismatch both cursors move
 /// by the boolean comparison results (fine step) and gallop a whole
@@ -99,20 +217,14 @@ pub(crate) fn witnessed((best, hub): (Distance, NodeId)) -> Option<(Distance, No
 /// random interleaving of two sorted hub runs never feeds the branch
 /// predictor. A branchless advance is a serial data-dependency chain the
 /// core cannot speculate past, so the kernel first warms both hub lanes
-/// by issuing every cache-line fetch as independent overlapping loads. Only the hub
-/// *equality* test remains a real branch. It is predictable on a served
-/// arena, whose hub ids are frequency ranks ([`crate::freq`]): the hubs
-/// most labels share are the smallest ids, so matches form one prefix.
+/// by issuing every cache-line fetch as independent overlapping loads.
+/// Only the hub *equality* test remains a real branch.
 #[inline]
-fn join_absolute<const WITNESS: bool>(
-    a_hubs: &[NodeId],
-    a_dists: &[u32],
-    b_hubs: &[NodeId],
-    b_dists: &[u32],
-) -> (Distance, NodeId) {
-    // Truncate each pair to its common length: the loop condition then
-    // proves every index in bounds for *both* slices of a side, so the
-    // four per-iteration bounds checks vanish from the hot loop.
+fn merge<const WITNESS: bool>(a: Lanes, b: Lanes) -> (Distance, NodeId) {
+    let ((a_hubs, a_dists), (b_hubs, b_dists)) = (a, b);
+    // Re-truncating to the common length lets the loop condition prove
+    // every index in bounds for *both* slices of a side, so the four
+    // per-iteration bounds checks vanish from the hot loop.
     let n = a_hubs.len().min(a_dists.len());
     let m = b_hubs.len().min(b_dists.len());
     let (a_hubs, a_dists) = (&a_hubs[..n], &a_dists[..n]);
@@ -126,10 +238,6 @@ fn join_absolute<const WITNESS: bool>(
         let ia = (i + LOOKAHEAD).min(n - 1);
         let jb = (j + LOOKAHEAD).min(m - 1);
         if ha == hb {
-            // The equality test stays a real branch: on a ranked arena
-            // the common hubs come first in both runs, so this branch is
-            // predictable and speculating through it overlaps the next
-            // iterations' loads.
             // Two u32 lanes added in u64: the sum cannot overflow.
             let d = Distance::from(a_dists[i]) + Distance::from(b_dists[j]);
             offer::<WITNESS>(&mut best, &mut witness, d, ha);
@@ -156,29 +264,34 @@ fn join_absolute<const WITNESS: bool>(
     (best, witness)
 }
 
-/// The sorted-merge join over two labels given as parallel slices:
+/// The join over two labels given as parallel slices:
 /// `min over common hubs h of d(u, h) + d(h, v)`, summed in [`Distance`],
 /// or [`INFINITY`] when the hub sets are disjoint. Both hub slices must
 /// be sorted by hub id, with `a_dists[i]` the distance to `a_hubs[i]`
-/// (and likewise for `b`).
+/// (and likewise for `b`). A galloping merge when the shorter label has
+/// fewer than 16 entries; otherwise the shorter label's hubs below 4,096
+/// are scattered into the calling thread's 32 KiB scratch, the longer
+/// label's are gathered through it, and the tails are merged.
 pub fn merge_join(
     a_hubs: &[NodeId],
     a_dists: &[u32],
     b_hubs: &[NodeId],
     b_dists: &[u32],
 ) -> Distance {
-    join_absolute::<false>(a_hubs, a_dists, b_hubs, b_dists).0
+    join_absolute::<false>(None, a_hubs, a_dists, b_hubs, b_dists).0
 }
 
-/// Like [`merge_join`] but also reports the hub realizing the minimum;
-/// `None` when the hub sets are disjoint.
+/// Like [`merge_join`] but also reports the hub realizing the minimum —
+/// the smallest such hub on a tie; `None` when the hub sets are disjoint.
 pub fn merge_join_with_witness(
     a_hubs: &[NodeId],
     a_dists: &[u32],
     b_hubs: &[NodeId],
     b_dists: &[u32],
 ) -> Option<(Distance, NodeId)> {
-    witnessed(join_absolute::<true>(a_hubs, a_dists, b_hubs, b_dists))
+    witnessed(join_absolute::<true>(
+        None, a_hubs, a_dists, b_hubs, b_dists,
+    ))
 }
 
 #[cfg(test)]
@@ -310,8 +423,9 @@ mod tests {
         // The coarse stride-skip advance only fires on labels longer than
         // the gallop stride; the fixed cases above never reach it. Seeded
         // random labels far above the stride, balanced and heavily skewed
-        // in both directions, pin the galloping kernels against the
-        // branchy reference and a naive binary-search witness oracle.
+        // in both directions, pin the kernel (its merge when a side has
+        // fewer than 16 entries, else its scatter path) against the
+        // branchy reference and the binary-search witness oracle.
         let mut rng = hl_graph::rng::Xorshift64::seed_from_u64(0xC0FFEE);
         for case in 0..200usize {
             let (la, lb) = match case % 3 {
@@ -337,20 +451,223 @@ mod tests {
                 merge_join_branchy(&ah, &ad, &bh, &bd),
                 "case {case}"
             );
-            let mut naive: Option<(Distance, NodeId)> = None;
-            for (i, &h) in ah.iter().enumerate() {
-                if let Ok(j) = bh.binary_search(&h) {
-                    let d = Distance::from(ad[i]) + Distance::from(bd[j]);
-                    if d < naive.map_or(INFINITY, |(b, _)| b) {
-                        naive = Some((d, h));
-                    }
-                }
-            }
             assert_eq!(
                 merge_join_with_witness(&ah, &ad, &bh, &bd),
-                naive,
+                naive_witness(&ah, &ad, &bh, &bd),
                 "witness, case {case}"
             );
         }
+    }
+
+    /// The binary-search witness oracle: the smallest hub attaining the
+    /// minimum, found without any merge or scratch.
+    fn naive_witness(
+        ah: &[NodeId],
+        ad: &[u32],
+        bh: &[NodeId],
+        bd: &[u32],
+    ) -> Option<(Distance, NodeId)> {
+        let mut naive: Option<(Distance, NodeId)> = None;
+        for (i, &h) in ah.iter().enumerate() {
+            if let Ok(j) = bh.binary_search(&h) {
+                let d = Distance::from(ad[i]) + Distance::from(bd[j]);
+                if d < naive.map_or(INFINITY, |(b, _)| b) {
+                    naive = Some((d, h));
+                }
+            }
+        }
+        naive
+    }
+
+    /// A seeded label of `len` entries over hub ids from `lo` up, ids
+    /// `shared` with probability 1/2 when `shared` is given (so two labels
+    /// meet), distances from `0..spread` (a small spread makes ties) or,
+    /// one entry in eight, lane-maximal.
+    fn seeded_label(
+        rng: &mut hl_graph::rng::Xorshift64,
+        len: usize,
+        lo: u64,
+        spread: usize,
+        shared: Option<&[NodeId]>,
+    ) -> (Vec<NodeId>, Vec<u32>) {
+        let mut hubs: Vec<NodeId> = match shared {
+            Some(pool) if !pool.is_empty() => (0..len)
+                .map(|_| {
+                    if rng.gen_bool() {
+                        pool[rng.gen_index(pool.len())]
+                    } else {
+                        (lo + rng.gen_index(6 * len.max(1)) as u64) as NodeId
+                    }
+                })
+                .collect(),
+            _ => {
+                let mut h = lo;
+                (0..len)
+                    .map(|_| {
+                        h += rng.gen_index(6) as u64;
+                        let hub = h as NodeId;
+                        h += 1;
+                        hub
+                    })
+                    .collect()
+            }
+        };
+        hubs.sort_unstable();
+        hubs.dedup();
+        let dists = hubs
+            .iter()
+            .map(|_| match rng.gen_index(8) {
+                0 => u32::MAX,
+                _ => rng.gen_index(spread) as u32,
+            })
+            .collect();
+        (hubs, dists)
+    }
+
+    #[test]
+    fn hybrid_agrees_with_branchy_and_witness_oracle_on_both_paths() {
+        // Shorter sides on both sides of the 16-entry bound, longer sides
+        // up to 600 entries, hub ids below 4,096, above it, straddling it
+        // and at the top of the id space; distances with many ties and
+        // lane-maximal ones. Each join runs both ways round, with and
+        // without a held scratch.
+        let mut rng = hl_graph::rng::Xorshift64::seed_from_u64(0x5CA7_7E12);
+        let starts: [u64; 4] = [
+            0,
+            HOT_HUBS as u64 + 3,
+            HOT_HUBS as u64 - 1_000,
+            u64::from(u32::MAX) - 4_000,
+        ];
+        let mut scratch_joins = 0;
+        for case in 0..1_000usize {
+            let short_len = [0, 1, 15, 16, 17][case % 5];
+            let long_len = short_len + rng.gen_index(600 - short_len + 1);
+            let lo = starts[(case / 5) % 4];
+            let spread = if case % 2 == 0 { 3 } else { 1_000 };
+            let (bh, bd) = seeded_label(&mut rng, long_len, lo, spread, None);
+            let (mut ah, mut ad) = seeded_label(&mut rng, short_len, lo, spread, Some(&bh));
+            // Deduplicated sampling can fall short; top the label back up
+            // with fresh ids above it so the length is exactly the case's.
+            let mut next = ah.last().map_or(lo, |&h| u64::from(h) + 1);
+            while ah.len() < short_len {
+                ah.push(next as NodeId);
+                ad.push(rng.gen_index(spread) as u32);
+                next += 1 + rng.gen_index(3) as u64;
+            }
+            assert_eq!(ah.len(), short_len, "case {case}");
+            scratch_joins += usize::from(short_len.min(bh.len()) >= LOOKAHEAD);
+            let want = naive_witness(&ah, &ad, &bh, &bd);
+            assert_eq!(
+                want.map_or(INFINITY, |(d, _)| d),
+                merge_join_branchy(&ah, &ad, &bh, &bd),
+                "oracles disagree, case {case}"
+            );
+            for ((xh, xd), (yh, yd)) in [((&ah, &ad), (&bh, &bd)), ((&bh, &bd), (&ah, &ad))] {
+                let got = merge_join_with_witness(xh, xd, yh, yd);
+                assert_eq!(got, want, "witness, case {case}");
+                assert_eq!(
+                    merge_join(xh, xd, yh, yd),
+                    want.map_or(INFINITY, |(d, _)| d),
+                    "distance, case {case}"
+                );
+                let held = with_scratch(|s| join_absolute::<true>(Some(s), xh, xd, yh, yd));
+                assert_eq!(witnessed(held), want, "held scratch, case {case}");
+            }
+        }
+        assert!(scratch_joins >= 300, "{scratch_joins} scatter joins");
+    }
+
+    #[test]
+    fn a_tie_across_the_scratch_bound_keeps_the_smaller_hub() {
+        // 20 entries a side: the scatter path. Hub 100 (hot) and hub 5000
+        // (tail) both attain 7; hubs 200 and 300 (both hot) both attain 9
+        // in the second pair. The witness is the smaller hub every time,
+        // whichever label is the shorter.
+        let label = |extra: &[(NodeId, u32)]| {
+            let mut pairs: Vec<(NodeId, u32)> = (0..20).map(|k| (10 * k + 1, 50)).collect();
+            pairs.extend_from_slice(extra);
+            pairs.sort_unstable();
+            pairs
+        };
+        let a = label(&[(100, 3), (5_000, 2)]);
+        let b = label(&[(100, 4), (5_000, 5), (6_000, 0)]);
+        assert_eq!(join_with_witness(&a, &b), Some((7, 100)));
+        assert_eq!(join_with_witness(&b, &a), Some((7, 100)));
+        let a = label(&[(200, 4), (300, 5)]);
+        let b = label(&[(200, 5), (300, 4), (400, 1)]);
+        assert_eq!(join_with_witness(&a, &b), Some((9, 200)));
+        assert_eq!(join_with_witness(&b, &a), Some((9, 200)));
+        // Lane-maximal distances on every common hub still sum finitely.
+        let max = u32::MAX;
+        let a: Vec<(NodeId, u32)> = (0..16).map(|k| (k, max)).collect();
+        let b: Vec<(NodeId, u32)> = (0..16).map(|k| (k, max)).collect();
+        assert_eq!(join_with_witness(&a, &b), Some(((1 << 33) - 2, 0)));
+    }
+
+    #[test]
+    fn the_scratch_is_clean_between_joins_across_arenas() {
+        use crate::FlatLabeling;
+        // Arena `full`, 2 vertices: both labels hold hubs 0..32, so their
+        // join writes slots 0..32. Arena `split`, 3 vertices (one label
+        // empty): evens 0..64 against odds 1..65, disjoint, so a slot left
+        // written by `full` would make its join finite.
+        let hubs: Vec<NodeId> = (0..32).collect();
+        let mut full = FlatLabeling::new();
+        full.push_label(&hubs, &[1; 32]);
+        full.push_label(&hubs, &[2; 32]);
+        let evens: Vec<NodeId> = (0..32).map(|k| 2 * k).collect();
+        let odds: Vec<NodeId> = (0..32).map(|k| 2 * k + 1).collect();
+        let mut split = FlatLabeling::new();
+        split.push_label(&evens, &[0; 32]);
+        split.push_label(&odds, &[0; 32]);
+        split.push_label(&[], &[]);
+        for _ in 0..3 {
+            assert_eq!(full.query_with_witness(0, 1), Some((3, 0)));
+            assert_eq!(split.query(0, 1), INFINITY);
+            assert_eq!(full.query(1, 0), 3);
+            assert_eq!(split.query_with_witness(1, 0), None);
+            let mut out = [0; 3];
+            full.query_many(&[(0, 1), (0, 0), (1, 1)], &mut out);
+            assert_eq!(out, [3, 2, 4]);
+            split.query_many(&[(0, 1), (1, 0), (0, 2)], &mut out);
+            assert_eq!(out, [INFINITY; 3]);
+        }
+    }
+
+    #[test]
+    fn hub_ids_past_num_nodes_join_exactly() {
+        use crate::FlatLabeling;
+        // `push_label` takes any sorted hub ids: here far past the
+        // arena's 3 vertices, straddling the scratch bound and at the top
+        // of the id space.
+        let hot_and_tail: Vec<NodeId> = (4_000..4_200).step_by(5).collect();
+        let top: Vec<NodeId> = (0..40).map(|k| u32::MAX - 80 + 2 * k).collect();
+        let mut flat = FlatLabeling::new();
+        let dists = |hubs: &[NodeId], salt: u32| -> Vec<u32> {
+            hubs.iter().map(|&h| (h ^ salt) % 97).collect()
+        };
+        flat.push_label(&hot_and_tail, &dists(&hot_and_tail, 11));
+        let odd_tail: Vec<NodeId> = hot_and_tail.iter().map(|h| h + (h % 2)).collect();
+        flat.push_label(&odd_tail, &dists(&odd_tail, 29));
+        flat.push_label(&top, &dists(&top, 3));
+        let mut all = hot_and_tail.clone();
+        all.extend(&top);
+        flat.push_label(&all, &dists(&all, 7));
+        let n = flat.num_nodes() as NodeId;
+        for u in 0..n {
+            for v in 0..n {
+                let (ah, ad, bh, bd) = (
+                    flat.hubs_of(u),
+                    flat.dists_of(u),
+                    flat.hubs_of(v),
+                    flat.dists_of(v),
+                );
+                let want = naive_witness(ah, ad, bh, bd);
+                assert_eq!(flat.query_with_witness(u, v), want, "({u}, {v})");
+                assert_eq!(flat.query(u, v), merge_join_branchy(ah, ad, bh, bd));
+            }
+        }
+        assert!(flat.query_with_witness(0, 1).is_some());
+        assert_eq!(flat.query_with_witness(0, 2), None);
     }
 }

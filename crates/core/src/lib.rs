@@ -6,11 +6,12 @@
 //! together with the exact distances `d(v, h)` for `h ∈ S_v`, such that for
 //! every pair `u, v` some common hub `w ∈ S_u ∩ S_v` lies on a shortest
 //! `u–v` path. Distance queries are then resolved as
-//! `min_{w ∈ S_u ∩ S_v} d(u, w) + d(w, v)` by merging two sorted lists.
+//! `min_{w ∈ S_u ∩ S_v} d(u, w) + d(w, v)` by joining two sorted lists.
 //!
 //! The crate provides:
 //!
-//! * [`label`] — the merge-join query kernel;
+//! * [`label`] — the join query kernel (a galloping merge, or a
+//!   scatter–gather through a per-thread hub-indexed scratch);
 //! * [`flat`] — [`FlatLabeling`], the single-arena CSR layout every
 //!   construction returns and every store, daemon and analysis reads;
 //! * [`compact`] — [`CompactLabeling`], the byte-tuned lanes of the v2c

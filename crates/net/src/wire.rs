@@ -172,13 +172,6 @@ pub enum WireError {
     TrailingBytes(usize),
     /// The handshake magic was wrong — not an HLNP peer.
     BadMagic([u8; 4]),
-    /// The peer speaks a protocol version we do not.
-    Version {
-        /// The version this module speaks.
-        ours: u16,
-        /// The version the peer announced.
-        theirs: u16,
-    },
     /// An opcode this decoder does not know.
     UnknownOpcode(u8),
     /// A structurally valid frame with nonsense content (bad error code,
@@ -201,12 +194,6 @@ impl fmt::Display for WireError {
                 write!(f, "{n} trailing bytes after message body")
             }
             WireError::BadMagic(m) => write!(f, "bad handshake magic {m:?}: not an HLNP peer"),
-            WireError::Version { ours, theirs } => {
-                write!(
-                    f,
-                    "protocol version mismatch: we speak {ours}, peer speaks {theirs}"
-                )
-            }
             WireError::UnknownOpcode(op) => write!(f, "unknown opcode {op:#04x}"),
             WireError::Invalid(msg) => write!(f, "invalid frame: {msg}"),
         }

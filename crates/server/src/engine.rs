@@ -548,4 +548,52 @@ mod tests {
         let eng = QueryEngine::new(hl, 2).unwrap();
         assert_eq!(eng.query(0, n as NodeId).unwrap(), INFINITY);
     }
+
+    /// A near-tree gnm's ranked arena (4,500 vertices, 500 edges past a
+    /// spanning tree): its labels straddle 16 entries, so joins take both
+    /// of the kernel's paths, and its 4,500 hub ids pass 4,096, so some
+    /// scatter joins merge a tail (`hl_core::label`'s two bounds).
+    #[test]
+    fn long_labels_and_tail_hubs_serve_exactly() {
+        let g = generators::connected_gnm(4_500, 500, 11);
+        let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
+        let (short_min, tail_hub) = (16, 4_096);
+        let eng = QueryEngine::new(hl, 3).unwrap();
+        let epoch = eng.pin();
+        let arena = &epoch.labeling;
+        let n = arena.num_nodes() as NodeId;
+        let long = |v: NodeId| arena.hubs_of(v).len() >= short_min;
+        let longs = (0..n).filter(|&v| long(v)).count();
+        assert!(
+            longs > n as usize / 4 && longs < n as usize,
+            "{longs} long labels"
+        );
+        assert!((0..n).any(|v| long(v) && arena.hubs_of(v).iter().any(|&h| h >= tail_hub)));
+        let sources: Vec<NodeId> = vec![0, 79, 1_234, 2_222, 3_240, 4_000, 4_499];
+        let truth: Vec<Vec<Distance>> = sources
+            .iter()
+            .map(|&s| hl_graph::bfs::bfs_distances(&g, s))
+            .collect();
+        let pairs: Vec<(NodeId, NodeId)> = sources
+            .iter()
+            .flat_map(|&s| (0..n).map(move |v| (s, v)))
+            .collect();
+        let want: Vec<Distance> = truth.iter().flatten().copied().collect();
+        let narrow = QueryEngine::new(arena.clone(), 1).unwrap();
+        assert_eq!(narrow.query_batch(&pairs).unwrap(), want, "width 1");
+        assert_eq!(eng.query_batch(&pairs).unwrap(), want, "width 3");
+        for (k, &s) in sources.iter().enumerate() {
+            for v in (0..n).step_by(7) {
+                assert_eq!(eng.query(s, v).unwrap(), truth[k][v as usize], "d({s},{v})");
+            }
+            // The witness is a rank id; its store id lies on a shortest
+            // path between the two sources.
+            for (l, &t) in sources.iter().enumerate() {
+                let (d, hub) = arena.query_with_witness(s, t).unwrap();
+                let hub = epoch.unrank[hub as usize] as usize;
+                assert_eq!(d, truth[k][t as usize], "d({s},{t})");
+                assert_eq!(truth[k][hub] + truth[l][hub], d, "witness of ({s},{t})");
+            }
+        }
+    }
 }

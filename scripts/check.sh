@@ -181,6 +181,10 @@ fi
 echo "== workspace tests =="
 cargo test --workspace -q
 
+echo "== join kernel tests in release (the build daemons serve) =="
+# The scatter path's scratch hygiene and its two bounds, optimized as served.
+cargo test --release --offline -q -p hl-core --lib label
+
 echo "== hlnp-fuzz (seeded, bounded) =="
 # Protocol + store fuzz against a throwaway in-memory labeling: exits 1
 # on any panic, wrong liveness answer, or silently-accepted corruption,
