@@ -8,8 +8,12 @@
 //! of an otherwise-healthy thread. These helpers centralize that policy
 //! so callers never need `lock().unwrap()`.
 //!
-//! [`fan_out`] is how the workspace runs independent per-index work
-//! (one SSSP per source, one pruned wave per root) on several cores.
+//! [`fan_out`] is how the workspace runs independent per-index work on
+//! several cores, and the only fork in its libraries: APSP's rows (one
+//! SSSP per source), `hl_core::cover`'s sources, hl-build's pruned waves,
+//! `ShardRouter::query_many`'s shard waiters, `QueryEngine::query_batch`'s
+//! shares of a split batch, and a v2 store's three section decodes. A
+//! spawn the OS refuses costs it parallelism, never an error or a panic.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -89,6 +89,7 @@ use hl_core::tree::centroid_labeling;
 use hl_core::{freq, CompactLabeling, FlatLabeling, VertexOrder};
 use hl_graph::families::Family;
 use hl_graph::rng::Xorshift64;
+use hl_graph::sync::machine_workers;
 use hl_graph::{Graph, GraphError, NodeId};
 use hl_net::cli::{answer_pairs, exit_code, CliError, Flags};
 use hl_net::{ClientConfig, MuxClient, NetServer, ServerConfig};
@@ -125,12 +126,6 @@ fn main() -> ExitCode {
         }
     };
     exit_code("hubserve", result)
-}
-
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
 }
 
 /// Opens a store of any flavor and decodes it to the flat arena, the way
@@ -369,7 +364,7 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     };
     let store = open_store(store_path)?;
     let n = store.num_nodes() as u64;
-    let mut engine = mount(store, default_workers())?;
+    let mut engine = mount(store, machine_workers())?;
     // A pairs file is answered as one batch; stdin lines go through the
     // cached single-query path as they arrive.
     answer_pairs(
@@ -463,7 +458,7 @@ fn parse_serve_opts(args: &[String]) -> Result<(String, ServeOpts), String> {
     let mut store_path = None;
     let mut opts = ServeOpts {
         addr: "127.0.0.1:4890".to_string(),
-        workers: default_workers(),
+        workers: machine_workers(),
         max_conns: 64,
         read_timeout: Duration::from_secs(30),
         write_timeout: Duration::from_secs(10),

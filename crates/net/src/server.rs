@@ -630,15 +630,9 @@ pub(crate) fn execute(
         Request::Metrics => Ok(Response::Metrics(engine.snapshot())),
         Request::Shutdown => Ok(Response::ShutdownAck),
     };
-    answered.unwrap_or_else(|e| {
-        let code = match e {
-            EngineError::NodeOutOfRange { .. } => ErrorCode::NodeOutOfRange,
-            _ => ErrorCode::Internal,
-        };
-        Response::Error {
-            code,
-            message: e.to_string(),
-        }
+    answered.unwrap_or_else(|e @ EngineError::NodeOutOfRange { .. }| Response::Error {
+        code: ErrorCode::NodeOutOfRange,
+        message: e.to_string(),
     })
 }
 

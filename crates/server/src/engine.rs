@@ -3,7 +3,9 @@
 //!
 //! Labels are decoded from the store once, before construction, into the
 //! [`FlatLabeling`] CSR arena — whatever the store's format — and every
-//! query is that arena's merge-join. The engine renumbers the arena's hub
+//! query is that arena's join: `hl_core::label`'s hybrid kernel, a merge
+//! when the shorter label is short and otherwise a scatter–gather through
+//! the calling thread's hub scratch. The engine renumbers the arena's hub
 //! ids by frequency rank in place as it mounts it ([`freq`]), so the hubs
 //! every label shares form one prefix of every run; it keeps the inverse,
 //! `unrank`, and [`QueryEngine::label_of`] answers in the store's ids.
@@ -17,12 +19,12 @@
 //! The engine owns no threads. Two paths:
 //!
 //! - [`QueryEngine::query_batch`] validates the batch, pins one epoch and
-//!   answers straight into the output slice. A batch large enough to pay
-//!   for it is split over scoped threads — at most the engine's width,
-//!   the calling thread taking the first share — and every other batch
-//!   runs on the calling thread alone. Batches bypass the cache: bulk
-//!   workloads rarely repeat pairs, and the merge join is cheap enough
-//!   that cache traffic would only add contention.
+//!   answers it on the calling thread. A batch large enough to pay for it
+//!   is cut into shares, at most the engine's width, that run through
+//!   [`fan_out`]: the calling thread is one of its workers, and a thread
+//!   the OS refuses leaves its shares to the workers that run. Batches
+//!   bypass the cache: bulk workloads rarely repeat pairs, and the join
+//!   is cheap enough that cache traffic would only add contention.
 //! - [`QueryEngine::query`] answers one pair on the calling thread through
 //!   the sharded LRU cache — the point-lookup path, where skew is common.
 //!   A lookup is one shard lock and a scan of one 8-way set; a miss joins
@@ -37,12 +39,13 @@
 //! two joins.
 
 use std::fmt;
+use std::panic::resume_unwind;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use hl_core::{freq, FlatLabeling};
-use hl_graph::sync::{read_unpoisoned, write_unpoisoned};
+use hl_graph::sync::{fan_out, read_unpoisoned, write_unpoisoned};
 use hl_graph::{Distance, NodeId};
 
 use crate::cache::ShardedLruCache;
@@ -50,9 +53,10 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 
 /// Fewest pairs a batch must give each thread before `query_batch` splits
 /// it. A scoped spawn plus join measures about 15 µs on the benchmark host
-/// and a join 0.4–1.3 µs (`hl-core.join_ns` in `benchmark/`), so a share
-/// this size is at least 100 µs of work against that cost; below it the
-/// split loses to the calling thread alone.
+/// and a join in the batch path 0.44–0.65 µs (traced
+/// `hl-server.engine_batch_ns_per_query` on rmat32k and gnm2k in
+/// `benchmark/`), so a share this size is 110–170 µs of work against that
+/// cost; below it the split loses to the calling thread alone.
 const MIN_PAIRS_PER_THREAD: usize = 256;
 
 /// One single query in this many reads the clock: the first, and then
@@ -66,8 +70,6 @@ pub const SAMPLE_EVERY: u64 = 16;
 pub enum EngineError {
     /// A query named a vertex outside the labeling.
     NodeOutOfRange { node: NodeId, num_nodes: usize },
-    /// The OS refused to start a thread for one share of a split batch.
-    WorkerSpawn(std::io::Error),
 }
 
 impl fmt::Display for EngineError {
@@ -79,19 +81,11 @@ impl fmt::Display for EngineError {
                     "node {node} out of range for labeling with {num_nodes} nodes"
                 )
             }
-            EngineError::WorkerSpawn(e) => write!(f, "failed to spawn worker thread: {e}"),
         }
     }
 }
 
-impl std::error::Error for EngineError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            EngineError::WorkerSpawn(e) => Some(e),
-            EngineError::NodeOutOfRange { .. } => None,
-        }
-    }
-}
+impl std::error::Error for EngineError {}
 
 /// One immutable generation of served data: the arena plus its own LRU
 /// cache. The cache lives *inside* the epoch so a reload can never serve
@@ -274,10 +268,10 @@ impl QueryEngine {
     /// the one every pair answers from, so a reload landing mid-batch
     /// cannot mix two stores in one result.
     ///
-    /// Runs on the calling thread, joined by up to `num_workers() - 1`
-    /// scoped threads when every one of them gets at least
-    /// `MIN_PAIRS_PER_THREAD` pairs; [`EngineError::WorkerSpawn`] if the
-    /// OS refuses one.
+    /// Runs on the calling thread, joined through [`fan_out`] by up to
+    /// `num_workers() - 1` threads when every one of them gets at least
+    /// `MIN_PAIRS_PER_THREAD` pairs; a thread the OS refuses leaves its
+    /// share to the threads that run.
     pub fn query_batch(&self, pairs: &[(NodeId, NodeId)]) -> Result<Vec<Distance>, EngineError> {
         let epoch = self.pin();
         for &(u, v) in pairs {
@@ -285,44 +279,32 @@ impl QueryEngine {
             epoch.check_node(v)?;
         }
         self.metrics.batches.fetch_add(1, Relaxed);
-        let mut out = vec![0 as Distance; pairs.len()];
         let threads = split_width(self.width, pairs.len());
         if threads == 1 {
-            self.answer(&epoch, pairs, &mut out);
-            return Ok(out);
+            return Ok(self.answer(&epoch, pairs));
         }
-        let epoch: &Epoch = &epoch;
-        let share = pairs.len().div_ceil(threads);
-        let mut shares = pairs.chunks(share).zip(out.chunks_mut(share));
-        let first = shares.next();
-        std::thread::scope(|scope| -> std::io::Result<()> {
-            for (pairs, out) in shares {
-                // Not joined by hand: the scope joins every share before
-                // it returns, on the error path too.
-                std::thread::Builder::new()
-                    .spawn_scoped(scope, move || self.answer(epoch, pairs, out))?;
-            }
-            if let Some((pairs, out)) = first {
-                self.answer(epoch, pairs, out);
-            }
-            Ok(())
+        let shares: Vec<_> = pairs.chunks(pairs.len().div_ceil(threads)).collect();
+        let answered = fan_out(&mut vec![(); threads], shares.len(), |(), i| {
+            self.answer(&epoch, shares[i])
         })
-        .map_err(EngineError::WorkerSpawn)?;
-        Ok(out)
+        .unwrap_or_else(|panic| resume_unwind(panic));
+        Ok(answered.concat())
     }
 
-    /// Answers `pairs` into `out` from `epoch` — the one the batch was
-    /// validated against, not the current one — uncached. The share is
-    /// timed as a whole and every pair in it is recorded at the share's
-    /// mean, with one histogram add.
-    fn answer(&self, epoch: &Epoch, pairs: &[(NodeId, NodeId)], out: &mut [Distance]) {
+    /// Answers `pairs` from `epoch` — the one the batch was validated
+    /// against, not the current one — uncached. The share is timed as a
+    /// whole and every pair in it is recorded at the share's mean, with
+    /// one histogram add.
+    fn answer(&self, epoch: &Epoch, pairs: &[(NodeId, NodeId)]) -> Vec<Distance> {
+        let mut out = vec![0 as Distance; pairs.len()];
         let started = Instant::now();
-        epoch.labeling.query_many(pairs, out);
+        epoch.labeling.query_many(pairs, &mut out);
         let count = pairs.len() as u64;
         self.metrics
             .latency
             .record_n(elapsed_ns(started) / count.max(1), count);
         self.metrics.batch_queries.fetch_add(count, Relaxed);
+        out
     }
 }
 
@@ -393,6 +375,18 @@ mod tests {
         ));
         // The failed batch must not have dispatched partial work.
         assert_eq!(eng.snapshot().batch_queries, 0);
+        // Nor a batch the width-3 engine would split: validation precedes
+        // every share.
+        let (_, eng) = engine(3);
+        let mut pairs = vec![(0, 1); 2 * MIN_PAIRS_PER_THREAD];
+        pairs.push((0, n));
+        assert!(split_width(eng.num_workers(), pairs.len()) > 1);
+        assert!(matches!(
+            eng.query_batch(&pairs),
+            Err(EngineError::NodeOutOfRange { node, .. }) if node == n
+        ));
+        let s = eng.snapshot();
+        assert_eq!((s.batches, s.batch_queries), (0, 0));
     }
 
     #[test]

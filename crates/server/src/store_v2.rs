@@ -74,6 +74,7 @@ use std::io::{self, Write};
 use std::path::Path;
 
 use hl_core::{CompactDists, CompactLabeling, FlatLabeling, HubDeltas};
+use hl_graph::sync::{fan_out, machine_workers};
 
 use crate::store::{fnv1a64, format_version, read_array, read_u64, StoreError, MAGIC};
 
@@ -601,36 +602,30 @@ fn validate_frame(bytes: &[u8], expect_lens: &[u64; 3]) -> Result<[Section; 3], 
 fn decode_sections<H: Send, D: Send>(
     bytes: &[u8],
     sections: &[Section; 3],
-    hubs: impl FnOnce(&[u8]) -> (H, u64) + Send,
-    dists: impl FnOnce(&[u8]) -> (D, u64) + Send,
+    hubs: impl Fn(&[u8]) -> (H, u64) + Sync,
+    dists: impl Fn(&[u8]) -> (D, u64) + Sync,
 ) -> Result<(Vec<u64>, H, D), StoreError> {
-    let [offsets_bytes, hubs_bytes, dists_bytes] = sections.map(|sec| &bytes[sec.range()]);
-    // Sections are independent, so on multi-core hosts the two entry
-    // lanes decode on scoped threads while this thread takes offsets —
-    // the load is memory-bandwidth-bound, and per-core bandwidth is
-    // usually well below the socket's.
-    let parallel = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
-    let ((offsets, offsets_sum), (hubs, hubs_sum), (dists, dists_sum)) = if parallel {
-        std::thread::scope(|scope| -> Result<_, StoreError> {
-            let hubs = scope.spawn(|| hubs(hubs_bytes));
-            let dists = scope.spawn(|| dists(dists_bytes));
-            let offsets = decode_section::<u64>(offsets_bytes);
-            // The decoders are pure arithmetic and cannot panic; a
-            // join error still maps to a typed StoreError rather
-            // than propagating as a panic.
-            let joined = |name: &str| StoreError::Corrupt(format!("{name} decode thread died"));
-            Ok((
-                offsets,
-                hubs.join().map_err(|_| joined("hubs"))?,
-                dists.join().map_err(|_| joined("dists"))?,
-            ))
-        })?
-    } else {
-        (
-            decode_section::<u64>(offsets_bytes),
-            hubs(hubs_bytes),
-            dists(dists_bytes),
-        )
+    use Decoded::{Dists, Hubs, Offsets};
+    let lanes = sections.map(|sec| &bytes[sec.range()]);
+    // Sections are independent, so on multi-core hosts they decode on up
+    // to three workers ([`fan_out`]) — the load is memory-bandwidth-bound,
+    // and per-core bandwidth is usually well below the socket's.
+    let mut workers = [(); 3];
+    let decoded = fan_out(&mut workers[..machine_workers().min(3)], 3, |(), i| {
+        let lane = lanes[i];
+        match i {
+            0 => Offsets(decode_section::<u64>(lane)),
+            1 => Hubs(hubs(lane)),
+            _ => Dists(dists(lane)),
+        }
+    })
+    // The decoders are pure arithmetic and cannot panic; a panic still
+    // maps to a typed StoreError rather than propagating.
+    .map_err(|_| StoreError::Corrupt("a section decoder panicked".into()))?;
+    let Ok([Offsets((offsets, offsets_sum)), Hubs((hubs, hubs_sum)), Dists((dists, dists_sum))]) =
+        <[_; 3]>::try_from(decoded)
+    else {
+        return Err(StoreError::Corrupt("sections decoded out of order".into()));
     };
     for (i, actual) in [offsets_sum, hubs_sum, dists_sum].into_iter().enumerate() {
         let declared = read_u64(bytes, TABLE_OFF + i * RECORD_LEN + 16)?;
@@ -642,6 +637,13 @@ fn decode_sections<H: Send, D: Send>(
         }
     }
     Ok((offsets, hubs, dists))
+}
+
+/// One section of [`decode_sections`], decoded, with its checksum.
+enum Decoded<H, D> {
+    Offsets((Vec<u64>, u64)),
+    Hubs((H, u64)),
+    Dists((D, u64)),
 }
 
 /// Combines the four lane states, the byte-FNV tail hash, and the byte

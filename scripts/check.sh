@@ -292,6 +292,12 @@ timeout 120 ./target/release/hubserve query "$SMOKE/rt-v2c.hlbs" "$SMOKE/seeded-
   > "$SMOKE/seeded-v2c.txt"
 [ "$(wc -l < "$SMOKE/seeded-v2.txt")" -eq 2000 ]
 diff -u "$SMOKE/seeded-v2.txt" "$SMOKE/seeded-v2c.txt"
+# The file run above is one batch split across machine_workers() shares
+# (a 1-CPU host runs it unsplit); stdin lines take the cached point path
+# one at a time. Both must answer alike.
+timeout 120 ./target/release/hubserve query "$SMOKE/rt-v2c.hlbs" < "$SMOKE/seeded-pairs.txt" \
+  > "$SMOKE/seeded-point.txt"
+diff -u "$SMOKE/seeded-v2c.txt" "$SMOKE/seeded-point.txt"
 
 echo "== benchmark smoke (the one benchmark, against this checkout's crates) =="
 # The smoke set runs every workload briefly, checks answers against BFS
