@@ -12,9 +12,12 @@
 //! `experiments gadget h:b,l|g:b,l` prints the paper's gadget `H_{b,ℓ}`
 //! (weighted) or its degree-3 expansion `G_{b,ℓ}` as an edge list
 //! (`hl_graph::io`) on stdout, for `hubserve build` and `hubserve verify`
-//! to take; a spec that does not parse or is infeasible exits 2.
+//! to take; a spec that does not parse or is infeasible exits 2. Stdout is
+//! one buffered handle: a reader that closes it early is a clean exit 0,
+//! any other failed write exits 1 (`hl_graph::exit`).
 
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, Write};
+use std::process::ExitCode;
 use std::time::Instant;
 
 use hl_bench::Table;
@@ -24,6 +27,7 @@ use hl_core::random_threshold::{random_threshold_labeling, RandomThresholdParams
 use hl_core::rs_based::{project_labeling, rs_labeling, RsParams};
 use hl_core::tree::centroid_labeling;
 use hl_core::FlatLabeling;
+use hl_graph::exit::{exit_code, CliError};
 use hl_graph::families::Family;
 use hl_graph::transform::reduce_degree;
 use hl_graph::{generators, Graph, NodeId};
@@ -36,9 +40,12 @@ use hl_sumindex::protocol::GraphProtocol;
 use hl_sumindex::repr::Repr;
 use hl_sumindex::SumIndexInstance;
 
+/// One experiment: writes its tables to the stdout handle it is given.
+type Experiment = fn(&mut dyn Write) -> io::Result<()>;
+
 /// Every subcommand: its name, its function, and whether `all` runs it.
 /// Dispatch, `all` and the usage line all read this one list.
-const EXPERIMENTS: [(&str, fn(), bool); 16] = [
+const EXPERIMENTS: [(&str, Experiment, bool); 16] = [
     ("f1", f1, true),
     ("l22", l22, true),
     ("t21", t21, true),
@@ -57,13 +64,19 @@ const EXPERIMENTS: [(&str, fn(), bool); 16] = [
     ("big", big, false),
 ];
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().is_some_and(|a| a == "gadget") {
-        return print_gadget(&args[1..]);
-    }
-    let arg = args.first().cloned().unwrap_or_else(|| "all".to_string());
-    let chosen: Vec<fn()> = EXPERIMENTS
+    let out = &mut BufWriter::new(io::stdout().lock());
+    let result = match args.first().map(String::as_str) {
+        Some("gadget") => print_gadget(&args[1..], out),
+        arg => run(arg.unwrap_or("all"), out),
+    };
+    exit_code("experiments", out, result)
+}
+
+/// Runs the experiment `arg` names, or every one `all` runs.
+fn run(arg: &str, out: &mut impl Write) -> Result<(), CliError> {
+    let chosen: Vec<Experiment> = EXPERIMENTS
         .iter()
         .filter(|&&(name, _, in_all)| arg == name || (arg == "all" && in_all))
         .map(|e| e.1)
@@ -73,20 +86,31 @@ fn main() {
             let of_kind = EXPERIMENTS.iter().filter(|e| e.2 == in_all);
             of_kind.map(|e| e.0).collect::<Vec<_>>().join("|")
         };
-        eprintln!("unknown experiment '{arg}'");
-        eprintln!(
-            "usage: experiments [{}|all|{}]  ({} is excluded from all)",
+        return CliError::usage(format!(
+            "unknown experiment '{arg}'\n\
+             usage: experiments [{}|all|{}]  ({} is excluded from all)\n       \
+             experiments gadget h:b,l|g:b,l",
             names(true),
             names(false),
             names(false)
-        );
-        eprintln!("       experiments gadget h:b,l|g:b,l");
-        std::process::exit(2);
+        ));
     }
-    for run in chosen {
-        run();
+    for experiment in chosen {
+        experiment(out)?;
+        // Each table shows as it completes; `big` takes minutes.
+        out.flush()?;
+    }
+    Ok(())
+}
+
+/// The `== title ==` line, after a blank one, that opens every table here.
+trait Heading: Write {
+    fn heading(&mut self, title: &str) -> io::Result<()> {
+        writeln!(self, "\n== {title} ==")
     }
 }
+
+impl<W: Write + ?Sized> Heading for W {}
 
 /// A sweep family at a size every experiment here builds.
 fn family_graph(family: Family, n: usize, seed: u64) -> Graph {
@@ -97,15 +121,11 @@ fn family_graph(family: Family, n: usize, seed: u64) -> Graph {
 
 /// `gadget h:b,l|g:b,l`: the paper's `H_{b,ℓ}` or `G_{b,ℓ}` as an edge
 /// list on stdout.
-fn print_gadget(args: &[String]) {
+fn print_gadget(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let Some(g) = gadget_graph(args) else {
-        eprintln!("usage: experiments gadget h:b,l|g:b,l (b, l a feasible gadget)");
-        std::process::exit(2);
+        return CliError::usage("usage: experiments gadget h:b,l|g:b,l (b, l a feasible gadget)");
     };
-    let mut out = BufWriter::new(std::io::stdout().lock());
-    hl_graph::io::write_edge_list(&g, &mut out)
-        .and_then(|()| out.flush())
-        .expect("write the edge list to stdout");
+    Ok(hl_graph::io::write_edge_list(&g, out)?)
 }
 
 /// The gadget the one argument names: `h:b,l` is `H_{b,ℓ}`, `g:b,l` is
@@ -123,8 +143,8 @@ fn gadget_graph(args: &[String]) -> Option<Graph> {
 }
 
 /// F1 — reproduce Figure 1: the blue unique shortest path in `H_{2,2}`.
-fn f1() {
-    println!("\n== F1: Figure 1 (H_{{b=2,l=2}}, blue vs red path) ==");
+fn f1(out: &mut dyn Write) -> io::Result<()> {
+    out.heading("F1: Figure 1 (H_{b=2,l=2}, blue vs red path)")?;
     let h = HGraph::build(GadgetParams::new(2, 2).expect("valid params"));
     let (blue, red) = figure1_check(&h);
     let mut t = Table::new(vec![
@@ -148,13 +168,13 @@ fn f1() {
         "-".to_string(),
         "-".to_string(),
     ]);
-    print!("{t}");
-    println!("claims hold: {}", blue.holds() && red > blue.distance);
+    write!(out, "{t}")?;
+    writeln!(out, "claims hold: {}", blue.holds() && red > blue.distance)
 }
 
 /// L2.2 — Lemma 2.2 exhaustively on a sweep of gadget sizes.
-fn l22() {
-    println!("\n== L2.2: unique shortest paths through midpoints ==");
+fn l22(out: &mut dyn Write) -> io::Result<()> {
+    out.heading("L2.2: unique shortest paths through midpoints")?;
     let mut t = Table::new(vec!["gadget", "n(H)", "even pairs", "failures"]);
     for (b, ell) in [(1u32, 1u32), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)] {
         let p = GadgetParams::new(b, ell).expect("valid params");
@@ -168,14 +188,14 @@ fn l22() {
             failures.to_string(),
         ]);
     }
-    print!("{t}");
+    write!(out, "{t}")
 }
 
 /// T2.1 / T1.1 — the lower-bound family: construction invariants, the
 /// counting audit, and measured hub sizes vs the closed-form bound, with
 /// easy families as contrast.
-fn t21() {
-    println!("\n== T2.1: gadget invariants + counting audit (H family) ==");
+fn t21(out: &mut dyn Write) -> io::Result<()> {
+    out.heading("T2.1: gadget invariants + counting audit (H family)")?;
     let mut t = Table::new(vec![
         "gadget",
         "n(H)",
@@ -201,9 +221,9 @@ fn t21() {
             exact.to_string(),
         ]);
     }
-    print!("{t}");
+    write!(out, "{t}")?;
 
-    println!("\n== T2.1(G): degree-3 expansion invariants ==");
+    out.heading("T2.1(G): degree-3 expansion invariants")?;
     let mut t = Table::new(vec![
         "gadget",
         "n(G)",
@@ -226,9 +246,9 @@ fn t21() {
             exact.to_string(),
         ]);
     }
-    print!("{t}");
+    write!(out, "{t}")?;
 
-    println!("\n== T1.1: hub-size growth, gadget vs easy families (PLL avg |S|) ==");
+    out.heading("T1.1: hub-size growth, gadget vs easy families (PLL avg |S|)")?;
     let mut t = Table::new(vec!["graph", "n", "avg |S|", "avg |S| / n"]);
     for (b, ell) in [(2u32, 2u32), (3, 2), (2, 3)] {
         let p = GadgetParams::new(b, ell).expect("valid params");
@@ -254,13 +274,13 @@ fn t21() {
             ]);
         }
     }
-    print!("{t}");
+    write!(out, "{t}")
 }
 
 /// T4.1 — the RS-based construction: size breakdown over `D`, against
 /// PLL and random-threshold baselines.
-fn t41() {
-    println!("\n== T4.1: RS-based construction, size breakdown over D ==");
+fn t41(out: &mut dyn Write) -> io::Result<()> {
+    out.heading("T4.1: RS-based construction, size breakdown over D")?;
     let mut t = Table::new(vec![
         "graph",
         "n",
@@ -297,9 +317,9 @@ fn t41() {
             ]);
         }
     }
-    print!("{t}");
+    write!(out, "{t}")?;
 
-    println!("\n== T4.1(baselines): average hub size by construction ==");
+    out.heading("T4.1(baselines): average hub size by construction")?;
     let mut t = Table::new(vec!["graph", "n", "PLL", "rand-thresh", "RS-based(D*)"]);
     for family in [
         Family::Path,
@@ -321,12 +341,12 @@ fn t41() {
             format!("{:.2}", rs.average_hubs()),
         ]);
     }
-    print!("{t}");
+    write!(out, "{t}")
 }
 
 /// T1.4 — constant *average* degree via degree reduction.
-fn t14() {
-    println!("\n== T1.4: degree reduction pipeline on skewed-degree graphs ==");
+fn t14(out: &mut dyn Write) -> io::Result<()> {
+    out.heading("T1.4: degree reduction pipeline on skewed-degree graphs")?;
     let mut t = Table::new(vec![
         "n",
         "hub deg",
@@ -357,12 +377,12 @@ fn t14() {
             exact.to_string(),
         ]);
     }
-    print!("{t}");
+    write!(out, "{t}")
 }
 
 /// T1.6 — the Sum-Index protocol: correctness sweep + message-size table.
-fn t16() {
-    println!("\n== T1.6: Sum-Index via distance labels of H'(b,l) ==");
+fn t16(out: &mut dyn Write) -> io::Result<()> {
+    out.heading("T1.6: Sum-Index via distance labels of H'(b,l)")?;
     let mut t = Table::new(vec![
         "gadget",
         "m",
@@ -397,9 +417,9 @@ fn t16() {
             format!("{:.1}", costs.sqrt_m),
         ]);
     }
-    print!("{t}");
+    write!(out, "{t}")?;
 
-    println!("\n== T1.6(G'): on the true max-degree-3 graph ==");
+    out.heading("T1.6(G'): on the true max-degree-3 graph")?;
     let mut t = Table::new(vec![
         "gadget",
         "m",
@@ -431,12 +451,12 @@ fn t16() {
             stats.max_bits.to_string(),
         ]);
     }
-    print!("{t}");
+    write!(out, "{t}")
 }
 
 /// RS — Behrend/greedy densities and RS-graph witnesses.
-fn rs_tables() {
-    println!("\n== RS: progression-free set densities ==");
+fn rs_tables(out: &mut dyn Write) -> io::Result<()> {
+    out.heading("RS: progression-free set densities")?;
     let mut t = Table::new(vec!["n", "greedy |B|", "behrend |B|", "n/|B|"]);
     for n in [100u64, 1_000, 10_000, 100_000] {
         let d = hl_rs::behrend::density(n);
@@ -447,9 +467,9 @@ fn rs_tables() {
             format!("{:.1}", d.gap_factor),
         ]);
     }
-    print!("{t}");
+    write!(out, "{t}")?;
 
-    println!("\n== RS: Ruzsa-Szemeredi graph witnesses (RS(n) <= n^2/m) ==");
+    out.heading("RS: Ruzsa-Szemeredi graph witnesses (RS(n) <= n^2/m)")?;
     let mut t = Table::new(vec!["n", "edges", "matchings", "RS upper", "2^sqrt(log n)"]);
     for target in [100usize, 500, 2_000, 10_000] {
         let w = hl_rs::rs_function::witness(target);
@@ -461,12 +481,12 @@ fn rs_tables() {
             format!("{:.1}", w.rs_heuristic),
         ]);
     }
-    print!("{t}");
+    write!(out, "{t}")
 }
 
 /// Q — the label-size / query-time tradeoff across constructions.
-fn query_tradeoff() {
-    println!("\n== Q: label size vs query latency (10k queries each; ns/query on stderr) ==");
+fn query_tradeoff(out: &mut dyn Write) -> io::Result<()> {
+    out.heading("Q: label size vs query latency (10k queries each; ns/query on stderr)")?;
     let mut t = Table::new(vec!["graph", "scheme", "avg hubs", "avg bits"]);
     for family in [Family::RandomTree, Family::Grid, Family::Degree3Expander] {
         let g = family_graph(family, 150, 33);
@@ -501,7 +521,12 @@ fn query_tradeoff() {
             }
             let elapsed = start.elapsed().as_nanos() as f64 / queries.len() as f64;
             std::hint::black_box(sink);
-            eprintln!("Q {} {name}: {elapsed:.0} ns/query", family.name());
+            writeln!(
+                io::stderr(),
+                "Q {} {name}: {elapsed:.0} ns/query",
+                family.name()
+            )
+            .ok();
             t.row(vec![
                 family.name().to_string(),
                 name.to_string(),
@@ -510,18 +535,18 @@ fn query_tradeoff() {
             ]);
         }
     }
-    print!("{t}");
+    write!(out, "{t}")
 }
 
 /// Ablations: PLL order choice, canonical HHL vs PLL, post-hoc
 /// minimization, and the protocol's labeling-scheme choice.
-fn ablation() {
+fn ablation(out: &mut dyn Write) -> io::Result<()> {
     use hl_core::hierarchical::canonical_hhl;
     use hl_core::minimize::minimize_labeling;
     use hl_core::order;
     use hl_labeling::full_vector::FullVectorScheme;
 
-    println!("\n== Ablation A: PLL vertex order (total hubs) ==");
+    out.heading("Ablation A: PLL vertex order (total hubs)")?;
     let mut t = Table::new(vec![
         "graph",
         "n",
@@ -551,9 +576,9 @@ fn ablation() {
             clo.num_entries().to_string(),
         ]);
     }
-    print!("{t}");
+    write!(out, "{t}")?;
 
-    println!("\n== Ablation B: canonical HHL vs PLL (same order) + minimization ==");
+    out.heading("Ablation B: canonical HHL vs PLL (same order) + minimization")?;
     let mut t = Table::new(vec!["graph", "n", "canonical HHL", "PLL", "PLL minimized"]);
     for family in [Family::RandomTree, Family::SparseRandom] {
         let g = family_graph(family, 60, 5);
@@ -569,9 +594,9 @@ fn ablation() {
             report.after.to_string(),
         ]);
     }
-    print!("{t}");
+    write!(out, "{t}")?;
 
-    println!("\n== Ablation C: Sum-Index message size by labeling scheme ==");
+    out.heading("Ablation C: Sum-Index message size by labeling scheme")?;
     let mut t = Table::new(vec![
         "gadget",
         "m",
@@ -608,18 +633,16 @@ fn ablation() {
             report(&GraphProtocol::on_h_prime(params, &instance, scheme).expect("protocol"));
         }
     }
-    print!("{t}");
+    write!(out, "{t}")
 }
 
 /// Oracles — the space/time tradeoff of §1: latency and space of five
 /// exact point-to-point methods on one weighted instance.
-fn oracles() {
+fn oracles(out: &mut dyn Write) -> io::Result<()> {
     use hl_oracles::oracle::{BidirectionalOracle, DijkstraOracle, DistanceOracle, HubLabelOracle};
     use hl_oracles::{AltOracle, ContractionHierarchy};
 
-    println!(
-        "\n== Oracles: exact point-to-point methods, 20x20 weighted grid (us/query on stderr) =="
-    );
+    out.heading("Oracles: exact point-to-point methods, 20x20 weighted grid (us/query on stderr)")?;
     let g = generators::weighted_grid(20, 20, 13);
     let n = g.num_nodes() as u64;
     let queries: Vec<(NodeId, NodeId)> = (0..400u64)
@@ -646,7 +669,7 @@ fn oracles() {
             ok &= oracle.distance(u, v) == reference[i];
         }
         let us = start.elapsed().as_micros() as f64 / queries.len() as f64;
-        eprintln!("Oracles {}: {us:.1} us/query", oracle.name());
+        writeln!(io::stderr(), "Oracles {}: {us:.1} us/query", oracle.name()).ok();
         t.row(vec![
             oracle.name().to_string(),
             space.to_string(),
@@ -658,16 +681,19 @@ fn oracles() {
     bench(&alt, alt_space);
     bench(&ch, ch.num_shortcuts() * 12);
     bench(&hub, hub_space);
-    print!("{t}");
-    println!("(space: auxiliary index bytes beyond the graph; 0 = none)");
+    write!(out, "{t}")?;
+    writeln!(
+        out,
+        "(space: auxiliary index bytes beyond the graph; 0 = none)"
+    )
 }
 
 /// Corrected — the §1.1 architecture: approximate hubs + correction
 /// tables, swept over the pruning slack.
-fn corrected() {
+fn corrected(out: &mut dyn Write) -> io::Result<()> {
     use hl_core::corrected::CorrectedLabeling;
 
-    println!("\n== Corrected: approximate hubs + correction tables (slack sweep) ==");
+    out.heading("Corrected: approximate hubs + correction tables (slack sweep)")?;
     let mut t = Table::new(vec!["graph", "n", "slack", "hubs", "corrections", "exact"]);
     for family in [Family::Grid, Family::PowerLaw, Family::SparseRandom] {
         let g = family_graph(family, 150, 31);
@@ -692,70 +718,80 @@ fn corrected() {
             ]);
         }
     }
-    print!("{t}");
+    write!(out, "{t}")
 }
 
 /// Big — large-instance stress runs with sampled verification (not part of
 /// `all`; takes a minute or two).
-fn big() {
+fn big(out: &mut dyn Write) -> io::Result<()> {
     use hl_lowerbound::sampling::{audit_sampled, check_sampled_pairs};
 
-    println!("\n== BIG: H(3,3) — sampled Lemma 2.2 + sampled audit ==");
+    out.heading("BIG: H(3,3) — sampled Lemma 2.2 + sampled audit")?;
     let p = GadgetParams::new(3, 3).expect("valid params");
     let h = HGraph::build(p);
-    println!(
+    writeln!(
+        out,
         "H(3,3): {} vertices, {} edges",
         h.graph().num_nodes(),
         h.graph().num_edges()
-    );
+    )?;
     let t0 = Instant::now();
     let failures = check_sampled_pairs(&h, 128, 1);
-    println!(
+    writeln!(
+        out,
         "Lemma 2.2 on 128 sampled pairs: {} failures",
         failures.len()
-    );
-    eprintln!("BIG Lemma 2.2 sample: {:.2?}", t0.elapsed());
+    )?;
+    writeln!(io::stderr(), "BIG Lemma 2.2 sample: {:.2?}", t0.elapsed()).ok();
     let t0 = Instant::now();
     let hl = PrunedLandmarkLabeling::by_degree(h.graph()).into_labeling();
-    eprintln!("BIG H(3,3) PLL built in {:.2?}", t0.elapsed());
-    println!(
+    writeln!(io::stderr(), "BIG H(3,3) PLL built in {:.2?}", t0.elapsed()).ok();
+    writeln!(
+        out,
         "PLL: avg |S| = {:.2} (bound {:.3})",
         hl.average_hubs(),
         p.h_avg_hub_lower_bound()
-    );
+    )?;
     let report = audit_sampled(&h, &hl, 96, 2);
-    println!(
+    writeln!(
+        out,
         "sampled audit: {}/{} triples charged",
         report.charged, report.triples
-    );
+    )?;
 
-    println!("\n== BIG: G'(3,2) protocol on ~800k max-degree-3 vertices ==");
+    out.heading("BIG: G'(3,2) protocol on ~800k max-degree-3 vertices")?;
     let params = GadgetParams::new(3, 2).expect("valid params");
     let m = Repr::new(params).modulus() as usize;
     let instance = SumIndexInstance::random(m, 77);
     let t0 = Instant::now();
     let protocol = GraphProtocol::on_g_prime(params, &instance).expect("protocol");
-    eprintln!("BIG G'(3,2) setup built in {:.2?}", t0.elapsed());
-    println!(
+    writeln!(
+        io::stderr(),
+        "BIG G'(3,2) setup built in {:.2?}",
+        t0.elapsed()
+    )
+    .ok();
+    writeln!(
+        out,
         "setup: n(G') = {}, max degree = {}",
         protocol.graph_nodes(),
         protocol.max_degree()
-    );
+    )?;
     let mut correct = true;
     for a in 0..m as u64 {
         for b in 0..m as u64 {
             correct &= protocol.run(a, b) == instance.answer(a as usize, b as usize);
         }
     }
-    println!("all {} input pairs correct: {}", m * m, correct);
+    writeln!(out, "all {} input pairs correct: {}", m * m, correct)
 }
 
 /// Highway — empirical highway dimension across families (the ADF+16
 /// explanation §1.1 gives for hub labeling's practical success).
-fn highway() {
+fn highway(out: &mut dyn Write) -> io::Result<()> {
     use hl_oracles::highway::{empirical_highway_dimension, estimate};
 
-    println!("\n== Highway: empirical highway dimension (greedy estimate) ==");
+    out.heading("Highway: empirical highway dimension (greedy estimate)")?;
     let mut t = Table::new(vec![
         "graph",
         "n",
@@ -782,16 +818,16 @@ fn highway() {
             per_scale.join(" "),
         ]);
     }
-    print!("{t}");
+    write!(out, "{t}")
 }
 
 /// Growth — label-size scaling shapes per family (the §1.1 landscape:
 /// log n on trees, ~sqrt(n) on grids/planar-like, near-linear on the
 /// gadget), with fitted growth exponents.
-fn growth() {
+fn growth(out: &mut dyn Write) -> io::Result<()> {
     use hl_core::separator_labeling::separator_labeling;
 
-    println!("\n== Growth: avg hub size vs n (PLL betweenness; separator for grids) ==");
+    out.heading("Growth: avg hub size vs n (PLL betweenness; separator for grids)")?;
     let mut t = Table::new(vec![
         "family", "n1", "avg1", "n2", "avg2", "n4", "avg4", "exponent",
     ]);
@@ -853,16 +889,16 @@ fn growth() {
         gadget_points.push((h.graph().num_nodes(), hl.average_hubs()));
     }
     row("gadget H(b,l)", gadget_points);
-    print!("{t}");
-    println!("(exponent: log-log slope between first and last point; 0 ~ polylog, 0.5 ~ sqrt, 1 ~ linear)");
+    write!(out, "{t}")?;
+    writeln!(out, "(exponent: log-log slope between first and last point; 0 ~ polylog, 0.5 ~ sqrt, 1 ~ linear)")
 }
 
 /// Encoding — bits per label across encodings (the "careful encoding"
 /// step §1.1 says the sublinear labelings rely on).
-fn encoding() {
+fn encoding(out: &mut dyn Write) -> io::Result<()> {
     use hl_labeling::packed::{encode_labeling_compact, CompactParams};
 
-    println!("\n== Encoding: avg bits/label, gamma vs best-of-4 compact ==");
+    out.heading("Encoding: avg bits/label, gamma vs best-of-4 compact")?;
     let mut t = Table::new(vec![
         "graph",
         "construction",
@@ -903,16 +939,18 @@ fn encoding() {
             ]);
         }
     }
-    print!("{t}");
+    write!(out, "{t}")
 }
 
 /// Tradeoff — the §1 space/time curve: portal oracles interpolating
 /// between Dijkstra and the full table, with the hub-label point shown
 /// beating the curve.
-fn tradeoff() {
+fn tradeoff(out: &mut dyn Write) -> io::Result<()> {
     use hl_oracles::portal::PortalOracle;
 
-    println!("\n== Tradeoff: portal-oracle S/T curve vs hub labels (20x20 weighted grid; us/query on stderr) ==");
+    out.heading(
+        "Tradeoff: portal-oracle S/T curve vs hub labels (20x20 weighted grid; us/query on stderr)",
+    )?;
     let g = generators::weighted_grid(20, 20, 13);
     let n = g.num_nodes();
     let queries: Vec<(NodeId, NodeId)> = (0..300u64)
@@ -932,7 +970,7 @@ fn tradeoff() {
             settled += oracle.query_with_stats(u, v).1.settled;
         }
         let us = start.elapsed().as_micros() as f64 / queries.len() as f64;
-        eprintln!("Tradeoff portal k={k}: {us:.1} us/query");
+        writeln!(io::stderr(), "Tradeoff portal k={k}: {us:.1} us/query").ok();
         t.row(vec![
             format!("portal k={k}"),
             oracle.memory_bytes().to_string(),
@@ -949,13 +987,16 @@ fn tradeoff() {
     }
     std::hint::black_box(acc);
     let us = start.elapsed().as_micros() as f64 / queries.len() as f64;
-    eprintln!("Tradeoff hub labels: {us:.1} us/query");
+    writeln!(io::stderr(), "Tradeoff hub labels: {us:.1} us/query").ok();
     t.row(vec![
         "hub labels".to_string(),
         (hl.num_entries() * FlatLabeling::ENTRY_BYTES).to_string(),
         "0".to_string(),
     ]);
-    print!("{t}");
-    println!("(the hub-label row sits far below the portal curve: less space than the");
-    println!(" k=400 table at orders-of-magnitude lower query time — the paper's point)");
+    write!(out, "{t}")?;
+    writeln!(
+        out,
+        "(the hub-label row sits far below the portal curve: less space than the\n \
+         k=400 table at orders-of-magnitude lower query time — the paper's point)"
+    )
 }

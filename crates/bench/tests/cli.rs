@@ -69,3 +69,32 @@ fn experiments_usage_names_every_documented_subcommand() {
     assert_eq!(accepted.len(), documented.len(), "{usage}");
     assert!(experiments().arg("f1").status().unwrap().success());
 }
+
+/// The exit rule on a stdout that fails (`hl_graph::exit`): a closed
+/// pipe is exit 0 with nothing on stderr, a full device exit 1 with one
+/// `experiments: ` line. Never a panic.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_closed_stdout_exits_0_and_a_full_one_exits_1() {
+    for args in [&["f1"][..], &["gadget", "h:2,4"]] {
+        // The read end closes before the spawn, so the first write fails.
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = experiments().args(args).stdout(writer).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?} wrote to stderr: {stderr}");
+
+        let full = std::fs::OpenOptions::new().write(true).open("/dev/full");
+        let out = experiments()
+            .args(args)
+            .stdout(full.unwrap())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(stderr.starts_with("experiments: "), "{stderr}");
+    }
+}

@@ -19,6 +19,7 @@
 //! * [`transform`] — the degree-reduction gadget from the proof of
 //!   Theorem 1.4 and integer-weight edge subdivision.
 //! * [`properties`] — connectivity, eccentricities, diameter.
+//! * [`exit`] — the command-line tools' one exit rule.
 //!
 //! # Example
 //!
@@ -45,6 +46,7 @@ pub mod bfs;
 pub mod builder;
 pub mod dijkstra;
 pub mod error;
+pub mod exit;
 pub mod families;
 pub mod generators;
 pub mod graph;

@@ -45,11 +45,12 @@
 //! 4. **Wire**: random payloads through every frame decoder.
 //!
 //! Any panic, hang, wrong answer, or silently-accepted corruption is a
-//! defect. Exit codes: 0 clean, 1 defect found, 2 usage or the
-//! `--max-seconds` wall-clock guard fired (a hang somewhere in the
-//! stack).
+//! defect. Exit codes (`hl_graph::exit`): 0 clean, 1 defect found, 2
+//! usage or the `--max-seconds` wall-clock guard fired (a hang somewhere
+//! in the stack). A failed stdout write is no defect: 0 if the reader
+//! closed the pipe, else 1 with the write error.
 
-use std::io::Read;
+use std::io::{BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::process::ExitCode;
@@ -58,6 +59,7 @@ use std::time::{Duration, Instant};
 
 use hl_core::pll::PrunedLandmarkLabeling;
 use hl_core::CompactLabeling;
+use hl_graph::exit::{exit_code, CliError};
 use hl_graph::rng::Xorshift64;
 use hl_graph::{bfs, generators, Distance, NodeId};
 use hl_net::cli::Flags;
@@ -142,61 +144,56 @@ struct Summary {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_opts(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    match run(&opts) {
-        Ok(s) => {
-            println!(
-                "hlnp-fuzz: clean. pure machine: {} network + {} mux iterations \
-                 ({} cut off by a deadline, {} closed by the server); sockets: \
-                 {} network + {} mux fault iterations ({} cut off by the server), \
-                 {} probes / {} exact answers verified, \
-                 {} mux probes / {} out-of-order answers verified; \
-                 {} v1 store mutations ({} parsed anyway, none panicked), \
-                 {} v2 store mutations ({} parsed anyway, none panicked), \
-                 {} wire decodes.",
-                s.pure_iterations[0],
-                s.pure_iterations[1],
-                s.pure_cut_off,
-                s.pure_closed,
-                s.fault_iterations[0],
-                s.fault_iterations[1],
-                s.peer_closed,
-                s.probes,
-                s.probe_queries,
-                s.mux_probes,
-                s.mux_probe_queries,
-                s.store_mutations,
-                s.store_parses_survived,
-                s.store_v2_mutations,
-                s.store_v2_parses_survived,
-                s.wire_decodes,
-            );
-            let kinds: Vec<String> = s
-                .by_kind
-                .iter()
-                .map(|(k, n)| format!("{}={}", k.name(), n))
-                .collect();
-            println!("hlnp-fuzz: kind mix: {}", kinds.join(" "));
-            ExitCode::SUCCESS
-        }
-        Err(Failure::Defect(msg)) => {
-            eprintln!("hlnp-fuzz: DEFECT (seed {}): {msg}", opts.seed);
-            ExitCode::from(1)
-        }
-        Err(Failure::Timeout(msg)) => {
-            eprintln!(
-                "hlnp-fuzz: wall-clock guard ({}s) fired: {msg}",
-                opts.max_seconds
-            );
-            ExitCode::from(2)
-        }
-    }
+    let out = &mut BufWriter::new(std::io::stdout().lock());
+    let result = fuzz(&args, out);
+    exit_code("hlnp-fuzz", out, result)
+}
+
+/// Runs every campaign and writes the summary. A defect is a runtime
+/// failure (exit 1); the wall-clock guard, like a bad argument, exits 2.
+fn fuzz(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
+    let opts = parse_opts(args).map_err(|e| CliError::Usage(format!("{e}\n{USAGE}")))?;
+    let s = run(&opts).map_err(|failure| match failure {
+        Failure::Defect(msg) => CliError::Runtime(format!("DEFECT (seed {}): {msg}", opts.seed)),
+        Failure::Timeout(msg) => CliError::Usage(format!(
+            "wall-clock guard ({}s) fired: {msg}",
+            opts.max_seconds
+        )),
+    })?;
+    writeln!(
+        out,
+        "hlnp-fuzz: clean. pure machine: {} network + {} mux iterations \
+         ({} cut off by a deadline, {} closed by the server); sockets: \
+         {} network + {} mux fault iterations ({} cut off by the server), \
+         {} probes / {} exact answers verified, \
+         {} mux probes / {} out-of-order answers verified; \
+         {} v1 store mutations ({} parsed anyway, none panicked), \
+         {} v2 store mutations ({} parsed anyway, none panicked), \
+         {} wire decodes.",
+        s.pure_iterations[0],
+        s.pure_iterations[1],
+        s.pure_cut_off,
+        s.pure_closed,
+        s.fault_iterations[0],
+        s.fault_iterations[1],
+        s.peer_closed,
+        s.probes,
+        s.probe_queries,
+        s.mux_probes,
+        s.mux_probe_queries,
+        s.store_mutations,
+        s.store_parses_survived,
+        s.store_v2_mutations,
+        s.store_v2_parses_survived,
+        s.wire_decodes,
+    )?;
+    let kinds: Vec<String> = s
+        .by_kind
+        .iter()
+        .map(|(k, n)| format!("{}={}", k.name(), n))
+        .collect();
+    writeln!(out, "hlnp-fuzz: kind mix: {}", kinds.join(" "))?;
+    Ok(())
 }
 
 /// The state every network iteration — pure or socket — draws from.

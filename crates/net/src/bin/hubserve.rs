@@ -69,8 +69,10 @@
 //! How fast any of this is, end to end and per layer, is measured by one
 //! thing only: `benchmark/` (see `benchmark/README.md`).
 //!
-//! Exit codes: 0 success, 1 runtime failure (bad store, i/o), 2 usage —
-//! a subcommand's own argument errors as much as an unknown subcommand.
+//! Exit codes (`hl_graph::exit`): 0 success or a reader that closed
+//! stdout, 1 runtime failure (bad store, i/o, any other failed stdout
+//! write), 2 usage — a subcommand's own argument errors as much as an
+//! unknown subcommand.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -87,25 +89,27 @@ use hl_core::rs_based::{rs_labeling, RsParams};
 use hl_core::separator_labeling::separator_labeling;
 use hl_core::tree::centroid_labeling;
 use hl_core::{freq, CompactLabeling, FlatLabeling, VertexOrder};
+use hl_graph::exit::{exit_code, CliError};
 use hl_graph::families::Family;
 use hl_graph::rng::Xorshift64;
 use hl_graph::sync::machine_workers;
 use hl_graph::{Graph, GraphError, NodeId};
-use hl_net::cli::{answer_pairs, exit_code, CliError, Flags};
+use hl_net::cli::{answer_pairs, Flags};
 use hl_net::{ClientConfig, MuxClient, NetServer, ServerConfig};
 use hl_server::{AnyStore, CompactStore, FlatStore, LabelStore, QueryEngine};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let out = &mut BufWriter::new(std::io::stdout().lock());
     let result = match args.first().map(String::as_str) {
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("build") => cmd_build(&args[1..]),
-        Some("verify") => cmd_verify(&args[1..]),
-        Some("query") => cmd_query(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("convert") => cmd_convert(&args[1..]),
-        Some("reload") => cmd_reload(&args[1..]),
+        Some("gen") => cmd_gen(&args[1..], out),
+        Some("build") => cmd_build(&args[1..], out),
+        Some("verify") => cmd_verify(&args[1..], out),
+        Some("query") => cmd_query(&args[1..], out),
+        Some("stats") => cmd_stats(&args[1..], out),
+        Some("serve") => cmd_serve(&args[1..], out),
+        Some("convert") => cmd_convert(&args[1..], out),
+        Some("reload") => cmd_reload(&args[1..], out),
         _ => {
             let mut usage =
                 "usage: hubserve gen|build|verify|query|stats|serve|convert|reload ...".to_string();
@@ -125,7 +129,7 @@ fn main() -> ExitCode {
             CliError::usage(usage)
         }
     };
-    exit_code("hubserve", result)
+    exit_code("hubserve", out, result)
 }
 
 /// Opens a store of any flavor and decodes it to the flat arena, the way
@@ -203,22 +207,23 @@ fn load_graph(path: &str) -> Result<Graph, String> {
     hl_graph::io::read_edge_list(BufReader::new(file)).map_err(|e| e.to_string())
 }
 
-fn cmd_gen(args: &[String]) -> Result<(), CliError> {
+fn cmd_gen(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let opts = parse_opts(args, false).map_err(CliError::Usage)?;
-    let (Some(family), [out]) = (&opts.gen, opts.positionals.as_slice()) else {
+    let (Some(family), [path]) = (&opts.gen, opts.positionals.as_slice()) else {
         return CliError::usage(GEN_USAGE);
     };
     let g = opts.generate(family)?;
-    let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
+    let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
     let mut file = BufWriter::new(file);
     hl_graph::io::write_edge_list(&g, &mut file)
         .and_then(|()| file.flush())
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
-        "wrote {out} ({} nodes, {} edges)",
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    writeln!(
+        out,
+        "wrote {path} ({} nodes, {} edges)",
         g.num_nodes(),
         g.num_edges()
-    );
+    )?;
     Ok(())
 }
 
@@ -256,7 +261,7 @@ fn construction(algo: &str) -> Result<Option<Construction>, String> {
     Ok(Some(build))
 }
 
-fn cmd_build(args: &[String]) -> Result<(), CliError> {
+fn cmd_build(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let opts = parse_opts(args, true).map_err(CliError::Usage)?;
     let construction = construction(&opts.algo).map_err(CliError::Usage)?;
     if construction.is_some() && (opts.threads.is_some() || opts.order.is_some()) {
@@ -296,39 +301,45 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         Some(_) => opts.algo.clone(),
         None => format!("{order}-order"),
     };
-    println!(
+    writeln!(
+        out,
         "built {built} labels for {} nodes ({} edges) in {build_s:.2}s \
          ({threads} threads, {entries} entries); store {} bytes ({:.1} bits/label)",
         g.num_nodes(),
         g.num_edges(),
         store.file_len(),
         store.label_bits() as f64 / g.num_nodes().max(1) as f64,
-    );
+    )?;
     if opts.verify_sources > 0 {
         let mut rng = Xorshift64::seed_from_u64(opts.seed ^ 0x5107_C4EC);
         let sources: Vec<NodeId> = (0..opts.verify_sources)
             .map(|_| rng.gen_index(g.num_nodes()) as NodeId)
             .collect();
-        verify_store(&g, store_path, &sources)?;
+        verify_store(&g, store_path, &sources, out)?;
     }
     Ok(())
 }
 
 const VERIFY_USAGE: &str = "usage: hubserve verify <graph-file> <store-file>";
 
-fn cmd_verify(args: &[String]) -> Result<(), CliError> {
+fn cmd_verify(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let [graph_path, store_path] = args else {
         return CliError::usage(VERIFY_USAGE);
     };
     let g = load_graph(graph_path)?;
     let sources: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
-    verify_store(&g, store_path, &sources)
+    verify_store(&g, store_path, &sources, out)
 }
 
 /// Checks the *saved* store — reopened the way a daemon mounts it — by
 /// comparing every answer from each of `sources` with ground truth, so
 /// the whole generate -> build -> encode -> decode path is on the hook.
-fn verify_store(g: &Graph, store_path: &str, sources: &[NodeId]) -> Result<(), CliError> {
+fn verify_store(
+    g: &Graph,
+    store_path: &str,
+    sources: &[NodeId],
+    out: &mut impl Write,
+) -> Result<(), CliError> {
     let store = open_store(store_path)?;
     if store.num_nodes() != g.num_nodes() {
         return Err(CliError::Runtime(format!(
@@ -345,18 +356,19 @@ fn verify_store(g: &Graph, store_path: &str, sources: &[NodeId]) -> Result<(), C
             report.num_violations, report.pairs_checked
         )));
     }
-    println!(
+    writeln!(
+        out,
         "verify: OK — {} store answers from {} sources match \
          ground-truth distances exactly",
         report.pairs_checked,
         sources.len()
-    );
+    )?;
     Ok(())
 }
 
 const QUERY_USAGE: &str = "usage: hubserve query <store-file> [pairs-file]";
 
-fn cmd_query(args: &[String]) -> Result<(), CliError> {
+fn cmd_query(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let (store_path, pairs_path) = match args {
         [s] => (s, None),
         [s, p] => (s, Some(p.as_str())),
@@ -368,60 +380,63 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     // A pairs file is answered as one batch; stdin lines go through the
     // cached single-query path as they arrive.
     answer_pairs(
+        out,
         &mut engine,
         pairs_path,
         n,
         |engine, pairs| engine.query_batch(pairs),
         |engine, u, v| engine.query(u, v),
-    )?;
-    Ok(())
+    )
 }
 
 const STATS_USAGE: &str = "usage: hubserve stats <store-file>";
 
-fn cmd_stats(args: &[String]) -> Result<(), CliError> {
+fn cmd_stats(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let [store_path] = args else {
         return CliError::usage(STATS_USAGE);
     };
     let store = open_store(store_path)?;
-    let (served, flavor) = (store.served(), store.flavor());
+    let (served, flavor, version) = (store.served(), store.flavor(), store.version());
     let n = store.num_nodes();
     let sections = store.section_bytes();
-    println!("store {store_path}");
-    println!("  format version     {} (flavor {flavor})", store.version());
-    println!("  nodes              {n}");
+    writeln!(out, "store {store_path}")?;
+    writeln!(out, "  format version     {version} (flavor {flavor})")?;
+    writeln!(out, "  nodes              {n}")?;
     let encoding = match flavor {
         "v1" => "gamma-coded",
         "v2c" => "compact lanes",
         _ => "flat arena",
     };
-    println!(
+    writeln!(
+        out,
         "  file bytes         {} ({:.1} bits/label {encoding})",
         store.file_len(),
         store.label_bits() as f64 / n.max(1) as f64
-    );
+    )?;
     for (name, bytes) in sections {
-        println!("  section {name:<10} {bytes} bytes");
+        writeln!(out, "  section {name:<10} {bytes} bytes")?;
     }
     if flavor == "v2c" {
         // Lane widths are the file's, read off its section table: the
         // mounted arena is flat whatever the flavor.
         let e = served.num_entries().max(1) as u64;
         let [(_, offsets), (_, hubs), (_, dists)] = sections;
-        println!(
+        writeln!(
+            out,
             "  compact lanes      hubs u{}, dists u{} ({:.2} B/entry incl. offsets)",
             hubs * 8 / e,
             dists * 8 / e,
             (offsets + hubs + dists) as f64 / e as f64
-        );
+        )?;
     }
-    println!("  arena entries      {}", served.num_entries());
-    println!(
+    writeln!(out, "  arena entries      {}", served.num_entries())?;
+    writeln!(
+        out,
         "  arena heap bytes   {} ({:.1} avg hubs/vertex, max {})",
         served.heap_bytes(),
         served.average_hubs(),
         served.max_hubs()
-    );
+    )?;
     // The paper's quantity, |S_v| over the served vertices, at
     // nearest-rank deciles.
     let mut sizes: Vec<usize> = (0..n as NodeId).map(|v| served.hubs_of(v).len()).collect();
@@ -430,13 +445,14 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
         0 => 0,
         len => sizes[(tenths * len).div_ceil(10).clamp(1, len) - 1],
     };
-    println!(
+    writeln!(
+        out,
         "  hubs per vertex    p10 {} p50 {} p90 {} max {}",
         decile(1),
         decile(5),
         decile(9),
         decile(10)
-    );
+    )?;
     Ok(())
 }
 
@@ -492,7 +508,7 @@ fn parse_serve_opts(args: &[String]) -> Result<(String, ServeOpts), String> {
     Ok((store_path, opts))
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), CliError> {
+fn cmd_serve(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let (store_path, opts) = parse_serve_opts(args).map_err(CliError::Usage)?;
     let store = open_store(&store_path)?;
     let (flavor, version) = (store.flavor(), store.version());
@@ -508,7 +524,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     };
     let server = NetServer::bind(Arc::clone(&engine), opts.addr.as_str(), config)
         .map_err(|e| format!("cannot bind {}: {e}", opts.addr))?;
-    println!(
+    writeln!(
+        out,
         "serving {} nodes, {} label entries (store {flavor}, {} arena bytes, \
          {} workers, {} max conns)",
         engine.num_nodes(),
@@ -516,16 +533,16 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         engine.heap_bytes(),
         engine.num_workers(),
         opts.max_conns
-    );
+    )?;
     // Scripts parse this line to discover an ephemeral port (--addr :0).
-    println!("listening on {}", server.local_addr());
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
+    writeln!(out, "listening on {}", server.local_addr())?;
+    out.flush()?;
 
     server.serve().map_err(|e| format!("serve failed: {e}"))?;
 
-    println!("--- final metrics ---");
-    println!("{}", engine.snapshot().render_text());
-    println!("shutdown complete");
+    writeln!(out, "--- final metrics ---")?;
+    writeln!(out, "{}", engine.snapshot().render_text())?;
+    writeln!(out, "shutdown complete")?;
     Ok(())
 }
 
@@ -552,7 +569,7 @@ fn encode_as(flat: &hl_core::FlatLabeling, flavor: &str) -> Result<Vec<u8>, Stri
     }
 }
 
-fn cmd_convert(args: &[String]) -> Result<(), CliError> {
+fn cmd_convert(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let mut positionals = Vec::new();
     let mut to = None;
     let mut reorder = None;
@@ -594,20 +611,22 @@ fn cmd_convert(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| format!("cannot decode store {in_path}: {e}"))?;
     if reorder.is_some() {
         freq::reorder_by_hub_frequency(&mut flat);
-        println!(
+        writeln!(
+            out,
             "reordered hub ids by global frequency ({} entries, flat arena {} bytes)",
             flat.num_entries(),
             flat.heap_bytes()
-        );
+        )?;
     }
     let out_bytes = encode_as(&flat, to)?;
     std::fs::write(out_path, &out_bytes).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    println!(
+    writeln!(
+        out,
         "converted {in_path} ({source}, {} bytes) -> {out_path} ({to}, {} bytes, {:.2}x)",
         in_bytes.len(),
         out_bytes.len(),
         out_bytes.len() as f64 / in_bytes.len().max(1) as f64
-    );
+    )?;
 
     if verify_roundtrip {
         // All three encodings are canonical functions of the labeling, so
@@ -626,18 +645,19 @@ fn cmd_convert(args: &[String]) -> Result<(), CliError> {
                 in_bytes.len()
             )));
         }
-        println!(
+        writeln!(
+            out,
             "roundtrip verified: {source} -> {to} -> {source} is byte-identical \
              ({} bytes)",
             in_bytes.len()
-        );
+        )?;
     }
     Ok(())
 }
 
 const RELOAD_USAGE: &str = "usage: hubserve reload <host:port> <server-store-path>";
 
-fn cmd_reload(args: &[String]) -> Result<(), CliError> {
+fn cmd_reload(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let [addr, store_path] = args else {
         return CliError::usage(RELOAD_USAGE);
     };
@@ -647,9 +667,10 @@ fn cmd_reload(args: &[String]) -> Result<(), CliError> {
     let (epoch, num_nodes) = client
         .reload(store_path)
         .map_err(|e| format!("reload failed: {e}"))?;
-    println!(
+    writeln!(
+        out,
         "reloaded {addr} from {store_path}: epoch {epoch}, {num_nodes} nodes \
          (was {before})"
-    );
+    )?;
     Ok(())
 }

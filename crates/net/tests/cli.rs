@@ -385,7 +385,7 @@ fn usage_errors_exit_2() {
 
 /// Input forms `build` and `convert` no longer take are argument errors
 /// like any other: exit 2 with the reason on stderr — the one rule of
-/// `hl_net::cli::CliError`: wrong arguments exit 2 whether they name no
+/// `hl_graph::exit::CliError`: wrong arguments exit 2 whether they name no
 /// subcommand or misuse one; 1 means the arguments were fine and the work
 /// failed.
 #[test]
@@ -635,4 +635,66 @@ fn gen_inputs_exit_0_or_2_never_panic() {
     }
     let _ = std::fs::remove_file(graph);
     let _ = std::fs::remove_file(store);
+}
+
+/// The exit rule on a stdout that fails (`hl_graph::exit`): a reader
+/// that closed the pipe chose to stop, so that is exit 0 with nothing on
+/// stderr; any other write error exits 1 with one `<tool>: ` line. Never
+/// a panic.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_closed_stdout_exits_0_and_a_full_one_exits_1() {
+    let graph = tempfile("dead-out-g.txt");
+    let store = tempfile("dead-out-s.hlbs");
+    let pairs = tempfile("dead-out-p.txt");
+    write_grid_graph(&graph, 6, 6);
+    let (store_s, pairs_s) = (store.to_str().unwrap(), pairs.to_str().unwrap());
+    succeeds(
+        hubserve()
+            .args(["build", graph.to_str().unwrap(), store_s])
+            .output()
+            .unwrap(),
+    );
+    std::fs::write(&pairs, "0 35\n1 2\n").unwrap();
+    // (binary, arguments, whether the pairs come on stdin)
+    let cases: [(&str, &[&str], bool); 4] = [
+        ("hubserve", &["stats", store_s], false),
+        ("hubserve", &["query", store_s, pairs_s], false),
+        ("hubserve", &["query", store_s], true),
+        ("hlnp-fuzz", &["--iters", "1"], false),
+    ];
+    for (tool, args, stdin) in cases {
+        let command = || {
+            let mut cmd = match tool {
+                "hubserve" => hubserve(),
+                _ => Command::new(env!("CARGO_BIN_EXE_hlnp-fuzz")),
+            };
+            if stdin {
+                cmd.stdin(std::fs::File::open(&pairs).unwrap());
+            }
+            cmd.args(args);
+            cmd
+        };
+        // The read end closes before the spawn, so the first write fails.
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = command().stdout(writer).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{tool} {args:?}: {stderr}");
+        assert!(
+            stderr.is_empty(),
+            "{tool} {args:?} wrote to stderr: {stderr}"
+        );
+
+        let full = std::fs::OpenOptions::new().write(true).open("/dev/full");
+        let out = command().stdout(full.unwrap()).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tool} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(stderr.starts_with(&format!("{tool}: ")), "{stderr}");
+    }
+    for path in [graph, store, pairs] {
+        let _ = std::fs::remove_file(path);
+    }
 }

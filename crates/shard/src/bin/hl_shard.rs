@@ -19,29 +19,33 @@
 //! in the router. Output is `u v <distance>` with `inf` for unreachable,
 //! byte-compatible with `hubserve query`.
 //!
-//! Exit codes: 0 success, 1 runtime failure, 2 usage — a subcommand's own
-//! argument errors as much as an unknown subcommand.
+//! Exit codes (`hl_graph::exit`): 0 success or a reader that closed
+//! stdout, 1 runtime failure, 2 usage — a subcommand's own argument
+//! errors as much as an unknown subcommand.
 
+use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
-use hl_net::cli::{answer_pairs, exit_code, CliError, Flags};
+use hl_graph::exit::{exit_code, CliError};
+use hl_net::cli::{answer_pairs, Flags};
 use hl_net::ClientConfig;
 use hl_server::{AnyStore, FlatStore};
 use hl_shard::{partition, ShardRouter};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let out = &mut BufWriter::new(std::io::stdout().lock());
     let result = match args.first().map(String::as_str) {
-        Some("partition") => cmd_partition(&args[1..]),
-        Some("query") => cmd_query(&args[1..]),
+        Some("partition") => cmd_partition(&args[1..], out),
+        Some("query") => cmd_query(&args[1..], out),
         _ => CliError::usage(
             "usage: hl-shard partition|query ...\n  \
              partition <store-file> <out-dir> --shards K\n  \
              query --shard HOST:PORT [--shard HOST:PORT ...] [pairs-file]",
         ),
     };
-    exit_code("hl-shard", result)
+    exit_code("hl-shard", out, result)
 }
 
 struct PartitionOpts {
@@ -75,19 +79,20 @@ fn parse_partition_opts(args: &[String]) -> Result<PartitionOpts, String> {
     })
 }
 
-fn cmd_partition(args: &[String]) -> Result<(), CliError> {
+fn cmd_partition(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let opts = parse_partition_opts(args).map_err(CliError::Usage)?;
     let store = AnyStore::open(&opts.store_path)
         .map_err(|e| format!("cannot open store {}: {e}", opts.store_path))?;
     let version = store.version();
     let flat = store.into_flat().map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "partitioning {} (v{version}, {} nodes, {} entries) into {} shards",
         opts.store_path,
         flat.num_nodes(),
         flat.num_entries(),
         opts.shards
-    );
+    )?;
 
     let out_dir = Path::new(&opts.out_dir);
     std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {}: {e}", opts.out_dir))?;
@@ -104,10 +109,11 @@ fn cmd_partition(args: &[String]) -> Result<(), CliError> {
             .save(&path)
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         let bytes = store.file_len();
-        println!(
+        writeln!(
+            out,
             "  shard {i}: {owned} vertices owned, {entries} entries, {bytes} bytes -> {}",
             path.display()
-        );
+        )?;
     }
     Ok(())
 }
@@ -137,22 +143,24 @@ fn parse_query_opts(args: &[String]) -> Result<QueryOpts, String> {
     Ok(QueryOpts { addrs, pairs_path })
 }
 
-fn cmd_query(args: &[String]) -> Result<(), CliError> {
+fn cmd_query(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let opts = parse_query_opts(args).map_err(CliError::Usage)?;
     let mut router = ShardRouter::connect(&opts.addrs, &ClientConfig::default())
         .map_err(|e| format!("cannot connect fleet: {e}"))?;
     let n = router.num_nodes();
-    eprintln!(
+    writeln!(
+        std::io::stderr(),
         "routing over {} shards covering {n} vertices",
         router.num_shards()
-    );
+    )
+    .ok();
     // A pairs file is one routed batch; stdin is answered line by line.
     answer_pairs(
+        out,
         &mut router,
         opts.pairs_path.as_deref(),
         n,
         ShardRouter::query_many,
         ShardRouter::query,
-    )?;
-    Ok(())
+    )
 }

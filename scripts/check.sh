@@ -236,6 +236,17 @@ awk '/^  nodes /{n=$2} /^  arena entries /{e=$3} /^  arena heap bytes /{h=$4}
     }
   }' "$SMOKE/rt-stats.txt"
 
+echo "== a reader that stops early is a clean exit (hl_graph::exit) =="
+# `head -n 0` reads nothing and exits at once; the sleep lets it go before
+# hubserve starts, so every stdout write fails with EPIPE, and pipefail
+# makes hubserve's exit code the pipeline's. A print macro put back in a
+# bin panics here (101). Behind `| head -n 1` the same panic shows only
+# when head happens to exit between two writes.
+{
+  sleep 0.2
+  exec ./target/release/hubserve stats "$SMOKE/rt-v2.hlbs"
+} | head -n 0
+
 echo "== sharded serving smoke (2 and 3 shards, routed == unsharded) =="
 # Partition a round-trip store, serve each shard from its own daemon, and
 # check the router's answers byte-for-byte against the unsharded query
