@@ -36,7 +36,8 @@
 //! `query` reads whitespace-separated `u v` pairs — from a file when given
 //! (served as one batch), else line-by-line from stdin
 //! through the cached single-query path — and prints `u v <distance>` per
-//! pair, with `inf` for unreachable.
+//! pair, with `inf` for unreachable. On stdin, answers are flushed before
+//! any read that could block, so a live client need not close stdin.
 //!
 //! `stats` validates the store, decodes it into the flat arena every
 //! flavor mounts as (exactly what `serve` mounts), and prints both the

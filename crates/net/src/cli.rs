@@ -78,7 +78,8 @@ pub fn print_answer(out: &mut impl Write, u: NodeId, v: NodeId, d: Distance) -> 
 
 /// Answers `u v` pair lines on `out`: a pairs file is read whole and
 /// handed to `batch` as one call, otherwise stdin is answered line by
-/// line through `single` as lines arrive. Both closures take `oracle`,
+/// line through `single` as lines arrive, and what is answered is flushed
+/// whenever no whole line is left to read. Both closures take `oracle`,
 /// so one may need it mutably without the other holding it.
 pub fn answer_pairs<O, E: Display>(
     out: &mut impl Write,
@@ -102,8 +103,18 @@ pub fn answer_pairs<O, E: Display>(
             }
         }
         None => {
-            for line in io::stdin().lock().lines() {
-                let line = line.map_err(|e| e.to_string())?;
+            let mut stdin = BufReader::new(io::stdin().lock());
+            let mut line = String::new();
+            loop {
+                // The next read may block on the writer: flush first, so a
+                // client waiting on its answers sees them.
+                if !stdin.buffer().contains(&b'\n') {
+                    out.flush()?;
+                }
+                line.clear();
+                if stdin.read_line(&mut line).map_err(|e| e.to_string())? == 0 {
+                    break;
+                }
                 if let Some((u, v)) = parse_pair(&line, n)? {
                     let d = single(oracle, u, v).map_err(|e| e.to_string())?;
                     print_answer(out, u, v, d)?;

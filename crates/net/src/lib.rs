@@ -13,8 +13,9 @@
 //!   errors, never panics.
 //! - [`server`]: [`server::NetServer`], the daemon behind
 //!   `hubserve serve` — one event-driven readiness loop (`poll(2)` via
-//!   [`hl_sys`]) over nonblocking sockets and a bounded worker pool
-//!   completing requests out of order, around a socket-free
+//!   [`hl_sys`]) over nonblocking sockets that answers point requests
+//!   itself, and a bounded worker pool completing batch frames and
+//!   reloads out of order, around a socket-free
 //!   per-connection state machine (`conn.rs`) that owns every protocol
 //!   decision: framing, backpressure, the three deadlines, graceful
 //!   drain; metrics into the engine's existing [`hl_server::Metrics`].

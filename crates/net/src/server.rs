@@ -7,21 +7,21 @@
 //! [`hl_sys`] shim) over the listener, a self-wake pipe, and every live
 //! connection, so 10k idle-ish clients cost file descriptors, not stacks.
 //! Per turn it reads a chunk at a time into each ready connection's
-//! state machine (`conn.rs`), hands the requests the machine lets
-//! out to a worker pool of the engine's width
-//! ([`QueryEngine::num_workers`]) — the daemon's only standing threads
-//! besides the loop — feeds the pool's completions back, writes each
-//! connection's queued bytes once, and drops the connections the machine
-//! calls finished or expired. Work moves per turn, not per request: the
-//! point requests (`Query`, `Label`) one connection's turn lets out go
-//! to one worker as one job, which answers each through `execute` and
-//! sends every framed answer back as one completion; a `QueryBatch`,
-//! `LabelBatch` or `Reload` is a job of its own, so a multi-worker
-//! daemon still spreads heavy frames. Workers wake the loop through the
-//! pipe once per turn, not once per completion: the first completion
-//! after the loop's drain rings, and the rest ride that wake. What a
-//! connection may do — what is read, dispatched, owed an answer,
-//! refused, timed out — is `conn.rs`'s decision alone.
+//! state machine (`conn.rs`), answers the point requests (`Query`,
+//! `Label`) the machine lets out right there, hands each heavier frame
+//! (`QueryBatch`, `LabelBatch`, `Reload`) to a worker pool of the
+//! engine's width ([`QueryEngine::num_workers`]) — the daemon's only
+//! standing threads besides the loop — feeds the pool's completions
+//! back, writes each connection's queued bytes once, and drops the
+//! connections the machine calls finished or expired. A point join costs
+//! less than handing it to a worker and waking the loop back for its
+//! answer (EXPERIMENTS.md has the figures), so point requests never leave
+//! the loop that read them; frames whose cost grows with their payload or
+//! with the store still spread across the workers. Workers wake the
+//! loop through the pipe once per turn, not once per completion: the
+//! first completion after the loop's drain rings, and the rest ride that
+//! wake. What a connection may do — what is read, dispatched, owed an
+//! answer, refused, timed out — is `conn.rs`'s decision alone.
 //!
 //! Design constraints, in order:
 //!
@@ -39,7 +39,7 @@
 //! - **Graceful shutdown.** A `Shutdown` request (or [`StopHandle`])
 //!   flips one atomic flag and writes the wake pipe. The loop stops
 //!   accepting and reading, drops frames it had parsed but not yet
-//!   handed to the pool, answers and flushes every request already in
+//!   handed out, answers and flushes every request already in
 //!   flight (bounded by the write budget), then joins the worker pool
 //!   before [`NetServer::serve`] returns.
 //!
@@ -201,25 +201,20 @@ impl StopHandle {
     }
 }
 
-/// Work handed to the worker pool: the point requests (`Query`,
-/// `Label`) one connection's turn let out, together, or one batch or
-/// reload alone — so heavy frames still spread across workers.
+/// A batch or reload handed to the worker pool.
 struct Job {
     conn: u64,
     version: u16,
-    /// `(request id, request)`, in the order the machine let them out.
-    requests: Vec<(u64, Request)>,
+    id: u64,
+    request: Request,
 }
 
-/// One job's answers on their way back to the event loop.
+/// One job's answer on its way back to the event loop, fully framed
+/// (length prefix included, id prefix for v2).
 struct Completion {
     conn: u64,
-    /// Every answer fully framed (length prefix included, id prefix for
-    /// v2), back to back.
-    frames: Vec<u8>,
-    /// How many answers `frames` holds, and how many are error frames.
-    answers: usize,
-    errors: usize,
+    frame: Vec<u8>,
+    is_error: bool,
 }
 
 /// A bound-but-not-yet-serving HLNP daemon.
@@ -366,7 +361,7 @@ impl NetServer {
             // A connection that died while its job ran is owed nothing.
             while let Ok(done) = done_rx.try_recv() {
                 if let Some((_, c)) = conns.get_mut(&done.conn) {
-                    c.on_completion(engine, &done.frames, done.answers, done.errors);
+                    c.on_completion(engine, &done.frame, 1, usize::from(done.is_error));
                 }
             }
 
@@ -377,38 +372,25 @@ impl NetServer {
                 }
             }
 
-            // Every connection, every turn: hand out what the machine
-            // lets out — its point requests as one job — write what it
+            // Every connection, every turn: answer the point requests the
+            // machine lets out, hand the rest to the pool, write what it
             // has queued once, and drop it when it says it is done or
             // overdue, so a peer the kernel never reports on still cannot
             // overstay.
             conns.retain(|&cid, (stream, c)| {
-                let mut point: Option<Job> = None;
                 while let Some((id, version, request)) = c.next_job(config, engine) {
                     if matches!(request, Request::Query { .. } | Request::Label { .. }) {
-                        let job = point.get_or_insert_with(|| Job {
+                        let (frame, is_error) = answer(inner, version, id, request);
+                        c.on_completion(engine, &frame, 1, usize::from(is_error));
+                    } else {
+                        let job = Job {
                             conn: cid,
                             version,
-                            requests: Vec::new(),
-                        });
-                        job.requests.push((id, request));
-                    } else {
-                        let requests = vec![(id, request)];
-                        hand_out(
-                            job_tx,
-                            c,
-                            engine,
-                            config.max_frame_len,
-                            Job {
-                                conn: cid,
-                                version,
-                                requests,
-                            },
-                        );
+                            id,
+                            request,
+                        };
+                        hand_out(job_tx, c, engine, config.max_frame_len, job);
                     }
-                }
-                if let Some(job) = point {
-                    hand_out(job_tx, c, engine, config.max_frame_len, job);
                 }
                 if c.stop_requested() {
                     inner.trigger_stop();
@@ -551,26 +533,20 @@ fn write_once(stream: &mut TcpStream, c: &mut Conn, now: Instant) -> bool {
     true
 }
 
-/// Sends `job` to the pool. If the pool is gone (teardown), answers
-/// each of its requests typed rather than leaving an id unanswered
-/// forever.
+/// Sends `job` to the pool. If the pool is gone (teardown), answers it
+/// typed rather than leaving an id unanswered forever.
 fn hand_out(job_tx: &Sender<Job>, c: &mut Conn, engine: &QueryEngine, max_len: u32, job: Job) {
     if let Err(mpsc::SendError(job)) = job_tx.send(job) {
         let code = ErrorCode::ShuttingDown;
         let message = "server is draining".to_string();
         let refusal = Response::Error { code, message };
-        let mut frames = Vec::new();
-        for (id, _) in &job.requests {
-            frames.extend_from_slice(&response_frame(job.version, *id, &refusal, max_len).0);
-        }
-        let answers = job.requests.len();
-        c.on_completion(engine, &frames, answers, answers);
+        let (frame, _) = response_frame(job.version, job.id, &refusal, max_len);
+        c.on_completion(engine, &frame, 1, 1);
     }
 }
 
-/// One worker: executes each job's requests in order and posts their
-/// framed answers back to the loop as one completion, ringing it at most
-/// once per turn.
+/// One worker: answers each job and posts the framed answer back to the
+/// loop, ringing it at most once per turn.
 fn worker_loop(inner: &Inner, job_rx: &Mutex<Receiver<Job>>, done_tx: &Sender<Completion>) {
     loop {
         // Holding the lock across `recv` parks exactly one idle worker on
@@ -580,29 +556,24 @@ fn worker_loop(inner: &Inner, job_rx: &Mutex<Receiver<Job>>, done_tx: &Sender<Co
         let Ok(job) = job else {
             return; // channel closed: the server is done
         };
-        let mut completion = Completion {
+        let (frame, is_error) = answer(inner, job.version, job.id, job.request);
+        let completion = Completion {
             conn: job.conn,
-            frames: Vec::new(),
-            answers: job.requests.len(),
-            errors: 0,
+            frame,
+            is_error,
         };
-        for (id, request) in job.requests {
-            let response = execute(&inner.engine, &inner.store_version, request);
-            let max_len = inner.config.max_frame_len;
-            let (framed, is_error) = response_frame(job.version, id, &response, max_len);
-            completion.errors += usize::from(is_error);
-            // A job's first answer (a batch's only one) moves, not copies.
-            if completion.frames.is_empty() {
-                completion.frames = framed;
-            } else {
-                completion.frames.extend_from_slice(&framed);
-            }
-        }
         if done_tx.send(completion).is_err() {
             return; // loop is gone: nothing left to complete into
         }
         inner.ring();
     }
+}
+
+/// Executes `request` and frames its answer for a connection speaking
+/// `version`; the flag says whether that is an error frame.
+fn answer(inner: &Inner, version: u16, id: u64, request: Request) -> (Vec<u8>, bool) {
+    let response = execute(&inner.engine, &inner.store_version, request);
+    response_frame(version, id, &response, inner.config.max_frame_len)
 }
 
 /// Executes one engine-bound request (what [`Conn::next_job`] answers

@@ -698,3 +698,54 @@ fn a_closed_stdout_exits_0_and_a_full_one_exits_1() {
         let _ = std::fs::remove_file(path);
     }
 }
+
+/// `hubserve query` on stdin answers each line while the writer is still
+/// there: a client that sends one pair and waits gets its answer without
+/// closing stdin first.
+#[test]
+fn stdin_query_answers_before_stdin_closes() {
+    use std::io::{BufRead, BufReader};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let graph = tempfile("live-g.txt");
+    let store = tempfile("live-s.hlbs");
+    write_grid_graph(&graph, 6, 6);
+    let store_s = store.to_str().unwrap();
+    succeeds(
+        hubserve()
+            .args(["build", graph.to_str().unwrap(), store_s])
+            .output()
+            .unwrap(),
+    );
+    let mut child = hubserve()
+        .args(["query", store_s])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn hubserve query (stdin)");
+    let mut stdin = child.stdin.take().unwrap();
+    let stdout = BufReader::new(child.stdout.take().unwrap());
+    let (tx, rx) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for line in stdout.lines() {
+            if tx.send(line.unwrap()).is_err() {
+                return;
+            }
+        }
+    });
+    stdin.write_all(b"0 5\n").unwrap();
+    stdin.flush().unwrap();
+    let answer = rx.recv_timeout(Duration::from_secs(5));
+    if answer.is_err() {
+        let _ = child.kill();
+    }
+    // 6x6 grid: 0 and 5 are the two ends of the first row.
+    assert_eq!(answer.as_deref(), Ok("0 5 5"), "no answer while stdin open");
+    drop(stdin);
+    assert!(child.wait().unwrap().success());
+    reader.join().unwrap();
+    for path in [graph, store] {
+        let _ = std::fs::remove_file(path);
+    }
+}

@@ -141,8 +141,8 @@ fn v2_connection_sustains_300_inflight_and_answers_correctly() {
     assert_eq!(answered.len(), INFLIGHT, "some request went unanswered");
 }
 
-/// The daemon hands a turn's point requests to a worker as one job, yet
-/// answers and counts them one by one: 256 `Query` frames in one write,
+/// The daemon answers a turn's point requests on its loop and counts
+/// them one by one: 256 `Query` frames in one write,
 /// some naming a vertex out of range and one undecodable, are each
 /// answered exactly once — BFS-exact, `NodeOutOfRange` or `Malformed` —
 /// and the metrics count queries and error frames per request.

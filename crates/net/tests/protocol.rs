@@ -549,3 +549,77 @@ fn stop_handle_drains_idle_connections() {
     let mut rest = Vec::new();
     let _ = idle.read_to_end(&mut rest); // EOF or reset, either is fine
 }
+
+/// A point request is answered on the loop that read it: with the only
+/// worker stuck in a reload that blocks opening a FIFO, `Query` and
+/// `Label` still get correct answers, on the reload's connection and on
+/// another. Once the FIFO yields garbage, the reload fails typed and the
+/// daemon serves on.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_point_request_never_waits_behind_a_heavy_job() {
+    use hl_net::{ClientConfig, MuxClient, NetError};
+
+    let g = generators::grid(5, 5);
+    let flat = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
+    let engine = Arc::new(QueryEngine::new(flat.clone(), 1).expect("engine"));
+    assert_eq!(engine.num_workers(), 1);
+    let config = ServerConfig {
+        max_frame_len: TEST_MAX_FRAME,
+        allow_remote_shutdown: false,
+        allow_remote_reload: true,
+        ..ServerConfig::default()
+    };
+    let server = NetServer::bind(engine, "127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+    let stop = server.stop_handle();
+    let thread = std::thread::spawn(move || server.serve().expect("serve"));
+
+    let mut fifo = std::env::temp_dir();
+    fifo.push(format!("hlnet-proto-fifo-{}", std::process::id()));
+    let _ = std::fs::remove_file(&fifo);
+    let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+    assert!(made.expect("run mkfifo").success(), "mkfifo failed");
+
+    let client_config = ClientConfig {
+        request_timeout: Duration::from_secs(5),
+        max_retries: 0,
+        ..ClientConfig::default()
+    };
+    let client = MuxClient::connect(addr, client_config.clone()).expect("connect");
+    let reload = Request::Reload {
+        path: fifo.to_str().expect("utf-8 path").to_string(),
+    };
+    let reload_id = client.submit(&reload).expect("submit reload");
+    client.flush().expect("send reload");
+
+    // Collected before asserting: a failure must still unblock the worker.
+    let want_label: Vec<(u32, u64)> = flat.pairs_of(12).collect();
+    let same = (client.query(0, 24), client.label(12));
+    let other = MuxClient::connect(addr, client_config).map(|c| (c.query(3, 21), c.label(12)));
+    {
+        // Blocks until the worker's open has the read end, then unblocks it.
+        let mut w = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&fifo)
+            .expect("open fifo");
+        w.write_all(b"not a store").expect("write fifo");
+    }
+    let _ = std::fs::remove_file(&fifo);
+
+    assert_eq!(same.0.expect("query beside a blocked reload"), 8);
+    assert_eq!(same.1.expect("label beside a blocked reload"), want_label);
+    let (query, label) = other.expect("second connection");
+    assert_eq!(query.expect("query on a second connection"), 6);
+    assert_eq!(label.expect("label on a second connection"), want_label);
+
+    let answer = client.wait(reload_id, Duration::from_secs(5));
+    match answer.expect("reload answer").into_reload_ack() {
+        Err(NetError::Remote { code, .. }) => assert_eq!(code, ErrorCode::Internal),
+        other => panic!("expected an Internal error frame, got {other:?}"),
+    }
+    assert_eq!(client.query(0, 24).expect("query after the reload"), 8);
+
+    stop.stop();
+    thread.join().expect("server thread");
+}

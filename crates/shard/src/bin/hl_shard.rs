@@ -14,7 +14,8 @@
 //!
 //! `query` connects to one daemon per `--shard` flag — order must match
 //! shard ids — and answers `u v` pair lines: from a file as one routed
-//! batch, else line-by-line from stdin. Same-shard pairs are answered by
+//! batch, else line-by-line from stdin (flushed before any read that could
+//! block). Same-shard pairs are answered by
 //! the owning daemon; cross-shard pairs fetch both labels and merge-join
 //! in the router. Output is `u v <distance>` with `inf` for unreachable,
 //! byte-compatible with `hubserve query`.

@@ -247,6 +247,19 @@ echo "== a reader that stops early is a clean exit (hl_graph::exit) =="
   exec ./target/release/hubserve stats "$SMOKE/rt-v2.hlbs"
 } | head -n 0
 
+echo "== a live stdin client gets each answer before it closes stdin =="
+# The coprocess keeps hubserve's stdin open, so the answer has to come
+# from the flush before the next blocking read, not from the one at EOF.
+coproc LIVE { exec ./target/release/hubserve query "$SMOKE/rt-v2.hlbs"; }
+live_pid=$LIVE_PID live_in=${LIVE[1]}
+echo '0 5' >&"$live_in"
+if ! read -r -t 5 answer <&"${LIVE[0]}" || [[ $answer != "0 5 "* ]]; then
+  echo "check: FAIL — hubserve query gave no answer within 5 s while stdin was open" >&2
+  exit 1
+fi
+exec {live_in}>&-
+wait "$live_pid"
+
 echo "== sharded serving smoke (2 and 3 shards, routed == unsharded) =="
 # Partition a round-trip store, serve each shard from its own daemon, and
 # check the router's answers byte-for-byte against the unsharded query
