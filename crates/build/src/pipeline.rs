@@ -3,12 +3,17 @@
 //!
 //! # Protocol
 //!
-//! Roots are processed in batches. Within a batch, every root runs a
-//! pruned wave — [`hl_core::pll`]'s one-root search, slack 0 — on a
-//! worker pool; waves prune **only** against the immutable committed
-//! prefix (labels of all earlier batches), so they never observe each
-//! other and their results do not depend on scheduling. Because a wave cannot see the labels its own
-//! batch is producing, its candidate set is a *superset* of what
+//! The graph is relabeled once so that a vertex's id is its processing
+//! rank ([`RankedGraph`]), and roots are processed in batches, each a
+//! rank range with every rank below it committed. Within a batch, every
+//! root runs a pruned wave — [`hl_core::pll`]'s one-root search, slack 0,
+//! told the batch's first rank — on a worker pool; waves prune **only**
+//! against the immutable committed prefix (labels of all earlier
+//! batches), so they never observe each other and their results do not
+//! depend on scheduling. A committed vertex the wave pops is pruned
+//! without a scan, as the prefix answers its distance exactly (the
+//! module doc of [`hl_core::pll`]). Because a wave cannot see the labels
+//! its own batch is producing, its candidate set is a *superset* of what
 //! sequential PLL would assign from that root.
 //!
 //! The commit step then replays the batch sequentially in canonical root
@@ -38,7 +43,7 @@
 use std::time::Instant;
 
 use hl_core::order::is_permutation;
-use hl_core::pll::{LabelAccumulator, SearchScratch};
+use hl_core::pll::{LabelAccumulator, RankedGraph, SearchScratch};
 use hl_core::{FlatLabeling, VertexOrder};
 use hl_graph::sync::fan_out;
 use hl_graph::{Distance, Graph, NodeId, INFINITY};
@@ -148,7 +153,8 @@ pub fn build_with_order(
     let cap = config.effective_cap();
     let started = Instant::now();
 
-    let mut committed = LabelAccumulator::new(n);
+    let ranked = RankedGraph::new(g, &order);
+    let mut committed = LabelAccumulator::ranked(&order);
     let mut scratches: Vec<SearchScratch> =
         (0..config.threads).map(|_| SearchScratch::new(n)).collect();
     // Commit-phase state, allocated once and reset via touch lists.
@@ -159,14 +165,16 @@ pub fn build_with_order(
     let mut batches = Vec::new();
     let mut batch_size = config.threads.max(2).min(cap);
     let mut next = 0usize;
-    while next < order.len() {
-        let batch = &order[next..order.len().min(next + batch_size)];
-        next += batch.len();
+    while next < n {
+        // A batch is a rank range; every rank below it is committed.
+        let batch = next..n.min(next + batch_size);
+        next = batch.end;
+        let first = batch.start as NodeId;
         let batch_started = Instant::now();
 
         // Wave phase: one pruned wave per root, against the frozen prefix.
         let waves = fan_out(&mut scratches, batch.len(), |scratch, j| {
-            scratch.search(g, &committed, batch[j], 0)
+            scratch.search(&ranked, &committed, first + j as NodeId, first, 0)
         })
         .map_err(|_| BuildError::WorkerPanicked)?;
 
@@ -176,7 +184,8 @@ pub fn build_with_order(
         for (j, cand) in waves.iter().enumerate() {
             // root_to_batch[i] = d(r_j, r_i) for earlier in-batch hubs r_i
             // of r_j — read from r_j's own filtered delta.
-            for &(i, d) in &delta[batch[j] as usize] {
+            let root = batch.start + j;
+            for &(i, d) in &delta[root] {
                 root_to_batch[i as usize] = d;
             }
             for &(v, d) in cand {
@@ -191,13 +200,13 @@ pub fn build_with_order(
                     committed_entries += 1;
                 }
             }
-            for &(i, _) in &delta[batch[j] as usize] {
+            for &(i, _) in &delta[root] {
                 root_to_batch[i as usize] = INFINITY;
             }
         }
         for &v in &delta_touched {
             for &(i, d) in &delta[v as usize] {
-                committed.push(v, batch[i as usize], d);
+                committed.push(v, first + i, d);
             }
             delta[v as usize].clear();
         }
@@ -350,6 +359,33 @@ mod tests {
         let roots: usize = out.stats.batches.iter().map(|b| b.roots).sum();
         assert_eq!(roots, 50);
         assert!(out.stats.wave_pops >= out.labeling.num_entries() as u64);
+    }
+
+    #[test]
+    fn accounting_is_pinned() {
+        // (wave_pops, wave_pruned, label_entries) as a search that scans
+        // every pop counts them: a vertex the committed prefix covers
+        // outright is still one pop and one prune, at every thread count.
+        let rows = [
+            (
+                generators::connected_gnm(300, 450, 7),
+                [(17505, 9522, 7983), (23507, 12423, 7983)],
+            ),
+            (
+                generators::grid_with_shortcuts(10, 12, 20, 3),
+                [(3371, 1403, 1968), (4571, 1830, 1968)],
+            ),
+        ];
+        for (g, pinned) in rows {
+            for (threads, expected) in [1, 2].into_iter().zip(pinned) {
+                let order = hl_core::order::by_degree(&g);
+                let stats = build_with_order(&g, order, BuildConfig::with_threads(threads))
+                    .unwrap()
+                    .stats;
+                let got = (stats.wave_pops, stats.wave_pruned, stats.label_entries());
+                assert_eq!(got, expected, "{threads} threads");
+            }
+        }
     }
 
     #[test]

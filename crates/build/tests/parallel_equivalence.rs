@@ -131,6 +131,13 @@ fn every_driver_equals_canonical_hhl() {
         ("H(3,2)", HGraph::build(gadget(3, 2)).graph().clone()),
         ("G(1,1)", GGraph::build(gadget(1, 1)).graph().clone()),
         ("disconnected", edges(7, &[(0, 1), (1, 2), (3, 4)]).unwrap()),
+        // Theorem 1.4's weight-0 chains: a root covered at distance 0.
+        (
+            "reduce_degree(star(13), 3)",
+            hl_graph::transform::reduce_degree(&generators::star(13), 3)
+                .unwrap()
+                .graph,
+        ),
         ("n = 0", edges(0, &[]).unwrap()),
         ("n = 1", edges(1, &[]).unwrap()),
     ];

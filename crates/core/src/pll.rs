@@ -12,15 +12,50 @@
 //! everything that builds labels by pruning drives it: one sequential
 //! driver (exact PLL at slack 0, [`crate::approx`] above it) and
 //! `hl-build`'s parallel batches.
+//!
+//! # Rank space
+//!
+//! The search never sees a vertex id. Each build relabels the graph once
+//! so that a vertex's id is its processing rank ([`RankedGraph`]), labels
+//! grow as one interleaved `(hub rank, distance)` vec per vertex rank, and
+//! only [`LabelAccumulator::freeze`] maps ranks back to ids. Two things
+//! follow:
+//!
+//! * The pruning test is a branch-free scan. The root's label is expanded
+//!   into an array indexed by rank, holding `u32::MAX` where the root has
+//!   no such hub; an entry's test sums that slot and its own distance in
+//!   `u64`, so a missing hub sums past every bound below `u32::MAX` with
+//!   no branch of its own, and eight sums are folded with `min` before
+//!   each comparison. (A bound of `u32::MAX` or more, which only a graph
+//!   with distances at the top of the arena's lane reaches, takes an exact
+//!   binary-search join instead.)
+//! * A popped vertex ranked before the first uncommitted rank is covered
+//!   without a scan. Once roots `v_1..v_k` are processed, their labels
+//!   answer `d(s, t)` exactly for every pair with a shortest path through
+//!   one of them (Akiba, Iwata and Yoshida, SIGMOD 2013, the lemma behind
+//!   PLL's correctness proof); a path from the root to an earlier-ranked
+//!   `u` passes `u`, so `u` is covered at its popped distance. That holds
+//!   at slack 0 only: [`crate::approx`]'s labels are not exact, so it
+//!   keeps scanning. The shortcut counts as a pop and a prune, as the scan
+//!   it replaces would.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-use hl_graph::{Distance, Graph, NodeId, INFINITY};
+use hl_graph::{Distance, Graph, NodeId, Weight, INFINITY};
 
 use crate::flat::{FlatLabeling, FlatLayoutError};
 use crate::order;
 use crate::order::OrderError;
+
+/// One label entry in rank space: `(hub rank, distance)`, the distance
+/// already narrowed to the arena's `u32` lane.
+type Entry = (NodeId, u32);
+
+/// What the root-side array holds for a hub the root lacks. Summed in
+/// `u64` with any entry's distance it is at least `u32::MAX`, so it
+/// passes no bound below that.
+const NO_HUB: u32 = u32::MAX;
 
 /// A finished PLL labeling, remembering the order it was built with.
 #[derive(Debug, Clone)]
@@ -88,24 +123,85 @@ impl PrunedLandmarkLabeling {
     }
 }
 
-/// The labels assigned so far: one growable hub column and one distance
-/// column per vertex, appended in root order. Nothing reads a column
-/// sorted while it grows (the pruning test scans it whole), so the sort
-/// by hub id happens once, in [`LabelAccumulator::freeze`].
+/// The graph relabeled so that a vertex's id is its processing rank: a
+/// CSR over ranks that keeps the weights, built once per build.
+#[derive(Debug, Clone)]
+pub struct RankedGraph {
+    offsets: Vec<usize>,
+    targets: Vec<NodeId>,
+    weights: Vec<Weight>,
+    unit_weighted: bool,
+}
+
+impl RankedGraph {
+    /// `g` with vertex `order[r]` renamed `r`. `order` must be a
+    /// permutation of `g`'s vertex set (both drivers check it first).
+    pub fn new(g: &Graph, order: &[NodeId]) -> Self {
+        let rank = ranks(order);
+        let mut offsets = Vec::with_capacity(order.len() + 1);
+        let mut targets = Vec::with_capacity(2 * g.num_edges());
+        let mut weights = Vec::with_capacity(2 * g.num_edges());
+        offsets.push(0);
+        for &v in order {
+            for (w, weight) in g.neighbors(v) {
+                targets.push(rank[w as usize]);
+                weights.push(weight);
+            }
+            offsets.push(targets.len());
+        }
+        RankedGraph {
+            offsets,
+            targets,
+            weights,
+            unit_weighted: g.is_unit_weighted(),
+        }
+    }
+
+    fn span(&self, r: NodeId) -> std::ops::Range<usize> {
+        self.offsets[r as usize]..self.offsets[r as usize + 1]
+    }
+}
+
+/// `rank[v]` for each vertex `v` of the permutation `order`.
+fn ranks(order: &[NodeId]) -> Vec<NodeId> {
+    let mut rank = vec![0; order.len()];
+    for (r, &v) in (0..).zip(order) {
+        rank[v as usize] = r;
+    }
+    rank
+}
+
+/// The labels assigned so far, in rank space: one `(hub rank, distance)`
+/// vec per vertex rank, appended in root order, so hub ranks increase
+/// along each label. Nothing reads a label by vertex id while it grows,
+/// so the mapping back to ids and the sort by hub id happen once, in
+/// [`LabelAccumulator::freeze`].
 #[derive(Debug)]
 pub struct LabelAccumulator {
-    hubs: Vec<Vec<NodeId>>,
-    dists: Vec<Vec<Distance>>,
+    labels: Vec<Vec<Entry>>,
+    /// `ids[r]`: the vertex ranked `r`.
+    ids: Vec<NodeId>,
     entries: usize,
+    /// The first pushed distance past the `u32` lane, with the rank of
+    /// the vertex it was pushed to.
+    too_wide: Option<(NodeId, Distance)>,
 }
 
 impl LabelAccumulator {
-    /// No labels yet, over `n` vertices.
+    /// No labels yet, over `n` vertices each ranked by its own id.
     pub fn new(n: usize) -> Self {
+        let ids: Vec<NodeId> = (0..).take(n).collect();
+        Self::ranked(&ids)
+    }
+
+    /// No labels yet, over the vertices of the permutation `order`,
+    /// vertex `order[r]` ranked `r`.
+    pub fn ranked(order: &[NodeId]) -> Self {
         LabelAccumulator {
-            hubs: vec![Vec::new(); n],
-            dists: vec![Vec::new(); n],
+            labels: vec![Vec::new(); order.len()],
+            ids: order.to_vec(),
             entries: 0,
+            too_wide: None,
         }
     }
 
@@ -114,32 +210,52 @@ impl LabelAccumulator {
         self.entries
     }
 
-    /// Appends `(hub, dist)` to vertex `v`'s label.
+    /// Appends `(hub, dist)` to the label of the vertex ranked `v`, `hub`
+    /// a rank above every hub the label holds. `dist` is narrowed to the
+    /// arena's `u32` lane here; a wider one is kept as `u32::MAX`, and the
+    /// first such push is what [`LabelAccumulator::freeze`] reports.
     pub fn push(&mut self, v: NodeId, hub: NodeId, dist: Distance) {
-        self.hubs[v as usize].push(hub);
-        self.dists[v as usize].push(dist);
+        let label = &mut self.labels[v as usize];
+        debug_assert!(label.last().is_none_or(|&(last, _)| last < hub));
+        let lane = u32::try_from(dist).unwrap_or_else(|_| {
+            self.too_wide.get_or_insert((v, dist));
+            u32::MAX
+        });
+        label.push((hub, lane));
         self.entries += 1;
     }
 
-    fn label(&self, v: NodeId) -> impl Iterator<Item = (NodeId, Distance)> + '_ {
-        let (hs, ds) = (&self.hubs[v as usize], &self.dists[v as usize]);
-        hs.iter().copied().zip(ds.iter().copied())
+    fn label(&self, v: NodeId) -> &[Entry] {
+        &self.labels[v as usize]
     }
 
-    /// Sorts each label by hub id into the query-time arena, one vertex
-    /// at a time so the columns are released as the arena fills.
+    /// Maps ranks back to vertex ids and sorts each label by hub id into
+    /// the query-time arena, one vertex at a time so each label is
+    /// released as the arena fills.
     ///
     /// # Errors
     ///
-    /// [`FlatLayoutError::DistanceTooWide`] when a label distance exceeds
-    /// the arena's `u32` lane.
-    pub fn freeze(self) -> Result<FlatLabeling, FlatLayoutError> {
-        let mut flat = FlatLabeling::with_capacity(self.hubs.len(), self.entries);
-        let mut pairs = Vec::new();
-        for (hs, ds) in self.hubs.into_iter().zip(self.dists) {
-            pairs.extend(hs.into_iter().zip(ds));
-            flat.push_pairs(&mut pairs)?;
-            pairs.clear();
+    /// [`FlatLayoutError::DistanceTooWide`] when a pushed distance exceeds
+    /// the arena's `u32` lane. It names the first such push, so the first
+    /// in root order; the arena's own check
+    /// ([`FlatLabeling::from_pair_lists`]) names the lowest vertex id
+    /// holding one, which on a graph with several can be another vertex.
+    pub fn freeze(mut self) -> Result<FlatLabeling, FlatLayoutError> {
+        if let Some((v, distance)) = self.too_wide {
+            return Err(FlatLayoutError::DistanceTooWide {
+                vertex: self.ids[v as usize] as usize,
+                distance,
+            });
+        }
+        let mut flat = FlatLabeling::with_capacity(self.ids.len(), self.entries);
+        for r in ranks(&self.ids) {
+            let mut label = std::mem::take(&mut self.labels[r as usize]);
+            for entry in &mut label {
+                entry.0 = self.ids[entry.0 as usize];
+            }
+            label.sort_unstable();
+            let (hubs, dists): (Vec<NodeId>, Vec<u32>) = label.into_iter().unzip();
+            flat.push_label(&hubs, &dists);
         }
         Ok(flat)
     }
@@ -149,17 +265,14 @@ impl LabelAccumulator {
 /// root needs, paid once per worker instead of once per root.
 #[derive(Debug)]
 pub struct SearchScratch {
-    /// Tentative distance from the current root.
+    /// Tentative distance from the current root, by rank.
     dist: Vec<Distance>,
-    /// Vertices whose `dist` entry must be reset after the search.
+    /// Ranks whose `dist` entry must be reset after the search.
     visited: Vec<NodeId>,
     /// `root_dist[h]` = `d(root, h)` for the hubs `h` the root already
-    /// has, `INFINITY` elsewhere: the root side of the pruning test's
+    /// has, [`NO_HUB`] elsewhere: the root side of the pruning test's
     /// min-plus join, expanded into an array once per root.
-    root_dist: Vec<Distance>,
-    /// Hubs loaded into `root_dist` (for cheap reset).
-    touched: Vec<NodeId>,
-    queue: VecDeque<NodeId>,
+    root_dist: Vec<u32>,
     heap: BinaryHeap<Reverse<(Distance, NodeId)>>,
     pops: u64,
     pruned: u64,
@@ -171,9 +284,7 @@ impl SearchScratch {
         SearchScratch {
             dist: vec![INFINITY; n],
             visited: Vec::new(),
-            root_dist: vec![INFINITY; n],
-            touched: Vec::new(),
-            queue: VecDeque::new(),
+            root_dist: vec![NO_HUB; n],
             heap: BinaryHeap::new(),
             pops: 0,
             pruned: 0,
@@ -186,39 +297,45 @@ impl SearchScratch {
         (self.pops, self.pruned)
     }
 
-    /// One pruned search from `root` — BFS on unit-weight graphs,
-    /// Dijkstra otherwise — against `labels`, which it only reads.
-    /// Returns `(v, d(root, v))` for every vertex `v` that needs `root` as
-    /// a hub, in pop order: a popped `u` at distance `du` is dropped, and
-    /// not expanded, when hubs in `labels` already certify
-    /// `d(root, u) <= du + slack` (`slack = 0` is exact PLL).
+    /// One pruned search from the vertex ranked `root` — BFS on
+    /// unit-weight graphs, Dijkstra otherwise — against `labels`, which it
+    /// only reads and which hold every root ranked below `committed`.
+    /// Returns `(v, d(root, v))` for every rank `v` that needs `root` as a
+    /// hub, in pop order: a popped `u` at distance `du` is dropped, and not
+    /// expanded, when hubs in `labels` already certify
+    /// `d(root, u) <= du + slack` (`slack = 0` is exact PLL). At slack 0 a
+    /// `u` ranked below `committed` is dropped without a look at its label
+    /// (module doc).
     pub fn search(
         &mut self,
-        g: &Graph,
+        g: &RankedGraph,
         labels: &LabelAccumulator,
         root: NodeId,
+        committed: NodeId,
         slack: Distance,
     ) -> Vec<(NodeId, Distance)> {
-        for (h, d) in labels.label(root) {
+        let root_label = labels.label(root);
+        for &(h, d) in root_label {
             self.root_dist[h as usize] = d;
-            self.touched.push(h);
         }
+        let prefix = if slack == 0 { committed } else { 0 };
         let mut kept = Vec::new();
         self.dist[root as usize] = 0;
         self.visited.push(root);
-        if g.is_unit_weighted() {
-            self.queue.push_back(root);
-            while let Some(u) = self.queue.pop_front() {
+        if g.unit_weighted {
+            // `visited` is in discovery order, so it is the BFS queue.
+            let mut head = 0;
+            while let Some(&u) = self.visited.get(head) {
+                head += 1;
                 let du = self.dist[u as usize];
-                if self.covered(labels, u, du.saturating_add(slack)) {
+                if self.covered(root_label, labels, u, prefix, du.saturating_add(slack)) {
                     continue;
                 }
                 kept.push((u, du));
-                for &v in g.neighbor_ids(u) {
+                for &v in &g.targets[g.span(u)] {
                     if self.dist[v as usize] == INFINITY {
                         self.dist[v as usize] = du + 1;
                         self.visited.push(v);
-                        self.queue.push_back(v);
                     }
                 }
             }
@@ -228,11 +345,12 @@ impl SearchScratch {
                 if du > self.dist[u as usize] {
                     continue;
                 }
-                if self.covered(labels, u, du.saturating_add(slack)) {
+                if self.covered(root_label, labels, u, prefix, du.saturating_add(slack)) {
                     continue;
                 }
                 kept.push((u, du));
-                for (v, w) in g.neighbors(u) {
+                let span = g.span(u);
+                for (&v, &w) in g.targets[span.clone()].iter().zip(&g.weights[span]) {
                     let nd = du.saturating_add(w);
                     if nd < self.dist[v as usize] {
                         if self.dist[v as usize] == INFINITY {
@@ -247,30 +365,60 @@ impl SearchScratch {
         for v in self.visited.drain(..) {
             self.dist[v as usize] = INFINITY;
         }
-        for h in self.touched.drain(..) {
-            self.root_dist[h as usize] = INFINITY;
+        for &(h, _) in root_label {
+            self.root_dist[h as usize] = NO_HUB;
         }
         kept
     }
 
-    /// The pruning test: does some hub shared by the (pre-loaded) root
-    /// and `u` certify `d(root, u) <= bound`?
-    fn covered(&mut self, labels: &LabelAccumulator, u: NodeId, bound: Distance) -> bool {
+    /// The pruning test: is `u` ranked below `prefix`, or does some hub
+    /// shared by the (pre-loaded) root and `u` certify
+    /// `d(root, u) <= bound`?
+    fn covered(
+        &mut self,
+        root_label: &[Entry],
+        labels: &LabelAccumulator,
+        u: NodeId,
+        prefix: NodeId,
+        bound: Distance,
+    ) -> bool {
+        let hit = u < prefix
+            || if bound < u64::from(NO_HUB) {
+                covers(&self.root_dist, labels.label(u), bound)
+            } else {
+                covers_wide(root_label, labels.label(u), bound)
+            };
         self.pops += 1;
-        for (h, d) in labels.label(u) {
-            let dr = self.root_dist[h as usize];
-            if dr != INFINITY && dr.saturating_add(d) <= bound {
-                self.pruned += 1;
-                return true;
-            }
-        }
-        false
+        self.pruned += u64::from(hit);
+        hit
     }
+}
+
+/// `min` over `label` of `root_dist[h] + d`, against `bound`: eight sums
+/// folded with `min` before each comparison, so a [`NO_HUB`] slot costs
+/// no branch. Exact for `bound < u32::MAX`.
+fn covers(root_dist: &[u32], label: &[Entry], bound: Distance) -> bool {
+    let sum = |&(h, d): &Entry| u64::from(root_dist[h as usize]) + u64::from(d);
+    let mut chunks = label.chunks_exact(8);
+    chunks
+        .by_ref()
+        .any(|chunk| chunk.iter().map(sum).fold(INFINITY, u64::min) <= bound)
+        || chunks.remainder().iter().map(sum).fold(INFINITY, u64::min) <= bound
+}
+
+/// [`covers`] for a bound a [`NO_HUB`] sum could pass: each of `u`'s hubs
+/// is looked up in the root's label, which holds hub ranks increasing.
+fn covers_wide(root_label: &[Entry], label: &[Entry], bound: Distance) -> bool {
+    label.iter().any(|&(h, d)| {
+        root_label
+            .binary_search_by_key(&h, |&(hub, _)| hub)
+            .is_ok_and(|i| u64::from(root_label[i].1) + u64::from(d) <= bound)
+    })
 }
 
 /// The sequential driver, the whole of [`PrunedLandmarkLabeling::with_order`]
 /// (`slack = 0`) and of [`crate::approx::approx_pll`]: for each root in
-/// order, search, then append what the search kept.
+/// rank order, search, then append what the search kept.
 ///
 /// # Panics
 ///
@@ -281,10 +429,11 @@ pub(crate) fn pruned_labeling(g: &Graph, order: &[NodeId], slack: Distance) -> F
         order::is_permutation(order, g.num_nodes()),
         "PLL order must be a permutation of the vertex set"
     );
-    let mut labels = LabelAccumulator::new(g.num_nodes());
+    let ranked = RankedGraph::new(g, order);
+    let mut labels = LabelAccumulator::ranked(order);
     let mut scratch = SearchScratch::new(g.num_nodes());
-    for &root in order {
-        for (v, d) in scratch.search(g, &labels, root, slack) {
+    for root in (0..).take(g.num_nodes()) {
+        for (v, d) in scratch.search(&ranked, &labels, root, root, slack) {
             labels.push(v, root, d);
         }
     }
@@ -302,10 +451,16 @@ mod tests {
     use crate::cover::verify_exact;
     use hl_graph::generators;
 
+    /// `g` in rank space with every vertex ranked by its own id.
+    fn by_id(g: &Graph) -> RankedGraph {
+        let ids: Vec<NodeId> = (0..).take(g.num_nodes()).collect();
+        RankedGraph::new(g, &ids)
+    }
+
     #[test]
     fn first_search_reaches_everything() {
-        let g = generators::path(5);
-        let kept = SearchScratch::new(5).search(&g, &LabelAccumulator::new(5), 0, 0);
+        let g = by_id(&generators::path(5));
+        let kept = SearchScratch::new(5).search(&g, &LabelAccumulator::new(5), 0, 0, 0);
         assert_eq!(kept, vec![(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]);
     }
 
@@ -314,25 +469,58 @@ mod tests {
         // Path 0-1-2-3-4 with vertex 2 a hub of everyone: a search from 0
         // stops at 2 (it and every farther vertex are covered); slack 1
         // changes nothing, slack 2 stops it at 1 (2 + 1 <= 1 + 2).
-        let g = generators::path(5);
+        let g = by_id(&generators::path(5));
         let mut labels = LabelAccumulator::new(5);
         for v in 0..5u32 {
             labels.push(v, 2, (i64::from(v) - 2).unsigned_abs());
         }
         let mut scratch = SearchScratch::new(5);
-        assert_eq!(scratch.search(&g, &labels, 0, 0), vec![(0, 0), (1, 1)]);
+        assert_eq!(scratch.search(&g, &labels, 0, 0, 0), vec![(0, 0), (1, 1)]);
         assert_eq!(scratch.counters(), (3, 1));
-        assert_eq!(scratch.search(&g, &labels, 0, 1), vec![(0, 0), (1, 1)]);
-        assert_eq!(scratch.search(&g, &labels, 0, 2), vec![(0, 0)]);
+        assert_eq!(scratch.search(&g, &labels, 0, 0, 1), vec![(0, 0), (1, 1)]);
+        assert_eq!(scratch.search(&g, &labels, 0, 0, 2), vec![(0, 0)]);
+    }
+
+    #[test]
+    fn a_committed_rank_is_pruned_unscanned_at_slack_0_only() {
+        // Path ranked 1-0-2: root 1 meets rank 0, whose label is empty, so
+        // only the prefix rule can cover it — at slack 0, counted as a
+        // prune. At slack 1 the empty label is scanned and covers nothing.
+        let g = by_id(&generators::path(3));
+        let labels = LabelAccumulator::new(3);
+        let mut scratch = SearchScratch::new(3);
+        assert_eq!(scratch.search(&g, &labels, 1, 1, 0), vec![(1, 0), (2, 1)]);
+        assert_eq!(scratch.counters(), (3, 1));
+        assert_eq!(
+            scratch.search(&g, &labels, 1, 1, 1),
+            vec![(1, 0), (0, 1), (2, 1)]
+        );
+    }
+
+    #[test]
+    fn a_hub_the_root_lacks_covers_nothing_at_the_top_of_the_lane() {
+        // Rank 1 is u32::MAX from the root and holds hub 2 at distance 0,
+        // which the root lacks: its NO_HUB slot sums to exactly the bound.
+        let top = u64::from(u32::MAX);
+        let g = by_id(&hl_graph::builder::graph_from_weighted_edges(3, &[(0, 1, top)]).unwrap());
+        let mut labels = LabelAccumulator::new(3);
+        labels.push(1, 2, 0);
+        let kept = SearchScratch::new(3).search(&g, &labels, 0, 0, 0);
+        assert_eq!(kept, vec![(0, 0), (1, top)]);
+        // A hub the root has still covers there.
+        labels.push(0, 2, 1);
+        let mut scratch = SearchScratch::new(3);
+        assert_eq!(scratch.search(&g, &labels, 0, 0, 0), vec![(0, 0)]);
+        assert_eq!(scratch.counters(), (2, 1));
     }
 
     #[test]
     fn scratch_resets_between_searches() {
-        let g = generators::cycle(6);
+        let g = by_id(&generators::cycle(6));
         let labels = LabelAccumulator::new(6);
         let mut scratch = SearchScratch::new(6);
-        let a = scratch.search(&g, &labels, 3, 0);
-        let b = scratch.search(&g, &labels, 3, 0);
+        let a = scratch.search(&g, &labels, 3, 0, 0);
+        let b = scratch.search(&g, &labels, 3, 0, 0);
         assert_eq!(a, b);
     }
 
@@ -341,23 +529,42 @@ mod tests {
         let g =
             hl_graph::builder::graph_from_weighted_edges(3, &[(0, 1, 5), (1, 2, 5), (0, 2, 20)])
                 .unwrap();
-        let kept = SearchScratch::new(3).search(&g, &LabelAccumulator::new(3), 0, 0);
+        let kept = SearchScratch::new(3).search(&by_id(&g), &LabelAccumulator::new(3), 0, 0, 0);
         assert_eq!(kept, vec![(0, 0), (1, 5), (2, 10)]);
     }
 
     #[test]
-    fn freeze_sorts_each_label_by_hub_id_and_equals_from_pair_lists() {
-        let appended = [(0, 5, 2), (0, 1, 7), (1, 0, 1), (0, 3, 4), (1, 1, 0)];
-        let mut labels = LabelAccumulator::new(3);
-        let mut lists = vec![Vec::new(); 3];
-        for (v, hub, dist) in appended {
+    fn the_search_runs_on_ranks() {
+        // Path 0-1-2 ranked 2, 0, 1: the root (rank 0) is vertex 2, and
+        // vertex 1 (rank 2) is its neighbor.
+        let g = RankedGraph::new(&generators::path(3), &[2, 0, 1]);
+        let kept = SearchScratch::new(3).search(&g, &LabelAccumulator::new(3), 0, 0, 0);
+        assert_eq!(kept, vec![(0, 0), (2, 1), (1, 2)]);
+    }
+
+    #[test]
+    fn freeze_maps_ranks_to_ids_and_sorts_each_label_by_hub_id() {
+        // Vertex order[r] is ranked r; entries are pushed as ranks in
+        // root order and come out as ids, each label sorted by hub id.
+        let order = [4, 1, 3, 0, 2];
+        let pushed = [
+            (0, 0, 0),
+            (3, 0, 2),
+            (1, 1, 0),
+            (3, 1, 7),
+            (3, 2, 4),
+            (3, 3, 0),
+        ];
+        let mut labels = LabelAccumulator::ranked(&order);
+        let mut lists = vec![Vec::new(); 5];
+        for (v, hub, dist) in pushed {
             labels.push(v, hub, dist);
-            lists[v as usize].push((hub, dist));
+            lists[order[v as usize] as usize].push((order[hub as usize], dist));
         }
-        assert_eq!(labels.num_entries(), 5);
+        assert_eq!(labels.num_entries(), 6);
         let flat = labels.freeze().unwrap();
-        assert_eq!(flat.hubs_of(0), &[1, 3, 5]);
-        assert_eq!(flat.dists_of(0), &[7, 4, 2]);
+        assert_eq!(flat.hubs_of(0), &[0, 1, 3, 4]);
+        assert_eq!(flat.dists_of(0), &[0, 7, 4, 2]);
         assert!(flat.hubs_of(2).is_empty());
         assert_eq!(Ok(flat), FlatLabeling::from_pair_lists(lists));
     }

@@ -711,8 +711,9 @@ mod tests {
     /// Answer cap: an answer whose payload, v2 id included, is exactly
     /// `max_frame_len` is written; one byte more goes out as
     /// `FrameTooLarge` under the same id, counted in `net_errors`, and the
-    /// connection keeps serving. A `Metrics` answer (inline) and a
-    /// `Label` answer (as a worker frames it) each probe the boundary.
+    /// connection keeps serving. A `Metrics` answer (through the
+    /// connection) and a `Label` answer (through `response_frame`, as the
+    /// daemon's loop frames it) each probe the boundary.
     #[test]
     fn answer_cap_at_and_one_past() {
         let (eng, t0) = (engine(), Instant::now());

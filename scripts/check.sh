@@ -203,6 +203,23 @@ timeout 600 ./target/release/hubserve build "$SMOKE/parallel.hlbs" \
 ./target/release/hubserve stats "$SMOKE/parallel.hlbs" > "$SMOKE/stats.txt"
 grep -q 'arena entries' "$SMOKE/stats.txt"
 
+echo "== paper gadget store bytes (h:2,4 at 1 and 2 threads, one pinned digest) =="
+# The weighted build path's output, byte for byte: the H_{2,4} gadget
+# (Dijkstra waves, 1,046,720 entries) built at one thread and at two
+# must be one store, and that store's sha256 the one pinned here. A
+# change meant to move the labels updates the digest and says why.
+H24_SHA256=ef6e1477a5ae3d647f3473cfe48ee09cfec87aff2cd209c1a09cbdb69a774129
+timeout 60 ./target/release/experiments gadget h:2,4 > "$SMOKE/h24.txt"
+for t in 1 2; do
+  timeout 120 ./target/release/hubserve build "$SMOKE/h24.txt" "$SMOKE/h24-t$t.hlbs" --threads "$t"
+done
+cmp "$SMOKE/h24-t1.hlbs" "$SMOKE/h24-t2.hlbs"
+h24=$(sha256sum < "$SMOKE/h24-t1.hlbs")
+if [ "${h24%% *}" != "$H24_SHA256" ]; then
+  echo "check: FAIL — the h:2,4 store's sha256 is ${h24%% *}, pinned $H24_SHA256" >&2
+  exit 1
+fi
+
 echo "== store format round-trip (built v2 -> v1 -> v2, byte-identical) =="
 # v2 is a verbatim arena dump and γ-coding is canonical, so converting
 # there and back must reproduce the built file exactly — the property
