@@ -1,25 +1,14 @@
-//! `hl-build` — parallel, ordering-aware Pruned Landmark Labeling
-//! construction for million-vertex graphs.
+//! `hl-build` — the name under which the benchmark and `hubserve` link
+//! the PLL driver, which lives in [`hl_core::pll`].
 //!
-//! The single-threaded PLL in `hl_core::pll` tops out at stress-test
-//! sizes; every scale experiment around the paper (*Hardness of exact
-//! distance queries in sparse graphs through hub labeling*, Kosowski–
-//! Uznański–Viennot, PODC 2019) needs labelings over graphs far bigger
-//! than that. This crate runs `hl_core::pll`'s one-root pruned search
-//! and label accumulator from a batch/commit pipeline on std threads
-//! (the workspace is dependency-free) whose output is **bit-identical to
-//! sequential PLL** for the same vertex order, at any thread count:
-//!
-//! * [`pipeline`] — the batch/commit pipeline ([`build_with_order`],
-//!   [`build_with_strategy`], [`BuildConfig`], [`BuildOutput`]); the
-//!   module docs carry the determinism argument;
-//! * [`stats`] — [`BuildStats`] telemetry: per-batch timings and entry
-//!   counts, and the pruning hit rate;
-//! * [`error`] — [`BuildError`].
-//!
-//! Ordering strategies come from `hl_core::order` behind the
-//! [`VertexOrder`](hl_core::VertexOrder) trait (degree, sampled
-//! betweenness); any other permutation goes through [`build_with_order`].
+//! This crate defines nothing: it re-exports the driver's entry points
+//! ([`build_with_order`], [`build_with_strategy`]) and its types
+//! ([`BuildConfig`], [`BuildOutput`], [`BuildStats`], [`BuildError`]).
+//! The driver runs PLL's pruned searches in batches on std threads, and
+//! its output is bit-identical to sequential PLL for the same vertex
+//! order at any thread count; [`hl_core::pll`]'s module doc carries the
+//! argument. This crate's `tests/parallel_equivalence.rs` holds every
+//! entry point to `hl_core::hierarchical::canonical_hhl`.
 //!
 //! # Example
 //!
@@ -31,16 +20,12 @@
 //! let g = generators::connected_gnm(200, 300, 7);
 //! let out = build_with_strategy(&g, &DegreeOrder, BuildConfig::with_threads(2)).unwrap();
 //! assert_eq!(out.labeling.query(0, 1), out.labeling.query(1, 0));
-//! assert_eq!(out.stats.label_entries(), out.labeling.num_entries());
+//! assert_eq!(out.stats.threads, 2);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod error;
-pub mod pipeline;
-pub mod stats;
-
-pub use error::BuildError;
-pub use pipeline::{build_with_order, build_with_strategy, BuildConfig, BuildOutput};
-pub use stats::{BatchStats, BuildStats};
+pub use hl_core::pll::{
+    build_with_order, build_with_strategy, BuildConfig, BuildError, BuildOutput, BuildStats,
+};

@@ -6,12 +6,12 @@
 //! half: PLL whose pruning tolerates an additive `slack`, trading exactness
 //! for smaller labels. Queries never underestimate; the overestimate is
 //! bounded empirically (and is 0 for `slack = 0`, where this *is*
-//! ordinary PLL: both are [`crate::pll`]'s sequential driver).
+//! ordinary PLL: both run [`crate::pll`]'s one driver at one thread).
 
 use hl_graph::{Distance, Graph, NodeId, INFINITY};
 
 use crate::flat::FlatLabeling;
-use crate::pll::pruned_labeling;
+use crate::pll::one_thread;
 
 /// Builds a slack-pruned PLL labeling: during the pruned search from each
 /// root, vertex `u` is skipped when existing hubs already certify
@@ -27,7 +27,7 @@ use crate::pll::pruned_labeling;
 /// Panics if `order` is not a permutation of the vertex set, or if a
 /// label distance exceeds `u32::MAX`, the arena's distance lane.
 pub fn approx_pll(g: &Graph, order: Vec<NodeId>, slack: Distance) -> FlatLabeling {
-    pruned_labeling(g, &order, slack)
+    one_thread(g, &order, slack)
 }
 
 /// Error profile of an approximate labeling against ground truth.

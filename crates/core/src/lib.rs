@@ -22,10 +22,10 @@
 //! * [`minimize`], [`hierarchical`] — post-hoc hub removal, and the
 //!   canonical hierarchical labeling with its hierarchy check;
 //! * [`pll`] — Pruned Landmark Labeling (the canonical practical
-//!   construction, exact by design): the one pruned-search kernel and
-//!   label accumulator (`hl-build` runs them on threads) and the
-//!   sequential driver [`approx`] shares (slack-pruned approximate
-//!   labels, the hub half of [`corrected`]);
+//!   construction, exact by design): the one pruned search and its one
+//!   driver, batches of roots on std threads, which [`approx`] runs at
+//!   one thread (slack-pruned approximate labels, the hub half of
+//!   [`corrected`]);
 //! * [`greedy`] — the greedy 2-hop cover of Cohen et al. for small graphs;
 //! * [`random_threshold`] — the `O(n/D · log D)`-far-hubs construction in
 //!   the style of Alstrup et al. (ADKP16), the baseline the paper

@@ -5,8 +5,8 @@
 //! `experiments` ablation sweeps all six); the two that win on label
 //! entries — degree everywhere but road-like grids, sampled betweenness
 //! there (EXPERIMENTS.md) — are also [`VertexOrder`] strategy objects, so
-//! construction pipelines (notably `hl-build`) take the ordering as a
-//! pluggable parameter without special-casing names.
+//! a construction (notably [`crate::pll::build_with_strategy`]) takes the
+//! ordering as a pluggable parameter without special-casing names.
 //!
 //! Orders that can silently degrade — sampled betweenness with zero
 //! samples, closeness on a disconnected graph — return a typed

@@ -7,19 +7,21 @@
 //! is not already covered by earlier hubs. The result is exact *by
 //! construction* for any processing order; the order only affects size.
 //!
-//! The one-root search is written here once — [`SearchScratch::search`],
-//! one BFS loop and one Dijkstra loop over a [`LabelAccumulator`] — and
-//! everything that builds labels by pruning drives it: one sequential
-//! driver (exact PLL at slack 0, [`crate::approx`] above it) and
-//! `hl-build`'s parallel batches.
+//! One driver builds every PLL labeling: [`build_with_order`] (and
+//! [`build_with_strategy`]) runs the one-root search, written here once as
+//! one BFS loop and one Dijkstra loop, in batches on
+//! [`BuildConfig::threads`] workers. [`PrunedLandmarkLabeling::with_order`]
+//! and [`crate::approx::approx_pll`] run it at one thread, where each batch
+//! is one root and the commit filter keeps everything; only `approx_pll`
+//! prunes with a slack above 0. The output is **bit-identical to
+//! sequential PLL** for the same order, at any thread count.
 //!
 //! # Rank space
 //!
 //! The search never sees a vertex id. Each build relabels the graph once
-//! so that a vertex's id is its processing rank ([`RankedGraph`]), labels
-//! grow as one interleaved `(hub rank, distance)` vec per vertex rank, and
-//! only [`LabelAccumulator::freeze`] maps ranks back to ids. Two things
-//! follow:
+//! so that a vertex's id is its processing rank, labels grow as one
+//! interleaved `(hub rank, distance)` vec per vertex rank, and only the
+//! final freeze maps ranks back to ids. Two things follow:
 //!
 //! * The pruning test is a branch-free scan. The root's label is expanded
 //!   into an array indexed by rank, holding `u32::MAX` where the root has
@@ -38,15 +40,43 @@
 //!   at slack 0 only: [`crate::approx`]'s labels are not exact, so it
 //!   keeps scanning. The shortcut counts as a pop and a prune, as the scan
 //!   it replaces would.
+//!
+//! # Batches
+//!
+//! Roots are processed in batches, each a rank range with every rank
+//! below it committed; sizes ramp up from the thread count to a cap. Within
+//! a batch every root runs a pruned wave on a worker, against the
+//! immutable committed prefix only, so waves never observe each other and
+//! their results do not depend on scheduling. A wave cannot see the labels
+//! its own batch is producing, so its candidates are a *superset* of what
+//! sequential PLL assigns from that root. The commit step replays the
+//! batch in root order and removes exactly the surplus: a candidate
+//! `(v, d)` of the batch's `j`-th root survives iff no earlier in-batch
+//! root `r_i` covers it, i.e. iff `min_i d(r_j, r_i) + d(r_i, v) > d`,
+//! both summands read from the *filtered* in-batch entries so far.
+//!
+//! That is sequential PLL's output: by the pruning lemma, sequential PLL
+//! makes root `r` a hub of exactly the vertices `v` (reachable from `r`)
+//! whose prefix query is strictly worse than `d(r, v)`. A hub serving that
+//! query lives in the committed prefix or in the batch's delta, nowhere
+//! else. The wave applies the committed half of the test (and, pruning
+//! strictly less than sequential PLL, reaches every sequentially labeled
+//! vertex at its exact distance); the commit filter applies the in-batch
+//! half against the filtered delta, which by induction over roots equals
+//! the sequential labels. So the labels, and the [`FlatLabeling`] arena
+//! frozen from them, are byte-equal for every thread count and batch
+//! schedule. At slack above 0 pruning is inexact and this argument fails,
+//! so a slack build runs one-root batches only.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use hl_graph::sync::fan_out;
 use hl_graph::{Distance, Graph, NodeId, Weight, INFINITY};
 
 use crate::flat::{FlatLabeling, FlatLayoutError};
 use crate::order;
-use crate::order::OrderError;
+use crate::order::{OrderError, VertexOrder};
 
 /// One label entry in rank space: `(hub rank, distance)`, the distance
 /// already narrowed to the arena's `u32` lane.
@@ -93,7 +123,8 @@ impl PrunedLandmarkLabeling {
         ))
     }
 
-    /// Builds the labeling processing vertices in the given order.
+    /// Builds the labeling processing vertices in the given order, on one
+    /// thread.
     ///
     /// Uses pruned BFS on unit-weight graphs and pruned Dijkstra otherwise.
     ///
@@ -101,9 +132,9 @@ impl PrunedLandmarkLabeling {
     ///
     /// Panics if `order` is not a permutation of the vertex set, or if a
     /// label distance exceeds `u32::MAX`, the arena's distance lane
-    /// (`hl_build` reports both as typed errors instead).
+    /// ([`build_with_order`] reports both as typed errors instead).
     pub fn with_order(g: &Graph, order: Vec<NodeId>) -> Self {
-        let labeling = pruned_labeling(g, &order, 0);
+        let labeling = one_thread(g, &order, 0);
         PrunedLandmarkLabeling { labeling, order }
     }
 
@@ -123,10 +154,293 @@ impl PrunedLandmarkLabeling {
     }
 }
 
+/// Knobs for the driver. The defaults build on one thread; raise
+/// [`BuildConfig::threads`] to parallelize.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BuildConfig {
+    /// Worker threads (must be >= 1). At `1` each batch is one root and
+    /// the commit filter keeps everything, with zero wasted work.
+    pub threads: usize,
+    /// Largest batch size the ramp-up may reach; `0` picks automatically
+    /// (1 for a single thread, 4096 otherwise). Batch size trades wave
+    /// parallelism against candidates the commit filter throws away — it
+    /// never changes the output, which is all this module's tests set it
+    /// to prove; no caller has a second value to pass.
+    batch_cap: usize,
+}
+
+impl BuildConfig {
+    /// One-thread defaults.
+    pub fn sequential() -> Self {
+        Self::with_threads(1)
+    }
+
+    /// Defaults for `threads` workers.
+    pub fn with_threads(threads: usize) -> Self {
+        BuildConfig {
+            threads,
+            batch_cap: 0,
+        }
+    }
+
+    fn effective_cap(&self) -> usize {
+        if self.batch_cap > 0 {
+            self.batch_cap
+        } else if self.threads <= 1 {
+            1
+        } else {
+            4096
+        }
+    }
+}
+
+impl Default for BuildConfig {
+    fn default() -> Self {
+        BuildConfig::sequential()
+    }
+}
+
+/// A finished build: the serving-ready labeling, the order it used, and
+/// what the build counted.
+#[derive(Debug, Clone)]
+pub struct BuildOutput {
+    /// The labeling, already in the query-time CSR arena.
+    pub labeling: FlatLabeling,
+    /// The vertex order the labeling was built with.
+    pub order: Vec<NodeId>,
+    /// What the build counted.
+    pub stats: BuildStats,
+}
+
+/// What a build counted: its width, its order, and the pruning test's work.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BuildStats {
+    /// Worker threads used.
+    pub threads: usize,
+    /// Name of the ordering strategy (or `"explicit"` for a caller-supplied
+    /// permutation).
+    pub order: String,
+    /// Vertices popped across all waves.
+    pub wave_pops: u64,
+    /// Pops cut by the committed-prefix pruning test.
+    pub wave_pruned: u64,
+}
+
+impl BuildStats {
+    /// Fraction of wave pops cut by the pruning test. High is good — it is
+    /// what keeps PLL subquadratic in practice.
+    pub fn pruning_hit_rate(&self) -> f64 {
+        if self.wave_pops == 0 {
+            return 0.0;
+        }
+        self.wave_pruned as f64 / self.wave_pops as f64
+    }
+}
+
+/// Everything that can go wrong while building a labeling.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BuildError {
+    /// The requested ordering strategy could not produce an order.
+    Order(OrderError),
+    /// `threads == 0` — the driver needs at least one worker.
+    ZeroThreads,
+    /// The supplied order is not a permutation of the vertex set.
+    NotAPermutation,
+    /// A worker thread panicked; the build result would be incomplete.
+    WorkerPanicked,
+    /// The labels do not fit the arena: a label distance exceeds the
+    /// `u32` distance lane ([`FlatLayoutError::DistanceTooWide`]).
+    Arena(FlatLayoutError),
+}
+
+impl std::fmt::Display for BuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BuildError::Order(e) => write!(f, "ordering failed: {e}"),
+            BuildError::ZeroThreads => write!(f, "parallel build needs at least one thread"),
+            BuildError::NotAPermutation => {
+                write!(f, "vertex order must be a permutation of 0..n")
+            }
+            BuildError::WorkerPanicked => write!(f, "a build worker panicked"),
+            BuildError::Arena(e) => write!(f, "labels do not fit the arena: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for BuildError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            BuildError::Order(e) => Some(e),
+            BuildError::Arena(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<OrderError> for BuildError {
+    fn from(e: OrderError) -> Self {
+        BuildError::Order(e)
+    }
+}
+
+impl From<FlatLayoutError> for BuildError {
+    fn from(e: FlatLayoutError) -> Self {
+        BuildError::Arena(e)
+    }
+}
+
+/// Builds a labeling with a pluggable ordering strategy.
+///
+/// # Errors
+///
+/// Propagates the strategy's ordering error and any [`BuildError`] from
+/// [`build_with_order`].
+pub fn build_with_strategy(
+    g: &Graph,
+    strategy: &dyn VertexOrder,
+    config: BuildConfig,
+) -> Result<BuildOutput, BuildError> {
+    let order = strategy.compute(g)?;
+    let mut out = build_with_order(g, order, config)?;
+    out.stats.order = strategy.name().to_string();
+    Ok(out)
+}
+
+/// Builds a labeling processing vertices in the given explicit order.
+///
+/// # Errors
+///
+/// Returns [`BuildError::ZeroThreads`] when `config.threads == 0`,
+/// [`BuildError::NotAPermutation`] when `order` is not a permutation of
+/// the vertex set, [`BuildError::WorkerPanicked`] if a worker dies, and
+/// [`BuildError::Arena`] when a label distance exceeds the arena's `u32`
+/// lane.
+pub fn build_with_order(
+    g: &Graph,
+    order: Vec<NodeId>,
+    config: BuildConfig,
+) -> Result<BuildOutput, BuildError> {
+    let (labeling, stats) = build(g, &order, config, 0)?;
+    Ok(BuildOutput {
+        labeling,
+        order,
+        stats,
+    })
+}
+
+/// The one-thread build behind [`PrunedLandmarkLabeling::with_order`]
+/// (`slack = 0`) and [`crate::approx::approx_pll`], with their panics.
+pub(crate) fn one_thread(g: &Graph, order: &[NodeId], slack: Distance) -> FlatLabeling {
+    let built = build(g, order, BuildConfig::sequential(), slack);
+    assert!(
+        !matches!(built, Err(BuildError::NotAPermutation)),
+        "PLL order must be a permutation of the vertex set"
+    );
+    assert!(
+        built.is_ok(),
+        "PLL label distances must fit the arena's u32 lane: {built:?}"
+    );
+    built.map(|(labeling, _)| labeling).unwrap_or_default()
+}
+
+/// The driver (module doc): batches of roots, each searched against the
+/// committed prefix by one wave per root on the workers, then committed
+/// in root order through the in-batch filter. A wave drops a vertex that
+/// hubs certify within `slack` of its popped distance; `slack` above 0
+/// asks for one-root batches, which only a one-thread config builds.
+fn build(
+    g: &Graph,
+    order: &[NodeId],
+    config: BuildConfig,
+    slack: Distance,
+) -> Result<(FlatLabeling, BuildStats), BuildError> {
+    if config.threads == 0 {
+        return Err(BuildError::ZeroThreads);
+    }
+    if !order::is_permutation(order, g.num_nodes()) {
+        return Err(BuildError::NotAPermutation);
+    }
+    let n = g.num_nodes();
+    let cap = config.effective_cap();
+    debug_assert!(
+        slack == 0 || cap == 1,
+        "a slack build runs one-root batches"
+    );
+
+    let ranked = RankedGraph::new(g, order);
+    let mut committed = LabelAccumulator::ranked(order);
+    let mut scratches: Vec<SearchScratch> =
+        (0..config.threads).map(|_| SearchScratch::new(n)).collect();
+    // Commit-phase state, allocated once and reset via touch lists.
+    let mut delta: Vec<Vec<(u32, Distance)>> = vec![Vec::new(); n];
+    let mut delta_touched: Vec<NodeId> = Vec::new();
+    let mut root_to_batch: Vec<Distance> = vec![INFINITY; cap];
+
+    let mut batch_size = config.threads.max(2).min(cap);
+    let mut next = 0usize;
+    while next < n {
+        // A batch is a rank range; every rank below it is committed.
+        let batch = next..n.min(next + batch_size);
+        next = batch.end;
+        let first = batch.start as NodeId;
+
+        // Wave phase: one pruned wave per root, against the frozen prefix.
+        let waves = fan_out(&mut scratches, batch.len(), |scratch, j| {
+            scratch.search(&ranked, &committed, first + j as NodeId, first, slack)
+        })
+        .map_err(|_| BuildError::WorkerPanicked)?;
+
+        // Commit phase: replay in canonical order, filtering candidates
+        // against the in-batch entries committed so far.
+        for (j, cand) in waves.iter().enumerate() {
+            // root_to_batch[i] = d(r_j, r_i) for earlier in-batch hubs r_i
+            // of r_j — read from r_j's own filtered delta.
+            let root = batch.start + j;
+            for &(i, d) in &delta[root] {
+                root_to_batch[i as usize] = d;
+            }
+            for &(v, d) in cand {
+                let covered = delta[v as usize]
+                    .iter()
+                    .any(|&(i, dv)| root_to_batch[i as usize].saturating_add(dv) <= d);
+                if !covered {
+                    if delta[v as usize].is_empty() {
+                        delta_touched.push(v);
+                    }
+                    delta[v as usize].push((j as u32, d));
+                }
+            }
+            for &(i, _) in &delta[root] {
+                root_to_batch[i as usize] = INFINITY;
+            }
+        }
+        for &v in &delta_touched {
+            for &(i, d) in &delta[v as usize] {
+                committed.push(v, first + i, d);
+            }
+            delta[v as usize].clear();
+        }
+        delta_touched.clear();
+        batch_size = (batch_size * 2).min(cap);
+    }
+
+    let (wave_pops, wave_pruned) = scratches
+        .iter()
+        .map(SearchScratch::counters)
+        .fold((0, 0), |(p, q), (a, b)| (p + a, q + b));
+    let stats = BuildStats {
+        threads: config.threads,
+        order: "explicit".to_string(),
+        wave_pops,
+        wave_pruned,
+    };
+    Ok((committed.freeze()?, stats))
+}
+
 /// The graph relabeled so that a vertex's id is its processing rank: a
 /// CSR over ranks that keeps the weights, built once per build.
 #[derive(Debug, Clone)]
-pub struct RankedGraph {
+struct RankedGraph {
     offsets: Vec<usize>,
     targets: Vec<NodeId>,
     weights: Vec<Weight>,
@@ -135,8 +449,8 @@ pub struct RankedGraph {
 
 impl RankedGraph {
     /// `g` with vertex `order[r]` renamed `r`. `order` must be a
-    /// permutation of `g`'s vertex set (both drivers check it first).
-    pub fn new(g: &Graph, order: &[NodeId]) -> Self {
+    /// permutation of `g`'s vertex set (the driver checks it first).
+    fn new(g: &Graph, order: &[NodeId]) -> Self {
         let rank = ranks(order);
         let mut offsets = Vec::with_capacity(order.len() + 1);
         let mut targets = Vec::with_capacity(2 * g.num_edges());
@@ -177,7 +491,7 @@ fn ranks(order: &[NodeId]) -> Vec<NodeId> {
 /// so the mapping back to ids and the sort by hub id happen once, in
 /// [`LabelAccumulator::freeze`].
 #[derive(Debug)]
-pub struct LabelAccumulator {
+struct LabelAccumulator {
     labels: Vec<Vec<Entry>>,
     /// `ids[r]`: the vertex ranked `r`.
     ids: Vec<NodeId>,
@@ -188,15 +502,9 @@ pub struct LabelAccumulator {
 }
 
 impl LabelAccumulator {
-    /// No labels yet, over `n` vertices each ranked by its own id.
-    pub fn new(n: usize) -> Self {
-        let ids: Vec<NodeId> = (0..).take(n).collect();
-        Self::ranked(&ids)
-    }
-
     /// No labels yet, over the vertices of the permutation `order`,
     /// vertex `order[r]` ranked `r`.
-    pub fn ranked(order: &[NodeId]) -> Self {
+    fn ranked(order: &[NodeId]) -> Self {
         LabelAccumulator {
             labels: vec![Vec::new(); order.len()],
             ids: order.to_vec(),
@@ -205,16 +513,11 @@ impl LabelAccumulator {
         }
     }
 
-    /// Total entries so far, `Σ_v |S_v|`.
-    pub fn num_entries(&self) -> usize {
-        self.entries
-    }
-
     /// Appends `(hub, dist)` to the label of the vertex ranked `v`, `hub`
     /// a rank above every hub the label holds. `dist` is narrowed to the
     /// arena's `u32` lane here; a wider one is kept as `u32::MAX`, and the
     /// first such push is what [`LabelAccumulator::freeze`] reports.
-    pub fn push(&mut self, v: NodeId, hub: NodeId, dist: Distance) {
+    fn push(&mut self, v: NodeId, hub: NodeId, dist: Distance) {
         let label = &mut self.labels[v as usize];
         debug_assert!(label.last().is_none_or(|&(last, _)| last < hub));
         let lane = u32::try_from(dist).unwrap_or_else(|_| {
@@ -240,7 +543,7 @@ impl LabelAccumulator {
     /// in root order; the arena's own check
     /// ([`FlatLabeling::from_pair_lists`]) names the lowest vertex id
     /// holding one, which on a graph with several can be another vertex.
-    pub fn freeze(mut self) -> Result<FlatLabeling, FlatLayoutError> {
+    fn freeze(mut self) -> Result<FlatLabeling, FlatLayoutError> {
         if let Some((v, distance)) = self.too_wide {
             return Err(FlatLayoutError::DistanceTooWide {
                 vertex: self.ids[v as usize] as usize,
@@ -264,7 +567,7 @@ impl LabelAccumulator {
 /// Per-worker buffers of the pruned search: every `O(n)` allocation a
 /// root needs, paid once per worker instead of once per root.
 #[derive(Debug)]
-pub struct SearchScratch {
+struct SearchScratch {
     /// Tentative distance from the current root, by rank.
     dist: Vec<Distance>,
     /// Ranks whose `dist` entry must be reset after the search.
@@ -280,7 +583,7 @@ pub struct SearchScratch {
 
 impl SearchScratch {
     /// Buffers for a graph with `n` vertices.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         SearchScratch {
             dist: vec![INFINITY; n],
             visited: Vec::new(),
@@ -293,7 +596,7 @@ impl SearchScratch {
 
     /// `(pops, pruned)`: vertices popped, and pops cut by the pruning
     /// test, over every search run with this scratch.
-    pub fn counters(&self) -> (u64, u64) {
+    fn counters(&self) -> (u64, u64) {
         (self.pops, self.pruned)
     }
 
@@ -306,7 +609,7 @@ impl SearchScratch {
     /// `d(root, u) <= du + slack` (`slack = 0` is exact PLL). At slack 0 a
     /// `u` ranked below `committed` is dropped without a look at its label
     /// (module doc).
-    pub fn search(
+    fn search(
         &mut self,
         g: &RankedGraph,
         labels: &LabelAccumulator,
@@ -416,39 +719,12 @@ fn covers_wide(root_label: &[Entry], label: &[Entry], bound: Distance) -> bool {
     })
 }
 
-/// The sequential driver, the whole of [`PrunedLandmarkLabeling::with_order`]
-/// (`slack = 0`) and of [`crate::approx::approx_pll`]: for each root in
-/// rank order, search, then append what the search kept.
-///
-/// # Panics
-///
-/// Panics if `order` is not a permutation of the vertex set, or if a
-/// label distance exceeds `u32::MAX`, the arena's distance lane.
-pub(crate) fn pruned_labeling(g: &Graph, order: &[NodeId], slack: Distance) -> FlatLabeling {
-    assert!(
-        order::is_permutation(order, g.num_nodes()),
-        "PLL order must be a permutation of the vertex set"
-    );
-    let ranked = RankedGraph::new(g, order);
-    let mut labels = LabelAccumulator::ranked(order);
-    let mut scratch = SearchScratch::new(g.num_nodes());
-    for root in (0..).take(g.num_nodes()) {
-        for (v, d) in scratch.search(&ranked, &labels, root, root, slack) {
-            labels.push(v, root, d);
-        }
-    }
-    let frozen = labels.freeze();
-    assert!(
-        frozen.is_ok(),
-        "PLL label distances must fit the arena's u32 lane: {frozen:?}"
-    );
-    frozen.unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cover::verify_exact;
+    use crate::hierarchical::canonical_hhl;
+    use crate::order::DegreeOrder;
     use hl_graph::generators;
 
     /// `g` in rank space with every vertex ranked by its own id.
@@ -457,10 +733,20 @@ mod tests {
         RankedGraph::new(g, &ids)
     }
 
+    /// No labels yet, over `n` vertices each ranked by its own id.
+    fn unranked(n: usize) -> LabelAccumulator {
+        let ids: Vec<NodeId> = (0..).take(n).collect();
+        LabelAccumulator::ranked(&ids)
+    }
+
+    fn sequential_flat(g: &Graph, order: &[NodeId]) -> FlatLabeling {
+        PrunedLandmarkLabeling::with_order(g, order.to_vec()).into_labeling()
+    }
+
     #[test]
     fn first_search_reaches_everything() {
         let g = by_id(&generators::path(5));
-        let kept = SearchScratch::new(5).search(&g, &LabelAccumulator::new(5), 0, 0, 0);
+        let kept = SearchScratch::new(5).search(&g, &unranked(5), 0, 0, 0);
         assert_eq!(kept, vec![(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]);
     }
 
@@ -470,7 +756,7 @@ mod tests {
         // stops at 2 (it and every farther vertex are covered); slack 1
         // changes nothing, slack 2 stops it at 1 (2 + 1 <= 1 + 2).
         let g = by_id(&generators::path(5));
-        let mut labels = LabelAccumulator::new(5);
+        let mut labels = unranked(5);
         for v in 0..5u32 {
             labels.push(v, 2, (i64::from(v) - 2).unsigned_abs());
         }
@@ -487,7 +773,7 @@ mod tests {
         // only the prefix rule can cover it — at slack 0, counted as a
         // prune. At slack 1 the empty label is scanned and covers nothing.
         let g = by_id(&generators::path(3));
-        let labels = LabelAccumulator::new(3);
+        let labels = unranked(3);
         let mut scratch = SearchScratch::new(3);
         assert_eq!(scratch.search(&g, &labels, 1, 1, 0), vec![(1, 0), (2, 1)]);
         assert_eq!(scratch.counters(), (3, 1));
@@ -503,7 +789,7 @@ mod tests {
         // which the root lacks: its NO_HUB slot sums to exactly the bound.
         let top = u64::from(u32::MAX);
         let g = by_id(&hl_graph::builder::graph_from_weighted_edges(3, &[(0, 1, top)]).unwrap());
-        let mut labels = LabelAccumulator::new(3);
+        let mut labels = unranked(3);
         labels.push(1, 2, 0);
         let kept = SearchScratch::new(3).search(&g, &labels, 0, 0, 0);
         assert_eq!(kept, vec![(0, 0), (1, top)]);
@@ -517,7 +803,7 @@ mod tests {
     #[test]
     fn scratch_resets_between_searches() {
         let g = by_id(&generators::cycle(6));
-        let labels = LabelAccumulator::new(6);
+        let labels = unranked(6);
         let mut scratch = SearchScratch::new(6);
         let a = scratch.search(&g, &labels, 3, 0, 0);
         let b = scratch.search(&g, &labels, 3, 0, 0);
@@ -529,7 +815,7 @@ mod tests {
         let g =
             hl_graph::builder::graph_from_weighted_edges(3, &[(0, 1, 5), (1, 2, 5), (0, 2, 20)])
                 .unwrap();
-        let kept = SearchScratch::new(3).search(&by_id(&g), &LabelAccumulator::new(3), 0, 0, 0);
+        let kept = SearchScratch::new(3).search(&by_id(&g), &unranked(3), 0, 0, 0);
         assert_eq!(kept, vec![(0, 0), (1, 5), (2, 10)]);
     }
 
@@ -538,7 +824,7 @@ mod tests {
         // Path 0-1-2 ranked 2, 0, 1: the root (rank 0) is vertex 2, and
         // vertex 1 (rank 2) is its neighbor.
         let g = RankedGraph::new(&generators::path(3), &[2, 0, 1]);
-        let kept = SearchScratch::new(3).search(&g, &LabelAccumulator::new(3), 0, 0, 0);
+        let kept = SearchScratch::new(3).search(&g, &unranked(3), 0, 0, 0);
         assert_eq!(kept, vec![(0, 0), (2, 1), (1, 2)]);
     }
 
@@ -561,7 +847,7 @@ mod tests {
             labels.push(v, hub, dist);
             lists[order[v as usize] as usize].push((order[hub as usize], dist));
         }
-        assert_eq!(labels.num_entries(), 6);
+        assert_eq!(labels.entries, 6);
         let flat = labels.freeze().unwrap();
         assert_eq!(flat.hubs_of(0), &[0, 1, 3, 4]);
         assert_eq!(flat.dists_of(0), &[0, 7, 4, 2]);
@@ -571,7 +857,7 @@ mod tests {
 
     #[test]
     fn freeze_rejects_a_distance_past_the_u32_lane() {
-        let mut labels = LabelAccumulator::new(2);
+        let mut labels = unranked(2);
         labels.push(0, 0, 0);
         labels.push(1, 0, 1 << 32);
         assert_eq!(
@@ -688,5 +974,153 @@ mod tests {
         let a = PrunedLandmarkLabeling::by_random_order(&g, 9).into_labeling();
         let b = PrunedLandmarkLabeling::by_random_order(&g, 9).into_labeling();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn zero_threads_rejected() {
+        let g = generators::path(4);
+        let cfg = BuildConfig {
+            threads: 0,
+            batch_cap: 0,
+        };
+        assert_eq!(
+            build_with_order(&g, vec![0, 1, 2, 3], cfg).unwrap_err(),
+            BuildError::ZeroThreads
+        );
+    }
+
+    #[test]
+    fn bad_order_rejected() {
+        let g = generators::path(3);
+        assert_eq!(
+            build_with_order(&g, vec![0, 0, 1], BuildConfig::sequential()).unwrap_err(),
+            BuildError::NotAPermutation
+        );
+    }
+
+    #[test]
+    fn distance_past_the_u32_lane_is_a_typed_error() {
+        // Where `with_order` panics, `build_with_order` reports: a 2^32
+        // edge is a 2^32 label distance, at any thread count.
+        let g =
+            hl_graph::builder::graph_from_weighted_edges(3, &[(0, 1, 1), (1, 2, 1 << 32)]).unwrap();
+        for cfg in [BuildConfig::sequential(), BuildConfig::with_threads(2)] {
+            let err = build_with_order(&g, vec![1, 0, 2], cfg).unwrap_err();
+            assert_eq!(
+                err,
+                BuildError::Arena(FlatLayoutError::DistanceTooWide {
+                    vertex: 2,
+                    distance: 1 << 32
+                })
+            );
+            assert!(err.to_string().contains("u32"));
+        }
+    }
+
+    #[test]
+    fn sequential_config_matches_classic_pll() {
+        // `with_order` is this driver at one thread, so the reference is
+        // `canonical_hhl`, which shares no code with it.
+        let g = generators::connected_gnm(60, 60, 3);
+        let order = order::by_degree(&g);
+        let out = build_with_order(&g, order.clone(), BuildConfig::sequential()).unwrap();
+        assert_eq!(out.labeling, canonical_hhl(&g, &order).unwrap());
+        assert_eq!(out.labeling, sequential_flat(&g, &order));
+    }
+
+    #[test]
+    fn batching_never_changes_output() {
+        let g = generators::connected_gnm(80, 90, 5);
+        let order = order::by_degree(&g);
+        let reference = canonical_hhl(&g, &order).unwrap();
+        assert_eq!(sequential_flat(&g, &order), reference);
+        for cap in [1, 2, 3, 7, 16, 80] {
+            let cfg = BuildConfig {
+                threads: 1,
+                batch_cap: cap,
+            };
+            let out = build_with_order(&g, order.clone(), cfg).unwrap();
+            assert_eq!(out.labeling, reference, "batch_cap = {cap}");
+        }
+    }
+
+    #[test]
+    fn parallel_output_is_exact_and_identical() {
+        let g = generators::grid(9, 11);
+        let order = order::by_degree(&g);
+        let reference = sequential_flat(&g, &order);
+        for threads in [2, 4] {
+            let out =
+                build_with_order(&g, order.clone(), BuildConfig::with_threads(threads)).unwrap();
+            assert_eq!(out.labeling, reference, "threads = {threads}");
+            assert!(verify_exact(&g, &out.labeling).unwrap().is_exact());
+        }
+    }
+
+    #[test]
+    fn weighted_graphs_go_through_dijkstra_waves() {
+        let g = generators::grid_with_shortcuts(8, 8, 12, 2);
+        let order = order::by_degree(&g);
+        let reference = sequential_flat(&g, &order);
+        let out = build_with_order(&g, order, BuildConfig::with_threads(3)).unwrap();
+        assert_eq!(out.labeling, reference);
+    }
+
+    #[test]
+    fn strategy_entry_point_records_order_name() {
+        let g = generators::star(20);
+        let out = build_with_strategy(&g, &DegreeOrder, BuildConfig::with_threads(2)).unwrap();
+        assert_eq!(out.stats.order, "degree");
+        assert_eq!(out.order[0], 0, "star center is processed first");
+        assert!(out.labeling.max_hubs() <= 2);
+    }
+
+    #[test]
+    fn accounting_is_pinned() {
+        // (wave_pops, wave_pruned, label entries) as a search that scans
+        // every pop counts them: a vertex the committed prefix covers
+        // outright is still one pop and one prune, at every thread count.
+        let rows = [
+            (
+                generators::connected_gnm(300, 450, 7),
+                [(17505, 9522, 7983), (23507, 12423, 7983)],
+            ),
+            (
+                generators::grid_with_shortcuts(10, 12, 20, 3),
+                [(3371, 1403, 1968), (4571, 1830, 1968)],
+            ),
+        ];
+        for (g, pinned) in rows {
+            for (threads, expected) in [1, 2].into_iter().zip(pinned) {
+                let order = order::by_degree(&g);
+                let out = build_with_order(&g, order, BuildConfig::with_threads(threads)).unwrap();
+                let stats = out.stats;
+                let got = (
+                    stats.wave_pops,
+                    stats.wave_pruned,
+                    out.labeling.num_entries(),
+                );
+                assert_eq!(got, expected, "{threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_graph_is_fine() {
+        let g = hl_graph::builder::graph_from_edges(1, &[]).unwrap();
+        let out = build_with_order(&g, vec![0], BuildConfig::with_threads(4)).unwrap();
+        assert_eq!(out.labeling.num_entries(), 1); // the self-entry
+    }
+
+    #[test]
+    fn pruning_hit_rate_is_pruned_over_popped() {
+        let stats = |wave_pops, wave_pruned| BuildStats {
+            threads: 1,
+            order: "explicit".into(),
+            wave_pops,
+            wave_pruned,
+        };
+        assert!((stats(100, 75).pruning_hit_rate() - 0.75).abs() < 1e-12);
+        assert_eq!(stats(0, 0).pruning_hit_rate(), 0.0, "no division by zero");
     }
 }

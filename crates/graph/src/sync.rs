@@ -10,7 +10,7 @@
 //!
 //! [`fan_out`] is how the workspace runs independent per-index work on
 //! several cores, and the only fork in its libraries: APSP's rows (one
-//! SSSP per source), `hl_core::cover`'s sources, hl-build's pruned waves,
+//! SSSP per source), `hl_core::cover`'s sources, `hl_core::pll`'s pruned waves,
 //! `ShardRouter::query_many`'s shard waiters, `QueryEngine::query_batch`'s
 //! shares of a split batch, and a v2 store's three section decodes. A
 //! spawn the OS refuses costs it parallelism, never an error or a panic.

@@ -8,7 +8,7 @@
 //! `u^out_v → v^in_u`, so that core-to-core distances in `G` equal weighted
 //! distances in `H` while the maximum degree drops to 3.
 
-use hl_graph::{Distance, Graph, GraphBuilder, NodeId};
+use hl_graph::{Graph, GraphBuilder, NodeId};
 
 use crate::hgraph::HGraph;
 use crate::params::GadgetParams;
@@ -147,19 +147,9 @@ impl GGraph {
         self.core[hv as usize]
     }
 
-    /// Core of `v_{level, coords}` addressed through the `H` codec.
-    pub fn core_of(&self, h: &HGraph, level: u64, coords: &[u64]) -> NodeId {
-        self.core(h.node_id(level, coords))
-    }
-
     /// Number of core + tree vertices (the rest are path subdivisions).
     pub fn num_structured(&self) -> usize {
         self.structured
-    }
-
-    /// Expected core-to-core distance: equals the `H` weighted distance.
-    pub fn predicted_distance(&self, h: &HGraph, hu: NodeId, hv: NodeId) -> Distance {
-        hl_graph::dijkstra::dijkstra_distance_between(h.graph(), hu, hv)
     }
 }
 

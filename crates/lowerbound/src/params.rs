@@ -71,19 +71,6 @@ impl GadgetParams {
         self.level_size() * (self.side() / 2).pow(self.ell)
     }
 
-    /// Lower bound on `Σ_v |S*_v|` from the counting argument:
-    /// exactly [`GadgetParams::triplet_count`].
-    pub fn star_total_lower_bound(&self) -> u64 {
-        self.triplet_count()
-    }
-
-    /// The weighted-diameter upper bound `(3ℓ+1)s² · 4ℓ` used in Eq. (1)
-    /// to relate `|S*_v|` and `|S_v|` in `G_{b,ℓ}` (hop diameter ×
-    /// max-weight slack). For `H_{b,ℓ}` the hop diameter is just `2ℓ`.
-    pub fn eq1_factor_g(&self) -> u64 {
-        (3 * self.ell as u64 + 1) * self.side() * self.side() * 4 * self.ell as u64
-    }
-
     /// Closed-form lower bound on the *average* hubset size of `H_{b,ℓ}`
     /// implied by claim (iii): `triplets / (n_H · (2ℓ + 1))`, using the hop
     /// diameter `2ℓ` (+1 for the root) as the `S* → S` conversion factor.

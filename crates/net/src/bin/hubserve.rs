@@ -21,8 +21,8 @@
 //! and a size a family cannot build is an argument error. The paper's own
 //! gadgets come from `experiments gadget h:b,l|g:b,l`.
 //!
-//! `build --algo` picks the construction: `pll` (the default) runs the
-//! `hl_build` batch/commit pipeline, where `--threads N` parallelizes
+//! `build --algo` picks the construction: `pll` (the default) runs PLL's
+//! batch/commit driver (`hl_core::pll`), where `--threads N` parallelizes
 //! (output is bit-identical to sequential PLL) and `--order` picks the
 //! vertex-ordering strategy (`degree`, or `betweenness` for road-like
 //! graphs — the two that win on label entries; EXPERIMENTS.md has the
@@ -240,7 +240,7 @@ fn order_strategy(name: &str, seed: u64) -> Result<Box<dyn VertexOrder>, String>
 type Construction = fn(&Graph, u64) -> Result<FlatLabeling, GraphError>;
 
 /// The construction `--algo` names; `None` for `pll`, which builds
-/// through the hl-build pipeline instead.
+/// through PLL's batch/commit driver instead.
 fn construction(algo: &str) -> Result<Option<Construction>, String> {
     let build: Construction = match algo {
         "pll" => return Ok(None),

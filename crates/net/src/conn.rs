@@ -362,25 +362,16 @@ impl Conn {
         self.stop_requested
     }
 
-    /// `answers` requests handed out by `next_job` finished; `framed` is
-    /// their answers, fully framed and back to back, `errors` of them
-    /// error frames. A voided connection is owed nothing.
-    pub(crate) fn on_completion(
-        &mut self,
-        engine: &QueryEngine,
-        framed: &[u8],
-        answers: usize,
-        errors: usize,
-    ) {
-        self.inflight = self.inflight.saturating_sub(answers);
+    /// A request handed out by `next_job` finished; `framed` is its
+    /// answer, fully framed, an error frame if `is_error`. A voided
+    /// connection is owed nothing.
+    pub(crate) fn on_completion(&mut self, engine: &QueryEngine, framed: &[u8], is_error: bool) {
+        self.inflight = self.inflight.saturating_sub(1);
         if self.ending == Ending::Void {
             return;
         }
-        if errors > 0 {
-            let metrics = engine.metrics();
-            metrics
-                .net_errors
-                .fetch_add(errors as u64, Ordering::Relaxed);
+        if is_error {
+            engine.metrics().net_errors.fetch_add(1, Ordering::Relaxed);
         }
         self.wbuf.extend_from_slice(framed);
     }
@@ -587,7 +578,7 @@ mod tests {
                 handed_out += 1;
             }
             for _ in 0..c.inflight {
-                c.on_completion(&eng, &canned, 1, 0);
+                c.on_completion(&eng, &canned, false);
             }
             assert!(c.wants_read(), "a drained connection reads again");
         }
@@ -627,7 +618,7 @@ mod tests {
         for (id, version, request) in jobs {
             assert!(!c.is_finished());
             let resp = crate::server::execute(&eng, &AtomicU16::new(1), request);
-            c.on_completion(&eng, &framed(version, id, &resp), 1, 0);
+            c.on_completion(&eng, &framed(version, id, &resp), false);
         }
         let owed = c.writable().to_vec();
         c.wrote(owed.len() - 1);
@@ -654,7 +645,7 @@ mod tests {
         c.on_bytes(&cfg, &eng, &bytes, t0);
         assert!(c.next_job(&cfg, &eng).is_none(), "pending work is void");
         c.on_bytes(&cfg, &eng, &req(PROTOCOL_V2, 4, &Request::Ping), t0);
-        c.on_completion(&eng, &framed(PROTOCOL_V2, 1, &Response::Distance(1)), 1, 0);
+        c.on_completion(&eng, &framed(PROTOCOL_V2, 1, &Response::Distance(1)), false);
         assert!(!c.wants_read() && !c.is_finished());
         let out = responses(PROTOCOL_V2, &flush(&mut c));
         assert_eq!(out.len(), 1, "{out:?}");
@@ -791,7 +782,7 @@ mod tests {
             (c.pending.len(), c.wants_read()),
             (MAX_PENDING_FRAMES, false)
         );
-        c.on_completion(&eng, &framed(1, 0, &Response::Distance(1)), 1, 0);
+        c.on_completion(&eng, &framed(1, 0, &Response::Distance(1)), false);
         assert!(c.next_job(&cfg, &eng).is_none() && c.wants_read());
         assert_eq!(responses(1, &flush(&mut c)).len(), 1 + MAX_PENDING_FRAMES);
     }
@@ -802,9 +793,9 @@ mod tests {
     fn queued_write_cap_at_and_one_past() {
         let (cfg, eng, t0) = (config(), engine(), Instant::now());
         let mut c = serving(&cfg, &eng, PROTOCOL_V2, t0);
-        c.on_completion(&eng, &vec![0; MAX_QUEUED_WRITE_BYTES - 1], 1, 0);
+        c.on_completion(&eng, &vec![0; MAX_QUEUED_WRITE_BYTES - 1], false);
         assert!(c.wants_read());
-        c.on_completion(&eng, &[0], 1, 0);
+        c.on_completion(&eng, &[0], false);
         assert!(!c.wants_read());
         c.wrote(1);
         assert!(c.wants_read());
@@ -837,7 +828,7 @@ mod tests {
         assert_eq!((out[0].0, code_of(&out[0].1)), (3, Some(ErrorCode::Busy)));
         assert_eq!(out[1], (4, Response::Pong));
         assert!(c.wants_read() && c.within_limits(&cfg));
-        c.on_completion(&eng, &framed(2, 1, &Response::Distance(1)), 1, 0);
+        c.on_completion(&eng, &framed(2, 1, &Response::Distance(1)), false);
         c.on_bytes(
             &cfg,
             &eng,
@@ -845,38 +836,6 @@ mod tests {
             t0,
         );
         assert_eq!(c.next_job(&cfg, &eng).map(|j| j.0), Some(5));
-    }
-
-    /// One completion may carry a whole turn's answers: at the in-flight
-    /// cap, a completion covering `k` of them frees exactly `k` slots,
-    /// so `k` more requests are handed out and the one after is `Busy`.
-    #[test]
-    fn a_completion_of_k_answers_frees_k_slots() {
-        const K: usize = 3;
-        let (eng, t0) = (engine(), Instant::now());
-        let cfg = ServerConfig {
-            max_inflight_per_conn: 4,
-            ..config()
-        };
-        let mut c = serving(&cfg, &eng, PROTOCOL_V2, t0);
-        let query = |id| req(PROTOCOL_V2, id, &Request::Query { u: 0, v: 1 });
-        let first: Vec<u8> = (1..=4).flat_map(query).collect();
-        c.on_bytes(&cfg, &eng, &first, t0);
-        let ids: Vec<u64> = std::iter::from_fn(|| c.next_job(&cfg, &eng).map(|j| j.0)).collect();
-        assert_eq!(ids, [1, 2, 3, 4]);
-        let answers: Vec<u8> = (1..=K as u64)
-            .flat_map(|id| framed(PROTOCOL_V2, id, &Response::Distance(1)))
-            .collect();
-        c.on_completion(&eng, &answers, K, 0);
-        assert_eq!(responses(PROTOCOL_V2, &flush(&mut c)).len(), K);
-        let second: Vec<u8> = (5..=5 + K as u64).flat_map(query).collect();
-        c.on_bytes(&cfg, &eng, &second, t0);
-        let ids: Vec<u64> = std::iter::from_fn(|| c.next_job(&cfg, &eng).map(|j| j.0)).collect();
-        assert_eq!(ids, [5, 6, 7], "k freed slots take k requests");
-        let out = responses(PROTOCOL_V2, &flush(&mut c));
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!((out[0].0, code_of(&out[0].1)), (8, Some(ErrorCode::Busy)));
-        assert!(c.within_limits(&cfg));
     }
 
     /// `frame_timeout`: the budget runs from a frame's first byte, later
@@ -948,11 +907,11 @@ mod tests {
         assert!(!c.expired(&cfg, late + NS), "pending");
         assert!(c.next_job(&cfg, &eng).is_some());
         assert!(!c.expired(&cfg, late + NS), "in flight, and one pending");
-        c.on_completion(&eng, &framed(1, 0, &Response::Distance(1)), 1, 0);
+        c.on_completion(&eng, &framed(1, 0, &Response::Distance(1)), false);
         assert!(c.next_job(&cfg, &eng).is_some());
         flush(&mut c);
         assert!(!c.expired(&cfg, late + NS), "in flight");
-        c.on_completion(&eng, &framed(1, 0, &Response::Distance(1)), 1, 0);
+        c.on_completion(&eng, &framed(1, 0, &Response::Distance(1)), false);
         assert!(!c.expired(&cfg, late + NS), "queued");
         flush(&mut c);
         assert!(c.expired(&cfg, late + NS));
@@ -1053,7 +1012,7 @@ mod tests {
         c.begin_drain();
         assert_eq!(responses(2, &flush(&mut c)), [(2, Response::ShutdownAck)]);
         assert!(!c.is_finished());
-        c.on_completion(&eng, &framed(2, 1, &Response::Distance(3)), 1, 0);
+        c.on_completion(&eng, &framed(2, 1, &Response::Distance(3)), false);
         assert_eq!(responses(2, &flush(&mut c)), [(1, Response::Distance(3))]);
         assert!(c.is_finished());
     }

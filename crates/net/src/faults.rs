@@ -497,8 +497,7 @@ impl<'a> PureConn<'a> {
         let response = execute(self.engine, &store_version, request);
         let (framed, is_error) = response_frame(version, id, &response, self.config.max_frame_len);
         if !self.dropped {
-            self.conn
-                .on_completion(self.engine, &framed, 1, usize::from(is_error));
+            self.conn.on_completion(self.engine, &framed, is_error);
             self.pull();
         }
         self.completed.push(framed);

@@ -361,7 +361,7 @@ impl NetServer {
             // A connection that died while its job ran is owed nothing.
             while let Ok(done) = done_rx.try_recv() {
                 if let Some((_, c)) = conns.get_mut(&done.conn) {
-                    c.on_completion(engine, &done.frame, 1, usize::from(done.is_error));
+                    c.on_completion(engine, &done.frame, done.is_error);
                 }
             }
 
@@ -381,7 +381,7 @@ impl NetServer {
                 while let Some((id, version, request)) = c.next_job(config, engine) {
                     if matches!(request, Request::Query { .. } | Request::Label { .. }) {
                         let (frame, is_error) = answer(inner, version, id, request);
-                        c.on_completion(engine, &frame, 1, usize::from(is_error));
+                        c.on_completion(engine, &frame, is_error);
                     } else {
                         let job = Job {
                             conn: cid,
@@ -541,7 +541,7 @@ fn hand_out(job_tx: &Sender<Job>, c: &mut Conn, engine: &QueryEngine, max_len: u
         let message = "server is draining".to_string();
         let refusal = Response::Error { code, message };
         let (frame, _) = response_frame(job.version, job.id, &refusal, max_len);
-        c.on_completion(engine, &frame, 1, 1);
+        c.on_completion(engine, &frame, true);
     }
 }
 

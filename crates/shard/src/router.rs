@@ -274,14 +274,6 @@ impl ShardRouter {
             .map(|c| c.metrics().map_err(ShardError::from))
             .collect()
     }
-
-    /// Asks every shard daemon to drain and exit (test/bench teardown).
-    pub fn shutdown_fleet(&mut self) -> Result<(), ShardError> {
-        for client in &self.clients {
-            client.shutdown()?;
-        }
-        Ok(())
-    }
 }
 
 /// Fetched labels as the rows of one arena, in order. A distance past the

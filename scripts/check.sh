@@ -156,8 +156,10 @@ echo "== tier-1 build (locked, offline: path dependencies only) =="
 # hl-shard and hlnp-fuzz bins the smokes below invoke).
 cargo build --release --workspace --locked --offline
 # benchmark/ is frozen and compiles against the product API: a break
-# fails here, in seconds, not after the fuzz run and every smoke.
-CARGO_TARGET_DIR="$PWD/target" cargo check --offline --manifest-path benchmark/Cargo.toml
+# fails here, in seconds, not after the fuzz run and every smoke. So does a
+# product change that would rewrite benchmark/Cargo.lock (a new dependency
+# edge of a crate it links): `--locked` refuses to update the lock.
+CARGO_TARGET_DIR="$PWD/target" cargo check --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "== experiments golden (the paper's tables, byte for byte) =="
 # Every stdout cell of `experiments all` and `experiments big` is a
@@ -192,7 +194,7 @@ echo "== hlnp-fuzz (seeded, bounded) =="
 timeout 240 ./target/release/hlnp-fuzz --seed 5 --iters 2000 --max-seconds 180
 
 echo "== parallel-build smoke (~100k vertices, bounded) =="
-# Exercises the hl-build batch/commit pipeline at a size the unit tests
+# Exercises PLL's batch/commit driver (hl_core::pll) at a size the unit tests
 # don't reach: a ~131k-vertex RMAT graph, 2 worker threads, degree
 # order, flowing into the binary store, back in through the AnyStore
 # mount path against Dijkstra from 2 sources (a wrong answer exits 1),

@@ -8,8 +8,9 @@
 //! * [`graph`] — CSR graph substrate, traversal, generators, transforms;
 //! * [`core`] — hub labelings and all constructions (PLL, greedy,
 //!   random-threshold, the Theorem 4.1 RS-based algorithm, centroid trees);
-//! * [`build`] — parallel, ordering-aware PLL construction for
-//!   million-vertex graphs (bit-identical to sequential PLL);
+//! * [`build`] — the name `benchmark/` and `hubserve` link PLL's one
+//!   driver under: re-exports of `core::pll`'s parallel, ordering-aware
+//!   construction (bit-identical to sequential PLL);
 //! * [`rs`] — Behrend sets, Ruzsa–Szemerédi graphs, induced matchings;
 //! * [`lowerbound`] — the `H_{b,ℓ}` / `G_{b,ℓ}` gadgets of Theorem 2.1,
 //!   Lemma 2.2 verification and hub-size accounting;
