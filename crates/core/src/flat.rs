@@ -335,6 +335,33 @@ impl FlatLabeling {
         (&self.offsets, &mut self.hubs, &mut self.dists)
     }
 
+    /// Removes every entry whose hub id is below `k`, in place: each
+    /// vertex's removed prefix is handed to `take(v, hubs, dists)`, then
+    /// the rest of its run moves down to close the gap. Runs stay sorted,
+    /// and the lanes are shrunk to what is left, so no second arena is
+    /// ever live.
+    pub(crate) fn drain_hubs_below(
+        &mut self,
+        k: NodeId,
+        mut take: impl FnMut(usize, &[NodeId], &[u32]),
+    ) {
+        let (mut start, mut kept) = (0, 0);
+        for v in 0..self.num_nodes() {
+            let end = self.offsets[v + 1] as usize;
+            let cut = start + self.hubs[start..end].partition_point(|&h| h < k);
+            take(v, &self.hubs[start..cut], &self.dists[start..cut]);
+            self.hubs.copy_within(cut..end, kept);
+            self.dists.copy_within(cut..end, kept);
+            kept += end - cut;
+            self.offsets[v + 1] = kept as u64;
+            start = end;
+        }
+        self.hubs.truncate(kept);
+        self.dists.truncate(kept);
+        self.hubs.shrink_to_fit();
+        self.dists.shrink_to_fit();
+    }
+
     /// Builds the arena from one `(hub, distance)` list per vertex, each
     /// in any order; a hub listed twice keeps its minimum distance. The
     /// one place labels are sorted, deduplicated and narrowed — what every

@@ -18,6 +18,9 @@
 //!   store flavor (u16/u32 distance lanes, delta-coded hub ids);
 //! * [`freq`] — hub-frequency label reordering, a layout pass that moves
 //!   hot hubs to the front of every run;
+//! * [`dense`] — [`DenseLabeling`], a ranked arena whose first hub
+//!   columns are an `n × K` table of `u8` cells, joined by lane sums, and
+//!   the rest a remainder arena: what a daemon serves;
 //! * [`cover`] — verification that a labeling answers every query exactly;
 //! * [`minimize`], [`hierarchical`] — post-hoc hub removal, and the
 //!   canonical hierarchical labeling with its hierarchy check;
@@ -60,6 +63,7 @@ pub mod approx;
 pub mod compact;
 pub mod corrected;
 pub mod cover;
+pub mod dense;
 pub mod flat;
 pub mod freq;
 pub mod greedy;
@@ -76,6 +80,7 @@ pub mod stats;
 pub mod tree;
 
 pub use compact::{CompactDists, CompactLabeling, HubDeltas, NarrowLane};
+pub use dense::DenseLabeling;
 pub use flat::{FlatLabeling, FlatLayoutError};
 pub use order::{OrderError, VertexOrder};
 pub use stats::LabelingStats;

@@ -43,7 +43,11 @@
 //! flavor mounts as (exactly what `serve` mounts), and prints both the
 //! on-disk and in-memory sizes: label entries and bytes per entry, the
 //! two axes the paper's size bounds are stated in — and the hubset sizes
-//! `|S_v|` themselves, at their p10/p50/p90 deciles and maximum.
+//! `|S_v|` themselves, at their p10/p50/p90 deciles and maximum. Its last
+//! line is the split `serve` mounts (`hl_core::dense`): K, the hub columns
+//! that become `u8` table rows, the table's filled cells and bytes, and
+//! the entries left in the remainder arena (cells + remainder = entries).
+//! `serve`'s start line reports that split's heap bytes, table included.
 //!
 //! `serve` loads a store of any format into a [`hl_net::NetServer`]
 //! and answers HLNP frames until a `Shutdown` request arrives, then
@@ -89,7 +93,7 @@ use hl_core::random_threshold::{random_threshold_labeling, RandomThresholdParams
 use hl_core::rs_based::{rs_labeling, RsParams};
 use hl_core::separator_labeling::separator_labeling;
 use hl_core::tree::centroid_labeling;
-use hl_core::{freq, CompactLabeling, FlatLabeling, VertexOrder};
+use hl_core::{freq, CompactLabeling, DenseLabeling, FlatLabeling, VertexOrder};
 use hl_graph::exit::{exit_code, CliError};
 use hl_graph::families::Family;
 use hl_graph::rng::Xorshift64;
@@ -453,6 +457,19 @@ fn cmd_stats(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         decile(5),
         decile(9),
         decile(10)
+    )?;
+    // The split `serve` mounts: ranked, then the common hub columns
+    // into a u8 table.
+    let mut ranked = served.clone();
+    freq::reorder_by_hub_frequency(&mut ranked);
+    let dense = DenseLabeling::split(ranked);
+    writeln!(
+        out,
+        "  dense prefix       {} hubs (u8), {} filled cells, {} table bytes, {} remainder entries",
+        dense.prefix_hubs(),
+        dense.filled_cells(),
+        dense.table_bytes(),
+        dense.remainder().num_entries()
     )?;
     Ok(())
 }

@@ -191,6 +191,24 @@ fn stats_reports_arena_size() {
     assert!(next_line.starts_with(&deciles), "{stdout}");
     assert_eq!(sizes[35], served.max_hubs());
 
+    // The dense split the engine mounts: its filled cells and remainder
+    // entries are the arena's entries, and its table is n · K bytes.
+    let dense = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("  dense prefix       "))
+        .expect("a dense prefix line");
+    let words: Vec<usize> = dense
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|w| w.parse().ok())
+        .collect();
+    let [k, u8_bits, cells, table, rest] = words[..] else {
+        panic!("dense prefix line: {dense}");
+    };
+    assert_eq!(u8_bits, 8, "{dense}");
+    assert!(k > 0, "{dense}");
+    assert_eq!(cells + rest, served.num_entries(), "{dense}");
+    assert_eq!(table, 36 * k, "{dense}");
+
     let _ = std::fs::remove_file(graph);
     let _ = std::fs::remove_file(store);
 }

@@ -2,19 +2,25 @@
 //! labeling, on the threads of whoever calls it.
 //!
 //! Labels are decoded from the store once, before construction, into the
-//! [`FlatLabeling`] CSR arena — whatever the store's format — and every
-//! query is that arena's join: `hl_core::label`'s hybrid kernel, a merge
-//! when the shorter label is short and otherwise a scatter–gather through
-//! the calling thread's hub scratch. The engine renumbers the arena's hub
-//! ids by frequency rank in place as it mounts it ([`freq`]), so the hubs
-//! every label shares form one prefix of every run; it keeps the inverse,
-//! `unrank`, and [`QueryEngine::label_of`] answers in the store's ids.
-//! The arena (plus its LRU cache) lives inside an immutable **epoch**
-//! behind a versioned `Arc` cell: every query snapshots the current epoch
-//! with one brief read-lock clone and then runs lock-free against that
-//! generation. [`QueryEngine::reload`] swaps in a new epoch atomically —
-//! in-flight queries finish on the old one, which is freed when its last
-//! snapshot drops.
+//! [`FlatLabeling`] CSR arena, whatever the store's format. The engine
+//! renumbers the arena's hub ids by frequency rank in place as it mounts
+//! it ([`freq`]), so the hubs every label shares form one prefix of every
+//! run; it keeps the inverse, `unrank`, and [`QueryEngine::label_of`]
+//! answers in the store's ids. It then splits the ranked arena
+//! ([`DenseLabeling`]): the first K hub columns, each held by at least
+//! one label in eight, become an `n × K` table of `u8` cells, and every other
+//! entry stays in a remainder arena. A query is the smaller of two joins:
+//! the two rows summed lane by lane and folded with `min`, and
+//! `hl_core::label`'s hybrid kernel over the two remainders (a merge when
+//! the shorter label is short and otherwise a scatter–gather through the
+//! calling thread's hub scratch). K comes from the store alone, and a
+//! store with a wide distance in its top column serves at K = 0, as the
+//! plain arena. The table and remainder (plus the LRU cache) live inside
+//! an immutable **epoch** behind a versioned `Arc` cell: every query
+//! snapshots the current epoch with one brief read-lock clone and then
+//! runs lock-free against that generation. [`QueryEngine::reload`] swaps
+//! in a new epoch atomically — in-flight queries finish on the old one,
+//! which is freed when its last snapshot drops.
 //!
 //! The engine owns no threads. Two paths:
 //!
@@ -34,7 +40,7 @@
 //! sampled: one in [`SAMPLE_EVERY`] is timed, and recorded at a weight
 //! of `SAMPLE_EVERY`, because two clock reads cost more than the epoch
 //! pin and the cache lookup together. A batch reads the clock once per
-//! share, around one [`FlatLabeling::query_many`], and records each pair
+//! share, around one [`DenseLabeling::query_many`], and records each pair
 //! of the share at the share's mean time, so no clock read sits between
 //! two joins.
 
@@ -44,7 +50,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use hl_core::{freq, FlatLabeling};
+use hl_core::{freq, DenseLabeling, FlatLabeling};
 use hl_graph::sync::{fan_out, read_unpoisoned, write_unpoisoned};
 use hl_graph::{Distance, NodeId};
 
@@ -52,11 +58,11 @@ use crate::cache::ShardedLruCache;
 use crate::metrics::{Metrics, MetricsSnapshot};
 
 /// Fewest pairs a batch must give each thread before `query_batch` splits
-/// it. A scoped spawn plus join measures about 15 µs on the benchmark host
-/// and a join in the batch path 0.44–0.65 µs (traced
-/// `hl-server.engine_batch_ns_per_query` on rmat32k and gnm2k in
-/// `benchmark/`), so a share this size is 110–170 µs of work against that
-/// cost; below it the split loses to the calling thread alone.
+/// it. A scoped spawn plus join measures about 15 µs on the benchmark host,
+/// and a join in the batch path 0.14–0.21 µs on gnm2k and rmat32k
+/// (`DenseLabeling::query_many` over 2^20 uniform pairs on one thread of a
+/// 2-CPU Xeon), so a share this size is 36–54 µs of work, more than twice
+/// that cost; below it the split loses to the calling thread alone.
 const MIN_PAIRS_PER_THREAD: usize = 256;
 
 /// One single query in this many reads the clock: the first, and then
@@ -94,22 +100,23 @@ impl std::error::Error for EngineError {}
 struct Epoch {
     /// Monotonically increasing generation number, starting at 0.
     serial: u64,
-    /// The store's arena with hub ids replaced by frequency ranks.
-    labeling: FlatLabeling,
+    /// The store's arena with hub ids replaced by frequency ranks, split
+    /// into its dense table and remainder.
+    labeling: DenseLabeling,
     /// `unrank[rank]` is the store's id of hub `rank`: 4 B a vertex.
     unrank: Vec<NodeId>,
     cache: ShardedLruCache,
 }
 
 impl Epoch {
-    /// Generation 0 of `labeling`, ranked in place, with an empty
+    /// Generation 0 of `labeling`, ranked in place and split, with an empty
     /// single-query cache of 65,536 entries, sharded at least four ways
     /// so point lookups from `width` threads rarely meet on a shard lock.
     fn new(mut labeling: FlatLabeling, width: usize) -> Epoch {
         let unrank = freq::reorder_by_hub_frequency(&mut labeling);
         Epoch {
             serial: 0,
-            labeling,
+            labeling: DenseLabeling::split(labeling),
             unrank,
             cache: ShardedLruCache::new(1 << 16, width.max(4)),
         }
@@ -169,13 +176,16 @@ impl QueryEngine {
         self.pin().labeling.num_nodes()
     }
 
-    /// Total `(hub, distance)` entries in the served arena, `Σ_v |S_v|`.
+    /// Total `(hub, distance)` entries served, `Σ_v |S_v|`: the filled
+    /// cells of the dense table plus the remainder's entries, the same
+    /// count as the store's arena.
     pub fn num_entries(&self) -> usize {
         self.pin().labeling.num_entries()
     }
 
-    /// Heap footprint of the served arena, in bytes: the arena alone. The
-    /// epoch's `unrank` table, 4 B a vertex, is not counted here.
+    /// Heap footprint of the served labels, in bytes: the dense table's
+    /// `n · K` cells plus the remainder arena. The epoch's `unrank` table,
+    /// 4 B a vertex, is not counted here.
     pub fn heap_bytes(&self) -> usize {
         self.pin().labeling.heap_bytes()
     }
@@ -198,9 +208,9 @@ impl QueryEngine {
     /// file before calling reload, so a corrupt file never evicts the
     /// healthy epoch).
     ///
-    /// The new epoch is ranked and its cache built before the write lock
-    /// is taken; the lock covers reading the serial and the swap, and the
-    /// old epoch is released after it.
+    /// The new epoch is ranked, split and its cache built before the write
+    /// lock is taken; the lock covers reading the serial and the swap, and
+    /// the old epoch is released after it.
     pub fn reload(&self, labeling: FlatLabeling) -> u64 {
         let next = Epoch::new(labeling, self.width);
         let mut slot = write_unpoisoned(&self.epoch);
@@ -515,10 +525,20 @@ mod tests {
         labels_match(&eng, &second);
     }
 
+    /// The served labels, table and remainder merged back into one
+    /// arena in rank ids.
+    fn served_arena(eng: &QueryEngine) -> FlatLabeling {
+        let epoch = eng.pin();
+        let labeling = &epoch.labeling;
+        let n = labeling.num_nodes() as NodeId;
+        FlatLabeling::from_pair_lists((0..n).map(|v| labeling.pairs_of(v).collect()).collect())
+            .unwrap()
+    }
+
     #[test]
     fn the_served_arena_is_ranked_by_hub_frequency() {
         let ranked = |eng: &QueryEngine| {
-            let freqs = freq::hub_frequencies(&eng.pin().labeling);
+            let freqs = freq::hub_frequencies(&served_arena(eng));
             freqs.windows(2).all(|w| w[0] >= w[1])
         };
         let eng = QueryEngine::new(hottest_hub_last(3), 1).unwrap();
@@ -543,18 +563,46 @@ mod tests {
         assert_eq!(eng.query(0, n as NodeId).unwrap(), INFINITY);
     }
 
+    /// The paper's H_{2,4} gadget is weighted: its most frequent hub sits
+    /// more than 127 from some vertex, so the whole table stays empty
+    /// (K = 0) and the engine serves the plain ranked arena, exactly.
+    #[test]
+    fn the_h24_gadget_mounts_at_k_zero_and_answers_exactly() {
+        use hl_lowerbound::{GadgetParams, HGraph};
+        let h = HGraph::build(GadgetParams::new(2, 4).unwrap());
+        let g = h.graph();
+        let hl = PrunedLandmarkLabeling::by_degree(g).into_labeling();
+        let eng = QueryEngine::new(hl.clone(), 2).unwrap();
+        let epoch = eng.pin();
+        assert_eq!(epoch.labeling.prefix_hubs(), 0);
+        assert_eq!(eng.heap_bytes(), hl.heap_bytes());
+        assert_eq!(eng.num_entries(), hl.num_entries());
+        let n = g.num_nodes() as NodeId;
+        for s in (0..n).step_by(97) {
+            let truth = hl_graph::dijkstra::dijkstra_distances(g, s);
+            let pairs: Vec<(NodeId, NodeId)> = (0..n).map(|v| (s, v)).collect();
+            assert_eq!(eng.query_batch(&pairs).unwrap(), truth, "from {s}");
+            for v in (0..n).step_by(5) {
+                assert_eq!(eng.query(s, v).unwrap(), truth[v as usize], "d({s},{v})");
+            }
+        }
+    }
+
     /// A near-tree gnm's ranked arena (4,500 vertices, 500 edges past a
-    /// spanning tree): its labels straddle 16 entries, so joins take both
-    /// of the kernel's paths, and its 4,500 hub ids pass 4,096, so some
-    /// scatter joins merge a tail (`hl_core::label`'s two bounds).
+    /// spanning tree): its remainder labels straddle 16 entries, so joins
+    /// take both of the kernel's paths, and its 4,500 hub ids pass 4,096,
+    /// so some scatter joins merge a tail (`hl_core::label`'s two bounds);
+    /// its dense table is not empty, so every answer is the smaller of
+    /// the two halves.
     #[test]
     fn long_labels_and_tail_hubs_serve_exactly() {
         let g = generators::connected_gnm(4_500, 500, 11);
         let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
         let (short_min, tail_hub) = (16, 4_096);
-        let eng = QueryEngine::new(hl, 3).unwrap();
+        let eng = QueryEngine::new(hl.clone(), 3).unwrap();
         let epoch = eng.pin();
-        let arena = &epoch.labeling;
+        assert!(epoch.labeling.prefix_hubs() > 0);
+        let arena = epoch.labeling.remainder();
         let n = arena.num_nodes() as NodeId;
         let long = |v: NodeId| arena.hubs_of(v).len() >= short_min;
         let longs = (0..n).filter(|&v| long(v)).count();
@@ -573,7 +621,7 @@ mod tests {
             .flat_map(|&s| (0..n).map(move |v| (s, v)))
             .collect();
         let want: Vec<Distance> = truth.iter().flatten().copied().collect();
-        let narrow = QueryEngine::new(arena.clone(), 1).unwrap();
+        let narrow = QueryEngine::new(hl, 1).unwrap();
         assert_eq!(narrow.query_batch(&pairs).unwrap(), want, "width 1");
         assert_eq!(eng.query_batch(&pairs).unwrap(), want, "width 3");
         for (k, &s) in sources.iter().enumerate() {
@@ -583,7 +631,7 @@ mod tests {
             // The witness is a rank id; its store id lies on a shortest
             // path between the two sources.
             for (l, &t) in sources.iter().enumerate() {
-                let (d, hub) = arena.query_with_witness(s, t).unwrap();
+                let (d, hub) = epoch.labeling.query_with_witness(s, t).unwrap();
                 let hub = epoch.unrank[hub as usize] as usize;
                 assert_eq!(d, truth[k][t as usize], "d({s},{t})");
                 assert_eq!(truth[k][hub] + truth[l][hub], d, "witness of ({s},{t})");

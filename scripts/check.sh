@@ -184,8 +184,9 @@ echo "== workspace tests =="
 cargo test --workspace -q
 
 echo "== join kernel tests in release (the build daemons serve) =="
-# The scatter path's scratch hygiene and its two bounds, optimized as served.
-cargo test --release --offline -q -p hl-core --lib label
+# The scatter path's scratch hygiene and its two bounds, and the dense
+# table's vectorized lane fold, optimized as served.
+cargo test --release --offline -q -p hl-core --lib -- label dense
 
 echo "== hlnp-fuzz (seeded, bounded) =="
 # Protocol + store fuzz against a throwaway in-memory labeling: exits 1
