@@ -7,9 +7,10 @@
 //! it ([`freq`]), so the hubs every label shares form one prefix of every
 //! run; it keeps the inverse, `unrank`, and [`QueryEngine::label_of`]
 //! answers in the store's ids. It then splits the ranked arena
-//! ([`DenseLabeling`]): the first K hub columns, each held by at least
-//! one label in eight, become an `n × K` table of `u8` cells, and every other
-//! entry stays in a remainder arena. A query is the smaller of two joins:
+//! ([`DenseLabeling`]): the first K hub columns, as many as fit in the
+//! bytes their entries take in the flat arena (`n · K ≤ 8 · cells`),
+//! become an `n × K` table of `u8` cells, and every other entry stays in
+//! a remainder arena. A query is the smaller of two joins:
 //! the two rows summed lane by lane and folded with `min`, and
 //! `hl_core::label`'s hybrid kernel over the two remainders (a merge when
 //! the shorter label is short and otherwise a scatter–gather through the
@@ -59,9 +60,9 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 
 /// Fewest pairs a batch must give each thread before `query_batch` splits
 /// it. A scoped spawn plus join measures about 15 µs on the benchmark host,
-/// and a join in the batch path 0.14–0.21 µs on gnm2k and rmat32k
+/// and a join in the batch path 0.16–0.23 µs on gnm2k and rmat32k
 /// (`DenseLabeling::query_many` over 2^20 uniform pairs on one thread of a
-/// 2-CPU Xeon), so a share this size is 36–54 µs of work, more than twice
+/// 2-CPU Xeon), so a share this size is 40–59 µs of work, more than twice
 /// that cost; below it the split loses to the calling thread alone.
 const MIN_PAIRS_PER_THREAD: usize = 256;
 
@@ -184,8 +185,9 @@ impl QueryEngine {
     }
 
     /// Heap footprint of the served labels, in bytes: the dense table's
-    /// `n · K` cells plus the remainder arena. The epoch's `unrank` table,
-    /// 4 B a vertex, is not counted here.
+    /// `n · K` cells plus the remainder arena, never more than the flat
+    /// arena's. The epoch's `unrank` table, 4 B a vertex, is not counted
+    /// here.
     pub fn heap_bytes(&self) -> usize {
         self.pin().labeling.heap_bytes()
     }
@@ -588,15 +590,14 @@ mod tests {
         }
     }
 
-    /// A near-tree gnm's ranked arena (4,500 vertices, 500 edges past a
-    /// spanning tree): its remainder labels straddle 16 entries, so joins
-    /// take both of the kernel's paths, and its 4,500 hub ids pass 4,096,
-    /// so some scatter joins merge a tail (`hl_core::label`'s two bounds);
-    /// its dense table is not empty, so every answer is the smaller of
-    /// the two halves.
+    /// A weighted 67 × 68 grid with 300 shortcuts: its remainder labels
+    /// straddle 16 entries, so joins take both of the kernel's paths, and
+    /// its 4,556 hub ids pass 4,096, so some scatter joins merge a tail
+    /// (`hl_core::label`'s two bounds); its dense table is not empty, so
+    /// every answer is the smaller of the two halves.
     #[test]
     fn long_labels_and_tail_hubs_serve_exactly() {
-        let g = generators::connected_gnm(4_500, 500, 11);
+        let g = generators::grid_with_shortcuts(67, 68, 300, 11);
         let hl = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
         let (short_min, tail_hub) = (16, 4_096);
         let eng = QueryEngine::new(hl.clone(), 3).unwrap();
@@ -614,7 +615,7 @@ mod tests {
         let sources: Vec<NodeId> = vec![0, 79, 1_234, 2_222, 3_240, 4_000, 4_499];
         let truth: Vec<Vec<Distance>> = sources
             .iter()
-            .map(|&s| hl_graph::bfs::bfs_distances(&g, s))
+            .map(|&s| hl_graph::dijkstra::dijkstra_distances(&g, s))
             .collect();
         let pairs: Vec<(NodeId, NodeId)> = sources
             .iter()
