@@ -1004,6 +1004,42 @@ mod tests {
     }
 
     #[test]
+    fn section_checksums_are_pinned_for_both_flavors() {
+        // The lane checksums a small store of each flavor carries in its
+        // table, and its length: a writer that folds a section some other
+        // way (chunk by chunk, or in a pass of its own) must land on these.
+        let flat = FlatStore::from_flat(sample_flat()).encode();
+        let compact = CompactStore::from_compact(sample_compact()).encode();
+        for (name, bytes, len, sums) in [
+            (
+                "v2",
+                flat,
+                2848,
+                [
+                    0x22ce_c391_dbd8_b744,
+                    0x1e14_2bd9_27f7_6aac,
+                    0xd95a_5f99_a503_4e61,
+                ],
+            ),
+            (
+                "v2c",
+                compact,
+                1240,
+                [
+                    0x22ce_c391_dbd8_b744,
+                    0xe9d2_6080_2185_9e3e,
+                    0xf900_d67d_e491_707d,
+                ],
+            ),
+        ] {
+            assert_eq!(bytes.len(), len, "{name} length");
+            let table =
+                [0, 1, 2].map(|i| read_u64(&bytes, TABLE_OFF + i * RECORD_LEN + 16).unwrap());
+            assert_eq!(table, sums, "{name} section checksums");
+        }
+    }
+
+    #[test]
     fn section_bytes_report_matches_layout() {
         let flat = sample_flat();
         let store = FlatStore::from_flat(flat.clone());
