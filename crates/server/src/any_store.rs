@@ -1,19 +1,24 @@
 //! The mount record: what opening an HLBS file of any version yields.
 //!
 //! Both formats share the magic and the header prefix through the version
-//! field; [`AnyStore::parse`] peeks at that field
-//! ([`crate::store::format_version`]) and runs the matching codec's one
+//! field; [`AnyStore::parse`] and [`AnyStore::open`] peek at that field
+//! ([`crate::store::format_version`]) and run the matching codec's one
 //! eager validate-and-decode pass — [`store::decode`] for v1 γ, the v2
 //! codec ([`V2Store`]) for both v2 flavors, v2c's compact lanes expanded
-//! after they validate. Every version yields the same record: the flat
-//! arena a daemon mounts, plus the facts about the file that `hubserve
-//! stats` and the serve banner report.
+//! after they validate. A v2 file is streamed through one chunk buffer by
+//! the same reader a byte slice parses through, so a mount never holds
+//! the file's image beside the arena. A v1 file (γ-coded, small beside
+//! its arena) is read whole, and so is a pipe, which has no length and
+//! no positional reads. Every version yields the same record: the
+//! flat arena a daemon mounts, plus the facts about the file that
+//! `hubserve stats` and the serve banner report.
 //! Every product path that reads a store (`hubserve serve`/`query`/
 //! `stats`/`convert`/`build --verify`, the `Reload` opcode, `hl-shard
 //! partition`) goes through this type.
 
 use std::fs::File;
 use std::io::Read;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use hl_core::FlatLabeling;
@@ -39,14 +44,13 @@ impl AnyStore {
     /// ([`store_v2::FLAG_COMPACT`]); v1 γ-decodes every label (the
     /// untrusted-decode path, so a crafted store fails here).
     pub fn parse(bytes: &[u8]) -> Result<Self, StoreError> {
-        let version = store::format_version(bytes)?;
-        // Both codecs reject trailing bytes, so the image is the file.
-        let file_len = bytes.len() as u64;
-        match version {
+        match store::format_version(bytes)? {
             store::VERSION => {
                 let (flat, label_bits) = store::decode(bytes)?;
+                // The codec rejects trailing bytes, so the image is the file.
+                let file_len = bytes.len() as u64;
                 Ok(AnyStore {
-                    version,
+                    version: store::VERSION,
                     flavor: "v1",
                     file_len,
                     sections: store::section_bytes(flat.num_nodes(), file_len),
@@ -54,36 +58,49 @@ impl AnyStore {
                     flat,
                 })
             }
-            store_v2::VERSION => {
-                let store = V2Store::parse(bytes)?;
-                let sections = store.section_bytes();
-                Ok(AnyStore {
-                    version,
-                    flavor: if store.flags() & store_v2::FLAG_COMPACT != 0 {
-                        "v2c"
-                    } else {
-                        "v2"
-                    },
-                    file_len,
-                    sections,
-                    label_bits: store.label_bits(),
-                    flat: store.into_flat(),
-                })
-            }
+            store_v2::VERSION => Ok(Self::from_v2(V2Store::parse(bytes)?)),
             other => Err(StoreError::UnsupportedVersion(other)),
         }
     }
 
-    /// Reads and validates a store from a reader.
-    pub fn read_from<R: Read>(mut input: R) -> Result<Self, StoreError> {
+    /// Reads and validates a store from a file: [`AnyStore::parse`]'s
+    /// checks, with a v2 file streamed section by section rather than
+    /// read whole.
+    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, StoreError> {
+        let mut file = File::open(path)?;
+        let meta = file.metadata()?;
+        if meta.is_file() {
+            let mut peek = [0u8; 8];
+            let peek = &mut peek[..meta.len().min(8) as usize];
+            file.read_exact_at(peek, 0)?;
+            match store::format_version(peek)? {
+                store_v2::VERSION => return Ok(Self::from_v2(V2Store::read(&file)?)),
+                store::VERSION => {}
+                other => return Err(StoreError::UnsupportedVersion(other)),
+            }
+        }
+        // A v1 file (γ-coded, small beside its arena) is read whole, and
+        // so is a source with no length or positional reads, a pipe.
         let mut bytes = Vec::new();
-        input.read_to_end(&mut bytes)?;
+        file.read_to_end(&mut bytes)?;
         Self::parse(&bytes)
     }
 
-    /// Reads and validates a store from a file.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, StoreError> {
-        Self::read_from(File::open(path)?)
+    /// The record of a validated v2 store of either flavor.
+    fn from_v2(store: V2Store) -> Self {
+        AnyStore {
+            version: store_v2::VERSION,
+            flavor: if store.flags() & store_v2::FLAG_COMPACT != 0 {
+                "v2c"
+            } else {
+                "v2"
+            },
+            // The reader rejects trailing bytes, so the layout is the file.
+            file_len: store.file_len(),
+            sections: store.section_bytes(),
+            label_bits: store.label_bits(),
+            flat: store.into_flat(),
+        }
     }
 
     /// The format version of this store.
@@ -225,6 +242,91 @@ mod tests {
             assert_eq!(bytes.len(), len, "{name} length");
             assert_eq!(store::fnv1a64(bytes), fnv, "{name} bytes");
         }
+    }
+
+    /// Writes `bytes` to a fresh file and opens it as a store.
+    fn open_bytes(name: &str, bytes: &[u8]) -> Result<AnyStore, StoreError> {
+        let path = std::env::temp_dir().join(format!("hl-any-store-{name}-{}", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let opened = AnyStore::open(&path);
+        std::fs::remove_file(&path).ok();
+        opened
+    }
+
+    #[test]
+    fn open_rejects_damaged_v2_files_with_typed_errors() {
+        let clean = FlatStore::from_flat(sample()).encode();
+        let any = open_bytes("clean", &clean).unwrap();
+        assert_eq!((any.flavor(), any.file_len()), ("v2", clean.len() as u64));
+
+        let short = &clean[..clean.len() - 1];
+        assert!(matches!(
+            open_bytes("short", short),
+            Err(StoreError::Truncated { expected, actual })
+                if expected == clean.len() as u64 && actual == short.len() as u64
+        ));
+
+        let mut long = clean.clone();
+        long.push(0);
+        assert!(matches!(
+            open_bytes("long", &long),
+            Err(StoreError::Corrupt(m)) if m.contains("1 trailing bytes")
+        ));
+
+        // The 24 bytes between the 104-byte header and the first section.
+        let mut padded = clean.clone();
+        padded[store_v2::HEADER_LEN + 3] = 1;
+        assert!(matches!(
+            open_bytes("padding", &padded),
+            Err(StoreError::Corrupt(m)) if m.contains("nonzero padding before section offsets")
+        ));
+    }
+
+    #[test]
+    fn open_rejects_a_huge_declared_store_before_allocating_it() {
+        // 2^40 entries, with table records that match them and every
+        // checksum right, in a 200-byte file: the frame check against the
+        // file's real length fails before a section is allocated.
+        let e = 1u64 << 40;
+        let lay = store_v2::layout_with(0, 1 << 40, 4, 8);
+        let mut bytes = vec![0u8; 200];
+        bytes[..4].copy_from_slice(b"HLBS");
+        bytes[4..6].copy_from_slice(&store_v2::VERSION.to_le_bytes());
+        bytes[16..24].copy_from_slice(&e.to_le_bytes());
+        for (i, sec) in lay.sections.iter().enumerate() {
+            let rec = 32 + i * 24;
+            bytes[rec..rec + 8].copy_from_slice(&sec.file_offset.to_le_bytes());
+            bytes[rec + 8..rec + 16].copy_from_slice(&sec.byte_len.to_le_bytes());
+        }
+        let table = store::fnv1a64(&bytes[32..store_v2::HEADER_LEN]);
+        bytes[24..32].copy_from_slice(&table.to_le_bytes());
+        let hubs = lay.sections[1];
+        assert!(matches!(
+            open_bytes("huge", &bytes),
+            Err(StoreError::Truncated { expected, actual: 200 })
+                if expected == hubs.file_offset + hubs.byte_len
+        ));
+    }
+
+    #[test]
+    fn open_reads_a_store_through_a_pipe() {
+        // A FIFO has no length and no positional reads, so it is read
+        // whole and parsed: the same store its bytes parse to.
+        let bytes = FlatStore::from_flat(sample()).encode();
+        let fifo = std::env::temp_dir().join(format!("hl-any-store-fifo-{}", std::process::id()));
+        std::fs::remove_file(&fifo).ok();
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+        assert!(made.expect("run mkfifo").success(), "mkfifo failed");
+        let writer = {
+            let (fifo, bytes) = (fifo.clone(), bytes.clone());
+            std::thread::spawn(move || std::fs::write(fifo, bytes))
+        };
+        let opened = AnyStore::open(&fifo);
+        writer.join().unwrap().unwrap();
+        std::fs::remove_file(&fifo).ok();
+        let opened = opened.unwrap();
+        assert_eq!(opened.file_len(), bytes.len() as u64);
+        assert_eq!(opened.served(), AnyStore::parse(&bytes).unwrap().served());
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! multi-GB store means bit-decoding 100M+ entries before the first query.
 //! Version 2 inverts the trade: the three CSR arrays (`offsets`, `hubs`,
 //! `dists`) are laid out verbatim, little-endian, each in its own aligned,
-//! individually checksummed section — so a load is one sequential read,
-//! one fused checksum-and-decode pass, and one structural scan. No bit
-//! twiddling, no per-label work. v1 remains the archival/transport encoding (`hubserve
+//! individually checksummed section — so a load is each section streamed
+//! through one chunk buffer, checksummed and decoded in the same pass,
+//! then one structural scan. No bit twiddling, no per-label work, and no
+//! image of the whole file: a save or a mount holds the arena and one
+//! 256 KiB buffer. v1 remains the archival/transport encoding (`hubserve
 //! convert` moves between them losslessly); v2 is what a daemon mounts.
 //!
 //! ## Format (all integers little-endian)
@@ -58,7 +60,8 @@
 //!
 //! A reader validates, in order: header length, magic/version/flags, the
 //! table checksum, then each section record (alignment, exact length for
-//! the declared `n`/`e`, in-bounds, ascending and non-overlapping), the
+//! the declared `n`/`e`, in-bounds against the image's real length,
+//! ascending and non-overlapping) before any section-sized allocation, the
 //! zero padding, each section checksum (computed in the same pass that
 //! decodes the section — decoded data is discarded unless every checksum
 //! matches), and finally the structural invariants of the decoded arena
@@ -71,6 +74,7 @@
 
 use std::fs::File;
 use std::io::{self, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use hl_core::{CompactDists, CompactLabeling, FlatLabeling, HubDeltas};
@@ -104,6 +108,12 @@ const RECORD_LEN: usize = 24;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The one buffer a save or a mount moves section bytes through, whatever
+/// the file's size. A mount splits it among its section decoders; every
+/// share stays a multiple of [`SECTION_ALIGN`], hence of the checksum's
+/// 32-byte fold and of every lane width.
+const CHUNK: usize = 256 << 10;
 
 /// One little-endian integer element of a section: the three widths the
 /// two flavors lay out (`u64` offsets and flat distances, `u32` flat hubs
@@ -158,18 +168,56 @@ impl_lane!(u16, u32, u64);
 /// ~2^-64 as usual. The 72-byte table keeps the classic byte-wise
 /// [`fnv1a64`]; only bulk section data uses the folded form.
 pub fn section_checksum(bytes: &[u8]) -> u64 {
-    let mut lanes = LANE_SEEDS;
-    let mut chunks = bytes.chunks_exact(32);
-    for c in chunks.by_ref() {
-        for (j, lane) in lanes.iter_mut().enumerate() {
-            *lane = (*lane ^ u64::read_le(&c[j * 8..j * 8 + 8])).wrapping_mul(FNV_PRIME);
+    let mut fold = LaneFold::default();
+    fold.absorb(bytes);
+    fold.finish()
+}
+
+/// A [`section_checksum`] in progress, so a section can be folded one
+/// chunk at a time: the four lane states, the byte-FNV of the tail, and
+/// the bytes absorbed so far.
+struct LaneFold {
+    lanes: [u64; 4],
+    tail: u64,
+    len: u64,
+}
+
+impl Default for LaneFold {
+    fn default() -> Self {
+        LaneFold {
+            lanes: [1, 2, 3, 4].map(|seed| FNV_OFFSET ^ seed),
+            tail: FNV_OFFSET,
+            len: 0,
         }
     }
-    let mut tail = FNV_OFFSET;
-    for &b in chunks.remainder() {
-        tail = (tail ^ b as u64).wrapping_mul(FNV_PRIME);
+}
+
+impl LaneFold {
+    /// Folds the next bytes of the section in. Only the last call may
+    /// pass a length that is not a multiple of 32: its remainder is the
+    /// tail.
+    fn absorb(&mut self, bytes: &[u8]) {
+        debug_assert_eq!(self.len % 32, 0, "bytes absorbed after the tail");
+        let mut words = bytes.chunks_exact(32);
+        for c in words.by_ref() {
+            for (j, lane) in self.lanes.iter_mut().enumerate() {
+                *lane = (*lane ^ u64::read_le(&c[j * 8..j * 8 + 8])).wrapping_mul(FNV_PRIME);
+            }
+        }
+        for &b in words.remainder() {
+            self.tail = (self.tail ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        self.len += bytes.len() as u64;
     }
-    combine_lanes(lanes, tail, bytes.len())
+
+    /// Combines the lanes, the tail hash and the length into the hash.
+    fn finish(self) -> u64 {
+        let mut h = FNV_OFFSET;
+        for w in self.lanes.into_iter().chain([self.tail, self.len]) {
+            h = (h ^ w).wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
 }
 
 /// Placement of one section within the file.
@@ -179,17 +227,6 @@ pub struct Section {
     pub file_offset: u64,
     /// Exact byte length of the section.
     pub byte_len: u64,
-}
-
-impl Section {
-    /// The section's bytes within the whole-file buffer `file`.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "a section ends within its file buffer: validate_frame checks parsed ones against bytes.len()"
-    )]
-    fn range(&self) -> std::ops::Range<usize> {
-        self.file_offset as usize..(self.file_offset + self.byte_len) as usize
-    }
 }
 
 /// The canonical (writer) placement of the three sections for a store
@@ -240,8 +277,49 @@ pub fn layout_with(
     }
 }
 
+/// Where the reader finds a v2 image: its length and positional reads
+/// are all it asks, so a file mounts through the very checks a byte
+/// slice parses through, and is never read whole.
+pub(crate) trait Image: Sync {
+    /// The image's length in bytes.
+    fn image_len(&self) -> io::Result<u64>;
+
+    /// Fills `buf` with the image's bytes from `offset` on.
+    fn fill_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()>;
+}
+
+impl Image for [u8] {
+    fn image_len(&self) -> io::Result<u64> {
+        Ok(self.len() as u64)
+    }
+
+    fn fill_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        let src = usize::try_from(offset)
+            .ok()
+            .and_then(|at| self.get(at..at.checked_add(buf.len())?))
+            .ok_or_else(|| io::Error::from(io::ErrorKind::UnexpectedEof))?;
+        buf.copy_from_slice(src);
+        Ok(())
+    }
+}
+
+impl Image for File {
+    fn image_len(&self) -> io::Result<u64> {
+        Ok(self.metadata()?.len())
+    }
+
+    fn fill_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        self.read_exact_at(buf, offset)
+    }
+}
+
+/// The chunk buffer of a save or a mount ([`CHUNK`] bytes).
+fn chunk_buffer() -> Vec<u8> {
+    vec![0u8; CHUNK]
+}
+
 /// The HLBS v2 codec for both flavors: a thin wrapper holding the body
-/// in its flavor's form. [`V2Store::encode`] lays it out;
+/// in its flavor's form. [`V2Store::write_to`] lays it out;
 /// [`V2Store::parse`] validates an image and [`V2Store::into_flat`] hands
 /// on the arena a daemon mounts ([`crate::any_store::AnyStore`] is how
 /// files get here). A flat body serializes with `flags == 0`, a compact
@@ -346,69 +424,113 @@ impl V2Store {
         self.layout().file_len
     }
 
-    /// Serializes the store into a fresh byte buffer.
+    /// Serializes the store into a fresh byte buffer: [`V2Store::write_to`]
+    /// into a `Vec`.
     pub fn encode(&self) -> Vec<u8> {
-        let lay = self.layout();
-        // A layout too long to address fails here as an allocation would.
-        let mut buf = vec![0u8; usize::try_from(lay.file_len).unwrap_or(usize::MAX)];
-
-        buf[0..4].copy_from_slice(&MAGIC);
-        buf[4..6].copy_from_slice(&VERSION.to_le_bytes());
-        buf[6..8].copy_from_slice(&self.flags().to_le_bytes());
-        buf[8..16].copy_from_slice(&(self.num_nodes() as u64).to_le_bytes());
-        buf[16..24].copy_from_slice(&(self.num_entries() as u64).to_le_bytes());
-
-        let [offsets, hubs, dists] = lay.sections;
-        match &self.body {
-            Body::Flat(f) => {
-                write_lane(&mut buf, offsets, f.raw_offsets().iter().copied());
-                write_lane(&mut buf, hubs, f.raw_hubs().iter().copied());
-                // On disk the distance lane stays u64.
-                let wide = f.raw_dists().iter().map(|&d| u64::from(d));
-                write_lane(&mut buf, dists, wide);
-            }
-            Body::Compact(c) => {
-                write_lane(&mut buf, offsets, c.raw_offsets().iter().copied());
-                write_narrow_lane(&mut buf, hubs, c.raw_hubs());
-                write_narrow_lane(&mut buf, dists, c.raw_dists());
-            }
-        }
-
-        for (i, sec) in lay.sections.iter().enumerate() {
-            let sum = section_checksum(&buf[sec.range()]);
-            let rec = TABLE_OFF + i * RECORD_LEN;
-            buf[rec..rec + 8].copy_from_slice(&sec.file_offset.to_le_bytes());
-            buf[rec + 8..rec + 16].copy_from_slice(&sec.byte_len.to_le_bytes());
-            buf[rec + 16..rec + 24].copy_from_slice(&sum.to_le_bytes());
-        }
-        let table_sum = fnv1a64(&buf[TABLE_OFF..HEADER_LEN]);
-        buf[24..32].copy_from_slice(&table_sum.to_le_bytes());
-        buf
+        let mut bytes = Vec::new();
+        let written = self.write_to(&mut bytes);
+        assert!(
+            written.is_ok(),
+            "writing into a Vec cannot fail: {written:?}"
+        );
+        bytes
     }
 
-    /// Serializes the store to a writer.
+    /// Serializes the store to a writer through one 256 KiB chunk
+    /// buffer, in two passes over the body: the first folds each
+    /// section's checksum, the second writes the header and table that
+    /// carry them, then the padding and the sections. No buffer of the
+    /// file's length is ever allocated.
     pub fn write_to<W: Write>(&self, mut out: W) -> Result<(), StoreError> {
-        out.write_all(&self.encode())?;
+        let lay = self.layout();
+        let mut buf = chunk_buffer();
+        let mut head = [0u8; HEADER_LEN];
+        head[0..4].copy_from_slice(&MAGIC);
+        head[4..6].copy_from_slice(&VERSION.to_le_bytes());
+        head[6..8].copy_from_slice(&self.flags().to_le_bytes());
+        head[8..16].copy_from_slice(&(self.num_nodes() as u64).to_le_bytes());
+        head[16..24].copy_from_slice(&(self.num_entries() as u64).to_le_bytes());
+        for (i, sec) in lay.sections.iter().enumerate() {
+            let mut fold = LaneFold::default();
+            self.stream_section(i, &mut buf, |bytes| {
+                fold.absorb(bytes);
+                Ok(())
+            })?;
+            let rec = TABLE_OFF + i * RECORD_LEN;
+            head[rec..rec + 8].copy_from_slice(&sec.file_offset.to_le_bytes());
+            head[rec + 8..rec + 16].copy_from_slice(&sec.byte_len.to_le_bytes());
+            head[rec + 16..rec + 24].copy_from_slice(&fold.finish().to_le_bytes());
+        }
+        let table_sum = fnv1a64(&head[TABLE_OFF..]);
+        head[24..32].copy_from_slice(&table_sum.to_le_bytes());
+
+        out.write_all(&head)?;
+        let mut at = HEADER_LEN as u64;
+        for (i, sec) in lay.sections.iter().enumerate() {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "layout_with aligns each section within SECTION_ALIGN of the bytes before it"
+            )]
+            let gap = (sec.file_offset - at) as usize;
+            out.write_all(&[0; SECTION_ALIGN][..gap])?;
+            self.stream_section(i, &mut buf, |bytes| out.write_all(bytes))?;
+            at = sec.file_offset + sec.byte_len;
+        }
         out.flush()?;
         Ok(())
     }
 
     /// Serializes the store to a file.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), StoreError> {
-        let file = File::create(path)?;
-        self.write_to(io::BufWriter::new(file))
+        self.write_to(File::create(path)?)
     }
 
-    /// Parses and validates a serialized v2 store of either flavor. The
-    /// flag word picks the flavor and the lane widths: it must be 0 (flat)
-    /// or carry [`FLAG_COMPACT`] and nothing outside [`FLAGS_KNOWN`] —
-    /// width bits without the compact bit are as unknown as any other.
-    /// Every later step is shared: the frame checks, the fused
-    /// checksum+decode pass, and the arena's own structural validation
-    /// ([`FlatLabeling::from_raw_parts`] or
-    /// [`CompactLabeling::from_raw_parts`]).
+    /// Lays section `i` of the body out little-endian, one chunk of `buf`
+    /// at a time, and hands each chunk to `sink`.
+    fn stream_section(
+        &self,
+        i: usize,
+        buf: &mut [u8],
+        sink: impl FnMut(&[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        match (&self.body, i) {
+            (Body::Flat(f), 0) => stream_lane(buf, f.raw_offsets(), |o: u64| o, sink),
+            (Body::Compact(c), 0) => stream_lane(buf, c.raw_offsets(), |o: u64| o, sink),
+            (Body::Flat(f), 1) => stream_lane(buf, f.raw_hubs(), |h: u32| h, sink),
+            // On disk the distance lane stays u64.
+            (Body::Flat(f), _) => stream_lane(buf, f.raw_dists(), u64::from, sink),
+            (Body::Compact(c), 1) => stream_narrow_lane(buf, c.raw_hubs(), sink),
+            (Body::Compact(c), _) => stream_narrow_lane(buf, c.raw_dists(), sink),
+        }
+    }
+
+    /// Parses and validates a serialized v2 store of either flavor, through
+    /// the reader [`crate::any_store::AnyStore::open`] mounts files by.
     pub fn parse(bytes: &[u8]) -> Result<Self, StoreError> {
-        let (flags, n, e) = parse_header(bytes)?;
+        Self::read(bytes)
+    }
+
+    /// Reads and validates a v2 store of either flavor from `image`,
+    /// streaming each section through one [`CHUNK`]-byte buffer. The flag
+    /// word picks the flavor and the lane widths: it must be 0 (flat) or
+    /// carry [`FLAG_COMPACT`] and nothing outside [`FLAGS_KNOWN`] — width
+    /// bits without the compact bit are as unknown as any other. Every
+    /// later step is shared: the frame checks against the image's real
+    /// length (before any section-sized allocation), the zero padding, the
+    /// fused checksum+decode pass, and the arena's own structural
+    /// validation ([`FlatLabeling::from_raw_parts`] or
+    /// [`CompactLabeling::from_raw_parts`]).
+    pub(crate) fn read<I: Image + ?Sized>(image: &I) -> Result<Self, StoreError> {
+        let file_len = image.image_len()?;
+        if file_len < HEADER_LEN as u64 {
+            return Err(StoreError::Truncated {
+                expected: HEADER_LEN as u64,
+                actual: file_len,
+            });
+        }
+        let mut head = [0u8; HEADER_LEN];
+        image.fill_at(&mut head, 0)?;
+        let (flags, n, e) = parse_header(&head)?;
         let compact = flags & FLAG_COMPACT != 0;
         let known = if compact { FLAGS_KNOWN } else { 0 };
         if flags & !known != 0 {
@@ -421,22 +543,28 @@ impl V2Store {
         usize::try_from(e)
             .map_err(|_| StoreError::Corrupt(format!("entry count {e} exceeds address space")))?;
         let expect_lens = expected_section_lens(n, e, hub_bytes as u64, dist_bytes as u64)?;
-        let sections = validate_frame(bytes, &expect_lens)?;
+        let sections = validate_frame(&head, file_len, &expect_lens)?;
+        let mut buf = chunk_buffer();
+        check_padding(image, &sections, &mut buf)?;
 
         let body = if compact {
             let (offsets, hubs, dists) = decode_sections(
-                bytes,
+                image,
+                &head,
                 &sections,
-                |s| decode_narrow_section(s, hub_bytes),
-                |s| decode_narrow_section(s, dist_bytes),
+                &mut buf,
+                |sec, buf| decode_narrow_section(image, sec, buf, hub_bytes),
+                |sec, buf| decode_narrow_section(image, sec, buf, dist_bytes),
             )?;
             CompactLabeling::from_raw_parts(offsets, hubs, dists).map(Body::Compact)
         } else {
             let (offsets, hubs, (dists, widest)) = decode_sections(
-                bytes,
+                image,
+                &head,
                 &sections,
-                decode_section::<u32>,
-                decode_dists_section,
+                &mut buf,
+                |sec, buf| decode_section::<u32, _>(image, sec, buf),
+                |sec, buf| decode_dists_section(image, sec, buf),
             )?;
             if widest > u64::from(u32::MAX) {
                 return Err(StoreError::Corrupt(format!(
@@ -467,26 +595,20 @@ fn entry_bytes(flags: u16) -> (usize, usize) {
     (narrow(FLAG_HUBS_WIDE), narrow(FLAG_DISTS_WIDE))
 }
 
-/// Validates the fixed header shared by both flavors — length, magic,
-/// version, table checksum — and returns `(flags, n, e)`. Interpreting
-/// the flag word stays with the caller.
-fn parse_header(bytes: &[u8]) -> Result<(u16, u64, u64), StoreError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(StoreError::Truncated {
-            expected: HEADER_LEN as u64,
-            actual: bytes.len() as u64,
-        });
-    }
-    let version = format_version(bytes)?;
+/// Validates the fixed header shared by both flavors — magic, version,
+/// table checksum — and returns `(flags, n, e)`. Interpreting the flag
+/// word stays with the caller.
+fn parse_header(head: &[u8; HEADER_LEN]) -> Result<(u16, u64, u64), StoreError> {
+    let version = format_version(head)?;
     if version != VERSION {
         return Err(StoreError::UnsupportedVersion(version));
     }
-    let flags = u16::from_le_bytes(read_array(bytes, 6)?);
-    let n = read_u64(bytes, 8)?;
-    let e = read_u64(bytes, 16)?;
-    let table_checksum = read_u64(bytes, 24)?;
+    let flags = u16::from_le_bytes(read_array(head, 6)?);
+    let n = read_u64(head, 8)?;
+    let e = read_u64(head, 16)?;
+    let table_checksum = read_u64(head, 24)?;
 
-    let actual_table = fnv1a64(&bytes[TABLE_OFF..HEADER_LEN]);
+    let actual_table = fnv1a64(&head[TABLE_OFF..]);
     if actual_table != table_checksum {
         return Err(StoreError::ChecksumMismatch {
             expected: table_checksum,
@@ -521,18 +643,21 @@ fn expected_section_lens(
 }
 
 /// Validates the section table records (aligned, exact-length, in-bounds,
-/// ascending, non-overlapping — all against the *actual* file length
-/// before any section-sized allocation happens), the zero padding between
-/// sections, and the absence of trailing bytes. Shared by both flavors;
-/// only the expected lengths differ.
-fn validate_frame(bytes: &[u8], expect_lens: &[u64; 3]) -> Result<[Section; 3], StoreError> {
-    let file_len = bytes.len() as u64;
+/// ascending, non-overlapping — all against the image's *actual* length
+/// `file_len` before any section-sized allocation happens) and the
+/// absence of trailing bytes. Shared by both flavors; only the expected
+/// lengths differ.
+fn validate_frame(
+    head: &[u8; HEADER_LEN],
+    file_len: u64,
+    expect_lens: &[u64; 3],
+) -> Result<[Section; 3], StoreError> {
     let mut sections = [Section::default(); 3];
     let mut prev_end = HEADER_LEN as u64;
     for (i, name) in SECTION_NAMES.iter().enumerate() {
         let rec = TABLE_OFF + i * RECORD_LEN;
-        let off = read_u64(bytes, rec)?;
-        let len = read_u64(bytes, rec + 8)?;
+        let off = read_u64(head, rec)?;
+        let len = read_u64(head, rec + 8)?;
         if off % SECTION_ALIGN as u64 != 0 {
             return Err(StoreError::Corrupt(format!(
                 "section {name} misaligned: offset {off} is not a multiple of {SECTION_ALIGN}"
@@ -570,65 +695,83 @@ fn validate_frame(bytes: &[u8], expect_lens: &[u64; 3]) -> Result<[Section; 3], 
             file_len - prev_end
         )));
     }
-
-    // Padding gaps carry no checksum, so they must be all zero — that
-    // way a blind bit flip anywhere in the file is detectable.
-    let mut gap_start = HEADER_LEN;
-    for (i, sec) in sections.iter().enumerate() {
-        let gap = &bytes[gap_start..sec.range().start];
-        if gap.iter().any(|&b| b != 0) {
-            return Err(StoreError::Corrupt(format!(
-                "nonzero padding before section {}",
-                SECTION_NAMES[i]
-            )));
-        }
-        gap_start = sec.range().end;
-    }
     Ok(sections)
 }
 
+/// Checks that every byte between the header and the first section, and
+/// between sections, is zero. Padding gaps carry no checksum, so this is
+/// what makes a blind bit flip anywhere in the file detectable.
+fn check_padding<I: Image + ?Sized>(
+    image: &I,
+    sections: &[Section; 3],
+    buf: &mut [u8],
+) -> Result<(), StoreError> {
+    let mut at = HEADER_LEN as u64;
+    for (sec, name) in sections.iter().zip(SECTION_NAMES) {
+        while at < sec.file_offset {
+            let len =
+                usize::try_from(sec.file_offset - at).map_or(buf.len(), |gap| gap.min(buf.len()));
+            let gap = &mut buf[..len];
+            image.fill_at(gap, at)?;
+            if gap.iter().any(|&b| b != 0) {
+                return Err(StoreError::Corrupt(format!(
+                    "nonzero padding before section {name}"
+                )));
+            }
+            at += len as u64;
+        }
+        at = sec.file_offset + sec.byte_len;
+    }
+    Ok(())
+}
+
 /// Decodes the three sections of a validated frame and checks every
-/// section checksum against its table record, for either flavor: `hubs`
-/// and `dists` are the fused decoders of the flavor's two entry lanes.
+/// section checksum against its table record in `head`, for either
+/// flavor: `hubs` and `dists` are the fused decoders of the flavor's two
+/// entry lanes.
 ///
 /// Checksum and little-endian decode are fused into ONE pass per
-/// section: every word is read once, absorbed into the lane hash, and
-/// stored decoded. A separate verify pass would stream the whole
-/// multi-GB file through memory a second time. Decoding ahead of
-/// verification is safe because the decode is pure element-wise
-/// arithmetic — nothing indexes by the untrusted values — and the
-/// vectors are dropped unused unless every checksum matches its table
-/// record. The computed hashes are bit-identical to [`section_checksum`].
-fn decode_sections<H: Send, D: Send>(
-    bytes: &[u8],
+/// section: each chunk is read once into the decoder's share of `buf`,
+/// absorbed into the lane hash and decoded while it is in cache. A
+/// separate verify pass would stream the whole multi-GB file through
+/// memory a second time. Decoding ahead of verification is safe because
+/// the decode is pure element-wise arithmetic — nothing indexes by the
+/// untrusted values — and the vectors are dropped unused unless every
+/// checksum matches its table record. The computed hashes are
+/// bit-identical to [`section_checksum`].
+fn decode_sections<I: Image + ?Sized, H: Send, D: Send>(
+    image: &I,
+    head: &[u8; HEADER_LEN],
     sections: &[Section; 3],
-    hubs: impl Fn(&[u8]) -> (H, u64) + Sync,
-    dists: impl Fn(&[u8]) -> (D, u64) + Sync,
+    buf: &mut [u8],
+    hubs: impl Fn(Section, &mut [u8]) -> io::Result<(H, u64)> + Sync,
+    dists: impl Fn(Section, &mut [u8]) -> io::Result<(D, u64)> + Sync,
 ) -> Result<(Vec<u64>, H, D), StoreError> {
     use Decoded::{Dists, Hubs, Offsets};
-    let lanes = sections.map(|sec| &bytes[sec.range()]);
     // Sections are independent, so on multi-core hosts they decode on up
-    // to three workers ([`fan_out`]) — the load is memory-bandwidth-bound,
-    // and per-core bandwidth is usually well below the socket's.
-    let mut workers = [(); 3];
-    let decoded = fan_out(&mut workers[..machine_workers().min(3)], 3, |(), i| {
-        let lane = lanes[i];
-        match i {
-            0 => Offsets(decode_section::<u64>(lane)),
-            1 => Hubs(hubs(lane)),
-            _ => Dists(dists(lane)),
-        }
+    // to three workers ([`fan_out`]), each through its own share of the
+    // one buffer — the load is memory-bandwidth-bound, and per-core
+    // bandwidth is usually well below the socket's.
+    let workers = machine_workers().clamp(1, 3);
+    let share = buf.len() / workers / SECTION_ALIGN * SECTION_ALIGN;
+    let mut shares: Vec<&mut [u8]> = buf.chunks_exact_mut(share).take(workers).collect();
+    let decoded = fan_out(&mut shares, 3, |buf, i| match i {
+        0 => decode_section::<u64, _>(image, sections[0], buf).map(Offsets),
+        1 => hubs(sections[1], buf).map(Hubs),
+        _ => dists(sections[2], buf).map(Dists),
     })
     // The decoders are pure arithmetic and cannot panic; a panic still
     // maps to a typed StoreError rather than propagating.
-    .map_err(|_| StoreError::Corrupt("a section decoder panicked".into()))?;
+    .map_err(|_| StoreError::Corrupt("a section decoder panicked".into()))?
+    .into_iter()
+    .collect::<io::Result<Vec<_>>>()?;
     let Ok([Offsets((offsets, offsets_sum)), Hubs((hubs, hubs_sum)), Dists((dists, dists_sum))]) =
         <[_; 3]>::try_from(decoded)
     else {
         return Err(StoreError::Corrupt("sections decoded out of order".into()));
     };
     for (i, actual) in [offsets_sum, hubs_sum, dists_sum].into_iter().enumerate() {
-        let declared = read_u64(bytes, TABLE_OFF + i * RECORD_LEN + 16)?;
+        let declared = read_u64(head, TABLE_OFF + i * RECORD_LEN + 16)?;
         if actual != declared {
             return Err(StoreError::Corrupt(format!(
                 "section {} checksum mismatch: table says {declared:#018x}, bytes hash to {actual:#018x}",
@@ -646,107 +789,108 @@ enum Decoded<H, D> {
     Dists((D, u64)),
 }
 
-/// Combines the four lane states, the byte-FNV tail hash, and the byte
-/// length into the final section hash — the last step of
-/// [`section_checksum`], shared with the fused decoder below.
-fn combine_lanes(lanes: [u64; 4], tail: u64, byte_len: usize) -> u64 {
-    let mut h = FNV_OFFSET;
-    for w in lanes.into_iter().chain([tail, byte_len as u64]) {
-        h = (h ^ w).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-const LANE_SEEDS: [u64; 4] = [
-    FNV_OFFSET ^ 1,
-    FNV_OFFSET ^ 2,
-    FNV_OFFSET ^ 3,
-    FNV_OFFSET ^ 4,
-];
-
-/// Decodes a section of little-endian `T`s while computing its
-/// [`section_checksum`] in the same pass over the bytes. `bytes.len()`
-/// must be a multiple of `T::BYTES` (the caller validated section
-/// lengths). The hash always folds u64 *words*, whatever the element
-/// width: each 32-byte chunk is absorbed as four words and decoded as
-/// `32 / T::BYTES` elements while it is in cache.
-fn decode_section<T: Lane>(bytes: &[u8]) -> (Vec<T>, u64) {
-    decode_section_into(bytes, |x: T| x)
+/// Decodes section `sec` of `image` as little-endian `T`s while computing
+/// its [`section_checksum`] in the same pass, one chunk of `buf` at a
+/// time. The section's length must be a multiple of `T::BYTES` (the
+/// caller validated section lengths).
+fn decode_section<T: Lane, I: Image + ?Sized>(
+    image: &I,
+    sec: Section,
+    buf: &mut [u8],
+) -> io::Result<(Vec<T>, u64)> {
+    decode_section_into(image, sec, buf, |x: T| x)
 }
 
 /// The flat flavor's distance section: `u64` words on disk, stored into
 /// the arena's `u32` lane as they are decoded, so no `u64` lane is ever
 /// allocated. Returns the widest word too; the caller rejects the store
 /// if it does not fit `u32`, after the checksums have been checked.
-fn decode_dists_section(bytes: &[u8]) -> ((Vec<u32>, u64), u64) {
+fn decode_dists_section<I: Image + ?Sized>(
+    image: &I,
+    sec: Section,
+    buf: &mut [u8],
+) -> io::Result<((Vec<u32>, u64), u64)> {
     let mut widest = 0u64;
     #[expect(
         clippy::cast_possible_truncation,
         reason = "the caller rejects the store when `widest` does not fit u32"
     )]
-    let (lane, sum) = decode_section_into(bytes, |d: u64| {
+    let (lane, sum) = decode_section_into(image, sec, buf, |d: u64| {
         widest = widest.max(d);
         d as u32
-    });
-    ((lane, widest), sum)
+    })?;
+    Ok(((lane, widest), sum))
 }
 
 /// [`decode_section`] with each decoded `T` passed through `convert` on
 /// its way into the output lane.
-fn decode_section_into<T: Lane, U: Copy + Default>(
-    bytes: &[u8],
+fn decode_section_into<T: Lane, U: Copy + Default, I: Image + ?Sized>(
+    image: &I,
+    sec: Section,
+    buf: &mut [u8],
     mut convert: impl FnMut(T) -> U,
-) -> (Vec<U>, u64) {
-    let mut out = vec![U::default(); bytes.len() / T::BYTES];
-    let mut lanes = LANE_SEEDS;
-    let mut src = bytes.chunks_exact(32);
-    let mut dst = out.chunks_exact_mut(32 / T::BYTES);
-    for (d, s) in (&mut dst).zip(&mut src) {
-        for (j, lane) in lanes.iter_mut().enumerate() {
-            *lane = (*lane ^ u64::read_le(&s[j * 8..j * 8 + 8])).wrapping_mul(FNV_PRIME);
-        }
-        for (slot, chunk) in d.iter_mut().zip(s.chunks_exact(T::BYTES)) {
+) -> io::Result<(Vec<U>, u64)> {
+    let count = usize::try_from(sec.byte_len / T::BYTES as u64)
+        .map_err(|_| io::Error::new(io::ErrorKind::OutOfMemory, "section exceeds address space"))?;
+    let mut out = vec![U::default(); count];
+    let mut fold = LaneFold::default();
+    let mut at = sec.file_offset;
+    for dst in out.chunks_mut(buf.len() / T::BYTES) {
+        let src = &mut buf[..dst.len() * T::BYTES];
+        image.fill_at(src, at)?;
+        fold.absorb(src);
+        for (slot, chunk) in dst.iter_mut().zip(src.chunks_exact(T::BYTES)) {
             *slot = convert(T::read_le(chunk));
         }
+        at += src.len() as u64;
     }
-    let mut tail = FNV_OFFSET;
-    for &b in src.remainder() {
-        tail = (tail ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    for (slot, chunk) in dst
-        .into_remainder()
-        .iter_mut()
-        .zip(src.remainder().chunks_exact(T::BYTES))
-    {
-        *slot = convert(T::read_le(chunk));
-    }
-    let h = combine_lanes(lanes, tail, bytes.len());
-    (out, h)
+    Ok((out, fold.finish()))
 }
 
 /// [`decode_section`] at the width a compact lane's flag bit declares.
-fn decode_narrow_section(bytes: &[u8], entry_bytes: usize) -> (HubDeltas, u64) {
-    if entry_bytes == u32::BYTES {
-        let (v, sum) = decode_section::<u32>(bytes);
+fn decode_narrow_section<I: Image + ?Sized>(
+    image: &I,
+    sec: Section,
+    buf: &mut [u8],
+    entry_bytes: usize,
+) -> io::Result<(HubDeltas, u64)> {
+    Ok(if entry_bytes == u32::BYTES {
+        let (v, sum) = decode_section::<u32, _>(image, sec, buf)?;
         (HubDeltas::U32(v), sum)
     } else {
-        let (v, sum) = decode_section::<u16>(bytes);
+        let (v, sum) = decode_section::<u16, _>(image, sec, buf)?;
         (HubDeltas::U16(v), sum)
-    }
+    })
 }
 
-/// Lays `values` out little-endian from the start of section `sec`.
-fn write_lane<T: Lane>(buf: &mut [u8], sec: Section, values: impl IntoIterator<Item = T>) {
-    for (out, v) in buf[sec.range()].chunks_exact_mut(T::BYTES).zip(values) {
-        v.write_le(out);
+/// Lays `values` out little-endian as `T`s (each through `widen`), one
+/// chunk of `buf` at a time, handing each chunk to `sink`. Every chunk
+/// but the last fills `buf`, so the lane checksum folds them unchanged.
+fn stream_lane<S: Copy, T: Lane>(
+    buf: &mut [u8],
+    values: &[S],
+    widen: impl Fn(S) -> T,
+    mut sink: impl FnMut(&[u8]) -> io::Result<()>,
+) -> io::Result<()> {
+    for run in values.chunks(buf.len() / T::BYTES) {
+        let bytes = &mut buf[..run.len() * T::BYTES];
+        for (out, &v) in bytes.chunks_exact_mut(T::BYTES).zip(run) {
+            widen(v).write_le(out);
+        }
+        sink(bytes)?;
     }
+    Ok(())
 }
 
-/// [`write_lane`] at whichever width a compact lane holds.
-fn write_narrow_lane(buf: &mut [u8], sec: Section, lane: &CompactDists) {
+/// [`stream_lane`] at whichever width a compact lane holds.
+fn stream_narrow_lane(
+    buf: &mut [u8],
+    lane: &CompactDists,
+    sink: impl FnMut(&[u8]) -> io::Result<()>,
+) -> io::Result<()> {
     match lane {
-        CompactDists::U16(v) => write_lane(buf, sec, v.iter().copied()),
-        CompactDists::U32(v) => write_lane(buf, sec, v.iter().copied()),
+        CompactDists::U16(v) => stream_lane(buf, v, |x: u16| x, sink),
+        CompactDists::U32(v) => stream_lane(buf, v, |x: u32| x, sink),
     }
 }
 
@@ -760,6 +904,17 @@ mod tests {
     fn sample_flat() -> FlatLabeling {
         let g = generators::grid(5, 6);
         PrunedLandmarkLabeling::by_degree(&g).into_labeling()
+    }
+
+    /// A whole section decoded from a bare slice by the reader's own
+    /// chunked decoder, through a 64-byte buffer so that longer sections
+    /// fold across chunk boundaries.
+    fn decode_section<T: Lane>(bytes: &[u8]) -> (Vec<T>, u64) {
+        let sec = Section {
+            file_offset: 0,
+            byte_len: bytes.len() as u64,
+        };
+        super::decode_section::<T, _>(bytes, sec, &mut [0u8; 64]).unwrap()
     }
 
     fn refresh_table_checksum(buf: &mut [u8]) {
@@ -1036,6 +1191,55 @@ mod tests {
             let table =
                 [0, 1, 2].map(|i| read_u64(&bytes, TABLE_OFF + i * RECORD_LEN + 16).unwrap());
             assert_eq!(table, sums, "{name} section checksums");
+        }
+    }
+
+    /// An image whose bytes come out of a [`Read`](std::io::Read) that
+    /// yields 1–7 bytes a call and fails every fifth call with
+    /// `Interrupted`.
+    struct Dribble(Vec<u8>);
+
+    struct DribbleRead<'a> {
+        rest: &'a [u8],
+        calls: usize,
+    }
+
+    impl std::io::Read for DribbleRead<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(5) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = (self.calls % 7 + 1).min(buf.len()).min(self.rest.len());
+            buf[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
+        }
+    }
+
+    impl Image for Dribble {
+        fn image_len(&self) -> io::Result<u64> {
+            Ok(self.0.len() as u64)
+        }
+
+        fn fill_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+            let rest = self.0.get(offset as usize..).unwrap_or_default();
+            std::io::Read::read_exact(&mut DribbleRead { rest, calls: 0 }, buf)
+        }
+    }
+
+    #[test]
+    fn a_dribbling_reader_reads_the_store_parse_reads() {
+        for bytes in [
+            FlatStore::from_flat(sample_flat()).encode(),
+            CompactStore::from_compact(sample_compact()).encode(),
+        ] {
+            let parsed = V2Store::parse(&bytes).unwrap();
+            assert_eq!(V2Store::read(&Dribble(bytes.clone())).unwrap(), parsed);
+            // A source that ends early is an error, never a short store.
+            let mut short = Dribble(bytes.clone());
+            short.0.truncate(bytes.len() - 1);
+            assert!(V2Store::read(&short).is_err());
         }
     }
 
