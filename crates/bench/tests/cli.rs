@@ -98,3 +98,52 @@ fn a_closed_stdout_exits_0_and_a_full_one_exits_1() {
         assert!(stderr.starts_with("experiments: "), "{stderr}");
     }
 }
+
+/// The paper's tables, byte for byte: `experiments all`'s stdout and then
+/// `experiments big`'s. Every stdout cell is a function of fixed seeds
+/// (wall-clock cells go to stderr), so a changed construction, gadget,
+/// seed or encoding shows here as a diff. When a number is meant to move,
+/// regenerate the file from the same two commands and say which blocks
+/// moved and why.
+const GOLDEN: &str = include_str!("../../../docs/experiments_reference.txt");
+
+/// Runs `experiments <sub>` and holds its stdout to the golden's slice
+/// for it: `big`'s starts at the blank line before its first heading.
+fn assert_matches_golden(sub: &str) {
+    let split = GOLDEN
+        .find("\n\n== BIG: ")
+        .expect("the golden ends with `big`")
+        + 1;
+    let want = if sub == "big" {
+        &GOLDEN[split..]
+    } else {
+        &GOLDEN[..split]
+    };
+    let out = experiments().arg(sub).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "experiments {sub}: {stderr}");
+    let got = String::from_utf8(out.stdout).unwrap();
+    let mismatch = got.lines().zip(want.lines()).position(|(g, w)| g != w);
+    if let Some(i) = mismatch {
+        panic!(
+            "experiments {sub}, line {}: {:?}; docs/experiments_reference.txt has {:?}",
+            i + 1,
+            got.lines().nth(i).unwrap(),
+            want.lines().nth(i).unwrap()
+        );
+    }
+    assert_eq!(
+        got, want,
+        "experiments {sub} differs from the golden in length"
+    );
+}
+
+#[test]
+fn experiments_all_prints_the_golden() {
+    assert_matches_golden("all");
+}
+
+#[test]
+fn experiments_big_prints_the_golden() {
+    assert_matches_golden("big");
+}

@@ -458,9 +458,9 @@ fn cmd_stats(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         decile(9),
         decile(10)
     )?;
-    // The split `serve` mounts: ranked, then the common hub columns
-    // into a u8 table.
-    let mut ranked = served.clone();
+    // The split `serve` mounts: the arena itself, ranked in place, then
+    // the common hub columns into a u8 table.
+    let mut ranked = store.into_flat().map_err(|e| e.to_string())?;
     freq::reorder_by_hub_frequency(&mut ranked);
     let dense = DenseLabeling::split(ranked);
     writeln!(
@@ -567,24 +567,28 @@ fn cmd_serve(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 const CONVERT_USAGE: &str = "usage: hubserve convert <in-store> <out-store> \
      --to v1|v2|v2c [--reorder freq] [--verify-roundtrip]";
 
-/// Encodes `flat` in the requested store flavor (`"v1"`, `"v2"`, `"v2c"`).
-fn encode_as(flat: &hl_core::FlatLabeling, flavor: &str) -> Result<Vec<u8>, String> {
-    match flavor {
+/// Writes `flat` to `out` as a store of `flavor` (`"v1"`, `"v2"`, `"v2c"`)
+/// through that flavor's own writer, the one its `save` runs, and returns
+/// the bytes written. The arena is moved in, so nothing copies it.
+fn write_as(flat: FlatLabeling, flavor: &str, out: impl Write) -> Result<u64, String> {
+    let written = match flavor {
         "v1" => {
-            let mut bytes = Vec::new();
-            LabelStore::from_flat(flat)
-                .write_to(&mut bytes)
-                .map_err(|e| format!("cannot encode v1: {e}"))?;
-            Ok(bytes)
+            let store = LabelStore::from_flat(&flat);
+            store.write_to(out).map(|()| store.file_len() as u64)
         }
-        "v2" => Ok(FlatStore::from_flat(flat.clone()).encode()),
+        "v2" => {
+            let store = FlatStore::from_flat(flat);
+            store.write_to(out).map(|()| store.file_len())
+        }
         "v2c" => {
             let compact =
-                CompactLabeling::from_flat(flat).map_err(|e| format!("cannot encode v2c: {e}"))?;
-            Ok(CompactStore::from_compact(compact).encode())
+                CompactLabeling::from_flat(&flat).map_err(|e| format!("cannot encode v2c: {e}"))?;
+            let store = CompactStore::from_compact(compact);
+            store.write_to(out).map(|()| store.file_len())
         }
-        other => Err(format!("unknown target flavor '{other}'")),
-    }
+        other => return Err(format!("unknown target flavor '{other}'")),
+    };
+    written.map_err(|e| e.to_string())
 }
 
 fn cmd_convert(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
@@ -620,13 +624,16 @@ fn cmd_convert(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         Some(other) => return CliError::usage(format!("--reorder must be freq, not '{other}'")),
     }
 
-    let in_bytes = std::fs::read(in_path).map_err(|e| format!("cannot read {in_path}: {e}"))?;
-    let store =
-        AnyStore::parse(&in_bytes).map_err(|e| format!("cannot parse store {in_path}: {e}"))?;
-    let source = store.flavor();
-    let mut flat = store
-        .into_flat()
-        .map_err(|e| format!("cannot decode store {in_path}: {e}"))?;
+    let store = open_store(in_path)?;
+    let (source, in_len) = (store.flavor(), store.file_len());
+    // Only the roundtrip check needs the input's bytes, read before the
+    // output (which may be the same file) is written.
+    let in_bytes = if verify_roundtrip {
+        Some(std::fs::read(in_path).map_err(|e| format!("cannot read {in_path}: {e}"))?)
+    } else {
+        None
+    };
+    let mut flat = store.into_flat().map_err(|e| e.to_string())?;
     if reorder.is_some() {
         freq::reorder_by_hub_frequency(&mut flat);
         writeln!(
@@ -636,25 +643,26 @@ fn cmd_convert(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             flat.heap_bytes()
         )?;
     }
-    let out_bytes = encode_as(&flat, to)?;
-    std::fs::write(out_path, &out_bytes).map_err(|e| format!("cannot write {out_path}: {e}"))?;
+    let out_len = File::create(out_path)
+        .map_err(|e| e.to_string())
+        .and_then(|file| write_as(flat, to, BufWriter::new(file)))
+        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
     writeln!(
         out,
-        "converted {in_path} ({source}, {} bytes) -> {out_path} ({to}, {} bytes, {:.2}x)",
-        in_bytes.len(),
-        out_bytes.len(),
-        out_bytes.len() as f64 / in_bytes.len().max(1) as f64
+        "converted {in_path} ({source}, {in_len} bytes) -> {out_path} ({to}, {out_len} bytes, \
+         {:.2}x)",
+        out_len as f64 / in_len.max(1) as f64
     )?;
 
-    if verify_roundtrip {
+    if let Some(in_bytes) = in_bytes {
         // All three encodings are canonical functions of the labeling, so
         // decoding what we just wrote and re-encoding in the *source*
         // flavor must reproduce the input byte for byte.
-        let back = AnyStore::parse(&out_bytes)
-            .map_err(|e| format!("roundtrip: cannot re-parse output: {e}"))?
+        let back = open_store(out_path)?
             .into_flat()
-            .map_err(|e| format!("roundtrip: cannot re-decode output: {e}"))?;
-        let again = encode_as(&back, source)?;
+            .map_err(|e| e.to_string())?;
+        let mut again = Vec::new();
+        write_as(back, source, &mut again)?;
         if again != in_bytes {
             return Err(CliError::Runtime(format!(
                 "roundtrip FAILED: {to} -> {source} re-encoding differs from the input \

@@ -177,6 +177,23 @@ fn stats_reports_arena_size() {
     assert!(stdout.contains(&format!("arena entries      {}", served.num_entries())));
     assert!(stdout.contains(&format!("arena heap bytes   {}", served.heap_bytes())));
 
+    // The served arena is 8 bytes an entry: offsets are 8 bytes a vertex
+    // (plus one), each entry a u32 hub and a u32 distance. A distance lane
+    // widened back to u64 makes this 8(n+1) + 12e.
+    let field = |name: &str| -> usize {
+        let line = stdout.lines().find_map(|l| l.strip_prefix(name));
+        let word = line.and_then(|rest| rest.split_whitespace().next());
+        word.and_then(|w| w.parse().ok())
+            .unwrap_or_else(|| panic!("no `{name}` figure: {stdout}"))
+    };
+    let (n, e) = (field("  nodes "), field("  arena entries "));
+    assert!(e > 0, "{stdout}");
+    assert_eq!(
+        field("  arena heap bytes "),
+        8 * (n + 1) + 8 * e,
+        "{stdout}"
+    );
+
     // The hubset-size deciles follow the heap line, at nearest rank over
     // the 36 label sizes: p10 is the 4th smallest, p50 the 18th, p90 the
     // 33rd.
@@ -232,7 +249,8 @@ fn convert_to_compact_flavor_serves_identical_answers() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // v2 -> v2c, and a frequency-reordered variant alongside.
+    // v2 -> v2c, checked to lose nothing on the way back, and a
+    // frequency-reordered variant alongside.
     let out = hubserve()
         .args([
             "convert",
@@ -240,13 +258,14 @@ fn convert_to_compact_flavor_serves_identical_answers() {
             compact.to_str().unwrap(),
             "--to",
             "v2c",
+            "--verify-roundtrip",
         ])
         .output()
         .unwrap();
+    let stdout = succeeds(out);
     assert!(
-        out.status.success(),
-        "convert failed: {}",
-        String::from_utf8_lossy(&out.stderr)
+        stdout.contains("roundtrip verified: v2 -> v2c -> v2 is byte-identical"),
+        "{stdout}"
     );
     let out = hubserve()
         .args([
@@ -323,6 +342,28 @@ fn convert_to_compact_flavor_serves_identical_answers() {
     // 8x8 grid: corner to corner = 14.
     assert!(answers[0].starts_with("0 63 14\n"), "{}", answers[0]);
 
+    // 2,000 seeded pairs: the v2c store answers them as the v2 store
+    // does, from a pairs file (one batch, split across the machine's
+    // workers) and line by line on stdin (the cached point path).
+    let mut rng = hl_graph::rng::Xorshift64::seed_from_u64(7);
+    let seeded: String = (0..2000)
+        .map(|_| format!("{} {}\n", rng.gen_index(64), rng.gen_index(64)))
+        .collect();
+    std::fs::write(&pairs, &seeded).unwrap();
+    let batch = |p: &std::path::Path| {
+        let args = ["query", p.to_str().unwrap(), pairs.to_str().unwrap()];
+        succeeds(hubserve().args(args).output().unwrap())
+    };
+    let (flat_batch, compact_batch) = (batch(&store), batch(&compact));
+    assert_eq!(flat_batch.lines().count(), 2000);
+    assert_eq!(flat_batch, compact_batch);
+    let point = hubserve()
+        .args(["query", compact.to_str().unwrap()])
+        .stdin(std::fs::File::open(&pairs).unwrap())
+        .output()
+        .unwrap();
+    assert_eq!(succeeds(point), compact_batch);
+
     for f in [graph, store, compact, tuned, pairs] {
         let _ = std::fs::remove_file(f);
     }
@@ -362,8 +403,76 @@ fn corrupt_store_fails_with_nonzero_exit() {
         "unexpected error text: {stderr}"
     );
 
-    let _ = std::fs::remove_file(graph);
-    let _ = std::fs::remove_file(store);
+    // `convert` refuses the flipped store, and one cut short, before it
+    // writes anything: exit 1, one `hubserve: ` line, no output file.
+    let cut = tempfile("bad-cut.hlbs");
+    std::fs::write(&cut, &bytes[..mid]).unwrap();
+    let converted = tempfile("bad-out.hlbs");
+    for input in [&store, &cut] {
+        for to in ["v1", "v2", "v2c"] {
+            let args = [input.to_str().unwrap(), converted.to_str().unwrap()];
+            let out = hubserve()
+                .arg("convert")
+                .args(args)
+                .args(["--to", to, "--verify-roundtrip"])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?} --to {to}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{stderr}");
+            assert!(stderr.starts_with("hubserve: "), "{stderr}");
+            assert!(
+                !converted.exists(),
+                "{args:?} --to {to} left an output file"
+            );
+        }
+    }
+
+    for f in [graph, store, cut] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+/// `convert --verify-roundtrip` v2 -> v1 -> v2 gives back the built file
+/// byte for byte: v2 is a verbatim arena dump and γ-coding is canonical,
+/// which is what makes `convert` safe on archival stores. Two shapes: a
+/// random graph and a weighted grid with shortcuts.
+#[test]
+fn convert_v2_to_v1_and_back_is_byte_identical() {
+    for (name, family) in [
+        ("gnm", "gnm --nodes 2000 --edges 6000 --seed 3"),
+        ("road", "road --nodes 2500 --seed 13"),
+    ] {
+        let [built, v1, back] =
+            ["v2", "v1", "back"].map(|f| tempfile(&format!("rt-{name}-{f}.hlbs")));
+        let [built_s, v1_s, back_s] = [&built, &v1, &back].map(|p| p.to_str().unwrap());
+        let gen = family.split(' ');
+        succeeds(
+            hubserve()
+                .args(["build", built_s, "--gen"])
+                .args(gen)
+                .output()
+                .unwrap(),
+        );
+        for (from, to, flavor) in [(built_s, v1_s, "v1"), (v1_s, back_s, "v2")] {
+            let args = ["convert", from, to, "--to", flavor, "--verify-roundtrip"];
+            let stdout = succeeds(hubserve().args(args).output().unwrap());
+            assert!(stdout.contains("roundtrip verified"), "{stdout}");
+        }
+        assert!(
+            std::fs::read(&built).unwrap() == std::fs::read(&back).unwrap(),
+            "{name}: v2 -> v1 -> v2 differs from the built store"
+        );
+        let stdout = succeeds(hubserve().args(["stats", built_s]).output().unwrap());
+        assert!(
+            stdout.contains("format version     2 (flavor v2)"),
+            "{stdout}"
+        );
+        assert!(stdout.contains("  section offsets "), "{stdout}");
+        for f in [built, v1, back] {
+            let _ = std::fs::remove_file(f);
+        }
+    }
 }
 
 #[test]
