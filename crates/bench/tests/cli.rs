@@ -67,7 +67,7 @@ fn experiments_usage_names_every_documented_subcommand() {
         assert!(accepted.contains(name), "`{name}` missing from: {usage}");
     }
     assert_eq!(accepted.len(), documented.len(), "{usage}");
-    assert!(experiments().arg("f1").status().unwrap().success());
+    assert!(experiments().arg("f1").output().unwrap().status.success());
 }
 
 /// The exit rule on a stdout that fails (`hl_graph::exit`): a closed

@@ -19,10 +19,6 @@
 //! lanes directly, decoding deltas on the fly; it is slower than the flat
 //! join on every benchmarked store, which is why nothing serves it.
 //!
-//! Delta-coding rewards the frequency-aware id remapping of
-//! [`crate::freq`]: once hot hubs get small ids they cluster at the front
-//! of every run, gaps shrink, and the `u16` hub lane applies more often.
-//!
 //! # Example
 //!
 //! ```

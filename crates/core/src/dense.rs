@@ -1,35 +1,47 @@
-//! `DenseLabeling` — a ranked arena with its common hubset as a table.
+//! `DenseLabeling` — the served layout: an arena ranked by hub
+//! frequency, its common hubset as a table and the rest as a remainder.
 //!
 //! The paper's upper bound (Theorem 4.1) gives every vertex one shared
 //! hubset `S` plus a few hubs of its own, and so does the random-threshold
-//! scheme of [`crate::random_threshold`]. On a frequency-ranked arena
-//! ([`crate::freq`]) PLL's labels look the same: the first ranks are in
-//! most labels. Those hubs are stored here as an `n × K` table of `u8`
-//! cells, row `v` holding `d(v, h)` in column `h` for every hub `h < K`
-//! (255 where `h` is not in `v`'s label), and every entry ranked
-//! `K` or higher stays in a remainder [`FlatLabeling`]:
+//! scheme of [`crate::random_threshold`]. PLL's labels look the same once
+//! hubs are numbered by how many labels hold them, since the first
+//! vertices of its order are hubs of nearly all of `V`. So
+//! [`DenseLabeling::from_flat`] renumbers the hubs of a store's arena by
+//! **fill**: the hub in the most labels becomes rank 0, the next rank 1,
+//! and so on, ties broken by store id. The hubs every label shares are
+//! then the first ranks, and they are stored as an `n × K` table of `u8`
+//! cells, row `v` holding `d(v, h)` in column `h` for every rank `h < K`
+//! (255 where `h` is not in `v`'s label). Every entry ranked `K` or higher
+//! stays in a remainder [`FlatLabeling`], whose small ranks are also the
+//! hub ids the join's scratch covers ([`crate::label`]: ids below 4,096
+//! are scattered and gathered, not merged):
 //!
 //! ```text
-//! rows: [d(0,0) .. d(0,K-1) | d(1,0) .. d(1,K-1) | ...]   (n · K u8 cells)
-//! rest: the arena's entries with hub >= K, hub ids unchanged
+//! rows:   [d(0,0) .. d(0,K-1) | d(1,0) .. d(1,K-1) | ...]   (n · K u8 cells)
+//! rest:   the arena's entries ranked K or higher, in rank ids
+//! unrank: unrank[rank] = the store's id of that hub       (n u32)
 //! ```
 //!
 //! A query is the smaller of two joins: the two rows added cell by cell
 //! with a saturating `u8` sum and folded with `min` (lane sums the
 //! compiler turns into vector adds and mins, with no branch and no
-//! lookup), and [`crate::label`]'s hybrid join of the two remainders.
+//! lookup), and [`crate::label`]'s hybrid join of the two remainders. The
+//! ranking is a bijection on hub ids and both endpoints of a query go
+//! through it, so **every distance answer is the store's**. Witnesses
+//! ([`DenseLabeling::query_with_witness`]) are ranks;
+//! [`DenseLabeling::unrank`] names them in store ids, and
+//! [`DenseLabeling::label_of`] answers in store ids, ascending.
 //!
 //! **How K is chosen.** The table is as wide as it can be without costing
 //! more than the arena entries it holds: K is the longest prefix of
-//! columns with `n · K ≤ 8 · cells`, `cells` the labels' entries in those
+//! ranks with `n · K ≤ 8 · cells`, `cells` the labels' entries in those
 //! columns (8 bytes each in a flat arena). So the split never grows the
 //! heap, and within that budget every column it takes turns merge work
-//! into lane sums, the cheapest part of a join. On a ranked arena the
-//! columns' fill does not rise along the ranks, so neither does the
-//! prefix's density, and the columns that fit are a prefix. K then stops
-//! at the first column holding a distance of 128 or more, so two cells
-//! sum to at most 254 and the saturating sum reaches 255 only when a side
-//! has no hub.
+//! into lane sums, the cheapest part of a join. The columns' fill does
+//! not rise along the ranks, so neither does the prefix's density, and
+//! the columns that fit are a prefix. K then stops at the first column
+//! holding a distance of 128 or more, so two cells sum to at most 254 and
+//! the saturating sum reaches 255 only when a side has no hub.
 //!
 //! The rule that minimizes the heap instead (a column goes in when its
 //! own fill is at least `n / 8`) takes fewer columns and leaves bytes per
@@ -44,24 +56,25 @@
 //! table instead of spilling that entry.
 //!
 //! With K = 0 the table is empty and every query is the remainder's join,
-//! exactly [`FlatLabeling::query`].
+//! exactly [`FlatLabeling::query`] on the ranked arena.
 //!
 //! # Example
 //!
 //! ```
 //! use hl_graph::generators;
 //! use hl_core::pll::PrunedLandmarkLabeling;
-//! use hl_core::{freq, DenseLabeling};
+//! use hl_core::DenseLabeling;
 //!
 //! let g = generators::grid(8, 8);
-//! let mut ranked = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-//! freq::reorder_by_hub_frequency(&mut ranked);
-//! let dense = DenseLabeling::split(ranked.clone());
+//! let flat = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
+//! let dense = DenseLabeling::from_flat(flat.clone());
 //! assert!(dense.prefix_hubs() > 0);
-//! assert_eq!(dense.num_entries(), ranked.num_entries());
+//! assert_eq!(dense.num_entries(), flat.num_entries());
 //! assert_eq!(dense.query(0, 63), 14);
-//! assert_eq!(dense.pairs_of(9).collect::<Vec<_>>(), ranked.pairs_of(9).collect::<Vec<_>>());
+//! assert_eq!(dense.label_of(9), flat.pairs_of(9).collect::<Vec<_>>());
 //! ```
+
+use std::cmp::Reverse;
 
 use hl_graph::{Distance, NodeId, INFINITY};
 
@@ -75,39 +88,19 @@ const NO_HUB: u8 = u8::MAX;
 /// [`NO_HUB`].
 const WIDEST: u32 = 127;
 
-/// A labeling as an `n × K` table of its first K hub columns plus a
-/// remainder arena of every other entry; see the module docs.
+/// A labeling ranked by hub fill, as an `n × K` table of its first K rank
+/// columns plus a remainder arena of every other entry; see the module
+/// docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseLabeling {
-    /// Columns in the table: hubs `0..k`.
+    /// Columns in the table: ranks `0..k`.
     k: usize,
     /// `n` rows of `k` cells; [`NO_HUB`] where a hub is absent.
     rows: Vec<u8>,
-    /// Every entry whose hub is `k` or higher.
+    /// Every entry ranked `k` or higher, in rank ids.
     rest: FlatLabeling,
-}
-
-/// K for `flat`: how many leading hub columns go into the table, as many
-/// as cost no more than the flat bytes of the entries they hold
-/// (`n · K ≤ 8 · cells`), up to the first column that holds a distance
-/// above [`WIDEST`].
-fn table_width(flat: &FlatLabeling) -> usize {
-    let n = flat.num_nodes();
-    let mut fill = vec![0usize; n];
-    let mut wide = vec![false; n];
-    for (&h, &d) in flat.raw_hubs().iter().zip(flat.raw_dists()) {
-        fill[h as usize] += 1;
-        wide[h as usize] |= d > WIDEST;
-    }
-    let mut cells = 0;
-    fill.iter()
-        .zip(&wide)
-        .zip(1..)
-        .take_while(|&((&fill, &wide), k)| {
-            cells += fill;
-            n * k <= 8 * cells && !wide
-        })
-        .count()
+    /// `unrank[rank]` is the store's id of hub `rank`.
+    unrank: Vec<NodeId>,
 }
 
 /// The table half of a join: the least saturating sum of two rows'
@@ -130,29 +123,81 @@ fn widen(cell: u8) -> Distance {
 }
 
 impl DenseLabeling {
-    /// Splits `flat` at K columns, chosen from `flat` alone as the module
-    /// docs say. After one counting pass, a second pass writes each
-    /// vertex's entries below K into its row and moves the rest of its run
-    /// down in place, so the table is the only new allocation. Every query
-    /// answer is `flat`'s.
-    pub fn split(mut flat: FlatLabeling) -> DenseLabeling {
-        let k = table_width(&flat);
-        let mut rows = vec![NO_HUB; flat.num_nodes() * k];
-        flat.drain_hubs_below(k as NodeId, |v, hubs, dists| {
+    /// Ranks, splits and keeps the inverse of `flat`, an arena in store
+    /// ids, as the module docs say. One counting pass gives each hub's
+    /// fill and whether its column holds a distance above 127, and
+    /// from them the ranking and K. One pass over the runs then remaps
+    /// each run to ranks through a buffer the size of the longest label,
+    /// sorts it, writes its ranks below K into the vertex's row and moves
+    /// the rest down in place, so the table is the only new arena-sized
+    /// allocation. Every query answer is `flat`'s.
+    pub fn from_flat(flat: FlatLabeling) -> DenseLabeling {
+        let FlatLabeling {
+            mut offsets,
+            mut hubs,
+            mut dists,
+        } = flat;
+        let n = offsets.len() - 1;
+        let mut fill = vec![0usize; n];
+        let mut wide = vec![false; n];
+        for (&h, &d) in hubs.iter().zip(&dists) {
+            fill[h as usize] += 1;
+            wide[h as usize] |= d > WIDEST;
+        }
+        let mut unrank: Vec<NodeId> = (0..n as NodeId).collect();
+        unrank.sort_unstable_by_key(|&h| (Reverse(fill[h as usize]), h));
+        let mut cells = 0;
+        let k = unrank
+            .iter()
+            .zip(1..)
+            .take_while(|&(&h, k)| {
+                cells += fill[h as usize];
+                n * k <= 8 * cells && !wide[h as usize]
+            })
+            .count();
+        let mut rank = vec![0 as NodeId; n];
+        for (&h, r) in unrank.iter().zip(0..) {
+            rank[h as usize] = r;
+        }
+        let mut rows = vec![NO_HUB; n * k];
+        let mut run: Vec<(NodeId, u32)> = Vec::new();
+        let (mut start, mut kept) = (0, 0);
+        for v in 0..n {
+            let end = offsets[v + 1] as usize;
+            run.clear();
+            let entries = hubs[start..end].iter().zip(&dists[start..end]);
+            run.extend(entries.map(|(&h, &d)| (rank[h as usize], d)));
+            run.sort_unstable_by_key(|&(h, _)| h);
+            let cut = run.partition_point(|&(h, _)| (h as usize) < k);
             let row = &mut rows[v * k..(v + 1) * k];
-            for (&h, &d) in hubs.iter().zip(dists) {
+            for &(h, d) in &run[..cut] {
                 // Every distance in the first k columns is at most WIDEST.
                 row[h as usize] = d as u8;
             }
-        });
+            for &(h, d) in &run[cut..] {
+                (hubs[kept], dists[kept]) = (h, d);
+                kept += 1;
+            }
+            offsets[v + 1] = kept as u64;
+            start = end;
+        }
+        hubs.truncate(kept);
+        dists.truncate(kept);
+        hubs.shrink_to_fit();
+        dists.shrink_to_fit();
         DenseLabeling {
             k,
             rows,
-            rest: flat,
+            rest: FlatLabeling {
+                offsets,
+                hubs,
+                dists,
+            },
+            unrank,
         }
     }
 
-    /// K: the hub columns in the table, hubs `0..K`.
+    /// K: the rank columns in the table, ranks `0..K`.
     pub fn prefix_hubs(&self) -> usize {
         self.k
     }
@@ -168,8 +213,7 @@ impl DenseLabeling {
         self.rows.len()
     }
 
-    /// The remainder arena: every entry ranked K or higher, hub ids
-    /// unchanged.
+    /// The remainder arena: every entry ranked K or higher, in rank ids.
     pub fn remainder(&self) -> &FlatLabeling {
         &self.rest
     }
@@ -185,10 +229,30 @@ impl DenseLabeling {
         self.filled_cells() + self.rest.num_entries()
     }
 
-    /// Heap footprint in bytes: the table plus the remainder arena
-    /// ([`FlatLabeling::heap_bytes`]).
+    /// Heap footprint of the served labels in bytes: the table plus the
+    /// remainder arena ([`FlatLabeling::heap_bytes`]), never more than
+    /// the arena that was split. `unrank`, 4 B a vertex, is not counted.
     pub fn heap_bytes(&self) -> usize {
         self.rows.len() + self.rest.heap_bytes()
+    }
+
+    /// The store's id of every rank: `unrank()[rank]`, a permutation of
+    /// `0..n`.
+    pub fn unrank(&self) -> &[NodeId] {
+        &self.unrank
+    }
+
+    /// Vertex `v`'s label as the store holds it: `(hub, distance)` pairs
+    /// in store ids, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn label_of(&self, v: NodeId) -> Vec<(NodeId, Distance)> {
+        let unrank = |(h, d): (NodeId, Distance)| (self.unrank[h as usize], d);
+        let mut label: Vec<_> = self.pairs_of(v).map(unrank).collect();
+        label.sort_unstable();
+        label
     }
 
     fn row(&self, v: NodeId) -> &[u8] {
@@ -196,8 +260,8 @@ impl DenseLabeling {
         &self.rows[v * self.k..(v + 1) * self.k]
     }
 
-    /// Vertex `v`'s `(hub, distance)` pairs in increasing hub order: its
-    /// filled cells, then its remainder run.
+    /// Vertex `v`'s `(rank, distance)` pairs in increasing rank order:
+    /// its filled cells, then its remainder run.
     ///
     /// # Panics
     ///
@@ -251,10 +315,10 @@ impl DenseLabeling {
         });
     }
 
-    /// Like [`DenseLabeling::query`] but also reports the hub realizing
-    /// the minimum — the smallest such hub on a tie, as
-    /// [`FlatLabeling::query_with_witness`] does; `None` when the labels
-    /// share no hub.
+    /// Like [`DenseLabeling::query`] but also reports the rank of the hub
+    /// realizing the minimum — the smallest such rank on a tie, as
+    /// [`FlatLabeling::query_with_witness`] does on the ranked arena;
+    /// `None` when the labels share no hub.
     ///
     /// # Panics
     ///
@@ -278,14 +342,72 @@ impl DenseLabeling {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::freq;
     use crate::pll::PrunedLandmarkLabeling;
     use hl_graph::{generators, Graph};
 
-    /// Splits `flat` and checks every pair: the dense join, its batch and
-    /// its witness against the flat join, and the labels round-trip.
+    /// `flat` ranked, split and unranked the naive way, step by step:
+    /// rank by a sort of the fills, remap every label and sort it again,
+    /// take ranks while they fit the flat bytes of their entries and hold
+    /// no distance above 127, then deal each entry to the table or the
+    /// remainder.
+    fn reference(flat: &FlatLabeling) -> DenseLabeling {
+        let n = flat.num_nodes();
+        let mut fill = vec![0; n];
+        for &h in flat.raw_hubs() {
+            fill[h as usize] += 1;
+        }
+        let mut unrank: Vec<NodeId> = (0..n as NodeId).collect();
+        unrank.sort_by_key(|&h| (Reverse(fill[h as usize]), h));
+        let mut rank = vec![0; n];
+        for (r, &h) in unrank.iter().enumerate() {
+            rank[h as usize] = r as NodeId;
+        }
+        let ranked: Vec<Vec<(NodeId, Distance)>> = (0..n as NodeId)
+            .map(|v| {
+                let mut label: Vec<_> = flat
+                    .pairs_of(v)
+                    .map(|(h, d)| (rank[h as usize], d))
+                    .collect();
+                label.sort();
+                label
+            })
+            .collect();
+        let cells = |k: usize| unrank[..k].iter().map(|&h| fill[h as usize]).sum::<usize>();
+        let narrow = |r: usize| {
+            ranked
+                .iter()
+                .flatten()
+                .all(|&(h, d)| h as usize != r || d <= 127)
+        };
+        let k = (0..n)
+            .take_while(|&r| n * (r + 1) <= 8 * cells(r + 1) && narrow(r))
+            .count();
+        let mut rows = vec![NO_HUB; n * k];
+        let mut rest = Vec::new();
+        for (v, label) in ranked.into_iter().enumerate() {
+            let (table, others): (Vec<_>, Vec<_>) =
+                label.into_iter().partition(|&(h, _)| (h as usize) < k);
+            for (h, d) in table {
+                rows[v * k + h as usize] = u8::try_from(d).unwrap();
+            }
+            rest.push(others);
+        }
+        DenseLabeling {
+            k,
+            rows,
+            rest: FlatLabeling::from_pair_lists(rest).unwrap(),
+            unrank,
+        }
+    }
+
+    /// Builds the served layout of `flat`, an arena in store ids, holds it
+    /// to [`reference`], and checks every pair: the dense join and its
+    /// batch against the flat join, its witness (a rank, a hub both store
+    /// labels hold at the answer's sum; `flat`'s own witness when the
+    /// ranking is the identity), and every label back in store ids.
     fn split_and_check(flat: &FlatLabeling) -> DenseLabeling {
-        let dense = DenseLabeling::split(flat.clone());
+        let dense = DenseLabeling::from_flat(flat.clone());
+        assert_eq!(dense, reference(flat), "the one pass against the reference");
         let n = flat.num_nodes() as NodeId;
         assert_eq!(dense.num_nodes(), flat.num_nodes());
         assert_eq!(dense.num_entries(), flat.num_entries());
@@ -294,11 +416,14 @@ mod tests {
             dense.heap_bytes(),
             dense.table_bytes() + dense.remainder().heap_bytes()
         );
+        assert!(dense.heap_bytes() <= flat.heap_bytes());
         assert!(dense
             .remainder()
             .raw_hubs()
             .iter()
             .all(|&h| h as usize >= dense.prefix_hubs()));
+        let identity = dense.unrank().iter().zip(0..).all(|(&h, r)| h == r);
+        let at = |x: NodeId, w: NodeId| flat.pairs_of(x).find(|&(h, _)| h == w).map(|(_, d)| d);
         let pairs: Vec<(NodeId, NodeId)> =
             (0..n).flat_map(|u| (0..n).map(move |v| (u, v))).collect();
         let mut batch = vec![0; pairs.len()];
@@ -307,27 +432,134 @@ mod tests {
             let want = flat.query(u, v);
             assert_eq!(got, want, "query_many d({u},{v})");
             assert_eq!(dense.query(u, v), want, "query d({u},{v})");
+            let witness = dense.query_with_witness(u, v);
             assert_eq!(
-                dense.query_with_witness(u, v),
-                flat.query_with_witness(u, v),
-                "witness of ({u},{v})"
+                witness.map(|(d, _)| d),
+                flat.query_with_witness(u, v).map(|(d, _)| d)
             );
+            if let Some((d, r)) = witness {
+                let w = dense.unrank()[r as usize];
+                assert_eq!(
+                    at(u, w).zip(at(v, w)).map(|(a, b)| a + b),
+                    Some(d),
+                    "witness of ({u},{v})"
+                );
+            }
+            if identity {
+                assert_eq!(
+                    witness,
+                    flat.query_with_witness(u, v),
+                    "witness of ({u},{v})"
+                );
+            }
         }
         for v in 0..n {
             let want: Vec<_> = flat.pairs_of(v).collect();
-            assert_eq!(dense.pairs_of(v).collect::<Vec<_>>(), want, "label of {v}");
+            assert_eq!(dense.label_of(v), want, "label of {v}");
         }
         dense
     }
 
-    fn ranked(g: &Graph) -> FlatLabeling {
-        let mut flat = PrunedLandmarkLabeling::by_degree(g).into_labeling();
-        freq::reorder_by_hub_frequency(&mut flat);
-        flat
+    fn built(g: &Graph) -> FlatLabeling {
+        PrunedLandmarkLabeling::by_degree(g).into_labeling()
     }
 
     fn lists(lists: Vec<Vec<(NodeId, Distance)>>) -> FlatLabeling {
         FlatLabeling::from_pair_lists(lists).unwrap()
+    }
+
+    /// The served labels, table and remainder merged back into one arena
+    /// in rank ids.
+    fn ranked_arena(dense: &DenseLabeling) -> FlatLabeling {
+        let n = dense.num_nodes() as NodeId;
+        lists((0..n).map(|v| dense.pairs_of(v).collect()).collect())
+    }
+
+    /// A seeded gnm on vertices 0..59 plus vertex 59 joined to every
+    /// third of them: the highest degree, so the hottest hub has the
+    /// highest id and ranking moves it from last to first.
+    fn hottest_hub_last(seed: u64) -> FlatLabeling {
+        let g = generators::connected_gnm(59, 60, seed);
+        let mut edges: Vec<(NodeId, NodeId)> = g.edges().map(|(u, v, _)| (u, v)).collect();
+        edges.extend((0..59).step_by(3).map(|v| (v, 59)));
+        built(&hl_graph::builder::graph_from_edges(60, &edges).unwrap())
+    }
+
+    /// 24 vertices, eight labeled. Hubs 4 and 1 are in three labels each,
+    /// hub 2 in two and hubs 0, 3, 5, 6 and 7 in one, so the ranks are
+    /// 1, 4, 2, 0, 3, 5, 6, 7 and then the empty columns by id. Two
+    /// columns fit (2 · 24 ≤ 8 · 6 cells) and three do not (3 · 24 >
+    /// 8 · 8): K = 2, and hub 2 leads the remainder.
+    fn tied() -> FlatLabeling {
+        let mut labels: Vec<Vec<(NodeId, Distance)>> = (0..8).map(|v| vec![(v, 0)]).collect();
+        labels[0].extend([(1, 1), (4, 2)]);
+        labels[3].extend([(1, 2), (2, 1), (4, 1)]);
+        labels.resize(24, Vec::new());
+        lists(labels)
+    }
+
+    #[test]
+    fn the_one_pass_layout_equals_the_naive_reference() {
+        let arenas = [
+            ("gnm", built(&generators::connected_gnm(150, 300, 7))),
+            ("rmat", built(&generators::rmat(7, 400, 3))),
+            ("grid", built(&generators::grid(11, 12))),
+            ("hottest hub last", hottest_hub_last(3)),
+            ("ties", tied()),
+            ("wide column", column_one_holds(128)),
+        ];
+        for (name, flat) in arenas {
+            let dense = split_and_check(&flat);
+            // Ranked once more, the served arena is its own layout.
+            let ranked = ranked_arena(&dense);
+            let again = split_and_check(&ranked);
+            assert!(
+                again.unrank().iter().zip(0..).all(|(&h, r)| h == r),
+                "{name}: unrank not the identity"
+            );
+            assert_eq!(again.remainder(), dense.remainder(), "{name}");
+            assert_eq!(again.rows, dense.rows, "{name}");
+        }
+    }
+
+    #[test]
+    fn rank_is_a_bijection_sorted_by_frequency() {
+        for flat in [built(&generators::connected_gnm(60, 90, 0xFEED)), tied()] {
+            let dense = DenseLabeling::from_flat(flat.clone());
+            let mut fill = vec![0; flat.num_nodes()];
+            for &h in flat.raw_hubs() {
+                fill[h as usize] += 1;
+            }
+            let order = dense.unrank();
+            let mut seen = vec![false; order.len()];
+            for &old in order {
+                assert!(!seen[old as usize], "order repeats {old}");
+                seen[old as usize] = true;
+            }
+            assert_eq!(order.len(), flat.num_nodes());
+            // Fill is non-increasing along the ranks, ties by store id.
+            assert!(order.windows(2).all(|w| {
+                let (a, b) = (fill[w[0] as usize], fill[w[1] as usize]);
+                a > b || (a == b && w[0] < w[1])
+            }));
+        }
+        let dense = DenseLabeling::from_flat(tied());
+        assert_eq!(dense.unrank()[..9], [1, 4, 2, 0, 3, 5, 6, 7, 8]);
+        assert_eq!(dense.prefix_hubs(), 2);
+        assert_eq!(
+            dense.remainder().pairs_of(3).collect::<Vec<_>>(),
+            vec![(2, 1), (4, 0)]
+        );
+    }
+
+    #[test]
+    fn the_hottest_hub_moves_from_last_to_rank_zero() {
+        let flat = hottest_hub_last(3);
+        let dense = split_and_check(&flat);
+        assert_eq!(dense.unrank()[0], 59);
+        assert!(dense.prefix_hubs() > 0);
+        // Rank 0 is in vertex 59's row at distance 0.
+        assert_eq!(dense.pairs_of(59).next(), Some((0, 0)));
     }
 
     #[test]
@@ -343,27 +575,27 @@ mod tests {
 
     #[test]
     fn k_is_zero_when_the_first_column_costs_more_than_it_holds_and_the_join_is_flat() {
-        // Hub 0 is in 1 of 9 labels: its column's 9 bytes are more than
-        // the 8 its one entry takes flat, so the table stops there, before
-        // hub 1's, which is in 3 (hubs 0 and 1 together would fit,
-        // 2 · 9 ≤ 8 · 4, but the table is a prefix of the ranks).
-        let mut labels: Vec<Vec<(NodeId, Distance)>> = (0..9).map(|v| vec![(v, 0)]).collect();
-        labels[0] = vec![(0, 0), (1, 2)];
-        labels[3].push((1, 4));
+        // Seventeen vertices, each its own hub, and hub 0, the most
+        // frequent, in vertex 1's label too: its column's 17 bytes are
+        // more than the 16 its two entries take flat, and no later column
+        // is fuller, so the table is empty.
+        let mut labels: Vec<Vec<(NodeId, Distance)>> = (0..17).map(|v| vec![(v, 0)]).collect();
+        labels[1].insert(0, (0, 2));
         let flat = lists(labels);
         let dense = split_and_check(&flat);
         assert_eq!(dense.prefix_hubs(), 0);
         assert_eq!(dense.remainder(), &flat);
         assert_eq!(dense.heap_bytes(), flat.heap_bytes());
-        assert_eq!(dense.query(0, 3), 6);
+        assert_eq!(dense.query(1, 0), 2);
         assert_eq!(dense.query(2, 3), INFINITY);
     }
 
     /// Twenty vertices, the first four labeled, with `wide` the distance
     /// from vertex 2 to hub 1, which is vertex 1's only hub. Hubs 0 and 1
-    /// are in 3 labels each and hub 2 in vertex 3's alone, so two columns
-    /// fit (2 · 20 ≤ 8 · 6 cells) and three do not (3 · 20 > 8 · 7): K is
-    /// at most 2 and hub 2 is ranked K or higher.
+    /// are in 3 labels each and hub 2 in vertex 3's alone, so they are
+    /// ranks 0, 1 and 2, two columns fit (2 · 20 ≤ 8 · 6 cells) and three
+    /// do not (3 · 20 > 8 · 7): K is at most 2 and hub 2 is ranked K or
+    /// higher.
     fn column_one_holds(wide: Distance) -> FlatLabeling {
         let mut labels = vec![
             vec![(0, 0), (1, 3)],
@@ -429,7 +661,7 @@ mod tests {
         let mut edges: Vec<(NodeId, NodeId)> = base.edges().map(|(u, v, _)| (u, v)).collect();
         edges.extend(base.edges().map(|(u, v, _)| (u + n, v + n)));
         let g = hl_graph::builder::graph_from_edges(2 * n as usize, &edges).unwrap();
-        let dense = split_and_check(&ranked(&g));
+        let dense = split_and_check(&built(&g));
         assert!(dense.prefix_hubs() > 0);
         assert_eq!(dense.query(0, n), INFINITY);
         assert_eq!(dense.query_with_witness(0, n), None);
@@ -445,8 +677,7 @@ mod tests {
             ("weighted grid", generators::weighted_grid(9, 9, 4)),
         ];
         for (name, g) in families {
-            let flat = ranked(&g);
-            let dense = split_and_check(&flat);
+            let dense = split_and_check(&built(&g));
             assert!(dense.prefix_hubs() > 0, "{name}: K = 0");
             for s in (0..g.num_nodes() as NodeId).step_by(13) {
                 let truth = hl_graph::dijkstra::shortest_path_distances(&g, s);
@@ -459,9 +690,14 @@ mod tests {
 
     #[test]
     fn k_is_the_widest_prefix_within_the_flat_bytes_on_a_ranked_arena() {
-        let flat = ranked(&generators::connected_gnm(300, 900, 2));
-        let k = table_width(&flat);
-        let fill = freq::hub_frequencies(&flat);
+        let flat = built(&generators::connected_gnm(300, 900, 2));
+        let dense = DenseLabeling::from_flat(flat.clone());
+        let k = dense.prefix_hubs();
+        let mut by_id = vec![0u64; flat.num_nodes()];
+        for &h in flat.raw_hubs() {
+            by_id[h as usize] += 1;
+        }
+        let fill: Vec<u64> = dense.unrank().iter().map(|&h| by_id[h as usize]).collect();
         let n = flat.num_nodes() as u64;
         let cells = |k: usize| fill[..k].iter().sum::<u64>();
         assert!(n * k as u64 <= 8 * cells(k));
@@ -474,7 +710,6 @@ mod tests {
         assert!((1..=k).all(|j| n * j as u64 <= 8 * cells(j)));
         assert!(8 * fill[k - 1] < n);
         assert!(flat.raw_dists().iter().all(|&d| d <= WIDEST));
-        let dense = DenseLabeling::split(flat.clone());
         assert!(dense.heap_bytes() <= flat.heap_bytes());
     }
 }

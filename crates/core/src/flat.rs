@@ -40,7 +40,7 @@
 
 use hl_graph::{Distance, GraphError, NodeId};
 
-use crate::label::{self, merge_join, merge_join_with_witness};
+use crate::label::{merge_join, merge_join_with_witness};
 
 /// Why labels were rejected on their way into the arena: a triple of raw
 /// arrays by [`FlatLabeling::from_raw_parts`], or a distance too wide for
@@ -207,12 +207,15 @@ pub(crate) fn spans(offsets: &[u64]) -> impl Iterator<Item = std::ops::Range<usi
 /// build it whole with [`FlatLabeling::from_pair_lists`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatLabeling {
+    // The fields are the crate's so that `DenseLabeling::from_flat` can
+    // rewrite the runs in place; it leaves every run strictly increasing
+    // with hub ids `< num_nodes`.
     /// `num_nodes + 1` entry offsets; vertex `v` owns `offsets[v]..offsets[v+1]`.
-    offsets: Vec<u64>,
+    pub(crate) offsets: Vec<u64>,
     /// All hub ids, per-vertex runs sorted by hub id.
-    hubs: Vec<NodeId>,
+    pub(crate) hubs: Vec<NodeId>,
     /// All distances, aligned with `hubs`, narrowed to `u32` on entry.
-    dists: Vec<u32>,
+    pub(crate) dists: Vec<u32>,
 }
 
 impl Default for FlatLabeling {
@@ -328,40 +331,6 @@ impl FlatLabeling {
         &self.dists
     }
 
-    /// The offsets and the two writable entry lanes, for a pass that
-    /// rewrites entries inside each run; it must leave every run strictly
-    /// increasing with hub ids `< num_nodes`.
-    pub(crate) fn lanes_mut(&mut self) -> (&[u64], &mut [NodeId], &mut [u32]) {
-        (&self.offsets, &mut self.hubs, &mut self.dists)
-    }
-
-    /// Removes every entry whose hub id is below `k`, in place: each
-    /// vertex's removed prefix is handed to `take(v, hubs, dists)`, then
-    /// the rest of its run moves down to close the gap. Runs stay sorted,
-    /// and the lanes are shrunk to what is left, so no second arena is
-    /// ever live.
-    pub(crate) fn drain_hubs_below(
-        &mut self,
-        k: NodeId,
-        mut take: impl FnMut(usize, &[NodeId], &[u32]),
-    ) {
-        let (mut start, mut kept) = (0, 0);
-        for v in 0..self.num_nodes() {
-            let end = self.offsets[v + 1] as usize;
-            let cut = start + self.hubs[start..end].partition_point(|&h| h < k);
-            take(v, &self.hubs[start..cut], &self.dists[start..cut]);
-            self.hubs.copy_within(cut..end, kept);
-            self.dists.copy_within(cut..end, kept);
-            kept += end - cut;
-            self.offsets[v + 1] = kept as u64;
-            start = end;
-        }
-        self.hubs.truncate(kept);
-        self.dists.truncate(kept);
-        self.hubs.shrink_to_fit();
-        self.dists.shrink_to_fit();
-    }
-
     /// Builds the arena from one `(hub, distance)` list per vertex, each
     /// in any order; a hub listed twice keeps its minimum distance. The
     /// one place labels are sorted, deduplicated and narrowed — what every
@@ -468,30 +437,6 @@ impl FlatLabeling {
             self.hubs_of(v),
             self.dists_of(v),
         )
-    }
-
-    /// Answers `pairs[i]` into `out[i]` as [`FlatLabeling::query`] would,
-    /// back to back: the thread's join scratch is borrowed once for the
-    /// whole slice, and there is no clock, no counter, nothing between
-    /// two joins, so the cache misses of consecutive pairs may overlap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length or a vertex is out of range.
-    pub fn query_many(&self, pairs: &[(NodeId, NodeId)], out: &mut [Distance]) {
-        assert_eq!(pairs.len(), out.len(), "one output slot per pair");
-        label::with_scratch(|slots| {
-            for (&(u, v), d) in pairs.iter().zip(out) {
-                *d = label::join_absolute::<false>(
-                    Some(&mut *slots),
-                    self.hubs_of(u),
-                    self.dists_of(u),
-                    self.hubs_of(v),
-                    self.dists_of(v),
-                )
-                .0;
-            }
-        });
     }
 
     /// Like [`FlatLabeling::query`] but also reports the hub realizing
@@ -614,29 +559,6 @@ mod tests {
         assert_eq!(flat.query_with_witness(0, 3), Some((4, 2)));
         assert_eq!(flat.query(1, 3), INFINITY);
         assert_eq!(flat.query_with_witness(1, 3), None);
-    }
-
-    #[test]
-    fn query_many_equals_per_pair_query() {
-        use hl_graph::generators;
-        // A seeded gnm plus one isolated vertex, 60, so a pair with it
-        // is disconnected.
-        let g = generators::connected_gnm(60, 60, 7);
-        let edges: Vec<(NodeId, NodeId)> = g.edges().map(|(u, v, _)| (u, v)).collect();
-        let g = hl_graph::builder::graph_from_edges(61, &edges).unwrap();
-        let flat = crate::pll::PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-        let mut pairs: Vec<(NodeId, NodeId)> = (0..61)
-            .flat_map(|u| (0..61).map(move |v| (u, v)))
-            .filter(|&(u, v)| (u * 7 + v * 13) % 5 == 0)
-            .collect();
-        pairs.push((3, 60));
-        let mut out = vec![0; pairs.len()];
-        flat.query_many(&pairs, &mut out);
-        let want: Vec<Distance> = pairs.iter().map(|&(u, v)| flat.query(u, v)).collect();
-        assert_eq!(out, want);
-        assert_eq!(out.last(), Some(&INFINITY));
-        // An empty slice is a no-op.
-        flat.query_many(&[], &mut []);
     }
 
     #[test]

@@ -40,7 +40,7 @@ const LOOKAHEAD: usize = 16;
 
 /// Hub ids below this bound are joined through the calling thread's
 /// scratch; the rest, merged. 4,096 [`Distance`] slots are 32 KiB, which
-/// stays in L1d. On a ranked arena ([`crate::freq`]) the hubs most labels
+/// stays in L1d. On a ranked arena ([`crate::dense`]) the hubs most labels
 /// share are the smallest ids, so they are the ones the scratch covers.
 /// The bound is fixed, not `n`: every thread that joins fills its own
 /// scratch once, and a split batch starts a thread per share.
@@ -58,7 +58,7 @@ thread_local! {
 }
 
 /// Runs `f` with the calling thread's join scratch borrowed, so a run of
-/// joins ([`crate::FlatLabeling::query_many`]) borrows it once.
+/// joins ([`crate::DenseLabeling::query_many`]) borrows it once.
 pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Slots) -> R) -> R {
     SCRATCH.with_borrow_mut(|slots| f(slots))
 }
@@ -626,11 +626,19 @@ mod tests {
             assert_eq!(split.query(0, 1), INFINITY);
             assert_eq!(full.query(1, 0), 3);
             assert_eq!(split.query_with_witness(1, 0), None);
-            let mut out = [0; 3];
-            full.query_many(&[(0, 1), (0, 0), (1, 1)], &mut out);
-            assert_eq!(out, [3, 2, 4]);
-            split.query_many(&[(0, 1), (1, 0), (0, 2)], &mut out);
-            assert_eq!(out, [INFINITY; 3]);
+            // A run of joins under one borrow of the scratch, as
+            // `DenseLabeling::query_many` runs them.
+            let many = |flat: &FlatLabeling, pairs: [(NodeId, NodeId); 3]| {
+                with_scratch(|slots| {
+                    pairs.map(|(u, v)| {
+                        let (hu, du) = (flat.hubs_of(u), flat.dists_of(u));
+                        let (hv, dv) = (flat.hubs_of(v), flat.dists_of(v));
+                        join_absolute::<false>(Some(&mut *slots), hu, du, hv, dv).0
+                    })
+                })
+            };
+            assert_eq!(many(&full, [(0, 1), (0, 0), (1, 1)]), [3, 2, 4]);
+            assert_eq!(many(&split, [(0, 1), (1, 0), (0, 2)]), [INFINITY; 3]);
         }
     }
 

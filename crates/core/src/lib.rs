@@ -16,11 +16,10 @@
 //!   construction returns and every store, daemon and analysis reads;
 //! * [`compact`] — [`CompactLabeling`], the byte-tuned lanes of the v2c
 //!   store flavor (u16/u32 distance lanes, delta-coded hub ids);
-//! * [`freq`] — hub-frequency label reordering, a layout pass that moves
-//!   hot hubs to the front of every run;
-//! * [`dense`] — [`DenseLabeling`], a ranked arena whose first hub
-//!   columns are an `n × K` table of `u8` cells, joined by lane sums, and
-//!   the rest a remainder arena: what a daemon serves;
+//! * [`dense`] — [`DenseLabeling`], what a daemon serves: an arena
+//!   ranked by hub frequency in one pass, its first rank columns an
+//!   `n × K` table of `u8` cells joined by lane sums, the rest a
+//!   remainder arena, and the ranking's inverse for labels in store ids;
 //! * [`cover`] — verification that a labeling answers every query exactly;
 //! * [`minimize`], [`hierarchical`] — post-hoc hub removal, and the
 //!   canonical hierarchical labeling with its hierarchy check;
@@ -65,7 +64,6 @@ pub mod corrected;
 pub mod cover;
 pub mod dense;
 pub mod flat;
-pub mod freq;
 pub mod greedy;
 pub mod hierarchical;
 pub mod label;

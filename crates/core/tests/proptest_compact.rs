@@ -1,15 +1,15 @@
 //! Randomized property tests for the compact arena: on every graph
 //! family the benches use (gnm, grid, power-law, rmat), the delta-coded
 //! [`CompactLabeling`] must agree entry-for-entry with the flat CSR
-//! arena *and* with BFS ground truth — including after the hub-frequency
-//! reorder pass, including through the flat → compact → flat round-trip.
+//! arena *and* with BFS ground truth, including through the flat →
+//! compact → flat round-trip.
 //!
 //! Seeded [`Xorshift64`] case generation keeps the suite deterministic
 //! and offline (same style as `proptest_flat.rs`).
 
 use hl_core::flat::FlatLabeling;
 use hl_core::pll::PrunedLandmarkLabeling;
-use hl_core::{freq, CompactLabeling};
+use hl_core::CompactLabeling;
 use hl_graph::bfs::bfs_distances;
 use hl_graph::rng::Xorshift64;
 use hl_graph::{generators, Graph, NodeId};
@@ -40,15 +40,10 @@ fn rmat_graph(rng: &mut Xorshift64) -> Graph {
     generators::rmat(scale, m, rng.next_u64())
 }
 
-/// Checks `compact == flat == BFS` for **all** pairs of `g`, both for the
-/// as-built labeling and for its frequency-reordered twin (which must
-/// answer identically despite living in a remapped hub-id space).
+/// Checks `compact == flat == BFS` for **all** pairs of `g`.
 fn assert_compact_matches_everywhere(g: &Graph) {
     let flat: FlatLabeling = PrunedLandmarkLabeling::by_degree(g).into_labeling();
     let compact = CompactLabeling::from_flat(&flat).expect("unit-weight distances fit u32");
-    let mut tuned_flat = flat.clone();
-    freq::reorder_by_hub_frequency(&mut tuned_flat);
-    let tuned = CompactLabeling::from_flat(&tuned_flat).expect("reorder keeps distances");
     assert_eq!(
         compact.to_flat(),
         flat,
@@ -62,7 +57,6 @@ fn assert_compact_matches_everywhere(g: &Graph) {
             let want = truth[v as usize];
             assert_eq!(flat.query(u, v), want, "flat d({u},{v})");
             assert_eq!(compact.query(u, v), want, "compact d({u},{v})");
-            assert_eq!(tuned.query(u, v), want, "reordered compact d({u},{v})");
         }
     }
 }

@@ -1,15 +1,15 @@
 //! Randomized property tests for the flat CSR arena: on arbitrary random
 //! graphs, `FlatLabeling::query` must agree entry-for-entry with BFS
-//! ground truth — as built and ranked by hub frequency, the order the
-//! query engine serves — and `FlatLabeling::from_pair_lists` must agree with a
+//! ground truth, and so must the layout the query engine serves
+//! (`DenseLabeling::from_flat`) — and `FlatLabeling::from_pair_lists` must agree with a
 //! map-based reference on arbitrary unsorted, duplicated pair lists.
 //!
 //! Seeded [`Xorshift64`] case generation keeps the suite deterministic
 //! and offline (same style as `proptest_labelings.rs`).
 
 use hl_core::flat::FlatLabeling;
-use hl_core::freq;
 use hl_core::pll::PrunedLandmarkLabeling;
+use hl_core::DenseLabeling;
 use hl_graph::bfs::bfs_distances;
 use hl_graph::rng::Xorshift64;
 use hl_graph::{generators, NodeId};
@@ -31,17 +31,16 @@ fn grid_graph(rng: &mut Xorshift64) -> hl_graph::Graph {
     generators::grid(rows, cols)
 }
 
-/// Checks `flat == ranked == BFS` for **all** pairs of `g`, where
-/// `ranked` is `flat` with its hub ids renumbered by frequency.
+/// Checks `flat == served == BFS` for **all** pairs of `g`, where
+/// `served` is `flat` ranked by hub frequency and split.
 fn assert_flat_matches_everywhere(g: &hl_graph::Graph, flat: &FlatLabeling) {
-    let mut ranked = flat.clone();
-    freq::reorder_by_hub_frequency(&mut ranked);
+    let served = DenseLabeling::from_flat(flat.clone());
     let n = g.num_nodes() as NodeId;
     for u in 0..n {
         let truth = bfs_distances(g, u);
         for v in 0..n {
             assert_eq!(flat.query(u, v), truth[v as usize], "flat d({u},{v})");
-            assert_eq!(ranked.query(u, v), truth[v as usize], "ranked d({u},{v})");
+            assert_eq!(served.query(u, v), truth[v as usize], "served d({u},{v})");
         }
     }
 }

@@ -44,9 +44,10 @@
 //! on-disk and in-memory sizes: label entries and bytes per entry, the
 //! two axes the paper's size bounds are stated in — and the hubset sizes
 //! `|S_v|` themselves, at their p10/p50/p90 deciles and maximum. Its last
-//! line is the split `serve` mounts (`hl_core::dense`): K, the hub columns
-//! that become `u8` table rows, the table's filled cells and bytes, and
-//! the entries left in the remainder arena (cells + remainder = entries).
+//! line is the layout `serve` mounts (`hl_core::dense`, ranked by hub
+//! frequency and split): K, the rank columns that become `u8` table rows,
+//! the table's filled cells and bytes, and the entries left in the
+//! remainder arena (cells + remainder = entries).
 //! `serve`'s start line reports that split's heap bytes, table included.
 //!
 //! `serve` loads a store of any format into a [`hl_net::NetServer`]
@@ -63,10 +64,7 @@
 //! distance lanes, expanded to the flat arena at mount). All three
 //! encodings are canonical functions of the labeling, so `convert --to
 //! v1` then `convert --to v2` reproduces the built file byte for byte —
-//! `--verify-roundtrip` proves it on the spot. `--reorder freq` applies
-//! the hub-frequency id remap before encoding (hot hubs get small ids,
-//! which shrinks the compact deltas); the remap changes hub ids, so it
-//! refuses to combine with `--verify-roundtrip`.
+//! `--verify-roundtrip` proves it on the spot.
 //!
 //! `reload` asks a running daemon (one with remote reload enabled) to
 //! mount the store at a *server-local* path and reports the new epoch.
@@ -93,7 +91,7 @@ use hl_core::random_threshold::{random_threshold_labeling, RandomThresholdParams
 use hl_core::rs_based::{rs_labeling, RsParams};
 use hl_core::separator_labeling::separator_labeling;
 use hl_core::tree::centroid_labeling;
-use hl_core::{freq, CompactLabeling, DenseLabeling, FlatLabeling, VertexOrder};
+use hl_core::{CompactLabeling, DenseLabeling, FlatLabeling, VertexOrder};
 use hl_graph::exit::{exit_code, CliError};
 use hl_graph::families::Family;
 use hl_graph::rng::Xorshift64;
@@ -458,11 +456,8 @@ fn cmd_stats(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         decile(9),
         decile(10)
     )?;
-    // The split `serve` mounts: the arena itself, ranked in place, then
-    // the common hub columns into a u8 table.
-    let mut ranked = store.into_flat().map_err(|e| e.to_string())?;
-    freq::reorder_by_hub_frequency(&mut ranked);
-    let dense = DenseLabeling::split(ranked);
+    // The layout `serve` mounts, built from the arena itself.
+    let dense = DenseLabeling::from_flat(store.into_flat().map_err(|e| e.to_string())?);
     writeln!(
         out,
         "  dense prefix       {} hubs (u8), {} filled cells, {} table bytes, {} remainder entries",
@@ -565,7 +560,7 @@ fn cmd_serve(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 }
 
 const CONVERT_USAGE: &str = "usage: hubserve convert <in-store> <out-store> \
-     --to v1|v2|v2c [--reorder freq] [--verify-roundtrip]";
+     --to v1|v2|v2c [--verify-roundtrip]";
 
 /// Writes `flat` to `out` as a store of `flavor` (`"v1"`, `"v2"`, `"v2c"`)
 /// through that flavor's own writer, the one its `save` runs, and returns
@@ -594,13 +589,11 @@ fn write_as(flat: FlatLabeling, flavor: &str, out: impl Write) -> Result<u64, St
 fn cmd_convert(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let mut positionals = Vec::new();
     let mut to = None;
-    let mut reorder = None;
     let mut verify_roundtrip = false;
     let mut flags = Flags::new(args);
     while let Some(arg) = flags.next() {
         match arg {
             "--to" => to = Some(flags.value(arg).map_err(CliError::Usage)?),
-            "--reorder" => reorder = Some(flags.value(arg).map_err(CliError::Usage)?),
             "--verify-roundtrip" => verify_roundtrip = true,
             other if !other.starts_with('-') => positionals.push(other),
             other => return CliError::usage(format!("unexpected argument '{other}'")),
@@ -612,18 +605,6 @@ fn cmd_convert(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     if !matches!(to, "v1" | "v2" | "v2c") {
         return CliError::usage(format!("--to must be v1, v2 or v2c, not '{to}'"));
     }
-    match reorder {
-        None => {}
-        Some("freq") if verify_roundtrip => {
-            return CliError::usage(
-                "--reorder freq remaps hub ids, so the output cannot re-encode to the \
-                 input bytes; drop --verify-roundtrip",
-            )
-        }
-        Some("freq") => {}
-        Some(other) => return CliError::usage(format!("--reorder must be freq, not '{other}'")),
-    }
-
     let store = open_store(in_path)?;
     let (source, in_len) = (store.flavor(), store.file_len());
     // Only the roundtrip check needs the input's bytes, read before the
@@ -633,16 +614,7 @@ fn cmd_convert(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     } else {
         None
     };
-    let mut flat = store.into_flat().map_err(|e| e.to_string())?;
-    if reorder.is_some() {
-        freq::reorder_by_hub_frequency(&mut flat);
-        writeln!(
-            out,
-            "reordered hub ids by global frequency ({} entries, flat arena {} bytes)",
-            flat.num_entries(),
-            flat.heap_bytes()
-        )?;
-    }
+    let flat = store.into_flat().map_err(|e| e.to_string())?;
     let out_len = File::create(out_path)
         .map_err(|e| e.to_string())
         .and_then(|file| write_as(flat, to, BufWriter::new(file)))

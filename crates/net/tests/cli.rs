@@ -235,7 +235,6 @@ fn convert_to_compact_flavor_serves_identical_answers() {
     let graph = tempfile("v2c-g.txt");
     let store = tempfile("v2c-s.hlbs");
     let compact = tempfile("v2c-c.hlbs");
-    let tuned = tempfile("v2c-t.hlbs");
     let pairs = tempfile("v2c-p.txt");
     write_grid_graph(&graph, 8, 8);
 
@@ -249,8 +248,7 @@ fn convert_to_compact_flavor_serves_identical_answers() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // v2 -> v2c, checked to lose nothing on the way back, and a
-    // frequency-reordered variant alongside.
+    // v2 -> v2c, checked to lose nothing on the way back.
     let out = hubserve()
         .args([
             "convert",
@@ -267,40 +265,6 @@ fn convert_to_compact_flavor_serves_identical_answers() {
         stdout.contains("roundtrip verified: v2 -> v2c -> v2 is byte-identical"),
         "{stdout}"
     );
-    let out = hubserve()
-        .args([
-            "convert",
-            store.to_str().unwrap(),
-            tuned.to_str().unwrap(),
-            "--to",
-            "v2c",
-            "--reorder",
-            "freq",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "reorder convert failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // --reorder remaps hub ids, so the byte-roundtrip check must refuse.
-    let out = hubserve()
-        .args([
-            "convert",
-            store.to_str().unwrap(),
-            tuned.to_str().unwrap(),
-            "--to",
-            "v2c",
-            "--reorder",
-            "freq",
-            "--verify-roundtrip",
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-
     // stats reads the v2c lane widths off the file and reports the flat
     // arena it mounts — the same one the v2 store mounts.
     let out = hubserve()
@@ -322,10 +286,10 @@ fn convert_to_compact_flavor_serves_identical_answers() {
     assert!(stdout.contains(&format!("arena entries      {}", flat.num_entries())));
     assert!(stdout.contains(&format!("arena heap bytes   {}", flat.heap_bytes())));
 
-    // All three stores answer the same pairs identically.
+    // Both stores answer the same pairs identically.
     std::fs::write(&pairs, "0 63\n5 58\n0 0\n7 56\n").unwrap();
     let mut answers = Vec::new();
-    for p in [&store, &compact, &tuned] {
+    for p in [&store, &compact] {
         let out = hubserve()
             .args(["query", p.to_str().unwrap(), pairs.to_str().unwrap()])
             .output()
@@ -338,7 +302,6 @@ fn convert_to_compact_flavor_serves_identical_answers() {
         answers.push(String::from_utf8_lossy(&out.stdout).into_owned());
     }
     assert_eq!(answers[0], answers[1]);
-    assert_eq!(answers[0], answers[2]);
     // 8x8 grid: corner to corner = 14.
     assert!(answers[0].starts_with("0 63 14\n"), "{}", answers[0]);
 
@@ -364,7 +327,7 @@ fn convert_to_compact_flavor_serves_identical_answers() {
         .unwrap();
     assert_eq!(succeeds(point), compact_batch);
 
-    for f in [graph, store, compact, tuned, pairs] {
+    for f in [graph, store, compact, pairs] {
         let _ = std::fs::remove_file(f);
     }
 }

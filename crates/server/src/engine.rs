@@ -3,14 +3,13 @@
 //!
 //! Labels are decoded from the store once, before construction, into the
 //! [`FlatLabeling`] CSR arena, whatever the store's format. The engine
-//! renumbers the arena's hub ids by frequency rank in place as it mounts
-//! it ([`freq`]), so the hubs every label shares form one prefix of every
-//! run; it keeps the inverse, `unrank`, and [`QueryEngine::label_of`]
-//! answers in the store's ids. It then splits the ranked arena
-//! ([`DenseLabeling`]): the first K hub columns, as many as fit in the
-//! bytes their entries take in the flat arena (`n · K ≤ 8 · cells`),
-//! become an `n × K` table of `u8` cells, and every other entry stays in
-//! a remainder arena. A query is the smaller of two joins:
+//! mounts it as [`DenseLabeling::from_flat`] lays it out, in one pass:
+//! hub ids renumbered by frequency rank, so the hubs every label shares
+//! form one prefix of every run; the first K ranks, as many as fit in the
+//! bytes their entries take in the flat arena (`n · K ≤ 8 · cells`), an
+//! `n × K` table of `u8` cells; every other entry a remainder arena; and
+//! the ranking's inverse, so [`QueryEngine::label_of`] answers in the
+//! store's ids. A query is the smaller of two joins:
 //! the two rows summed lane by lane and folded with `min`, and
 //! `hl_core::label`'s hybrid kernel over the two remainders (a merge when
 //! the shorter label is short and otherwise a scatter–gather through the
@@ -51,7 +50,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use hl_core::{freq, DenseLabeling, FlatLabeling};
+use hl_core::{DenseLabeling, FlatLabeling};
 use hl_graph::sync::{fan_out, read_unpoisoned, write_unpoisoned};
 use hl_graph::{Distance, NodeId};
 
@@ -101,24 +100,20 @@ impl std::error::Error for EngineError {}
 struct Epoch {
     /// Monotonically increasing generation number, starting at 0.
     serial: u64,
-    /// The store's arena with hub ids replaced by frequency ranks, split
-    /// into its dense table and remainder.
+    /// The store's arena in the served layout: ranked, split into its
+    /// dense table and remainder, with the ranking's inverse.
     labeling: DenseLabeling,
-    /// `unrank[rank]` is the store's id of hub `rank`: 4 B a vertex.
-    unrank: Vec<NodeId>,
     cache: ShardedLruCache,
 }
 
 impl Epoch {
-    /// Generation 0 of `labeling`, ranked in place and split, with an empty
+    /// Generation 0 of `labeling` in the served layout, with an empty
     /// single-query cache of 65,536 entries, sharded at least four ways
     /// so point lookups from `width` threads rarely meet on a shard lock.
-    fn new(mut labeling: FlatLabeling, width: usize) -> Epoch {
-        let unrank = freq::reorder_by_hub_frequency(&mut labeling);
+    fn new(labeling: FlatLabeling, width: usize) -> Epoch {
         Epoch {
             serial: 0,
-            labeling: DenseLabeling::split(labeling),
-            unrank,
+            labeling: DenseLabeling::from_flat(labeling),
             cache: ShardedLruCache::new(1 << 16, width.max(4)),
         }
     }
@@ -186,7 +181,7 @@ impl QueryEngine {
 
     /// Heap footprint of the served labels, in bytes: the dense table's
     /// `n · K` cells plus the remainder arena, never more than the flat
-    /// arena's. The epoch's `unrank` table, 4 B a vertex, is not counted
+    /// arena's. The ranking's inverse, 4 B a vertex, is not counted
     /// here.
     pub fn heap_bytes(&self) -> usize {
         self.pin().labeling.heap_bytes()
@@ -210,7 +205,7 @@ impl QueryEngine {
     /// file before calling reload, so a corrupt file never evicts the
     /// healthy epoch).
     ///
-    /// The new epoch is ranked, split and its cache built before the write
+    /// The new epoch is laid out and its cache built before the write
     /// lock is taken; the lock covers reading the serial and the swap, and
     /// the old epoch is released after it.
     pub fn reload(&self, labeling: FlatLabeling) -> u64 {
@@ -230,10 +225,7 @@ impl QueryEngine {
     pub fn label_of(&self, v: NodeId) -> Result<Vec<(NodeId, Distance)>, EngineError> {
         let epoch = self.pin();
         epoch.check_node(v)?;
-        let unrank = |(h, d): (NodeId, Distance)| (epoch.unrank[h as usize], d);
-        let mut label: Vec<_> = epoch.labeling.pairs_of(v).map(unrank).collect();
-        label.sort_unstable();
-        Ok(label)
+        Ok(epoch.labeling.label_of(v))
     }
 
     /// Live metrics for this engine.
@@ -508,7 +500,7 @@ mod tests {
         edges.extend((0..59).step_by(3).map(|v| (v, 59)));
         let g = hl_graph::builder::graph_from_edges(60, &edges).unwrap();
         let flat = PrunedLandmarkLabeling::by_degree(&g).into_labeling();
-        assert_eq!(freq::frequency_order(&freq::hub_frequencies(&flat))[0], 59);
+        assert_eq!(DenseLabeling::from_flat(flat.clone()).unrank()[0], 59);
         flat
     }
 
@@ -540,8 +532,12 @@ mod tests {
     #[test]
     fn the_served_arena_is_ranked_by_hub_frequency() {
         let ranked = |eng: &QueryEngine| {
-            let freqs = freq::hub_frequencies(&served_arena(eng));
-            freqs.windows(2).all(|w| w[0] >= w[1])
+            let served = served_arena(eng);
+            let mut fill = vec![0; served.num_nodes()];
+            for &h in served.raw_hubs() {
+                fill[h as usize] += 1;
+            }
+            fill.windows(2).all(|w| w[0] >= w[1])
         };
         let eng = QueryEngine::new(hottest_hub_last(3), 1).unwrap();
         assert!(ranked(&eng), "mounted arena not ranked");
@@ -633,7 +629,7 @@ mod tests {
             // path between the two sources.
             for (l, &t) in sources.iter().enumerate() {
                 let (d, hub) = epoch.labeling.query_with_witness(s, t).unwrap();
-                let hub = epoch.unrank[hub as usize] as usize;
+                let hub = epoch.labeling.unrank()[hub as usize] as usize;
                 assert_eq!(d, truth[k][t as usize], "d({s},{t})");
                 assert_eq!(truth[k][hub] + truth[l][hub], d, "witness of ({s},{t})");
             }
