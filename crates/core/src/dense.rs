@@ -498,21 +498,46 @@ mod tests {
         lists(labels)
     }
 
-    #[test]
-    fn the_one_pass_layout_equals_the_naive_reference() {
-        let arenas = [
+    /// Fixtures for the layout tests: three built arenas, the ranking's
+    /// edge cases, and a column too wide for the table.
+    fn arenas() -> [(&'static str, FlatLabeling); 6] {
+        [
             ("gnm", built(&generators::connected_gnm(150, 300, 7))),
             ("rmat", built(&generators::rmat(7, 400, 3))),
             ("grid", built(&generators::grid(11, 12))),
             ("hottest hub last", hottest_hub_last(3)),
             ("ties", tied()),
             ("wide column", column_one_holds(128)),
-        ];
-        for (name, flat) in arenas {
-            let dense = split_and_check(&flat);
-            // Ranked once more, the served arena is its own layout.
+        ]
+    }
+
+    #[test]
+    fn the_one_pass_layout_equals_the_naive_reference() {
+        for (name, flat) in arenas() {
+            let dense = DenseLabeling::from_flat(flat.clone());
+            assert_eq!(dense, reference(&flat), "{name}");
             let ranked = ranked_arena(&dense);
-            let again = split_and_check(&ranked);
+            assert_eq!(
+                DenseLabeling::from_flat(ranked.clone()),
+                reference(&ranked),
+                "{name}, ranked"
+            );
+        }
+    }
+
+    #[test]
+    fn remap_preserves_every_query() {
+        for (_, flat) in arenas() {
+            split_and_check(&flat);
+        }
+    }
+
+    #[test]
+    fn ranking_a_ranked_arena_is_the_identity() {
+        for (name, flat) in arenas() {
+            let dense = DenseLabeling::from_flat(flat);
+            // Ranked once more, the served arena is its own layout.
+            let again = split_and_check(&ranked_arena(&dense));
             assert!(
                 again.unrank().iter().zip(0..).all(|(&h, r)| h == r),
                 "{name}: unrank not the identity"
