@@ -71,7 +71,7 @@ fn main() -> ExitCode {
         Some("gadget") => print_gadget(&args[1..], out),
         arg => run(arg.unwrap_or("all"), out),
     };
-    exit_code("experiments", out, result)
+    exit_code("experiments", out, &mut io::stderr(), result)
 }
 
 /// Runs the experiment `arg` names, or every one `all` runs.

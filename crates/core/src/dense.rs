@@ -58,6 +58,12 @@
 //! With K = 0 the table is empty and every query is the remainder's join,
 //! exactly [`FlatLabeling::query`] on the ranked arena.
 //!
+//! **Two ways in.** [`DenseLabeling::from_flat`] lays out an arena it is
+//! handed, in place. [`DenseLabeling::from_two_passes`] lays out a
+//! labeling that is never held whole, a store file walked twice run by
+//! run, through the same counting and placing steps: a daemon's mount
+//! then holds the layout, not the flat arena beside it.
+//!
 //! # Example
 //!
 //! ```
@@ -78,7 +84,7 @@ use std::cmp::Reverse;
 
 use hl_graph::{Distance, NodeId, INFINITY};
 
-use crate::flat::FlatLabeling;
+use crate::flat::{check_offsets, check_run, FlatLabeling, FlatLayoutError};
 use crate::label::{self, Slots};
 
 /// The cell of a hub that is not in the row's label.
@@ -87,6 +93,10 @@ const NO_HUB: u8 = u8::MAX;
 /// The widest distance a cell holds: two of them sum to 254, below
 /// [`NO_HUB`].
 const WIDEST: u32 = 127;
+
+/// What a walk of [`DenseLabeling::from_two_passes`] hands each run to:
+/// the run's hubs and distances in store ids.
+pub type RunSink<'a, E> = dyn FnMut(&[NodeId], &[u32]) -> Result<(), E> + 'a;
 
 /// A labeling ranked by hub fill, as an `n × K` table of its first K rank
 /// columns plus a remainder arena of every other entry; see the module
@@ -122,28 +132,36 @@ fn widen(cell: u8) -> Distance {
     }
 }
 
-impl DenseLabeling {
-    /// Ranks, splits and keeps the inverse of `flat`, an arena in store
-    /// ids, as the module docs say. One counting pass gives each hub's
-    /// fill and whether its column holds a distance above 127, and
-    /// from them the ranking and K. One pass over the runs then remaps
-    /// each run to ranks through a buffer the size of the longest label,
-    /// sorts it, writes its ranks below K into the vertex's row and moves
-    /// the rest down in place, so the table is the only new arena-sized
-    /// allocation. Every query answer is `flat`'s.
-    pub fn from_flat(flat: FlatLabeling) -> DenseLabeling {
-        let FlatLabeling {
-            mut offsets,
-            mut hubs,
-            mut dists,
-        } = flat;
-        let n = offsets.len() - 1;
-        let mut fill = vec![0usize; n];
-        let mut wide = vec![false; n];
-        for (&h, &d) in hubs.iter().zip(&dists) {
-            fill[h as usize] += 1;
-            wide[h as usize] |= d > WIDEST;
+/// The counting step of a layout: each hub's fill, and whether its column
+/// holds a distance above [`WIDEST`].
+struct Counts {
+    fill: Vec<usize>,
+    wide: Vec<bool>,
+}
+
+impl Counts {
+    fn new(n: usize) -> Counts {
+        Counts {
+            fill: vec![0; n],
+            wide: vec![false; n],
         }
+    }
+
+    /// Counts the entries `hubs` at `dists`, every hub below `n`.
+    fn add(&mut self, hubs: &[NodeId], dists: &[u32]) {
+        for (&h, &d) in hubs.iter().zip(dists) {
+            self.fill[h as usize] += 1;
+            self.wide[h as usize] |= d > WIDEST;
+        }
+    }
+
+    /// The ranking these counts give: hubs by fill, ties by store id, K
+    /// the longest prefix of ranks within the flat bytes of its entries
+    /// and cut at the first wide column, and the entries ranked K or
+    /// higher.
+    fn rank(self) -> Ranking {
+        let Counts { fill, wide } = self;
+        let n = fill.len();
         let mut unrank: Vec<NodeId> = (0..n as NodeId).collect();
         unrank.sort_unstable_by_key(|&h| (Reverse(fill[h as usize]), h));
         let mut cells = 0;
@@ -155,26 +173,95 @@ impl DenseLabeling {
                 n * k <= 8 * cells && !wide[h as usize]
             })
             .count();
+        let in_table: usize = unrank[..k].iter().map(|&h| fill[h as usize]).sum();
         let mut rank = vec![0 as NodeId; n];
         for (&h, r) in unrank.iter().zip(0..) {
             rank[h as usize] = r;
         }
+        Ranking {
+            k,
+            rank,
+            unrank,
+            rest_entries: fill.iter().sum::<usize>() - in_table,
+        }
+    }
+}
+
+/// A layout's ranking: K, each store id's rank and its inverse, and the
+/// remainder's length.
+struct Ranking {
+    k: usize,
+    rank: Vec<NodeId>,
+    unrank: Vec<NodeId>,
+    /// Entries ranked K or higher.
+    rest_entries: usize,
+}
+
+impl Ranking {
+    /// The placing step of a layout, one run at a time: remaps the run
+    /// `hubs` at `dists` to ranks, writes its ranks below K into `row`,
+    /// and gathers the rest in `run` (a buffer the size of the longest
+    /// label), sorted: the entries that belong to the remainder. Also
+    /// returns whether every distance written into the row fits a cell,
+    /// which a caller that cannot vouch for the counts checks.
+    fn place<'r>(
+        &self,
+        hubs: &[NodeId],
+        dists: &[u32],
+        row: &mut [u8],
+        run: &'r mut Vec<(NodeId, u32)>,
+    ) -> (bool, &'r [(NodeId, u32)]) {
+        run.clear();
+        let mut narrow = true;
+        for (&h, &d) in hubs.iter().zip(dists) {
+            let r = self.rank[h as usize];
+            match row.get_mut(r as usize) {
+                Some(cell) => {
+                    *cell = d as u8;
+                    narrow &= d <= WIDEST;
+                }
+                None => run.push((r, d)),
+            }
+        }
+        run.sort_unstable_by_key(|&(h, _)| h);
+        (narrow, run)
+    }
+}
+
+impl From<FlatLabeling> for DenseLabeling {
+    /// [`DenseLabeling::from_flat`].
+    fn from(flat: FlatLabeling) -> DenseLabeling {
+        DenseLabeling::from_flat(flat)
+    }
+}
+
+impl DenseLabeling {
+    /// Ranks, splits and keeps the inverse of `flat`, an arena in store
+    /// ids, as the module docs say. The counting step gives each hub's
+    /// fill and whether its column holds a distance above 127, and from
+    /// them the ranking and K. One pass over the runs then places each:
+    /// remapped to ranks, its ranks below K written into the vertex's row
+    /// and the rest sorted and moved down in place, so the table is the
+    /// only new arena-sized allocation. Every query answer is `flat`'s.
+    pub fn from_flat(flat: FlatLabeling) -> DenseLabeling {
+        let FlatLabeling {
+            mut offsets,
+            mut hubs,
+            mut dists,
+        } = flat;
+        let n = offsets.len() - 1;
+        let mut counts = Counts::new(n);
+        counts.add(&hubs, &dists);
+        let ranking = counts.rank();
+        let k = ranking.k;
         let mut rows = vec![NO_HUB; n * k];
-        let mut run: Vec<(NodeId, u32)> = Vec::new();
+        let mut run = Vec::new();
         let (mut start, mut kept) = (0, 0);
         for v in 0..n {
             let end = offsets[v + 1] as usize;
-            run.clear();
-            let entries = hubs[start..end].iter().zip(&dists[start..end]);
-            run.extend(entries.map(|(&h, &d)| (rank[h as usize], d)));
-            run.sort_unstable_by_key(|&(h, _)| h);
-            let cut = run.partition_point(|&(h, _)| (h as usize) < k);
             let row = &mut rows[v * k..(v + 1) * k];
-            for &(h, d) in &run[..cut] {
-                // Every distance in the first k columns is at most WIDEST.
-                row[h as usize] = d as u8;
-            }
-            for &(h, d) in &run[cut..] {
+            let (_, rest) = ranking.place(&hubs[start..end], &dists[start..end], row, &mut run);
+            for &(h, d) in rest {
                 (hubs[kept], dists[kept]) = (h, d);
                 kept += 1;
             }
@@ -193,8 +280,85 @@ impl DenseLabeling {
                 hubs,
                 dists,
             },
-            unrank,
+            unrank: ranking.unrank,
         }
+    }
+
+    /// The layout [`DenseLabeling::from_flat`] gives a labeling that is
+    /// never held whole: one read twice, run by run, as a store file is.
+    /// `offsets` bounds the runs of an arena of `entries` entries. `walk`
+    /// hands every vertex's run, in vertex order, to the sink it is given,
+    /// as `(hubs, dists)` in store ids; it is called twice. Each run is
+    /// checked as [`FlatLabeling::from_raw_parts`] checks it. The first
+    /// pass counts, which gives the ranking, K and the remainder's exact
+    /// length; the second places every run into the table and the
+    /// remainder, allocated at those sizes, and keeps none of the flat
+    /// lanes. A second pass whose runs do not fit the first's counts
+    /// (more remainder entries, a wide cell, a run of another length)
+    /// ends in [`FlatLayoutError::RunsChanged`], never in a panic or a
+    /// half-built layout; an error of `walk`'s own ends the layout as it
+    /// is returned.
+    ///
+    /// # Errors
+    ///
+    /// A [`FlatLayoutError`] for offsets or a run that breaks an arena
+    /// invariant, or for a second pass that differs from the first, and
+    /// whatever `walk` returns.
+    pub fn from_two_passes<E: From<FlatLayoutError>>(
+        offsets: &[u64],
+        entries: usize,
+        mut walk: impl FnMut(&mut RunSink<'_, E>) -> Result<(), E>,
+    ) -> Result<DenseLabeling, E> {
+        check_offsets(offsets, entries, entries)?;
+        let n = offsets.len() - 1;
+        // The run the walk hands over next must be vertex `v`'s: as long
+        // as its span, and an arena's run.
+        let fits = |v: usize, hubs: &[NodeId], dists: &[u32]| {
+            let span = offsets.get(v..v + 2).map(|w| w[1] - w[0]);
+            if span != Some(hubs.len() as u64) || hubs.len() != dists.len() {
+                return Err(FlatLayoutError::RunsChanged { vertex: v });
+            }
+            check_run(v, hubs, n)
+        };
+        let mut counts = Counts::new(n);
+        let mut v = 0;
+        walk(&mut |hubs, dists| {
+            fits(v, hubs, dists)?;
+            counts.add(hubs, dists);
+            v += 1;
+            Ok(())
+        })?;
+        if v != n {
+            return Err(FlatLayoutError::RunsChanged { vertex: v }.into());
+        }
+        let ranking = counts.rank();
+        let (k, rest_entries) = (ranking.k, ranking.rest_entries);
+        let mut rows = vec![NO_HUB; n * k];
+        let mut rest = FlatLabeling::with_capacity(n, rest_entries);
+        let mut run = Vec::new();
+        let mut v = 0;
+        walk(&mut |hubs, dists| {
+            fits(v, hubs, dists)?;
+            let row = &mut rows[v * k..(v + 1) * k];
+            let (narrow, others) = ranking.place(hubs, dists, row, &mut run);
+            if !narrow || rest.hubs.len() + others.len() > rest_entries {
+                return Err(FlatLayoutError::RunsChanged { vertex: v }.into());
+            }
+            rest.hubs.extend(others.iter().map(|&(h, _)| h));
+            rest.dists.extend(others.iter().map(|&(_, d)| d));
+            rest.offsets.push(rest.hubs.len() as u64);
+            v += 1;
+            Ok(())
+        })?;
+        if v != n || rest.hubs.len() != rest_entries {
+            return Err(FlatLayoutError::RunsChanged { vertex: v }.into());
+        }
+        Ok(DenseLabeling {
+            k,
+            rows,
+            rest,
+            unrank: ranking.unrank,
+        })
     }
 
     /// K: the rank columns in the table, ranks `0..K`.
@@ -408,6 +572,7 @@ mod tests {
     fn split_and_check(flat: &FlatLabeling) -> DenseLabeling {
         let dense = DenseLabeling::from_flat(flat.clone());
         assert_eq!(dense, reference(flat), "the one pass against the reference");
+        assert_eq!(two_passes(flat), Ok(dense.clone()), "the two passes");
         let n = flat.num_nodes() as NodeId;
         assert_eq!(dense.num_nodes(), flat.num_nodes());
         assert_eq!(dense.num_entries(), flat.num_entries());
@@ -458,6 +623,44 @@ mod tests {
             assert_eq!(dense.label_of(v), want, "label of {v}");
         }
         dense
+    }
+
+    /// Hands each run of `lists` to `sink`, in order.
+    fn walk<E>(lists: &[Vec<(NodeId, u32)>], sink: &mut RunSink<'_, E>) -> Result<(), E> {
+        lists.iter().try_for_each(|run| {
+            let (hubs, dists): (Vec<NodeId>, Vec<u32>) = run.iter().copied().unzip();
+            sink(&hubs, &dists)
+        })
+    }
+
+    fn runs(flat: &FlatLabeling) -> Vec<Vec<(NodeId, u32)>> {
+        let n = flat.num_nodes() as NodeId;
+        let run = |v| {
+            flat.hubs_of(v)
+                .iter()
+                .copied()
+                .zip(flat.dists_of(v).iter().copied())
+        };
+        (0..n).map(|v| run(v).collect()).collect()
+    }
+
+    /// `flat` laid out by [`DenseLabeling::from_two_passes`], whose walk
+    /// hands over `flat`'s runs on the first pass and `second`'s on the
+    /// second.
+    fn two_passes_over(
+        flat: &FlatLabeling,
+        second: &[Vec<(NodeId, u32)>],
+    ) -> Result<DenseLabeling, FlatLayoutError> {
+        let first = runs(flat);
+        let mut pass = 0;
+        DenseLabeling::from_two_passes(flat.raw_offsets(), flat.num_entries(), |sink| {
+            pass += 1;
+            walk(if pass == 1 { &first } else { second }, sink)
+        })
+    }
+
+    fn two_passes(flat: &FlatLabeling) -> Result<DenseLabeling, FlatLayoutError> {
+        two_passes_over(flat, &runs(flat))
     }
 
     fn built(g: &Graph) -> FlatLabeling {
@@ -523,6 +726,63 @@ mod tests {
                 "{name}, ranked"
             );
         }
+    }
+
+    #[test]
+    fn a_second_pass_that_does_not_fit_the_first_is_refused() {
+        // K = 2, and hub 2, ranked K, is the remainder's one entry.
+        let flat = column_one_holds(127);
+        let changed = |v: usize, run: Vec<(NodeId, u32)>| {
+            let mut lists = runs(&flat);
+            lists[v] = run;
+            lists
+        };
+        let mut short = runs(&flat);
+        short.pop();
+        let mut long = runs(&flat);
+        long.push(Vec::new());
+        for (name, second, vertex) in [
+            ("a wide cell", changed(2, vec![(0, 1), (1, 128)]), 2),
+            // Vertex 1's entry takes the remainder's one slot, so vertex
+            // 3's finds none.
+            ("one more remainder entry", changed(1, vec![(2, 0)]), 3),
+            (
+                "one fewer remainder entry",
+                changed(3, vec![(0, 2), (1, 0)]),
+                20,
+            ),
+            ("a run of another length", changed(1, Vec::new()), 1),
+            ("a run missing", short, 19),
+            ("a run too many", long, 20),
+        ] {
+            assert_eq!(
+                two_passes_over(&flat, &second),
+                Err(FlatLayoutError::RunsChanged { vertex }),
+                "{name}"
+            );
+        }
+        // A run that breaks an arena invariant is refused as such.
+        assert_eq!(
+            two_passes_over(&flat, &changed(0, vec![(1, 3), (0, 0)])),
+            Err(FlatLayoutError::UnsortedHubs { vertex: 0 })
+        );
+        let mut lists = runs(&flat);
+        lists[2][1].0 = 20;
+        let err = DenseLabeling::from_two_passes(flat.raw_offsets(), flat.num_entries(), |sink| {
+            walk(&lists, sink)
+        });
+        assert_eq!(
+            err,
+            Err(FlatLayoutError::HubOutOfRange { vertex: 2, hub: 20 })
+        );
+        // Offsets that do not bound the entries are refused before a walk.
+        let err = DenseLabeling::from_two_passes(flat.raw_offsets(), 99, |_| -> Result<(), _> {
+            unreachable!("walked over offsets that do not bound the entries")
+        });
+        assert!(matches!(
+            err,
+            Err(FlatLayoutError::FinalOffsetMismatch { .. })
+        ));
     }
 
     #[test]

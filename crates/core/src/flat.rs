@@ -95,6 +95,13 @@ pub enum FlatLayoutError {
         /// The offending distance.
         distance: Distance,
     },
+    /// A labeling laid out in two passes
+    /// ([`crate::DenseLabeling::from_two_passes`]) handed over, on its
+    /// second pass, runs that do not fit what its first pass counted.
+    RunsChanged {
+        /// The first vertex whose run did not fit.
+        vertex: usize,
+    },
 }
 
 impl std::fmt::Display for FlatLayoutError {
@@ -126,6 +133,10 @@ impl std::fmt::Display for FlatLayoutError {
             FlatLayoutError::DistanceTooWide { vertex, distance } => write!(
                 f,
                 "distance {distance} of vertex {vertex} exceeds the u32 distance lane"
+            ),
+            FlatLayoutError::RunsChanged { vertex } => write!(
+                f,
+                "the run of vertex {vertex} differs between the layout's two passes"
             ),
         }
     }
@@ -189,6 +200,34 @@ pub(crate) fn check_offsets(
         }
     }
     Ok(())
+}
+
+/// Validates vertex `v`'s hub run: strictly increasing, every hub id
+/// below `num_nodes`. The one run check, for an arena's raw arrays and
+/// for the runs a two-pass layout reads.
+pub(crate) fn check_run(v: usize, run: &[NodeId], num_nodes: usize) -> Result<(), FlatLayoutError> {
+    // Branch-free accumulation instead of an early-exit scan: `fold`
+    // with `&` lets the comparison loop vectorize, and on a
+    // hundred-million-entry arena (every v2 store load takes this path)
+    // that is the difference between a memory-speed pass and a
+    // per-element branch chain. Errors stay per-run precise because the
+    // fold is per vertex.
+    let sorted = run
+        .iter()
+        .zip(run.iter().skip(1))
+        .fold(true, |ok, (a, b)| ok & (a < b));
+    if !sorted {
+        return Err(FlatLayoutError::UnsortedHubs { vertex: v });
+    }
+    match run.last() {
+        // Runs are strictly increasing, so checking the largest hub
+        // covers the whole run.
+        Some(&last) if last as usize >= num_nodes => Err(FlatLayoutError::HubOutOfRange {
+            vertex: v,
+            hub: last,
+        }),
+        _ => Ok(()),
+    }
 }
 
 /// The entry range vertex `v` owns in both lanes.
@@ -283,30 +322,7 @@ impl FlatLabeling {
         check_offsets(&offsets, hubs.len(), dists.len())?;
         let num_nodes = offsets.len() - 1;
         for (v, span) in spans(&offsets).enumerate() {
-            let run = &hubs[span];
-            // Branch-free accumulation instead of an early-exit scan:
-            // `fold` with `&` lets the comparison loop vectorize, and on
-            // a hundred-million-entry arena (every v2 store load takes
-            // this path) that is the difference between a memory-speed
-            // pass and a per-element branch chain. Errors stay per-run
-            // precise because the fold is per vertex.
-            let sorted = run
-                .iter()
-                .zip(run.iter().skip(1))
-                .fold(true, |ok, (a, b)| ok & (a < b));
-            if !sorted {
-                return Err(FlatLayoutError::UnsortedHubs { vertex: v });
-            }
-            if let Some(&last) = run.last() {
-                // Runs are strictly increasing, so checking the largest
-                // hub covers the whole run.
-                if last as usize >= num_nodes {
-                    return Err(FlatLayoutError::HubOutOfRange {
-                        vertex: v,
-                        hub: last,
-                    });
-                }
-            }
+            check_run(v, &hubs[span], num_nodes)?;
         }
         Ok(FlatLabeling {
             offsets,

@@ -78,7 +78,7 @@ pub mod stats;
 pub mod tree;
 
 pub use compact::{CompactDists, CompactLabeling, HubDeltas, NarrowLane};
-pub use dense::DenseLabeling;
+pub use dense::{DenseLabeling, RunSink};
 pub use flat::{FlatLabeling, FlatLayoutError};
 pub use order::{OrderError, VertexOrder};
 pub use stats::LabelingStats;

@@ -41,11 +41,16 @@ impl From<io::Error> for CliError {
     }
 }
 
-/// The tail of every `main`: flushes the command's stdout handle, reports
-/// a failure as `<tool>: <message>` on stderr, and turns the outcome into
-/// the process exit code. A failed flush counts only if the command
-/// itself succeeded.
-pub fn exit_code(tool: &str, out: &mut impl Write, result: Result<(), CliError>) -> ExitCode {
+/// The tail of every `main`: flushes the command's stdout handle `out`,
+/// reports a failure as a `<tool>: <message>` line on `err` (the
+/// process's stderr), and turns the outcome into the process exit code.
+/// A failed flush counts only if the command itself succeeded.
+pub fn exit_code(
+    tool: &str,
+    out: &mut impl Write,
+    err: &mut impl Write,
+    result: Result<(), CliError>,
+) -> ExitCode {
     let flushed = out.flush().map_err(CliError::from);
     let (message, code) = match result.and(flushed) {
         Ok(()) => return ExitCode::SUCCESS,
@@ -56,7 +61,7 @@ pub fn exit_code(tool: &str, out: &mut impl Write, result: Result<(), CliError>)
     };
     // A stderr that cannot be written leaves nowhere to report to; the
     // exit code still says what happened.
-    writeln!(io::stderr(), "{tool}: {message}").ok();
+    writeln!(err, "{tool}: {message}").ok();
     ExitCode::from(code)
 }
 
@@ -79,15 +84,22 @@ mod tests {
     #[test]
     fn a_closed_pipe_is_success_and_any_other_write_error_exits_1() {
         let ok = || Ok(());
-        assert_eq!(exit_code("t", &mut io::sink(), ok()), ExitCode::SUCCESS);
+        let mut err = Vec::new();
+        let mut exit = |mut out: &mut dyn Write, result| exit_code("t", &mut out, &mut err, result);
+        assert_eq!(exit(&mut io::sink(), ok()), ExitCode::SUCCESS);
         let closed = &mut Failing(ErrorKind::BrokenPipe);
-        assert_eq!(exit_code("t", closed, ok()), ExitCode::SUCCESS);
+        assert_eq!(exit(closed, ok()), ExitCode::SUCCESS);
         let full = &mut Failing(ErrorKind::StorageFull);
-        assert_eq!(exit_code("t", full, ok()), ExitCode::from(1));
+        assert_eq!(exit(full, ok()), ExitCode::from(1));
         // The command's own failure outranks the flush's.
         let usage = CliError::usage("bad flag");
-        assert_eq!(exit_code("t", closed, usage), ExitCode::from(2));
+        assert_eq!(exit(closed, usage), ExitCode::from(2));
         let runtime = Err(CliError::from("no such store".to_string()));
-        assert_eq!(exit_code("t", &mut io::sink(), runtime), ExitCode::from(1));
+        assert_eq!(exit(&mut io::sink(), runtime), ExitCode::from(1));
+        // A closed pipe says nothing; every other failure says one line.
+        assert_eq!(
+            String::from_utf8(err).unwrap(),
+            "t: no storage space\nt: bad flag\nt: no such store\n"
+        );
     }
 }

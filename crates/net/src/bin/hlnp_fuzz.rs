@@ -39,9 +39,13 @@
 //!    checksum both refreshed, plus misaligned-section-offset mutations;
 //!    because every v2 byte sits under a checksum or the zero-padding
 //!    rule, a blind flip that parses anyway is itself a defect. Every
-//!    image goes through `AnyStore::parse`, the path a daemon mounts by;
-//!    whatever parses is walked label by label in the flat arena every
-//!    flavor mounts as and joined with and without a witness.
+//!    image goes through `AnyStore::parse`, and every v2 image through
+//!    the served mount too (`V2Store::parse_served`, the reader
+//!    `AnyStore::mount` runs for `serve` and `Reload`), which must accept
+//!    exactly what `parse` accepts and lay it out as
+//!    `DenseLabeling::from_flat` lays the parsed arena out; whatever
+//!    parses is walked label by label in the flat arena every flavor
+//!    decodes to and joined with and without a witness.
 //! 4. **Wire**: random payloads through every frame decoder.
 //!
 //! Any panic, hang, wrong answer, or silently-accepted corruption is a
@@ -50,7 +54,7 @@
 //! in the stack). A failed stdout write is no defect: 0 if the reader
 //! closed the pipe, else 1 with the write error.
 
-use std::io::{BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::process::ExitCode;
@@ -58,7 +62,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hl_core::pll::PrunedLandmarkLabeling;
-use hl_core::CompactLabeling;
+use hl_core::{CompactLabeling, DenseLabeling};
 use hl_graph::exit::{exit_code, CliError};
 use hl_graph::rng::Xorshift64;
 use hl_graph::{bfs, generators, Distance, NodeId};
@@ -71,7 +75,9 @@ use hl_net::wire::{
     PROTOCOL_V2, PROTOCOL_VERSION,
 };
 use hl_net::{ClientConfig, MuxClient, NetClient, NetServer, ServerConfig};
-use hl_server::{store, store_v2, AnyStore, CompactStore, FlatStore, LabelStore, QueryEngine};
+use hl_server::{
+    store, store_v2, AnyStore, CompactStore, FlatStore, LabelStore, QueryEngine, V2Store,
+};
 
 struct Opts {
     seed: u64,
@@ -146,7 +152,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let out = &mut BufWriter::new(std::io::stdout().lock());
     let result = fuzz(&args, out);
-    exit_code("hlnp-fuzz", out, result)
+    exit_code("hlnp-fuzz", out, &mut io::stderr(), result)
 }
 
 /// Runs every campaign and writes the summary. A defect is a runtime
@@ -678,16 +684,29 @@ fn store_campaign(
 }
 
 /// Parses a mutated store of any flavor through the version-sniffing
-/// [`AnyStore`] entry point and mounts it as the flat arena (the path a
-/// daemon takes — crafted γ bits reach the checked v1 decoder, crafted
-/// delta and width flips reach `CompactLabeling::from_raw_parts` before
-/// the compact lanes expand) inside `catch_unwind`, then walks every
-/// label and joins a few pairs both ways. Errors are expected; panics,
-/// and a `query` that disagrees with `query_with_witness`, are defects.
-/// Returns whether it parsed.
+/// [`AnyStore`] entry point into the flat arena (crafted γ bits reach the
+/// checked v1 decoder, crafted delta and width flips reach
+/// `CompactLabeling::from_raw_parts` before the compact lanes expand) and
+/// a v2 image through the served mount as well (crafted runs reach its
+/// two passes), inside `catch_unwind`, then walks every label and joins
+/// a few pairs both ways. Errors are expected; panics, a served mount
+/// that accepts what the parse refuses (or the reverse) or lays it out
+/// otherwise, and a `query` that disagrees with `query_with_witness`,
+/// are defects. Returns whether it parsed.
 fn check_store_bytes(bytes: &[u8]) -> Result<bool, Failure> {
     let walked = panic::catch_unwind(AssertUnwindSafe(|| {
-        let Ok(served) = AnyStore::parse(bytes).and_then(AnyStore::into_flat) else {
+        let parsed = AnyStore::parse(bytes).and_then(AnyStore::into_flat);
+        if store::format_version(bytes).ok() == Some(store_v2::VERSION) {
+            match (&parsed, V2Store::parse_served(bytes)) {
+                (Ok(flat), Ok((dense, _))) if dense != DenseLabeling::from_flat(flat.clone()) => {
+                    return Err("the served mount lays the store out otherwise".to_string());
+                }
+                (Ok(_), Err(e)) => return Err(format!("only the served mount refuses it: {e}")),
+                (Err(e), Ok(_)) => return Err(format!("only the served mount accepts it: {e}")),
+                _ => {}
+            }
+        }
+        let Ok(served) = parsed else {
             return Ok(false);
         };
         let n = served.num_nodes() as NodeId;

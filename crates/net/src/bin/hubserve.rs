@@ -78,7 +78,7 @@
 //! unknown subcommand.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -132,19 +132,24 @@ fn main() -> ExitCode {
             CliError::usage(usage)
         }
     };
-    exit_code("hubserve", out, result)
+    exit_code("hubserve", out, &mut io::stderr(), result)
 }
 
-/// Opens a store of any flavor and decodes it to the flat arena, the way
-/// `serve` mounts it.
+/// Opens a store of any flavor and decodes it to the flat arena, the
+/// store as `stats`, `verify` and `convert` read it.
 fn open_store(path: &str) -> Result<AnyStore, String> {
     AnyStore::open(path).map_err(|e| format!("cannot open store {path}: {e}"))
 }
 
-/// Starts a query engine over the store's arena.
-fn mount(store: AnyStore, workers: usize) -> Result<QueryEngine, String> {
-    let flat = store.into_flat().map_err(|e| e.to_string())?;
-    QueryEngine::new(flat, workers).map_err(|e| format!("cannot start engine: {e}"))
+/// Mounts a store of any flavor straight into the served layout
+/// ([`AnyStore::mount`]) and starts a query engine over it, the way
+/// `serve` and `query` serve it; also returns the store's flavor and
+/// version.
+fn mount(path: &str, workers: usize) -> Result<(QueryEngine, &'static str, u16), String> {
+    let mount = AnyStore::mount(path).map_err(|e| format!("cannot open store {path}: {e}"))?;
+    let engine = QueryEngine::new(mount.labeling, workers)
+        .map_err(|e| format!("cannot start engine: {e}"))?;
+    Ok((engine, mount.flavor, mount.version))
 }
 
 /// The flags of `gen` and `build`, from one parser: both read the
@@ -377,9 +382,8 @@ fn cmd_query(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         [s, p] => (s, Some(p.as_str())),
         _ => return CliError::usage(QUERY_USAGE),
     };
-    let store = open_store(store_path)?;
-    let n = store.num_nodes() as u64;
-    let mut engine = mount(store, machine_workers())?;
+    let (mut engine, ..) = mount(store_path, machine_workers())?;
+    let n = engine.num_nodes() as u64;
     // A pairs file is answered as one batch; stdin lines go through the
     // cached single-query path as they arrive.
     answer_pairs(
@@ -523,9 +527,8 @@ fn parse_serve_opts(args: &[String]) -> Result<(String, ServeOpts), String> {
 
 fn cmd_serve(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let (store_path, opts) = parse_serve_opts(args).map_err(CliError::Usage)?;
-    let store = open_store(&store_path)?;
-    let (flavor, version) = (store.flavor(), store.version());
-    let engine = Arc::new(mount(store, opts.workers)?);
+    let (engine, flavor, version) = mount(&store_path, opts.workers)?;
+    let engine = Arc::new(engine);
     let config = ServerConfig {
         max_connections: opts.max_conns,
         read_timeout: opts.read_timeout,

@@ -611,15 +611,11 @@ pub(crate) fn execute(
 /// and fully validated *before* the swap, so a missing or corrupt file
 /// reports an error and leaves the current epoch serving untouched.
 fn handle_reload(engine: &QueryEngine, store_version: &AtomicU16, path: &str) -> Response {
-    let mounted = AnyStore::open(path).and_then(|store| {
-        let version = store.version();
-        Ok((version, store.into_flat()?))
-    });
-    match mounted {
-        Ok((version, labeling)) => {
-            let num_nodes = labeling.num_nodes() as u64;
-            let epoch = engine.reload(labeling);
-            store_version.store(version, Ordering::SeqCst);
+    match AnyStore::mount(path) {
+        Ok(mount) => {
+            let num_nodes = mount.labeling.num_nodes() as u64;
+            let epoch = engine.reload(mount.labeling);
+            store_version.store(mount.version, Ordering::SeqCst);
             Response::ReloadAck { epoch, num_nodes }
         }
         Err(e) => {

@@ -49,7 +49,13 @@ fn spawn_daemon_with(
         String::from_utf8_lossy(&out.stderr)
     );
     let _ = std::fs::remove_file(&graph);
+    let (child, addr, banner) = serve(&store, serve_flags);
+    (child, addr, store, banner)
+}
 
+/// Starts `hubserve serve <store> --addr 127.0.0.1:0` with extra flags;
+/// returns the daemon, its announced address and its `serving …` banner.
+fn serve(store: &std::path::Path, serve_flags: &[&str]) -> (Child, String, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_hubserve"))
         .args(["serve", store.to_str().unwrap(), "--addr", "127.0.0.1:0"])
         .args(serve_flags)
@@ -76,7 +82,7 @@ fn spawn_daemon_with(
     };
     // Keep draining stdout so the daemon never blocks on a full pipe.
     std::thread::spawn(move || for _ in lines {});
-    (child, addr, store, banner)
+    (child, addr, banner)
 }
 
 fn client_config() -> ClientConfig {
@@ -208,6 +214,69 @@ fn workers_flag_sizes_the_only_pool() {
     let status = wait_with_deadline(&mut child, Duration::from_secs(30));
     assert_eq!(status.code(), Some(0));
     let _ = std::fs::remove_file(store);
+}
+
+/// A mount holds the served layout and little else. A daemon serving a
+/// store whose flat arena is over 4 MiB peaks (VmHWM, read once it
+/// listens) at most its banner's arena bytes, plus 16 B a vertex (the
+/// ranking and its inverse) and 1 MiB (the chunk buffer, the offsets
+/// read, a label's run), above a daemon serving a 4-vertex store. A
+/// mount that decodes the whole flat arena and then lays it out keeps
+/// the arena's lanes alive beside the table and peaks above that.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_daemon_mount_peaks_at_the_served_bytes() {
+    let hwm = |flags: &[&str], tag: &str| {
+        let store = tempfile(&format!("peak-{tag}.hlbs"));
+        let out = Command::new(env!("CARGO_BIN_EXE_hubserve"))
+            .arg("build")
+            .args(flags)
+            .args(["--seed", "1", store.to_str().unwrap()])
+            .output()
+            .expect("spawn hubserve build");
+        assert!(out.status.success(), "build {tag}: {out:?}");
+        let (mut child, _, banner) = serve(&store, &["--workers", "1"]);
+        let status = std::fs::read_to_string(format!("/proc/{}/status", child.id()));
+        let _ = child.kill();
+        let _ = child.wait();
+        let _ = std::fs::remove_file(&store);
+        let field = |name: &str| -> u64 {
+            let line = status
+                .as_ref()
+                .expect("daemon status")
+                .lines()
+                .find(|l| l.starts_with(name));
+            let kb: Option<u64> = line.and_then(|l| l.split_whitespace().nth(1)?.parse().ok());
+            kb.expect("a VmHWM line in kB") * 1024
+        };
+        // "serving <n> nodes, <e> label entries (store v2, <b> arena bytes, …"
+        let word = |i: usize| -> u64 {
+            banner
+                .split([' ', ',', '('])
+                .filter(|w| !w.is_empty())
+                .nth(i)
+                .and_then(|w| w.parse().ok())
+                .expect("a banner figure")
+        };
+        (field("VmHWM:"), word(1), word(8))
+    };
+    let (tiny, ..) = hwm(&["--gen", "path", "--nodes", "4"], "tiny");
+    let (big, n, arena) = hwm(
+        &["--gen", "rmat", "--nodes", "32768", "--edges", "262144"],
+        "big",
+    );
+    assert!(
+        arena + 8 * n >= 4 << 20,
+        "the big store's flat arena is under 4 MiB"
+    );
+    let allowed = arena + 16 * n + (1 << 20);
+    assert!(
+        big - tiny <= allowed,
+        "the mount peaked {} B above a tiny store's, {} B more than its {arena} arena \
+         bytes, 16 B a vertex and 1 MiB allow",
+        big - tiny,
+        (big - tiny) - allowed
+    );
 }
 
 /// `Child::wait` with a hang guard so a stuck daemon fails the test

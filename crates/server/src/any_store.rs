@@ -6,22 +6,29 @@
 //! eager validate-and-decode pass — [`store::decode`] for v1 γ, the v2
 //! codec ([`V2Store`]) for both v2 flavors, v2c's compact lanes expanded
 //! after they validate. A v2 file is streamed through one chunk buffer by
-//! the same reader a byte slice parses through, so a mount never holds
+//! the same reader a byte slice parses through, so a read never holds
 //! the file's image beside the arena. A v1 file (γ-coded, small beside
 //! its arena) is read whole, and so is a pipe, which has no length and
-//! no positional reads. Every version yields the same record: the
-//! flat arena a daemon mounts, plus the facts about the file that
+//! no positional reads. Every version yields the same record: the flat
+//! arena the store decodes to, plus the facts about the file that
 //! `hubserve stats` and the serve banner report.
-//! Every product path that reads a store (`hubserve serve`/`query`/
-//! `stats`/`convert`/`build --verify`, the `Reload` opcode, `hl-shard
-//! partition`) goes through this type.
+//!
+//! A daemon does not serve that arena. [`AnyStore::mount`] opens a store
+//! straight into the served layout ([`Mount`]): a flat-flavor v2 file is
+//! walked twice by the v2 reader, so no flat arena is ever built beside
+//! the table, and every other source is read as `open` reads it and laid
+//! out with [`DenseLabeling::from_flat`]. Every product path that reads
+//! a store goes through this type: `hubserve serve`/`query` and the
+//! `Reload` opcode through [`AnyStore::mount`], `hubserve stats`/
+//! `convert`/`verify`/`build --verify` and `hl-shard partition` through
+//! [`AnyStore::open`].
 
 use std::fs::File;
 use std::io::Read;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
-use hl_core::FlatLabeling;
+use hl_core::{DenseLabeling, FlatLabeling};
 
 use crate::store::{self, StoreError};
 use crate::store_v2::{self, V2Store};
@@ -67,34 +74,44 @@ impl AnyStore {
     /// checks, with a v2 file streamed section by section rather than
     /// read whole.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, StoreError> {
-        let mut file = File::open(path)?;
-        let meta = file.metadata()?;
-        if meta.is_file() {
-            let mut peek = [0u8; 8];
-            let peek = &mut peek[..meta.len().min(8) as usize];
-            file.read_exact_at(peek, 0)?;
-            match store::format_version(peek)? {
-                store_v2::VERSION => return Ok(Self::from_v2(V2Store::read(&file)?)),
-                store::VERSION => {}
-                other => return Err(StoreError::UnsupportedVersion(other)),
-            }
+        let file = File::open(path)?;
+        if is_v2_file(&file)? {
+            return Ok(Self::from_v2(V2Store::read(&file)?));
         }
-        // A v1 file (γ-coded, small beside its arena) is read whole, and
-        // so is a source with no length or positional reads, a pipe.
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        Self::parse(&bytes)
+        read_whole(file)
+    }
+
+    /// Opens a store straight into the served layout, with
+    /// [`AnyStore::open`]'s checks: what `hubserve serve`, `hubserve
+    /// query` and the `Reload` opcode mount. A flat-flavor v2 file is
+    /// walked twice by the v2 reader ([`V2Store::parse_served`]), once to
+    /// count and once to place, so no flat arena is built beside the
+    /// table. Every other source (a v2c or v1 file, a pipe) is opened as
+    /// [`AnyStore::open`] opens it and laid out with
+    /// [`DenseLabeling::from_flat`].
+    pub fn mount<P: AsRef<Path>>(path: P) -> Result<Mount, StoreError> {
+        let file = File::open(path)?;
+        if is_v2_file(&file)? {
+            let (labeling, flags) = V2Store::read_served(&file)?;
+            return Ok(Mount {
+                labeling,
+                version: store_v2::VERSION,
+                flavor: v2_flavor(flags),
+            });
+        }
+        let store = read_whole(file)?;
+        Ok(Mount {
+            version: store.version,
+            flavor: store.flavor,
+            labeling: DenseLabeling::from_flat(store.flat),
+        })
     }
 
     /// The record of a validated v2 store of either flavor.
     fn from_v2(store: V2Store) -> Self {
         AnyStore {
             version: store_v2::VERSION,
-            flavor: if store.flags() & store_v2::FLAG_COMPACT != 0 {
-                "v2c"
-            } else {
-                "v2"
-            },
+            flavor: v2_flavor(store.flags()),
             // The reader rejects trailing bytes, so the layout is the file.
             file_len: store.file_len(),
             sections: store.section_bytes(),
@@ -153,6 +170,53 @@ impl AnyStore {
     /// calls; nothing else does.
     pub fn into_served(self) -> Result<FlatLabeling, StoreError> {
         self.into_flat()
+    }
+}
+
+/// A store mounted for serving by [`AnyStore::mount`]: the served layout,
+/// and what the serve banner and the `Reload` answer say of the file.
+#[derive(Debug)]
+pub struct Mount {
+    /// The labels in the served layout.
+    pub labeling: DenseLabeling,
+    /// The file's format version.
+    pub version: u16,
+    /// The file's flavor, as [`AnyStore::flavor`] names it.
+    pub flavor: &'static str,
+}
+
+/// Whether `file` is a regular file holding a v2 store, which is read in
+/// place; a regular file of an unknown version is refused here. A v1
+/// file (γ-coded, small beside its arena) is read whole, and so is a
+/// source with no length or positional reads, a pipe.
+fn is_v2_file(file: &File) -> Result<bool, StoreError> {
+    let meta = file.metadata()?;
+    if !meta.is_file() {
+        return Ok(false);
+    }
+    let mut peek = [0u8; 8];
+    let peek = &mut peek[..meta.len().min(8) as usize];
+    file.read_exact_at(peek, 0)?;
+    match store::format_version(peek)? {
+        store_v2::VERSION => Ok(true),
+        store::VERSION => Ok(false),
+        other => Err(StoreError::UnsupportedVersion(other)),
+    }
+}
+
+/// Reads `file` to its end and parses it.
+fn read_whole(mut file: File) -> Result<AnyStore, StoreError> {
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    AnyStore::parse(&bytes)
+}
+
+/// The flavor tag of a v2 file with flag word `flags`.
+fn v2_flavor(flags: u16) -> &'static str {
+    if flags & store_v2::FLAG_COMPACT != 0 {
+        "v2c"
+    } else {
+        "v2"
     }
 }
 
@@ -244,13 +308,121 @@ mod tests {
         }
     }
 
-    /// Writes `bytes` to a fresh file and opens it as a store.
+    /// Writes `bytes` to a fresh file, opens it as a store and mounts it
+    /// for serving; both must succeed or fail alike, and the mount must
+    /// be the opened arena laid out.
     fn open_bytes(name: &str, bytes: &[u8]) -> Result<AnyStore, StoreError> {
         let path = std::env::temp_dir().join(format!("hl-any-store-{name}-{}", std::process::id()));
         std::fs::write(&path, bytes).unwrap();
-        let opened = AnyStore::open(&path);
+        let (opened, mounted) = (AnyStore::open(&path), AnyStore::mount(&path));
         std::fs::remove_file(&path).ok();
+        match (&opened, mounted) {
+            (Ok(store), Ok(mount)) => {
+                assert_eq!(mount.labeling, DenseLabeling::from_flat(store.flat.clone()));
+                assert_eq!((mount.version, mount.flavor), (store.version, store.flavor));
+            }
+            (Err(open), Err(mount)) => assert_eq!(
+                std::mem::discriminant(open),
+                std::mem::discriminant(&mount),
+                "{open:?} against {mount:?}"
+            ),
+            (open, mount) => panic!("open gave {open:?}, mount {mount:?}"),
+        }
         opened
+    }
+
+    /// A labeling from one pair list per vertex.
+    fn lists(lists: Vec<Vec<(hl_graph::NodeId, hl_graph::Distance)>>) -> FlatLabeling {
+        FlatLabeling::from_pair_lists(lists).unwrap()
+    }
+
+    /// Twenty vertices, the first four labeled, with hub 1's column
+    /// holding `wide` (dense.rs's fixture of the same name): K = 2 at 127,
+    /// K = 1 at 128.
+    fn column_one_holds(wide: hl_graph::Distance) -> FlatLabeling {
+        let mut labels = vec![
+            vec![(0, 0), (1, 3)],
+            vec![(1, 0)],
+            vec![(0, 1), (1, wide)],
+            vec![(0, 2), (2, 0)],
+        ];
+        labels.resize(20, Vec::new());
+        lists(labels)
+    }
+
+    #[test]
+    fn the_served_mount_is_the_opened_arena_laid_out() {
+        let built = |g: &hl_graph::Graph| PrunedLandmarkLabeling::by_degree(g).into_labeling();
+        let h24 = hl_lowerbound::HGraph::build(hl_lowerbound::GadgetParams::new(2, 4).unwrap());
+        // Two random matchings on 60 vertices: disjoint cycles.
+        let disconnected = generators::union_of_matchings(60, 2, 5);
+        let apart = built(&disconnected);
+        assert!((1..60).any(|v| apart.query(0, v) == hl_graph::INFINITY));
+        // Hub 0 in every label but vertex 5's, which is empty.
+        let one_empty = lists(
+            (0..12)
+                .map(|v| match v {
+                    0 => vec![(0, 0)],
+                    5 => Vec::new(),
+                    _ => vec![(0, v.into()), (v, 0)],
+                })
+                .collect(),
+        );
+        for (name, flat, k) in [
+            ("gnm", built(&generators::connected_gnm(300, 900, 2)), None),
+            ("rmat", built(&generators::rmat(8, 1000, 3)), None),
+            ("h:2,4", built(h24.graph()), Some(0)),
+            ("n = 0", FlatLabeling::new(), Some(0)),
+            ("n = 1", lists(vec![vec![(0, 0)]]), Some(1)),
+            ("an empty label", one_empty, Some(12)),
+            ("disconnected", apart, None),
+            ("a column holding 127", column_one_holds(127), Some(2)),
+            ("a column holding 128", column_one_holds(128), Some(1)),
+        ] {
+            let path =
+                std::env::temp_dir().join(format!("hl-any-store-mount-{}", std::process::id()));
+            FlatStore::from_flat(flat).save(&path).unwrap();
+            let mount = AnyStore::mount(&path).unwrap();
+            let laid_out =
+                DenseLabeling::from_flat(AnyStore::open(&path).unwrap().into_flat().unwrap());
+            std::fs::remove_file(&path).ok();
+            assert_eq!((mount.version, mount.flavor), (2, "v2"), "{name}");
+            let served = mount.labeling;
+            assert_eq!(served, laid_out, "{name}");
+            assert_eq!(served.heap_bytes(), laid_out.heap_bytes(), "{name}");
+            if let Some(k) = k {
+                assert_eq!(served.prefix_hubs(), k, "{name}: K");
+            }
+            for v in 0..served.num_nodes() as hl_graph::NodeId {
+                assert_eq!(
+                    served.label_of(v),
+                    laid_out.label_of(v),
+                    "{name}: label of {v}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_other_source_mounts_through_the_opened_arena() {
+        // v1, v2c and a pipe take `open` and `from_flat`: their mounts
+        // equal the v2 file's.
+        let flat = sample();
+        let mut v1 = Vec::new();
+        LabelStore::from_flat(&flat).write_to(&mut v1).unwrap();
+        let v2c = CompactStore::from_compact(hl_core::CompactLabeling::from_flat(&flat).unwrap())
+            .encode();
+        let want = DenseLabeling::from_flat(flat);
+        for (name, bytes) in [("v1", v1), ("v2c", v2c)] {
+            let path =
+                std::env::temp_dir().join(format!("hl-any-store-{name}-{}", std::process::id()));
+            std::fs::write(&path, &bytes).unwrap();
+            let mount = AnyStore::mount(&path);
+            std::fs::remove_file(&path).ok();
+            let mount = mount.unwrap();
+            assert_eq!(mount.flavor, name);
+            assert_eq!(mount.labeling, want, "{name}");
+        }
     }
 
     #[test]
@@ -317,16 +489,31 @@ mod tests {
         std::fs::remove_file(&fifo).ok();
         let made = std::process::Command::new("mkfifo").arg(&fifo).status();
         assert!(made.expect("run mkfifo").success(), "mkfifo failed");
-        let writer = {
-            let (fifo, bytes) = (fifo.clone(), bytes.clone());
-            std::thread::spawn(move || std::fs::write(fifo, bytes))
+        let through_fifo = |read: &dyn Fn(&Path) -> Result<(), StoreError>| {
+            let writer = {
+                let (fifo, bytes) = (fifo.clone(), bytes.clone());
+                std::thread::spawn(move || std::fs::write(fifo, bytes))
+            };
+            read(&fifo).unwrap();
+            writer.join().unwrap().unwrap();
         };
-        let opened = AnyStore::open(&fifo);
-        writer.join().unwrap().unwrap();
+        let parsed = AnyStore::parse(&bytes).unwrap();
+        through_fifo(&|path| {
+            let opened = AnyStore::open(path)?;
+            assert_eq!(opened.file_len(), bytes.len() as u64);
+            assert_eq!(opened.served(), parsed.served());
+            Ok(())
+        });
+        // A pipe mounts through the arena it is read into.
+        through_fifo(&|path| {
+            let mounted = AnyStore::mount(path)?;
+            assert_eq!(
+                mounted.labeling,
+                DenseLabeling::from_flat(parsed.flat.clone())
+            );
+            Ok(())
+        });
         std::fs::remove_file(&fifo).ok();
-        let opened = opened.unwrap();
-        assert_eq!(opened.file_len(), bytes.len() as u64);
-        assert_eq!(opened.served(), AnyStore::parse(&bytes).unwrap().served());
     }
 
     #[test]

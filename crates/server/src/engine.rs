@@ -1,16 +1,20 @@
 //! The query engine: distance queries answered from a decoded, read-only
 //! labeling, on the threads of whoever calls it.
 //!
-//! Labels are decoded from the store once, before construction, into the
-//! [`FlatLabeling`] CSR arena, whatever the store's format. The engine
-//! mounts it as [`DenseLabeling::from_flat`] lays it out, in one pass:
-//! hub ids renumbered by frequency rank, so the hubs every label shares
-//! form one prefix of every run; the first K ranks, as many as fit in the
-//! bytes their entries take in the flat arena (`n · K ≤ 8 · cells`), an
-//! `n × K` table of `u8` cells; every other entry a remainder arena; and
-//! the ranking's inverse, so [`QueryEngine::label_of`] answers in the
-//! store's ids. A query is the smaller of two joins:
-//! the two rows summed lane by lane and folded with `min`, and
+//! The engine serves labels in the served layout, a [`DenseLabeling`].
+//! [`crate::AnyStore::mount`] reads a flat-flavor v2 file straight into
+//! it, in two passes over the file, so no flat arena is built beside it;
+//! any other source is decoded to the
+//! [`FlatLabeling`](hl_core::FlatLabeling) CSR arena first and laid out
+//! by [`DenseLabeling::from_flat`] in one pass over it.
+//! [`QueryEngine::new`] and [`QueryEngine::reload`] take either. The
+//! layout: hub ids renumbered by frequency rank, so the hubs every label
+//! shares form one prefix of every run; the first K ranks, as many as fit
+//! in the bytes their entries take in the flat arena (`n · K ≤ 8 ·
+//! cells`), an `n × K` table of `u8` cells; every other entry a remainder
+//! arena; and the ranking's inverse, so [`QueryEngine::label_of`] answers
+//! in the store's ids. A query is the smaller of two joins: the two rows
+//! summed lane by lane and folded with `min`, and
 //! `hl_core::label`'s hybrid kernel over the two remainders (a merge when
 //! the shorter label is short and otherwise a scatter–gather through the
 //! calling thread's hub scratch). K comes from the store alone, and a
@@ -50,7 +54,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use hl_core::{DenseLabeling, FlatLabeling};
+use hl_core::DenseLabeling;
 use hl_graph::sync::{fan_out, read_unpoisoned, write_unpoisoned};
 use hl_graph::{Distance, NodeId};
 
@@ -110,10 +114,10 @@ impl Epoch {
     /// Generation 0 of `labeling` in the served layout, with an empty
     /// single-query cache of 65,536 entries, sharded at least four ways
     /// so point lookups from `width` threads rarely meet on a shard lock.
-    fn new(labeling: FlatLabeling, width: usize) -> Epoch {
+    fn new(labeling: DenseLabeling, width: usize) -> Epoch {
         Epoch {
             serial: 0,
-            labeling: DenseLabeling::from_flat(labeling),
+            labeling,
             cache: ShardedLruCache::new(1 << 16, width.max(4)),
         }
     }
@@ -146,12 +150,18 @@ pub struct QueryEngine {
 
 impl QueryEngine {
     /// An engine of width `num_workers` (at least one) over an
-    /// already-decoded labeling. Starts no thread and cannot fail; the
-    /// `Result` is the signature the frozen `benchmark/` compiles against.
-    pub fn new(labeling: FlatLabeling, num_workers: usize) -> Result<Self, EngineError> {
+    /// already-decoded labeling: a [`DenseLabeling`] as a mount laid it
+    /// out, or a [`FlatLabeling`](hl_core::FlatLabeling) arena, which
+    /// [`DenseLabeling::from_flat`] lays out here. Starts no thread and
+    /// cannot fail; the `Result` is the signature the frozen `benchmark/`
+    /// compiles against.
+    pub fn new(
+        labeling: impl Into<DenseLabeling>,
+        num_workers: usize,
+    ) -> Result<Self, EngineError> {
         let width = num_workers.max(1);
         Ok(QueryEngine {
-            epoch: RwLock::new(Arc::new(Epoch::new(labeling, width))),
+            epoch: RwLock::new(Arc::new(Epoch::new(labeling.into(), width))),
             metrics: Metrics::new(),
             width,
         })
@@ -205,11 +215,11 @@ impl QueryEngine {
     /// file before calling reload, so a corrupt file never evicts the
     /// healthy epoch).
     ///
-    /// The new epoch is laid out and its cache built before the write
-    /// lock is taken; the lock covers reading the serial and the swap, and
-    /// the old epoch is released after it.
-    pub fn reload(&self, labeling: FlatLabeling) -> u64 {
-        let next = Epoch::new(labeling, self.width);
+    /// An arena is laid out, and the new epoch's cache built, before the
+    /// write lock is taken; the lock covers reading the serial and the
+    /// swap, and the old epoch is released after it.
+    pub fn reload(&self, labeling: impl Into<DenseLabeling>) -> u64 {
+        let next = Epoch::new(labeling.into(), self.width);
         let mut slot = write_unpoisoned(&self.epoch);
         let serial = slot.serial + 1;
         let retired = std::mem::replace(&mut *slot, Arc::new(Epoch { serial, ..next }));
@@ -326,6 +336,7 @@ fn elapsed_ns(started: Instant) -> u64 {
 mod tests {
     use super::*;
     use hl_core::pll::PrunedLandmarkLabeling;
+    use hl_core::FlatLabeling;
     use hl_graph::generators;
     use hl_graph::INFINITY;
 

@@ -39,7 +39,7 @@ pub mod metrics;
 pub mod store;
 pub mod store_v2;
 
-pub use any_store::AnyStore;
+pub use any_store::{AnyStore, Mount};
 pub use cache::{CacheStats, ShardedLruCache};
 pub use engine::{EngineError, QueryEngine};
 pub use metrics::{LatencyHistogram, Metrics, MetricsSnapshot};

@@ -36,7 +36,7 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 
-use hl_core::FlatLabeling;
+use hl_core::{FlatLabeling, FlatLayoutError};
 use hl_graph::NodeId;
 use hl_labeling::bits::BitReader;
 use hl_labeling::hub_scheme::{encode_label, try_decode_label_append};
@@ -128,6 +128,13 @@ impl std::error::Error for StoreError {
 impl From<io::Error> for StoreError {
     fn from(e: io::Error) -> Self {
         StoreError::Io(e)
+    }
+}
+
+/// Labels that break an arena invariant are a corrupt store.
+impl From<FlatLayoutError> for StoreError {
+    fn from(e: FlatLayoutError) -> Self {
+        StoreError::Corrupt(format!("arena invariant violated: {e}"))
     }
 }
 

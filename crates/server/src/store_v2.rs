@@ -7,9 +7,14 @@
 //! individually checksummed section — so a load is each section streamed
 //! through one chunk buffer, checksummed and decoded in the same pass,
 //! then one structural scan. No bit twiddling, no per-label work, and no
-//! image of the whole file: a save or a mount holds the arena and one
-//! 256 KiB buffer. v1 remains the archival/transport encoding (`hubserve
-//! convert` moves between them losslessly); v2 is what a daemon mounts.
+//! image of the whole file: a save or a read holds the arena and one
+//! 256 KiB buffer. A daemon's mount ([`V2Store::parse_served`], which
+//! `AnyStore::mount` runs on a file) holds less: it walks the hubs and
+//! dists sections twice, once to count and once to place each run into
+//! the served layout, so it holds that layout, the offsets and the one
+//! buffer, and never the flat arena. v1 remains the archival/transport
+//! encoding (`hubserve convert` moves between them losslessly); v2 is
+//! what a daemon mounts.
 //!
 //! ## Format (all integers little-endian)
 //!
@@ -66,7 +71,11 @@
 //! decodes the section — decoded data is discarded unless every checksum
 //! matches), and finally the structural invariants of the decoded arena
 //! via [`FlatLabeling::from_raw_parts`] or
-//! [`CompactLabeling::from_raw_parts`]. Anything malformed is a typed
+//! [`CompactLabeling::from_raw_parts`]. The served mount checks the same
+//! frame, padding and offsets, then folds both entry checksums and checks
+//! every run as `from_raw_parts` does on each of its two passes
+//! ([`DenseLabeling::from_two_passes`]); a file that changes between the
+//! passes is [`StoreError::Corrupt`]. Anything malformed is a typed
 //! [`StoreError`], never a panic or a wrong distance — the same untrusted-
 //! bytes discipline as v1, with the checksum catching accidents and the
 //! structural pass catching crafted stores.
@@ -77,8 +86,9 @@ use std::io::{self, Write};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
-use hl_core::{CompactDists, CompactLabeling, FlatLabeling, HubDeltas};
+use hl_core::{CompactDists, CompactLabeling, DenseLabeling, FlatLabeling, HubDeltas, RunSink};
 use hl_graph::sync::{fan_out, machine_workers};
+use hl_graph::NodeId;
 
 use crate::store::{fnv1a64, format_version, read_array, read_u64, StoreError, MAGIC};
 
@@ -521,6 +531,64 @@ impl V2Store {
     /// validation ([`FlatLabeling::from_raw_parts`] or
     /// [`CompactLabeling::from_raw_parts`]).
     pub(crate) fn read<I: Image + ?Sized>(image: &I) -> Result<Self, StoreError> {
+        let frame = Frame::read(image)?;
+        let mut buf = chunk_buffer();
+        check_padding(image, &frame.sections, &mut buf)?;
+        let body = frame.decode(image, &mut buf)?;
+        Ok(V2Store { body })
+    }
+
+    /// Parses a serialized v2 store of either flavor straight into the
+    /// served layout, through the reader [`crate::any_store::AnyStore::mount`]
+    /// mounts files by. Returns the layout and the file's flag word.
+    pub fn parse_served(bytes: &[u8]) -> Result<(DenseLabeling, u16), StoreError> {
+        Self::read_served(bytes)
+    }
+
+    /// Reads a v2 store from `image` into the served layout, with
+    /// [`V2Store::read`]'s checks. A flat-flavor image never becomes a
+    /// flat arena: after the frame, the padding and the offsets section,
+    /// [`DenseLabeling::from_two_passes`] walks the hubs and dists
+    /// sections twice ([`walk_runs`]), once to count and once to place,
+    /// so a mount holds the served layout, the offsets and the one chunk
+    /// buffer. A compact image is read as [`V2Store::read`] reads it and
+    /// laid out with [`DenseLabeling::from_flat`].
+    pub(crate) fn read_served<I: Image + ?Sized>(
+        image: &I,
+    ) -> Result<(DenseLabeling, u16), StoreError> {
+        let frame = Frame::read(image)?;
+        let mut buf = chunk_buffer();
+        check_padding(image, &frame.sections, &mut buf)?;
+        if frame.flags != 0 {
+            let store = V2Store {
+                body: frame.decode(image, &mut buf)?,
+            };
+            return Ok((DenseLabeling::from_flat(store.into_flat()), frame.flags));
+        }
+        let (offsets, sum) = decode_section::<u64, _>(image, frame.sections[0], &mut buf)?;
+        check_section_sum(&frame.head, 0, sum)?;
+        let dense = DenseLabeling::from_two_passes(&offsets, frame.entries, |sink| {
+            walk_runs(image, &frame, &offsets, &mut buf, sink)
+        })?;
+        Ok((dense, frame.flags))
+    }
+}
+
+/// A v2 image's validated frame: its header, its flag word, its entry
+/// count, where its sections lie, and the image's length, all checked
+/// before any section-sized allocation.
+struct Frame {
+    head: [u8; HEADER_LEN],
+    flags: u16,
+    entries: usize,
+    sections: [Section; 3],
+    file_len: u64,
+}
+
+impl Frame {
+    /// Checks `image`'s header and section table against its real
+    /// length, as the module docs list.
+    fn read<I: Image + ?Sized>(image: &I) -> Result<Frame, StoreError> {
         let file_len = image.image_len()?;
         if file_len < HEADER_LEN as u64 {
             return Err(StoreError::Truncated {
@@ -540,41 +608,224 @@ impl V2Store {
 
         usize::try_from(n)
             .map_err(|_| StoreError::Corrupt(format!("node count {n} exceeds address space")))?;
-        usize::try_from(e)
+        let entries = usize::try_from(e)
             .map_err(|_| StoreError::Corrupt(format!("entry count {e} exceeds address space")))?;
         let expect_lens = expected_section_lens(n, e, hub_bytes as u64, dist_bytes as u64)?;
         let sections = validate_frame(&head, file_len, &expect_lens)?;
-        let mut buf = chunk_buffer();
-        check_padding(image, &sections, &mut buf)?;
+        Ok(Frame {
+            head,
+            flags,
+            entries,
+            sections,
+            file_len,
+        })
+    }
 
-        let body = if compact {
+    /// Decodes the body the flag word names, through the fused
+    /// checksum+decode pass, and validates it as an arena.
+    fn decode<I: Image + ?Sized>(&self, image: &I, buf: &mut [u8]) -> Result<Body, StoreError> {
+        let (hub_bytes, dist_bytes) = entry_bytes(self.flags);
+        if self.flags & FLAG_COMPACT != 0 {
             let (offsets, hubs, dists) = decode_sections(
                 image,
-                &head,
-                &sections,
-                &mut buf,
+                &self.head,
+                &self.sections,
+                buf,
                 |sec, buf| decode_narrow_section(image, sec, buf, hub_bytes),
                 |sec, buf| decode_narrow_section(image, sec, buf, dist_bytes),
             )?;
-            CompactLabeling::from_raw_parts(offsets, hubs, dists).map(Body::Compact)
-        } else {
-            let (offsets, hubs, (dists, widest)) = decode_sections(
-                image,
-                &head,
-                &sections,
-                &mut buf,
-                |sec, buf| decode_section::<u32, _>(image, sec, buf),
-                |sec, buf| decode_dists_section(image, sec, buf),
-            )?;
-            if widest > u64::from(u32::MAX) {
-                return Err(StoreError::Corrupt(format!(
-                    "distance {widest} in the dists section exceeds the arena's u32 lane"
-                )));
-            }
-            FlatLabeling::from_raw_parts(offsets, hubs, dists).map(Body::Flat)
+            return Ok(Body::Compact(CompactLabeling::from_raw_parts(
+                offsets, hubs, dists,
+            )?));
         }
-        .map_err(|e| StoreError::Corrupt(format!("arena invariant violated: {e}")))?;
-        Ok(V2Store { body })
+        let (offsets, hubs, (dists, widest)) = decode_sections(
+            image,
+            &self.head,
+            &self.sections,
+            buf,
+            |sec, buf| decode_section::<u32, _>(image, sec, buf),
+            |sec, buf| decode_dists_section(image, sec, buf),
+        )?;
+        check_lane(widest)?;
+        Ok(Body::Flat(FlatLabeling::from_raw_parts(
+            offsets, hubs, dists,
+        )?))
+    }
+
+    /// Checks that `image` still holds this frame: its length and its
+    /// header bytes, which carry every section checksum.
+    fn check_unchanged<I: Image + ?Sized>(&self, image: &I) -> Result<(), StoreError> {
+        let mut head = [0u8; HEADER_LEN];
+        if image.image_len()? == self.file_len {
+            image.fill_at(&mut head, 0)?;
+        }
+        if head != self.head {
+            return Err(StoreError::Corrupt(
+                "the store changed between the mount's two passes".into(),
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Rejects a distance word past the arena's `u32` lane.
+fn check_lane(widest: u64) -> Result<(), StoreError> {
+    if widest > u64::from(u32::MAX) {
+        return Err(StoreError::Corrupt(format!(
+            "distance {widest} in the dists section exceeds the arena's u32 lane"
+        )));
+    }
+    Ok(())
+}
+
+/// Checks section `i`'s folded checksum against its record in `head`.
+fn check_section_sum(head: &[u8; HEADER_LEN], i: usize, actual: u64) -> Result<(), StoreError> {
+    let declared = read_u64(head, TABLE_OFF + i * RECORD_LEN + 16)?;
+    if actual != declared {
+        return Err(StoreError::Corrupt(format!(
+            "section {} checksum mismatch: table says {declared:#018x}, bytes hash to {actual:#018x}",
+            SECTION_NAMES[i]
+        )));
+    }
+    Ok(())
+}
+
+/// One pass of a served mount over a flat-flavor image, for
+/// [`DenseLabeling::from_two_passes`]: the image is checked to still hold
+/// `frame`, then the hubs and dists sections are read in lockstep
+/// ([`Lanes`]), and each vertex's run, as `offsets` bounds it, is
+/// gathered and handed to `sink` with its distances narrowed to the
+/// arena's `u32` lane. Both section checksums are folded on the way and
+/// checked at the end, before a run `sink` refused or a distance past
+/// `u32` is reported, so a damaged byte reads as a checksum mismatch, as
+/// it does in [`V2Store::read`].
+fn walk_runs<I: Image + ?Sized>(
+    image: &I,
+    frame: &Frame,
+    offsets: &[u64],
+    buf: &mut [u8],
+    sink: &mut RunSink<'_, StoreError>,
+) -> Result<(), StoreError> {
+    frame.check_unchanged(image)?;
+    let mut lanes = Lanes::new(buf, frame);
+    let (mut hubs, mut dists) = (Vec::new(), Vec::new());
+    let mut refused = None;
+    for span in offsets.windows(2) {
+        hubs.clear();
+        dists.clear();
+        lanes.take(
+            image,
+            span[1].saturating_sub(span[0]),
+            &mut hubs,
+            &mut dists,
+        )?;
+        if refused.is_none() {
+            refused = check_lane(lanes.widest)
+                .and_then(|()| sink(&hubs, &dists))
+                .err();
+        }
+    }
+    let [hubs_sum, dists_sum] = lanes.folds.map(LaneFold::finish);
+    check_section_sum(&frame.head, 1, hubs_sum)?;
+    check_section_sum(&frame.head, 2, dists_sum)?;
+    refused.map_or(Ok(()), Err)
+}
+
+/// The hubs and dists sections of a flat-flavor image, read in lockstep
+/// one step of entries at a time: hubs into the first half of the chunk
+/// buffer, distances into the second, each section's checksum folded as
+/// its bytes arrive.
+struct Lanes<'b> {
+    hub_buf: &'b mut [u8],
+    dist_buf: &'b mut [u8],
+    /// The hubs and dists sections.
+    sections: [Section; 2],
+    /// Entries a read: what the dists half holds, a multiple of 8 so
+    /// that every read but the last folds whole 32-byte words.
+    step: usize,
+    /// Entries in the sections, and entries read so far.
+    entries: usize,
+    read: usize,
+    /// The entries of the last read not yet taken: `at..len`.
+    at: usize,
+    len: usize,
+    folds: [LaneFold; 2],
+    /// The widest distance word taken so far.
+    widest: u64,
+}
+
+impl<'b> Lanes<'b> {
+    fn new(buf: &'b mut [u8], frame: &Frame) -> Lanes<'b> {
+        let (hub_buf, dist_buf) = buf.split_at_mut(buf.len() / 2);
+        Lanes {
+            step: dist_buf.len() / u64::BYTES / 8 * 8,
+            hub_buf,
+            dist_buf,
+            sections: [frame.sections[1], frame.sections[2]],
+            entries: frame.entries,
+            read: 0,
+            at: 0,
+            len: 0,
+            folds: [LaneFold::default(), LaneFold::default()],
+            widest: 0,
+        }
+    }
+
+    /// Appends the next `count` entries to `hubs` and `dists`, each
+    /// distance word narrowed to `u32` (and recorded in `widest`).
+    fn take<I: Image + ?Sized>(
+        &mut self,
+        image: &I,
+        mut count: u64,
+        hubs: &mut Vec<NodeId>,
+        dists: &mut Vec<u32>,
+    ) -> io::Result<()> {
+        while count > 0 {
+            if self.at == self.len {
+                self.next_read(image)?;
+            }
+            let m =
+                usize::try_from(count).map_or(self.len - self.at, |c| c.min(self.len - self.at));
+            let (from, to) = (self.at, self.at + m);
+            let hub_bytes = &self.hub_buf[from * u32::BYTES..to * u32::BYTES];
+            hubs.extend(hub_bytes.chunks_exact(u32::BYTES).map(u32::read_le));
+            let dist_bytes = &self.dist_buf[from * u64::BYTES..to * u64::BYTES];
+            let widest = &mut self.widest;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "`widest` records the word; the walk rejects the store when it does not fit u32"
+            )]
+            dists.extend(dist_bytes.chunks_exact(u64::BYTES).map(|word| {
+                let d = u64::read_le(word);
+                *widest = (*widest).max(d);
+                d as u32
+            }));
+            self.at = to;
+            count -= m as u64;
+        }
+        Ok(())
+    }
+
+    /// Reads the next step of both sections and folds it into their
+    /// checksums. Runs that claim more entries than the sections hold
+    /// end here, as a read past the end.
+    fn next_read<I: Image + ?Sized>(&mut self, image: &I) -> io::Result<()> {
+        let m = self.step.min(self.entries - self.read);
+        if m == 0 {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        let bufs = [&mut *self.hub_buf, &mut *self.dist_buf];
+        for ((buf, sec), (fold, width)) in bufs
+            .into_iter()
+            .zip(self.sections)
+            .zip(self.folds.iter_mut().zip([u32::BYTES, u64::BYTES]))
+        {
+            let bytes = &mut buf[..m * width];
+            image.fill_at(bytes, sec.file_offset + (self.read * width) as u64)?;
+            fold.absorb(bytes);
+        }
+        (self.read, self.at, self.len) = (self.read + m, 0, m);
+        Ok(())
     }
 }
 
@@ -771,13 +1022,7 @@ fn decode_sections<I: Image + ?Sized, H: Send, D: Send>(
         return Err(StoreError::Corrupt("sections decoded out of order".into()));
     };
     for (i, actual) in [offsets_sum, hubs_sum, dists_sum].into_iter().enumerate() {
-        let declared = read_u64(head, TABLE_OFF + i * RECORD_LEN + 16)?;
-        if actual != declared {
-            return Err(StoreError::Corrupt(format!(
-                "section {} checksum mismatch: table says {declared:#018x}, bytes hash to {actual:#018x}",
-                SECTION_NAMES[i]
-            )));
-        }
+        check_section_sum(head, i, actual)?;
     }
     Ok((offsets, hubs, dists))
 }
@@ -917,6 +1162,21 @@ mod tests {
         super::decode_section::<T, _>(bytes, sec, &mut [0u8; 64]).unwrap()
     }
 
+    /// The errors both v2 readers give `bytes` — the arena's
+    /// ([`V2Store::parse`]) and the served mount's
+    /// ([`V2Store::parse_served`]) — which must each refuse it, with the
+    /// same [`StoreError`] variant.
+    fn rejected(bytes: &[u8]) -> [StoreError; 2] {
+        let arena = V2Store::parse(bytes).expect_err("the arena reader accepted it");
+        let served = V2Store::parse_served(bytes).expect_err("the served mount accepted it");
+        assert_eq!(
+            std::mem::discriminant(&arena),
+            std::mem::discriminant(&served),
+            "{arena:?} against {served:?}"
+        );
+        [arena, served]
+    }
+
     fn refresh_table_checksum(buf: &mut [u8]) {
         let sum = fnv1a64(&buf[TABLE_OFF..HEADER_LEN]);
         buf[24..32].copy_from_slice(&sum.to_le_bytes());
@@ -974,51 +1234,40 @@ mod tests {
         let bytes = FlatStore::from_flat(sample_flat()).encode();
         let mut bad = bytes.clone();
         bad[0] = b'X';
-        assert!(matches!(
-            FlatStore::parse(&bad),
-            Err(StoreError::BadMagic(_))
-        ));
+        for err in rejected(&bad) {
+            assert!(matches!(err, StoreError::BadMagic(_)), "{err:?}");
+        }
         let mut bad = bytes.clone();
         bad[4] = 9;
-        assert!(matches!(
-            FlatStore::parse(&bad),
-            Err(StoreError::UnsupportedVersion(9))
-        ));
+        for err in rejected(&bad) {
+            assert!(matches!(err, StoreError::UnsupportedVersion(9)), "{err:?}");
+        }
         // An unknown flag bit, and a width bit without the compact bit
         // it qualifies, are both rejected by name...
         for flags in [1u8 << 3, FLAG_HUBS_WIDE as u8, FLAG_DISTS_WIDE as u8] {
             let mut bad = bytes.clone();
             bad[6] = flags;
-            assert!(matches!(
-                FlatStore::parse(&bad),
-                Err(StoreError::UnsupportedFlags(f)) if f == flags as u16
-            ));
+            for err in rejected(&bad) {
+                assert!(
+                    matches!(err, StoreError::UnsupportedFlags(f) if f == flags as u16),
+                    "{err:?}"
+                );
+            }
         }
         // ...and claiming the compact flavor over flat-width sections
         // dies on the section lengths that flavor implies.
         let mut bad = bytes.clone();
         bad[6] = FLAG_COMPACT as u8;
-        assert!(matches!(
-            FlatStore::parse(&bad),
-            Err(StoreError::Corrupt(_))
-        ));
+        for err in rejected(&bad) {
+            assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+        }
     }
 
     #[test]
     fn truncation_rejected_at_every_length() {
         let bytes = FlatStore::from_flat(sample_flat()).encode();
-        for cut in [
-            0,
-            3,
-            HEADER_LEN - 1,
-            HEADER_LEN,
-            bytes.len() / 2,
-            bytes.len() - 1,
-        ] {
-            assert!(
-                FlatStore::parse(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes must not parse"
-            );
+        for cut in 0..bytes.len() {
+            rejected(&bytes[..cut]);
         }
     }
 
@@ -1026,10 +1275,12 @@ mod tests {
     fn trailing_garbage_rejected() {
         let mut bytes = FlatStore::from_flat(sample_flat()).encode();
         bytes.extend_from_slice(b"junk");
-        assert!(matches!(
-            FlatStore::parse(&bytes),
-            Err(StoreError::Corrupt(ref m)) if m.contains("trailing")
-        ));
+        for err in rejected(&bytes) {
+            assert!(
+                matches!(err, StoreError::Corrupt(ref m) if m.contains("trailing")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1042,10 +1293,7 @@ mod tests {
         for at in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[at] ^= 0x01;
-            assert!(
-                FlatStore::parse(&bad).is_err(),
-                "flipped byte at {at} went undetected"
-            );
+            rejected(&bad);
         }
     }
 
@@ -1060,8 +1308,9 @@ mod tests {
             as usize;
         bytes[off0 + 8..off0 + 16].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
         refresh_section_checksum(&mut bytes, 0);
-        let err = FlatStore::parse(&bytes).expect_err("crafted offsets must be rejected");
-        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+        for err in rejected(&bytes) {
+            assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+        }
     }
 
     #[test]
@@ -1071,11 +1320,12 @@ mod tests {
         let off = u64::from_le_bytes(bytes[rec..rec + 8].try_into().unwrap());
         bytes[rec..rec + 8].copy_from_slice(&(off + 1).to_le_bytes());
         refresh_table_checksum(&mut bytes);
-        let err = FlatStore::parse(&bytes).expect_err("misaligned section must be rejected");
-        assert!(
-            matches!(err, StoreError::Corrupt(ref m) if m.contains("misaligned")),
-            "{err:?}"
-        );
+        for err in rejected(&bytes) {
+            assert!(
+                matches!(err, StoreError::Corrupt(ref m) if m.contains("misaligned")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1086,14 +1336,22 @@ mod tests {
         let mut bytes = FlatStore::from_flat(sample_flat()).encode();
         bytes[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
         refresh_table_checksum(&mut bytes);
-        let err = FlatStore::parse(&bytes).expect_err("lying node count");
-        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+        for err in rejected(&bytes) {
+            assert!(
+                matches!(err, StoreError::Corrupt(_)),
+                "lying node count: {err:?}"
+            );
+        }
 
         let mut bytes2 = FlatStore::from_flat(sample_flat()).encode();
         bytes2[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
         refresh_table_checksum(&mut bytes2);
-        let err = FlatStore::parse(&bytes2).expect_err("overflowing entry count");
-        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+        for err in rejected(&bytes2) {
+            assert!(
+                matches!(err, StoreError::Corrupt(_)),
+                "overflowing entry count: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1115,11 +1373,12 @@ mod tests {
             bytes.swap(a + i, b + i);
         }
         refresh_section_checksum(&mut bytes, 1);
-        let err = FlatStore::parse(&bytes).expect_err("unsorted hubs must be rejected");
-        assert!(
-            matches!(err, StoreError::Corrupt(ref m) if m.contains("strictly increasing")),
-            "{err:?}"
-        );
+        for err in rejected(&bytes) {
+            assert!(
+                matches!(err, StoreError::Corrupt(ref m) if m.contains("strictly increasing")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1236,10 +1495,100 @@ mod tests {
         ] {
             let parsed = V2Store::parse(&bytes).unwrap();
             assert_eq!(V2Store::read(&Dribble(bytes.clone())).unwrap(), parsed);
+            let served = V2Store::parse_served(&bytes).unwrap();
+            assert_eq!(
+                V2Store::read_served(&Dribble(bytes.clone())).unwrap(),
+                served
+            );
             // A source that ends early is an error, never a short store.
             let mut short = Dribble(bytes.clone());
             short.0.truncate(bytes.len() - 1);
             assert!(V2Store::read(&short).is_err());
+            assert!(V2Store::read_served(&short).is_err());
+        }
+    }
+
+    /// An image that serves `first` until the reader has made `swap`
+    /// reads, and `second` from then on: a store replaced under a mount.
+    struct Replaced {
+        first: Vec<u8>,
+        second: Vec<u8>,
+        swap: usize,
+        reads: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Replaced {
+        fn new(first: &[u8], second: &[u8], swap: usize) -> Replaced {
+            Replaced {
+                first: first.to_vec(),
+                second: second.to_vec(),
+                swap,
+                reads: 0.into(),
+            }
+        }
+
+        fn now(&self) -> &[u8] {
+            use std::sync::atomic::Ordering::Relaxed;
+            if self.reads.load(Relaxed) < self.swap {
+                &self.first
+            } else {
+                &self.second
+            }
+        }
+    }
+
+    impl Image for Replaced {
+        fn image_len(&self) -> io::Result<u64> {
+            self.now().image_len()
+        }
+
+        fn fill_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+            let filled = self.now().fill_at(buf, offset);
+            self.reads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            filled
+        }
+    }
+
+    #[test]
+    fn a_store_replaced_between_the_two_passes_is_corrupt() {
+        let first = FlatStore::from_flat(sample_flat()).encode();
+        let first_layout = V2Store::parse_served(&first).unwrap().0;
+        // The same shape with every distance one longer, and a store of
+        // another graph: both valid, both read by the second pass.
+        let mut lists: Vec<Vec<(NodeId, hl_graph::Distance)>> = Vec::new();
+        for v in 0..sample_flat().num_nodes() as NodeId {
+            lists.push(sample_flat().pairs_of(v).map(|(h, d)| (h, d + 1)).collect());
+        }
+        let longer = FlatStore::from_flat(FlatLabeling::from_pair_lists(lists).unwrap()).encode();
+        let other = PrunedLandmarkLabeling::by_degree(&generators::grid(4, 9)).into_labeling();
+        let other = FlatStore::from_flat(other).encode();
+        // Reads of a whole mount: the header, the padding, the offsets,
+        // then each pass's header and sections.
+        let counter = Replaced::new(&first, &first, usize::MAX);
+        V2Store::read_served(&counter).unwrap();
+        let reads = counter.reads.into_inner();
+        for second in [&longer, &other] {
+            for swap in 0..=reads {
+                let replaced = Replaced::new(&first, second, swap);
+                match V2Store::read_served(&replaced) {
+                    // Swapped before any read, or after the last: one
+                    // store, read whole.
+                    Ok((layout, _)) if swap == 0 => {
+                        assert_eq!(layout, V2Store::parse_served(second).unwrap().0)
+                    }
+                    Ok((layout, _)) => {
+                        assert_eq!(swap, reads, "a mixed image mounted at read {swap}");
+                        assert_eq!(layout, first_layout);
+                    }
+                    Err(err) => {
+                        assert!(
+                            matches!(err, StoreError::Corrupt(_)),
+                            "read {swap}: {err:?}"
+                        )
+                    }
+                }
+            }
         }
     }
 
@@ -1322,10 +1671,7 @@ mod tests {
         for at in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[at] ^= 0x01;
-            assert!(
-                CompactStore::parse(&bad).is_err(),
-                "flipped byte at {at} went undetected"
-            );
+            rejected(&bad);
         }
     }
 
@@ -1361,19 +1707,21 @@ mod tests {
             let mut bytes = clean.clone();
             bytes[last..last + 8].copy_from_slice(&word.to_le_bytes());
             refresh_section_checksum(&mut bytes, 2);
-            let mounted = AnyStore::parse(&bytes);
             if ok {
-                let arena = mounted
+                let arena = AnyStore::parse(&bytes)
                     .expect("u32::MAX fits the lane")
                     .into_flat()
                     .unwrap();
                 assert_eq!(arena.raw_dists().last(), Some(&u32::MAX));
+                let (served, _) = V2Store::parse_served(&bytes).unwrap();
+                assert_eq!(served, DenseLabeling::from_flat(arena));
             } else {
-                let err = mounted.expect_err("2^32 does not fit the lane");
-                assert!(
-                    matches!(err, StoreError::Corrupt(ref m) if m.contains("u32")),
-                    "{err:?}"
-                );
+                for err in rejected(&bytes) {
+                    assert!(
+                        matches!(err, StoreError::Corrupt(ref m) if m.contains("u32")),
+                        "{err:?}"
+                    );
+                }
             }
         }
     }

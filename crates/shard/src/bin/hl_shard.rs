@@ -24,7 +24,7 @@
 //! stdout, 1 runtime failure, 2 usage — a subcommand's own argument
 //! errors as much as an unknown subcommand.
 
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -46,7 +46,7 @@ fn main() -> ExitCode {
              query --shard HOST:PORT [--shard HOST:PORT ...] [pairs-file]",
         ),
     };
-    exit_code("hl-shard", out, result)
+    exit_code("hl-shard", out, &mut io::stderr(), result)
 }
 
 struct PartitionOpts {
